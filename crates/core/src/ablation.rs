@@ -43,7 +43,7 @@ pub fn clusterwise_row_major(ac: &CsrCluster, b: &CsrMatrix) -> CsrMatrix {
                     acc.add(j, av * bv);
                 }
             }
-            acc.extract_into(&mut col_idx, &mut vals);
+            acc.extract_append(&mut col_idx, &mut vals);
             row_ptr.push(col_idx.len());
         }
     }

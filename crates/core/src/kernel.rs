@@ -14,14 +14,20 @@
 //!         c_lj += a_lk · b_kj
 //! ```
 //!
-//! Like the row-wise baseline, the kernel is two-phase (exact symbolic
-//! sizing, then numeric into pre-split output slices) and parallelized over
-//! FLOP-balanced contiguous cluster chunks.
+//! Like the row-wise baseline, the kernel is one-phase and leaves sizing,
+//! FLOP-balanced chunking (of *clusters*), the parallel fan-out and output
+//! assembly to `cw_spgemm::single_pass`: a cluster's member rows are
+//! extracted straight into the output once, and nothing is accumulated
+//! twice to learn a size. The loops are monomorphised over the accumulator
+//! type, chosen once per call from `SpGemmOptions::acc`.
 
 use crate::format::{CsrCluster, MAX_CLUSTER_LEN};
-use cw_sparse::{ColIdx, CsrMatrix, Value};
-use cw_spgemm::accumulator::{make_accumulator, Accumulator};
-use cw_spgemm::rowwise::{balanced_row_chunks, SpGemmOptions};
+use cw_sparse::CsrMatrix;
+use cw_spgemm::accumulator::{
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
+};
+use cw_spgemm::rowwise::SpGemmOptions;
+use cw_spgemm::single_pass::{chunk_target, plan_chunks, single_pass};
 use rayon::prelude::*;
 
 /// `C = A · B` where `A` is stored in `CSR_Cluster` form. Default options
@@ -37,20 +43,17 @@ pub fn clusterwise_spgemm_with(ac: &CsrCluster, b: &CsrMatrix, opts: &SpGemmOpti
         "dimension mismatch: clustered A is {}x{}, B is {}x{}",
         ac.nrows, ac.ncols, b.nrows, b.ncols
     );
-    // Mirror of the row-wise dispatch: at effective width 1 the two-phase
-    // parallel path pays the symbolic pass twice on a single thread, so
-    // fall through to the single-pass serial kernel (bit-identical).
-    if opts.parallel && rayon::current_num_threads() > 1 {
-        parallel_impl(ac, b, opts)
-    } else {
-        serial_impl(ac, b, opts)
+    match opts.acc {
+        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator>(ac, b, opts),
+        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator>(ac, b, opts),
+        AccumulatorKind::Sort => clusterwise_kernel::<SortAccumulator>(ac, b, opts),
     }
 }
 
 /// Runs Alg. 1's inner loops for cluster `c`, scattering into one
 /// accumulator per member row.
 #[inline]
-fn accumulate_cluster(ac: &CsrCluster, b: &CsrMatrix, c: usize, accs: &mut [Box<dyn Accumulator>]) {
+fn accumulate_cluster<A: Accumulator>(ac: &CsrCluster, b: &CsrMatrix, c: usize, accs: &mut [A]) {
     let k = ac.cluster_size(c);
     let cols = ac.cluster_cols(c);
     let masks = ac.cluster_masks(c);
@@ -72,122 +75,55 @@ fn accumulate_cluster(ac: &CsrCluster, b: &CsrMatrix, c: usize, accs: &mut [Box<
     }
 }
 
-fn make_accs(opts: &SpGemmOptions, ncols: usize) -> Vec<Box<dyn Accumulator>> {
-    (0..MAX_CLUSTER_LEN).map(|_| make_accumulator(opts.acc, ncols)).collect()
-}
-
-fn serial_impl(ac: &CsrCluster, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
-    let mut accs = make_accs(opts, b.ncols);
-    let mut row_ptr = Vec::with_capacity(ac.nrows + 1);
-    row_ptr.push(0usize);
-    let mut col_idx: Vec<ColIdx> = Vec::new();
-    let mut vals: Vec<Value> = Vec::new();
-    for c in 0..ac.nclusters() {
-        let k = ac.cluster_size(c);
-        accumulate_cluster(ac, b, c, &mut accs);
-        for acc in accs.iter_mut().take(k) {
-            acc.extract_into(&mut col_idx, &mut vals);
-            row_ptr.push(col_idx.len());
+/// Per cluster: its multiply-add count (for chunk balancing) and the upper
+/// bound on its output entries, `Σ_member rows min(flops(row), ncols(B))`.
+/// Computed on the pool, or (`pool == false`) on the calling thread alone —
+/// a serial multiply must not wake the pool for it.
+fn cluster_work(ac: &CsrCluster, b: &CsrMatrix, pool: bool) -> (Vec<u64>, Vec<usize>) {
+    let work = |c: usize| {
+        let mut row_flops = [0u64; MAX_CLUSTER_LEN];
+        for (&col, &mask) in ac.cluster_cols(c).iter().zip(ac.cluster_masks(c)) {
+            let n = b.row_nnz(col as usize) as u64;
+            let mut m = mask;
+            while m != 0 {
+                row_flops[m.trailing_zeros() as usize] += n;
+                m &= m - 1;
+            }
         }
-    }
-    CsrMatrix { nrows: ac.nrows, ncols: b.ncols, row_ptr, col_idx, vals }
+        let row_flops = &row_flops[..ac.cluster_size(c)];
+        let bound: usize = row_flops.iter().map(|&f| f.min(b.ncols as u64) as usize).sum();
+        (row_flops.iter().sum::<u64>(), bound)
+    };
+    let per_cluster: Vec<(u64, usize)> = if pool {
+        (0..ac.nclusters()).into_par_iter().map(work).collect()
+    } else {
+        (0..ac.nclusters()).map(work).collect()
+    };
+    per_cluster.into_iter().unzip()
 }
 
-/// Exact per-row output sizes, computed cluster-parallel.
-fn symbolic(ac: &CsrCluster, b: &CsrMatrix, opts: &SpGemmOptions) -> Vec<usize> {
-    let per_cluster: Vec<Vec<usize>> = (0..ac.nclusters())
-        .into_par_iter()
-        .map_init(
-            || make_accs(opts, b.ncols),
-            |accs, c| {
-                let k = ac.cluster_size(c);
+fn clusterwise_kernel<A: Accumulator>(
+    ac: &CsrCluster,
+    b: &CsrMatrix,
+    opts: &SpGemmOptions,
+) -> CsrMatrix {
+    let target = chunk_target(opts.parallel, opts.chunks_per_thread);
+    let (flops, bounds) = cluster_work(ac, b, target > 1);
+    let chunks = plan_chunks(&flops, target, |c| ac.row_start[c] as usize, |c| bounds[c]);
+    single_pass(
+        ac.nrows,
+        b.ncols,
+        &chunks,
+        || (0..MAX_CLUSTER_LEN).map(|_| A::with_ncols(b.ncols)).collect::<Vec<A>>(),
+        |accs, clusters, sink| {
+            for c in clusters {
                 accumulate_cluster(ac, b, c, accs);
-                accs.iter_mut()
-                    .take(k)
-                    .map(|acc| {
-                        let n = acc.len();
-                        acc.clear();
-                        n
-                    })
-                    .collect()
-            },
-        )
-        .collect();
-    per_cluster.into_iter().flatten().collect()
-}
-
-/// Multiply-add count per cluster (for chunk balancing).
-fn flops_per_cluster(ac: &CsrCluster, b: &CsrMatrix) -> Vec<u64> {
-    (0..ac.nclusters())
-        .into_par_iter()
-        .map(|c| {
-            ac.cluster_cols(c)
-                .iter()
-                .zip(ac.cluster_masks(c))
-                .map(|(&col, &mask)| mask.count_ones() as u64 * b.row_nnz(col as usize) as u64)
-                .sum()
-        })
-        .collect()
-}
-
-fn parallel_impl(ac: &CsrCluster, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
-    let row_nnz = symbolic(ac, b, opts);
-    let mut row_ptr = Vec::with_capacity(ac.nrows + 1);
-    row_ptr.push(0usize);
-    let mut total = 0usize;
-    for &n in &row_nnz {
-        total += n;
-        row_ptr.push(total);
-    }
-    let mut col_idx = vec![0 as ColIdx; total];
-    let mut vals = vec![0.0 as Value; total];
-
-    let flops = flops_per_cluster(ac, b);
-    let n_chunks = rayon::current_num_threads() * opts.chunks_per_thread;
-    let ranges = balanced_row_chunks(&flops, n_chunks); // chunks of *clusters*
-
-    struct Job<'s> {
-        clusters: (usize, usize),
-        cols: &'s mut [ColIdx],
-        vals: &'s mut [Value],
-    }
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest_c: &mut [ColIdx] = &mut col_idx;
-        let mut rest_v: &mut [Value] = &mut vals;
-        let mut consumed = 0usize;
-        for &(s, e) in &ranges {
-            // Row range covered by clusters [s, e).
-            let row_end = ac.row_start[e] as usize;
-            let len = row_ptr[row_end] - consumed;
-            let (c_here, c_rest) = rest_c.split_at_mut(len);
-            let (v_here, v_rest) = rest_v.split_at_mut(len);
-            rest_c = c_rest;
-            rest_v = v_rest;
-            consumed = row_ptr[row_end];
-            jobs.push(Job { clusters: (s, e), cols: c_here, vals: v_here });
-        }
-    }
-
-    jobs.par_iter_mut().for_each_init(
-        || (make_accs(opts, b.ncols), Vec::<ColIdx>::new(), Vec::<Value>::new()),
-        |(accs, buf_c, buf_v), job| {
-            let (s, e) = job.clusters;
-            buf_c.clear();
-            buf_v.clear();
-            for c in s..e {
-                let k = ac.cluster_size(c);
-                accumulate_cluster(ac, b, c, accs);
-                for acc in accs.iter_mut().take(k) {
-                    acc.extract_into(buf_c, buf_v);
+                for acc in accs.iter_mut().take(ac.cluster_size(c)) {
+                    sink.push_row(acc);
                 }
             }
-            job.cols.copy_from_slice(buf_c);
-            job.vals.copy_from_slice(buf_v);
         },
-    );
-
-    CsrMatrix { nrows: ac.nrows, ncols: b.ncols, row_ptr, col_idx, vals }
+    )
 }
 
 #[cfg(test)]
@@ -297,21 +233,20 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_sizes_match_numeric() {
-        let a = poisson2d(6, 6);
-        let cc = CsrCluster::from_csr(&a, &fixed_clustering(&a, 4));
-        let sizes = symbolic(&cc, &a, &SpGemmOptions::default());
-        let c = clusterwise_spgemm(&cc, &a);
-        let actual: Vec<usize> = (0..c.nrows).map(|i| c.row_nnz(i)).collect();
-        assert_eq!(sizes, actual);
-    }
-
-    #[test]
-    fn flops_per_cluster_counts_real_entries_only() {
+    fn cluster_work_counts_real_entries_only() {
         // Padding slots must not contribute flops.
         let a = CsrMatrix::from_row_lists(3, vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(2, 1.0)]]);
         let cc = CsrCluster::from_csr(&a, &Clustering { sizes: vec![3] });
         let b = CsrMatrix::identity(3);
-        assert_eq!(flops_per_cluster(&cc, &b), vec![3]);
+        assert_eq!(cluster_work(&cc, &b, false), (vec![3], vec![3]));
+    }
+
+    #[test]
+    fn cluster_work_caps_each_member_row_at_ncols() {
+        // Row 0 collects 2 + 2 products into a 2-column output; row 1 has one.
+        let a = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)], vec![(1, 1.0)]]);
+        let b = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)]; 2]);
+        let cc = CsrCluster::from_csr(&a, &Clustering { sizes: vec![2] });
+        assert_eq!(cluster_work(&cc, &b, true), (vec![6], vec![2 + 2]));
     }
 }

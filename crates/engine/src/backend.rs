@@ -596,10 +596,9 @@ fn hstack_tiles(parts: &[CsrMatrix], w: usize, ncols: usize) -> CsrMatrix {
 
 /// Per-row adaptive execution: the kernel zoo of `cw_spgemm::adaptive`.
 /// Each output row's accumulator (sorted-array / hash / dense SPA) is
-/// chosen from its upper-bound intermediate-product count, and the
-/// numeric phase is single-pass (no symbolic re-run): FLOP-balanced row
-/// chunks build their own output segments which are stitched in row
-/// order.
+/// chosen from its upper-bound intermediate-product count; chunking and
+/// output assembly are the single-pass driver's (`cw_spgemm::single_pass`),
+/// shared with the row-wise and cluster-wise kernels.
 ///
 /// Selection depends only on the structure of the operands and every zoo
 /// accumulator merges duplicate columns in arrival order, so output is

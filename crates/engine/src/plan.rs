@@ -86,7 +86,7 @@ pub struct Plan {
     pub clustering: ClusteringStrategy,
     /// Kernel executing the multiply.
     pub kernel: KernelChoice,
-    /// Sparse accumulator for both symbolic and numeric phases.
+    /// Sparse accumulator the kernel is instantiated with.
     pub acc: AccumulatorKind,
     /// Run the kernel's rayon-parallel path.
     pub parallel: bool,

@@ -9,6 +9,14 @@
 //! Accumulators are designed for reuse across rows: `extract_into` drains
 //! and resets in `O(row nnz)`, never `O(ncols)`, so one accumulator instance
 //! serves a whole thread's worth of rows without re-allocation.
+//!
+//! The kernels are generic over `A: Accumulator` and pick the concrete type
+//! once per call from [`AccumulatorKind`], so `add` inlines into the
+//! multiply-add loop. Every accumulator merges duplicate columns in arrival
+//! order and extracts in ascending column order, which makes the choice
+//! bit-transparent. The boxed form ([`make_accumulator`]) remains for the
+//! ablation kernels and analysis probes, where a virtual call per product
+//! does not matter.
 
 use cw_sparse::{ColIdx, Value};
 
@@ -34,6 +42,10 @@ pub enum AccumulatorKind {
 /// state in the work-stealing pool's `map_init`/`for_each_init` (worker
 /// state slots may be handed between OS threads across calls).
 pub trait Accumulator: Send {
+    /// A fresh accumulator for output rows `ncols` columns wide.
+    fn with_ncols(ncols: usize) -> Self
+    where
+        Self: Sized;
     /// Adds `val` at column `col`, merging with any existing entry.
     fn add(&mut self, col: ColIdx, val: Value);
     /// Number of distinct columns currently held.
@@ -42,11 +54,21 @@ pub trait Accumulator: Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Appends the accumulated `(col, val)` entries to `cols`/`vals` in
-    /// ascending column order, then resets the accumulator for the next row.
-    fn extract_into(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>);
-    /// Drops the accumulated entries without emitting them (symbolic-phase
-    /// use: callers read [`Accumulator::len`] first).
+    /// Writes the accumulated `(col, val)` entries to the front of
+    /// `cols`/`vals` in ascending column order, resets the accumulator for
+    /// the next row, and returns how many entries were written. Panics if
+    /// either slice is shorter than [`Accumulator::len`].
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize;
+    /// [`Accumulator::extract_into`] appending to growable vectors.
+    fn extract_append(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>) {
+        let at = cols.len();
+        let n = self.len();
+        cols.resize(at + n, 0);
+        vals.resize(at + n, 0.0);
+        self.extract_into(&mut cols[at..], &mut vals[at..]);
+    }
+    /// Drops the accumulated entries without emitting them (size probes
+    /// read [`Accumulator::len`] first).
     fn clear(&mut self);
 }
 
@@ -60,15 +82,22 @@ fn hash32(x: u32, mask: usize) -> usize {
 /// Open-addressing (linear probing) hash accumulator.
 ///
 /// Capacity is always a power of two and grows at 50% load. `keys` holds
-/// column ids (EMPTY = free), `vals` the running sums, and `occupied` the
-/// list of used slots so reset costs `O(entries)` rather than `O(capacity)`.
+/// column ids (EMPTY = free), `vals` the running sums, and `occupied` one
+/// packed `col << 32 | slot` word per used slot: reset costs `O(entries)`
+/// rather than `O(capacity)`, and extraction sorts those words natively
+/// (column in the high half) and gathers each value through its slot.
 #[derive(Debug)]
 pub struct HashAccumulator {
     keys: Vec<u32>,
     vals: Vec<Value>,
-    occupied: Vec<u32>,
+    occupied: Vec<u64>,
     mask: usize,
-    scratch: Vec<(ColIdx, Value)>,
+}
+
+/// The slot half of a packed `occupied` word.
+#[inline(always)]
+fn slot_of(packed: u64) -> usize {
+    (packed & 0xFFFF_FFFF) as usize
 }
 
 impl HashAccumulator {
@@ -80,7 +109,6 @@ impl HashAccumulator {
             vals: vec![0.0; cap],
             occupied: Vec::with_capacity(expected.max(8)),
             mask: cap - 1,
-            scratch: Vec::new(),
         }
     }
 
@@ -96,15 +124,15 @@ impl HashAccumulator {
         let mut vals = vec![0.0; new_cap];
         let mask = new_cap - 1;
         let mut occupied = Vec::with_capacity(self.occupied.len() * 2);
-        for &slot in &self.occupied {
-            let (k, v) = (self.keys[slot as usize], self.vals[slot as usize]);
+        for &packed in &self.occupied {
+            let k = (packed >> 32) as u32;
             let mut h = hash32(k, mask);
             while keys[h] != EMPTY {
                 h = (h + 1) & mask;
             }
             keys[h] = k;
-            vals[h] = v;
-            occupied.push(h as u32);
+            vals[h] = self.vals[slot_of(packed)];
+            occupied.push((k as u64) << 32 | h as u64);
         }
         self.keys = keys;
         self.vals = vals;
@@ -120,6 +148,10 @@ impl Default for HashAccumulator {
 }
 
 impl Accumulator for HashAccumulator {
+    fn with_ncols(_ncols: usize) -> Self {
+        Self::new()
+    }
+
     #[inline]
     fn add(&mut self, col: ColIdx, val: Value) {
         debug_assert_ne!(col, EMPTY);
@@ -136,7 +168,7 @@ impl Accumulator for HashAccumulator {
             if k == EMPTY {
                 self.keys[h] = col;
                 self.vals[h] = val;
-                self.occupied.push(h as u32);
+                self.occupied.push((col as u64) << 32 | h as u64);
                 return;
             }
             h = (h + 1) & self.mask;
@@ -148,22 +180,22 @@ impl Accumulator for HashAccumulator {
         self.occupied.len()
     }
 
-    fn extract_into(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>) {
-        self.scratch.clear();
-        self.scratch.reserve(self.occupied.len());
-        for &slot in &self.occupied {
-            self.scratch.push((self.keys[slot as usize], self.vals[slot as usize]));
-            self.keys[slot as usize] = EMPTY;
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
+        let n = self.occupied.len();
+        self.occupied.sort_unstable();
+        for ((&packed, c), v) in self.occupied.iter().zip(&mut cols[..n]).zip(&mut vals[..n]) {
+            let slot = slot_of(packed);
+            *c = (packed >> 32) as ColIdx;
+            *v = self.vals[slot];
+            self.keys[slot] = EMPTY;
         }
         self.occupied.clear();
-        self.scratch.sort_unstable_by_key(|&(c, _)| c);
-        cols.extend(self.scratch.iter().map(|&(c, _)| c));
-        vals.extend(self.scratch.iter().map(|&(_, v)| v));
+        n
     }
 
     fn clear(&mut self) {
-        for &slot in &self.occupied {
-            self.keys[slot as usize] = EMPTY;
+        for &packed in &self.occupied {
+            self.keys[slot_of(packed)] = EMPTY;
         }
         self.occupied.clear();
     }
@@ -193,6 +225,10 @@ impl DenseAccumulator {
 }
 
 impl Accumulator for DenseAccumulator {
+    fn with_ncols(ncols: usize) -> Self {
+        Self::new(ncols)
+    }
+
     #[inline]
     fn add(&mut self, col: ColIdx, val: Value) {
         let c = col as usize;
@@ -211,25 +247,22 @@ impl Accumulator for DenseAccumulator {
         self.touched.len()
     }
 
-    fn extract_into(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>) {
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
+        let n = self.touched.len();
         self.touched.sort_unstable();
-        for &c in &self.touched {
-            cols.push(c);
-            vals.push(self.vals[c as usize]);
+        cols[..n].copy_from_slice(&self.touched);
+        for (v, &c) in vals[..n].iter_mut().zip(&self.touched) {
+            *v = self.vals[c as usize];
         }
-        self.touched.clear();
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Stamp wrap-around: invalidate everything once per 2^32 rows.
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
+        self.clear();
+        n
     }
 
     fn clear(&mut self) {
         self.touched.clear();
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
+            // Stamp wrap-around: invalidate everything once per 2^32 rows.
             self.stamp.fill(0);
             self.gen = 1;
         }
@@ -239,7 +272,8 @@ impl Accumulator for DenseAccumulator {
 /// Sort-merge accumulator: appends every partial product, then sorts and
 /// merges duplicates on extraction (expand-sort-compress). Cheap `add`, no
 /// random memory traffic, but `O(f log f)` extraction — the classic
-/// trade-off benchmarked in `benches/accumulators.rs`.
+/// trade-off benchmarked in `benches/accumulators.rs`. The sort is stable,
+/// so duplicates merge in arrival order like every other accumulator.
 #[derive(Debug, Default)]
 pub struct SortAccumulator {
     entries: Vec<(ColIdx, Value)>,
@@ -254,7 +288,7 @@ impl SortAccumulator {
     }
 
     fn compact(&mut self) {
-        self.entries.sort_unstable_by_key(|&(c, _)| c);
+        self.entries.sort_by_key(|&(c, _)| c);
         let mut w = 0usize;
         let mut r = 0usize;
         while r < self.entries.len() {
@@ -274,6 +308,10 @@ impl SortAccumulator {
 }
 
 impl Accumulator for SortAccumulator {
+    fn with_ncols(_ncols: usize) -> Self {
+        Self::new()
+    }
+
     #[inline]
     fn add(&mut self, col: ColIdx, val: Value) {
         self.entries.push((col, val));
@@ -282,13 +320,7 @@ impl Accumulator for SortAccumulator {
 
     fn len(&self) -> usize {
         if self.dirty {
-            // `len` must be exact for the symbolic phase; compact lazily.
-            // Interior mutability is avoided by requiring &mut in practice:
-            // symbolic callers use `clear` right after, so we recompute here
-            // on a clone-free path via a const estimate. Instead, keep it
-            // simple and exact: compact on a temporary copy is wasteful, so
-            // we document that `len` is exact only after `compacted_len`.
-            // To keep the trait honest, compute exactly:
+            // Exact without `&mut self`: count distinct columns on a copy.
             let mut sorted: Vec<ColIdx> = self.entries.iter().map(|&(c, _)| c).collect();
             sorted.sort_unstable();
             sorted.dedup();
@@ -298,15 +330,17 @@ impl Accumulator for SortAccumulator {
         }
     }
 
-    fn extract_into(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>) {
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
         if self.dirty {
             self.compact();
         }
-        cols.extend(self.entries.iter().map(|&(c, _)| c));
-        vals.extend(self.entries.iter().map(|&(_, v)| v));
-        self.entries.clear();
-        self.distinct = 0;
-        self.dirty = false;
+        let n = self.entries.len();
+        for ((&(c, v), col), val) in self.entries.iter().zip(&mut cols[..n]).zip(&mut vals[..n]) {
+            *col = c;
+            *val = v;
+        }
+        self.clear();
+        n
     }
 
     fn clear(&mut self) {
@@ -338,6 +372,10 @@ impl SortedArrayAccumulator {
 }
 
 impl Accumulator for SortedArrayAccumulator {
+    fn with_ncols(_ncols: usize) -> Self {
+        Self::new()
+    }
+
     #[inline]
     fn add(&mut self, col: ColIdx, val: Value) {
         match self.cols.binary_search(&col) {
@@ -354,9 +392,12 @@ impl Accumulator for SortedArrayAccumulator {
         self.cols.len()
     }
 
-    fn extract_into(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>) {
-        cols.append(&mut self.cols);
-        vals.append(&mut self.vals);
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
+        let n = self.cols.len();
+        cols[..n].copy_from_slice(&self.cols);
+        vals[..n].copy_from_slice(&self.vals);
+        self.clear();
+        n
     }
 
     fn clear(&mut self) {
@@ -368,9 +409,9 @@ impl Accumulator for SortedArrayAccumulator {
 /// A boxed accumulator of the requested kind, sized for `ncols` columns.
 pub fn make_accumulator(kind: AccumulatorKind, ncols: usize) -> Box<dyn Accumulator> {
     match kind {
-        AccumulatorKind::Hash => Box::new(HashAccumulator::new()),
-        AccumulatorKind::Dense => Box::new(DenseAccumulator::new(ncols)),
-        AccumulatorKind::Sort => Box::new(SortAccumulator::new()),
+        AccumulatorKind::Hash => Box::new(HashAccumulator::with_ncols(ncols)),
+        AccumulatorKind::Dense => Box::new(DenseAccumulator::with_ncols(ncols)),
+        AccumulatorKind::Sort => Box::new(SortAccumulator::with_ncols(ncols)),
     }
 }
 
@@ -388,7 +429,7 @@ mod tests {
         assert_eq!(acc.len(), 3);
         let mut cols = Vec::new();
         let mut vals = Vec::new();
-        acc.extract_into(&mut cols, &mut vals);
+        acc.extract_append(&mut cols, &mut vals);
         assert_eq!(cols, vec![2, 5, 9]);
         assert_eq!(vals, vec![2.5, 4.0, -1.0]);
         // Accumulator must be reusable after extraction.
@@ -396,7 +437,7 @@ mod tests {
         acc.add(1, 1.0);
         assert_eq!(acc.len(), 1);
         let (mut c2, mut v2) = (Vec::new(), Vec::new());
-        acc.extract_into(&mut c2, &mut v2);
+        acc.extract_append(&mut c2, &mut v2);
         assert_eq!(c2, vec![1]);
         assert_eq!(v2, vec![1.0]);
     }
@@ -422,23 +463,37 @@ mod tests {
     }
 
     #[test]
-    fn sorted_array_merges_duplicates_in_arrival_order() {
-        // Bit-identity with the hash/dense paths requires duplicate
-        // columns to sum in arrival order; verify against a hash run on
-        // values where float addition order is observable.
-        let seq = [(3u32, 0.1), (3, 0.2), (1, 1e16), (1, 1.0), (1, -1e16)];
-        let mut sa = SortedArrayAccumulator::new();
-        let mut ha = HashAccumulator::new();
+    fn every_accumulator_merges_duplicates_in_arrival_order() {
+        // Bit-identity across accumulators requires duplicate columns to
+        // sum in arrival order. 300 products over 7 columns (long enough
+        // that an unstable sort would reorder equal keys), on values where
+        // float addition order is observable; the reference is a plain
+        // left-to-right sum per column.
+        let seq: Vec<(u32, f64)> = (0..300u32)
+            .map(|i| {
+                (i * 5 % 7, [1e16, 1.0, -1e16, 0.1, 3e-7][i as usize % 5] * (1 + i % 3) as f64)
+            })
+            .collect();
+        let mut expect = [None::<f64>; 7];
         for &(c, v) in &seq {
-            sa.add(c, v);
-            ha.add(c, v);
+            let e = &mut expect[c as usize];
+            *e = Some(e.map_or(v, |sum| sum + v));
         }
-        let (mut c1, mut v1) = (Vec::new(), Vec::new());
-        let (mut c2, mut v2) = (Vec::new(), Vec::new());
-        sa.extract_into(&mut c1, &mut v1);
-        ha.extract_into(&mut c2, &mut v2);
-        assert_eq!(c1, c2);
-        assert!(v1.iter().zip(&v2).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let expect: Vec<u64> = expect.iter().map(|e| e.unwrap().to_bits()).collect();
+        for acc in [
+            &mut HashAccumulator::new() as &mut dyn Accumulator,
+            &mut DenseAccumulator::new(7),
+            &mut SortAccumulator::new(),
+            &mut SortedArrayAccumulator::new(),
+        ] {
+            for &(c, v) in &seq {
+                acc.add(c, v);
+            }
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            acc.extract_append(&mut cols, &mut vals);
+            assert_eq!(cols, (0..7).collect::<Vec<u32>>());
+            assert_eq!(vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expect);
+        }
     }
 
     #[test]
@@ -450,7 +505,7 @@ mod tests {
         // 997 distinct keys mod 997 -> 0..996, with duplicates merged.
         assert_eq!(acc.len(), 997);
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        acc.extract_into(&mut cols, &mut vals);
+        acc.extract_append(&mut cols, &mut vals);
         assert_eq!(cols.len(), 997);
         assert!(cols.windows(2).all(|w| w[0] < w[1]));
         let total: f64 = vals.iter().sum();
@@ -470,7 +525,7 @@ mod tests {
             assert_eq!(acc.len(), 0);
             acc.add(3, 2.0);
             let (mut c, mut v) = (Vec::new(), Vec::new());
-            acc.extract_into(&mut c, &mut v);
+            acc.extract_append(&mut c, &mut v);
             assert_eq!(v, vec![2.0]); // old 1.0 must not leak through
         }
     }
@@ -481,12 +536,12 @@ mod tests {
         acc.gen = u32::MAX; // force wrap on next extract
         acc.add(1, 5.0);
         let (mut c, mut v) = (Vec::new(), Vec::new());
-        acc.extract_into(&mut c, &mut v);
+        acc.extract_append(&mut c, &mut v);
         assert_eq!(v, vec![5.0]);
         // After wrap, stale stamps must not alias.
         acc.add(1, 7.0);
         let (mut c2, mut v2) = (Vec::new(), Vec::new());
-        acc.extract_into(&mut c2, &mut v2);
+        acc.extract_append(&mut c2, &mut v2);
         assert_eq!(v2, vec![7.0]);
     }
 

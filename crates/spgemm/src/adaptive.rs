@@ -20,15 +20,15 @@
 //! accumulator in the zoo merges duplicate columns in arrival order and
 //! extracts in ascending column order — so the adaptive kernel is
 //! **bit-identical** to the serial reference no matter where the
-//! thresholds fall. The parallel path is single-pass: FLOP-balanced row
-//! chunks each build their own output segment (no symbolic re-run), and
-//! the segments are stitched in row order afterwards.
+//! thresholds fall. Chunking and output assembly are the shared
+//! [`crate::single_pass`] driver's; the zoo dispatches once per row onto a
+//! row loop monomorphised for the selected accumulator.
 
-use crate::accumulator::{Accumulator, DenseAccumulator, HashAccumulator, SortedArrayAccumulator};
-use crate::flops::flops_per_row;
-use crate::rowwise::{accumulate_row, balanced_row_chunks};
-use cw_sparse::{ColIdx, CsrMatrix, Value};
-use rayon::prelude::*;
+use crate::accumulator::{DenseAccumulator, HashAccumulator, SortedArrayAccumulator};
+use crate::flops::flops_per_row_on;
+use crate::rowwise::multiply_row;
+use crate::single_pass::{chunk_target, plan_row_chunks, single_pass};
+use cw_sparse::CsrMatrix;
 
 /// Per-row kernel selection thresholds (see the module table).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,59 +89,13 @@ pub fn select_row_kernel(upper_bound: u64, ncols: usize, t: &AdaptiveThresholds)
 /// `O(ncols)` memory, so it is allocated only once a row actually
 /// selects it.
 struct Workset {
-    ncols: usize,
     hash: HashAccumulator,
     sorted: SortedArrayAccumulator,
     dense: Option<DenseAccumulator>,
 }
 
-impl Workset {
-    fn new(ncols: usize) -> Self {
-        Workset {
-            ncols,
-            hash: HashAccumulator::new(),
-            sorted: SortedArrayAccumulator::new(),
-            dense: None,
-        }
-    }
-
-    fn acc_for(&mut self, kernel: RowKernel) -> &mut dyn Accumulator {
-        match kernel {
-            RowKernel::SortedArray => &mut self.sorted,
-            RowKernel::Dense => self.dense.get_or_insert_with(|| DenseAccumulator::new(self.ncols)),
-            _ => &mut self.hash,
-        }
-    }
-}
-
-/// Builds rows `rows` into `(per-row nnz, cols, vals)` using per-row
-/// kernel selection on `ub`.
-fn build_rows(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: (usize, usize),
-    ub: &[u64],
-    t: &AdaptiveThresholds,
-    ws: &mut Workset,
-) -> (Vec<usize>, Vec<ColIdx>, Vec<Value>) {
-    let (s, e) = rows;
-    let mut nnz = Vec::with_capacity(e - s);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    for (i, &row_ub) in ub.iter().enumerate().take(e).skip(s) {
-        let kernel = select_row_kernel(row_ub, b.ncols, t);
-        if kernel == RowKernel::Empty {
-            nnz.push(0);
-            continue;
-        }
-        let before = cols.len();
-        let acc = ws.acc_for(kernel);
-        accumulate_row(a, b, i, acc);
-        acc.extract_into(&mut cols, &mut vals);
-        nnz.push(cols.len() - before);
-    }
-    (nnz, cols, vals)
-}
+/// Row chunks per pool worker on the parallel path.
+const CHUNKS_PER_THREAD: usize = 8;
 
 /// `C = A · B` with per-row kernel selection, default thresholds,
 /// parallel.
@@ -157,35 +111,33 @@ pub fn spgemm_adaptive_with(a: &CsrMatrix, b: &CsrMatrix, opts: &AdaptiveOptions
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
-    let ub = flops_per_row(a, b);
+    let target = chunk_target(opts.parallel, CHUNKS_PER_THREAD);
+    let ub = flops_per_row_on(a, b, target > 1);
     let t = &opts.thresholds;
-    let width = rayon::current_num_threads();
-    let parts: Vec<(Vec<usize>, Vec<ColIdx>, Vec<Value>)> = if opts.parallel && width > 1 {
-        // Single-pass parallel: each FLOP-balanced chunk builds its own
-        // segment; no symbolic re-run.
-        let ranges = balanced_row_chunks(&ub, width * 8);
-        (0..ranges.len())
-            .into_par_iter()
-            .map_init(|| Workset::new(b.ncols), |ws, ci| build_rows(a, b, ranges[ci], &ub, t, ws))
-            .collect()
-    } else {
-        let mut ws = Workset::new(b.ncols);
-        vec![build_rows(a, b, (0, a.nrows), &ub, t, &mut ws)]
-    };
-
-    let total: usize = parts.iter().map(|(_, c, _)| c.len()).sum();
-    let mut row_ptr = Vec::with_capacity(a.nrows + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for (nnz, mut c, mut v) in parts {
-        for n in nnz {
-            row_ptr.push(row_ptr.last().unwrap() + n);
-        }
-        col_idx.append(&mut c);
-        vals.append(&mut v);
-    }
-    CsrMatrix { nrows: a.nrows, ncols: b.ncols, row_ptr, col_idx, vals }
+    let chunks = plan_row_chunks(&ub, b.ncols, target);
+    single_pass(
+        a.nrows,
+        b.ncols,
+        &chunks,
+        || Workset {
+            hash: HashAccumulator::new(),
+            sorted: SortedArrayAccumulator::new(),
+            dense: None,
+        },
+        |ws, rows, sink| {
+            for i in rows {
+                match select_row_kernel(ub[i], b.ncols, t) {
+                    RowKernel::Empty => sink.push_empty_row(),
+                    RowKernel::SortedArray => multiply_row(a, b, i, &mut ws.sorted, sink),
+                    RowKernel::Hash => multiply_row(a, b, i, &mut ws.hash, sink),
+                    RowKernel::Dense => {
+                        let dense = ws.dense.get_or_insert_with(|| DenseAccumulator::new(b.ncols));
+                        multiply_row(a, b, i, dense, sink)
+                    }
+                }
+            }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub fn spgemm_colwise_csc(a: &CscMatrix, b: &CscMatrix, kind: AccumulatorKind) -
                     }
                 }
                 let (mut rows, mut vals) = (Vec::new(), Vec::new());
-                acc.extract_into(&mut rows, &mut vals);
+                acc.extract_append(&mut rows, &mut vals);
                 (rows, vals)
             },
         )

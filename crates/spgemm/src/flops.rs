@@ -12,11 +12,19 @@ use rayon::prelude::*;
 
 /// Multiply-add count per row of the product `A·B` (not doubled).
 pub fn flops_per_row(a: &CsrMatrix, b: &CsrMatrix) -> Vec<u64> {
+    flops_per_row_on(a, b, true)
+}
+
+/// [`flops_per_row`] computed on the pool, or (`pool == false`) on the
+/// calling thread alone — a serial multiply must not wake the pool for it.
+pub(crate) fn flops_per_row_on(a: &CsrMatrix, b: &CsrMatrix, pool: bool) -> Vec<u64> {
     assert_eq!(a.ncols, b.nrows);
-    (0..a.nrows)
-        .into_par_iter()
-        .map(|i| a.row_cols(i).iter().map(|&k| b.row_nnz(k as usize) as u64).sum())
-        .collect()
+    let row = |i: usize| a.row_cols(i).iter().map(|&k| b.row_nnz(k as usize) as u64).sum();
+    if pool {
+        (0..a.nrows).into_par_iter().map(row).collect()
+    } else {
+        (0..a.nrows).map(row).collect()
+    }
 }
 
 /// Total multiply-adds of `A·B` (the conventional `flops/2`).

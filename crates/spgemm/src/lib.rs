@@ -6,8 +6,10 @@
 //! * [`accumulator`] — sparse accumulators: the hash-table accumulator the
 //!   paper adopts from Nagasaka et al. \[40\], a dense "SPA" accumulator with
 //!   generation stamping, and a sort-merge accumulator, all behind one trait.
-//! * [`rowwise`] — serial and rayon-parallel two-phase (symbolic + numeric)
-//!   Gustavson SpGEMM over CSR.
+//! * [`rowwise`] — serial and rayon-parallel Gustavson SpGEMM over CSR.
+//! * [`single_pass`] — the numeric driver under every Gustavson kernel here
+//!   and in `cw-core`: FLOP-balanced chunks compute each row once into a
+//!   window of one pooled staging slab; no symbolic pass.
 //! * [`adaptive`] — the per-row kernel zoo: sorted-array / hash / dense
 //!   accumulators selected per row from upper-bound FLOP estimates,
 //!   bit-identical to the serial reference.
@@ -35,6 +37,7 @@ pub mod heap;
 pub mod pattern;
 pub mod rowwise;
 pub mod shape;
+pub mod single_pass;
 pub mod topk;
 pub mod trace;
 

@@ -1,26 +1,26 @@
 //! Row-wise Gustavson SpGEMM over CSR (paper Fig. 1 / §2.2).
 //!
-//! The kernel follows the classical two-phase structure:
-//!
-//! 1. **symbolic** — count `nnz` of every output row (exactly) so the output
-//!    arrays are allocated once;
-//! 2. **numeric** — re-run the row products, accumulating into a sparse
-//!    accumulator and copying each finished row into its pre-sized slot.
-//!
-//! The parallel path partitions rows into contiguous chunks balanced by
-//! FLOP count, splits the output arrays into the matching disjoint slices
-//! (`split_at_mut`, no unsafe), and runs chunks under rayon with one
-//! accumulator per chunk.
+//! The kernel is one-phase: each row's products are accumulated into a
+//! sparse accumulator and the finished row is extracted straight into the
+//! output, once. Sizing, chunking, the parallel fan-out and the output
+//! assembly are [`crate::single_pass`]'s (rows are cut into contiguous
+//! FLOP-balanced chunks, each writing into its own window of one staging
+//! slab); this module supplies the per-row loop, monomorphised over the
+//! accumulator type chosen once per call from [`SpGemmOptions::acc`].
 
-use crate::accumulator::{make_accumulator, Accumulator, AccumulatorKind};
-use crate::flops::flops_per_row;
-use cw_sparse::{ColIdx, CsrMatrix, Value};
+use crate::accumulator::{
+    make_accumulator, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator,
+    SortAccumulator,
+};
+use crate::flops::flops_per_row_on;
+use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, RowSink};
+use cw_sparse::CsrMatrix;
 use rayon::prelude::*;
 
 /// Tuning knobs for [`spgemm_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpGemmOptions {
-    /// Accumulator implementation for both phases.
+    /// Accumulator implementation.
     pub acc: AccumulatorKind,
     /// Use the rayon-parallel path.
     pub parallel: bool,
@@ -52,13 +52,10 @@ pub fn spgemm_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMat
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
-    // At an effective width of 1 the two-phase parallel path would do the
-    // symbolic accumulation twice on one thread for nothing — fall through
-    // to the single-pass serial kernel (bit-identical output either way).
-    if opts.parallel && rayon::current_num_threads() > 1 {
-        spgemm_parallel_impl(a, b, opts)
-    } else {
-        spgemm_serial_impl(a, b, opts)
+    match opts.acc {
+        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator>(a, b, opts),
+        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator>(a, b, opts),
+        AccumulatorKind::Sort => rowwise_kernel::<SortAccumulator>(a, b, opts),
     }
 }
 
@@ -68,7 +65,7 @@ pub fn spgemm_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMat
 /// products for one output entry always arrive in the same (ascending-k)
 /// order — the invariant that makes accumulator choice bit-transparent.
 #[inline]
-pub(crate) fn accumulate_row(a: &CsrMatrix, b: &CsrMatrix, i: usize, acc: &mut dyn Accumulator) {
+fn accumulate_row<A: Accumulator + ?Sized>(a: &CsrMatrix, b: &CsrMatrix, i: usize, acc: &mut A) {
     let (a_cols, a_vals) = a.row(i);
     for (&k, &av) in a_cols.iter().zip(a_vals) {
         let (b_cols, b_vals) = b.row(k as usize);
@@ -78,21 +75,42 @@ pub(crate) fn accumulate_row(a: &CsrMatrix, b: &CsrMatrix, i: usize, acc: &mut d
     }
 }
 
-fn spgemm_serial_impl(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
-    let mut acc = make_accumulator(opts.acc, b.ncols);
-    let mut row_ptr = Vec::with_capacity(a.nrows + 1);
-    row_ptr.push(0usize);
-    let mut col_idx: Vec<ColIdx> = Vec::new();
-    let mut vals: Vec<Value> = Vec::new();
-    for i in 0..a.nrows {
-        accumulate_row(a, b, i, acc.as_mut());
-        acc.extract_into(&mut col_idx, &mut vals);
-        row_ptr.push(col_idx.len());
-    }
-    CsrMatrix { nrows: a.nrows, ncols: b.ncols, row_ptr, col_idx, vals }
+/// Computes `A[i,:] · B` through `acc` and emits it as `sink`'s next row.
+#[inline]
+pub(crate) fn multiply_row<A: Accumulator>(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    i: usize,
+    acc: &mut A,
+    sink: &mut RowSink<'_>,
+) {
+    accumulate_row(a, b, i, acc);
+    sink.push_row(acc);
 }
 
-/// Exact symbolic phase: `nnz(C[i,:])` for every row, in parallel.
+fn rowwise_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
+    let target = chunk_target(opts.parallel, opts.chunks_per_thread);
+    let flops = flops_per_row_on(a, b, target > 1);
+    let chunks = plan_row_chunks(&flops, b.ncols, target);
+    single_pass(
+        a.nrows,
+        b.ncols,
+        &chunks,
+        || A::with_ncols(b.ncols),
+        |acc, rows, sink| {
+            for i in rows {
+                multiply_row(a, b, i, acc, sink);
+            }
+        },
+    )
+}
+
+/// Exact `nnz(C[i,:])` for every row, in parallel, without producing `C`.
+///
+/// An analysis probe (what a two-phase kernel's symbolic stage would cost,
+/// exact output sizes for admission estimates) — not a stage of any
+/// multiply: the kernels size their output from the FLOP upper bound and
+/// never accumulate a row twice.
 pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> Vec<usize> {
     (0..a.nrows)
         .into_par_iter()
@@ -106,92 +124,6 @@ pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> 
             },
         )
         .collect()
-}
-
-/// Contiguous row chunks whose FLOP totals are roughly balanced.
-///
-/// Returns half-open row ranges covering `0..nrows`. `target_chunks` is a
-/// hint; fewer chunks are returned for tiny matrices.
-pub fn balanced_row_chunks(flops: &[u64], target_chunks: usize) -> Vec<(usize, usize)> {
-    let nrows = flops.len();
-    if nrows == 0 {
-        return Vec::new();
-    }
-    let total: u64 = flops.iter().sum();
-    let target = (total / target_chunks.max(1) as u64).max(1);
-    let mut chunks = Vec::with_capacity(target_chunks + 1);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for (i, &f) in flops.iter().enumerate() {
-        // +1 per row so empty rows still advance chunks eventually.
-        acc += f + 1;
-        if acc >= target && i + 1 < nrows {
-            chunks.push((start, i + 1));
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    chunks.push((start, nrows));
-    chunks
-}
-
-fn spgemm_parallel_impl(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
-    // --- symbolic ---
-    let row_nnz = symbolic_row_nnz(a, b, opts.acc);
-    let mut row_ptr = Vec::with_capacity(a.nrows + 1);
-    row_ptr.push(0usize);
-    let mut total = 0usize;
-    for &n in &row_nnz {
-        total += n;
-        row_ptr.push(total);
-    }
-    let mut col_idx = vec![0 as ColIdx; total];
-    let mut vals = vec![0.0 as Value; total];
-
-    // --- chunking by flops ---
-    let flops = flops_per_row(a, b);
-    let n_chunks = rayon::current_num_threads() * opts.chunks_per_thread;
-    let ranges = balanced_row_chunks(&flops, n_chunks);
-
-    // Split the output arrays into per-chunk disjoint slices.
-    struct Job<'s> {
-        rows: (usize, usize),
-        cols: &'s mut [ColIdx],
-        vals: &'s mut [Value],
-    }
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest_c: &mut [ColIdx] = &mut col_idx;
-        let mut rest_v: &mut [Value] = &mut vals;
-        let mut consumed = 0usize;
-        for &(s, e) in &ranges {
-            let len = row_ptr[e] - consumed;
-            let (c_here, c_rest) = rest_c.split_at_mut(len);
-            let (v_here, v_rest) = rest_v.split_at_mut(len);
-            rest_c = c_rest;
-            rest_v = v_rest;
-            consumed = row_ptr[e];
-            jobs.push(Job { rows: (s, e), cols: c_here, vals: v_here });
-        }
-    }
-
-    // --- numeric ---
-    jobs.par_iter_mut().for_each_init(
-        || (make_accumulator(opts.acc, b.ncols), Vec::<ColIdx>::new(), Vec::<Value>::new()),
-        |(acc, buf_c, buf_v), job| {
-            let (s, e) = job.rows;
-            buf_c.clear();
-            buf_v.clear();
-            for i in s..e {
-                accumulate_row(a, b, i, acc.as_mut());
-                acc.extract_into(buf_c, buf_v);
-            }
-            job.cols.copy_from_slice(buf_c);
-            job.vals.copy_from_slice(buf_v);
-        },
-    );
-
-    CsrMatrix { nrows: a.nrows, ncols: b.ncols, row_ptr, col_idx, vals }
 }
 
 /// Dense reference multiply for testing (`O(n³)`, small inputs only).
@@ -318,27 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn balanced_chunks_cover_all_rows() {
-        let flops = vec![5u64, 0, 100, 3, 3, 3, 50, 0, 0, 1];
-        let chunks = balanced_row_chunks(&flops, 4);
-        assert_eq!(chunks.first().unwrap().0, 0);
-        assert_eq!(chunks.last().unwrap().1, flops.len());
-        for w in chunks.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "chunks must be contiguous");
-        }
-        assert!(chunks.len() <= 5);
-    }
-
-    #[test]
-    fn balanced_chunks_empty_input() {
-        assert!(balanced_row_chunks(&[], 4).is_empty());
-    }
-
-    #[test]
     fn numeric_cancellation_keeps_explicit_zero() {
         // a row that produces +1 and -1 in the same output column: value 0,
-        // but the entry stays (symbolic counts it) — matching C++ SpGEMM
-        // behaviour where numeric zeros are not pruned.
+        // but the entry stays — matching C++ SpGEMM behaviour where numeric
+        // zeros are not pruned.
         let a = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)]]);
         let b = CsrMatrix::from_row_lists(1, vec![vec![(0, 1.0)], vec![(0, -1.0)]]);
         let c = spgemm(&a, &b);

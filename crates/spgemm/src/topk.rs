@@ -75,7 +75,7 @@ pub fn spgemm_topk(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<CandidatePai
                 }
             }
             let (mut cols, mut counts) = (Vec::new(), Vec::new());
-            acc.extract_into(&mut cols, &mut counts);
+            acc.extract_append(&mut cols, &mut counts);
             let mut cands: Vec<CandidatePair> = cols
                 .iter()
                 .zip(&counts)

@@ -5,7 +5,7 @@
 //! identical (per `CsrMatrix::numerically_eq`, same pattern, values within
 //! float tolerance) to `spgemm::rowwise`.
 
-use clusterwise_spgemm::engine::{ClusteringStrategy, Suggestion};
+use clusterwise_spgemm::engine::{ClusteringStrategy, Suggestion, DEFAULT_CACHE_CAPACITY};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 
@@ -107,7 +107,10 @@ fn ranked_plans_all_match_rowwise() {
 fn repeated_traffic_hits_cache_and_stays_exact() {
     let a = gen::banded::block_diagonal(80, (4, 8), 0.15, 3);
     let expect = clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&a, &a);
-    let mut engine = Engine::default();
+    // Frozen policy: the default one may re-plan mid-loop on wall-clock
+    // noise, which changes the cache key; this test is about the cache.
+    let planner = Planner::with_policy(Planner::default().seed, PlanningPolicy::frozen());
+    let mut engine = Engine::new(planner, DEFAULT_CACHE_CAPACITY);
     for round in 0..5 {
         let (got, report) = engine.multiply(&a, &a);
         assert!(got.numerically_eq(&expect, 1e-9), "round {round}");

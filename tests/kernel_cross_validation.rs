@@ -3,10 +3,18 @@
 //! pattern-only, and cluster-wise. Any bug that slips one kernel's unit
 //! tests must also fool four structurally different implementations to
 //! pass here.
+//!
+//! The second half is the single-pass driver's table: every kernel that
+//! runs on it × accumulator × pool width × chunking, bit-for-bit against
+//! the serial oracle on the degenerate operands.
 
+use clusterwise_spgemm::core::clusterwise_spgemm_with;
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
-use clusterwise_spgemm::spgemm::{spgemm_colwise, spgemm_heap, spgemm_pattern};
+use clusterwise_spgemm::spgemm::flops::multiply_adds;
+use clusterwise_spgemm::spgemm::{
+    spgemm_adaptive_with, spgemm_colwise, spgemm_heap, spgemm_pattern, AdaptiveOptions,
+};
 
 fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     vec![
@@ -101,6 +109,142 @@ fn advisor_suggestions_are_executable() {
                 }
                 Suggestion::LeaveOriginal => {}
             }
+        }
+    }
+}
+
+/// Values whose sums depend on the order of addition, so a kernel that
+/// reassociates partial products cannot pass a bit-for-bit comparison.
+fn val(i: usize, j: usize) -> f64 {
+    0.1 + (i * 31 + j * 17) as f64 / 7.0
+}
+
+/// Operand pairs the single-pass driver's sizing and assembly could get
+/// wrong: `(name, A, B)`.
+fn degenerate_operands() -> Vec<(&'static str, CsrMatrix, CsrMatrix)> {
+    let dense = |nrows: usize, ncols: usize| {
+        let rows = (0..nrows).map(|i| (0..ncols).map(|j| (j, val(i, j))).collect()).collect();
+        CsrMatrix::from_row_lists(ncols, rows)
+    };
+    let er = gen::er::erdos_renyi(24, 12, 7);
+
+    // Full rows separated by runs of empty ones (also first and last).
+    let gappy = CsrMatrix::from_row_lists(
+        12,
+        (0..12)
+            .map(|i| if i % 4 == 1 { (0..12).map(|j| (j, val(i, j))).collect() } else { vec![] })
+            .collect(),
+    );
+
+    // One row references every B row: flops(row) = nnz(B) > ncols, so its
+    // bound is capped by ncols and it fills its whole window.
+    let mut one_dense_row: Vec<Vec<(usize, f64)>> = (0..24).map(|i| vec![(i, val(i, i))]).collect();
+    one_dense_row[5] = (0..24).map(|j| (j, val(5, j))).collect();
+
+    // +x and -x meet in one output column: an explicit stored zero.
+    let cancel_a = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)], vec![(1, 2.0)]]);
+    let cancel_b = CsrMatrix::from_row_lists(3, vec![vec![(0, 1.5), (2, 1.0)], vec![(0, -1.5)]]);
+
+    // NaN, infinities and signed zeros as stored values.
+    let odd = [f64::NAN, -0.0, 0.0, f64::INFINITY, -1.0, f64::NEG_INFINITY, 1e-310, 3.5];
+    let odd_a = CsrMatrix::from_row_lists(
+        8,
+        (0..8)
+            .map(|i| (0..8).step_by(i % 3 + 1).map(|j| (j, odd[(i + j) % 8])).collect())
+            .collect(),
+    );
+
+    // 50 partial products collapse into each output entry: every row of A
+    // hits the same 50 B rows, which all share the same 8 columns of 1000.
+    // The bound (400 per row) is 50x the result.
+    let hubs_b = CsrMatrix::from_row_lists(
+        1000,
+        (0..50).map(|k| (0..8).map(|c| (c * 125, val(k, c))).collect()).collect(),
+    );
+
+    vec![
+        ("empty", CsrMatrix::zeros(6, 6), CsrMatrix::zeros(6, 6)),
+        ("no-rows", CsrMatrix::zeros(0, 4), CsrMatrix::zeros(4, 3)),
+        ("empty-rows-between-full", gappy.clone(), gappy),
+        ("one-dense-row", CsrMatrix::from_row_lists(24, one_dense_row), er),
+        ("inner-1xn-nx1", dense(1, 40), dense(40, 1)),
+        ("outer-nx1-1xn", dense(40, 1), dense(1, 40)),
+        ("cancellation", cancel_a, cancel_b),
+        ("nan-and-signed-zero", odd_a.clone(), odd_a),
+        ("high-compression", dense(40, 50), hubs_b),
+    ]
+}
+
+fn assert_bits_eq(got: &CsrMatrix, expect: &CsrMatrix, what: &str) {
+    got.validate().unwrap_or_else(|e| panic!("{what}: invalid CSR: {e:?}"));
+    assert_eq!((got.nrows, got.ncols), (expect.nrows, expect.ncols), "{what}: shape");
+    assert_eq!(got.row_ptr, expect.row_ptr, "{what}: row_ptr");
+    assert_eq!(got.col_idx, expect.col_idx, "{what}: col_idx");
+    let bits = |m: &CsrMatrix| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(expect), "{what}: values");
+    // The output arrays are sized to the result (one allocator granule of
+    // slack at most), whatever the upper bound the staging was reserved at.
+    const GRANULE: usize = 16;
+    assert!(got.col_idx.capacity() <= got.nnz() + GRANULE, "{what}: col_idx oversized");
+    assert!(got.vals.capacity() <= got.nnz() + GRANULE, "{what}: vals oversized");
+}
+
+#[test]
+fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
+    let cfg = ClusterConfig::default();
+    for (name, a, b) in degenerate_operands() {
+        let oracle = spgemm_serial(&a, &b);
+        if name == "cancellation" {
+            assert_eq!(oracle.get(0, 0), Some(0.0), "the zero must stay stored");
+        }
+        if name == "high-compression" {
+            assert!(multiply_adds(&a, &b) >= 50 * oracle.nnz() as u64);
+        }
+
+        // Cluster-wise runs on a row-permuted A under hierarchical
+        // clustering; its oracle is the serial product of that same A.
+        let h = hierarchical_clustering(&a, &cfg);
+        let ha = h.perm.permute_rows(&a);
+        let mut clustered: Vec<(String, CsrCluster, CsrMatrix)> = Vec::new();
+        for k in [1usize, 4, 8] {
+            let cc = CsrCluster::from_csr(&a, &fixed_clustering(&a, k));
+            clustered.push((format!("fixed({k})"), cc, oracle.clone()));
+        }
+        let cc = CsrCluster::from_csr(&a, &variable_clustering(&a, &cfg));
+        clustered.push(("variable".to_string(), cc, oracle.clone()));
+        let cc = CsrCluster::from_csr(&ha, &h.clustering);
+        clustered.push(("hierarchical".to_string(), cc, spgemm_serial(&ha, &b)));
+
+        for width in [1usize, 2, 4] {
+            rayon::with_pool_width(width, || {
+                for parallel in [false, true] {
+                    let got = spgemm_adaptive_with(
+                        &a,
+                        &b,
+                        &AdaptiveOptions { parallel, ..Default::default() },
+                    );
+                    assert_bits_eq(
+                        &got,
+                        &oracle,
+                        &format!("{name}: adaptive w{width} par={parallel}"),
+                    );
+                }
+                for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
+                    for chunks_per_thread in [1usize, 8] {
+                        let opts = SpGemmOptions { acc, parallel: true, chunks_per_thread };
+                        let what = format!("{name}: {acc:?} w{width} cpt{chunks_per_thread}");
+                        assert_bits_eq(
+                            &spgemm_with(&a, &b, &opts),
+                            &oracle,
+                            &format!("{what} row-wise"),
+                        );
+                        for (label, cc, expect) in &clustered {
+                            let got = clusterwise_spgemm_with(cc, &b, &opts);
+                            assert_bits_eq(&got, expect, &format!("{what} cluster-wise {label}"));
+                        }
+                    }
+                }
+            });
         }
     }
 }
