@@ -1,7 +1,7 @@
 //! `paper` — regenerates the paper's figures and tables.
 //!
 //! ```text
-//! paper <fig2|fig3|fig8|fig9|fig10|fig11|table2|table3|table4|ablation|backends|calibrate|engine|net|planner|serving|all>
+//! paper <fig2|fig3|fig8|fig9|fig10|fig11|table2|table3|table4|ablation|calibrate|engine|net|planner|serving|all>
 //!       [--scale small|medium|large] [--subset N] [--reps N]
 //!       [--seed N] [--out DIR]
 //! ```
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <fig2|fig3|fig8|fig9|fig10|fig11|table2|table3|table4|ablation|backends|calibrate|engine|net|planner|serving|all>\n\
+        "usage: paper <fig2|fig3|fig8|fig9|fig10|fig11|table2|table3|table4|ablation|calibrate|engine|net|planner|serving|all>\n\
          \x20      [--scale small|medium|large] [--subset N] [--reps N] [--seed N] [--out DIR]"
     );
     std::process::exit(2)
@@ -73,7 +73,6 @@ fn main() -> ExitCode {
             "table3" => cw_bench::experiments::table3::run(cfg),
             "table4" => cw_bench::experiments::table4::run(cfg),
             "ablation" => cw_bench::experiments::ablation::run(cfg),
-            "backends" => cw_bench::experiments::backends::run(cfg),
             "calibrate" => cw_bench::experiments::calibrate::run(cfg),
             "corpus" => cw_bench::experiments::corpus::run(cfg),
             "engine" => cw_bench::experiments::engine::run(cfg),

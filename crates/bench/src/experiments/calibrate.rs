@@ -7,7 +7,7 @@
 //! per-operand `FeedbackStore`):
 //!
 //! 1. **Sweep** — for every corpus dataset, the planner's top pipelines
-//!    are measured on every builtin backend: one-off preprocessing
+//!    are measured on both backends: one-off preprocessing
 //!    seconds plus warm per-multiply kernel seconds, recorded as
 //!    [`CalibrationSample`]s.
 //! 2. **Fit** — even-indexed datasets train a [`Calibrator`] least-squares
@@ -22,26 +22,19 @@
 //! in `BENCH_calibration.json` — the machine-readable trajectory the CI
 //! perf gate diffs against its baseline.
 
+use super::planner::static_plan;
 use crate::report::{f2, Direction, Report, Table};
 use crate::runner::{anchor_seconds, RunConfig};
 use cw_engine::calibrate::{median, prediction_errors};
 use cw_engine::{
-    BackendId, BackendRegistry, CalibrationProfile, CalibrationSample, Calibrator, Engine,
-    OperandFeatures, Plan, PlanKnobs, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY,
+    BackendId, CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures, Plan,
+    PlanKnobs, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY,
 };
 use cw_sparse::CsrMatrix;
 
-/// Distinct pipelines measured per dataset (each on every backend); the
+/// Distinct pipelines measured per dataset (each on both backends); the
 /// planner's cost-ranked head plus the static advisor's choice.
 const MAX_PIPELINES: usize = 4;
-
-/// Backends every pipeline is measured on.
-const BACKENDS: [BackendId; 4] = [
-    BackendId::ParallelCpu,
-    BackendId::SerialReference,
-    BackendId::TiledCpu,
-    BackendId::AdaptiveCpu,
-];
 
 /// Amortization horizon used when ranking predicted candidate costs
 /// (matches [`PlanningPolicy::default`]'s `expected_reuse`).
@@ -50,10 +43,8 @@ const RANK_REUSE: f64 = 16.0;
 /// A first choice "agrees" with the observed-fastest candidate when its
 /// observed warm kernel is within this fraction of the fastest's —
 /// aligned with the feedback loop's 25% switch margin: a delta the loop
-/// itself would hold as a tie cannot count as a wrong choice here. With
-/// four near-tied CPU backends per pipeline the candidate field is dense,
-/// and sub-margin deltas measure timer noise (and the single global
-/// per-backend `kernel_scale`'s blindness to operand structure), not
+/// itself would hold as a tie cannot count as a wrong choice here.
+/// Sub-margin deltas between near-tied pipelines measure timer noise, not
 /// selection quality; a genuinely wrong choice misses by far more.
 pub const AGREEMENT_SLACK: f64 = 0.25;
 
@@ -116,8 +107,9 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     // The static advisor's choice and the zero-prep baseline are always
     // measured: the first anchors the static-agreement comparison, the
     // second anchors the calibrator's scale-free technique-gain ratios.
-    let static_plan = planner.plan_static(a);
-    for extra in [static_plan, planner.plan_for_suggestion(a, cw_engine::Suggestion::LeaveOriginal)]
+    let static_choice = static_plan(&planner, a);
+    for extra in
+        [static_choice, planner.plan_for_suggestion(a, cw_engine::Suggestion::LeaveOriginal)]
     {
         if !pipelines.iter().any(|(p, _)| pipeline_key(p) == pipeline_key(&extra)) {
             let affinity = ranked
@@ -136,12 +128,12 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     let mut samples = Vec::new();
     for (pipeline, affinity) in pipelines {
         // One-off preprocessing, measured cold on the reference backend
-        // (the builtin CPU backends share the same materialization).
+        // (both backends share the same materialization).
         meter.clear_cache();
         let (_, prep_timings, _) = meter.prepare_with(a, Some(pipeline));
         let prep_seconds = prep_timings.reorder_seconds + prep_timings.cluster_seconds;
 
-        for backend in BACKENDS {
+        for backend in BackendId::ALL {
             let plan = pipeline.on_backend(backend);
             let kernel_seconds = warm_kernel_median(&mut meter, a, plan, cfg.reps);
             samples.push(CalibrationSample {
@@ -149,7 +141,7 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
                 plan,
                 affinity,
                 // Attribute the measured prep once (to the reference
-                // sample); duplicates would triple-weight it in the fit.
+                // sample); duplicates would double-weight it in the fit.
                 prep_seconds: if backend == BackendId::ParallelCpu { prep_seconds } else { 0.0 },
                 kernel_seconds,
             });
@@ -161,7 +153,7 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     DatasetSweep {
         name: name.to_string(),
         features,
-        static_knobs: static_plan.knobs(),
+        static_knobs: static_choice.knobs(),
         candidates,
         samples,
     }
@@ -180,7 +172,6 @@ fn observed_fastest(sweep: &DatasetSweep) -> &MeasuredCandidate {
 /// cost under the default reuse horizon).
 fn model_choice<'s>(
     profile: &CalibrationProfile,
-    registry: &BackendRegistry,
     sweep: &'s DatasetSweep,
 ) -> &'s MeasuredCandidate {
     sweep
@@ -188,9 +179,7 @@ fn model_choice<'s>(
         .iter()
         .min_by(|x, y| {
             let cost = |c: &MeasuredCandidate| {
-                profile
-                    .estimate(&sweep.features, &c.plan, c.affinity, &registry.caps(c.plan.backend))
-                    .amortized(RANK_REUSE)
+                profile.model.estimate(&sweep.features, &c.plan, c.affinity).amortized(RANK_REUSE)
             };
             cost(x).total_cmp(&cost(y))
         })
@@ -226,17 +215,16 @@ fn agrees(choice: &MeasuredCandidate, fastest: &MeasuredCandidate) -> bool {
 /// Judges `profile`'s first choices against the observed-fastest
 /// candidates across `sweeps`.
 fn judge(profile: &CalibrationProfile, sweeps: &[DatasetSweep]) -> PlannerDelta {
-    let registry = BackendRegistry::builtin();
     let handtuned = CalibrationProfile::default();
     let (mut cal, mut hand, mut stat) = (0usize, 0usize, 0usize);
     let mut log_speedups = Vec::new();
     for sweep in sweeps {
         let fastest = observed_fastest(sweep);
-        let calibrated = model_choice(profile, &registry, sweep);
+        let calibrated = model_choice(profile, sweep);
         if agrees(calibrated, fastest) {
             cal += 1;
         }
-        if agrees(model_choice(&handtuned, &registry, sweep), fastest) {
+        if agrees(model_choice(&handtuned, sweep), fastest) {
             hand += 1;
         }
         let static_pick = sweep
@@ -286,7 +274,6 @@ pub fn planner_delta(cfg: &RunConfig) -> PlannerDelta {
 /// Runs the calibrate experiment.
 pub fn run(cfg: &RunConfig) -> Report {
     let sweeps = sweep_corpus(cfg);
-    let registry = BackendRegistry::builtin();
 
     // Train/held-out split by dataset parity (operand-level, so held-out
     // error is measured on matrices the fit never saw).
@@ -312,8 +299,8 @@ pub fn run(cfg: &RunConfig) -> Report {
     let full_profile = full_cal.fit();
 
     let handtuned = CalibrationProfile::default();
-    let fitted_errs = prediction_errors(&train_profile, &registry, &heldout);
-    let handtuned_errs = prediction_errors(&handtuned, &registry, &heldout);
+    let fitted_errs = prediction_errors(&train_profile, &heldout);
+    let handtuned_errs = prediction_errors(&handtuned, &heldout);
     let delta = judge(&train_profile, &sweeps);
 
     let mut rep = Report::new(
@@ -327,7 +314,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         sweeps.len().div_ceil(2),
         sweeps.len() / 2,
         sweeps.iter().map(|s| s.samples.len()).sum::<usize>(),
-        BACKENDS.len(),
+        BackendId::ALL.len(),
         cfg.reps
     ));
     rep.note(format!(
@@ -359,14 +346,6 @@ pub fn run(cfg: &RunConfig) -> Report {
             format!("{:.3e}", get(&full_profile)),
         ]);
     }
-    for id in BackendId::ALL {
-        t.push_row(vec![
-            format!("kernel_scale[{}]", id.name()),
-            f2(handtuned.kernel_scale(id).unwrap_or(1.0)),
-            f2(train_profile.kernel_scale(id).unwrap_or(1.0)),
-            f2(full_profile.kernel_scale(id).unwrap_or(1.0)),
-        ]);
-    }
     rep.add_table("fitted cost-model constants", t);
 
     // --- Table 2: prediction quality + plan choices per dataset. ---
@@ -380,8 +359,8 @@ pub fn run(cfg: &RunConfig) -> Report {
     ]);
     for (i, sweep) in sweeps.iter().enumerate() {
         let fastest = observed_fastest(sweep);
-        let calibrated = model_choice(&train_profile, &registry, sweep);
-        let hand = model_choice(&handtuned, &registry, sweep);
+        let calibrated = model_choice(&train_profile, sweep);
+        let hand = model_choice(&handtuned, sweep);
         let static_pick = sweep
             .candidates
             .iter()
@@ -427,7 +406,7 @@ pub fn run(cfg: &RunConfig) -> Report {
             observed_fastest(sweep).kernel_seconds,
             Direction::LowerIsBetter,
         );
-        for backend in BACKENDS {
+        for backend in BackendId::ALL {
             if let Some(s) = sweep.samples.iter().find(|s| s.plan.backend == backend) {
                 rep.add_metric(
                     format!("warm_kernel_s/{}/{}", sweep.name, backend.name()),

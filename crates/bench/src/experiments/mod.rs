@@ -2,7 +2,6 @@
 //! [`crate::report::Report`].
 
 pub mod ablation;
-pub mod backends;
 pub mod calibrate;
 pub mod corpus;
 pub mod engine;

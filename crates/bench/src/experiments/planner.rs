@@ -8,7 +8,7 @@
 //! points on the engine's three selection modes:
 //!
 //! 1. **static** — the advisor's top suggestion, knob-tuned
-//!    ([`Planner::plan_static`]): the pre-cost-model behavior.
+//!    (`static_plan` below): the pre-cost-model behavior.
 //! 2. **cost** — the cost model's budget-aware choice with no runtime
 //!    feedback ([`Planner::plan`] under a frozen policy).
 //! 3. **converged** — an adaptive engine serves repeated multiplies, its
@@ -23,17 +23,27 @@
 
 use crate::report::{Report, Table};
 use crate::runner::{time_median, RunConfig};
-use cw_engine::{Engine, OperandKey, Plan, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
+use cw_engine::{
+    Engine, OperandKey, Plan, Planner, PlanningPolicy, Suggestion, DEFAULT_CACHE_CAPACITY,
+};
+use cw_reorder::advisor::advise;
 use cw_sparse::CsrMatrix;
 
 /// Adaptive multiplies served before reading off the converged plan
 /// (enough for [`cw_engine::MIN_OBSERVATIONS_TO_SWITCH`]-gated switching
-/// to settle even after a demotion and a re-observation round). The
-/// candidate space spans every planner backend, and evidence decay can
-/// re-open a settled choice once per candidate cycle — under-running
-/// this leaves the engine mid-thrash on a transiently observed-fast
-/// plan instead of the converged one.
+/// to settle even after a demotion and a re-observation round).
+/// Evidence decay can re-open a settled choice once per candidate cycle —
+/// under-running this leaves the engine mid-thrash on a transiently
+/// observed-fast plan instead of the converged one.
 const CONVERGENCE_ROUNDS: usize = 24;
+
+/// The purely rule-based choice: the advisor's top suggestion, knob-tuned,
+/// with no cost modeling — the ablation baseline the cost model and the
+/// fitted profile are judged against.
+pub(crate) fn static_plan(planner: &Planner, a: &CsrMatrix) -> Plan {
+    let top = advise(a).into_iter().next().unwrap_or(Suggestion::LeaveOriginal);
+    planner.plan_for_suggestion(a, top)
+}
 
 /// Measures warm per-call seconds of `plan` on `a` (kernel + postprocess;
 /// the preparation is cached by the engine before timing starts).
@@ -77,8 +87,8 @@ pub fn run(cfg: &RunConfig) -> Report {
             DEFAULT_CACHE_CAPACITY,
         );
 
-        let static_plan = meter.planner().plan_static(&a);
-        let static_s = warm_per_call(&mut meter, &a, static_plan, cfg.reps);
+        let static_choice = static_plan(meter.planner(), &a);
+        let static_s = warm_per_call(&mut meter, &a, static_choice, cfg.reps);
 
         let cost_plan = meter.planner().plan(&a);
         let cost_s = warm_per_call(&mut meter, &a, cost_plan, cfg.reps);
@@ -101,7 +111,7 @@ pub fn run(cfg: &RunConfig) -> Report {
 
         t.push_row(vec![
             d.name.to_string(),
-            static_plan.describe(),
+            static_choice.describe(),
             format!("{static_s:.6}"),
             cost_plan.describe(),
             format!("{cost_s:.6}"),
@@ -131,9 +141,9 @@ mod tests {
         // multiplies. Convergence is driven by *observed* kernel timings,
         // and in unoptimized oversubscribed in-suite runs (two pool
         // workers on one CPU) per-multiply variance can exceed the 25%
-        // switch margin, leaving one operand mid-thrash at read-off — so,
-        // like the backends-experiment test, require the property on at
-        // least one dataset per attempt and take the best of 3 attempts.
+        // switch margin, leaving one operand mid-thrash at read-off — so
+        // require the property on at least one dataset per attempt and
+        // take the best of 3 attempts.
         // A genuinely worse planner misses the bar on every dataset of
         // every attempt; thrash noise only on some.
         let mut violations = Vec::new();

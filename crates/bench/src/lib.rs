@@ -12,8 +12,7 @@
 //!   `fig8`, `fig9`, `fig10`, `fig11`, `table2`, `table3`, `table4` — plus
 //!   `engine` (adaptive pipeline vs fixed, plan-cache amortization),
 //!   `planner` (static advisor vs cost model vs feedback-converged plan
-//!   selection), `backends` (per-backend timings and feedback-driven
-//!   backend selection), `calibrate` (cost-model fitting: sweep →
+//!   selection), `calibrate` (cost-model fitting: sweep →
 //!   [`cw_engine::Calibrator`] → held-out prediction error and
 //!   first-choice plan agreement), and `serving` (service offered-load
 //!   sweep).

@@ -551,8 +551,8 @@ mod tests {
         assert!(cache.get(&CacheKey::new(fp, clustered.knobs())).is_none());
         assert!(cache.get(&CacheKey::new(fp, baseline.knobs())).is_some());
         // ...as is the same pipeline on a different backend...
-        let tiled = baseline.on_backend(crate::backend::BackendId::TiledCpu);
-        assert!(cache.get(&CacheKey::new(fp, tiled.knobs())).is_none());
+        let serial = baseline.on_backend(crate::backend::BackendId::SerialReference);
+        assert!(cache.get(&CacheKey::new(fp, serial.knobs())).is_none());
         // ...but a plan differing only in rationale shares the entry.
         let renamed = Plan { rationale: "same knobs, different words", ..baseline };
         assert!(cache.get(&CacheKey::new(fp, renamed.knobs())).is_some());

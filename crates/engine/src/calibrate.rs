@@ -12,10 +12,9 @@
 //! 1. A bench sweep measures [`CalibrationSample`]s — operand features ×
 //!    plan knobs × backend × observed prep/kernel seconds.
 //! 2. The [`Calibrator`] fits the model's per-madd rate, accumulator
-//!    discount, parallel speedup, preprocessing rates, and each backend's
-//!    [`crate::BackendCaps::kernel_scale`] by least squares (in log space
-//!    for the multiplicative kernel terms, through the origin for the
-//!    linear-in-`nnz` preprocessing terms).
+//!    discount, parallel speedup, and preprocessing rates by least
+//!    squares (in log space for the multiplicative kernel terms, through
+//!    the origin for the linear-in-`nnz` preprocessing terms).
 //! 3. The fit serializes as a versioned [`CalibrationProfile`] — a
 //!    hand-rolled JSON document (the build container has no serde) that
 //!    [`crate::Planner::with_profile`], [`crate::Engine::with_profile`],
@@ -27,12 +26,12 @@
 //!
 //! let json = CalibrationProfile::default().to_json();
 //! let profile = CalibrationProfile::from_json(&json).unwrap();
-//! let planner = Planner::with_profile(7, profile);
-//! assert!(planner.calibration.is_some());
+//! let planner = Planner::with_profile(7, profile.clone());
+//! assert_eq!(planner.cost, profile.cost_model());
 //! ```
 
-use crate::backend::{BackendCaps, BackendId, BackendRegistry};
-use crate::cost::{CostEstimate, CostModel, OperandFeatures};
+use crate::backend::BackendId;
+use crate::cost::{CostModel, OperandFeatures};
 use crate::plan::{ClusteringStrategy, KernelChoice, Plan};
 use cw_reorder::Reordering;
 use std::fmt;
@@ -44,7 +43,7 @@ use json::JsonValue;
 
 /// Schema version written into (and required from) profile JSON. Bump on
 /// any incompatible field change; the golden-file test pins it.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// One measured execution: the operand's features, the plan that ran
 /// (backend included in its knobs), the advisor affinity the model would
@@ -57,31 +56,17 @@ pub struct CalibrationSample {
     /// The executed plan (its `backend` field names where it ran).
     pub plan: Plan,
     /// Advisor structural-evidence affinity for the plan's technique
-    /// (`0` for the baseline), as fed to [`CostModel::estimate_with_caps`].
+    /// (`0` for the baseline), as fed to [`CostModel::estimate`].
     pub affinity: f64,
     /// Observed one-off preprocessing seconds (reorder + clustering);
-    /// backend-independent for the builtin CPU backends, which share
-    /// [`crate::materialize_cpu`].
+    /// backend-independent.
     pub prep_seconds: f64,
     /// Observed warm per-multiply kernel seconds (preparation cached).
     pub kernel_seconds: f64,
 }
 
-/// Per-backend fit result: the kernel-seconds multiplier relative to the
-/// reference backend, and how many samples supported it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendCalibration {
-    /// The backend this entry describes.
-    pub backend: BackendId,
-    /// Fitted [`crate::BackendCaps::kernel_scale`]: observed kernel
-    /// seconds relative to the reference backend at equal knobs.
-    pub kernel_scale: f64,
-    /// Samples of this backend the fit was computed from.
-    pub samples: usize,
-}
-
-/// A fitted, serializable calibration: the cost model's constants plus
-/// per-backend kernel scales, versioned for forward compatibility.
+/// A fitted, serializable calibration: the cost model's constants,
+/// versioned for forward compatibility.
 ///
 /// The profile is the *artifact* of a [`Calibrator::fit`]: check one in
 /// (`profiles/default.json`), load it at construction
@@ -94,24 +79,17 @@ pub struct CalibrationProfile {
     pub schema_version: u64,
     /// Total samples the fit ingested (0 = uncalibrated defaults).
     pub fitted_from_samples: usize,
-    /// The fitted cost-model constants (reference-backend scale).
+    /// The fitted cost-model constants.
     pub model: CostModel,
-    /// Per-backend kernel scales, reference backend first.
-    pub backends: Vec<BackendCalibration>,
 }
 
 impl Default for CalibrationProfile {
-    /// The uncalibrated profile: hand-tuned [`CostModel`] constants and
-    /// unit kernel scales for every builtin backend.
+    /// The uncalibrated profile: hand-tuned [`CostModel`] constants.
     fn default() -> Self {
         CalibrationProfile {
             schema_version: PROFILE_SCHEMA_VERSION,
             fitted_from_samples: 0,
             model: CostModel::default(),
-            backends: BackendId::ALL
-                .iter()
-                .map(|&backend| BackendCalibration { backend, kernel_scale: 1.0, samples: 0 })
-                .collect(),
         }
     }
 }
@@ -135,7 +113,7 @@ impl fmt::Display for ProfileParseError {
             ProfileParseError::Version(v) => write!(
                 f,
                 "unsupported calibration profile schema version {v} (this build reads \
-                 {PROFILE_SCHEMA_VERSION})"
+                 {PROFILE_SCHEMA_VERSION}); regenerate the profile with `paper calibrate`"
             ),
         }
     }
@@ -145,7 +123,7 @@ impl std::error::Error for ProfileParseError {}
 
 /// The cost-model constants in serialization order: one place defines the
 /// JSON field set, so the writer and parser cannot drift apart.
-const MODEL_FIELDS: [&str; 13] = [
+const MODEL_FIELDS: [&str; 11] = [
     "seconds_per_madd",
     "dense_acc_discount",
     "parallel_speedup",
@@ -157,8 +135,6 @@ const MODEL_FIELDS: [&str; 13] = [
     "fixed_cluster_per_nnz",
     "variable_cluster_per_nnz",
     "hierarchical_cluster_per_nnz",
-    "tile_pass_overhead",
-    "blocking_gain",
 ];
 
 fn model_field(model: &CostModel, name: &str) -> f64 {
@@ -174,8 +150,6 @@ fn model_field(model: &CostModel, name: &str) -> f64 {
         "fixed_cluster_per_nnz" => model.fixed_cluster_per_nnz,
         "variable_cluster_per_nnz" => model.variable_cluster_per_nnz,
         "hierarchical_cluster_per_nnz" => model.hierarchical_cluster_per_nnz,
-        "tile_pass_overhead" => model.tile_pass_overhead,
-        "blocking_gain" => model.blocking_gain,
         _ => unreachable!("unknown model field {name}"),
     }
 }
@@ -193,8 +167,6 @@ fn set_model_field(model: &mut CostModel, name: &str, v: f64) {
         "fixed_cluster_per_nnz" => model.fixed_cluster_per_nnz = v,
         "variable_cluster_per_nnz" => model.variable_cluster_per_nnz = v,
         "hierarchical_cluster_per_nnz" => model.hierarchical_cluster_per_nnz = v,
-        "tile_pass_overhead" => model.tile_pass_overhead = v,
-        "blocking_gain" => model.blocking_gain = v,
         _ => unreachable!("unknown model field {name}"),
     }
 }
@@ -204,34 +176,6 @@ impl CalibrationProfile {
     /// installs as the planner's pricing model).
     pub fn cost_model(&self) -> CostModel {
         self.model
-    }
-
-    /// The fitted kernel scale for `id`, if the profile covers it.
-    pub fn kernel_scale(&self, id: BackendId) -> Option<f64> {
-        self.backends.iter().find(|b| b.backend == id).map(|b| b.kernel_scale)
-    }
-
-    /// `caps` with this profile's fitted `kernel_scale` for the same
-    /// backend substituted in (unchanged when the profile does not cover
-    /// the backend — a foreign accelerator stays priced by its own
-    /// self-description).
-    pub fn apply_to_caps(&self, caps: BackendCaps) -> BackendCaps {
-        match self.kernel_scale(caps.backend) {
-            Some(kernel_scale) => BackendCaps { kernel_scale, ..caps },
-            None => caps,
-        }
-    }
-
-    /// Prices `plan` with the fitted model *and* the fitted backend scale
-    /// (the calibrated analogue of [`CostModel::estimate_with_caps`]).
-    pub fn estimate(
-        &self,
-        f: &OperandFeatures,
-        plan: &Plan,
-        affinity: f64,
-        caps: &BackendCaps,
-    ) -> CostEstimate {
-        self.model.estimate_with_caps(f, plan, affinity, &self.apply_to_caps(*caps))
     }
 
     /// Serializes the profile as pretty-printed JSON. Floats are written
@@ -247,18 +191,7 @@ impl CalibrationProfile {
             let comma = if i + 1 < MODEL_FIELDS.len() { "," } else { "" };
             s.push_str(&format!("    \"{name}\": {:?}{comma}\n", model_field(&self.model, name)));
         }
-        s.push_str("  },\n");
-        s.push_str("  \"backends\": [\n");
-        for (i, b) in self.backends.iter().enumerate() {
-            let comma = if i + 1 < self.backends.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"backend\": \"{}\", \"kernel_scale\": {:?}, \"samples\": {}}}{comma}\n",
-                b.backend.name(),
-                b.kernel_scale,
-                b.samples
-            ));
-        }
-        s.push_str("  ]\n}\n");
+        s.push_str("  }\n}\n");
         s
     }
 
@@ -301,29 +234,7 @@ impl CalibrationProfile {
             set_model_field(&mut model, name, num(model_json.get(name), name)?);
         }
 
-        let backends_json = doc
-            .get("backends")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ProfileParseError::Schema("missing array `backends`".into()))?;
-        let mut backends = Vec::with_capacity(backends_json.len());
-        for b in backends_json {
-            let name = b.get("backend").and_then(JsonValue::as_str).ok_or_else(|| {
-                ProfileParseError::Schema("backend entry missing `backend`".into())
-            })?;
-            let backend = BackendId::parse(name)
-                .ok_or_else(|| ProfileParseError::Schema(format!("unknown backend `{name}`")))?;
-            backends.push(BackendCalibration {
-                backend,
-                kernel_scale: num(b.get("kernel_scale"), "kernel_scale")?,
-                samples: num(b.get("samples"), "samples")? as usize,
-            });
-        }
-        Ok(CalibrationProfile {
-            schema_version: version,
-            fitted_from_samples: samples,
-            model,
-            backends,
-        })
+        Ok(CalibrationProfile { schema_version: version, fitted_from_samples: samples, model })
     }
 
     /// Writes the profile JSON to `path` (creating parent directories).
@@ -374,7 +285,7 @@ fn prep_classes(plan: &Plan) -> Vec<PrepClass> {
     classes
 }
 
-/// Fits [`CostModel`] / backend constants from [`CalibrationSample`]s.
+/// Fits [`CostModel`] constants from [`CalibrationSample`]s.
 ///
 /// The fit is deliberately closed-form (no iterative optimizer in the
 /// offline container):
@@ -392,13 +303,13 @@ fn prep_classes(plan: &Plan) -> Vec<PrepClass> {
 ///   them by.
 /// * **Parallel speedup** — the geometric mean of serial ÷ parallel
 ///   observed kernel seconds over (operand, pipeline) pairs measured on
-///   both a parallel backend and the serial reference.
-/// * **Per-madd rate, accumulator discount, backend scales** — the model's
-///   kernel estimate is multiplicative, so `log(observed)` minus
-///   `log(structural factor)` is linear in `log(seconds_per_madd)`,
-///   `log(dense_acc_discount)` (an indicator regressor), and
-///   `log(kernel_scale)` (per-backend intercepts); the closed-form
-///   two-way solve recovers all three.
+///   both [`BackendId::ParallelCpu`] and [`BackendId::SerialReference`].
+/// * **Per-madd rate, accumulator discount** — the model's kernel estimate
+///   is multiplicative, so over the `ParallelCpu` samples `log(observed)`
+///   minus `log(structural factor)` is `log(seconds_per_madd)` plus
+///   `log(dense_acc_discount)` on the dense-accumulator samples: the
+///   discount is the dense − hash contrast of the residual means, the
+///   rate the mean of the de-densed residuals.
 ///
 /// ```
 /// use cw_engine::Calibrator;
@@ -411,7 +322,6 @@ fn prep_classes(plan: &Plan) -> Vec<PrepClass> {
 #[derive(Debug, Clone)]
 pub struct Calibrator {
     samples: Vec<CalibrationSample>,
-    registry: BackendRegistry,
     base: CostModel,
 }
 
@@ -422,17 +332,9 @@ impl Default for Calibrator {
 }
 
 impl Calibrator {
-    /// Empty calibrator over the builtin backend registry and default
-    /// structural constants.
+    /// Empty calibrator over the default structural constants.
     pub fn new() -> Calibrator {
-        Calibrator::with_registry(BackendRegistry::builtin())
-    }
-
-    /// Empty calibrator resolving backend capability descriptors (tile
-    /// geometry, parallel flag) from `registry` — use when samples were
-    /// measured on non-default backends (e.g. a custom tile width).
-    pub fn with_registry(registry: BackendRegistry) -> Calibrator {
-        Calibrator { samples: Vec::new(), registry, base: CostModel::default() }
+        Calibrator { samples: Vec::new(), base: CostModel::default() }
     }
 
     /// Adds one measured sample. Non-finite or non-positive kernel
@@ -511,9 +413,9 @@ impl Calibrator {
 
         // --- Technique gains: ratio fits against the baseline pipeline. ---
         // kernel(reordered) = kernel(baseline) · (1 − reorder_gain · affinity)
-        // is scale-free: the per-madd rate and backend scale cancel in the
-        // observed ratio, so the gains can be fitted before either. Pairs
-        // match on operand, backend, accumulator, and parallelism.
+        // is scale-free: the per-madd rate cancels in the observed ratio,
+        // so the gains can be fitted before it. Pairs match on operand,
+        // backend, accumulator, and parallelism.
         let is_baseline = |p: &Plan| {
             p.reorder.is_none_or(|r| r == Reordering::Original)
                 && p.kernel == KernelChoice::RowWise
@@ -583,8 +485,7 @@ impl Calibrator {
         };
         let mut log_speedups = Vec::new();
         for s in &self.samples {
-            let caps = self.registry.caps(s.plan.backend);
-            if !(s.plan.parallel && caps.parallel && caps.tile_cols.is_none()) {
+            if !(s.plan.parallel && s.plan.backend.is_parallel()) {
                 continue;
             }
             for t in &self.samples {
@@ -601,116 +502,45 @@ impl Calibrator {
             model.parallel_speedup = mean.exp().max(1.0);
         }
 
-        // --- Kernel scale fit (log space). ---
-        // With seconds_per_madd = 1, dense discount = 1, and unit backend
-        // scale, the model's kernel estimate is the structural factor X.
-        // Then log(observed) − log(X) = log(s) + dense·log(d) + log(scale_b)
-        // with per-backend intercepts; solve the two-way layout in closed
-        // form: the dense coefficient from within-backend contrasts, the
-        // intercepts from the de-densed residuals.
+        // --- Per-madd rate and dense discount (log space). ---
+        // With seconds_per_madd = 1 and dense discount = 1 the model's
+        // kernel estimate is the structural factor X, and
+        // log(observed) − log(X) = log(s) + dense·log(d). Only the
+        // reference backend's samples enter: the serial oracle's timings
+        // already paid for `parallel_speedup` above.
         let mut unit = model;
         unit.seconds_per_madd = 1.0;
         unit.dense_acc_discount = 1.0;
         unit.cluster_row_overhead = 0.0; // additive term excluded from the log fit
-        struct Residual {
-            backend: BackendId,
-            dense: bool,
-            r: f64,
-        }
-        let mut residuals: Vec<Residual> = Vec::new();
-        for s in &self.samples {
-            let caps = BackendCaps { kernel_scale: 1.0, ..self.registry.caps(s.plan.backend) };
-            let x = unit.estimate_with_caps(&s.features, &s.plan, s.affinity, &caps).kernel_seconds;
-            if x > 0.0 {
-                residuals.push(Residual {
-                    backend: s.plan.backend,
-                    dense: s.plan.acc == cw_spgemm::AccumulatorKind::Dense,
-                    r: (s.kernel_seconds / x).ln(),
-                });
+        let (mut ds, mut dn, mut hs, mut hn) = (0.0, 0usize, 0.0, 0usize);
+        for s in self.samples.iter().filter(|s| s.plan.backend == BackendId::ParallelCpu) {
+            let x = unit.estimate(&s.features, &s.plan, s.affinity).kernel_seconds;
+            if x <= 0.0 {
+                continue;
+            }
+            let r = (s.kernel_seconds / x).ln();
+            if s.plan.acc == cw_spgemm::AccumulatorKind::Dense {
+                ds += r;
+                dn += 1;
+            } else {
+                hs += r;
+                hn += 1;
             }
         }
-        let backend_ids: Vec<BackendId> = {
-            let mut ids = Vec::new();
-            for res in &residuals {
-                if !ids.contains(&res.backend) {
-                    ids.push(res.backend);
-                }
-            }
-            ids
-        };
-        // Dense coefficient: weighted mean of per-backend (dense − hash)
-        // residual contrasts, over backends observing both accumulators.
-        let mut contrast_num = 0.0;
-        let mut contrast_weight = 0.0;
-        for &id in &backend_ids {
-            let (mut ds, mut dn, mut hs, mut hn) = (0.0, 0usize, 0.0, 0usize);
-            for res in residuals.iter().filter(|res| res.backend == id) {
-                if res.dense {
-                    ds += res.r;
-                    dn += 1;
-                } else {
-                    hs += res.r;
-                    hn += 1;
-                }
-            }
-            if dn > 0 && hn > 0 {
-                let w = (dn.min(hn)) as f64;
-                contrast_num += w * (ds / dn as f64 - hs / hn as f64);
-                contrast_weight += w;
-            }
-        }
-        let log_dense = if contrast_weight > 0.0 { contrast_num / contrast_weight } else { 0.0 };
-        if contrast_weight > 0.0 {
+        let mut log_dense = 0.0;
+        if dn > 0 && hn > 0 {
+            log_dense = ds / dn as f64 - hs / hn as f64;
             model.dense_acc_discount = log_dense.exp();
         }
-        // Per-backend intercepts over de-densed residuals.
-        let mut intercepts: Vec<(BackendId, f64, usize)> = Vec::new();
-        for &id in &backend_ids {
-            let rs: Vec<f64> = residuals
-                .iter()
-                .filter(|res| res.backend == id)
-                .map(|res| res.r - if res.dense { log_dense } else { 0.0 })
-                .collect();
-            if !rs.is_empty() {
-                intercepts.push((id, rs.iter().sum::<f64>() / rs.len() as f64, rs.len()));
-            }
-        }
-        // seconds_per_madd anchors on the reference backend when sampled,
-        // else on the sample-weighted mean intercept.
-        let log_ref = intercepts
-            .iter()
-            .find(|(id, _, _)| *id == BackendId::ParallelCpu)
-            .map(|&(_, m, _)| m)
-            .or_else(|| {
-                let total: usize = intercepts.iter().map(|&(_, _, n)| n).sum();
-                if total == 0 {
-                    None
-                } else {
-                    Some(
-                        intercepts.iter().map(|&(_, m, n)| m * n as f64).sum::<f64>()
-                            / total as f64,
-                    )
-                }
-            });
-        if let Some(log_ref) = log_ref {
-            model.seconds_per_madd = log_ref.exp();
-        }
-
-        let mut backends: Vec<BackendCalibration> = Vec::new();
-        for &id in BackendId::ALL.iter() {
-            let fitted = intercepts.iter().find(|(b, _, _)| *b == id);
-            let (kernel_scale, samples) = match (fitted, log_ref) {
-                (Some(&(_, m, n)), Some(anchor)) => ((m - anchor).exp(), n),
-                _ => (self.registry.caps(id).kernel_scale, 0),
-            };
-            backends.push(BackendCalibration { backend: id, kernel_scale, samples });
+        if dn + hn > 0 {
+            let de_densed = ds - dn as f64 * log_dense + hs;
+            model.seconds_per_madd = (de_densed / (dn + hn) as f64).exp();
         }
 
         CalibrationProfile {
             schema_version: PROFILE_SCHEMA_VERSION,
             fitted_from_samples: self.samples.len(),
             model,
-            backends,
         }
     }
 }
@@ -727,19 +557,14 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Relative kernel-prediction errors `|predicted − observed| / observed`
-/// of `profile` over `samples` (capability descriptors resolved from
-/// `registry`). Pair with [`median`] for the held-out error summary.
-pub fn prediction_errors(
-    profile: &CalibrationProfile,
-    registry: &BackendRegistry,
-    samples: &[CalibrationSample],
-) -> Vec<f64> {
+/// of `profile` over `samples`. Pair with [`median`] for the held-out
+/// error summary.
+pub fn prediction_errors(profile: &CalibrationProfile, samples: &[CalibrationSample]) -> Vec<f64> {
     samples
         .iter()
         .filter(|s| s.kernel_seconds > 0.0)
         .map(|s| {
-            let caps = registry.caps(s.plan.backend);
-            let predicted = profile.estimate(&s.features, &s.plan, s.affinity, &caps);
+            let predicted = profile.model.estimate(&s.features, &s.plan, s.affinity);
             (predicted.kernel_seconds - s.kernel_seconds).abs() / s.kernel_seconds
         })
         .collect()
@@ -769,7 +594,6 @@ mod tests {
     /// Samples generated *from* a known model, so the fit has exact ground
     /// truth to recover (no timing noise).
     fn synthetic_samples(truth: &CalibrationProfile) -> Vec<CalibrationSample> {
-        let registry = BackendRegistry::builtin();
         let mut samples = Vec::new();
         let operands = [
             features(500, 500, 4000),
@@ -797,8 +621,7 @@ mod tests {
             for p in pipelines {
                 for backend in BackendId::ALL {
                     let plan = p.on_backend(backend);
-                    let caps = registry.caps(backend);
-                    let est = truth.estimate(&f, &plan, 0.4, &caps);
+                    let est = truth.model.estimate(&f, &plan, 0.4);
                     samples.push(CalibrationSample {
                         features: f,
                         plan,
@@ -822,9 +645,8 @@ mod tests {
         truth.model.parallel_speedup = 6.0;
         truth.model.cheap_reorder_per_nnz = 40e-9;
         truth.model.variable_cluster_per_nnz = 80e-9;
-        truth.backends[2].kernel_scale = 1.4; // tiled-cpu genuinely slower
-                                              // The additive cluster-row overhead is excluded from the log fit;
-                                              // zero it in the ground truth so recovery is exact.
+        // The additive cluster-row overhead is excluded from the log fit;
+        // zero it in the ground truth so recovery is exact.
         truth.model.cluster_row_overhead = 0.0;
 
         let mut cal = Calibrator::new();
@@ -840,15 +662,11 @@ mod tests {
         assert!(
             rel(fitted.model.variable_cluster_per_nnz, truth.model.variable_cluster_per_nnz) < 0.05
         );
-        let tiled = fitted.kernel_scale(BackendId::TiledCpu).unwrap();
-        assert!(rel(tiled, 1.4) < 0.05, "tiled scale {tiled}");
         // And the fitted profile predicts the ground-truth timings far
         // better than the hand-tuned defaults.
-        let registry = BackendRegistry::builtin();
         let samples = synthetic_samples(&truth);
-        let fitted_err = median(&prediction_errors(&fitted, &registry, &samples));
-        let default_err =
-            median(&prediction_errors(&CalibrationProfile::default(), &registry, &samples));
+        let fitted_err = median(&prediction_errors(&fitted, &samples));
+        let default_err = median(&prediction_errors(&CalibrationProfile::default(), &samples));
         assert!(
             fitted_err < 0.05 && fitted_err < default_err,
             "fitted {fitted_err} vs default {default_err}"
@@ -860,9 +678,6 @@ mod tests {
         let profile = Calibrator::new().fit();
         assert_eq!(profile.fitted_from_samples, 0);
         assert_eq!(profile.model, CostModel::default());
-        for b in &profile.backends {
-            assert_eq!(b.samples, 0);
-        }
     }
 
     #[test]
@@ -908,11 +723,10 @@ mod tests {
         assert!(matches!(CalibrationProfile::from_json("{}"), Err(ProfileParseError::Schema(_))));
         let wrong_version = CalibrationProfile::default()
             .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 999");
-        assert_eq!(
-            CalibrationProfile::from_json(&wrong_version),
-            Err(ProfileParseError::Version(999))
-        );
+            .replace("\"schema_version\": 2", "\"schema_version\": 1");
+        let rejected = CalibrationProfile::from_json(&wrong_version).unwrap_err();
+        assert_eq!(rejected, ProfileParseError::Version(1));
+        assert!(rejected.to_string().contains("paper calibrate"), "{rejected}");
         let unknown_field = CalibrationProfile::default()
             .to_json()
             .replace("\"seconds_per_madd\"", "\"seconds_per_mad\"");
@@ -930,17 +744,6 @@ mod tests {
         profile.save(&path).unwrap();
         assert_eq!(CalibrationProfile::load(&path).unwrap(), profile);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn apply_to_caps_rescales_only_known_backends() {
-        let mut profile = CalibrationProfile::default();
-        profile.backends.retain(|b| b.backend == BackendId::ParallelCpu);
-        profile.backends[0].kernel_scale = 3.0;
-        let scaled = profile.apply_to_caps(BackendId::ParallelCpu.caps());
-        assert_eq!(scaled.kernel_scale, 3.0);
-        let untouched = profile.apply_to_caps(BackendId::TiledCpu.caps());
-        assert_eq!(untouched.kernel_scale, BackendId::TiledCpu.caps().kernel_scale);
     }
 
     #[test]

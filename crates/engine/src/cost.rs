@@ -28,7 +28,6 @@
 //! noise floor ([`PlanningPolicy::min_adapt_gain_seconds`]) — at
 //! microsecond scales timing noise swamps any real plan difference.
 
-use crate::backend::BackendCaps;
 use crate::plan::{ClusteringStrategy, KernelChoice, OutputShape, Plan, PlanKnobs};
 use cw_reorder::advisor::Profile;
 use cw_reorder::Reordering;
@@ -146,7 +145,7 @@ pub struct OperandFeatures {
     /// Rows of the operand.
     pub nrows: usize,
     /// Columns of the operand (the output-width proxy for `A²`-shaped
-    /// traffic; column-tiled backends are priced from it).
+    /// traffic).
     pub ncols: usize,
     /// Stored nonzeros of the operand.
     pub nnz: usize,
@@ -228,12 +227,6 @@ pub struct CostModel {
     /// Cluster-construction seconds per nonzero for hierarchical
     /// clustering (similarity discovery is itself SpGEMM-shaped).
     pub hierarchical_cluster_per_nnz: f64,
-    /// Fraction of kernel time added per *extra* column tile on a tiled
-    /// backend (each tile re-streams the operand's rows).
-    pub tile_pass_overhead: f64,
-    /// Fraction of kernel time cache blocking is predicted to save when a
-    /// tiled backend actually splits the output (more than one tile).
-    pub blocking_gain: f64,
 }
 
 impl Default for CostModel {
@@ -250,41 +243,19 @@ impl Default for CostModel {
             fixed_cluster_per_nnz: 4e-9,
             variable_cluster_per_nnz: 25e-9,
             hierarchical_cluster_per_nnz: 120e-9,
-            // Deliberately pessimistic about tiling: on first sight the
-            // reference rayon path wins and the tiled backend is only
-            // adopted once execution feedback observes it faster.
-            tile_pass_overhead: 0.10,
-            blocking_gain: 0.05,
         }
     }
 }
 
 impl CostModel {
-    /// Prices `plan` on an operand with features `f`, describing the
-    /// plan's backend by its *builtin* capability descriptor
-    /// ([`crate::BackendId::caps`]). Callers holding a
-    /// [`crate::BackendRegistry`] (the planner) should prefer
-    /// [`CostModel::estimate_with_caps`], which honors instance-level
-    /// overrides such as a custom tile width.
+    /// Prices `plan` on an operand with features `f`. `affinity` is the
+    /// advisor's structural-evidence feature for the technique the plan
+    /// realizes (`0` for the baseline): higher affinity predicts larger
+    /// kernel savings from reordering/clustering, never larger prep cost.
+    /// The plan's backend contributes one term: the parallel speedup
+    /// applies only where [`crate::BackendId::is_parallel`] says the
+    /// kernel will actually use the pool.
     pub fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
-        self.estimate_with_caps(f, plan, affinity, &plan.backend.caps())
-    }
-
-    /// Prices `plan` on an operand with features `f` under an explicit
-    /// backend capability descriptor. `affinity` is the advisor's
-    /// structural-evidence feature for the technique the plan realizes
-    /// (`0` for the baseline): higher affinity predicts larger kernel
-    /// savings from reordering/clustering, never larger prep cost. The
-    /// descriptor contributes the backend terms: `kernel_scale`, whether
-    /// the parallel speedup applies at all, and the column-tile geometry
-    /// (per-tile pass overhead vs cache-blocking gain).
-    pub fn estimate_with_caps(
-        &self,
-        f: &OperandFeatures,
-        plan: &Plan,
-        affinity: f64,
-        caps: &BackendCaps,
-    ) -> CostEstimate {
         let affinity = affinity.clamp(0.0, 1.0);
         let madds = f.estimated_madds();
         let nnz = f.nnz as f64;
@@ -319,18 +290,8 @@ impl CostModel {
                 kernel += self.cluster_row_overhead * f.nrows as f64;
             }
         }
-        if plan.parallel && caps.parallel {
+        if plan.parallel && plan.backend.is_parallel() {
             kernel /= self.parallel_speedup.max(1.0);
-        }
-        kernel *= caps.kernel_scale.max(0.0);
-        if let Some(w) = caps.tile_cols {
-            let tiles = (f.ncols.max(1).div_ceil(w.max(1))) as f64;
-            if tiles > 1.0 {
-                // Each extra tile re-streams the operand's rows, but bounds
-                // the accumulator working set to the tile width.
-                kernel *= 1.0 + self.tile_pass_overhead * (tiles - 1.0);
-                kernel *= 1.0 - self.blocking_gain.clamp(0.0, 0.95);
-            }
         }
         // Truncated output shapes shrink the *kernel* term only — prep is
         // untouched, so the paper's §4.5 amortization argument gets
@@ -850,42 +811,6 @@ mod tests {
             (slow.kernel_seconds / fast.kernel_seconds - model.parallel_speedup).abs() < 1e-9,
             "a non-parallel backend must not receive the parallel discount"
         );
-    }
-
-    #[test]
-    fn tiled_backend_is_priced_worse_on_first_sight_for_wide_outputs() {
-        let model = CostModel::default();
-        // Wide output: several tiles under the default tile width.
-        let mut f = features(2000, 16000, 0.2);
-        f.ncols = 4 * crate::DEFAULT_TILE_COLS;
-        let plan = Plan::baseline();
-        let reference = model.estimate(&f, &plan, 0.0);
-        let tiled = model.estimate(&f, &plan.on_backend(crate::BackendId::TiledCpu), 0.0);
-        assert!(
-            tiled.kernel_seconds > reference.kernel_seconds,
-            "the default model must keep the reference path ahead ({} vs {})",
-            tiled.kernel_seconds,
-            reference.kernel_seconds
-        );
-        // Narrow output: one tile, the backends price identically.
-        f.ncols = 100;
-        let narrow_ref = model.estimate(&f, &plan, 0.0);
-        let narrow_tiled = model.estimate(&f, &plan.on_backend(crate::BackendId::TiledCpu), 0.0);
-        assert_eq!(narrow_ref.kernel_seconds, narrow_tiled.kernel_seconds);
-    }
-
-    #[test]
-    fn explicit_caps_override_the_builtin_descriptor() {
-        let model = CostModel::default();
-        let mut f = features(2000, 16000, 0.2);
-        f.ncols = 64;
-        let plan = Plan::baseline().on_backend(crate::BackendId::TiledCpu);
-        // Builtin tile width (512): one tile, no surcharge.
-        let builtin = model.estimate(&f, &plan, 0.0);
-        // A narrow 16-column tile splits the same output into 4 tiles.
-        let caps = crate::BackendCaps { tile_cols: Some(16), ..crate::BackendId::TiledCpu.caps() };
-        let narrow = model.estimate_with_caps(&f, &plan, 0.0, &caps);
-        assert!(narrow.kernel_seconds > builtin.kernel_seconds);
     }
 
     #[test]

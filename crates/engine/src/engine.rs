@@ -443,15 +443,10 @@ impl Engine {
         };
         let key = CacheKey::new(fp, plan.knobs());
         let planner = &self.planner;
-        // The plan names its backend; the planner's registry owns the
-        // implementation (so a custom registry — narrower tiles, an
-        // accelerator backend — changes execution without touching the
-        // cache or feedback layers).
-        let backend = planner.backends.resolve(plan.backend);
         let (prepared, hit) = self.cache.get_or_prepare(
             key,
             |cached| cached.checksum == sum,
-            || PreparedMatrix::prepare_on(&backend, a, plan, planner.seed, &planner.cluster),
+            || PreparedMatrix::prepare(a, plan, planner.seed, &planner.cluster),
         );
         let timings = if hit {
             // Reorder/cluster work was done by whichever call prepared the

@@ -15,45 +15,38 @@
 //!    parallelism knobs × **execution backend** — with the analytic
 //!    [`CostModel`], and ranks them by cost amortized under the caller's
 //!    [`PlanningPolicy`] (expected reuse, optional preprocessing budget).
-//!    [`Planner::plans_ranked`] is the budget-aware fall-through list;
-//!    [`Planner::plan_static`] keeps the pre-cost-model rule-based choice
-//!    for ablation.
+//!    [`Planner::plans_ranked`] is the budget-aware fall-through list.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
-//!    *on the plan's backend*: the [`ExecutionBackend`] owns its
-//!    backend-specific payload (permutation computed and applied,
-//!    `CSR_Cluster` built, tile geometry chosen), with per-stage timings
-//!    recorded. Prepared operands are reusable across any number of
-//!    right-hand sides and always return results in the original row
-//!    order.
+//!    (permutation computed and applied, `CSR_Cluster` built), with
+//!    per-stage timings recorded. Prepared operands are reusable across
+//!    any number of right-hand sides and always return results in the
+//!    original row order.
 //! 3. **Cache** — [`PlanCache`] maps cheap matrix fingerprints
 //!    ([`cw_sparse::fingerprint()`]) plus plan knobs to prepared operands
 //!    under a [`CacheBudget`] — entry-bounded or byte-bounded LRU, with an
 //!    optional TTL — with hit/miss/eviction/expiry counters, so repeated
 //!    traffic on the same matrix skips preprocessing entirely. Keying by
-//!    `(fingerprint, knobs)` — the knobs include the backend — lets
-//!    preparations under different plans and backends coexist, which is
-//!    what makes feedback re-planning cheap to undo.
-//! 4. **Execute** — [`Engine::multiply`] / [`Engine::multiply_batch`]
-//!    dispatch the prepared kernel through its backend ([`ParallelCpu`]
-//!    rayon by default, [`SerialReference`] oracle, [`TiledCpu`]
-//!    cache-blocked, [`AdaptiveCpu`] per-row kernel zoo — or anything
-//!    registered in the planner's
-//!    [`BackendRegistry`]) and return an [`ExecutionReport`] with the
-//!    backend id and per-stage wall-clock timings.
+//!    `(fingerprint, knobs)` lets preparations under different plans
+//!    coexist, which is what makes feedback re-planning cheap to undo.
+//! 4. **Execute** — [`Engine::multiply`] / [`Engine::multiply_batch`] run
+//!    the prepared kernel on the plan's [`BackendId`] —
+//!    [`BackendId::ParallelCpu`] (rayon, the default) or the
+//!    single-threaded [`BackendId::SerialReference`] oracle — and return
+//!    an [`ExecutionReport`] with the backend id and per-stage wall-clock
+//!    timings.
 //! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-fingerprint
-//!    EWMAs of observed kernel seconds per candidate plan — backends
-//!    included, so per-backend timings are learned exactly like any other
-//!    knob. Observed timings correct the cost model's estimates after
-//!    every execution: plans that underperform their prediction are
-//!    demoted, observed-fast plans (and backends) promoted, so repeated
-//!    traffic converges on the empirically fastest plan (`cw-service`
-//!    threads this loop through every shard). Under
+//!    EWMAs of observed kernel seconds per candidate plan. Observed
+//!    timings correct the cost model's estimates after every execution:
+//!    plans that underperform their prediction are demoted, observed-fast
+//!    plans promoted, so repeated traffic converges on the empirically
+//!    fastest plan (`cw-service` threads this loop through every shard).
+//!    Under
 //!    [`PlanningPolicy::observation_half_life`] the evidence decays, so
 //!    operands whose performance drifts between submissions re-promote.
 //!
 //! The [`calibrate`] module closes the same loop *offline*: a
-//! [`Calibrator`] fits the [`CostModel`]'s constants (and each backend's
-//! `kernel_scale`) from measured bench-corpus runs, and the resulting
+//! [`Calibrator`] fits the [`CostModel`]'s constants from measured
+//! bench-corpus runs, and the resulting
 //! [`CalibrationProfile`] — versioned JSON, `profiles/default.json` at
 //! the workspace root — loads at construction via
 //! [`Planner::with_profile`] / [`Engine::with_profile`], so first-sight
@@ -103,15 +96,10 @@ mod planner;
 mod prepared;
 mod report;
 
-pub use backend::{
-    apply_output_shape, materialize_cpu, AdaptiveCpu, BackendCaps, BackendId, BackendPayload,
-    BackendRegistry, CpuOperand, ExecutionBackend, ParallelCpu, SerialReference, TiledCpu,
-    TiledOperand, DEFAULT_TILE_COLS,
-};
+pub use backend::BackendId;
 pub use cache::{CacheBound, CacheBudget, CacheCounters, CacheKey, CacheStats, PlanCache};
 pub use calibrate::{
-    BackendCalibration, CalibrationProfile, CalibrationSample, Calibrator, ProfileParseError,
-    PROFILE_SCHEMA_VERSION,
+    CalibrationProfile, CalibrationSample, Calibrator, ProfileParseError, PROFILE_SCHEMA_VERSION,
 };
 pub use cost::{
     CostEstimate, CostModel, Ewma, FeedbackStore, OperandFeatures, OperandKey, PlanFeedbackState,

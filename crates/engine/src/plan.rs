@@ -29,11 +29,10 @@ pub enum KernelChoice {
 /// plan-cache entries, [`crate::FeedbackStore`] candidates, and cost-model
 /// pricing for different shapes never collide — a top-k request and a full
 /// request on the same operand learn and cache independently. Execution
-/// dispatches through [`crate::ExecutionBackend::execute_shaped`]; the
-/// built-in backends compute the full product and apply the row-local
-/// shape transform ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]),
-/// which commutes with row permutation, so every backend stays
-/// bit-identical to the serial reference per shape.
+/// computes the full product and applies the row-local shape transform
+/// ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]), which commutes
+/// with row permutation, so every backend stays bit-identical to the
+/// serial reference per shape.
 ///
 /// The mask operand itself is *request data*, not plan data — it travels
 /// alongside the multiply (e.g. `cw_service`'s `RequestShape::Masked`)
@@ -92,8 +91,7 @@ pub struct Plan {
     pub parallel: bool,
     /// Row/cluster chunks per rayon thread (load-balance granularity).
     pub chunks_per_thread: usize,
-    /// Execution backend the plan runs on (resolved through the
-    /// [`crate::BackendRegistry`] at prepare/execute time).
+    /// Execution backend the plan runs on.
     pub backend: BackendId,
     /// What portion of the product to return ([`OutputShape::Full`] by
     /// default). A masked plan expects the mask operand alongside the
@@ -294,9 +292,9 @@ mod tests {
     fn backend_is_part_of_the_knobs_and_description() {
         let p = Plan::baseline();
         assert_eq!(p.backend, BackendId::ParallelCpu);
-        let t = p.on_backend(BackendId::TiledCpu);
+        let t = p.on_backend(BackendId::SerialReference);
         assert_ne!(p.knobs(), t.knobs(), "backend must change cache identity");
-        assert!(t.describe().contains("tiled-cpu"), "{}", t.describe());
+        assert!(t.describe().contains("serial-reference"), "{}", t.describe());
     }
 
     #[test]

@@ -7,20 +7,18 @@
 //! [`CostModel`] prices each resulting [`Plan`] (predicted preprocessing
 //! and kernel seconds) so candidates can be ranked by *amortized* cost
 //! under the caller's [`PlanningPolicy`] — expected reuse and an optional
-//! preprocessing budget. The pure rule-based choice survives as
-//! [`Planner::plan_static`] for ablation against the cost model.
+//! preprocessing budget.
 //!
 //! Knob tuning is shared by every candidate: dense accumulators for narrow
 //! outputs per Nagasaka et al.'s regime analysis; serial execution for
 //! matrices too small to amortize fork/join.
 
-use crate::backend::{BackendCaps, BackendId, BackendRegistry};
+use crate::backend::BackendId;
 use crate::calibrate::CalibrationProfile;
 use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
 use cw_core::ClusterConfig;
-use cw_reorder::advisor::{advise, advise_profiled, profile, Profile, Suggestion};
-use cw_reorder::Reordering;
+use cw_reorder::advisor::{advise_profiled, profile, Profile, Suggestion};
 use cw_sparse::CsrMatrix;
 use cw_spgemm::AccumulatorKind;
 
@@ -57,22 +55,10 @@ pub struct Planner {
     pub policy: PlanningPolicy,
     /// The analytic cost model pricing candidate plans.
     pub cost: CostModel,
-    /// Execution backends the planner may plan onto (and the engine
-    /// resolves prepare/execute against). Backends whose capability
-    /// descriptor sets `planner_candidate` contribute plan variants to
-    /// [`Planner::plans_costed`], priced from their own caps.
-    pub backends: BackendRegistry,
-    /// When `Some`, every produced plan is pinned to this backend and no
-    /// cross-backend variants are generated — how a service shard (or an
-    /// ablation) forces one execution strategy end to end.
+    /// When `Some`, every produced plan is pinned to this backend instead
+    /// of the default [`BackendId::ParallelCpu`] — how a service shard (or
+    /// a cross-validation suite) runs on the serial oracle end to end.
     pub forced_backend: Option<BackendId>,
-    /// Optional fitted calibration ([`Planner::with_profile`]): its
-    /// per-backend kernel scales override each registered backend's
-    /// self-described [`BackendCaps::kernel_scale`] during pricing, so
-    /// cross-backend candidates are ranked by *measured* relative speed
-    /// instead of the backends' own priors. (Installing the profile also
-    /// replaces [`Planner::cost`] with the fitted constants.)
-    pub calibration: Option<CalibrationProfile>,
 }
 
 impl Default for Planner {
@@ -82,9 +68,7 @@ impl Default for Planner {
             cluster: ClusterConfig::default(),
             policy: PlanningPolicy::default(),
             cost: CostModel::default(),
-            backends: BackendRegistry::builtin(),
             forced_backend: None,
-            calibration: None,
         }
     }
 }
@@ -101,8 +85,7 @@ impl Planner {
     }
 
     /// Planner pinned to one execution backend: every plan it produces
-    /// (ranked, static, or suggestion-derived) carries `backend`, and no
-    /// cross-backend candidates are generated.
+    /// (ranked or suggestion-derived) carries `backend`.
     pub fn with_backend(seed: u64, backend: BackendId) -> Planner {
         Planner { seed, forced_backend: Some(backend), ..Planner::default() }
     }
@@ -110,35 +93,18 @@ impl Planner {
     /// Planner whose cost model starts *calibrated*: the fitted
     /// [`CalibrationProfile`] (from a `paper calibrate` sweep, or loaded
     /// via [`CalibrationProfile::load`]) replaces the hand-tuned
-    /// [`CostModel`] constants and supplies measured per-backend kernel
-    /// scales, so first-sight plan ranking reflects this machine instead
-    /// of the defaults' guesses.
+    /// [`CostModel`] constants, so first-sight plan ranking reflects this
+    /// machine instead of the defaults' guesses.
     ///
     /// ```
     /// use cw_engine::{CalibrationProfile, Planner};
     ///
     /// let profile = CalibrationProfile::default(); // or CalibrationProfile::load(path)?
-    /// let planner = Planner::with_profile(7, profile);
-    /// assert_eq!(planner.cost, planner.calibration.as_ref().unwrap().cost_model());
+    /// let planner = Planner::with_profile(7, profile.clone());
+    /// assert_eq!(planner.cost, profile.cost_model());
     /// ```
     pub fn with_profile(seed: u64, profile: CalibrationProfile) -> Planner {
-        Planner {
-            seed,
-            cost: profile.cost_model(),
-            calibration: Some(profile),
-            ..Planner::default()
-        }
-    }
-
-    /// The capability descriptor pricing uses for `id`: the registry's
-    /// self-description, with the calibration profile's fitted
-    /// `kernel_scale` substituted when one is installed.
-    pub fn backend_caps(&self, id: BackendId) -> BackendCaps {
-        let caps = self.backends.caps(id);
-        match &self.calibration {
-            Some(profile) => profile.apply_to_caps(caps),
-            None => caps,
-        }
+        Planner { seed, cost: profile.cost_model(), ..Planner::default() }
     }
 
     /// The structural profile driving plan decisions (delegates to
@@ -151,15 +117,6 @@ impl Planner {
     /// cost that fits the policy's preprocessing budget.
     pub fn plan(&self, a: &CsrMatrix) -> Plan {
         self.plans_costed(a)[0].plan
-    }
-
-    /// The purely rule-based choice (the advisor's top suggestion,
-    /// knob-tuned) with no cost modeling — what [`Planner::plan`] was
-    /// before the cost model existed. Kept as the ablation baseline for
-    /// the `planner` bench experiment.
-    pub fn plan_static(&self, a: &CsrMatrix) -> Plan {
-        let suggestion = advise(a).into_iter().next().unwrap_or(Suggestion::LeaveOriginal);
-        self.plan_for_suggestion(a, suggestion)
     }
 
     /// Every candidate plan for `a` with its cost estimate, cheapest
@@ -194,41 +151,13 @@ impl Planner {
             if out.iter().any(|r: &RankedPlan| r.plan.knobs() == plan.knobs()) {
                 return;
             }
-            let caps = self.backend_caps(plan.backend);
-            let estimate = self.cost.estimate_with_caps(&features, &plan, affinity, &caps);
+            let estimate = self.cost.estimate(&features, &plan, affinity);
             out.push(RankedPlan { plan, estimate, affinity });
         };
         for r in &advice.ranked {
             push(self.plan_for_suggestion(a, r.suggestion), r.affinity, &mut out);
         }
         push(self.tune(a, Plan::baseline()), 0.0, &mut out);
-
-        // Cross-backend variants: every pipeline also runs on each
-        // registered alternative backend that advertises itself as a
-        // planner candidate, priced from that backend's own capability
-        // descriptor. Variants are appended *after* the reference-backend
-        // candidates, so a cost tie breaks toward the default path (the
-        // sort below is stable). A pinned planner skips this entirely.
-        // A column-tiled backend whose tile width the operand's output
-        // cannot split degenerates to the reference execution — offering
-        // it would seed a redundant twin candidate (identical predicted
-        // cost, identical behavior, distinct cache key) that the feedback
-        // loop could flap onto for no gain, so it is excluded up front.
-        if self.forced_backend.is_none() {
-            let alternates: Vec<(BackendId, &'static str)> = self
-                .backends
-                .iter()
-                .filter(|b| b.caps().planner_candidate && b.id() != BackendId::ParallelCpu)
-                .filter(|b| b.caps().tile_cols.is_none_or(|w| features.ncols > w.max(1)))
-                .map(|b| (b.id(), backend_rationale(b.id())))
-                .collect();
-            let base: Vec<RankedPlan> = out.clone();
-            for (id, rationale) in alternates {
-                for r in &base {
-                    push(Plan { backend: id, rationale, ..r.plan }, r.affinity, &mut out);
-                }
-            }
-        }
 
         let reuse = self.policy.expected_reuse;
         let budget = self.policy.prep_budget_seconds.unwrap_or(f64::INFINITY);
@@ -279,38 +208,13 @@ impl Planner {
         plan.parallel = a.nrows >= PARALLEL_ROW_THRESHOLD;
         plan
     }
-
-    /// Reordering permutation seed (exposed so prepared matrices stay
-    /// reproducible from the plan alone).
-    pub fn reorder_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Convenience: does the planner consider `r` worth computing for `a`?
-    /// (Used by tests to cross-check the advisor's decision surface.)
-    pub fn would_reorder_with(&self, a: &CsrMatrix, r: Reordering) -> bool {
-        advise(a).iter().any(|s| matches!(s, Suggestion::Reorder(x) if *x == r))
-    }
-}
-
-/// Static rationale string for a cross-backend plan variant.
-fn backend_rationale(id: BackendId) -> &'static str {
-    match id {
-        BackendId::ParallelCpu => "reference rayon execution",
-        BackendId::SerialReference => "serial oracle execution",
-        BackendId::TiledCpu => {
-            "column-tiled variant: cache-blocked execution the feedback loop can adopt"
-        }
-        BackendId::AdaptiveCpu => {
-            "row-adaptive variant: per-row kernel zoo the feedback loop can adopt"
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{ClusteringStrategy, KernelChoice};
+    use cw_reorder::Reordering;
     use cw_sparse::gen;
 
     #[test]
@@ -398,22 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_static_realizes_the_advisors_top_suggestion() {
-        for a in [
-            gen::banded::block_diagonal(128, (6, 8), 0.0, 1),
-            gen::mesh::tri_mesh(24, 24, true, 3),
-            gen::er::erdos_renyi(100, 5, 1),
-        ] {
-            let planner = Planner::default();
-            let top = advise(&a)[0];
-            assert_eq!(
-                planner.plan_static(&a).knobs(),
-                planner.plan_for_suggestion(&a, top).knobs()
-            );
-        }
-    }
-
-    #[test]
     fn small_matrices_plan_serial_kernels() {
         let a = gen::grid::poisson2d(8, 8); // 64 rows
         let plan = Planner::default().plan(&a);
@@ -458,61 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_set_offers_tiled_variants_but_defaults_to_parallel_cpu() {
-        let planner = Planner::default();
-        // Wide output (> one default tile): tiled variants are offered.
-        let wide = gen::er::erdos_renyi(1400, 3, 1);
-        let ranked = planner.plans_costed(&wide);
-        assert_eq!(
-            ranked[0].plan.backend,
-            BackendId::ParallelCpu,
-            "first-sight choice must stay on the reference backend: {}",
-            ranked[0].plan.describe()
-        );
-        assert!(
-            ranked.iter().any(|r| r.plan.backend == BackendId::TiledCpu),
-            "tiled variants must be in the candidate set for feedback to discover"
-        );
-        assert!(
-            ranked.iter().any(|r| r.plan.backend == BackendId::AdaptiveCpu),
-            "row-adaptive variants must be in the candidate set for feedback to discover"
-        );
-        assert!(
-            ranked.iter().all(|r| r.plan.backend != BackendId::SerialReference),
-            "the oracle must never be an auto-traffic candidate"
-        );
-    }
-
-    #[test]
-    fn narrow_outputs_get_no_degenerate_tiled_candidates() {
-        // One default tile covers the whole output: the tiled backend
-        // would execute identically to the reference path, so offering it
-        // would only seed a redundant twin the feedback loop could flap
-        // onto. It must not appear.
-        let planner = Planner::default();
-        for a in [gen::grid::poisson2d(16, 16), gen::mesh::tri_mesh(16, 16, true, 3)] {
-            assert!(a.ncols <= crate::backend::DEFAULT_TILE_COLS);
-            let ranked = planner.plans_costed(&a);
-            assert!(
-                ranked.iter().all(|r| r.plan.backend != BackendId::TiledCpu),
-                "narrow operands must get no tiled candidates"
-            );
-            assert!(
-                ranked.iter().any(|r| r.plan.backend == BackendId::AdaptiveCpu),
-                "the row-adaptive variant has no tile geometry and stays offered"
-            );
-        }
-        // A registry with a narrower tile re-enables the variants.
-        let mut narrow_tiles = Planner::default();
-        narrow_tiles.backends.register(std::sync::Arc::new(crate::backend::TiledCpu::new(64)));
-        let a = gen::grid::poisson2d(16, 16); // 256 cols > 64-wide tiles
-        assert!(narrow_tiles
-            .plans_costed(&a)
-            .iter()
-            .any(|r| r.plan.backend == BackendId::TiledCpu));
-    }
-
-    #[test]
     fn pinned_planner_produces_only_that_backend() {
         let planner = Planner::with_backend(7, BackendId::SerialReference);
         let a = gen::mesh::tri_mesh(14, 14, true, 2);
@@ -521,7 +354,6 @@ mod tests {
         for r in &ranked {
             assert_eq!(r.plan.backend, BackendId::SerialReference, "{}", r.plan.describe());
         }
-        assert_eq!(planner.plan_static(&a).backend, BackendId::SerialReference);
         assert_eq!(planner.plan(&a).backend, BackendId::SerialReference);
     }
 

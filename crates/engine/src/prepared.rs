@@ -1,5 +1,5 @@
-//! Prepared operands: a [`Plan`] materialized once by its execution
-//! backend, reusable across many multiplies.
+//! Prepared operands: a [`Plan`] materialized once, reusable across many
+//! multiplies.
 //!
 //! Preparation is the expensive part of the paper's pipeline — computing a
 //! reordering permutation and building the `CSR_Cluster` structure — and
@@ -8,19 +8,11 @@
 //! stage took; [`PreparedMatrix::multiply`] then runs only the kernel plus
 //! an `O(nnz(C))` row un-permutation, returning results in the *original*
 //! row order so callers never observe the internal reordering.
-//!
-//! The materialized payload is owned by the plan's
-//! [`crate::ExecutionBackend`]: `prepare` asks the backend for its
-//! backend-specific [`crate::BackendPayload`], and `multiply` dispatches
-//! back to the same backend instance — the prepared operand carries its
-//! executor with it, so cached entries stay runnable no matter which
-//! registry resolved them.
 
-use crate::backend::{BackendId, BackendPayload, BackendRegistry, ExecutionBackend};
+use crate::backend::{self, BackendId, CpuOperand};
 use crate::plan::{OutputShape, Plan};
 use cw_core::ClusterConfig;
 use cw_sparse::{checksum, fingerprint, CsrMatrix, MatrixFingerprint, Permutation};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Wall-clock cost of each preparation stage, in seconds.
@@ -39,11 +31,11 @@ impl PrepTimings {
     }
 }
 
-/// An `A` operand with its plan fully materialized by its backend.
+/// An `A` operand with its plan fully materialized.
 #[derive(Debug, Clone)]
 pub struct PreparedMatrix {
     /// The plan this preparation realizes (its `backend` field names the
-    /// backend that owns the payload).
+    /// backend every multiply runs on).
     pub plan: Plan,
     /// Fingerprint of the *original* (pre-permutation) operand.
     pub fingerprint: MatrixFingerprint,
@@ -56,49 +48,28 @@ pub struct PreparedMatrix {
     /// Inverse of the total row permutation (`None` when no reordering was
     /// applied); maps kernel output rows back to original row ids.
     unpermute: Option<Permutation>,
-    /// The backend-specific materialized operand.
-    payload: Arc<dyn BackendPayload>,
-    /// The backend that prepared (and therefore executes) the payload.
-    backend: Arc<dyn ExecutionBackend>,
+    /// The reordered CSR or `CSR_Cluster` operand the kernels run over.
+    operand: CpuOperand,
     nrows: usize,
     ncols: usize,
     nnz: usize,
 }
 
 impl PreparedMatrix {
-    /// Materializes `plan` for `a` on the plan's backend, resolved from
-    /// the builtin [`BackendRegistry`]. Engines carrying a custom registry
-    /// use [`PreparedMatrix::prepare_on`] instead.
+    /// Materializes `plan` for `a`: reorders, clusters, and records what
+    /// each stage cost.
     ///
     /// `seed` feeds randomized reorderings; `cluster` parameterizes the
     /// Variable/Hierarchical strategies.
     pub fn prepare(a: &CsrMatrix, plan: Plan, seed: u64, cluster: &ClusterConfig) -> Self {
-        let backend = BackendRegistry::builtin().resolve(plan.backend);
-        PreparedMatrix::prepare_on(&backend, a, plan, seed, cluster)
-    }
-
-    /// Materializes `plan` for `a` on an explicit backend instance. The
-    /// stored plan's `backend` field is normalized to `backend.id()`, so a
-    /// prepared operand is always self-consistent about who executes it.
-    pub fn prepare_on(
-        backend: &Arc<dyn ExecutionBackend>,
-        a: &CsrMatrix,
-        mut plan: Plan,
-        seed: u64,
-        cluster: &ClusterConfig,
-    ) -> Self {
-        plan.backend = backend.id();
-        let fp = fingerprint(a);
-        let sum = checksum(a);
-        let (payload, unpermute, timings) = backend.prepare(a, &plan, seed, cluster);
+        let (operand, unpermute, timings) = backend::materialize(a, &plan, seed, cluster);
         PreparedMatrix {
             plan,
-            fingerprint: fp,
-            checksum: sum,
+            fingerprint: fingerprint(a),
+            checksum: checksum(a),
             timings,
             unpermute,
-            payload,
-            backend: Arc::clone(backend),
+            operand,
             nrows: a.nrows,
             ncols: a.ncols,
             nnz: a.nnz(),
@@ -122,15 +93,9 @@ impl PreparedMatrix {
         self.nnz
     }
 
-    /// The id of the backend that owns this preparation.
+    /// The id of the backend this preparation executes on.
     pub fn backend_id(&self) -> BackendId {
-        self.backend.id()
-    }
-
-    /// The backend-specific materialized payload (opaque to the engine;
-    /// custom backends downcast it via [`BackendPayload::as_any`]).
-    pub fn payload(&self) -> &dyn BackendPayload {
-        self.payload.as_ref()
+        self.plan.backend
     }
 
     /// True when the kernel output needs row un-permutation.
@@ -138,13 +103,13 @@ impl PreparedMatrix {
         self.unpermute.is_some()
     }
 
-    /// Approximate resident heap footprint in bytes: the backend payload
-    /// plus the un-permutation map. Byte-bounded cache eviction
+    /// Approximate resident heap footprint in bytes: the materialized
+    /// operand plus the un-permutation map. Byte-bounded cache eviction
     /// ([`crate::CacheBound::Bytes`]) sizes entries with this.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let unpermute = self.unpermute.as_ref().map_or(0, |p| p.len() * size_of::<u32>());
-        size_of::<Self>() + self.payload.approx_bytes() + unpermute
+        size_of::<Self>() + self.operand.approx_bytes() + unpermute
     }
 
     /// `C = A · b` shaped by the plan's [`OutputShape`], on the plan's
@@ -197,7 +162,7 @@ impl PreparedMatrix {
             }
             (_, m) => m,
         };
-        let c = self.backend.execute_shaped(self.payload.as_ref(), &self.plan, b, mask);
+        let c = backend::execute(&self.operand, &self.plan, b, mask);
         let kernel_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
@@ -280,17 +245,6 @@ mod tests {
             let got = prepared.multiply(&a);
             assert!(got.numerically_eq(&expect, 1e-9), "backend {id:?} diverges");
         }
-    }
-
-    #[test]
-    fn prepare_on_normalizes_the_plan_backend() {
-        let a = gen::grid::poisson2d(6, 6);
-        let backend = BackendRegistry::builtin().resolve(BackendId::SerialReference);
-        // The caller's plan still says ParallelCpu; prepare_on corrects it.
-        let prepared =
-            PreparedMatrix::prepare_on(&backend, &a, Plan::baseline(), 7, &Default::default());
-        assert_eq!(prepared.plan.backend, BackendId::SerialReference);
-        assert_eq!(prepared.backend_id(), BackendId::SerialReference);
     }
 
     #[test]

@@ -479,7 +479,9 @@ pub struct WireReport {
     pub latency_seconds: f64,
     /// Whether the prepared lhs came from the shard's plan cache.
     pub cache_hit: bool,
-    /// Index of the executing backend in [`cw_engine::BackendId::ALL`].
+    /// The executing backend's [`cw_engine::BackendId::index`] (`0`
+    /// parallel-cpu, `1` serial-reference; `2` and `3` are retired —
+    /// never emitted, decoded as no backend).
     pub backend: u8,
     /// Priority class the request was admitted under.
     pub priority: Priority,
@@ -499,8 +501,6 @@ pub const WIRE_REPORT_BYTES: usize = 53;
 impl WireReport {
     /// Projects a [`ServiceReport`] onto the wire schema.
     pub fn from_service(report: &ServiceReport) -> WireReport {
-        let backend =
-            cw_engine::BackendId::ALL.iter().position(|b| *b == report.backend).unwrap_or(0) as u8;
         WireReport {
             shard: report.shard as u32,
             batch_size: report.batch_size as u32,
@@ -508,16 +508,17 @@ impl WireReport {
             execute_seconds: report.execute_seconds,
             latency_seconds: report.latency_seconds,
             cache_hit: report.cache_hit,
-            backend,
+            backend: report.backend.index() as u8,
             priority: report.priority,
             deadline_slack_seconds: report.deadline_slack_seconds,
             shape: report.shape,
         }
     }
 
-    /// The executing backend, when the wire index is in range.
+    /// The executing backend, when the wire byte names one this build
+    /// knows (`None` for the retired `2`/`3` and anything else).
     pub fn backend_id(&self) -> Option<cw_engine::BackendId> {
-        cw_engine::BackendId::ALL.get(self.backend as usize).copied()
+        cw_engine::BackendId::from_index(self.backend as usize)
     }
 
     /// Appends the fixed-size encoding to `out`.
@@ -807,25 +808,55 @@ mod tests {
         assert_eq!(WireReport::decode(&buf).unwrap().0.deadline_slack_seconds, None);
     }
 
-    #[test]
-    fn result_payload_round_trip() {
-        let product = CsrMatrix::identity(9);
-        let report = WireReport {
+    /// An uneventful report served on the backend with wire byte `backend`.
+    fn plain_report(backend: u8) -> WireReport {
+        WireReport {
             shard: 0,
             batch_size: 1,
             queue_seconds: 0.0,
             execute_seconds: 0.0,
             latency_seconds: 0.0,
             cache_hit: false,
-            backend: 0,
+            backend,
             priority: Priority::High,
             deadline_slack_seconds: None,
             shape: OutputShape::Full,
-        };
+        }
+    }
+
+    #[test]
+    fn wire_report_backend_byte_is_total() {
+        use cw_engine::BackendId;
+        // Both live ids round-trip, at their pinned wire values.
+        for (id, byte) in [(BackendId::ParallelCpu, 0u8), (BackendId::SerialReference, 1)] {
+            assert_eq!(id.index(), byte as usize, "the wire value of {id:?} is pinned");
+            let mut buf = Vec::new();
+            plain_report(id.index() as u8).encode_into(&mut buf);
+            assert_eq!(buf.len(), WIRE_REPORT_BYTES);
+            assert_eq!(buf[33], byte);
+            assert_eq!(WireReport::decode(&buf).unwrap().0.backend_id(), Some(id));
+        }
+        // Retired (2, 3) and unknown bytes decode without error to "no
+        // backend" — never silently to parallel-cpu.
+        let mut buf = Vec::new();
+        plain_report(0).encode_into(&mut buf);
+        for byte in [2u8, 3, 255] {
+            buf[33] = byte;
+            let (decoded, used) = WireReport::decode(&buf).expect("the report still decodes");
+            assert_eq!(used, WIRE_REPORT_BYTES);
+            assert_eq!(decoded.backend, byte);
+            assert_eq!(decoded.backend_id(), None);
+        }
+    }
+
+    #[test]
+    fn result_payload_round_trip() {
+        let product = CsrMatrix::identity(9);
+        let report = plain_report(0);
         let p = encode_result_payload(&report, &product);
         let (r2, p2) = decode_result_payload(&p).unwrap();
         assert_eq!(report, r2);
         assert_eq!(product, p2);
-        assert_eq!(r2.backend_id(), Some(cw_engine::BackendId::ALL[0]));
+        assert_eq!(r2.backend_id(), Some(cw_engine::BackendId::ParallelCpu));
     }
 }

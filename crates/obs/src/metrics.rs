@@ -151,8 +151,7 @@ pub fn bucket_value(index: usize) -> f64 {
 /// `2^14` (≈4.5 h); values outside land in dedicated underflow/overflow
 /// buckets. Because a merge is plain bucket-count addition, merging
 /// per-shard snapshots is associative and gives *identical* quantiles to
-/// recording the whole stream into one histogram — the property the
-/// seeded `LatencyReservoir` could only approximate.
+/// recording the whole stream into one histogram.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: Vec<AtomicU64>,

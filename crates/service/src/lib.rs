@@ -25,19 +25,18 @@
 //!   empirically fastest plan per operand with no cross-thread locking;
 //!   plan switches surface as [`ServiceReport::replanned`] and the
 //!   per-shard `replans` counter.
-//! * **Backend selection** — shards execute through the engine's
-//!   [`cw_engine::ExecutionBackend`] seam: by default each shard's
-//!   planner starts operands on the reference rayon backend and lets
-//!   execution feedback adopt alternatives (e.g. the column-tiled
-//!   backend); [`ServiceConfig::backend`] pins every shard to one backend
-//!   end to end, and each [`ServiceReport`] names the backend that served
-//!   it.
+//! * **Backend selection** — shards plan onto the rayon backend
+//!   ([`cw_engine::BackendId::ParallelCpu`]) by default;
+//!   [`ServiceConfig::backend`] pins every shard to one backend end to
+//!   end (the serial oracle, for validation deployments), and each
+//!   [`ServiceReport`] names the backend that served it.
 //! * **Observability** — every response carries a [`ServiceReport`]
 //!   (queue wait, batch size, executing backend, cache outcome, feedback
 //!   calibration state, per-stage [`cw_engine::ExecutionReport`]
 //!   timings), and
-//!   [`SpgemmService::stats`] aggregates throughput, p50/p99 latency from
-//!   a streaming reservoir, and per-shard cache hit rates. Underneath,
+//!   [`SpgemmService::stats`] aggregates throughput, p50/p99 latency
+//!   (a summary of the `latency_seconds` histogram), and per-shard cache
+//!   hit rates. Underneath,
 //!   every counter lives on the [`cw_obs`] substrate: the
 //!   [`SpgemmService::metrics`] registry exposes the same cells plus
 //!   always-on mergeable histograms (`latency_seconds`, `queue_seconds`,
@@ -79,4 +78,4 @@ pub use request::{
     SubmitError, Ticket,
 };
 pub use service::{ServiceConfig, SpgemmService};
-pub use stats::{LatencyReservoir, LatencySummary, ServiceStats, ShardStats};
+pub use stats::{LatencySummary, ServiceStats, ShardStats};

@@ -2,12 +2,12 @@
 
 use crate::request::{MultiplyRequest, SubmitError, Ticket};
 use crate::shard::{worker_loop, Batch, ShardObs, SlotGuard, Submission, WorkerCtx};
-use crate::stats::{LatencyReservoir, LatencySummary, ServiceStats};
+use crate::stats::{LatencySummary, ServiceStats};
 use cw_engine::{
     BackendId, CacheBudget, CalibrationProfile, Engine, PlanCache, Planner, PlanningPolicy,
     DEFAULT_CACHE_CAPACITY,
 };
-use cw_obs::{export, Counter, FlightRecorder, MetricsRegistry, Tracer};
+use cw_obs::{export, Counter, FlightRecorder, LogHistogram, MetricsRegistry, Tracer};
 use cw_sparse::{fingerprint, MatrixFingerprint};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,21 +43,17 @@ pub struct ServiceConfig {
     /// re-plan operands from observed timings.
     pub policy: PlanningPolicy,
     /// Execution-backend selection for the shards. `None` (the default)
-    /// lets each shard's planner pick per operand — the reference
-    /// [`BackendId::ParallelCpu`] path on first sight, with alternative
-    /// backends adopted through execution feedback. `Some(id)` pins every
-    /// shard's planner to that backend (oracle deployments, ablations,
-    /// machines where one backend is known best); per-request forced plans
-    /// still override it.
+    /// plans onto [`BackendId::ParallelCpu`]. `Some(id)` pins every
+    /// shard's planner to that backend (an oracle deployment on
+    /// [`BackendId::SerialReference`]); per-request forced plans still
+    /// override it.
     pub backend: Option<BackendId>,
     /// Optional fitted [`CalibrationProfile`] installed into every shard's
     /// planner ([`Planner::with_profile`]): first-sight plan ranking then
-    /// uses this machine's measured cost constants and per-backend kernel
-    /// scales instead of the hand-tuned defaults. `None` = uncalibrated
+    /// uses this machine's measured cost constants instead of the
+    /// hand-tuned defaults. `None` = uncalibrated
     /// planning (the per-shard feedback loop still corrects online).
     pub profile: Option<CalibrationProfile>,
-    /// Latency reservoir size for p50/p99 estimation.
-    pub reservoir_capacity: usize,
     /// Start with structured span tracing enabled. Off (the default),
     /// every span site in the hot path costs one atomic load; on, each
     /// request becomes a [`cw_obs::RequestTrace`] in the flight recorder.
@@ -93,7 +89,6 @@ impl Default for ServiceConfig {
             policy: PlanningPolicy::default(),
             backend: None,
             profile: None,
-            reservoir_capacity: 1024,
             tracing: false,
             flight_capacity: FlightRecorder::DEFAULT_CAPACITY,
             pool_width: None,
@@ -154,23 +149,15 @@ pub struct SpgemmService {
     counters: Counters,
     shard_obs: Vec<ShardObs>,
     queue_depth: Arc<cw_obs::Gauge>,
-    // One reservoir per shard: the owning worker's lock is uncontended on
-    // the hot path (stats() readers aside); merged for service quantiles.
-    reservoirs: Vec<Arc<Mutex<LatencyReservoir>>>,
+    // The `latency_seconds` histogram every shard records into; `stats()`
+    // summarizes its snapshot.
+    latency_seconds: Arc<LogHistogram>,
     metrics: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
     started: Instant,
     pool_tasks: Arc<Counter>,
     pool_steals: Arc<Counter>,
     pool_split_depth: Arc<cw_obs::Gauge>,
-}
-
-/// Per-shard reservoir seed: the legacy constant xor'd with a
-/// golden-ratio-scrambled shard index. Shard 0 keeps the legacy seed
-/// (determinism pins stay valid); shards sampling the same stream no
-/// longer share one eviction pattern.
-fn shard_reservoir_seed(shard: usize) -> u64 {
-    0x5EED_1E55_C0FF_EE00 ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl SpgemmService {
@@ -216,14 +203,9 @@ impl SpgemmService {
 
         let mut shard_txs = Vec::with_capacity(shards);
         let mut shard_obs = Vec::with_capacity(shards);
-        let mut reservoirs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (tx, rx) = mpsc::channel::<Batch>();
-            let reservoir = Arc::new(Mutex::new(LatencyReservoir::with_seed(
-                config.reservoir_capacity,
-                shard_reservoir_seed(shard),
-            )));
             let base = match config.profile.clone() {
                 Some(profile) => Planner::with_profile(config.seed, profile),
                 None => Planner::with_seed(config.seed),
@@ -252,7 +234,6 @@ impl SpgemmService {
             let ctx = WorkerCtx {
                 shard,
                 obs: obs.clone(),
-                reservoir: Arc::clone(&reservoir),
                 completed: Arc::clone(&counters.completed),
                 deadline_dropped: Arc::clone(&counters.deadline_dropped),
                 tracer: Arc::clone(&tracer),
@@ -276,7 +257,6 @@ impl SpgemmService {
             );
             shard_txs.push(tx);
             shard_obs.push(obs);
-            reservoirs.push(reservoir);
         }
 
         let (submit_tx, submit_rx) = mpsc::channel::<Submission>();
@@ -296,7 +276,7 @@ impl SpgemmService {
             counters,
             shard_obs,
             queue_depth,
-            reservoirs,
+            latency_seconds,
             metrics,
             tracer,
             started: Instant::now(),
@@ -435,10 +415,7 @@ impl SpgemmService {
         self.sync_pool_metrics();
         let completed = self.counters.completed.get();
         let elapsed = self.started.elapsed().as_secs_f64();
-        let latency = {
-            let guards: Vec<_> = self.reservoirs.iter().map(|r| r.lock().unwrap()).collect();
-            LatencySummary::merged(guards.iter().map(|g| &**g))
-        };
+        let latency = LatencySummary::from_histogram(&self.latency_seconds.snapshot());
         ServiceStats {
             submitted: self.counters.submitted.get(),
             rejected: self.counters.rejected.get(),
@@ -619,6 +596,29 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!((stats.submitted, stats.completed, stats.rejected), (1, 1, 0));
         assert_eq!(stats.latency.count, 1);
+    }
+
+    #[test]
+    fn latency_count_is_the_sum_of_per_shard_requests() {
+        // Several operands so more than one shard serves traffic; every
+        // shard records into the one histogram the summary reads.
+        let service = SpgemmService::new(ServiceConfig { shards: 3, ..ServiceConfig::default() });
+        let tickets: Vec<_> = (4..16)
+            .map(|n| {
+                let a = arc(gen::grid::poisson2d(n, n));
+                service.submit(MultiplyRequest::new(Arc::clone(&a), a)).unwrap()
+            })
+            .collect();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.latency.count, 12);
+        assert_eq!(stats.shards.iter().map(|s| s.requests).sum::<u64>(), stats.latency.count);
+        assert!(stats.shards.iter().filter(|s| s.requests > 0).count() > 1);
+        assert!(stats.latency.p50_seconds > 0.0);
+        assert!(stats.latency.p50_seconds <= stats.latency.p99_seconds);
+        assert!(stats.latency.p99_seconds <= stats.latency.max_seconds);
     }
 
     #[test]

@@ -23,15 +23,15 @@
 //! the trace into the flight recorder.
 
 use crate::request::{MultiplyResponse, RequestShape, ServiceError, ServiceReport};
-use crate::stats::{LatencyReservoir, ShardStats};
+use crate::stats::ShardStats;
 use cw_engine::{
-    BackendId, CacheCounters, Engine, OutputShape, Plan, PlanKnobs, PreparedMatrix, StageTimings,
+    CacheCounters, Engine, OutputShape, Plan, PlanKnobs, PreparedMatrix, StageTimings,
 };
 use cw_obs::{Counter, Gauge, LogHistogram, Tracer};
 use cw_sparse::{CsrMatrix, MatrixFingerprint};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// RAII claim on one queue-capacity slot: decrements `in_flight` exactly
@@ -131,7 +131,6 @@ impl ShardObs {
 pub(crate) struct WorkerCtx {
     pub(crate) shard: usize,
     pub(crate) obs: ShardObs,
-    pub(crate) reservoir: Arc<Mutex<LatencyReservoir>>,
     pub(crate) completed: Arc<Counter>,
     /// Accepted requests dropped at the worker because their deadline
     /// passed while they queued.
@@ -141,16 +140,11 @@ pub(crate) struct WorkerCtx {
     pub(crate) queue_seconds: Arc<LogHistogram>,
     pub(crate) execute_seconds: Arc<LogHistogram>,
     pub(crate) batch_size: Arc<LogHistogram>,
-    /// Kernel-seconds histograms, one per backend, indexed parallel to
-    /// [`BackendId::ALL`].
+    /// Kernel-seconds histograms, one per backend, indexed by
+    /// [`cw_engine::BackendId::index`].
     pub(crate) kernel_seconds: Vec<Arc<LogHistogram>>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) in_flight: Arc<AtomicUsize>,
-}
-
-/// Position of `id` in [`BackendId::ALL`] (the kernel-histogram index).
-pub(crate) fn backend_slot(id: BackendId) -> usize {
-    BackendId::ALL.iter().position(|b| *b == id).unwrap_or(0)
 }
 
 /// The head request's reusable identity within one coalesced batch — the
@@ -242,9 +236,7 @@ pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCt
             ctx.queue_seconds.record(queue_seconds);
             ctx.execute_seconds.record(execute_seconds);
             ctx.latency_seconds.record(latency_seconds);
-            ctx.kernel_seconds[backend_slot(execution.backend)]
-                .record(execution.timings.kernel_seconds);
-            ctx.reservoir.lock().unwrap().record(latency_seconds);
+            ctx.kernel_seconds[execution.backend.index()].record(execution.timings.kernel_seconds);
             let report = ServiceReport {
                 request_id: sub.id,
                 shard: ctx.shard,

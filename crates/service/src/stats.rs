@@ -1,81 +1,15 @@
-//! Service-level statistics: streaming latency quantiles and per-shard
-//! counters.
+//! Service-level statistics: latency quantiles and per-shard counters.
 
 use cw_engine::CacheStats;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use cw_obs::HistogramSnapshot;
 
-/// Fixed-size uniform latency sample (Vitter's Algorithm R) over an
-/// unbounded request stream, in `O(capacity)` memory. The internal RNG is
-/// seeded, not OS-entropy, so a given record sequence reproduces exactly.
-/// Each worker shard owns one (no cross-shard locking on the hot path);
-/// [`LatencySummary::merged`] combines them for service-wide quantiles.
-#[derive(Debug, Clone)]
-pub struct LatencyReservoir {
-    capacity: usize,
-    seen: u64,
-    rng: SmallRng,
-    samples: Vec<f64>,
-}
-
-impl LatencyReservoir {
-    /// Reservoir keeping at most `capacity` samples (`0` keeps none but
-    /// still counts observations), with the default seed.
-    pub fn new(capacity: usize) -> LatencyReservoir {
-        LatencyReservoir::with_seed(capacity, 0x5EED_1E55_C0FF_EE00)
-    }
-
-    /// Reservoir with an explicit RNG seed. Reservoirs that sample *the
-    /// same* stream must use *different* seeds or their eviction choices
-    /// correlate perfectly — the service derives one seed per shard (see
-    /// [`crate::SpgemmService`]) so the merged quantiles do not inherit a
-    /// shared eviction pattern.
-    pub fn with_seed(capacity: usize, seed: u64) -> LatencyReservoir {
-        LatencyReservoir {
-            capacity,
-            seen: 0,
-            rng: SmallRng::seed_from_u64(seed),
-            samples: Vec::with_capacity(capacity.min(1024)),
-        }
-    }
-
-    /// Observes one latency (seconds).
-    pub fn record(&mut self, seconds: f64) {
-        self.seen += 1;
-        if self.samples.len() < self.capacity {
-            self.samples.push(seconds);
-            return;
-        }
-        if self.capacity == 0 {
-            return;
-        }
-        // Replace a random resident with probability capacity/seen.
-        let j = self.rng.gen_range(0..self.seen);
-        if (j as usize) < self.capacity {
-            self.samples[j as usize] = seconds;
-        }
-    }
-
-    /// Total observations (including ones not resident in the sample).
-    pub fn count(&self) -> u64 {
-        self.seen
-    }
-
-    /// Resident samples (unordered).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Summarizes the current sample into quantiles.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary::merged([self])
-    }
-}
-
-/// Latency quantiles over the sampled request stream, in seconds.
+/// End-to-end latency quantiles over every completed request, in seconds:
+/// a summary of the service's `latency_seconds` histogram, so quantiles
+/// carry its relative error ([`cw_obs::HISTOGRAM_MAX_RELATIVE_ERROR`])
+/// while `count` and `max_seconds` are exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
-    /// Observations recorded (sampled + unsampled).
+    /// Requests recorded.
     pub count: u64,
     /// Median end-to-end latency.
     pub p50_seconds: f64,
@@ -83,53 +17,19 @@ pub struct LatencySummary {
     pub p90_seconds: f64,
     /// 99th-percentile latency.
     pub p99_seconds: f64,
-    /// Worst resident sample.
+    /// Worst latency observed.
     pub max_seconds: f64,
 }
 
 impl LatencySummary {
-    /// Quantiles over the union of several reservoirs' samples, each
-    /// sample weighted by how many observations it stands for
-    /// (`seen / resident`) — a capped reservoir on a hot shard represents
-    /// far more traffic per sample than an uncapped one on a cold shard,
-    /// and unweighted pooling would bias service-wide quantiles toward
-    /// low-traffic shards. `count` sums every observation, resident or
-    /// not. How the service aggregates its per-shard reservoirs.
-    pub fn merged<'a>(
-        reservoirs: impl IntoIterator<Item = &'a LatencyReservoir>,
-    ) -> LatencySummary {
-        let mut weighted: Vec<(f64, f64)> = Vec::new();
-        let mut count = 0;
-        for r in reservoirs {
-            count += r.count();
-            let resident = r.samples().len();
-            if resident > 0 {
-                let w = r.count() as f64 / resident as f64;
-                weighted.extend(r.samples().iter().map(|&s| (s, w)));
-            }
-        }
-        if weighted.is_empty() {
-            return LatencySummary { count, ..LatencySummary::default() };
-        }
-        weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total_weight: f64 = weighted.iter().map(|(_, w)| w).sum();
-        let q = |frac: f64| {
-            let target = frac * total_weight;
-            let mut acc = 0.0;
-            for &(v, w) in &weighted {
-                acc += w;
-                if acc >= target {
-                    return v;
-                }
-            }
-            weighted.last().unwrap().0
-        };
+    /// The summary of one `latency_seconds` histogram snapshot.
+    pub(crate) fn from_histogram(h: &HistogramSnapshot) -> LatencySummary {
         LatencySummary {
-            count,
-            p50_seconds: q(0.50),
-            p90_seconds: q(0.90),
-            p99_seconds: q(0.99),
-            max_seconds: weighted.last().unwrap().0,
+            count: h.count,
+            p50_seconds: h.quantile(0.50),
+            p90_seconds: h.quantile(0.90),
+            p99_seconds: h.quantile(0.99),
+            max_seconds: h.max,
         }
     }
 }
@@ -183,7 +83,7 @@ pub struct ServiceStats {
     pub elapsed_seconds: f64,
     /// Completed requests per second of service lifetime.
     pub throughput_rps: f64,
-    /// End-to-end latency quantiles from the streaming reservoir.
+    /// End-to-end latency quantiles from the `latency_seconds` histogram.
     pub latency: LatencySummary,
     /// Per-shard batch/cache counters.
     pub shards: Vec<ShardStats>,
@@ -242,119 +142,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reservoir_is_exact_below_capacity() {
-        let mut r = LatencyReservoir::new(128);
-        for i in 1..=100 {
-            r.record(i as f64 / 1000.0);
+    fn latency_summary_matches_a_known_stream_within_histogram_error() {
+        assert_eq!(
+            LatencySummary::from_histogram(&HistogramSnapshot::empty()),
+            LatencySummary::default()
+        );
+        // 1 ms, 2 ms, …, 1 s: the exact q-quantile is q seconds.
+        let h = cw_obs::LogHistogram::new();
+        for i in 1..=1000 {
+            h.record(i as f64 / 1000.0);
         }
-        let s = r.summary();
-        assert_eq!(s.count, 100);
-        assert!((s.p50_seconds - 0.050).abs() < 0.002, "p50 {}", s.p50_seconds);
-        assert!((s.p99_seconds - 0.099).abs() < 0.002, "p99 {}", s.p99_seconds);
-        assert_eq!(s.max_seconds, 0.100);
-    }
-
-    #[test]
-    fn reservoir_stays_bounded_and_plausible_beyond_capacity() {
-        let mut r = LatencyReservoir::new(64);
-        for i in 0..10_000 {
-            r.record((i % 100) as f64);
+        let s = LatencySummary::from_histogram(&h.snapshot());
+        assert_eq!(s.count, 1000);
+        assert_eq!(s.max_seconds, 1.0, "the maximum is exact, not bucketed");
+        for (got, exact) in [(s.p50_seconds, 0.50), (s.p90_seconds, 0.90), (s.p99_seconds, 0.99)] {
+            assert!(
+                (got - exact).abs() <= cw_obs::HISTOGRAM_MAX_RELATIVE_ERROR * exact,
+                "quantile {got} vs exact {exact}"
+            );
         }
-        assert_eq!(r.count(), 10_000);
-        let s = r.summary();
-        // Uniform values in [0, 99]: the sampled median must land inside
-        // the support, not at either extreme.
-        assert!(s.p50_seconds >= 0.0 && s.p50_seconds <= 99.0);
-        assert!(s.p50_seconds > 10.0 && s.p50_seconds < 90.0, "p50 {}", s.p50_seconds);
-        assert!(s.max_seconds <= 99.0);
-    }
-
-    #[test]
-    fn reservoir_is_deterministic() {
-        let run = || {
-            let mut r = LatencyReservoir::new(32);
-            for i in 0..1000 {
-                r.record((i * 7 % 97) as f64);
-            }
-            r.summary()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn distinct_seeds_decorrelate_reservoirs_on_the_same_stream() {
-        // `with_seed(_, default)` is exactly `new`.
-        let run = |seed| {
-            let mut r = LatencyReservoir::with_seed(32, seed);
-            for i in 0..5000 {
-                r.record(i as f64);
-            }
-            let mut s = r.samples().to_vec();
-            s.sort_by(f64::total_cmp);
-            s
-        };
-        assert_eq!(run(0x5EED_1E55_C0FF_EE00), {
-            let mut r = LatencyReservoir::new(32);
-            for i in 0..5000 {
-                r.record(i as f64);
-            }
-            let mut s = r.samples().to_vec();
-            s.sort_by(f64::total_cmp);
-            s
-        });
-        // Two reservoirs fed the identical overflowing stream must not make
-        // identical eviction choices — that was the correlated-sampling bug
-        // in the per-shard reservoirs (every shard ran the same RNG).
-        assert_ne!(run(1), run(2));
-    }
-
-    #[test]
-    fn merged_summary_spans_all_reservoirs() {
-        let mut low = LatencyReservoir::new(64);
-        let mut high = LatencyReservoir::new(64);
-        for i in 1..=50 {
-            low.record(i as f64);
-            high.record((i + 100) as f64);
-        }
-        let merged = LatencySummary::merged([&low, &high]);
-        assert_eq!(merged.count, 100);
-        assert_eq!(merged.max_seconds, 150.0);
-        // The median straddles the two populations.
-        assert!(merged.p50_seconds >= 50.0 && merged.p50_seconds <= 101.0);
-        // Single-reservoir summary is the merged view of just itself.
-        assert_eq!(low.summary(), LatencySummary::merged([&low]));
-    }
-
-    #[test]
-    fn merged_summary_weights_shards_by_traffic() {
-        // Hot shard: 1000 fast requests squeezed into 4 resident samples
-        // (weight 250 each). Cold shard: 4 slow requests, fully resident
-        // (weight 1 each). Quantiles must follow the traffic, not the
-        // resident sample counts.
-        let mut hot = LatencyReservoir::new(4);
-        for _ in 0..1000 {
-            hot.record(0.001);
-        }
-        let mut cold = LatencyReservoir::new(4);
-        for _ in 0..4 {
-            cold.record(0.100);
-        }
-        let merged = LatencySummary::merged([&hot, &cold]);
-        assert_eq!(merged.count, 1004);
-        assert_eq!(merged.p50_seconds, 0.001, "p50 must track the hot shard");
-        assert_eq!(merged.p99_seconds, 0.001, "99% of traffic was fast");
-        assert_eq!(merged.max_seconds, 0.100, "max still surfaces the cold shard");
-    }
-
-    #[test]
-    fn empty_and_zero_capacity_reservoirs() {
-        assert_eq!(LatencyReservoir::new(16).summary(), LatencySummary::default());
-        let mut r = LatencyReservoir::new(0);
-        r.record(1.0);
-        assert_eq!(r.count(), 1);
-        // No resident samples to quantile, but the observation count is
-        // still reported.
-        assert_eq!(r.summary(), LatencySummary { count: 1, ..LatencySummary::default() });
     }
 
     #[test]

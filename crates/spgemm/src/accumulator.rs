@@ -350,62 +350,6 @@ impl Accumulator for SortAccumulator {
     }
 }
 
-/// Sorted-array accumulator: keeps the row's entries in a column-sorted
-/// array at all times, merging each partial product on arrival via binary
-/// search + insert. `add` is `O(log k + k)` (memmove on insert), which is
-/// only competitive when the row's intermediate-product count is tiny —
-/// exactly the regime the adaptive kernel zoo routes here, where it beats
-/// both the hash table (hashing overhead) and the SPA (per-row `touched`
-/// sort). Unlike [`SortAccumulator`], duplicate columns merge in arrival
-/// order, so results are bit-identical to the hash and dense paths.
-#[derive(Debug, Default)]
-pub struct SortedArrayAccumulator {
-    cols: Vec<ColIdx>,
-    vals: Vec<Value>,
-}
-
-impl SortedArrayAccumulator {
-    /// Creates an empty sorted-array accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Accumulator for SortedArrayAccumulator {
-    fn with_ncols(_ncols: usize) -> Self {
-        Self::new()
-    }
-
-    #[inline]
-    fn add(&mut self, col: ColIdx, val: Value) {
-        match self.cols.binary_search(&col) {
-            Ok(pos) => self.vals[pos] += val,
-            Err(pos) => {
-                self.cols.insert(pos, col);
-                self.vals.insert(pos, val);
-            }
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
-        let n = self.cols.len();
-        cols[..n].copy_from_slice(&self.cols);
-        vals[..n].copy_from_slice(&self.vals);
-        self.clear();
-        n
-    }
-
-    fn clear(&mut self) {
-        self.cols.clear();
-        self.vals.clear();
-    }
-}
-
 /// A boxed accumulator of the requested kind, sized for `ncols` columns.
 pub fn make_accumulator(kind: AccumulatorKind, ncols: usize) -> Box<dyn Accumulator> {
     match kind {
@@ -458,11 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_array_accumulator_basic() {
-        exercise(&mut SortedArrayAccumulator::new());
-    }
-
-    #[test]
     fn every_accumulator_merges_duplicates_in_arrival_order() {
         // Bit-identity across accumulators requires duplicate columns to
         // sum in arrival order. 300 products over 7 columns (long enough
@@ -484,7 +423,6 @@ mod tests {
             &mut HashAccumulator::new() as &mut dyn Accumulator,
             &mut DenseAccumulator::new(7),
             &mut SortAccumulator::new(),
-            &mut SortedArrayAccumulator::new(),
         ] {
             for &(c, v) in &seq {
                 acc.add(c, v);

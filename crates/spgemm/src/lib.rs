@@ -10,9 +10,6 @@
 //! * [`single_pass`] — the numeric driver under every Gustavson kernel here
 //!   and in `cw-core`: FLOP-balanced chunks compute each row once into a
 //!   window of one pooled staging slab; no symbolic pass.
-//! * [`adaptive`] — the per-row kernel zoo: sorted-array / hash / dense
-//!   accumulators selected per row from upper-bound FLOP estimates,
-//!   bit-identical to the serial reference.
 //! * [`flops`] — multiplication FLOP counts and the compression ratio
 //!   (`flops / nnz(C)`) that prior work uses to predict SpGEMM throughput.
 //! * [`topk`] — `SpGEMM_TopK(A, Aᵀ)`: the candidate-pair generation step of
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod accumulator;
-pub mod adaptive;
 pub mod colwise;
 pub mod flops;
 pub mod heap;
@@ -43,9 +39,7 @@ pub mod trace;
 
 pub use accumulator::{
     Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
-    SortedArrayAccumulator,
 };
-pub use adaptive::{spgemm_adaptive, spgemm_adaptive_with, AdaptiveOptions, AdaptiveThresholds};
 pub use colwise::spgemm_colwise;
 pub use heap::spgemm_heap;
 pub use pattern::spgemm_pattern;

@@ -1,9 +1,9 @@
 //! The single-pass numeric driver shared by every Gustavson kernel.
 //!
-//! Row-wise ([`crate::rowwise`]), row-adaptive ([`crate::adaptive`]) and
-//! cluster-wise (`cw_core::kernel`) SpGEMM differ only in how one *unit* of
-//! work (a row, or a cluster of rows) is accumulated. Everything around
-//! that is here: units are cut into contiguous FLOP-balanced [`Chunk`]s,
+//! Row-wise ([`crate::rowwise`]) and cluster-wise (`cw_core::kernel`)
+//! SpGEMM differ only in how one *unit* of work (a row, or a cluster of
+//! rows) is accumulated. Everything around that is here: units are cut
+//! into contiguous FLOP-balanced [`Chunk`]s,
 //! each chunk accumulates → extracts → writes its rows **exactly once**
 //! through a [`RowSink`], the per-row `nnz` falls out as a by-product, and
 //! `row_ptr` is a prefix sum afterwards. There is no symbolic pass: nothing
@@ -295,7 +295,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulator::SortedArrayAccumulator;
+    use crate::accumulator::HashAccumulator;
 
     #[test]
     fn balanced_ranges_cover_all_units() {
@@ -345,7 +345,7 @@ mod tests {
         let nnz = [2usize, 0, 1, 3];
         let chunks: Vec<Chunk> =
             (0..4).map(|i| Chunk { units: i..i + 1, rows: i..i + 1, out_bound: 5 }).collect();
-        let c = single_pass(4, 8, &chunks, SortedArrayAccumulator::new, |acc, rows, sink| {
+        let c = single_pass(4, 8, &chunks, HashAccumulator::new, |acc, rows, sink| {
             for i in rows {
                 for j in 0..nnz[i] {
                     acc.add(j as ColIdx, (10 * i + j) as Value);
@@ -372,7 +372,7 @@ mod tests {
         let run = |per_row: usize| {
             let chunks: Vec<Chunk> =
                 (0..3).map(|i| Chunk { units: i..i + 1, rows: i..i + 1, out_bound: 4 }).collect();
-            single_pass(3, 4, &chunks, SortedArrayAccumulator::new, |acc, rows, sink| {
+            single_pass(3, 4, &chunks, HashAccumulator::new, |acc, rows, sink| {
                 for i in rows {
                     for j in 0..per_row {
                         acc.add(j as ColIdx, (i + 1) as Value);
@@ -403,7 +403,7 @@ mod tests {
 
     #[test]
     fn no_chunks_gives_an_empty_product() {
-        let c = single_pass(0, 3, &[], SortedArrayAccumulator::new, |_, _, _| {});
+        let c = single_pass(0, 3, &[], HashAccumulator::new, |_, _, _| {});
         assert_eq!((c.nrows, c.ncols, c.nnz()), (0, 3, 0));
         c.validate().unwrap();
     }
@@ -412,7 +412,7 @@ mod tests {
     #[should_panic(expected = "one row per output row")]
     fn a_kernel_that_skips_a_row_is_caught() {
         let chunks = [Chunk { units: 0..1, rows: 0..2, out_bound: 0 }];
-        let _ = single_pass(2, 2, &chunks, SortedArrayAccumulator::new, |_, _, sink| {
+        let _ = single_pass(2, 2, &chunks, HashAccumulator::new, |_, _, sink| {
             sink.push_empty_row();
         });
     }

@@ -40,20 +40,18 @@
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/feed-back pipeline. A `Planner` profiles the
 //!   operand, prices every candidate pipeline (reordering × clustering ×
-//!   kernel × accumulator × **execution backend**) with a `CostModel`,
-//!   and ranks them by cost amortized under a caller-supplied
-//!   `PlanningPolicy` (expected reuse, preprocessing budget);
-//!   `PreparedMatrix` materializes the chosen plan once *on its backend*
-//!   (the `ExecutionBackend` trait owns both the backend-specific payload
-//!   and the kernel dispatch — `ParallelCpu` rayon by default, a
-//!   `SerialReference` oracle, a column-tiled `TiledCpu`, or anything
-//!   registered in a `BackendRegistry`); a fingerprint+knobs-keyed
-//!   `PlanCache` (entry- or byte-bounded, optional TTL) lets repeated
-//!   traffic skip preprocessing entirely; `Engine::multiply` executes
-//!   through the backend, reports per-stage timings, and feeds observed
-//!   kernel seconds into a per-operand `FeedbackStore` that demotes
-//!   mispredicted plans (and backends) so traffic converges on the
-//!   empirically fastest pipeline (with an optional evidence half-life so
+//!   kernel × accumulator) with a `CostModel`, and ranks them by cost
+//!   amortized under a caller-supplied `PlanningPolicy` (expected reuse,
+//!   preprocessing budget); `PreparedMatrix` materializes the chosen plan
+//!   once; a fingerprint+knobs-keyed `PlanCache` (entry- or byte-bounded,
+//!   optional TTL) lets repeated traffic skip preprocessing entirely;
+//!   `Engine::multiply` executes on the plan's backend
+//!   (`BackendId::ParallelCpu`, rayon, by default; the single-threaded
+//!   `BackendId::SerialReference` oracle for validation), reports
+//!   per-stage timings, and feeds observed kernel seconds into a
+//!   per-operand `FeedbackStore` that demotes mispredicted plans so
+//!   traffic converges on the empirically fastest pipeline (with an
+//!   optional evidence half-life so
 //!   drifted operands re-promote). The cost model's constants can also be
 //!   fitted *offline*: a `Calibrator` ingests measured bench-corpus runs
 //!   and emits a versioned `CalibrationProfile`
@@ -116,19 +114,12 @@
 //! assert!(c_first.numerically_eq(&c_again, 0.0));
 //! assert!(c_first.numerically_eq(&spgemm(&a, &a), 1e-9));
 //!
-//! // Execution backends are a plan knob: force the serial oracle for a
-//! // bit-reproducible reference run of the *same* pipeline.
+//! // The backend is a plan knob: force the serial oracle for a
+//! // single-threaded reference run of the *same* pipeline.
 //! let oracle_plan = first.plan.on_backend(BackendId::SerialReference);
 //! let (c_oracle, oracle) = engine.multiply_planned(&a, &a, oracle_plan);
 //! assert_eq!(oracle.backend, BackendId::SerialReference);
 //! assert!(c_oracle.numerically_eq(&c_first, 0.0));
-//!
-//! // Or the per-row kernel zoo (sorted-array / hash / dense accumulator
-//! // chosen per output row from FLOP upper bounds) — still bit-identical.
-//! let zoo_plan = first.plan.on_backend(BackendId::AdaptiveCpu);
-//! let (c_zoo, zoo) = engine.multiply_planned(&a, &a, zoo_plan);
-//! assert_eq!(zoo.backend, BackendId::AdaptiveCpu);
-//! assert!(c_zoo.numerically_eq(&c_oracle, 0.0));
 //! ```
 //!
 //! ## Quickstart: shaped products (masked & top-k)
@@ -283,9 +274,9 @@ pub mod prelude {
         ClusterConfig, Clustering, CsrCluster,
     };
     pub use cw_engine::{
-        BackendId, BackendRegistry, CacheBudget, CalibrationProfile, Calibrator,
-        ClusteringStrategy, CostModel, Engine, ExecutionBackend, ExecutionReport, FeedbackStore,
-        KernelChoice, OutputShape, Plan, PlanCache, Planner, PlanningPolicy, PreparedMatrix,
+        BackendId, CacheBudget, CalibrationProfile, Calibrator, ClusteringStrategy, CostModel,
+        Engine, ExecutionReport, FeedbackStore, KernelChoice, OutputShape, Plan, PlanCache,
+        Planner, PlanningPolicy, PreparedMatrix,
     };
     pub use cw_net::{
         ClientConfig, NetClient, NetError, NetServer, NetServerConfig, Qos, RoutedClient,

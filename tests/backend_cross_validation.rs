@@ -1,56 +1,42 @@
-//! Backend cross-validation: every registered execution backend must be
-//! **bit-identical** to the `SerialReference` oracle — same sparsity
-//! pattern (explicit zeros included), same floating-point values to the
-//! last ulp — across every planner branch and over random matrices.
+//! Backend cross-validation: `ParallelCpu` must be **bit-identical** to
+//! the `SerialReference` oracle — same sparsity pattern (explicit zeros
+//! included), same floating-point values to the last ulp — across every
+//! planner branch and over random matrices.
 //!
 //! Bit-identity is achievable (not just approximate agreement) because the
 //! backends differ only in *where* work runs, never in the per-entry
 //! arithmetic order: the row-wise and cluster-wise kernels accumulate each
-//! output entry in ascending-`k` order whether execution is serial,
-//! rayon-chunked, or column-tiled, and every accumulator extracts sorted
-//! columns. Any divergence therefore indicates a real dispatch bug, not
-//! floating-point noise.
+//! output entry in ascending-`k` order whether execution is serial or
+//! rayon-chunked, and every accumulator extracts sorted columns. Any
+//! divergence therefore indicates a real dispatch bug, not floating-point
+//! noise.
 
 use clusterwise_spgemm::engine::{
-    AdaptiveCpu, BackendId, BackendRegistry, ClusteringStrategy, ExecutionBackend, KernelChoice,
-    OutputShape, Plan, Planner, PreparedMatrix, Suggestion, TiledCpu,
+    BackendId, ClusteringStrategy, KernelChoice, OutputShape, Plan, Planner, PreparedMatrix,
+    Suggestion,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::CooMatrix;
-use clusterwise_spgemm::spgemm::adaptive::AdaptiveThresholds;
-use clusterwise_spgemm::spgemm::flops::flops_per_row;
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const SEED: u64 = 7;
 
-/// A registry whose tiled backend uses a deliberately tiny tile width, so
-/// even the small test matrices split into many column tiles (the default
-/// 512-column tile would degenerate to the untiled path here).
-fn test_registry() -> BackendRegistry {
-    let mut reg = BackendRegistry::builtin();
-    reg.register(Arc::new(TiledCpu::new(16)));
-    reg
+/// The backends validated against the [`BackendId::SerialReference`]
+/// oracle: every other id.
+fn validated_backends() -> impl Iterator<Item = BackendId> {
+    BackendId::ALL.into_iter().filter(|&id| id != BackendId::SerialReference)
 }
 
-/// `A · b` under `plan` pinned to `id`, prepared and executed through the
-/// registry-resolved backend.
-fn product_on(
-    reg: &BackendRegistry,
-    id: BackendId,
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    plan: Plan,
-) -> CsrMatrix {
-    let backend: Arc<dyn ExecutionBackend> = reg.resolve(id);
-    PreparedMatrix::prepare_on(&backend, a, plan, SEED, &ClusterConfig::default()).multiply(b)
+/// `A · b` under `plan` pinned to `id`.
+fn product_on(id: BackendId, a: &CsrMatrix, b: &CsrMatrix, plan: Plan) -> CsrMatrix {
+    PreparedMatrix::prepare(a, plan.on_backend(id), SEED, &ClusterConfig::default()).multiply(b)
 }
 
-/// Asserts every registered backend reproduces the oracle bit for bit.
-fn assert_backends_match_oracle(reg: &BackendRegistry, name: &str, a: &CsrMatrix, plan: Plan) {
-    let oracle = product_on(reg, BackendId::SerialReference, a, a, plan);
+/// Asserts every backend reproduces the oracle bit for bit.
+fn assert_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
+    let oracle = product_on(BackendId::SerialReference, a, a, plan);
     // Sanity: the oracle itself agrees with the independent row-wise
     // serial baseline (up to the usual float tolerance — different
     // pipeline, different summation order).
@@ -59,11 +45,8 @@ fn assert_backends_match_oracle(reg: &BackendRegistry, name: &str, a: &CsrMatrix
         "{name}: oracle diverges from the row-wise baseline under {}",
         plan.describe()
     );
-    for id in reg.ids() {
-        if id == BackendId::SerialReference {
-            continue;
-        }
-        let got = product_on(reg, id, a, a, plan);
+    for id in validated_backends() {
+        let got = product_on(id, a, a, plan);
         assert!(
             got.approx_eq(&oracle, 0.0),
             "{name}: backend {id:?} is not bit-identical to the serial oracle under {}",
@@ -87,7 +70,6 @@ fn corpus() -> Vec<(&'static str, CsrMatrix)> {
 
 #[test]
 fn every_advisor_branch_is_bit_identical_across_backends() {
-    let reg = test_registry();
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [
@@ -98,31 +80,28 @@ fn every_advisor_branch_is_bit_identical_across_backends() {
             Suggestion::Reorder(Reordering::Degree),
         ] {
             let plan = planner.plan_for_suggestion(&a, suggestion);
-            assert_backends_match_oracle(&reg, name, &a, plan);
+            assert_backends_match_oracle(name, &a, plan);
         }
     }
 }
 
 #[test]
 fn every_ranked_candidate_is_bit_identical_across_backends() {
-    // The planner's own fall-through list — including the cross-backend
-    // variants it generates — must be exact on every backend, so a
-    // feedback-driven backend switch can never change results.
-    let reg = test_registry();
+    // The planner's own fall-through list must be exact on every backend,
+    // so a feedback-driven plan switch can never change results.
     let planner = Planner::default();
     for (name, a) in [
         ("scrambled_mesh", gen::mesh::tri_mesh(11, 11, true, 7)),
         ("block_diagonal", gen::banded::block_diagonal(80, (4, 8), 0.15, 1)),
     ] {
         for ranked in planner.plans_costed(&a) {
-            assert_backends_match_oracle(&reg, name, &a, ranked.plan);
+            assert_backends_match_oracle(name, &a, ranked.plan);
         }
     }
 }
 
 #[test]
 fn fixed_cluster_lengths_are_bit_identical_across_backends() {
-    let reg = test_registry();
     let a = gen::grid::poisson2d(10, 9);
     for k in [1usize, 3, 8] {
         let plan = Plan {
@@ -130,7 +109,7 @@ fn fixed_cluster_lengths_are_bit_identical_across_backends() {
             kernel: KernelChoice::ClusterWise,
             ..Plan::baseline()
         };
-        assert_backends_match_oracle(&reg, "poisson_rect", &a, plan);
+        assert_backends_match_oracle("poisson_rect", &a, plan);
     }
 }
 
@@ -145,7 +124,7 @@ fn engine_traffic_on_forced_backends_matches_the_oracle_engine() {
         clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
     );
     let (oracle, _) = oracle_engine.multiply(&a, &a);
-    for id in [BackendId::ParallelCpu, BackendId::TiledCpu, BackendId::AdaptiveCpu] {
+    for id in validated_backends() {
         let mut engine = Engine::new(
             Planner::with_backend(SEED, id),
             clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
@@ -161,113 +140,69 @@ fn engine_traffic_on_forced_backends_matches_the_oracle_engine() {
     }
 }
 
-/// Registries whose adaptive backend is pinned to the given thresholds
-/// (replacing the default-threshold builtin registration).
-fn adaptive_registry(thresholds: AdaptiveThresholds) -> BackendRegistry {
-    let mut reg = BackendRegistry::builtin();
-    reg.register(Arc::new(AdaptiveCpu::new(thresholds)));
-    reg
-}
-
 #[test]
-fn adaptive_kernel_boundary_rows_stay_bit_identical() {
-    // Pin the zoo's selection boundaries exactly onto real rows: for a
-    // skewed matrix, pick a mid-range per-row upper bound `p` and place
-    // the thresholds so some row sits exactly on each comparison's edge
-    // (`ub == small_flops` is inclusive-sorted, `ub == small_flops + 1`
-    // crosses out; `ub as f64 == dense_fraction · ncols` is
-    // inclusive-dense). Kernel choice must never change the bits.
-    let a = gen::rmat::rmat(7, 8, gen::rmat::RmatParams::default(), 21);
-    let ub = flops_per_row(&a, &a);
-    let mut nonzero: Vec<u64> = ub.iter().copied().filter(|&u| u > 0).collect();
-    nonzero.sort_unstable();
-    let p = nonzero[nonzero.len() / 2];
-    let ncols = a.ncols as f64;
-    let plan = Plan::baseline();
-    for (label, t) in [
-        (
-            "boundary row is the largest sorted-array row",
-            AdaptiveThresholds { small_flops: p, dense_fraction: 1.0 },
-        ),
-        (
-            "boundary row is the smallest non-sorted row",
-            AdaptiveThresholds { small_flops: p.saturating_sub(1), dense_fraction: 1.0 },
-        ),
-        (
-            "boundary row is the smallest dense row",
-            AdaptiveThresholds { small_flops: 0, dense_fraction: p as f64 / ncols },
-        ),
-        (
-            "boundary row is the largest hash row",
-            AdaptiveThresholds { small_flops: 0, dense_fraction: (p + 1) as f64 / ncols },
-        ),
-    ] {
-        let reg = adaptive_registry(t);
-        let oracle = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
-        let got = product_on(&reg, BackendId::AdaptiveCpu, &a, &a, plan);
-        assert!(got.approx_eq(&oracle, 0.0), "{label} (thresholds {t:?}, pivot ub {p})");
-    }
-}
-
-#[test]
-fn adaptive_degenerate_rows_stay_bit_identical() {
-    // Degenerate structure in one operand: empty rows, singleton rows, a
-    // fully dense row, and duplicate COO entries (summed on conversion).
-    let n = 48;
-    let mut coo = CooMatrix::new(n, n);
-    // Row 0 stays empty; row 1 is a singleton; row 2 is fully dense.
-    coo.push(1, 7, 2.5);
-    for j in 0..n {
-        coo.push(2, j, (j as f64 - 11.0) * 0.25);
-    }
-    // A band plus duplicates elsewhere.
-    for i in 3..n {
-        for d in 0..=(i % 4) {
-            let j = (i + d * 5) % n;
-            coo.push(i, j, 0.1 * i as f64 - 0.3 * d as f64);
-            if d == 1 {
-                coo.push(i, j, 0.75); // duplicate entry, summed
+fn candidates_never_differ_only_in_backend() {
+    // The backend is not a search axis: the planner offers each pipeline
+    // once, on the default backend (or on the pin), so the feedback loop
+    // has no behaviourally identical twin to flap onto.
+    for (name, a) in corpus() {
+        for shape in [OutputShape::Full, OutputShape::Masked, OutputShape::TopK(2)] {
+            for (planner, expected) in [
+                (Planner::default(), BackendId::ParallelCpu),
+                (
+                    Planner::with_backend(SEED, BackendId::SerialReference),
+                    BackendId::SerialReference,
+                ),
+            ] {
+                let ranked = planner.plans_costed_shaped(&a, shape);
+                for (i, x) in ranked.iter().enumerate() {
+                    assert_eq!(x.plan.backend, expected, "{name}/{shape:?}: {}", x.plan.describe());
+                    for y in &ranked[i + 1..] {
+                        let same_pipeline = x.plan.on_backend(y.plan.backend).knobs();
+                        assert_ne!(
+                            same_pipeline,
+                            y.plan.knobs(),
+                            "{name}/{shape:?}: {} and {} differ only in backend",
+                            x.plan.describe(),
+                            y.plan.describe()
+                        );
+                    }
+                }
             }
         }
     }
-    let a = coo.to_csr();
-    for t in [
-        AdaptiveThresholds::default(),
-        AdaptiveThresholds { small_flops: 0, dense_fraction: 0.0 },
-        AdaptiveThresholds { small_flops: u64::MAX, dense_fraction: f64::INFINITY },
-    ] {
-        let reg = adaptive_registry(t);
-        for plan in [
-            Plan::baseline(),
-            Plan {
-                clustering: ClusteringStrategy::Fixed(3),
-                kernel: KernelChoice::ClusterWise,
-                ..Plan::baseline()
-            },
-        ] {
-            let oracle = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
-            let got = product_on(&reg, BackendId::AdaptiveCpu, &a, &a, plan);
-            assert!(
-                got.approx_eq(&oracle, 0.0),
-                "degenerate rows diverge under thresholds {t:?}, plan {}",
-                plan.describe()
-            );
-        }
+}
+
+#[test]
+fn the_default_door_only_ever_serves_on_parallel_cpu() {
+    // 2 000 adaptive multiplies over 8 shuffles of one small mesh — the
+    // shape of traffic where feedback used to adopt a slower backend on a
+    // timing spike. Whatever plan switches happen, none leaves the backend.
+    let natural = gen::mesh::tri_mesh(20, 20, false, 11);
+    let shuffles: Vec<CsrMatrix> = (0..8u64)
+        .map(|i| {
+            clusterwise_spgemm::reorder::random_permutation(natural.nrows, 100 + i)
+                .permute_symmetric(&natural)
+        })
+        .collect();
+    let mut engine = Engine::default();
+    for op in 0..2000 {
+        let a = &shuffles[op % shuffles.len()];
+        let (_, report) = engine.multiply(a, a);
+        assert_eq!(report.backend, BackendId::ParallelCpu, "op {op}: {}", report.plan.describe());
     }
 }
 
 /// `shape(A · A)` under `plan` restamped to `shape`, pinned to `id`.
 fn shaped_product_on(
-    reg: &BackendRegistry,
     id: BackendId,
     a: &CsrMatrix,
     plan: Plan,
     shape: OutputShape,
     mask: Option<&CsrMatrix>,
 ) -> CsrMatrix {
-    let backend: Arc<dyn ExecutionBackend> = reg.resolve(id);
-    PreparedMatrix::prepare_on(&backend, a, plan.with_shape(shape), SEED, &ClusterConfig::default())
-        .multiply_shaped(a, mask)
+    let plan = plan.on_backend(id).with_shape(shape);
+    PreparedMatrix::prepare(a, plan, SEED, &ClusterConfig::default()).multiply_shaped(a, mask)
 }
 
 /// The output-shape fixtures for the square product `A · A`: top-k with
@@ -296,13 +231,8 @@ fn shape_cases(a: &CsrMatrix) -> Vec<(&'static str, OutputShape, Option<CsrMatri
 /// are pure row-local postprocesses; (2) every other backend reproduces
 /// the shaped oracle bit for bit, including under plans that permute rows
 /// (the mask must follow the operand into internal order and back).
-fn assert_shaped_backends_match_oracle(
-    reg: &BackendRegistry,
-    name: &str,
-    a: &CsrMatrix,
-    plan: Plan,
-) {
-    let full = product_on(reg, BackendId::SerialReference, a, a, plan);
+fn assert_shaped_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
+    let full = product_on(BackendId::SerialReference, a, a, plan);
     for (label, shape, mask) in shape_cases(a) {
         let mask = mask.as_ref();
         let expected = match shape {
@@ -310,17 +240,14 @@ fn assert_shaped_backends_match_oracle(
             OutputShape::TopK(k) => row_topk(&full, k),
             OutputShape::Masked => apply_mask(&full, mask.unwrap()),
         };
-        let oracle = shaped_product_on(reg, BackendId::SerialReference, a, plan, shape, mask);
+        let oracle = shaped_product_on(BackendId::SerialReference, a, plan, shape, mask);
         assert!(
             oracle.approx_eq(&expected, 0.0),
             "{name}/{label}: shaped serial product is not the postprocessed full product under {}",
             plan.describe()
         );
-        for id in reg.ids() {
-            if id == BackendId::SerialReference {
-                continue;
-            }
-            let got = shaped_product_on(reg, id, a, plan, shape, mask);
+        for id in validated_backends() {
+            let got = shaped_product_on(id, a, plan, shape, mask);
             assert!(
                 got.approx_eq(&oracle, 0.0),
                 "{name}/{label}: backend {id:?} is not bit-identical to the shaped oracle under {}",
@@ -336,7 +263,6 @@ fn shaped_products_are_bit_identical_across_backends() {
     // outputs on every backend — including under reordering plans, where
     // the mask has to be permuted into internal row order alongside the
     // operand and the result un-permuted afterwards.
-    let reg = test_registry();
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [
@@ -345,7 +271,7 @@ fn shaped_products_are_bit_identical_across_backends() {
             Suggestion::Hierarchical,
         ] {
             let plan = planner.plan_for_suggestion(&a, suggestion);
-            assert_shaped_backends_match_oracle(&reg, name, &a, plan);
+            assert_shaped_backends_match_oracle(name, &a, plan);
         }
     }
 }
@@ -372,7 +298,6 @@ fn shaped_degenerate_rows_stay_bit_identical() {
         }
     }
     let a = coo.to_csr();
-    let reg = test_registry();
     for plan in [
         Plan::baseline(),
         Plan {
@@ -381,7 +306,7 @@ fn shaped_degenerate_rows_stay_bit_identical() {
             ..Plan::baseline()
         },
     ] {
-        assert_shaped_backends_match_oracle(&reg, "degenerate", &a, plan);
+        assert_shaped_backends_match_oracle("degenerate", &a, plan);
     }
 }
 
@@ -404,7 +329,6 @@ proptest! {
 
     #[test]
     fn random_matrices_are_bit_identical_across_backends(a in sparse_square(40, 220)) {
-        let reg = test_registry();
         let planner = Planner::default();
         // The planner's top choice plus the two kernel-family extremes.
         let mut plans = vec![
@@ -418,12 +342,9 @@ proptest! {
         ];
         plans.dedup_by_key(|p| p.knobs());
         for plan in plans {
-            let oracle = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
-            for id in reg.ids() {
-                if id == BackendId::SerialReference {
-                    continue;
-                }
-                let got = product_on(&reg, id, &a, &a, plan);
+            let oracle = product_on(BackendId::SerialReference, &a, &a, plan);
+            for id in validated_backends() {
+                let got = product_on(id, &a, &a, plan);
                 prop_assert!(
                     got.approx_eq(&oracle, 0.0),
                     "backend {:?} diverges on a random {}x{} matrix under {}",
@@ -438,9 +359,8 @@ proptest! {
         a in sparse_square(32, 160),
         k in 0usize..6,
     ) {
-        let reg = test_registry();
         let plan = Planner::default().plan(&a);
-        let full = product_on(&reg, BackendId::SerialReference, &a, &a, plan);
+        let full = product_on(BackendId::SerialReference, &a, &a, plan);
         for (shape, mask) in [
             (OutputShape::TopK(k), None),
             (OutputShape::Masked, Some(a.clone())),
@@ -451,8 +371,8 @@ proptest! {
                 OutputShape::TopK(k) => row_topk(&full, k),
                 OutputShape::Masked => apply_mask(&full, mask.unwrap()),
             };
-            for id in reg.ids() {
-                let got = shaped_product_on(&reg, id, &a, plan, shape, mask);
+            for id in BackendId::ALL {
+                let got = shaped_product_on(id, &a, plan, shape, mask);
                 prop_assert!(
                     got.approx_eq(&expected, 0.0),
                     "backend {:?} diverges from the postprocessed oracle for {:?} on a random {}x{} matrix under {}",

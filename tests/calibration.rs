@@ -7,8 +7,7 @@
 
 use clusterwise_spgemm::engine::calibrate::{median, prediction_errors};
 use clusterwise_spgemm::engine::{
-    BackendCalibration, BackendId, BackendRegistry, CalibrationProfile, Engine, Planner,
-    PROFILE_SCHEMA_VERSION,
+    BackendId, CalibrationProfile, Engine, Planner, PROFILE_SCHEMA_VERSION,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::service::{MultiplyRequest, ServiceConfig, SpgemmService};
@@ -26,11 +25,9 @@ fn arb_profile() -> impl Strategy<Value = CalibrationProfile> {
     (
         (pos(), 0.01f64..1.0, 1.0f64..64.0, 0.0f64..0.95, 0.0f64..0.95),
         ((pos(), pos(), pos()), (pos(), pos(), pos())),
-        (0.0f64..0.5, 0.0f64..0.5),
-        proptest::collection::vec(pos(), 3),
         0usize..100_000,
     )
-        .prop_map(|(kernel, (prep_a, prep_b), tile, scales, samples)| {
+        .prop_map(|(kernel, (prep_a, prep_b), samples)| {
             let mut model = CostModel::default();
             (
                 model.seconds_per_madd,
@@ -49,20 +46,10 @@ fn arb_profile() -> impl Strategy<Value = CalibrationProfile> {
                 model.variable_cluster_per_nnz,
                 model.hierarchical_cluster_per_nnz,
             ) = prep_b;
-            (model.tile_pass_overhead, model.blocking_gain) = tile;
             CalibrationProfile {
                 schema_version: PROFILE_SCHEMA_VERSION,
                 fitted_from_samples: samples,
                 model,
-                backends: BackendId::ALL
-                    .iter()
-                    .zip(&scales)
-                    .map(|(&backend, &kernel_scale)| BackendCalibration {
-                        backend,
-                        kernel_scale,
-                        samples,
-                    })
-                    .collect(),
             }
         })
 }
@@ -83,20 +70,16 @@ proptest! {
 fn golden_profile_parses_and_pins_the_schema() {
     let text = std::fs::read_to_string(golden_path()).expect("profiles/default.json is checked in");
     assert!(
-        text.contains("\"schema_version\": 1"),
-        "schema version 1 is pinned; bump PROFILE_SCHEMA_VERSION and regenerate deliberately"
+        text.contains("\"schema_version\": 2"),
+        "schema version 2 is pinned; bump PROFILE_SCHEMA_VERSION and regenerate deliberately"
     );
-    assert_eq!(PROFILE_SCHEMA_VERSION, 1);
+    assert_eq!(PROFILE_SCHEMA_VERSION, 2);
 
     let profile = CalibrationProfile::from_json(&text).unwrap();
     assert_eq!(profile.schema_version, PROFILE_SCHEMA_VERSION);
     assert!(profile.fitted_from_samples > 0, "the checked-in profile must be a real fit");
     assert!(profile.model.seconds_per_madd > 0.0);
     assert!(profile.model.parallel_speedup >= 1.0);
-    for id in BackendId::ALL {
-        let scale = profile.kernel_scale(id).expect("all builtin backends covered");
-        assert!(scale > 0.0, "{id:?}");
-    }
 
     // The golden file is byte-for-byte what `to_json` emits: any writer
     // format change must come with a regenerated profile (and, on field
@@ -139,12 +122,14 @@ fn golden_profile_loads_into_planner_engine_and_service() {
 /// vs the hand-tuned constants, and the calibrated model's first-choice
 /// plan agreement with the observed-fastest candidate must be within one
 /// operand of the static advisor's. The one-operand allowance exists
-/// because the candidate field now includes the structure-adaptive
-/// `AdaptiveCpu` backend, whose relative cost varies per operand while
-/// the fit carries one global `kernel_scale` per backend — the global
-/// fit can misprice one heterogeneous operand (the exact underfitting
-/// ROADMAP item 4's per-structure-family profiles target) without the
-/// fit itself being wrong.
+/// because agreement is judged on four operands timed by wall clock
+/// (medians of three warm runs of small kernels): each operand is a
+/// quarter of the fraction, so one near-tied operand landing on the wrong
+/// side of `AGREEMENT_SLACK` moves it by 0.25 without the fit being
+/// wrong — and the fit carries one global constant per model term, so it
+/// cannot follow a single operand that departs from the rest. Both the
+/// allowance and the slack are wall-clock tolerances: they are tightened
+/// only by a PR that can measure them (ROADMAP item 4's refit).
 #[test]
 fn fitted_profile_beats_handtuned_on_heldout_and_matches_static_agreement() {
     // The sweep times real kernels, so a single attempt can lose to a
@@ -202,11 +187,9 @@ fn fitted_profile_beats_handtuned_on_heldout_and_matches_static_agreement() {
 fn fit_recovers_ground_truth_better_than_defaults() {
     use clusterwise_spgemm::engine::{CalibrationSample, Calibrator, OperandFeatures};
 
-    let registry = BackendRegistry::builtin();
     let mut truth = CalibrationProfile::default();
     truth.model.seconds_per_madd = 40e-9; // a machine ~27x off the guess
     truth.model.cluster_row_overhead = 0.0;
-    truth.backends[2].kernel_scale = 1.5;
 
     let mut calibrator = Calibrator::new();
     let mut samples = Vec::new();
@@ -217,7 +200,7 @@ fn fit_recovers_ground_truth_better_than_defaults() {
         {
             for backend in BackendId::ALL {
                 let plan = plan.on_backend(backend);
-                let est = truth.estimate(&features, &plan, 0.5, &registry.caps(backend));
+                let est = truth.model.estimate(&features, &plan, 0.5);
                 samples.push(CalibrationSample {
                     features,
                     plan,
@@ -231,15 +214,12 @@ fn fit_recovers_ground_truth_better_than_defaults() {
     calibrator.extend(samples.iter().copied());
     let fitted = calibrator.fit();
 
-    let fitted_err = median(&prediction_errors(&fitted, &registry, &samples));
-    let default_err =
-        median(&prediction_errors(&CalibrationProfile::default(), &registry, &samples));
+    let fitted_err = median(&prediction_errors(&fitted, &samples));
+    let default_err = median(&prediction_errors(&CalibrationProfile::default(), &samples));
     assert!(
         fitted_err < 0.05 && fitted_err < default_err,
         "fitted {fitted_err:.4} vs default {default_err:.4}"
     );
-    let tiled = fitted.kernel_scale(BackendId::TiledCpu).unwrap();
-    assert!((tiled - 1.5).abs() < 0.1, "tiled scale {tiled}");
 }
 
 /// The advisor profile, reachable through the facade.

@@ -12,9 +12,7 @@ use clusterwise_spgemm::core::clusterwise_spgemm_with;
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::spgemm::flops::multiply_adds;
-use clusterwise_spgemm::spgemm::{
-    spgemm_adaptive_with, spgemm_colwise, spgemm_heap, spgemm_pattern, AdaptiveOptions,
-};
+use clusterwise_spgemm::spgemm::{spgemm_colwise, spgemm_heap, spgemm_pattern};
 
 fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     vec![
@@ -217,18 +215,6 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
 
         for width in [1usize, 2, 4] {
             rayon::with_pool_width(width, || {
-                for parallel in [false, true] {
-                    let got = spgemm_adaptive_with(
-                        &a,
-                        &b,
-                        &AdaptiveOptions { parallel, ..Default::default() },
-                    );
-                    assert_bits_eq(
-                        &got,
-                        &oracle,
-                        &format!("{name}: adaptive w{width} par={parallel}"),
-                    );
-                }
                 for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
                     for chunks_per_thread in [1usize, 8] {
                         let opts = SpGemmOptions { acc, parallel: true, chunks_per_thread };

@@ -21,8 +21,7 @@
 //! `rayon::with_pool_width`.
 
 use clusterwise_spgemm::engine::{
-    BackendId, BackendRegistry, ClusteringStrategy, ExecutionBackend, KernelChoice, Plan,
-    PreparedMatrix,
+    BackendId, ClusteringStrategy, KernelChoice, Plan, PreparedMatrix,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
@@ -63,10 +62,9 @@ fn every_pool_width_is_bit_identical_to_the_serial_path() {
 
 #[test]
 fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
-    // The same invariant end to end through the backend seam: a
-    // ParallelCpu (and AdaptiveCpu) product prepared and executed inside
-    // a pinned-width pool is bit-identical to the SerialReference oracle.
-    let reg = BackendRegistry::builtin();
+    // The same invariant end to end through a prepared operand: a
+    // ParallelCpu product prepared and executed inside a pinned-width
+    // pool is bit-identical to the SerialReference oracle.
     let a = gen::mesh::tri_mesh(12, 12, true, 9);
     let plans = [
         Plan::baseline(),
@@ -77,20 +75,17 @@ fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
         },
     ];
     let product = |id: BackendId, plan: Plan| {
-        let backend: Arc<dyn ExecutionBackend> = reg.resolve(id);
-        PreparedMatrix::prepare_on(&backend, &a, plan, 7, &ClusterConfig::default()).multiply(&a)
+        PreparedMatrix::prepare(&a, plan.on_backend(id), 7, &ClusterConfig::default()).multiply(&a)
     };
     for plan in plans {
         let oracle = product(BackendId::SerialReference, plan);
         for width in [1usize, 2, 8] {
-            for id in [BackendId::ParallelCpu, BackendId::AdaptiveCpu] {
-                let got = rayon::with_pool_width(width, || product(id, plan));
-                assert!(
-                    bits_eq(&got, &oracle),
-                    "{id:?} at width {width} diverges from the oracle under {}",
-                    plan.describe()
-                );
-            }
+            let got = rayon::with_pool_width(width, || product(BackendId::ParallelCpu, plan));
+            assert!(
+                bits_eq(&got, &oracle),
+                "ParallelCpu at width {width} diverges from the oracle under {}",
+                plan.describe()
+            );
         }
     }
 }
