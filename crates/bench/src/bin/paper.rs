@@ -1,24 +1,56 @@
 //! `paper` — regenerates the paper's figures and tables.
 //!
 //! ```text
-//! paper <fig2|fig3|fig8|fig9|fig10|fig11|table2|table3|table4|ablation|calibrate|engine|net|planner|serving|all>
-//!       [--scale small|medium|large] [--subset N] [--reps N]
+//! paper <TARGET|all> [--scale small|medium|large] [--subset N] [--reps N]
 //!       [--seed N] [--out DIR]
 //! ```
 //!
-//! Markdown is printed to stdout and written (plus per-table CSVs) into the
-//! output directory (default `results/`).
+//! `TARGET` is a name from the [`TARGETS`] table (`paper` with no arguments
+//! prints them); `all` runs the paper's own figures and tables, `fig2`
+//! through `table4`. Markdown is printed to stdout and written (plus
+//! per-table CSVs) into the output directory (default `results/`).
 
+use cw_bench::experiments as ex;
 use cw_bench::report::Report;
 use cw_bench::runner::RunConfig;
 use cw_datasets::Scale;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// One runnable target: its name on the command line and its experiment.
+type Target = (&'static str, fn(&RunConfig) -> Report);
+
+/// Every target, by name: the one list behind both the dispatch and the
+/// usage message. `all` runs the first [`PAPER_TARGETS`] of them.
+const TARGETS: [Target; 17] = [
+    ("fig2", ex::fig2::run),
+    ("fig3", ex::fig3::run),
+    ("fig8", ex::fig8::run),
+    ("fig9", ex::fig9::run),
+    ("fig10", ex::fig10::run),
+    ("fig11", ex::fig11::run),
+    ("table2", ex::table2::run),
+    ("table3", ex::table3::run),
+    ("table4", ex::table4::run),
+    ("ablation", ex::ablation::run),
+    ("calibrate", ex::calibrate::run),
+    ("corpus", ex::corpus::run),
+    ("engine", ex::engine::run),
+    ("net", ex::net::run),
+    ("planner", ex::planner::run),
+    ("serving", ex::serving::run),
+    ("summary", ex::summary::run),
+];
+
+/// The leading entries of [`TARGETS`] that reproduce the paper itself.
+const PAPER_TARGETS: usize = 9;
+
 fn usage() -> ! {
+    let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: paper <fig2|fig3|fig8|fig9|fig10|fig11|table2|table3|table4|ablation|calibrate|engine|net|planner|serving|all>\n\
-         \x20      [--scale small|medium|large] [--subset N] [--reps N] [--seed N] [--out DIR]"
+        "usage: paper <{}|all>\n\
+         \x20      [--scale small|medium|large] [--subset N] [--reps N] [--seed N] [--out DIR]",
+        names.join("|")
     );
     std::process::exit(2)
 }
@@ -60,48 +92,23 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    let run_one = |name: &str, cfg: &RunConfig| -> Option<Report> {
-        let t0 = std::time::Instant::now();
-        let rep = match name {
-            "fig2" => cw_bench::experiments::fig2::run(cfg),
-            "fig3" => cw_bench::experiments::fig3::run(cfg),
-            "fig8" => cw_bench::experiments::fig8::run(cfg),
-            "fig9" => cw_bench::experiments::fig9::run(cfg),
-            "fig10" => cw_bench::experiments::fig10::run(cfg),
-            "fig11" => cw_bench::experiments::fig11::run(cfg),
-            "table2" => cw_bench::experiments::table2::run(cfg),
-            "table3" => cw_bench::experiments::table3::run(cfg),
-            "table4" => cw_bench::experiments::table4::run(cfg),
-            "ablation" => cw_bench::experiments::ablation::run(cfg),
-            "calibrate" => cw_bench::experiments::calibrate::run(cfg),
-            "corpus" => cw_bench::experiments::corpus::run(cfg),
-            "engine" => cw_bench::experiments::engine::run(cfg),
-            "net" => cw_bench::experiments::net::run(cfg),
-            "planner" => cw_bench::experiments::planner::run(cfg),
-            "serving" => cw_bench::experiments::serving::run(cfg),
-            "summary" => cw_bench::experiments::summary::run(cfg),
-            _ => return None,
-        };
-        eprintln!("[paper] {name} finished in {:.1}s", t0.elapsed().as_secs_f64());
-        Some(rep)
-    };
-
-    let targets: Vec<&str> = if target == "all" {
-        vec!["fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4"]
+    let targets: Vec<&Target> = if target == "all" {
+        TARGETS[..PAPER_TARGETS].iter().collect()
     } else {
-        vec![target.as_str()]
+        TARGETS.iter().filter(|(name, _)| *name == target).collect()
     };
+    if targets.is_empty() {
+        usage();
+    }
 
-    for name in targets {
-        match run_one(name, &cfg) {
-            Some(rep) => {
-                println!("{}", rep.to_markdown());
-                if let Err(e) = rep.write_to(&out_dir) {
-                    eprintln!("[paper] failed to write {name} results: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            None => usage(),
+    for (name, run) in targets {
+        let t0 = std::time::Instant::now();
+        let rep = run(&cfg);
+        eprintln!("[paper] {name} finished in {:.1}s", t0.elapsed().as_secs_f64());
+        println!("{}", rep.to_markdown());
+        if let Err(e) = rep.write_to(&out_dir) {
+            eprintln!("[paper] failed to write {name} results: {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

@@ -1,47 +1,26 @@
-//! `perf_gate` — diffs freshly emitted `BENCH_*.json` reports against a
-//! checked-in baseline and fails on warm-path regressions.
+//! `perf_gate` — checks freshly emitted `BENCH_*.json` reports against the
+//! pinned bounds in a checked-in baseline.
 //!
 //! ```text
-//! perf_gate --current DIR [--baseline FILE] [--tolerance 0.25]
-//!           [--hard-tolerance 1.0] [--noise-floor-s 1e-4]
-//!           [--write-baseline FILE]
+//! perf_gate --current DIR --baseline FILE
 //! ```
 //!
-//! The gate contract (documented in `docs/ARCHITECTURE.md`):
+//! The gate contract (documented in `docs/ARCHITECTURE.md`): every entry of
+//! the baseline file is a **pinned bound** — a ceiling (`direction: lower`)
+//! or floor (`direction: higher`) on the metric of the same experiment and
+//! name in the current run, compared absolutely. The bounds are policies,
+//! not past measurements: the obs tracing-overhead fraction
+//! (`bounded_obs_overhead_frac`) and the wire-vs-in-process latency ratio
+//! (`bounded_wire_overhead_ratio`). A baseline metric missing from the
+//! current run fails (metric names are the keys and must stay stable).
 //!
-//! * **Warm-path timings** — metrics named `warm…` are normalized by
-//!   their experiment's `anchor_s` machine-speed probe (a fixed reference
-//!   SpGEMM timed in the same run), so a faster or slower CI machine
-//!   shifts numerator and denominator together. Two failure modes:
-//!   **systemic** — the *median* normalized current ÷ baseline ratio
-//!   across all warm metrics exceeds `1 + tolerance` (default 25%), a
-//!   codebase-wide slowdown (the median is what makes the gate robust on
-//!   shared CI runners, where any single timing can spike ~30% while a
-//!   real regression shifts the whole distribution) — and **hard**: any
-//!   single metric regresses beyond `1 + hard_tolerance` (default 2×), a
-//!   localized but unambiguous regression. Baseline entries faster than
-//!   the noise floor (default 100µs) are skipped — microsecond medians
-//!   are timer noise, not signal.
-//! * **Bounded metrics** — metrics named `bounded…` are gated
-//!   *absolutely*: the baseline entry's value is a pinned ceiling
-//!   (`direction: lower`) or floor (`direction: higher`), not a past
-//!   measurement to ratio against. Used for contract-style bars like the
-//!   obs tracing-overhead fraction (`bounded_obs_overhead_frac`), where
-//!   the acceptable value is a policy, not a machine speed.
-//! * **Quality metrics** (plan agreement, held-out error, speedups) are
-//!   informational in the gate; their hard bars are asserted
-//!   deterministically in `tests/calibration.rs`.
-//! * A baseline metric missing from the current run fails (metric names
-//!   are the diff keys and must stay stable); new metrics pass with a
-//!   note until the baseline is refreshed.
-//!
-//! `--write-baseline` merges the current reports into a fresh baseline
-//! file instead of gating — how `ci/bench_baseline.json` is (re)generated
-//! (the CI `workflow_dispatch` input `refresh_baseline` runs exactly
-//! this and uploads the result as an artifact to commit).
+//! Timing regressions are not judged here: the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`) compares parent and change on operands
+//! large enough to measure, and the calibration quality bars are asserted
+//! in `tests/calibration.rs`.
 
 use cw_bench::report::{Direction, BENCH_JSON_SCHEMA_VERSION};
-use cw_engine::calibrate::json::{self, escape, JsonValue};
+use cw_engine::calibrate::json::{self, JsonValue};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -55,10 +34,7 @@ struct Entry {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: perf_gate --current DIR [--baseline FILE] [--tolerance 0.25]\n\
-         \x20      [--hard-tolerance 1.0] [--noise-floor-s 1e-4] [--write-baseline FILE]"
-    );
+    eprintln!("usage: perf_gate --current DIR --baseline FILE");
     std::process::exit(2)
 }
 
@@ -129,212 +105,60 @@ fn read_baseline(path: &Path) -> Result<Vec<Entry>, String> {
     Ok(entries)
 }
 
-fn write_baseline(path: &Path, entries: &[Entry]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {BENCH_JSON_SCHEMA_VERSION},\n"));
-    s.push_str("  \"metrics\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"name\": \"{}\", \"value\": {:?}, \
-             \"direction\": \"{}\"}}{comma}\n",
-            escape(&e.experiment),
-            escape(&e.name),
-            e.value,
-            e.direction.name()
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
 fn find<'a>(entries: &'a [Entry], experiment: &str, name: &str) -> Option<&'a Entry> {
     entries.iter().find(|e| e.experiment == experiment && e.name == name)
-}
-
-/// Is this metric a warm-path timing (anchor-normalized, gated)?
-fn is_warm_timing(e: &Entry) -> bool {
-    e.direction == Direction::LowerIsBetter && e.name.starts_with("warm")
-}
-
-/// Is this metric an absolute bound (the baseline value is a pinned
-/// ceiling/floor, gated without normalization)?
-fn is_bounded(e: &Entry) -> bool {
-    e.name.starts_with("bounded")
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut current_dir: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut write_path: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
-    let mut hard_tolerance = 1.0f64;
-    let mut noise_floor = 1e-4f64;
     let mut i = 0;
     while i < args.len() {
-        let arg = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
+        let value = args.get(i + 1).map(PathBuf::from);
         match args[i].as_str() {
-            "--current" => current_dir = Some(PathBuf::from(arg(&mut i))),
-            "--baseline" => baseline_path = Some(PathBuf::from(arg(&mut i))),
-            "--write-baseline" => write_path = Some(PathBuf::from(arg(&mut i))),
-            "--tolerance" => tolerance = arg(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--hard-tolerance" => hard_tolerance = arg(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--noise-floor-s" => noise_floor = arg(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--current" => current_dir = value,
+            "--baseline" => baseline_path = value,
             _ => usage(),
         }
-        i += 1;
+        i += 2;
     }
-    let current_dir = current_dir.unwrap_or_else(|| usage());
+    let (Some(current_dir), Some(baseline_path)) = (current_dir, baseline_path) else { usage() };
 
-    let current = match read_current(&current_dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("[perf-gate] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(path) = write_path {
-        // Bounded metrics carry *policy* ceilings (e.g. the 5% obs
-        // tracing-overhead budget), not measurements: a refresh must carry
-        // the pinned bound forward from the old baseline, never replace it
-        // with whatever this run happened to measure.
-        let mut entries = current.clone();
-        if let Some(old_path) = &baseline_path {
-            if let Ok(old) = read_baseline(old_path) {
-                for e in &mut entries {
-                    if is_bounded(e) {
-                        if let Some(pinned) = find(&old, &e.experiment, &e.name) {
-                            e.value = pinned.value;
-                        }
-                    }
-                }
-            }
-        }
-        if let Err(e) = write_baseline(&path, &entries) {
-            eprintln!("[perf-gate] cannot write baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("[perf-gate] wrote baseline with {} metrics to {}", entries.len(), path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline_path = baseline_path.unwrap_or_else(|| usage());
-    let baseline = match read_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
+    let (current, baseline) = match (read_current(&current_dir), read_baseline(&baseline_path)) {
+        (Ok(c), Ok(b)) => (c, b),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("[perf-gate] {e}");
             return ExitCode::FAILURE;
         }
     };
 
     let mut failures = 0usize;
-    let mut skipped = 0usize;
-    let mut warm_ratios: Vec<f64> = Vec::new();
-    println!(
-        "[perf-gate] {} baseline metrics vs {} current (systemic tolerance {:.0}%, hard \
-         tolerance {:.0}%, noise floor {:.0}µs)",
-        baseline.len(),
-        current.len(),
-        tolerance * 100.0,
-        hard_tolerance * 100.0,
-        noise_floor * 1e6
-    );
+    println!("[perf-gate] {} pinned bounds vs {} current metrics", baseline.len(), current.len());
     for b in &baseline {
         let Some(c) = find(&current, &b.experiment, &b.name) else {
             println!("  FAIL {}/{}: missing from current run", b.experiment, b.name);
             failures += 1;
             continue;
         };
-        if is_bounded(b) {
-            let ok = match b.direction {
-                Direction::LowerIsBetter => c.value <= b.value,
-                Direction::HigherIsBetter => c.value >= b.value,
-            };
-            if ok {
-                println!(
-                    "  ok   {}/{}: {:.6} within pinned bound {:.6}",
-                    b.experiment, b.name, c.value, b.value
-                );
-            } else {
-                println!(
-                    "  FAIL {}/{}: {:.6} violates pinned bound {:.6}",
-                    b.experiment, b.name, c.value, b.value
-                );
-                failures += 1;
-            }
-        } else if is_warm_timing(b) {
-            if b.value < noise_floor {
-                skipped += 1;
-                continue;
-            }
-            // Normalize by each run's own machine-speed anchor when both
-            // carry one; raw seconds otherwise.
-            let b_anchor = find(&baseline, &b.experiment, "anchor_s").map(|a| a.value);
-            let c_anchor = find(&current, &b.experiment, "anchor_s").map(|a| a.value);
-            let (bv, cv, how) = match (b_anchor, c_anchor) {
-                (Some(ba), Some(ca)) if ba > 0.0 && ca > 0.0 => {
-                    (b.value / ba, c.value / ca, "normalized")
-                }
-                _ => (b.value, c.value, "raw"),
-            };
-            let ratio = cv / bv.max(1e-300);
-            warm_ratios.push(ratio);
-            if ratio > 1.0 + hard_tolerance {
-                println!(
-                    "  FAIL {}/{}: {how} {cv:.4} vs baseline {bv:.4} ({ratio:.2}x > hard \
-                     tolerance)",
-                    b.experiment, b.name
-                );
-                failures += 1;
-            } else {
-                println!(
-                    "  ok   {}/{}: {how} {cv:.4} vs baseline {bv:.4} ({ratio:.2}x)",
-                    b.experiment, b.name
-                );
-            }
-        } else {
-            // Quality metrics and anchors: shown, never gated here — the
-            // deterministic quality bars live in tests/calibration.rs.
+        let ok = match b.direction {
+            Direction::LowerIsBetter => c.value <= b.value,
+            Direction::HigherIsBetter => c.value >= b.value,
+        };
+        if ok {
             println!(
-                "  info {}/{}: {:.6} (baseline {:.6})",
+                "  ok   {}/{}: {:.6} within pinned bound {:.6}",
                 b.experiment, b.name, c.value, b.value
             );
-        }
-    }
-    for c in &current {
-        if find(&baseline, &c.experiment, &c.name).is_none() {
+        } else {
             println!(
-                "  new  {}/{} = {:.6} (not in baseline; refresh to gate it)",
-                c.experiment, c.name, c.value
+                "  FAIL {}/{}: {:.6} violates pinned bound {:.6}",
+                b.experiment, b.name, c.value, b.value
             );
+            failures += 1;
         }
     }
-    // Systemic check: a real regression shifts the whole distribution of
-    // warm-path ratios; single-metric spikes on shared runners do not.
-    warm_ratios.sort_by(f64::total_cmp);
-    let median_ratio =
-        if warm_ratios.is_empty() { 1.0 } else { warm_ratios[warm_ratios.len() / 2] };
-    if median_ratio > 1.0 + tolerance {
-        println!(
-            "  FAIL systemic: median warm-path ratio {median_ratio:.3}x exceeds 1 + {:.0}%",
-            tolerance * 100.0
-        );
-        failures += 1;
-    }
-    println!(
-        "[perf-gate] {} warm metrics gated (median ratio {median_ratio:.3}x), {skipped} under \
-         noise floor, {failures} failure(s)",
-        warm_ratios.len()
-    );
+    println!("[perf-gate] {failures} failure(s)");
     if failures > 0 {
         ExitCode::FAILURE
     } else {

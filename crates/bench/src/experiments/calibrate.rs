@@ -19,16 +19,16 @@
 //!
 //! The full-corpus fit is attached as `calibration_profile.json` (the
 //! artifact checked in as `profiles/default.json`), and the metrics land
-//! in `BENCH_calibration.json` — the machine-readable trajectory the CI
-//! perf gate diffs against its baseline.
+//! in `BENCH_calibration.json`, which the scheduled full-corpus CI job
+//! uploads.
 
 use super::planner::static_plan;
 use crate::report::{f2, Direction, Report, Table};
 use crate::runner::{anchor_seconds, RunConfig};
 use cw_engine::calibrate::{median, prediction_errors};
 use cw_engine::{
-    BackendId, CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures, Plan,
-    PlanKnobs, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY,
+    BackendId, CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures,
+    OutputShape, Plan, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY,
 };
 use cw_sparse::CsrMatrix;
 
@@ -62,7 +62,7 @@ struct MeasuredCandidate {
 struct DatasetSweep {
     name: String,
     features: OperandFeatures,
-    static_knobs: PlanKnobs,
+    static_plan: Plan,
     /// Planner-candidate measurements (serial oracle excluded — the
     /// planner never offers it), used for plan-agreement judging.
     candidates: Vec<MeasuredCandidate>,
@@ -89,12 +89,8 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     let features = OperandFeatures::with_profile(a, profile);
     let ranked = planner.plans_costed(a);
 
-    // Distinct pipelines (knobs modulo backend), best-ranked first.
-    let pipeline_key = |p: &Plan| {
-        let mut k = p.knobs();
-        k.backend = BackendId::ParallelCpu;
-        k
-    };
+    // Distinct pipelines (plans modulo backend), best-ranked first.
+    let pipeline_key = |p: &Plan| p.on_backend(BackendId::ParallelCpu);
     let mut pipelines: Vec<(Plan, f64)> = Vec::new();
     for r in &ranked {
         if pipelines.len() >= MAX_PIPELINES {
@@ -130,7 +126,7 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
         // One-off preprocessing, measured cold on the reference backend
         // (both backends share the same materialization).
         meter.clear_cache();
-        let (_, prep_timings, _) = meter.prepare_with(a, Some(pipeline));
+        let (_, prep_timings, _) = meter.prepare_with_shape(a, Some(pipeline), OutputShape::Full);
         let prep_seconds = prep_timings.reorder_seconds + prep_timings.cluster_seconds;
 
         for backend in BackendId::ALL {
@@ -153,7 +149,7 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     DatasetSweep {
         name: name.to_string(),
         features,
-        static_knobs: static_choice.knobs(),
+        static_plan: static_choice,
         candidates,
         samples,
     }
@@ -230,7 +226,7 @@ fn judge(profile: &CalibrationProfile, sweeps: &[DatasetSweep]) -> PlannerDelta 
         let static_pick = sweep
             .candidates
             .iter()
-            .find(|c| c.plan.knobs() == sweep.static_knobs)
+            .find(|c| c.plan == sweep.static_plan)
             .expect("static pipeline is always measured");
         if agrees(static_pick, fastest) {
             stat += 1;
@@ -364,7 +360,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         let static_pick = sweep
             .candidates
             .iter()
-            .find(|c| c.plan.knobs() == sweep.static_knobs)
+            .find(|c| c.plan == sweep.static_plan)
             .expect("static pipeline is always measured");
         t.push_row(vec![
             sweep.name.clone(),
@@ -465,8 +461,8 @@ mod tests {
         assert!(profile.fitted_from_samples > 0);
         assert!(profile.model.seconds_per_madd > 0.0);
 
-        // The gate surface is present: anchor, warm-path medians, and the
-        // quality metrics the acceptance bar reads.
+        // The metric surface is present: anchor, warm-path medians, and
+        // the quality metrics the acceptance bar reads.
         let metric = |n: &str| rep.metrics.iter().find(|m| m.name == n);
         assert!(metric("anchor_s").is_some());
         assert!(metric("plan_agreement/calibrated").is_some());

@@ -15,7 +15,7 @@
 
 use crate::report::{Report, Table};
 use crate::runner::{time_median, RunConfig};
-use cw_engine::{ClusteringStrategy, Engine, KernelChoice, Plan, Planner};
+use cw_engine::{ClusteringStrategy, Engine, Plan, Planner};
 use std::time::Instant;
 
 /// Repeated-multiply counts for the amortization curve.
@@ -48,11 +48,8 @@ pub fn run(cfg: &RunConfig) -> Report {
 
         // Fixed pipeline 2: fixed-length cluster-wise, rebuilt per call the
         // first time, then timed on the prepared operand (kernel only).
-        let fixed_plan = Plan {
-            clustering: ClusteringStrategy::Fixed(cfg.fixed_len),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let fixed_plan =
+            Plan { clustering: ClusteringStrategy::Fixed(cfg.fixed_len), ..Plan::baseline() };
         let mut fixed_engine = engine_with_seed(cfg.seed);
         let _ = fixed_engine.multiply_planned(&a, &a, fixed_plan); // prepare + warm
         let fixed_s = time_median(cfg.reps, || fixed_engine.multiply_planned(&a, &a, fixed_plan));

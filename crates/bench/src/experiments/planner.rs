@@ -80,7 +80,7 @@ pub fn run(cfg: &RunConfig) -> Report {
     for d in &datasets {
         let a = d.build(cfg.scale);
         // One measurement engine for all fixed-plan timings: plans are
-        // cached under their own (fingerprint, knobs) keys, so the three
+        // cached under their own (fingerprint, plan) keys, so the three
         // measurements never evict each other.
         let mut meter = Engine::new(
             Planner::with_policy(cfg.seed, PlanningPolicy::frozen()),

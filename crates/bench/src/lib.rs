@@ -7,7 +7,7 @@
 //! * [`runner`] — wall-clock timing (median-of-N with warmup) and the
 //!   shared per-dataset measurement pipeline.
 //! * [`report`] — markdown, CSV, and machine-readable `BENCH_*.json`
-//!   emission (the perf trajectory the CI perf gate diffs).
+//!   emission (where the CI perf gate reads its two bounded metrics).
 //! * [`experiments`] — one module per paper artifact: `fig2`, `fig3`,
 //!   `fig8`, `fig9`, `fig10`, `fig11`, `table2`, `table3`, `table4` — plus
 //!   `engine` (adaptive pipeline vs fixed, plan-cache amortization),
@@ -18,9 +18,9 @@
 //!   sweep).
 //!
 //! The `paper` binary (`cargo run -p cw-bench --release --bin paper`) drives
-//! them; the `perf_gate` binary diffs emitted `BENCH_*.json` against
-//! `ci/bench_baseline.json` in CI (see `docs/ARCHITECTURE.md`, "The CI
-//! perf gate"); criterion micro-benchmarks live under `benches/`.
+//! them; the `perf_gate` binary checks emitted `BENCH_*.json` against the
+//! pinned bounds in `ci/bench_baseline.json` in CI (see
+//! `docs/ARCHITECTURE.md`, "The CI perf gate"); criterion micro-benchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

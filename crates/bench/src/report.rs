@@ -2,9 +2,9 @@
 //! results.
 //!
 //! Tables and notes render for humans; [`Metric`]s render as
-//! `BENCH_<id>.json` — the machine-readable perf trajectory the CI
-//! perf-gate diffs against `ci/bench_baseline.json` (see the `perf_gate`
-//! binary). The JSON is hand-rolled (no serde in the offline container)
+//! `BENCH_<id>.json` — the machine-readable results the CI perf gate
+//! checks against the pinned bounds in `ci/bench_baseline.json` (see the
+//! `perf_gate` binary). The JSON is hand-rolled (no serde in the offline container)
 //! and parsed back with `cw_engine::calibrate::json`.
 
 use std::fmt::Write as _;
@@ -68,8 +68,8 @@ impl Table {
     }
 }
 
-/// Whether larger or smaller metric values are better — how the perf gate
-/// orients its tolerance band.
+/// Whether larger or smaller metric values are better — whether a pinned
+/// bound in the perf gate is a ceiling or a floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Timings, error rates: regression = value grew.
@@ -101,9 +101,7 @@ impl Direction {
 ///
 /// Naming convention: `category/qualifier[/qualifier…]`, e.g.
 /// `warm_kernel_s/poi3D-like/parallel-cpu`. Metrics whose name starts
-/// with `warm` and ends in `_s` are warm-path timings: the perf gate
-/// normalizes them by the experiment's `anchor_s` probe before comparing
-/// across machines.
+/// with `bounded` are the ones `ci/bench_baseline.json` pins a bound on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Metric name (stable across runs — it is the diff key).

@@ -14,13 +14,13 @@
 
 use crate::format::CsrCluster;
 use cw_sparse::{ColIdx, CsrMatrix, Value};
-use cw_spgemm::accumulator::{make_accumulator, AccumulatorKind};
+use cw_spgemm::accumulator::{Accumulator, HashAccumulator};
 
 /// Cluster-stored, row-major-processed SpGEMM (the ablation kernel;
 /// serial — it exists for analysis, not production).
 pub fn clusterwise_row_major(ac: &CsrCluster, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(ac.ncols, b.nrows, "dimension mismatch");
-    let mut acc = make_accumulator(AccumulatorKind::Hash, b.ncols);
+    let mut acc = HashAccumulator::new();
     let mut row_ptr = Vec::with_capacity(ac.nrows + 1);
     row_ptr.push(0usize);
     let mut col_idx: Vec<ColIdx> = Vec::new();
@@ -43,8 +43,11 @@ pub fn clusterwise_row_major(ac: &CsrCluster, b: &CsrMatrix) -> CsrMatrix {
                     acc.add(j, av * bv);
                 }
             }
-            acc.extract_append(&mut col_idx, &mut vals);
-            row_ptr.push(col_idx.len());
+            let (at, end) = (col_idx.len(), col_idx.len() + acc.len());
+            col_idx.resize(end, 0);
+            vals.resize(end, 0.0);
+            acc.extract_into(&mut col_idx[at..], &mut vals[at..]);
+            row_ptr.push(end);
         }
     }
     CsrMatrix { nrows: ac.nrows, ncols: b.ncols, row_ptr, col_idx, vals }

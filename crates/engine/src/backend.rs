@@ -1,6 +1,6 @@
 //! Execution: *how* a prepared plan runs.
 //!
-//! A [`Plan`] says *what* to compute (reordering × clustering × kernel ×
+//! A [`Plan`] says *what* to compute (reordering × clustering ×
 //! accumulator × output shape); its [`BackendId`] says how the kernel is
 //! scheduled. There are two, and they share everything but one flag:
 //!
@@ -10,17 +10,17 @@
 //!   thread: the oracle every cross-validation suite compares against.
 //!   Because each kernel accumulates an output entry in ascending-`k`
 //!   order and extracts sorted columns wherever it runs, the two are
-//!   bit-identical under equal plan knobs.
+//!   bit-identical under otherwise equal plans.
 //!
 //! Both materialize the same `CpuOperand` (`materialize`) and run
 //! through the one `execute` function, which is also where the output
 //! shape is applied. There is no trait or registry: a backend earns a
 //! variant here (and a `match` arm in `execute`) by winning a
-//! measurement, and the id stays in [`crate::PlanKnobs`] so cache entries
-//! and feedback candidates remain keyed by it.
+//! measurement, and the id is a [`Plan`] field so cache entries and
+//! feedback candidates remain keyed by it.
 
-use crate::plan::{ClusteringStrategy, KernelChoice, OutputShape, Plan};
-use crate::prepared::PrepTimings;
+use crate::plan::{ClusteringStrategy, OutputShape, Plan};
+use crate::report::StageTimings;
 use cw_core::{
     fixed_clustering, hierarchical_clustering, variable_clustering, ClusterConfig, CsrCluster,
 };
@@ -105,7 +105,8 @@ impl CpuOperand {
 
 /// Materializes the operand for `plan`: computes and applies the row
 /// permutation, builds the clustered format when the plan asks for one,
-/// and records per-stage timings. The returned permutation is the
+/// and records the `reorder`/`cluster` stage seconds (the other
+/// [`StageTimings`] fields stay zero). The returned permutation is the
 /// *inverse* of the total applied reordering (what maps kernel output rows
 /// back to original ids).
 pub(crate) fn materialize(
@@ -113,64 +114,48 @@ pub(crate) fn materialize(
     plan: &Plan,
     seed: u64,
     cluster: &ClusterConfig,
-) -> (CpuOperand, Option<Permutation>, PrepTimings) {
-    let mut timings = PrepTimings::default();
+) -> (CpuOperand, Option<Permutation>, StageTimings) {
+    let mut timings = StageTimings::default();
 
     // Stage 1: explicit reordering (paper Table 1 algorithms).
-    let mut perm_total: Option<Permutation> = None;
-    let mut pa: Option<CsrMatrix> = None;
-    if let Some(r) = plan.reorder {
-        if r != Reordering::Original {
-            let t0 = Instant::now();
-            let p = r.compute(a, seed);
-            pa = Some(p.permute_rows(a));
-            perm_total = Some(p);
-            timings.reorder_seconds += t0.elapsed().as_secs_f64();
-        }
-    }
-
-    // Stage 2: clustering (paper §3.2 / Algs. 2–3). The kernel choice is
-    // authoritative: a row-wise plan never builds clusters, and a
-    // cluster-wise plan with `ClusteringStrategy::None` falls back to
-    // fixed-length grouping. Hierarchical clustering brings its own
-    // permutation, composed onto any explicit reordering.
-    let base = pa.unwrap_or_else(|| a.clone());
-    let operand = match plan.kernel {
-        KernelChoice::RowWise => CpuOperand::RowWise(base),
-        KernelChoice::ClusterWise => {
-            let t0 = Instant::now();
-            let cc = match plan.clustering {
-                ClusteringStrategy::None => {
-                    let c = fixed_clustering(&base, cluster.max_cluster.max(1));
-                    CsrCluster::from_csr(&base, &c)
-                }
-                ClusteringStrategy::Fixed(k) => {
-                    let c = fixed_clustering(&base, k.max(1));
-                    CsrCluster::from_csr(&base, &c)
-                }
-                ClusteringStrategy::Variable => {
-                    let c = variable_clustering(&base, cluster);
-                    CsrCluster::from_csr(&base, &c)
-                }
-                ClusteringStrategy::Hierarchical => {
-                    let h = hierarchical_clustering(&base, cluster);
-                    let hp = h.perm;
-                    let grouped = hp.permute_rows(&base);
-                    let cc = CsrCluster::from_csr(&grouped, &h.clustering);
-                    // Compose: the explicit reorder ran first, then `hp`.
-                    perm_total = Some(match perm_total.take() {
-                        None => hp,
-                        Some(first) => first.then(&hp),
-                    });
-                    cc
-                }
-            };
-            timings.cluster_seconds += t0.elapsed().as_secs_f64();
-            CpuOperand::ClusterWise(cc)
-        }
+    let (base, mut perm_total) = if plan.reorder == Reordering::Original {
+        (a.clone(), None)
+    } else {
+        let t0 = Instant::now();
+        let p = plan.reorder.compute(a, seed);
+        let pa = p.permute_rows(a);
+        timings.reorder_seconds = t0.elapsed().as_secs_f64();
+        (pa, Some(p))
     };
 
-    (operand, perm_total.map(|p| p.inverse()), timings)
+    // Stage 2: clustering (paper §3.2 / Algs. 2–3). Hierarchical
+    // clustering brings its own permutation, composed onto any explicit
+    // reordering.
+    let t0 = Instant::now();
+    let cc = match plan.clustering {
+        ClusteringStrategy::None => {
+            return (CpuOperand::RowWise(base), perm_total.map(|p| p.inverse()), timings)
+        }
+        ClusteringStrategy::Fixed(k) => {
+            CsrCluster::from_csr(&base, &fixed_clustering(&base, k.max(1)))
+        }
+        ClusteringStrategy::Variable => {
+            CsrCluster::from_csr(&base, &variable_clustering(&base, cluster))
+        }
+        ClusteringStrategy::Hierarchical => {
+            let h = hierarchical_clustering(&base, cluster);
+            let grouped = h.perm.permute_rows(&base);
+            let cc = CsrCluster::from_csr(&grouped, &h.clustering);
+            // Compose: the explicit reorder ran first, then `h.perm`.
+            perm_total = Some(match perm_total.take() {
+                None => h.perm,
+                Some(first) => first.then(&h.perm),
+            });
+            cc
+        }
+    };
+    timings.cluster_seconds = t0.elapsed().as_secs_f64();
+    (CpuOperand::ClusterWise(cc), perm_total.map(|p| p.inverse()), timings)
 }
 
 /// `shape(operand · b)` in the operand's *internal* (post-reordering) row
@@ -237,10 +222,7 @@ mod tests {
     #[test]
     fn all_backends_agree_bit_identically_on_rowwise_plans() {
         let a = gen::mesh::tri_mesh(12, 12, true, 3);
-        assert_parallel_matches_oracle(
-            &a,
-            Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() },
-        );
+        assert_parallel_matches_oracle(&a, Plan { reorder: Reordering::Rcm, ..Plan::baseline() });
     }
 
     #[test]
@@ -248,11 +230,7 @@ mod tests {
         let a = gen::banded::block_diagonal(96, (4, 8), 0.1, 2);
         assert_parallel_matches_oracle(
             &a,
-            Plan {
-                clustering: ClusteringStrategy::Variable,
-                kernel: KernelChoice::ClusterWise,
-                ..Plan::baseline()
-            },
+            Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
         );
     }
 

@@ -10,7 +10,7 @@
 //! *offline*, complementing the online [`crate::FeedbackStore`]:
 //!
 //! 1. A bench sweep measures [`CalibrationSample`]s — operand features ×
-//!    plan knobs × backend × observed prep/kernel seconds.
+//!    plan × observed prep/kernel seconds.
 //! 2. The [`Calibrator`] fits the model's per-madd rate, accumulator
 //!    discount, parallel speedup, and preprocessing rates by least
 //!    squares (in log space for the multiplicative kernel terms, through
@@ -31,8 +31,8 @@
 //! ```
 
 use crate::backend::BackendId;
-use crate::cost::{CostModel, OperandFeatures};
-use crate::plan::{ClusteringStrategy, KernelChoice, Plan};
+use crate::cost::{cluster_overlap, CostModel, OperandFeatures};
+use crate::plan::{ClusteringStrategy, Plan};
 use cw_reorder::Reordering;
 use std::fmt;
 use std::path::Path;
@@ -46,7 +46,7 @@ use json::JsonValue;
 pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// One measured execution: the operand's features, the plan that ran
-/// (backend included in its knobs), the advisor affinity the model would
+/// (backend included), the advisor affinity the model would
 /// price it with, and the observed one-off preprocessing plus warm
 /// per-multiply kernel seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -269,18 +269,17 @@ enum PrepClass {
 fn prep_classes(plan: &Plan) -> Vec<PrepClass> {
     let mut classes = Vec::with_capacity(2);
     match plan.reorder {
-        None | Some(Reordering::Original) => {}
-        Some(Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random) => {
+        Reordering::Original => {}
+        Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random => {
             classes.push(PrepClass::CheapReorder)
         }
-        Some(_) => classes.push(PrepClass::HeavyReorder),
+        _ => classes.push(PrepClass::HeavyReorder),
     }
-    if plan.kernel == KernelChoice::ClusterWise {
-        classes.push(match plan.clustering {
-            ClusteringStrategy::None | ClusteringStrategy::Fixed(_) => PrepClass::FixedCluster,
-            ClusteringStrategy::Variable => PrepClass::VariableCluster,
-            ClusteringStrategy::Hierarchical => PrepClass::HierarchicalCluster,
-        });
+    match plan.clustering {
+        ClusteringStrategy::None => {}
+        ClusteringStrategy::Fixed(_) => classes.push(PrepClass::FixedCluster),
+        ClusteringStrategy::Variable => classes.push(PrepClass::VariableCluster),
+        ClusteringStrategy::Hierarchical => classes.push(PrepClass::HierarchicalCluster),
     }
     classes
 }
@@ -416,11 +415,7 @@ impl Calibrator {
         // is scale-free: the per-madd rate cancels in the observed ratio,
         // so the gains can be fitted before it. Pairs match on operand,
         // backend, accumulator, and parallelism.
-        let is_baseline = |p: &Plan| {
-            p.reorder.is_none_or(|r| r == Reordering::Original)
-                && p.kernel == KernelChoice::RowWise
-                && matches!(p.clustering, ClusteringStrategy::None)
-        };
+        let is_baseline = |p: &Plan| !p.has_preprocessing();
         let op_key = |s: &CalibrationSample| {
             (
                 s.features.nrows,
@@ -440,32 +435,18 @@ impl Calibrator {
         let (mut cnum, mut cden) = (0.0f64, 0.0f64);
         for s in &self.samples {
             let Some(b) = baseline_for(s) else { continue };
-            match s.plan.kernel {
-                KernelChoice::RowWise => {
-                    if s.plan.reorder.is_some_and(|r| r != Reordering::Original) {
-                        let a = s.affinity.clamp(0.0, 1.0);
-                        rnum += (1.0 - s.kernel_seconds / b.kernel_seconds) * a;
-                        rden += a * a;
-                    }
-                }
-                KernelChoice::ClusterWise => {
-                    let overlap = match s.plan.clustering {
-                        ClusteringStrategy::Hierarchical => 0.5 * s.affinity.clamp(0.0, 1.0),
-                        _ => s
-                            .features
-                            .profile
-                            .consecutive_jaccard
-                            .max(s.affinity.clamp(0.0, 1.0) * 0.5),
-                    }
-                    .min(0.95);
-                    // Subtract the modeled per-row bookkeeping before
-                    // reading off the multiplicative gain.
-                    let adjusted = (s.kernel_seconds
-                        - self.base.cluster_row_overhead * s.features.nrows as f64)
-                        / b.kernel_seconds;
-                    cnum += (1.0 - adjusted) * overlap;
-                    cden += overlap * overlap;
-                }
+            let a = s.affinity.clamp(0.0, 1.0);
+            if let Some(overlap) = cluster_overlap(&s.features, &s.plan, a) {
+                // Subtract the modeled per-row bookkeeping before reading
+                // off the multiplicative gain.
+                let adjusted = (s.kernel_seconds
+                    - self.base.cluster_row_overhead * s.features.nrows as f64)
+                    / b.kernel_seconds;
+                cnum += (1.0 - adjusted) * overlap;
+                cden += overlap * overlap;
+            } else if s.plan.reorder != Reordering::Original {
+                rnum += (1.0 - s.kernel_seconds / b.kernel_seconds) * a;
+                rden += a * a;
             }
         }
         if rden > 0.0 {
@@ -476,12 +457,11 @@ impl Calibrator {
         }
 
         // --- Parallel speedup: geomean over serial/parallel pairs. ---
-        // Pair key: same operand (nrows, ncols, nnz) and same pipeline
-        // knobs modulo backend.
+        // Pair key: same operand (nrows, ncols, nnz) and same plan modulo
+        // backend.
         let pair_key = |s: &CalibrationSample| {
-            let mut knobs = s.plan.knobs();
-            knobs.backend = BackendId::ParallelCpu;
-            (s.features.nrows, s.features.ncols, s.features.nnz, knobs)
+            let plan = s.plan.on_backend(BackendId::ParallelCpu);
+            (s.features.nrows, s.features.ncols, s.features.nnz, plan)
         };
         let mut log_speedups = Vec::new();
         for s in &self.samples {
@@ -604,18 +584,10 @@ mod tests {
         let pipelines = [
             Plan::baseline(),
             Plan { acc: AccumulatorKind::Dense, ..Plan::baseline() },
-            Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() },
-            Plan { reorder: Some(Reordering::Gp(16)), ..Plan::baseline() },
-            Plan {
-                clustering: ClusteringStrategy::Variable,
-                kernel: KernelChoice::ClusterWise,
-                ..Plan::baseline()
-            },
-            Plan {
-                clustering: ClusteringStrategy::Hierarchical,
-                kernel: KernelChoice::ClusterWise,
-                ..Plan::baseline()
-            },
+            Plan { reorder: Reordering::Rcm, ..Plan::baseline() },
+            Plan { reorder: Reordering::Gp(16), ..Plan::baseline() },
+            Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
+            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
         ];
         for f in operands {
             for p in pipelines {

@@ -28,7 +28,7 @@
 //! noise floor ([`PlanningPolicy::min_adapt_gain_seconds`]) — at
 //! microsecond scales timing noise swamps any real plan difference.
 
-use crate::plan::{ClusteringStrategy, KernelChoice, OutputShape, Plan, PlanKnobs};
+use crate::plan::{ClusteringStrategy, OutputShape, Plan};
 use cw_reorder::advisor::Profile;
 use cw_reorder::Reordering;
 use cw_sparse::{CsrMatrix, MatrixFingerprint};
@@ -50,34 +50,6 @@ pub const SWITCH_MARGIN: f64 = 0.25;
 /// Calibration ratios are clamped to this range so one badly mispredicted
 /// plan cannot poison every other candidate's estimate.
 pub const CALIBRATION_CLAMP: (f64, f64) = (0.5, 2.0);
-
-/// Floor on [`PlanningPolicy::observation_half_life`]: below this, the
-/// continuously-observed incumbent's equilibrium evidence weight
-/// (`1 / (1 − 0.5^(1/half_life))`) would sink under
-/// [`MIN_OBSERVATIONS_TO_SWITCH`] and the feedback loop could never
-/// switch at all. Shorter requested half-lives are clamped up.
-pub const MIN_OBSERVATION_HALF_LIFE: u64 = 4;
-
-/// Assumed surviving-output fraction of a masked multiply
-/// ([`OutputShape::Masked`]): the mask's density is unknown at plan time
-/// (the mask is request data, not plan data), so the model prices masked
-/// kernels at this fixed fraction of the full-product kernel cost. The
-/// [`FeedbackStore`] corrects it per operand from observed shaped
-/// executions — shaped candidates have their own knobs, so the
-/// correction never bleeds into full-product pricing.
-pub const MASKED_SURVIVING_FRACTION: f64 = 0.25;
-
-/// Floor on the surviving-output fraction of a top-k multiply: even
-/// `k = 0` keeps some per-row walk cost, and pricing a kernel at zero
-/// would make every truncated plan spuriously free.
-pub const MIN_TOPK_SURVIVING_FRACTION: f64 = 0.05;
-
-/// Observation weight below which a decayed candidate is priced as
-/// *untried* again (calibrated prediction + prep surcharge): its stale
-/// EWMA no longer counts as evidence, which is what lets a long-demoted
-/// plan re-promote after the workload drifts. Undecayed stores never hit
-/// this (any observed candidate has weight ≥ 1).
-pub const STALE_OBSERVATION_WEIGHT: f64 = 0.5;
 
 /// Caller-supplied planning knobs: how much reuse to amortize preprocessing
 /// over, an optional hard preprocessing budget, and whether the feedback
@@ -102,16 +74,6 @@ pub struct PlanningPolicy {
     /// timing noise (and debug-build distortion) dwarfs any real
     /// difference between plans — sub-floor "improvements" are noise.
     pub min_adapt_gain_seconds: f64,
-    /// Half-life (in per-operand recorded executions) of observation
-    /// evidence. `Some(h)`: every [`FeedbackStore::record`] on an operand
-    /// multiplies all its candidates' observation weights by
-    /// `0.5^(1/h)`, so a candidate not re-observed for a few half-lives
-    /// decays below [`STALE_OBSERVATION_WEIGHT`] and is priced from the
-    /// calibrated model again — matrices whose performance drifts between
-    /// submissions can re-promote plans demoted under the old regime.
-    /// `None` (the default): observations never decay, the pre-decay
-    /// behavior. Values below [`MIN_OBSERVATION_HALF_LIFE`] are clamped up.
-    pub observation_half_life: Option<u64>,
 }
 
 impl Default for PlanningPolicy {
@@ -121,7 +83,6 @@ impl Default for PlanningPolicy {
             prep_budget_seconds: None,
             adapt: true,
             min_adapt_gain_seconds: 1e-3,
-            observation_half_life: None,
         }
     }
 }
@@ -254,7 +215,9 @@ impl CostModel {
     /// kernel savings from reordering/clustering, never larger prep cost.
     /// The plan's backend contributes one term: the parallel speedup
     /// applies only where [`crate::BackendId::is_parallel`] says the
-    /// kernel will actually use the pool.
+    /// kernel will actually use the pool. The plan's [`OutputShape`]
+    /// contributes none: every shape executes the full product and filters
+    /// afterwards, so a shaped plan is priced like the full one.
     pub fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
         let affinity = affinity.clamp(0.0, 1.0);
         let madds = f.estimated_madds();
@@ -265,100 +228,67 @@ impl CostModel {
             * if plan.acc == AccumulatorKind::Dense { self.dense_acc_discount } else { 1.0 };
         let mut kernel = madds * per_madd;
 
-        match plan.kernel {
-            KernelChoice::RowWise => {
-                // Reordering improves locality of B-row accesses in
-                // proportion to the advisor's confidence it applies.
-                if plan.reorder.is_some_and(|r| r != Reordering::Original) {
-                    kernel *= 1.0 - self.reorder_gain * affinity;
-                }
-            }
-            KernelChoice::ClusterWise => {
-                // Cluster-wise computation shares B-row fetches between the
-                // rows of a cluster; the fraction shared tracks row overlap.
-                // ClusterInPlace-style plans exploit overlap already present
-                // in the row order (the measured consecutive Jaccard);
-                // Hierarchical re-clusters from scratch — it destroys the
-                // existing order and manufactures its own overlap — so its
-                // prediction leans on the advisor's affinity alone.
-                let overlap = match plan.clustering {
-                    ClusteringStrategy::Hierarchical => 0.5 * affinity,
-                    _ => f.profile.consecutive_jaccard.max(affinity * 0.5),
-                }
-                .min(0.95);
-                kernel *= 1.0 - self.cluster_gain * overlap;
-                kernel += self.cluster_row_overhead * f.nrows as f64;
-            }
+        if let Some(overlap) = cluster_overlap(f, plan, affinity) {
+            kernel *= 1.0 - self.cluster_gain * overlap;
+            kernel += self.cluster_row_overhead * f.nrows as f64;
+        } else if plan.reorder != Reordering::Original {
+            // Reordering improves locality of B-row accesses in proportion
+            // to the advisor's confidence it applies.
+            kernel *= 1.0 - self.reorder_gain * affinity;
         }
         if plan.parallel && plan.backend.is_parallel() {
             kernel /= self.parallel_speedup.max(1.0);
         }
-        // Truncated output shapes shrink the *kernel* term only — prep is
-        // untouched, so the paper's §4.5 amortization argument gets
-        // strictly stronger for masked/top-k traffic: the same one-off
-        // reorder/cluster cost amortizes against cheaper multiplies,
-        // letting the planner justify heavier prep sooner.
-        kernel *= self.surviving_fraction(f, plan.shape);
 
         // Preprocessing: permutation computation + cluster construction.
         let mut prep = match plan.reorder {
-            None | Some(Reordering::Original) => 0.0,
-            Some(Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random) => {
+            Reordering::Original => 0.0,
+            Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random => {
                 self.cheap_reorder_per_nnz * nnz
             }
-            Some(_) => self.heavy_reorder_per_nnz * nnz,
+            _ => self.heavy_reorder_per_nnz * nnz,
         };
-        prep += match (plan.kernel, plan.clustering) {
-            (KernelChoice::RowWise, _) => 0.0,
-            (_, ClusteringStrategy::None | ClusteringStrategy::Fixed(_)) => {
-                self.fixed_cluster_per_nnz * nnz
-            }
-            (_, ClusteringStrategy::Variable) => self.variable_cluster_per_nnz * nnz,
-            (_, ClusteringStrategy::Hierarchical) => self.hierarchical_cluster_per_nnz * nnz,
+        prep += match plan.clustering {
+            ClusteringStrategy::None => 0.0,
+            ClusteringStrategy::Fixed(_) => self.fixed_cluster_per_nnz * nnz,
+            ClusteringStrategy::Variable => self.variable_cluster_per_nnz * nnz,
+            ClusteringStrategy::Hierarchical => self.hierarchical_cluster_per_nnz * nnz,
         };
 
         CostEstimate { prep_seconds: prep, kernel_seconds: kernel }
     }
-
-    /// Estimated fraction of full-product kernel work a shaped multiply
-    /// performs. `Full` is `1`; `Masked` is the fixed
-    /// [`MASKED_SURVIVING_FRACTION`] (mask density is unknown at plan
-    /// time); `TopK(k)` compares `k` against the estimated output row
-    /// width (`madds / nrows`, the upper bound the FLOP analysis gives),
-    /// floored at [`MIN_TOPK_SURVIVING_FRACTION`].
-    pub fn surviving_fraction(&self, f: &OperandFeatures, shape: OutputShape) -> f64 {
-        match shape {
-            OutputShape::Full => 1.0,
-            OutputShape::Masked => MASKED_SURVIVING_FRACTION,
-            OutputShape::TopK(k) => {
-                let est_row_width = f.estimated_madds() / f.nrows.max(1) as f64;
-                if est_row_width <= 0.0 {
-                    return 1.0;
-                }
-                (k as f64 / est_row_width).clamp(MIN_TOPK_SURVIVING_FRACTION, 1.0)
-            }
-        }
-    }
 }
 
-/// Exponentially weighted moving average with first-sample initialization
-/// and decayable evidence weight.
-///
-/// `value` is the smoothed observation; `weight` is how much *evidence*
-/// backs it. Without decay the weight equals the raw sample count; with
-/// [`Ewma::decay`] (the feedback store's half-life) it shrinks between
-/// observations, so stale evidence stops gating plan switches.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The row-overlap term the cluster-wise kernel's gain is multiplied by,
+/// `None` for a row-wise plan. Cluster-wise computation shares B-row
+/// fetches between the rows of a cluster; the fraction shared tracks row
+/// overlap. ClusterInPlace-style plans exploit overlap already present in
+/// the row order (the measured consecutive Jaccard); Hierarchical
+/// re-clusters from scratch — it destroys the existing order and
+/// manufactures its own overlap — so its prediction leans on the advisor's
+/// affinity alone. `affinity` must already be clamped to `[0, 1]`.
+pub(crate) fn cluster_overlap(f: &OperandFeatures, plan: &Plan, affinity: f64) -> Option<f64> {
+    let overlap = match plan.clustering {
+        ClusteringStrategy::None => return None,
+        ClusteringStrategy::Hierarchical => 0.5 * affinity,
+        _ => f.profile.consecutive_jaccard.max(affinity * 0.5),
+    };
+    Some(overlap.min(0.95))
+}
+
+/// Exponentially weighted moving average with first-sample
+/// initialization. The sample count is the evidence weight behind the
+/// smoothed value: it is what gates plan switches.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ewma {
     value: f64,
     samples: u64,
-    weight: f64,
 }
 
 impl Ewma {
     /// Empty average (no samples yet).
     pub fn new() -> Ewma {
-        Ewma { value: 0.0, samples: 0, weight: 0.0 }
+        Ewma::default()
     }
 
     /// Folds in one observation (first observation sets the value).
@@ -366,14 +296,6 @@ impl Ewma {
         self.value =
             if self.samples == 0 { x } else { EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.value };
         self.samples += 1;
-        self.weight += 1.0;
-    }
-
-    /// Multiplies the evidence weight by `factor` (the half-life step);
-    /// the smoothed value is untouched — decay questions how much the
-    /// history should *count*, not what it said.
-    pub fn decay(&mut self, factor: f64) {
-        self.weight *= factor.clamp(0.0, 1.0);
     }
 
     /// Current smoothed value (`0` before any observation).
@@ -381,21 +303,9 @@ impl Ewma {
         self.value
     }
 
-    /// Observations folded in so far (raw count, never decays).
+    /// Observations folded in so far.
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Current evidence weight: equals [`Ewma::samples`] until the first
-    /// [`Ewma::decay`], then shrinks between observations.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-}
-
-impl Default for Ewma {
-    fn default() -> Self {
-        Ewma::new()
     }
 }
 
@@ -457,21 +367,15 @@ struct OperandFeedback {
 impl OperandFeedback {
     /// Effective per-multiply cost of candidate `i` for ranking purposes:
     ///
-    /// * with [`MIN_OBSERVATIONS_TO_SWITCH`]+ evidence weight — the
-    ///   observed EWMA (trusted outright);
-    /// * with less (but non-stale) weight — the *worse* of the observed
-    ///   EWMA and the calibrated prediction, so one anomalously fast
-    ///   sample (a warm-cache forced run, a CPU boost window) can never
-    ///   make an alternative look better than the model believes it is;
-    /// * untried, or decayed below [`STALE_OBSERVATION_WEIGHT`] — the
-    ///   calibrated prediction plus a prep surcharge (switching to an
-    ///   untried plan pays its preprocessing; already-tried plans are
-    ///   likely still cached). Treating stale candidates as untried is
-    ///   what re-opens the door for plans demoted under a workload that
-    ///   has since drifted.
-    ///
-    /// Without decay the evidence weight *is* the sample count, so the
-    /// thresholds reduce to the original sample-count rules exactly.
+    /// * with [`MIN_OBSERVATIONS_TO_SWITCH`]+ samples — the observed EWMA
+    ///   (trusted outright);
+    /// * with fewer — the *worse* of the observed EWMA and the calibrated
+    ///   prediction, so one anomalously fast sample (a warm-cache forced
+    ///   run, a CPU boost window) can never make an alternative look
+    ///   better than the model believes it is;
+    /// * untried — the calibrated prediction plus a prep surcharge
+    ///   (switching to an untried plan pays its preprocessing;
+    ///   already-tried plans are likely still cached).
     fn effective(&self, i: usize, policy: &PlanningPolicy) -> f64 {
         let c = &self.candidates[i];
         let calib = if self.calibration.samples() == 0 {
@@ -480,13 +384,10 @@ impl OperandFeedback {
             self.calibration.value().clamp(CALIBRATION_CLAMP.0, CALIBRATION_CLAMP.1)
         };
         let predicted = c.predicted.kernel_seconds * calib;
-        let w = c.observed_kernel.weight();
-        if w < STALE_OBSERVATION_WEIGHT {
-            predicted + c.predicted.prep_seconds / policy.expected_reuse.max(1.0)
-        } else if w < MIN_OBSERVATIONS_TO_SWITCH as f64 {
-            c.observed_kernel.value().max(predicted)
-        } else {
-            c.observed_kernel.value()
+        match c.observed_kernel.samples() {
+            0 => predicted + c.predicted.prep_seconds / policy.expected_reuse.max(1.0),
+            n if n < MIN_OBSERVATIONS_TO_SWITCH => c.observed_kernel.value().max(predicted),
+            _ => c.observed_kernel.value(),
         }
     }
 }
@@ -527,11 +428,11 @@ pub struct PlanFeedbackState {
 ///     key,
 ///     vec![(fast, CostEstimate { prep_seconds: 0.0, kernel_seconds: 1.0 })],
 /// );
-/// assert_eq!(store.chosen_plan(&key).unwrap().knobs(), fast.knobs());
+/// assert_eq!(store.chosen_plan(&key), Some(fast));
 ///
 /// // Observations accumulate into an EWMA of real kernel seconds.
 /// let policy = PlanningPolicy::default();
-/// let state = store.record(key, fast.knobs(), 1.25, &policy).unwrap();
+/// let state = store.record(key, fast, 1.25, &policy).unwrap();
 /// assert_eq!(state.executions, 1);
 /// assert!((state.observed_kernel_seconds - 1.25).abs() < 1e-12);
 /// ```
@@ -661,11 +562,11 @@ impl FeedbackStore {
         }
     }
 
-    /// Records one observed kernel time for the plan identified by `knobs`
-    /// on `key`, updates the EWMAs and calibration, and — when `policy`
-    /// allows and the evidence clears the margin and noise floor —
-    /// switches the chosen plan. Returns the post-update snapshot, or
-    /// `None` for an unseeded operand (e.g. forced-only traffic).
+    /// Records one observed kernel time for `plan` on `key`, updates the
+    /// EWMAs and calibration, and — when `policy` allows and the evidence
+    /// clears the margin and noise floor — switches the chosen plan. Returns
+    /// the post-update snapshot, or `None` for an unseeded operand (e.g.
+    /// forced-only traffic).
     ///
     /// Demotion and promotion are the same comparison: every candidate gets
     /// an effective cost (observed EWMA when tried, calibrated prediction
@@ -674,7 +575,7 @@ impl FeedbackStore {
     pub fn record(
         &mut self,
         key: OperandKey,
-        knobs: PlanKnobs,
+        plan: Plan,
         kernel_seconds: f64,
         policy: &PlanningPolicy,
     ) -> Option<PlanFeedbackState> {
@@ -682,21 +583,10 @@ impl FeedbackStore {
         let tick = self.tick;
         let e = self.entries.get_mut(&key)?;
         e.last_used = tick;
-        // Knobs outside the seeded candidate set (e.g. caller-forced
+        // Plans outside the seeded candidate set (e.g. caller-forced
         // ablation plans) carry no ranking signal for auto traffic;
         // ignore them rather than corrupt the candidate set.
-        let executed = e.candidates.iter().position(|c| c.plan.knobs() == knobs)?;
-        // Half-life decay: every recorded execution ages *all* candidates'
-        // evidence, so plans that stop being observed gradually lose their
-        // gating power (a continuously observed candidate holds an
-        // equilibrium weight of 1/(1 − factor), well above the switch
-        // threshold).
-        if let Some(half_life) = policy.observation_half_life {
-            let factor = 0.5f64.powf(1.0 / half_life.max(MIN_OBSERVATION_HALF_LIFE) as f64);
-            for c in &mut e.candidates {
-                c.observed_kernel.decay(factor);
-            }
-        }
+        let executed = e.candidates.iter().position(|c| c.plan == plan)?;
         e.candidates[executed].observed_kernel.observe(kernel_seconds);
         let predicted = e.candidates[executed].predicted.kernel_seconds;
         if predicted > 0.0 {
@@ -707,7 +597,7 @@ impl FeedbackStore {
         let incumbent_obs = &e.candidates[e.chosen].observed_kernel;
         if policy.adapt
             && executed == e.chosen
-            && incumbent_obs.weight() >= MIN_OBSERVATIONS_TO_SWITCH as f64
+            && incumbent_obs.samples() >= MIN_OBSERVATIONS_TO_SWITCH
         {
             let incumbent_cost = e.effective(e.chosen, policy);
             // The policy's preprocessing budget is a hard cap on switch
@@ -766,7 +656,7 @@ mod tests {
     #[test]
     fn prep_cost_is_monotone_in_nnz_and_zero_for_baseline() {
         let model = CostModel::default();
-        let plan = Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() };
+        let plan = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
         let small = model.estimate(&features(100, 500, 0.2), &plan, 0.5);
         let large = model.estimate(&features(100, 5000, 0.2), &plan, 0.5);
         assert!(large.prep_seconds > small.prep_seconds);
@@ -780,7 +670,7 @@ mod tests {
     fn higher_affinity_predicts_cheaper_kernels_never_cheaper_prep() {
         let model = CostModel::default();
         let f = features(1000, 8000, 0.1);
-        let plan = Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() };
+        let plan = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
         let low = model.estimate(&f, &plan, 0.1);
         let high = model.estimate(&f, &plan, 0.9);
         assert!(high.kernel_seconds < low.kernel_seconds);
@@ -790,11 +680,7 @@ mod tests {
     #[test]
     fn cluster_kernels_get_cheaper_with_row_overlap() {
         let model = CostModel::default();
-        let plan = Plan {
-            clustering: ClusteringStrategy::Variable,
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let plan = Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() };
         let scattered = model.estimate(&features(1000, 8000, 0.05), &plan, 0.0);
         let grouped = model.estimate(&features(1000, 8000, 0.85), &plan, 0.85);
         assert!(grouped.kernel_seconds < scattered.kernel_seconds);
@@ -814,6 +700,24 @@ mod tests {
     }
 
     #[test]
+    fn output_shape_does_not_change_the_price() {
+        // Every shape executes the full product and filters afterwards, so
+        // the model may not price a shaped plan below the full one.
+        let model = CostModel::default();
+        let f = features(2000, 16000, 0.4);
+        for plan in [
+            Plan::baseline(),
+            Plan { reorder: Reordering::Rcm, ..Plan::baseline() },
+            Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
+        ] {
+            let full = model.estimate(&f, &plan, 0.5);
+            for shape in [OutputShape::Masked, OutputShape::TopK(2)] {
+                assert_eq!(model.estimate(&f, &plan.with_shape(shape), 0.5), full, "{shape:?}");
+            }
+        }
+    }
+
+    #[test]
     fn amortized_cost_is_monotone_decreasing_in_reuse() {
         let est = CostEstimate { prep_seconds: 8.0, kernel_seconds: 1.0 };
         assert!(est.amortized(1.0) > est.amortized(4.0));
@@ -827,13 +731,8 @@ mod tests {
     fn heavy_reorderings_cost_more_prep_than_cheap_ones() {
         let model = CostModel::default();
         let f = features(1000, 8000, 0.1);
-        let rcm =
-            model.estimate(&f, &Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() }, 0.5);
-        let gp = model.estimate(
-            &f,
-            &Plan { reorder: Some(Reordering::Gp(16)), ..Plan::baseline() },
-            0.5,
-        );
+        let rcm = model.estimate(&f, &Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, 0.5);
+        let gp = model.estimate(&f, &Plan { reorder: Reordering::Gp(16), ..Plan::baseline() }, 0.5);
         assert!(gp.prep_seconds > rcm.prep_seconds);
     }
 
@@ -854,11 +753,7 @@ mod tests {
         alt_pred: f64,
     ) -> (FeedbackStore, Plan, Plan) {
         let chosen = Plan::baseline();
-        let alt = Plan {
-            clustering: ClusteringStrategy::Fixed(4),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let alt = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
         let mut store = FeedbackStore::new();
         store.seed(
             key,
@@ -878,7 +773,7 @@ mod tests {
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
         // ...but it keeps clocking 10× slower than predicted.
         for i in 0..MIN_OBSERVATIONS_TO_SWITCH {
-            let state = store.record(key, chosen.knobs(), 10.0, &policy).unwrap();
+            let state = store.record(key, chosen, 10.0, &policy).unwrap();
             assert_eq!(state.executions, i + 1);
             if i + 1 < MIN_OBSERVATIONS_TO_SWITCH {
                 assert!(
@@ -890,7 +785,7 @@ mod tests {
                 assert_eq!(state.replans, 1);
             }
         }
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), alt.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), alt);
         assert_eq!(store.total_replans(), 1);
     }
 
@@ -900,10 +795,10 @@ mod tests {
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
         for _ in 0..10 {
-            let state = store.record(key, chosen.knobs(), 1.05, &policy).unwrap();
+            let state = store.record(key, chosen, 1.05, &policy).unwrap();
             assert!(!state.switched);
         }
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), chosen.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
         assert_eq!(store.total_replans(), 0);
     }
 
@@ -914,10 +809,10 @@ mod tests {
         // Default policy: observed 10 µs ≪ the 200 µs floor, never switch.
         let policy = PlanningPolicy::default();
         for _ in 0..10 {
-            let state = store.record(key, chosen.knobs(), 1e-5, &policy).unwrap();
+            let state = store.record(key, chosen, 1e-5, &policy).unwrap();
             assert!(!state.switched);
         }
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), chosen.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
     }
 
     #[test]
@@ -927,11 +822,7 @@ mod tests {
         // it must never become the chosen plan.
         let key = OperandKey::of(&gen::grid::poisson2d(13, 13));
         let chosen = Plan::baseline();
-        let heavy = Plan {
-            clustering: ClusteringStrategy::Hierarchical,
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let heavy = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
         let mut store = FeedbackStore::new();
         store.seed(
             key,
@@ -946,16 +837,16 @@ mod tests {
             ..PlanningPolicy::default()
         };
         for _ in 0..8 {
-            let state = store.record(key, chosen.knobs(), 10.0, &policy).unwrap();
+            let state = store.record(key, chosen, 10.0, &policy).unwrap();
             assert!(!state.switched, "over-budget candidate must be ineligible");
         }
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), chosen.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
 
         // Lifting the budget makes the same switch legal.
         let unbounded = PlanningPolicy { prep_budget_seconds: None, ..policy };
-        let state = store.record(key, chosen.knobs(), 10.0, &unbounded).unwrap();
+        let state = store.record(key, chosen, 10.0, &unbounded).unwrap();
         assert!(state.switched);
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), heavy.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), heavy);
     }
 
     #[test]
@@ -971,7 +862,7 @@ mod tests {
         seed_one(&mut store, keys[1]);
         // Touch keys[0] so keys[1] becomes the eviction victim.
         let policy = PlanningPolicy::default();
-        store.record(keys[0], Plan::baseline().knobs(), 1.0, &policy).unwrap();
+        store.record(keys[0], Plan::baseline(), 1.0, &policy).unwrap();
         seed_one(&mut store, keys[2]);
         assert_eq!(store.len(), 2);
         assert!(store.chosen_plan(&keys[1]).is_none(), "stalest entry evicted");
@@ -982,7 +873,7 @@ mod tests {
         let mut off = FeedbackStore::with_capacity(0);
         seed_one(&mut off, keys[3]);
         assert!(off.is_empty());
-        assert!(off.record(keys[3], Plan::baseline().knobs(), 1.0, &policy).is_none());
+        assert!(off.record(keys[3], Plan::baseline(), 1.0, &policy).is_none());
     }
 
     #[test]
@@ -990,7 +881,7 @@ mod tests {
         let key = OperandKey::of(&gen::grid::poisson2d(12, 12));
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy::default();
-        store.record(key, chosen.knobs(), 1.0, &policy).unwrap();
+        store.record(key, chosen, 1.0, &policy).unwrap();
         assert!(!store.is_empty());
         store.clear();
         assert!(store.is_empty());
@@ -1004,11 +895,11 @@ mod tests {
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::frozen() };
         for _ in 0..6 {
-            let state = store.record(key, chosen.knobs(), 50.0, &policy).unwrap();
+            let state = store.record(key, chosen, 50.0, &policy).unwrap();
             assert!(!state.switched);
         }
         let state = store.state(&key).unwrap();
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), chosen.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
         assert!(state.observed_kernel_seconds > 10.0, "EWMA still accumulates");
         assert!(state.calibration > 10.0, "calibration still accumulates");
     }
@@ -1018,7 +909,7 @@ mod tests {
         let key = OperandKey::of(&gen::grid::poisson2d(10, 10));
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy::default();
-        store.record(key, chosen.knobs(), 5.0, &policy).unwrap();
+        store.record(key, chosen, 5.0, &policy).unwrap();
         store.seed(key, vec![(chosen, CostEstimate::default())]);
         let state = store.state(&key).unwrap();
         assert_eq!(state.executions, 1, "re-seed must not discard history");
@@ -1030,111 +921,10 @@ mod tests {
         let key = OperandKey::of(&gen::grid::poisson2d(5, 5));
         let mut store = FeedbackStore::new();
         let policy = PlanningPolicy::default();
-        assert!(store.record(key, Plan::baseline().knobs(), 1.0, &policy).is_none());
+        assert!(store.record(key, Plan::baseline(), 1.0, &policy).is_none());
         store.seed(key, vec![(Plan::baseline(), CostEstimate::default())]);
-        let alien = Plan {
-            clustering: ClusteringStrategy::Hierarchical,
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
-        assert!(store.record(key, alien.knobs(), 1.0, &policy).is_none());
-    }
-
-    #[test]
-    fn ewma_weight_tracks_samples_until_decayed() {
-        let mut e = Ewma::new();
-        e.observe(4.0);
-        e.observe(4.0);
-        assert_eq!(e.weight(), 2.0);
-        e.decay(0.5);
-        assert_eq!(e.weight(), 1.0);
-        assert_eq!(e.samples(), 2, "raw count never decays");
-        assert_eq!(e.value(), 4.0, "decay must not touch the smoothed value");
-        e.observe(4.0);
-        assert_eq!(e.weight(), 2.0, "fresh observations rebuild evidence");
-    }
-
-    #[test]
-    fn half_life_decay_re_promotes_after_drift() {
-        // Phase 1: the alternative is observed slow (a real measurement
-        // under the old workload), so the incumbent wins and the
-        // alternative's stale EWMA sits at 10s forever.
-        let key = OperandKey::of(&gen::grid::poisson2d(14, 14));
-        let chosen = Plan::baseline();
-        let alt = Plan {
-            clustering: ClusteringStrategy::Fixed(4),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
-        let seed = |store: &mut FeedbackStore| {
-            store.seed(
-                key,
-                vec![
-                    (chosen, CostEstimate { prep_seconds: 0.0, kernel_seconds: 1.0 }),
-                    (alt, CostEstimate { prep_seconds: 0.0, kernel_seconds: 2.0 }),
-                ],
-            );
-        };
-        let run_drift = |policy: &PlanningPolicy| -> bool {
-            let mut store = FeedbackStore::new();
-            seed(&mut store);
-            for _ in 0..4 {
-                store.record(key, alt.knobs(), 10.0, policy).unwrap();
-            }
-            for _ in 0..4 {
-                assert!(!store.record(key, chosen.knobs(), 1.0, policy).unwrap().switched);
-            }
-            // Drift: the incumbent now runs 10× slower (structure changed
-            // between submissions). The alternative is never re-observed —
-            // only decay can make it eligible again.
-            let mut switched = false;
-            for _ in 0..64 {
-                switched |= store.record(key, chosen.knobs(), 10.0, policy).unwrap().switched;
-                if switched {
-                    break;
-                }
-            }
-            switched
-        };
-
-        let frozen_history = PlanningPolicy {
-            min_adapt_gain_seconds: 0.0,
-            observation_half_life: None,
-            ..PlanningPolicy::default()
-        };
-        assert!(
-            !run_drift(&frozen_history),
-            "without decay the stale 10s observation blocks re-promotion forever"
-        );
-
-        let decaying = PlanningPolicy {
-            observation_half_life: Some(MIN_OBSERVATION_HALF_LIFE),
-            ..frozen_history
-        };
-        assert!(
-            run_drift(&decaying),
-            "with decay the alternative's stale evidence fades and the model re-promotes it"
-        );
-    }
-
-    #[test]
-    fn continuous_observation_holds_switching_power_under_decay() {
-        // Decay must not starve the loop: an incumbent observed every
-        // round keeps an equilibrium weight above the switch threshold,
-        // so a genuinely slow incumbent is still demoted.
-        let key = OperandKey::of(&gen::grid::poisson2d(15, 15));
-        let (mut store, chosen, alt) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy {
-            min_adapt_gain_seconds: 0.0,
-            observation_half_life: Some(8),
-            ..PlanningPolicy::default()
-        };
-        let mut switched = false;
-        for _ in 0..10 {
-            switched |= store.record(key, chosen.knobs(), 10.0, &policy).unwrap().switched;
-        }
-        assert!(switched, "persistent misprediction must still demote under decay");
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), alt.knobs());
+        let alien = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        assert!(store.record(key, alien, 1.0, &policy).is_none());
     }
 
     #[test]
@@ -1149,18 +939,18 @@ mod tests {
         // One anomalously fast sample is NOT enough: under-sampled
         // candidates are priced at the worse of observation and
         // calibrated prediction, so a single lucky run cannot win.
-        store.record(key, alt.knobs(), 0.2, &policy).unwrap();
+        store.record(key, alt, 0.2, &policy).unwrap();
         for _ in 0..MIN_OBSERVATIONS_TO_SWITCH {
-            assert!(!store.record(key, chosen.knobs(), 1.0, &policy).unwrap().switched);
+            assert!(!store.record(key, chosen, 1.0, &policy).unwrap().switched);
         }
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), chosen.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
 
         // Consistent fast observations (a real ablation sweep) do promote.
         for _ in 0..MIN_OBSERVATIONS_TO_SWITCH {
-            store.record(key, alt.knobs(), 0.2, &policy).unwrap();
+            store.record(key, alt, 0.2, &policy).unwrap();
         }
-        let state = store.record(key, chosen.knobs(), 1.0, &policy).unwrap();
+        let state = store.record(key, chosen, 1.0, &policy).unwrap();
         assert!(state.switched, "consistently observed-faster alternative must be promoted");
-        assert_eq!(store.chosen_plan(&key).unwrap().knobs(), alt.knobs());
+        assert_eq!(store.chosen_plan(&key).unwrap(), alt);
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::cache::{CacheKey, CacheStats, PlanCache};
 use crate::cost::{FeedbackStore, OperandKey, PlanFeedbackState};
-use crate::plan::{OutputShape, Plan, PlanKnobs};
+use crate::plan::{OutputShape, Plan};
 use crate::planner::Planner;
 use crate::prepared::PreparedMatrix;
 use crate::report::{ExecutionReport, StageTimings};
@@ -142,34 +142,20 @@ impl Engine {
         self.feedback.clear();
     }
 
-    /// Fingerprints `a` and returns its cached or freshly prepared operand
-    /// (planning on miss). Useful for warming the cache ahead of traffic.
-    pub fn prepare(&mut self, a: &CsrMatrix) -> Arc<PreparedMatrix> {
-        self.lookup_or_prepare(a, None, OutputShape::Full).0
-    }
-
-    /// [`Engine::multiply`]/[`Engine::multiply_planned`] without the
+    /// [`Engine::multiply_shaped`]/[`Engine::multiply_planned`] without the
     /// multiply: the cached-or-fresh prepared operand for `a` (under the
     /// planner's choice when `forced` is `None`), the preprocessing
     /// timings attributable to this call (zeroed on hits), and the
     /// cache-hit flag. Serving layers use this to resolve an operand once
     /// and run many right-hand sides against it without paying the
-    /// per-call fingerprint + checksum lookup each time.
-    pub fn prepare_with(
-        &mut self,
-        a: &CsrMatrix,
-        forced: Option<Plan>,
-    ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
-        self.lookup_or_prepare(a, forced, OutputShape::Full)
-    }
-
-    /// [`Engine::prepare_with`] for a non-[`OutputShape::Full`] request
-    /// shape: the planner ranks candidates with `shape` stamped into every
-    /// plan (so masked/top-k kernel cost is priced by estimated surviving
-    /// output), and the resulting cache entry and feedback state are keyed
-    /// by the shape — truncated traffic never collides with full-product
-    /// traffic on the same operand. A forced plan's own shape wins over
-    /// `shape` (a forced plan is a complete pipeline description).
+    /// per-call fingerprint + checksum lookup each time; it also warms the
+    /// cache ahead of traffic.
+    ///
+    /// The planner ranks candidates with `shape` stamped into every plan,
+    /// so the resulting cache entry and feedback state are keyed by the
+    /// shape — truncated traffic never collides with full-product traffic
+    /// on the same operand. A forced plan's own shape wins over `shape` (a
+    /// forced plan is a complete pipeline description).
     pub fn prepare_with_shape(
         &mut self,
         a: &CsrMatrix,
@@ -244,10 +230,10 @@ impl Engine {
     /// Like [`Engine::multiply`] but with a caller-supplied plan instead of
     /// the planner's choice (cross-validation, ablations, manual tuning).
     /// Forced preparations are cached under their own `(matrix, plan)` key
-    /// — repeated calls with the same matrix and knobs skip preprocessing,
-    /// and a forced plan whose knobs differ from the planner's choice never
+    /// — repeated calls with the same matrix and plan skip preprocessing,
+    /// and a forced plan that differs from the planner's choice never
     /// shadows the auto entry (or vice versa). Forced timings still feed
-    /// the observation store: a run whose knobs match a tracked candidate
+    /// the observation store: a run whose plan equals a tracked candidate
     /// updates that candidate's EWMA — including the incumbent's, when the
     /// forced pipeline *is* the incumbent's — so ablation sweeps both
     /// reveal faster alternatives and legitimately sample the current
@@ -259,15 +245,18 @@ impl Engine {
         plan: Plan,
     ) -> (CsrMatrix, ExecutionReport) {
         let (prepared, timings, cache_hit) = self.lookup_or_prepare(a, Some(plan), plan.shape);
-        self.execute_prepared(&prepared, b, timings, cache_hit)
+        self.execute_prepared_shaped(&prepared, b, None, timings, cache_hit)
     }
 
     /// Runs a resolved operand against `b`: times the kernel, records the
     /// observation into the feedback store, and assembles the
     /// [`ExecutionReport`]. The execute/record/report tail shared by
-    /// [`Engine::multiply`], [`Engine::multiply_planned`], and serving
-    /// layers that resolve operands once via [`Engine::prepare_with`] and
-    /// run many right-hand sides.
+    /// every `multiply*` method and by serving layers that resolve
+    /// operands once via [`Engine::prepare_with_shape`] and run many
+    /// right-hand sides. Pass the mask for operands prepared under
+    /// [`OutputShape::Masked`], `None` for any other shape; observations
+    /// land in the feedback state keyed by the prepared plan's shape, so
+    /// shaped and full traffic calibrate independently.
     ///
     /// The recorded observation is normalized to the lhs-sized reference
     /// workload (`kernel × nnz(A)/nnz(B)` — kernel work scales with
@@ -277,22 +266,6 @@ impl Engine {
     /// that, fixed per-call overheads dominate tiny multiplies and a
     /// linear extrapolation would record wildly inflated observations.
     /// Reported timings stay raw.
-    pub fn execute_prepared(
-        &mut self,
-        prepared: &PreparedMatrix,
-        b: &CsrMatrix,
-        prep_timings: StageTimings,
-        cache_hit: bool,
-    ) -> (CsrMatrix, ExecutionReport) {
-        self.execute_prepared_shaped(prepared, b, None, prep_timings, cache_hit)
-    }
-
-    /// [`Engine::execute_prepared`] with an explicit mask operand: the
-    /// execute/record/report tail for operands prepared under
-    /// [`OutputShape::Masked`] (pass the mask) or any other shape (pass
-    /// `None`). Observations land in the feedback state keyed by the
-    /// prepared plan's shape, so shaped and full traffic calibrate
-    /// independently.
     pub fn execute_prepared_shaped(
         &mut self,
         prepared: &PreparedMatrix,
@@ -325,12 +298,11 @@ impl Engine {
                 checksum: prepared.checksum,
                 shape: prepared.plan.shape,
             },
-            prepared.plan.knobs(),
+            prepared.plan,
             kernel_seconds * work_scale,
         );
         let report = ExecutionReport {
             plan: prepared.plan,
-            backend: prepared.backend_id(),
             fingerprint: prepared.fingerprint,
             cache_hit,
             timings,
@@ -365,27 +337,28 @@ impl Engine {
             .map(|(i, b)| {
                 let (t, hit) =
                     if i == 0 { (timings, cache_hit) } else { (StageTimings::default(), true) };
-                self.execute_prepared(&prepared, b, t, hit)
+                self.execute_prepared_shaped(&prepared, b, None, t, hit)
             })
             .collect()
     }
 
-    /// Records one observed kernel time for plan `knobs` on the operand
+    /// Records one observed kernel time for `plan` on the operand
     /// identified by `key`, returning the post-update calibration
     /// snapshot. This is the feedback entry point for callers that time
     /// prepared kernels themselves instead of going through
-    /// [`Engine::execute_prepared`] — such callers should pass seconds
-    /// normalized to the lhs-sized reference workload
+    /// [`Engine::execute_prepared_shaped`] — such callers should pass
+    /// seconds normalized to the lhs-sized reference workload
     /// (`kernel × nnz(A)/nnz(B)`) when their right-hand sides vary in
-    /// size, as `execute_prepared` does. Unseeded operands (forced-only
-    /// traffic) and knobs outside the candidate set are ignored.
+    /// size, as `execute_prepared_shaped` does. Unseeded operands
+    /// (forced-only traffic) and plans outside the candidate set are
+    /// ignored.
     pub fn record_observation(
         &mut self,
         key: OperandKey,
-        knobs: PlanKnobs,
+        plan: Plan,
         kernel_seconds: f64,
     ) -> Option<PlanFeedbackState> {
-        self.feedback.record(key, knobs, kernel_seconds, &self.planner.policy)
+        self.feedback.record(key, plan, kernel_seconds, &self.planner.policy)
     }
 
     /// Calibration snapshot for `key`'s currently chosen plan, without
@@ -398,7 +371,7 @@ impl Engine {
     /// order — the forced plan, the feedback store's chosen plan (one hash
     /// lookup, no profiling), and finally the full cost-ranked planner (on
     /// an operand's first sighting, which also seeds the feedback store's
-    /// candidate set). The cache is keyed by `(fingerprint, knobs)`, so a
+    /// candidate set). The cache is keyed by `(fingerprint, plan)`, so a
     /// feedback re-plan prepares under a fresh entry while the demoted
     /// plan's preparation stays resident for a potential switch-back.
     /// Hits are verified against the full-content checksum (`O(nnz)`,
@@ -441,7 +414,7 @@ impl Engine {
                 }
             },
         };
-        let key = CacheKey::new(fp, plan.knobs());
+        let key = CacheKey { fingerprint: fp, plan };
         let planner = &self.planner;
         let (prepared, hit) = self.cache.get_or_prepare(
             key,
@@ -455,12 +428,7 @@ impl Engine {
             // whose preparation was already cache-resident).
             StageTimings { plan_seconds, ..StageTimings::default() }
         } else {
-            StageTimings {
-                plan_seconds,
-                reorder_seconds: prepared.timings.reorder_seconds,
-                cluster_seconds: prepared.timings.cluster_seconds,
-                ..StageTimings::default()
-            }
+            StageTimings { plan_seconds, ..prepared.timings }
         };
         if let Some(t) = self.tracer.as_deref() {
             // Retroactive plan/prepare spans from the timings this call
@@ -535,28 +503,21 @@ mod tests {
         assert!(!auto_first.cache_hit);
 
         // A forced plan never reuses the auto entry: its first call misses.
-        let forced = Plan {
-            clustering: crate::plan::ClusteringStrategy::Fixed(4),
-            kernel: crate::plan::KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let forced =
+            Plan { clustering: crate::plan::ClusteringStrategy::Fixed(4), ..Plan::baseline() };
         let (c, rep) = engine.multiply_planned(&a, &a, forced);
         assert!(c.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
         assert!(!rep.cache_hit);
 
-        // The forced preparation is cached under its own key...
+        // The forced preparation is cached under its own key.
         let (_, rep2) = engine.multiply_planned(&a, &a, forced);
         assert!(rep2.cache_hit);
-        // ...identified by knobs, not by the rationale string.
-        let same_knobs = Plan { rationale: "different words, same pipeline", ..forced };
-        let (_, rep3) = engine.multiply_planned(&a, &a, same_knobs);
-        assert!(rep3.cache_hit, "rationale must not affect cache identity");
 
         // And auto traffic still executes the planner's plan, not the
         // forced ablation plan.
         let (_, auto_again) = engine.multiply(&a, &a);
         assert!(auto_again.cache_hit);
-        assert_eq!(auto_again.plan.knobs(), auto_first.plan.knobs());
+        assert_eq!(auto_again.plan, auto_first.plan);
     }
 
     #[test]
@@ -584,7 +545,7 @@ mod tests {
     fn prepare_warms_the_cache() {
         let a = gen::grid::poisson2d(10, 10);
         let mut engine = Engine::default();
-        let _ = engine.prepare(&a);
+        let _ = engine.prepare_with_shape(&a, None, OutputShape::Full);
         let (_, rep) = engine.multiply(&a, &a);
         assert!(rep.cache_hit);
     }
@@ -609,11 +570,11 @@ mod tests {
         let a = gen::grid::poisson2d(9, 9);
         let mut engine = Engine::default();
         let (_, auto_rep) = engine.multiply(&a, &a);
-        assert_eq!(auto_rep.backend, crate::backend::BackendId::ParallelCpu);
+        assert_eq!(auto_rep.plan.backend, crate::backend::BackendId::ParallelCpu);
 
         let forced = Plan::baseline().on_backend(crate::backend::BackendId::SerialReference);
         let (c, rep) = engine.multiply_planned(&a, &a, forced);
-        assert_eq!(rep.backend, crate::backend::BackendId::SerialReference);
+        assert_eq!(rep.plan.backend, crate::backend::BackendId::SerialReference);
         assert!(c.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
         // Same pipeline, different backend: a distinct cache entry.
         assert!(!rep.cache_hit);

@@ -10,11 +10,13 @@
 //! at the workspace root for the cross-crate picture):
 //!
 //! 1. **Plan** — [`Planner`] computes the structural [`Profile`] (via
-//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] —
-//!    reordering × clustering strategy × kernel × accumulator ×
-//!    parallelism knobs × **execution backend** — with the analytic
-//!    [`CostModel`], and ranks them by cost amortized under the caller's
-//!    [`PlanningPolicy`] (expected reuse, optional preprocessing budget).
+//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] — six
+//!    fields, each said once: reordering × clustering strategy (which
+//!    fixes the kernel) × accumulator × parallel × execution backend ×
+//!    output shape — with the analytic [`CostModel`], and ranks them by
+//!    cost amortized under the caller's [`PlanningPolicy`] (expected
+//!    reuse, optional preprocessing budget). Each [`RankedPlan`] carries
+//!    the estimate, affinity and rationale behind its rank.
 //!    [`Planner::plans_ranked`] is the budget-aware fall-through list.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
 //!    (permutation computed and applied, `CSR_Cluster` built), with
@@ -22,27 +24,24 @@
 //!    any number of right-hand sides and always return results in the
 //!    original row order.
 //! 3. **Cache** — [`PlanCache`] maps cheap matrix fingerprints
-//!    ([`cw_sparse::fingerprint()`]) plus plan knobs to prepared operands
-//!    under a [`CacheBudget`] — entry-bounded or byte-bounded LRU, with an
-//!    optional TTL — with hit/miss/eviction/expiry counters, so repeated
-//!    traffic on the same matrix skips preprocessing entirely. Keying by
-//!    `(fingerprint, knobs)` lets preparations under different plans
-//!    coexist, which is what makes feedback re-planning cheap to undo.
+//!    ([`cw_sparse::fingerprint()`]) plus the plan to prepared operands
+//!    under a [`CacheBudget`] — entry-bounded or byte-bounded LRU — with
+//!    hit/miss/eviction counters, so repeated traffic on the same matrix
+//!    skips preprocessing entirely. Keying by `(fingerprint, plan)` lets
+//!    preparations under different plans coexist, which is what makes
+//!    feedback re-planning cheap to undo.
 //! 4. **Execute** — [`Engine::multiply`] / [`Engine::multiply_batch`] run
 //!    the prepared kernel on the plan's [`BackendId`] —
 //!    [`BackendId::ParallelCpu`] (rayon, the default) or the
 //!    single-threaded [`BackendId::SerialReference`] oracle — and return
-//!    an [`ExecutionReport`] with the backend id and per-stage wall-clock
-//!    timings.
+//!    an [`ExecutionReport`] with the executed plan and per-stage
+//!    wall-clock timings.
 //! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-fingerprint
 //!    EWMAs of observed kernel seconds per candidate plan. Observed
 //!    timings correct the cost model's estimates after every execution:
 //!    plans that underperform their prediction are demoted, observed-fast
 //!    plans promoted, so repeated traffic converges on the empirically
 //!    fastest plan (`cw-service` threads this loop through every shard).
-//!    Under
-//!    [`PlanningPolicy::observation_half_life`] the evidence decays, so
-//!    operands whose performance drifts between submissions re-promote.
 //!
 //! The [`calibrate`] module closes the same loop *offline*: a
 //! [`Calibrator`] fits the [`CostModel`]'s constants from measured
@@ -55,11 +54,10 @@
 //!
 //! The requested **output shape** — full product, masked by a sparsity
 //! pattern, or row-wise top-k ([`OutputShape`]) — is a first-class axis of
-//! all five stages: it lives in [`PlanKnobs`], so cache entries and
-//! feedback state for truncated traffic never collide with full-product
-//! traffic on the same operand, and the [`CostModel`] scales kernel cost
-//! by the estimated surviving-output fraction so the planner can justify
-//! heavier preparation when most of the product is thrown away. See
+//! all five stages: it is a [`Plan`] field, so cache entries and feedback
+//! state for truncated traffic never collide with full-product traffic on
+//! the same operand. The [`CostModel`] prices a shaped plan like the full
+//! one, because execution computes the full product and filters. See
 //! [`Engine::multiply_shaped`] / [`Engine::multiply_topk`] /
 //! [`Engine::multiply_masked`].
 //!
@@ -97,20 +95,19 @@ mod prepared;
 mod report;
 
 pub use backend::BackendId;
-pub use cache::{CacheBound, CacheBudget, CacheCounters, CacheKey, CacheStats, PlanCache};
+pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, PlanCache};
 pub use calibrate::{
     CalibrationProfile, CalibrationSample, Calibrator, ProfileParseError, PROFILE_SCHEMA_VERSION,
 };
 pub use cost::{
     CostEstimate, CostModel, Ewma, FeedbackStore, OperandFeatures, OperandKey, PlanFeedbackState,
     PlanningPolicy, CALIBRATION_CLAMP, DEFAULT_FEEDBACK_CAPACITY, EWMA_ALPHA,
-    MASKED_SURVIVING_FRACTION, MIN_OBSERVATIONS_TO_SWITCH, MIN_OBSERVATION_HALF_LIFE,
-    MIN_TOPK_SURVIVING_FRACTION, STALE_OBSERVATION_WEIGHT, SWITCH_MARGIN,
+    MIN_OBSERVATIONS_TO_SWITCH, SWITCH_MARGIN,
 };
 pub use engine::{Engine, DEFAULT_CACHE_CAPACITY};
-pub use plan::{ClusteringStrategy, KernelChoice, OutputShape, Plan, PlanKnobs};
+pub use plan::{ClusteringStrategy, OutputShape, Plan};
 pub use planner::{Planner, RankedPlan, DENSE_ACC_COL_THRESHOLD, PARALLEL_ROW_THRESHOLD};
-pub use prepared::{PrepTimings, PreparedMatrix};
+pub use prepared::PreparedMatrix;
 pub use report::{ExecutionReport, StageTimings};
 
 // Re-exported so engine callers can name advisor types without depending

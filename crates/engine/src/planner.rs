@@ -31,7 +31,8 @@ pub const PARALLEL_ROW_THRESHOLD: usize = 512;
 pub const DENSE_ACC_COL_THRESHOLD: usize = 4096;
 
 /// One cost-ranked candidate: the tuned plan, its predicted cost, and the
-/// advisor affinity that fed the prediction.
+/// *why* — the advisor affinity that fed the prediction and a one-line
+/// rationale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedPlan {
     /// The tuned, executable plan.
@@ -41,6 +42,8 @@ pub struct RankedPlan {
     /// Advisor structural-evidence feature the estimate was built from
     /// (`0` for the baseline fallback).
     pub affinity: f64,
+    /// One-line explanation of where this candidate came from.
+    pub rationale: &'static str,
 }
 
 /// Turns matrices into executable [`Plan`]s, ranked by modeled cost.
@@ -126,38 +129,34 @@ impl Planner {
     /// callers trying candidates in order pay at most the budgeted
     /// preprocessing unless nothing fits. Never empty: the zero-prep
     /// baseline plan is always a candidate, so the budget can always be
-    /// met. Candidates are deduplicated by behavior knobs (advisor
-    /// suggestions that tune to identical pipelines keep the
-    /// highest-affinity instance).
+    /// met. Candidates are deduplicated (advisor suggestions that tune to
+    /// identical plans keep the highest-affinity instance).
     pub fn plans_costed(&self, a: &CsrMatrix) -> Vec<RankedPlan> {
         self.plans_costed_shaped(a, OutputShape::Full)
     }
 
-    /// [`Planner::plans_costed`] for a specific [`OutputShape`]: every
-    /// candidate carries the shape in its knobs (so shaped cache entries
-    /// and feedback candidates never collide with full-product ones) and
-    /// is priced with the shape's estimated surviving-output fraction —
-    /// truncated shapes shrink kernel cost but not prep cost, which is
-    /// exactly what lets the planner justify heavier preprocessing for
-    /// top-k/masked traffic.
+    /// [`Planner::plans_costed`] for a specific [`OutputShape`]: the same
+    /// list with the shape stamped into every plan, so shaped cache entries
+    /// and feedback candidates never collide with full-product ones. The
+    /// estimates are the full product's — every shape executes the full
+    /// multiply and filters afterwards.
     pub fn plans_costed_shaped(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
         let advice = advise_profiled(a);
         let features = OperandFeatures::with_profile(a, advice.profile);
         let mut out: Vec<RankedPlan> = Vec::with_capacity(advice.ranked.len() + 1);
-        // The shape is stamped *before* dedup and pricing, so candidate
-        // knobs match the knobs later recorded by shaped executions.
-        let push = |plan: Plan, affinity: f64, out: &mut Vec<RankedPlan>| {
+        let mut push = |plan: Plan, affinity: f64, rationale: &'static str| {
             let plan = plan.with_shape(shape);
-            if out.iter().any(|r: &RankedPlan| r.plan.knobs() == plan.knobs()) {
+            if out.iter().any(|r| r.plan == plan) {
                 return;
             }
             let estimate = self.cost.estimate(&features, &plan, affinity);
-            out.push(RankedPlan { plan, estimate, affinity });
+            out.push(RankedPlan { plan, estimate, affinity, rationale });
         };
         for r in &advice.ranked {
-            push(self.plan_for_suggestion(a, r.suggestion), r.affinity, &mut out);
+            let (plan, rationale) = self.candidate(a, r.suggestion);
+            push(plan, r.affinity, rationale);
         }
-        push(self.tune(a, Plan::baseline()), 0.0, &mut out);
+        push(self.tune(a, Plan::baseline()), 0.0, "baseline row-wise Gustavson");
 
         let reuse = self.policy.expected_reuse;
         let budget = self.policy.prep_budget_seconds.unwrap_or(f64::INFINITY);
@@ -180,17 +179,28 @@ impl Planner {
     /// Reordering suggestions degrade to the baseline for non-square
     /// matrices (the reordering study targets square operands).
     pub fn plan_for_suggestion(&self, a: &CsrMatrix, suggestion: Suggestion) -> Plan {
-        let plan = match suggestion {
-            Suggestion::Reorder(_) if a.nrows != a.ncols => Plan {
-                rationale: "reordering suggested but operand is rectangular; baseline",
-                ..Plan::baseline()
-            },
-            s => Plan::from_suggestion(s),
-        };
-        self.tune(a, plan)
+        self.candidate(a, suggestion).0
     }
 
-    /// Applies accumulator, parallelism, and backend knobs from `a`'s
+    /// [`Planner::plan_for_suggestion`] plus the one-line reason the plan is
+    /// a candidate ([`RankedPlan::rationale`]).
+    fn candidate(&self, a: &CsrMatrix, suggestion: Suggestion) -> (Plan, &'static str) {
+        if matches!(suggestion, Suggestion::Reorder(_)) && a.nrows != a.ncols {
+            let why = "reordering suggested but operand is rectangular; baseline";
+            return (self.tune(a, Plan::baseline()), why);
+        }
+        let why = match suggestion {
+            Suggestion::Reorder(_) => "advisor: reorder rows, then row-wise SpGEMM",
+            Suggestion::ClusterInPlace => {
+                "advisor: rows already similar in order; cluster in place"
+            }
+            Suggestion::Hierarchical => "advisor: hierarchical clustering (reorders and clusters)",
+            Suggestion::LeaveOriginal => "advisor: no technique predicted to pay off",
+        };
+        (self.tune(a, Plan::from_suggestion(suggestion)), why)
+    }
+
+    /// Applies accumulator, parallelism, and backend fields from `a`'s
     /// shape and the planner's backend pin.
     fn tune(&self, a: &CsrMatrix, mut plan: Plan) -> Plan {
         if let Some(backend) = self.forced_backend {
@@ -213,7 +223,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ClusteringStrategy, KernelChoice};
+    use crate::plan::ClusteringStrategy;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
 
@@ -223,9 +233,7 @@ mod tests {
         let plans = Planner::default().plans_ranked(&a);
         assert!(!plans.is_empty());
         assert!(
-            plans.iter().any(|p| p.clustering == ClusteringStrategy::None
-                && p.kernel == KernelChoice::RowWise
-                && p.reorder.is_none()),
+            plans.iter().any(|p| !p.has_preprocessing()),
             "the zero-prep baseline must always be a fall-through candidate"
         );
     }
@@ -249,7 +257,7 @@ mod tests {
             // No duplicate pipelines in the candidate set.
             for (i, x) in ranked.iter().enumerate() {
                 for y in &ranked[i + 1..] {
-                    assert_ne!(x.plan.knobs(), y.plan.knobs());
+                    assert_ne!(x.plan, y.plan);
                 }
             }
         }
@@ -333,7 +341,7 @@ mod tests {
         let planner = Planner::default();
         for s in [Suggestion::Reorder(Reordering::Rcm), Suggestion::Reorder(Reordering::Degree)] {
             let plan = planner.plan_for_suggestion(&a, s);
-            assert_eq!(plan.reorder, None);
+            assert_eq!(plan.reorder, Reordering::Original);
         }
     }
 
@@ -342,7 +350,7 @@ mod tests {
         let a = gen::banded::block_diagonal(128, (6, 8), 0.0, 1);
         let plan = Planner::default().plan(&a);
         assert_eq!(plan.clustering, ClusteringStrategy::Variable);
-        assert_eq!(plan.kernel, KernelChoice::ClusterWise);
+        assert!(plan.is_clusterwise());
     }
 
     #[test]

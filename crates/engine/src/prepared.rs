@@ -9,27 +9,12 @@
 //! an `O(nnz(C))` row un-permutation, returning results in the *original*
 //! row order so callers never observe the internal reordering.
 
-use crate::backend::{self, BackendId, CpuOperand};
+use crate::backend::{self, CpuOperand};
 use crate::plan::{OutputShape, Plan};
+use crate::report::StageTimings;
 use cw_core::ClusterConfig;
 use cw_sparse::{checksum, fingerprint, CsrMatrix, MatrixFingerprint, Permutation};
 use std::time::Instant;
-
-/// Wall-clock cost of each preparation stage, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PrepTimings {
-    /// Computing the reordering permutation(s).
-    pub reorder_seconds: f64,
-    /// Building the clustering and the `CSR_Cluster` structure.
-    pub cluster_seconds: f64,
-}
-
-impl PrepTimings {
-    /// Total preprocessing seconds.
-    pub fn total(&self) -> f64 {
-        self.reorder_seconds + self.cluster_seconds
-    }
-}
 
 /// An `A` operand with its plan fully materialized.
 #[derive(Debug, Clone)]
@@ -43,8 +28,9 @@ pub struct PreparedMatrix {
     /// ([`cw_sparse::fingerprint::checksum`]); cache layers verify hits
     /// against it before trusting the sampled fingerprint.
     pub checksum: u64,
-    /// Stage timings recorded during preparation.
-    pub timings: PrepTimings,
+    /// What preparation cost: `reorder_seconds` and `cluster_seconds` are
+    /// set, every other stage is zero.
+    pub timings: StageTimings,
     /// Inverse of the total row permutation (`None` when no reordering was
     /// applied); maps kernel output rows back to original row ids.
     unpermute: Option<Permutation>,
@@ -93,11 +79,6 @@ impl PreparedMatrix {
         self.nnz
     }
 
-    /// The id of the backend this preparation executes on.
-    pub fn backend_id(&self) -> BackendId {
-        self.plan.backend
-    }
-
     /// True when the kernel output needs row un-permutation.
     pub fn is_reordered(&self) -> bool {
         self.unpermute.is_some()
@@ -105,7 +86,7 @@ impl PreparedMatrix {
 
     /// Approximate resident heap footprint in bytes: the materialized
     /// operand plus the un-permutation map. Byte-bounded cache eviction
-    /// ([`crate::CacheBound::Bytes`]) sizes entries with this.
+    /// ([`crate::CacheBudget::Bytes`]) sizes entries with this.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let unpermute = self.unpermute.as_ref().map_or(0, |p| p.len() * size_of::<u32>());
@@ -118,13 +99,7 @@ impl PreparedMatrix {
     /// [`PreparedMatrix::multiply_shaped`] — the mask is request data, not
     /// part of the preparation.
     pub fn multiply(&self, b: &CsrMatrix) -> CsrMatrix {
-        self.multiply_timed(b).0
-    }
-
-    /// [`PreparedMatrix::multiply`] plus `(kernel, postprocess)` stage
-    /// seconds.
-    pub fn multiply_timed(&self, b: &CsrMatrix) -> (CsrMatrix, f64, f64) {
-        self.multiply_shaped_timed(b, None)
+        self.multiply_shaped(b, None)
     }
 
     /// `C = shape(A · b)` with an explicit mask operand: the entry point
@@ -178,7 +153,8 @@ impl PreparedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ClusteringStrategy, KernelChoice, Plan};
+    use crate::backend::BackendId;
+    use crate::plan::{ClusteringStrategy, Plan};
     use cw_reorder::Reordering;
     use cw_sparse::gen;
     use cw_spgemm::spgemm_serial;
@@ -200,7 +176,7 @@ mod tests {
     fn reordered_rowwise_unpermutes_back() {
         let a = gen::mesh::tri_mesh(10, 10, true, 4);
         for r in [Reordering::Rcm, Reordering::Degree, Reordering::Random] {
-            check_plan(&a, Plan { reorder: Some(r), ..Plan::baseline() });
+            check_plan(&a, Plan { reorder: r, ..Plan::baseline() });
         }
     }
 
@@ -212,10 +188,7 @@ mod tests {
             ClusteringStrategy::Variable,
             ClusteringStrategy::Hierarchical,
         ] {
-            check_plan(
-                &a,
-                Plan { clustering, kernel: KernelChoice::ClusterWise, ..Plan::baseline() },
-            );
+            check_plan(&a, Plan { clustering, ..Plan::baseline() });
         }
     }
 
@@ -225,9 +198,8 @@ mod tests {
         check_plan(
             &a,
             Plan {
-                reorder: Some(Reordering::Rcm),
+                reorder: Reordering::Rcm,
                 clustering: ClusteringStrategy::Hierarchical,
-                kernel: KernelChoice::ClusterWise,
                 ..Plan::baseline()
             },
         );
@@ -240,7 +212,6 @@ mod tests {
         for id in BackendId::ALL {
             let plan = Plan::baseline().on_backend(id);
             let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
-            assert_eq!(prepared.backend_id(), id);
             assert_eq!(prepared.plan.backend, id);
             let got = prepared.multiply(&a);
             assert!(got.numerically_eq(&expect, 1e-9), "backend {id:?} diverges");
@@ -258,9 +229,8 @@ mod tests {
         assert!(pl.approx_bytes() > ps.approx_bytes());
         // A clustered + reordered preparation carries extra structure.
         let plan = Plan {
-            reorder: Some(Reordering::Rcm),
+            reorder: Reordering::Rcm,
             clustering: ClusteringStrategy::Fixed(4),
-            kernel: KernelChoice::ClusterWise,
             ..Plan::baseline()
         };
         let pc = PreparedMatrix::prepare(&large, plan, 7, &cfg);
@@ -271,7 +241,7 @@ mod tests {
     fn rectangular_b_supported() {
         let a = gen::er::erdos_renyi(60, 5, 3);
         let b = gen::er::erdos_renyi_rect(60, 14, 3, 4);
-        let plan = Plan { reorder: Some(Reordering::Degree), ..Plan::baseline() };
+        let plan = Plan { reorder: Reordering::Degree, ..Plan::baseline() };
         let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
         let got = prepared.multiply(&b);
         assert!(got.numerically_eq(&spgemm_serial(&a, &b), 1e-9));
@@ -281,8 +251,8 @@ mod tests {
     #[test]
     fn original_reorder_skips_permutation_entirely() {
         let a = gen::grid::poisson2d(6, 6);
-        let plan = Plan { reorder: Some(Reordering::Original), ..Plan::baseline() };
-        let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
+        assert_eq!(Plan::baseline().reorder, Reordering::Original);
+        let prepared = PreparedMatrix::prepare(&a, Plan::baseline(), 7, &ClusterConfig::default());
         assert!(!prepared.is_reordered());
         assert_eq!(prepared.timings.total(), 0.0);
     }
@@ -291,9 +261,8 @@ mod tests {
     fn timings_are_recorded_for_preprocessing_plans() {
         let a = gen::mesh::tri_mesh(12, 12, true, 2);
         let plan = Plan {
-            reorder: Some(Reordering::Rcm),
+            reorder: Reordering::Rcm,
             clustering: ClusteringStrategy::Variable,
-            kernel: KernelChoice::ClusterWise,
             ..Plan::baseline()
         };
         let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());

@@ -1,6 +1,5 @@
 //! Execution reports: what the engine did and where the time went.
 
-use crate::backend::BackendId;
 use crate::cost::PlanFeedbackState;
 use crate::plan::Plan;
 use cw_sparse::MatrixFingerprint;
@@ -39,12 +38,8 @@ impl StageTimings {
 /// Record of one [`crate::Engine::multiply`] call.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
-    /// The plan that executed.
+    /// The plan that executed (`plan.backend` is where it ran).
     pub plan: Plan,
-    /// The execution backend that ran it (always equals `plan.backend`;
-    /// surfaced separately so telemetry consumers can aggregate per-backend
-    /// stage timings without digging through plan knobs).
-    pub backend: BackendId,
     /// Fingerprint of the `A` operand.
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
@@ -113,7 +108,6 @@ mod tests {
     fn summary_mentions_cache_state_and_plan() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
-            backend: Plan::baseline().backend,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),
@@ -129,7 +123,6 @@ mod tests {
     fn summary_shows_calibration_when_feedback_is_present() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
-            backend: Plan::baseline().backend,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),

@@ -311,16 +311,6 @@ impl NetClient {
         &mut self,
         lhs: &CsrMatrix,
         rhs: &CsrMatrix,
-        qos: Qos,
-    ) -> Result<u64, NetError> {
-        self.submit_no_wait_shaped(lhs, rhs, &SubmitShape::Full, qos)
-    }
-
-    /// [`NetClient::submit_no_wait`] with an explicit output shape.
-    pub fn submit_no_wait_shaped(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<u64, NetError> {

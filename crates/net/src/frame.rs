@@ -359,15 +359,8 @@ impl SubmitShape {
     }
 }
 
-/// SUBMIT payload: the two operands as back-to-back `CSRB` blobs (the
-/// version-1 form — equivalent to
-/// [`encode_submit_payload_shaped`] with [`SubmitShape::Full`]).
-pub fn encode_submit_payload(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Vec<u8> {
-    encode_submit_payload_shaped(lhs, rhs, &SubmitShape::Full)
-}
-
-/// SUBMIT payload with an output-shape block: lhs blob, rhs blob, then
-/// the shape block ([`SubmitShape::Full`] encodes nothing, keeping
+/// SUBMIT payload: the two operands as back-to-back `CSRB` blobs, then the
+/// output-shape block ([`SubmitShape::Full`] encodes nothing, keeping
 /// full-product payloads byte-identical to version 1).
 pub fn encode_submit_payload_shaped(
     lhs: &CsrMatrix,
@@ -389,18 +382,6 @@ pub fn encode_submit_payload_shaped(
         }
     }
     out
-}
-
-/// Decodes a version-1 SUBMIT payload; **any** bytes after the second
-/// blob — including a valid shape block — are a framing error. Servers
-/// use [`decode_submit_payload_shaped`] instead.
-pub fn decode_submit_payload(payload: &[u8]) -> Result<(CsrMatrix, CsrMatrix), CsrCodecError> {
-    let (lhs, used) = decode_csr(payload)?;
-    let (rhs, used2) = decode_csr(&payload[used..])?;
-    if used + used2 != payload.len() {
-        return Err(CsrCodecError::TrailingBytes(payload.len() - used - used2));
-    }
-    Ok((lhs, rhs))
 }
 
 /// Decodes a SUBMIT payload with an optional shape block. An absent block
@@ -507,11 +488,11 @@ impl WireReport {
             queue_seconds: report.queue_seconds,
             execute_seconds: report.execute_seconds,
             latency_seconds: report.latency_seconds,
-            cache_hit: report.cache_hit,
-            backend: report.backend.index() as u8,
+            cache_hit: report.execution.cache_hit,
+            backend: report.execution.plan.backend.index() as u8,
             priority: report.priority,
             deadline_slack_seconds: report.deadline_slack_seconds,
-            shape: report.shape,
+            shape: report.execution.plan.shape,
         }
     }
 
@@ -606,7 +587,7 @@ mod tests {
             flags: FLAG_NO_WAIT,
             request_id: 0xDEAD_BEEF_0042,
             deadline_ms: 1500,
-            payload: encode_submit_payload(&a, &a),
+            payload: encode_submit_payload_shaped(&a, &a, &SubmitShape::Full),
         }
     }
 
@@ -618,9 +599,10 @@ mod tests {
         let back = read_frame(&mut Cursor::new(&bytes), 1 << 20).unwrap();
         assert_eq!(f, back);
         assert!(back.no_wait());
-        let (lhs, rhs) = decode_submit_payload(&back.payload).unwrap();
+        let (lhs, rhs, shape) = decode_submit_payload_shaped(&back.payload).unwrap();
         assert_eq!(lhs, CsrMatrix::identity(5));
         assert_eq!(rhs, CsrMatrix::identity(5));
+        assert_eq!(shape, SubmitShape::Full);
     }
 
     #[test]
@@ -698,9 +680,9 @@ mod tests {
     #[test]
     fn submit_payload_rejects_trailing_bytes() {
         let a = CsrMatrix::identity(3);
-        let mut p = encode_submit_payload(&a, &a);
+        let mut p = encode_submit_payload_shaped(&a, &a, &SubmitShape::Full);
         p.push(0);
-        assert!(matches!(decode_submit_payload(&p), Err(CsrCodecError::TrailingBytes(1))));
+        assert!(matches!(decode_submit_payload_shaped(&p), Err(CsrCodecError::TrailingBytes(1))));
     }
 
     #[test]
@@ -718,13 +700,14 @@ mod tests {
 
     #[test]
     fn full_shaped_payload_is_byte_identical_to_v1() {
+        // Version 1 was the two operand blobs back to back, nothing else.
         let a = CsrMatrix::identity(6);
-        assert_eq!(
-            encode_submit_payload(&a, &a),
-            encode_submit_payload_shaped(&a, &a, &SubmitShape::Full)
-        );
-        // And a v1 payload decodes shaped as Full.
-        let (_, _, shape) = decode_submit_payload_shaped(&encode_submit_payload(&a, &a)).unwrap();
+        let mut v1 = Vec::new();
+        encode_csr_into(&mut v1, &a);
+        encode_csr_into(&mut v1, &a);
+        assert_eq!(encode_submit_payload_shaped(&a, &a, &SubmitShape::Full), v1);
+        // And a v1 payload decodes as Full.
+        let (_, _, shape) = decode_submit_payload_shaped(&v1).unwrap();
         assert_eq!(shape, SubmitShape::Full);
     }
 
@@ -732,11 +715,11 @@ mod tests {
     fn shaped_submit_payload_rejects_malformed_blocks() {
         let a = CsrMatrix::identity(3);
         // Unknown tag.
-        let mut p = encode_submit_payload(&a, &a);
+        let mut p = encode_submit_payload_shaped(&a, &a, &SubmitShape::Full);
         p.push(99);
         assert!(decode_submit_payload_shaped(&p).is_err());
         // Truncated top-k block.
-        let mut p = encode_submit_payload(&a, &a);
+        let mut p = encode_submit_payload_shaped(&a, &a, &SubmitShape::Full);
         p.push(SHAPE_TAG_TOPK);
         p.extend_from_slice(&[0u8; 4]);
         assert!(decode_submit_payload_shaped(&p).is_err());
@@ -749,9 +732,6 @@ mod tests {
             encode_submit_payload_shaped(&a, &a, &SubmitShape::Masked(CsrMatrix::identity(3)));
         p.push(0);
         assert!(decode_submit_payload_shaped(&p).is_err());
-        // The strict v1 decoder rejects any shape block.
-        let p = encode_submit_payload_shaped(&a, &a, &SubmitShape::TopK(1));
-        assert!(matches!(decode_submit_payload(&p), Err(CsrCodecError::TrailingBytes(9))));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Request/response types crossing the service boundary.
 
-use cw_engine::{BackendId, ExecutionReport, OutputShape, Plan};
+use cw_engine::{ExecutionReport, OutputShape, Plan};
 use cw_sparse::CsrMatrix;
 use std::fmt;
 use std::sync::mpsc;
@@ -34,7 +34,7 @@ impl fmt::Display for Priority {
 
 /// The requested output shape of one multiply, carrying any operand data
 /// the shape needs (request-level counterpart of the plan-level
-/// [`OutputShape`] knob — the mask travels with the request, never with
+/// [`OutputShape`] field — the mask travels with the request, never with
 /// the cached preparation).
 #[derive(Debug, Clone, Default)]
 pub enum RequestShape {
@@ -54,7 +54,7 @@ pub enum RequestShape {
 }
 
 impl RequestShape {
-    /// The plan-level shape knob this request shape maps to.
+    /// The plan-level shape this request shape maps to.
     pub fn output_shape(&self) -> OutputShape {
         match self {
             RequestShape::Full => OutputShape::Full,
@@ -102,7 +102,7 @@ pub struct MultiplyRequest {
     pub priority: Priority,
     /// Requested output shape; default [`RequestShape::Full`] computes the
     /// complete product (prior behavior, bit-identical). A non-full shape
-    /// becomes part of the executing plan's knobs, so truncated traffic
+    /// becomes part of the executing plan, so truncated traffic
     /// gets its own cache entries and feedback state on the shard.
     pub shape: RequestShape,
 }
@@ -180,24 +180,20 @@ pub struct ServiceReport {
     pub execute_seconds: f64,
     /// End-to-end seconds from submission to response.
     pub latency_seconds: f64,
-    /// Whether the prepared lhs came from the shard's plan cache.
-    pub cache_hit: bool,
-    /// The execution backend that served this request (the shard's pinned
-    /// backend, the feedback loop's converged choice, or the request's
-    /// forced plan — see [`crate::ServiceConfig::backend`]).
-    pub backend: BackendId,
     /// QoS class the request was admitted under.
     pub priority: Priority,
-    /// Output shape the request executed under (the executing plan's
-    /// shape knob — [`OutputShape::Full`] unless the request asked for a
-    /// truncated product).
-    pub shape: OutputShape,
     /// Seconds of deadline budget left when the response was produced
     /// (`None` when the request carried no deadline). Negative means the
     /// deadline passed mid-execution — after the worker's pre-execution
     /// check — so the response was still produced and delivered late.
     pub deadline_slack_seconds: Option<f64>,
-    /// The engine's per-stage report for the underlying multiply.
+    /// The engine's per-stage report for the underlying multiply:
+    /// `execution.cache_hit` says whether the prepared lhs came from the
+    /// shard's plan cache (or the batch head), `execution.plan.backend`
+    /// which backend served it (the shard's pinned backend, the planner's
+    /// choice, or the request's forced plan — see
+    /// [`crate::ServiceConfig::backend`]) and `execution.plan.shape` the
+    /// output shape it executed under.
     pub execution: ExecutionReport,
 }
 
@@ -364,7 +360,7 @@ mod tests {
         let req = MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a));
         assert!(req.plan.is_none());
         let req = req.with_plan(Plan::baseline());
-        assert_eq!(req.plan.unwrap().knobs(), Plan::baseline().knobs());
+        assert_eq!(req.plan, Some(Plan::baseline()));
     }
 
     #[test]

@@ -591,7 +591,7 @@ mod tests {
         let ticket = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
         let resp = ticket.wait().unwrap();
         assert!(resp.product.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
-        assert!(!resp.report.cache_hit, "first request must prepare");
+        assert!(!resp.report.execution.cache_hit, "first request must prepare");
         assert!(resp.report.latency_seconds >= resp.report.execute_seconds);
         let stats = service.shutdown();
         assert_eq!((stats.submitted, stats.completed, stats.rejected), (1, 1, 0));
@@ -688,7 +688,6 @@ mod tests {
         let a = arc(gen::grid::poisson2d(9, 9));
         let plan = cw_engine::Plan {
             clustering: cw_engine::ClusteringStrategy::Fixed(4),
-            kernel: cw_engine::KernelChoice::ClusterWise,
             ..cw_engine::Plan::baseline()
         };
         let service = SpgemmService::new(ServiceConfig::default());
@@ -696,7 +695,7 @@ mod tests {
             .submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a)).with_plan(plan))
             .unwrap();
         let resp = t.wait().unwrap();
-        assert_eq!(resp.report.execution.plan.knobs(), plan.knobs());
+        assert_eq!(resp.report.execution.plan, plan);
         assert!(resp.product.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
         service.shutdown();
     }
@@ -712,7 +711,6 @@ mod tests {
         for _ in 0..3 {
             let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
             let resp = t.wait().unwrap();
-            assert_eq!(resp.report.backend, BackendId::SerialReference);
             assert_eq!(resp.report.execution.plan.backend, BackendId::SerialReference);
             assert!(resp.product.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
         }
@@ -721,7 +719,7 @@ mod tests {
         // The default config stays on the planner's choice: parallel-cpu.
         let service = SpgemmService::new(ServiceConfig::default());
         let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-        assert_eq!(t.wait().unwrap().report.backend, BackendId::ParallelCpu);
+        assert_eq!(t.wait().unwrap().report.execution.plan.backend, BackendId::ParallelCpu);
         service.shutdown();
     }
 

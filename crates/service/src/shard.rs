@@ -24,9 +24,7 @@
 
 use crate::request::{MultiplyResponse, RequestShape, ServiceError, ServiceReport};
 use crate::stats::ShardStats;
-use cw_engine::{
-    CacheCounters, Engine, OutputShape, Plan, PlanKnobs, PreparedMatrix, StageTimings,
-};
+use cw_engine::{CacheCounters, Engine, OutputShape, Plan, PreparedMatrix, StageTimings};
 use cw_obs::{Counter, Gauge, LogHistogram, Tracer};
 use cw_sparse::{CsrMatrix, MatrixFingerprint};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,9 +146,9 @@ pub(crate) struct WorkerCtx {
 }
 
 /// The head request's reusable identity within one coalesced batch — the
-/// lhs operand, forced-plan knobs, output shape, and the preparation they
+/// lhs operand, forced plan, output shape, and the preparation they
 /// resolved to.
-type BatchHead = (Arc<CsrMatrix>, Option<PlanKnobs>, OutputShape, Arc<PreparedMatrix>);
+type BatchHead = (Arc<CsrMatrix>, Option<Plan>, OutputShape, Arc<PreparedMatrix>);
 
 /// Drains batches until the dispatcher hangs up, then exits. Responses go
 /// straight to each request's private channel; counters land in the
@@ -193,12 +191,11 @@ pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCt
                 ctx.tracer.record_span_at("dispatch", flushed_ns, started_ns, 1);
             }
             let serve_span = ctx.tracer.span("serve");
-            let plan_knobs = sub.plan.map(|p| p.knobs());
             let shape = sub.shape.output_shape();
             let reused = matches!(
                 &head,
-                Some((lhs0, knobs0, shape0, _))
-                    if Arc::ptr_eq(lhs0, &sub.lhs) && *knobs0 == plan_knobs && *shape0 == shape
+                Some((lhs0, plan0, shape0, _))
+                    if Arc::ptr_eq(lhs0, &sub.lhs) && *plan0 == sub.plan && *shape0 == shape
             );
             let (prepared, prep_timings, cache_hit) = if reused {
                 ctx.obs.reuse_hits.inc();
@@ -211,13 +208,13 @@ pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCt
                 (Arc::clone(prep), StageTimings::default(), true)
             } else {
                 let (prep, timings, hit) = engine.prepare_with_shape(&sub.lhs, sub.plan, shape);
-                head = Some((Arc::clone(&sub.lhs), plan_knobs, shape, Arc::clone(&prep)));
+                head = Some((Arc::clone(&sub.lhs), sub.plan, shape, Arc::clone(&prep)));
                 (prep, timings, hit)
             };
             // Execute + record + report through the engine's shared tail:
             // each shard owns its engine, so observed timings close the
             // feedback loop with no cross-thread locking. Forced-plan
-            // requests whose knobs match a tracked candidate feed that
+            // requests whose plan equals a tracked candidate feed that
             // candidate's EWMA too (an ablation run can promote a faster
             // plan for the shard's auto traffic).
             let (product, execution) = engine.execute_prepared_shaped(
@@ -236,7 +233,8 @@ pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCt
             ctx.queue_seconds.record(queue_seconds);
             ctx.execute_seconds.record(execute_seconds);
             ctx.latency_seconds.record(latency_seconds);
-            ctx.kernel_seconds[execution.backend.index()].record(execution.timings.kernel_seconds);
+            ctx.kernel_seconds[execution.plan.backend.index()]
+                .record(execution.timings.kernel_seconds);
             let report = ServiceReport {
                 request_id: sub.id,
                 shard: ctx.shard,
@@ -244,10 +242,7 @@ pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCt
                 queue_seconds,
                 execute_seconds,
                 latency_seconds,
-                cache_hit: execution.cache_hit,
-                backend: execution.backend,
                 priority: sub.priority,
-                shape: execution.plan.shape,
                 deadline_slack_seconds: sub.deadline.map(|d| {
                     let now = Instant::now();
                     match d.checked_duration_since(now) {

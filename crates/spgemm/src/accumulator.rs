@@ -14,9 +14,7 @@
 //! once per call from [`AccumulatorKind`], so `add` inlines into the
 //! multiply-add loop. Every accumulator merges duplicate columns in arrival
 //! order and extracts in ascending column order, which makes the choice
-//! bit-transparent. The boxed form ([`make_accumulator`]) remains for the
-//! ablation kernels and analysis probes, where a virtual call per product
-//! does not matter.
+//! bit-transparent.
 
 use cw_sparse::{ColIdx, Value};
 
@@ -38,9 +36,9 @@ pub enum AccumulatorKind {
 
 /// Common interface of all sparse accumulators.
 ///
-/// `Send` is a supertrait so boxed accumulators can serve as per-worker
-/// state in the work-stealing pool's `map_init`/`for_each_init` (worker
-/// state slots may be handed between OS threads across calls).
+/// `Send` is a supertrait so accumulators can serve as per-worker state in
+/// the work-stealing pool's `map_init`/`for_each_init` (worker state slots
+/// may be handed between OS threads across calls).
 pub trait Accumulator: Send {
     /// A fresh accumulator for output rows `ncols` columns wide.
     fn with_ncols(ncols: usize) -> Self
@@ -59,14 +57,6 @@ pub trait Accumulator: Send {
     /// the next row, and returns how many entries were written. Panics if
     /// either slice is shorter than [`Accumulator::len`].
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize;
-    /// [`Accumulator::extract_into`] appending to growable vectors.
-    fn extract_append(&mut self, cols: &mut Vec<ColIdx>, vals: &mut Vec<Value>) {
-        let at = cols.len();
-        let n = self.len();
-        cols.resize(at + n, 0);
-        vals.resize(at + n, 0.0);
-        self.extract_into(&mut cols[at..], &mut vals[at..]);
-    }
     /// Drops the accumulated entries without emitting them (size probes
     /// read [`Accumulator::len`] first).
     fn clear(&mut self);
@@ -350,18 +340,16 @@ impl Accumulator for SortAccumulator {
     }
 }
 
-/// A boxed accumulator of the requested kind, sized for `ncols` columns.
-pub fn make_accumulator(kind: AccumulatorKind, ncols: usize) -> Box<dyn Accumulator> {
-    match kind {
-        AccumulatorKind::Hash => Box::new(HashAccumulator::with_ncols(ncols)),
-        AccumulatorKind::Dense => Box::new(DenseAccumulator::with_ncols(ncols)),
-        AccumulatorKind::Sort => Box::new(SortAccumulator::with_ncols(ncols)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Extracts (and resets) `acc` into fresh vectors.
+    fn drain(acc: &mut dyn Accumulator) -> (Vec<ColIdx>, Vec<Value>) {
+        let (mut cols, mut vals) = (vec![0; acc.len()], vec![0.0; acc.len()]);
+        acc.extract_into(&mut cols, &mut vals);
+        (cols, vals)
+    }
 
     fn exercise(acc: &mut dyn Accumulator) {
         // Insert with duplicates, out of order.
@@ -371,17 +359,14 @@ mod tests {
         acc.add(9, -1.0);
         acc.add(2, 0.5);
         assert_eq!(acc.len(), 3);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        acc.extract_append(&mut cols, &mut vals);
+        let (cols, vals) = drain(acc);
         assert_eq!(cols, vec![2, 5, 9]);
         assert_eq!(vals, vec![2.5, 4.0, -1.0]);
         // Accumulator must be reusable after extraction.
         assert_eq!(acc.len(), 0);
         acc.add(1, 1.0);
         assert_eq!(acc.len(), 1);
-        let (mut c2, mut v2) = (Vec::new(), Vec::new());
-        acc.extract_append(&mut c2, &mut v2);
+        let (c2, v2) = drain(acc);
         assert_eq!(c2, vec![1]);
         assert_eq!(v2, vec![1.0]);
     }
@@ -427,8 +412,7 @@ mod tests {
             for &(c, v) in &seq {
                 acc.add(c, v);
             }
-            let (mut cols, mut vals) = (Vec::new(), Vec::new());
-            acc.extract_append(&mut cols, &mut vals);
+            let (cols, vals) = drain(acc);
             assert_eq!(cols, (0..7).collect::<Vec<u32>>());
             assert_eq!(vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expect);
         }
@@ -442,8 +426,7 @@ mod tests {
         }
         // 997 distinct keys mod 997 -> 0..996, with duplicates merged.
         assert_eq!(acc.len(), 997);
-        let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        acc.extract_append(&mut cols, &mut vals);
+        let (cols, vals) = drain(&mut acc);
         assert_eq!(cols.len(), 997);
         assert!(cols.windows(2).all(|w| w[0] < w[1]));
         let total: f64 = vals.iter().sum();
@@ -462,8 +445,7 @@ mod tests {
             acc.clear();
             assert_eq!(acc.len(), 0);
             acc.add(3, 2.0);
-            let (mut c, mut v) = (Vec::new(), Vec::new());
-            acc.extract_append(&mut c, &mut v);
+            let (_, v) = drain(acc);
             assert_eq!(v, vec![2.0]); // old 1.0 must not leak through
         }
     }
@@ -473,13 +455,11 @@ mod tests {
         let mut acc = DenseAccumulator::new(4);
         acc.gen = u32::MAX; // force wrap on next extract
         acc.add(1, 5.0);
-        let (mut c, mut v) = (Vec::new(), Vec::new());
-        acc.extract_append(&mut c, &mut v);
+        let (_, v) = drain(&mut acc);
         assert_eq!(v, vec![5.0]);
         // After wrap, stale stamps must not alias.
         acc.add(1, 7.0);
-        let (mut c2, mut v2) = (Vec::new(), Vec::new());
-        acc.extract_append(&mut c2, &mut v2);
+        let (_, v2) = drain(&mut acc);
         assert_eq!(v2, vec![7.0]);
     }
 
@@ -490,14 +470,5 @@ mod tests {
         acc.add(3, 1.0);
         acc.add(1, 1.0);
         assert_eq!(acc.len(), 2);
-    }
-
-    #[test]
-    fn make_accumulator_dispatches() {
-        for kind in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
-            let mut acc = make_accumulator(kind, 32);
-            acc.add(7, 1.5);
-            assert_eq!(acc.len(), 1);
-        }
     }
 }

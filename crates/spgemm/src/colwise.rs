@@ -7,7 +7,10 @@
 //! column-wise form so the choice is testable rather than assumed, and to
 //! cross-validate the row-wise kernel through an independent code path.
 
-use crate::accumulator::{make_accumulator, AccumulatorKind};
+use crate::accumulator::{
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
+};
+use crate::single_pass::OwnLines;
 use cw_sparse::{ColIdx, CscMatrix, CsrMatrix, Value};
 use rayon::prelude::*;
 
@@ -18,12 +21,20 @@ pub fn spgemm_colwise_csc(a: &CscMatrix, b: &CscMatrix, kind: AccumulatorKind) -
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
+    match kind {
+        AccumulatorKind::Hash => colwise_kernel::<HashAccumulator>(a, b),
+        AccumulatorKind::Dense => colwise_kernel::<DenseAccumulator>(a, b),
+        AccumulatorKind::Sort => colwise_kernel::<SortAccumulator>(a, b),
+    }
+}
+
+fn colwise_kernel<A: Accumulator>(a: &CscMatrix, b: &CscMatrix) -> CscMatrix {
     // One output column per B column; independent, so parallel per column.
     let columns: Vec<(Vec<ColIdx>, Vec<Value>)> = (0..b.ncols)
         .into_par_iter()
         .map_init(
-            || make_accumulator(kind, a.nrows),
-            |acc, j| {
+            || OwnLines(A::with_ncols(a.nrows)),
+            |OwnLines(acc), j| {
                 let (b_rows, b_vals) = (b.col_rows(j), b.col_vals(j));
                 for (&k, &bv) in b_rows.iter().zip(b_vals) {
                     let (a_rows, a_vals) = (a.col_rows(k as usize), a.col_vals(k as usize));
@@ -31,8 +42,8 @@ pub fn spgemm_colwise_csc(a: &CscMatrix, b: &CscMatrix, kind: AccumulatorKind) -
                         acc.add(i, av * bv);
                     }
                 }
-                let (mut rows, mut vals) = (Vec::new(), Vec::new());
-                acc.extract_append(&mut rows, &mut vals);
+                let (mut rows, mut vals) = (vec![0; acc.len()], vec![0.0; acc.len()]);
+                acc.extract_into(&mut rows, &mut vals);
                 (rows, vals)
             },
         )

@@ -9,11 +9,10 @@
 //! accumulator type chosen once per call from [`SpGemmOptions::acc`].
 
 use crate::accumulator::{
-    make_accumulator, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator,
-    SortAccumulator,
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
 };
 use crate::flops::flops_per_row_on;
-use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, RowSink};
+use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines, RowSink};
 use cw_sparse::CsrMatrix;
 use rayon::prelude::*;
 
@@ -65,7 +64,7 @@ pub fn spgemm_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMat
 /// products for one output entry always arrive in the same (ascending-k)
 /// order — the invariant that makes accumulator choice bit-transparent.
 #[inline]
-fn accumulate_row<A: Accumulator + ?Sized>(a: &CsrMatrix, b: &CsrMatrix, i: usize, acc: &mut A) {
+fn accumulate_row<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix, i: usize, acc: &mut A) {
     let (a_cols, a_vals) = a.row(i);
     for (&k, &av) in a_cols.iter().zip(a_vals) {
         let (b_cols, b_vals) = b.row(k as usize);
@@ -112,12 +111,20 @@ fn rowwise_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOpt
 /// multiply: the kernels size their output from the FLOP upper bound and
 /// never accumulate a row twice.
 pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> Vec<usize> {
+    match kind {
+        AccumulatorKind::Hash => symbolic_kernel::<HashAccumulator>(a, b),
+        AccumulatorKind::Dense => symbolic_kernel::<DenseAccumulator>(a, b),
+        AccumulatorKind::Sort => symbolic_kernel::<SortAccumulator>(a, b),
+    }
+}
+
+fn symbolic_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix) -> Vec<usize> {
     (0..a.nrows)
         .into_par_iter()
         .map_init(
-            || make_accumulator(kind, b.ncols),
-            |acc, i| {
-                accumulate_row(a, b, i, acc.as_mut());
+            || OwnLines(A::with_ncols(b.ncols)),
+            |OwnLines(acc), i| {
+                accumulate_row(a, b, i, acc);
                 let n = acc.len();
                 acc.clear();
                 n

@@ -111,7 +111,7 @@ impl Staging {
 /// between two workers, and every insert would bounce it between cores.
 /// 128 rather than 64: adjacent lines are prefetched in pairs.
 #[repr(align(128))]
-struct OwnLines<S>(S);
+pub(crate) struct OwnLines<S>(pub(crate) S);
 
 /// One contiguous run of work units and the output rows they produce.
 #[derive(Debug, Clone, PartialEq, Eq)]

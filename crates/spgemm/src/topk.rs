@@ -74,8 +74,8 @@ pub fn spgemm_topk(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<CandidatePai
                     }
                 }
             }
-            let (mut cols, mut counts) = (Vec::new(), Vec::new());
-            acc.extract_append(&mut cols, &mut counts);
+            let (mut cols, mut counts) = (vec![0; acc.len()], vec![0.0; acc.len()]);
+            acc.extract_into(&mut cols, &mut counts);
             let mut cands: Vec<CandidatePair> = cols
                 .iter()
                 .zip(&counts)

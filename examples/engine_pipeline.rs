@@ -20,8 +20,8 @@ fn backend_tour(engine: &mut Engine, a: &CsrMatrix) {
     let pipeline = engine.planner().plan(a);
     let mut oracle: Option<CsrMatrix> = None;
     for id in [BackendId::SerialReference, BackendId::ParallelCpu] {
-        // Forcing a backend is just a plan knob; each backend's
-        // preparation caches under its own (fingerprint, knobs) key.
+        // Forcing a backend is just a plan field; each backend's
+        // preparation caches under its own (fingerprint, plan) key.
         let (c, rep) = engine.multiply_planned(a, a, pipeline.on_backend(id));
         println!("{:>16}: {}", id.name(), rep.summary());
         match &oracle {
@@ -54,9 +54,10 @@ fn main() {
             profile.degree_skew, profile.relative_bandwidth, profile.consecutive_jaccard
         );
 
-        // 2. Plan: reordering × clustering × kernel × accumulator.
-        let plan = engine.planner().plan(a);
-        println!("plan:    {}  ({})", plan.describe(), plan.rationale);
+        // 2. Plan: reordering × clustering (which fixes the kernel) ×
+        // accumulator; the ranked list says why each candidate is there.
+        let best = engine.planner().plans_costed(a)[0];
+        println!("plan:    {}  ({})", best.plan.describe(), best.rationale);
 
         // 3. Execute: first call prepares (and caches), later calls reuse.
         let (c, first) = engine.multiply(a, a);

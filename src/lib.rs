@@ -39,23 +39,22 @@
 //!   `ServiceReport` and `ServiceStats` are views over the same numbers.
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/feed-back pipeline. A `Planner` profiles the
-//!   operand, prices every candidate pipeline (reordering × clustering ×
-//!   kernel × accumulator) with a `CostModel`, and ranks them by cost
-//!   amortized under a caller-supplied `PlanningPolicy` (expected reuse,
-//!   preprocessing budget); `PreparedMatrix` materializes the chosen plan
-//!   once; a fingerprint+knobs-keyed `PlanCache` (entry- or byte-bounded,
-//!   optional TTL) lets repeated traffic skip preprocessing entirely;
+//!   operand, prices every candidate pipeline (reordering × clustering,
+//!   which fixes the kernel, × accumulator) with a `CostModel`, and ranks
+//!   them by cost amortized under a caller-supplied `PlanningPolicy`
+//!   (expected reuse, preprocessing budget); `PreparedMatrix` materializes
+//!   the chosen plan once; a (fingerprint, plan)-keyed `PlanCache` (entry-
+//!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
 //!   `Engine::multiply` executes on the plan's backend
 //!   (`BackendId::ParallelCpu`, rayon, by default; the single-threaded
 //!   `BackendId::SerialReference` oracle for validation), reports
 //!   per-stage timings, and feeds observed kernel seconds into a
 //!   per-operand `FeedbackStore` that demotes mispredicted plans so
-//!   traffic converges on the empirically fastest pipeline (with an
-//!   optional evidence half-life so
-//!   drifted operands re-promote). The cost model's constants can also be
-//!   fitted *offline*: a `Calibrator` ingests measured bench-corpus runs
-//!   and emits a versioned `CalibrationProfile`
-//!   (`profiles/default.json`) that `Planner::with_profile`,
+//!   traffic converges on the empirically fastest pipeline. The cost
+//!   model's constants can also be fitted *offline*: a `Calibrator`
+//!   ingests measured bench-corpus runs and emits a versioned
+//!   `CalibrationProfile` (`profiles/default.json`) that
+//!   `Planner::with_profile`,
 //!   `Engine::with_profile`, and `ServiceConfig::profile` load at
 //!   construction so first-sight planning starts calibrated.
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O,
@@ -114,11 +113,11 @@
 //! assert!(c_first.numerically_eq(&c_again, 0.0));
 //! assert!(c_first.numerically_eq(&spgemm(&a, &a), 1e-9));
 //!
-//! // The backend is a plan knob: force the serial oracle for a
+//! // The backend is a plan field: force the serial oracle for a
 //! // single-threaded reference run of the *same* pipeline.
 //! let oracle_plan = first.plan.on_backend(BackendId::SerialReference);
 //! let (c_oracle, oracle) = engine.multiply_planned(&a, &a, oracle_plan);
-//! assert_eq!(oracle.backend, BackendId::SerialReference);
+//! assert_eq!(oracle.plan.backend, BackendId::SerialReference);
 //! assert!(c_oracle.numerically_eq(&c_first, 0.0));
 //! ```
 //!
@@ -127,9 +126,9 @@
 //! The output *shape* is a first-class request axis: the full product, the
 //! product filtered through a sparsity mask, or only each row's k
 //! largest-magnitude entries. Shapes ride the same plan/prepare/cache
-//! pipeline (cache and feedback are keyed per shape), the cost model
-//! discounts kernel work by the expected surviving fraction, and every
-//! backend stays bit-identical to the serial oracle computing the same
+//! pipeline (cache and feedback are keyed per shape; the cost model prices
+//! them like the full product, which is what executes), and every backend
+//! stays bit-identical to the serial oracle computing the same
 //! shape:
 //!
 //! ```
@@ -275,8 +274,8 @@ pub mod prelude {
     };
     pub use cw_engine::{
         BackendId, CacheBudget, CalibrationProfile, Calibrator, ClusteringStrategy, CostModel,
-        Engine, ExecutionReport, FeedbackStore, KernelChoice, OutputShape, Plan, PlanCache,
-        Planner, PlanningPolicy, PreparedMatrix,
+        Engine, ExecutionReport, FeedbackStore, OutputShape, Plan, PlanCache, Planner,
+        PlanningPolicy, PreparedMatrix,
     };
     pub use cw_net::{
         ClientConfig, NetClient, NetError, NetServer, NetServerConfig, Qos, RoutedClient,

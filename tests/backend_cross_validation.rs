@@ -12,8 +12,7 @@
 //! noise.
 
 use clusterwise_spgemm::engine::{
-    BackendId, ClusteringStrategy, KernelChoice, OutputShape, Plan, Planner, PreparedMatrix,
-    Suggestion,
+    BackendId, ClusteringStrategy, OutputShape, Plan, Planner, PreparedMatrix, Suggestion,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
@@ -104,11 +103,7 @@ fn every_ranked_candidate_is_bit_identical_across_backends() {
 fn fixed_cluster_lengths_are_bit_identical_across_backends() {
     let a = gen::grid::poisson2d(10, 9);
     for k in [1usize, 3, 8] {
-        let plan = Plan {
-            clustering: ClusteringStrategy::Fixed(k),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let plan = Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() };
         assert_backends_match_oracle("poisson_rect", &a, plan);
     }
 }
@@ -131,7 +126,7 @@ fn engine_traffic_on_forced_backends_matches_the_oracle_engine() {
         );
         for round in 0..3 {
             let (got, rep) = engine.multiply(&a, &a);
-            assert_eq!(rep.backend, id, "round {round}");
+            assert_eq!(rep.plan.backend, id, "round {round}");
             assert!(
                 got.approx_eq(&oracle, 0.0),
                 "engine on {id:?} diverges from the oracle engine (round {round})"
@@ -158,10 +153,9 @@ fn candidates_never_differ_only_in_backend() {
                 for (i, x) in ranked.iter().enumerate() {
                     assert_eq!(x.plan.backend, expected, "{name}/{shape:?}: {}", x.plan.describe());
                     for y in &ranked[i + 1..] {
-                        let same_pipeline = x.plan.on_backend(y.plan.backend).knobs();
                         assert_ne!(
-                            same_pipeline,
-                            y.plan.knobs(),
+                            x.plan.on_backend(y.plan.backend),
+                            y.plan,
                             "{name}/{shape:?}: {} and {} differ only in backend",
                             x.plan.describe(),
                             y.plan.describe()
@@ -189,7 +183,12 @@ fn the_default_door_only_ever_serves_on_parallel_cpu() {
     for op in 0..2000 {
         let a = &shuffles[op % shuffles.len()];
         let (_, report) = engine.multiply(a, a);
-        assert_eq!(report.backend, BackendId::ParallelCpu, "op {op}: {}", report.plan.describe());
+        assert_eq!(
+            report.plan.backend,
+            BackendId::ParallelCpu,
+            "op {op}: {}",
+            report.plan.describe()
+        );
     }
 }
 
@@ -298,15 +297,74 @@ fn shaped_degenerate_rows_stay_bit_identical() {
         }
     }
     let a = coo.to_csr();
-    for plan in [
-        Plan::baseline(),
-        Plan {
-            clustering: ClusteringStrategy::Fixed(3),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        },
-    ] {
+    for plan in
+        [Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(3), ..Plan::baseline() }]
+    {
         assert_shaped_backends_match_oracle("degenerate", &a, plan);
+    }
+}
+
+/// Same pattern and the same value *bits* — stricter than `approx_eq(_, 0.0)`,
+/// which lets `-0.0` pass for `0.0`.
+fn bits_eq(x: &CsrMatrix, y: &CsrMatrix) -> bool {
+    (x.nrows, x.ncols) == (y.nrows, y.ncols)
+        && x.row_ptr == y.row_ptr
+        && x.col_idx == y.col_idx
+        && x.vals.iter().map(|v| v.to_bits()).eq(y.vals.iter().map(|v| v.to_bits()))
+}
+
+#[test]
+fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
+    // A plan is six fields and every value of each is enumerable, so this is
+    // the table's outer half in full: reordering × clustering × accumulator ×
+    // parallel × backend × shape, each product compared bit for bit with the
+    // plain serial row-wise product (shaped by the public row-local
+    // transforms). Row reordering permutes whole rows and both kernels
+    // accumulate an output entry in ascending-`k` order, so no plan may
+    // change a single bit.
+    let mut reorderings = Reordering::all_ten();
+    reorderings.push(Reordering::Original);
+    for (name, a) in [
+        ("scrambled_mesh", gen::mesh::tri_mesh(8, 8, true, 3)),
+        ("rmat_powerlaw", gen::rmat::rmat(6, 5, gen::rmat::RmatParams::default(), 4)),
+    ] {
+        let full = spgemm_serial(&a, &a);
+        let expected = [
+            (OutputShape::Full, None, full.clone()),
+            (OutputShape::TopK(2), None, row_topk(&full, 2)),
+            (OutputShape::Masked, Some(&a), apply_mask(&full, &a)),
+        ];
+        for &reorder in &reorderings {
+            for clustering in [
+                ClusteringStrategy::None,
+                ClusteringStrategy::Fixed(2),
+                ClusteringStrategy::Fixed(8),
+                ClusteringStrategy::Variable,
+                ClusteringStrategy::Hierarchical,
+            ] {
+                for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+                    for (parallel, backend) in [
+                        (true, BackendId::ParallelCpu),
+                        (false, BackendId::ParallelCpu),
+                        (true, BackendId::SerialReference),
+                        (false, BackendId::SerialReference),
+                    ] {
+                        for (shape, mask, expect) in &expected {
+                            let plan =
+                                Plan { reorder, clustering, acc, parallel, backend, shape: *shape };
+                            let got =
+                                PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
+                                    .multiply_shaped(&a, *mask);
+                            assert!(
+                                bits_eq(&got, expect),
+                                "{name}: {} (parallel {parallel}) changes bits",
+                                plan.describe()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -334,13 +392,9 @@ proptest! {
         let mut plans = vec![
             planner.plan(&a),
             Plan::baseline(),
-            Plan {
-                clustering: ClusteringStrategy::Fixed(4),
-                kernel: KernelChoice::ClusterWise,
-                ..Plan::baseline()
-            },
+            Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() },
         ];
-        plans.dedup_by_key(|p| p.knobs());
+        plans.dedup();
         for plan in plans {
             let oracle = product_on(BackendId::SerialReference, &a, &a, plan);
             for id in validated_backends() {

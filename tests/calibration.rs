@@ -196,8 +196,7 @@ fn fit_recovers_ground_truth_better_than_defaults() {
     for (nrows, nnz) in [(600usize, 5_000usize), (1500, 14_000), (2500, 40_000)] {
         let a = clusterwise_spgemm::sparse::gen::er::erdos_renyi(nrows, nnz / nrows, 3);
         let features = OperandFeatures::with_profile(&a, cw_reorder_profile(&a));
-        for plan in [Plan::baseline(), Plan { reorder: Some(Reordering::Rcm), ..Plan::baseline() }]
-        {
+        for plan in [Plan::baseline(), Plan { reorder: Reordering::Rcm, ..Plan::baseline() }] {
             for backend in BackendId::ALL {
                 let plan = plan.on_backend(backend);
                 let est = truth.model.estimate(&features, &plan, 0.5);

@@ -161,11 +161,7 @@ fn fixed_clustering_plan_is_exact_for_all_lengths() {
     let expect = clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&a, &a);
     let mut engine = Engine::default();
     for k in [1usize, 2, 4, 8] {
-        let plan = Plan {
-            clustering: ClusteringStrategy::Fixed(k),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        };
+        let plan = Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() };
         let (got, _) = engine.multiply_planned(&a, &a, plan);
         assert!(got.numerically_eq(&expect, 1e-9), "fixed({k})");
     }

@@ -135,7 +135,7 @@ fn no_wait_submit_polls_to_the_same_bits() {
     let a = gen::grid::poisson2d(12, 12);
     let (direct, _) = Engine::default().multiply(&a, &a);
 
-    let id = client.submit_no_wait(&a, &a, Qos::none()).expect("accepted");
+    let id = client.submit_no_wait(&a, &a, &SubmitShape::Full, Qos::none()).expect("accepted");
     let resp = loop {
         match client.poll(id).expect("poll") {
             Some(resp) => break resp,
@@ -271,7 +271,9 @@ fn deadline_expired_requests_are_shed_and_counted() {
         NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
 
     let a = gen::grid::poisson2d(10, 10);
-    let parked = client.submit_no_wait(&a, &a, Qos::none()).expect("parks in the window");
+    let parked = client
+        .submit_no_wait(&a, &a, &SubmitShape::Full, Qos::none())
+        .expect("parks in the window");
     assert!(client.poll(parked).expect("poll").is_none(), "must still be parked");
 
     // The queue is now full; a deadlined request retries admission until

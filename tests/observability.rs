@@ -103,7 +103,7 @@ fn traced_service_jsonl_nests_and_reconciles_with_reports() {
         for a in &mats {
             let t = service.submit(MultiplyRequest::new(Arc::clone(a), Arc::clone(a))).unwrap();
             let resp = t.wait().unwrap();
-            assert_eq!(resp.report.cache_hit, round > 0, "round {round} cache outcome");
+            assert_eq!(resp.report.execution.cache_hit, round > 0, "round {round} cache outcome");
             responses.push(resp);
         }
     }
@@ -173,7 +173,7 @@ fn traced_service_jsonl_nests_and_reconciles_with_reports() {
         );
         // The root closes after the latency measurement, so it bounds it.
         assert!(dur_s("request") + 1e-6 >= report.latency_seconds, "trace {trace_id}");
-        if report.cache_hit {
+        if report.execution.cache_hit {
             assert_eq!(dur_s("prepare"), 0.0, "cache hits must show a zero-length prepare");
         }
     }

@@ -20,9 +20,7 @@
 //! `RAYON_NUM_THREADS=1` and `=2`; in-process width pinning goes through
 //! `rayon::with_pool_width`.
 
-use clusterwise_spgemm::engine::{
-    BackendId, ClusteringStrategy, KernelChoice, Plan, PreparedMatrix,
-};
+use clusterwise_spgemm::engine::{BackendId, ClusteringStrategy, Plan, PreparedMatrix};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use proptest::prelude::*;
@@ -66,14 +64,8 @@ fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
     // ParallelCpu product prepared and executed inside a pinned-width
     // pool is bit-identical to the SerialReference oracle.
     let a = gen::mesh::tri_mesh(12, 12, true, 9);
-    let plans = [
-        Plan::baseline(),
-        Plan {
-            clustering: ClusteringStrategy::Fixed(4),
-            kernel: KernelChoice::ClusterWise,
-            ..Plan::baseline()
-        },
-    ];
+    let plans =
+        [Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() }];
     let product = |id: BackendId, plan: Plan| {
         PreparedMatrix::prepare(&a, plan.on_backend(id), 7, &ClusterConfig::default()).multiply(&a)
     };

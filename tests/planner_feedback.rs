@@ -55,9 +55,8 @@ fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
     for _attempt in 0..3 {
         let mut engine = Engine::new(planner.clone(), DEFAULT_CACHE_CAPACITY);
         let (_, first) = engine.multiply(&a, &a);
-        assert_eq!(
-            first.plan.kernel,
-            KernelChoice::ClusterWise,
+        assert!(
+            first.plan.is_clusterwise(),
             "the adversarial model must mislead the initial choice ({})",
             first.plan.describe()
         );
@@ -130,11 +129,7 @@ fn forced_plans_outside_the_candidate_set_carry_no_feedback() {
     let mut engine = Engine::default();
     // Never seen via auto traffic and forced to an ablation pipeline: no
     // candidate set exists, so there is no calibration state to report.
-    let plan = Plan {
-        clustering: ClusteringStrategy::Fixed(3),
-        kernel: KernelChoice::ClusterWise,
-        ..Plan::baseline()
-    };
+    let plan = Plan { clustering: ClusteringStrategy::Fixed(3), ..Plan::baseline() };
     let (_, rep) = engine.multiply_planned(&a, &a, plan);
     assert!(rep.feedback.is_none());
     assert!(engine.feedback().is_empty());

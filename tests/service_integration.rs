@@ -96,7 +96,11 @@ fn shaped_requests_serve_bit_identical_and_echo_their_shape() {
             served.product.numerically_eq(&direct, 0.0),
             "{name}: served top-k product diverges from the direct shaped engine"
         );
-        assert_eq!(served.report.shape, OutputShape::TopK(4), "{name}: report lost the shape");
+        assert_eq!(
+            served.report.execution.plan.shape,
+            OutputShape::TopK(4),
+            "{name}: report lost the shape"
+        );
 
         // Masked by the operand's own pattern.
         let (direct, _) = Engine::default().multiply_masked(&a, &a, &a);
@@ -109,7 +113,11 @@ fn shaped_requests_serve_bit_identical_and_echo_their_shape() {
             served.product.numerically_eq(&direct, 0.0),
             "{name}: served masked product diverges from the direct shaped engine"
         );
-        assert_eq!(served.report.shape, OutputShape::Masked, "{name}: report lost the shape");
+        assert_eq!(
+            served.report.execution.plan.shape,
+            OutputShape::Masked,
+            "{name}: report lost the shape"
+        );
     }
 
     // A forced plan says how to compute; the request stays authoritative
@@ -191,7 +199,7 @@ fn four_shard_mixed_fingerprint_load_coalesces_and_hits_caches() {
         let expect = spgemm_serial(a, a);
         assert!(resp.product.numerically_eq(&expect, 1e-9), "request {i} wrong product");
         max_batch_seen = max_batch_seen.max(resp.report.batch_size);
-        cache_hits_seen += resp.report.cache_hit as usize;
+        cache_hits_seen += resp.report.execution.cache_hit as usize;
     }
     assert_eq!(stats.completed, 64, "every request must complete");
     assert_eq!(stats.rejected, 0);
