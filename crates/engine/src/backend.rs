@@ -163,11 +163,16 @@ pub(crate) fn materialize(
 ///
 /// `mask` must be `Some` exactly when the plan's shape is
 /// [`OutputShape::Masked`], with its rows already in internal order
-/// ([`crate::PreparedMatrix::multiply_shaped_timed`] permutes it). Every
-/// arm computes the full product and then applies the row-local shape
-/// transform ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]), which
-/// commutes with row permutation; a kernel that fuses a shape becomes a
-/// more specific arm of this `match` and must stay bit-identical to that.
+/// ([`crate::PreparedMatrix::multiply_shaped_timed`] permutes it).
+///
+/// A masked row-wise plan runs [`cw_spgemm::spgemm_masked_with`], which
+/// admits only the mask's columns into the accumulator and never builds
+/// the rest of the product (a `Sort` plan has no table to seed and filters
+/// inside that call). Every other shaped arm computes the full product and
+/// then applies the row-local shape transform ([`cw_spgemm::row_topk`] /
+/// [`cw_spgemm::apply_mask`]), which commutes with row permutation: it is
+/// the only path on cluster-wise operands and top-k, and the oracle a
+/// fused arm must stay bit-identical to.
 ///
 /// # Panics
 ///
@@ -183,17 +188,18 @@ pub(crate) fn execute(
         parallel: plan.parallel && plan.backend.is_parallel(),
         ..plan.spgemm_options()
     };
-    let c = match operand {
+    let full = || match operand {
         CpuOperand::RowWise(pa) => spgemm_with(pa, b, &opts),
         CpuOperand::ClusterWise(cc) => cw_core::clusterwise_spgemm_with(cc, b, &opts),
     };
-    match plan.shape {
-        OutputShape::Full => c,
-        OutputShape::TopK(k) => cw_spgemm::row_topk(&c, k),
-        OutputShape::Masked => {
-            let mask = mask.expect("masked plan executed without a mask operand");
-            cw_spgemm::apply_mask(&c, mask)
+    let mask = || mask.expect("masked plan executed without a mask operand");
+    match (operand, plan.shape) {
+        (CpuOperand::RowWise(pa), OutputShape::Masked) => {
+            cw_spgemm::spgemm_masked_with(pa, b, mask(), &opts)
         }
+        (_, OutputShape::Masked) => cw_spgemm::apply_mask(&full(), mask()),
+        (_, OutputShape::TopK(k)) => cw_spgemm::row_topk(&full(), k),
+        (_, OutputShape::Full) => full(),
     }
 }
 

@@ -216,8 +216,12 @@ impl CostModel {
     /// The plan's backend contributes one term: the parallel speedup
     /// applies only where [`crate::BackendId::is_parallel`] says the
     /// kernel will actually use the pool. The plan's [`OutputShape`]
-    /// contributes none: every shape executes the full product and filters
-    /// afterwards, so a shaped plan is priced like the full one.
+    /// contributes none: a shaped plan is priced like the full one. That
+    /// is what executes for top-k and for cluster-wise masked plans; a
+    /// row-wise masked plan runs the fused kernel, which does every
+    /// multiply but builds only the mask's entries, so for it the price is
+    /// an upper bound until `calibrate` fits the fraction from shaped
+    /// samples.
     pub fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
         let affinity = affinity.clamp(0.0, 1.0);
         let madds = f.estimated_madds();
@@ -701,8 +705,11 @@ mod tests {
 
     #[test]
     fn output_shape_does_not_change_the_price() {
-        // Every shape executes the full product and filters afterwards, so
-        // the model may not price a shaped plan below the full one.
+        // Top-k and cluster-wise masked plans execute the full product and
+        // filter; the fused row-wise masked kernel does less, by a fraction
+        // nobody has fitted. Until `calibrate` fits it the full price is an
+        // upper bound for that plan, and no hand-set discount may undercut
+        // it for any shape.
         let model = CostModel::default();
         let f = features(2000, 16000, 0.4);
         for plan in [

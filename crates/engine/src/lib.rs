@@ -56,8 +56,10 @@
 //! pattern, or row-wise top-k ([`OutputShape`]) — is a first-class axis of
 //! all five stages: it is a [`Plan`] field, so cache entries and feedback
 //! state for truncated traffic never collide with full-product traffic on
-//! the same operand. The [`CostModel`] prices a shaped plan like the full
-//! one, because execution computes the full product and filters. See
+//! the same operand. A masked row-wise plan runs a kernel that admits only
+//! the mask's columns; top-k and cluster-wise masked plans compute the full
+//! product and filter. The [`CostModel`] prices every shaped plan like the
+//! full one (an upper bound for the fused kernel, until it is fitted). See
 //! [`Engine::multiply_shaped`] / [`Engine::multiply_topk`] /
 //! [`Engine::multiply_masked`].
 //!

@@ -21,11 +21,13 @@ use cw_spgemm::AccumulatorKind;
 /// Output shape is a **plan field**, so plan-cache entries and
 /// [`crate::FeedbackStore`] candidates for different shapes never collide
 /// — a top-k request and a full request on the same operand learn and
-/// cache independently. Execution
-/// computes the full product and applies the row-local shape transform
-/// ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]), which commutes
-/// with row permutation, so every backend stays bit-identical to the
-/// serial reference per shape.
+/// cache independently. A shape is a row-local transform of the product
+/// ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]), so it commutes
+/// with row permutation and every plan stays bit-identical to the serial
+/// product with that transform applied. Row-wise masked plans fuse the
+/// mask into the kernel ([`cw_spgemm::spgemm_masked_with`]) and never
+/// build the entries it drops; the other shaped plans compute the full
+/// product and then apply the transform.
 ///
 /// The mask operand itself is *request data*, not plan data — it travels
 /// alongside the multiply (e.g. `cw_service`'s `RequestShape::Masked`)

@@ -138,8 +138,7 @@ impl Planner {
     /// [`Planner::plans_costed`] for a specific [`OutputShape`]: the same
     /// list with the shape stamped into every plan, so shaped cache entries
     /// and feedback candidates never collide with full-product ones. The
-    /// estimates are the full product's — every shape executes the full
-    /// multiply and filters afterwards.
+    /// estimates are the full product's (see [`CostModel::estimate`]).
     pub fn plans_costed_shaped(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
         let advice = advise_profiled(a);
         let features = OperandFeatures::with_profile(a, advice.profile);

@@ -379,6 +379,25 @@ impl CsrMatrix {
         self.vals.iter().zip(&other.vals).all(|(&a, &b)| (a - b).abs() <= tol)
     }
 
+    /// Bit-identity, the contract between kernels that compute the same
+    /// sums in the same order: same shape and pattern, and every value has
+    /// the same bits — `-0.0` differs from `0.0`, infinities and subnormals
+    /// compare exactly — except that any NaN equals any NaN. The sign and
+    /// payload of a NaN produced by arithmetic are unspecified (an optimised
+    /// build may commute the addition that made it), so they are not part of
+    /// the contract; *where* the NaNs are is.
+    pub fn bits_eq(&self, other: &CsrMatrix) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.vals.len() == other.vals.len()
+            && self
+                .vals
+                .iter()
+                .zip(&other.vals)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
     /// Approximate numeric equality that tolerates pattern differences caused
     /// by explicit zeros: compares `self` and `other` entry-by-entry after
     /// dropping entries smaller than `tol` in magnitude.
@@ -565,6 +584,22 @@ mod tests {
         let b = CsrMatrix::from_row_lists(3, vec![vec![(0, 1.0)], vec![(1, 2.0)]]);
         assert!(a.numerically_eq(&b, 1e-12));
         assert!(!a.approx_eq(&b, 1e-12));
+    }
+
+    #[test]
+    fn bits_eq_is_to_bits_except_between_nans() {
+        let m = |vals: [f64; 3]| CsrMatrix::from_row_lists(3, vec![(0..3).zip(vals).collect()]);
+        let odd = m([-0.0, f64::NEG_INFINITY, 1e-310]);
+        assert!(odd.bits_eq(&odd.clone()));
+        assert!(!odd.bits_eq(&m([0.0, f64::NEG_INFINITY, 1e-310])), "signed zeros differ");
+        assert!(m([0.0, 0.0, 0.0]).approx_eq(&m([-0.0, 0.0, 0.0]), 0.0), "approx_eq cannot tell");
+        // Any NaN equals any NaN, and only a NaN.
+        let nan = |bits: u64| m([1.0, f64::from_bits(bits), 2.0]);
+        assert!(nan(0x7FF8_0000_0000_0000).bits_eq(&nan(0xFFF8_0000_0000_0001)));
+        assert!(!nan(0x7FF8_0000_0000_0000).bits_eq(&m([1.0, f64::INFINITY, 2.0])));
+        // Structure first: same values in another column are another matrix.
+        let moved = CsrMatrix::from_row_lists(3, vec![vec![(0, 1.0), (2, 2.0)]]);
+        assert!(!moved.bits_eq(&CsrMatrix::from_row_lists(3, vec![vec![(0, 1.0), (1, 2.0)]])));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use cw_sparse::{ColIdx, Value};
 
 /// Sentinel for an empty hash slot (no valid column id equals `u32::MAX`
 /// because matrix dimensions are `< u32::MAX`).
-const EMPTY: u32 = u32::MAX;
+pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// Which accumulator implementation a kernel should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -65,7 +65,7 @@ pub trait Accumulator: Send {
 /// Fibonacci-style multiplicative hash: fast, good-enough spread for column
 /// ids (the perf-book guidance: never SipHash in a kernel).
 #[inline(always)]
-fn hash32(x: u32, mask: usize) -> usize {
+pub(crate) fn hash32(x: u32, mask: usize) -> usize {
     (x.wrapping_mul(0x9E37_79B9) as usize) & mask
 }
 

@@ -14,9 +14,14 @@
 //!   (`flops / nnz(C)`) that prior work uses to predict SpGEMM throughput.
 //! * [`topk`] — `SpGEMM_TopK(A, Aᵀ)`: the candidate-pair generation step of
 //!   hierarchical clustering (paper Alg. 3 line 3).
+//! * [`masked`] — [`spgemm_masked_with`]: row-wise `C⟨M⟩ = A·B` with the
+//!   mask seeded into the accumulator, so only the entries it admits are
+//!   ever built; what the engine's `OutputShape::Masked` runs on row-wise
+//!   plans.
 //! * [`shape`] — output-shape postprocess kernels ([`apply_mask`],
-//!   [`row_topk`]): the row-local masked / per-row top-k truncations the
-//!   engine's `OutputShape` plan knob dispatches onto.
+//!   [`row_topk`]): the row-local transforms that define the engine's
+//!   `OutputShape`s, applied to a finished product where no kernel fuses
+//!   them, and the oracle for the one that does.
 //! * [`trace`] — extraction of the B-row access sequence a kernel performs,
 //!   consumed by `cw-cachesim` for deterministic locality measurements.
 //! * [`colwise`], [`heap`], [`pattern`] — alternative kernels (column-wise
@@ -30,6 +35,7 @@ pub mod accumulator;
 pub mod colwise;
 pub mod flops;
 pub mod heap;
+pub mod masked;
 pub mod pattern;
 pub mod rowwise;
 pub mod shape;
@@ -42,6 +48,7 @@ pub use accumulator::{
 };
 pub use colwise::spgemm_colwise;
 pub use heap::spgemm_heap;
+pub use masked::spgemm_masked_with;
 pub use pattern::spgemm_pattern;
 pub use rowwise::{spgemm, spgemm_serial, spgemm_with, SpGemmOptions};
 pub use shape::{apply_mask, row_topk};

@@ -13,7 +13,7 @@ use crate::accumulator::{
 };
 use crate::flops::flops_per_row_on;
 use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines, RowSink};
-use cw_sparse::CsrMatrix;
+use cw_sparse::{ColIdx, CsrMatrix, Value};
 use rayon::prelude::*;
 
 /// Tuning knobs for [`spgemm_with`].
@@ -58,18 +58,24 @@ pub fn spgemm_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMat
     }
 }
 
-/// Accumulates `A[i,:] · B` into `acc`.
+/// Feeds every partial product `(column, a_ik · b_kj)` of `A[i,:] · B` to
+/// `add`.
 ///
 /// Every kernel in the crate funnels through this loop, so partial
 /// products for one output entry always arrive in the same (ascending-k)
 /// order — the invariant that makes accumulator choice bit-transparent.
 #[inline]
-fn accumulate_row<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix, i: usize, acc: &mut A) {
+pub(crate) fn accumulate_row(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    i: usize,
+    mut add: impl FnMut(ColIdx, Value),
+) {
     let (a_cols, a_vals) = a.row(i);
     for (&k, &av) in a_cols.iter().zip(a_vals) {
         let (b_cols, b_vals) = b.row(k as usize);
         for (&j, &bv) in b_cols.iter().zip(b_vals) {
-            acc.add(j, av * bv);
+            add(j, av * bv);
         }
     }
 }
@@ -83,7 +89,7 @@ pub(crate) fn multiply_row<A: Accumulator>(
     acc: &mut A,
     sink: &mut RowSink<'_>,
 ) {
-    accumulate_row(a, b, i, acc);
+    accumulate_row(a, b, i, |col, val| acc.add(col, val));
     sink.push_row(acc);
 }
 
@@ -124,7 +130,7 @@ fn symbolic_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix) -> Vec<usize> {
         .map_init(
             || OwnLines(A::with_ncols(b.ncols)),
             |OwnLines(acc), i| {
-                accumulate_row(a, b, i, acc);
+                accumulate_row(a, b, i, |col, val| acc.add(col, val));
                 let n = acc.len();
                 acc.clear();
                 n

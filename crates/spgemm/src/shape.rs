@@ -5,10 +5,15 @@
 //! GraphBLAS `C⟨M⟩ = A·B` idiom) keeps only positions named by a mask
 //! pattern. Both are **row-local** transforms — each output row depends
 //! only on the same row of the input — so they commute with row
-//! permutation, which is what lets every execution backend compute the
-//! full product in its own (possibly reordered) row order and apply the
-//! shape before un-permuting, while staying bit-identical to the serial
-//! reference applying the same shape.
+//! permutation: a plan may produce the shaped product in its own (possibly
+//! reordered) row order and un-permute afterwards, and stay bit-identical
+//! to the serial reference with the same transform applied.
+//!
+//! These functions *define* the shapes. They are what runs where no kernel
+//! fuses the shape (top-k, and masks over cluster-wise or sort-accumulator
+//! products), and the oracle for the one that does:
+//! [`crate::spgemm_masked_with`] equals `apply_mask` of the product without
+//! building the entries `apply_mask` would drop.
 //!
 //! Both kernels are deterministic: [`apply_mask`] preserves the input's
 //! column order, and [`row_topk`] breaks magnitude ties toward the

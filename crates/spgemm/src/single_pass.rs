@@ -54,6 +54,7 @@
 //! predicted FLOPs at admission is the guard for that.
 
 use crate::accumulator::Accumulator;
+use crate::masked::MaskAccumulator;
 use cw_sparse::{ColIdx, CsrMatrix, Value};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -207,6 +208,16 @@ impl RowSink<'_> {
     #[inline]
     pub fn push_row<A: Accumulator>(&mut self, acc: &mut A) {
         let n = acc.extract_into(&mut self.cols[self.len..], &mut self.vals[self.len..]);
+        self.row_nnz[self.rows] = n;
+        self.rows += 1;
+        self.len += n;
+    }
+
+    /// [`RowSink::push_row`] for a masked row: extracts the columns of
+    /// `admitted` (the slice `acc` was seeded with) that received a product.
+    #[inline]
+    pub(crate) fn push_masked_row<M: MaskAccumulator>(&mut self, acc: &mut M, admitted: &[ColIdx]) {
+        let n = acc.extract_into(admitted, &mut self.cols[self.len..], &mut self.vals[self.len..]);
         self.row_nnz[self.rows] = n;
         self.rows += 1;
         self.len += n;

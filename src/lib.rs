@@ -126,10 +126,12 @@
 //! The output *shape* is a first-class request axis: the full product, the
 //! product filtered through a sparsity mask, or only each row's k
 //! largest-magnitude entries. Shapes ride the same plan/prepare/cache
-//! pipeline (cache and feedback are keyed per shape; the cost model prices
-//! them like the full product, which is what executes), and every backend
-//! stays bit-identical to the serial oracle computing the same
-//! shape:
+//! pipeline (cache and feedback are keyed per shape). A masked row-wise
+//! plan admits only the mask's columns into the accumulator and never
+//! builds the rest of the product; the other shaped plans compute the full
+//! product and filter it, which is also how the cost model prices all of
+//! them. Either way every plan stays bit-identical to the serial oracle
+//! computing the same shape:
 //!
 //! ```
 //! use clusterwise_spgemm::prelude::*;
@@ -288,7 +290,8 @@ pub mod prelude {
     };
     pub use cw_sparse::{fingerprint, CooMatrix, CscMatrix, CsrMatrix, Permutation};
     pub use cw_spgemm::{
-        apply_mask, row_topk, spgemm, spgemm_serial, spgemm_with, AccumulatorKind, SpGemmOptions,
+        apply_mask, row_topk, spgemm, spgemm_masked_with, spgemm_serial, spgemm_with,
+        AccumulatorKind, SpGemmOptions,
     };
 }
 

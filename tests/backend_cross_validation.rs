@@ -304,15 +304,6 @@ fn shaped_degenerate_rows_stay_bit_identical() {
     }
 }
 
-/// Same pattern and the same value *bits* — stricter than `approx_eq(_, 0.0)`,
-/// which lets `-0.0` pass for `0.0`.
-fn bits_eq(x: &CsrMatrix, y: &CsrMatrix) -> bool {
-    (x.nrows, x.ncols) == (y.nrows, y.ncols)
-        && x.row_ptr == y.row_ptr
-        && x.col_idx == y.col_idx
-        && x.vals.iter().map(|v| v.to_bits()).eq(y.vals.iter().map(|v| v.to_bits()))
-}
-
 #[test]
 fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
     // A plan is six fields and every value of each is enumerable, so this is
@@ -321,7 +312,8 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
     // plain serial row-wise product (shaped by the public row-local
     // transforms). Row reordering permutes whole rows and both kernels
     // accumulate an output entry in ascending-`k` order, so no plan may
-    // change a single bit.
+    // change a single bit (`CsrMatrix::bits_eq`: stricter than
+    // `approx_eq(_, 0.0)`, which lets `-0.0` pass for `0.0`).
     let mut reorderings = Reordering::all_ten();
     reorderings.push(Reordering::Original);
     for (name, a) in [
@@ -356,7 +348,7 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
                                 PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
                                     .multiply_shaped(&a, *mask);
                             assert!(
-                                bits_eq(&got, expect),
+                                got.bits_eq(expect),
                                 "{name}: {} (parallel {parallel}) changes bits",
                                 plan.describe()
                             );

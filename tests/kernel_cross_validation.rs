@@ -5,8 +5,9 @@
 //! pass here.
 //!
 //! The second half is the single-pass driver's table: every kernel that
-//! runs on it × accumulator × pool width × chunking, bit-for-bit against
-//! the serial oracle on the degenerate operands.
+//! runs on it × accumulator × pool width × chunking, bit-for-bit
+//! (`CsrMatrix::bits_eq`) against the serial oracle on the degenerate
+//! operands — the masked kernel against the oracle filtered by `apply_mask`.
 
 use clusterwise_spgemm::core::clusterwise_spgemm_with;
 use clusterwise_spgemm::prelude::*;
@@ -175,16 +176,44 @@ fn degenerate_operands() -> Vec<(&'static str, CsrMatrix, CsrMatrix)> {
 
 fn assert_bits_eq(got: &CsrMatrix, expect: &CsrMatrix, what: &str) {
     got.validate().unwrap_or_else(|e| panic!("{what}: invalid CSR: {e:?}"));
-    assert_eq!((got.nrows, got.ncols), (expect.nrows, expect.ncols), "{what}: shape");
-    assert_eq!(got.row_ptr, expect.row_ptr, "{what}: row_ptr");
-    assert_eq!(got.col_idx, expect.col_idx, "{what}: col_idx");
-    let bits = |m: &CsrMatrix| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(got), bits(expect), "{what}: values");
+    assert!(got.bits_eq(expect), "{what}: not bit-identical\n  got {got:?}\n want {expect:?}");
     // The output arrays are sized to the result (one allocator granule of
     // slack at most), whatever the upper bound the staging was reserved at.
     const GRANULE: usize = 16;
     assert!(got.col_idx.capacity() <= got.nnz() + GRANULE, "{what}: col_idx oversized");
     assert!(got.vals.capacity() <= got.nnz() + GRANULE, "{what}: vals oversized");
+}
+
+/// Masks for a product `c`, as `(name, mask)`: what a kernel that admits
+/// only the mask's columns could get wrong. Every built mask stores
+/// explicit zeros — a mask is its pattern.
+fn degenerate_masks(c: &CsrMatrix) -> Vec<(&'static str, CsrMatrix)> {
+    let mask = |row: &dyn Fn(usize) -> Vec<usize>| {
+        let rows = (0..c.nrows).map(|i| row(i).into_iter().map(|j| (j, 0.0)).collect()).collect();
+        let m = CsrMatrix::from_row_lists(c.ncols, rows);
+        assert_eq!((m.nrows, m.ncols), (c.nrows, c.ncols));
+        m
+    };
+    let own = |i: usize| c.row_cols(i).iter().map(|&j| j as usize).collect::<Vec<_>>();
+    let all = || (0..c.ncols).collect::<Vec<_>>();
+    vec![
+        ("own pattern", c.clone()),
+        ("empty", CsrMatrix::zeros(c.nrows, c.ncols)),
+        // Empty mask rows over non-empty product rows, and full mask rows
+        // over empty product rows.
+        ("rows swapped", mask(&|i| if c.row_nnz(i) == 0 { all() } else { vec![] })),
+        // Only columns the product lacks: admitted, never touched.
+        ("complement", {
+            mask(&|i| {
+                let present = own(i);
+                all().into_iter().filter(|j| !present.contains(j)).collect()
+            })
+        }),
+        // Some columns of each kind in every row.
+        ("stripes", mask(&|_| (0..c.ncols).step_by(2).collect())),
+        // One fully dense mask row among own-pattern rows.
+        ("one dense row", mask(&|i| if i == c.nrows / 2 { all() } else { own(i) })),
+    ]
 }
 
 #[test]
@@ -213,6 +242,18 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
         let cc = CsrCluster::from_csr(&ha, &h.clustering);
         clustered.push(("hierarchical".to_string(), cc, spgemm_serial(&ha, &b)));
 
+        // The masked kernel's oracle is the serial product, filtered.
+        let masked: Vec<(&str, CsrMatrix, CsrMatrix)> = degenerate_masks(&oracle)
+            .into_iter()
+            .map(|(label, mask)| (label, apply_mask(&oracle, &mask), mask))
+            .collect();
+        if name == "cancellation" {
+            let dense_row = &masked.iter().find(|(label, ..)| *label == "one dense row").unwrap().1;
+            // Row 0 keeps its own pattern, row 1 admits every column.
+            assert_eq!(dense_row.get(0, 0), Some(0.0), "an admitted zero must stay stored");
+            assert_eq!(dense_row.row_cols(1), &[0], "admitted but never touched must not appear");
+        }
+
         for width in [1usize, 2, 4] {
             rayon::with_pool_width(width, || {
                 for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
@@ -227,6 +268,14 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
                         for (label, cc, expect) in &clustered {
                             let got = clusterwise_spgemm_with(cc, &b, &opts);
                             assert_bits_eq(&got, expect, &format!("{what} cluster-wise {label}"));
+                        }
+                        // A Sort plan has no fused kernel (it filters the
+                        // row-wise product checked above).
+                        if acc != AccumulatorKind::Sort {
+                            for (label, expect, mask) in &masked {
+                                let got = spgemm_masked_with(&a, &b, mask, &opts);
+                                assert_bits_eq(&got, expect, &format!("{what} masked by {label}"));
+                            }
                         }
                     }
                 }

@@ -27,16 +27,6 @@ use proptest::prelude::*;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Bit-level equality: same pattern, same values to the last ulp.
-fn bits_eq(x: &CsrMatrix, y: &CsrMatrix) -> bool {
-    x.nrows == y.nrows
-        && x.ncols == y.ncols
-        && x.row_ptr == y.row_ptr
-        && x.col_idx == y.col_idx
-        && x.vals.len() == y.vals.len()
-        && x.vals.iter().zip(&y.vals).all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
 #[test]
 fn every_pool_width_is_bit_identical_to_the_serial_path() {
     // Width 1 must fall through to the serial single-pass path; wider
@@ -53,7 +43,7 @@ fn every_pool_width_is_bit_identical_to_the_serial_path() {
                 assert_eq!(rayon::current_num_threads(), width);
                 spgemm_with(a, a, &SpGemmOptions::default())
             });
-            assert!(bits_eq(&got, &expect), "{name}: width {width} moved bits");
+            assert!(got.bits_eq(&expect), "{name}: width {width} moved bits");
         }
     }
 }
@@ -74,7 +64,7 @@ fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
         for width in [1usize, 2, 8] {
             let got = rayon::with_pool_width(width, || product(BackendId::ParallelCpu, plan));
             assert!(
-                bits_eq(&got, &oracle),
+                got.bits_eq(&oracle),
                 "ParallelCpu at width {width} diverges from the oracle under {}",
                 plan.describe()
             );
@@ -105,7 +95,7 @@ fn soak_concurrent_submitters_with_skewed_rows() {
                         let i = (t + round) % mats.len();
                         let got = spgemm_with(&mats[i], &mats[i], &SpGemmOptions::default());
                         assert!(
-                            bits_eq(&got, &expected[i]),
+                            got.bits_eq(&expected[i]),
                             "submitter {t} round {round}: corrupted product"
                         );
                     }
@@ -166,7 +156,7 @@ fn panicking_spgemm_does_not_poison_later_multiplies() {
         for _ in 0..2 {
             assert!(std::panic::catch_unwind(|| spgemm(&a, &wrong)).is_err());
             let got = spgemm(&a, &a);
-            assert!(bits_eq(&got, &spgemm_serial(&a, &a)));
+            assert!(got.bits_eq(&spgemm_serial(&a, &a)));
         }
     });
 }

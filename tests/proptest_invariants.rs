@@ -7,17 +7,22 @@ use clusterwise_spgemm::sparse::jaccard::{jaccard, jaccard_from_overlap};
 use clusterwise_spgemm::sparse::CooMatrix;
 use proptest::prelude::*;
 
-/// Strategy: a random sparse square matrix as (n, entries).
-fn sparse_square(max_n: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
-    (2usize..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n, -4.0f64..4.0), 0..max_nnz).prop_map(move |entries| {
-            let mut coo = CooMatrix::new(n, n);
+/// Strategy: a random sparse `nrows × ncols` matrix (both at least 1).
+fn sparse_rect(nrows: usize, ncols: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
+    proptest::collection::vec((0..nrows, 0..ncols, -4.0f64..4.0), 0..max_nnz).prop_map(
+        move |entries| {
+            let mut coo = CooMatrix::new(nrows, ncols);
             for (i, j, v) in entries {
                 coo.push(i, j, v);
             }
             coo.to_csr()
-        })
-    })
+        },
+    )
+}
+
+/// Strategy: a random sparse square matrix of order `2..=max_n`.
+fn sparse_square(max_n: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
+    (2usize..=max_n).prop_flat_map(move |n| sparse_rect(n, n, max_nnz))
 }
 
 /// Strategy: a random clustering of `n` rows with sizes in 1..=8.
@@ -97,6 +102,39 @@ proptest! {
         let got = clusterwise_spgemm(&cc, &a);
         let expected = spgemm_serial(&a, &a);
         prop_assert!(got.approx_eq(&expected, 1e-9));
+    }
+
+    #[test]
+    fn fused_mask_equals_the_post_filter(
+        (a, b, mask) in (1usize..=12, 1usize..=12, 1usize..=12).prop_flat_map(|(n, k, m)| {
+            (sparse_rect(n, k, 60), sparse_rect(k, m, 60), sparse_rect(n, m, 60))
+        })
+    ) {
+        let expected = apply_mask(&spgemm_serial(&a, &b), &mask);
+        for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+            for parallel in [false, true] {
+                let opts = SpGemmOptions { acc, parallel, ..SpGemmOptions::default() };
+                let got = spgemm_masked_with(&a, &b, &mask, &opts);
+                prop_assert!(got.bits_eq(&expected), "{:?}, parallel {}", acc, parallel);
+            }
+        }
+    }
+
+    #[test]
+    fn masked_plan_under_a_reordering_equals_the_post_filter(
+        (a, b, mask) in (2usize..=16, 1usize..=12).prop_flat_map(|(n, m)| {
+            (sparse_rect(n, n, 80), sparse_rect(n, m, 60), sparse_rect(n, m, 60))
+        })
+    ) {
+        // RCM permutes A's rows, so the mask has to follow them into the
+        // kernel's row order and the product has to come back out of it.
+        let plan = Plan { reorder: Reordering::Rcm, shape: OutputShape::Masked, ..Plan::baseline() };
+        let mut engine = Engine::default();
+        let (prepared, timings, hit) = engine.prepare_with_shape(&a, Some(plan), plan.shape);
+        let (got, report) =
+            engine.execute_prepared_shaped(&prepared, &b, Some(&mask), timings, hit);
+        prop_assert_eq!(report.plan, plan);
+        prop_assert!(got.bits_eq(&apply_mask(&spgemm_serial(&a, &b), &mask)));
     }
 
     #[test]
