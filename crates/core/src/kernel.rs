@@ -22,7 +22,7 @@
 //! type, chosen once per call from `SpGemmOptions::acc`.
 
 use crate::format::{CsrCluster, MAX_CLUSTER_LEN};
-use cw_sparse::CsrMatrix;
+use cw_sparse::{CsrMatrix, Permutation};
 use cw_spgemm::accumulator::{
     Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
 };
@@ -38,15 +38,33 @@ pub fn clusterwise_spgemm(ac: &CsrCluster, b: &CsrMatrix) -> CsrMatrix {
 
 /// [`clusterwise_spgemm`] with explicit accumulator/parallelism options.
 pub fn clusterwise_spgemm_with(ac: &CsrCluster, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
+    clusterwise_spgemm_mapped(ac, b, opts, None)
+}
+
+/// [`clusterwise_spgemm_with`] with the product's rows stored where
+/// `row_map` says: row `i` becomes row `row_map.old_of(i)` of the result, as
+/// in [`cw_spgemm::spgemm_mapped`]. Passing the permutation the clustered
+/// operand was built under returns the rows in the original order.
+///
+/// # Panics
+///
+/// Panics on a dimension mismatch, or if `row_map` does not have one entry
+/// per row of `ac`.
+pub fn clusterwise_spgemm_mapped(
+    ac: &CsrCluster,
+    b: &CsrMatrix,
+    opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
+) -> CsrMatrix {
     assert_eq!(
         ac.ncols, b.nrows,
         "dimension mismatch: clustered A is {}x{}, B is {}x{}",
         ac.nrows, ac.ncols, b.nrows, b.ncols
     );
     match opts.acc {
-        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator>(ac, b, opts),
-        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator>(ac, b, opts),
-        AccumulatorKind::Sort => clusterwise_kernel::<SortAccumulator>(ac, b, opts),
+        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator>(ac, b, opts, row_map),
+        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator>(ac, b, opts, row_map),
+        AccumulatorKind::Sort => clusterwise_kernel::<SortAccumulator>(ac, b, opts, row_map),
     }
 }
 
@@ -106,6 +124,7 @@ fn clusterwise_kernel<A: Accumulator>(
     ac: &CsrCluster,
     b: &CsrMatrix,
     opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
 ) -> CsrMatrix {
     let target = chunk_target(opts.parallel, opts.chunks_per_thread);
     let (flops, bounds) = cluster_work(ac, b, target > 1);
@@ -114,6 +133,7 @@ fn clusterwise_kernel<A: Accumulator>(
         ac.nrows,
         b.ncols,
         &chunks,
+        row_map,
         || (0..MAX_CLUSTER_LEN).map(|_| A::with_ncols(b.ncols)).collect::<Vec<A>>(),
         |accs, clusters, sink| {
             for c in clusters {

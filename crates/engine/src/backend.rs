@@ -26,7 +26,7 @@ use cw_core::{
 };
 use cw_reorder::Reordering;
 use cw_sparse::{CsrMatrix, Permutation};
-use cw_spgemm::rowwise::{spgemm_with, SpGemmOptions};
+use cw_spgemm::rowwise::{spgemm_mapped, SpGemmOptions};
 use std::time::Instant;
 
 /// Identity of one execution backend: what travels inside [`Plan`]s (and
@@ -83,8 +83,9 @@ impl BackendId {
     }
 }
 
-/// The materialized left operand: plain CSR for row-wise plans,
-/// `CSR_Cluster` for cluster-wise plans.
+/// The materialized left operand, which decides the kernel: plain CSR for
+/// row-wise plans and for clustered plans whose clustering came out too
+/// fine to pay (see [`materialize`]), `CSR_Cluster` for the rest.
 #[derive(Debug, Clone)]
 pub(crate) enum CpuOperand {
     /// Row-wise kernels run over plain (possibly permuted) CSR.
@@ -103,12 +104,28 @@ impl CpuOperand {
     }
 }
 
+/// Below this many rows per cluster a clustered layout has found too little
+/// to share: `CSR_Cluster` over (almost) singletons costs a union list, a
+/// bitmask and a per-member scatter loop for every row and saves no `B`-row
+/// reads, so the operand is kept as plain CSR on the same row order.
+const MIN_ROWS_PER_CLUSTER: f64 = 1.5;
+
 /// Materializes the operand for `plan`: computes and applies the row
-/// permutation, builds the clustered format when the plan asks for one,
-/// and records the `reorder`/`cluster` stage seconds (the other
-/// [`StageTimings`] fields stay zero). The returned permutation is the
-/// *inverse* of the total applied reordering (what maps kernel output rows
-/// back to original ids).
+/// permutation, builds the clustered format when the plan asks for one and
+/// the clustering found something to cluster, and records the
+/// `reorder`/`cluster` stage seconds (the other [`StageTimings`] fields
+/// stay zero).
+///
+/// The operand is [`CpuOperand::ClusterWise`] only when the plan's
+/// clustering averages at least [`MIN_ROWS_PER_CLUSTER`] rows per cluster;
+/// otherwise it is the same reordered (for `Hierarchical`: swept and
+/// grouped) rows as [`CpuOperand::RowWise`], still under `plan` — its cache
+/// key and feedback identity do not change, only the kernel that runs.
+///
+/// The returned permutation is the total applied reordering (`new → old`:
+/// kernel row `r` is original row `old_of(r)`), which is exactly the row
+/// map [`execute`] needs to hand rows back in the caller's order; `None`
+/// when the rows did not move.
 pub(crate) fn materialize(
     a: &CsrMatrix,
     plan: &Plan,
@@ -132,47 +149,62 @@ pub(crate) fn materialize(
     // clustering brings its own permutation, composed onto any explicit
     // reordering.
     let t0 = Instant::now();
-    let cc = match plan.clustering {
+    let (grouped, clustering) = match plan.clustering {
         ClusteringStrategy::None => {
-            return (CpuOperand::RowWise(base), perm_total.map(|p| p.inverse()), timings)
+            return (CpuOperand::RowWise(base), identity_to_none(perm_total), timings)
         }
         ClusteringStrategy::Fixed(k) => {
-            CsrCluster::from_csr(&base, &fixed_clustering(&base, k.max(1)))
+            let clustering = fixed_clustering(&base, k.max(1));
+            (base, clustering)
         }
         ClusteringStrategy::Variable => {
-            CsrCluster::from_csr(&base, &variable_clustering(&base, cluster))
+            let clustering = variable_clustering(&base, cluster);
+            (base, clustering)
         }
         ClusteringStrategy::Hierarchical => {
             let h = hierarchical_clustering(&base, cluster);
             let grouped = h.perm.permute_rows(&base);
-            let cc = CsrCluster::from_csr(&grouped, &h.clustering);
             // Compose: the explicit reorder ran first, then `h.perm`.
             perm_total = Some(match perm_total.take() {
                 None => h.perm,
                 Some(first) => first.then(&h.perm),
             });
-            cc
+            (grouped, h.clustering)
         }
     };
+    let clusters = clustering.sizes.len() as f64;
+    let operand = if (grouped.nrows as f64) < MIN_ROWS_PER_CLUSTER * clusters {
+        CpuOperand::RowWise(grouped)
+    } else {
+        CpuOperand::ClusterWise(CsrCluster::from_csr(&grouped, &clustering))
+    };
     timings.cluster_seconds = t0.elapsed().as_secs_f64();
-    (CpuOperand::ClusterWise(cc), perm_total.map(|p| p.inverse()), timings)
+    (operand, identity_to_none(perm_total), timings)
 }
 
-/// `shape(operand · b)` in the operand's *internal* (post-reordering) row
-/// order, on the plan's backend.
+/// A permutation that moves nothing needs no row map.
+fn identity_to_none(perm: Option<Permutation>) -> Option<Permutation> {
+    perm.filter(|p| !p.is_identity())
+}
+
+/// `shape(A · b)` on the plan's backend, where `operand` is `A` with its
+/// rows reordered by `row_map` (what [`materialize`] returned). Rows come
+/// back in `A`'s order — the caller's: every kernel hands `row_map` to
+/// [`cw_spgemm::single_pass`], whose pack step writes each row at its final
+/// offset, so no separate un-permutation pass exists.
 ///
 /// `mask` must be `Some` exactly when the plan's shape is
-/// [`OutputShape::Masked`], with its rows already in internal order
-/// ([`crate::PreparedMatrix::multiply_shaped_timed`] permutes it).
+/// [`OutputShape::Masked`], and is in the caller's row order like the
+/// result.
 ///
-/// A masked row-wise plan runs [`cw_spgemm::spgemm_masked_with`], which
+/// A masked row-wise plan runs [`cw_spgemm::spgemm_masked_mapped`], which
 /// admits only the mask's columns into the accumulator and never builds
 /// the rest of the product (a `Sort` plan has no table to seed and filters
 /// inside that call). Every other shaped arm computes the full product and
 /// then applies the row-local shape transform ([`cw_spgemm::row_topk`] /
-/// [`cw_spgemm::apply_mask`]), which commutes with row permutation: it is
-/// the only path on cluster-wise operands and top-k, and the oracle a
-/// fused arm must stay bit-identical to.
+/// [`cw_spgemm::apply_mask`]) to it: it is the only path on cluster-wise
+/// operands and top-k, and the oracle a fused arm must stay bit-identical
+/// to.
 ///
 /// # Panics
 ///
@@ -180,6 +212,7 @@ pub(crate) fn materialize(
 /// dimensions do not match the product's.
 pub(crate) fn execute(
     operand: &CpuOperand,
+    row_map: Option<&Permutation>,
     plan: &Plan,
     b: &CsrMatrix,
     mask: Option<&CsrMatrix>,
@@ -189,13 +222,13 @@ pub(crate) fn execute(
         ..plan.spgemm_options()
     };
     let full = || match operand {
-        CpuOperand::RowWise(pa) => spgemm_with(pa, b, &opts),
-        CpuOperand::ClusterWise(cc) => cw_core::clusterwise_spgemm_with(cc, b, &opts),
+        CpuOperand::RowWise(pa) => spgemm_mapped(pa, b, &opts, row_map),
+        CpuOperand::ClusterWise(cc) => cw_core::clusterwise_spgemm_mapped(cc, b, &opts, row_map),
     };
     let mask = || mask.expect("masked plan executed without a mask operand");
     match (operand, plan.shape) {
         (CpuOperand::RowWise(pa), OutputShape::Masked) => {
-            cw_spgemm::spgemm_masked_with(pa, b, mask(), &opts)
+            cw_spgemm::spgemm_masked_mapped(pa, b, mask(), &opts, row_map)
         }
         (_, OutputShape::Masked) => cw_spgemm::apply_mask(&full(), mask()),
         (_, OutputShape::TopK(k)) => cw_spgemm::row_topk(&full(), k),
@@ -210,12 +243,8 @@ mod tests {
     use cw_spgemm::spgemm_serial;
 
     fn product(a: &CsrMatrix, plan: Plan) -> CsrMatrix {
-        let (operand, unpermute, _) = materialize(a, &plan, 7, &ClusterConfig::default());
-        let c = execute(&operand, &plan, a, None);
-        match unpermute {
-            None => c,
-            Some(q) => q.permute_rows(&c),
-        }
+        let (operand, row_map, _) = materialize(a, &plan, 7, &ClusterConfig::default());
+        execute(&operand, row_map.as_ref(), &plan, a, None)
     }
 
     fn assert_parallel_matches_oracle(a: &CsrMatrix, plan: Plan) {

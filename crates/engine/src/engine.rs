@@ -274,23 +274,22 @@ impl Engine {
         prep_timings: StageTimings,
         cache_hit: bool,
     ) -> (CsrMatrix, ExecutionReport) {
-        let (c, kernel_seconds, postprocess_seconds) = prepared.multiply_shaped_timed(b, mask);
+        let (c, kernel_seconds) = prepared.multiply_shaped_timed(b, mask);
         if let Some(t) = self.tracer.as_deref() {
-            // Retroactive spans from the measured stage durations: the end
-            // of the postprocess span is "now", and the earlier boundaries
-            // are reconstructed backwards, so span durations equal the
-            // report's timings to nanosecond rounding.
+            // Retroactive spans from the measured stage duration: the
+            // kernel ended "now", so span durations equal the report's
+            // timings to nanosecond rounding. The kernel writes rows in the
+            // caller's order, so `postprocess` is an empty span kept for
+            // readers of the span tree.
             if t.enabled() {
                 let end = t.now_ns();
-                let kernel_end = end.saturating_sub((postprocess_seconds * 1e9) as u64);
-                let kernel_start = kernel_end.saturating_sub((kernel_seconds * 1e9) as u64);
-                t.record_span("execute", kernel_start, kernel_end);
-                t.record_span("postprocess", kernel_end, end);
+                let kernel_start = end.saturating_sub((kernel_seconds * 1e9) as u64);
+                t.record_span("execute", kernel_start, end);
+                t.record_span("postprocess", end, end);
             }
         }
         let mut timings = prep_timings;
         timings.kernel_seconds = kernel_seconds;
-        timings.postprocess_seconds = postprocess_seconds;
         let work_scale = (prepared.nnz().max(1) as f64 / b.nnz().max(1) as f64).clamp(0.1, 10.0);
         let feedback = self.record_observation(
             OperandKey {
@@ -303,6 +302,7 @@ impl Engine {
         );
         let report = ExecutionReport {
             plan: prepared.plan,
+            clusterwise: prepared.is_clusterwise(),
             fingerprint: prepared.fingerprint,
             cache_hit,
             timings,

@@ -19,10 +19,14 @@
 //!    the estimate, affinity and rationale behind its rank.
 //!    [`Planner::plans_ranked`] is the budget-aware fall-through list.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
-//!    (permutation computed and applied, `CSR_Cluster` built), with
-//!    per-stage timings recorded. Prepared operands are reusable across
-//!    any number of right-hand sides and always return results in the
-//!    original row order.
+//!    (permutation computed and applied, `CSR_Cluster` built — unless the
+//!    clustering averaged under 1.5 rows per cluster, in which case the
+//!    operand stays plain CSR on the clustering's row order and
+//!    [`ExecutionReport::clusterwise`] reads `false`), with per-stage
+//!    timings recorded. Prepared operands are reusable across any number
+//!    of right-hand sides and always return results in the original row
+//!    order: the kernel stores each row where that order wants it, so no
+//!    pass follows it.
 //! 3. **Cache** — [`PlanCache`] maps cheap matrix fingerprints
 //!    ([`cw_sparse::fingerprint()`]) plus the plan to prepared operands
 //!    under a [`CacheBudget`] — entry-bounded or byte-bounded LRU — with

@@ -138,8 +138,11 @@ impl Plan {
         }
     }
 
-    /// True when the plan runs the cluster-wise kernel over `CSR_Cluster`
-    /// (any clustering), false for row-wise Gustavson over CSR.
+    /// True when the plan asks for the cluster-wise kernel over
+    /// `CSR_Cluster` (any clustering), false for row-wise Gustavson over
+    /// CSR. Whether a cluster-wise plan's preparation kept the format on a
+    /// given operand is [`crate::PreparedMatrix::is_clusterwise`] /
+    /// [`crate::ExecutionReport::clusterwise`].
     pub fn is_clusterwise(&self) -> bool {
         self.clustering != ClusteringStrategy::None
     }

@@ -5,9 +5,10 @@
 //! reordering permutation and building the `CSR_Cluster` structure — and
 //! only pays off amortized over repeated multiplications (§4.5, Fig. 10).
 //! [`PreparedMatrix`] does that work exactly once and records how long each
-//! stage took; [`PreparedMatrix::multiply`] then runs only the kernel plus
-//! an `O(nnz(C))` row un-permutation, returning results in the *original*
-//! row order so callers never observe the internal reordering.
+//! stage took; [`PreparedMatrix::multiply`] then runs only the kernel, which
+//! reads the reordered rows and writes each result row where the *original*
+//! order wants it, so callers never observe the internal reordering and no
+//! un-permutation pass follows the kernel.
 
 use crate::backend::{self, CpuOperand};
 use crate::plan::{OutputShape, Plan};
@@ -31,9 +32,10 @@ pub struct PreparedMatrix {
     /// What preparation cost: `reorder_seconds` and `cluster_seconds` are
     /// set, every other stage is zero.
     pub timings: StageTimings,
-    /// Inverse of the total row permutation (`None` when no reordering was
-    /// applied); maps kernel output rows back to original row ids.
-    unpermute: Option<Permutation>,
+    /// The total row permutation `operand` was built under (`None` when
+    /// the rows did not move): kernel row `r` is original row `old_of(r)`,
+    /// which is where the kernel's pack step stores it.
+    row_map: Option<Permutation>,
     /// The reordered CSR or `CSR_Cluster` operand the kernels run over.
     operand: CpuOperand,
     nrows: usize,
@@ -48,13 +50,13 @@ impl PreparedMatrix {
     /// `seed` feeds randomized reorderings; `cluster` parameterizes the
     /// Variable/Hierarchical strategies.
     pub fn prepare(a: &CsrMatrix, plan: Plan, seed: u64, cluster: &ClusterConfig) -> Self {
-        let (operand, unpermute, timings) = backend::materialize(a, &plan, seed, cluster);
+        let (operand, row_map, timings) = backend::materialize(a, &plan, seed, cluster);
         PreparedMatrix {
             plan,
             fingerprint: fingerprint(a),
             checksum: checksum(a),
             timings,
-            unpermute,
+            row_map,
             operand,
             nrows: a.nrows,
             ncols: a.ncols,
@@ -79,18 +81,28 @@ impl PreparedMatrix {
         self.nnz
     }
 
-    /// True when the kernel output needs row un-permutation.
+    /// True when the kernel runs over reordered rows (and maps its output
+    /// back to the original order as it packs it).
     pub fn is_reordered(&self) -> bool {
-        self.unpermute.is_some()
+        self.row_map.is_some()
+    }
+
+    /// Which kernel multiplies run on: `true` for the cluster-wise kernel
+    /// over `CSR_Cluster`, `false` for the row-wise one. It follows
+    /// [`Plan::is_clusterwise`] unless the plan's clustering averaged under
+    /// 1.5 rows per cluster on this operand — then the preparation kept the
+    /// clustering's row order and dropped the format.
+    pub fn is_clusterwise(&self) -> bool {
+        matches!(self.operand, CpuOperand::ClusterWise(_))
     }
 
     /// Approximate resident heap footprint in bytes: the materialized
-    /// operand plus the un-permutation map. Byte-bounded cache eviction
+    /// operand plus the row map. Byte-bounded cache eviction
     /// ([`crate::CacheBudget::Bytes`]) sizes entries with this.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let unpermute = self.unpermute.as_ref().map_or(0, |p| p.len() * size_of::<u32>());
-        size_of::<Self>() + self.operand.approx_bytes() + unpermute
+        let row_map = self.row_map.as_ref().map_or(0, |p| p.len() * size_of::<u32>());
+        size_of::<Self>() + self.operand.approx_bytes() + row_map
     }
 
     /// `C = A · b` shaped by the plan's [`OutputShape`], on the plan's
@@ -110,15 +122,15 @@ impl PreparedMatrix {
         self.multiply_shaped_timed(b, mask).0
     }
 
-    /// [`PreparedMatrix::multiply_shaped`] plus `(kernel, postprocess)`
-    /// stage seconds. Shape application is billed to the kernel stage —
-    /// it is part of producing the shaped result — while postprocess
-    /// remains the row un-permutation alone.
+    /// [`PreparedMatrix::multiply_shaped`] plus the kernel stage's seconds:
+    /// the whole multiply. Shape application is part of producing the
+    /// shaped result, and the rows leave the kernel in the original order,
+    /// so there is no postprocess stage to time.
     pub fn multiply_shaped_timed(
         &self,
         b: &CsrMatrix,
         mask: Option<&CsrMatrix>,
-    ) -> (CsrMatrix, f64, f64) {
+    ) -> (CsrMatrix, f64) {
         assert_eq!(
             matches!(self.plan.shape, OutputShape::Masked),
             mask.is_some(),
@@ -126,27 +138,8 @@ impl PreparedMatrix {
             self.plan.describe()
         );
         let t0 = Instant::now();
-        // The kernel emits rows in the *internal* (post-reordering) order.
-        // Shape application is row-local, so it commutes with the
-        // reordering — the mask just has to travel into the same order.
-        let internal_mask;
-        let mask = match (&self.unpermute, mask) {
-            (Some(q), Some(m)) => {
-                internal_mask = q.inverse().permute_rows(m);
-                Some(&internal_mask)
-            }
-            (_, m) => m,
-        };
-        let c = backend::execute(&self.operand, &self.plan, b, mask);
-        let kernel_seconds = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let c = match &self.unpermute {
-            None => c,
-            Some(q) => q.permute_rows(&c),
-        };
-        let postprocess_seconds = t1.elapsed().as_secs_f64();
-        (c, kernel_seconds, postprocess_seconds)
+        let c = backend::execute(&self.operand, self.row_map.as_ref(), &self.plan, b, mask);
+        (c, t0.elapsed().as_secs_f64())
     }
 }
 

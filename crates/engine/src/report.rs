@@ -15,7 +15,9 @@ pub struct StageTimings {
     pub cluster_seconds: f64,
     /// The SpGEMM kernel itself.
     pub kernel_seconds: f64,
-    /// Row un-permutation of the output.
+    /// Work after the kernel. Always zero: a reordered plan's kernel writes
+    /// its rows in the caller's order itself, so nothing follows it. The
+    /// field stays because reports on the wire and their readers carry it.
     pub postprocess_seconds: f64,
 }
 
@@ -40,6 +42,11 @@ impl StageTimings {
 pub struct ExecutionReport {
     /// The plan that executed (`plan.backend` is where it ran).
     pub plan: Plan,
+    /// Whether the cluster-wise kernel ran. `false` under a plan whose
+    /// [`Plan::is_clusterwise`] is `true` means the preparation degraded:
+    /// the plan's clustering averaged under 1.5 rows per cluster on this
+    /// operand, so it kept the clustering's row order and ran row-wise.
+    pub clusterwise: bool,
     /// Fingerprint of the `A` operand.
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
@@ -72,8 +79,11 @@ impl ExecutionReport {
                 if f.switched { " REPLAN" } else { "" }
             ),
         };
+        // The plan names the kernel it asked for; say so when another ran.
+        let degraded =
+            if self.plan.is_clusterwise() && !self.clusterwise { " (ran RowWise)" } else { "" };
         format!(
-            "{} | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
+            "{}{degraded} | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
             self.plan.describe(),
             if self.cache_hit { "hit" } else { "miss" },
             self.timings.preprocessing() * 1e3,
@@ -88,6 +98,7 @@ impl ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ClusteringStrategy;
     use cw_sparse::fingerprint;
     use cw_sparse::CsrMatrix;
 
@@ -108,6 +119,7 @@ mod tests {
     fn summary_mentions_cache_state_and_plan() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
+            clusterwise: false,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),
@@ -120,9 +132,27 @@ mod tests {
     }
 
     #[test]
+    fn summary_says_when_a_clustered_plan_ran_rowwise() {
+        let plan = Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() };
+        let mut rep = ExecutionReport {
+            plan,
+            clusterwise: true,
+            fingerprint: fingerprint(&CsrMatrix::identity(4)),
+            cache_hit: false,
+            timings: StageTimings::default(),
+            output_nnz: 4,
+            feedback: None,
+        };
+        assert!(!rep.summary().contains("ran RowWise"), "{}", rep.summary());
+        rep.clusterwise = false;
+        assert!(rep.summary().contains("ClusterWise [Hash] @parallel-cpu (ran RowWise)"));
+    }
+
+    #[test]
     fn summary_shows_calibration_when_feedback_is_present() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
+            clusterwise: false,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),

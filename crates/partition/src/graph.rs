@@ -18,6 +18,22 @@ pub struct Graph {
     pub vwgt: Vec<u64>,
 }
 
+/// BFS state kept between passes over one graph: `level` is `u32::MAX`
+/// wherever the last pass did not reach, and `order` lists what it reached,
+/// in visiting order.
+#[derive(Debug, Clone)]
+pub struct Bfs {
+    level: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl Bfs {
+    /// State for a graph of `nvtx` vertices.
+    pub fn new(nvtx: usize) -> Bfs {
+        Bfs { level: vec![u32::MAX; nvtx], order: Vec::new() }
+    }
+}
+
 impl Graph {
     /// Number of vertices.
     #[inline]
@@ -67,52 +83,66 @@ impl Graph {
     /// `(levels, last_visited, reached_count)` — `last_visited` is a vertex
     /// in the final BFS level, used by the pseudo-peripheral search.
     pub fn bfs_levels(&self, start: usize) -> (Vec<u32>, usize, usize) {
-        let mut level = vec![u32::MAX; self.nvtx()];
-        let mut queue = VecDeque::new();
-        level[start] = 0;
-        queue.push_back(start as u32);
-        let mut last = start;
-        let mut reached = 1usize;
-        while let Some(v) = queue.pop_front() {
-            last = v as usize;
-            let (nbrs, _) = self.neighbors(v as usize);
+        let mut bfs = Bfs::new(self.nvtx());
+        let last = self.bfs_into(start, &mut bfs);
+        let reached = bfs.order.len();
+        (bfs.level, last, reached)
+    }
+
+    /// One BFS pass from `start` into `bfs`, forgetting the pass before it;
+    /// returns the last vertex visited (one of the final level). Costs the
+    /// component of `start`, not the graph.
+    fn bfs_into(&self, start: usize, bfs: &mut Bfs) -> usize {
+        for &v in &bfs.order {
+            bfs.level[v as usize] = u32::MAX;
+        }
+        bfs.order.clear();
+        bfs.level[start] = 0;
+        bfs.order.push(start as u32);
+        let mut head = 0;
+        while head < bfs.order.len() {
+            let v = bfs.order[head] as usize;
+            head += 1;
+            let (nbrs, _) = self.neighbors(v);
             for &u in nbrs {
-                if level[u as usize] == u32::MAX {
-                    level[u as usize] = level[v as usize] + 1;
-                    reached += 1;
-                    queue.push_back(u);
+                if bfs.level[u as usize] == u32::MAX {
+                    bfs.level[u as usize] = bfs.level[v] + 1;
+                    bfs.order.push(u);
                 }
             }
         }
-        (level, last, reached)
+        bfs.order[head - 1] as usize
     }
 
     /// George–Liu style pseudo-peripheral vertex of the component containing
     /// `start`: repeat BFS from the farthest low-degree vertex of the last
     /// level until the eccentricity stops growing.
     pub fn pseudo_peripheral(&self, start: usize) -> usize {
-        let (mut level, mut last, _) = self.bfs_levels(start);
-        let mut ecc = level[last];
+        self.pseudo_peripheral_with(start, &mut Bfs::new(self.nvtx()))
+    }
+
+    /// [`Graph::pseudo_peripheral`] on caller-kept BFS state, for callers
+    /// that ask once per component: each call then costs its component,
+    /// where a fresh `nvtx`-sized level array and a whole-graph scan per BFS
+    /// cost the graph — quadratic in the number of components (thousands of
+    /// 160 KB fills for RCM on a 40 000-row block matrix, at a speed that
+    /// depends on where the allocator puts them).
+    pub fn pseudo_peripheral_with(&self, start: usize, bfs: &mut Bfs) -> usize {
+        let last = self.bfs_into(start, bfs);
+        let mut ecc = bfs.level[last];
         loop {
-            // Among the deepest level, pick the minimum-degree vertex.
-            let deepest = level[last];
-            let mut best = last;
-            let mut best_deg = usize::MAX;
-            for (u, &lvl) in level.iter().enumerate() {
-                if lvl == deepest {
-                    let d = self.degree(u);
-                    if d < best_deg {
-                        best_deg = d;
-                        best = u;
-                    }
-                }
-            }
-            let (l2, last2, _) = self.bfs_levels(best);
-            let ecc2 = l2[last2];
-            if ecc2 > ecc {
-                level = l2;
-                last = last2;
-                ecc = ecc2;
+            // Among the deepest level, pick the minimum-degree vertex
+            // (lowest id on ties).
+            let best = bfs
+                .order
+                .iter()
+                .map(|&u| u as usize)
+                .filter(|&u| bfs.level[u] == ecc)
+                .min_by_key(|&u| (self.degree(u), u))
+                .expect("the deepest level holds the last vertex visited");
+            let last = self.bfs_into(best, bfs);
+            if bfs.level[last] > ecc {
+                ecc = bfs.level[last];
             } else {
                 return best;
             }
@@ -219,6 +249,27 @@ mod tests {
         let g = path_graph(9);
         let p = g.pseudo_peripheral(4);
         assert!(p == 0 || p == 8, "got {p}");
+    }
+
+    #[test]
+    fn kept_bfs_state_does_not_leak_between_components() {
+        // A mesh and, disconnected from it, a path: asking about one
+        // component after the other on the same state must answer as a
+        // fresh search does, in either order and repeatedly.
+        let mesh = Graph::from_matrix(&poisson2d(4, 5));
+        let path = path_graph(7);
+        let shift = mesh.nvtx();
+        let mut g = mesh.clone();
+        g.xadj.extend(path.xadj[1..].iter().map(|&x| x + mesh.adjncy.len()));
+        g.adjncy.extend(path.adjncy.iter().map(|&u| u + shift as u32));
+        g.adjwgt.extend(&path.adjwgt);
+        g.vwgt.extend(&path.vwgt);
+        let mut bfs = Bfs::new(g.nvtx());
+        for start in [7, shift + 3, 0, shift, 12, shift + 6] {
+            let expect = g.pseudo_peripheral(start);
+            assert_eq!(g.pseudo_peripheral_with(start, &mut bfs), expect, "start {start}");
+            assert_eq!(expect >= shift, start >= shift, "the answer is in start's component");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! effect the paper cares about: nonzeros concentrate near the diagonal, so
 //! consecutive rows of `A` touch overlapping column ranges of `B`.
 
+use cw_partition::graph::Bfs;
 use cw_partition::Graph;
 use cw_sparse::{CsrMatrix, Permutation};
 use std::collections::VecDeque;
@@ -19,13 +20,14 @@ pub fn rcm_order(a: &CsrMatrix) -> Permutation {
     let mut visited = vec![false; n];
     let mut queue = VecDeque::new();
     let mut nbr_buf: Vec<u32> = Vec::new();
+    let mut bfs = Bfs::new(n);
 
     // Process components in order of their smallest vertex (deterministic).
     for start in 0..n {
         if visited[start] {
             continue;
         }
-        let root = g.pseudo_peripheral(start);
+        let root = g.pseudo_peripheral_with(start, &mut bfs);
         visited[root] = true;
         queue.push_back(root as u32);
         while let Some(v) = queue.pop_front() {

@@ -48,8 +48,8 @@ pub use accumulator::{
 };
 pub use colwise::spgemm_colwise;
 pub use heap::spgemm_heap;
-pub use masked::spgemm_masked_with;
+pub use masked::{spgemm_masked_mapped, spgemm_masked_with};
 pub use pattern::spgemm_pattern;
-pub use rowwise::{spgemm, spgemm_serial, spgemm_with, SpGemmOptions};
+pub use rowwise::{spgemm, spgemm_mapped, spgemm_serial, spgemm_with, SpGemmOptions};
 pub use shape::{apply_mask, row_topk};
 pub use topk::{spgemm_topk, CandidatePair};

@@ -25,10 +25,10 @@
 
 use crate::accumulator::{hash32, AccumulatorKind, EMPTY};
 use crate::flops::flops_per_row_on;
-use crate::rowwise::{accumulate_row, spgemm_with, SpGemmOptions};
+use crate::rowwise::{accumulate_row, spgemm_mapped, SpGemmOptions};
 use crate::shape::apply_mask;
 use crate::single_pass::{chunk_target, plan_chunks, single_pass};
-use cw_sparse::{ColIdx, CsrMatrix, Value};
+use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 
 /// A per-row accumulator that holds only the columns a mask row admits.
 pub(crate) trait MaskAccumulator: Send {
@@ -250,6 +250,25 @@ pub fn spgemm_masked_with(
     mask: &CsrMatrix,
     opts: &SpGemmOptions,
 ) -> CsrMatrix {
+    spgemm_masked_mapped(a, b, mask, opts, None)
+}
+
+/// [`spgemm_masked_with`] with the product's rows stored where `row_map`
+/// says (see [`crate::rowwise::spgemm_mapped`]). `mask` is in the *result's*
+/// row order: row `i` of `A · B` is filtered by, and stored as, row
+/// `row_map.old_of(i)`.
+///
+/// # Panics
+///
+/// As [`spgemm_masked_with`], or if `row_map` does not have one entry per
+/// row of `A`.
+pub fn spgemm_masked_mapped(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    mask: &CsrMatrix,
+    opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
+) -> CsrMatrix {
     assert_eq!(
         a.ncols, b.nrows,
         "dimension mismatch: A is {}x{}, B is {}x{}",
@@ -258,9 +277,9 @@ pub fn spgemm_masked_with(
     assert_eq!((mask.nrows, mask.ncols), (a.nrows, b.ncols), "mask must match the product's shape");
     debug_assert!(mask.validate().is_ok(), "mask violates the CSR invariant");
     match opts.acc {
-        AccumulatorKind::Hash => masked_kernel::<SeededHash>(a, b, mask, opts),
-        AccumulatorKind::Dense => masked_kernel::<StampedDense>(a, b, mask, opts),
-        AccumulatorKind::Sort => apply_mask(&spgemm_with(a, b, opts), mask),
+        AccumulatorKind::Hash => masked_kernel::<SeededHash>(a, b, mask, opts, row_map),
+        AccumulatorKind::Dense => masked_kernel::<StampedDense>(a, b, mask, opts, row_map),
+        AccumulatorKind::Sort => apply_mask(&spgemm_mapped(a, b, opts, row_map), mask),
     }
 }
 
@@ -269,19 +288,23 @@ fn masked_kernel<M: MaskAccumulator>(
     b: &CsrMatrix,
     mask: &CsrMatrix,
     opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
 ) -> CsrMatrix {
+    // The mask row that admits row `i` of `A · B`.
+    let mask_row = |i: usize| row_map.map_or(i, |map| map.old_of(i));
     let target = chunk_target(opts.parallel, opts.chunks_per_thread);
     let flops = flops_per_row_on(a, b, target > 1);
-    let out_bound = |i: usize| flops[i].min(mask.row_nnz(i) as u64) as usize;
+    let out_bound = |i: usize| flops[i].min(mask.row_nnz(mask_row(i)) as u64) as usize;
     let chunks = plan_chunks(&flops, target, |i| i, out_bound);
     single_pass(
         a.nrows,
         b.ncols,
         &chunks,
+        row_map,
         || M::with_ncols(b.ncols),
         |acc, rows, sink| {
             for i in rows {
-                let admitted = mask.row_cols(i);
+                let admitted = mask.row_cols(mask_row(i));
                 acc.seed(admitted);
                 accumulate_row(a, b, i, |col, val| acc.add(col, val));
                 sink.push_masked_row(acc, admitted);

@@ -13,7 +13,7 @@ use crate::accumulator::{
 };
 use crate::flops::flops_per_row_on;
 use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines, RowSink};
-use cw_sparse::{ColIdx, CsrMatrix, Value};
+use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 use rayon::prelude::*;
 
 /// Tuning knobs for [`spgemm_with`].
@@ -46,15 +46,36 @@ pub fn spgemm_serial(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 
 /// `C = A · B` with explicit options.
 pub fn spgemm_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
+    spgemm_mapped(a, b, opts, None)
+}
+
+/// [`spgemm_with`] with the product's rows stored where `row_map` says: row
+/// `i` of `A · B` becomes row `row_map.old_of(i)` of the result (`None`
+/// keeps them in place). With `A = P·A₀` (`p.permute_rows(&a0)`) and
+/// `Some(&p)` the result is `A₀ · B`, rows in `A₀`'s order, bit-identical to
+/// multiplying `A₀` directly: the kernel reads its rows in the reordered,
+/// cache-friendly order and [`crate::single_pass`] places each one at its
+/// final offset in the copy every product makes anyway.
+///
+/// # Panics
+///
+/// Panics on a dimension mismatch, or if `row_map` does not have one entry
+/// per row of `A`.
+pub fn spgemm_mapped(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
+) -> CsrMatrix {
     assert_eq!(
         a.ncols, b.nrows,
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
     match opts.acc {
-        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator>(a, b, opts),
-        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator>(a, b, opts),
-        AccumulatorKind::Sort => rowwise_kernel::<SortAccumulator>(a, b, opts),
+        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator>(a, b, opts, row_map),
+        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator>(a, b, opts, row_map),
+        AccumulatorKind::Sort => rowwise_kernel::<SortAccumulator>(a, b, opts, row_map),
     }
 }
 
@@ -93,7 +114,12 @@ pub(crate) fn multiply_row<A: Accumulator>(
     sink.push_row(acc);
 }
 
-fn rowwise_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
+fn rowwise_kernel<A: Accumulator>(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
+) -> CsrMatrix {
     let target = chunk_target(opts.parallel, opts.chunks_per_thread);
     let flops = flops_per_row_on(a, b, target > 1);
     let chunks = plan_row_chunks(&flops, b.ncols, target);
@@ -101,6 +127,7 @@ fn rowwise_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix, opts: &SpGemmOpt
         a.nrows,
         b.ncols,
         &chunks,
+        row_map,
         || A::with_ncols(b.ncols),
         |acc, rows, sink| {
             for i in rows {

@@ -5,9 +5,11 @@
 //! GraphBLAS `C⟨M⟩ = A·B` idiom) keeps only positions named by a mask
 //! pattern. Both are **row-local** transforms — each output row depends
 //! only on the same row of the input — so they commute with row
-//! permutation: a plan may produce the shaped product in its own (possibly
-//! reordered) row order and un-permute afterwards, and stay bit-identical
-//! to the serial reference with the same transform applied.
+//! permutation: a plan may compute its rows in any (reordered) order, and
+//! the shaped product stays bit-identical to the serial reference with the
+//! same transform applied, wherever in the pipeline the rows are put back
+//! (the engine's kernels do it as they pack their output, so these
+//! functions see rows and masks in the caller's order).
 //!
 //! These functions *define* the shapes. They are what runs where no kernel
 //! fuses the shape (top-k, and masks over cluster-wise or sort-accumulator

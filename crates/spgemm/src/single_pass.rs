@@ -18,9 +18,17 @@
 //! disjoint window per chunk (`split_at_mut`, no `unsafe`) and a chunk
 //! writes its rows back to back from the start of its window. When the
 //! chunks are done `nnz(C)` is known: the output arrays are allocated at
-//! exactly that size on the caller's thread and the windows are copied
-//! into them in order. No output buffer is allocated on a pool thread
+//! exactly that size on the caller's thread and the *pack step* copies every
+//! entry into them, once. No output buffer is allocated on a pool thread
 //! (memory freed there would stay in that worker's allocator arena).
+//!
+//! The pack step is also where rows reach their final position. A kernel
+//! that ran over reordered rows passes the row map (`row_map`, computed row
+//! → result row): `row_ptr` is then prefix-summed in result order and each
+//! row is copied to its own offset, so the product leaves the driver in the
+//! caller's row order and nobody allocates, writes and faults in a second
+//! `nnz(C)`-sized copy to un-permute it. Without a map each window is one
+//! contiguous run of the result and is copied whole.
 //!
 //! * **Reserved**: a staging slab is a zeroed allocation (`vec![0; cap]`,
 //!   i.e. `calloc`) of the bound, which a large request gets as untouched
@@ -30,13 +38,21 @@
 //!   process-wide pool (at most [`MAX_POOLED`] slabs of at most
 //!   [`MAX_POOLED_ENTRIES`] entries) and the next multiply starts from it,
 //!   whichever thread it runs on. A multiply in steady state therefore
-//!   allocates only its exact-size result, which the allocator recycles
-//!   from the previous result's memory: no `mmap`, no first-touch page
-//!   fault and no `munmap` per call. (Staging that is allocated, touched
-//!   and unmapped on every call costs thousands of minor faults per
-//!   product. On a shared machine that work does not speed up and slow
-//!   down with the rest of the kernel, so the kernel's run time stops
-//!   following the machine's and varies from one process to the next.)
+//!   allocates only its exact-size result, which belongs to the caller.
+//!   Whether *that* memory is recycled is the allocator's call, not the
+//!   driver's. Measured on glibc with a 13 MB product (`/proc/self/stat`,
+//!   warm engine ops): a caller that drops each result before asking for
+//!   the next gets the same pages back — 0 minor faults per product. A
+//!   caller that makes a second product-sized copy per op (a separate
+//!   un-permutation pass, say) and frees the pair crosses the allocator's
+//!   trim threshold: both go back to the OS and every op pays two
+//!   first-touch passes (5 265–6 727 faults). Handing rows out in their
+//!   final order from the pack step is what keeps it at one allocation.
+//!   (Staging that is allocated, touched and unmapped on every call costs
+//!   thousands of minor faults per product. On a shared machine that work
+//!   does not speed up and slow down with the rest of the kernel, so the
+//!   kernel's run time stops following the machine's and varies from one
+//!   process to the next.)
 //!   The price is
 //!   that the touched part of a pooled slab stays resident between calls:
 //!   up to one extra copy of the largest `C` seen per pooled slab, and over
@@ -55,7 +71,7 @@
 
 use crate::accumulator::Accumulator;
 use crate::masked::MaskAccumulator;
-use cw_sparse::{ColIdx, CsrMatrix, Value};
+use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -240,10 +256,20 @@ impl RowSink<'_> {
 /// across the chunks a worker runs. Because chunk boundaries only decide
 /// *where* a row is computed, never the order of its partial products, the
 /// result does not depend on the chunking or the pool width.
+///
+/// `row_map` says where each computed row goes: the `r`-th row pushed
+/// becomes row `row_map.old_of(r)` of the result (`None`: row `r`). A
+/// kernel run over `P·A` with `Some(&P)` therefore returns its rows in
+/// `A`'s order, at no cost beyond the pack step every product pays.
+///
+/// # Panics
+///
+/// Panics if `row_map` does not have `nrows` entries.
 pub fn single_pass<S, I, F>(
     nrows: usize,
     ncols: usize,
     chunks: &[Chunk],
+    row_map: Option<&Permutation>,
     init: I,
     fill: F,
 ) -> CsrMatrix
@@ -252,8 +278,12 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, Range<usize>, &mut RowSink<'_>) + Sync,
 {
+    if let Some(map) = row_map {
+        assert_eq!(map.len(), nrows, "row map must cover every output row");
+    }
     let cap: usize = chunks.iter().map(|c| c.out_bound).sum();
-    // row_ptr[i + 1] holds nnz(row i) until the prefix sum below.
+    // row_ptr[r + 1] holds the nnz of the r-th row pushed until the pack
+    // step turns sizes into offsets.
     let mut row_ptr = vec![0usize; nrows + 1];
     let mut staging = Staging::take(cap);
 
@@ -285,22 +315,61 @@ where
     let written: Vec<usize> = jobs.iter().map(|(_, sink)| sink.len).collect();
     drop(jobs);
 
-    // nnz(C) is known: pack the windows into exact-size arrays.
+    // nnz(C) is known: pack the windows into exact-size arrays. This is the
+    // one copy out of staging, so it is also where rows go to their final
+    // place.
     let total: usize = written.iter().sum();
-    let mut col_idx = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    let mut window = 0usize;
-    for (chunk, len) in chunks.iter().zip(written) {
-        col_idx.extend_from_slice(&staging.cols[window..window + len]);
-        vals.extend_from_slice(&staging.vals[window..window + len]);
-        window += chunk.out_bound;
-    }
+    let (col_idx, vals) = match row_map {
+        // Rows stay in place: every window is one run of the result.
+        None => {
+            let mut col_idx = Vec::with_capacity(total);
+            let mut vals = Vec::with_capacity(total);
+            let mut window = 0usize;
+            for (chunk, len) in chunks.iter().zip(written) {
+                col_idx.extend_from_slice(&staging.cols[window..window + len]);
+                vals.extend_from_slice(&staging.vals[window..window + len]);
+                window += chunk.out_bound;
+            }
+            prefix_sum(&mut row_ptr);
+            (col_idx, vals)
+        }
+        // Rows move: offsets come from the sizes in output order, then each
+        // row is copied to its own. (Per-row copies into zeroed arrays cost
+        // ×1.5 of the bulk arm on a 13 MB product whose rows do not move —
+        // 1.7 ms against 1.1 ms — which is why that arm is kept.)
+        Some(map) => {
+            let mut out_ptr = vec![0usize; nrows + 1];
+            for (r, &n) in row_ptr[1..].iter().enumerate() {
+                out_ptr[map.old_of(r) + 1] = n;
+            }
+            prefix_sum(&mut out_ptr);
+            let mut col_idx = vec![0; total];
+            let mut vals = vec![0.0; total];
+            let mut window = 0usize;
+            for chunk in chunks {
+                let mut src = window;
+                for r in chunk.rows.clone() {
+                    let n = row_ptr[r + 1];
+                    let dst = out_ptr[map.old_of(r)];
+                    col_idx[dst..dst + n].copy_from_slice(&staging.cols[src..src + n]);
+                    vals[dst..dst + n].copy_from_slice(&staging.vals[src..src + n]);
+                    src += n;
+                }
+                window += chunk.out_bound;
+            }
+            row_ptr = out_ptr;
+            (col_idx, vals)
+        }
+    };
     staging.give_back();
-
-    for i in 0..nrows {
-        row_ptr[i + 1] += row_ptr[i];
-    }
     CsrMatrix { nrows, ncols, row_ptr, col_idx, vals }
+}
+
+/// Turns per-row sizes stored at `ptr[1..]` into CSR row offsets.
+fn prefix_sum(ptr: &mut [usize]) {
+    for i in 1..ptr.len() {
+        ptr[i] += ptr[i - 1];
+    }
 }
 
 #[cfg(test)]
@@ -356,7 +425,7 @@ mod tests {
         let nnz = [2usize, 0, 1, 3];
         let chunks: Vec<Chunk> =
             (0..4).map(|i| Chunk { units: i..i + 1, rows: i..i + 1, out_bound: 5 }).collect();
-        let c = single_pass(4, 8, &chunks, HashAccumulator::new, |acc, rows, sink| {
+        let c = single_pass(4, 8, &chunks, None, HashAccumulator::new, |acc, rows, sink| {
             for i in rows {
                 for j in 0..nnz[i] {
                     acc.add(j as ColIdx, (10 * i + j) as Value);
@@ -376,6 +445,58 @@ mod tests {
         assert_eq!(c.vals.capacity(), 6);
     }
 
+    /// Four rows in two chunks; row `i` holds `nnz[i]` entries `(j, 10·i + j)`.
+    fn mapped(nnz: [usize; 4], row_map: Option<&Permutation>) -> CsrMatrix {
+        let chunks: Vec<Chunk> = (0..2)
+            .map(|c| Chunk { units: 2 * c..2 * c + 2, rows: 2 * c..2 * c + 2, out_bound: 8 })
+            .collect();
+        let c = single_pass(4, 8, &chunks, row_map, HashAccumulator::new, |acc, rows, sink| {
+            for i in rows {
+                for j in 0..nnz[i] {
+                    acc.add(j as ColIdx, (10 * i + j) as Value);
+                }
+                sink.push_row(acc);
+            }
+        });
+        c.validate().unwrap();
+        c
+    }
+
+    #[test]
+    fn a_row_map_places_rows_across_chunk_boundaries() {
+        // The last computed row (second chunk) comes out first, and the
+        // first chunk's rows end up on either side of the other chunk's.
+        let map = Permutation::from_new_to_old(vec![1, 3, 2, 0]).unwrap();
+        let c = mapped([2, 1, 3, 1], Some(&map));
+        assert_eq!(c.row_ptr, vec![0, 1, 3, 6, 7]);
+        assert_eq!(c.col_idx, vec![0, 0, 1, 0, 1, 2, 0]);
+        assert_eq!(c.vals, vec![30.0, 0.0, 1.0, 20.0, 21.0, 22.0, 10.0]);
+        assert_eq!((c.col_idx.capacity(), c.vals.capacity()), (7, 7));
+        // It is the unmapped product with its rows moved.
+        assert!(c.bits_eq(&map.inverse().permute_rows(&mapped([2, 1, 3, 1], None))));
+    }
+
+    #[test]
+    fn a_row_map_moves_empty_rows_at_both_ends() {
+        // Computed rows 0 and 3 are empty; they land in the middle, and the
+        // result's first and last rows are the non-empty ones.
+        let map = Permutation::from_new_to_old(vec![2, 0, 3, 1]).unwrap();
+        let c = mapped([0, 2, 1, 0], Some(&map));
+        assert_eq!(c.row_ptr, vec![0, 2, 2, 2, 3]);
+        assert_eq!(c.vals, vec![10.0, 11.0, 20.0]);
+        // And the other way round: empty rows moved to both ends.
+        let map = Permutation::from_new_to_old(vec![1, 0, 3, 2]).unwrap();
+        let c = mapped([2, 0, 0, 1], Some(&map));
+        assert_eq!(c.row_ptr, vec![0, 0, 2, 3, 3]);
+        assert_eq!(c.vals, vec![0.0, 1.0, 30.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row map must cover every output row")]
+    fn a_row_map_of_the_wrong_length_is_caught() {
+        let _ = mapped([1, 1, 1, 1], Some(&Permutation::identity(3)));
+    }
+
     #[test]
     fn stale_staging_does_not_leak_into_the_next_product() {
         // A product that fills its windows, then one with the same windows
@@ -383,7 +504,7 @@ mod tests {
         let run = |per_row: usize| {
             let chunks: Vec<Chunk> =
                 (0..3).map(|i| Chunk { units: i..i + 1, rows: i..i + 1, out_bound: 4 }).collect();
-            single_pass(3, 4, &chunks, HashAccumulator::new, |acc, rows, sink| {
+            single_pass(3, 4, &chunks, None, HashAccumulator::new, |acc, rows, sink| {
                 for i in rows {
                     for j in 0..per_row {
                         acc.add(j as ColIdx, (i + 1) as Value);
@@ -414,7 +535,7 @@ mod tests {
 
     #[test]
     fn no_chunks_gives_an_empty_product() {
-        let c = single_pass(0, 3, &[], HashAccumulator::new, |_, _, _| {});
+        let c = single_pass(0, 3, &[], None, HashAccumulator::new, |_, _, _| {});
         assert_eq!((c.nrows, c.ncols, c.nnz()), (0, 3, 0));
         c.validate().unwrap();
     }
@@ -423,7 +544,7 @@ mod tests {
     #[should_panic(expected = "one row per output row")]
     fn a_kernel_that_skips_a_row_is_caught() {
         let chunks = [Chunk { units: 0..1, rows: 0..2, out_bound: 0 }];
-        let _ = single_pass(2, 2, &chunks, HashAccumulator::new, |_, _, sink| {
+        let _ = single_pass(2, 2, &chunks, None, HashAccumulator::new, |_, _, sink| {
             sink.push_empty_row();
         });
     }

@@ -34,9 +34,11 @@
 //! ```
 
 use crate::accumulator::{Accumulator, HashAccumulator};
+use crate::single_pass::OwnLines;
 use cw_sparse::jaccard::jaccard_from_overlap;
-use cw_sparse::CsrMatrix;
+use cw_sparse::{ColIdx, CsrMatrix, Value};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 
 /// A candidate similar-row pair with its exact Jaccard score (`row_i < row_j`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +49,32 @@ pub struct CandidatePair {
     pub row_j: u32,
     /// Jaccard similarity of the two rows' column sets.
     pub jaccard: f64,
+}
+
+/// Most similar first; ties by ascending `(row_i, row_j)`. A total order
+/// on distinct pairs, so every sort by it is deterministic.
+fn by_score_then_rows(x: &CandidatePair, y: &CandidatePair) -> Ordering {
+    y.jaccard.total_cmp(&x.jaccard).then(x.row_i.cmp(&y.row_i)).then(x.row_j.cmp(&y.row_j))
+}
+
+/// Drops the second copy of a pair that survived from both endpoints and
+/// puts the rest in output order.
+fn dedup_and_rank(mut all: Vec<CandidatePair>) -> Vec<CandidatePair> {
+    all.sort_unstable_by(|x, y| {
+        x.row_i.cmp(&y.row_i).then(x.row_j.cmp(&y.row_j)).then(y.jaccard.total_cmp(&x.jaccard))
+    });
+    all.dedup_by_key(|p| (p.row_i, p.row_j));
+    all.sort_unstable_by(by_score_then_rows);
+    all
+}
+
+/// Per-worker scratch of [`spgemm_topk`], reused across the rows a worker
+/// scans so the scan allocates only for rows that have candidates.
+struct Scratch {
+    acc: HashAccumulator,
+    rows: Vec<ColIdx>,
+    overlaps: Vec<Value>,
+    cands: Vec<CandidatePair>,
 }
 
 /// Computes candidate pairs: for each row `i`, the up-to-`topk` most similar
@@ -60,66 +88,53 @@ pub struct CandidatePair {
 /// output reflects the count of overlapping nonzeros").
 pub fn spgemm_topk(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<CandidatePair> {
     let at = a.transpose();
-    let row_sizes: Vec<usize> = (0..a.nrows).map(|i| a.row_nnz(i)).collect();
 
     // Per-row scan: accumulate overlap counts against all other rows via
     // A row i's columns k -> Aᵀ row k lists every row j sharing column k.
-    let mut per_row: Vec<Vec<CandidatePair>> = (0..a.nrows)
+    let per_row: Vec<Vec<CandidatePair>> = (0..a.nrows)
         .into_par_iter()
-        .map_init(HashAccumulator::new, |acc, i| {
-            for &k in a.row_cols(i) {
-                for &j in at.row_cols(k as usize) {
-                    if j as usize != i {
-                        acc.add(j, 1.0);
+        .map_init(
+            || {
+                OwnLines(Scratch {
+                    acc: HashAccumulator::new(),
+                    rows: Vec::new(),
+                    overlaps: Vec::new(),
+                    cands: Vec::new(),
+                })
+            },
+            |OwnLines(Scratch { acc, rows, overlaps, cands }), i| {
+                for &k in a.row_cols(i) {
+                    for &j in at.row_cols(k as usize) {
+                        if j as usize != i {
+                            acc.add(j, 1.0);
+                        }
                     }
                 }
-            }
-            let (mut cols, mut counts) = (vec![0; acc.len()], vec![0.0; acc.len()]);
-            acc.extract_into(&mut cols, &mut counts);
-            let mut cands: Vec<CandidatePair> = cols
-                .iter()
-                .zip(&counts)
-                .filter_map(|(&j, &cnt)| {
+                if acc.len() > rows.len() {
+                    rows.resize(acc.len(), 0);
+                    overlaps.resize(acc.len(), 0.0);
+                }
+                let n = acc.extract_into(rows, overlaps);
+                cands.clear();
+                for (&j, &overlap) in rows[..n].iter().zip(&overlaps[..n]) {
                     let score =
-                        jaccard_from_overlap(cnt as usize, row_sizes[i], row_sizes[j as usize]);
+                        jaccard_from_overlap(overlap as usize, a.row_nnz(i), a.row_nnz(j as usize));
                     if score >= jacc_th {
-                        let (lo, hi) = if (i as u32) < j { (i as u32, j) } else { (j, i as u32) };
-                        Some(CandidatePair { row_i: lo, row_j: hi, jaccard: score })
-                    } else {
-                        None
+                        let i = i as u32;
+                        let (row_i, row_j) = if i < j { (i, j) } else { (j, i) };
+                        cands.push(CandidatePair { row_i, row_j, jaccard: score });
                     }
-                })
-                .collect();
-            // Keep only the top-K most similar per row.
-            cands.sort_unstable_by(|x, y| {
-                y.jaccard
-                    .partial_cmp(&x.jaccard)
-                    .unwrap()
-                    .then(x.row_i.cmp(&y.row_i))
-                    .then(x.row_j.cmp(&y.row_j))
-            });
-            cands.truncate(topk);
-            cands
-        })
+                }
+                // Keep only the top-K most similar per row.
+                cands.sort_unstable_by(by_score_then_rows);
+                cands.truncate(topk);
+                cands.clone()
+            },
+        )
         .collect();
 
     // Merge, dedup (each surviving pair may appear from both endpoints).
-    let mut all: Vec<CandidatePair> = per_row.drain(..).flatten().collect();
-    all.sort_unstable_by(|x, y| {
-        x.row_i
-            .cmp(&y.row_i)
-            .then(x.row_j.cmp(&y.row_j))
-            .then(y.jaccard.partial_cmp(&x.jaccard).unwrap())
-    });
-    all.dedup_by_key(|p| (p.row_i, p.row_j));
-    all.sort_unstable_by(|x, y| {
-        y.jaccard
-            .partial_cmp(&x.jaccard)
-            .unwrap()
-            .then(x.row_i.cmp(&y.row_i))
-            .then(x.row_j.cmp(&y.row_j))
-    });
-    all
+    dedup_and_rank(per_row.into_iter().flatten().collect())
 }
 
 /// Brute-force reference: all pairs with Jaccard ≥ `jacc_th`, truncated to
@@ -139,31 +154,10 @@ pub fn brute_force_pairs(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<Candid
                 row.push(CandidatePair { row_i: lo, row_j: hi, jaccard: s });
             }
         }
-        row.sort_unstable_by(|x, y| {
-            y.jaccard
-                .partial_cmp(&x.jaccard)
-                .unwrap()
-                .then(x.row_i.cmp(&y.row_i))
-                .then(x.row_j.cmp(&y.row_j))
-        });
+        row.sort_unstable_by(by_score_then_rows);
         row.truncate(topk);
     }
-    let mut all: Vec<CandidatePair> = per_row.into_iter().flatten().collect();
-    all.sort_unstable_by(|x, y| {
-        x.row_i
-            .cmp(&y.row_i)
-            .then(x.row_j.cmp(&y.row_j))
-            .then(y.jaccard.partial_cmp(&x.jaccard).unwrap())
-    });
-    all.dedup_by_key(|p| (p.row_i, p.row_j));
-    all.sort_unstable_by(|x, y| {
-        y.jaccard
-            .partial_cmp(&x.jaccard)
-            .unwrap()
-            .then(x.row_i.cmp(&y.row_i))
-            .then(x.row_j.cmp(&y.row_j))
-    });
-    all
+    dedup_and_rank(per_row.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

@@ -7,11 +7,11 @@
 //! cargo run --release --example locality_lab
 //! ```
 
-use clusterwise_spgemm::cachesim::{replay_b_row_trace, reuse_distance_histogram, CacheConfig};
 use clusterwise_spgemm::core::trace::{accesses_saved, clusterwise_b_access_trace};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen::banded::block_diagonal;
 use clusterwise_spgemm::spgemm::trace::rowwise_b_access_trace;
+use cw_cachesim::{replay_b_row_trace, reuse_distance_histogram, CacheConfig};
 
 fn main() {
     // A block matrix whose similar rows have been scattered: the worst case

@@ -68,8 +68,6 @@
 //!   plus the structural advisor driving the engine's planner.
 //! * [`core`] — the contribution: `CSR_Cluster`, fixed / variable /
 //!   hierarchical clustering, and the cluster-wise SpGEMM kernel.
-//! * [`cachesim`] — cache simulation and reuse-distance analysis for
-//!   deterministic locality measurements.
 //! * [`datasets`] — the 110-matrix synthetic corpus and BC-frontier
 //!   workloads.
 //!
@@ -256,7 +254,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use cw_cachesim as cachesim;
 pub use cw_core as core;
 pub use cw_datasets as datasets;
 pub use cw_engine as engine;

@@ -229,7 +229,8 @@ fn shape_cases(a: &CsrMatrix) -> Vec<(&'static str, OutputShape, Option<CsrMatri
 /// the shape transform applied to the serial *full* product — the shapes
 /// are pure row-local postprocesses; (2) every other backend reproduces
 /// the shaped oracle bit for bit, including under plans that permute rows
-/// (the mask must follow the operand into internal order and back).
+/// (each computed row has to meet the mask row, and land in the result row,
+/// of the original order).
 fn assert_shaped_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
     let full = product_on(BackendId::SerialReference, a, a, plan);
     for (label, shape, mask) in shape_cases(a) {
@@ -260,8 +261,8 @@ fn assert_shaped_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
 fn shaped_products_are_bit_identical_across_backends() {
     // Full-product bit-identity must carry over to masked and top-k
     // outputs on every backend — including under reordering plans, where
-    // the mask has to be permuted into internal row order alongside the
-    // operand and the result un-permuted afterwards.
+    // the kernel computes rows in its own order and must match each one to
+    // the caller's mask row and result row.
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [

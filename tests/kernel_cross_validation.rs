@@ -5,15 +5,19 @@
 //! pass here.
 //!
 //! The second half is the single-pass driver's table: every kernel that
-//! runs on it × accumulator × pool width × chunking, bit-for-bit
+//! runs on it × accumulator × pool width × chunking × row map, bit-for-bit
 //! (`CsrMatrix::bits_eq`) against the serial oracle on the degenerate
-//! operands — the masked kernel against the oracle filtered by `apply_mask`.
+//! operands — the masked kernel against the oracle filtered by `apply_mask`,
+//! a mapped kernel against the oracle with its rows moved the same way.
 
-use clusterwise_spgemm::core::clusterwise_spgemm_with;
+use clusterwise_spgemm::core::clusterwise_spgemm_mapped;
 use clusterwise_spgemm::prelude::*;
+use clusterwise_spgemm::reorder::random_permutation;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::spgemm::flops::multiply_adds;
-use clusterwise_spgemm::spgemm::{spgemm_colwise, spgemm_heap, spgemm_pattern};
+use clusterwise_spgemm::spgemm::{
+    spgemm_colwise, spgemm_heap, spgemm_mapped, spgemm_masked_mapped, spgemm_pattern,
+};
 
 fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     vec![
@@ -254,32 +258,69 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
             assert_eq!(dense_row.row_cols(1), &[0], "admitted but never touched must not appear");
         }
 
-        for width in [1usize, 2, 4] {
-            rayon::with_pool_width(width, || {
-                for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
-                    for chunks_per_thread in [1usize, 8] {
-                        let opts = SpGemmOptions { acc, parallel: true, chunks_per_thread };
-                        let what = format!("{name}: {acc:?} w{width} cpt{chunks_per_thread}");
-                        assert_bits_eq(
-                            &spgemm_with(&a, &b, &opts),
-                            &oracle,
-                            &format!("{what} row-wise"),
-                        );
-                        for (label, cc, expect) in &clustered {
-                            let got = clusterwise_spgemm_with(cc, &b, &opts);
-                            assert_bits_eq(&got, expect, &format!("{what} cluster-wise {label}"));
-                        }
-                        // A Sort plan has no fused kernel (it filters the
-                        // row-wise product checked above).
-                        if acc != AccumulatorKind::Sort {
-                            for (label, expect, mask) in &masked {
-                                let got = spgemm_masked_with(&a, &b, mask, &opts);
-                                assert_bits_eq(&got, expect, &format!("{what} masked by {label}"));
+        // Where a kernel is told to put its rows: nowhere else, in reverse,
+        // and shuffled. A mapped product is the oracle with its rows moved
+        // (row `i` at `map.old_of(i)`); a mask travels with the rows it
+        // filters, since the kernel takes it in the result's order.
+        let maps: [(&str, Option<Permutation>); 3] = [
+            ("in place", None),
+            (
+                "reversed",
+                Some(Permutation::from_new_to_old((0..a.nrows as u32).rev().collect()).unwrap()),
+            ),
+            ("shuffled", Some(random_permutation(a.nrows, 11))),
+        ];
+        for (map_name, map) in &maps {
+            let map = map.as_ref();
+            let moved =
+                |m: &CsrMatrix| map.map_or_else(|| m.clone(), |p| p.inverse().permute_rows(m));
+            let oracle = moved(&oracle);
+            let clustered: Vec<(&String, &CsrCluster, CsrMatrix)> =
+                clustered.iter().map(|(label, cc, expect)| (label, cc, moved(expect))).collect();
+            let masked: Vec<(&str, CsrMatrix, CsrMatrix)> = masked
+                .iter()
+                .map(|(label, expect, mask)| (*label, moved(expect), moved(mask)))
+                .collect();
+
+            for width in [1usize, 2, 4] {
+                rayon::with_pool_width(width, || {
+                    for acc in
+                        [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort]
+                    {
+                        for chunks_per_thread in [1usize, 8] {
+                            let opts = SpGemmOptions { acc, parallel: true, chunks_per_thread };
+                            let what = format!(
+                                "{name}: {acc:?} w{width} cpt{chunks_per_thread} rows {map_name}"
+                            );
+                            assert_bits_eq(
+                                &spgemm_mapped(&a, &b, &opts, map),
+                                &oracle,
+                                &format!("{what} row-wise"),
+                            );
+                            for (label, cc, expect) in &clustered {
+                                let got = clusterwise_spgemm_mapped(cc, &b, &opts, map);
+                                assert_bits_eq(
+                                    &got,
+                                    expect,
+                                    &format!("{what} cluster-wise {label}"),
+                                );
+                            }
+                            // A Sort plan has no fused kernel (it filters
+                            // the row-wise product checked above).
+                            if acc != AccumulatorKind::Sort {
+                                for (label, expect, mask) in &masked {
+                                    let got = spgemm_masked_mapped(&a, &b, mask, &opts, map);
+                                    assert_bits_eq(
+                                        &got,
+                                        expect,
+                                        &format!("{what} masked by {label}"),
+                                    );
+                                }
                             }
                         }
                     }
-                }
-            });
+                });
+            }
         }
     }
 }

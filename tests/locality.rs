@@ -2,12 +2,10 @@
 //! analysis, and access traces must all tell the same story the paper
 //! tells with hardware measurements.
 
-use clusterwise_spgemm::cachesim::{
-    replay_b_row_trace, reuse_distance_histogram, Cache, CacheConfig,
-};
 use clusterwise_spgemm::core::trace::{accesses_saved, clusterwise_b_access_trace};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::spgemm::trace::rowwise_b_access_trace;
+use cw_cachesim::{replay_b_row_trace, reuse_distance_histogram, Cache, CacheConfig};
 
 #[test]
 fn reuse_histogram_matches_fully_associative_cache() {
@@ -123,4 +121,38 @@ fn fixed_clustering_on_wide_groups_beats_rowwise_misses() {
     // Identical column sets inside each group: the format eliminates
     // (group - 1) of every `group` accesses.
     assert_eq!(clusterwise_b_access_trace(&cc).len() * 8, rowwise_b_access_trace(&a).len());
+}
+
+#[test]
+fn hierarchical_order_is_local_even_when_nothing_merges() {
+    // A shuffled mesh without a diagonal: adjacent rows share 2 of 10
+    // columns, under `jacc_th`, so hierarchical clustering merges (almost)
+    // nothing and the only thing it can contribute is its row order. Rows
+    // only are moved — B stays as it arrived, which is all an engine plan
+    // can do — and the row-wise B-row access stream is replayed through an
+    // L1-sized cache.
+    let natural = clusterwise_spgemm::sparse::gen::mesh::tri_mesh(120, 120, false, 1);
+    let a = clusterwise_spgemm::reorder::random_permutation(natural.nrows, 5)
+        .permute_symmetric(&natural);
+    let cfg = CacheConfig { size_bytes: 32 * 1024, line_bytes: 64, ways: 8 };
+    let misses = |order: &Permutation| {
+        let trace = rowwise_b_access_trace(&order.permute_rows(&a));
+        replay_b_row_trace(&a, &trace, cfg).cache.misses
+    };
+
+    let shuffled = misses(&Permutation::identity(a.nrows));
+    let rcm = misses(&Reordering::Rcm.compute(&a, 0));
+    let h = hierarchical_clustering(&a, &ClusterConfig::default());
+    assert!(h.clustering.sizes.len() * 10 > a.nrows * 9, "the mesh is not supposed to cluster");
+    let hierarchical = misses(&h.perm);
+
+    assert!(
+        hierarchical * 2 <= shuffled,
+        "hierarchical order should halve the misses of the order it was given: \
+         {hierarchical} vs {shuffled}"
+    );
+    assert!(
+        hierarchical * 10 <= rcm * 11,
+        "hierarchical order should be within 1.1x of RCM's misses: {hierarchical} vs {rcm}"
+    );
 }

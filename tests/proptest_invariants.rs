@@ -138,6 +138,65 @@ proptest! {
     }
 
     #[test]
+    fn mapped_kernels_equal_the_serial_product_with_its_rows_moved(
+        (a, b, mask, seed) in (1usize..=12, 1usize..=12, 1usize..=12).prop_flat_map(|(n, k, m)| {
+            (sparse_rect(n, k, 60), sparse_rect(k, m, 60), sparse_rect(n, m, 60), 0u64..1000)
+        })
+    ) {
+        use clusterwise_spgemm::core::clusterwise_spgemm_mapped;
+        use clusterwise_spgemm::spgemm::{spgemm_mapped, spgemm_masked_mapped};
+        // Row `i` of the product goes to row `map.old_of(i)` of the result;
+        // the mask is in the result's row order.
+        let map = clusterwise_spgemm::reorder::random_permutation(a.nrows, seed);
+        let expected = map.inverse().permute_rows(&spgemm_serial(&a, &b));
+        let expected_masked = apply_mask(&expected, &mask);
+        let cc = CsrCluster::from_csr(&a, &fixed_clustering(&a, 3));
+        for parallel in [false, true] {
+            let opts = SpGemmOptions { parallel, ..SpGemmOptions::default() };
+            prop_assert!(spgemm_mapped(&a, &b, &opts, Some(&map)).bits_eq(&expected));
+            prop_assert!(clusterwise_spgemm_mapped(&cc, &b, &opts, Some(&map)).bits_eq(&expected));
+            let got = spgemm_masked_mapped(&a, &b, &mask, &opts, Some(&map));
+            prop_assert!(got.bits_eq(&expected_masked), "masked, parallel {}", parallel);
+        }
+    }
+
+    #[test]
+    fn planned_products_come_back_in_caller_order(
+        (a, b, mask) in (2usize..=16, 1usize..=12).prop_flat_map(|(n, m)| {
+            (sparse_rect(n, n, 80), sparse_rect(n, m, 60), sparse_rect(n, m, 60))
+        })
+    ) {
+        // Both pipelines run the kernel over moved rows; whatever the shape,
+        // the caller sees the oracle's rows where it left them.
+        let full = spgemm_serial(&a, &b);
+        let pipelines = [
+            Plan { reorder: Reordering::Rcm, ..Plan::baseline() },
+            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
+        ];
+        for pipeline in pipelines {
+            for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
+                let plan = pipeline.with_shape(shape);
+                let mut engine = Engine::default();
+                let (got, expected) = match shape {
+                    OutputShape::Full => (engine.multiply_planned(&a, &b, plan).0, full.clone()),
+                    OutputShape::TopK(k) => {
+                        (engine.multiply_planned(&a, &b, plan).0, row_topk(&full, k))
+                    }
+                    // `multiply_planned` carries no mask operand.
+                    OutputShape::Masked => {
+                        let (prepared, timings, hit) =
+                            engine.prepare_with_shape(&a, Some(plan), shape);
+                        let (got, _) = engine
+                            .execute_prepared_shaped(&prepared, &b, Some(&mask), timings, hit);
+                        (got, apply_mask(&full, &mask))
+                    }
+                };
+                prop_assert!(got.bits_eq(&expected), "{}", plan.describe());
+            }
+        }
+    }
+
+    #[test]
     fn variable_clustering_is_a_partition(a in sparse_square(40, 200)) {
         let c = variable_clustering(&a, &ClusterConfig::default());
         prop_assert!(c.validate(a.nrows).is_ok());

@@ -95,7 +95,7 @@ proptest! {
     fn reuse_histogram_accounting_is_exact(
         trace in proptest::collection::vec(0u32..24, 0..300),
     ) {
-        use clusterwise_spgemm::cachesim::reuse_distance_histogram;
+        use cw_cachesim::reuse_distance_histogram;
         let h = reuse_distance_histogram(&trace, 24, 32);
         // cold + finite reuses == trace length.
         prop_assert_eq!(h.cold + h.reuses(), trace.len() as u64);
