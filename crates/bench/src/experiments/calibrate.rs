@@ -18,18 +18,18 @@
 //!    hand-tuned model, and the pre-cost-model static advisor.
 //!
 //! The full-corpus fit is attached as `calibration_profile.json` (the
-//! artifact checked in as `profiles/default.json`), and the metrics land
-//! in `BENCH_calibration.json`, which the scheduled full-corpus CI job
-//! uploads.
+//! artifact checked in as `profiles/default.json`); the headline numbers
+//! are also kept on the report as [`crate::report::Metric`]s, which the
+//! root `tests/calibration.rs` acceptance test reads.
 
-use super::planner::static_plan;
-use crate::report::{f2, Direction, Report, Table};
-use crate::runner::{anchor_seconds, RunConfig};
+use crate::report::{f2, Report, Table};
+use crate::runner::RunConfig;
 use cw_engine::calibrate::{median, prediction_errors};
 use cw_engine::{
     BackendId, CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures,
-    OutputShape, Plan, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY,
+    OutputShape, Plan, Planner, PlanningPolicy, Suggestion, DEFAULT_CACHE_CAPACITY,
 };
+use cw_reorder::advisor::advise;
 use cw_sparse::CsrMatrix;
 
 /// Distinct pipelines measured per dataset (each on both backends); the
@@ -47,6 +47,14 @@ const RANK_REUSE: f64 = 16.0;
 /// Sub-margin deltas between near-tied pipelines measure timer noise, not
 /// selection quality; a genuinely wrong choice misses by far more.
 pub const AGREEMENT_SLACK: f64 = 0.25;
+
+/// The purely rule-based choice: the advisor's top suggestion, knob-tuned,
+/// with no cost modeling — the ablation baseline the cost model and the
+/// fitted profile are judged against.
+fn static_plan(planner: &Planner, a: &CsrMatrix) -> Plan {
+    let top = advise(a).into_iter().next().unwrap_or(Suggestion::LeaveOriginal);
+    planner.plan_for_suggestion(a, top)
+}
 
 /// One measured candidate: a pipeline on a backend, with its observed
 /// warm kernel seconds.
@@ -104,9 +112,7 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     // measured: the first anchors the static-agreement comparison, the
     // second anchors the calibrator's scale-free technique-gain ratios.
     let static_choice = static_plan(&planner, a);
-    for extra in
-        [static_choice, planner.plan_for_suggestion(a, cw_engine::Suggestion::LeaveOriginal)]
-    {
+    for extra in [static_choice, planner.plan_for_suggestion(a, Suggestion::LeaveOriginal)] {
         if !pipelines.iter().any(|(p, _)| pipeline_key(p) == pipeline_key(&extra)) {
             let affinity = ranked
                 .iter()
@@ -392,50 +398,15 @@ pub fn run(cfg: &RunConfig) -> Report {
     ]);
     rep.add_table("calibration quality", t);
 
-    // --- Machine-readable metrics (the perf-gate surface). ---
-    rep.add_metric("anchor_s", anchor_seconds(cfg.reps), Direction::LowerIsBetter);
-    for sweep in &sweeps {
-        // The warm-path gate metrics: the best observed candidate, and the
-        // planner-chosen pipeline per backend (the sweep's head pipeline).
-        rep.add_metric(
-            format!("warm_best_s/{}", sweep.name),
-            observed_fastest(sweep).kernel_seconds,
-            Direction::LowerIsBetter,
-        );
-        for backend in BackendId::ALL {
-            if let Some(s) = sweep.samples.iter().find(|s| s.plan.backend == backend) {
-                rep.add_metric(
-                    format!("warm_kernel_s/{}/{}", sweep.name, backend.name()),
-                    s.kernel_seconds,
-                    Direction::LowerIsBetter,
-                );
-            }
-        }
-    }
+    // --- The headline numbers again, by name (tests/calibration.rs). ---
     if !heldout.is_empty() {
-        rep.add_metric(
-            "heldout_median_rel_err/fitted",
-            median(&fitted_errs),
-            Direction::LowerIsBetter,
-        );
-        rep.add_metric(
-            "heldout_median_rel_err/handtuned",
-            median(&handtuned_errs),
-            Direction::LowerIsBetter,
-        );
+        rep.add_metric("heldout_median_rel_err/fitted", median(&fitted_errs));
+        rep.add_metric("heldout_median_rel_err/handtuned", median(&handtuned_errs));
     }
-    rep.add_metric(
-        "plan_agreement/calibrated",
-        delta.agreement_calibrated,
-        Direction::HigherIsBetter,
-    );
-    rep.add_metric(
-        "plan_agreement/handtuned",
-        delta.agreement_handtuned,
-        Direction::HigherIsBetter,
-    );
-    rep.add_metric("plan_agreement/static", delta.agreement_static, Direction::HigherIsBetter);
-    rep.add_metric("speedup_vs_static", delta.speedup_vs_static, Direction::HigherIsBetter);
+    rep.add_metric("plan_agreement/calibrated", delta.agreement_calibrated);
+    rep.add_metric("plan_agreement/handtuned", delta.agreement_handtuned);
+    rep.add_metric("plan_agreement/static", delta.agreement_static);
+    rep.add_metric("speedup_vs_static", delta.speedup_vs_static);
 
     // The artifact: the full-corpus fit, refreshable into
     // profiles/default.json (see docs/ARCHITECTURE.md).
@@ -461,13 +432,10 @@ mod tests {
         assert!(profile.fitted_from_samples > 0);
         assert!(profile.model.seconds_per_madd > 0.0);
 
-        // The metric surface is present: anchor, warm-path medians, and
-        // the quality metrics the acceptance bar reads.
+        // The quality metrics the acceptance bar reads are present.
         let metric = |n: &str| rep.metrics.iter().find(|m| m.name == n);
-        assert!(metric("anchor_s").is_some());
         assert!(metric("plan_agreement/calibrated").is_some());
         assert!(metric("heldout_median_rel_err/fitted").is_some());
-        assert!(rep.metrics.iter().any(|m| m.name.starts_with("warm_kernel_s/") && m.value > 0.0));
 
         // On a same-machine sweep the fitted model must predict held-out
         // kernels at least as well as the hand-tuned defaults (the debug

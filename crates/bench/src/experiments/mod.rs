@@ -4,16 +4,12 @@
 pub mod ablation;
 pub mod calibrate;
 pub mod corpus;
-pub mod engine;
 pub mod fig10;
 pub mod fig11;
 pub mod fig2;
 pub mod fig3;
 pub mod fig8;
 pub mod fig9;
-pub mod net;
-pub mod planner;
-pub mod serving;
 pub mod summary;
 pub mod sweep;
 pub mod table2;

@@ -6,21 +6,19 @@
 //!   (Fig. 11).
 //! * [`runner`] — wall-clock timing (median-of-N with warmup) and the
 //!   shared per-dataset measurement pipeline.
-//! * [`report`] — markdown, CSV, and machine-readable `BENCH_*.json`
-//!   emission (where the CI perf gate reads its two bounded metrics).
+//! * [`report`] — markdown and CSV emission, plus the in-memory named
+//!   metrics the calibration acceptance test reads.
 //! * [`experiments`] — one module per paper artifact: `fig2`, `fig3`,
 //!   `fig8`, `fig9`, `fig10`, `fig11`, `table2`, `table3`, `table4` — plus
-//!   `engine` (adaptive pipeline vs fixed, plan-cache amortization),
-//!   `planner` (static advisor vs cost model vs feedback-converged plan
-//!   selection), `calibrate` (cost-model fitting: sweep →
-//!   [`cw_engine::Calibrator`] → held-out prediction error and
-//!   first-choice plan agreement), and `serving` (service offered-load
-//!   sweep).
+//!   `ablation`, `corpus`, `summary` and `calibrate` (cost-model fitting:
+//!   sweep → [`cw_engine::Calibrator`] → held-out prediction error and
+//!   first-choice plan agreement).
 //!
 //! The `paper` binary (`cargo run -p cw-bench --release --bin paper`) drives
-//! them; the `perf_gate` binary checks emitted `BENCH_*.json` against the
-//! pinned bounds in `ci/bench_baseline.json` in CI (see
-//! `docs/ARCHITECTURE.md`, "The CI perf gate"); criterion micro-benchmarks live under `benches/`.
+//! them. How the *system* performs — engine, service, wire — is not
+//! measured here: that is the repo benchmark's job (`benchmark/`,
+//! `BENCHMARK.json`; see `docs/ARCHITECTURE.md`, "How performance is
+//! judged").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

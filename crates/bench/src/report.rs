@@ -1,19 +1,12 @@
-//! Markdown, CSV, and machine-readable JSON emission for experiment
-//! results.
+//! Markdown and CSV emission for experiment results.
 //!
-//! Tables and notes render for humans; [`Metric`]s render as
-//! `BENCH_<id>.json` — the machine-readable results the CI perf gate
-//! checks against the pinned bounds in `ci/bench_baseline.json` (see the
-//! `perf_gate` binary). The JSON is hand-rolled (no serde in the offline container)
-//! and parsed back with `cw_engine::calibrate::json`.
+//! Tables and notes render for humans and are what [`Report::write_to`]
+//! puts on disk; [`Metric`]s are an in-memory list of named scalars for
+//! callers that hold the [`Report`] (the calibration acceptance test).
 
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-
-/// Version stamped into every `BENCH_*.json`; the perf gate refuses to
-/// compare documents with mismatched schema versions.
-pub const BENCH_JSON_SCHEMA_VERSION: u64 = 1;
 
 /// A rectangular table with a header row.
 #[derive(Debug, Clone, Default)]
@@ -68,52 +61,20 @@ impl Table {
     }
 }
 
-/// Whether larger or smaller metric values are better — whether a pinned
-/// bound in the perf gate is a ceiling or a floor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Timings, error rates: regression = value grew.
-    LowerIsBetter,
-    /// Agreement fractions, speedups: regression = value shrank.
-    HigherIsBetter,
-}
-
-impl Direction {
-    /// Stable serialized name (`"lower"` / `"higher"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Direction::LowerIsBetter => "lower",
-            Direction::HigherIsBetter => "higher",
-        }
-    }
-
-    /// Inverse of [`Direction::name`].
-    pub fn parse(s: &str) -> Option<Direction> {
-        match s {
-            "lower" => Some(Direction::LowerIsBetter),
-            "higher" => Some(Direction::HigherIsBetter),
-            _ => None,
-        }
-    }
-}
-
-/// One machine-readable scalar result of an experiment.
+/// One named scalar result of an experiment.
 ///
-/// Naming convention: `category/qualifier[/qualifier…]`, e.g.
-/// `warm_kernel_s/poi3D-like/parallel-cpu`. Metrics whose name starts
-/// with `bounded` are the ones `ci/bench_baseline.json` pins a bound on.
+/// Naming convention: `category[/qualifier…]`, e.g.
+/// `plan_agreement/calibrated`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Metric name (stable across runs — it is the diff key).
+    /// Metric name (stable across runs).
     pub name: String,
     /// Measured value.
     pub value: f64,
-    /// Which way regressions point.
-    pub direction: Direction,
 }
 
-/// A complete experiment report: a title, commentary, tables, and
-/// machine-readable metrics.
+/// A complete experiment report: a title, commentary, tables, and named
+/// scalar metrics.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Experiment id (e.g. `fig2`).
@@ -124,8 +85,8 @@ pub struct Report {
     pub notes: Vec<String>,
     /// Named tables.
     pub tables: Vec<(String, Table)>,
-    /// Machine-readable metrics (emitted as `BENCH_<id>.json` when
-    /// non-empty).
+    /// Named scalar results, kept in memory only (not written by
+    /// [`Report::write_to`]).
     pub metrics: Vec<Metric>,
     /// Extra artifacts written verbatim alongside the report
     /// (`(filename, contents)` — e.g. the fitted calibration profile).
@@ -148,39 +109,12 @@ impl Report {
         self.tables.push((name.into(), t));
     }
 
-    /// Adds one machine-readable metric (non-finite values are dropped —
-    /// a NaN in the baseline would poison every future diff).
-    pub fn add_metric<S: Into<String>>(&mut self, name: S, value: f64, direction: Direction) {
+    /// Adds one named metric (non-finite values are dropped, so a reader
+    /// never compares against a NaN).
+    pub fn add_metric<S: Into<String>>(&mut self, name: S, value: f64) {
         if value.is_finite() {
-            self.metrics.push(Metric { name: name.into(), value, direction });
+            self.metrics.push(Metric { name: name.into(), value });
         }
-    }
-
-    /// Renders the metrics as the `BENCH_<id>.json` document (empty
-    /// string when there are no metrics).
-    pub fn metrics_json(&self) -> String {
-        if self.metrics.is_empty() {
-            return String::new();
-        }
-        let esc = cw_engine::calibrate::json::escape;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema_version\": {BENCH_JSON_SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"experiment\": \"{}\",", esc(&self.id));
-        let _ = writeln!(s, "  \"metrics\": [");
-        for (i, m) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"value\": {:?}, \"direction\": \"{}\"}}{comma}",
-                esc(&m.name),
-                m.value,
-                m.direction.name()
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
     }
 
     /// Renders the whole report as markdown.
@@ -200,16 +134,11 @@ impl Report {
         s
     }
 
-    /// Writes `<id>.md` plus one CSV per table — and, when the report
-    /// carries metrics, the machine-readable `BENCH_<id>.json` — into
-    /// `dir`.
+    /// Writes `<id>.md`, one CSV per table and the attachments into `dir`.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut md = std::fs::File::create(dir.join(format!("{}.md", self.id)))?;
         md.write_all(self.to_markdown().as_bytes())?;
-        if !self.metrics.is_empty() {
-            std::fs::write(dir.join(format!("BENCH_{}.json", self.id)), self.metrics_json())?;
-        }
         for (name, contents) in &self.attachments {
             std::fs::write(dir.join(name), contents)?;
         }
@@ -270,6 +199,9 @@ mod tests {
         let mut t = Table::new(vec!["c"]);
         t.push_row(vec!["v"]);
         r.add_table("main", t);
+        r.add_metric("kept", 0.8);
+        r.add_metric("dropped", f64::NAN);
+        assert_eq!(r.metrics, vec![Metric { name: "kept".into(), value: 0.8 }]);
         let md = r.to_markdown();
         assert!(md.contains("## figX — Test"));
         assert!(md.contains("> a note"));
@@ -277,49 +209,6 @@ mod tests {
         r.write_to(&dir).unwrap();
         assert!(dir.join("figX.md").exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn metrics_emit_and_parse_back() {
-        let mut r = Report::new("calibration", "Test");
-        r.add_metric("warm_kernel_s/dataset-a/parallel-cpu", 1.5e-4, Direction::LowerIsBetter);
-        r.add_metric("plan_agreement/calibrated", 0.8, Direction::HigherIsBetter);
-        r.add_metric("bad", f64::NAN, Direction::LowerIsBetter); // dropped
-        assert_eq!(r.metrics.len(), 2);
-
-        let doc = cw_engine::calibrate::json::parse(&r.metrics_json()).unwrap();
-        assert_eq!(
-            doc.get("schema_version").unwrap().as_f64(),
-            Some(BENCH_JSON_SCHEMA_VERSION as f64)
-        );
-        assert_eq!(doc.get("experiment").unwrap().as_str(), Some("calibration"));
-        let metrics = doc.get("metrics").unwrap().as_array().unwrap();
-        assert_eq!(metrics.len(), 2);
-        assert_eq!(metrics[0].get("value").unwrap().as_f64(), Some(1.5e-4));
-        assert_eq!(metrics[1].get("direction").unwrap().as_str(), Some("higher"));
-
-        let dir = std::env::temp_dir().join("cw_bench_metrics_test");
-        r.write_to(&dir).unwrap();
-        assert!(dir.join("BENCH_calibration.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reports_without_metrics_emit_no_json() {
-        let r = Report::new("figX", "Test");
-        assert!(r.metrics_json().is_empty());
-        let dir = std::env::temp_dir().join("cw_bench_nometrics_test");
-        r.write_to(&dir).unwrap();
-        assert!(!dir.join("BENCH_figX.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn direction_names_round_trip() {
-        for d in [Direction::LowerIsBetter, Direction::HigherIsBetter] {
-            assert_eq!(Direction::parse(d.name()), Some(d));
-        }
-        assert_eq!(Direction::parse("sideways"), None);
     }
 
     #[test]

@@ -65,16 +65,6 @@ pub fn time_median<T, F: FnMut() -> T>(reps: usize, mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-/// Machine-speed probe: median seconds of a fixed reference SpGEMM
-/// (row-wise `A²` on a 40×40 Poisson grid). Emitted as the `anchor_s`
-/// metric of the `calibrate`, `serving` and `net` experiments so a reader
-/// comparing two `BENCH_*.json` files from machines of different absolute
-/// speed can normalize their timings (`metric ÷ anchor`).
-pub fn anchor_seconds(reps: usize) -> f64 {
-    let a = cw_sparse::gen::grid::poisson2d(40, 40);
-    time_median(reps.max(3), || spgemm(&a, &a))
-}
-
 /// One timed measurement with preprocessing cost attached.
 #[derive(Debug, Clone)]
 pub struct Measured {

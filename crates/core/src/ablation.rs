@@ -8,8 +8,8 @@
 //! reads the exact same `CSR_Cluster` structure but processes member rows
 //! one at a time (re-streaming every `B` row per member, like row-wise
 //! Gustavson). Comparing it against
-//! [`crate::kernel::clusterwise_spgemm`] in `benches/` and in the cache
-//! simulator separates the format's compression benefit from the access
+//! [`crate::kernel::clusterwise_spgemm`] in the cache simulator (`paper
+//! ablation`) separates the format's compression benefit from the access
 //! pattern's reuse benefit.
 
 use crate::format::CsrCluster;

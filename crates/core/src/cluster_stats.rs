@@ -2,7 +2,7 @@
 //! cluster-wise SpGEMM will pay off (§3.4's trade-off discussion, made
 //! measurable).
 
-use crate::format::{Clustering, CsrCluster};
+use crate::format::CsrCluster;
 
 /// Quality summary of a clustering / clustered format.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,20 +56,12 @@ pub fn cluster_stats(cc: &CsrCluster) -> ClusterStats {
     }
 }
 
-/// Histogram of cluster sizes (index = size, value = count; index 0 unused).
-pub fn size_histogram(clustering: &Clustering) -> Vec<usize> {
-    let max = clustering.sizes.iter().copied().max().unwrap_or(0) as usize;
-    let mut hist = vec![0usize; max + 1];
-    for &s in &clustering.sizes {
-        hist[s as usize] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fixed_clustering, hierarchical_clustering, variable_clustering, ClusterConfig};
+    use crate::{
+        fixed_clustering, hierarchical_clustering, variable_clustering, ClusterConfig, Clustering,
+    };
     use cw_sparse::gen::banded::block_diagonal;
     use cw_sparse::gen::er::erdos_renyi;
     use cw_sparse::CsrMatrix;
@@ -107,16 +99,6 @@ mod tests {
         let s = cluster_stats(&cc);
         assert!(s.clustered_row_fraction > 0.9, "{s:?}");
         assert!(s.sharing_factor > 2.0, "{s:?}");
-    }
-
-    #[test]
-    fn size_histogram_counts() {
-        let c = Clustering { sizes: vec![1, 1, 3, 3, 3, 8] };
-        let h = size_histogram(&c);
-        assert_eq!(h[1], 2);
-        assert_eq!(h[3], 3);
-        assert_eq!(h[8], 1);
-        assert_eq!(h[2], 0);
     }
 
     #[test]

@@ -23,9 +23,7 @@
 
 use crate::format::{CsrCluster, MAX_CLUSTER_LEN};
 use cw_sparse::{CsrMatrix, Permutation};
-use cw_spgemm::accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
-};
+use cw_spgemm::accumulator::{Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator};
 use cw_spgemm::rowwise::SpGemmOptions;
 use cw_spgemm::single_pass::{chunk_target, plan_chunks, single_pass};
 use rayon::prelude::*;
@@ -64,7 +62,6 @@ pub fn clusterwise_spgemm_mapped(
     match opts.acc {
         AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator>(ac, b, opts, row_map),
         AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator>(ac, b, opts, row_map),
-        AccumulatorKind::Sort => clusterwise_kernel::<SortAccumulator>(ac, b, opts, row_map),
     }
 }
 
@@ -163,7 +160,7 @@ mod tests {
         cc.validate().unwrap();
         let expect = spgemm_serial(a, a);
         for parallel in [false, true] {
-            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
+            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                 let got = clusterwise_spgemm_with(
                     &cc,
                     a,

@@ -199,12 +199,11 @@ fn identity_to_none(perm: Option<Permutation>) -> Option<Permutation> {
 ///
 /// A masked row-wise plan runs [`cw_spgemm::spgemm_masked_mapped`], which
 /// admits only the mask's columns into the accumulator and never builds
-/// the rest of the product (a `Sort` plan has no table to seed and filters
-/// inside that call). Every other shaped arm computes the full product and
-/// then applies the row-local shape transform ([`cw_spgemm::row_topk`] /
-/// [`cw_spgemm::apply_mask`]) to it: it is the only path on cluster-wise
-/// operands and top-k, and the oracle a fused arm must stay bit-identical
-/// to.
+/// the rest of the product. Every other shaped arm computes the full
+/// product and then applies the row-local shape transform
+/// ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]) to it: it is the
+/// only path on cluster-wise operands and top-k, and the oracle a fused arm
+/// must stay bit-identical to.
 ///
 /// # Panics
 ///

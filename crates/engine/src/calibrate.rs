@@ -525,8 +525,8 @@ impl Calibrator {
     }
 }
 
-/// Median of `xs` (0 when empty); the robust aggregate both the bench
-/// experiment and the perf gate use for prediction-error summaries.
+/// Median of `xs` (0 when empty); the robust aggregate the `calibrate`
+/// experiment uses for prediction-error summaries.
 pub fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;

@@ -1,7 +1,8 @@
-//! A minimal hand-rolled JSON reader shared by calibration profiles and
-//! the bench harness's `BENCH_*.json` reports (the offline build container
-//! has no serde; the workspace's JSON needs are a handful of flat
-//! documents, so a ~150-line recursive-descent parser is the whole cost).
+//! A minimal hand-rolled JSON reader shared by calibration profiles, the
+//! observability export and the repo benchmark's run files (the offline
+//! build container has no serde; the workspace's JSON needs are a handful
+//! of flat documents, so a ~150-line recursive-descent parser is the whole
+//! cost).
 //!
 //! Writing stays with the callers (string formatting is simpler than a
 //! generic emitter); parsing goes through [`parse`] into a [`JsonValue`]

@@ -3,8 +3,8 @@
 //! A sparse accumulator collects the intermediate products of one output row
 //! (`accumulate` in paper Fig. 1) and emits the compressed, sorted result
 //! (`copy`). The paper uses a hash-table accumulator following Nagasaka et
-//! al. \[40\]; a dense SPA and a sort-merge accumulator are provided for the
-//! ablation benchmarks.
+//! al. \[40\]; a dense SPA is the alternative the planner picks for narrow
+//! outputs.
 //!
 //! Accumulators are designed for reuse across rows: `extract_into` drains
 //! and resets in `O(row nnz)`, never `O(ncols)`, so one accumulator instance
@@ -30,8 +30,6 @@ pub enum AccumulatorKind {
     Hash,
     /// Dense array with generation stamps (classic SPA).
     Dense,
-    /// Append + sort + merge (ESC-style).
-    Sort,
 }
 
 /// Common interface of all sparse accumulators.
@@ -259,87 +257,6 @@ impl Accumulator for DenseAccumulator {
     }
 }
 
-/// Sort-merge accumulator: appends every partial product, then sorts and
-/// merges duplicates on extraction (expand-sort-compress). Cheap `add`, no
-/// random memory traffic, but `O(f log f)` extraction — the classic
-/// trade-off benchmarked in `benches/accumulators.rs`. The sort is stable,
-/// so duplicates merge in arrival order like every other accumulator.
-#[derive(Debug, Default)]
-pub struct SortAccumulator {
-    entries: Vec<(ColIdx, Value)>,
-    distinct: usize,
-    dirty: bool,
-}
-
-impl SortAccumulator {
-    /// Creates an empty sort accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn compact(&mut self) {
-        self.entries.sort_by_key(|&(c, _)| c);
-        let mut w = 0usize;
-        let mut r = 0usize;
-        while r < self.entries.len() {
-            let (c, mut v) = self.entries[r];
-            r += 1;
-            while r < self.entries.len() && self.entries[r].0 == c {
-                v += self.entries[r].1;
-                r += 1;
-            }
-            self.entries[w] = (c, v);
-            w += 1;
-        }
-        self.entries.truncate(w);
-        self.distinct = w;
-        self.dirty = false;
-    }
-}
-
-impl Accumulator for SortAccumulator {
-    fn with_ncols(_ncols: usize) -> Self {
-        Self::new()
-    }
-
-    #[inline]
-    fn add(&mut self, col: ColIdx, val: Value) {
-        self.entries.push((col, val));
-        self.dirty = true;
-    }
-
-    fn len(&self) -> usize {
-        if self.dirty {
-            // Exact without `&mut self`: count distinct columns on a copy.
-            let mut sorted: Vec<ColIdx> = self.entries.iter().map(|&(c, _)| c).collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted.len()
-        } else {
-            self.distinct
-        }
-    }
-
-    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
-        if self.dirty {
-            self.compact();
-        }
-        let n = self.entries.len();
-        for ((&(c, v), col), val) in self.entries.iter().zip(&mut cols[..n]).zip(&mut vals[..n]) {
-            *col = c;
-            *val = v;
-        }
-        self.clear();
-        n
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.distinct = 0;
-        self.dirty = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,11 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_accumulator_basic() {
-        exercise(&mut SortAccumulator::new());
-    }
-
-    #[test]
     fn every_accumulator_merges_duplicates_in_arrival_order() {
         // Bit-identity across accumulators requires duplicate columns to
         // sum in arrival order. 300 products over 7 columns (long enough
@@ -404,11 +316,9 @@ mod tests {
             *e = Some(e.map_or(v, |sum| sum + v));
         }
         let expect: Vec<u64> = expect.iter().map(|e| e.unwrap().to_bits()).collect();
-        for acc in [
-            &mut HashAccumulator::new() as &mut dyn Accumulator,
-            &mut DenseAccumulator::new(7),
-            &mut SortAccumulator::new(),
-        ] {
+        for acc in
+            [&mut HashAccumulator::new() as &mut dyn Accumulator, &mut DenseAccumulator::new(7)]
+        {
             for &(c, v) in &seq {
                 acc.add(c, v);
             }
@@ -435,11 +345,9 @@ mod tests {
 
     #[test]
     fn clear_discards_without_emitting() {
-        for acc in [
-            &mut HashAccumulator::new() as &mut dyn Accumulator,
-            &mut DenseAccumulator::new(8),
-            &mut SortAccumulator::new(),
-        ] {
+        for acc in
+            [&mut HashAccumulator::new() as &mut dyn Accumulator, &mut DenseAccumulator::new(8)]
+        {
             acc.add(3, 1.0);
             acc.add(4, 1.0);
             acc.clear();
@@ -461,14 +369,5 @@ mod tests {
         acc.add(1, 7.0);
         let (_, v2) = drain(&mut acc);
         assert_eq!(v2, vec![7.0]);
-    }
-
-    #[test]
-    fn sort_len_is_exact_while_dirty() {
-        let mut acc = SortAccumulator::new();
-        acc.add(3, 1.0);
-        acc.add(3, 1.0);
-        acc.add(1, 1.0);
-        assert_eq!(acc.len(), 2);
     }
 }

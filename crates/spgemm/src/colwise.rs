@@ -7,27 +7,12 @@
 //! column-wise form so the choice is testable rather than assumed, and to
 //! cross-validate the row-wise kernel through an independent code path.
 
-use crate::accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
-};
+use crate::accumulator::{Accumulator, HashAccumulator};
 use crate::single_pass::OwnLines;
 use cw_sparse::{ColIdx, CscMatrix, CsrMatrix, Value};
 use rayon::prelude::*;
 
 /// `C = A · B` computed column-wise over CSC operands; returns CSC.
-pub fn spgemm_colwise_csc(a: &CscMatrix, b: &CscMatrix, kind: AccumulatorKind) -> CscMatrix {
-    assert_eq!(
-        a.ncols, b.nrows,
-        "dimension mismatch: A is {}x{}, B is {}x{}",
-        a.nrows, a.ncols, b.nrows, b.ncols
-    );
-    match kind {
-        AccumulatorKind::Hash => colwise_kernel::<HashAccumulator>(a, b),
-        AccumulatorKind::Dense => colwise_kernel::<DenseAccumulator>(a, b),
-        AccumulatorKind::Sort => colwise_kernel::<SortAccumulator>(a, b),
-    }
-}
-
 fn colwise_kernel<A: Accumulator>(a: &CscMatrix, b: &CscMatrix) -> CscMatrix {
     // One output column per B column; independent, so parallel per column.
     let columns: Vec<(Vec<ColIdx>, Vec<Value>)> = (0..b.ncols)
@@ -60,16 +45,23 @@ fn colwise_kernel<A: Accumulator>(a: &CscMatrix, b: &CscMatrix) -> CscMatrix {
     CscMatrix { nrows: a.nrows, ncols: b.ncols, col_ptr, row_idx, vals }
 }
 
-/// Convenience wrapper: CSR in, CSR out, computed column-wise internally.
+/// `C = A · B`, CSR in and CSR out, computed column-wise internally (hash
+/// accumulator).
 pub fn spgemm_colwise(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+    assert_eq!(
+        a.ncols, b.nrows,
+        "dimension mismatch: A is {}x{}, B is {}x{}",
+        a.nrows, a.ncols, b.nrows, b.ncols
+    );
     let ac = CscMatrix::from_csr(a);
     let bc = CscMatrix::from_csr(b);
-    spgemm_colwise_csc(&ac, &bc, AccumulatorKind::Hash).to_csr()
+    colwise_kernel::<HashAccumulator>(&ac, &bc).to_csr()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accumulator::DenseAccumulator;
     use crate::rowwise::{dense_reference, spgemm_serial};
     use cw_sparse::gen::er::{erdos_renyi, erdos_renyi_rect};
     use cw_sparse::gen::grid::poisson2d;
@@ -94,11 +86,9 @@ mod tests {
     fn all_accumulators_agree_colwise() {
         let a = erdos_renyi(40, 4, 9);
         let ac = CscMatrix::from_csr(&a);
-        let reference = spgemm_colwise_csc(&ac, &ac, AccumulatorKind::Hash).to_csr();
-        for kind in [AccumulatorKind::Dense, AccumulatorKind::Sort] {
-            let c = spgemm_colwise_csc(&ac, &ac, kind).to_csr();
-            assert!(c.approx_eq(&reference, 1e-10), "{kind:?}");
-        }
+        let reference = colwise_kernel::<HashAccumulator>(&ac, &ac).to_csr();
+        let c = colwise_kernel::<DenseAccumulator>(&ac, &ac).to_csr();
+        assert!(c.approx_eq(&reference, 1e-10));
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! FLOP counting and the compression ratio (paper §4.3).
+//! FLOP counting (paper §4.3).
 //!
 //! `flops(A·B) = 2 · Σ_{a_ik ≠ 0} nnz(B[k,:])` is the standard work measure
-//! for SpGEMM. The *compression ratio* `flops/2 / nnz(C)` measures how much
-//! accumulation collapses intermediate products; Nagasaka et al. \[40\] show
-//! throughput correlates with it, and the paper's §4.3 observes reordering
-//! helps *even when the compression ratio is unchanged* — an observation our
-//! `cw-cachesim` experiments can reproduce deterministically.
+//! for SpGEMM; the kernels balance their chunks by it and bound each output
+//! row with it.
 
 use cw_sparse::CsrMatrix;
 use rayon::prelude::*;
@@ -37,30 +34,15 @@ pub fn flops(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
     2 * multiply_adds(a, b)
 }
 
-/// Compression ratio `multiply_adds / nnz(C)`.
-///
-/// `1.0` means no accumulation at all; large values mean many intermediate
-/// products collapse into each output nonzero.
-pub fn compression_ratio(a: &CsrMatrix, b: &CsrMatrix, c: &CsrMatrix) -> f64 {
-    let ma = multiply_adds(a, b);
-    if c.nnz() == 0 {
-        return 0.0;
-    }
-    ma as f64 / c.nnz() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rowwise::spgemm;
 
     #[test]
     fn identity_flops() {
         let i = CsrMatrix::identity(6);
         assert_eq!(multiply_adds(&i, &i), 6);
         assert_eq!(flops(&i, &i), 12);
-        let c = spgemm(&i, &i);
-        assert_eq!(compression_ratio(&i, &i, &c), 1.0);
     }
 
     #[test]
@@ -72,23 +54,5 @@ mod tests {
             vec![vec![(0, 1.0), (1, 1.0)], vec![(2, 1.0)], vec![(0, 1.0), (1, 1.0), (3, 1.0)]],
         );
         assert_eq!(flops_per_row(&a, &b), vec![5]);
-    }
-
-    #[test]
-    fn compression_ratio_on_overlapping_products() {
-        // Both columns of A's row hit B rows with the same output column.
-        let a = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)]]);
-        let b = CsrMatrix::from_row_lists(1, vec![vec![(0, 2.0)], vec![(0, 3.0)]]);
-        let c = spgemm(&a, &b);
-        assert_eq!(multiply_adds(&a, &b), 2);
-        assert_eq!(c.nnz(), 1);
-        assert_eq!(compression_ratio(&a, &b, &c), 2.0);
-    }
-
-    #[test]
-    fn empty_product_ratio_is_zero() {
-        let z = CsrMatrix::zeros(3, 3);
-        let c = spgemm(&z, &z);
-        assert_eq!(compression_ratio(&z, &z, &c), 0.0);
     }
 }

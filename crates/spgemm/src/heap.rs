@@ -4,9 +4,9 @@
 //! row is formed by a k-way merge of the (already sorted) `B` rows selected
 //! by the `A` row, driven by a binary min-heap of cursors. This is the
 //! "heap SpGEMM" of the literature (e.g. CombBLAS): `O(f log k)` work per
-//! row but perfectly streaming access — a useful contrast to the hash
-//! accumulator in the ablation benchmarks, and an independent
-//! implementation for cross-validation.
+//! row but perfectly streaming access — a structurally different
+//! implementation kept as an independent oracle
+//! (`tests/kernel_cross_validation.rs`).
 
 use cw_sparse::{ColIdx, CsrMatrix, Value};
 use rayon::prelude::*;

@@ -4,14 +4,14 @@
 //! machinery the cluster-wise kernel (in `cw-core`) reuses:
 //!
 //! * [`accumulator`] — sparse accumulators: the hash-table accumulator the
-//!   paper adopts from Nagasaka et al. \[40\], a dense "SPA" accumulator with
-//!   generation stamping, and a sort-merge accumulator, all behind one trait.
+//!   paper adopts from Nagasaka et al. \[40\] and a dense "SPA" accumulator
+//!   with generation stamping, behind one trait.
 //! * [`rowwise`] — serial and rayon-parallel Gustavson SpGEMM over CSR.
 //! * [`single_pass`] — the numeric driver under every Gustavson kernel here
 //!   and in `cw-core`: FLOP-balanced chunks compute each row once into a
 //!   window of one pooled staging slab; no symbolic pass.
-//! * [`flops`] — multiplication FLOP counts and the compression ratio
-//!   (`flops / nnz(C)`) that prior work uses to predict SpGEMM throughput.
+//! * [`flops`] — multiplication FLOP counts: the work measure the kernels
+//!   balance chunks and bound output rows by.
 //! * [`topk`] — `SpGEMM_TopK(A, Aᵀ)`: the candidate-pair generation step of
 //!   hierarchical clustering (paper Alg. 3 line 3).
 //! * [`masked`] — [`spgemm_masked_with`]: row-wise `C⟨M⟩ = A·B` with the
@@ -25,8 +25,8 @@
 //! * [`trace`] — extraction of the B-row access sequence a kernel performs,
 //!   consumed by `cw-cachesim` for deterministic locality measurements.
 //! * [`colwise`], [`heap`], [`pattern`] — alternative kernels (column-wise
-//!   Gustavson, k-way heap merge, symbolic-only) used for ablations and as
-//!   independent cross-validation paths.
+//!   Gustavson, k-way heap merge, symbolic-only): the independent oracles
+//!   `tests/kernel_cross_validation.rs` holds the production kernels to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +43,7 @@ pub mod single_pass;
 pub mod topk;
 pub mod trace;
 
-pub use accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
-};
+pub use accumulator::{Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator};
 pub use colwise::spgemm_colwise;
 pub use heap::spgemm_heap;
 pub use masked::{spgemm_masked_mapped, spgemm_masked_with};

@@ -25,8 +25,7 @@
 
 use crate::accumulator::{hash32, AccumulatorKind, EMPTY};
 use crate::flops::flops_per_row_on;
-use crate::rowwise::{accumulate_row, spgemm_mapped, SpGemmOptions};
-use crate::shape::apply_mask;
+use crate::rowwise::{accumulate_row, SpGemmOptions};
 use crate::single_pass::{chunk_target, plan_chunks, single_pass};
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 
@@ -219,9 +218,8 @@ impl MaskAccumulator for StampedDense {
 /// values are ignored), bit-identical to
 /// `apply_mask(&spgemm_with(a, b, opts), mask)`.
 ///
-/// With a hash or dense accumulator the mask is fused into the kernel (see
-/// the module docs). A sort accumulator has no table to seed: those options
-/// compute the product and filter it.
+/// The mask is fused into the kernel for either accumulator (see the module
+/// docs).
 ///
 /// # Panics
 ///
@@ -279,7 +277,6 @@ pub fn spgemm_masked_mapped(
     match opts.acc {
         AccumulatorKind::Hash => masked_kernel::<SeededHash>(a, b, mask, opts, row_map),
         AccumulatorKind::Dense => masked_kernel::<StampedDense>(a, b, mask, opts, row_map),
-        AccumulatorKind::Sort => apply_mask(&spgemm_mapped(a, b, opts, row_map), mask),
     }
 }
 
@@ -317,6 +314,7 @@ fn masked_kernel<M: MaskAccumulator>(
 mod tests {
     use super::*;
     use crate::rowwise::spgemm_serial;
+    use crate::shape::apply_mask;
     use cw_sparse::gen::{er::erdos_renyi, rmat::rmat, rmat::RmatParams};
 
     /// Seeds, adds and extracts one row.
@@ -399,7 +397,7 @@ mod tests {
         let full = spgemm_serial(&a, &b);
         for mask in [a.clone(), full.clone(), CsrMatrix::zeros(a.nrows, b.ncols)] {
             let expect = apply_mask(&full, &mask);
-            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort] {
+            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                 for parallel in [false, true] {
                     let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
                     let got = spgemm_masked_with(&a, &b, &mask, &opts);

@@ -8,9 +8,7 @@
 //! slab); this module supplies the per-row loop, monomorphised over the
 //! accumulator type chosen once per call from [`SpGemmOptions::acc`].
 
-use crate::accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, SortAccumulator,
-};
+use crate::accumulator::{Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator};
 use crate::flops::flops_per_row_on;
 use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines, RowSink};
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
@@ -75,7 +73,6 @@ pub fn spgemm_mapped(
     match opts.acc {
         AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator>(a, b, opts, row_map),
         AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator>(a, b, opts, row_map),
-        AccumulatorKind::Sort => rowwise_kernel::<SortAccumulator>(a, b, opts, row_map),
     }
 }
 
@@ -147,7 +144,6 @@ pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> 
     match kind {
         AccumulatorKind::Hash => symbolic_kernel::<HashAccumulator>(a, b),
         AccumulatorKind::Dense => symbolic_kernel::<DenseAccumulator>(a, b),
-        AccumulatorKind::Sort => symbolic_kernel::<SortAccumulator>(a, b),
     }
 }
 
@@ -191,8 +187,8 @@ mod tests {
     use super::*;
     use cw_sparse::gen::{er::erdos_renyi, grid::poisson2d, rmat::rmat, rmat::RmatParams};
 
-    fn all_kinds() -> [AccumulatorKind; 3] {
-        [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort]
+    fn all_kinds() -> [AccumulatorKind; 2] {
+        [AccumulatorKind::Hash, AccumulatorKind::Dense]
     }
 
     #[test]

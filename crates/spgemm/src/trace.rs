@@ -16,20 +16,6 @@ pub fn rowwise_b_access_trace(a: &CsrMatrix) -> Vec<u32> {
     a.col_idx.clone()
 }
 
-/// Number of *distinct* B rows touched (the compulsory-miss floor for any
-/// ordering or clustering of `A`).
-pub fn distinct_b_rows(a: &CsrMatrix) -> usize {
-    let mut seen = vec![false; a.ncols];
-    let mut n = 0usize;
-    for &c in &a.col_idx {
-        if !seen[c as usize] {
-            seen[c as usize] = true;
-            n += 1;
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,18 +27,8 @@ mod tests {
     }
 
     #[test]
-    fn distinct_counts_unique_columns() {
-        let a = CsrMatrix::from_row_lists(
-            4,
-            vec![vec![(1, 1.0), (3, 1.0)], vec![(1, 1.0)], vec![(3, 1.0)]],
-        );
-        assert_eq!(distinct_b_rows(&a), 2);
-    }
-
-    #[test]
     fn empty_matrix_trace() {
         let a = CsrMatrix::zeros(3, 3);
         assert!(rowwise_b_access_trace(&a).is_empty());
-        assert_eq!(distinct_b_rows(&a), 0);
     }
 }

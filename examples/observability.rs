@@ -84,8 +84,8 @@ fn main() {
 
     // --- Exporters ---
     // Human-readable snapshot (also printed automatically if a shard
-    // panics), and the versioned JSON-lines document the bench harness
-    // attaches as OBS_*.jsonl artifacts.
+    // panics), and the versioned JSON-lines document `cw-serve --obs-out`
+    // writes.
     println!("\n== human-readable dump (head) ==");
     let dump = service.dump_flight_recorder();
     for line in dump.lines().take(12) {

@@ -1,5 +1,5 @@
 //! Cross-validation of all five independent SpGEMM implementations:
-//! row-wise (hash/dense/sort accumulators), column-wise, heap-merge,
+//! row-wise (hash/dense accumulators), column-wise, heap-merge,
 //! pattern-only, and cluster-wise. Any bug that slips one kernel's unit
 //! tests must also fool four structurally different implementations to
 //! pass here.
@@ -284,9 +284,7 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
 
             for width in [1usize, 2, 4] {
                 rayon::with_pool_width(width, || {
-                    for acc in
-                        [AccumulatorKind::Hash, AccumulatorKind::Dense, AccumulatorKind::Sort]
-                    {
+                    for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                         for chunks_per_thread in [1usize, 8] {
                             let opts = SpGemmOptions { acc, parallel: true, chunks_per_thread };
                             let what = format!(
@@ -305,17 +303,9 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
                                     &format!("{what} cluster-wise {label}"),
                                 );
                             }
-                            // A Sort plan has no fused kernel (it filters
-                            // the row-wise product checked above).
-                            if acc != AccumulatorKind::Sort {
-                                for (label, expect, mask) in &masked {
-                                    let got = spgemm_masked_mapped(&a, &b, mask, &opts, map);
-                                    assert_bits_eq(
-                                        &got,
-                                        expect,
-                                        &format!("{what} masked by {label}"),
-                                    );
-                                }
+                            for (label, expect, mask) in &masked {
+                                let got = spgemm_masked_mapped(&a, &b, mask, &opts, map);
+                                assert_bits_eq(&got, expect, &format!("{what} masked by {label}"));
                             }
                         }
                     }
