@@ -199,7 +199,7 @@ impl Engine {
         mask: Option<&CsrMatrix>,
     ) -> (CsrMatrix, ExecutionReport) {
         let (prepared, timings, cache_hit) = self.lookup_or_prepare(a, None, shape);
-        self.execute_prepared_shaped(&prepared, b, mask, timings, cache_hit)
+        self.execute_resolved(&prepared, b, std::ptr::eq(a, b), mask, timings, cache_hit)
     }
 
     /// `C = topk(A · b, k)` — each output row truncated to its `k`
@@ -245,7 +245,7 @@ impl Engine {
         plan: Plan,
     ) -> (CsrMatrix, ExecutionReport) {
         let (prepared, timings, cache_hit) = self.lookup_or_prepare(a, Some(plan), plan.shape);
-        self.execute_prepared_shaped(&prepared, b, None, timings, cache_hit)
+        self.execute_resolved(&prepared, b, std::ptr::eq(a, b), None, timings, cache_hit)
     }
 
     /// Runs a resolved operand against `b`: times the kernel, records the
@@ -266,6 +266,14 @@ impl Engine {
     /// that, fixed per-call overheads dominate tiny multiplies and a
     /// linear extrapolation would record wildly inflated observations.
     /// Reported timings stay raw.
+    ///
+    /// Only `b` is in hand here, so whether it is the matrix `prepared` was
+    /// built from — what lets a reordered square operand run two-sided
+    /// ([`ExecutionReport::two_sided`]) — is decided by content, inside the
+    /// kernel stage's seconds: see [`PreparedMatrix::multiply_shaped_timed`].
+    /// The `multiply*` methods hold both operands and settle it with
+    /// `std::ptr::eq(a, b)` instead: `a`'s checksum was verified against the
+    /// cache entry in the same call.
     pub fn execute_prepared_shaped(
         &mut self,
         prepared: &PreparedMatrix,
@@ -274,7 +282,21 @@ impl Engine {
         prep_timings: StageTimings,
         cache_hit: bool,
     ) -> (CsrMatrix, ExecutionReport) {
-        let (c, kernel_seconds) = prepared.multiply_shaped_timed(b, mask);
+        self.execute_resolved(prepared, b, false, mask, prep_timings, cache_hit)
+    }
+
+    /// [`Engine::execute_prepared_shaped`] with the caller's proof, if it
+    /// has one, that `b` is the matrix `prepared` was built from.
+    fn execute_resolved(
+        &mut self,
+        prepared: &PreparedMatrix,
+        b: &CsrMatrix,
+        b_is_source: bool,
+        mask: Option<&CsrMatrix>,
+        prep_timings: StageTimings,
+        cache_hit: bool,
+    ) -> (CsrMatrix, ExecutionReport) {
+        let (c, kernel_seconds, two_sided) = prepared.run(b, b_is_source, mask);
         if let Some(t) = self.tracer.as_deref() {
             // Retroactive spans from the measured stage duration: the
             // kernel ended "now", so span durations equal the report's
@@ -303,6 +325,7 @@ impl Engine {
         let report = ExecutionReport {
             plan: prepared.plan,
             clusterwise: prepared.is_clusterwise(),
+            two_sided,
             fingerprint: prepared.fingerprint,
             cache_hit,
             timings,
@@ -337,7 +360,7 @@ impl Engine {
             .map(|(i, b)| {
                 let (t, hit) =
                     if i == 0 { (timings, cache_hit) } else { (StageTimings::default(), true) };
-                self.execute_prepared_shaped(&prepared, b, None, t, hit)
+                self.execute_resolved(&prepared, b, std::ptr::eq(a, b), None, t, hit)
             })
             .collect()
     }

@@ -8,7 +8,10 @@
 //! stage took; [`PreparedMatrix::multiply`] then runs only the kernel, which
 //! reads the reordered rows and writes each result row where the *original*
 //! order wants it, so callers never observe the internal reordering and no
-//! un-permutation pass follows the kernel.
+//! un-permutation pass follows the kernel. That holds for columns too: when
+//! the right-hand side is the very matrix the preparation was built from, the
+//! kernel also runs in the reordering's *column* labels and translates each
+//! row back as it extracts it — same bits, the caller's labels.
 
 use crate::backend::{self, CpuOperand};
 use crate::plan::{OutputShape, Plan};
@@ -93,11 +96,24 @@ impl PreparedMatrix {
     /// 1.5 rows per cluster on this operand — then the preparation kept the
     /// clustering's row order and dropped the format.
     pub fn is_clusterwise(&self) -> bool {
-        matches!(self.operand, CpuOperand::ClusterWise(_))
+        matches!(self.operand, CpuOperand::ClusterWise { .. })
+    }
+
+    /// Whether the preparation carries its ids in the reordering's label
+    /// space too: the operand is square, its rows moved, and the order left
+    /// each row's ids within a tenth of the matrix of the row itself on
+    /// average (a scattered order has no locality for a relabelling to
+    /// reach); not under a dense accumulator on an operand below 128 KiB,
+    /// and never under a masked plan that runs row-wise. A multiply whose
+    /// right-hand side is the source matrix then runs two-sided
+    /// ([`crate::ExecutionReport::two_sided`]).
+    pub fn is_relabelled(&self) -> bool {
+        self.operand.is_relabelled()
     }
 
     /// Approximate resident heap footprint in bytes: the materialized
-    /// operand plus the row map. Byte-bounded cache eviction
+    /// operand — relabelled ids included — plus the row map (which doubles
+    /// as the label map). Byte-bounded cache eviction
     /// ([`crate::CacheBudget::Bytes`]) sizes entries with this.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -126,11 +142,32 @@ impl PreparedMatrix {
     /// the whole multiply. Shape application is part of producing the
     /// shaped result, and the rows leave the kernel in the original order,
     /// so there is no postprocess stage to time.
+    ///
+    /// The seconds include deciding whether `b` is the matrix this
+    /// preparation was built from, tried only when
+    /// [`PreparedMatrix::is_relabelled`]: dimensions and `nnz`, then the
+    /// sampled fingerprint, then the full-content checksum — the plan
+    /// cache's own test; a fingerprint match alone is never trusted.
     pub fn multiply_shaped_timed(
         &self,
         b: &CsrMatrix,
         mask: Option<&CsrMatrix>,
     ) -> (CsrMatrix, f64) {
+        let (c, seconds, _) = self.run(b, false, mask);
+        (c, seconds)
+    }
+
+    /// The multiply behind every door: the shaped product, the kernel
+    /// stage's seconds, and whether it ran two-sided. `b_is_source` is a
+    /// proof the caller already holds that `b` is the prepared matrix (the
+    /// same reference as an `a` whose checksum it just verified); without
+    /// one the content test runs here, inside the timed region.
+    pub(crate) fn run(
+        &self,
+        b: &CsrMatrix,
+        b_is_source: bool,
+        mask: Option<&CsrMatrix>,
+    ) -> (CsrMatrix, f64, bool) {
         assert_eq!(
             matches!(self.plan.shape, OutputShape::Masked),
             mask.is_some(),
@@ -138,8 +175,24 @@ impl PreparedMatrix {
             self.plan.describe()
         );
         let t0 = Instant::now();
-        let c = backend::execute(&self.operand, self.row_map.as_ref(), &self.plan, b, mask);
-        (c, t0.elapsed().as_secs_f64())
+        let b_is_source = self.is_relabelled() && (b_is_source || self.was_prepared_from(b));
+        let (c, two_sided) = backend::execute(
+            &self.operand,
+            self.row_map.as_ref(),
+            &self.plan,
+            b,
+            b_is_source,
+            mask,
+        );
+        (c, t0.elapsed().as_secs_f64(), two_sided)
+    }
+
+    /// The plan cache's test that `b` is the matrix this was prepared from,
+    /// cheapest check first.
+    fn was_prepared_from(&self, b: &CsrMatrix) -> bool {
+        (b.nrows, b.ncols, b.nnz()) == (self.nrows, self.ncols, self.nnz)
+            && fingerprint(b) == self.fingerprint
+            && checksum(b) == self.checksum
     }
 }
 
@@ -156,7 +209,7 @@ mod tests {
         let prepared = PreparedMatrix::prepare(a, plan, 7, &ClusterConfig::default());
         let got = prepared.multiply(a);
         let expect = spgemm_serial(a, a);
-        assert!(got.numerically_eq(&expect, 1e-9), "plan {} output mismatch", plan.describe());
+        assert!(got.bits_eq(&expect), "plan {} output mismatch", plan.describe());
     }
 
     #[test]
@@ -228,6 +281,35 @@ mod tests {
         };
         let pc = PreparedMatrix::prepare(&large, plan, 7, &cfg);
         assert!(pc.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn approx_bytes_counts_what_two_sided_execution_retains() {
+        use std::mem::size_of;
+        let a = gen::mesh::tri_mesh(12, 12, true, 2);
+        let cfg = ClusterConfig::default();
+        let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
+        // `P·A` has `A`'s size; the row map is one u32 per row.
+        let one_sided = size_of::<PreparedMatrix>() + a.memory_bytes() + a.nrows * size_of::<u32>();
+
+        let rowwise = PreparedMatrix::prepare(&a, rcm, 7, &cfg);
+        assert!(rowwise.is_relabelled());
+        assert!(rowwise.approx_bytes() >= one_sided + a.nnz() * size_of::<u32>());
+
+        // A masked row-wise plan builds no relabelling and is charged none.
+        let masked = PreparedMatrix::prepare(&a, rcm.with_shape(OutputShape::Masked), 7, &cfg);
+        assert!(!masked.is_relabelled());
+        assert_eq!(masked.approx_bytes(), one_sided);
+
+        // Cluster-wise keeps the relabelled union lists and `P·A·Pᵀ` as `B`.
+        let plan = Plan { clustering: ClusteringStrategy::Fixed(4), ..rcm };
+        let clustered = PreparedMatrix::prepare(&a, plan, 7, &cfg);
+        let CpuOperand::ClusterWise { cc, relabelled: Some(_) } = &clustered.operand else {
+            panic!("a fixed-4 plan on a reordered square operand is cluster-wise and relabelled");
+        };
+        let format = size_of::<PreparedMatrix>() + cc.memory_bytes() + a.nrows * size_of::<u32>();
+        let retained = cc.col_ids.len() * size_of::<u32>() + a.memory_bytes();
+        assert_eq!(clustered.approx_bytes(), format + retained);
     }
 
     #[test]

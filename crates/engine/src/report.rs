@@ -47,6 +47,12 @@ pub struct ExecutionReport {
     /// the plan's clustering averaged under 1.5 rows per cluster on this
     /// operand, so it kept the clustering's row order and ran row-wise.
     pub clusterwise: bool,
+    /// Whether the product ran in the plan's permuted label space on both
+    /// sides (`P·A·Pᵀ · P·A·Pᵀ`, labels translated back at extraction). Set
+    /// from what execution did: `true` only under a plan that moved the
+    /// rows of a square operand *and* a right-hand side proven to be that
+    /// operand; any other `b` runs one-sided (`P·A · b`).
+    pub two_sided: bool,
     /// Fingerprint of the `A` operand.
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
@@ -82,8 +88,9 @@ impl ExecutionReport {
         // The plan names the kernel it asked for; say so when another ran.
         let degraded =
             if self.plan.is_clusterwise() && !self.clusterwise { " (ran RowWise)" } else { "" };
+        let sides = if self.two_sided { " two-sided" } else { "" };
         format!(
-            "{}{degraded} | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
+            "{}{degraded}{sides} | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
             self.plan.describe(),
             if self.cache_hit { "hit" } else { "miss" },
             self.timings.preprocessing() * 1e3,
@@ -120,6 +127,7 @@ mod tests {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
             clusterwise: false,
+            two_sided: false,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),
@@ -137,6 +145,7 @@ mod tests {
         let mut rep = ExecutionReport {
             plan,
             clusterwise: true,
+            two_sided: false,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: false,
             timings: StageTimings::default(),
@@ -153,6 +162,7 @@ mod tests {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
             clusterwise: false,
+            two_sided: false,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),

@@ -15,8 +15,19 @@
 //! multiply-add loop. Every accumulator merges duplicate columns in arrival
 //! order and extracts in ascending column order, which makes the choice
 //! bit-transparent.
+//!
+//! The ids an accumulator is keyed on need not be the labels a row is
+//! emitted under. A kernel that runs in a permuted label space (the engine's
+//! two-sided plans) passes a [`LabelMap`] to
+//! [`Accumulator::extract_labelled_into`]: the sort half of
+//! [`HashAccumulator`]'s packed word and of [`DenseAccumulator`]'s touched
+//! list then holds `labels.label(key)` instead of `key` — one lookup per
+//! *output entry*, none per multiply-add — and the same sort and gather emit
+//! the row in ascending label order. [`SameLabels`] is the zero-sized
+//! identity: `extract_into` is that instantiation, with the translation
+//! compiled out.
 
-use cw_sparse::{ColIdx, Value};
+use cw_sparse::{ColIdx, Permutation, Value};
 
 /// Sentinel for an empty hash slot (no valid column id equals `u32::MAX`
 /// because matrix dimensions are `< u32::MAX`).
@@ -30,6 +41,38 @@ pub enum AccumulatorKind {
     Hash,
     /// Dense array with generation stamps (classic SPA).
     Dense,
+}
+
+/// The labels a row is emitted under, as a function of the ids its
+/// accumulator was keyed on. Must be injective on the keys of one row.
+pub trait LabelMap: Sync {
+    /// True when `label(key) == key` for every key: extraction skips the
+    /// translation altogether.
+    const IDENTITY: bool;
+    /// The output label of accumulator key `key`.
+    fn label(&self, key: ColIdx) -> ColIdx;
+}
+
+/// Keys are labels already (the zero-sized identity [`LabelMap`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SameLabels;
+
+impl LabelMap for SameLabels {
+    const IDENTITY: bool = true;
+    #[inline(always)]
+    fn label(&self, key: ColIdx) -> ColIdx {
+        key
+    }
+}
+
+/// Keys are positions under the permutation, labels the indices it moved
+/// there: a kernel run on `P·A·Pᵀ` emits `A`'s own column labels.
+impl LabelMap for Permutation {
+    const IDENTITY: bool = false;
+    #[inline(always)]
+    fn label(&self, key: ColIdx) -> ColIdx {
+        self.as_new_to_old()[key as usize]
+    }
 }
 
 /// Common interface of all sparse accumulators.
@@ -55,6 +98,17 @@ pub trait Accumulator: Send {
     /// the next row, and returns how many entries were written. Panics if
     /// either slice is shorter than [`Accumulator::len`].
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize;
+    /// [`Accumulator::extract_into`] for an accumulator keyed on ids other
+    /// than the output's: writes `(labels.label(key), val)` in ascending
+    /// *label* order.
+    fn extract_labelled_into<L: LabelMap>(
+        &mut self,
+        labels: &L,
+        cols: &mut [ColIdx],
+        vals: &mut [Value],
+    ) -> usize
+    where
+        Self: Sized;
     /// Drops the accumulated entries without emitting them (size probes
     /// read [`Accumulator::len`] first).
     fn clear(&mut self);
@@ -73,7 +127,9 @@ pub(crate) fn hash32(x: u32, mask: usize) -> usize {
 /// column ids (EMPTY = free), `vals` the running sums, and `occupied` one
 /// packed `col << 32 | slot` word per used slot: reset costs `O(entries)`
 /// rather than `O(capacity)`, and extraction sorts those words natively
-/// (column in the high half) and gathers each value through its slot.
+/// (column in the high half — rewritten to the column's *label* first when
+/// the kernel ran under a [`LabelMap`]) and gathers each value through its
+/// slot.
 #[derive(Debug)]
 pub struct HashAccumulator {
     keys: Vec<u32>,
@@ -82,7 +138,8 @@ pub struct HashAccumulator {
     mask: usize,
 }
 
-/// The slot half of a packed `occupied` word.
+/// The low half of a packed word: the slot of an `occupied` entry (or the
+/// column of a dense accumulator's label-sorted one).
 #[inline(always)]
 fn slot_of(packed: u64) -> usize {
     (packed & 0xFFFF_FFFF) as usize
@@ -169,7 +226,22 @@ impl Accumulator for HashAccumulator {
     }
 
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
+        self.extract_labelled_into(&SameLabels, cols, vals)
+    }
+
+    fn extract_labelled_into<L: LabelMap>(
+        &mut self,
+        labels: &L,
+        cols: &mut [ColIdx],
+        vals: &mut [Value],
+    ) -> usize {
         let n = self.occupied.len();
+        if !L::IDENTITY {
+            for packed in &mut self.occupied {
+                let label = labels.label((*packed >> 32) as ColIdx);
+                *packed = (label as u64) << 32 | (*packed & 0xFFFF_FFFF);
+            }
+        }
         self.occupied.sort_unstable();
         for ((&packed, c), v) in self.occupied.iter().zip(&mut cols[..n]).zip(&mut vals[..n]) {
             let slot = slot_of(packed);
@@ -198,6 +270,9 @@ pub struct DenseAccumulator {
     stamp: Vec<u32>,
     gen: u32,
     touched: Vec<ColIdx>,
+    /// `label << 32 | column` per touched column: what a labelled
+    /// extraction sorts. Stays empty under [`SameLabels`].
+    by_label: Vec<u64>,
 }
 
 impl DenseAccumulator {
@@ -208,6 +283,7 @@ impl DenseAccumulator {
             stamp: vec![0; ncols],
             gen: 1,
             touched: Vec::new(),
+            by_label: Vec::new(),
         }
     }
 }
@@ -236,11 +312,31 @@ impl Accumulator for DenseAccumulator {
     }
 
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
+        self.extract_labelled_into(&SameLabels, cols, vals)
+    }
+
+    fn extract_labelled_into<L: LabelMap>(
+        &mut self,
+        labels: &L,
+        cols: &mut [ColIdx],
+        vals: &mut [Value],
+    ) -> usize {
         let n = self.touched.len();
-        self.touched.sort_unstable();
-        cols[..n].copy_from_slice(&self.touched);
-        for (v, &c) in vals[..n].iter_mut().zip(&self.touched) {
-            *v = self.vals[c as usize];
+        if L::IDENTITY {
+            self.touched.sort_unstable();
+            cols[..n].copy_from_slice(&self.touched);
+            for (v, &c) in vals[..n].iter_mut().zip(&self.touched) {
+                *v = self.vals[c as usize];
+            }
+        } else {
+            self.by_label.clear();
+            self.by_label
+                .extend(self.touched.iter().map(|&c| (labels.label(c) as u64) << 32 | c as u64));
+            self.by_label.sort_unstable();
+            for ((&packed, c), v) in self.by_label.iter().zip(&mut cols[..n]).zip(&mut vals[..n]) {
+                *c = (packed >> 32) as ColIdx;
+                *v = self.vals[slot_of(packed)];
+            }
         }
         self.clear();
         n
@@ -326,6 +422,46 @@ mod tests {
             assert_eq!(cols, (0..7).collect::<Vec<u32>>());
             assert_eq!(vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expect);
         }
+    }
+
+    #[test]
+    fn a_labelled_extraction_is_the_plain_one_in_another_key_space() {
+        // The sequence of the test above, keyed on `inv[col]` and extracted
+        // under the permutation: same labels, same sums to the bit, in
+        // ascending *label* order although the keys are not — and the
+        // accumulator is clean for the next row.
+        let seq: Vec<(u32, f64)> = (0..300u32)
+            .map(|i| {
+                (i * 5 % 7, [1e16, 1.0, -1e16, 0.1, 3e-7][i as usize % 5] * (1 + i % 3) as f64)
+            })
+            .collect();
+        // Moves every key but 3 (a fixed point).
+        let perm = Permutation::from_new_to_old(vec![5, 0, 6, 3, 1, 2, 4]).unwrap();
+        let inv = perm.inverse_map();
+        fn run<A: Accumulator, L: LabelMap>(
+            acc: &mut A,
+            labels: &L,
+            seq: impl Iterator<Item = (u32, f64)>,
+        ) -> (Vec<ColIdx>, Vec<u64>) {
+            seq.for_each(|(c, v)| acc.add(c, v));
+            let (mut cols, mut vals) = (vec![0; acc.len()], vec![0.0; acc.len()]);
+            acc.extract_labelled_into(labels, &mut cols, &mut vals);
+            assert!(acc.is_empty());
+            (cols, vals.into_iter().map(f64::to_bits).collect())
+        }
+        let plain = seq.iter().copied();
+        let keyed = || seq.iter().map(|&(c, v)| (inv[c as usize], v));
+        let expect = run(&mut HashAccumulator::new(), &SameLabels, plain);
+        assert_eq!(expect.0, (0..7).collect::<Vec<u32>>());
+        let mut hash = HashAccumulator::with_capacity(2); // grows mid-row
+        let mut dense = DenseAccumulator::new(7);
+        for round in 0..2 {
+            assert_eq!(run(&mut hash, &perm, keyed()), expect, "hash, round {round}");
+            assert_eq!(run(&mut dense, &perm, keyed()), expect, "dense, round {round}");
+        }
+        // Back under the identity, the same accumulators are the plain ones.
+        assert_eq!(run(&mut hash, &SameLabels, seq.iter().copied()), expect);
+        assert_eq!(run(&mut dense, &SameLabels, seq.iter().copied()), expect);
     }
 
     #[test]

@@ -4,19 +4,20 @@
 //! for SpGEMM; the kernels balance their chunks by it and bound each output
 //! row with it.
 
+use crate::rowwise::CsrRows;
 use cw_sparse::CsrMatrix;
 use rayon::prelude::*;
 
 /// Multiply-add count per row of the product `A·B` (not doubled).
 pub fn flops_per_row(a: &CsrMatrix, b: &CsrMatrix) -> Vec<u64> {
-    flops_per_row_on(a, b, true)
+    flops_per_row_on(a.into(), b.into(), true)
 }
 
 /// [`flops_per_row`] computed on the pool, or (`pool == false`) on the
 /// calling thread alone — a serial multiply must not wake the pool for it.
-pub(crate) fn flops_per_row_on(a: &CsrMatrix, b: &CsrMatrix, pool: bool) -> Vec<u64> {
+pub(crate) fn flops_per_row_on(a: CsrRows<'_>, b: CsrRows<'_>, pool: bool) -> Vec<u64> {
     assert_eq!(a.ncols, b.nrows);
-    let row = |i: usize| a.row_cols(i).iter().map(|&k| b.row_nnz(k as usize) as u64).sum();
+    let row = |i: usize| a.row(i).0.iter().map(|&k| b.row_nnz(k as usize) as u64).sum();
     if pool {
         (0..a.nrows).into_par_iter().map(row).collect()
     } else {

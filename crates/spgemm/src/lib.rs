@@ -43,11 +43,15 @@ pub mod single_pass;
 pub mod topk;
 pub mod trace;
 
-pub use accumulator::{Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator};
+pub use accumulator::{
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
+};
 pub use colwise::spgemm_colwise;
 pub use heap::spgemm_heap;
 pub use masked::{spgemm_masked_mapped, spgemm_masked_with};
 pub use pattern::spgemm_pattern;
-pub use rowwise::{spgemm, spgemm_mapped, spgemm_serial, spgemm_with, SpGemmOptions};
+pub use rowwise::{
+    spgemm, spgemm_labelled, spgemm_mapped, spgemm_serial, spgemm_with, CsrRows, SpGemmOptions,
+};
 pub use shape::{apply_mask, row_topk};
 pub use topk::{spgemm_topk, CandidatePair};

@@ -25,7 +25,7 @@
 
 use crate::accumulator::{hash32, AccumulatorKind, EMPTY};
 use crate::flops::flops_per_row_on;
-use crate::rowwise::{accumulate_row, SpGemmOptions};
+use crate::rowwise::{accumulate_row, CsrRows, SpGemmOptions};
 use crate::single_pass::{chunk_target, plan_chunks, single_pass};
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 
@@ -290,6 +290,7 @@ fn masked_kernel<M: MaskAccumulator>(
     // The mask row that admits row `i` of `A · B`.
     let mask_row = |i: usize| row_map.map_or(i, |map| map.old_of(i));
     let target = chunk_target(opts.parallel, opts.chunks_per_thread);
+    let (a, b) = (CsrRows::from(a), CsrRows::from(b));
     let flops = flops_per_row_on(a, b, target > 1);
     let out_bound = |i: usize| flops[i].min(mask.row_nnz(mask_row(i)) as u64) as usize;
     let chunks = plan_chunks(&flops, target, |i| i, out_bound);

@@ -8,9 +8,11 @@
 //! slab); this module supplies the per-row loop, monomorphised over the
 //! accumulator type chosen once per call from [`SpGemmOptions::acc`].
 
-use crate::accumulator::{Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator};
+use crate::accumulator::{
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
+};
 use crate::flops::flops_per_row_on;
-use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines, RowSink};
+use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines};
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 use rayon::prelude::*;
 
@@ -29,6 +31,52 @@ pub struct SpGemmOptions {
 impl Default for SpGemmOptions {
     fn default() -> Self {
         SpGemmOptions { acc: AccumulatorKind::Hash, parallel: true, chunks_per_thread: 8 }
+    }
+}
+
+/// The CSR arrays of an operand as the kernels read them: rows of
+/// `(id, value)` pairs. Unlike a [`CsrMatrix`] the ids of a row may come in
+/// any order — a row's order is the order its partial products are
+/// accumulated in, nothing more — so an operand whose ids were relabelled
+/// in place (and are no longer ascending) is still a valid input.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrRows<'a> {
+    /// Number of rows.
+    pub nrows: usize,
+    /// Number of columns (every id is below it).
+    pub ncols: usize,
+    /// Row offsets into `ids` / `vals` (`nrows + 1`).
+    pub row_ptr: &'a [usize],
+    /// Column ids, row by row.
+    pub ids: &'a [ColIdx],
+    /// Values, parallel to `ids`.
+    pub vals: &'a [Value],
+}
+
+impl<'a> From<&'a CsrMatrix> for CsrRows<'a> {
+    fn from(m: &'a CsrMatrix) -> Self {
+        CsrRows {
+            nrows: m.nrows,
+            ncols: m.ncols,
+            row_ptr: &m.row_ptr,
+            ids: &m.col_idx,
+            vals: &m.vals,
+        }
+    }
+}
+
+impl<'a> CsrRows<'a> {
+    /// `(ids, vals)` of row `i` as parallel slices.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&'a [ColIdx], &'a [Value]) {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        (&self.ids[lo..hi], &self.vals[lo..hi])
+    }
+
+    /// Stored entries of row `i`.
+    #[inline]
+    pub fn row_nnz(&self, i: usize) -> usize {
+        self.row_ptr[i + 1] - self.row_ptr[i]
     }
 }
 
@@ -65,15 +113,42 @@ pub fn spgemm_mapped(
     opts: &SpGemmOptions,
     row_map: Option<&Permutation>,
 ) -> CsrMatrix {
+    spgemm_labelled(a.into(), b.into(), opts, row_map, &SameLabels)
+}
+
+/// [`spgemm_mapped`] in a label space of the caller's choosing. The inner
+/// dimension (`a`'s ids, `b`'s rows) and `b`'s ids may be numbered however
+/// the operands agree on; entry `(i, j)` of the product is emitted as
+/// `(row_map.old_of(i), labels.label(j))`, each row ascending in its
+/// *labels*. Every output entry sums its partial products in the order row
+/// `i` of `a` lists them.
+///
+/// The engine's two-sided plans are this with `a = b =` the rows of `P·A₀`,
+/// ids relabelled through `P⁻¹` but left in `A₀`'s ascending order, and
+/// `row_map = labels = P`: the kernel walks `B` rows and accumulator keys
+/// that are near each other, and the result is `A₀ · A₀` bit for bit.
+///
+/// # Panics
+///
+/// Panics on a dimension mismatch, or if `row_map` does not have one entry
+/// per row of `a`.
+pub fn spgemm_labelled<L: LabelMap>(
+    a: CsrRows<'_>,
+    b: CsrRows<'_>,
+    opts: &SpGemmOptions,
+    row_map: Option<&Permutation>,
+    labels: &L,
+) -> CsrMatrix {
     assert_eq!(
         a.ncols, b.nrows,
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
-    match opts.acc {
-        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator>(a, b, opts, row_map),
-        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator>(a, b, opts, row_map),
-    }
+    let kernel = match opts.acc {
+        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator, L>,
+        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator, L>,
+    };
+    kernel(a, b, opts, row_map, labels)
 }
 
 /// Feeds every partial product `(column, a_ik · b_kj)` of `A[i,:] · B` to
@@ -84,8 +159,8 @@ pub fn spgemm_mapped(
 /// order — the invariant that makes accumulator choice bit-transparent.
 #[inline]
 pub(crate) fn accumulate_row(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
+    a: CsrRows<'_>,
+    b: CsrRows<'_>,
     i: usize,
     mut add: impl FnMut(ColIdx, Value),
 ) {
@@ -98,24 +173,12 @@ pub(crate) fn accumulate_row(
     }
 }
 
-/// Computes `A[i,:] · B` through `acc` and emits it as `sink`'s next row.
-#[inline]
-pub(crate) fn multiply_row<A: Accumulator>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    i: usize,
-    acc: &mut A,
-    sink: &mut RowSink<'_>,
-) {
-    accumulate_row(a, b, i, |col, val| acc.add(col, val));
-    sink.push_row(acc);
-}
-
-fn rowwise_kernel<A: Accumulator>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
+fn rowwise_kernel<A: Accumulator, L: LabelMap>(
+    a: CsrRows<'_>,
+    b: CsrRows<'_>,
     opts: &SpGemmOptions,
     row_map: Option<&Permutation>,
+    labels: &L,
 ) -> CsrMatrix {
     let target = chunk_target(opts.parallel, opts.chunks_per_thread);
     let flops = flops_per_row_on(a, b, target > 1);
@@ -128,7 +191,8 @@ fn rowwise_kernel<A: Accumulator>(
         || A::with_ncols(b.ncols),
         |acc, rows, sink| {
             for i in rows {
-                multiply_row(a, b, i, acc, sink);
+                accumulate_row(a, b, i, |col, val| acc.add(col, val));
+                sink.push_labelled_row(acc, labels);
             }
         },
     )
@@ -148,6 +212,7 @@ pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> 
 }
 
 fn symbolic_kernel<A: Accumulator>(a: &CsrMatrix, b: &CsrMatrix) -> Vec<usize> {
+    let (a, b) = (CsrRows::from(a), CsrRows::from(b));
     (0..a.nrows)
         .into_par_iter()
         .map_init(

@@ -28,7 +28,11 @@
 //! row is copied to its own offset, so the product leaves the driver in the
 //! caller's row order and nobody allocates, writes and faults in a second
 //! `nnz(C)`-sized copy to un-permute it. Without a map each window is one
-//! contiguous run of the result and is copied whole.
+//! contiguous run of the result and is copied whole. Column labels are not
+//! the pack step's business: a kernel that also ran in permuted *column*
+//! ids translates them as each row is extracted
+//! ([`RowSink::push_labelled_row`]), so what sits in staging is already in
+//! the caller's labels and sorted by them.
 //!
 //! * **Reserved**: a staging slab is a zeroed allocation (`vec![0; cap]`,
 //!   i.e. `calloc`) of the bound, which a large request gets as untouched
@@ -69,7 +73,7 @@
 //! where exact two-phase sizing would have fitted; bounding a request's
 //! predicted FLOPs at admission is the guard for that.
 
-use crate::accumulator::Accumulator;
+use crate::accumulator::{Accumulator, LabelMap, SameLabels};
 use crate::masked::MaskAccumulator;
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
 use rayon::prelude::*;
@@ -223,7 +227,19 @@ impl RowSink<'_> {
     /// and resets it.
     #[inline]
     pub fn push_row<A: Accumulator>(&mut self, acc: &mut A) {
-        let n = acc.extract_into(&mut self.cols[self.len..], &mut self.vals[self.len..]);
+        self.push_labelled_row(acc, &SameLabels);
+    }
+
+    /// [`RowSink::push_row`] for an accumulator keyed on ids other than the
+    /// output's column labels: the row is emitted under `labels`, ascending
+    /// in them.
+    #[inline]
+    pub fn push_labelled_row<A: Accumulator, L: LabelMap>(&mut self, acc: &mut A, labels: &L) {
+        let n = acc.extract_labelled_into(
+            labels,
+            &mut self.cols[self.len..],
+            &mut self.vals[self.len..],
+        );
         self.row_nnz[self.rows] = n;
         self.rows += 1;
         self.len += n;

@@ -16,7 +16,7 @@ use clusterwise_spgemm::engine::{
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
-use clusterwise_spgemm::sparse::CooMatrix;
+use clusterwise_spgemm::sparse::{fingerprint, CooMatrix};
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
 use proptest::prelude::*;
 
@@ -47,7 +47,7 @@ fn assert_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
     for id in validated_backends() {
         let got = product_on(id, a, a, plan);
         assert!(
-            got.approx_eq(&oracle, 0.0),
+            got.bits_eq(&oracle),
             "{name}: backend {id:?} is not bit-identical to the serial oracle under {}",
             plan.describe()
         );
@@ -128,7 +128,7 @@ fn engine_traffic_on_forced_backends_matches_the_oracle_engine() {
             let (got, rep) = engine.multiply(&a, &a);
             assert_eq!(rep.plan.backend, id, "round {round}");
             assert!(
-                got.approx_eq(&oracle, 0.0),
+                got.bits_eq(&oracle),
                 "engine on {id:?} diverges from the oracle engine (round {round})"
             );
         }
@@ -242,14 +242,14 @@ fn assert_shaped_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
         };
         let oracle = shaped_product_on(BackendId::SerialReference, a, plan, shape, mask);
         assert!(
-            oracle.approx_eq(&expected, 0.0),
+            oracle.bits_eq(&expected),
             "{name}/{label}: shaped serial product is not the postprocessed full product under {}",
             plan.describe()
         );
         for id in validated_backends() {
             let got = shaped_product_on(id, a, plan, shape, mask);
             assert!(
-                got.approx_eq(&oracle, 0.0),
+                got.bits_eq(&oracle),
                 "{name}/{label}: backend {id:?} is not bit-identical to the shaped oracle under {}",
                 plan.describe()
             );
@@ -361,6 +361,135 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
     }
 }
 
+#[test]
+fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
+    // The identity axis. A preparation that carries relabelled ids — a
+    // square `a` whose rows an order moved *into a band*: RCM and the
+    // hierarchical sweep on this mesh, not Degree or Random, which leave ids
+    // scattered — runs in its permuted label space on both sides when, and
+    // only when, `b` is `a`: the same reference through
+    // `Engine::multiply_planned`, or a content-equal matrix through the full
+    // checksum. A `b` one *unsampled* value away from `a` (same fingerprint),
+    // `aᵀ` and a rectangular `b` must take the one-sided arm; so must every
+    // preparation without a relabelling, every masked plan that runs
+    // row-wise, and — on an operand this small — every dense-accumulator
+    // plan (its floor is checked at the end). Whichever arm runs, the
+    // product is `spgemm_serial(a, b)` under the public shape transforms,
+    // bit for bit — the report's `two_sided` says which it was.
+    let mut a = gen::mesh::tri_mesh(12, 12, true, 3);
+    // The mesh is symmetric; make sure its transpose is another matrix.
+    for (p, v) in a.vals.iter_mut().enumerate() {
+        *v += 0.125 * (p % 5) as f64;
+    }
+    let clone = a.clone();
+    let mut near_miss = a.clone();
+    let unsampled = (1..a.nnz())
+        .find(|&p| {
+            near_miss.vals[p] += 0.5;
+            let collides = fingerprint(&near_miss) == fingerprint(&a);
+            if !collides {
+                near_miss.vals[p] = a.vals[p];
+            }
+            collides
+        })
+        .expect("an operand past 256 stored entries has values the fingerprint skips");
+    assert_ne!(near_miss.vals[unsampled], a.vals[unsampled]);
+    let transposed = a.transpose();
+    let rect = gen::er::erdos_renyi_rect(a.nrows, 9, 3, 4);
+    // (name, b, whether b is a).
+    let rhs: [(&str, &CsrMatrix, bool); 5] = [
+        ("the same reference", &a, true),
+        ("a content-equal clone", &clone, true),
+        ("one unsampled value changed", &near_miss, false),
+        ("the transpose", &transposed, false),
+        ("a rectangular b", &rect, false),
+    ];
+    let mut engine = Engine::default();
+    for reorder in [Reordering::Rcm, Reordering::Degree, Reordering::Random, Reordering::Original] {
+        for clustering in [
+            ClusteringStrategy::None,
+            ClusteringStrategy::Fixed(4),
+            ClusteringStrategy::Hierarchical,
+        ] {
+            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+                for parallel in [false, true] {
+                    for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
+                        let plan =
+                            Plan { reorder, clustering, acc, parallel, shape, ..Plan::baseline() };
+                        for (name, b, b_is_a) in rhs {
+                            let what = format!("{name} under {}", plan.describe());
+                            let full = spgemm_serial(&a, b);
+                            // A mask has the product's dimensions.
+                            let mask = if b.ncols == a.ncols { &a } else { b };
+                            let (prepared, timings, hit) =
+                                engine.prepare_with_shape(&a, Some(plan), shape);
+                            let (got, report, expect) = match shape {
+                                OutputShape::Masked => {
+                                    let (got, report) = engine.execute_prepared_shaped(
+                                        &prepared,
+                                        b,
+                                        Some(mask),
+                                        timings,
+                                        hit,
+                                    );
+                                    (got, report, apply_mask(&full, mask))
+                                }
+                                OutputShape::TopK(k) => {
+                                    let (got, report) = engine.multiply_planned(&a, b, plan);
+                                    (got, report, row_topk(&full, k))
+                                }
+                                OutputShape::Full => {
+                                    let (got, report) = engine.multiply_planned(&a, b, plan);
+                                    (got, report, full)
+                                }
+                            };
+                            assert!(got.bits_eq(&expect), "{what}: bits changed");
+                            // What the preparation must carry: nothing
+                            // unless the rows moved into a band, nothing for
+                            // a dense accumulator on 20 KB, and never under
+                            // a masked plan that runs row-wise.
+                            let masked_rowwise =
+                                shape == OutputShape::Masked && !report.clusterwise;
+                            let banded = reorder == Reordering::Rcm
+                                || clustering == ClusteringStrategy::Hierarchical;
+                            assert_eq!(
+                                prepared.is_relabelled(),
+                                banded && !masked_rowwise && acc == AccumulatorKind::Hash,
+                                "{what}"
+                            );
+                            assert_eq!(
+                                report.two_sided,
+                                b_is_a && prepared.is_relabelled(),
+                                "{what}: wrong arm ({})",
+                                report.summary()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Past 128 KiB of operand a dense accumulator runs two-sided too.
+    let big = gen::mesh::tri_mesh(48, 48, true, 5);
+    assert!(big.memory_bytes() > 128 << 10);
+    let mut other = big.clone();
+    other.vals[0] += 1.0;
+    for clustering in [ClusteringStrategy::None, ClusteringStrategy::Fixed(4)] {
+        let plan = Plan {
+            reorder: Reordering::Rcm,
+            clustering,
+            acc: AccumulatorKind::Dense,
+            ..Plan::baseline()
+        };
+        for (b, b_is_big) in [(&big, true), (&other, false)] {
+            let (got, report) = engine.multiply_planned(&big, b, plan);
+            assert!(got.bits_eq(&spgemm_serial(&big, b)), "{}", plan.describe());
+            assert_eq!(report.two_sided, b_is_big, "{}", report.summary());
+        }
+    }
+}
+
 /// Strategy: a random sparse square matrix (duplicates summed by the COO →
 /// CSR conversion, exactly as the other property suites build inputs).
 fn sparse_square(max_n: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
@@ -393,7 +522,7 @@ proptest! {
             for id in validated_backends() {
                 let got = product_on(id, &a, &a, plan);
                 prop_assert!(
-                    got.approx_eq(&oracle, 0.0),
+                    got.bits_eq(&oracle),
                     "backend {:?} diverges on a random {}x{} matrix under {}",
                     id, a.nrows, a.ncols, plan.describe()
                 );
@@ -421,7 +550,7 @@ proptest! {
             for id in BackendId::ALL {
                 let got = shaped_product_on(id, &a, plan, shape, mask);
                 prop_assert!(
-                    got.approx_eq(&expected, 0.0),
+                    got.bits_eq(&expected),
                     "backend {:?} diverges from the postprocessed oracle for {:?} on a random {}x{} matrix under {}",
                     id, shape, a.nrows, a.ncols, plan.describe()
                 );

@@ -8,15 +8,18 @@
 //! runs on it × accumulator × pool width × chunking × row map, bit-for-bit
 //! (`CsrMatrix::bits_eq`) against the serial oracle on the degenerate
 //! operands — the masked kernel against the oracle filtered by `apply_mask`,
-//! a mapped kernel against the oracle with its rows moved the same way.
+//! a mapped kernel against the oracle with its rows moved the same way, a
+//! labelled kernel (run on `P·A·Pᵀ` with ids left in `A`'s order) against the
+//! oracle itself.
 
-use clusterwise_spgemm::core::clusterwise_spgemm_mapped;
+use clusterwise_spgemm::core::{clusterwise_spgemm_labelled, clusterwise_spgemm_mapped};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::reorder::random_permutation;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::spgemm::flops::multiply_adds;
 use clusterwise_spgemm::spgemm::{
-    spgemm_colwise, spgemm_heap, spgemm_mapped, spgemm_masked_mapped, spgemm_pattern,
+    spgemm_colwise, spgemm_heap, spgemm_labelled, spgemm_mapped, spgemm_masked_mapped,
+    spgemm_pattern, CsrRows,
 };
 
 fn matrices() -> Vec<(&'static str, CsrMatrix)> {
@@ -306,6 +309,72 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
                             for (label, expect, mask) in &masked {
                                 let got = spgemm_masked_mapped(&a, &b, mask, &opts, map);
                                 assert_bits_eq(&got, expect, &format!("{what} masked by {label}"));
+                            }
+                        }
+                    }
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn labelled_kernels_return_the_serial_product_from_any_label_space() {
+    // What the engine's two-sided plans run: `P·A` with every id sent
+    // through `P⁻¹` but left where it was, as both operands, and `P` as row
+    // map and label map. The result must be `A · A` itself — rows, column
+    // labels, and every bit of every sum — on operands holding NaN, ±0.0,
+    // ±inf, empty rows and a dense row, under permutations that keep fixed
+    // points, reverse, and shuffle.
+    for (name, a, _) in degenerate_operands() {
+        if a.nrows != a.ncols || a.nrows < 2 {
+            continue;
+        }
+        let n = a.nrows as u32;
+        let oracle = spgemm_serial(&a, &a);
+        let mut swap_ends: Vec<u32> = (0..n).collect();
+        swap_ends.swap(0, n as usize - 1);
+        for (perm_name, p) in [
+            ("identity", Permutation::identity(a.nrows)),
+            ("two moved", Permutation::from_new_to_old(swap_ends).unwrap()),
+            ("reversed", Permutation::from_new_to_old((0..n).rev().collect()).unwrap()),
+            ("shuffled", random_permutation(a.nrows, 11)),
+        ] {
+            let pa = p.permute_rows(&a);
+            let inv = p.inverse_map();
+            let relabel = |ids: &[u32]| ids.iter().map(|&c| inv[c as usize]).collect::<Vec<u32>>();
+            let ids = relabel(&pa.col_idx);
+            let rows = CsrRows { ids: &ids, ..CsrRows::from(&pa) };
+            let clustered: Vec<(usize, CsrCluster, Vec<u32>)> = [1usize, 3, 8]
+                .into_iter()
+                .map(|k| {
+                    let cc = CsrCluster::from_csr(&pa, &fixed_clustering(&pa, k));
+                    let union_ids = relabel(&cc.col_ids);
+                    (k, cc, union_ids)
+                })
+                .collect();
+            for width in [1usize, 2] {
+                rayon::with_pool_width(width, || {
+                    for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+                        for parallel in [false, true] {
+                            let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
+                            let what =
+                                format!("{name}: {acc:?} w{width} par {parallel} {perm_name}");
+                            assert_bits_eq(
+                                &spgemm_labelled(rows, rows, &opts, Some(&p), &p),
+                                &oracle,
+                                &format!("{what} row-wise"),
+                            );
+                            for (k, cc, union_ids) in &clustered {
+                                let got = clusterwise_spgemm_labelled(
+                                    cc,
+                                    union_ids,
+                                    rows,
+                                    &opts,
+                                    Some(&p),
+                                    &p,
+                                );
+                                assert_bits_eq(&got, &oracle, &format!("{what} fixed({k})"));
                             }
                         }
                     }

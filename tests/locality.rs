@@ -129,8 +129,9 @@ fn hierarchical_order_is_local_even_when_nothing_merges() {
     // columns, under `jacc_th`, so hierarchical clustering merges (almost)
     // nothing and the only thing it can contribute is its row order. Rows
     // only are moved — B stays as it arrived, which is all an engine plan
-    // can do — and the row-wise B-row access stream is replayed through an
-    // L1-sized cache.
+    // can do against a `B` that is not the prepared operand (the next test
+    // is the case where it is) — and the row-wise B-row access stream is
+    // replayed through an L1-sized cache.
     let natural = clusterwise_spgemm::sparse::gen::mesh::tri_mesh(120, 120, false, 1);
     let a = clusterwise_spgemm::reorder::random_permutation(natural.nrows, 5)
         .permute_symmetric(&natural);
@@ -154,5 +155,41 @@ fn hierarchical_order_is_local_even_when_nothing_merges() {
     assert!(
         hierarchical * 10 <= rcm * 11,
         "hierarchical order should be within 1.1x of RCM's misses: {hierarchical} vs {rcm}"
+    );
+}
+
+#[test]
+fn two_sided_execution_streams_b_rows_at_the_compulsory_floor() {
+    // The mesh of the test above under the same hierarchical order, which
+    // moved `A`'s rows and — one-sided — nothing else: consecutive rows read
+    // the same few `B` rows, but those sit wherever the shuffle left them.
+    // Two-sided, `B` is `P·A·Pᵀ`: its rows are laid out in the order `A`
+    // reads them, and the stream is `P·A`'s ids relabelled in place (the
+    // caller's within-row order, which is what the engine's kernel walks).
+    // Through an L1-sized cache that is within 5 % of touching every line of
+    // `B` exactly once.
+    let natural = clusterwise_spgemm::sparse::gen::mesh::tri_mesh(120, 120, false, 1);
+    let a = clusterwise_spgemm::reorder::random_permutation(natural.nrows, 5)
+        .permute_symmetric(&natural);
+    let h = hierarchical_clustering(&a, &ClusterConfig::default());
+    let pa = h.perm.permute_rows(&a);
+    let l1 = CacheConfig { size_bytes: 32 * 1024, line_bytes: 64, ways: 8 };
+    let rows_only = replay_b_row_trace(&a, &rowwise_b_access_trace(&pa), l1).cache.misses;
+
+    let inv = h.perm.inverse_map();
+    let relabelled: Vec<u32> = pa.col_idx.iter().map(|&c| inv[c as usize]).collect();
+    let b = h.perm.permute_symmetric(&a);
+    let two_sided = replay_b_row_trace(&b, &relabelled, l1).cache.misses;
+    // A cache that holds all of `B` misses once per distinct line.
+    let holds_b = CacheConfig { size_bytes: 64 << 20, line_bytes: 64, ways: 16 };
+    let floor = replay_b_row_trace(&b, &relabelled, holds_b).cache.misses;
+
+    assert!(
+        two_sided * 2 <= rows_only,
+        "two-sided should halve the one-sided misses: {two_sided} vs {rows_only}"
+    );
+    assert!(
+        two_sided * 100 <= floor * 105,
+        "two-sided should sit on the compulsory floor: {two_sided} vs {floor}"
     );
 }

@@ -161,6 +161,39 @@ proptest! {
     }
 
     #[test]
+    fn two_sided_kernels_equal_the_one_sided_ones(
+        a in sparse_square(16, 90),
+        seed in 0u64..1000,
+    ) {
+        use clusterwise_spgemm::core::{clusterwise_spgemm_labelled, clusterwise_spgemm_mapped};
+        use clusterwise_spgemm::spgemm::{spgemm_labelled, spgemm_mapped, CsrRows};
+        // One-sided: `P·A · A`, rows handed back through `P`. Two-sided: the
+        // same rows with every id sent through `P⁻¹` in place, as both
+        // operands, and `P` as row map and label map. Same product, same
+        // bits — and both are the serial `A · A`.
+        let p = clusterwise_spgemm::reorder::random_permutation(a.nrows, seed);
+        let pa = p.permute_rows(&a);
+        let inv = p.inverse_map();
+        let ids: Vec<u32> = pa.col_idx.iter().map(|&c| inv[c as usize]).collect();
+        let rows = CsrRows { ids: &ids, ..CsrRows::from(&pa) };
+        let cc = CsrCluster::from_csr(&pa, &fixed_clustering(&pa, 3));
+        let union_ids: Vec<u32> = cc.col_ids.iter().map(|&c| inv[c as usize]).collect();
+        let expected = spgemm_serial(&a, &a);
+        for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+            for parallel in [false, true] {
+                let opts = SpGemmOptions { acc, parallel, ..SpGemmOptions::default() };
+                let one_sided = spgemm_mapped(&pa, &a, &opts, Some(&p));
+                let two_sided = spgemm_labelled(rows, rows, &opts, Some(&p), &p);
+                prop_assert!(one_sided.bits_eq(&expected) && two_sided.bits_eq(&expected));
+                let one_sided = clusterwise_spgemm_mapped(&cc, &a, &opts, Some(&p));
+                let two_sided =
+                    clusterwise_spgemm_labelled(&cc, &union_ids, rows, &opts, Some(&p), &p);
+                prop_assert!(one_sided.bits_eq(&expected) && two_sided.bits_eq(&expected));
+            }
+        }
+    }
+
+    #[test]
     fn planned_products_come_back_in_caller_order(
         (a, b, mask) in (2usize..=16, 1usize..=12).prop_flat_map(|(n, m)| {
             (sparse_rect(n, n, 80), sparse_rect(n, m, 60), sparse_rect(n, m, 60))
