@@ -5,13 +5,19 @@
 //! again instead of failing forever. Request ids are assigned
 //! monotonically per client and echoed by the server; replies carry them
 //! back so a mismatch is detected as a protocol error.
+//!
+//! A multiply allocates nothing the size of its payloads: the SUBMIT is
+//! written from the operands' arrays and the RESULT read into the product's
+//! ([`crate::frame::write_submit`], [`crate::frame::read_result_payload`]),
+//! 64 KiB at a time. Only control replies (REJECT, STATS_OK, …) are
+//! buffered as [`Frame`]s.
 
 use crate::frame::{
-    decode_reject_payload, decode_result_payload, encode_submit_payload_shaped, read_frame, Frame,
-    FrameError, OpCode, RejectCode, SubmitShape, WireReport, FLAG_NO_WAIT,
+    decode_reject_payload, read_result_payload, write_submit_block, Frame, FrameError, FrameHeader,
+    OpCode, RejectCode, ShapeBlock, SubmitShape, WireReport, FLAG_NO_WAIT,
 };
 use cw_service::Priority;
-use cw_sparse::io::CsrCodecError;
+use cw_sparse::io::{CsrCodecError, CsrReadError};
 use cw_sparse::CsrMatrix;
 use std::fmt;
 use std::io;
@@ -142,6 +148,15 @@ impl From<CsrCodecError> for NetError {
     }
 }
 
+impl From<CsrReadError> for NetError {
+    fn from(e: CsrReadError) -> Self {
+        match e {
+            CsrReadError::Io(io) => NetError::Io(io),
+            CsrReadError::Codec(codec) => NetError::Codec(codec),
+        }
+    }
+}
+
 /// A successfully served wire multiply.
 #[derive(Debug, Clone)]
 pub struct WireResponse {
@@ -209,27 +224,67 @@ impl NetClient {
         Ok(self.stream.as_mut().expect("just connected"))
     }
 
-    /// One request/reply exchange. Any transport error drops the
+    /// One request/reply exchange: `send` writes the request frame, then
+    /// the reply is read — a RESULT straight into its product, anything
+    /// else into a buffered [`Frame`]. Any transport error drops the
     /// connection so the next call redials.
-    fn exchange(&mut self, frame: &Frame) -> Result<Frame, NetError> {
+    fn exchange(
+        &mut self,
+        request_id: u64,
+        send: impl FnOnce(&mut TcpStream) -> io::Result<()>,
+    ) -> Result<Reply, NetError> {
         let max = self.config.max_frame_bytes;
         let result = (|| {
             let stream = self.ensure_connected()?;
-            frame.write_to(stream)?;
-            Ok(read_frame(stream, max)?)
+            send(stream)?;
+            let head = FrameHeader::read(stream, max)?;
+            if head.request_id != request_id && head.request_id != 0 {
+                return Err(NetError::Protocol(format!(
+                    "reply for request {} while waiting on {request_id}",
+                    head.request_id
+                )));
+            }
+            if head.op == OpCode::Result {
+                // A RESULT that does not decode was still consumed to its
+                // end: the connection stays frame-aligned and is kept.
+                let (report, product) = read_result_payload(stream, head.payload_len as usize)?;
+                return Ok(Reply::Result(WireResponse { product, report }));
+            }
+            Ok(Reply::Control(head.read_payload(stream)?))
         })();
-        if matches!(result, Err(NetError::Io(_))) {
+        // Transport gone, or a stray reply whose payload was left unread:
+        // the stream's state is unknown either way; start fresh.
+        if matches!(result, Err(NetError::Io(_) | NetError::Protocol(_))) {
             self.stream = None;
         }
-        let reply = result?;
-        if reply.request_id != frame.request_id && reply.request_id != 0 {
-            self.stream = None; // stream state unknown; start fresh
-            return Err(NetError::Protocol(format!(
-                "reply for request {} while waiting on {}",
-                reply.request_id, frame.request_id
-            )));
+        result
+    }
+
+    /// Sends one control frame and reads the reply.
+    fn control(&mut self, op: OpCode, request_id: u64) -> Result<Reply, NetError> {
+        self.exchange(request_id, |stream| Frame::control(op, request_id).write_to(stream))
+    }
+
+    /// The header of this client's next SUBMIT (its length is filled in
+    /// when the frame is written).
+    fn submit_head(&mut self, qos: Qos, flags: u16) -> FrameHeader {
+        FrameHeader {
+            priority: qos.priority,
+            flags,
+            deadline_ms: qos.deadline_ms(),
+            ..FrameHeader::control(OpCode::Submit, self.next_request_id())
         }
-        Ok(reply)
+    }
+
+    /// Sends one SUBMIT, streamed from the operands, and reads the reply.
+    fn submit(
+        &mut self,
+        head: &FrameHeader,
+        lhs: &CsrMatrix,
+        rhs: &CsrMatrix,
+        shape: ShapeBlock<'_>,
+    ) -> Result<Reply, NetError> {
+        self.exchange(head.request_id, |stream| write_submit_block(stream, head, lhs, rhs, shape))
     }
 
     fn next_request_id(&mut self) -> u64 {
@@ -278,7 +333,8 @@ impl NetClient {
         rhs: &CsrMatrix,
         mask: &CsrMatrix,
     ) -> Result<WireResponse, NetError> {
-        self.multiply_shaped_qos(lhs, rhs, &SubmitShape::Masked(mask.clone()), Qos::none())
+        let head = self.submit_head(Qos::none(), 0);
+        self.submit(&head, lhs, rhs, ShapeBlock::Masked(mask))?.into_result()
     }
 
     /// `C = shape(lhs · rhs)` with an explicit [`SubmitShape`] and QoS
@@ -291,16 +347,8 @@ impl NetClient {
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<WireResponse, NetError> {
-        let frame = Frame {
-            op: OpCode::Submit,
-            priority: qos.priority,
-            flags: 0,
-            request_id: self.next_request_id(),
-            deadline_ms: qos.deadline_ms(),
-            payload: encode_submit_payload_shaped(lhs, rhs, shape),
-        };
-        let reply = self.exchange(&frame)?;
-        expect_result(reply)
+        let head = self.submit_head(qos, 0);
+        self.submit(&head, lhs, rhs, shape.block())?.into_result()
     }
 
     /// Submits without waiting: the server answers `ACCEPTED` once the
@@ -314,19 +362,10 @@ impl NetClient {
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<u64, NetError> {
-        let frame = Frame {
-            op: OpCode::Submit,
-            priority: qos.priority,
-            flags: FLAG_NO_WAIT,
-            request_id: self.next_request_id(),
-            deadline_ms: qos.deadline_ms(),
-            payload: encode_submit_payload_shaped(lhs, rhs, shape),
-        };
-        let reply = self.exchange(&frame)?;
-        match reply.op {
-            OpCode::Accepted => Ok(frame.request_id),
-            OpCode::Reject => Err(reject_error(&reply)),
-            other => Err(NetError::Protocol(format!("expected ACCEPTED, got {other:?}"))),
+        let head = self.submit_head(qos, FLAG_NO_WAIT);
+        match self.submit(&head, lhs, rhs, shape.block())? {
+            Reply::Control(reply) if reply.op == OpCode::Accepted => Ok(head.request_id),
+            reply => Err(reply.unexpected("ACCEPTED")),
         }
     }
 
@@ -334,11 +373,9 @@ impl NetClient {
     /// still in flight, `Ok(Some(_))` once served, `Err(Rejected)` if the
     /// server shed it.
     pub fn poll(&mut self, request_id: u64) -> Result<Option<WireResponse>, NetError> {
-        let frame = Frame::control(OpCode::Poll, request_id);
-        let reply = self.exchange(&frame)?;
-        match reply.op {
-            OpCode::Pending => Ok(None),
-            _ => expect_result(reply).map(Some),
+        match self.control(OpCode::Poll, request_id)? {
+            Reply::Control(reply) if reply.op == OpCode::Pending => Ok(None),
+            reply => reply.into_result().map(Some),
         }
     }
 
@@ -346,41 +383,55 @@ impl NetClient {
     /// [`cw_service::SpgemmService::export_jsonl`], including the `net.*`
     /// wire metrics).
     pub fn stats_jsonl(&mut self) -> Result<String, NetError> {
-        let frame = Frame::control(OpCode::Stats, self.next_request_id());
-        let reply = self.exchange(&frame)?;
-        match reply.op {
-            OpCode::StatsOk => Ok(String::from_utf8_lossy(&reply.payload).into_owned()),
-            OpCode::Reject => Err(reject_error(&reply)),
-            other => Err(NetError::Protocol(format!("expected STATS_OK, got {other:?}"))),
+        let id = self.next_request_id();
+        match self.control(OpCode::Stats, id)? {
+            Reply::Control(reply) if reply.op == OpCode::StatsOk => {
+                Ok(String::from_utf8_lossy(&reply.payload).into_owned())
+            }
+            reply => Err(reply.unexpected("STATS_OK")),
         }
     }
 
     /// Asks the server to drain and exit; returns once acknowledged.
     pub fn shutdown_server(&mut self) -> Result<(), NetError> {
-        let frame = Frame::control(OpCode::Shutdown, self.next_request_id());
-        let reply = self.exchange(&frame)?;
-        match reply.op {
-            OpCode::ShutdownOk => Ok(()),
-            OpCode::Reject => Err(reject_error(&reply)),
-            other => Err(NetError::Protocol(format!("expected SHUTDOWN_OK, got {other:?}"))),
+        let id = self.next_request_id();
+        match self.control(OpCode::Shutdown, id)? {
+            Reply::Control(reply) if reply.op == OpCode::ShutdownOk => Ok(()),
+            reply => Err(reply.unexpected("SHUTDOWN_OK")),
         }
     }
 }
 
-fn reject_error(reply: &Frame) -> NetError {
-    match decode_reject_payload(&reply.payload) {
-        Some((code, message)) => NetError::Rejected { code, message },
-        None => NetError::Protocol("undecodable reject payload".into()),
-    }
+/// One reply as the client reads it: a RESULT decoded straight off the
+/// socket, or any other frame with its (small) payload buffered.
+enum Reply {
+    Result(WireResponse),
+    Control(Frame),
 }
 
-fn expect_result(reply: Frame) -> Result<WireResponse, NetError> {
-    match reply.op {
-        OpCode::Result => {
-            let (report, product) = decode_result_payload(&reply.payload)?;
-            Ok(WireResponse { product, report })
+impl Reply {
+    /// The served multiply, or why there is none.
+    fn into_result(self) -> Result<WireResponse, NetError> {
+        match self {
+            Reply::Result(response) => Ok(response),
+            other => Err(other.unexpected("RESULT")),
         }
-        OpCode::Reject => Err(reject_error(&reply)),
-        other => Err(NetError::Protocol(format!("expected RESULT, got {other:?}"))),
+    }
+
+    /// The error for a reply that is not the `wanted` one: the server's
+    /// REJECT if it is one, a protocol violation otherwise.
+    fn unexpected(self, wanted: &str) -> NetError {
+        match self {
+            Reply::Result(_) => NetError::Protocol(format!("expected {wanted}, got Result")),
+            Reply::Control(reply) if reply.op == OpCode::Reject => {
+                match decode_reject_payload(&reply.payload) {
+                    Some((code, message)) => NetError::Rejected { code, message },
+                    None => NetError::Protocol("undecodable reject payload".into()),
+                }
+            }
+            Reply::Control(reply) => {
+                NetError::Protocol(format!("expected {wanted}, got {:?}", reply.op))
+            }
+        }
     }
 }

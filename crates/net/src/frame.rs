@@ -27,10 +27,26 @@
 //! so v1 clients keep working against a v2 server. The normative
 //! byte-level specification lives in `docs/PROTOCOL.md` at the workspace
 //! root; this module is its implementation.
+//!
+//! Two ways through the same bytes. The header is a value of its own
+//! ([`FrameHeader`]): it is read and validated without touching the
+//! payload, and it is written before the payload exists, because a SUBMIT's
+//! or RESULT's length follows from its matrices' dimensions
+//! ([`submit_payload_len`], [`result_payload_len`]). The two payloads that
+//! carry matrices are *streamed* — [`write_submit`] / [`write_result`] write
+//! from the matrices' arrays, [`read_submit_payload`] /
+//! [`read_result_payload`] read into them, 64 KiB at a time through
+//! [`cw_sparse::io::write_csr`] / [`cw_sparse::io::read_csr`] — so the socket
+//! and the `CsrMatrix` are the only two places those bytes ever live; this
+//! is what [`crate::NetClient`] and [`crate::NetServer`] run. [`Frame`]
+//! (header + `Vec<u8>` payload), [`Frame::encode`] and [`read_frame`] carry
+//! the small control frames (REJECT, STATS, POLL, …) and serve as test
+//! tooling; the `encode_*_payload` / `decode_*_payload` functions are the
+//! streamed codec pointed at a `Vec` / a slice, byte- and error-identical.
 
 use cw_engine::OutputShape;
 use cw_service::{Priority, ServiceReport};
-use cw_sparse::io::{decode_csr, encode_csr_into, CsrCodecError};
+use cw_sparse::io::{encoded_csr_len, read_csr, write_csr, CsrCodecError, CsrReadError};
 use cw_sparse::CsrMatrix;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -169,7 +185,120 @@ pub fn priority_from_wire(b: u8) -> Priority {
     }
 }
 
-/// One decoded frame.
+/// The fixed 28-byte frame header as a value: everything a peer needs to
+/// decide what to do with a frame — refuse it, buffer it, or stream its
+/// payload — before a payload byte is read or written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Operation.
+    pub op: OpCode,
+    /// QoS priority class (meaningful on SUBMIT; echoed elsewhere).
+    pub priority: Priority,
+    /// Header flags ([`FLAG_NO_WAIT`]).
+    pub flags: u16,
+    /// Client-chosen request id, echoed verbatim in replies.
+    pub request_id: u64,
+    /// Relative deadline in milliseconds from server receipt; 0 = none.
+    pub deadline_ms: u32,
+    /// Payload bytes following the header.
+    pub payload_len: u32,
+}
+
+impl FrameHeader {
+    /// A header with no QoS envelope announcing an empty payload.
+    pub fn control(op: OpCode, request_id: u64) -> FrameHeader {
+        FrameHeader {
+            op,
+            priority: Priority::High,
+            flags: 0,
+            request_id,
+            deadline_ms: 0,
+            payload_len: 0,
+        }
+    }
+
+    /// Whether [`FLAG_NO_WAIT`] is set.
+    pub fn no_wait(&self) -> bool {
+        self.flags & FLAG_NO_WAIT != 0
+    }
+
+    /// The 28 wire bytes (always stamped [`FRAME_VERSION`]).
+    pub fn encode(&self) -> [u8; FRAME_HEADER_BYTES] {
+        let mut out = [0u8; FRAME_HEADER_BYTES];
+        out[0..4].copy_from_slice(&FRAME_MAGIC);
+        out[4..6].copy_from_slice(&FRAME_VERSION.to_le_bytes());
+        out[6] = self.op as u8;
+        out[7] = priority_to_wire(self.priority);
+        out[8..10].copy_from_slice(&self.flags.to_le_bytes());
+        out[12..20].copy_from_slice(&self.request_id.to_le_bytes());
+        out[20..24].copy_from_slice(&self.deadline_ms.to_le_bytes());
+        out[24..28].copy_from_slice(&self.payload_len.to_le_bytes());
+        out
+    }
+
+    /// Reads and validates one header — magic, version, op, `payload_len ≤
+    /// max_payload` — blocking until its 28 bytes arrive (or the reader's
+    /// timeout fires, surfacing as [`FrameError::Io`]). The payload is left
+    /// unread in `r`.
+    pub fn read<R: Read>(r: &mut R, max_payload: usize) -> Result<FrameHeader, FrameError> {
+        let mut first = [0u8; 1];
+        r.read_exact(&mut first)?;
+        FrameHeader::read_after_first_byte(first[0], r, max_payload)
+    }
+
+    /// Completes a header whose first byte was already consumed — the
+    /// server's handler polls a single byte under a short timeout (so
+    /// shutdown and idle checks stay responsive without ever losing frame
+    /// alignment), then hands it here to read the rest under the full read
+    /// timeout.
+    pub fn read_after_first_byte<R: Read>(
+        first: u8,
+        r: &mut R,
+        max_payload: usize,
+    ) -> Result<FrameHeader, FrameError> {
+        let mut header = [0u8; FRAME_HEADER_BYTES];
+        header[0] = first;
+        r.read_exact(&mut header[1..])?;
+        if header[0..4] != FRAME_MAGIC {
+            return Err(FrameError::BadMagic(header[0..4].try_into().unwrap()));
+        }
+        let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+        if version == 0 || version > FRAME_VERSION {
+            return Err(FrameError::UnsupportedVersion(version));
+        }
+        let op = OpCode::from_wire(header[6]).ok_or(FrameError::UnknownOp(header[6]))?;
+        let payload_len = u32::from_le_bytes(header[24..28].try_into().unwrap());
+        if payload_len as usize > max_payload {
+            return Err(FrameError::Oversized { len: payload_len as usize, max: max_payload });
+        }
+        Ok(FrameHeader {
+            op,
+            priority: priority_from_wire(header[7]),
+            flags: u16::from_le_bytes(header[8..10].try_into().unwrap()),
+            request_id: u64::from_le_bytes(header[12..20].try_into().unwrap()),
+            deadline_ms: u32::from_le_bytes(header[20..24].try_into().unwrap()),
+            payload_len,
+        })
+    }
+
+    /// Reads this header's payload into a buffer, completing a [`Frame`] —
+    /// for the control frames, whose payloads are small or empty.
+    pub fn read_payload<R: Read>(self, r: &mut R) -> io::Result<Frame> {
+        let mut payload = vec![0u8; self.payload_len as usize];
+        r.read_exact(&mut payload)?;
+        Ok(Frame {
+            op: self.op,
+            priority: self.priority,
+            flags: self.flags,
+            request_id: self.request_id,
+            deadline_ms: self.deadline_ms,
+            payload,
+        })
+    }
+}
+
+/// One decoded frame with its payload buffered: the form of the control
+/// frames, and test tooling for the streamed ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Operation.
@@ -206,16 +335,16 @@ impl Frame {
 
     /// Serializes header + payload into one buffer.
     pub fn encode(&self) -> Vec<u8> {
+        let header = FrameHeader {
+            op: self.op,
+            priority: self.priority,
+            flags: self.flags,
+            request_id: self.request_id,
+            deadline_ms: self.deadline_ms,
+            payload_len: self.payload.len() as u32,
+        };
         let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-        out.push(self.op as u8);
-        out.push(priority_to_wire(self.priority));
-        out.extend_from_slice(&self.flags.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.extend_from_slice(&self.deadline_ms.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&header.encode());
         out.extend_from_slice(&self.payload);
         out
     }
@@ -273,45 +402,10 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Reads one frame, blocking until the full header + payload arrive (or
-/// the reader's timeout fires, surfacing as [`FrameError::Io`]).
+/// Reads one frame into a buffer, blocking until the full header + payload
+/// arrive (or the reader's timeout fires, surfacing as [`FrameError::Io`]).
 pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<Frame, FrameError> {
-    let mut first = [0u8; 1];
-    r.read_exact(&mut first)?;
-    read_frame_after_first_byte(first[0], r, max_payload)
-}
-
-/// Completes a frame whose first byte was already consumed — the server's
-/// acceptor polls a single byte under a short timeout (so shutdown and
-/// idle checks stay responsive without ever losing frame alignment), then
-/// hands it here to read the rest under the full read timeout.
-pub fn read_frame_after_first_byte<R: Read>(
-    first: u8,
-    r: &mut R,
-    max_payload: usize,
-) -> Result<Frame, FrameError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[0] = first;
-    r.read_exact(&mut header[1..])?;
-    if header[0..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic(header[0..4].try_into().unwrap()));
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version == 0 || version > FRAME_VERSION {
-        return Err(FrameError::UnsupportedVersion(version));
-    }
-    let op = OpCode::from_wire(header[6]).ok_or(FrameError::UnknownOp(header[6]))?;
-    let priority = priority_from_wire(header[7]);
-    let flags = u16::from_le_bytes(header[8..10].try_into().unwrap());
-    let request_id = u64::from_le_bytes(header[12..20].try_into().unwrap());
-    let deadline_ms = u32::from_le_bytes(header[20..24].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(header[24..28].try_into().unwrap()) as usize;
-    if payload_len > max_payload {
-        return Err(FrameError::Oversized { len: payload_len, max: max_payload });
-    }
-    let mut payload = vec![0u8; payload_len];
-    r.read_exact(&mut payload)?;
-    Ok(Frame { op, priority, flags, request_id, deadline_ms, payload })
+    Ok(FrameHeader::read(r, max_payload)?.read_payload(r)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -347,76 +441,224 @@ pub enum SubmitShape {
 }
 
 impl SubmitShape {
-    /// The service-level request shape this decodes to.
-    pub fn to_request_shape(&self) -> cw_service::RequestShape {
+    /// The service-level request shape this decodes to; a mask moves into
+    /// the request's `Arc`.
+    pub fn into_request_shape(self) -> cw_service::RequestShape {
         match self {
             SubmitShape::Full => cw_service::RequestShape::Full,
-            SubmitShape::Masked(m) => {
-                cw_service::RequestShape::Masked(std::sync::Arc::new(m.clone()))
-            }
-            SubmitShape::TopK(k) => cw_service::RequestShape::TopK(*k as usize),
+            SubmitShape::Masked(m) => cw_service::RequestShape::Masked(std::sync::Arc::new(m)),
+            SubmitShape::TopK(k) => cw_service::RequestShape::TopK(k as usize),
+        }
+    }
+
+    pub(crate) fn block(&self) -> ShapeBlock<'_> {
+        match self {
+            SubmitShape::Full => ShapeBlock::Full,
+            SubmitShape::Masked(m) => ShapeBlock::Masked(m),
+            SubmitShape::TopK(k) => ShapeBlock::TopK(*k),
         }
     }
 }
 
-/// SUBMIT payload: the two operands as back-to-back `CSRB` blobs, then the
-/// output-shape block ([`SubmitShape::Full`] encodes nothing, keeping
-/// full-product payloads byte-identical to version 1).
+/// A [`SubmitShape`] with its mask borrowed: what the encoder needs, so a
+/// caller holding `&CsrMatrix` need not clone it into a `SubmitShape`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ShapeBlock<'a> {
+    Full,
+    Masked(&'a CsrMatrix),
+    TopK(u64),
+}
+
+impl ShapeBlock<'_> {
+    fn payload_len(&self, lhs: &CsrMatrix, rhs: &CsrMatrix) -> usize {
+        let block = match self {
+            ShapeBlock::Full => 0,
+            ShapeBlock::Masked(mask) => 1 + encoded_csr_len(mask),
+            ShapeBlock::TopK(_) => 9,
+        };
+        encoded_csr_len(lhs) + encoded_csr_len(rhs) + block
+    }
+}
+
+/// Exact byte length of the SUBMIT payload for these operands and shape —
+/// known from their dimensions alone, so the header can be written first.
+pub fn submit_payload_len(lhs: &CsrMatrix, rhs: &CsrMatrix, shape: &SubmitShape) -> usize {
+    shape.block().payload_len(lhs, rhs)
+}
+
+/// Exact byte length of the RESULT payload carrying `product`.
+pub fn result_payload_len(product: &CsrMatrix) -> usize {
+    WIRE_REPORT_BYTES + encoded_csr_len(product)
+}
+
+/// `head` announcing `payload_len` payload bytes; the frame format's length
+/// field is 32 bits.
+fn announcing(head: &FrameHeader, payload_len: usize) -> io::Result<FrameHeader> {
+    let payload_len = u32::try_from(payload_len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("payload of {payload_len} bytes exceeds the frame format's 32-bit length"),
+        )
+    })?;
+    Ok(FrameHeader { payload_len, ..*head })
+}
+
+fn write_submit_payload<W: Write>(
+    w: &mut W,
+    lhs: &CsrMatrix,
+    rhs: &CsrMatrix,
+    shape: ShapeBlock<'_>,
+) -> io::Result<()> {
+    write_csr(w, lhs)?;
+    write_csr(w, rhs)?;
+    match shape {
+        ShapeBlock::Full => Ok(()),
+        ShapeBlock::Masked(mask) => {
+            w.write_all(&[SHAPE_TAG_MASKED])?;
+            write_csr(w, mask)
+        }
+        ShapeBlock::TopK(k) => {
+            let mut block = [SHAPE_TAG_TOPK; 9];
+            block[1..].copy_from_slice(&k.to_le_bytes());
+            w.write_all(&block)
+        }
+    }
+}
+
+pub(crate) fn write_submit_block<W: Write>(
+    w: &mut W,
+    head: &FrameHeader,
+    lhs: &CsrMatrix,
+    rhs: &CsrMatrix,
+    shape: ShapeBlock<'_>,
+) -> io::Result<()> {
+    w.write_all(&announcing(head, shape.payload_len(lhs, rhs))?.encode())?;
+    write_submit_payload(w, lhs, rhs, shape)?;
+    w.flush()
+}
+
+/// Writes one whole SUBMIT frame to `w` straight from the operands' arrays
+/// and flushes: `head` with its `payload_len` set to
+/// [`submit_payload_len`], then the payload — the two operands as
+/// back-to-back `CSRB` blobs, then the output-shape block
+/// ([`SubmitShape::Full`] encodes nothing, keeping full-product payloads
+/// byte-identical to version 1). The bytes are those of a [`Frame`]
+/// carrying [`encode_submit_payload_shaped`]'s payload; no call hands `w`
+/// more than 64 KiB.
+pub fn write_submit<W: Write>(
+    w: &mut W,
+    head: &FrameHeader,
+    lhs: &CsrMatrix,
+    rhs: &CsrMatrix,
+    shape: &SubmitShape,
+) -> io::Result<()> {
+    write_submit_block(w, head, lhs, rhs, shape.block())
+}
+
+/// The SUBMIT payload [`write_submit`] streams, built in a buffer.
 pub fn encode_submit_payload_shaped(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
     shape: &SubmitShape,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_csr_into(&mut out, lhs);
-    encode_csr_into(&mut out, rhs);
-    match shape {
-        SubmitShape::Full => {}
-        SubmitShape::Masked(mask) => {
-            out.push(SHAPE_TAG_MASKED);
-            encode_csr_into(&mut out, mask);
-        }
-        SubmitShape::TopK(k) => {
-            out.push(SHAPE_TAG_TOPK);
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-    }
+    let mut out = Vec::with_capacity(submit_payload_len(lhs, rhs, shape));
+    write_submit_payload(&mut out, lhs, rhs, shape.block()).expect("writing to a Vec cannot fail");
     out
 }
 
-/// Decodes a SUBMIT payload with an optional shape block. An absent block
-/// (the version-1 payload) decodes as [`SubmitShape::Full`]; an unknown
-/// tag byte or bytes trailing a complete block are framing errors.
-pub fn decode_submit_payload_shaped(
-    payload: &[u8],
-) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrCodecError> {
-    let (lhs, used) = decode_csr(payload)?;
-    let (rhs, used2) = decode_csr(&payload[used..])?;
-    let rest = &payload[used + used2..];
-    let shape = match rest.first() {
-        None => SubmitShape::Full,
-        Some(&SHAPE_TAG_MASKED) => {
-            let (mask, used3) = decode_csr(&rest[1..])?;
-            if 1 + used3 != rest.len() {
-                return Err(CsrCodecError::TrailingBytes(rest.len() - 1 - used3));
+/// What is left of a frame's payload.
+fn left<R: Read>(body: &io::Take<R>) -> usize {
+    body.limit() as usize
+}
+
+/// Keeps the stream frame-aligned: a payload that failed to *decode* is
+/// consumed to its declared end, so the next frame starts where the peer
+/// meant it to. (A payload that failed to *arrive* leaves nothing to align.)
+fn drained<T, R: Read>(
+    decoded: Result<T, CsrReadError>,
+    body: &mut io::Take<R>,
+) -> Result<T, CsrReadError> {
+    if let Err(CsrReadError::Codec(_)) = decoded {
+        io::copy(body, &mut io::sink())?;
+        if left(body) != 0 {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
+    }
+    decoded
+}
+
+/// A stream decoder's result when the stream was a slice of exactly the
+/// declared length, which cannot run dry.
+fn from_slice<T>(decoded: Result<T, CsrReadError>) -> Result<T, CsrCodecError> {
+    match decoded {
+        Ok(v) => Ok(v),
+        Err(CsrReadError::Codec(e)) => Err(e),
+        Err(CsrReadError::Io(e)) => unreachable!("payload decoders stay inside their length: {e}"),
+    }
+}
+
+/// Reads a SUBMIT payload of `payload_len` bytes from `r` straight into
+/// the operands' arrays. Each blob is handed what is left of the frame as
+/// its limit, so no allocation is sized beyond the (already capped) frame.
+/// An absent shape block (the version-1 payload) decodes as
+/// [`SubmitShape::Full`]; an unknown tag byte or bytes trailing a complete
+/// block are framing errors.
+///
+/// On [`CsrReadError::Codec`] the rest of the payload has been read and
+/// discarded — `r` stands at the next frame and the connection can go on;
+/// on [`CsrReadError::Io`] the stream is lost.
+pub fn read_submit_payload<R: Read>(
+    r: &mut R,
+    payload_len: usize,
+) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrReadError> {
+    let mut body = r.take(payload_len as u64);
+    let decoded = submit_from(&mut body);
+    drained(decoded, &mut body)
+}
+
+fn submit_from<R: Read>(
+    body: &mut io::Take<R>,
+) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrReadError> {
+    let (lhs, _) = read_csr(body, left(body))?;
+    let (rhs, _) = read_csr(body, left(body))?;
+    let rest = left(body);
+    if rest == 0 {
+        return Ok((lhs, rhs, SubmitShape::Full));
+    }
+    let mut tag = [0u8; 1];
+    body.read_exact(&mut tag)?;
+    let shape = match tag[0] {
+        SHAPE_TAG_MASKED => {
+            let (mask, _) = read_csr(body, left(body))?;
+            if left(body) != 0 {
+                return Err(CsrCodecError::TrailingBytes(left(body)).into());
             }
             SubmitShape::Masked(mask)
         }
-        Some(&SHAPE_TAG_TOPK) => {
-            if rest.len() != 9 {
-                return Err(if rest.len() < 9 {
-                    CsrCodecError::Truncated { needed: 9, have: rest.len() }
+        SHAPE_TAG_TOPK => {
+            if rest != 9 {
+                return Err(if rest < 9 {
+                    CsrCodecError::Truncated { needed: 9, have: rest }.into()
                 } else {
-                    CsrCodecError::TrailingBytes(rest.len() - 9)
+                    CsrCodecError::TrailingBytes(rest - 9).into()
                 });
             }
-            SubmitShape::TopK(u64::from_le_bytes(rest[1..9].try_into().unwrap()))
+            let mut k = [0u8; 8];
+            body.read_exact(&mut k)?;
+            SubmitShape::TopK(u64::from_le_bytes(k))
         }
         // An unrecognized tag is indistinguishable from garbage: surface
         // it as trailing bytes so the server rejects it as Malformed.
-        Some(_) => return Err(CsrCodecError::TrailingBytes(rest.len())),
+        _ => return Err(CsrCodecError::TrailingBytes(rest).into()),
     };
     Ok((lhs, rhs, shape))
+}
+
+/// [`read_submit_payload`] over a buffered payload.
+pub fn decode_submit_payload_shaped(
+    payload: &[u8],
+) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrCodecError> {
+    from_slice(read_submit_payload(&mut &payload[..], payload.len()))
 }
 
 /// REJECT payload: code + human-readable message.
@@ -555,28 +797,75 @@ impl WireReport {
     }
 }
 
-/// RESULT payload: [`WireReport`] followed by the product `CSRB` blob.
+fn write_result_payload<W: Write>(
+    w: &mut W,
+    report: &WireReport,
+    product: &CsrMatrix,
+) -> io::Result<()> {
+    let mut fixed = Vec::with_capacity(WIRE_REPORT_BYTES);
+    report.encode_into(&mut fixed);
+    w.write_all(&fixed)?;
+    write_csr(w, product)
+}
+
+/// Writes one whole RESULT frame to `w` straight from the product's arrays
+/// and flushes: `head` with its `payload_len` set to
+/// [`result_payload_len`], then the [`WireReport`] and the product `CSRB`
+/// blob. The bytes are those of a [`Frame`] carrying
+/// [`encode_result_payload`]'s payload; no call hands `w` more than 64 KiB.
+pub fn write_result<W: Write>(
+    w: &mut W,
+    head: &FrameHeader,
+    report: &WireReport,
+    product: &CsrMatrix,
+) -> io::Result<()> {
+    w.write_all(&announcing(head, result_payload_len(product))?.encode())?;
+    write_result_payload(w, report, product)?;
+    w.flush()
+}
+
+/// The RESULT payload [`write_result`] streams, built in a buffer.
 pub fn encode_result_payload(report: &WireReport, product: &CsrMatrix) -> Vec<u8> {
-    let mut out = Vec::new();
-    report.encode_into(&mut out);
-    encode_csr_into(&mut out, product);
+    let mut out = Vec::with_capacity(result_payload_len(product));
+    write_result_payload(&mut out, report, product).expect("writing to a Vec cannot fail");
     out
 }
 
-/// Decodes a RESULT payload into the report and the product.
-pub fn decode_result_payload(payload: &[u8]) -> Result<(WireReport, CsrMatrix), CsrCodecError> {
-    let (report, used) = WireReport::decode(payload)
-        .ok_or(CsrCodecError::Truncated { needed: WIRE_REPORT_BYTES, have: payload.len() })?;
-    let (product, used2) = decode_csr(&payload[used..])?;
-    if used + used2 != payload.len() {
-        return Err(CsrCodecError::TrailingBytes(payload.len() - used - used2));
+/// Reads a RESULT payload of `payload_len` bytes from `r` straight into
+/// the product's arrays; errors leave `r` as [`read_submit_payload`]'s do.
+pub fn read_result_payload<R: Read>(
+    r: &mut R,
+    payload_len: usize,
+) -> Result<(WireReport, CsrMatrix), CsrReadError> {
+    let mut body = r.take(payload_len as u64);
+    let decoded = result_from(&mut body);
+    drained(decoded, &mut body)
+}
+
+fn result_from<R: Read>(body: &mut io::Take<R>) -> Result<(WireReport, CsrMatrix), CsrReadError> {
+    if left(body) < WIRE_REPORT_BYTES {
+        let e = CsrCodecError::Truncated { needed: WIRE_REPORT_BYTES, have: left(body) };
+        return Err(e.into());
+    }
+    let mut fixed = [0u8; WIRE_REPORT_BYTES];
+    body.read_exact(&mut fixed)?;
+    let (report, _) = WireReport::decode(&fixed).expect("a whole report was read");
+    let (product, _) = read_csr(body, left(body))?;
+    if left(body) != 0 {
+        return Err(CsrCodecError::TrailingBytes(left(body)).into());
     }
     Ok((report, product))
+}
+
+/// [`read_result_payload`] over a buffered payload.
+pub fn decode_result_payload(payload: &[u8]) -> Result<(WireReport, CsrMatrix), CsrCodecError> {
+    from_slice(read_result_payload(&mut &payload[..], payload.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cw_sparse::io::encode_csr_into;
     use std::io::Cursor;
 
     fn submit_frame() -> Frame {
@@ -736,15 +1025,154 @@ mod tests {
 
     #[test]
     fn submit_shape_maps_to_request_shape() {
-        assert!(matches!(SubmitShape::Full.to_request_shape(), cw_service::RequestShape::Full));
+        assert!(matches!(SubmitShape::Full.into_request_shape(), cw_service::RequestShape::Full));
         assert!(matches!(
-            SubmitShape::TopK(5).to_request_shape(),
+            SubmitShape::TopK(5).into_request_shape(),
             cw_service::RequestShape::TopK(5)
         ));
         let m = CsrMatrix::identity(2);
-        match SubmitShape::Masked(m.clone()).to_request_shape() {
+        match SubmitShape::Masked(m.clone()).into_request_shape() {
             cw_service::RequestShape::Masked(mask) => assert_eq!(*mask, m),
             other => panic!("expected Masked, got {other:?}"),
+        }
+    }
+
+    /// The envelope `submit_frame` uses, as a header.
+    fn submit_head() -> FrameHeader {
+        FrameHeader {
+            priority: Priority::Low,
+            flags: FLAG_NO_WAIT,
+            deadline_ms: 1500,
+            ..FrameHeader::control(OpCode::Submit, 0xDEAD_BEEF_0042)
+        }
+    }
+
+    fn sample_operands() -> (CsrMatrix, CsrMatrix, CsrMatrix) {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let lhs =
+            CsrMatrix::from_row_lists(3, vec![vec![(0, nan), (2, -0.0)], vec![], vec![(1, 7.5)]]);
+        (lhs, CsrMatrix::identity(3), CsrMatrix::identity(3))
+    }
+
+    #[test]
+    fn streamed_submit_is_the_buffered_frame_in_both_directions() {
+        let (lhs, rhs, mask) = sample_operands();
+        for shape in [SubmitShape::Full, SubmitShape::TopK(3), SubmitShape::Masked(mask)] {
+            let payload = encode_submit_payload_shaped(&lhs, &rhs, &shape);
+            assert_eq!(payload.len(), submit_payload_len(&lhs, &rhs, &shape));
+            let buffered = Frame {
+                op: OpCode::Submit,
+                priority: Priority::Low,
+                flags: FLAG_NO_WAIT,
+                request_id: 0xDEAD_BEEF_0042,
+                deadline_ms: 1500,
+                payload,
+            };
+            let mut streamed = Vec::new();
+            write_submit(&mut streamed, &submit_head(), &lhs, &rhs, &shape).unwrap();
+            assert_eq!(streamed, buffered.encode(), "{shape:?}: streamed bytes differ");
+
+            // Streamed bytes through the buffered reader and decoder ...
+            let frame = read_frame(&mut Cursor::new(&streamed), 1 << 20).unwrap();
+            assert_eq!(frame, buffered);
+            let (l, r, back) = decode_submit_payload_shaped(&frame.payload).unwrap();
+            assert!(l.bits_eq(&lhs) && r.bits_eq(&rhs));
+            assert_eq!(back, shape);
+
+            // ... and buffered bytes through the header and stream decoder,
+            // which stops exactly at the frame's end.
+            let mut wire = Cursor::new(buffered.encode());
+            let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+            assert_eq!(
+                head,
+                FrameHeader { payload_len: buffered.payload.len() as u32, ..submit_head() }
+            );
+            assert_eq!(
+                wire.position() as usize,
+                FRAME_HEADER_BYTES,
+                "the header read touched the payload"
+            );
+            let (l, r, back) = read_submit_payload(&mut wire, head.payload_len as usize).unwrap();
+            assert!(l.bits_eq(&lhs) && r.bits_eq(&rhs));
+            assert_eq!(back, shape);
+            assert_eq!(wire.position() as usize, streamed.len());
+        }
+    }
+
+    #[test]
+    fn streamed_result_is_the_buffered_frame_in_both_directions() {
+        let (product, _, _) = sample_operands();
+        let report = WireReport { shape: OutputShape::TopK(2), ..plain_report(1) };
+        let payload = encode_result_payload(&report, &product);
+        assert_eq!(payload.len(), result_payload_len(&product));
+        let buffered =
+            Frame { priority: Priority::Low, payload, ..Frame::control(OpCode::Result, 9) };
+        let head =
+            FrameHeader { priority: Priority::Low, ..FrameHeader::control(OpCode::Result, 9) };
+        let mut streamed = Vec::new();
+        write_result(&mut streamed, &head, &report, &product).unwrap();
+        assert_eq!(streamed, buffered.encode());
+
+        let frame = read_frame(&mut Cursor::new(&streamed), 1 << 20).unwrap();
+        let (r, p) = decode_result_payload(&frame.payload).unwrap();
+        assert!(r == report && p.bits_eq(&product));
+
+        let mut wire = Cursor::new(buffered.encode());
+        let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+        let (r, p) = read_result_payload(&mut wire, head.payload_len as usize).unwrap();
+        assert!(r == report && p.bits_eq(&product));
+        assert_eq!(wire.position() as usize, streamed.len());
+    }
+
+    #[test]
+    fn a_payload_that_does_not_decode_is_drained_to_the_next_frame() {
+        let a = CsrMatrix::identity(5); // submit_frame's operand
+        let good = submit_frame().encode();
+        // Same length, but the rhs blob's magic is gone: the decoder gives
+        // up a third of the way in and must still leave the stream aligned.
+        let mut bad = good.clone();
+        bad[FRAME_HEADER_BYTES + encoded_csr_len(&a)] = b'X';
+        let mut wire = Cursor::new([&bad[..], &good[..]].concat());
+        let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+        match read_submit_payload(&mut wire, head.payload_len as usize) {
+            Err(CsrReadError::Codec(e)) => assert_eq!(e, CsrCodecError::BadMagic),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+        let head = FrameHeader::read(&mut wire, 1 << 20).expect("the next frame starts here");
+        let (lhs, rhs, shape) = read_submit_payload(&mut wire, head.payload_len as usize).unwrap();
+        assert_eq!((lhs, rhs, shape), (a.clone(), a, SubmitShape::Full));
+
+        // A payload that stops arriving is the transport's failure, not the
+        // codec's — whether or not what did arrive decodes: the stream
+        // cannot be aligned and the connection is lost.
+        for cut in [good, bad] {
+            let mut wire = Cursor::new(&cut[..cut.len() - 3]);
+            let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+            assert!(matches!(
+                read_submit_payload(&mut wire, head.payload_len as usize),
+                Err(CsrReadError::Io(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_blob_cannot_claim_more_than_its_frame_holds() {
+        // The lhs header declares 2^40 entries inside a 100-byte payload:
+        // refused against what is left of the frame, before any allocation.
+        let mut payload = encode_submit_payload_shaped(
+            &CsrMatrix::zeros(1, 1),
+            &CsrMatrix::zeros(1, 1),
+            &SubmitShape::Full,
+        );
+        payload[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let have = payload.len();
+        let streamed = read_submit_payload(&mut Cursor::new(&payload), have);
+        match (decode_submit_payload_shaped(&payload), streamed) {
+            (Err(slice), Err(CsrReadError::Codec(stream))) => {
+                assert_eq!(slice, stream);
+                assert!(matches!(slice, CsrCodecError::Truncated { have: h, .. } if h == have));
+            }
+            other => panic!("expected the same Truncated from both, got {other:?}"),
         }
     }
 

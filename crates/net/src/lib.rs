@@ -10,7 +10,9 @@
 //!   priority, request id, relative deadline, payload length) plus an
 //!   op-specific payload. Operands and products travel as the
 //!   self-delimiting `CSRB` blobs from [`cw_sparse::io`], so the wire
-//!   bytes are bit-exact down to f64 NaN payloads.
+//!   bytes are bit-exact down to f64 NaN payloads — and they are streamed:
+//!   a SUBMIT or RESULT is written from, and read into, the matrices'
+//!   arrays 64 KiB at a time, never staged in a payload-sized buffer.
 //! * **[`NetServer`]** — wraps an owned [`cw_service::SpgemmService`]
 //!   with a bounded thread-per-connection acceptor: per-connection
 //!   read/write timeouts, a max-connections limit (over-limit peers get
@@ -54,6 +56,6 @@ mod router;
 mod server;
 
 pub use client::{ClientConfig, NetClient, NetError, Qos, WireResponse};
-pub use frame::{Frame, FrameError, OpCode, RejectCode, SubmitShape, WireReport};
+pub use frame::{Frame, FrameError, FrameHeader, OpCode, RejectCode, SubmitShape, WireReport};
 pub use router::RoutedClient;
 pub use server::{NetServer, NetServerConfig};

@@ -84,7 +84,8 @@ impl RoutedClient {
         rhs: &CsrMatrix,
         mask: &CsrMatrix,
     ) -> Result<WireResponse, NetError> {
-        self.multiply_shaped_qos(lhs, rhs, &crate::SubmitShape::Masked(mask.clone()), Qos::none())
+        let idx = self.endpoint_for(lhs);
+        self.clients[idx].multiply_masked(lhs, rhs, mask)
     }
 
     /// Routed multiply with an explicit output shape and QoS envelope.

@@ -10,6 +10,15 @@
 //! without ever losing frame alignment) and read the rest under the full
 //! [`NetServerConfig::read_timeout`].
 //!
+//! A request allocates nothing the size of its payloads beyond the matrices
+//! themselves: the header is read and validated on its own, the SUBMIT is
+//! decoded off the socket into the operands' arrays, and the RESULT is
+//! written from the product's ([`crate::frame::read_submit_payload`],
+//! [`crate::frame::write_result`]), 64 KiB at a time. A payload that does
+//! not decode is read to its declared end and answered `REJECT MALFORMED`
+//! on a connection that goes on; a payload that stops arriving costs the
+//! connection. Only control frames are buffered as [`Frame`]s.
+//!
 //! QoS lives at admission: a SUBMIT whose relative deadline already
 //! passed is rejected before the service queue is touched, and a full
 //! queue is retried (with backoff) only while the deadline still has
@@ -19,11 +28,12 @@
 //! extra plumbing.
 
 use crate::frame::{
-    decode_submit_payload_shaped, encode_reject_payload, encode_result_payload,
-    read_frame_after_first_byte, Frame, OpCode, RejectCode, WireReport,
+    encode_reject_payload, read_submit_payload, result_payload_len, write_result, Frame,
+    FrameHeader, OpCode, RejectCode, WireReport,
 };
 use cw_obs::{Counter, Gauge, LogHistogram};
 use cw_service::{MultiplyRequest, SpgemmService, SubmitError, Ticket};
+use cw_sparse::io::CsrReadError;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -74,11 +84,21 @@ struct NetMetrics {
     connections: Arc<Counter>,
     connections_active: Arc<Gauge>,
     connections_rejected: Arc<Counter>,
+    /// SUBMIT frames read in full (decodable or not).
     requests: Arc<Counter>,
     served: Arc<Counter>,
+    /// REJECT replies to frames whose boundaries were sound.
     rejected: Arc<Counter>,
     deadline_shed: Arc<Counter>,
+    /// Frames refused as malformed: a bad header or a payload that stopped
+    /// arriving (either costs the connection), or a payload that does not
+    /// decode (also counted in `rejected`; the connection goes on).
     decode_errors: Arc<Counter>,
+    /// `net.wire_seconds`: a served request as the server's socket sees it,
+    /// from the first byte of the frame being answered (the SUBMIT; for a
+    /// no-wait submit, the POLL that redeems it) to the RESULT written and
+    /// flushed — both transfers included. Not the deadline's clock: that
+    /// starts once the SUBMIT has been read in full.
     wire_seconds: Arc<LogHistogram>,
     request_bytes: Arc<LogHistogram>,
     response_bytes: Arc<LogHistogram>,
@@ -309,55 +329,83 @@ fn handle_connection(mut stream: TcpStream, inner: &Inner) {
         // Frame started: read the rest under the full read timeout. A
         // timeout mid-frame is fatal for the connection (the stream can no
         // longer be frame-aligned), but only for this connection.
+        let started = Instant::now();
         let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
-        let frame = match read_frame_after_first_byte(
+        let head = match FrameHeader::read_after_first_byte(
             first[0],
             &mut stream,
             inner.config.max_frame_bytes,
         ) {
-            Ok(f) => f,
+            Ok(head) => head,
             Err(err) => {
-                inner.metrics.decode_errors.inc();
-                let code = RejectCode::Malformed;
-                let reject = Frame {
-                    payload: encode_reject_payload(code, &err.to_string()),
-                    ..Frame::control(OpCode::Reject, 0)
-                };
-                let _ = reject.write_to(&mut stream);
+                reject_unaligned(&mut stream, inner, &err.to_string());
                 break;
             }
         };
         idle_since = Instant::now();
-        let keep_going = match frame.op {
-            OpCode::Submit => serve_submit(&mut stream, inner, frame, &mut pending),
-            OpCode::Poll => serve_poll(&mut stream, inner, frame, &mut pending),
-            OpCode::Stats => {
-                let payload = inner.service.export_jsonl().into_bytes();
-                let reply = Frame { payload, ..Frame::control(OpCode::StatsOk, frame.request_id) };
-                reply.write_to(&mut stream).is_ok()
-            }
-            OpCode::Shutdown => {
-                let reply = Frame::control(OpCode::ShutdownOk, frame.request_id);
-                let _ = reply.write_to(&mut stream);
-                inner.shutdown.store(true, Ordering::SeqCst);
-                false
-            }
-            // Reply ops arriving at the server are a protocol violation.
-            _ => {
-                inner.metrics.decode_errors.inc();
-                let reject = Frame {
-                    payload: encode_reject_payload(
-                        RejectCode::Malformed,
-                        &format!("unexpected op {:?} on server", frame.op),
-                    ),
-                    ..Frame::control(OpCode::Reject, frame.request_id)
-                };
-                let _ = reject.write_to(&mut stream);
-                false
+        let keep_going = if head.op == OpCode::Submit {
+            serve_submit(&mut stream, inner, head, started, &mut pending)
+        } else {
+            match head.read_payload(&mut stream) {
+                Ok(frame) => serve_control(&mut stream, inner, frame, started, &mut pending),
+                Err(err) => {
+                    reject_unaligned(&mut stream, inner, &format!("frame i/o: {err}"));
+                    false
+                }
             }
         };
         if !keep_going {
             break;
+        }
+    }
+}
+
+/// Best-effort `REJECT MALFORMED` for a frame that leaves the stream
+/// unaligned (bad header, or a header or payload that stopped arriving);
+/// the caller closes the connection.
+fn reject_unaligned(stream: &mut TcpStream, inner: &Inner, message: &str) {
+    inner.metrics.decode_errors.inc();
+    let reject = Frame {
+        payload: encode_reject_payload(RejectCode::Malformed, message),
+        ..Frame::control(OpCode::Reject, 0)
+    };
+    let _ = reject.write_to(stream);
+}
+
+/// Answers one buffered (non-SUBMIT) frame; returns whether the connection
+/// goes on.
+fn serve_control(
+    stream: &mut TcpStream,
+    inner: &Inner,
+    frame: Frame,
+    started: Instant,
+    pending: &mut HashMap<u64, PendingEntry>,
+) -> bool {
+    match frame.op {
+        OpCode::Poll => serve_poll(stream, inner, frame.request_id, started, pending),
+        OpCode::Stats => {
+            let payload = inner.service.export_jsonl().into_bytes();
+            let reply = Frame { payload, ..Frame::control(OpCode::StatsOk, frame.request_id) };
+            reply.write_to(stream).is_ok()
+        }
+        OpCode::Shutdown => {
+            let reply = Frame::control(OpCode::ShutdownOk, frame.request_id);
+            let _ = reply.write_to(stream);
+            inner.shutdown.store(true, Ordering::SeqCst);
+            false
+        }
+        // Reply ops arriving at the server are a protocol violation.
+        _ => {
+            inner.metrics.decode_errors.inc();
+            let reject = Frame {
+                payload: encode_reject_payload(
+                    RejectCode::Malformed,
+                    &format!("unexpected op {:?} on server", frame.op),
+                ),
+                ..Frame::control(OpCode::Reject, frame.request_id)
+            };
+            let _ = reject.write_to(stream);
+            false
         }
     }
 }
@@ -386,36 +434,46 @@ fn write_reject(
     reject.write_to(stream).is_ok()
 }
 
-/// Admission + execution of one SUBMIT frame.
+/// Admission + execution of one SUBMIT frame whose header has been read;
+/// `started` is when its first byte arrived.
 fn serve_submit(
     stream: &mut TcpStream,
     inner: &Inner,
-    frame: Frame,
+    head: FrameHeader,
+    started: Instant,
     pending: &mut HashMap<u64, PendingEntry>,
 ) -> bool {
+    let decoded = read_submit_payload(stream, head.payload_len as usize);
+    if let Err(CsrReadError::Io(e)) = &decoded {
+        reject_unaligned(stream, inner, &format!("frame i/o: {e}"));
+        return false;
+    }
+    // The deadline runs from here — the SUBMIT read in full — not from
+    // `started`: a slow upload does not eat the caller's budget.
     let received = Instant::now();
     inner.metrics.requests.inc();
-    inner.metrics.request_bytes.record(frame.payload.len() as f64);
+    inner.metrics.request_bytes.record(head.payload_len as f64);
     let deadline =
-        (frame.deadline_ms > 0).then(|| received + Duration::from_millis(frame.deadline_ms as u64));
-    let (lhs, rhs, shape) = match decode_submit_payload_shaped(&frame.payload) {
+        (head.deadline_ms > 0).then(|| received + Duration::from_millis(head.deadline_ms as u64));
+    let (lhs, rhs, shape) = match decoded {
         Ok(ops) => ops,
         Err(e) => {
             inner.metrics.decode_errors.inc();
             // Payload decode failures are *not* fatal to the connection:
-            // the frame boundary was sound, so the stream stays aligned.
+            // the frame boundary was sound and the payload was consumed to
+            // its end, so the stream stays aligned.
             return write_reject(
                 stream,
                 inner,
-                frame.request_id,
+                head.request_id,
                 RejectCode::Malformed,
                 &e.to_string(),
             );
         }
     };
     let mut request = MultiplyRequest::new(Arc::new(lhs), Arc::new(rhs))
-        .with_priority(frame.priority)
-        .with_shape(shape.to_request_shape());
+        .with_priority(head.priority)
+        .with_shape(shape.into_request_shape());
     if let Some(d) = deadline {
         request = request.with_deadline_at(d);
     }
@@ -431,7 +489,7 @@ fn serve_submit(
                 return write_reject(
                     stream,
                     inner,
-                    frame.request_id,
+                    head.request_id,
                     RejectCode::DeadlineExpired,
                     "deadline expired before admission",
                 );
@@ -444,7 +502,7 @@ fn serve_submit(
                     return write_reject(
                         stream,
                         inner,
-                        frame.request_id,
+                        head.request_id,
                         RejectCode::DeadlineExpired,
                         "deadline expired waiting out a full queue",
                     );
@@ -453,7 +511,7 @@ fn serve_submit(
                     return write_reject(
                         stream,
                         inner,
-                        frame.request_id,
+                        head.request_id,
                         RejectCode::QueueFull,
                         "service queue is full",
                     );
@@ -463,7 +521,7 @@ fn serve_submit(
                 return write_reject(
                     stream,
                     inner,
-                    frame.request_id,
+                    head.request_id,
                     RejectCode::ShapeMismatch,
                     &format!("lhs has {lhs_ncols} cols, rhs has {rhs_nrows} rows"),
                 );
@@ -477,7 +535,7 @@ fn serve_submit(
                 return write_reject(
                     stream,
                     inner,
-                    frame.request_id,
+                    head.request_id,
                     RejectCode::ShapeMismatch,
                     &format!(
                         "mask is {mask_nrows}x{mask_ncols} but the product is \
@@ -489,7 +547,7 @@ fn serve_submit(
                 return write_reject(
                     stream,
                     inner,
-                    frame.request_id,
+                    head.request_id,
                     RejectCode::ShuttingDown,
                     "server is draining",
                 );
@@ -497,38 +555,40 @@ fn serve_submit(
         }
     };
 
-    if frame.no_wait() {
-        pending.insert(frame.request_id, PendingEntry { ticket, deadline });
-        let reply = Frame::control(OpCode::Accepted, frame.request_id);
+    if head.no_wait() {
+        pending.insert(head.request_id, PendingEntry { ticket, deadline });
+        let reply = Frame::control(OpCode::Accepted, head.request_id);
         return reply.write_to(stream).is_ok();
     }
 
     let outcome = ticket.wait();
-    finish_submit(stream, inner, frame.request_id, deadline, received, outcome)
+    finish_submit(stream, inner, head.request_id, deadline, started, outcome)
 }
 
-/// Turns a ticket outcome into the RESULT/REJECT reply.
+/// Turns a ticket outcome into the RESULT/REJECT reply; `started` is when
+/// the first byte of the frame being answered arrived.
 fn finish_submit(
     stream: &mut TcpStream,
     inner: &Inner,
     request_id: u64,
     deadline: Option<Instant>,
-    received: Instant,
+    started: Instant,
     outcome: Result<cw_service::MultiplyResponse, cw_service::ServiceError>,
 ) -> bool {
     match outcome {
         Ok(resp) => {
             let report = WireReport::from_service(&resp.report);
-            let payload = encode_result_payload(&report, &resp.product);
             inner.metrics.served.inc();
-            inner.metrics.response_bytes.record(payload.len() as f64);
-            inner.metrics.wire_seconds.record(received.elapsed().as_secs_f64());
-            let reply = Frame {
+            inner.metrics.response_bytes.record(result_payload_len(&resp.product) as f64);
+            let head = FrameHeader {
                 priority: resp.report.priority,
-                payload,
-                ..Frame::control(OpCode::Result, request_id)
+                ..FrameHeader::control(OpCode::Result, request_id)
             };
-            reply.write_to(stream).is_ok()
+            let written = write_result(stream, &head, &report, &resp.product).is_ok();
+            if written {
+                inner.metrics.wire_seconds.record(started.elapsed().as_secs_f64());
+            }
+            written
         }
         // The service hung up on the ticket: either a worker dropped an
         // expired request, or the service tore down mid-flight.
@@ -566,26 +626,27 @@ fn finish_submit(
 fn serve_poll(
     stream: &mut TcpStream,
     inner: &Inner,
-    frame: Frame,
+    request_id: u64,
+    started: Instant,
     pending: &mut HashMap<u64, PendingEntry>,
 ) -> bool {
-    let Some(entry) = pending.get(&frame.request_id) else {
+    let Some(entry) = pending.get(&request_id) else {
         return write_reject(
             stream,
             inner,
-            frame.request_id,
+            request_id,
             RejectCode::UnknownRequest,
             "no pending submit with that id on this connection",
         );
     };
     match entry.ticket.poll() {
         None => {
-            let reply = Frame::control(OpCode::Pending, frame.request_id);
+            let reply = Frame::control(OpCode::Pending, request_id);
             reply.write_to(stream).is_ok()
         }
         Some(outcome) => {
-            let entry = pending.remove(&frame.request_id).expect("entry just found");
-            finish_submit(stream, inner, frame.request_id, entry.deadline, Instant::now(), outcome)
+            let entry = pending.remove(&request_id).expect("entry just found");
+            finish_submit(stream, inner, request_id, entry.deadline, started, outcome)
         }
     }
 }

@@ -6,15 +6,20 @@
 //! expanded to general storage on read (both triangles materialized),
 //! matching what the SpGEMM kernels expect.
 //!
-//! The binary codec ([`encode_csr`]/[`decode_csr`]) is the *byte-exact*
-//! interchange format shared by the `cw-net` wire frames and future
-//! out-of-core panel files: little-endian, versioned, self-delimiting, and
-//! value-preserving down to the f64 bit pattern (NaN payloads and `-0.0`
-//! survive a round trip, unlike the decimal `.mtx` path).
+//! The binary codec is the *byte-exact* interchange format shared by the
+//! `cw-net` wire frames and future out-of-core panel files: little-endian,
+//! versioned, self-delimiting, and value-preserving down to the f64 bit
+//! pattern (NaN payloads and `-0.0` survive a round trip, unlike the decimal
+//! `.mtx` path). It is one encoder and one decoder over `std::io`
+//! ([`write_csr`] / [`read_csr`]) that move the arrays between their typed
+//! form and bytes 64 KiB at a time, so a socket or a file needs no
+//! blob-sized buffer on either side; [`encode_csr`], [`encode_csr_into`],
+//! [`decode_csr`] and [`decode_csr_exact`] are those two routines pointed at
+//! a `Vec` or a slice — same bytes, same checks, same [`CsrCodecError`]s.
 
 use crate::{ColIdx, CooMatrix, CsrMatrix, SparseError, Value};
 use std::fmt;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{self, BufRead, BufWriter, Read, Write};
 use std::path::Path;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,99 +236,212 @@ pub fn encoded_csr_len(a: &CsrMatrix) -> usize {
     CSR_BINARY_HEADER_BYTES + (a.nrows + 1) * 8 + a.nnz() * 4 + a.nnz() * 8
 }
 
-/// Encodes a matrix as a self-delimiting little-endian `CSRB` blob.
+/// Most bytes [`write_csr`] hands its writer, or [`read_csr`] asks of its
+/// reader, in one call: the arrays cross between their typed form and
+/// little-endian bytes through one staging buffer of at most this size, so
+/// neither side of a stream ever holds a blob-sized byte buffer.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Packs little-endian bytes into a [`CHUNK_BYTES`] staging buffer and hands
+/// the writer one full buffer at a time.
+struct ChunkWriter<'w, W: Write> {
+    w: &'w mut W,
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl<W: Write> ChunkWriter<'_, W> {
+    /// Appends every element of `src` as the `N` bytes `to_le` makes of it.
+    fn put<T: Copy, const N: usize>(
+        &mut self,
+        mut src: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        while !src.is_empty() {
+            if self.buf.len() - self.len < N {
+                self.flush()?;
+            }
+            let room = (self.buf.len() - self.len) / N;
+            let (now, later) = src.split_at(room.min(src.len()));
+            let dst = &mut self.buf[self.len..self.len + now.len() * N];
+            for (bytes, &v) in dst.chunks_exact_mut(N).zip(now) {
+                bytes.copy_from_slice(&to_le(v));
+            }
+            self.len += now.len() * N;
+            src = later;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf[..self.len])?;
+        self.len = 0;
+        Ok(())
+    }
+}
+
+/// Writes the `CSRB` encoding of `a` to `w`: exactly [`encoded_csr_len`]
+/// bytes, in calls of at most 64 KiB. The one encoder — [`encode_csr`] and
+/// [`encode_csr_into`] are this routine writing to a `Vec`.
 ///
 /// Layout: `magic "CSRB" | version u16 | reserved u16 | nrows u64 | ncols
 /// u64 | nnz u64 | row_ptr (nrows+1)×u64 | col_idx nnz×u32 | values
-/// nnz×f64`. Values are stored via [`f64::to_bits`], so the round trip is
-/// bit-exact (NaN payloads and `-0.0` included).
+/// nnz×f64`, all little-endian. Values are stored via [`f64::to_bits`], so
+/// the round trip is bit-exact (NaN payloads and `-0.0` included).
+pub fn write_csr<W: Write>(w: &mut W, a: &CsrMatrix) -> io::Result<()> {
+    let mut out = ChunkWriter { w, buf: vec![0u8; encoded_csr_len(a).min(CHUNK_BYTES)], len: 0 };
+    out.put(&CSR_BINARY_MAGIC, |b| [b])?;
+    out.put(&[CSR_BINARY_VERSION, 0], u16::to_le_bytes)?;
+    out.put(&[a.nrows, a.ncols, a.nnz()], |n| (n as u64).to_le_bytes())?;
+    out.put(&a.row_ptr, |p| (p as u64).to_le_bytes())?;
+    out.put(&a.col_idx, ColIdx::to_le_bytes)?;
+    out.put(&a.vals, |v| v.to_bits().to_le_bytes())?;
+    out.flush()
+}
+
+/// Encodes a matrix as a self-delimiting little-endian `CSRB` blob (see
+/// [`write_csr`] for the layout).
 pub fn encode_csr(a: &CsrMatrix) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_csr_len(a));
+    let mut out = Vec::new();
     encode_csr_into(&mut out, a);
     out
 }
 
-/// Appends the `CSRB` encoding of `a` to `out` (see [`encode_csr`]).
+/// Appends the `CSRB` encoding of `a` to `out` (see [`write_csr`]).
 pub fn encode_csr_into(out: &mut Vec<u8>, a: &CsrMatrix) {
     out.reserve(encoded_csr_len(a));
-    out.extend_from_slice(&CSR_BINARY_MAGIC);
-    out.extend_from_slice(&CSR_BINARY_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&(a.nrows as u64).to_le_bytes());
-    out.extend_from_slice(&(a.ncols as u64).to_le_bytes());
-    out.extend_from_slice(&(a.nnz() as u64).to_le_bytes());
-    for &p in &a.row_ptr {
-        out.extend_from_slice(&(p as u64).to_le_bytes());
-    }
-    for &c in &a.col_idx {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-    for &v in &a.vals {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    write_csr(out, a).expect("writing to a Vec cannot fail");
+}
+
+/// Why [`read_csr`] failed: the transport ran dry or broke, or the bytes it
+/// delivered are not a `CSRB` blob. A stream that fails the second way is
+/// still positioned inside the blob's declared extent.
+#[derive(Debug)]
+pub enum CsrReadError {
+    /// The reader failed (including end of stream before `limit` bytes).
+    Io(io::Error),
+    /// The bytes read are not a valid blob.
+    Codec(CsrCodecError),
+}
+
+impl fmt::Display for CsrReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CsrReadError::Io(e) => write!(f, "reading CSRB blob: {e}"),
+            CsrReadError::Codec(e) => e.fmt(f),
+        }
     }
 }
 
-fn read_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
+impl std::error::Error for CsrReadError {}
+
+impl From<io::Error> for CsrReadError {
+    fn from(e: io::Error) -> Self {
+        CsrReadError::Io(e)
+    }
 }
 
-/// Decodes one `CSRB` blob from the front of `buf`.
+impl From<CsrCodecError> for CsrReadError {
+    fn from(e: CsrCodecError) -> Self {
+        CsrReadError::Codec(e)
+    }
+}
+
+/// Reads `count` `N`-byte little-endian elements from `r` into a vector,
+/// at most one `chunk` per read. The caller has already bounded `count * N`
+/// by what the stream may hold.
+fn read_array<R: Read, T, const N: usize>(
+    r: &mut R,
+    chunk: &mut [u8],
+    count: usize,
+    mut from_le: impl FnMut([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(count);
+    let per_read = chunk.len() / N;
+    while out.len() < count {
+        let bytes = &mut chunk[..per_read.min(count - out.len()) * N];
+        r.read_exact(bytes)?;
+        out.extend(
+            bytes.chunks_exact(N).map(|b| from_le(b.try_into().expect("chunks_exact yields N"))),
+        );
+    }
+    Ok(out)
+}
+
+/// Reads one `CSRB` blob from `r`, of which at most `limit` bytes belong to
+/// it (a slice's length; what is left of a frame). The one decoder —
+/// [`decode_csr`] and [`decode_csr_exact`] are this routine reading a slice.
 ///
-/// Returns the matrix and the number of bytes consumed, so callers can pack
-/// several blobs back to back (the `cw-net` SUBMIT payload does exactly
-/// that). Fails with a typed [`CsrCodecError`] on truncated, oversized, or
-/// structurally invalid input; the decoded matrix is re-validated through
-/// [`CsrMatrix::from_parts`].
-pub fn decode_csr(buf: &[u8]) -> Result<(CsrMatrix, usize), CsrCodecError> {
-    if buf.len() < CSR_BINARY_HEADER_BYTES {
-        return Err(CsrCodecError::Truncated { needed: CSR_BINARY_HEADER_BYTES, have: buf.len() });
+/// Returns the matrix and the number of bytes consumed, so callers can
+/// read several blobs back to back (the `cw-net` SUBMIT payload does
+/// exactly that). The checks run in a fixed order — `limit` holds a header,
+/// magic, version, dimensions fit `usize`, the checked-arithmetic blob
+/// length fits `limit` — and only then is anything allocated, so a hostile
+/// header cannot size an allocation beyond `limit`; the arrays are read in
+/// calls of at most 64 KiB and re-validated through
+/// [`CsrMatrix::from_parts`]. A blob refused at its header has had only
+/// those 32 bytes consumed; what to do with the rest of `limit` is the
+/// caller's business (`cw-net` drains it to stay frame-aligned).
+pub fn read_csr<R: Read>(r: &mut R, limit: usize) -> Result<(CsrMatrix, usize), CsrReadError> {
+    if limit < CSR_BINARY_HEADER_BYTES {
+        return Err(
+            CsrCodecError::Truncated { needed: CSR_BINARY_HEADER_BYTES, have: limit }.into()
+        );
     }
-    if buf[0..4] != CSR_BINARY_MAGIC {
-        return Err(CsrCodecError::BadMagic);
+    let mut header = [0u8; CSR_BINARY_HEADER_BYTES];
+    r.read_exact(&mut header)?;
+    if header[0..4] != CSR_BINARY_MAGIC {
+        return Err(CsrCodecError::BadMagic.into());
     }
-    let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
+    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
     if version == 0 || version > CSR_BINARY_VERSION {
-        return Err(CsrCodecError::UnsupportedVersion(version));
+        return Err(CsrCodecError::UnsupportedVersion(version).into());
     }
-    let nrows64 = read_u64(buf, 8);
-    let ncols64 = read_u64(buf, 16);
-    let nnz64 = read_u64(buf, 24);
-    let (nrows, ncols, nnz) =
-        match (usize::try_from(nrows64), usize::try_from(ncols64), usize::try_from(nnz64)) {
-            (Ok(r), Ok(c), Ok(z)) => (r, c, z),
-            _ => return Err(CsrCodecError::LengthOverflow),
-        };
+    let dim =
+        |at: usize| usize::try_from(u64::from_le_bytes(header[at..at + 8].try_into().unwrap()));
+    let (Ok(nrows), Ok(ncols), Ok(nnz)) = (dim(8), dim(16), dim(24)) else {
+        return Err(CsrCodecError::LengthOverflow.into());
+    };
     // Total length via checked arithmetic: a hostile header must not be able
     // to overflow into a small allocation or a giant one.
-    let body = nrows
+    let total = nrows
         .checked_add(1)
         .and_then(|n| n.checked_mul(8))
         .and_then(|b| nnz.checked_mul(4).and_then(|x| b.checked_add(x)))
         .and_then(|b| nnz.checked_mul(8).and_then(|x| b.checked_add(x)))
         .and_then(|b| b.checked_add(CSR_BINARY_HEADER_BYTES))
         .ok_or(CsrCodecError::LengthOverflow)?;
-    if buf.len() < body {
-        return Err(CsrCodecError::Truncated { needed: body, have: buf.len() });
+    if limit < total {
+        return Err(CsrCodecError::Truncated { needed: total, have: limit }.into());
     }
-    let mut at = CSR_BINARY_HEADER_BYTES;
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    for _ in 0..=nrows {
-        let p = read_u64(buf, at);
-        at += 8;
-        row_ptr.push(usize::try_from(p).map_err(|_| CsrCodecError::LengthOverflow)?);
+    let mut chunk = vec![0u8; (total - CSR_BINARY_HEADER_BYTES).min(CHUNK_BYTES)];
+    let mut fits = true;
+    let row_ptr = read_array(r, &mut chunk, nrows + 1, |b| {
+        usize::try_from(u64::from_le_bytes(b)).unwrap_or_else(|_| {
+            fits = false;
+            0
+        })
+    })?;
+    if !fits {
+        return Err(CsrCodecError::LengthOverflow.into());
     }
-    let mut col_idx: Vec<ColIdx> = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        col_idx.push(ColIdx::from_le_bytes(buf[at..at + 4].try_into().unwrap()));
-        at += 4;
+    let col_idx = read_array(r, &mut chunk, nnz, ColIdx::from_le_bytes)?;
+    let vals = read_array(r, &mut chunk, nnz, |b| Value::from_bits(u64::from_le_bytes(b)))?;
+    let m = CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals)
+        .map_err(CsrCodecError::Invalid)?;
+    Ok((m, total))
+}
+
+/// Decodes one `CSRB` blob from the front of `buf` ([`read_csr`] with the
+/// slice's length as its limit): the matrix and the bytes consumed, or a
+/// typed [`CsrCodecError`] on truncated, oversized, or structurally invalid
+/// input.
+pub fn decode_csr(buf: &[u8]) -> Result<(CsrMatrix, usize), CsrCodecError> {
+    match read_csr(&mut &buf[..], buf.len()) {
+        Ok(decoded) => Ok(decoded),
+        Err(CsrReadError::Codec(e)) => Err(e),
+        Err(CsrReadError::Io(e)) => unreachable!("read_csr stays inside its limit: {e}"),
     }
-    let mut vals: Vec<Value> = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        vals.push(Value::from_bits(read_u64(buf, at)));
-        at += 8;
-    }
-    let m = CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals)?;
-    Ok((m, at))
 }
 
 /// Like [`decode_csr`] but requires the blob to span the whole buffer.

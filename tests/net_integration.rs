@@ -7,7 +7,9 @@
 //!   `fingerprint(lhs).shard_index(N)`, and each endpoint serves precisely
 //!   its share;
 //! * malformed, short-read, and oversized frames are rejected without
-//!   killing the acceptor (the blast radius is one connection);
+//!   killing the acceptor (the blast radius is one connection), and a
+//!   payload that does not decode inside a sound frame costs only itself:
+//!   the same socket serves the next request;
 //! * deadline QoS sheds hopeless requests (stalled worker, full queue)
 //!   and the sheds are counted in the exported `net.*` metrics;
 //! * low-priority traffic is capped at the admission watermark;
@@ -16,12 +18,13 @@
 //! The cross-*process* contract (two live `cw-serve` binaries) lives in
 //! `crates/net/tests/two_process.rs`.
 
-use clusterwise_spgemm::net::frame::{self, Frame, OpCode};
+use clusterwise_spgemm::net::frame::{self, Frame, FrameHeader, OpCode};
 use clusterwise_spgemm::net::RejectCode;
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
-use std::io::Write as _;
-use std::net::TcpStream;
+use clusterwise_spgemm::sparse::io::{encode_csr, encoded_csr_len, CSR_BINARY_HEADER_BYTES};
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Structural families covering every branch of the advisor's decision
@@ -57,7 +60,7 @@ fn wire_roundtrip_is_bit_identical_to_direct_engine() {
         let (direct, _) = Engine::default().multiply(&a, &a);
         let resp = client.multiply(&a, &a).expect(name);
         assert!(
-            resp.product.numerically_eq(&direct, 0.0),
+            resp.product.bits_eq(&direct),
             "{name}: wire product is not bit-identical to direct engine execution"
         );
         // The report's shard is the same fingerprint hash the router uses.
@@ -88,7 +91,7 @@ fn shaped_wire_requests_are_bit_identical_to_direct_engine() {
         let (direct, _) = Engine::default().multiply_topk(&a, &a, 3);
         let resp = client.multiply_topk(&a, &a, 3).expect(name);
         assert!(
-            resp.product.numerically_eq(&direct, 0.0),
+            resp.product.bits_eq(&direct),
             "{name}: wire top-k product is not bit-identical to the direct shaped engine"
         );
         assert_eq!(resp.report.shape, OutputShape::TopK(3), "{name}: report lost the shape");
@@ -98,7 +101,7 @@ fn shaped_wire_requests_are_bit_identical_to_direct_engine() {
         let (direct, _) = Engine::default().multiply_masked(&a, &a, &a);
         let resp = client.multiply_masked(&a, &a, &a).expect(name);
         assert!(
-            resp.product.numerically_eq(&direct, 0.0),
+            resp.product.bits_eq(&direct),
             "{name}: wire masked product is not bit-identical to the direct shaped engine"
         );
         assert_eq!(resp.report.shape, OutputShape::Masked, "{name}: report lost the shape");
@@ -142,7 +145,7 @@ fn no_wait_submit_polls_to_the_same_bits() {
             None => std::thread::sleep(Duration::from_millis(2)),
         }
     };
-    assert!(resp.product.numerically_eq(&direct, 0.0));
+    assert!(resp.product.bits_eq(&direct));
 
     // A POLL for an id this connection never submitted is a typed reject.
     let err = client.poll(id + 1000).expect_err("unknown id");
@@ -178,7 +181,7 @@ fn routed_client_places_by_fingerprint_and_each_endpoint_serves_its_share() {
         let first = router.multiply(&a, &a).expect(name);
         let again = router.multiply(&a, &a).expect(name);
         expected[endpoint] += 2;
-        assert!(first.product.numerically_eq(&again.product, 0.0), "{name}: unstable product");
+        assert!(first.product.bits_eq(&again.product), "{name}: unstable product");
         assert!(!first.report.cache_hit, "{name}: first sight cannot be a cache hit");
         assert!(again.report.cache_hit, "{name}: repeat missed the endpoint's plan cache");
     }
@@ -235,22 +238,102 @@ fn malformed_frames_are_isolated_to_their_connection() {
     assert_eq!(code, RejectCode::Malformed);
     drop(big);
 
-    // 4. A well-formed frame whose *payload* is not valid CSRB: rejected,
-    //    but the connection survives (frame boundaries stayed sound).
-    let mut sloppy = TcpStream::connect(addr).expect("connect raw");
-    let bad_payload = Frame { payload: vec![0xAB; 64], ..Frame::control(OpCode::Submit, 8) };
-    sloppy.write_all(&bad_payload.encode()).expect("write bad payload");
-    let reply = frame::read_frame(&mut sloppy, 4096).expect("reject frame");
-    let (code, _) = frame::decode_reject_payload(&reply.payload).expect("reject payload");
-    assert_eq!(code, RejectCode::Malformed);
-
-    // The acceptor outlived all four abusive peers: a good client served
-    // over the same listener still round-trips. (Small operand — this
-    // server caps frames at 4 KiB.)
+    // 4. Well-formed frames whose *payload* does not decode: each is
+    //    rejected, and each time the connection survives (the frame
+    //    boundary was sound and the server consumed the payload to its
+    //    end) — checked by serving a good SUBMIT on the same socket.
+    //    (Small operand — this server caps frames at 4 KiB.)
     let a = gen::grid::poisson2d(4, 4);
+    let want = spgemm_serial(&a, &a);
+    let blob = encode_csr(&a);
+    let pair = [&blob[..], &blob[..]].concat();
+    // rhs corrupted halfway in: row_ptr[8] = 0 under row_ptr[7] > 0.
+    let mut rhs_not_monotone = pair.clone();
+    let at = blob.len() + CSR_BINARY_HEADER_BYTES + 8 * 8;
+    rhs_not_monotone[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    // lhs header declares 2^20 entries: far more than the frame holds.
+    let mut lhs_overclaims = pair.clone();
+    lhs_overclaims[24..32].copy_from_slice(&(1u64 << 20).to_le_bytes());
+    let top1_block = [&[frame::SHAPE_TAG_TOPK][..], &1u64.to_le_bytes()].concat();
+    let abuse: [(&str, Vec<u8>); 5] = [
+        ("64 bytes of 0xAB", vec![0xAB; 64]),
+        ("rhs row_ptr not monotone", rhs_not_monotone),
+        ("unknown shape tag", [&pair[..], &[99]].concat()),
+        ("bytes trailing a complete shape block", [&pair[..], &top1_block, &[0]].concat()),
+        ("lhs declares more than the frame holds", lhs_overclaims),
+    ];
+    let mut sloppy = TcpStream::connect(addr).expect("connect raw");
+    let mut id = 8;
+    for (what, payload) in abuse {
+        let bad = Frame { payload, ..Frame::control(OpCode::Submit, id) };
+        sloppy.write_all(&bad.encode()).expect(what);
+        let reply = frame::read_frame(&mut sloppy, 4096).expect(what);
+        assert_eq!((reply.op, reply.request_id), (OpCode::Reject, id), "{what}");
+        let (code, _) = frame::decode_reject_payload(&reply.payload).expect(what);
+        assert_eq!(code, RejectCode::Malformed, "{what}");
+
+        let head = FrameHeader::control(OpCode::Submit, id + 1);
+        frame::write_submit(&mut sloppy, &head, &a, &a, &SubmitShape::Full).expect(what);
+        let reply = FrameHeader::read(&mut sloppy, 4096).expect(what);
+        assert_eq!((reply.op, reply.request_id), (OpCode::Result, id + 1), "{what}");
+        let (_, product) =
+            frame::read_result_payload(&mut sloppy, reply.payload_len as usize).expect(what);
+        assert!(product.bits_eq(&want), "{what}: the connection survived but served other bits");
+        id += 2;
+    }
+    drop(sloppy);
+
+    // The acceptor outlived every abusive peer: a good client served over
+    // the same listener still round-trips.
     let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect good");
     let resp = client.multiply(&a, &a).expect("served after abuse");
-    assert!(resp.product.numerically_eq(&spgemm(&a, &a), 1e-9));
+    assert!(resp.product.bits_eq(&want));
+
+    // Eight refusals were malformed (1–3 cost their connection, the five of
+    // 4 did not); only the five with a sound frame were answered by id.
+    let jsonl = client.stats_jsonl().expect("stats");
+    for counter in ["\"net.decode_errors\":8", "\"net.rejected\":5", "\"net.requests\":11"] {
+        assert!(jsonl.contains(counter), "missing {counter}:\n{jsonl}");
+    }
+
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 6);
+}
+
+#[test]
+fn a_half_sent_payload_costs_only_its_connection() {
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let addr = server.local_addr();
+
+    // A header promising ≈ 1 MB, half of it sent — valid as far as it
+    // goes — then the peer is gone. The server was decoding as the bytes
+    // arrived; it must give up on this connection and nothing else.
+    let a = gen::grid::poisson2d(85, 85);
+    let mut bytes = Vec::new();
+    let head = FrameHeader::control(OpCode::Submit, 1);
+    frame::write_submit(&mut bytes, &head, &a, &a, &SubmitShape::Full).expect("encode");
+    assert_eq!(bytes.len(), frame::FRAME_HEADER_BYTES + 2 * encoded_csr_len(&a));
+    assert!(bytes.len() > 900_000);
+    let mut quitter = TcpStream::connect(addr).expect("connect raw");
+    quitter.write_all(&bytes[..bytes.len() / 2]).expect("write half");
+    quitter.shutdown(Shutdown::Write).expect("hang up");
+    // Best-effort reject (id 0: the stream is no longer frame-aligned),
+    // then the server closes its side too.
+    let reply = frame::read_frame(&mut quitter, 4096).expect("reject frame");
+    assert_eq!((reply.op, reply.request_id), (OpCode::Reject, 0));
+    let (code, _) = frame::decode_reject_payload(&reply.payload).expect("reject payload");
+    assert_eq!(code, RejectCode::Malformed);
+    assert_eq!(quitter.read(&mut [0u8; 1]).expect("clean close"), 0);
+
+    // It counts as a malformed frame, not as a request or an answered
+    // reject; and the next peer is served.
+    let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect good");
+    let jsonl = client.stats_jsonl().expect("stats");
+    for counter in ["\"net.decode_errors\":1", "\"net.rejected\":0", "\"net.requests\":0"] {
+        assert!(jsonl.contains(counter), "missing {counter}:\n{jsonl}");
+    }
+    let resp = client.multiply(&a, &a).expect("served after the quitter");
+    assert!(resp.product.bits_eq(&spgemm_serial(&a, &a)));
 
     let stats = server.shutdown();
     assert_eq!(stats.completed, 1);
@@ -320,7 +403,7 @@ fn low_priority_is_shed_at_the_watermark_over_the_wire() {
 
     // Interactive traffic is untouched by the watermark.
     let resp = client.multiply(&a, &a).expect("high priority serves");
-    assert!(resp.product.numerically_eq(&spgemm(&a, &a), 1e-9));
+    assert!(resp.product.bits_eq(&spgemm(&a, &a)));
 
     let stats = server.shutdown();
     assert_eq!(stats.completed, 1);
@@ -339,7 +422,7 @@ fn graceful_drain_finishes_in_flight_requests() {
         let a = gen::grid::poisson2d(12, 12);
         let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
         let resp = client.multiply(&a, &a).expect("in-flight request survives the drain");
-        assert!(resp.product.numerically_eq(&spgemm(&a, &a), 1e-9));
+        assert!(resp.product.bits_eq(&spgemm(&a, &a)));
     });
 
     std::thread::sleep(Duration::from_millis(100));
