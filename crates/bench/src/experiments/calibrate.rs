@@ -7,7 +7,7 @@
 //! per-operand `FeedbackStore`):
 //!
 //! 1. **Sweep** — for every corpus dataset, the planner's top pipelines
-//!    are measured on both backends: one-off preprocessing
+//!    are measured as planned and serially: one-off preprocessing
 //!    seconds plus warm per-multiply kernel seconds, recorded as
 //!    [`CalibrationSample`]s.
 //! 2. **Fit** — even-indexed datasets train a [`Calibrator`] least-squares
@@ -26,14 +26,14 @@ use crate::report::{f2, Report, Table};
 use crate::runner::RunConfig;
 use cw_engine::calibrate::{median, prediction_errors};
 use cw_engine::{
-    BackendId, CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures,
-    OutputShape, Plan, Planner, PlanningPolicy, Suggestion, DEFAULT_CACHE_CAPACITY,
+    CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures, OutputShape, Plan,
+    Planner, PlanningPolicy, Suggestion, DEFAULT_CACHE_CAPACITY,
 };
 use cw_reorder::advisor::advise;
 use cw_sparse::CsrMatrix;
 
-/// Distinct pipelines measured per dataset (each on both backends); the
-/// planner's cost-ranked head plus the static advisor's choice.
+/// Distinct pipelines measured per dataset (each as planned and serially);
+/// the planner's cost-ranked head plus the static advisor's choice.
 const MAX_PIPELINES: usize = 4;
 
 /// Amortization horizon used when ranking predicted candidate costs
@@ -56,8 +56,8 @@ fn static_plan(planner: &Planner, a: &CsrMatrix) -> Plan {
     planner.plan_for_suggestion(a, top)
 }
 
-/// One measured candidate: a pipeline on a backend, with its observed
-/// warm kernel seconds.
+/// One measured candidate: a pipeline as planned, with its observed warm
+/// kernel seconds.
 #[derive(Debug, Clone, Copy)]
 struct MeasuredCandidate {
     plan: Plan,
@@ -71,10 +71,11 @@ struct DatasetSweep {
     name: String,
     features: OperandFeatures,
     static_plan: Plan,
-    /// Planner-candidate measurements (serial oracle excluded — the
-    /// planner never offers it), used for plan-agreement judging.
+    /// Planner-candidate measurements (serial twins excluded — the
+    /// planner offers only its own `parallel`), used for plan-agreement
+    /// judging.
     candidates: Vec<MeasuredCandidate>,
-    /// All samples (serial included) feeding the fit.
+    /// All samples (serial twins included) feeding the fit.
     samples: Vec<CalibrationSample>,
 }
 
@@ -90,35 +91,24 @@ fn warm_kernel_median(engine: &mut Engine, a: &CsrMatrix, plan: Plan, reps: usiz
 }
 
 /// Measures one dataset: the planner's top pipelines (plus the static
-/// advisor's choice) on every backend.
+/// advisor's choice), each as planned and serially.
 fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     let planner = Planner::with_policy(cfg.seed, PlanningPolicy::frozen());
     let profile = planner.profile(a);
     let features = OperandFeatures::with_profile(a, profile);
     let ranked = planner.plans_costed(a);
 
-    // Distinct pipelines (plans modulo backend), best-ranked first.
-    let pipeline_key = |p: &Plan| p.on_backend(BackendId::ParallelCpu);
-    let mut pipelines: Vec<(Plan, f64)> = Vec::new();
-    for r in &ranked {
-        if pipelines.len() >= MAX_PIPELINES {
-            break;
-        }
-        if !pipelines.iter().any(|(p, _)| pipeline_key(p) == pipeline_key(&r.plan)) {
-            pipelines.push((r.plan.on_backend(BackendId::ParallelCpu), r.affinity));
-        }
-    }
+    // Distinct pipelines (the planner deduplicates), best-ranked first.
+    let mut pipelines: Vec<(Plan, f64)> =
+        ranked.iter().take(MAX_PIPELINES).map(|r| (r.plan, r.affinity)).collect();
     // The static advisor's choice and the zero-prep baseline are always
     // measured: the first anchors the static-agreement comparison, the
     // second anchors the calibrator's scale-free technique-gain ratios.
     let static_choice = static_plan(&planner, a);
     for extra in [static_choice, planner.plan_for_suggestion(a, Suggestion::LeaveOriginal)] {
-        if !pipelines.iter().any(|(p, _)| pipeline_key(p) == pipeline_key(&extra)) {
-            let affinity = ranked
-                .iter()
-                .find(|r| pipeline_key(&r.plan) == pipeline_key(&extra))
-                .map_or(0.0, |r| r.affinity);
-            pipelines.push((extra.on_backend(BackendId::ParallelCpu), affinity));
+        if !pipelines.iter().any(|(p, _)| *p == extra) {
+            let affinity = ranked.iter().find(|r| r.plan == extra).map_or(0.0, |r| r.affinity);
+            pipelines.push((extra, affinity));
         }
     }
 
@@ -129,27 +119,34 @@ fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     let mut candidates = Vec::new();
     let mut samples = Vec::new();
     for (pipeline, affinity) in pipelines {
-        // One-off preprocessing, measured cold on the reference backend
-        // (both backends share the same materialization).
+        // One-off preprocessing, measured cold on the pipeline as planned
+        // (its serial twin shares the same materialization).
         meter.clear_cache();
         let (_, prep_timings, _) = meter.prepare_with_shape(a, Some(pipeline), OutputShape::Full);
         let prep_seconds = prep_timings.reorder_seconds + prep_timings.cluster_seconds;
+        let kernel_seconds = warm_kernel_median(&mut meter, a, pipeline, cfg.reps);
+        candidates.push(MeasuredCandidate { plan: pipeline, affinity, kernel_seconds });
+        samples.push(CalibrationSample {
+            features,
+            plan: pipeline,
+            affinity,
+            prep_seconds,
+            kernel_seconds,
+        });
 
-        for backend in BackendId::ALL {
-            let plan = pipeline.on_backend(backend);
-            let kernel_seconds = warm_kernel_median(&mut meter, a, plan, cfg.reps);
+        // The serial twin the parallel speedup is fitted against, unless
+        // the planner already planned the pipeline serial. Its prep is not
+        // attributed again: a duplicate would double-weight it in the fit.
+        let serial = Plan { parallel: false, ..pipeline };
+        if serial != pipeline {
+            let kernel_seconds = warm_kernel_median(&mut meter, a, serial, cfg.reps);
             samples.push(CalibrationSample {
                 features,
-                plan,
+                plan: serial,
                 affinity,
-                // Attribute the measured prep once (to the reference
-                // sample); duplicates would double-weight it in the fit.
-                prep_seconds: if backend == BackendId::ParallelCpu { prep_seconds } else { 0.0 },
+                prep_seconds: 0.0,
                 kernel_seconds,
             });
-            if backend != BackendId::SerialReference {
-                candidates.push(MeasuredCandidate { plan, affinity, kernel_seconds });
-            }
         }
     }
     DatasetSweep {
@@ -311,12 +308,12 @@ pub fn run(cfg: &RunConfig) -> Report {
     );
     rep.note(format!(
         "{} datasets ({} train / {} held out by parity), {} samples total; \
-         {MAX_PIPELINES}+ pipelines × {} backends each, warm kernel medians of {} reps.",
+         {MAX_PIPELINES}+ pipelines each, as planned and serially, warm kernel medians of {} \
+         reps.",
         sweeps.len(),
         sweeps.len().div_ceil(2),
         sweeps.len() / 2,
         sweeps.iter().map(|s| s.samples.len()).sum::<usize>(),
-        BackendId::ALL.len(),
         cfg.reps
     ));
     rep.note(format!(

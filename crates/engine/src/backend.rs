@@ -1,23 +1,17 @@
 //! Execution: *how* a prepared plan runs.
 //!
 //! A [`Plan`] says *what* to compute (reordering × clustering ×
-//! accumulator × output shape); its [`BackendId`] says how the kernel is
-//! scheduled. There are two, and they share everything but one flag:
+//! accumulator × output shape) and, in [`Plan::parallel`], whether the
+//! kernel runs on the rayon pool. `parallel: false` is the serial oracle
+//! every cross-validation suite compares against: because each kernel
+//! accumulates an output entry in ascending-`k` order and extracts sorted
+//! columns wherever it runs, the two are bit-identical under otherwise
+//! equal plans.
 //!
-//! * [`BackendId::ParallelCpu`] — the rayon path, the default of every
-//!   plan and the only backend the planner proposes.
-//! * [`BackendId::SerialReference`] — the same kernels forced onto one
-//!   thread: the oracle every cross-validation suite compares against.
-//!   Because each kernel accumulates an output entry in ascending-`k`
-//!   order and extracts sorted columns wherever it runs, the two are
-//!   bit-identical under otherwise equal plans.
-//!
-//! Both materialize the same `CpuOperand` (`materialize`) and run
-//! through the one `execute` function, which is also where the output
-//! shape is applied. There is no trait or registry: a backend earns a
-//! variant here (and a `match` arm in `execute`) by winning a
-//! measurement, and the id is a [`Plan`] field so cache entries and
-//! feedback candidates remain keyed by it.
+//! Both materialize the same `CpuOperand` (`materialize`) and run through
+//! the one `execute` function, which is also where the output shape is
+//! applied. There is no trait or registry: a new way to run a kernel earns
+//! a `match` arm in `execute` by winning a measurement.
 //!
 //! # One-sided and two-sided execution
 //!
@@ -43,63 +37,9 @@ use cw_core::{
 };
 use cw_reorder::Reordering;
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
-use cw_spgemm::rowwise::{spgemm_labelled, spgemm_mapped, CsrRows, SpGemmOptions};
+use cw_spgemm::rowwise::{spgemm_labelled, spgemm_mapped, CsrRows};
 use cw_spgemm::AccumulatorKind;
 use std::time::Instant;
-
-/// Identity of one execution backend: what travels inside [`Plan`]s (and
-/// therefore cache keys and feedback state), reports and the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum BackendId {
-    /// The rayon CPU path (the default).
-    #[default]
-    ParallelCpu,
-    /// Single-threaded deterministic oracle for cross-validation.
-    SerialReference,
-}
-
-impl BackendId {
-    /// Every backend id, in [`BackendId::index`] order.
-    pub const ALL: [BackendId; 2] = [BackendId::ParallelCpu, BackendId::SerialReference];
-
-    /// Short human-readable name (stable across releases; used in reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendId::ParallelCpu => "parallel-cpu",
-            BackendId::SerialReference => "serial-reference",
-        }
-    }
-
-    /// Stable small integer for this id: the `WireReport` backend byte
-    /// (`docs/PROTOCOL.md`) and the per-backend stats slot. Values are
-    /// never reused: `2` and `3` belonged to backends that were retired.
-    pub fn index(self) -> usize {
-        match self {
-            BackendId::ParallelCpu => 0,
-            BackendId::SerialReference => 1,
-        }
-    }
-
-    /// Inverse of [`BackendId::index`]; `None` for any other value
-    /// (including the retired `2` and `3`).
-    pub fn from_index(index: usize) -> Option<BackendId> {
-        match index {
-            0 => Some(BackendId::ParallelCpu),
-            1 => Some(BackendId::SerialReference),
-            _ => None,
-        }
-    }
-
-    /// Whether execution uses the rayon pool when [`Plan::parallel`] asks
-    /// for it (`false`: the kernel runs on the calling thread whatever the
-    /// plan says, and the cost model never applies the parallel speedup).
-    pub fn is_parallel(self) -> bool {
-        match self {
-            BackendId::ParallelCpu => true,
-            BackendId::SerialReference => false,
-        }
-    }
-}
 
 /// The materialized left operand, which decides the kernel: plain CSR for
 /// row-wise plans and for clustered plans whose clustering came out too
@@ -335,7 +275,7 @@ fn identity_to_none(perm: Option<Permutation>) -> Option<Permutation> {
     perm.filter(|p| !p.is_identity())
 }
 
-/// `shape(A · b)` on the plan's backend, and whether it ran two-sided.
+/// `shape(A · b)` under `plan`, and whether it ran two-sided.
 /// `operand` is `A` with its rows reordered by `row_map` (what
 /// [`materialize`] returned). Rows come back in `A`'s order — the caller's:
 /// every kernel hands `row_map` to [`cw_spgemm::single_pass`], whose pack
@@ -375,10 +315,7 @@ pub(crate) fn execute(
     b_is_source: bool,
     mask: Option<&CsrMatrix>,
 ) -> (CsrMatrix, bool) {
-    let opts = SpGemmOptions {
-        parallel: plan.parallel && plan.backend.is_parallel(),
-        ..plan.spgemm_options()
-    };
+    let opts = plan.spgemm_options();
     let mask = || mask.expect("masked plan executed without a mask operand");
     if let (CpuOperand::RowWise { pa, .. }, OutputShape::Masked) = (operand, plan.shape) {
         return (cw_spgemm::spgemm_masked_mapped(pa, b, mask(), &opts, row_map), false);
@@ -421,10 +358,10 @@ mod tests {
     }
 
     fn assert_parallel_matches_oracle(a: &CsrMatrix, plan: Plan) {
-        let oracle = product(a, plan.on_backend(BackendId::SerialReference));
+        let oracle = product(a, Plan { parallel: false, ..plan });
         assert!(oracle.numerically_eq(&spgemm_serial(a, a), 1e-9));
-        let got = product(a, plan.on_backend(BackendId::ParallelCpu));
-        assert!(got.bits_eq(&oracle), "parallel-cpu diverges from the serial oracle");
+        let got = product(a, Plan { parallel: true, ..plan });
+        assert!(got.bits_eq(&oracle), "the parallel path diverges from the serial oracle");
     }
 
     #[test]
@@ -440,22 +377,5 @@ mod tests {
             &a,
             Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
         );
-    }
-
-    #[test]
-    fn backend_ids_name_and_order() {
-        assert_eq!(BackendId::default(), BackendId::ParallelCpu);
-        let names: Vec<_> = BackendId::ALL.iter().map(|b| b.name()).collect();
-        assert_eq!(names, ["parallel-cpu", "serial-reference"]);
-        for (i, id) in BackendId::ALL.into_iter().enumerate() {
-            assert_eq!(id.index(), i);
-            assert_eq!(BackendId::from_index(i), Some(id));
-        }
-        // Retired and unknown values decode to nothing, never to a default.
-        for retired in [2, 3, 255] {
-            assert_eq!(BackendId::from_index(retired), None);
-        }
-        assert!(BackendId::ParallelCpu.is_parallel());
-        assert!(!BackendId::SerialReference.is_parallel());
     }
 }

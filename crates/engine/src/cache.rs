@@ -12,11 +12,10 @@
 //! Two design points guard correctness:
 //!
 //! * **Keys carry the plan.** Every entry is keyed by
-//!   `(fingerprint, plan)` ([`CacheKey`]) — backend and output shape
+//!   `(fingerprint, plan)` ([`CacheKey`]) — parallelism and output shape
 //!   included, since both are [`Plan`] fields. Preparations under
 //!   different plans — a forced ablation plan, the planner's first choice,
-//!   a later feedback re-plan, the same pipeline on a different backend —
-//!   coexist without clobbering each other. When the feedback loop
+//!   a later feedback re-plan, the same pipeline run serially — coexist without clobbering each other. When the feedback loop
 //!   switches an operand's plan, the old preparation stays resident:
 //!   switching *back* is a cache hit, not a re-prepare. Equal plans
 //!   produce byte-identical prepared operands, so sharing an entry between
@@ -35,8 +34,8 @@ use std::sync::Arc;
 
 /// Cache key: the operand's fingerprint plus the plan its preparation
 /// realizes. Preparations under genuinely different pipelines — auto,
-/// forced, feedback-re-planned, or the same pipeline on a different
-/// backend — never collide.
+/// forced, feedback-re-planned, or the same pipeline run serially — never
+/// collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Sampled fingerprint of the operand.
@@ -468,8 +467,8 @@ mod tests {
         // A different pipeline for the same matrix is a distinct key...
         assert!(cache.get(&key(clustered)).is_none());
         assert!(cache.get(&key(baseline)).is_some());
-        // ...as is the same pipeline on a different backend.
-        let serial = baseline.on_backend(crate::backend::BackendId::SerialReference);
+        // ...as is the same pipeline run serially.
+        let serial = Plan { parallel: false, ..baseline };
         assert!(cache.get(&key(serial)).is_none());
     }
 

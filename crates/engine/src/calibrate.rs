@@ -30,7 +30,6 @@
 //! assert_eq!(planner.cost, profile.cost_model());
 //! ```
 
-use crate::backend::BackendId;
 use crate::cost::{cluster_overlap, CostModel, OperandFeatures};
 use crate::plan::{ClusteringStrategy, Plan};
 use cw_reorder::Reordering;
@@ -46,20 +45,20 @@ use json::JsonValue;
 pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// One measured execution: the operand's features, the plan that ran
-/// (backend included), the advisor affinity the model would
+/// (`parallel` included), the advisor affinity the model would
 /// price it with, and the observed one-off preprocessing plus warm
 /// per-multiply kernel seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationSample {
     /// Features of the left-hand operand the plan ran on.
     pub features: OperandFeatures,
-    /// The executed plan (its `backend` field names where it ran).
+    /// The executed plan.
     pub plan: Plan,
     /// Advisor structural-evidence affinity for the plan's technique
     /// (`0` for the baseline), as fed to [`CostModel::estimate`].
     pub affinity: f64,
     /// Observed one-off preprocessing seconds (reorder + clustering);
-    /// backend-independent.
+    /// the same whether the kernel then runs in parallel or not.
     pub prep_seconds: f64,
     /// Observed warm per-multiply kernel seconds (preparation cached).
     pub kernel_seconds: f64,
@@ -296,16 +295,16 @@ fn prep_classes(plan: &Plan) -> Vec<PrepClass> {
 ///   the sweep measures single-class plans too).
 /// * **Technique gains** — `reorder_gain` and `cluster_gain` from the
 ///   observed kernel *ratio* of each technique pipeline to the baseline
-///   pipeline on the same operand/backend (scale-free, so they can be
-///   fitted before the per-madd rate), regressed through the origin
+///   pipeline on the same operand and parallelism (scale-free, so they can
+///   be fitted before the per-madd rate), regressed through the origin
 ///   against the advisor affinity / row-overlap term the model multiplies
 ///   them by.
 /// * **Parallel speedup** — the geometric mean of serial ÷ parallel
-///   observed kernel seconds over (operand, pipeline) pairs measured on
-///   both [`BackendId::ParallelCpu`] and [`BackendId::SerialReference`].
+///   observed kernel seconds over (operand, pipeline) pairs measured with
+///   [`Plan::parallel`] both set and cleared.
 /// * **Per-madd rate, accumulator discount** — the model's kernel estimate
-///   is multiplicative, so over the `ParallelCpu` samples `log(observed)`
-///   minus `log(structural factor)` is `log(seconds_per_madd)` plus
+///   is multiplicative, so over every sample `log(observed)` minus
+///   `log(structural factor)` is `log(seconds_per_madd)` plus
 ///   `log(dense_acc_discount)` on the dense-accumulator samples: the
 ///   discount is the dense − hash contrast of the residual means, the
 ///   rate the mean of the de-densed residuals.
@@ -414,17 +413,10 @@ impl Calibrator {
         // kernel(reordered) = kernel(baseline) · (1 − reorder_gain · affinity)
         // is scale-free: the per-madd rate cancels in the observed ratio,
         // so the gains can be fitted before it. Pairs match on operand,
-        // backend, accumulator, and parallelism.
+        // accumulator, and parallelism.
         let is_baseline = |p: &Plan| !p.has_preprocessing();
         let op_key = |s: &CalibrationSample| {
-            (
-                s.features.nrows,
-                s.features.ncols,
-                s.features.nnz,
-                s.plan.backend,
-                s.plan.acc,
-                s.plan.parallel,
-            )
+            (s.features.nrows, s.features.ncols, s.features.nnz, s.plan.acc, s.plan.parallel)
         };
         let baseline_for = |s: &CalibrationSample| {
             self.samples
@@ -458,21 +450,15 @@ impl Calibrator {
 
         // --- Parallel speedup: geomean over serial/parallel pairs. ---
         // Pair key: same operand (nrows, ncols, nnz) and same plan modulo
-        // backend.
+        // `parallel`.
         let pair_key = |s: &CalibrationSample| {
-            let plan = s.plan.on_backend(BackendId::ParallelCpu);
+            let plan = Plan { parallel: true, ..s.plan };
             (s.features.nrows, s.features.ncols, s.features.nnz, plan)
         };
         let mut log_speedups = Vec::new();
-        for s in &self.samples {
-            if !(s.plan.parallel && s.plan.backend.is_parallel()) {
-                continue;
-            }
-            for t in &self.samples {
-                if t.plan.backend == BackendId::SerialReference
-                    && pair_key(t) == pair_key(s)
-                    && t.kernel_seconds > 0.0
-                {
+        for s in self.samples.iter().filter(|s| s.plan.parallel) {
+            for t in self.samples.iter().filter(|t| !t.plan.parallel) {
+                if pair_key(t) == pair_key(s) && t.kernel_seconds > 0.0 {
                     log_speedups.push((t.kernel_seconds / s.kernel_seconds).ln());
                 }
             }
@@ -485,15 +471,15 @@ impl Calibrator {
         // --- Per-madd rate and dense discount (log space). ---
         // With seconds_per_madd = 1 and dense discount = 1 the model's
         // kernel estimate is the structural factor X, and
-        // log(observed) − log(X) = log(s) + dense·log(d). Only the
-        // reference backend's samples enter: the serial oracle's timings
-        // already paid for `parallel_speedup` above.
+        // log(observed) − log(X) = log(s) + dense·log(d). Every sample
+        // enters: X already divides a parallel plan by the speedup fitted
+        // above and prices a serial one without it.
         let mut unit = model;
         unit.seconds_per_madd = 1.0;
         unit.dense_acc_discount = 1.0;
         unit.cluster_row_overhead = 0.0; // additive term excluded from the log fit
         let (mut ds, mut dn, mut hs, mut hn) = (0.0, 0usize, 0.0, 0usize);
-        for s in self.samples.iter().filter(|s| s.plan.backend == BackendId::ParallelCpu) {
+        for s in &self.samples {
             let x = unit.estimate(&s.features, &s.plan, s.affinity).kernel_seconds;
             if x <= 0.0 {
                 continue;
@@ -591,8 +577,8 @@ mod tests {
         ];
         for f in operands {
             for p in pipelines {
-                for backend in BackendId::ALL {
-                    let plan = p.on_backend(backend);
+                for parallel in [true, false] {
+                    let plan = Plan { parallel, ..p };
                     let est = truth.model.estimate(&f, &plan, 0.4);
                     samples.push(CalibrationSample {
                         features: f,

@@ -213,9 +213,8 @@ impl CostModel {
     /// advisor's structural-evidence feature for the technique the plan
     /// realizes (`0` for the baseline): higher affinity predicts larger
     /// kernel savings from reordering/clustering, never larger prep cost.
-    /// The plan's backend contributes one term: the parallel speedup
-    /// applies only where [`crate::BackendId::is_parallel`] says the
-    /// kernel will actually use the pool. The plan's [`OutputShape`]
+    /// The parallel speedup applies only to a plan with
+    /// [`Plan::parallel`] set. The plan's [`OutputShape`]
     /// contributes none: a shaped plan is priced like the full one. That
     /// is what executes for top-k and for cluster-wise masked plans; a
     /// row-wise masked plan runs the fused kernel, which does every
@@ -240,7 +239,7 @@ impl CostModel {
             // to the advisor's confidence it applies.
             kernel *= 1.0 - self.reorder_gain * affinity;
         }
-        if plan.parallel && plan.backend.is_parallel() {
+        if plan.parallel {
             kernel /= self.parallel_speedup.max(1.0);
         }
 
@@ -696,10 +695,10 @@ mod tests {
         let f = features(2000, 16000, 0.2);
         let plan = Plan::baseline(); // parallel = true
         let fast = model.estimate(&f, &plan, 0.0);
-        let slow = model.estimate(&f, &plan.on_backend(crate::BackendId::SerialReference), 0.0);
+        let slow = model.estimate(&f, &Plan { parallel: false, ..plan }, 0.0);
         assert!(
             (slow.kernel_seconds / fast.kernel_seconds - model.parallel_speedup).abs() < 1e-9,
-            "a non-parallel backend must not receive the parallel discount"
+            "a serial plan must not receive the parallel discount"
         );
     }
 

@@ -592,17 +592,18 @@ mod tests {
     fn reports_carry_the_executing_backend() {
         let a = gen::grid::poisson2d(9, 9);
         let mut engine = Engine::default();
+        // 81 rows: the planner runs the kernel serially.
         let (_, auto_rep) = engine.multiply(&a, &a);
-        assert_eq!(auto_rep.plan.backend, crate::backend::BackendId::ParallelCpu);
+        assert!(!auto_rep.plan.parallel);
 
-        let forced = Plan::baseline().on_backend(crate::backend::BackendId::SerialReference);
+        let forced = Plan { parallel: true, ..auto_rep.plan };
         let (c, rep) = engine.multiply_planned(&a, &a, forced);
-        assert_eq!(rep.plan.backend, crate::backend::BackendId::SerialReference);
+        assert_eq!(rep.plan, forced);
         assert!(c.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
-        // Same pipeline, different backend: a distinct cache entry.
+        // Same pipeline, other parallelism: a distinct cache entry.
         assert!(!rep.cache_hit);
         let (_, rep2) = engine.multiply_planned(&a, &a, forced);
-        assert!(rep2.cache_hit, "backend-forced preparations are cached under their own key");
+        assert!(rep2.cache_hit, "forced preparations are cached under their own key");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! at the workspace root for the cross-crate picture):
 //!
 //! 1. **Plan** — [`Planner`] computes the structural [`Profile`] (via
-//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] — six
+//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] — five
 //!    fields, each said once: reordering × clustering strategy (which
-//!    fixes the kernel) × accumulator × parallel × execution backend ×
-//!    output shape — with the analytic [`CostModel`], and ranks them by
+//!    fixes the kernel) × accumulator × parallel × output shape — with
+//!    the analytic [`CostModel`], and ranks them by
 //!    cost amortized under the caller's [`PlanningPolicy`] (expected
 //!    reuse, optional preprocessing budget). Each [`RankedPlan`] carries
 //!    the estimate, affinity and rationale behind its rank.
@@ -35,11 +35,10 @@
 //!    preparations under different plans coexist, which is what makes
 //!    feedback re-planning cheap to undo.
 //! 4. **Execute** — [`Engine::multiply`] / [`Engine::multiply_batch`] run
-//!    the prepared kernel on the plan's [`BackendId`] —
-//!    [`BackendId::ParallelCpu`] (rayon, the default) or the
-//!    single-threaded [`BackendId::SerialReference`] oracle — and return
-//!    an [`ExecutionReport`] with the executed plan and per-stage
-//!    wall-clock timings.
+//!    the prepared kernel — on the rayon pool when [`Plan::parallel`] is
+//!    set, else on the calling thread, the serial oracle the parallel path
+//!    is bit-identical to — and return an [`ExecutionReport`] with the
+//!    executed plan and per-stage wall-clock timings.
 //! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-fingerprint
 //!    EWMAs of observed kernel seconds per candidate plan. Observed
 //!    timings correct the cost model's estimates after every execution:
@@ -100,7 +99,6 @@ mod planner;
 mod prepared;
 mod report;
 
-pub use backend::BackendId;
 pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, PlanCache};
 pub use calibrate::{
     CalibrationProfile, CalibrationSample, Calibrator, ProfileParseError, PROFILE_SCHEMA_VERSION,

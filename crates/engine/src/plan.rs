@@ -5,12 +5,11 @@
 //! the row reordering (Table 1), the clustering scheme (§3.2, Algs. 2–3) —
 //! which also fixes the kernel, since Alg. 1 runs on `CSR_Cluster` and
 //! Gustavson on CSR — the sparse accumulator (Nagasaka et al.), whether
-//! the kernel runs in parallel and on which backend, and the output shape.
-//! Plans are plain `Copy + Eq + Hash` data: building one does no work
+//! the kernel runs in parallel, and the output shape. Plans are plain
+//! `Copy + Eq + Hash` data: building one does no work
 //! ([`crate::PreparedMatrix`] materializes it), and the plan itself is the
 //! cache and feedback identity of the pipeline it describes.
 
-use crate::backend::BackendId;
 use cw_reorder::advisor::Suggestion;
 use cw_reorder::Reordering;
 use cw_spgemm::rowwise::SpGemmOptions;
@@ -86,10 +85,9 @@ pub struct Plan {
     pub clustering: ClusteringStrategy,
     /// Sparse accumulator the kernel is instantiated with.
     pub acc: AccumulatorKind,
-    /// Run the kernel's rayon-parallel path.
+    /// Run the kernel's rayon-parallel path; `false` runs it on the calling
+    /// thread, the serial oracle the parallel path is bit-identical to.
     pub parallel: bool,
-    /// Execution backend the plan runs on.
-    pub backend: BackendId,
     /// What portion of the product to return ([`OutputShape::Full`] by
     /// default). A masked plan expects the mask operand alongside the
     /// multiply call.
@@ -104,15 +102,8 @@ impl Plan {
             clustering: ClusteringStrategy::None,
             acc: AccumulatorKind::Hash,
             parallel: true,
-            backend: BackendId::ParallelCpu,
             shape: OutputShape::Full,
         }
-    }
-
-    /// The same pipeline on a different execution backend (builder-style;
-    /// used to force a backend for ablations and cross-validation).
-    pub fn on_backend(self, backend: BackendId) -> Plan {
-        Plan { backend, ..self }
     }
 
     /// The same pipeline producing a different output shape
@@ -158,7 +149,8 @@ impl Plan {
         self.reorder != Reordering::Original || self.is_clusterwise()
     }
 
-    /// Compact human-readable form, e.g. `RCM → Variable → ClusterWise`.
+    /// Compact human-readable form, e.g.
+    /// `RCM → Variable → ClusterWise [Hash] @parallel`.
     pub fn describe(&self) -> String {
         let clustering = match self.clustering {
             ClusteringStrategy::None => "NoClustering".to_string(),
@@ -175,7 +167,7 @@ impl Plan {
             "{} → {clustering} → {kernel} [{:?}] @{}{shape}",
             self.reorder.name(),
             self.acc,
-            self.backend.name()
+            if self.parallel { "parallel" } else { "serial" }
         )
     }
 }
@@ -223,16 +215,20 @@ mod tests {
         let s = p.describe();
         assert!(s.contains("Degree") && s.contains("RowWise"), "{s}");
         let p = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
-        assert_eq!(p.describe(), "Original → Fixed(4) → ClusterWise [Hash] @parallel-cpu");
+        assert_eq!(p.describe(), "Original → Fixed(4) → ClusterWise [Hash] @parallel");
     }
 
     #[test]
     fn backend_is_part_of_the_knobs_and_description() {
+        // Where the kernel runs is the `parallel` field: it changes cache
+        // identity and the description, which never claims a pool a serial
+        // plan does not use.
         let p = Plan::baseline();
-        assert_eq!(p.backend, BackendId::ParallelCpu);
-        let t = p.on_backend(BackendId::SerialReference);
-        assert_ne!(p, t, "backend must change cache identity");
-        assert!(t.describe().contains("serial-reference"), "{}", t.describe());
+        assert!(p.parallel);
+        let t = Plan { parallel: false, ..p };
+        assert_ne!(p, t, "parallel must change cache identity");
+        assert!(t.describe().ends_with("@serial"), "{}", t.describe());
+        assert!(!t.describe().contains("parallel"), "{}", t.describe());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! outputs per Nagasaka et al.'s regime analysis; serial execution for
 //! matrices too small to amortize fork/join.
 
-use crate::backend::BackendId;
 use crate::calibrate::CalibrationProfile;
 use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
@@ -58,10 +57,6 @@ pub struct Planner {
     pub policy: PlanningPolicy,
     /// The analytic cost model pricing candidate plans.
     pub cost: CostModel,
-    /// When `Some`, every produced plan is pinned to this backend instead
-    /// of the default [`BackendId::ParallelCpu`] — how a service shard (or
-    /// a cross-validation suite) runs on the serial oracle end to end.
-    pub forced_backend: Option<BackendId>,
 }
 
 impl Default for Planner {
@@ -71,7 +66,6 @@ impl Default for Planner {
             cluster: ClusterConfig::default(),
             policy: PlanningPolicy::default(),
             cost: CostModel::default(),
-            forced_backend: None,
         }
     }
 }
@@ -85,12 +79,6 @@ impl Planner {
     /// Planner with an explicit seed and planning policy.
     pub fn with_policy(seed: u64, policy: PlanningPolicy) -> Planner {
         Planner { seed, policy, ..Planner::default() }
-    }
-
-    /// Planner pinned to one execution backend: every plan it produces
-    /// (ranked or suggestion-derived) carries `backend`.
-    pub fn with_backend(seed: u64, backend: BackendId) -> Planner {
-        Planner { seed, forced_backend: Some(backend), ..Planner::default() }
     }
 
     /// Planner whose cost model starts *calibrated*: the fitted
@@ -199,12 +187,8 @@ impl Planner {
         (self.tune(a, Plan::from_suggestion(suggestion)), why)
     }
 
-    /// Applies accumulator, parallelism, and backend fields from `a`'s
-    /// shape and the planner's backend pin.
+    /// Applies the accumulator and parallelism fields from `a`'s shape.
     fn tune(&self, a: &CsrMatrix, mut plan: Plan) -> Plan {
-        if let Some(backend) = self.forced_backend {
-            plan.backend = backend;
-        }
         // The accumulator is sized by the *output* width, which for C = A·B
         // is b.ncols — unknown at plan time. a.ncols is the contraction
         // dimension and tracks output width for the square/`A²` workloads
@@ -350,18 +334,6 @@ mod tests {
         let plan = Planner::default().plan(&a);
         assert_eq!(plan.clustering, ClusteringStrategy::Variable);
         assert!(plan.is_clusterwise());
-    }
-
-    #[test]
-    fn pinned_planner_produces_only_that_backend() {
-        let planner = Planner::with_backend(7, BackendId::SerialReference);
-        let a = gen::mesh::tri_mesh(14, 14, true, 2);
-        let ranked = planner.plans_costed(&a);
-        assert!(!ranked.is_empty());
-        for r in &ranked {
-            assert_eq!(r.plan.backend, BackendId::SerialReference, "{}", r.plan.describe());
-        }
-        assert_eq!(planner.plan(&a).backend, BackendId::SerialReference);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::time::Instant;
 /// An `A` operand with its plan fully materialized.
 #[derive(Debug, Clone)]
 pub struct PreparedMatrix {
-    /// The plan this preparation realizes (its `backend` field names the
-    /// backend every multiply runs on).
+    /// The plan this preparation realizes (its `parallel` field says
+    /// whether every multiply runs on the pool).
     pub plan: Plan,
     /// Fingerprint of the *original* (pre-permutation) operand.
     pub fingerprint: MatrixFingerprint,
@@ -121,9 +121,9 @@ impl PreparedMatrix {
         size_of::<Self>() + self.operand.approx_bytes() + row_map
     }
 
-    /// `C = A · b` shaped by the plan's [`OutputShape`], on the plan's
-    /// backend; rows of `C` come back in the original (pre-reordering)
-    /// order. Plans prepared with [`OutputShape::Masked`] must go through
+    /// `C = A · b` shaped by the plan's [`OutputShape`]; rows of `C` come
+    /// back in the original (pre-reordering) order. Plans prepared with
+    /// [`OutputShape::Masked`] must go through
     /// [`PreparedMatrix::multiply_shaped`] — the mask is request data, not
     /// part of the preparation.
     pub fn multiply(&self, b: &CsrMatrix) -> CsrMatrix {
@@ -199,7 +199,6 @@ impl PreparedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendId;
     use crate::plan::{ClusteringStrategy, Plan};
     use cw_reorder::Reordering;
     use cw_sparse::gen;
@@ -255,12 +254,12 @@ mod tests {
     fn every_builtin_backend_prepares_and_multiplies() {
         let a = gen::mesh::tri_mesh(10, 10, true, 2);
         let expect = spgemm_serial(&a, &a);
-        for id in BackendId::ALL {
-            let plan = Plan::baseline().on_backend(id);
+        for parallel in [true, false] {
+            let plan = Plan { parallel, ..Plan::baseline() };
             let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
-            assert_eq!(prepared.plan.backend, id);
+            assert_eq!(prepared.plan, plan);
             let got = prepared.multiply(&a);
-            assert!(got.numerically_eq(&expect, 1e-9), "backend {id:?} diverges");
+            assert!(got.numerically_eq(&expect, 1e-9), "parallel {parallel} diverges");
         }
     }
 

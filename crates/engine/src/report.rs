@@ -40,7 +40,7 @@ impl StageTimings {
 /// Record of one [`crate::Engine::multiply`] call.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
-    /// The plan that executed (`plan.backend` is where it ran).
+    /// The plan that executed (`plan.parallel`: whether on the pool).
     pub plan: Plan,
     /// Whether the cluster-wise kernel ran. `false` under a plan whose
     /// [`Plan::is_clusterwise`] is `true` means the preparation degraded:
@@ -136,7 +136,7 @@ mod tests {
         };
         let s = rep.summary();
         assert!(s.contains("hit") && s.contains("42"), "{s}");
-        assert!(s.contains("parallel-cpu"), "the backend must be visible: {s}");
+        assert!(s.contains("@parallel"), "where the kernel ran must be visible: {s}");
     }
 
     #[test]
@@ -154,7 +154,7 @@ mod tests {
         };
         assert!(!rep.summary().contains("ran RowWise"), "{}", rep.summary());
         rep.clusterwise = false;
-        assert!(rep.summary().contains("ClusterWise [Hash] @parallel-cpu (ran RowWise)"));
+        assert!(rep.summary().contains("ClusterWise [Hash] @parallel (ran RowWise)"));
     }
 
     #[test]

@@ -702,10 +702,10 @@ pub struct WireReport {
     pub latency_seconds: f64,
     /// Whether the prepared lhs came from the shard's plan cache.
     pub cache_hit: bool,
-    /// The executing backend's [`cw_engine::BackendId::index`] (`0`
-    /// parallel-cpu, `1` serial-reference; `2` and `3` are retired —
-    /// never emitted, decoded as no backend).
-    pub backend: u8,
+    /// Whether the kernel ran on the pool (the executed plan's
+    /// `parallel`). Byte 33: `0` when parallel, `1` when serial; a decoder
+    /// reads any non-zero byte as serial.
+    pub parallel: bool,
     /// Priority class the request was admitted under.
     pub priority: Priority,
     /// Deadline slack when the response was produced (`None` = no
@@ -731,17 +731,11 @@ impl WireReport {
             execute_seconds: report.execute_seconds,
             latency_seconds: report.latency_seconds,
             cache_hit: report.execution.cache_hit,
-            backend: report.execution.plan.backend.index() as u8,
+            parallel: report.execution.plan.parallel,
             priority: report.priority,
             deadline_slack_seconds: report.deadline_slack_seconds,
             shape: report.execution.plan.shape,
         }
-    }
-
-    /// The executing backend, when the wire byte names one this build
-    /// knows (`None` for the retired `2`/`3` and anything else).
-    pub fn backend_id(&self) -> Option<cw_engine::BackendId> {
-        cw_engine::BackendId::from_index(self.backend as usize)
     }
 
     /// Appends the fixed-size encoding to `out`.
@@ -752,7 +746,7 @@ impl WireReport {
         out.extend_from_slice(&self.execute_seconds.to_bits().to_le_bytes());
         out.extend_from_slice(&self.latency_seconds.to_bits().to_le_bytes());
         out.push(self.cache_hit as u8);
-        out.push(self.backend);
+        out.push(!self.parallel as u8);
         out.push(priority_to_wire(self.priority));
         out.push(self.deadline_slack_seconds.is_some() as u8);
         out.extend_from_slice(&self.deadline_slack_seconds.unwrap_or(0.0).to_bits().to_le_bytes());
@@ -787,7 +781,7 @@ impl WireReport {
                 execute_seconds: f64_at(16),
                 latency_seconds: f64_at(24),
                 cache_hit: buf[32] != 0,
-                backend: buf[33],
+                parallel: buf[33] == 0,
                 priority: priority_from_wire(buf[34]),
                 deadline_slack_seconds: has_slack.then(|| f64_at(36)),
                 shape,
@@ -1102,7 +1096,7 @@ mod tests {
     #[test]
     fn streamed_result_is_the_buffered_frame_in_both_directions() {
         let (product, _, _) = sample_operands();
-        let report = WireReport { shape: OutputShape::TopK(2), ..plain_report(1) };
+        let report = WireReport { shape: OutputShape::TopK(2), ..plain_report(false) };
         let payload = encode_result_payload(&report, &product);
         assert_eq!(payload.len(), result_payload_len(&product));
         let buffered =
@@ -1198,7 +1192,7 @@ mod tests {
             execute_seconds: 2.25e-4,
             latency_seconds: 1.8e-3,
             cache_hit: true,
-            backend: 1,
+            parallel: false,
             priority: Priority::Low,
             deadline_slack_seconds: Some(-0.25),
             shape: OutputShape::TopK(12),
@@ -1216,8 +1210,8 @@ mod tests {
         assert_eq!(WireReport::decode(&buf).unwrap().0.deadline_slack_seconds, None);
     }
 
-    /// An uneventful report served on the backend with wire byte `backend`.
-    fn plain_report(backend: u8) -> WireReport {
+    /// An uneventful report whose kernel ran on the pool or not.
+    fn plain_report(parallel: bool) -> WireReport {
         WireReport {
             shard: 0,
             batch_size: 1,
@@ -1225,7 +1219,7 @@ mod tests {
             execute_seconds: 0.0,
             latency_seconds: 0.0,
             cache_hit: false,
-            backend,
+            parallel,
             priority: Priority::High,
             deadline_slack_seconds: None,
             shape: OutputShape::Full,
@@ -1234,37 +1228,34 @@ mod tests {
 
     #[test]
     fn wire_report_backend_byte_is_total() {
-        use cw_engine::BackendId;
-        // Both live ids round-trip, at their pinned wire values.
-        for (id, byte) in [(BackendId::ParallelCpu, 0u8), (BackendId::SerialReference, 1)] {
-            assert_eq!(id.index(), byte as usize, "the wire value of {id:?} is pinned");
+        // Both values round-trip, at their pinned wire bytes: `0` parallel
+        // (what older peers call parallel-cpu), `1` serial.
+        for (parallel, byte) in [(true, 0u8), (false, 1)] {
             let mut buf = Vec::new();
-            plain_report(id.index() as u8).encode_into(&mut buf);
+            plain_report(parallel).encode_into(&mut buf);
             assert_eq!(buf.len(), WIRE_REPORT_BYTES);
             assert_eq!(buf[33], byte);
-            assert_eq!(WireReport::decode(&buf).unwrap().0.backend_id(), Some(id));
+            assert_eq!(WireReport::decode(&buf).unwrap().0.parallel, parallel);
         }
-        // Retired (2, 3) and unknown bytes decode without error to "no
-        // backend" — never silently to parallel-cpu.
+        // Every non-zero byte — the retired 2 and 3 included — decodes
+        // without error as "not parallel", never silently as parallel.
         let mut buf = Vec::new();
-        plain_report(0).encode_into(&mut buf);
-        for byte in [2u8, 3, 255] {
+        plain_report(true).encode_into(&mut buf);
+        for byte in [1u8, 2, 3, 255] {
             buf[33] = byte;
             let (decoded, used) = WireReport::decode(&buf).expect("the report still decodes");
             assert_eq!(used, WIRE_REPORT_BYTES);
-            assert_eq!(decoded.backend, byte);
-            assert_eq!(decoded.backend_id(), None);
+            assert!(!decoded.parallel, "byte {byte}");
         }
     }
 
     #[test]
     fn result_payload_round_trip() {
         let product = CsrMatrix::identity(9);
-        let report = plain_report(0);
+        let report = plain_report(true);
         let p = encode_result_payload(&report, &product);
         let (r2, p2) = decode_result_payload(&p).unwrap();
         assert_eq!(report, r2);
         assert_eq!(product, p2);
-        assert_eq!(r2.backend_id(), Some(cw_engine::BackendId::ParallelCpu));
     }
 }

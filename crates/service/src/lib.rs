@@ -25,13 +25,8 @@
 //!   empirically fastest plan per operand with no cross-thread locking;
 //!   plan switches surface as [`ServiceReport::replanned`] and the
 //!   per-shard `replans` counter.
-//! * **Backend selection** — shards plan onto the rayon backend
-//!   ([`cw_engine::BackendId::ParallelCpu`]) by default;
-//!   [`ServiceConfig::backend`] pins every shard to one backend end to
-//!   end (the serial oracle, for validation deployments), and each
-//!   [`ServiceReport`] names the backend that served it.
 //! * **Observability** — every response carries a [`ServiceReport`]
-//!   (queue wait, batch size, executing backend, cache outcome, feedback
+//!   (queue wait, batch size, the executed plan, cache outcome, feedback
 //!   calibration state, per-stage [`cw_engine::ExecutionReport`]
 //!   timings), and
 //!   [`SpgemmService::stats`] aggregates throughput, p50/p99 latency
@@ -40,7 +35,7 @@
 //!   every counter lives on the [`cw_obs`] substrate: the
 //!   [`SpgemmService::metrics`] registry exposes the same cells plus
 //!   always-on mergeable histograms (`latency_seconds`, `queue_seconds`,
-//!   `execute_seconds`, `batch_size`, `kernel_seconds.<backend>`), and
+//!   `execute_seconds`, `batch_size`, `kernel_seconds`), and
 //!   [`ServiceConfig::tracing`] turns each request into a structured
 //!   span trace (`request` → `queue`/`coalesce`/`dispatch`/`serve` →
 //!   `plan`/`prepare`/`execute`/`postprocess`) kept in a bounded flight

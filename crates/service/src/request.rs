@@ -189,11 +189,10 @@ pub struct ServiceReport {
     pub deadline_slack_seconds: Option<f64>,
     /// The engine's per-stage report for the underlying multiply:
     /// `execution.cache_hit` says whether the prepared lhs came from the
-    /// shard's plan cache (or the batch head), `execution.plan.backend`
-    /// which backend served it (the shard's pinned backend, the planner's
-    /// choice, or the request's forced plan — see
-    /// [`crate::ServiceConfig::backend`]) and `execution.plan.shape` the
-    /// output shape it executed under.
+    /// shard's plan cache (or the batch head), `execution.plan.parallel`
+    /// whether the kernel ran on the pool (the planner's choice, or the
+    /// request's forced plan) and `execution.plan.shape` the output shape
+    /// it executed under.
     pub execution: ExecutionReport,
 }
 

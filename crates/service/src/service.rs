@@ -4,7 +4,7 @@ use crate::request::{MultiplyRequest, SubmitError, Ticket};
 use crate::shard::{worker_loop, Batch, ShardObs, SlotGuard, Submission, WorkerCtx};
 use crate::stats::{LatencySummary, ServiceStats};
 use cw_engine::{
-    BackendId, CacheBudget, CalibrationProfile, Engine, PlanCache, Planner, PlanningPolicy,
+    CacheBudget, CalibrationProfile, Engine, PlanCache, Planner, PlanningPolicy,
     DEFAULT_CACHE_CAPACITY,
 };
 use cw_obs::{export, Counter, FlightRecorder, LogHistogram, MetricsRegistry, Tracer};
@@ -42,12 +42,6 @@ pub struct ServiceConfig {
     /// preprocessing budget, and whether the per-shard feedback loop may
     /// re-plan operands from observed timings.
     pub policy: PlanningPolicy,
-    /// Execution-backend selection for the shards. `None` (the default)
-    /// plans onto [`BackendId::ParallelCpu`]. `Some(id)` pins every
-    /// shard's planner to that backend (an oracle deployment on
-    /// [`BackendId::SerialReference`]); per-request forced plans still
-    /// override it.
-    pub backend: Option<BackendId>,
     /// Optional fitted [`CalibrationProfile`] installed into every shard's
     /// planner ([`Planner::with_profile`]): first-sight plan ranking then
     /// uses this machine's measured cost constants instead of the
@@ -87,7 +81,6 @@ impl Default for ServiceConfig {
             cache_budget: CacheBudget::entries(DEFAULT_CACHE_CAPACITY),
             seed: Planner::default().seed,
             policy: PlanningPolicy::default(),
-            backend: None,
             profile: None,
             tracing: false,
             flight_capacity: FlightRecorder::DEFAULT_CAPACITY,
@@ -190,10 +183,7 @@ impl SpgemmService {
         let queue_seconds = metrics.histogram("queue_seconds");
         let execute_seconds = metrics.histogram("execute_seconds");
         let batch_size = metrics.histogram("batch_size");
-        let kernel_seconds: Vec<_> = BackendId::ALL
-            .iter()
-            .map(|b| metrics.histogram(&format!("kernel_seconds.{}", b.name())))
-            .collect();
+        let kernel_seconds = metrics.histogram("kernel_seconds");
         // Parallel-pool telemetry (see `rayon::pool_stats`): registered up
         // front so the names are present in every export, synced lazily on
         // the read paths (`stats`/`metrics`/`export_jsonl`).
@@ -210,7 +200,7 @@ impl SpgemmService {
                 Some(profile) => Planner::with_profile(config.seed, profile),
                 None => Planner::with_seed(config.seed),
             };
-            let planner = Planner { forced_backend: config.backend, policy: config.policy, ..base };
+            let planner = Planner { policy: config.policy, ..base };
             let mut engine =
                 Engine::with_cache(planner, PlanCache::with_budget(config.cache_budget));
             engine.set_tracer(Arc::clone(&tracer));
@@ -241,7 +231,7 @@ impl SpgemmService {
                 queue_seconds: Arc::clone(&queue_seconds),
                 execute_seconds: Arc::clone(&execute_seconds),
                 batch_size: Arc::clone(&batch_size),
-                kernel_seconds: kernel_seconds.clone(),
+                kernel_seconds: Arc::clone(&kernel_seconds),
                 queue_depth: Arc::clone(&queue_depth),
                 in_flight: Arc::clone(&in_flight),
             };
@@ -701,29 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_backend_serves_every_request_on_it() {
-        let a = arc(gen::grid::poisson2d(11, 11));
-        let service = SpgemmService::new(ServiceConfig {
-            shards: 2,
-            backend: Some(BackendId::SerialReference),
-            ..ServiceConfig::default()
-        });
-        for _ in 0..3 {
-            let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-            let resp = t.wait().unwrap();
-            assert_eq!(resp.report.execution.plan.backend, BackendId::SerialReference);
-            assert!(resp.product.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
-        }
-        service.shutdown();
-
-        // The default config stays on the planner's choice: parallel-cpu.
-        let service = SpgemmService::new(ServiceConfig::default());
-        let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-        assert_eq!(t.wait().unwrap().report.execution.plan.backend, BackendId::ParallelCpu);
-        service.shutdown();
-    }
-
-    #[test]
     fn shape_mismatch_is_rejected_at_submit_and_shards_survive() {
         let a = arc(gen::grid::poisson2d(10, 10)); // 100 × 100
         let bad = arc(gen::grid::poisson2d(5, 5)); // 25 × 25
@@ -939,13 +906,9 @@ mod tests {
         let latency = snap.histogram("latency_seconds").expect("latency histogram");
         assert_eq!(latency.count, stats.completed);
         assert!(latency.quantile(0.5) > 0.0);
-        // Kernel time was recorded for the backend that actually served.
-        let kernels: u64 = BackendId::ALL
-            .iter()
-            .filter_map(|b| snap.histogram(&format!("kernel_seconds.{}", b.name())))
-            .map(|h| h.count)
-            .sum();
-        assert_eq!(kernels, stats.completed);
+        // Every served request recorded its kernel time.
+        let kernels = snap.histogram("kernel_seconds").expect("kernel histogram");
+        assert_eq!(kernels.count, stats.completed);
         // The JSON-lines export is non-empty and versioned even without
         // tracing (metrics line only).
         assert!(service.export_jsonl().starts_with("{\"schema_version\":"));

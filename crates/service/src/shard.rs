@@ -138,9 +138,7 @@ pub(crate) struct WorkerCtx {
     pub(crate) queue_seconds: Arc<LogHistogram>,
     pub(crate) execute_seconds: Arc<LogHistogram>,
     pub(crate) batch_size: Arc<LogHistogram>,
-    /// Kernel-seconds histograms, one per backend, indexed by
-    /// [`cw_engine::BackendId::index`].
-    pub(crate) kernel_seconds: Vec<Arc<LogHistogram>>,
+    pub(crate) kernel_seconds: Arc<LogHistogram>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) in_flight: Arc<AtomicUsize>,
 }
@@ -233,8 +231,7 @@ pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCt
             ctx.queue_seconds.record(queue_seconds);
             ctx.execute_seconds.record(execute_seconds);
             ctx.latency_seconds.record(latency_seconds);
-            ctx.kernel_seconds[execution.plan.backend.index()]
-                .record(execution.timings.kernel_seconds);
+            ctx.kernel_seconds.record(execution.timings.kernel_seconds);
             let report = ServiceReport {
                 request_id: sub.id,
                 shard: ctx.shard,

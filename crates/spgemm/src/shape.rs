@@ -19,8 +19,8 @@
 //!
 //! Both kernels are deterministic: [`apply_mask`] preserves the input's
 //! column order, and [`row_topk`] breaks magnitude ties toward the
-//! smaller column index, so two backends producing bit-identical full
-//! products produce bit-identical shaped products.
+//! smaller column index, so two runs producing bit-identical full
+//! products (parallel and serial) produce bit-identical shaped products.
 
 use cw_sparse::{ColIdx, CsrMatrix, Value};
 

@@ -13,26 +13,19 @@ use clusterwise_spgemm::engine::Suggestion;
 use clusterwise_spgemm::prelude::*;
 use std::time::Instant;
 
-/// The same planned pipeline forced onto the serial oracle and the rayon
-/// backend: bit-identical outputs, different timings.
-fn backend_tour(engine: &mut Engine, a: &CsrMatrix) {
-    println!("=== execution backends: one pipeline, serial oracle vs rayon ===");
+/// The same planned pipeline run serially (the oracle) and on the rayon
+/// pool: bit-identical outputs, different timings.
+fn serial_vs_parallel_tour(engine: &mut Engine, a: &CsrMatrix) {
+    println!("=== one pipeline, serial oracle vs parallel ===");
     let pipeline = engine.planner().plan(a);
-    let mut oracle: Option<CsrMatrix> = None;
-    for id in [BackendId::SerialReference, BackendId::ParallelCpu] {
-        // Forcing a backend is just a plan field; each backend's
-        // preparation caches under its own (fingerprint, plan) key.
-        let (c, rep) = engine.multiply_planned(a, a, pipeline.on_backend(id));
-        println!("{:>16}: {}", id.name(), rep.summary());
-        match &oracle {
-            None => oracle = Some(c),
-            Some(reference) => assert!(
-                c.numerically_eq(reference, 0.0),
-                "{id:?} must be bit-identical to the serial oracle"
-            ),
-        }
-    }
-    println!("parallel-cpu bit-identical to the serial-reference oracle ✓\n");
+    // Parallelism is just a plan field; each side's preparation caches
+    // under its own (fingerprint, plan) key.
+    let (oracle, rep) = engine.multiply_planned(a, a, Plan { parallel: false, ..pipeline });
+    println!("  serial: {}", rep.summary());
+    let (c, rep) = engine.multiply_planned(a, a, Plan { parallel: true, ..pipeline });
+    println!("parallel: {}", rep.summary());
+    assert!(c.bits_eq(&oracle), "the parallel run must be bit-identical to the serial oracle");
+    println!("parallel bit-identical to the serial oracle ✓\n");
 }
 
 fn main() {
@@ -112,8 +105,8 @@ fn main() {
     let (_, rep) = engine.multiply_planned(&mesh, &mesh, forced);
     println!("forced ClusterInPlace on the mesh: {}", rep.summary());
 
-    // The same pipeline on both execution backends.
-    backend_tour(&mut engine, &blocks);
+    // The same pipeline serially and in parallel.
+    serial_vs_parallel_tour(&mut engine, &blocks);
 
     let stats = engine.cache_stats();
     println!(

@@ -43,7 +43,7 @@ fn main() {
         execute_seconds: 0.0,
         latency_seconds: 0.0,
         cache_hit: true,
-        backend: 0,
+        parallel: true,
         priority: Priority::High,
         deadline_slack_seconds: None,
         shape: OutputShape::Full,

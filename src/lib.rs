@@ -45,10 +45,10 @@
 //!   (expected reuse, preprocessing budget); `PreparedMatrix` materializes
 //!   the chosen plan once; a (fingerprint, plan)-keyed `PlanCache` (entry-
 //!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
-//!   `Engine::multiply` executes on the plan's backend
-//!   (`BackendId::ParallelCpu`, rayon, by default; the single-threaded
-//!   `BackendId::SerialReference` oracle for validation), reports
-//!   per-stage timings, and feeds observed kernel seconds into a
+//!   `Engine::multiply` executes the kernel (on the rayon pool when the
+//!   plan's `parallel` is set; `parallel: false` is the serial oracle the
+//!   parallel path is bit-identical to), reports per-stage timings, and
+//!   feeds observed kernel seconds into a
 //!   per-operand `FeedbackStore` that demotes mispredicted plans so
 //!   traffic converges on the empirically fastest pipeline. The cost
 //!   model's constants can also be fitted *offline*: a `Calibrator`
@@ -111,12 +111,14 @@
 //! assert!(c_first.numerically_eq(&c_again, 0.0));
 //! assert!(c_first.numerically_eq(&spgemm(&a, &a), 1e-9));
 //!
-//! // The backend is a plan field: force the serial oracle for a
-//! // single-threaded reference run of the *same* pipeline.
-//! let oracle_plan = first.plan.on_backend(BackendId::SerialReference);
-//! let (c_oracle, oracle) = engine.multiply_planned(&a, &a, oracle_plan);
-//! assert_eq!(oracle.plan.backend, BackendId::SerialReference);
-//! assert!(c_oracle.numerically_eq(&c_first, 0.0));
+//! // Parallelism is a plan field. 96 rows is too few to pay for the pool,
+//! // so the planner ran the kernel serially; the same pipeline on the
+//! // pool returns the same bits.
+//! assert!(!first.plan.parallel);
+//! let parallel_plan = Plan { parallel: true, ..first.plan };
+//! let (c_parallel, parallel) = engine.multiply_planned(&a, &a, parallel_plan);
+//! assert_eq!(parallel.plan, parallel_plan);
+//! assert!(c_parallel.bits_eq(&c_first));
 //! ```
 //!
 //! ## Quickstart: shaped products (masked & top-k)
@@ -272,9 +274,9 @@ pub mod prelude {
         ClusterConfig, Clustering, CsrCluster,
     };
     pub use cw_engine::{
-        BackendId, CacheBudget, CalibrationProfile, Calibrator, ClusteringStrategy, CostModel,
-        Engine, ExecutionReport, FeedbackStore, OutputShape, Plan, PlanCache, Planner,
-        PlanningPolicy, PreparedMatrix,
+        CacheBudget, CalibrationProfile, Calibrator, ClusteringStrategy, CostModel, Engine,
+        ExecutionReport, FeedbackStore, OutputShape, Plan, PlanCache, Planner, PlanningPolicy,
+        PreparedMatrix,
     };
     pub use cw_net::{
         ClientConfig, NetClient, NetError, NetServer, NetServerConfig, Qos, RoutedClient,

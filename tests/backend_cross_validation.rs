@@ -1,57 +1,44 @@
-//! Backend cross-validation: `ParallelCpu` must be **bit-identical** to
-//! the `SerialReference` oracle — same sparsity pattern (explicit zeros
-//! included), same floating-point values to the last ulp — across every
-//! planner branch and over random matrices.
+//! Parallel ≡ serial: a plan run on the rayon pool must be
+//! **bit-identical** to the same plan with `parallel: false`, the serial
+//! oracle — same sparsity pattern (explicit zeros included), same
+//! floating-point values to the last ulp — across every planner branch,
+//! every output shape, and over random matrices. The parallel side runs in
+//! pools pinned to two and eight workers, so it is cut into chunks whatever
+//! the process-wide pool width.
 //!
 //! Bit-identity is achievable (not just approximate agreement) because the
-//! backends differ only in *where* work runs, never in the per-entry
-//! arithmetic order: the row-wise and cluster-wise kernels accumulate each
-//! output entry in ascending-`k` order whether execution is serial or
+//! two differ only in *where* work runs, never in the per-entry arithmetic
+//! order: the row-wise and cluster-wise kernels accumulate each output
+//! entry in ascending-`k` order whether execution is serial or
 //! rayon-chunked, and every accumulator extracts sorted columns. Any
 //! divergence therefore indicates a real dispatch bug, not floating-point
 //! noise.
 
+mod common;
+
 use clusterwise_spgemm::engine::{
-    BackendId, ClusteringStrategy, OutputShape, Plan, Planner, PreparedMatrix, Suggestion,
+    ClusteringStrategy, OutputShape, Plan, Planner, PreparedMatrix, Suggestion,
+    DEFAULT_CACHE_CAPACITY,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::{fingerprint, CooMatrix};
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
+use common::assert_parallel_matches_serial;
 use proptest::prelude::*;
 
 const SEED: u64 = 7;
 
-/// The backends validated against the [`BackendId::SerialReference`]
-/// oracle: every other id.
-fn validated_backends() -> impl Iterator<Item = BackendId> {
-    BackendId::ALL.into_iter().filter(|&id| id != BackendId::SerialReference)
-}
-
-/// `A · b` under `plan` pinned to `id`.
-fn product_on(id: BackendId, a: &CsrMatrix, b: &CsrMatrix, plan: Plan) -> CsrMatrix {
-    PreparedMatrix::prepare(a, plan.on_backend(id), SEED, &ClusterConfig::default()).multiply(b)
-}
-
-/// Asserts every backend reproduces the oracle bit for bit.
-fn assert_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
-    let oracle = product_on(BackendId::SerialReference, a, a, plan);
-    // Sanity: the oracle itself agrees with the independent row-wise
-    // serial baseline (up to the usual float tolerance — different
-    // pipeline, different summation order).
+/// Parallel ≡ serial on `plan`'s full product, and the serial oracle
+/// agrees with the independent row-wise serial baseline (up to the usual
+/// float tolerance — different pipeline, different summation order).
+fn assert_full_product_matches(name: &str, a: &CsrMatrix, plan: Plan) {
+    let oracle = assert_parallel_matches_serial(name, a, plan, None);
     assert!(
         oracle.numerically_eq(&spgemm_serial(a, a), 1e-9),
         "{name}: oracle diverges from the row-wise baseline under {}",
         plan.describe()
     );
-    for id in validated_backends() {
-        let got = product_on(id, a, a, plan);
-        assert!(
-            got.bits_eq(&oracle),
-            "{name}: backend {id:?} is not bit-identical to the serial oracle under {}",
-            plan.describe()
-        );
-    }
 }
 
 /// The generator corpus exercising every structural family the advisor's
@@ -68,7 +55,7 @@ fn corpus() -> Vec<(&'static str, CsrMatrix)> {
 }
 
 #[test]
-fn every_advisor_branch_is_bit_identical_across_backends() {
+fn every_advisor_branch_parallel_equals_serial() {
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [
@@ -79,22 +66,22 @@ fn every_advisor_branch_is_bit_identical_across_backends() {
             Suggestion::Reorder(Reordering::Degree),
         ] {
             let plan = planner.plan_for_suggestion(&a, suggestion);
-            assert_backends_match_oracle(name, &a, plan);
+            assert_full_product_matches(name, &a, plan);
         }
     }
 }
 
 #[test]
-fn every_ranked_candidate_is_bit_identical_across_backends() {
-    // The planner's own fall-through list must be exact on every backend,
-    // so a feedback-driven plan switch can never change results.
+fn every_ranked_candidate_parallel_equals_serial() {
+    // The planner's own fall-through list must be exact either way, so a
+    // feedback-driven plan switch can never change results.
     let planner = Planner::default();
     for (name, a) in [
         ("scrambled_mesh", gen::mesh::tri_mesh(11, 11, true, 7)),
         ("block_diagonal", gen::banded::block_diagonal(80, (4, 8), 0.15, 1)),
     ] {
         for ranked in planner.plans_costed(&a) {
-            assert_backends_match_oracle(name, &a, ranked.plan);
+            assert_full_product_matches(name, &a, ranked.plan);
         }
     }
 }
@@ -104,74 +91,42 @@ fn fixed_cluster_lengths_are_bit_identical_across_backends() {
     let a = gen::grid::poisson2d(10, 9);
     for k in [1usize, 3, 8] {
         let plan = Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() };
-        assert_backends_match_oracle("poisson_rect", &a, plan);
+        assert_full_product_matches("poisson_rect", &a, plan);
     }
 }
 
 #[test]
-fn engine_traffic_on_forced_backends_matches_the_oracle_engine() {
-    // End-to-end through Engine (cache + feedback in the loop): an engine
-    // whose planner is pinned to each backend serves the same products as
-    // the oracle-pinned engine.
+fn engine_traffic_parallel_equals_the_serial_engine() {
+    // End to end through Engine (cache + feedback in the loop). 144 rows is
+    // below the planner's parallel threshold, so the auto door *is* the
+    // serial engine; the same pipeline forced parallel, in pinned-width
+    // pools, must serve the same products round after round.
     let a = gen::mesh::tri_mesh(12, 12, true, 5);
-    let mut oracle_engine = Engine::new(
-        Planner::with_backend(SEED, BackendId::SerialReference),
-        clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
-    );
-    let (oracle, _) = oracle_engine.multiply(&a, &a);
-    for id in validated_backends() {
-        let mut engine = Engine::new(
-            Planner::with_backend(SEED, id),
-            clusterwise_spgemm::engine::DEFAULT_CACHE_CAPACITY,
-        );
+    let mut oracle_engine = Engine::new(Planner::with_seed(SEED), DEFAULT_CACHE_CAPACITY);
+    let (oracle, oracle_report) = oracle_engine.multiply(&a, &a);
+    assert!(!oracle_report.plan.parallel, "{}", oracle_report.plan.describe());
+    let forced = Plan { parallel: true, ..oracle_report.plan };
+    for width in [2, 8] {
+        let mut engine = Engine::new(Planner::with_seed(SEED), DEFAULT_CACHE_CAPACITY);
         for round in 0..3 {
-            let (got, rep) = engine.multiply(&a, &a);
-            assert_eq!(rep.plan.backend, id, "round {round}");
+            let (got, rep) =
+                rayon::with_pool_width(width, || engine.multiply_planned(&a, &a, forced));
+            assert_eq!(rep.plan, forced, "round {round}");
+            assert_eq!(rep.cache_hit, round > 0, "round {round}");
             assert!(
                 got.bits_eq(&oracle),
-                "engine on {id:?} diverges from the oracle engine (round {round})"
+                "width {width}: the parallel engine diverges from the serial one (round {round})"
             );
         }
     }
 }
 
 #[test]
-fn candidates_never_differ_only_in_backend() {
-    // The backend is not a search axis: the planner offers each pipeline
-    // once, on the default backend (or on the pin), so the feedback loop
-    // has no behaviourally identical twin to flap onto.
-    for (name, a) in corpus() {
-        for shape in [OutputShape::Full, OutputShape::Masked, OutputShape::TopK(2)] {
-            for (planner, expected) in [
-                (Planner::default(), BackendId::ParallelCpu),
-                (
-                    Planner::with_backend(SEED, BackendId::SerialReference),
-                    BackendId::SerialReference,
-                ),
-            ] {
-                let ranked = planner.plans_costed_shaped(&a, shape);
-                for (i, x) in ranked.iter().enumerate() {
-                    assert_eq!(x.plan.backend, expected, "{name}/{shape:?}: {}", x.plan.describe());
-                    for y in &ranked[i + 1..] {
-                        assert_ne!(
-                            x.plan.on_backend(y.plan.backend),
-                            y.plan,
-                            "{name}/{shape:?}: {} and {} differ only in backend",
-                            x.plan.describe(),
-                            y.plan.describe()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn the_default_door_only_ever_serves_on_parallel_cpu() {
+fn the_default_door_never_flips_the_planned_parallelism() {
     // 2 000 adaptive multiplies over 8 shuffles of one small mesh — the
-    // shape of traffic where feedback used to adopt a slower backend on a
-    // timing spike. Whatever plan switches happen, none leaves the backend.
+    // shape of traffic where feedback used to adopt a slower twin on a
+    // timing spike. Whatever plan switches happen, every plan keeps the
+    // planner's choice for a 400-row operand: serial.
     let natural = gen::mesh::tri_mesh(20, 20, false, 11);
     let shuffles: Vec<CsrMatrix> = (0..8u64)
         .map(|i| {
@@ -183,25 +138,8 @@ fn the_default_door_only_ever_serves_on_parallel_cpu() {
     for op in 0..2000 {
         let a = &shuffles[op % shuffles.len()];
         let (_, report) = engine.multiply(a, a);
-        assert_eq!(
-            report.plan.backend,
-            BackendId::ParallelCpu,
-            "op {op}: {}",
-            report.plan.describe()
-        );
+        assert!(!report.plan.parallel, "op {op}: {}", report.plan.describe());
     }
-}
-
-/// `shape(A · A)` under `plan` restamped to `shape`, pinned to `id`.
-fn shaped_product_on(
-    id: BackendId,
-    a: &CsrMatrix,
-    plan: Plan,
-    shape: OutputShape,
-    mask: Option<&CsrMatrix>,
-) -> CsrMatrix {
-    let plan = plan.on_backend(id).with_shape(shape);
-    PreparedMatrix::prepare(a, plan, SEED, &ClusterConfig::default()).multiply_shaped(a, mask)
 }
 
 /// The output-shape fixtures for the square product `A · A`: top-k with
@@ -225,14 +163,14 @@ fn shape_cases(a: &CsrMatrix) -> Vec<(&'static str, OutputShape, Option<CsrMatri
     ]
 }
 
-/// Asserts, for every shape fixture: (1) the serial shaped product equals
-/// the shape transform applied to the serial *full* product — the shapes
-/// are pure row-local postprocesses; (2) every other backend reproduces
-/// the shaped oracle bit for bit, including under plans that permute rows
+/// Asserts, for every shape fixture: (1) the parallel shaped product is
+/// bit-identical to the serial one, including under plans that permute rows
 /// (each computed row has to meet the mask row, and land in the result row,
-/// of the original order).
-fn assert_shaped_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
-    let full = product_on(BackendId::SerialReference, a, a, plan);
+/// of the original order); (2) the serial shaped product equals the shape
+/// transform applied to the serial *full* product — the shapes are pure
+/// row-local postprocesses.
+fn assert_shaped_products_match(name: &str, a: &CsrMatrix, plan: Plan) {
+    let full = assert_parallel_matches_serial(name, a, plan, None);
     for (label, shape, mask) in shape_cases(a) {
         let mask = mask.as_ref();
         let expected = match shape {
@@ -240,29 +178,22 @@ fn assert_shaped_backends_match_oracle(name: &str, a: &CsrMatrix, plan: Plan) {
             OutputShape::TopK(k) => row_topk(&full, k),
             OutputShape::Masked => apply_mask(&full, mask.unwrap()),
         };
-        let oracle = shaped_product_on(BackendId::SerialReference, a, plan, shape, mask);
+        let what = format!("{name}/{label}");
+        let oracle = assert_parallel_matches_serial(&what, a, plan.with_shape(shape), mask);
         assert!(
             oracle.bits_eq(&expected),
-            "{name}/{label}: shaped serial product is not the postprocessed full product under {}",
+            "{what}: shaped serial product is not the postprocessed full product under {}",
             plan.describe()
         );
-        for id in validated_backends() {
-            let got = shaped_product_on(id, a, plan, shape, mask);
-            assert!(
-                got.bits_eq(&oracle),
-                "{name}/{label}: backend {id:?} is not bit-identical to the shaped oracle under {}",
-                plan.describe()
-            );
-        }
     }
 }
 
 #[test]
-fn shaped_products_are_bit_identical_across_backends() {
+fn shaped_products_parallel_equals_serial() {
     // Full-product bit-identity must carry over to masked and top-k
-    // outputs on every backend — including under reordering plans, where
-    // the kernel computes rows in its own order and must match each one to
-    // the caller's mask row and result row.
+    // outputs — including under reordering plans, where the kernel
+    // computes rows in its own order and must match each one to the
+    // caller's mask row and result row.
     let planner = Planner::default();
     for (name, a) in corpus() {
         for suggestion in [
@@ -271,7 +202,7 @@ fn shaped_products_are_bit_identical_across_backends() {
             Suggestion::Hierarchical,
         ] {
             let plan = planner.plan_for_suggestion(&a, suggestion);
-            assert_shaped_backends_match_oracle(name, &a, plan);
+            assert_shaped_products_match(name, &a, plan);
         }
     }
 }
@@ -301,20 +232,20 @@ fn shaped_degenerate_rows_stay_bit_identical() {
     for plan in
         [Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(3), ..Plan::baseline() }]
     {
-        assert_shaped_backends_match_oracle("degenerate", &a, plan);
+        assert_shaped_products_match("degenerate", &a, plan);
     }
 }
 
 #[test]
 fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
-    // A plan is six fields and every value of each is enumerable, so this is
+    // A plan is five fields and every value of each is enumerable, so this is
     // the table's outer half in full: reordering × clustering × accumulator ×
-    // parallel × backend × shape, each product compared bit for bit with the
-    // plain serial row-wise product (shaped by the public row-local
-    // transforms). Row reordering permutes whole rows and both kernels
-    // accumulate an output entry in ascending-`k` order, so no plan may
-    // change a single bit (`CsrMatrix::bits_eq`: stricter than
-    // `approx_eq(_, 0.0)`, which lets `-0.0` pass for `0.0`).
+    // parallel × shape, each product compared bit for bit with the plain
+    // serial row-wise product (shaped by the public row-local transforms).
+    // Row reordering permutes whole rows and both kernels accumulate an
+    // output entry in ascending-`k` order, so no plan may change a single
+    // bit (`CsrMatrix::bits_eq`: stricter than `approx_eq(_, 0.0)`, which
+    // lets `-0.0` pass for `0.0`).
     let mut reorderings = Reordering::all_ten();
     reorderings.push(Reordering::Original);
     for (name, a) in [
@@ -336,21 +267,15 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
                 ClusteringStrategy::Hierarchical,
             ] {
                 for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
-                    for (parallel, backend) in [
-                        (true, BackendId::ParallelCpu),
-                        (false, BackendId::ParallelCpu),
-                        (true, BackendId::SerialReference),
-                        (false, BackendId::SerialReference),
-                    ] {
+                    for parallel in [true, false] {
                         for (shape, mask, expect) in &expected {
-                            let plan =
-                                Plan { reorder, clustering, acc, parallel, backend, shape: *shape };
+                            let plan = Plan { reorder, clustering, acc, parallel, shape: *shape };
                             let got =
                                 PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
                                     .multiply_shaped(&a, *mask);
                             assert!(
                                 got.bits_eq(expect),
-                                "{name}: {} (parallel {parallel}) changes bits",
+                                "{name}: {} changes bits",
                                 plan.describe()
                             );
                         }
@@ -414,8 +339,7 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
             for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                 for parallel in [false, true] {
                     for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
-                        let plan =
-                            Plan { reorder, clustering, acc, parallel, shape, ..Plan::baseline() };
+                        let plan = Plan { reorder, clustering, acc, parallel, shape };
                         for (name, b, b_is_a) in rhs {
                             let what = format!("{name} under {}", plan.describe());
                             let full = spgemm_serial(&a, b);
@@ -507,6 +431,7 @@ fn sparse_square(max_n: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+
     #[test]
     fn random_matrices_are_bit_identical_across_backends(a in sparse_square(40, 220)) {
         let planner = Planner::default();
@@ -518,25 +443,19 @@ proptest! {
         ];
         plans.dedup();
         for plan in plans {
-            let oracle = product_on(BackendId::SerialReference, &a, &a, plan);
-            for id in validated_backends() {
-                let got = product_on(id, &a, &a, plan);
-                prop_assert!(
-                    got.bits_eq(&oracle),
-                    "backend {:?} diverges on a random {}x{} matrix under {}",
-                    id, a.nrows, a.ncols, plan.describe()
-                );
-            }
+            let what = format!("a random {}x{} matrix", a.nrows, a.ncols);
+            assert_parallel_matches_serial(&what, &a, plan, None);
         }
     }
 
     #[test]
-    fn random_shaped_products_are_bit_identical_across_backends(
+    fn random_shaped_products_parallel_equals_serial(
         a in sparse_square(32, 160),
         k in 0usize..6,
     ) {
         let plan = Planner::default().plan(&a);
-        let full = product_on(BackendId::SerialReference, &a, &a, plan);
+        let what = format!("a random {}x{} matrix", a.nrows, a.ncols);
+        let full = assert_parallel_matches_serial(&what, &a, plan, None);
         for (shape, mask) in [
             (OutputShape::TopK(k), None),
             (OutputShape::Masked, Some(a.clone())),
@@ -547,14 +466,12 @@ proptest! {
                 OutputShape::TopK(k) => row_topk(&full, k),
                 OutputShape::Masked => apply_mask(&full, mask.unwrap()),
             };
-            for id in BackendId::ALL {
-                let got = shaped_product_on(id, &a, plan, shape, mask);
-                prop_assert!(
-                    got.bits_eq(&expected),
-                    "backend {:?} diverges from the postprocessed oracle for {:?} on a random {}x{} matrix under {}",
-                    id, shape, a.nrows, a.ncols, plan.describe()
-                );
-            }
+            let got = assert_parallel_matches_serial(&what, &a, plan.with_shape(shape), mask);
+            prop_assert!(
+                got.bits_eq(&expected),
+                "the serial {:?} product is not the postprocessed oracle on {} under {}",
+                shape, what, plan.describe()
+            );
         }
     }
 }

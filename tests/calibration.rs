@@ -6,9 +6,7 @@
 //! static advisor's.
 
 use clusterwise_spgemm::engine::calibrate::{median, prediction_errors};
-use clusterwise_spgemm::engine::{
-    BackendId, CalibrationProfile, Engine, Planner, PROFILE_SCHEMA_VERSION,
-};
+use clusterwise_spgemm::engine::{CalibrationProfile, Engine, Planner, PROFILE_SCHEMA_VERSION};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::service::{MultiplyRequest, ServiceConfig, SpgemmService};
 use proptest::prelude::*;
@@ -197,8 +195,8 @@ fn fit_recovers_ground_truth_better_than_defaults() {
         let a = clusterwise_spgemm::sparse::gen::er::erdos_renyi(nrows, nnz / nrows, 3);
         let features = OperandFeatures::with_profile(&a, cw_reorder_profile(&a));
         for plan in [Plan::baseline(), Plan { reorder: Reordering::Rcm, ..Plan::baseline() }] {
-            for backend in BackendId::ALL {
-                let plan = plan.on_backend(backend);
+            for parallel in [true, false] {
+                let plan = Plan { parallel, ..plan };
                 let est = truth.model.estimate(&features, &plan, 0.5);
                 samples.push(CalibrationSample {
                     features,

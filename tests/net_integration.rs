@@ -3,6 +3,8 @@
 //!
 //! * wire multiplies (sync and no-wait + poll) are **bit-identical** to a
 //!   direct `Engine::multiply` of the same operands;
+//! * the wire report says whether the kernel ran in parallel exactly as the
+//!   in-process report does;
 //! * the `RoutedClient` fans traffic over N endpoints exactly by
 //!   `fingerprint(lhs).shard_index(N)`, and each endpoint serves precisely
 //!   its share;
@@ -25,6 +27,7 @@ use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::io::{encode_csr, encoded_csr_len, CSR_BINARY_HEADER_BYTES};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Structural families covering every branch of the advisor's decision
@@ -127,6 +130,29 @@ fn shaped_wire_requests_are_bit_identical_to_direct_engine() {
     // counts against the service's `rejected` (which tracks backpressure
     // and deadline sheds), exactly like an operand shape mismatch.
     assert_eq!(stats.rejected, 0);
+}
+
+#[test]
+fn the_wire_reports_whether_the_kernel_ran_in_parallel() {
+    // Byte 33 carries the executed plan's `parallel`. A 400-row operand is
+    // below the planner's threshold and runs serially; a 576-row one runs on
+    // the pool. Either way the wire says what the in-process report says for
+    // the same request.
+    let in_process = SpgemmService::new(ServiceConfig::default());
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let mut client =
+        NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    for (side, parallel) in [(20, false), (24, true)] {
+        let a = Arc::new(gen::grid::poisson2d(side, side));
+        let request = MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a));
+        let local = in_process.submit(request).unwrap().wait().unwrap();
+        assert_eq!(local.report.execution.plan.parallel, parallel, "{} rows", a.nrows);
+        let wire = client.multiply(&a, &a).expect("wire multiply");
+        assert_eq!(wire.report.parallel, parallel, "{} rows", a.nrows);
+        assert!(wire.product.bits_eq(&local.product), "{} rows", a.nrows);
+    }
+    in_process.shutdown();
+    server.shutdown();
 }
 
 #[test]

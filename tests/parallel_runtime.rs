@@ -20,7 +20,8 @@
 //! `RAYON_NUM_THREADS=1` and `=2`; in-process width pinning goes through
 //! `rayon::with_pool_width`.
 
-use clusterwise_spgemm::engine::{BackendId, ClusteringStrategy, Plan, PreparedMatrix};
+mod common;
+
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use proptest::prelude::*;
@@ -50,25 +51,14 @@ fn every_pool_width_is_bit_identical_to_the_serial_path() {
 
 #[test]
 fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
-    // The same invariant end to end through a prepared operand: a
-    // ParallelCpu product prepared and executed inside a pinned-width
-    // pool is bit-identical to the SerialReference oracle.
+    // The same invariant end to end through a prepared operand: a parallel
+    // plan prepared and executed inside pinned-width pools is bit-identical
+    // to the same plan run serially.
     let a = gen::mesh::tri_mesh(12, 12, true, 9);
-    let plans =
-        [Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() }];
-    let product = |id: BackendId, plan: Plan| {
-        PreparedMatrix::prepare(&a, plan.on_backend(id), 7, &ClusterConfig::default()).multiply(&a)
-    };
-    for plan in plans {
-        let oracle = product(BackendId::SerialReference, plan);
-        for width in [1usize, 2, 8] {
-            let got = rayon::with_pool_width(width, || product(BackendId::ParallelCpu, plan));
-            assert!(
-                got.bits_eq(&oracle),
-                "ParallelCpu at width {width} diverges from the oracle under {}",
-                plan.describe()
-            );
-        }
+    for plan in
+        [Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() }]
+    {
+        common::assert_parallel_matches_serial("scrambled_mesh", &a, plan, None);
     }
 }
 
