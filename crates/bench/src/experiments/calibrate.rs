@@ -29,7 +29,7 @@ use cw_engine::{
     CalibrationProfile, CalibrationSample, Calibrator, Engine, OperandFeatures, OutputShape, Plan,
     Planner, PlanningPolicy, Suggestion, DEFAULT_CACHE_CAPACITY,
 };
-use cw_reorder::advisor::advise;
+use cw_reorder::advisor::{advise, profile};
 use cw_sparse::CsrMatrix;
 
 /// Distinct pipelines measured per dataset (each as planned and serially);
@@ -94,9 +94,8 @@ fn warm_kernel_median(engine: &mut Engine, a: &CsrMatrix, plan: Plan, reps: usiz
 /// advisor's choice), each as planned and serially.
 fn sweep_dataset(name: &str, a: &CsrMatrix, cfg: &RunConfig) -> DatasetSweep {
     let planner = Planner::with_policy(cfg.seed, PlanningPolicy::frozen());
-    let profile = planner.profile(a);
-    let features = OperandFeatures::with_profile(a, profile);
-    let ranked = planner.plans_costed(a);
+    let features = OperandFeatures::with_profile(a, profile(a));
+    let ranked = planner.plans_costed(a, OutputShape::Full);
 
     // Distinct pipelines (the planner deduplicates), best-ranked first.
     let mut pipelines: Vec<(Plan, f64)> =

@@ -142,29 +142,6 @@ impl Engine {
         self.feedback.clear();
     }
 
-    /// [`Engine::multiply_shaped`]/[`Engine::multiply_planned`] without the
-    /// multiply: the cached-or-fresh prepared operand for `a` (under the
-    /// planner's choice when `forced` is `None`), the preprocessing
-    /// timings attributable to this call (zeroed on hits), and the
-    /// cache-hit flag. Serving layers use this to resolve an operand once
-    /// and run many right-hand sides against it without paying the
-    /// per-call fingerprint + checksum lookup each time; it also warms the
-    /// cache ahead of traffic.
-    ///
-    /// The planner ranks candidates with `shape` stamped into every plan,
-    /// so the resulting cache entry and feedback state are keyed by the
-    /// shape — truncated traffic never collides with full-product traffic
-    /// on the same operand. A forced plan's own shape wins over `shape` (a
-    /// forced plan is a complete pipeline description).
-    pub fn prepare_with_shape(
-        &mut self,
-        a: &CsrMatrix,
-        forced: Option<Plan>,
-        shape: OutputShape,
-    ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
-        self.lookup_or_prepare(a, forced, shape)
-    }
-
     /// `C = A · b` through the adaptive pipeline. Returns the product (rows
     /// in original order) and a report of the plan, cache outcome,
     /// per-stage timings, and feedback calibration state. The observed
@@ -176,7 +153,8 @@ impl Engine {
     }
 
     /// `C = shape(A · b)`: [`Engine::multiply`] with an explicit
-    /// [`OutputShape`]. `mask` must be `Some` exactly when `shape` is
+    /// [`OutputShape`] — the planner's general door, and the one-call way
+    /// to ask for top-k. `mask` must be `Some` exactly when `shape` is
     /// [`OutputShape::Masked`] (the mask is request data — it travels with
     /// the call, not with the cached preparation). Shaped requests get
     /// their own plan ranking, cache entries, and feedback state; see
@@ -198,21 +176,8 @@ impl Engine {
         shape: OutputShape,
         mask: Option<&CsrMatrix>,
     ) -> (CsrMatrix, ExecutionReport) {
-        let (prepared, timings, cache_hit) = self.lookup_or_prepare(a, None, shape);
+        let (prepared, timings, cache_hit) = self.prepare_with_shape(a, None, shape);
         self.execute_resolved(&prepared, b, std::ptr::eq(a, b), mask, timings, cache_hit)
-    }
-
-    /// `C = topk(A · b, k)` — each output row truncated to its `k`
-    /// largest-magnitude entries (see [`cw_spgemm::row_topk`] for the
-    /// exact tie-breaking contract). Sugar for [`Engine::multiply_shaped`]
-    /// with [`OutputShape::TopK`].
-    pub fn multiply_topk(
-        &mut self,
-        a: &CsrMatrix,
-        b: &CsrMatrix,
-        k: usize,
-    ) -> (CsrMatrix, ExecutionReport) {
-        self.multiply_shaped(a, b, OutputShape::TopK(k), None)
     }
 
     /// `C = (A · b) ∩ mask` — only product entries at positions present in
@@ -244,7 +209,7 @@ impl Engine {
         b: &CsrMatrix,
         plan: Plan,
     ) -> (CsrMatrix, ExecutionReport) {
-        let (prepared, timings, cache_hit) = self.lookup_or_prepare(a, Some(plan), plan.shape);
+        let (prepared, timings, cache_hit) = self.prepare_with_shape(a, Some(plan), plan.shape);
         self.execute_resolved(&prepared, b, std::ptr::eq(a, b), None, timings, cache_hit)
     }
 
@@ -270,8 +235,8 @@ impl Engine {
     /// Only `b` is in hand here, so whether it is the matrix `prepared` was
     /// built from — what lets a reordered square operand run two-sided
     /// ([`ExecutionReport::two_sided`]) — is decided by content, inside the
-    /// kernel stage's seconds: see [`PreparedMatrix::multiply_shaped_timed`].
-    /// The `multiply*` methods hold both operands and settle it with
+    /// kernel stage's seconds: see [`PreparedMatrix::multiply_shaped`]. The
+    /// `multiply*` methods hold both operands and settle it with
     /// `std::ptr::eq(a, b)` instead: `a`'s checksum was verified against the
     /// cache entry in the same call.
     pub fn execute_prepared_shaped(
@@ -313,15 +278,15 @@ impl Engine {
         let mut timings = prep_timings;
         timings.kernel_seconds = kernel_seconds;
         let work_scale = (prepared.nnz().max(1) as f64 / b.nnz().max(1) as f64).clamp(0.1, 10.0);
-        let feedback = self.record_observation(
-            OperandKey {
-                fingerprint: prepared.fingerprint,
-                checksum: prepared.checksum,
-                shape: prepared.plan.shape,
-            },
-            prepared.plan,
-            kernel_seconds * work_scale,
-        );
+        let observed = kernel_seconds * work_scale;
+        let key = OperandKey {
+            fingerprint: prepared.fingerprint,
+            checksum: prepared.checksum,
+            shape: prepared.plan.shape,
+        };
+        // Unseeded operands (forced-only traffic) and plans outside the
+        // candidate set are ignored by the store.
+        let feedback = self.feedback.record(key, prepared.plan, observed, &self.planner.policy);
         let report = ExecutionReport {
             plan: prepared.plan,
             clusterwise: prepared.is_clusterwise(),
@@ -335,76 +300,30 @@ impl Engine {
         (c, report)
     }
 
-    /// `A · bᵢ` for every right-hand side, preparing `a` exactly once: the
-    /// operand is resolved a single time and reused for every multiply
-    /// (one lookup, many kernels — the same shape `cw-service` shards use
-    /// for coalesced batches). The returned reports show the first
-    /// multiply paying any preprocessing and the rest flagged `cache_hit`
-    /// — batch-local reuse counts as a hit even when the cache itself is
-    /// disabled, because no preprocessing was paid (the plan cache's own
-    /// [`CacheStats`] counters are not inflated by it). Observed
-    /// timings still feed the per-execution feedback loop; a re-plan they
-    /// trigger takes effect from the *next* resolution of the operand, not
-    /// mid-batch.
-    pub fn multiply_batch(
-        &mut self,
-        a: &CsrMatrix,
-        bs: &[CsrMatrix],
-    ) -> Vec<(CsrMatrix, ExecutionReport)> {
-        if bs.is_empty() {
-            return Vec::new();
-        }
-        let (prepared, timings, cache_hit) = self.lookup_or_prepare(a, None, OutputShape::Full);
-        bs.iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let (t, hit) =
-                    if i == 0 { (timings, cache_hit) } else { (StageTimings::default(), true) };
-                self.execute_resolved(&prepared, b, std::ptr::eq(a, b), None, t, hit)
-            })
-            .collect()
-    }
-
-    /// Records one observed kernel time for `plan` on the operand
-    /// identified by `key`, returning the post-update calibration
-    /// snapshot. This is the feedback entry point for callers that time
-    /// prepared kernels themselves instead of going through
-    /// [`Engine::execute_prepared_shaped`] — such callers should pass
-    /// seconds normalized to the lhs-sized reference workload
-    /// (`kernel × nnz(A)/nnz(B)`) when their right-hand sides vary in
-    /// size, as `execute_prepared_shaped` does. Unseeded operands
-    /// (forced-only traffic) and plans outside the candidate set are
-    /// ignored.
-    pub fn record_observation(
-        &mut self,
-        key: OperandKey,
-        plan: Plan,
-        kernel_seconds: f64,
-    ) -> Option<PlanFeedbackState> {
-        self.feedback.record(key, plan, kernel_seconds, &self.planner.policy)
-    }
-
     /// Calibration snapshot for `key`'s currently chosen plan, without
     /// recording anything.
     pub fn feedback_state(&self, key: &OperandKey) -> Option<PlanFeedbackState> {
         self.feedback.state(key)
     }
 
-    /// Resolves the plan and prepared operand for `a`, consulting — in
-    /// order — the forced plan, the feedback store's chosen plan (one hash
-    /// lookup, no profiling), and finally the full cost-ranked planner (on
-    /// an operand's first sighting, which also seeds the feedback store's
-    /// candidate set). The cache is keyed by `(fingerprint, plan)`, so a
-    /// feedback re-plan prepares under a fresh entry while the demoted
-    /// plan's preparation stays resident for a potential switch-back.
-    /// Hits are verified against the full-content checksum (`O(nnz)`,
-    /// negligible next to the multiply) before being trusted — a
-    /// sampled-fingerprint collision re-prepares instead of returning a
-    /// stale operand. Returns the operand, the preprocessing timings
-    /// attributable to *this* call (reorder/cluster zeroed on hits — that
-    /// work was done earlier — while `plan_seconds` reflects any planning
-    /// this call actually performed), and the hit flag.
-    fn lookup_or_prepare(
+    /// [`Engine::multiply_shaped`]/[`Engine::multiply_planned`] without the
+    /// multiply: the cached-or-fresh prepared operand for `a`, the
+    /// preprocessing timings attributable to this call, and the cache-hit
+    /// flag. Serving layers resolve an operand once this way and run many
+    /// right-hand sides against it through
+    /// [`Engine::execute_prepared_shaped`]; it also warms the cache.
+    ///
+    /// The plan is `forced`, else the feedback store's choice (one hash
+    /// lookup), else the cost-ranked planner's on first sighting (which
+    /// seeds the feedback candidates). The cache is keyed by
+    /// `(fingerprint, plan)`, so a demoted plan's preparation stays resident
+    /// for a switch-back, and hits are verified against the full-content
+    /// checksum before being trusted. On a hit reorder/cluster timings are
+    /// zero, while `plan_seconds` is any planning this call performed.
+    /// `shape` is stamped into every ranked plan, so shaped traffic never
+    /// shares cache entries or feedback with full-product traffic; a forced
+    /// plan's own shape wins over `shape`.
+    pub fn prepare_with_shape(
         &mut self,
         a: &CsrMatrix,
         forced: Option<Plan>,
@@ -428,7 +347,7 @@ impl Engine {
                 Some(p) => p,
                 None => {
                     let t0 = Instant::now();
-                    let ranked = self.planner.plans_costed_shaped(a, shape);
+                    let ranked = self.planner.plans_costed(a, shape);
                     let selected = ranked[0].plan;
                     self.feedback
                         .seed(operand, ranked.into_iter().map(|r| (r.plan, r.estimate)).collect());
@@ -507,15 +426,15 @@ mod tests {
         let a = gen::banded::block_diagonal(64, (4, 8), 0.1, 1);
         let bs: Vec<_> = (0..4).map(|s| gen::er::erdos_renyi(64, 3, s)).collect();
         let mut engine = Engine::default();
-        let results = engine.multiply_batch(&a, &bs);
-        assert_eq!(results.len(), 4);
-        assert!(!results[0].1.cache_hit);
-        for (i, (c, rep)) in results.iter().enumerate() {
-            assert!(c.numerically_eq(&spgemm_serial(&a, &bs[i]), 1e-9), "rhs {i}");
-            if i > 0 {
-                assert!(rep.cache_hit, "rhs {i} should hit");
-            }
+        let (prepared, timings, hit) = engine.prepare_with_shape(&a, None, OutputShape::Full);
+        assert!(!hit);
+        for (i, b) in bs.iter().enumerate() {
+            let (c, rep) = engine.execute_prepared_shaped(&prepared, b, None, timings, hit);
+            assert!(c.numerically_eq(&spgemm_serial(&a, b), 1e-9), "rhs {i}");
+            assert_eq!(rep.plan, prepared.plan, "rhs {i}");
         }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 0), "one lookup serves every rhs");
     }
 
     #[test]
@@ -694,15 +613,15 @@ mod tests {
         let full = spgemm_serial(&a, &a);
         let mut engine = Engine::default();
 
-        let (topk, rep) = engine.multiply_topk(&a, &a, 3);
+        let (topk, rep) = engine.multiply_shaped(&a, &a, OutputShape::TopK(3), None);
         assert!(topk.numerically_eq(&cw_spgemm::row_topk(&full, 3), 0.0));
-        assert_eq!(rep.plan.shape, crate::plan::OutputShape::TopK(3));
+        assert_eq!(rep.plan.shape, OutputShape::TopK(3));
 
         // Mask: the diagonal — keep only C[i,i].
         let mask = CsrMatrix::identity(a.nrows);
         let (masked, rep) = engine.multiply_masked(&a, &a, &mask);
         assert!(masked.numerically_eq(&cw_spgemm::apply_mask(&full, &mask), 0.0));
-        assert_eq!(rep.plan.shape, crate::plan::OutputShape::Masked);
+        assert_eq!(rep.plan.shape, OutputShape::Masked);
         assert_eq!(rep.output_nnz, masked.nnz());
     }
 
@@ -714,31 +633,27 @@ mod tests {
         // Three shapes over the same operand: each first call must miss
         // (its own cache entry), each second call must hit its own entry.
         let (full, r_full) = engine.multiply(&a, &a);
-        let (top2, r_top) = engine.multiply_topk(&a, &a, 2);
+        let (top2, r_top) = engine.multiply_shaped(&a, &a, OutputShape::TopK(2), None);
         let mask = CsrMatrix::identity(a.nrows);
         let (_, r_mask) = engine.multiply_masked(&a, &a, &mask);
         assert!(!r_full.cache_hit && !r_top.cache_hit && !r_mask.cache_hit);
         assert_eq!(engine.cached_operands(), 3);
 
         let (full2, r_full2) = engine.multiply(&a, &a);
-        let (top2_again, r_top2) = engine.multiply_topk(&a, &a, 2);
+        let (top2_again, r_top2) = engine.multiply_shaped(&a, &a, OutputShape::TopK(2), None);
         let (_, r_mask2) = engine.multiply_masked(&a, &a, &mask);
         assert!(r_full2.cache_hit && r_top2.cache_hit && r_mask2.cache_hit);
         assert!(full.numerically_eq(&full2, 0.0));
         assert!(top2.numerically_eq(&top2_again, 0.0));
         // A different k is a different shape: its own entry, not a hit.
-        let (_, r_top3) = engine.multiply_topk(&a, &a, 3);
+        let (_, r_top3) = engine.multiply_shaped(&a, &a, OutputShape::TopK(3), None);
         assert!(!r_top3.cache_hit);
 
         // Feedback state is shape-keyed too: each shape accumulated only
         // its own executions.
         let sum = cw_sparse::checksum(&a);
         let fp = cw_sparse::fingerprint(&a);
-        for shape in [
-            crate::plan::OutputShape::Full,
-            crate::plan::OutputShape::TopK(2),
-            crate::plan::OutputShape::Masked,
-        ] {
+        for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
             let key = OperandKey { fingerprint: fp, checksum: sum, shape };
             let st = engine.feedback_state(&key).expect("each shape has its own feedback");
             assert_eq!(st.executions, 2, "shape {shape:?} saw exactly its own traffic");

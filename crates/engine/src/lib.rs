@@ -16,8 +16,8 @@
 //!    the analytic [`CostModel`], and ranks them by
 //!    cost amortized under the caller's [`PlanningPolicy`] (expected
 //!    reuse, optional preprocessing budget). Each [`RankedPlan`] carries
-//!    the estimate, affinity and rationale behind its rank.
-//!    [`Planner::plans_ranked`] is the budget-aware fall-through list.
+//!    the estimate, affinity and rationale behind its rank;
+//!    [`Planner::plans_costed`] is the budget-aware fall-through list.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
 //!    (permutation computed and applied, `CSR_Cluster` built — unless the
 //!    clustering averaged under 1.5 rows per cluster, in which case the
@@ -34,10 +34,12 @@
 //!    skips preprocessing entirely. Keying by `(fingerprint, plan)` lets
 //!    preparations under different plans coexist, which is what makes
 //!    feedback re-planning cheap to undo.
-//! 4. **Execute** — [`Engine::multiply`] / [`Engine::multiply_batch`] run
+//! 4. **Execute** — [`Engine::multiply_shaped`] (or, for many right-hand
+//!    sides against one preparation, [`Engine::prepare_with_shape`] once
+//!    and [`Engine::execute_prepared_shaped`] per right-hand side) runs
 //!    the prepared kernel — on the rayon pool when [`Plan::parallel`] is
 //!    set, else on the calling thread, the serial oracle the parallel path
-//!    is bit-identical to — and return an [`ExecutionReport`] with the
+//!    is bit-identical to — and returns an [`ExecutionReport`] with the
 //!    executed plan and per-stage wall-clock timings.
 //! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-fingerprint
 //!    EWMAs of observed kernel seconds per candidate plan. Observed
@@ -63,8 +65,8 @@
 //! the mask's columns; top-k and cluster-wise masked plans compute the full
 //! product and filter. The [`CostModel`] prices every shaped plan like the
 //! full one (an upper bound for the fused kernel, until it is fitted). See
-//! [`Engine::multiply_shaped`] / [`Engine::multiply_topk`] /
-//! [`Engine::multiply_masked`].
+//! [`Engine::multiply_shaped`] (`OutputShape::TopK(k)` for top-k) and its
+//! masked shorthand [`Engine::multiply_masked`].
 //!
 //! ```
 //! use cw_engine::Engine;

@@ -17,7 +17,7 @@ use crate::calibrate::CalibrationProfile;
 use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
 use cw_core::ClusterConfig;
-use cw_reorder::advisor::{advise_profiled, profile, Profile, Suggestion};
+use cw_reorder::advisor::{advise_profiled, Suggestion};
 use cw_sparse::CsrMatrix;
 use cw_spgemm::AccumulatorKind;
 
@@ -98,16 +98,10 @@ impl Planner {
         Planner { seed, cost: profile.cost_model(), ..Planner::default() }
     }
 
-    /// The structural profile driving plan decisions (delegates to
-    /// [`cw_reorder::advisor::profile`]).
-    pub fn profile(&self, a: &CsrMatrix) -> Profile {
-        profile(a)
-    }
-
     /// The best plan for `a`: the cheapest candidate by modeled amortized
     /// cost that fits the policy's preprocessing budget.
     pub fn plan(&self, a: &CsrMatrix) -> Plan {
-        self.plans_costed(a)[0].plan
+        self.plans_costed(a, OutputShape::Full)[0].plan
     }
 
     /// Every candidate plan for `a` with its cost estimate, cheapest
@@ -119,15 +113,11 @@ impl Planner {
     /// baseline plan is always a candidate, so the budget can always be
     /// met. Candidates are deduplicated (advisor suggestions that tune to
     /// identical plans keep the highest-affinity instance).
-    pub fn plans_costed(&self, a: &CsrMatrix) -> Vec<RankedPlan> {
-        self.plans_costed_shaped(a, OutputShape::Full)
-    }
-
-    /// [`Planner::plans_costed`] for a specific [`OutputShape`]: the same
-    /// list with the shape stamped into every plan, so shaped cache entries
-    /// and feedback candidates never collide with full-product ones. The
+    ///
+    /// `shape` is stamped into every plan, so shaped cache entries and
+    /// feedback candidates never collide with full-product ones. The
     /// estimates are the full product's (see [`CostModel::estimate`]).
-    pub fn plans_costed_shaped(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
+    pub fn plans_costed(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
         let advice = advise_profiled(a);
         let features = OperandFeatures::with_profile(a, advice.profile);
         let mut out: Vec<RankedPlan> = Vec::with_capacity(advice.ranked.len() + 1);
@@ -154,12 +144,6 @@ impl Planner {
                 .then(x.estimate.amortized(reuse).total_cmp(&y.estimate.amortized(reuse)))
         });
         out
-    }
-
-    /// All candidate plans for `a` in fall-through order (cheapest modeled
-    /// cost first, over-budget candidates last). Never empty.
-    pub fn plans_ranked(&self, a: &CsrMatrix) -> Vec<Plan> {
-        self.plans_costed(a).into_iter().map(|r| r.plan).collect()
     }
 
     /// Tuned plan realizing one specific advisor [`Suggestion`] on `a`.
@@ -207,16 +191,17 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::plan::ClusteringStrategy;
+    use cw_reorder::advisor::profile;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
 
     #[test]
     fn plans_ranked_is_never_empty_and_contains_the_baseline() {
         let a = gen::grid::poisson2d(12, 12);
-        let plans = Planner::default().plans_ranked(&a);
-        assert!(!plans.is_empty());
+        let ranked = Planner::default().plans_costed(&a, OutputShape::Full);
+        assert!(!ranked.is_empty());
         assert!(
-            plans.iter().any(|p| !p.has_preprocessing()),
+            ranked.iter().any(|r| !r.plan.has_preprocessing()),
             "the zero-prep baseline must always be a fall-through candidate"
         );
     }
@@ -229,7 +214,7 @@ mod tests {
             gen::mesh::tri_mesh(16, 16, true, 3),
             gen::banded::block_diagonal(128, (6, 8), 0.0, 1),
         ] {
-            let ranked = planner.plans_costed(&a);
+            let ranked = planner.plans_costed(&a, OutputShape::Full);
             let reuse = planner.policy.expected_reuse;
             for w in ranked.windows(2) {
                 assert!(
@@ -257,11 +242,7 @@ mod tests {
         assert_eq!(
             planner
                 .cost
-                .estimate(
-                    &crate::cost::OperandFeatures::with_profile(&a, planner.profile(&a)),
-                    &plan,
-                    0.0
-                )
+                .estimate(&crate::cost::OperandFeatures::with_profile(&a, profile(&a)), &plan, 0.0)
                 .prep_seconds,
             0.0,
             "zero budget must select a plan with zero predicted preprocessing: {}",
@@ -275,7 +256,7 @@ mod tests {
         let a = gen::mesh::tri_mesh(20, 20, true, 3);
         let one_shot = planner.plan(&a);
         planner.policy.expected_reuse = 1000.0;
-        let heavy_reuse_rank = planner.plans_costed(&a);
+        let heavy_reuse_rank = planner.plans_costed(&a, OutputShape::Full);
         // Under massive reuse the top choice amortizes at pure kernel cost,
         // so its kernel estimate can't exceed the one-shot pick's.
         assert!(
@@ -283,7 +264,7 @@ mod tests {
                 <= planner
                     .cost
                     .estimate(
-                        &crate::cost::OperandFeatures::with_profile(&a, planner.profile(&a)),
+                        &crate::cost::OperandFeatures::with_profile(&a, profile(&a)),
                         &one_shot,
                         0.0
                     )

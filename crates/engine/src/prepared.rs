@@ -5,13 +5,14 @@
 //! reordering permutation and building the `CSR_Cluster` structure — and
 //! only pays off amortized over repeated multiplications (§4.5, Fig. 10).
 //! [`PreparedMatrix`] does that work exactly once and records how long each
-//! stage took; [`PreparedMatrix::multiply`] then runs only the kernel, which
-//! reads the reordered rows and writes each result row where the *original*
-//! order wants it, so callers never observe the internal reordering and no
-//! un-permutation pass follows the kernel. That holds for columns too: when
-//! the right-hand side is the very matrix the preparation was built from, the
-//! kernel also runs in the reordering's *column* labels and translates each
-//! row back as it extracts it — same bits, the caller's labels.
+//! stage took; [`PreparedMatrix::multiply_shaped`] then runs only the
+//! kernel, which reads the reordered rows and writes each result row where
+//! the *original* order wants it, so callers never observe the internal
+//! reordering and no un-permutation pass follows the kernel. That holds for
+//! columns too: when the right-hand side is the very matrix the preparation
+//! was built from, the kernel also runs in the reordering's *column* labels
+//! and translates each row back as it extracts it — same bits, the caller's
+//! labels.
 
 use crate::backend::{self, CpuOperand};
 use crate::plan::{OutputShape, Plan};
@@ -121,40 +122,19 @@ impl PreparedMatrix {
         size_of::<Self>() + self.operand.approx_bytes() + row_map
     }
 
-    /// `C = A · b` shaped by the plan's [`OutputShape`]; rows of `C` come
-    /// back in the original (pre-reordering) order. Plans prepared with
-    /// [`OutputShape::Masked`] must go through
-    /// [`PreparedMatrix::multiply_shaped`] — the mask is request data, not
-    /// part of the preparation.
-    pub fn multiply(&self, b: &CsrMatrix) -> CsrMatrix {
-        self.multiply_shaped(b, None)
-    }
-
-    /// `C = shape(A · b)` with an explicit mask operand: the entry point
-    /// for [`OutputShape::Masked`] plans (`mask` names the output
-    /// positions to keep and must match the product's dimensions). For
-    /// `Full`/`TopK` plans, `mask` must be `None`.
-    pub fn multiply_shaped(&self, b: &CsrMatrix, mask: Option<&CsrMatrix>) -> CsrMatrix {
-        self.multiply_shaped_timed(b, mask).0
-    }
-
-    /// [`PreparedMatrix::multiply_shaped`] plus the kernel stage's seconds:
-    /// the whole multiply. Shape application is part of producing the
-    /// shaped result, and the rows leave the kernel in the original order,
-    /// so there is no postprocess stage to time.
+    /// `C = shape(A · b)`; rows of `C` come back in the original
+    /// (pre-reordering) order. `mask` names the output positions to keep
+    /// and must be `Some` exactly when the plan's shape is
+    /// [`OutputShape::Masked`] (the mask is request data, not part of the
+    /// preparation), matching the product's dimensions.
     ///
-    /// The seconds include deciding whether `b` is the matrix this
-    /// preparation was built from, tried only when
-    /// [`PreparedMatrix::is_relabelled`]: dimensions and `nnz`, then the
-    /// sampled fingerprint, then the full-content checksum — the plan
-    /// cache's own test; a fingerprint match alone is never trusted.
-    pub fn multiply_shaped_timed(
-        &self,
-        b: &CsrMatrix,
-        mask: Option<&CsrMatrix>,
-    ) -> (CsrMatrix, f64) {
-        let (c, seconds, _) = self.run(b, false, mask);
-        (c, seconds)
+    /// Whether `b` is the matrix this preparation was built from is decided
+    /// here, tried only when [`PreparedMatrix::is_relabelled`]: dimensions
+    /// and `nnz`, then the sampled fingerprint, then the full-content
+    /// checksum — the plan cache's own test; a fingerprint match alone is
+    /// never trusted.
+    pub fn multiply_shaped(&self, b: &CsrMatrix, mask: Option<&CsrMatrix>) -> CsrMatrix {
+        self.run(b, false, mask).0
     }
 
     /// The multiply behind every door: the shaped product, the kernel
@@ -206,7 +186,7 @@ mod tests {
 
     fn check_plan(a: &CsrMatrix, plan: Plan) {
         let prepared = PreparedMatrix::prepare(a, plan, 7, &ClusterConfig::default());
-        let got = prepared.multiply(a);
+        let got = prepared.multiply_shaped(a, None);
         let expect = spgemm_serial(a, a);
         assert!(got.bits_eq(&expect), "plan {} output mismatch", plan.describe());
     }
@@ -258,7 +238,7 @@ mod tests {
             let plan = Plan { parallel, ..Plan::baseline() };
             let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
             assert_eq!(prepared.plan, plan);
-            let got = prepared.multiply(&a);
+            let got = prepared.multiply_shaped(&a, None);
             assert!(got.numerically_eq(&expect, 1e-9), "parallel {parallel} diverges");
         }
     }
@@ -317,7 +297,7 @@ mod tests {
         let b = gen::er::erdos_renyi_rect(60, 14, 3, 4);
         let plan = Plan { reorder: Reordering::Degree, ..Plan::baseline() };
         let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
-        let got = prepared.multiply(&b);
+        let got = prepared.multiply_shaped(&b, None);
         assert!(got.numerically_eq(&spgemm_serial(&a, &b), 1e-9));
         assert_eq!(got.ncols, 14);
     }

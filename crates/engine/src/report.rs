@@ -56,9 +56,10 @@ pub struct ExecutionReport {
     /// Fingerprint of the `A` operand.
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
-    /// a plan-cache hit, or batch-local reuse of the operand resolved at
-    /// the head of an [`crate::Engine::multiply_batch`] call (the same
-    /// "no preprocessing was paid" semantics the service shards report).
+    /// a plan-cache hit, or the caller's reuse of an operand it resolved
+    /// earlier with [`crate::Engine::prepare_with_shape`] (a service
+    /// shard's coalesced batch reports its followers this way: no
+    /// preprocessing was paid).
     pub cache_hit: bool,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,

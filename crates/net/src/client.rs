@@ -185,16 +185,6 @@ impl NetClient {
         Ok(client)
     }
 
-    /// The endpoint this client talks to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Whether a live connection is currently held.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
     fn ensure_connected(&mut self) -> Result<&mut TcpStream, NetError> {
         if self.stream.is_none() {
             let mut backoff = self.config.connect_backoff;
@@ -294,32 +284,7 @@ impl NetClient {
 
     /// `C = lhs · rhs` over the wire, high priority, no deadline.
     pub fn multiply(&mut self, lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<WireResponse, NetError> {
-        self.multiply_qos(lhs, rhs, Qos::none())
-    }
-
-    /// `C = lhs · rhs` with a QoS envelope. The server sheds the request
-    /// with [`RejectCode::DeadlineExpired`] if the deadline passes before
-    /// it can be admitted.
-    pub fn multiply_qos(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
-        qos: Qos,
-    ) -> Result<WireResponse, NetError> {
-        self.multiply_shaped_qos(lhs, rhs, &SubmitShape::Full, qos)
-    }
-
-    /// `C = topk(lhs · rhs, k)` over the wire — each output row truncated
-    /// to its `k` largest-magnitude entries, high priority, no deadline.
-    /// Bit-identical to serving the full product and truncating
-    /// client-side, but only the surviving entries travel back.
-    pub fn multiply_topk(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
-        k: u64,
-    ) -> Result<WireResponse, NetError> {
-        self.multiply_shaped_qos(lhs, rhs, &SubmitShape::TopK(k), Qos::none())
+        self.multiply_shaped_qos(lhs, rhs, &SubmitShape::Full, Qos::none())
     }
 
     /// `C = (lhs · rhs) ∩ mask` over the wire — only product entries on
@@ -338,8 +303,13 @@ impl NetClient {
     }
 
     /// `C = shape(lhs · rhs)` with an explicit [`SubmitShape`] and QoS
-    /// envelope — the general form behind [`NetClient::multiply_qos`],
-    /// [`NetClient::multiply_topk`], and [`NetClient::multiply_masked`].
+    /// envelope — the general form. [`NetClient::multiply`] is its full,
+    /// no-QoS case and [`NetClient::multiply_masked`] its masked one, with
+    /// the mask borrowed instead of moved into a [`SubmitShape`]. A top-k
+    /// request ([`SubmitShape::TopK`]) is bit-identical to serving the full
+    /// product and truncating client-side, but only the surviving entries
+    /// travel back. The server sheds a request whose deadline passes before
+    /// it can be admitted with [`RejectCode::DeadlineExpired`].
     pub fn multiply_shaped_qos(
         &mut self,
         lhs: &CsrMatrix,

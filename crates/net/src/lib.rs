@@ -24,7 +24,10 @@
 //!   reconnect/backoff, and a static routing table that consistent-hashes
 //!   each lhs fingerprint over N endpoints via
 //!   [`cw_sparse::MatrixFingerprint::shard_index`] — the same hash the
-//!   service uses for its in-process shards, one level up.
+//!   service uses for its in-process shards, one level up. The client has
+//!   one general door, [`NetClient::multiply_shaped_qos`] (any
+//!   [`SubmitShape`], any [`Qos`]); the router only picks the client:
+//!   `router.route(&a).multiply(&a, &b)`.
 //! * **QoS at admission** — each SUBMIT carries a two-level priority and
 //!   an optional relative deadline in the frame header. Expired requests
 //!   are rejected *before* enqueue (shed cheap, not deep); a full queue is

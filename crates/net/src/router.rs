@@ -9,11 +9,13 @@
 //! level down. The routing table is static: endpoints are fixed at
 //! construction (membership changes mean building a new client).
 
-use crate::client::{ClientConfig, NetClient, NetError, Qos, WireResponse};
+use crate::client::{ClientConfig, NetClient, NetError};
 use cw_sparse::{fingerprint, CsrMatrix};
+use std::io;
 use std::net::SocketAddr;
 
-/// A static routing table of [`NetClient`]s, one per endpoint.
+/// A static routing table of [`NetClient`]s, one per endpoint. Its one
+/// decision is where an lhs goes ([`RoutedClient::route`]).
 #[derive(Debug)]
 pub struct RoutedClient {
     clients: Vec<NetClient>,
@@ -21,12 +23,16 @@ pub struct RoutedClient {
 
 impl RoutedClient {
     /// Connects one client per endpoint (eagerly, so a dead endpoint
-    /// surfaces at construction rather than mid-traffic).
+    /// surfaces at construction rather than mid-traffic). An empty table
+    /// is [`NetError::Io`] with [`io::ErrorKind::InvalidInput`].
     pub fn connect(
         endpoints: &[SocketAddr],
         config: ClientConfig,
     ) -> Result<RoutedClient, NetError> {
-        assert!(!endpoints.is_empty(), "RoutedClient needs at least one endpoint");
+        if endpoints.is_empty() {
+            let why = "RoutedClient needs at least one endpoint";
+            return Err(NetError::Io(io::Error::new(io::ErrorKind::InvalidInput, why)));
+        }
         let clients = endpoints
             .iter()
             .map(|&addr| NetClient::connect(addr, config.clone()))
@@ -45,62 +51,15 @@ impl RoutedClient {
         fingerprint(lhs).shard_index(self.clients.len())
     }
 
-    /// The address of endpoint `index`.
-    pub fn endpoint_addr(&self, index: usize) -> SocketAddr {
-        self.clients[index].addr()
-    }
-
-    /// Routed multiply: hashes the lhs fingerprint to pick the endpoint,
-    /// then performs a wire multiply there.
-    pub fn multiply(&mut self, lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<WireResponse, NetError> {
-        self.multiply_qos(lhs, rhs, Qos::none())
-    }
-
-    /// Routed multiply with a QoS envelope.
-    pub fn multiply_qos(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
-        qos: Qos,
-    ) -> Result<WireResponse, NetError> {
-        self.multiply_shaped_qos(lhs, rhs, &crate::SubmitShape::Full, qos)
-    }
-
-    /// Routed `C = topk(lhs · rhs, k)` (see [`NetClient::multiply_topk`]).
-    pub fn multiply_topk(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
-        k: u64,
-    ) -> Result<WireResponse, NetError> {
-        self.multiply_shaped_qos(lhs, rhs, &crate::SubmitShape::TopK(k), Qos::none())
-    }
-
-    /// Routed `C = (lhs · rhs) ∩ mask` (see
-    /// [`NetClient::multiply_masked`]).
-    pub fn multiply_masked(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
-        mask: &CsrMatrix,
-    ) -> Result<WireResponse, NetError> {
+    /// The client of the endpoint `lhs` routes to
+    /// ([`RoutedClient::endpoint_for`]). Routing depends only on the lhs
+    /// fingerprint, so a shaped request for an operand lands on the same
+    /// endpoint as its full-product traffic, where the shard keeps a
+    /// distinct cache entry per shape. The request is any [`NetClient`]
+    /// call on it: `router.route(&a).multiply(&a, &b)`.
+    pub fn route(&mut self, lhs: &CsrMatrix) -> &mut NetClient {
         let idx = self.endpoint_for(lhs);
-        self.clients[idx].multiply_masked(lhs, rhs, mask)
-    }
-
-    /// Routed multiply with an explicit output shape and QoS envelope.
-    /// Routing depends only on the lhs fingerprint — a shaped request for
-    /// an operand lands on the same endpoint as its full-product traffic,
-    /// where the shard keeps a distinct cache entry per shape.
-    pub fn multiply_shaped_qos(
-        &mut self,
-        lhs: &CsrMatrix,
-        rhs: &CsrMatrix,
-        shape: &crate::SubmitShape,
-        qos: Qos,
-    ) -> Result<WireResponse, NetError> {
-        let idx = self.endpoint_for(lhs);
-        self.clients[idx].multiply_shaped_qos(lhs, rhs, shape, qos)
+        &mut self.clients[idx]
     }
 
     /// The JSONL observability export of every endpoint, in table order.
@@ -115,10 +74,17 @@ impl RoutedClient {
         }
         Ok(())
     }
+}
 
-    /// Direct access to the client for endpoint `index` (tests, targeted
-    /// stats).
-    pub fn client_mut(&mut self, index: usize) -> &mut NetClient {
-        &mut self.clients[index]
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_endpoint_list_is_an_invalid_input_error_not_a_panic() {
+        match RoutedClient::connect(&[], ClientConfig::default()) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("expected an InvalidInput error, got {other:?}"),
+        }
     }
 }

@@ -517,30 +517,17 @@ fn serve_submit(
                     );
                 }
             },
-            Err(SubmitError::ShapeMismatch { lhs_ncols, rhs_nrows }) => {
+            // The service's own message: one rejection, one text, in
+            // process and over the wire.
+            Err(
+                e @ (SubmitError::ShapeMismatch { .. } | SubmitError::MaskShapeMismatch { .. }),
+            ) => {
                 return write_reject(
                     stream,
                     inner,
                     head.request_id,
                     RejectCode::ShapeMismatch,
-                    &format!("lhs has {lhs_ncols} cols, rhs has {rhs_nrows} rows"),
-                );
-            }
-            Err(SubmitError::MaskShapeMismatch {
-                mask_nrows,
-                mask_ncols,
-                product_nrows,
-                product_ncols,
-            }) => {
-                return write_reject(
-                    stream,
-                    inner,
-                    head.request_id,
-                    RejectCode::ShapeMismatch,
-                    &format!(
-                        "mask is {mask_nrows}x{mask_ncols} but the product is \
-                         {product_nrows}x{product_ncols}"
-                    ),
+                    &e.to_string(),
                 );
             }
             Err(SubmitError::ShuttingDown) => {

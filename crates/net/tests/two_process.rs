@@ -92,7 +92,7 @@ fn two_cw_serve_processes_split_the_fingerprint_space() {
     for (name, a) in corpus() {
         let endpoint = router.endpoint_for(&a);
         assert_eq!(endpoint, fingerprint(&a).shard_index(2), "{name}: placement disagreement");
-        let resp = router.multiply(&a, &a).expect(name);
+        let resp = router.route(&a).multiply(&a, &a).expect(name);
         expected[endpoint] += 1;
         // Same bits across the process boundary as in this process.
         let (want, _) = direct.multiply(&a, &a);

@@ -337,8 +337,9 @@ struct RegistryInner {
 /// Lookup (`counter`/`gauge`/`histogram`) takes a mutex and allocates the
 /// metric on first sight; callers hold the returned `Arc` and record
 /// through it lock-free. Existing atomics owned by other structs (e.g. the
-/// plan cache's counters) can be *adopted* under a name with the `bind_*`
-/// methods so legacy accessors and the registry observe the same cells.
+/// plan cache's counters) can be *adopted* under a name with
+/// [`MetricsRegistry::bind_counter`] so legacy accessors and the registry
+/// observe the same cells.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<RegistryInner>,
@@ -379,16 +380,6 @@ impl MetricsRegistry {
     /// binding), so external owners and the registry share one cell.
     pub fn bind_counter(&self, name: &str, counter: Arc<Counter>) {
         lock(&self.inner).counters.insert(name.to_string(), counter);
-    }
-
-    /// Adopt an existing gauge under `name`.
-    pub fn bind_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        lock(&self.inner).gauges.insert(name.to_string(), gauge);
-    }
-
-    /// Adopt an existing histogram under `name`.
-    pub fn bind_histogram(&self, name: &str, histogram: Arc<LogHistogram>) {
-        lock(&self.inner).histograms.insert(name.to_string(), histogram);
     }
 
     /// A point-in-time snapshot of every metric, sorted by name.

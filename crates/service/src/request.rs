@@ -149,12 +149,6 @@ impl MultiplyRequest {
         self
     }
 
-    /// Requests each output row truncated to its `k` largest-magnitude
-    /// entries (sugar for [`MultiplyRequest::with_shape`]).
-    pub fn with_topk(self, k: usize) -> MultiplyRequest {
-        self.with_shape(RequestShape::TopK(k))
-    }
-
     /// Requests the product restricted to `mask`'s sparsity pattern
     /// (sugar for [`MultiplyRequest::with_shape`]).
     pub fn with_mask(self, mask: Arc<CsrMatrix>) -> MultiplyRequest {

@@ -158,11 +158,6 @@ pub fn write_matrix_market<W: Write>(a: &CsrMatrix, writer: W) -> std::io::Resul
     w.flush()
 }
 
-/// Writes a matrix to a path in Matrix Market format.
-pub fn write_matrix_market_path(a: &CsrMatrix, path: &Path) -> std::io::Result<()> {
-    write_matrix_market(a, std::fs::File::create(path)?)
-}
-
 // ---------------------------------------------------------------------------
 // CSRB binary codec
 // ---------------------------------------------------------------------------

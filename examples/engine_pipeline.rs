@@ -41,7 +41,7 @@ fn main() {
         println!("=== {name}: {} rows, {} nnz ===", a.nrows, a.nnz());
 
         // 1. Profile: the cheap structural statistics driving the decision.
-        let profile = engine.planner().profile(a);
+        let profile = clusterwise_spgemm::reorder::advisor::profile(a);
         println!(
             "profile: skew {:.1}, rel. bandwidth {:.2}, consecutive jaccard {:.2}",
             profile.degree_skew, profile.relative_bandwidth, profile.consecutive_jaccard
@@ -49,7 +49,7 @@ fn main() {
 
         // 2. Plan: reordering × clustering (which fixes the kernel) ×
         // accumulator; the ranked list says why each candidate is there.
-        let best = engine.planner().plans_costed(a)[0];
+        let best = engine.planner().plans_costed(a, OutputShape::Full)[0];
         println!("plan:    {}  ({})", best.plan.describe(), best.rationale);
 
         // 3. Execute: first call prepares (and caches), later calls reuse.

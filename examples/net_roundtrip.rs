@@ -46,7 +46,7 @@ fn main() {
     println!("== routed wire multiplies ==");
     for (name, a) in &operands {
         let endpoint = router.endpoint_for(a);
-        let resp = router.multiply(a, a).expect("served");
+        let resp = router.route(a).multiply(a, a).expect("served");
         // The product travels as bit-exact CSRB blobs: the wire answer
         // matches an in-process multiply of the same pipeline.
         assert!(resp.product.numerically_eq(&spgemm(a, a), 1e-9));
@@ -62,7 +62,7 @@ fn main() {
     // cache — placement is deterministic, so caches stay hot.
     println!("\n== second wave (plan caches are hot) ==");
     for (name, a) in &operands {
-        let resp = router.multiply(a, a).expect("served");
+        let resp = router.route(a).multiply(a, a).expect("served");
         println!(
             "{name:>16} -> endpoint {} | {}",
             router.endpoint_for(a),
@@ -77,7 +77,7 @@ fn main() {
     println!("\n== QoS: hopeless deadline is shed ==");
     let (name, a) = &operands[0];
     let hopeless = Qos { priority: Priority::Low, deadline: Some(Duration::from_nanos(1)) };
-    match router.multiply_qos(a, a, hopeless) {
+    match router.route(a).multiply_shaped_qos(a, a, &SubmitShape::Full, hopeless) {
         Err(e) if e.is_rejected_with(clusterwise_spgemm::net::RejectCode::DeadlineExpired) => {
             println!("{name:>16}: shed as hoped ({e})")
         }

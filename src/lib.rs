@@ -141,7 +141,7 @@
 //! let (c_full, _) = engine.multiply(&a, &a);
 //!
 //! // Row-wise top-3: each output row keeps its 3 largest-|value| entries.
-//! let (c_topk, report) = engine.multiply_topk(&a, &a, 3);
+//! let (c_topk, report) = engine.multiply_shaped(&a, &a, OutputShape::TopK(3), None);
 //! assert_eq!(report.plan.shape, OutputShape::TopK(3));
 //! assert!(c_topk.numerically_eq(&row_topk(&c_full, 3), 0.0));
 //!

@@ -80,7 +80,7 @@ fn every_ranked_candidate_parallel_equals_serial() {
         ("scrambled_mesh", gen::mesh::tri_mesh(11, 11, true, 7)),
         ("block_diagonal", gen::banded::block_diagonal(80, (4, 8), 0.15, 1)),
     ] {
-        for ranked in planner.plans_costed(&a) {
+        for ranked in planner.plans_costed(&a, OutputShape::Full) {
             assert_full_product_matches(name, &a, ranked.plan);
         }
     }

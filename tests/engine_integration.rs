@@ -95,9 +95,9 @@ fn ranked_plans_all_match_rowwise() {
     let a = gen::mesh::tri_mesh(12, 12, true, 7);
     let expect = clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&a, &a);
     let mut engine = Engine::default();
-    let plans = engine.planner().plans_ranked(&a);
-    assert!(!plans.is_empty());
-    for plan in plans {
+    let ranked = engine.planner().plans_costed(&a, OutputShape::Full);
+    assert!(!ranked.is_empty());
+    for plan in ranked.into_iter().map(|r| r.plan) {
         let (got, _) = engine.multiply_planned(&a, &a, plan);
         assert!(got.numerically_eq(&expect, 1e-9), "plan {} diverges", plan.describe());
     }
@@ -134,12 +134,15 @@ fn batch_right_hand_sides_share_one_preparation() {
     let n = a.nrows;
     let bs: Vec<CsrMatrix> = (0..3).map(|s| gen::er::erdos_renyi(n, 4, s)).collect();
     let mut engine = Engine::default();
-    let results = engine.multiply_batch(&a, &bs);
-    for (i, (c, report)) in results.iter().enumerate() {
-        let expect = clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&a, &bs[i]);
+    // Prepare once, then one kernel per right-hand side: a service shard's
+    // loop over a coalesced batch.
+    let (prepared, timings, hit) = engine.prepare_with_shape(&a, None, OutputShape::Full);
+    for (i, b) in bs.iter().enumerate() {
+        let (c, _) = engine.execute_prepared_shaped(&prepared, b, None, timings, hit);
+        let expect = clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&a, b);
         assert!(c.numerically_eq(&expect, 1e-9), "rhs {i}");
-        assert_eq!(report.cache_hit, i > 0, "rhs {i}");
     }
+    assert_eq!(engine.cache_stats().misses, 1, "one preparation for every rhs");
 }
 
 #[test]

@@ -91,8 +91,9 @@ fn shaped_wire_requests_are_bit_identical_to_direct_engine() {
     for (name, a) in corpus() {
         // Top-k over the wire: same bits as the in-process shaped engine,
         // and the report echoes the shape (tag + k survive the frame).
-        let (direct, _) = Engine::default().multiply_topk(&a, &a, 3);
-        let resp = client.multiply_topk(&a, &a, 3).expect(name);
+        let (direct, _) = Engine::default().multiply_shaped(&a, &a, OutputShape::TopK(3), None);
+        let resp =
+            client.multiply_shaped_qos(&a, &a, &SubmitShape::TopK(3), Qos::none()).expect(name);
         assert!(
             resp.product.bits_eq(&direct),
             "{name}: wire top-k product is not bit-identical to the direct shaped engine"
@@ -111,13 +112,30 @@ fn shaped_wire_requests_are_bit_identical_to_direct_engine() {
         completed += 2;
     }
 
-    // A mask whose dimensions don't match the product is a typed reject —
-    // and the connection survives to serve the corrected request.
+    // A mask whose dimensions don't match the product, or operands that do
+    // not compose, is a typed reject whose message is the service's own for
+    // the same request — and the connection survives to serve the corrected
+    // request.
     let a = gen::grid::poisson2d(6, 6);
-    let bad_mask = gen::grid::poisson2d(5, 5);
-    let err = client.multiply_masked(&a, &a, &bad_mask).expect_err("mask dims must mismatch");
-    assert!(err.is_rejected_with(RejectCode::ShapeMismatch), "got {err}");
-    let resp = client.multiply_topk(&a, &a, 1).expect("serves after the reject");
+    let small = gen::grid::poisson2d(5, 5);
+    let in_process = SpgemmService::new(ServiceConfig::default());
+    let (a_arc, small_arc) = (Arc::new(a.clone()), Arc::new(small.clone()));
+    for (masked, rhs) in [(true, &a_arc), (false, &small_arc)] {
+        let mut request = MultiplyRequest::new(Arc::clone(&a_arc), Arc::clone(rhs));
+        let err = if masked {
+            request = request.with_mask(Arc::clone(&small_arc));
+            client.multiply_masked(&a, rhs, &small)
+        } else {
+            client.multiply(&a, rhs)
+        };
+        let want = in_process.submit(request).expect_err("shapes must mismatch").to_string();
+        let Err(NetError::Rejected { code, message }) = err else { panic!("{err:?}") };
+        assert_eq!((code, message), (RejectCode::ShapeMismatch, want));
+    }
+    in_process.shutdown();
+    let resp = client
+        .multiply_shaped_qos(&a, &a, &SubmitShape::TopK(1), Qos::none())
+        .expect("serves after the reject");
     assert!(
         (0..resp.product.nrows).all(|i| resp.product.row_nnz(i) <= 1),
         "top-1 rows must have at most one entry"
@@ -204,8 +222,8 @@ fn routed_client_places_by_fingerprint_and_each_endpoint_serves_its_share() {
         );
         // Repeat traffic: placement is deterministic, so the second hit
         // lands on the same endpoint's now-warm plan cache.
-        let first = router.multiply(&a, &a).expect(name);
-        let again = router.multiply(&a, &a).expect(name);
+        let first = router.route(&a).multiply(&a, &a).expect(name);
+        let again = router.route(&a).multiply(&a, &a).expect(name);
         expected[endpoint] += 2;
         assert!(first.product.bits_eq(&again.product), "{name}: unstable product");
         assert!(!first.report.cache_hit, "{name}: first sight cannot be a cache hit");
@@ -389,7 +407,8 @@ fn deadline_expired_requests_are_shed_and_counted() {
     // its budget runs out, then is shed *before* enqueue.
     let qos = Qos { priority: Priority::High, deadline: Some(Duration::from_millis(120)) };
     let started = Instant::now();
-    let err = client.multiply_qos(&a, &a, qos).expect_err("must be shed");
+    let err =
+        client.multiply_shaped_qos(&a, &a, &SubmitShape::Full, qos).expect_err("must be shed");
     assert!(err.is_rejected_with(RejectCode::DeadlineExpired), "got {err}");
     assert!(
         started.elapsed() >= Duration::from_millis(120),
@@ -424,7 +443,8 @@ fn low_priority_is_shed_at_the_watermark_over_the_wire() {
 
     let a = gen::grid::poisson2d(10, 10);
     let low = Qos { priority: Priority::Low, deadline: None };
-    let err = client.multiply_qos(&a, &a, low).expect_err("low must be shed");
+    let err =
+        client.multiply_shaped_qos(&a, &a, &SubmitShape::Full, low).expect_err("low must be shed");
     assert!(err.is_rejected_with(RejectCode::QueueFull), "got {err}");
 
     // Interactive traffic is untouched by the watermark.

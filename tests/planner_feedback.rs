@@ -84,9 +84,9 @@ fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
             DEFAULT_CACHE_CAPACITY,
         );
         let best_fixed = planner
-            .plans_ranked(&a)
+            .plans_costed(&a, OutputShape::Full)
             .into_iter()
-            .map(|p| warm_seconds(&mut meter, &a, p))
+            .map(|r| warm_seconds(&mut meter, &a, r.plan))
             .fold(f64::INFINITY, f64::min);
         let converged_s = warm_seconds(&mut meter, &a, converged);
         if converged_s <= best_fixed * 1.5 {

@@ -86,9 +86,12 @@ fn shaped_requests_serve_bit_identical_and_echo_their_shape() {
     for (name, a) in corpus() {
         // Top-k through the queue/batch/shard path must match the direct
         // shaped engine bit for bit, and the report must echo the shape.
-        let (direct, _) = Engine::default().multiply_topk(&a, &a, 4);
+        let (direct, _) = Engine::default().multiply_shaped(&a, &a, OutputShape::TopK(4), None);
         let served = service
-            .submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a)).with_topk(4))
+            .submit(
+                MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))
+                    .with_shape(RequestShape::TopK(4)),
+            )
             .unwrap()
             .wait()
             .unwrap();
@@ -126,7 +129,11 @@ fn shaped_requests_serve_bit_identical_and_echo_their_shape() {
     let plan = Planner::default().plan(&a);
     assert_eq!(plan.shape, OutputShape::Full);
     let served = service
-        .submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a)).with_plan(plan).with_topk(2))
+        .submit(
+            MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))
+                .with_plan(plan)
+                .with_shape(RequestShape::TopK(2)),
+        )
         .unwrap()
         .wait()
         .unwrap();
