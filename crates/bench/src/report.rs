@@ -159,17 +159,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats seconds with adaptive precision.
-pub fn secs(x: f64) -> String {
-    if x < 1e-3 {
-        format!("{:.1}µs", x * 1e6)
-    } else if x < 1.0 {
-        format!("{:.2}ms", x * 1e3)
-    } else {
-        format!("{x:.2}s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +203,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(f2(1.234), "1.23");
-        assert!(secs(0.5e-3).ends_with("µs") || secs(0.5e-3).ends_with("ms"));
-        assert_eq!(secs(2.0), "2.00s");
     }
 }

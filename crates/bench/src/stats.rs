@@ -100,15 +100,6 @@ pub fn performance_profile(values: &[f64], thresholds: &[f64]) -> Vec<(f64, f64)
         .collect()
 }
 
-/// CDF sample points (paper Fig. 11): `(value, fraction ≤ value)` at each
-/// distinct value.
-pub fn cdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len() as f64;
-    v.iter().enumerate().map(|(i, &x)| (x, (i + 1) as f64 / n)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,12 +148,5 @@ mod tests {
         let prof = performance_profile(&vals, &[0.0, 1.0, 4.0, 10.0, 100.0]);
         let fracs: Vec<f64> = prof.iter().map(|&(_, f)| f).collect();
         assert_eq!(fracs, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
-    }
-
-    #[test]
-    fn cdf_endpoints() {
-        let c = cdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(c.first().unwrap().0, 1.0);
-        assert!((c.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 }

@@ -19,11 +19,9 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod hierarchy;
 pub mod replay;
 pub mod reuse;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{replay_b_row_trace_hierarchy, Hierarchy, HierarchyStats};
 pub use replay::{replay_b_row_trace, ReplayStats};
 pub use reuse::{reuse_distance_histogram, ReuseHistogram};

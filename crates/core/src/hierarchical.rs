@@ -233,13 +233,6 @@ impl HierarchicalClustering {
         let pa = self.perm.permute_symmetric(a);
         (CsrCluster::from_csr(&pa, &self.clustering), pa)
     }
-
-    /// Builds the `CSR_Cluster` operand for a rectangular workload
-    /// (`A × B` with independent `B`): permutes **rows only**.
-    pub fn build_rows_only(&self, a: &CsrMatrix) -> CsrCluster {
-        let pa = self.perm.permute_rows(a);
-        CsrCluster::from_csr(&pa, &self.clustering)
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +325,7 @@ mod tests {
             let h = hierarchical_clustering(&a, &ClusterConfig::default());
             assert_eq!(h.perm.len(), nrows);
             h.clustering.validate(nrows).unwrap();
-            h.build_rows_only(&a).validate().unwrap();
+            CsrCluster::from_csr(&h.perm.permute_rows(&a), &h.clustering).validate().unwrap();
         }
     }
 
@@ -383,15 +376,6 @@ mod tests {
         let (cc, pa) = h.build_symmetric(&a);
         cc.validate().unwrap();
         assert!(cc.to_csr().approx_eq(&pa, 0.0));
-    }
-
-    #[test]
-    fn build_rows_only_keeps_columns() {
-        let a = fig7_matrix();
-        let h = hierarchical_clustering(&a, &ClusterConfig::default());
-        let cc = h.build_rows_only(&a);
-        assert_eq!(cc.ncols, a.ncols);
-        assert_eq!(cc.nnz(), a.nnz());
     }
 
     #[test]

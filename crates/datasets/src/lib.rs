@@ -487,20 +487,6 @@ pub fn corpus(scale: Scale) -> Vec<Dataset> {
     v
 }
 
-/// An SpGEMM workload (paper §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Square the matrix: `A²`.
-    ASquared,
-    /// Multiply by BC BFS-frontier matrices: `A × F_i` for `i = 1..iters`.
-    TallSkinny {
-        /// Number of BFS sources (columns of each frontier).
-        sources: usize,
-        /// Number of frontier iterations to keep.
-        iters: usize,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -146,7 +146,7 @@ const MAX_RELABELLED_DISTANCE: f64 = 0.1;
 /// 0.97, 282 KB ×0.98 / 1.00, 504 KB ×0.97 / 0.91, 2.0 MB ×0.89 / 0.90,
 /// 4.6 MB ×0.73 / 0.80. The hash accumulator reads ×0.78–0.94 at every one
 /// of those sizes (relabelled ids come in near-consecutive runs, which its
-/// low-bits hash spreads without collisions) and has no floor.
+/// low-bits hash spreads over distinct slots) and has no floor.
 const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 
 /// Materializes the operand for `plan`: computes and applies the row

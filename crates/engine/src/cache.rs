@@ -1,18 +1,17 @@
-//! The plan cache: (fingerprint, plan) → prepared operand, with LRU
-//! eviction under an entry or byte bound, and verified hits.
+//! The plan cache: (operand, plan) → prepared operand, with LRU eviction
+//! under an entry or byte bound.
 //!
 //! Reordering and cluster construction only pay off amortized over
 //! repeated multiplications (paper §4.5, Fig. 10). The cache closes the
 //! loop for *serving* workloads: repeated traffic on the same matrix hits
-//! the [`cw_sparse::fingerprint`] key and reuses the full
-//! [`PreparedMatrix`] — permutation, `CSR_Cluster`, everything — skipping
-//! preprocessing entirely. Entries are shared out as `Arc`s, so hits cost
-//! one hash lookup and a refcount bump.
+//! its [`OperandKey`] and reuses the full [`PreparedMatrix`] — permutation,
+//! `CSR_Cluster`, everything — skipping preprocessing entirely. Entries are
+//! shared out as `Arc`s, so hits cost one hash lookup and a refcount bump.
 //!
 //! Two design points guard correctness:
 //!
 //! * **Keys carry the plan.** Every entry is keyed by
-//!   `(fingerprint, plan)` ([`CacheKey`]) — parallelism and output shape
+//!   `(operand, plan)` ([`CacheKey`]) — parallelism and output shape
 //!   included, since both are [`Plan`] fields. Preparations under
 //!   different plans — a forced ablation plan, the planner's first choice,
 //!   a later feedback re-plan, the same pipeline run serially — coexist without clobbering each other. When the feedback loop
@@ -20,26 +19,58 @@
 //!   switching *back* is a cache hit, not a re-prepare. Equal plans
 //!   produce byte-identical prepared operands, so sharing an entry between
 //!   them is sound by construction.
-//! * **Hits are verified.** The sampled fingerprint is a cheap lookup key,
-//!   not an identity proof; [`PlanCache::get_or_prepare`] re-checks the
-//!   full-content checksum before trusting a hit, demoting collisions to
-//!   misses (counted in [`CacheStats::collisions`]).
+//! * **Keys carry the whole operand.** An [`OperandKey`] is the sampled
+//!   [`cw_sparse::fingerprint()`] *and* the full-content
+//!   [`cw_sparse::checksum`] together. Two matrices that agree at every
+//!   sampled position — one pattern, a value changed between samples — are
+//!   two keys with an entry each, so a hit is never another matrix's
+//!   preparation and alternating traffic on the pair never evicts either.
+//!   A false hit would take a 64-bit checksum collision.
 
 use crate::plan::Plan;
 use crate::prepared::PreparedMatrix;
 use cw_obs::{Counter, MetricsRegistry};
-use cw_sparse::MatrixFingerprint;
+use cw_sparse::{checksum, fingerprint, CsrMatrix, MatrixFingerprint};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Cache key: the operand's fingerprint plus the plan its preparation
-/// realizes. Preparations under genuinely different pipelines — auto,
-/// forced, feedback-re-planned, or the same pipeline run serially — never
-/// collide.
+/// The engine's one identity for an operand: its sampled fingerprint (which
+/// also carries its dimensions and `nnz`) and its full-content checksum.
+/// The plan cache, the feedback store and every [`PreparedMatrix`] key on
+/// it, and a resolution computes it once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OperandKey {
+    /// Sampled fingerprint of the operand ([`cw_sparse::fingerprint()`]).
+    pub fingerprint: MatrixFingerprint,
+    /// Full-content checksum ([`cw_sparse::checksum`]).
+    pub checksum: u64,
+}
+
+impl OperandKey {
+    /// The identity of `a` (`O(nnz)`, dominated by the checksum pass).
+    pub fn of(a: &CsrMatrix) -> OperandKey {
+        OperandKey { fingerprint: fingerprint(a), checksum: checksum(a) }
+    }
+
+    /// Whether `b` is the operand this identifies, cheapest test first:
+    /// dimensions and `nnz`, then the sampled fingerprint, then the
+    /// checksum.
+    pub(crate) fn identifies(&self, b: &CsrMatrix) -> bool {
+        let fp = &self.fingerprint;
+        (b.nrows as u64, b.ncols as u64, b.nnz() as u64) == (fp.nrows, fp.ncols, fp.nnz)
+            && fingerprint(b) == *fp
+            && checksum(b) == self.checksum
+    }
+}
+
+/// Cache key: the operand plus the plan its preparation realizes.
+/// Preparations under genuinely different pipelines — auto, forced,
+/// feedback-re-planned, or the same pipeline run serially — never share an
+/// entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Sampled fingerprint of the operand.
-    pub fingerprint: MatrixFingerprint,
+    /// The operand's identity.
+    pub operand: OperandKey,
     /// The preparing plan.
     pub plan: Plan,
 }
@@ -103,14 +134,10 @@ impl CacheBudget {
 /// Hit/miss/eviction counters for one cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a prepared operand (verified, when a verifier
-    /// was supplied).
+    /// Lookups that found a prepared operand.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Fingerprint collisions: lookups whose entry failed checksum
-    /// verification (also counted under `misses`).
-    pub collisions: u64,
     /// Entries evicted to respect the size bound.
     pub evictions: u64,
     /// Entries inserted over the cache's lifetime.
@@ -138,12 +165,10 @@ impl CacheStats {
 /// snapshot observe identical values by construction.
 #[derive(Debug, Clone, Default)]
 pub struct CacheCounters {
-    /// Verified hits (see [`CacheStats::hits`]).
+    /// Hits (see [`CacheStats::hits`]).
     pub hits: Arc<Counter>,
     /// Misses (see [`CacheStats::misses`]).
     pub misses: Arc<Counter>,
-    /// Failed-verification collisions (see [`CacheStats::collisions`]).
-    pub collisions: Arc<Counter>,
     /// Size-bound evictions (see [`CacheStats::evictions`]).
     pub evictions: Arc<Counter>,
     /// Lifetime insertions (see [`CacheStats::insertions`]).
@@ -156,19 +181,17 @@ impl CacheCounters {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            collisions: self.collisions.get(),
             evictions: self.evictions.get(),
             insertions: self.insertions.get(),
         }
     }
 
     /// Adopt these counters into `registry` under
-    /// `{prefix}hits`, `{prefix}misses`, `{prefix}collisions`,
-    /// `{prefix}evictions`, `{prefix}insertions`.
+    /// `{prefix}hits`, `{prefix}misses`, `{prefix}evictions`,
+    /// `{prefix}insertions`.
     pub fn bind_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
         registry.bind_counter(&format!("{prefix}hits"), Arc::clone(&self.hits));
         registry.bind_counter(&format!("{prefix}misses"), Arc::clone(&self.misses));
-        registry.bind_counter(&format!("{prefix}collisions"), Arc::clone(&self.collisions));
         registry.bind_counter(&format!("{prefix}evictions"), Arc::clone(&self.evictions));
         registry.bind_counter(&format!("{prefix}insertions"), Arc::clone(&self.insertions));
     }
@@ -186,12 +209,12 @@ struct CacheEntry {
 /// A bounded LRU map from [`CacheKey`]s to prepared operands.
 ///
 /// ```
-/// use cw_engine::{CacheKey, Plan, PlanCache, PreparedMatrix};
+/// use cw_engine::{CacheKey, OperandKey, Plan, PlanCache, PreparedMatrix};
 /// use std::sync::Arc;
 ///
 /// let a = cw_sparse::gen::grid::poisson2d(8, 8);
 /// let plan = Plan::baseline();
-/// let key = CacheKey { fingerprint: cw_sparse::fingerprint(&a), plan };
+/// let key = CacheKey { operand: OperandKey::of(&a), plan };
 ///
 /// let mut cache = PlanCache::new(4);
 /// assert!(cache.get(&key).is_none()); // cold
@@ -338,30 +361,15 @@ impl PlanCache {
         }
     }
 
-    /// Looks up `key`; a hit must also pass `verify` (full-content check —
-    /// the fingerprint inside the key is only a sampled hash). Verification
-    /// failure counts as a collision + miss, drops the stale entry, and
-    /// falls through to `prepare`. Returns the operand and whether it was
-    /// a (verified) cache hit.
+    /// Looks up `key`, and on a miss prepares the operand and inserts it.
+    /// Returns the operand and whether it was a cache hit.
     pub fn get_or_prepare(
         &mut self,
         key: CacheKey,
-        verify: impl FnOnce(&PreparedMatrix) -> bool,
         prepare: impl FnOnce() -> PreparedMatrix,
     ) -> (Arc<PreparedMatrix>, bool) {
         if let Some(hit) = self.get(&key) {
-            if verify(&hit) {
-                return (hit, true);
-            }
-            // Fingerprint collision: the cached operand is not this matrix.
-            // The hit recorded by `get` is reclassified, not merely
-            // supplemented — hence the one legitimate `Counter::sub` call.
-            self.counters.hits.sub(1);
-            self.counters.misses.inc();
-            self.counters.collisions.inc();
-            if let Some(stale) = self.entries.remove(&key) {
-                self.bytes_used -= stale.bytes;
-            }
+            return (hit, true);
         }
         let prepared = Arc::new(prepare());
         self.insert(key, Arc::clone(&prepared));
@@ -382,14 +390,13 @@ mod tests {
     use crate::prepared::PreparedMatrix;
     use cw_core::ClusterConfig;
     use cw_sparse::gen::grid::poisson2d;
-    use cw_sparse::{fingerprint, CsrMatrix};
 
     fn prepared_for(a: &CsrMatrix) -> PreparedMatrix {
         PreparedMatrix::prepare(a, Plan::baseline(), 7, &ClusterConfig::default())
     }
 
     fn auto_key(a: &CsrMatrix) -> CacheKey {
-        CacheKey { fingerprint: fingerprint(a), plan: Plan::baseline() }
+        CacheKey { operand: OperandKey::of(a), plan: Plan::baseline() }
     }
 
     #[test]
@@ -412,15 +419,10 @@ mod tests {
         let mut cache = PlanCache::new(4);
         let mut calls = 0;
         for _ in 0..5 {
-            let (_, hit) = cache.get_or_prepare(
-                key,
-                |_| true,
-                || {
-                    calls += 1;
-                    prepared_for(&a)
-                },
-            );
-            let _ = hit;
+            let _ = cache.get_or_prepare(key, || {
+                calls += 1;
+                prepared_for(&a)
+            });
         }
         assert_eq!(calls, 1);
         assert_eq!(cache.stats().hits, 4);
@@ -428,37 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn failed_verification_counts_a_collision_and_reprepares() {
-        let a = poisson2d(10, 10);
-        let key = auto_key(&a);
-        let mut cache = PlanCache::new(4);
-        let (_, hit) = cache.get_or_prepare(key, |_| true, || prepared_for(&a));
-        assert!(!hit);
-        // Simulate a fingerprint collision: verification rejects the entry.
-        let mut calls = 0;
-        let (_, hit) = cache.get_or_prepare(
-            key,
-            |_| false,
-            || {
-                calls += 1;
-                prepared_for(&a)
-            },
-        );
-        assert!(!hit, "collision must not count as a hit");
-        assert_eq!(calls, 1, "collision must re-prepare");
-        let s = cache.stats();
-        assert_eq!(s.collisions, 1);
-        assert_eq!(s.hits, 0, "demoted hit must not be counted");
-        assert_eq!(s.misses, 2);
-        // The replacement entry is live and verifiable again.
-        let (_, hit) = cache.get_or_prepare(key, |_| true, || prepared_for(&a));
-        assert!(hit);
-    }
-
-    #[test]
     fn distinct_knobs_occupy_distinct_entries_equal_knobs_share() {
         let a = poisson2d(9, 9);
-        let key = |plan| CacheKey { fingerprint: fingerprint(&a), plan };
+        let key = |plan| CacheKey { operand: OperandKey::of(&a), plan };
         let baseline = Plan::baseline();
         let clustered =
             Plan { clustering: crate::plan::ClusteringStrategy::Fixed(4), ..Plan::baseline() };

@@ -11,9 +11,9 @@
 //!
 //! Analytic estimates are rough (the SpMV reordering study, Asudeh et al.,
 //! shows rule-of-thumb predictions are frequently wrong), so the
-//! [`FeedbackStore`] closes the loop: per operand (fingerprint + checksum,
-//! so sampled-fingerprint collisions cannot alias plan state) it keeps an
-//! EWMA of *observed* kernel seconds per candidate plan, a clamped
+//! [`FeedbackStore`] closes the loop: per operand ([`OperandKey`]) and
+//! output shape it keeps an EWMA of *observed* kernel seconds per candidate
+//! plan, a clamped
 //! calibration ratio (observed ÷ predicted) that rescales the untried
 //! candidates' predictions, and the index of the currently chosen plan.
 //! After each execution [`FeedbackStore::record`] re-ranks: a chosen plan
@@ -28,10 +28,11 @@
 //! noise floor ([`PlanningPolicy::min_adapt_gain_seconds`]) — at
 //! microsecond scales timing noise swamps any real plan difference.
 
+use crate::cache::OperandKey;
 use crate::plan::{ClusteringStrategy, OutputShape, Plan};
 use cw_reorder::advisor::Profile;
 use cw_reorder::Reordering;
-use cw_sparse::{CsrMatrix, MatrixFingerprint};
+use cw_sparse::CsrMatrix;
 use cw_spgemm::AccumulatorKind;
 use std::collections::HashMap;
 
@@ -312,41 +313,6 @@ impl Ewma {
     }
 }
 
-/// Identity of one operand in the feedback store: the sampled fingerprint
-/// (a cheap hash) disambiguated by the full-content checksum, mirroring
-/// the plan cache's verify-on-hit discipline so a sampled-fingerprint
-/// collision can never alias two matrices' plan state or merge their
-/// timing observations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OperandKey {
-    /// Sampled fingerprint of the operand ([`cw_sparse::fingerprint()`]).
-    pub fingerprint: MatrixFingerprint,
-    /// Full-content checksum ([`cw_sparse::checksum`]).
-    pub checksum: u64,
-    /// Output shape the feedback entry tracks. Shaped traffic learns
-    /// separately — a top-k multiply's observed kernel seconds must never
-    /// demote or promote the full product's plan (and vice versa), since
-    /// they do genuinely different amounts of work.
-    pub shape: OutputShape,
-}
-
-impl OperandKey {
-    /// Computes both identity components of `a` (`O(nnz)`, dominated by
-    /// the checksum pass) for full-product traffic.
-    pub fn of(a: &CsrMatrix) -> OperandKey {
-        OperandKey::shaped(a, OutputShape::Full)
-    }
-
-    /// Like [`OperandKey::of`] but keyed to a specific output shape.
-    pub fn shaped(a: &CsrMatrix, shape: OutputShape) -> OperandKey {
-        OperandKey {
-            fingerprint: cw_sparse::fingerprint(a),
-            checksum: cw_sparse::checksum(a),
-            shape,
-        }
-    }
-}
-
 /// One candidate plan tracked for an operand.
 #[derive(Debug, Clone)]
 struct Candidate {
@@ -422,9 +388,9 @@ pub struct PlanFeedbackState {
 /// the cost model's ranking after every multiply.
 ///
 /// ```
-/// use cw_engine::{CostEstimate, FeedbackStore, OperandKey, Plan, PlanningPolicy};
+/// use cw_engine::{CostEstimate, FeedbackStore, OperandKey, OutputShape, Plan, PlanningPolicy};
 ///
-/// let key = OperandKey::of(&cw_sparse::CsrMatrix::identity(8));
+/// let key = (OperandKey::of(&cw_sparse::CsrMatrix::identity(8)), OutputShape::Full);
 /// let mut store = FeedbackStore::new();
 /// let fast = Plan::baseline();
 /// store.seed(
@@ -441,7 +407,7 @@ pub struct PlanFeedbackState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FeedbackStore {
-    entries: HashMap<OperandKey, OperandFeedback>,
+    entries: HashMap<(OperandKey, OutputShape), OperandFeedback>,
     capacity: usize,
     tick: u64,
 }
@@ -504,7 +470,7 @@ impl FeedbackStore {
     /// The currently chosen plan for `key`, if the operand was seeded.
     /// This is the planner-free fast path: repeated traffic resolves its
     /// plan with one hash lookup instead of re-profiling the operand.
-    pub fn chosen_plan(&self, key: &OperandKey) -> Option<Plan> {
+    pub fn chosen_plan(&self, key: &(OperandKey, OutputShape)) -> Option<Plan> {
         self.entries.get(key).map(|e| e.candidates[e.chosen].plan)
     }
 
@@ -513,7 +479,7 @@ impl FeedbackStore {
     /// existing operand is a no-op so accumulated observations survive.
     /// Seeding a new operand at capacity first evicts the
     /// least-recently-recorded entry.
-    pub fn seed(&mut self, key: OperandKey, ranked: Vec<(Plan, CostEstimate)>) {
+    pub fn seed(&mut self, key: (OperandKey, OutputShape), ranked: Vec<(Plan, CostEstimate)>) {
         assert!(!ranked.is_empty(), "candidate set must be non-empty");
         if self.capacity == 0 {
             return;
@@ -547,7 +513,7 @@ impl FeedbackStore {
 
     /// Calibration snapshot for `key` relative to its *chosen* plan,
     /// without recording anything.
-    pub fn state(&self, key: &OperandKey) -> Option<PlanFeedbackState> {
+    pub fn state(&self, key: &(OperandKey, OutputShape)) -> Option<PlanFeedbackState> {
         let e = self.entries.get(key)?;
         Some(Self::snapshot(e, e.chosen, false))
     }
@@ -577,7 +543,7 @@ impl FeedbackStore {
     /// replaced by the arg-min when it loses by more than [`SWITCH_MARGIN`].
     pub fn record(
         &mut self,
-        key: OperandKey,
+        key: (OperandKey, OutputShape),
         plan: Plan,
         kernel_seconds: f64,
         policy: &PlanningPolicy,
@@ -630,6 +596,10 @@ impl FeedbackStore {
 mod tests {
     use super::*;
     use cw_sparse::gen;
+
+    fn full_key(a: &CsrMatrix) -> (OperandKey, OutputShape) {
+        (OperandKey::of(a), OutputShape::Full)
+    }
 
     fn features(nrows: usize, nnz: usize, jaccard: f64) -> OperandFeatures {
         OperandFeatures {
@@ -754,7 +724,7 @@ mod tests {
     }
 
     fn two_candidate_store(
-        key: OperandKey,
+        key: (OperandKey, OutputShape),
         chosen_pred: f64,
         alt_pred: f64,
     ) -> (FeedbackStore, Plan, Plan) {
@@ -773,7 +743,7 @@ mod tests {
 
     #[test]
     fn feedback_demotes_a_plan_observed_worse_than_predicted() {
-        let key = OperandKey::of(&gen::grid::poisson2d(6, 6));
+        let key = full_key(&gen::grid::poisson2d(6, 6));
         // Model says the chosen plan is 2× faster than the alternative...
         let (mut store, chosen, alt) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
@@ -797,7 +767,7 @@ mod tests {
 
     #[test]
     fn feedback_keeps_a_plan_that_performs_as_predicted() {
-        let key = OperandKey::of(&gen::grid::poisson2d(7, 7));
+        let key = full_key(&gen::grid::poisson2d(7, 7));
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
         for _ in 0..10 {
@@ -810,7 +780,7 @@ mod tests {
 
     #[test]
     fn noise_floor_suppresses_microsecond_replanning() {
-        let key = OperandKey::of(&gen::grid::poisson2d(8, 8));
+        let key = full_key(&gen::grid::poisson2d(8, 8));
         let (mut store, chosen, _) = two_candidate_store(key, 1e-6, 2e-6);
         // Default policy: observed 10 µs ≪ the 200 µs floor, never switch.
         let policy = PlanningPolicy::default();
@@ -826,7 +796,7 @@ mod tests {
         // The alternative looks far faster once the incumbent disappoints,
         // but its predicted preprocessing blows the policy's hard budget —
         // it must never become the chosen plan.
-        let key = OperandKey::of(&gen::grid::poisson2d(13, 13));
+        let key = full_key(&gen::grid::poisson2d(13, 13));
         let chosen = Plan::baseline();
         let heavy = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
         let mut store = FeedbackStore::new();
@@ -857,8 +827,7 @@ mod tests {
 
     #[test]
     fn store_capacity_evicts_least_recently_recorded_operand() {
-        let keys: Vec<OperandKey> =
-            (4..8).map(|n| OperandKey::of(&gen::grid::poisson2d(n, n))).collect();
+        let keys: Vec<_> = (4..8).map(|n| full_key(&gen::grid::poisson2d(n, n))).collect();
         let mut store = FeedbackStore::with_capacity(2);
         assert_eq!(store.capacity(), 2);
         let seed_one = |store: &mut FeedbackStore, k| {
@@ -884,7 +853,7 @@ mod tests {
 
     #[test]
     fn clear_forgets_every_operand() {
-        let key = OperandKey::of(&gen::grid::poisson2d(12, 12));
+        let key = full_key(&gen::grid::poisson2d(12, 12));
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy::default();
         store.record(key, chosen, 1.0, &policy).unwrap();
@@ -897,7 +866,7 @@ mod tests {
 
     #[test]
     fn frozen_policy_observes_but_never_switches() {
-        let key = OperandKey::of(&gen::grid::poisson2d(9, 9));
+        let key = full_key(&gen::grid::poisson2d(9, 9));
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::frozen() };
         for _ in 0..6 {
@@ -912,7 +881,7 @@ mod tests {
 
     #[test]
     fn reseeding_preserves_observations() {
-        let key = OperandKey::of(&gen::grid::poisson2d(10, 10));
+        let key = full_key(&gen::grid::poisson2d(10, 10));
         let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy::default();
         store.record(key, chosen, 5.0, &policy).unwrap();
@@ -924,7 +893,7 @@ mod tests {
 
     #[test]
     fn unseeded_and_unknown_knobs_are_ignored() {
-        let key = OperandKey::of(&gen::grid::poisson2d(5, 5));
+        let key = full_key(&gen::grid::poisson2d(5, 5));
         let mut store = FeedbackStore::new();
         let policy = PlanningPolicy::default();
         assert!(store.record(key, Plan::baseline(), 1.0, &policy).is_none());
@@ -939,7 +908,7 @@ mod tests {
         // reveals the alternative is far faster than the model thought:
         // once the alternative has enough samples of its own, incumbent
         // observations trigger promotion.
-        let key = OperandKey::of(&gen::grid::poisson2d(11, 11));
+        let key = full_key(&gen::grid::poisson2d(11, 11));
         let (mut store, chosen, alt) = two_candidate_store(key, 1.0, 2.0);
         let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
         // One anomalously fast sample is NOT enough: under-sampled

@@ -1,14 +1,14 @@
 //! The engine: the front door composing plan → prepare → execute with
 //! caching.
 
-use crate::cache::{CacheKey, CacheStats, PlanCache};
-use crate::cost::{FeedbackStore, OperandKey, PlanFeedbackState};
+use crate::cache::{CacheKey, CacheStats, OperandKey, PlanCache};
+use crate::cost::{FeedbackStore, PlanFeedbackState};
 use crate::plan::{OutputShape, Plan};
 use crate::planner::Planner;
 use crate::prepared::PreparedMatrix;
 use crate::report::{ExecutionReport, StageTimings};
 use cw_obs::Tracer;
-use cw_sparse::{checksum, fingerprint, CsrMatrix};
+use cw_sparse::CsrMatrix;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,7 +101,7 @@ impl Engine {
         &self.planner
     }
 
-    /// Read-only view of the execution-feedback store (per-fingerprint
+    /// Read-only view of the execution-feedback store (per-operand
     /// observed-timing EWMAs and the calibration state).
     pub fn feedback(&self) -> &FeedbackStore {
         &self.feedback
@@ -237,8 +237,8 @@ impl Engine {
     /// ([`ExecutionReport::two_sided`]) — is decided by content, inside the
     /// kernel stage's seconds: see [`PreparedMatrix::multiply_shaped`]. The
     /// `multiply*` methods hold both operands and settle it with
-    /// `std::ptr::eq(a, b)` instead: `a`'s checksum was verified against the
-    /// cache entry in the same call.
+    /// `std::ptr::eq(a, b)` instead: `a`'s full identity keyed the cache
+    /// lookup in the same call.
     pub fn execute_prepared_shaped(
         &mut self,
         prepared: &PreparedMatrix,
@@ -277,21 +277,18 @@ impl Engine {
         }
         let mut timings = prep_timings;
         timings.kernel_seconds = kernel_seconds;
-        let work_scale = (prepared.nnz().max(1) as f64 / b.nnz().max(1) as f64).clamp(0.1, 10.0);
+        let a_nnz = prepared.operand.fingerprint.nnz as f64;
+        let work_scale = (a_nnz.max(1.0) / b.nnz().max(1) as f64).clamp(0.1, 10.0);
         let observed = kernel_seconds * work_scale;
-        let key = OperandKey {
-            fingerprint: prepared.fingerprint,
-            checksum: prepared.checksum,
-            shape: prepared.plan.shape,
-        };
         // Unseeded operands (forced-only traffic) and plans outside the
         // candidate set are ignored by the store.
+        let key = (prepared.operand, prepared.plan.shape);
         let feedback = self.feedback.record(key, prepared.plan, observed, &self.planner.policy);
         let report = ExecutionReport {
             plan: prepared.plan,
             clusterwise: prepared.is_clusterwise(),
             two_sided,
-            fingerprint: prepared.fingerprint,
+            fingerprint: prepared.operand.fingerprint,
             cache_hit,
             timings,
             output_nnz: c.nnz(),
@@ -302,7 +299,7 @@ impl Engine {
 
     /// Calibration snapshot for `key`'s currently chosen plan, without
     /// recording anything.
-    pub fn feedback_state(&self, key: &OperandKey) -> Option<PlanFeedbackState> {
+    pub fn feedback_state(&self, key: &(OperandKey, OutputShape)) -> Option<PlanFeedbackState> {
         self.feedback.state(key)
     }
 
@@ -315,11 +312,13 @@ impl Engine {
     ///
     /// The plan is `forced`, else the feedback store's choice (one hash
     /// lookup), else the cost-ranked planner's on first sighting (which
-    /// seeds the feedback candidates). The cache is keyed by
-    /// `(fingerprint, plan)`, so a demoted plan's preparation stays resident
-    /// for a switch-back, and hits are verified against the full-content
-    /// checksum before being trusted. On a hit reorder/cluster timings are
-    /// zero, while `plan_seconds` is any planning this call performed.
+    /// seeds the feedback candidates). `a`'s [`OperandKey`] — sampled
+    /// fingerprint and full-content checksum — is computed once here and
+    /// keys both stores: the cache by `(operand, plan)`, so a demoted plan's
+    /// preparation stays resident for a switch-back, and the feedback store
+    /// by `(operand, shape)`; a miss hands it to the preparation. On a hit
+    /// reorder/cluster timings are zero, while `plan_seconds` is any
+    /// planning this call performed.
     /// `shape` is stamped into every ranked plan, so shaped traffic never
     /// shares cache entries or feedback with full-product traffic; a forced
     /// plan's own shape wins over `shape`.
@@ -329,40 +328,34 @@ impl Engine {
         forced: Option<Plan>,
         shape: OutputShape,
     ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
-        let fp = fingerprint(a);
-        let sum = checksum(a);
+        let operand = OperandKey::of(a);
         // A forced plan is a complete pipeline description — its own shape
         // wins, so forced traffic and its feedback stay self-consistent.
-        let shape = forced.map_or(shape, |p| p.shape);
-        // Feedback state is keyed by fingerprint *and* checksum, so a
-        // sampled-fingerprint collision can never hand this operand
-        // another matrix's plan (or pollute its timing observations). The
-        // requested output shape joins the key: full and truncated traffic
-        // on the same operand never share plans or observations.
-        let operand = OperandKey { fingerprint: fp, checksum: sum, shape };
+        // The shape joins the feedback key: full and truncated traffic on
+        // the same operand never share plans or observations.
+        let feedback_key = (operand, forced.map_or(shape, |p| p.shape));
         let mut plan_seconds = 0.0;
         let plan = match forced {
             Some(p) => p,
-            None => match self.feedback.chosen_plan(&operand) {
+            None => match self.feedback.chosen_plan(&feedback_key) {
                 Some(p) => p,
                 None => {
                     let t0 = Instant::now();
                     let ranked = self.planner.plans_costed(a, shape);
                     let selected = ranked[0].plan;
-                    self.feedback
-                        .seed(operand, ranked.into_iter().map(|r| (r.plan, r.estimate)).collect());
+                    self.feedback.seed(
+                        feedback_key,
+                        ranked.into_iter().map(|r| (r.plan, r.estimate)).collect(),
+                    );
                     plan_seconds = t0.elapsed().as_secs_f64();
                     selected
                 }
             },
         };
-        let key = CacheKey { fingerprint: fp, plan };
         let planner = &self.planner;
-        let (prepared, hit) = self.cache.get_or_prepare(
-            key,
-            |cached| cached.checksum == sum,
-            || PreparedMatrix::prepare(a, plan, planner.seed, &planner.cluster),
-        );
+        let (prepared, hit) = self.cache.get_or_prepare(CacheKey { operand, plan }, || {
+            PreparedMatrix::prepare_keyed(a, operand, plan, planner.seed, &planner.cluster)
+        });
         let timings = if hit {
             // Reorder/cluster work was done by whichever call prepared the
             // entry, but planning may still have happened on *this* call
@@ -463,24 +456,23 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_entry_is_detected_by_checksum() {
-        // Same dims/nnz, values edited at a position the sampled
-        // fingerprint may not cover: the checksum must still catch it.
+    fn operands_that_share_a_fingerprint_keep_an_entry_each() {
+        // `vals[1]` lies between the fingerprint's first two samples (every
+        // ~10th of 2 400 entries), so `b` differs from `a` only where the
+        // fingerprint does not look: the "same pattern, new values" traffic
+        // of AMG. Alternating them must hit, not evict each other.
         let a = gen::er::erdos_renyi(400, 6, 11);
         let mut b = a.clone();
-        let mid = b.vals.len() / 2 + 1;
-        b.vals[mid] += 0.5;
+        b.vals[1] += 0.5;
+        assert_eq!(cw_sparse::fingerprint(&a), cw_sparse::fingerprint(&b));
         let mut engine = Engine::default();
-        let (_, first) = engine.multiply(&a, &a);
-        assert!(!first.cache_hit);
-        let (cb, rep_b) = engine.multiply(&b, &b);
-        // Whether or not the sampled fingerprints collide, the result must
-        // be b's product, never a stale a-product.
-        assert!(cb.numerically_eq(&spgemm_serial(&b, &b), 1e-9));
-        if rep_b.fingerprint == first.fingerprint {
-            assert!(!rep_b.cache_hit, "colliding fingerprint must be demoted");
-            assert_eq!(engine.cache_stats().collisions, 1);
+        for m in [&a, &b, &a, &b, &a, &b] {
+            let (c, _) = engine.multiply(m, m);
+            assert!(c.bits_eq(&spgemm_serial(m, m)), "a product of the other operand");
         }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (2, 4), "one preparation per operand");
+        assert_eq!(engine.feedback().len(), 2, "one feedback state per operand");
     }
 
     #[test]
@@ -528,7 +520,7 @@ mod tests {
     #[test]
     fn reset_clears_cache_and_feedback_while_clear_cache_keeps_feedback() {
         let a = gen::grid::poisson2d(10, 10);
-        let key = OperandKey::of(&a);
+        let key = (OperandKey::of(&a), OutputShape::Full);
         let mut engine = Engine::default();
         let _ = engine.multiply(&a, &a);
         assert!(engine.feedback_state(&key).is_some());
@@ -651,11 +643,10 @@ mod tests {
 
         // Feedback state is shape-keyed too: each shape accumulated only
         // its own executions.
-        let sum = cw_sparse::checksum(&a);
-        let fp = cw_sparse::fingerprint(&a);
+        let operand = OperandKey::of(&a);
         for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
-            let key = OperandKey { fingerprint: fp, checksum: sum, shape };
-            let st = engine.feedback_state(&key).expect("each shape has its own feedback");
+            let st =
+                engine.feedback_state(&(operand, shape)).expect("each shape has its own feedback");
             assert_eq!(st.executions, 2, "shape {shape:?} saw exactly its own traffic");
         }
     }

@@ -27,13 +27,13 @@
 //!    of right-hand sides and always return results in the original row
 //!    order: the kernel stores each row where that order wants it, so no
 //!    pass follows it.
-//! 3. **Cache** — [`PlanCache`] maps cheap matrix fingerprints
-//!    ([`cw_sparse::fingerprint()`]) plus the plan to prepared operands
-//!    under a [`CacheBudget`] — entry-bounded or byte-bounded LRU — with
-//!    hit/miss/eviction counters, so repeated traffic on the same matrix
-//!    skips preprocessing entirely. Keying by `(fingerprint, plan)` lets
-//!    preparations under different plans coexist, which is what makes
-//!    feedback re-planning cheap to undo.
+//! 3. **Cache** — [`PlanCache`] maps an operand's [`OperandKey`] (sampled
+//!    fingerprint plus full-content checksum, computed once per call) and
+//!    the plan to prepared operands under a [`CacheBudget`] —
+//!    entry-bounded or byte-bounded LRU — with hit/miss/eviction counters,
+//!    so repeated traffic on the same matrix skips preprocessing entirely.
+//!    Keying by `(operand, plan)` lets preparations under different plans
+//!    coexist, which is what makes feedback re-planning cheap to undo.
 //! 4. **Execute** — [`Engine::multiply_shaped`] (or, for many right-hand
 //!    sides against one preparation, [`Engine::prepare_with_shape`] once
 //!    and [`Engine::execute_prepared_shaped`] per right-hand side) runs
@@ -41,7 +41,7 @@
 //!    set, else on the calling thread, the serial oracle the parallel path
 //!    is bit-identical to — and returns an [`ExecutionReport`] with the
 //!    executed plan and per-stage wall-clock timings.
-//! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-fingerprint
+//! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-operand
 //!    EWMAs of observed kernel seconds per candidate plan. Observed
 //!    timings correct the cost model's estimates after every execution:
 //!    plans that underperform their prediction are demoted, observed-fast
@@ -79,7 +79,7 @@
 //! assert!(!first.cache_hit);
 //!
 //! // Repeated traffic: the feedback store resolves the plan, the
-//! // fingerprint hits the plan cache, preprocessing is skipped, only the
+//! // operand's key hits the plan cache, preprocessing is skipped, only the
 //! // kernel runs — and the observation calibrates the cost model.
 //! let (c2, second) = engine.multiply(&a, &a);
 //! assert!(second.cache_hit);
@@ -101,12 +101,12 @@ mod planner;
 mod prepared;
 mod report;
 
-pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, PlanCache};
+pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, OperandKey, PlanCache};
 pub use calibrate::{
     CalibrationProfile, CalibrationSample, Calibrator, ProfileParseError, PROFILE_SCHEMA_VERSION,
 };
 pub use cost::{
-    CostEstimate, CostModel, Ewma, FeedbackStore, OperandFeatures, OperandKey, PlanFeedbackState,
+    CostEstimate, CostModel, Ewma, FeedbackStore, OperandFeatures, PlanFeedbackState,
     PlanningPolicy, CALIBRATION_CLAMP, DEFAULT_FEEDBACK_CAPACITY, EWMA_ALPHA,
     MIN_OBSERVATIONS_TO_SWITCH, SWITCH_MARGIN,
 };

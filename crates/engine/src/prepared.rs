@@ -15,10 +15,11 @@
 //! labels.
 
 use crate::backend::{self, CpuOperand};
+use crate::cache::OperandKey;
 use crate::plan::{OutputShape, Plan};
 use crate::report::StageTimings;
 use cw_core::ClusterConfig;
-use cw_sparse::{checksum, fingerprint, CsrMatrix, MatrixFingerprint, Permutation};
+use cw_sparse::{CsrMatrix, Permutation};
 use std::time::Instant;
 
 /// An `A` operand with its plan fully materialized.
@@ -27,24 +28,19 @@ pub struct PreparedMatrix {
     /// The plan this preparation realizes (its `parallel` field says
     /// whether every multiply runs on the pool).
     pub plan: Plan,
-    /// Fingerprint of the *original* (pre-permutation) operand.
-    pub fingerprint: MatrixFingerprint,
-    /// Full-content checksum of the original operand
-    /// ([`cw_sparse::fingerprint::checksum`]); cache layers verify hits
-    /// against it before trusting the sampled fingerprint.
-    pub checksum: u64,
+    /// Identity of the *original* (pre-permutation) operand — the plan
+    /// cache's and the feedback store's key; its fingerprint carries the
+    /// operand's dimensions and `nnz`.
+    pub operand: OperandKey,
     /// What preparation cost: `reorder_seconds` and `cluster_seconds` are
     /// set, every other stage is zero.
     pub timings: StageTimings,
-    /// The total row permutation `operand` was built under (`None` when
+    /// The total row permutation `format` was built under (`None` when
     /// the rows did not move): kernel row `r` is original row `old_of(r)`,
     /// which is where the kernel's pack step stores it.
     row_map: Option<Permutation>,
     /// The reordered CSR or `CSR_Cluster` operand the kernels run over.
-    operand: CpuOperand,
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
+    format: CpuOperand,
 }
 
 impl PreparedMatrix {
@@ -54,41 +50,20 @@ impl PreparedMatrix {
     /// `seed` feeds randomized reorderings; `cluster` parameterizes the
     /// Variable/Hierarchical strategies.
     pub fn prepare(a: &CsrMatrix, plan: Plan, seed: u64, cluster: &ClusterConfig) -> Self {
-        let (operand, row_map, timings) = backend::materialize(a, &plan, seed, cluster);
-        PreparedMatrix {
-            plan,
-            fingerprint: fingerprint(a),
-            checksum: checksum(a),
-            timings,
-            row_map,
-            operand,
-            nrows: a.nrows,
-            ncols: a.ncols,
-            nnz: a.nnz(),
-        }
+        PreparedMatrix::prepare_keyed(a, OperandKey::of(a), plan, seed, cluster)
     }
 
-    /// Rows of the prepared operand (matches the original matrix).
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Columns of the prepared operand (matches the original matrix).
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Stored nonzeros of the original operand (the feedback loop uses
-    /// this as the reference workload when normalizing observed kernel
-    /// times across right-hand sides of different sizes).
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// True when the kernel runs over reordered rows (and maps its output
-    /// back to the original order as it packs it).
-    pub fn is_reordered(&self) -> bool {
-        self.row_map.is_some()
+    /// [`PreparedMatrix::prepare`] for an `a` whose identity the caller has
+    /// already computed.
+    pub(crate) fn prepare_keyed(
+        a: &CsrMatrix,
+        operand: OperandKey,
+        plan: Plan,
+        seed: u64,
+        cluster: &ClusterConfig,
+    ) -> Self {
+        let (format, row_map, timings) = backend::materialize(a, &plan, seed, cluster);
+        PreparedMatrix { plan, operand, timings, row_map, format }
     }
 
     /// Which kernel multiplies run on: `true` for the cluster-wise kernel
@@ -97,7 +72,7 @@ impl PreparedMatrix {
     /// 1.5 rows per cluster on this operand — then the preparation kept the
     /// clustering's row order and dropped the format.
     pub fn is_clusterwise(&self) -> bool {
-        matches!(self.operand, CpuOperand::ClusterWise { .. })
+        matches!(self.format, CpuOperand::ClusterWise { .. })
     }
 
     /// Whether the preparation carries its ids in the reordering's label
@@ -109,7 +84,7 @@ impl PreparedMatrix {
     /// right-hand side is the source matrix then runs two-sided
     /// ([`crate::ExecutionReport::two_sided`]).
     pub fn is_relabelled(&self) -> bool {
-        self.operand.is_relabelled()
+        self.format.is_relabelled()
     }
 
     /// Approximate resident heap footprint in bytes: the materialized
@@ -119,7 +94,7 @@ impl PreparedMatrix {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let row_map = self.row_map.as_ref().map_or(0, |p| p.len() * size_of::<u32>());
-        size_of::<Self>() + self.operand.approx_bytes() + row_map
+        size_of::<Self>() + self.format.approx_bytes() + row_map
     }
 
     /// `C = shape(A · b)`; rows of `C` come back in the original
@@ -131,8 +106,8 @@ impl PreparedMatrix {
     /// Whether `b` is the matrix this preparation was built from is decided
     /// here, tried only when [`PreparedMatrix::is_relabelled`]: dimensions
     /// and `nnz`, then the sampled fingerprint, then the full-content
-    /// checksum — the plan cache's own test; a fingerprint match alone is
-    /// never trusted.
+    /// checksum — the two halves of the plan cache's key; a fingerprint
+    /// match alone is never trusted.
     pub fn multiply_shaped(&self, b: &CsrMatrix, mask: Option<&CsrMatrix>) -> CsrMatrix {
         self.run(b, false, mask).0
     }
@@ -140,7 +115,7 @@ impl PreparedMatrix {
     /// The multiply behind every door: the shaped product, the kernel
     /// stage's seconds, and whether it ran two-sided. `b_is_source` is a
     /// proof the caller already holds that `b` is the prepared matrix (the
-    /// same reference as an `a` whose checksum it just verified); without
+    /// same reference as an `a` whose identity just keyed the lookup); without
     /// one the content test runs here, inside the timed region.
     pub(crate) fn run(
         &self,
@@ -155,24 +130,10 @@ impl PreparedMatrix {
             self.plan.describe()
         );
         let t0 = Instant::now();
-        let b_is_source = self.is_relabelled() && (b_is_source || self.was_prepared_from(b));
-        let (c, two_sided) = backend::execute(
-            &self.operand,
-            self.row_map.as_ref(),
-            &self.plan,
-            b,
-            b_is_source,
-            mask,
-        );
+        let b_is_source = self.is_relabelled() && (b_is_source || self.operand.identifies(b));
+        let (c, two_sided) =
+            backend::execute(&self.format, self.row_map.as_ref(), &self.plan, b, b_is_source, mask);
         (c, t0.elapsed().as_secs_f64(), two_sided)
-    }
-
-    /// The plan cache's test that `b` is the matrix this was prepared from,
-    /// cheapest check first.
-    fn was_prepared_from(&self, b: &CsrMatrix) -> bool {
-        (b.nrows, b.ncols, b.nnz()) == (self.nrows, self.ncols, self.nnz)
-            && fingerprint(b) == self.fingerprint
-            && checksum(b) == self.checksum
     }
 }
 
@@ -283,7 +244,7 @@ mod tests {
         // Cluster-wise keeps the relabelled union lists and `P·A·Pᵀ` as `B`.
         let plan = Plan { clustering: ClusteringStrategy::Fixed(4), ..rcm };
         let clustered = PreparedMatrix::prepare(&a, plan, 7, &cfg);
-        let CpuOperand::ClusterWise { cc, relabelled: Some(_) } = &clustered.operand else {
+        let CpuOperand::ClusterWise { cc, relabelled: Some(_) } = &clustered.format else {
             panic!("a fixed-4 plan on a reordered square operand is cluster-wise and relabelled");
         };
         let format = size_of::<PreparedMatrix>() + cc.memory_bytes() + a.nrows * size_of::<u32>();
@@ -307,7 +268,7 @@ mod tests {
         let a = gen::grid::poisson2d(6, 6);
         assert_eq!(Plan::baseline().reorder, Reordering::Original);
         let prepared = PreparedMatrix::prepare(&a, Plan::baseline(), 7, &ClusterConfig::default());
-        assert!(!prepared.is_reordered());
+        assert!(prepared.row_map.is_none());
         assert_eq!(prepared.timings.total(), 0.0);
     }
 
@@ -322,6 +283,6 @@ mod tests {
         let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
         assert!(prepared.timings.reorder_seconds > 0.0);
         assert!(prepared.timings.cluster_seconds > 0.0);
-        assert!(prepared.is_reordered());
+        assert!(prepared.row_map.is_some());
     }
 }

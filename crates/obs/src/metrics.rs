@@ -42,8 +42,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Counters are monotonically increasing except for [`Counter::sub`],
 /// which exists for the rare bookkeeping paths that retroactively
-/// reclassify an event (e.g. the plan cache demoting a fingerprint hit to
-/// a miss when the checksum collides).
+/// reclassify an event (e.g. the service rolling back an admission whose
+/// hand-off to the dispatcher failed).
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 

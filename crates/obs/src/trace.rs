@@ -70,7 +70,6 @@ struct TracerInner {
     active: HashMap<u64, Vec<SpanRecord>>,
     flight: FlightRecorder,
     ambient: Vec<SpanRecord>,
-    ambient_dropped: u64,
 }
 
 /// The span sink: an enable flag, a monotonic time origin, and the flight
@@ -107,7 +106,6 @@ impl Tracer {
                 active: HashMap::new(),
                 flight: FlightRecorder::new(flight_capacity),
                 ambient: Vec::new(),
-                ambient_dropped: 0,
             }),
         }
     }
@@ -219,8 +217,6 @@ impl Tracer {
         }
         if inner.ambient.len() < AMBIENT_SPAN_CAPACITY {
             inner.ambient.push(record);
-        } else {
-            inner.ambient_dropped += 1;
         }
     }
 
@@ -240,11 +236,6 @@ impl Tracer {
     /// [`AMBIENT_SPAN_CAPACITY`]).
     pub fn ambient_spans(&self) -> Vec<SpanRecord> {
         lock(&self.inner).ambient.clone()
-    }
-
-    /// How many ambient spans were dropped because the buffer was full.
-    pub fn ambient_dropped(&self) -> u64 {
-        lock(&self.inner).ambient_dropped
     }
 }
 
@@ -346,7 +337,6 @@ mod tests {
         let ambient = t.ambient_spans();
         assert_eq!(ambient.len(), 1);
         assert_eq!(ambient[0].name, "standalone");
-        assert_eq!(t.ambient_dropped(), 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Weighted undirected graph representation and traversal utilities.
 
 use cw_sparse::CsrMatrix;
-use std::collections::VecDeque;
 
 /// An undirected graph in adjacency (CSR-like) form with vertex and edge
 /// weights. Every edge is stored in both directions with equal weight; no
@@ -79,16 +78,6 @@ impl Graph {
         }
     }
 
-    /// BFS distances from `start` (u32::MAX for unreachable). Returns
-    /// `(levels, last_visited, reached_count)` — `last_visited` is a vertex
-    /// in the final BFS level, used by the pseudo-peripheral search.
-    pub fn bfs_levels(&self, start: usize) -> (Vec<u32>, usize, usize) {
-        let mut bfs = Bfs::new(self.nvtx());
-        let last = self.bfs_into(start, &mut bfs);
-        let reached = bfs.order.len();
-        (bfs.level, last, reached)
-    }
-
     /// One BFS pass from `start` into `bfs`, forgetting the pass before it;
     /// returns the last vertex visited (one of the final level). Costs the
     /// component of `start`, not the graph.
@@ -147,32 +136,6 @@ impl Graph {
                 return best;
             }
         }
-    }
-
-    /// Connected components: returns `(component_id_per_vertex, count)`.
-    /// Component ids are assigned in order of the smallest vertex contained.
-    pub fn connected_components(&self) -> (Vec<u32>, usize) {
-        let mut comp = vec![u32::MAX; self.nvtx()];
-        let mut next = 0u32;
-        let mut queue = VecDeque::new();
-        for s in 0..self.nvtx() {
-            if comp[s] != u32::MAX {
-                continue;
-            }
-            comp[s] = next;
-            queue.push_back(s as u32);
-            while let Some(v) = queue.pop_front() {
-                let (nbrs, _) = self.neighbors(v as usize);
-                for &u in nbrs {
-                    if comp[u as usize] == u32::MAX {
-                        comp[u as usize] = next;
-                        queue.push_back(u);
-                    }
-                }
-            }
-            next += 1;
-        }
-        (comp, next as usize)
     }
 
     /// Extracts the vertex-induced subgraph over `vertices` (which need not
@@ -238,10 +201,10 @@ mod tests {
     #[test]
     fn bfs_levels_on_path() {
         let g = path_graph(5);
-        let (levels, last, reached) = g.bfs_levels(0);
-        assert_eq!(levels, vec![0, 1, 2, 3, 4]);
-        assert_eq!(last, 4);
-        assert_eq!(reached, 5);
+        let mut bfs = Bfs::new(g.nvtx());
+        assert_eq!(g.bfs_into(0, &mut bfs), 4, "the last vertex visited");
+        assert_eq!(bfs.level, vec![0, 1, 2, 3, 4]);
+        assert_eq!(bfs.order.len(), 5);
     }
 
     #[test]
@@ -273,22 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn connected_components_two_islands() {
-        // Two disjoint edges: 0-1, 2-3.
-        let g = Graph {
-            xadj: vec![0, 1, 2, 3, 4],
-            adjncy: vec![1, 0, 3, 2],
-            adjwgt: vec![1; 4],
-            vwgt: vec![1; 4],
-        };
-        let (comp, n) = g.connected_components();
-        assert_eq!(n, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-    }
-
-    #[test]
     fn subgraph_keeps_internal_edges_only() {
         let g = path_graph(5);
         let (sub, map) = g.subgraph(&[1, 2, 4]);
@@ -308,8 +255,9 @@ mod tests {
             adjwgt: vec![1, 1],
             vwgt: vec![1; 3],
         };
-        let (levels, _, reached) = g.bfs_levels(0);
-        assert_eq!(reached, 2);
-        assert_eq!(levels[2], u32::MAX);
+        let mut bfs = Bfs::new(g.nvtx());
+        g.bfs_into(0, &mut bfs);
+        assert_eq!(bfs.order.len(), 2);
+        assert_eq!(bfs.level[2], u32::MAX);
     }
 }

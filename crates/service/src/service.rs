@@ -657,6 +657,39 @@ mod tests {
     }
 
     #[test]
+    fn operands_that_share_a_fingerprint_share_a_shard_and_keep_an_entry_each() {
+        // `b` differs from `a` only at a value the sampled fingerprint skips,
+        // so both route to the same shard and coalesce into one batch; the
+        // shard's cache must still hold one preparation per operand.
+        let a = gen::er::erdos_renyi(400, 6, 11);
+        let mut b = a.clone();
+        b.vals[1] += 0.5;
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        let (a, b) = (arc(a), arc(b));
+        let service = SpgemmService::new(ServiceConfig {
+            shards: 1,
+            batch_window: Duration::from_secs(60),
+            ..ServiceConfig::default()
+        });
+        let tickets: Vec<_> = [&a, &b, &a, &b, &a, &b]
+            .into_iter()
+            .map(|m| {
+                let t = service.submit(MultiplyRequest::new(Arc::clone(m), Arc::clone(m))).unwrap();
+                (m, t)
+            })
+            .collect();
+        let stats = service.shutdown();
+        for (m, t) in tickets {
+            let resp = t.wait().unwrap();
+            assert_eq!(resp.report.batch_size, 6);
+            assert!(resp.product.bits_eq(&spgemm_serial(m, m)), "a product of the other operand");
+        }
+        let cache = stats.total_cache();
+        assert_eq!((cache.misses, cache.hits), (2, 4), "one preparation per operand");
+        assert_eq!(stats.shards[0].tracked_operands, 2, "one feedback state per operand");
+    }
+
+    #[test]
     fn max_batch_flushes_a_group_early() {
         let a = arc(gen::grid::poisson2d(8, 8));
         let service = SpgemmService::new(ServiceConfig {

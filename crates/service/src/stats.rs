@@ -58,7 +58,8 @@ pub struct ShardStats {
     /// Plan switches the shard engine's feedback loop has made (observed
     /// timings contradicted the cost model strongly enough to re-plan).
     pub replans: u64,
-    /// Operand fingerprints the shard engine's feedback store tracks.
+    /// Operands (one per output shape requested) the shard engine's
+    /// feedback store tracks.
     pub tracked_operands: usize,
 }
 
@@ -96,7 +97,6 @@ impl ServiceStats {
         for s in &self.shards {
             total.hits += s.cache.hits;
             total.misses += s.cache.misses;
-            total.collisions += s.cache.collisions;
             total.evictions += s.cache.evictions;
             total.insertions += s.cache.insertions;
         }

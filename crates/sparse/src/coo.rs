@@ -70,27 +70,6 @@ impl CooMatrix {
         }
     }
 
-    /// Builds a COO matrix from parallel triplet arrays.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        rows: Vec<u32>,
-        cols: Vec<ColIdx>,
-        vals: Vec<Value>,
-    ) -> Result<Self, SparseError> {
-        if rows.len() != cols.len() || cols.len() != vals.len() {
-            return Err(SparseError::LengthMismatch(format!(
-                "triplets: rows={}, cols={}, vals={}",
-                rows.len(),
-                cols.len(),
-                vals.len()
-            )));
-        }
-        let m = CooMatrix { nrows, ncols, rows, cols, vals };
-        m.validate()?;
-        Ok(m)
-    }
-
     /// Checks every entry is in bounds.
     pub fn validate(&self) -> Result<(), SparseError> {
         for &r in &self.rows {
@@ -137,20 +116,6 @@ mod tests {
         assert_eq!(m.nnz(), 1);
         m.push_sym(0, 2, 1.0);
         assert_eq!(m.nnz(), 3);
-    }
-
-    #[test]
-    fn from_triplets_rejects_mismatched_lengths() {
-        let r = CooMatrix::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0]);
-        assert!(matches!(r, Err(SparseError::LengthMismatch(_))));
-    }
-
-    #[test]
-    fn from_triplets_rejects_out_of_bounds() {
-        let r = CooMatrix::from_triplets(2, 2, vec![5], vec![0], vec![1.0]);
-        assert!(matches!(r, Err(SparseError::RowOutOfBounds { .. })));
-        let r = CooMatrix::from_triplets(2, 2, vec![0], vec![9], vec![1.0]);
-        assert!(matches!(r, Err(SparseError::ColOutOfBounds { .. })));
     }
 
     #[test]

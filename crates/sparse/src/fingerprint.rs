@@ -2,18 +2,19 @@
 //!
 //! A [`MatrixFingerprint`] identifies a matrix by its dimensions, nonzero
 //! count, and a hash over a deterministic *sample* of its structure and
-//! values. Computing one costs `O(samples)` — independent of `nnz` — so an
-//! engine front door can fingerprint every incoming matrix and skip
-//! preprocessing (reordering, cluster construction) when the same matrix
-//! was already prepared.
+//! values. Computing one costs `O(samples)` — independent of `nnz` — so a
+//! serving front door can fingerprint every incoming matrix to route it,
+//! and an identity test can reject a different matrix before it pays for
+//! the full-content [`checksum`].
 //!
 //! The hash samples `row_ptr`, `col_idx`, and `vals` at evenly spaced
-//! positions, so two matrices that differ only at unsampled positions can
-//! collide. That trade-off is deliberate: the intended workload is
-//! *repeated multiplication with the same operand* (the paper's
-//! amortization argument, §4.5), where the fingerprint is exact. Callers
-//! needing certainty can raise the sample count or compare matrices
-//! directly on hit.
+//! positions, so two matrices that differ only at unsampled positions — one
+//! pattern with a value changed between samples — share a fingerprint. That
+//! is why a fingerprint is never an identity on its own: a cache keys on
+//! the fingerprint *and* the full-content [`checksum`] together, and the
+//! fingerprint alone is for what tolerates a shared value, such as routing
+//! both matrices of such a pair to one shard
+//! ([`MatrixFingerprint::shard_index`]).
 
 use crate::CsrMatrix;
 
@@ -89,11 +90,12 @@ pub fn fingerprint_with_samples(a: &CsrMatrix, samples: usize) -> MatrixFingerpr
 }
 
 /// Full-content checksum over dimensions, `row_ptr`, `col_idx`, and value
-/// bits — `O(nnz)`, collision-resistant in practice where the sampled
-/// [`fingerprint`] is not. Cache layers use the sampled fingerprint as the
-/// lookup key and this checksum to *verify* hits before trusting them
+/// bits — `O(nnz)`, and it sees every position where the sampled
+/// [`fingerprint`] does not. Together the two are a cache key: the
+/// fingerprint carries the dimensions and `nnz` (and answers a mismatch
+/// cheaply), the checksum tells apart matrices that agree at every sample
 /// (hashing at memory bandwidth is negligible next to the SpGEMM a hit
-/// gates).
+/// saves).
 pub fn checksum(a: &CsrMatrix) -> u64 {
     let mut h = 0x27D4_EB2F_1656_67C5u64;
     h = mix(h, a.nrows as u64);

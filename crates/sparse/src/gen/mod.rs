@@ -29,16 +29,6 @@ use crate::{CooMatrix, CsrMatrix, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Fills values of `a` with uniform random numbers in `[0.5, 1.5)`,
-/// preserving the pattern. Keeps SpGEMM numerics well-conditioned (no
-/// cancellation) so tests can compare against reference products tightly.
-pub fn randomize_values(a: &mut CsrMatrix, seed: u64) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for v in &mut a.vals {
-        *v = rng.gen_range(0.5..1.5);
-    }
-}
-
 /// Builds a CSR matrix from an undirected edge list (both directions stored),
 /// with unit values and a unit diagonal when `with_diagonal` is set.
 pub(crate) fn from_undirected_edges(
@@ -69,21 +59,6 @@ pub(crate) fn from_undirected_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn randomize_values_preserves_pattern_and_is_deterministic() {
-        let mut a = CsrMatrix::identity(10);
-        let pattern = a.col_idx.clone();
-        randomize_values(&mut a, 42);
-        assert_eq!(a.col_idx, pattern);
-        assert!(a.vals.iter().all(|&v| (0.5..1.5).contains(&v)));
-        let mut b = CsrMatrix::identity(10);
-        randomize_values(&mut b, 42);
-        assert_eq!(a.vals, b.vals);
-        let mut c = CsrMatrix::identity(10);
-        randomize_values(&mut c, 43);
-        assert_ne!(a.vals, c.vals);
-    }
 
     #[test]
     fn from_undirected_edges_symmetric() {

@@ -1,6 +1,6 @@
-//! Element-wise sparse matrix algebra: addition, scaling, and comparison
-//! helpers used by the AMG example, test oracles, and downstream users who
-//! need more than multiplication.
+//! Element-wise sparse matrix algebra: addition and scaling, used by the
+//! AMG example, test oracles, and downstream users who need more than
+//! multiplication.
 
 use crate::{ColIdx, CsrMatrix, Value};
 
@@ -70,12 +70,6 @@ pub fn scale(a: &CsrMatrix, alpha: Value) -> CsrMatrix {
     out
 }
 
-/// Largest absolute entry of `A − B` (0 for equal matrices) — a convenient
-/// scalar residual for tests and examples.
-pub fn max_abs_diff(a: &CsrMatrix, b: &CsrMatrix) -> Value {
-    sub(a, b).vals.iter().fold(0.0, |m, v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +91,6 @@ mod tests {
         let a = erdos_renyi(20, 4, 3);
         let z = sub(&a, &a);
         assert!(z.vals.iter().all(|&v| v == 0.0));
-        assert_eq!(max_abs_diff(&a, &a), 0.0);
     }
 
     #[test]

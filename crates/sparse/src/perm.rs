@@ -36,23 +36,6 @@ impl Permutation {
         Ok(Permutation { perm })
     }
 
-    /// Builds from an `old → new` map (the inverse convention).
-    pub fn from_old_to_new(inv: Vec<u32>) -> Result<Self, String> {
-        let n = inv.len();
-        let mut perm = vec![u32::MAX; n];
-        for (old, &new) in inv.iter().enumerate() {
-            let new = new as usize;
-            if new >= n {
-                return Err(format!("target {new} out of range for permutation of {n}"));
-            }
-            if perm[new] != u32::MAX {
-                return Err(format!("target {new} appears twice"));
-            }
-            perm[new] = old as u32;
-        }
-        Ok(Permutation { perm })
-    }
-
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -190,8 +173,7 @@ mod tests {
     fn conventions_agree() {
         // perm: new->old [2,0,1] means old0->new1, old1->new2, old2->new0.
         let p = Permutation::from_new_to_old(vec![2, 0, 1]).unwrap();
-        let q = Permutation::from_old_to_new(vec![1, 2, 0]).unwrap();
-        assert_eq!(p, q);
+        assert_eq!(p.inverse_map(), vec![1, 2, 0]);
     }
 
     #[test]

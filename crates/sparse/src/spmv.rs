@@ -1,4 +1,4 @@
-//! Sparse matrix–(dense) vector and matrix products.
+//! Sparse matrix–(dense) vector products.
 //!
 //! SpMV is the kernel most prior reordering work targets (paper §1); it is
 //! provided here both for completeness and as an independent oracle: SpGEMM
@@ -18,24 +18,6 @@ pub fn spmv(a: &CsrMatrix, x: &[Value]) -> Vec<Value> {
             acc += v * x[c as usize];
         }
         *yi = acc;
-    }
-    y
-}
-
-/// `Y = A · X` for a dense row-major `X` of shape `ncols × k`.
-/// Returns row-major `nrows × k`.
-pub fn spmm_dense(a: &CsrMatrix, x: &[Value], k: usize) -> Vec<Value> {
-    assert_eq!(x.len(), a.ncols * k, "X must be ncols x k row-major");
-    let mut y = vec![0.0; a.nrows * k];
-    for i in 0..a.nrows {
-        let (cols, vals) = a.row(i);
-        let out = &mut y[i * k..(i + 1) * k];
-        for (&c, &v) in cols.iter().zip(vals) {
-            let xrow = &x[c as usize * k..(c as usize + 1) * k];
-            for (o, &xv) in out.iter_mut().zip(xrow) {
-                *o += v * xv;
-            }
-        }
     }
     y
 }
@@ -78,21 +60,6 @@ mod tests {
         let y = spmv(&a, &[1.0; 25]);
         assert_eq!(y[12], 0.0); // center vertex
         assert!(y[0] > 0.0); // corner keeps boundary excess
-    }
-
-    #[test]
-    fn spmm_dense_equals_columnwise_spmv() {
-        let a = erdos_renyi(15, 3, 7);
-        let k = 4;
-        let x: Vec<f64> = (0..15 * k).map(|i| (i as f64 * 0.37).cos()).collect();
-        let y = spmm_dense(&a, &x, k);
-        for col in 0..k {
-            let xc: Vec<f64> = (0..15).map(|r| x[r * k + col]).collect();
-            let yc = spmv(&a, &xc);
-            for r in 0..15 {
-                assert!((y[r * k + col] - yc[r]).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -90,22 +90,6 @@ pub fn stats(a: &CsrMatrix) -> MatrixStats {
     }
 }
 
-/// Histogram of row-nnz values with the given bucket boundaries.
-///
-/// `bounds` must be ascending; bucket `k` counts rows with
-/// `bounds[k-1] <= nnz < bounds[k]` (first bucket starts at zero, a final
-/// overflow bucket catches the rest).
-pub fn row_nnz_histogram(a: &CsrMatrix, bounds: &[usize]) -> Vec<usize> {
-    debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-    let mut hist = vec![0usize; bounds.len() + 1];
-    for i in 0..a.nrows {
-        let n = a.row_nnz(i);
-        let bucket = bounds.partition_point(|&b| b <= n);
-        hist[bucket] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +143,6 @@ mod tests {
             vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 2.0), (1, 2.0)], vec![(0, 3.0), (1, 3.0)]],
         );
         assert_eq!(avg_consecutive_jaccard(&a), 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let a = tri(); // rows have 2,3,3,3,2 nonzeros
-        let h = row_nnz_histogram(&a, &[1, 3]);
-        // bucket0: nnz<1 -> 0 rows; bucket1: 1<=nnz<3 -> 2 rows; overflow: 3 rows
-        assert_eq!(h, vec![0, 2, 3]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn heap_handles_duplicate_heavy_rows() {
-        // Dense blocks maximize merge collisions.
+        // Dense blocks maximize equal column ids meeting in the merge.
         let a = block_diagonal(48, (6, 6), 0.0, 2);
         assert!(spgemm_heap(&a, &a).approx_eq(&spgemm_serial(&a, &a), 1e-10));
     }

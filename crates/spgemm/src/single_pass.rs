@@ -254,13 +254,6 @@ impl RowSink<'_> {
         self.rows += 1;
         self.len += n;
     }
-
-    /// Records the chunk's next output row as empty.
-    #[inline]
-    pub fn push_empty_row(&mut self) {
-        self.row_nnz[self.rows] = 0;
-        self.rows += 1;
-    }
 }
 
 /// Runs `fill` once per chunk — in parallel on the pool when there is more
@@ -446,11 +439,7 @@ mod tests {
                 for j in 0..nnz[i] {
                     acc.add(j as ColIdx, (10 * i + j) as Value);
                 }
-                if nnz[i] == 0 {
-                    sink.push_empty_row();
-                } else {
-                    sink.push_row(acc);
-                }
+                sink.push_row(acc);
             }
         });
         c.validate().unwrap();
@@ -560,8 +549,8 @@ mod tests {
     #[should_panic(expected = "one row per output row")]
     fn a_kernel_that_skips_a_row_is_caught() {
         let chunks = [Chunk { units: 0..1, rows: 0..2, out_bound: 0 }];
-        let _ = single_pass(2, 2, &chunks, None, HashAccumulator::new, |_, _, sink| {
-            sink.push_empty_row();
+        let _ = single_pass(2, 2, &chunks, None, HashAccumulator::new, |acc, _, sink| {
+            sink.push_row(acc);
         });
     }
 }

@@ -19,7 +19,7 @@ fn serial_vs_parallel_tour(engine: &mut Engine, a: &CsrMatrix) {
     println!("=== one pipeline, serial oracle vs parallel ===");
     let pipeline = engine.planner().plan(a);
     // Parallelism is just a plan field; each side's preparation caches
-    // under its own (fingerprint, plan) key.
+    // under its own (operand, plan) key.
     let (oracle, rep) = engine.multiply_planned(a, a, Plan { parallel: false, ..pipeline });
     println!("  serial: {}", rep.summary());
     let (c, rep) = engine.multiply_planned(a, a, Plan { parallel: true, ..pipeline });

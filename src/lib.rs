@@ -43,7 +43,7 @@
 //!   which fixes the kernel, × accumulator) with a `CostModel`, and ranks
 //!   them by cost amortized under a caller-supplied `PlanningPolicy`
 //!   (expected reuse, preprocessing budget); `PreparedMatrix` materializes
-//!   the chosen plan once; a (fingerprint, plan)-keyed `PlanCache` (entry-
+//!   the chosen plan once; an (operand, plan)-keyed `PlanCache` (entry-
 //!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
 //!   `Engine::multiply` executes the kernel (on the rayon pool when the
 //!   plan's `parallel` is set; `parallel: false` is the serial oracle the
@@ -59,7 +59,7 @@
 //!   construction so first-sight planning starts calibrated.
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O,
 //!   synthetic matrix generators, structural statistics, and the matrix
-//!   fingerprints keying the engine's plan cache.
+//!   fingerprints and checksums keying the engine's plan cache.
 //! * [`spgemm`] — row-wise Gustavson SpGEMM (the baseline) with hash /
 //!   dense / sort accumulators, FLOP analysis, `SpGEMM_TopK`.
 //! * [`partition`] — multilevel graph & hypergraph partitioners and nested

@@ -72,7 +72,7 @@ fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
         let fb = last.feedback.expect("auto traffic carries feedback state");
         assert!(fb.replans >= 1, "the misprediction must trigger at least one re-plan");
 
-        let key = clusterwise_spgemm::engine::OperandKey::of(&a);
+        let key = (clusterwise_spgemm::engine::OperandKey::of(&a), OutputShape::Full);
         let converged = engine.feedback().chosen_plan(&key).expect("operand is tracked");
 
         // Measure every candidate under identical warm-cache conditions;
@@ -119,7 +119,8 @@ fn execution_reports_surface_calibration_state() {
     assert!(second.summary().contains("fb x2"), "{}", second.summary());
 
     // The snapshot accessor agrees with the report.
-    let state = engine.feedback_state(&clusterwise_spgemm::engine::OperandKey::of(&a)).unwrap();
+    let key = (clusterwise_spgemm::engine::OperandKey::of(&a), OutputShape::Full);
+    let state = engine.feedback_state(&key).unwrap();
     assert_eq!(state.executions, fb2.executions);
 }
 
