@@ -13,6 +13,10 @@
 //!          [--low-watermark N] [--pool-width N] [--seed N]
 //!          [--tracing] [--obs-out PATH]
 //! ```
+//!
+//! `--window-ms` defaults to 0: a request that finds its shard idle is
+//! served at once, and only requests queued behind a busy shard coalesce.
+//! A positive window makes each shard linger that long for companions.
 
 use cw_net::{NetServer, NetServerConfig};
 use cw_service::{ServiceConfig, SpgemmService};
@@ -23,7 +27,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: cw-serve [--addr HOST:PORT] [--shards N] [--queue-capacity N] \
          [--window-ms MS] [--max-batch N] [--max-connections N] [--low-watermark N] \
-         [--pool-width N] [--seed N] [--tracing] [--obs-out PATH]"
+         [--pool-width N] [--seed N] [--tracing] [--obs-out PATH]\n\
+         --window-ms MS: how long a shard lingers for same-lhs companions \
+         (default 0: serve at once, coalesce only what queued behind a busy shard)"
     );
     std::process::exit(2)
 }

@@ -10,12 +10,14 @@
 //!   accepts [`MultiplyRequest`]s up to a configurable in-flight bound and
 //!   rejects the rest with [`SubmitError::Full`], so overload degrades into
 //!   fast failures instead of unbounded memory growth.
-//! * **Request batching** — a dispatcher thread coalesces requests that
-//!   share the same lhs fingerprint within a small batching window
-//!   ([`ServiceConfig::batch_window`]), so one prepared operand serves many
-//!   right-hand sides back to back.
-//! * **Sharded plan caches** — batches are routed by
-//!   [`cw_sparse::MatrixFingerprint::shard_index`] to a fixed pool of
+//! * **Request batching** — work-conserving: a request that finds its
+//!   shard idle runs at once, and requests that queue behind a busy shard
+//!   coalesce with the others for the same lhs fingerprint, so one prepared
+//!   operand serves many right-hand sides back to back. An optional
+//!   [`ServiceConfig::batch_window`] makes a shard linger for companions.
+//! * **Sharded plan caches** — [`SpgemmService::submit`] routes each
+//!   request by [`cw_sparse::MatrixFingerprint::shard_index`] straight onto
+//!   one of a fixed pool of
 //!   worker shards, each owning its *own* [`cw_engine::Engine`] and
 //!   [`cw_engine::PlanCache`]. All traffic for one matrix lands on one
 //!   shard, so caches need no cross-thread locking at all.

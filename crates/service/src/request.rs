@@ -167,7 +167,8 @@ pub struct ServiceReport {
     /// (`1` = not coalesced).
     pub batch_size: usize,
     /// Seconds from submission until a worker started executing it
-    /// (queueing + batching-window wait).
+    /// (waiting behind earlier requests on its shard, plus any
+    /// [`crate::ServiceConfig::batch_window`] linger).
     pub queue_seconds: f64,
     /// Seconds the worker spent executing it (prepare-or-cache-hit +
     /// kernel + postprocess).

@@ -1,18 +1,17 @@
-//! The service: submission queue → batching dispatcher → worker shards.
+//! The service: admission at the front door → fingerprint-routed worker
+//! shards.
 
 use crate::request::{MultiplyRequest, SubmitError, Ticket};
-use crate::shard::{worker_loop, Batch, ShardObs, SlotGuard, Submission, WorkerCtx};
+use crate::shard::{worker_loop, ShardObs, SlotGuard, Submission, WorkerCtx};
 use crate::stats::{LatencySummary, ServiceStats};
 use cw_engine::{
     CacheBudget, CalibrationProfile, Engine, PlanCache, Planner, PlanningPolicy,
     DEFAULT_CACHE_CAPACITY,
 };
 use cw_obs::{export, Counter, FlightRecorder, LogHistogram, MetricsRegistry, Tracer};
-use cw_sparse::{fingerprint, MatrixFingerprint};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -26,12 +25,13 @@ pub struct ServiceConfig {
     /// Maximum requests in flight (queued + batching + executing); beyond
     /// it [`SpgemmService::submit`] fails fast with [`SubmitError::Full`].
     pub queue_capacity: usize,
-    /// How long the dispatcher holds the first pending request open for
-    /// companions before flushing (zero = dispatch immediately, no
-    /// coalescing across submissions).
+    /// How long a shard holds its first pending request open for
+    /// companions before serving. Zero (the default) is work-conserving: a
+    /// request that finds its shard idle is served at once, and requests
+    /// coalesce only when they queue behind a busy shard.
     pub batch_window: Duration,
-    /// A same-fingerprint group reaching this size flushes without waiting
-    /// out the window.
+    /// A same-fingerprint group reaching this size is served without
+    /// waiting any longer.
     pub max_batch: usize,
     /// Per-shard plan-cache bound.
     pub cache_budget: CacheBudget,
@@ -76,7 +76,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 2,
             queue_capacity: 256,
-            batch_window: Duration::from_millis(2),
+            batch_window: Duration::ZERO,
             max_batch: 32,
             cache_budget: CacheBudget::entries(DEFAULT_CACHE_CAPACITY),
             seed: Planner::default().seed,
@@ -134,8 +134,8 @@ struct Counters {
 #[derive(Debug)]
 pub struct SpgemmService {
     config: ServiceConfig,
-    submit_tx: Mutex<Option<Sender<Submission>>>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    /// One channel per shard; `None` once shutdown began.
+    shard_txs: RwLock<Option<Vec<Sender<Submission>>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     next_id: AtomicU64,
     in_flight: Arc<AtomicUsize>,
@@ -154,7 +154,7 @@ pub struct SpgemmService {
 }
 
 impl SpgemmService {
-    /// Spawns the dispatcher and `config.shards` worker threads.
+    /// Spawns `config.shards` worker threads.
     /// Degenerate knobs are normalized up front (`shards`, `max_batch`,
     /// and `queue_capacity` floors of 1), so [`SpgemmService::config`]
     /// always reports what actually runs and a zero capacity cannot
@@ -180,10 +180,6 @@ impl SpgemmService {
         // Service-wide histograms: shards share the same atomic buckets,
         // which is exactly the registry's merge semantics applied eagerly.
         let latency_seconds = metrics.histogram("latency_seconds");
-        let queue_seconds = metrics.histogram("queue_seconds");
-        let execute_seconds = metrics.histogram("execute_seconds");
-        let batch_size = metrics.histogram("batch_size");
-        let kernel_seconds = metrics.histogram("kernel_seconds");
         // Parallel-pool telemetry (see `rayon::pool_stats`): registered up
         // front so the names are present in every export, synced lazily on
         // the read paths (`stats`/`metrics`/`export_jsonl`).
@@ -195,7 +191,7 @@ impl SpgemmService {
         let mut shard_obs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = mpsc::channel::<Batch>();
+            let (tx, rx) = mpsc::channel::<Submission>();
             let base = match config.profile.clone() {
                 Some(profile) => Planner::with_profile(config.seed, profile),
                 None => Planner::with_seed(config.seed),
@@ -205,36 +201,9 @@ impl SpgemmService {
                 Engine::with_cache(planner, PlanCache::with_budget(config.cache_budget));
             engine.set_tracer(Arc::clone(&tracer));
             // Shard telemetry: obs cells registered under `shard{N}.*`,
-            // cloned into both the worker and the service's stats view.
-            let p = format!("shard{shard}.");
-            engine.cache().bind_metrics(&metrics, &format!("{p}cache."));
-            let obs = ShardObs {
-                shard,
-                batches: metrics.counter(&format!("{p}batches")),
-                coalesced_batches: metrics.counter(&format!("{p}coalesced_batches")),
-                requests: metrics.counter(&format!("{p}requests")),
-                reuse_hits: metrics.counter(&format!("{p}reuse_hits")),
-                replans: metrics.counter(&format!("{p}replans")),
-                max_batch_size: metrics.gauge(&format!("{p}max_batch_size")),
-                cached_operands: metrics.gauge(&format!("{p}cached_operands")),
-                cached_bytes: metrics.gauge(&format!("{p}cached_bytes")),
-                tracked_operands: metrics.gauge(&format!("{p}tracked_operands")),
-                cache: engine.cache().counters().clone(),
-            };
-            let ctx = WorkerCtx {
-                shard,
-                obs: obs.clone(),
-                completed: Arc::clone(&counters.completed),
-                deadline_dropped: Arc::clone(&counters.deadline_dropped),
-                tracer: Arc::clone(&tracer),
-                latency_seconds: Arc::clone(&latency_seconds),
-                queue_seconds: Arc::clone(&queue_seconds),
-                execute_seconds: Arc::clone(&execute_seconds),
-                batch_size: Arc::clone(&batch_size),
-                kernel_seconds: Arc::clone(&kernel_seconds),
-                queue_depth: Arc::clone(&queue_depth),
-                in_flight: Arc::clone(&in_flight),
-            };
+            // shared by the worker and the service's stats view.
+            let ctx = WorkerCtx::new(shard, &engine, &metrics, &tracer, &in_flight, &config);
+            shard_obs.push(ctx.obs.clone());
             let pool_width = config.pool_width;
             workers.push(
                 std::thread::Builder::new()
@@ -246,20 +215,11 @@ impl SpgemmService {
                     .expect("spawn shard worker"),
             );
             shard_txs.push(tx);
-            shard_obs.push(obs);
         }
-
-        let (submit_tx, submit_rx) = mpsc::channel::<Submission>();
-        let (window, max_batch) = (config.batch_window, config.max_batch);
-        let dispatcher = std::thread::Builder::new()
-            .name("cw-service-dispatcher".to_string())
-            .spawn(move || dispatcher_loop(submit_rx, shard_txs, window, max_batch))
-            .expect("spawn dispatcher");
 
         SpgemmService {
             config,
-            submit_tx: Mutex::new(Some(submit_tx)),
-            dispatcher: Mutex::new(Some(dispatcher)),
+            shard_txs: RwLock::new(Some(shard_txs)),
             workers: Mutex::new(workers),
             next_id: AtomicU64::new(0),
             in_flight,
@@ -288,6 +248,12 @@ impl SpgemmService {
         self.pool_tasks.add(s.tasks.saturating_sub(self.pool_tasks.get()));
         self.pool_steals.add(s.steals.saturating_sub(self.pool_steals.get()));
         self.pool_split_depth.set_max(s.max_split_depth as i64);
+    }
+
+    /// The shard senders (`None` once shutdown began). The only write is
+    /// shutdown's single `take`, so a poisoned lock still holds valid data.
+    fn shard_txs(&self) -> RwLockReadGuard<'_, Option<Vec<Sender<Submission>>>> {
+        self.shard_txs.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configuration this service was built with.
@@ -328,19 +294,16 @@ impl SpgemmService {
             }
         }
         // QoS: an already-dead request is shed before it takes a queue
-        // slot, costs a fingerprint, or wakes the dispatcher.
+        // slot, costs a fingerprint, or wakes a shard.
         if request.deadline.is_some_and(|d| Instant::now() >= d) {
             self.counters.rejected.inc();
             self.counters.deadline_rejected.inc();
             return Err(SubmitError::DeadlineExpired);
         }
 
-        // The mutex guards only the sender clone; fingerprinting and
-        // admission run outside it so concurrent clients don't serialize.
-        let tx = {
-            let guard = self.submit_tx.lock().unwrap();
-            guard.as_ref().ok_or(SubmitError::ShuttingDown)?.clone()
-        };
+        if self.shard_txs().is_none() {
+            return Err(SubmitError::ShuttingDown);
+        }
 
         // Low-priority traffic is capped at the watermark (when set), so
         // the slots above it stay reserved for high-priority requests.
@@ -368,34 +331,22 @@ impl SpgemmService {
         self.counters.submitted.inc();
 
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let fp = fingerprint(&request.lhs);
-        let (respond, rx) = mpsc::channel();
-        let now = Instant::now();
-        let submission = Submission {
-            id,
-            lhs: request.lhs,
-            rhs: request.rhs,
-            // A forced plan inherits the request's shape: the request is
-            // authoritative about *what* to compute, the plan about *how*.
-            plan: request.plan.map(|p| p.with_shape(request.shape.output_shape())),
-            shape: request.shape,
-            deadline: request.deadline,
-            priority: request.priority,
-            fingerprint: fp,
-            submitted: now,
-            received: now,
-            flushed: now,
-            respond,
-            _slot: slot,
+        let (submission, ticket) = Submission::new(id, request, slot);
+        // Straight onto the shard that owns this lhs fingerprint; the shard
+        // coalesces whatever queues behind it while it is busy.
+        let shard = submission.fingerprint.shard_index(self.config.shards);
+        let sent = match self.shard_txs().as_ref() {
+            Some(txs) => txs[shard].send(submission).is_ok(),
+            None => false,
         };
-        if tx.send(submission).is_err() {
-            // Dispatcher is gone (tear-down raced this submit); the
-            // dropped submission's SlotGuard returned the slot, and the
+        if !sent {
+            // Shutdown raced this submit (or the shard's worker is gone):
+            // the dropped submission's SlotGuard returned the slot, and the
             // admission count is rolled back.
             self.counters.submitted.sub(1);
             return Err(SubmitError::ShuttingDown);
         }
-        Ok(Ticket { id, rx })
+        Ok(ticket)
     }
 
     /// Point-in-time service statistics (callable any time, including
@@ -448,18 +399,15 @@ impl SpgemmService {
         export::export_jsonl(&self.tracer.flight_traces(), &self.metrics.snapshot())
     }
 
-    /// Graceful shutdown: stops accepting work, flushes every pending
-    /// batch, serves all in-flight requests, joins the threads, and
-    /// returns the final statistics. Idempotent. A crashed worker dumps
-    /// the flight recorder to stderr for post-mortem.
+    /// Graceful shutdown: stops accepting work, serves every queued and
+    /// pending request, joins the threads, and returns the final
+    /// statistics. Idempotent. A crashed worker dumps the flight recorder
+    /// to stderr for post-mortem.
     pub fn shutdown(&self) -> ServiceStats {
-        // Dropping the submit sender wakes the dispatcher with
-        // `Disconnected` once the queue drains; it flushes pending groups
-        // and hangs up on the shards, which drain and exit in turn.
-        drop(self.submit_tx.lock().unwrap().take());
-        if let Some(d) = self.dispatcher.lock().unwrap().take() {
-            let _ = d.join();
-        }
+        // Dropping the shard senders hangs up on every shard: each sees
+        // `Disconnected` once its channel drains, serves what it still
+        // holds (window or no window), and exits.
+        drop(self.shard_txs.write().unwrap_or_else(PoisonError::into_inner).take());
         for w in self.workers.lock().unwrap().drain(..) {
             if w.join().is_err() {
                 eprintln!(
@@ -478,96 +426,11 @@ impl Drop for SpgemmService {
     }
 }
 
-/// The dispatcher: pulls submissions, groups them by lhs fingerprint, and
-/// flushes groups to shards when the batching window closes, a group hits
-/// `max_batch`, or the service shuts down.
-fn dispatcher_loop(
-    rx: Receiver<Submission>,
-    shard_txs: Vec<Sender<Batch>>,
-    window: Duration,
-    max_batch: usize,
-) {
-    let mut pending: HashMap<MatrixFingerprint, Vec<Submission>> = HashMap::new();
-    let mut deadline: Option<Instant> = None;
-    loop {
-        let mut received = match deadline {
-            // Nothing pending: sleep until traffic or shutdown.
-            None => match rx.recv() {
-                Ok(sub) => sub,
-                Err(_) => break,
-            },
-            // Window open: wait only until it closes.
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    flush_all(&mut pending, &shard_txs);
-                    deadline = None;
-                    continue;
-                }
-                match rx.recv_timeout(d - now) {
-                    Ok(sub) => sub,
-                    Err(RecvTimeoutError::Timeout) => {
-                        flush_all(&mut pending, &shard_txs);
-                        deadline = None;
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        };
-        // Stamp when the dispatcher saw it: queue wait ends here, the
-        // coalescing-window wait begins (tracing's `queue`/`coalesce`
-        // span boundary).
-        received.received = Instant::now();
-
-        let fp = received.fingerprint;
-        let group = pending.entry(fp).or_default();
-        group.push(received);
-        if group.len() >= max_batch {
-            let items = pending.remove(&fp).expect("group just pushed");
-            send_batch(items, &shard_txs);
-            if pending.is_empty() {
-                deadline = None;
-            }
-        } else if window.is_zero() {
-            flush_all(&mut pending, &shard_txs);
-            deadline = None;
-        } else if deadline.is_none() {
-            deadline = Some(Instant::now() + window);
-        }
-    }
-    // Shutdown: serve whatever was still batching.
-    flush_all(&mut pending, &shard_txs);
-}
-
-/// Flushes every pending group as one batch each.
-fn flush_all(
-    pending: &mut HashMap<MatrixFingerprint, Vec<Submission>>,
-    shard_txs: &[Sender<Batch>],
-) {
-    for (_, items) in pending.drain() {
-        send_batch(items, shard_txs);
-    }
-}
-
-/// Routes one same-fingerprint batch to its shard. A send failure means
-/// the worker is gone (tear-down); dropping the items disconnects their
-/// response channels, which tickets observe as [`crate::ServiceError`].
-fn send_batch(mut items: Vec<Submission>, shard_txs: &[Sender<Batch>]) {
-    debug_assert!(!items.is_empty());
-    let flushed = Instant::now();
-    for it in &mut items {
-        it.flushed = flushed;
-    }
-    let shard = items[0].fingerprint.shard_index(shard_txs.len());
-    let _ = shard_txs[shard].send(Batch { items });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cw_sparse::gen;
-    use cw_sparse::CsrMatrix;
+    use cw_sparse::{fingerprint, CsrMatrix};
     use cw_spgemm::spgemm_serial;
 
     fn arc(m: CsrMatrix) -> Arc<CsrMatrix> {
@@ -652,7 +515,8 @@ mod tests {
         }
         let stats = service.shutdown();
         assert_eq!(stats.coalesced_batches(), 0);
-        // Coalescing is off but the shard cache still amortizes.
+        // Each request waits for the last, so none queues behind another
+        // and none coalesces; the shard cache still amortizes.
         assert_eq!(stats.total_cache().hits, 2);
     }
 
@@ -769,7 +633,7 @@ mod tests {
     #[test]
     fn queued_request_whose_deadline_passes_is_dropped_by_the_worker() {
         let a = arc(gen::grid::poisson2d(8, 8));
-        // A 60 s window means submissions sit in the dispatcher until the
+        // A 60 s window means submissions sit in their shard until the
         // shutdown flush — deterministically long enough for a short
         // deadline to expire while queued.
         let service = SpgemmService::new(ServiceConfig {
@@ -796,7 +660,7 @@ mod tests {
     fn low_priority_is_shed_at_the_watermark() {
         let a = arc(gen::grid::poisson2d(8, 8));
         // Capacity 4, watermark 1: with one request parked in the
-        // dispatcher (60 s window), low-priority traffic is at its cap
+        // shard (60 s window), low-priority traffic is at its cap
         // while high-priority still has three slots.
         let service = SpgemmService::new(ServiceConfig {
             shards: 1,

@@ -1,10 +1,19 @@
 //! Worker shards: each owns an [`Engine`] (and thus a private plan cache)
-//! and drains coalesced batches off its channel.
+//! and serves the submissions routed onto its channel.
 //!
-//! Because the dispatcher routes every request for a given lhs fingerprint
-//! to the same shard, a shard's cache sees *all* traffic for its matrices
-//! and *only* that traffic — no cross-thread cache locking, no duplicate
-//! preparations of one operand on two shards.
+//! Because [`crate::SpgemmService::submit`] routes every request for a
+//! given lhs fingerprint to the same shard, a shard's cache sees *all*
+//! traffic for its matrices and *only* that traffic — no cross-thread cache
+//! locking, no duplicate preparations of one operand on two shards.
+//!
+//! Dispatch is work-conserving: a worker blocks for one submission, drains
+//! whatever already queued behind it, groups the drained submissions by
+//! fingerprint (in order of first arrival) and serves each group as one
+//! batch. Requests coalesce exactly when they had to wait anyway; a lone
+//! request never waits. A non-zero [`crate::ServiceConfig::batch_window`]
+//! makes the worker hold its first pending request open for companions
+//! instead, until the window closes, a group reaches `max_batch`, or the
+//! service hangs up.
 //!
 //! Within a batch, consecutive requests that share the *same* `Arc`'d lhs
 //! (pointer identity — a strict identity proof, no hashing needed) and the
@@ -14,29 +23,33 @@
 //!
 //! Shard telemetry lives on the service's [`cw_obs`] substrate: every
 //! counter a worker bumps is an `Arc`'d obs cell also bound into the
-//! service [`cw_obs::MetricsRegistry`], so [`crate::ServiceStats`] and the
-//! metrics snapshot are two views over the same atomics. When tracing is
-//! enabled each request becomes a [`cw_obs::RequestTrace`]: retroactive
-//! `queue`/`coalesce`/`dispatch` spans from the dispatcher's timestamps, a
-//! live `serve` span around the engine call (under which the engine records
+//! service [`MetricsRegistry`], so [`crate::ServiceStats`] and the metrics
+//! snapshot are two views over the same atomics. When tracing is enabled
+//! each request becomes a [`cw_obs::RequestTrace`]: retroactive
+//! `queue`/`coalesce`/`dispatch` spans (submitted → pulled off the shard
+//! channel → group released → execution began), a live `serve` span around
+//! the engine call (under which the engine records
 //! `plan`/`prepare`/`execute`/`postprocess`), and a `request` root closing
 //! the trace into the flight recorder.
 
-use crate::request::{MultiplyResponse, RequestShape, ServiceError, ServiceReport};
+use crate::request::{
+    MultiplyRequest, MultiplyResponse, RequestShape, ServiceError, ServiceReport, Ticket,
+};
 use crate::stats::ShardStats;
+use crate::ServiceConfig;
 use cw_engine::{CacheCounters, Engine, OutputShape, Plan, PreparedMatrix, StageTimings};
-use cw_obs::{Counter, Gauge, LogHistogram, Tracer};
-use cw_sparse::{CsrMatrix, MatrixFingerprint};
+use cw_obs::{Counter, Gauge, LogHistogram, MetricsRegistry, Tracer};
+use cw_sparse::{fingerprint, CsrMatrix, MatrixFingerprint};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// RAII claim on one queue-capacity slot: decrements `in_flight` exactly
 /// once, when dropped. Because every [`Submission`] carries one, a
 /// submission dropped *unserved* (a worker died, a teardown raced a
-/// dispatch) still returns its slot — the backpressure bound can never
-/// leak shut.
+/// submit) still returns its slot — the backpressure bound can never leak
+/// shut.
 pub(crate) struct SlotGuard(pub(crate) Arc<AtomicUsize>);
 
 impl Drop for SlotGuard {
@@ -54,28 +67,46 @@ pub(crate) struct Submission {
     /// Requested output shape (carries the mask operand for masked
     /// requests; the service front door already validated its dimensions).
     pub(crate) shape: RequestShape,
-    /// Expiry instant; a worker pulling an already-expired submission
-    /// drops it with [`ServiceError::DeadlineExceeded`] instead of
-    /// executing dead work.
+    /// Expiry instant; a worker reaching an already-expired submission
+    /// drops it (its ticket resolves [`ServiceError::Disconnected`])
+    /// instead of executing dead work.
     pub(crate) deadline: Option<Instant>,
     pub(crate) priority: crate::Priority,
     pub(crate) fingerprint: MatrixFingerprint,
     pub(crate) submitted: Instant,
-    /// When the dispatcher pulled it off the submission queue (stamped by
-    /// the dispatcher; until then, equals `submitted`). The
-    /// `submitted..received` interval is the queue wait proper.
+    /// When the shard worker pulled it off its channel (until then, equals
+    /// `submitted`). The `submitted..received` interval is the queue wait
+    /// proper; from here until its group is released it is coalescing.
     pub(crate) received: Instant,
-    /// When the dispatcher flushed its batch to a shard (stamped by
-    /// `send_batch`). `received..flushed` is the coalescing-window wait.
-    pub(crate) flushed: Instant,
     pub(crate) respond: Sender<Result<MultiplyResponse, ServiceError>>,
     /// Held only for its drop effect (releasing the queue slot).
     pub(crate) _slot: SlotGuard,
 }
 
-/// A group of submissions sharing one lhs fingerprint, bound for one shard.
-pub(crate) struct Batch {
-    pub(crate) items: Vec<Submission>,
+impl Submission {
+    /// Wraps an admitted `request` (holding `slot`) for the shard its lhs
+    /// fingerprint routes to, with the [`Ticket`] that redeems it.
+    pub(crate) fn new(id: u64, request: MultiplyRequest, slot: SlotGuard) -> (Submission, Ticket) {
+        let (respond, rx) = mpsc::channel();
+        let now = Instant::now();
+        let submission = Submission {
+            id,
+            fingerprint: fingerprint(&request.lhs),
+            lhs: request.lhs,
+            rhs: request.rhs,
+            // A forced plan inherits the request's shape: the request is
+            // authoritative about *what* to compute, the plan about *how*.
+            plan: request.plan.map(|p| p.with_shape(request.shape.output_shape())),
+            shape: request.shape,
+            deadline: request.deadline,
+            priority: request.priority,
+            submitted: now,
+            received: now,
+            respond,
+            _slot: slot,
+        };
+        (submission, Ticket { id, rx })
+    }
 }
 
 /// Per-shard obs cells: the shard's counters/gauges, each also registered
@@ -122,10 +153,10 @@ impl ShardObs {
     }
 }
 
-/// Everything a worker thread needs beyond its engine and batch channel:
-/// the shard's obs cells, the service-wide histograms (shared atomics — the
-/// registry merges across shards for free), the tracer, and completion
-/// bookkeeping.
+/// Everything a worker thread needs beyond its engine and channel: the
+/// shard's obs cells, the service-wide histograms (shared atomics — the
+/// registry merges across shards for free), the tracer, completion
+/// bookkeeping, and the batching knobs.
 pub(crate) struct WorkerCtx {
     pub(crate) shard: usize,
     pub(crate) obs: ShardObs,
@@ -141,6 +172,57 @@ pub(crate) struct WorkerCtx {
     pub(crate) kernel_seconds: Arc<LogHistogram>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) in_flight: Arc<AtomicUsize>,
+    /// How long the first pending submission is held open for companions
+    /// (zero = work-conserving: serve as soon as the channel is drained).
+    pub(crate) window: Duration,
+    /// A group reaching this size is served without waiting any longer.
+    pub(crate) max_batch: usize,
+}
+
+impl WorkerCtx {
+    /// Shard `shard`'s context: its `shard{N}.*` cells registered in
+    /// `metrics` (with `engine`'s cache counters bound beside them), plus
+    /// the service-wide cells it shares with the front door, which the
+    /// registry hands out by name.
+    pub(crate) fn new(
+        shard: usize,
+        engine: &Engine,
+        metrics: &MetricsRegistry,
+        tracer: &Arc<Tracer>,
+        in_flight: &Arc<AtomicUsize>,
+        config: &ServiceConfig,
+    ) -> WorkerCtx {
+        let p = format!("shard{shard}.");
+        engine.cache().bind_metrics(metrics, &format!("{p}cache."));
+        WorkerCtx {
+            shard,
+            obs: ShardObs {
+                shard,
+                batches: metrics.counter(&format!("{p}batches")),
+                coalesced_batches: metrics.counter(&format!("{p}coalesced_batches")),
+                requests: metrics.counter(&format!("{p}requests")),
+                reuse_hits: metrics.counter(&format!("{p}reuse_hits")),
+                replans: metrics.counter(&format!("{p}replans")),
+                max_batch_size: metrics.gauge(&format!("{p}max_batch_size")),
+                cached_operands: metrics.gauge(&format!("{p}cached_operands")),
+                cached_bytes: metrics.gauge(&format!("{p}cached_bytes")),
+                tracked_operands: metrics.gauge(&format!("{p}tracked_operands")),
+                cache: engine.cache().counters().clone(),
+            },
+            completed: metrics.counter("requests_completed"),
+            deadline_dropped: metrics.counter("requests_deadline_dropped"),
+            tracer: Arc::clone(tracer),
+            latency_seconds: metrics.histogram("latency_seconds"),
+            queue_seconds: metrics.histogram("queue_seconds"),
+            execute_seconds: metrics.histogram("execute_seconds"),
+            batch_size: metrics.histogram("batch_size"),
+            kernel_seconds: metrics.histogram("kernel_seconds"),
+            queue_depth: metrics.gauge("queue_depth"),
+            in_flight: Arc::clone(in_flight),
+            window: config.batch_window,
+            max_batch: config.max_batch,
+        }
+    }
 }
 
 /// The head request's reusable identity within one coalesced batch — the
@@ -148,126 +230,240 @@ pub(crate) struct WorkerCtx {
 /// resolved to.
 type BatchHead = (Arc<CsrMatrix>, Option<Plan>, OutputShape, Arc<PreparedMatrix>);
 
-/// Drains batches until the dispatcher hangs up, then exits. Responses go
-/// straight to each request's private channel; counters land in the
-/// shard's [`ShardObs`] cells so [`crate::SpgemmService::stats`] and the
-/// metrics registry can read them without talking to the thread.
-pub(crate) fn worker_loop(rx: Receiver<Batch>, mut engine: Engine, ctx: WorkerCtx) {
-    while let Ok(batch) = rx.recv() {
-        let batch_size = batch.items.len();
-        ctx.batch_size.record(batch_size as f64);
-        ctx.queue_depth.set(ctx.in_flight.load(Ordering::SeqCst) as i64);
-        // Head request's resolved operand, reusable by identical followers.
-        // The shape joins the identity because shaped preparations live
-        // under their own cache keys; the *mask* does not — preparation is
-        // mask-independent, so two masked requests with different masks
-        // still share one prepared operand.
-        let mut head: Option<BatchHead> = None;
-        for sub in batch.items {
-            let started = Instant::now();
-            // The deadline already gated admission; here it gates
-            // execution — a request that died waiting in the queue is
-            // dropped before any trace, cache, or kernel work happens.
-            // Dropping `sub` hangs up its response channel (the ticket
-            // resolves `ServiceError::Disconnected`) and the SlotGuard
-            // frees the queue slot.
-            if sub.deadline.is_some_and(|d| started >= d) {
-                ctx.deadline_dropped.inc();
-                continue;
-            }
-            let queue_seconds = started.saturating_duration_since(sub.submitted).as_secs_f64();
-            ctx.tracer.begin_trace(sub.id);
-            if ctx.tracer.enabled() {
-                // Pre-execution waits, reconstructed from the dispatcher's
-                // stamps (monotone-clamped so the spans always tile).
-                let submitted_ns = ctx.tracer.ns_of(sub.submitted);
-                let received_ns = ctx.tracer.ns_of(sub.received).max(submitted_ns);
-                let flushed_ns = ctx.tracer.ns_of(sub.flushed).max(received_ns);
-                let started_ns = ctx.tracer.ns_of(started).max(flushed_ns);
-                ctx.tracer.record_span_at("queue", submitted_ns, received_ns, 1);
-                ctx.tracer.record_span_at("coalesce", received_ns, flushed_ns, 1);
-                ctx.tracer.record_span_at("dispatch", flushed_ns, started_ns, 1);
-            }
-            let serve_span = ctx.tracer.span("serve");
-            let shape = sub.shape.output_shape();
-            let reused = matches!(
-                &head,
-                Some((lhs0, plan0, shape0, _))
-                    if Arc::ptr_eq(lhs0, &sub.lhs) && *plan0 == sub.plan && *shape0 == shape
-            );
-            let (prepared, prep_timings, cache_hit) = if reused {
-                ctx.obs.reuse_hits.inc();
-                // A batch-reuse never enters the engine, so stand in for
-                // its plan/prepare spans (zero-length: no work was done).
-                let now = ctx.tracer.now_ns();
-                ctx.tracer.record_span("plan", now, now);
-                ctx.tracer.record_span("prepare", now, now);
-                let (_, _, _, prep) = head.as_ref().expect("reused implies head");
-                (Arc::clone(prep), StageTimings::default(), true)
-            } else {
-                let (prep, timings, hit) = engine.prepare_with_shape(&sub.lhs, sub.plan, shape);
-                head = Some((Arc::clone(&sub.lhs), sub.plan, shape, Arc::clone(&prep)));
-                (prep, timings, hit)
-            };
-            // Execute + record + report through the engine's shared tail:
-            // each shard owns its engine, so observed timings close the
-            // feedback loop with no cross-thread locking. Forced-plan
-            // requests whose plan equals a tracked candidate feed that
-            // candidate's EWMA too (an ablation run can promote a faster
-            // plan for the shard's auto traffic).
-            let (product, execution) = engine.execute_prepared_shaped(
-                &prepared,
-                &sub.rhs,
-                sub.shape.mask().map(Arc::as_ref),
-                prep_timings,
-                cache_hit,
-            );
-            drop(serve_span);
-            if execution.feedback.is_some_and(|f| f.switched) {
-                ctx.obs.replans.inc();
-            }
-            let execute_seconds = started.elapsed().as_secs_f64();
-            let latency_seconds = sub.submitted.elapsed().as_secs_f64();
-            ctx.queue_seconds.record(queue_seconds);
-            ctx.execute_seconds.record(execute_seconds);
-            ctx.latency_seconds.record(latency_seconds);
-            ctx.kernel_seconds.record(execution.timings.kernel_seconds);
-            let report = ServiceReport {
-                request_id: sub.id,
-                shard: ctx.shard,
-                batch_size,
-                queue_seconds,
-                execute_seconds,
-                latency_seconds,
-                priority: sub.priority,
-                deadline_slack_seconds: sub.deadline.map(|d| {
-                    let now = Instant::now();
-                    match d.checked_duration_since(now) {
-                        Some(left) => left.as_secs_f64(),
-                        None => -now.saturating_duration_since(d).as_secs_f64(),
+/// Serves submissions until the service hangs up, then serves whatever is
+/// still pending and exits. Responses go straight to each request's
+/// private channel; counters land in the shard's [`ShardObs`] cells so
+/// [`crate::SpgemmService::stats`] and the metrics registry can read them
+/// without talking to the thread.
+pub(crate) fn worker_loop(rx: Receiver<Submission>, mut engine: Engine, ctx: WorkerCtx) {
+    // Same-fingerprint groups in order of first arrival, and when the
+    // window opened by the first of them closes.
+    let mut pending: Vec<Vec<Submission>> = Vec::new();
+    let mut close: Option<Instant> = None;
+    loop {
+        match pull(&rx, close) {
+            Ok(mut sub) => {
+                // Queue wait ends here; coalescing begins.
+                sub.received = Instant::now();
+                if close.is_none() {
+                    close = Some(sub.received + ctx.window);
+                }
+                let g = match pending.iter().position(|g| g[0].fingerprint == sub.fingerprint) {
+                    Some(g) => g,
+                    None => {
+                        pending.push(Vec::new());
+                        pending.len() - 1
                     }
-                }),
-                execution,
-            };
-            // Root span from submission to now: it closes *after* the
-            // latency measurement (so root duration ≥ reported latency)
-            // but *before* the response is sent, so a caller who has seen
-            // the response can already find the trace in the recorder.
-            ctx.tracer.end_trace(sub.id, "request", ctx.tracer.ns_of(sub.submitted));
-            ctx.completed.inc();
-            // A dropped Ticket is fine: the response is simply discarded.
-            let _ = sub.respond.send(Ok(MultiplyResponse { product, report }));
-            // `sub` (and its SlotGuard) drops here, releasing the queue
-            // slot only after the response is delivered.
+                };
+                pending[g].push(sub);
+                if pending[g].len() >= ctx.max_batch {
+                    serve_batch(&mut engine, &ctx, pending.remove(g));
+                    if pending.is_empty() {
+                        close = None;
+                    }
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                for group in pending.drain(..) {
+                    serve_batch(&mut engine, &ctx, group);
+                }
+                close = None;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-        ctx.obs.batches.inc();
-        if batch_size > 1 {
-            ctx.obs.coalesced_batches.inc();
+    }
+    // Shutdown: serve whatever was still pending.
+    for group in pending {
+        serve_batch(&mut engine, &ctx, group);
+    }
+}
+
+/// The next submission for a worker whose pending window closes at
+/// `close`: with nothing pending, blocks until traffic or hang-up; with the
+/// window open, waits only until it closes; once it has closed, takes only
+/// what already queued. `Timeout` means "serve what is pending".
+fn pull(rx: &Receiver<Submission>, close: Option<Instant>) -> Result<Submission, RecvTimeoutError> {
+    let Some(close) = close else {
+        return rx.recv().map_err(|_| RecvTimeoutError::Disconnected);
+    };
+    match close.checked_duration_since(Instant::now()) {
+        Some(left) if !left.is_zero() => rx.recv_timeout(left),
+        _ => rx.try_recv().map_err(|e| match e {
+            TryRecvError::Empty => RecvTimeoutError::Timeout,
+            TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+        }),
+    }
+}
+
+/// Serves one same-fingerprint group, in arrival order, as one batch.
+fn serve_batch(engine: &mut Engine, ctx: &WorkerCtx, items: Vec<Submission>) {
+    // The group is released: coalescing ends, dispatch (waiting behind the
+    // batch's earlier requests) begins.
+    let flushed = Instant::now();
+    let batch_size = items.len();
+    ctx.batch_size.record(batch_size as f64);
+    ctx.queue_depth.set(ctx.in_flight.load(Ordering::SeqCst) as i64);
+    // Head request's resolved operand, reusable by identical followers.
+    // The shape joins the identity because shaped preparations live under
+    // their own cache keys; the *mask* does not — preparation is
+    // mask-independent, so two masked requests with different masks still
+    // share one prepared operand.
+    let mut head: Option<BatchHead> = None;
+    for sub in items {
+        let started = Instant::now();
+        // The deadline already gated admission; here it gates execution —
+        // a request that died waiting in the queue is dropped before any
+        // trace, cache, or kernel work happens. Dropping `sub` hangs up its
+        // response channel (the ticket resolves
+        // `ServiceError::Disconnected`) and the SlotGuard frees the queue
+        // slot.
+        if sub.deadline.is_some_and(|d| started >= d) {
+            ctx.deadline_dropped.inc();
+            continue;
         }
-        ctx.obs.requests.add(batch_size as u64);
-        ctx.obs.max_batch_size.set_max(batch_size as i64);
-        ctx.obs.cached_operands.set(engine.cached_operands() as i64);
-        ctx.obs.cached_bytes.set(engine.cache().bytes() as i64);
-        ctx.obs.tracked_operands.set(engine.feedback().len() as i64);
+        let queue_seconds = started.saturating_duration_since(sub.submitted).as_secs_f64();
+        ctx.tracer.begin_trace(sub.id);
+        if ctx.tracer.enabled() {
+            // Pre-execution waits, reconstructed from the worker's stamps
+            // (monotone-clamped so the spans always tile).
+            let submitted_ns = ctx.tracer.ns_of(sub.submitted);
+            let received_ns = ctx.tracer.ns_of(sub.received).max(submitted_ns);
+            let flushed_ns = ctx.tracer.ns_of(flushed).max(received_ns);
+            let started_ns = ctx.tracer.ns_of(started).max(flushed_ns);
+            ctx.tracer.record_span_at("queue", submitted_ns, received_ns, 1);
+            ctx.tracer.record_span_at("coalesce", received_ns, flushed_ns, 1);
+            ctx.tracer.record_span_at("dispatch", flushed_ns, started_ns, 1);
+        }
+        let serve_span = ctx.tracer.span("serve");
+        let shape = sub.shape.output_shape();
+        let reused = matches!(
+            &head,
+            Some((lhs0, plan0, shape0, _))
+                if Arc::ptr_eq(lhs0, &sub.lhs) && *plan0 == sub.plan && *shape0 == shape
+        );
+        let (prepared, prep_timings, cache_hit) = if reused {
+            ctx.obs.reuse_hits.inc();
+            // A batch-reuse never enters the engine, so stand in for its
+            // plan/prepare spans (zero-length: no work was done).
+            let now = ctx.tracer.now_ns();
+            ctx.tracer.record_span("plan", now, now);
+            ctx.tracer.record_span("prepare", now, now);
+            let (_, _, _, prep) = head.as_ref().expect("reused implies head");
+            (Arc::clone(prep), StageTimings::default(), true)
+        } else {
+            let (prep, timings, hit) = engine.prepare_with_shape(&sub.lhs, sub.plan, shape);
+            head = Some((Arc::clone(&sub.lhs), sub.plan, shape, Arc::clone(&prep)));
+            (prep, timings, hit)
+        };
+        // Execute + record + report through the engine's shared tail: each
+        // shard owns its engine, so observed timings close the feedback
+        // loop with no cross-thread locking. Forced-plan requests whose
+        // plan equals a tracked candidate feed that candidate's EWMA too
+        // (an ablation run can promote a faster plan for the shard's auto
+        // traffic).
+        let (product, execution) = engine.execute_prepared_shaped(
+            &prepared,
+            &sub.rhs,
+            sub.shape.mask().map(Arc::as_ref),
+            prep_timings,
+            cache_hit,
+        );
+        drop(serve_span);
+        if execution.feedback.is_some_and(|f| f.switched) {
+            ctx.obs.replans.inc();
+        }
+        let execute_seconds = started.elapsed().as_secs_f64();
+        let latency_seconds = sub.submitted.elapsed().as_secs_f64();
+        ctx.queue_seconds.record(queue_seconds);
+        ctx.execute_seconds.record(execute_seconds);
+        ctx.latency_seconds.record(latency_seconds);
+        ctx.kernel_seconds.record(execution.timings.kernel_seconds);
+        let report = ServiceReport {
+            request_id: sub.id,
+            shard: ctx.shard,
+            batch_size,
+            queue_seconds,
+            execute_seconds,
+            latency_seconds,
+            priority: sub.priority,
+            deadline_slack_seconds: sub.deadline.map(|d| {
+                let now = Instant::now();
+                match d.checked_duration_since(now) {
+                    Some(left) => left.as_secs_f64(),
+                    None => -now.saturating_duration_since(d).as_secs_f64(),
+                }
+            }),
+            execution,
+        };
+        // Root span from submission to now: it closes *after* the latency
+        // measurement (so root duration ≥ reported latency) but *before*
+        // the response is sent, so a caller who has seen the response can
+        // already find the trace in the recorder.
+        ctx.tracer.end_trace(sub.id, "request", ctx.tracer.ns_of(sub.submitted));
+        ctx.completed.inc();
+        // A dropped Ticket is fine: the response is simply discarded.
+        let _ = sub.respond.send(Ok(MultiplyResponse { product, report }));
+        // `sub` (and its SlotGuard) drops here, releasing the queue slot
+        // only after the response is delivered.
+    }
+    ctx.obs.batches.inc();
+    if batch_size > 1 {
+        ctx.obs.coalesced_batches.inc();
+    }
+    ctx.obs.requests.add(batch_size as u64);
+    ctx.obs.max_batch_size.set_max(batch_size as i64);
+    ctx.obs.cached_operands.set(engine.cached_operands() as i64);
+    ctx.obs.cached_bytes.set(engine.cache().bytes() as i64);
+    ctx.obs.tracked_operands.set(engine.feedback().len() as i64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cw_sparse::gen;
+    use cw_spgemm::spgemm_serial;
+
+    #[test]
+    fn work_conserving_worker_coalesces_what_queued_behind_the_first() {
+        let a = Arc::new(gen::grid::poisson2d(9, 9));
+        let b = Arc::new(gen::er::erdos_renyi(81, 4, 7));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+        let order = [&a, &b, &a, &a, &b];
+
+        let engine = Engine::default();
+        let metrics = MetricsRegistry::new();
+        let in_flight = Arc::new(AtomicUsize::new(order.len()));
+        let config = ServiceConfig { batch_window: Duration::ZERO, ..ServiceConfig::default() };
+        let ctx =
+            WorkerCtx::new(0, &engine, &metrics, &Arc::new(Tracer::new(4)), &in_flight, &config);
+        let obs = ctx.obs.clone();
+
+        // Everything is queued before the worker runs and the sender is gone,
+        // so the worker's first drain sees all five and then the hang-up.
+        let (tx, rx) = mpsc::channel();
+        let tickets: Vec<_> = order
+            .iter()
+            .enumerate()
+            .map(|(id, &m)| {
+                let request = MultiplyRequest::new(Arc::clone(m), Arc::clone(m));
+                let (sub, ticket) =
+                    Submission::new(id as u64, request, SlotGuard(Arc::clone(&in_flight)));
+                tx.send(sub).unwrap();
+                (m, ticket)
+            })
+            .collect();
+        drop(tx);
+        worker_loop(rx, engine, ctx);
+
+        for (m, ticket) in tickets {
+            let resp = ticket.wait().unwrap();
+            let expected = if Arc::ptr_eq(m, &a) { 3 } else { 2 };
+            assert_eq!(resp.report.batch_size, expected, "request {}", resp.report.request_id);
+            assert!(resp.product.bits_eq(&spgemm_serial(m, m)));
+        }
+        let stats = obs.snapshot();
+        assert_eq!((stats.batches, stats.coalesced_batches, stats.requests), (2, 2, 5));
+        assert_eq!((stats.cache.misses, stats.cache.hits), (2, 3), "one preparation per operand");
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "every slot released");
     }
 }

@@ -20,6 +20,10 @@ fn main() {
         .map(|_| {
             let service = SpgemmService::new(ServiceConfig {
                 shards: 2,
+                // Opt-in linger (the default window is zero): a lone
+                // request waits 2 ms on its shard, longer than the 1 ms
+                // minimum wire deadline, so the hopeless request below is
+                // shed deterministically instead of racing its deadline.
                 batch_window: Duration::from_millis(2),
                 ..ServiceConfig::default()
             });

@@ -9,7 +9,6 @@
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     // Two operands, repeated traffic: round 1 prepares (plan + reorder +
@@ -26,7 +25,6 @@ fn main() {
     // requests). Disabled tracing costs one atomic load per span site.
     let service = SpgemmService::new(ServiceConfig {
         shards: 2,
-        batch_window: Duration::from_millis(2),
         tracing: true,
         flight_capacity: 8,
         ..ServiceConfig::default()

@@ -20,6 +20,9 @@ fn main() {
         ("erdos_renyi", Arc::new(gen::er::erdos_renyi(400, 6, 11))),
     ];
 
+    // The default window is zero (work-conserving: a request that finds
+    // its shard idle runs at once). This tour opts into a 5 ms linger so
+    // the wave below visibly coalesces into same-operand batches.
     let service = SpgemmService::new(ServiceConfig {
         shards: 2,
         batch_window: Duration::from_millis(5),

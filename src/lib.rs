@@ -12,11 +12,12 @@
 //! feedback loop fit together):
 //!
 //! * [`service`] — **the serving layer**: a threaded `SpgemmService` over
-//!   the engine for concurrent traffic. A bounded submission queue with
-//!   backpressure feeds a dispatcher that coalesces requests sharing one
-//!   lhs fingerprint into batches, routes them to worker shards (each with
-//!   a private engine + plan cache + feedback store — no cross-thread
-//!   locking), and answers every request with a `ServiceReport` (queue
+//!   the engine for concurrent traffic. Bounded admission with
+//!   backpressure routes each request by lhs fingerprint straight to a
+//!   worker shard (each with a private engine + plan cache + feedback
+//!   store — no cross-thread locking); a busy shard coalesces the requests
+//!   that queued behind it into same-lhs batches, an idle one serves at
+//!   once. Every request is answered with a `ServiceReport` (queue
 //!   wait, batch size, cache outcome, calibration state, per-stage
 //!   timings) plus service-wide throughput and p50/p99 latency stats.
 //! * [`net`] — **the wire-protocol serving layer**: a `CWNP` binary frame

@@ -386,7 +386,7 @@ fn a_half_sent_payload_costs_only_its_connection() {
 #[test]
 fn deadline_expired_requests_are_shed_and_counted() {
     // One queue slot and an hour-long batch window: the first request
-    // parks in the dispatcher and pins the slot, stalling admission.
+    // parks in its shard and pins the slot, stalling admission.
     let service_config = ServiceConfig {
         shards: 1,
         queue_capacity: 1,

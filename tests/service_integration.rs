@@ -176,7 +176,7 @@ fn served_rectangular_rhs_matches_direct_engine() {
 #[test]
 fn four_shard_mixed_fingerprint_load_coalesces_and_hits_caches() {
     // 8 distinct operands × 8 requests each = 64 in-flight submissions
-    // sharing one batching window across 4 shards. The window is far
+    // across 4 shards, each holding its own batching window. The window is far
     // longer than the test, so the shutdown flush is the only dispatch
     // trigger and the batch composition is deterministic even on a
     // stalled CI machine.
