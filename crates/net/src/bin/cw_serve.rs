@@ -9,27 +9,22 @@
 //!
 //! ```text
 //! cw-serve [--addr HOST:PORT] [--shards N] [--queue-capacity N]
-//!          [--window-ms MS] [--max-batch N] [--max-connections N]
-//!          [--low-watermark N] [--pool-width N] [--seed N]
+//!          [--max-connections N] [--low-watermark N] [--seed N]
 //!          [--tracing] [--obs-out PATH]
 //! ```
 //!
-//! `--window-ms` defaults to 0: a request that finds its shard idle is
-//! served at once, and only requests queued behind a busy shard coalesce.
-//! A positive window makes each shard linger that long for companions.
+//! A request that finds its shard idle is served at once; requests queued
+//! behind a busy shard coalesce with those for the same lhs. The kernels'
+//! pool width is the process's (`RAYON_NUM_THREADS`).
 
 use cw_net::{NetServer, NetServerConfig};
 use cw_service::{ServiceConfig, SpgemmService};
 use std::io::Write;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: cw-serve [--addr HOST:PORT] [--shards N] [--queue-capacity N] \
-         [--window-ms MS] [--max-batch N] [--max-connections N] [--low-watermark N] \
-         [--pool-width N] [--seed N] [--tracing] [--obs-out PATH]\n\
-         --window-ms MS: how long a shard lingers for same-lhs companions \
-         (default 0: serve at once, coalesce only what queued behind a busy shard)"
+         [--max-connections N] [--low-watermark N] [--seed N] [--tracing] [--obs-out PATH]"
     );
     std::process::exit(2)
 }
@@ -58,18 +53,12 @@ fn main() {
             "--queue-capacity" => {
                 service_config.queue_capacity = parse("--queue-capacity", args.next())
             }
-            "--window-ms" => {
-                service_config.batch_window =
-                    Duration::from_millis(parse("--window-ms", args.next()))
-            }
-            "--max-batch" => service_config.max_batch = parse("--max-batch", args.next()),
             "--max-connections" => {
                 net_config.max_connections = parse("--max-connections", args.next())
             }
             "--low-watermark" => {
                 service_config.low_priority_watermark = Some(parse("--low-watermark", args.next()))
             }
-            "--pool-width" => service_config.pool_width = Some(parse("--pool-width", args.next())),
             "--seed" => service_config.seed = parse("--seed", args.next()),
             "--tracing" => service_config.tracing = true,
             "--obs-out" => obs_out = Some(parse("--obs-out", args.next())),

@@ -694,7 +694,8 @@ pub struct WireReport {
     pub shard: u32,
     /// Coalesced-batch size the request rode in.
     pub batch_size: u32,
-    /// Queueing + batching-window wait, seconds.
+    /// Seconds from submission until a worker started executing it
+    /// ([`cw_service::ServiceReport::queue_seconds`]).
     pub queue_seconds: f64,
     /// Worker execution time, seconds.
     pub execute_seconds: f64,

@@ -22,10 +22,10 @@
 //! QoS lives at admission: a SUBMIT whose relative deadline already
 //! passed is rejected before the service queue is touched, and a full
 //! queue is retried (with backoff) only while the deadline still has
-//! budget — no deadline means `QueueFull` surfaces immediately. All wire
-//! activity lands as `net.*` counters/histograms on the *service's*
-//! metrics registry, so the existing JSONL exporter picks them up with no
-//! extra plumbing.
+//! budget and no drain has begun — no deadline means `QueueFull` surfaces
+//! immediately. All wire activity lands as `net.*` counters/histograms on
+//! the *service's* metrics registry, so the existing JSONL exporter picks
+//! them up with no extra plumbing.
 
 use crate::frame::{
     encode_reject_payload, read_submit_payload, result_payload_len, write_result, Frame,
@@ -58,7 +58,7 @@ pub struct NetServerConfig {
     /// before any allocation ([`crate::FrameError::Oversized`]).
     pub max_frame_bytes: usize,
     /// Sleep between admission retries while a deadlined SUBMIT waits out
-    /// a full queue.
+    /// a full queue (cut short where less of the deadline is left).
     pub full_retry_backoff: Duration,
     /// Idle connections (no frame started) are closed after this long.
     pub idle_timeout: Duration,
@@ -479,8 +479,9 @@ fn serve_submit(
     }
 
     // Admission loop: a full queue is backpressure, so a deadlined request
-    // spends its remaining budget retrying (shed the moment the budget is
-    // gone — before enqueue, the cheap place); without a deadline,
+    // spends its remaining budget retrying, never sleeping past it — once
+    // the budget is gone the service itself sheds (and counts) it, before
+    // enqueue, the cheap place. A drain ends the wait. Without a deadline,
     // QueueFull surfaces to the client immediately.
     let ticket = loop {
         match inner.service.submit(request.clone()) {
@@ -495,17 +496,18 @@ fn serve_submit(
                 );
             }
             Err(SubmitError::Full) => match deadline {
-                Some(d) if Instant::now() < d && !inner.shutdown.load(Ordering::SeqCst) => {
-                    std::thread::sleep(inner.config.full_retry_backoff);
-                }
-                Some(_) => {
+                Some(_) if inner.shutdown.load(Ordering::SeqCst) => {
                     return write_reject(
                         stream,
                         inner,
                         head.request_id,
-                        RejectCode::DeadlineExpired,
-                        "deadline expired waiting out a full queue",
+                        RejectCode::ShuttingDown,
+                        "server is draining",
                     );
+                }
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    std::thread::sleep(inner.config.full_retry_backoff.min(left));
                 }
                 None => {
                     return write_reject(

@@ -2,7 +2,8 @@
 //! loopback ports, a `RoutedClient` fanning the corpus out by fingerprint,
 //! each process serving exactly its `route_hash` share, and both draining
 //! cleanly on SHUTDOWN (one via `--obs-out`, whose JSONL export must carry
-//! the `net.*` wire metrics).
+//! the `net.*` wire metrics) — and the binary's refusal of arguments it
+//! does not know.
 
 use cw_net::{ClientConfig, RoutedClient};
 use cw_sparse::{fingerprint, gen, CsrMatrix};
@@ -35,7 +36,7 @@ impl Drop for ServeGuard {
 /// from its stable `cw-serve listening on <addr>` banner.
 fn spawn_serve(extra_args: &[&str]) -> (ServeGuard, SocketAddr) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cw-serve"));
-    cmd.args(["--addr", "127.0.0.1:0", "--window-ms", "2"])
+    cmd.args(["--addr", "127.0.0.1:0"])
         .args(extra_args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
@@ -120,4 +121,20 @@ fn two_cw_serve_processes_split_the_fingerprint_space() {
     let exported = std::fs::read_to_string(&obs_path).expect("obs-out file");
     assert_eq!(counter(&exported, "net.served"), expected[0]);
     let _ = std::fs::remove_file(&obs_path);
+}
+
+#[test]
+fn cw_serve_refuses_the_retired_batching_flags_with_usage() {
+    for flag in ["--window-ms", "--max-batch", "--pool-width"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cw-serve"))
+            .args(["--addr", "127.0.0.1:0", flag, "2"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run cw-serve");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown argument {flag}")), "{flag}: {stderr}");
+        assert!(stderr.contains("usage: cw-serve"), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: bound before refusing");
+    }
 }

@@ -13,8 +13,8 @@
 //! * **Request batching** — work-conserving: a request that finds its
 //!   shard idle runs at once, and requests that queue behind a busy shard
 //!   coalesce with the others for the same lhs fingerprint, so one prepared
-//!   operand serves many right-hand sides back to back. An optional
-//!   [`ServiceConfig::batch_window`] makes a shard linger for companions.
+//!   operand serves many right-hand sides back to back. Requests coalesce
+//!   exactly when they had to wait anyway.
 //! * **Sharded plan caches** — [`SpgemmService::submit`] routes each
 //!   request by [`cw_sparse::MatrixFingerprint::shard_index`] straight onto
 //!   one of a fixed pool of

@@ -166,9 +166,9 @@ pub struct ServiceReport {
     /// Number of requests in the coalesced batch this one rode in
     /// (`1` = not coalesced).
     pub batch_size: usize,
-    /// Seconds from submission until a worker started executing it
-    /// (waiting behind earlier requests on its shard, plus any
-    /// [`crate::ServiceConfig::batch_window`] linger).
+    /// Seconds from submission until a worker started executing it:
+    /// waiting behind earlier requests on its shard, and behind the earlier
+    /// requests of its own batch.
     pub queue_seconds: f64,
     /// Seconds the worker spent executing it (prepare-or-cache-hit +
     /// kernel + postprocess).

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tunables for one [`SpgemmService`] instance.
 #[derive(Debug, Clone)]
@@ -25,14 +25,6 @@ pub struct ServiceConfig {
     /// Maximum requests in flight (queued + batching + executing); beyond
     /// it [`SpgemmService::submit`] fails fast with [`SubmitError::Full`].
     pub queue_capacity: usize,
-    /// How long a shard holds its first pending request open for
-    /// companions before serving. Zero (the default) is work-conserving: a
-    /// request that finds its shard idle is served at once, and requests
-    /// coalesce only when they queue behind a busy shard.
-    pub batch_window: Duration,
-    /// A same-fingerprint group reaching this size is served without
-    /// waiting any longer.
-    pub max_batch: usize,
     /// Per-shard plan-cache bound.
     pub cache_budget: CacheBudget,
     /// Seed for each shard's planner (identical seeds ⇒ identical plans
@@ -57,12 +49,6 @@ pub struct ServiceConfig {
     /// for [`SpgemmService::dump_flight_recorder`] /
     /// [`SpgemmService::export_jsonl`].
     pub flight_capacity: usize,
-    /// Parallel-pool width for the shard workers' kernels. `None` (the
-    /// default) uses the process default (`RAYON_NUM_THREADS`, read once,
-    /// else the machine's parallelism). `Some(w)` pins every shard worker
-    /// to a `w`-wide pool via [`rayon::with_pool_width`] — deterministic
-    /// deployments, ablations, and in-process width tests.
-    pub pool_width: Option<usize>,
     /// QoS admission watermark for [`crate::Priority::Low`] traffic:
     /// `Some(n)` sheds low-priority submissions with [`SubmitError::Full`]
     /// once `n` requests are already in flight, reserving the remaining
@@ -76,15 +62,12 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 2,
             queue_capacity: 256,
-            batch_window: Duration::ZERO,
-            max_batch: 32,
             cache_budget: CacheBudget::entries(DEFAULT_CACHE_CAPACITY),
             seed: Planner::default().seed,
             policy: PlanningPolicy::default(),
             profile: None,
             tracing: false,
             flight_capacity: FlightRecorder::DEFAULT_CAPACITY,
-            pool_width: None,
             low_priority_watermark: None,
         }
     }
@@ -154,14 +137,14 @@ pub struct SpgemmService {
 }
 
 impl SpgemmService {
-    /// Spawns `config.shards` worker threads.
-    /// Degenerate knobs are normalized up front (`shards`, `max_batch`,
-    /// and `queue_capacity` floors of 1), so [`SpgemmService::config`]
+    /// Spawns `config.shards` worker threads, which run their kernels on
+    /// the process's parallel pool (`RAYON_NUM_THREADS` sets its width).
+    /// Degenerate knobs are normalized up front (`shards` and
+    /// `queue_capacity` floors of 1), so [`SpgemmService::config`]
     /// always reports what actually runs and a zero capacity cannot
     /// produce a service that rejects everything forever.
     pub fn new(mut config: ServiceConfig) -> SpgemmService {
         config.shards = config.shards.max(1);
-        config.max_batch = config.max_batch.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         let shards = config.shards;
         let in_flight = Arc::new(AtomicUsize::new(0));
@@ -202,16 +185,12 @@ impl SpgemmService {
             engine.set_tracer(Arc::clone(&tracer));
             // Shard telemetry: obs cells registered under `shard{N}.*`,
             // shared by the worker and the service's stats view.
-            let ctx = WorkerCtx::new(shard, &engine, &metrics, &tracer, &in_flight, &config);
+            let ctx = WorkerCtx::new(shard, &engine, &metrics, &tracer, &in_flight);
             shard_obs.push(ctx.obs.clone());
-            let pool_width = config.pool_width;
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("cw-service-shard-{shard}"))
-                    .spawn(move || match pool_width {
-                        Some(w) => rayon::with_pool_width(w, || worker_loop(rx, engine, ctx)),
-                        None => worker_loop(rx, engine, ctx),
-                    })
+                    .spawn(move || worker_loop(rx, engine, ctx))
                     .expect("spawn shard worker"),
             );
             shard_txs.push(tx);
@@ -406,7 +385,7 @@ impl SpgemmService {
     pub fn shutdown(&self) -> ServiceStats {
         // Dropping the shard senders hangs up on every shard: each sees
         // `Disconnected` once its channel drains, serves what it still
-        // holds (window or no window), and exits.
+        // holds, and exits.
         drop(self.shard_txs.write().unwrap_or_else(PoisonError::into_inner).take());
         for w in self.workers.lock().unwrap().drain(..) {
             if w.join().is_err() {
@@ -430,8 +409,9 @@ impl Drop for SpgemmService {
 mod tests {
     use super::*;
     use cw_sparse::gen;
-    use cw_sparse::{fingerprint, CsrMatrix};
+    use cw_sparse::CsrMatrix;
     use cw_spgemm::spgemm_serial;
+    use std::time::Duration;
 
     fn arc(m: CsrMatrix) -> Arc<CsrMatrix> {
         Arc::new(m)
@@ -475,39 +455,9 @@ mod tests {
     }
 
     #[test]
-    fn same_lhs_requests_coalesce_into_one_batch() {
-        let a = arc(gen::grid::poisson2d(12, 12));
-        // A window far longer than the test makes the shutdown flush the
-        // only dispatch trigger, so the batch composition is deterministic
-        // even on a stalled CI machine.
-        let service = SpgemmService::new(ServiceConfig {
-            shards: 1,
-            batch_window: Duration::from_secs(60),
-            ..ServiceConfig::default()
-        });
-        let tickets: Vec<_> = (0..4)
-            .map(|_| service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap())
-            .collect();
-        let stats = service.shutdown();
-        for t in tickets {
-            let resp = t.wait().unwrap();
-            assert_eq!(resp.report.batch_size, 4, "all four must ride one batch");
-        }
-        assert_eq!(stats.coalesced_batches(), 1);
-        assert_eq!(stats.max_batch_size(), 4);
-        let cache = stats.total_cache();
-        assert_eq!(cache.misses, 1, "one preparation");
-        assert_eq!(cache.hits, 3, "three cache hits");
-    }
-
-    #[test]
     fn zero_window_dispatches_each_submission_alone() {
         let a = arc(gen::grid::poisson2d(9, 9));
-        let service = SpgemmService::new(ServiceConfig {
-            shards: 1,
-            batch_window: Duration::ZERO,
-            ..ServiceConfig::default()
-        });
+        let service = SpgemmService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() });
         for _ in 0..3 {
             let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
             let resp = t.wait().unwrap();
@@ -518,56 +468,6 @@ mod tests {
         // Each request waits for the last, so none queues behind another
         // and none coalesces; the shard cache still amortizes.
         assert_eq!(stats.total_cache().hits, 2);
-    }
-
-    #[test]
-    fn operands_that_share_a_fingerprint_share_a_shard_and_keep_an_entry_each() {
-        // `b` differs from `a` only at a value the sampled fingerprint skips,
-        // so both route to the same shard and coalesce into one batch; the
-        // shard's cache must still hold one preparation per operand.
-        let a = gen::er::erdos_renyi(400, 6, 11);
-        let mut b = a.clone();
-        b.vals[1] += 0.5;
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        let (a, b) = (arc(a), arc(b));
-        let service = SpgemmService::new(ServiceConfig {
-            shards: 1,
-            batch_window: Duration::from_secs(60),
-            ..ServiceConfig::default()
-        });
-        let tickets: Vec<_> = [&a, &b, &a, &b, &a, &b]
-            .into_iter()
-            .map(|m| {
-                let t = service.submit(MultiplyRequest::new(Arc::clone(m), Arc::clone(m))).unwrap();
-                (m, t)
-            })
-            .collect();
-        let stats = service.shutdown();
-        for (m, t) in tickets {
-            let resp = t.wait().unwrap();
-            assert_eq!(resp.report.batch_size, 6);
-            assert!(resp.product.bits_eq(&spgemm_serial(m, m)), "a product of the other operand");
-        }
-        let cache = stats.total_cache();
-        assert_eq!((cache.misses, cache.hits), (2, 4), "one preparation per operand");
-        assert_eq!(stats.shards[0].tracked_operands, 2, "one feedback state per operand");
-    }
-
-    #[test]
-    fn max_batch_flushes_a_group_early() {
-        let a = arc(gen::grid::poisson2d(8, 8));
-        let service = SpgemmService::new(ServiceConfig {
-            shards: 1,
-            max_batch: 2,
-            // Window long enough that only max_batch can be the trigger.
-            batch_window: Duration::from_secs(60),
-            ..ServiceConfig::default()
-        });
-        let t1 = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-        let t2 = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-        assert_eq!(t1.wait().unwrap().report.batch_size, 2);
-        assert_eq!(t2.wait().unwrap().report.batch_size, 2);
-        service.shutdown();
     }
 
     #[test]
@@ -630,46 +530,46 @@ mod tests {
         assert_eq!(snap.counter("requests_deadline_rejected"), Some(1));
     }
 
+    /// Takes one queue slot as an in-flight request would, until dropped.
+    fn hold_a_slot(service: &SpgemmService) -> SlotGuard {
+        service.in_flight.fetch_add(1, Ordering::SeqCst);
+        SlotGuard(Arc::clone(&service.in_flight))
+    }
+
     #[test]
-    fn queued_request_whose_deadline_passes_is_dropped_by_the_worker() {
+    fn bounded_queue_rejects_overload_with_full() {
         let a = arc(gen::grid::poisson2d(8, 8));
-        // A 60 s window means submissions sit in their shard until the
-        // shutdown flush — deterministically long enough for a short
-        // deadline to expire while queued.
         let service = SpgemmService::new(ServiceConfig {
             shards: 1,
-            batch_window: Duration::from_secs(60),
+            queue_capacity: 1,
             ..ServiceConfig::default()
         });
-        let doomed = service
-            .submit(
-                MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))
-                    .with_deadline_in(Duration::from_millis(20)),
-            )
-            .unwrap();
-        let healthy = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
+        let held = hold_a_slot(&service);
+        let err = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap_err();
+        assert_eq!(err, SubmitError::Full);
+        assert_eq!(service.in_flight(), 1, "a rejected request takes no slot");
+        // Backpressure is not failure: once the slot frees, the next
+        // request is admitted and completes…
+        drop(held);
+        let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
+        assert!(t.wait().is_ok());
         let stats = service.shutdown();
-        assert_eq!(doomed.wait().unwrap_err(), crate::ServiceError::Disconnected);
-        assert!(healthy.wait().is_ok(), "undeadlined companion still serves");
-        assert_eq!((stats.deadline_dropped, stats.completed), (1, 1));
-        assert_eq!(service.in_flight(), 0, "dropped request released its slot");
+        // …and the books record one rejection, one completion.
+        assert_eq!((stats.submitted, stats.completed, stats.rejected), (1, 1, 1));
     }
 
     #[test]
     fn low_priority_is_shed_at_the_watermark() {
         let a = arc(gen::grid::poisson2d(8, 8));
-        // Capacity 4, watermark 1: with one request parked in the
-        // shard (60 s window), low-priority traffic is at its cap
-        // while high-priority still has three slots.
+        // Capacity 4, watermark 1: with one slot held, low-priority
+        // traffic is at its cap while high-priority still has three slots.
         let service = SpgemmService::new(ServiceConfig {
             shards: 1,
             queue_capacity: 4,
             low_priority_watermark: Some(1),
-            batch_window: Duration::from_secs(60),
             ..ServiceConfig::default()
         });
-        let parked = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
+        let held = hold_a_slot(&service);
         let err = service
             .submit(
                 MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))
@@ -678,11 +578,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SubmitError::Full, "low priority sheds at the watermark");
         let high = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-        let stats = service.shutdown();
-        assert!(parked.wait().is_ok());
         let resp = high.wait().unwrap();
         assert_eq!(resp.report.priority, crate::Priority::High);
-        assert_eq!((stats.rejected, stats.completed), (1, 2));
+        drop(held);
+        let stats = service.shutdown();
+        assert_eq!((stats.rejected, stats.completed), (1, 1));
         assert_eq!(stats.deadline_rejected, 0, "watermark shed is not a deadline shed");
     }
 
@@ -717,7 +617,6 @@ mod tests {
         let a = arc(gen::grid::poisson2d(10, 10));
         let service = SpgemmService::new(ServiceConfig {
             shards: 1,
-            batch_window: Duration::ZERO,
             tracing: true,
             ..ServiceConfig::default()
         });
@@ -771,11 +670,7 @@ mod tests {
     #[test]
     fn metrics_registry_mirrors_service_stats() {
         let a = arc(gen::grid::poisson2d(12, 12));
-        let service = SpgemmService::new(ServiceConfig {
-            shards: 1,
-            batch_window: Duration::from_secs(60),
-            ..ServiceConfig::default()
-        });
+        let service = SpgemmService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() });
         let tickets: Vec<_> = (0..4)
             .map(|_| service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap())
             .collect();
@@ -799,7 +694,7 @@ mod tests {
             snap.counter("shard0.cache.hits").unwrap() + snap.counter("shard0.reuse_hits").unwrap(),
             stats.shards[0].cache.hits
         );
-        assert_eq!(snap.gauge("shard0.max_batch_size"), Some(4));
+        assert_eq!(snap.gauge("shard0.max_batch_size"), Some(stats.max_batch_size() as i64));
         let latency = snap.histogram("latency_seconds").expect("latency histogram");
         assert_eq!(latency.count, stats.completed);
         assert!(latency.quantile(0.5) > 0.0);
@@ -824,41 +719,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_width_pin_is_bit_identical_across_widths() {
-        let a = arc(gen::er::erdos_renyi(140, 6, 5));
-        let products: Vec<_> = [Some(1), Some(2), None]
-            .into_iter()
-            .map(|pool_width| {
-                let service = SpgemmService::new(ServiceConfig {
-                    shards: 1,
-                    pool_width,
-                    ..ServiceConfig::default()
-                });
-                let t =
-                    service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
-                let resp = t.wait().unwrap();
-                service.shutdown();
-                resp.product
-            })
-            .collect();
-        let serial = spgemm_serial(&a, &a);
-        for (i, p) in products.iter().enumerate() {
-            assert_eq!(p.row_ptr, serial.row_ptr, "width config #{i}");
-            assert_eq!(p.col_idx, serial.col_idx, "width config #{i}");
-            assert!(
-                p.vals.iter().zip(&serial.vals).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "width config #{i}: values must be bit-identical to the serial reference"
-            );
-        }
-    }
-
-    #[test]
     fn service_is_shareable_across_client_threads() {
-        let service = Arc::new(SpgemmService::new(ServiceConfig {
-            shards: 2,
-            batch_window: Duration::from_millis(10),
-            ..ServiceConfig::default()
-        }));
+        let service = Arc::new(SpgemmService::new(ServiceConfig::default()));
         let mats: Vec<Arc<CsrMatrix>> =
             (0..4).map(|s| arc(gen::er::erdos_renyi(80, 4, s))).collect();
         let handles: Vec<_> = (0..4)

@@ -10,10 +10,8 @@
 //! whatever already queued behind it, groups the drained submissions by
 //! fingerprint (in order of first arrival) and serves each group as one
 //! batch. Requests coalesce exactly when they had to wait anyway; a lone
-//! request never waits. A non-zero [`crate::ServiceConfig::batch_window`]
-//! makes the worker hold its first pending request open for companions
-//! instead, until the window closes, a group reaches `max_batch`, or the
-//! service hangs up.
+//! request never waits. A group that reaches [`MAX_BATCH`] is served at
+//! once, and a hang-up serves whatever is still pending.
 //!
 //! Within a batch, consecutive requests that share the *same* `Arc`'d lhs
 //! (pointer identity — a strict identity proof, no hashing needed) and the
@@ -36,14 +34,17 @@ use crate::request::{
     MultiplyRequest, MultiplyResponse, RequestShape, ServiceError, ServiceReport, Ticket,
 };
 use crate::stats::ShardStats;
-use crate::ServiceConfig;
 use cw_engine::{CacheCounters, Engine, OutputShape, Plan, PreparedMatrix, StageTimings};
 use cw_obs::{Counter, Gauge, LogHistogram, MetricsRegistry, Tracer};
 use cw_sparse::{fingerprint, CsrMatrix, MatrixFingerprint};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// The most requests one batch holds: a same-fingerprint group that
+/// reaches it is served without draining the channel any further.
+const MAX_BATCH: usize = 32;
 
 /// RAII claim on one queue-capacity slot: decrements `in_flight` exactly
 /// once, when dropped. Because every [`Submission`] carries one, a
@@ -155,8 +156,8 @@ impl ShardObs {
 
 /// Everything a worker thread needs beyond its engine and channel: the
 /// shard's obs cells, the service-wide histograms (shared atomics — the
-/// registry merges across shards for free), the tracer, completion
-/// bookkeeping, and the batching knobs.
+/// registry merges across shards for free), the tracer, and completion
+/// bookkeeping.
 pub(crate) struct WorkerCtx {
     pub(crate) shard: usize,
     pub(crate) obs: ShardObs,
@@ -172,11 +173,6 @@ pub(crate) struct WorkerCtx {
     pub(crate) kernel_seconds: Arc<LogHistogram>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) in_flight: Arc<AtomicUsize>,
-    /// How long the first pending submission is held open for companions
-    /// (zero = work-conserving: serve as soon as the channel is drained).
-    pub(crate) window: Duration,
-    /// A group reaching this size is served without waiting any longer.
-    pub(crate) max_batch: usize,
 }
 
 impl WorkerCtx {
@@ -190,7 +186,6 @@ impl WorkerCtx {
         metrics: &MetricsRegistry,
         tracer: &Arc<Tracer>,
         in_flight: &Arc<AtomicUsize>,
-        config: &ServiceConfig,
     ) -> WorkerCtx {
         let p = format!("shard{shard}.");
         engine.cache().bind_metrics(metrics, &format!("{p}cache."));
@@ -219,8 +214,6 @@ impl WorkerCtx {
             kernel_seconds: metrics.histogram("kernel_seconds"),
             queue_depth: metrics.gauge("queue_depth"),
             in_flight: Arc::clone(in_flight),
-            window: config.batch_window,
-            max_batch: config.max_batch,
         }
     }
 }
@@ -230,68 +223,40 @@ impl WorkerCtx {
 /// resolved to.
 type BatchHead = (Arc<CsrMatrix>, Option<Plan>, OutputShape, Arc<PreparedMatrix>);
 
-/// Serves submissions until the service hangs up, then serves whatever is
-/// still pending and exits. Responses go straight to each request's
-/// private channel; counters land in the shard's [`ShardObs`] cells so
+/// Serves submissions until the service hangs up: blocks for one, drains
+/// what queued behind it, and serves each same-fingerprint group of the
+/// drain as one batch. Responses go straight to each request's private
+/// channel; counters land in the shard's [`ShardObs`] cells so
 /// [`crate::SpgemmService::stats`] and the metrics registry can read them
 /// without talking to the thread.
 pub(crate) fn worker_loop(rx: Receiver<Submission>, mut engine: Engine, ctx: WorkerCtx) {
-    // Same-fingerprint groups in order of first arrival, and when the
-    // window opened by the first of them closes.
+    // Same-fingerprint groups of the current drain, in order of first
+    // arrival.
     let mut pending: Vec<Vec<Submission>> = Vec::new();
-    let mut close: Option<Instant> = None;
-    loop {
-        match pull(&rx, close) {
-            Ok(mut sub) => {
-                // Queue wait ends here; coalescing begins.
-                sub.received = Instant::now();
-                if close.is_none() {
-                    close = Some(sub.received + ctx.window);
+    while let Ok(first) = rx.recv() {
+        let mut next = Some(first);
+        while let Some(mut sub) = next {
+            // Queue wait ends here; coalescing begins.
+            sub.received = Instant::now();
+            let g = match pending.iter().position(|g| g[0].fingerprint == sub.fingerprint) {
+                Some(g) => g,
+                None => {
+                    pending.push(Vec::new());
+                    pending.len() - 1
                 }
-                let g = match pending.iter().position(|g| g[0].fingerprint == sub.fingerprint) {
-                    Some(g) => g,
-                    None => {
-                        pending.push(Vec::new());
-                        pending.len() - 1
-                    }
-                };
-                pending[g].push(sub);
-                if pending[g].len() >= ctx.max_batch {
-                    serve_batch(&mut engine, &ctx, pending.remove(g));
-                    if pending.is_empty() {
-                        close = None;
-                    }
-                }
+            };
+            pending[g].push(sub);
+            if pending[g].len() >= MAX_BATCH {
+                serve_batch(&mut engine, &ctx, pending.remove(g));
             }
-            Err(RecvTimeoutError::Timeout) => {
-                for group in pending.drain(..) {
-                    serve_batch(&mut engine, &ctx, group);
-                }
-                close = None;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+            // Empty or hung up: either way the drain is over. After a
+            // hang-up `recv` fails once the channel is empty, so nothing
+            // queued is lost.
+            next = rx.try_recv().ok();
         }
-    }
-    // Shutdown: serve whatever was still pending.
-    for group in pending {
-        serve_batch(&mut engine, &ctx, group);
-    }
-}
-
-/// The next submission for a worker whose pending window closes at
-/// `close`: with nothing pending, blocks until traffic or hang-up; with the
-/// window open, waits only until it closes; once it has closed, takes only
-/// what already queued. `Timeout` means "serve what is pending".
-fn pull(rx: &Receiver<Submission>, close: Option<Instant>) -> Result<Submission, RecvTimeoutError> {
-    let Some(close) = close else {
-        return rx.recv().map_err(|_| RecvTimeoutError::Disconnected);
-    };
-    match close.checked_duration_since(Instant::now()) {
-        Some(left) if !left.is_zero() => rx.recv_timeout(left),
-        _ => rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => RecvTimeoutError::Timeout,
-            TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
-        }),
+        for group in pending.drain(..) {
+            serve_batch(&mut engine, &ctx, group);
+        }
     }
 }
 
@@ -422,6 +387,38 @@ mod tests {
     use super::*;
     use cw_sparse::gen;
     use cw_spgemm::spgemm_serial;
+    use std::time::Duration;
+
+    /// Runs one worker on the test thread over `requests`, all queued (and
+    /// the sender hung up) before it starts, so its first drain sees every
+    /// request and then the hang-up. Returns the tickets in submission
+    /// order, the shard's stats and the registry its cells live in.
+    fn serve_queued(requests: Vec<MultiplyRequest>) -> (Vec<Ticket>, ShardStats, MetricsRegistry) {
+        let engine = Engine::default();
+        let metrics = MetricsRegistry::new();
+        let in_flight = Arc::new(AtomicUsize::new(requests.len()));
+        let ctx = WorkerCtx::new(0, &engine, &metrics, &Arc::new(Tracer::new(4)), &in_flight);
+        let obs = ctx.obs.clone();
+        let (tx, rx) = mpsc::channel();
+        let tickets = requests
+            .into_iter()
+            .enumerate()
+            .map(|(id, request)| {
+                let (sub, ticket) =
+                    Submission::new(id as u64, request, SlotGuard(Arc::clone(&in_flight)));
+                tx.send(sub).unwrap();
+                ticket
+            })
+            .collect();
+        drop(tx);
+        worker_loop(rx, engine, ctx);
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "every slot released");
+        (tickets, obs.snapshot(), metrics)
+    }
+
+    fn square(m: &Arc<CsrMatrix>) -> MultiplyRequest {
+        MultiplyRequest::new(Arc::clone(m), Arc::clone(m))
+    }
 
     #[test]
     fn work_conserving_worker_coalesces_what_queued_behind_the_first() {
@@ -430,40 +427,74 @@ mod tests {
         assert_ne!(fingerprint(&a), fingerprint(&b));
         let order = [&a, &b, &a, &a, &b];
 
-        let engine = Engine::default();
-        let metrics = MetricsRegistry::new();
-        let in_flight = Arc::new(AtomicUsize::new(order.len()));
-        let config = ServiceConfig { batch_window: Duration::ZERO, ..ServiceConfig::default() };
-        let ctx =
-            WorkerCtx::new(0, &engine, &metrics, &Arc::new(Tracer::new(4)), &in_flight, &config);
-        let obs = ctx.obs.clone();
-
-        // Everything is queued before the worker runs and the sender is gone,
-        // so the worker's first drain sees all five and then the hang-up.
-        let (tx, rx) = mpsc::channel();
-        let tickets: Vec<_> = order
-            .iter()
-            .enumerate()
-            .map(|(id, &m)| {
-                let request = MultiplyRequest::new(Arc::clone(m), Arc::clone(m));
-                let (sub, ticket) =
-                    Submission::new(id as u64, request, SlotGuard(Arc::clone(&in_flight)));
-                tx.send(sub).unwrap();
-                (m, ticket)
-            })
-            .collect();
-        drop(tx);
-        worker_loop(rx, engine, ctx);
-
-        for (m, ticket) in tickets {
+        let (tickets, stats, _) = serve_queued(order.iter().map(|m| square(m)).collect());
+        for (m, ticket) in order.into_iter().zip(tickets) {
             let resp = ticket.wait().unwrap();
             let expected = if Arc::ptr_eq(m, &a) { 3 } else { 2 };
             assert_eq!(resp.report.batch_size, expected, "request {}", resp.report.request_id);
             assert!(resp.product.bits_eq(&spgemm_serial(m, m)));
         }
-        let stats = obs.snapshot();
         assert_eq!((stats.batches, stats.coalesced_batches, stats.requests), (2, 2, 5));
         assert_eq!((stats.cache.misses, stats.cache.hits), (2, 3), "one preparation per operand");
-        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "every slot released");
+    }
+
+    #[test]
+    fn same_lhs_requests_coalesce_into_one_batch() {
+        let a = Arc::new(gen::grid::poisson2d(12, 12));
+        let (tickets, stats, _) = serve_queued((0..4).map(|_| square(&a)).collect());
+        for t in tickets {
+            assert_eq!(t.wait().unwrap().report.batch_size, 4, "all four must ride one batch");
+        }
+        assert_eq!((stats.coalesced_batches, stats.max_batch_size), (1, 4));
+        assert_eq!((stats.cache.misses, stats.cache.hits), (1, 3), "one preparation");
+    }
+
+    #[test]
+    fn operands_that_share_a_fingerprint_share_a_shard_and_keep_an_entry_each() {
+        // `b` differs from `a` only at a value the sampled fingerprint skips,
+        // so both route to the same shard and coalesce into one batch; the
+        // shard's cache must still hold one preparation per operand.
+        let a = gen::er::erdos_renyi(400, 6, 11);
+        let mut b = a.clone();
+        b.vals[1] += 0.5;
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        let order = [&a, &b, &a, &b, &a, &b];
+
+        let (tickets, stats, _) = serve_queued(order.iter().map(|m| square(m)).collect());
+        for (m, t) in order.into_iter().zip(tickets) {
+            let resp = t.wait().unwrap();
+            assert_eq!(resp.report.batch_size, 6);
+            assert!(resp.product.bits_eq(&spgemm_serial(m, m)), "a product of the other operand");
+        }
+        assert_eq!((stats.cache.misses, stats.cache.hits), (2, 4), "one preparation per operand");
+        assert_eq!(stats.tracked_operands, 2, "one feedback state per operand");
+    }
+
+    #[test]
+    fn max_batch_flushes_a_group_early() {
+        let a = Arc::new(gen::grid::poisson2d(8, 8));
+        let (tickets, stats, _) = serve_queued((0..=MAX_BATCH).map(|_| square(&a)).collect());
+        let sizes: Vec<usize> =
+            tickets.into_iter().map(|t| t.wait().unwrap().report.batch_size).collect();
+        assert!(sizes[..MAX_BATCH].iter().all(|&n| n == MAX_BATCH), "{sizes:?}");
+        assert_eq!(sizes[MAX_BATCH], 1, "the request past the cap rides a batch of its own");
+        assert_eq!((stats.batches, stats.max_batch_size), (2, MAX_BATCH));
+    }
+
+    #[test]
+    fn queued_request_whose_deadline_passes_is_dropped_by_the_worker() {
+        let a = Arc::new(gen::grid::poisson2d(8, 8));
+        // Past before it is even queued: the worker reaches it dead.
+        let dead = Instant::now() - Duration::from_millis(1);
+        let (tickets, stats, metrics) =
+            serve_queued(vec![square(&a).with_deadline_at(dead), square(&a)]);
+        let [doomed, healthy]: [Ticket; 2] = tickets.try_into().ok().unwrap();
+        assert_eq!(doomed.wait().unwrap_err(), ServiceError::Disconnected);
+        assert!(healthy.wait().is_ok(), "undeadlined companion still serves");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("requests_deadline_dropped"), Some(1));
+        assert_eq!(snap.counter("requests_completed"), Some(1));
+        assert_eq!(stats.requests, 2, "the dropped request still rode its batch");
     }
 }

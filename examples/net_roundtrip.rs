@@ -20,11 +20,11 @@ fn main() {
         .map(|_| {
             let service = SpgemmService::new(ServiceConfig {
                 shards: 2,
-                // Opt-in linger (the default window is zero): a lone
-                // request waits 2 ms on its shard, longer than the 1 ms
-                // minimum wire deadline, so the hopeless request below is
-                // shed deterministically instead of racing its deadline.
-                batch_window: Duration::from_millis(2),
+                // Low-priority traffic gets none of the queue (watermark
+                // 0), so the hopeless Low request below waits at admission
+                // until its deadline passes and is shed deterministically
+                // instead of racing an idle shard.
+                low_priority_watermark: Some(0),
                 ..ServiceConfig::default()
             });
             NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default())
@@ -74,10 +74,11 @@ fn main() {
         );
     }
 
-    // QoS: a deadline the request cannot possibly meet. Already-expired
-    // requests are shed at admission (before taking a queue slot); ones
-    // that expire while queued are dropped unexecuted by the worker —
-    // either way the client sees `DeadlineExpired`, never a stale result.
+    // QoS: a deadline the request cannot possibly meet. A request whose
+    // deadline passes before admission is shed there (before taking a queue
+    // slot); one that expires while queued is dropped unexecuted by the
+    // worker — either way the client sees `DeadlineExpired`, never a stale
+    // result.
     println!("\n== QoS: hopeless deadline is shed ==");
     let (name, a) = &operands[0];
     let hopeless = Qos { priority: Priority::Low, deadline: Some(Duration::from_nanos(1)) };

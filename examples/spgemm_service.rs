@@ -8,7 +8,6 @@
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     // Four structurally different operands — each fingerprint routes to a
@@ -20,18 +19,14 @@ fn main() {
         ("erdos_renyi", Arc::new(gen::er::erdos_renyi(400, 6, 11))),
     ];
 
-    // The default window is zero (work-conserving: a request that finds
-    // its shard idle runs at once). This tour opts into a 5 ms linger so
-    // the wave below visibly coalesces into same-operand batches.
-    let service = SpgemmService::new(ServiceConfig {
-        shards: 2,
-        batch_window: Duration::from_millis(5),
-        ..ServiceConfig::default()
-    });
+    // Work-conserving: a request that finds its shard idle runs at once,
+    // and requests that queue behind a busy shard coalesce into
+    // same-operand batches.
+    let service = SpgemmService::new(ServiceConfig { shards: 2, ..ServiceConfig::default() });
     println!("service up: {:?}\n", service.config());
 
-    // A wave of repeated traffic: 6 requests per operand, interleaved, all
-    // submitted inside one batching window.
+    // A wave of repeated traffic: 6 requests per operand, interleaved and
+    // submitted back to back, so most queue behind their shard's first.
     let mut tickets = Vec::new();
     for _ in 0..6 {
         for (name, a) in &operands {

@@ -12,10 +12,11 @@
 //!   killing the acceptor (the blast radius is one connection), and a
 //!   payload that does not decode inside a sound frame costs only itself:
 //!   the same socket serves the next request;
-//! * deadline QoS sheds hopeless requests (stalled worker, full queue)
-//!   and the sheds are counted in the exported `net.*` metrics;
+//! * deadline QoS sheds a request the queue never admits once its budget
+//!   is spent, and the shed is counted in the exported `net.*` metrics;
 //! * low-priority traffic is capped at the admission watermark;
-//! * graceful drain finishes in-flight requests before the server exits.
+//! * graceful drain finishes in-flight requests before the server exits,
+//!   and refuses a request still waiting for admission as `ShuttingDown`.
 //!
 //! The cross-*process* contract (two live `cw-serve` binaries) lives in
 //! `crates/net/tests/two_process.rs`.
@@ -264,11 +265,16 @@ fn malformed_frames_are_isolated_to_their_connection() {
     assert_eq!(code, RejectCode::Malformed);
     drop(bad);
 
-    // 2. Short read: a frame that stops mid-header times out and kills
-    //    only that connection.
+    // 2. Short read: a frame that stops mid-header times out (the 200 ms
+    //    read timeout), is answered REJECT Malformed, and kills only that
+    //    connection.
     let mut half = TcpStream::connect(addr).expect("connect raw");
     half.write_all(&frame::FRAME_MAGIC).expect("write magic only");
-    std::thread::sleep(Duration::from_millis(300));
+    let reply = frame::read_frame(&mut half, 4096).expect("reject frame");
+    assert_eq!(reply.op, OpCode::Reject);
+    let (code, _) = frame::decode_reject_payload(&reply.payload).expect("reject payload");
+    assert_eq!(code, RejectCode::Malformed);
+    assert_eq!(half.read(&mut [0u8; 1]).expect("clean close"), 0);
     drop(half);
 
     // 3. Oversized declaration: payload bigger than the server's cap is
@@ -383,29 +389,22 @@ fn a_half_sent_payload_costs_only_its_connection() {
     assert_eq!(stats.completed, 1);
 }
 
+/// One shard whose queue never admits low-priority traffic (watermark 0):
+/// a deadlined Low request waits out a queue that stays full for it.
+fn low_priority_locked_out() -> ServiceConfig {
+    ServiceConfig { shards: 1, low_priority_watermark: Some(0), ..ServiceConfig::default() }
+}
+
 #[test]
 fn deadline_expired_requests_are_shed_and_counted() {
-    // One queue slot and an hour-long batch window: the first request
-    // parks in its shard and pins the slot, stalling admission.
-    let service_config = ServiceConfig {
-        shards: 1,
-        queue_capacity: 1,
-        batch_window: Duration::from_secs(3600),
-        ..ServiceConfig::default()
-    };
-    let server = loopback_server(service_config, NetServerConfig::default());
+    let server = loopback_server(low_priority_locked_out(), NetServerConfig::default());
     let mut client =
         NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
 
+    // The request retries admission until its budget runs out; the service
+    // then sheds it *before* enqueue.
     let a = gen::grid::poisson2d(10, 10);
-    let parked = client
-        .submit_no_wait(&a, &a, &SubmitShape::Full, Qos::none())
-        .expect("parks in the window");
-    assert!(client.poll(parked).expect("poll").is_none(), "must still be parked");
-
-    // The queue is now full; a deadlined request retries admission until
-    // its budget runs out, then is shed *before* enqueue.
-    let qos = Qos { priority: Priority::High, deadline: Some(Duration::from_millis(120)) };
+    let qos = Qos { priority: Priority::Low, deadline: Some(Duration::from_millis(120)) };
     let started = Instant::now();
     let err =
         client.multiply_shaped_qos(&a, &a, &SubmitShape::Full, qos).expect_err("must be shed");
@@ -426,6 +425,28 @@ fn deadline_expired_requests_are_shed_and_counted() {
 
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn a_drain_refuses_a_request_waiting_for_admission_as_shutting_down() {
+    let server = loopback_server(low_priority_locked_out(), NetServerConfig::default());
+    let addr = server.local_addr();
+    let waiter = std::thread::spawn(move || {
+        let a = gen::grid::poisson2d(10, 10);
+        let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
+        let qos = Qos { priority: Priority::Low, deadline: Some(Duration::from_secs(10)) };
+        client.multiply_shaped_qos(&a, &a, &SubmitShape::Full, qos).expect_err("must be refused")
+    });
+
+    // Once the service has refused it once, the request is waiting out the
+    // full queue with most of its budget left.
+    while server.service().stats().rejected == 0 {
+        std::thread::yield_now();
+    }
+    let stats = server.shutdown();
+    let err = waiter.join().expect("client thread");
+    assert!(err.is_rejected_with(RejectCode::ShuttingDown), "got {err}");
+    assert_eq!((stats.completed, stats.deadline_rejected), (0, 0));
 }
 
 #[test]
@@ -458,12 +479,9 @@ fn low_priority_is_shed_at_the_watermark_over_the_wire() {
 
 #[test]
 fn graceful_drain_finishes_in_flight_requests() {
-    let service_config =
-        ServiceConfig { batch_window: Duration::from_millis(300), ..ServiceConfig::default() };
-    let server = loopback_server(service_config, NetServerConfig::default());
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
     let addr = server.local_addr();
 
-    // A request parked in the 300ms batch window while shutdown begins.
     let worker = std::thread::spawn(move || {
         let a = gen::grid::poisson2d(12, 12);
         let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
@@ -471,7 +489,10 @@ fn graceful_drain_finishes_in_flight_requests() {
         assert!(resp.product.bits_eq(&spgemm(&a, &a)));
     });
 
-    std::thread::sleep(Duration::from_millis(100));
+    // Shutdown begins once the server has read the SUBMIT in full.
+    while server.service().metrics().snapshot().counter("net.requests") != Some(1) {
+        std::thread::yield_now();
+    }
     let stats = server.shutdown();
     worker.join().expect("client thread");
     assert_eq!(stats.completed, 1, "drain must finish the in-flight request");

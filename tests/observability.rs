@@ -15,7 +15,6 @@ use clusterwise_spgemm::service::MultiplyResponse;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn golden_path() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/obs_v1.jsonl"))
@@ -92,12 +91,8 @@ fn traced_service_jsonl_nests_and_reconciles_with_reports() {
         Arc::new(clusterwise_spgemm::sparse::gen::grid::poisson2d(10, 10)),
         Arc::new(clusterwise_spgemm::sparse::gen::mesh::tri_mesh(9, 9, true, 3)),
     ];
-    let service = SpgemmService::new(ServiceConfig {
-        shards: 1,
-        batch_window: Duration::ZERO,
-        tracing: true,
-        ..ServiceConfig::default()
-    });
+    let service =
+        SpgemmService::new(ServiceConfig { shards: 1, tracing: true, ..ServiceConfig::default() });
     let mut responses: Vec<MultiplyResponse> = Vec::new();
     for round in 0..3 {
         for a in &mats {
@@ -207,7 +202,6 @@ fn flight_recorder_stays_bounded_under_sustained_traffic() {
     let a = Arc::new(clusterwise_spgemm::sparse::gen::grid::poisson2d(8, 8));
     let service = SpgemmService::new(ServiceConfig {
         shards: 1,
-        batch_window: Duration::ZERO,
         tracing: true,
         flight_capacity: 2,
         ..ServiceConfig::default()
