@@ -326,9 +326,8 @@ pub fn run(cfg: &RunConfig) -> Report {
     // --- Table 1: constants, hand-tuned vs fitted. ---
     let mut t = Table::new(vec!["constant", "hand-tuned", "fitted (train)", "fitted (full)"]);
     type ConstantRow = (&'static str, fn(&CalibrationProfile) -> f64);
-    let rows: [ConstantRow; 8] = [
+    let rows: [ConstantRow; 7] = [
         ("seconds_per_madd", |p| p.model.seconds_per_madd),
-        ("dense_acc_discount", |p| p.model.dense_acc_discount),
         ("parallel_speedup", |p| p.model.parallel_speedup),
         ("reorder_gain", |p| p.model.reorder_gain),
         ("cluster_gain", |p| p.model.cluster_gain),

@@ -19,12 +19,14 @@
 //! assembly to `cw_spgemm::single_pass`: a cluster's member rows are
 //! extracted straight into the output once, and nothing is accumulated
 //! twice to learn a size. The loops are monomorphised over the accumulator
-//! type, chosen once per call from `SpGemmOptions::acc`.
+//! type, chosen once per call from `SpGemmOptions::acc` — Dense only where
+//! `MAX_CLUSTER_LEN` of them fit (`cw_spgemm::accumulator::dense_fits`).
 
 use crate::format::{CsrCluster, MAX_CLUSTER_LEN};
 use cw_sparse::{ColIdx, CsrMatrix, Permutation};
 use cw_spgemm::accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
+    dense_fits, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap,
+    SameLabels,
 };
 use cw_spgemm::rowwise::{CsrRows, SpGemmOptions};
 use cw_spgemm::single_pass::{chunk_target, plan_chunks, single_pass};
@@ -86,9 +88,12 @@ pub fn clusterwise_spgemm_labelled<L: LabelMap>(
         ac.nrows, ac.ncols, b.nrows, b.ncols
     );
     assert_eq!(union_ids.len(), ac.col_ids.len(), "one id per union column");
+    // One accumulator per member row of a cluster, `b.ncols` wide each.
     let kernel = match opts.acc {
-        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator, L>,
-        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator, L>,
+        AccumulatorKind::Dense if dense_fits(b.ncols, MAX_CLUSTER_LEN) => {
+            clusterwise_kernel::<DenseAccumulator, L>
+        }
+        _ => clusterwise_kernel::<HashAccumulator, L>,
     };
     kernel(ac, union_ids, b, opts, row_map, labels)
 }

@@ -139,14 +139,19 @@ const MAX_RELABELLED_DISTANCE: f64 = 0.1;
 /// Under a dense accumulator, the smallest operand (bytes of `P·A` as CSR)
 /// whose relabelling is kept. A dense accumulator's slots are as near each
 /// other as the cache they sit in makes them, so relabelling `C`'s columns
-/// buys it nothing until the operand outgrows that cache — and extraction
-/// then sorts keys that arrive in relabelled, not caller, order. Measured on
-/// shuffled `tri_mesh(s, s)` under RCM (kernel seconds two-sided ÷ one-sided,
-/// serial / parallel): 30 KB ×1.12 / 1.10, 69 KB ×1.09 / 1.06, 124 KB ×1.01 /
-/// 0.97, 282 KB ×0.98 / 1.00, 504 KB ×0.97 / 0.91, 2.0 MB ×0.89 / 0.90,
-/// 4.6 MB ×0.73 / 0.80. The hash accumulator reads ×0.78–0.94 at every one
-/// of those sizes (relabelled ids come in near-consecutive runs, which its
-/// low-bits hash spreads over distinct slots) and has no floor.
+/// buys it nothing until the operand outgrows that cache, while a
+/// relabelled preparation still pays: the relabelling pass on every cache
+/// miss and, wherever only `b` is in hand (every service and wire request),
+/// a fingerprint and full checksum of `b` to prove it is the source. Kernel
+/// seconds two-sided ÷ one-sided on shuffled `tri_mesh(s, s)` under RCM
+/// (serial / parallel, 2-vCPU x86-64, short rows extracted by rank): 30 KB
+/// ×1.00 / 1.00, 69 KB ×1.00 / 1.00, 124 KB ×0.97 / 0.99, 282 KB ×0.92 /
+/// 0.93, 504 KB ×0.90 / 0.86, 2.0 MB ×0.79 / 0.82, 4.6 MB ×0.67 / 0.76 —
+/// nothing to gain below the floor, and the 30 KB operands of the
+/// benchmark's `service-small` served ×1.09 slower end to end without it.
+/// The hash accumulator reads ×0.65–0.89 at every one of those sizes
+/// (relabelled ids come in near-consecutive runs, which its low-bits hash
+/// spreads over distinct slots) and has no floor.
 const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 
 /// Materializes the operand for `plan`: computes and applies the row

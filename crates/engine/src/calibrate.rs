@@ -11,10 +11,12 @@
 //!
 //! 1. A bench sweep measures [`CalibrationSample`]s — operand features ×
 //!    plan × observed prep/kernel seconds.
-//! 2. The [`Calibrator`] fits the model's per-madd rate, accumulator
-//!    discount, parallel speedup, and preprocessing rates by least
-//!    squares (in log space for the multiplicative kernel terms, through
-//!    the origin for the linear-in-`nnz` preprocessing terms).
+//! 2. The [`Calibrator`] fits the model's per-madd rate, parallel
+//!    speedup, and preprocessing rates by least squares (in log space for
+//!    the multiplicative kernel terms, through the origin for the
+//!    linear-in-`nnz` preprocessing terms). The accumulator is not a model
+//!    term (the planner picks it by footprint after ranking), so samples of
+//!    either accumulator feed one per-madd rate.
 //! 3. The fit serializes as a versioned [`CalibrationProfile`] — a
 //!    hand-rolled JSON document (the build container has no serde) that
 //!    [`crate::Planner::with_profile`], [`crate::Engine::with_profile`],
@@ -41,8 +43,9 @@ pub mod json;
 use json::JsonValue;
 
 /// Schema version written into (and required from) profile JSON. Bump on
-/// any incompatible field change; the golden-file test pins it.
-pub const PROFILE_SCHEMA_VERSION: u64 = 2;
+/// any incompatible field change; the golden-file test pins it. Version 3
+/// dropped the dense-accumulator discount.
+pub const PROFILE_SCHEMA_VERSION: u64 = 3;
 
 /// One measured execution: the operand's features, the plan that ran
 /// (`parallel` included), the advisor affinity the model would
@@ -122,9 +125,8 @@ impl std::error::Error for ProfileParseError {}
 
 /// The cost-model constants in serialization order: one place defines the
 /// JSON field set, so the writer and parser cannot drift apart.
-const MODEL_FIELDS: [&str; 11] = [
+const MODEL_FIELDS: [&str; 10] = [
     "seconds_per_madd",
-    "dense_acc_discount",
     "parallel_speedup",
     "reorder_gain",
     "cluster_gain",
@@ -139,7 +141,6 @@ const MODEL_FIELDS: [&str; 11] = [
 fn model_field(model: &CostModel, name: &str) -> f64 {
     match name {
         "seconds_per_madd" => model.seconds_per_madd,
-        "dense_acc_discount" => model.dense_acc_discount,
         "parallel_speedup" => model.parallel_speedup,
         "reorder_gain" => model.reorder_gain,
         "cluster_gain" => model.cluster_gain,
@@ -156,7 +157,6 @@ fn model_field(model: &CostModel, name: &str) -> f64 {
 fn set_model_field(model: &mut CostModel, name: &str, v: f64) {
     match name {
         "seconds_per_madd" => model.seconds_per_madd = v,
-        "dense_acc_discount" => model.dense_acc_discount = v,
         "parallel_speedup" => model.parallel_speedup = v,
         "reorder_gain" => model.reorder_gain = v,
         "cluster_gain" => model.cluster_gain = v,
@@ -302,12 +302,10 @@ fn prep_classes(plan: &Plan) -> Vec<PrepClass> {
 /// * **Parallel speedup** — the geometric mean of serial ÷ parallel
 ///   observed kernel seconds over (operand, pipeline) pairs measured with
 ///   [`Plan::parallel`] both set and cleared.
-/// * **Per-madd rate, accumulator discount** — the model's kernel estimate
-///   is multiplicative, so over every sample `log(observed)` minus
-///   `log(structural factor)` is `log(seconds_per_madd)` plus
-///   `log(dense_acc_discount)` on the dense-accumulator samples: the
-///   discount is the dense − hash contrast of the residual means, the
-///   rate the mean of the de-densed residuals.
+/// * **Per-madd rate** — the model's kernel estimate is multiplicative, so
+///   over every sample `log(observed)` minus `log(structural factor)` is
+///   `log(seconds_per_madd)`: the rate is the exponential of the residuals'
+///   mean.
 ///
 /// ```
 /// use cw_engine::Calibrator;
@@ -468,39 +466,24 @@ impl Calibrator {
             model.parallel_speedup = mean.exp().max(1.0);
         }
 
-        // --- Per-madd rate and dense discount (log space). ---
-        // With seconds_per_madd = 1 and dense discount = 1 the model's
-        // kernel estimate is the structural factor X, and
-        // log(observed) − log(X) = log(s) + dense·log(d). Every sample
-        // enters: X already divides a parallel plan by the speedup fitted
-        // above and prices a serial one without it.
+        // --- Per-madd rate (log space). ---
+        // With seconds_per_madd = 1 the model's kernel estimate is the
+        // structural factor X, and log(observed) − log(X) = log(s). Every
+        // sample enters: X already divides a parallel plan by the speedup
+        // fitted above and prices a serial one without it.
         let mut unit = model;
         unit.seconds_per_madd = 1.0;
-        unit.dense_acc_discount = 1.0;
         unit.cluster_row_overhead = 0.0; // additive term excluded from the log fit
-        let (mut ds, mut dn, mut hs, mut hn) = (0.0, 0usize, 0.0, 0usize);
-        for s in &self.samples {
-            let x = unit.estimate(&s.features, &s.plan, s.affinity).kernel_seconds;
-            if x <= 0.0 {
-                continue;
-            }
-            let r = (s.kernel_seconds / x).ln();
-            if s.plan.acc == cw_spgemm::AccumulatorKind::Dense {
-                ds += r;
-                dn += 1;
-            } else {
-                hs += r;
-                hn += 1;
-            }
-        }
-        let mut log_dense = 0.0;
-        if dn > 0 && hn > 0 {
-            log_dense = ds / dn as f64 - hs / hn as f64;
-            model.dense_acc_discount = log_dense.exp();
-        }
-        if dn + hn > 0 {
-            let de_densed = ds - dn as f64 * log_dense + hs;
-            model.seconds_per_madd = (de_densed / (dn + hn) as f64).exp();
+        let residuals: Vec<f64> = self
+            .samples
+            .iter()
+            .filter_map(|s| {
+                let x = unit.estimate(&s.features, &s.plan, s.affinity).kernel_seconds;
+                (x > 0.0).then(|| (s.kernel_seconds / x).ln())
+            })
+            .collect();
+        if !residuals.is_empty() {
+            model.seconds_per_madd = (residuals.iter().sum::<f64>() / residuals.len() as f64).exp();
         }
 
         CalibrationProfile {
@@ -541,7 +524,6 @@ mod tests {
     use super::*;
     use crate::plan::Plan;
     use cw_reorder::advisor::Profile;
-    use cw_spgemm::AccumulatorKind;
 
     fn features(nrows: usize, ncols: usize, nnz: usize) -> OperandFeatures {
         OperandFeatures {
@@ -569,7 +551,6 @@ mod tests {
         ];
         let pipelines = [
             Plan::baseline(),
-            Plan { acc: AccumulatorKind::Dense, ..Plan::baseline() },
             Plan { reorder: Reordering::Rcm, ..Plan::baseline() },
             Plan { reorder: Reordering::Gp(16), ..Plan::baseline() },
             Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
@@ -596,10 +577,9 @@ mod tests {
     #[test]
     fn fit_recovers_a_known_model_from_noiseless_samples() {
         let mut truth = CalibrationProfile::default();
-        // A machine 20× slower than the hand-tuned guess, with a stronger
-        // dense-accumulator win and a different parallel speedup.
+        // A machine 20× slower than the hand-tuned guess, with a different
+        // parallel speedup.
         truth.model.seconds_per_madd = 30e-9;
-        truth.model.dense_acc_discount = 0.5;
         truth.model.parallel_speedup = 6.0;
         truth.model.cheap_reorder_per_nnz = 40e-9;
         truth.model.variable_cluster_per_nnz = 80e-9;
@@ -614,7 +594,6 @@ mod tests {
 
         let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
         assert!(rel(fitted.model.seconds_per_madd, truth.model.seconds_per_madd) < 0.05);
-        assert!(rel(fitted.model.dense_acc_discount, truth.model.dense_acc_discount) < 0.05);
         assert!(rel(fitted.model.parallel_speedup, truth.model.parallel_speedup) < 0.05);
         assert!(rel(fitted.model.cheap_reorder_per_nnz, truth.model.cheap_reorder_per_nnz) < 0.05);
         assert!(
@@ -681,9 +660,9 @@ mod tests {
         assert!(matches!(CalibrationProfile::from_json("{}"), Err(ProfileParseError::Schema(_))));
         let wrong_version = CalibrationProfile::default()
             .to_json()
-            .replace("\"schema_version\": 2", "\"schema_version\": 1");
+            .replace("\"schema_version\": 3", "\"schema_version\": 2");
         let rejected = CalibrationProfile::from_json(&wrong_version).unwrap_err();
-        assert_eq!(rejected, ProfileParseError::Version(1));
+        assert_eq!(rejected, ProfileParseError::Version(2));
         assert!(rejected.to_string().contains("paper calibrate"), "{rejected}");
         let unknown_field = CalibrationProfile::default()
             .to_json()

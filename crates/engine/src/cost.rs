@@ -33,7 +33,6 @@ use crate::plan::{ClusteringStrategy, OutputShape, Plan};
 use cw_reorder::advisor::Profile;
 use cw_reorder::Reordering;
 use cw_sparse::CsrMatrix;
-use cw_spgemm::AccumulatorKind;
 use std::collections::HashMap;
 
 /// EWMA smoothing factor for observed timings (higher = faster adaptation).
@@ -158,12 +157,11 @@ impl CostEstimate {
 /// *wrong* models and verify feedback recovers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Seconds per multiply-add for the serial row-wise kernel with the
-    /// hash accumulator (the baseline everything is priced relative to).
+    /// Seconds per multiply-add for the serial row-wise kernel (the
+    /// baseline everything is priced relative to). One rate for either
+    /// accumulator: the accumulator is not priced (see
+    /// [`CostModel::estimate`]).
     pub seconds_per_madd: f64,
-    /// Multiplier on `seconds_per_madd` when the dense (SPA) accumulator
-    /// runs instead of hash (narrow outputs, paper §2.2 / Nagasaka et al.).
-    pub dense_acc_discount: f64,
     /// Effective speedup of the rayon-parallel kernel path.
     pub parallel_speedup: f64,
     /// Largest fraction of kernel time a reordering with affinity `1.0`
@@ -195,7 +193,6 @@ impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             seconds_per_madd: 1.5e-9,
-            dense_acc_discount: 0.7,
             parallel_speedup: 4.0,
             reorder_gain: 0.25,
             cluster_gain: 0.6,
@@ -215,8 +212,11 @@ impl CostModel {
     /// realizes (`0` for the baseline): higher affinity predicts larger
     /// kernel savings from reordering/clustering, never larger prep cost.
     /// The parallel speedup applies only to a plan with
-    /// [`Plan::parallel`] set. The plan's [`OutputShape`]
-    /// contributes none: a shaped plan is priced like the full one. That
+    /// [`Plan::parallel`] set. The plan's accumulator ([`Plan::acc`])
+    /// contributes nothing: the planner ranks pipelines first and picks the
+    /// accumulator by footprint afterwards, so a plan's price — and its
+    /// rank — is the same under Hash and Dense. The plan's [`OutputShape`]
+    /// contributes none either: a shaped plan is priced like the full one. That
     /// is what executes for top-k and for cluster-wise masked plans; a
     /// row-wise masked plan runs the fused kernel, which does every
     /// multiply but builds only the mask's entries, so for it the price is
@@ -227,10 +227,8 @@ impl CostModel {
         let madds = f.estimated_madds();
         let nnz = f.nnz as f64;
 
-        // Base kernel: madds × per-madd seconds, accumulator-adjusted.
-        let per_madd = self.seconds_per_madd
-            * if plan.acc == AccumulatorKind::Dense { self.dense_acc_discount } else { 1.0 };
-        let mut kernel = madds * per_madd;
+        // Base kernel: madds × per-madd seconds.
+        let mut kernel = madds * self.seconds_per_madd;
 
         if let Some(overlap) = cluster_overlap(f, plan, affinity) {
             kernel *= 1.0 - self.cluster_gain * overlap;

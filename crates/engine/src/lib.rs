@@ -15,7 +15,9 @@
 //!    fixes the kernel) × accumulator × parallel × output shape — with
 //!    the analytic [`CostModel`], and ranks them by
 //!    cost amortized under the caller's [`PlanningPolicy`] (expected
-//!    reuse, optional preprocessing budget). Each [`RankedPlan`] carries
+//!    reuse, optional preprocessing budget). The accumulator is not
+//!    priced: each candidate gets Dense wherever it fits
+//!    ([`cw_spgemm::accumulator::dense_fits`]), Hash otherwise. Each [`RankedPlan`] carries
 //!    the estimate, affinity and rationale behind its rank;
 //!    [`Planner::plans_costed`] is the budget-aware fall-through list.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
@@ -112,7 +114,7 @@ pub use cost::{
 };
 pub use engine::{Engine, DEFAULT_CACHE_CAPACITY};
 pub use plan::{ClusteringStrategy, OutputShape, Plan};
-pub use planner::{Planner, RankedPlan, DENSE_ACC_COL_THRESHOLD, PARALLEL_ROW_THRESHOLD};
+pub use planner::{Planner, RankedPlan, PARALLEL_ROW_THRESHOLD};
 pub use prepared::PreparedMatrix;
 pub use report::{ExecutionReport, StageTimings};
 

@@ -9,25 +9,31 @@
 //! under the caller's [`PlanningPolicy`] — expected reuse and an optional
 //! preprocessing budget.
 //!
-//! Knob tuning is shared by every candidate: dense accumulators for narrow
-//! outputs per Nagasaka et al.'s regime analysis; serial execution for
-//! matrices too small to amortize fork/join.
+//! The accumulator is not part of the ranking: estimates never read
+//! [`Plan::acc`], so which pipeline wins is decided on reordering and
+//! clustering alone. Each ranked candidate then gets its accumulator from one
+//! footprint rule, [`cw_spgemm::accumulator::dense_fits`]: Dense when the
+//! dense arrays one worker holds for it — one for a row-wise kernel,
+//! `MAX_CLUSTER_LEN` for the cluster-wise one — fit in 1 MiB at the
+//! operand's width, Hash otherwise (Nagasaka et al.: a dense SPA wins
+//! wherever it fits in cache). The kernels apply the same rule to the width
+//! of the `B` they are handed and run Hash where Dense would not fit, so a
+//! wide right-hand side cannot make a plan allocate past the bound. Matrices
+//! too small to amortize fork/join run serially.
 
 use crate::calibrate::CalibrationProfile;
 use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
+use cw_core::format::MAX_CLUSTER_LEN;
 use cw_core::ClusterConfig;
 use cw_reorder::advisor::{advise_profiled, Suggestion};
 use cw_sparse::CsrMatrix;
+use cw_spgemm::accumulator::dense_fits;
 use cw_spgemm::AccumulatorKind;
 
 /// Matrices with fewer rows than this run the serial kernel path: the
 /// multiply finishes in microseconds and rayon fork/join would dominate.
 pub const PARALLEL_ROW_THRESHOLD: usize = 512;
-
-/// Output widths up to this use the dense (SPA) accumulator; beyond it the
-/// hash accumulator's `O(row nnz)` footprint wins (paper §2.2 / \[40\]).
-pub const DENSE_ACC_COL_THRESHOLD: usize = 4096;
 
 /// One cost-ranked candidate: the tuned plan, its predicted cost, and the
 /// *why* — the advisor affinity that fed the prediction and a one-line
@@ -175,9 +181,10 @@ impl Planner {
     fn tune(&self, a: &CsrMatrix, mut plan: Plan) -> Plan {
         // The accumulator is sized by the *output* width, which for C = A·B
         // is b.ncols — unknown at plan time. a.ncols is the contraction
-        // dimension and tracks output width for the square/`A²` workloads
-        // this planner targets; rectangular B simply falls back to hash.
-        plan.acc = if a.ncols <= DENSE_ACC_COL_THRESHOLD {
+        // dimension and is the output width for the square/`A²` workloads
+        // this planner targets; a wider B runs Hash at the kernel.
+        let per_worker = if plan.is_clusterwise() { MAX_CLUSTER_LEN } else { 1 };
+        plan.acc = if dense_fits(a.ncols, per_worker) {
             AccumulatorKind::Dense
         } else {
             AccumulatorKind::Hash
@@ -287,16 +294,40 @@ mod tests {
         assert!(plan.parallel);
     }
 
-    #[test]
-    fn narrow_outputs_use_dense_accumulator() {
-        let a = gen::grid::poisson2d(20, 20); // 400 cols
-        assert_eq!(Planner::default().plan(&a).acc, AccumulatorKind::Dense);
+    /// An `n × ncols` operand with one entry per row: as wide as the test
+    /// needs, and cheap to plan.
+    fn wide(n: usize, ncols: usize) -> CsrMatrix {
+        CsrMatrix::from_row_lists(ncols, (0..n).map(|i| vec![(i * 7, 1.0)]).collect())
     }
 
     #[test]
-    fn wide_outputs_use_hash_accumulator() {
-        let a = gen::er::erdos_renyi(5000, 3, 1); // 5000 cols > threshold
-        assert_eq!(Planner::default().plan(&a).acc, AccumulatorKind::Hash);
+    fn rowwise_candidates_use_dense_up_to_one_mib_per_worker() {
+        // 12 B per column: 87 381 columns fit in 1 MiB, 87 382 do not.
+        let planner = Planner::default();
+        for (ncols, acc) in [(87_381, AccumulatorKind::Dense), (87_382, AccumulatorKind::Hash)] {
+            let a = wide(1024, ncols);
+            let ranked = planner.plans_costed(&a, OutputShape::Full);
+            for r in ranked.iter().filter(|r| !r.plan.is_clusterwise()) {
+                assert_eq!(r.plan.acc, acc, "{ncols} columns: {}", r.plan.describe());
+            }
+            let baseline = planner.plan_for_suggestion(&a, Suggestion::LeaveOriginal);
+            assert_eq!(baseline.acc, acc, "{ncols} columns");
+        }
+    }
+
+    #[test]
+    fn clusterwise_candidates_budget_one_accumulator_per_member_row() {
+        // Eight member rows × 12 B: 10 922 columns fit, 10 923 do not — the
+        // same operand's row-wise candidates stay Dense.
+        let planner = Planner::default();
+        for (ncols, acc) in [(10_922, AccumulatorKind::Dense), (10_923, AccumulatorKind::Hash)] {
+            let a = wide(1024, ncols);
+            let clustered = planner.plan_for_suggestion(&a, Suggestion::ClusterInPlace);
+            assert!(clustered.is_clusterwise());
+            assert_eq!(clustered.acc, acc, "{ncols} columns");
+            let rowwise = planner.plan_for_suggestion(&a, Suggestion::LeaveOriginal);
+            assert_eq!(rowwise.acc, AccumulatorKind::Dense, "{ncols} columns");
+        }
     }
 
     #[test]

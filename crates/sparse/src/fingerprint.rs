@@ -93,23 +93,58 @@ pub fn fingerprint_with_samples(a: &CsrMatrix, samples: usize) -> MatrixFingerpr
 /// bits — `O(nnz)`, and it sees every position where the sampled
 /// [`fingerprint`] does not. Together the two are a cache key: the
 /// fingerprint carries the dimensions and `nnz` (and answers a mismatch
-/// cheaply), the checksum tells apart matrices that agree at every sample
-/// (hashing at memory bandwidth is negligible next to the SpGEMM a hit
-/// saves).
+/// cheaply), the checksum tells apart matrices that agree at every sample.
+///
+/// It runs at memory speed: the arrays are read as 64-bit words (`col_idx`
+/// two ids to a word), dealt round-robin to four independent
+/// multiply-rotate lanes, and the lanes are folded through the `SplitMix64`
+/// finalizer together with the dimensions and the three array lengths.
+/// Every step is a bijection of the word it takes in, so an edit at any one
+/// position always changes the result.
 pub fn checksum(a: &CsrMatrix) -> u64 {
+    let mut lanes = Lanes::new();
+    lanes.absorb(&a.row_ptr, 1, |p| p[0] as u64);
+    lanes.absorb(&a.col_idx, 2, |c| c[0] as u64 | c.get(1).map_or(0, |&hi| (hi as u64) << 32));
+    lanes.absorb(&a.vals, 1, |v| v[0].to_bits());
     let mut h = 0x27D4_EB2F_1656_67C5u64;
-    h = mix(h, a.nrows as u64);
-    h = mix(h, a.ncols as u64);
-    for &p in &a.row_ptr {
-        h = mix(h, p as u64);
+    for x in [a.nrows, a.ncols, a.row_ptr.len(), a.col_idx.len(), a.vals.len()] {
+        h = mix(h, x as u64);
     }
-    for &c in &a.col_idx {
-        h = mix(h, c as u64);
+    lanes.0.iter().fold(h, |h, &lane| mix(h, lane))
+}
+
+/// The four accumulators of [`checksum`]. Consecutive words go to
+/// consecutive lanes, so the lanes' multiply chains overlap.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+    fn new() -> Lanes {
+        Lanes([0x60EA_27EE_ADC0_B5D6, 0xC2B2_AE3D_27D4_EB4F, 0, 0x61C8_8646_80B5_83EB])
     }
-    for &v in &a.vals {
-        h = mix(h, v.to_bits());
+
+    /// One xxHash64-style round: bijective in `lane` and in `word`.
+    #[inline(always)]
+    fn round(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(Self::P2)).rotate_left(31).wrapping_mul(Self::P1)
     }
-    h
+
+    /// Deals `xs`, read `per_word` elements to a word by `word`, to the
+    /// lanes (a short last word is handed the elements that are left).
+    #[inline(always)]
+    fn absorb<T>(&mut self, xs: &[T], per_word: usize, word: impl Fn(&[T]) -> u64) {
+        let mut blocks = xs.chunks_exact(4 * per_word);
+        for block in &mut blocks {
+            for (lane, w) in self.0.iter_mut().zip(block.chunks_exact(per_word)) {
+                *lane = Self::round(*lane, word(w));
+            }
+        }
+        for (lane, w) in self.0.iter_mut().zip(blocks.remainder().chunks(per_word)) {
+            *lane = Self::round(*lane, word(w));
+        }
+    }
 }
 
 /// Hashes up to `samples` evenly spaced elements of `xs` (always including
@@ -200,6 +235,69 @@ mod tests {
             assert_ne!(checksum(&b), base, "edit at {idx} missed");
         }
         assert_eq!(checksum(&a), base, "checksum must be deterministic");
+    }
+
+    #[test]
+    fn checksum_sees_every_structural_position() {
+        // An edit at any position of `row_ptr` or `col_idx` changes it — on
+        // an even and an odd number of ids, so both the paired ids and the
+        // one left alone in the last word are covered.
+        let a = erdos_renyi(30, 7, 3);
+        let mut shorter = a.clone();
+        shorter.col_idx.pop();
+        shorter.vals.pop();
+        *shorter.row_ptr.last_mut().unwrap() -= 1;
+        assert_ne!(checksum(&shorter), checksum(&a), "dropping the last entry went unseen");
+        for m in [a, shorter] {
+            let base = checksum(&m);
+            for idx in 0..m.row_ptr.len() {
+                let mut b = m.clone();
+                b.row_ptr[idx] ^= 1;
+                assert_ne!(checksum(&b), base, "row_ptr edit at {idx} missed");
+            }
+            for idx in 0..m.col_idx.len() {
+                let mut b = m.clone();
+                b.col_idx[idx] ^= 1;
+                assert_ne!(checksum(&b), base, "col_idx edit at {idx} missed");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_an_entry_moved_to_the_next_row() {
+        // Same `col_idx` and `vals` arrays, one boundary shifted: row 0's
+        // last entry now opens row 1.
+        let a = CsrMatrix::from_row_lists(4, vec![vec![(0, 1.0), (3, 2.0)], vec![(1, 3.0)]]);
+        let mut b = a.clone();
+        b.row_ptr[1] -= 1;
+        assert_eq!((b.col_idx.clone(), b.vals.clone()), (a.col_idx.clone(), a.vals.clone()));
+        assert_ne!(checksum(&a), checksum(&b));
+    }
+
+    #[test]
+    fn checksum_sees_two_adjacent_words_swapped() {
+        // Swaps that keep every value in the matrix but change its order:
+        // adjacent values (neighbouring words), adjacent pairs of ids, and
+        // the two ids inside one word.
+        let a = erdos_renyi(30, 7, 4);
+        let base = checksum(&a);
+        for idx in 0..a.vals.len() - 1 {
+            let mut b = a.clone();
+            b.vals.swap(idx, idx + 1);
+            if b.vals[idx] != a.vals[idx] {
+                assert_ne!(checksum(&b), base, "vals swap at {idx} missed");
+            }
+        }
+        for idx in 0..a.col_idx.len() - 1 {
+            let mut b = a.clone();
+            b.col_idx.swap(idx, idx + 1);
+            assert_ne!(checksum(&b), base, "col_idx swap at {idx} missed");
+            if idx + 3 < a.col_idx.len() && idx % 2 == 0 {
+                let mut c = a.clone();
+                c.col_idx[idx..idx + 4].rotate_left(2);
+                assert_ne!(checksum(&c), base, "col_idx word swap at {idx} missed");
+            }
+        }
     }
 
     #[test]

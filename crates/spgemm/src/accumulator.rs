@@ -3,8 +3,10 @@
 //! A sparse accumulator collects the intermediate products of one output row
 //! (`accumulate` in paper Fig. 1) and emits the compressed, sorted result
 //! (`copy`). The paper uses a hash-table accumulator following Nagasaka et
-//! al. \[40\]; a dense SPA is the alternative the planner picks for narrow
-//! outputs.
+//! al. \[40\]; a dense SPA is the alternative wherever its per-worker
+//! arrays fit ([`dense_fits`]) — the planner's rule, which every kernel
+//! re-applies to the width it actually allocates for, running the hash
+//! accumulator (same bits) when Dense would not fit.
 //!
 //! Accumulators are designed for reuse across rows: `extract_into` drains
 //! and resets in `O(row nnz)`, never `O(ncols)`, so one accumulator instance
@@ -26,12 +28,93 @@
 //! the row in ascending label order. [`SameLabels`] is the zero-sized
 //! identity: `extract_into` is that instantiation, with the translation
 //! compiled out.
+//!
+//! Most output rows are short, and most of their extraction time was the
+//! comparison sort. A row of at most 32 entries (`SHORT_ROW`) is therefore
+//! emitted without one: copied as is when its labels already ascend, else
+//! each entry written at its rank — how many of the row's labels are below
+//! its own. The keys of a row are distinct, so the rank order is the sorted
+//! order and the bits do not change.
 
 use cw_sparse::{ColIdx, Permutation, Value};
 
 /// Sentinel for an empty hash slot (no valid column id equals `u32::MAX`
 /// because matrix dimensions are `< u32::MAX`).
 pub(crate) const EMPTY: u32 = u32::MAX;
+
+/// Bytes a [`DenseAccumulator`] holds per output column: an `f64` value and
+/// a `u32` generation stamp (the masked kernel's dense accumulator is the
+/// same two arrays).
+const DENSE_BYTES_PER_COL: usize = 12;
+
+/// The most dense-accumulator memory one worker may hold: half of a 2 MiB L2,
+/// and a bound on what any one request can make a worker allocate. Dense
+/// measured no slower than Hash up to it, and past it to 3 MB (meshes and
+/// block matrices, 16 k–260 k columns, 2-vCPU x86-64).
+const DENSE_MAX_BYTES: usize = 1 << 20;
+
+/// Whether `per_worker` dense accumulators over `ncols` output columns fit
+/// in one worker's budget: `per_worker × ncols × 12 B ≤ 1 MiB`. A row-wise
+/// kernel holds one per worker (Dense up to 87 381 columns), the cluster-wise
+/// kernel one per member row of a cluster (up to 10 922 columns at eight).
+///
+/// The planner picks [`AccumulatorKind::Dense`] by this rule, and every
+/// kernel that allocates a dense accumulator applies it again to the width it
+/// allocates for, running [`AccumulatorKind::Hash`] (the same bits) where it
+/// fails — so no request can size a dense array from an unbounded width.
+///
+/// ```
+/// use cw_spgemm::accumulator::dense_fits;
+///
+/// assert!(dense_fits(87_381, 1) && !dense_fits(87_382, 1));
+/// assert!(dense_fits(10_922, 8) && !dense_fits(10_923, 8));
+/// assert!(!dense_fits(usize::MAX, 2));
+/// ```
+pub fn dense_fits(ncols: usize, per_worker: usize) -> bool {
+    per_worker.saturating_mul(ncols).saturating_mul(DENSE_BYTES_PER_COL) <= DENSE_MAX_BYTES
+}
+
+/// Rows of at most this many entries are extracted by rank placement
+/// instead of a comparison sort (module docs): the rank counts grow with the
+/// square of the row, and at 32 entries they still beat `sort_unstable` on
+/// keys that arrive in a few ascending runs.
+const SHORT_ROW: usize = 32;
+
+/// Writes the `n ≤ SHORT_ROW` distinct keys `keys[..n]` to the front of
+/// `cols` in ascending order, each with `value(i)` for `keys[i]` at the same
+/// position of `vals`. Keys that already ascend are copied as is; otherwise
+/// each goes to its rank, the count of the row's keys below it.
+#[inline(always)]
+fn emit_by_rank(
+    keys: &[ColIdx; SHORT_ROW],
+    n: usize,
+    cols: &mut [ColIdx],
+    vals: &mut [Value],
+    value: impl Fn(usize) -> Value,
+) {
+    let row = &keys[..n];
+    let (cols, vals) = (&mut cols[..n], &mut vals[..n]);
+    if row.windows(2).all(|w| w[0] < w[1]) {
+        cols.copy_from_slice(row);
+        for (i, v) in vals.iter_mut().enumerate() {
+            *v = value(i);
+        }
+        return;
+    }
+    // Every key is compared with whole groups of eight slots (those past `n`
+    // are never read back), so the branch-free compares vectorise.
+    let lanes = n.next_multiple_of(8);
+    let mut rank = [0u32; SHORT_ROW];
+    for &key in row {
+        for (r, &k) in rank[..lanes].iter_mut().zip(&keys[..lanes]) {
+            *r += (key < k) as u32;
+        }
+    }
+    for (i, (&key, &r)) in row.iter().zip(&rank).enumerate() {
+        cols[r as usize] = key;
+        vals[r as usize] = value(i);
+    }
+}
 
 /// Which accumulator implementation a kernel should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -126,10 +209,10 @@ pub(crate) fn hash32(x: u32, mask: usize) -> usize {
 /// Capacity is always a power of two and grows at 50% load. `keys` holds
 /// column ids (EMPTY = free), `vals` the running sums, and `occupied` one
 /// packed `col << 32 | slot` word per used slot: reset costs `O(entries)`
-/// rather than `O(capacity)`, and extraction sorts those words natively
-/// (column in the high half — rewritten to the column's *label* first when
-/// the kernel ran under a [`LabelMap`]) and gathers each value through its
-/// slot.
+/// rather than `O(capacity)`, and extraction orders those words by column
+/// (rewritten to the column's *label* first when the kernel ran under a
+/// [`LabelMap`]) — by rank up to 32 entries, natively sorted
+/// past it — and gathers each value through its slot.
 #[derive(Debug)]
 pub struct HashAccumulator {
     keys: Vec<u32>,
@@ -236,6 +319,16 @@ impl Accumulator for HashAccumulator {
         vals: &mut [Value],
     ) -> usize {
         let n = self.occupied.len();
+        if n <= SHORT_ROW {
+            let mut keys = [0; SHORT_ROW];
+            for (key, &packed) in keys.iter_mut().zip(&self.occupied) {
+                *key = labels.label((packed >> 32) as ColIdx);
+            }
+            let (occupied, sums) = (&self.occupied, &self.vals);
+            emit_by_rank(&keys, n, cols, vals, |i| sums[slot_of(occupied[i])]);
+            self.clear();
+            return n;
+        }
         if !L::IDENTITY {
             for packed in &mut self.occupied {
                 let label = labels.label((*packed >> 32) as ColIdx);
@@ -262,8 +355,8 @@ impl Accumulator for HashAccumulator {
 }
 
 /// Dense accumulator ("SPA"): a value per column plus a generation stamp, so
-/// reset is `O(1)` (bump the generation) and only touched columns are sorted
-/// on extraction.
+/// reset is `O(1)` (bump the generation) and only touched columns are
+/// ordered on extraction.
 #[derive(Debug)]
 pub struct DenseAccumulator {
     vals: Vec<Value>,
@@ -322,7 +415,14 @@ impl Accumulator for DenseAccumulator {
         vals: &mut [Value],
     ) -> usize {
         let n = self.touched.len();
-        if L::IDENTITY {
+        if n <= SHORT_ROW {
+            let mut keys = [0; SHORT_ROW];
+            for (key, &col) in keys.iter_mut().zip(&self.touched) {
+                *key = labels.label(col);
+            }
+            let (touched, sums) = (&self.touched, &self.vals);
+            emit_by_rank(&keys, n, cols, vals, |i| sums[touched[i] as usize]);
+        } else if L::IDENTITY {
             self.touched.sort_unstable();
             cols[..n].copy_from_slice(&self.touched);
             for (v, &c) in vals[..n].iter_mut().zip(&self.touched) {

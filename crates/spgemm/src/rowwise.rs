@@ -9,7 +9,8 @@
 //! accumulator type chosen once per call from [`SpGemmOptions::acc`].
 
 use crate::accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
+    dense_fits, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap,
+    SameLabels,
 };
 use crate::flops::flops_per_row_on;
 use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines};
@@ -19,7 +20,9 @@ use rayon::prelude::*;
 /// Tuning knobs for [`spgemm_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpGemmOptions {
-    /// Accumulator implementation.
+    /// Accumulator implementation. `Dense` runs only where it fits the
+    /// output width ([`crate::accumulator::dense_fits`]); past that the
+    /// kernel runs `Hash`, which gives the same bits.
     pub acc: AccumulatorKind,
     /// Use the rayon-parallel path.
     pub parallel: bool,
@@ -144,9 +147,11 @@ pub fn spgemm_labelled<L: LabelMap>(
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
+    // One dense accumulator per worker, `b.ncols` wide — or, past
+    // `dense_fits`, the hash accumulator and the same bits.
     let kernel = match opts.acc {
-        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator, L>,
-        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator, L>,
+        AccumulatorKind::Dense if dense_fits(b.ncols, 1) => rowwise_kernel::<DenseAccumulator, L>,
+        _ => rowwise_kernel::<HashAccumulator, L>,
     };
     kernel(a, b, opts, row_map, labels)
 }
@@ -206,8 +211,10 @@ fn rowwise_kernel<A: Accumulator, L: LabelMap>(
 /// never accumulate a row twice.
 pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> Vec<usize> {
     match kind {
-        AccumulatorKind::Hash => symbolic_kernel::<HashAccumulator>(a, b),
-        AccumulatorKind::Dense => symbolic_kernel::<DenseAccumulator>(a, b),
+        AccumulatorKind::Dense if dense_fits(b.ncols, 1) => {
+            symbolic_kernel::<DenseAccumulator>(a, b)
+        }
+        _ => symbolic_kernel::<HashAccumulator>(a, b),
     }
 }
 

@@ -41,9 +41,10 @@
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/feed-back pipeline. A `Planner` profiles the
 //!   operand, prices every candidate pipeline (reordering × clustering,
-//!   which fixes the kernel, × accumulator) with a `CostModel`, and ranks
-//!   them by cost amortized under a caller-supplied `PlanningPolicy`
-//!   (expected reuse, preprocessing budget); `PreparedMatrix` materializes
+//!   which fixes the kernel) with a `CostModel`, ranks them by cost
+//!   amortized under a caller-supplied `PlanningPolicy` (expected reuse,
+//!   preprocessing budget), and gives each the dense accumulator wherever
+//!   it fits in 1 MiB per worker; `PreparedMatrix` materializes
 //!   the chosen plan once; an (operand, plan)-keyed `PlanCache` (entry-
 //!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
 //!   `Engine::multiply` executes the kernel (on the rayon pool when the
@@ -61,8 +62,8 @@
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O,
 //!   synthetic matrix generators, structural statistics, and the matrix
 //!   fingerprints and checksums keying the engine's plan cache.
-//! * [`spgemm`] — row-wise Gustavson SpGEMM (the baseline) with hash /
-//!   dense / sort accumulators, FLOP analysis, `SpGEMM_TopK`.
+//! * [`spgemm`] — row-wise Gustavson SpGEMM (the baseline) with hash and
+//!   dense accumulators, FLOP analysis, `SpGEMM_TopK`.
 //! * [`partition`] — multilevel graph & hypergraph partitioners and nested
 //!   dissection (METIS/PaToH stand-ins).
 //! * [`reorder`] — the ten row-reordering algorithms of the paper's study,

@@ -208,3 +208,27 @@ fn a_clustering_that_finds_nothing_runs_rowwise_under_the_same_plan() {
         }
     }
 }
+
+/// A right-hand side as tall as `poisson2d(40, 40)` is wide and `ncols`
+/// wide, one entry per row spread over the whole width.
+fn wide_rhs(ncols: usize) -> CsrMatrix {
+    let stride = ncols / 1600;
+    CsrMatrix::from_row_lists(ncols, (0..1600).map(|i| vec![(i * stride + i % 7, 1.5)]).collect())
+}
+
+#[test]
+fn a_right_hand_side_too_wide_for_dense_runs_hash_with_the_same_bits() {
+    // The planner sizes the accumulator from `a` (1 600 columns: Dense); the
+    // product is as wide as `b`. A dense accumulator that wide would be
+    // 48 GB per worker at 4·10⁹ columns (allocation failure, process abort)
+    // and 1.2 GB at 10⁸; the kernel runs Hash instead, which is the oracle.
+    let a = gen::grid::poisson2d(40, 40);
+    for ncols in [100_000_000, 4_000_000_000] {
+        let b = wide_rhs(ncols);
+        let mut engine = Engine::default();
+        let (got, report) = engine.multiply(&a, &b);
+        assert_eq!(report.plan.acc, AccumulatorKind::Dense, "{}", report.plan.describe());
+        assert_eq!((got.nrows, got.ncols), (1600, ncols));
+        assert!(got.bits_eq(&spgemm_serial(&a, &b)), "{ncols} columns");
+    }
+}

@@ -81,6 +81,33 @@ fn wire_roundtrip_is_bit_identical_to_direct_engine() {
 }
 
 #[test]
+fn a_right_hand_side_wider_than_dense_fits_costs_no_more_than_its_answer() {
+    // `a` plans Dense from its own 1 600 columns; `b` makes the product
+    // 4·10⁹ columns wide. Sized from `b`, a dense accumulator would be 48 GB
+    // per worker and abort the server; the kernel runs Hash instead, and
+    // the same connection then serves an ordinary request.
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let mut client =
+        NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let a = gen::grid::poisson2d(40, 40);
+    let ncols = 4_000_000_000;
+    let b = CsrMatrix::from_row_lists(
+        ncols,
+        (0..1600).map(|i| vec![(i * (ncols / 1600) + i % 7, 1.5)]).collect(),
+    );
+    let wide = client.multiply(&a, &b).expect("wide right-hand side");
+    assert_eq!((wide.product.nrows, wide.product.ncols), (1600, ncols));
+    assert!(wide.product.bits_eq(&spgemm_serial(&a, &b)), "wide product is not the oracle's");
+
+    let normal = client.multiply(&a, &a).expect("the request after it");
+    let (direct, _) = Engine::default().multiply(&a, &a);
+    assert!(normal.product.bits_eq(&direct), "the next request is not served correctly");
+
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.rejected), (2, 0));
+}
+
+#[test]
 fn shaped_wire_requests_are_bit_identical_to_direct_engine() {
     use clusterwise_spgemm::engine::OutputShape;
 

@@ -5,7 +5,11 @@
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::jaccard::{jaccard, jaccard_from_overlap};
 use clusterwise_spgemm::sparse::CooMatrix;
+use clusterwise_spgemm::spgemm::{
+    Accumulator, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random sparse `nrows × ncols` matrix (both at least 1).
 fn sparse_rect(nrows: usize, ncols: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
@@ -288,6 +292,114 @@ proptest! {
         let c = spgemm(&a, &a);
         let ma = clusterwise_spgemm::spgemm::flops::multiply_adds(&a, &a);
         prop_assert!(c.nnz() as u64 <= ma);
+    }
+}
+
+/// Keys of one accumulator row: the width a dense accumulator is built for,
+/// and the size of the permutation label map.
+const ROW_KEYS: u32 = 4096;
+
+/// A label map onto the top of the id range: key `k` is emitted as
+/// `u32::MAX − 1 − k`, so labels descend as keys ascend.
+struct Reflect;
+
+impl LabelMap for Reflect {
+    const IDENTITY: bool = false;
+    fn label(&self, key: u32) -> u32 {
+        u32::MAX - 1 - key
+    }
+}
+
+/// `keys` in insertion order `order` (0 ascending, 1 descending, else an
+/// arbitrary order from `seed`), each as `(key, value)`, with every third
+/// key added a second time later in the row so merging is exercised too.
+fn insertion_sequence(keys: &BTreeSet<u32>, order: u8, seed: u64) -> Vec<(u32, f64)> {
+    let mut ks: Vec<u32> = keys.iter().copied().collect();
+    match order {
+        0 => {}
+        1 => ks.reverse(),
+        _ => {
+            let mut s = seed | 1;
+            for i in (1..ks.len()).rev() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ks.swap(i, (s % (i as u64 + 1)) as usize);
+            }
+        }
+    }
+    let mut adds: Vec<(u32, f64)> = ks.iter().map(|&k| (k, 0.5 + (k % 97) as f64 / 7.0)).collect();
+    adds.extend(ks.iter().filter(|&&k| k % 3 == 0).map(|&k| (k, -1e-3 * k as f64)));
+    adds
+}
+
+/// What extraction must emit: each key's sum in arrival order, under its
+/// label, in ascending label order — the comparison sort's answer.
+fn sorted_row<L: LabelMap>(labels: &L, adds: &[(u32, f64)]) -> (Vec<u32>, Vec<u64>) {
+    let mut sums: Vec<(u32, f64)> = Vec::new();
+    for &(k, v) in adds {
+        match sums.iter_mut().find(|(c, _)| *c == k) {
+            Some(entry) => entry.1 += v,
+            None => sums.push((k, v)),
+        }
+    }
+    let mut row: Vec<(u32, u64)> =
+        sums.iter().map(|&(k, v)| (labels.label(k), v.to_bits())).collect();
+    row.sort_unstable();
+    row.into_iter().unzip()
+}
+
+/// Feeds `adds` to `acc` and extracts under `labels`: the row must be
+/// [`sorted_row`]'s, bit for bit, and the accumulator empty afterwards.
+fn extracts_the_sorted_row<A: Accumulator, L: LabelMap>(
+    acc: &mut A,
+    labels: &L,
+    adds: &[(u32, f64)],
+) -> Result<(), TestCaseError> {
+    for &(k, v) in adds {
+        acc.add(k, v);
+    }
+    let n = acc.len();
+    let (mut cols, mut vals) = (vec![0; n], vec![0.0; n]);
+    prop_assert_eq!(acc.extract_labelled_into(labels, &mut cols, &mut vals), n);
+    prop_assert!(acc.is_empty());
+    let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+    prop_assert_eq!((cols, bits), sorted_row(labels, adds));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Rows of up to `SHORT_ROW` entries are placed by rank, longer ones
+    // sorted; both must emit what a comparison sort does, for either
+    // accumulator, with or without a label map, from any insertion order.
+    // One accumulator of each kind serves three rows per case, so a row
+    // that left state behind shows up in the next.
+    #[test]
+    fn short_and_long_rows_extract_what_the_sort_extracts(
+        rows in proptest::collection::vec(
+            (proptest::collection::btree_set(0..ROW_KEYS, 0..=33), 0u8..3, 0u64..u64::MAX),
+            3,
+        ),
+        perm_seed in 0u64..1000,
+    ) {
+        let perm = clusterwise_spgemm::reorder::random_permutation(ROW_KEYS as usize, perm_seed);
+        let mut hash = HashAccumulator::new();
+        let mut dense = DenseAccumulator::new(ROW_KEYS as usize);
+        for (keys, order, seed) in &rows {
+            let adds = insertion_sequence(keys, *order, *seed);
+            extracts_the_sorted_row(&mut hash, &SameLabels, &adds)?;
+            extracts_the_sorted_row(&mut dense, &SameLabels, &adds)?;
+            extracts_the_sorted_row(&mut hash, &perm, &adds)?;
+            extracts_the_sorted_row(&mut dense, &perm, &adds)?;
+            extracts_the_sorted_row(&mut hash, &Reflect, &adds)?;
+            extracts_the_sorted_row(&mut dense, &Reflect, &adds)?;
+            // Keys at the top of the id range (the hash accumulator's own;
+            // `u32::MAX` itself is its empty-slot sentinel).
+            let high: Vec<(u32, f64)> = adds.iter().map(|&(k, v)| (u32::MAX - 1 - k, v)).collect();
+            extracts_the_sorted_row(&mut hash, &SameLabels, &high)?;
+        }
     }
 }
 
