@@ -20,13 +20,12 @@
 //! extracted straight into the output once, and nothing is accumulated
 //! twice to learn a size. The loops are monomorphised over the accumulator
 //! type, chosen once per call from `SpGemmOptions::acc` — Dense only where
-//! `MAX_CLUSTER_LEN` of them fit (`cw_spgemm::accumulator::dense_fits`).
+//! `MAX_CLUSTER_LEN` of them fit (`AccumulatorKind::resolve`).
 
 use crate::format::{CsrCluster, MAX_CLUSTER_LEN};
 use cw_sparse::{ColIdx, CsrMatrix, Permutation};
 use cw_spgemm::accumulator::{
-    dense_fits, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap,
-    SameLabels,
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
 };
 use cw_spgemm::rowwise::{CsrRows, SpGemmOptions};
 use cw_spgemm::single_pass::{chunk_target, plan_chunks, single_pass};
@@ -89,11 +88,9 @@ pub fn clusterwise_spgemm_labelled<L: LabelMap>(
     );
     assert_eq!(union_ids.len(), ac.col_ids.len(), "one id per union column");
     // One accumulator per member row of a cluster, `b.ncols` wide each.
-    let kernel = match opts.acc {
-        AccumulatorKind::Dense if dense_fits(b.ncols, MAX_CLUSTER_LEN) => {
-            clusterwise_kernel::<DenseAccumulator, L>
-        }
-        _ => clusterwise_kernel::<HashAccumulator, L>,
+    let kernel = match opts.acc.resolve(b.ncols, MAX_CLUSTER_LEN) {
+        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator, L>,
+        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator, L>,
     };
     kernel(ac, union_ids, b, opts, row_map, labels)
 }

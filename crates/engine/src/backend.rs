@@ -1,12 +1,13 @@
 //! Execution: *how* a prepared plan runs.
 //!
-//! A [`Plan`] says *what* to compute (reordering × clustering ×
-//! accumulator × output shape) and, in [`Plan::parallel`], whether the
-//! kernel runs on the rayon pool. `parallel: false` is the serial oracle
-//! every cross-validation suite compares against: because each kernel
-//! accumulates an output entry in ascending-`k` order and extracts sorted
-//! columns wherever it runs, the two are bit-identical under otherwise
-//! equal plans.
+//! A [`Plan`] says *what* to compute (reordering × clustering × output
+//! shape) and, in [`Plan::parallel`], whether the kernel runs on the rayon
+//! pool; the kernel picks its accumulator by footprint
+//! ([`cw_spgemm::AccumulatorKind::resolve`]). `parallel: false` is the
+//! serial oracle every cross-validation suite compares against: because
+//! each kernel accumulates an output entry in ascending-`k` order and
+//! extracts sorted columns wherever it runs, the two are bit-identical under
+//! otherwise equal plans.
 //!
 //! Both materialize the same `CpuOperand` (`materialize`) and run through
 //! the one `execute` function, which is also where the output shape is
@@ -32,11 +33,13 @@
 
 use crate::plan::{ClusteringStrategy, OutputShape, Plan};
 use crate::report::StageTimings;
+use cw_core::format::MAX_CLUSTER_LEN;
 use cw_core::{
     fixed_clustering, hierarchical_clustering, variable_clustering, ClusterConfig, CsrCluster,
 };
 use cw_reorder::Reordering;
 use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
+use cw_spgemm::accumulator::dense_fits;
 use cw_spgemm::rowwise::{spgemm_labelled, spgemm_mapped, CsrRows};
 use cw_spgemm::AccumulatorKind;
 use std::time::Instant;
@@ -136,10 +139,11 @@ const MIN_ROWS_PER_CLUSTER: f64 = 1.5;
 /// (power-law graphs under Degree or RCM); a random order reads 0.33.
 const MAX_RELABELLED_DISTANCE: f64 = 0.1;
 
-/// Under a dense accumulator, the smallest operand (bytes of `P·A` as CSR)
-/// whose relabelling is kept. A dense accumulator's slots are as near each
-/// other as the cache they sit in makes them, so relabelling `C`'s columns
-/// buys it nothing until the operand outgrows that cache, while a
+/// Where the kernel runs a dense accumulator at the operand's own width,
+/// the smallest operand (bytes of `P·A` as CSR) whose relabelling is kept. A
+/// dense accumulator's slots are as near each other as the cache they sit in
+/// makes them, so relabelling `C`'s columns buys it nothing until the
+/// operand outgrows that cache, while a
 /// relabelled preparation still pays: the relabelling pass on every cache
 /// miss and, wherever only `b` is in hand (every service and wire request),
 /// a fingerprint and full checksum of `b` to prove it is the source. Kernel
@@ -171,8 +175,8 @@ const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 /// order) are kept when the operand is square and its rows moved — the
 /// only case in which `b` can be the operand itself *and* a relabelling
 /// differs from the ids already there — and the order made the operand
-/// banded enough to pay ([`MAX_RELABELLED_DISTANCE`]; under a dense
-/// accumulator the operand must also be past
+/// banded enough to pay ([`MAX_RELABELLED_DISTANCE`]; where the kernel runs
+/// a dense accumulator at the operand's width, the operand must also be past
 /// [`DENSE_RELABELLED_MIN_BYTES`]); never for a masked plan that runs
 /// row-wise, whose fused kernel is keyed on the mask's own columns and stays
 /// one-sided. One pass over the ids, charged to the stage that moved the
@@ -232,8 +236,11 @@ pub(crate) fn materialize(
 
     // Stage 3: the same ids in the permuted label space.
     let masked_rowwise = clustering.is_none() && plan.shape == OutputShape::Masked;
+    // Whether the kernel runs Dense on `a` itself; the cluster-wise one
+    // holds an accumulator per member row.
+    let per_worker = if clustering.is_some() { MAX_CLUSTER_LEN } else { 1 };
     let small_and_dense =
-        plan.acc == AccumulatorKind::Dense && grouped.memory_bytes() < DENSE_RELABELLED_MIN_BYTES;
+        dense_fits(a.ncols, per_worker) && grouped.memory_bytes() < DENSE_RELABELLED_MIN_BYTES;
     let inv = row_map
         .as_ref()
         .filter(|_| a.nrows == a.ncols && !masked_rowwise && !small_and_dense)
@@ -280,7 +287,8 @@ fn identity_to_none(perm: Option<Permutation>) -> Option<Permutation> {
     perm.filter(|p| !p.is_identity())
 }
 
-/// `shape(A · b)` under `plan`, and whether it ran two-sided.
+/// `shape(A · b)` under `plan`, whether it ran two-sided, and the
+/// accumulator the kernel ran.
 /// `operand` is `A` with its rows reordered by `row_map` (what
 /// [`materialize`] returned). Rows come back in `A`'s order — the caller's:
 /// every kernel hands `row_map` to [`cw_spgemm::single_pass`], whose pack
@@ -319,11 +327,13 @@ pub(crate) fn execute(
     b: &CsrMatrix,
     b_is_source: bool,
     mask: Option<&CsrMatrix>,
-) -> (CsrMatrix, bool) {
+) -> (CsrMatrix, bool, AccumulatorKind) {
     let opts = plan.spgemm_options();
+    let clusterwise = matches!(operand, CpuOperand::ClusterWise { .. });
+    let acc = opts.acc.resolve(b.ncols, if clusterwise { MAX_CLUSTER_LEN } else { 1 });
     let mask = || mask.expect("masked plan executed without a mask operand");
     if let (CpuOperand::RowWise { pa, .. }, OutputShape::Masked) = (operand, plan.shape) {
-        return (cw_spgemm::spgemm_masked_mapped(pa, b, mask(), &opts, row_map), false);
+        return (cw_spgemm::spgemm_masked_mapped(pa, b, mask(), &opts, row_map), false, acc);
     }
     // A relabelled operand always comes with the permutation it was
     // relabelled by.
@@ -348,7 +358,7 @@ pub(crate) fn execute(
         OutputShape::TopK(k) => cw_spgemm::row_topk(&full, k),
         OutputShape::Full => full,
     };
-    (shaped, two_sided)
+    (shaped, two_sided, acc)
 }
 
 #[cfg(test)]

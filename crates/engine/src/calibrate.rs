@@ -15,8 +15,7 @@
 //!    speedup, and preprocessing rates by least squares (in log space for
 //!    the multiplicative kernel terms, through the origin for the
 //!    linear-in-`nnz` preprocessing terms). The accumulator is not a model
-//!    term (the planner picks it by footprint after ranking), so samples of
-//!    either accumulator feed one per-madd rate.
+//!    term: a plan carries none, and the kernel runs whichever fits.
 //! 3. The fit serializes as a versioned [`CalibrationProfile`] — a
 //!    hand-rolled JSON document (the build container has no serde) that
 //!    [`crate::Planner::with_profile`], [`crate::Engine::with_profile`],
@@ -410,11 +409,11 @@ impl Calibrator {
         // --- Technique gains: ratio fits against the baseline pipeline. ---
         // kernel(reordered) = kernel(baseline) · (1 − reorder_gain · affinity)
         // is scale-free: the per-madd rate cancels in the observed ratio,
-        // so the gains can be fitted before it. Pairs match on operand,
-        // accumulator, and parallelism.
+        // so the gains can be fitted before it. Pairs match on operand and
+        // parallelism.
         let is_baseline = |p: &Plan| !p.has_preprocessing();
         let op_key = |s: &CalibrationSample| {
-            (s.features.nrows, s.features.ncols, s.features.nnz, s.plan.acc, s.plan.parallel)
+            (s.features.nrows, s.features.ncols, s.features.nnz, s.plan.parallel)
         };
         let baseline_for = |s: &CalibrationSample| {
             self.samples

@@ -159,8 +159,7 @@ impl CostEstimate {
 pub struct CostModel {
     /// Seconds per multiply-add for the serial row-wise kernel (the
     /// baseline everything is priced relative to). One rate for either
-    /// accumulator: the accumulator is not priced (see
-    /// [`CostModel::estimate`]).
+    /// accumulator: a plan carries none, so none is priced.
     pub seconds_per_madd: f64,
     /// Effective speedup of the rayon-parallel kernel path.
     pub parallel_speedup: f64,
@@ -212,10 +211,7 @@ impl CostModel {
     /// realizes (`0` for the baseline): higher affinity predicts larger
     /// kernel savings from reordering/clustering, never larger prep cost.
     /// The parallel speedup applies only to a plan with
-    /// [`Plan::parallel`] set. The plan's accumulator ([`Plan::acc`])
-    /// contributes nothing: the planner ranks pipelines first and picks the
-    /// accumulator by footprint afterwards, so a plan's price — and its
-    /// rank — is the same under Hash and Dense. The plan's [`OutputShape`]
+    /// [`Plan::parallel`] set. The plan's [`OutputShape`]
     /// contributes none either: a shaped plan is priced like the full one. That
     /// is what executes for top-k and for cluster-wise masked plans; a
     /// row-wise masked plan runs the fused kernel, which does every

@@ -261,7 +261,7 @@ impl Engine {
         prep_timings: StageTimings,
         cache_hit: bool,
     ) -> (CsrMatrix, ExecutionReport) {
-        let (c, kernel_seconds, two_sided) = prepared.run(b, b_is_source, mask);
+        let (c, kernel_seconds, two_sided, accumulator) = prepared.run(b, b_is_source, mask);
         if let Some(t) = self.tracer.as_deref() {
             // Retroactive spans from the measured stage duration: the
             // kernel ended "now", so span durations equal the report's
@@ -288,6 +288,7 @@ impl Engine {
             plan: prepared.plan,
             clusterwise: prepared.is_clusterwise(),
             two_sided,
+            accumulator,
             fingerprint: prepared.operand.fingerprint,
             cache_hit,
             timings,
@@ -385,8 +386,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ClusteringStrategy;
     use cw_sparse::gen;
-    use cw_spgemm::spgemm_serial;
+    use cw_spgemm::{spgemm_serial, AccumulatorKind};
 
     #[test]
     fn multiply_matches_baseline_and_reports() {
@@ -515,6 +517,42 @@ mod tests {
         assert!(!rep.cache_hit);
         let (_, rep2) = engine.multiply_planned(&a, &a, forced);
         assert!(rep2.cache_hit, "forced preparations are cached under their own key");
+    }
+
+    /// A `1024 × ncols` right-hand side, one entry per row: as wide as the
+    /// test needs, and cheap to multiply.
+    fn wide(ncols: usize) -> CsrMatrix {
+        CsrMatrix::from_row_lists(ncols, (0..1024).map(|i| vec![(i * 7, 1.0)]).collect())
+    }
+
+    #[test]
+    fn rowwise_products_run_dense_up_to_one_mib_per_worker() {
+        // 12 B per column: 87 381 columns fit in 1 MiB, 87 382 do not.
+        let a = gen::grid::poisson2d(32, 32);
+        for (ncols, acc) in [(87_381, AccumulatorKind::Dense), (87_382, AccumulatorKind::Hash)] {
+            let b = wide(ncols);
+            let (c, report) = Engine::default().multiply_planned(&a, &b, Plan::baseline());
+            assert_eq!(report.accumulator, acc, "{ncols} columns: {}", report.summary());
+            assert!(c.bits_eq(&spgemm_serial(&a, &b)), "{ncols} columns");
+        }
+    }
+
+    #[test]
+    fn clusterwise_products_budget_one_accumulator_per_member_row() {
+        // Eight member rows × 12 B: 10 922 columns fit, 10 923 do not — the
+        // same product run row-wise stays Dense.
+        let a = gen::grid::poisson2d(32, 32);
+        let clustered = Plan { clustering: ClusteringStrategy::Fixed(8), ..Plan::baseline() };
+        for (ncols, acc) in [(10_922, AccumulatorKind::Dense), (10_923, AccumulatorKind::Hash)] {
+            let b = wide(ncols);
+            let mut engine = Engine::default();
+            let (c, report) = engine.multiply_planned(&a, &b, clustered);
+            assert!(report.clusterwise, "{}", report.summary());
+            assert_eq!(report.accumulator, acc, "{ncols} columns: {}", report.summary());
+            assert!(c.bits_eq(&spgemm_serial(&a, &b)), "{ncols} columns");
+            let (_, rowwise) = engine.multiply_planned(&a, &b, Plan::baseline());
+            assert_eq!(rowwise.accumulator, AccumulatorKind::Dense, "{ncols} columns");
+        }
     }
 
     #[test]

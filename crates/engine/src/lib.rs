@@ -10,14 +10,15 @@
 //! at the workspace root for the cross-crate picture):
 //!
 //! 1. **Plan** — [`Planner`] computes the structural [`Profile`] (via
-//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] — five
+//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] — four
 //!    fields, each said once: reordering × clustering strategy (which
-//!    fixes the kernel) × accumulator × parallel × output shape — with
+//!    fixes the kernel) × parallel × output shape — with
 //!    the analytic [`CostModel`], and ranks them by
 //!    cost amortized under the caller's [`PlanningPolicy`] (expected
-//!    reuse, optional preprocessing budget). The accumulator is not
-//!    priced: each candidate gets Dense wherever it fits
-//!    ([`cw_spgemm::accumulator::dense_fits`]), Hash otherwise. Each [`RankedPlan`] carries
+//!    reuse, optional preprocessing budget). The accumulator is not a plan
+//!    field: the kernel runs Dense wherever it fits the product's width,
+//!    Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
+//!    [`ExecutionReport::accumulator`] says which ran. Each [`RankedPlan`] carries
 //!    the estimate, affinity and rationale behind its rank;
 //!    [`Planner::plans_costed`] is the budget-aware fall-through list.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once

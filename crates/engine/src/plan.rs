@@ -4,8 +4,9 @@
 //! paper's evaluation shows matters for SpGEMM throughput, each said once:
 //! the row reordering (Table 1), the clustering scheme (§3.2, Algs. 2–3) —
 //! which also fixes the kernel, since Alg. 1 runs on `CSR_Cluster` and
-//! Gustavson on CSR — the sparse accumulator (Nagasaka et al.), whether
-//! the kernel runs in parallel, and the output shape. Plans are plain
+//! Gustavson on CSR — whether the kernel runs in parallel, and the output
+//! shape. The sparse accumulator is the kernel's, not the plan's (see
+//! [`Plan::spgemm_options`]). Plans are plain
 //! `Copy + Eq + Hash` data: building one does no work
 //! ([`crate::PreparedMatrix`] materializes it), and the plan itself is the
 //! cache and feedback identity of the pipeline it describes.
@@ -83,8 +84,6 @@ pub struct Plan {
     /// Row-grouping strategy; also selects the kernel
     /// ([`Plan::is_clusterwise`]).
     pub clustering: ClusteringStrategy,
-    /// Sparse accumulator the kernel is instantiated with.
-    pub acc: AccumulatorKind,
     /// Run the kernel's rayon-parallel path; `false` runs it on the calling
     /// thread, the serial oracle the parallel path is bit-identical to.
     pub parallel: bool,
@@ -100,7 +99,6 @@ impl Plan {
         Plan {
             reorder: Reordering::Original,
             clustering: ClusteringStrategy::None,
-            acc: AccumulatorKind::Hash,
             parallel: true,
             shape: OutputShape::Full,
         }
@@ -114,8 +112,8 @@ impl Plan {
     }
 
     /// Translates an advisor [`Suggestion`] into a plan skeleton
-    /// (accumulator/parallelism fields keep baseline defaults; the planner
-    /// tunes them afterwards from the profile).
+    /// (`parallel` keeps the baseline default; the planner tunes it
+    /// afterwards from the operand's size).
     pub fn from_suggestion(suggestion: Suggestion) -> Plan {
         match suggestion {
             Suggestion::Reorder(r) => Plan { reorder: r, ..Plan::baseline() },
@@ -138,9 +136,12 @@ impl Plan {
         self.clustering != ClusteringStrategy::None
     }
 
-    /// The kernel options this plan implies.
+    /// The kernel options this plan implies: always Dense, which the kernel
+    /// runs wherever it fits the product's width and replaces with Hash, same
+    /// bits, where it does not ([`AccumulatorKind::resolve`]; Nagasaka et
+    /// al.: a dense SPA wins wherever it fits in cache).
     pub fn spgemm_options(&self) -> SpGemmOptions {
-        SpGemmOptions { acc: self.acc, parallel: self.parallel, ..SpGemmOptions::default() }
+        SpGemmOptions { acc: AccumulatorKind::Dense, parallel: self.parallel, ..Default::default() }
     }
 
     /// True if materializing this plan does nontrivial preprocessing
@@ -150,7 +151,7 @@ impl Plan {
     }
 
     /// Compact human-readable form, e.g.
-    /// `RCM → Variable → ClusterWise [Hash] @parallel`.
+    /// `RCM → Variable → ClusterWise @parallel`.
     pub fn describe(&self) -> String {
         let clustering = match self.clustering {
             ClusteringStrategy::None => "NoClustering".to_string(),
@@ -164,9 +165,8 @@ impl Plan {
             other => format!(" ⊳{}", other.describe()),
         };
         format!(
-            "{} → {clustering} → {kernel} [{:?}] @{}{shape}",
+            "{} → {clustering} → {kernel} @{}{shape}",
             self.reorder.name(),
-            self.acc,
             if self.parallel { "parallel" } else { "serial" }
         )
     }
@@ -215,7 +215,7 @@ mod tests {
         let s = p.describe();
         assert!(s.contains("Degree") && s.contains("RowWise"), "{s}");
         let p = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
-        assert_eq!(p.describe(), "Original → Fixed(4) → ClusterWise [Hash] @parallel");
+        assert_eq!(p.describe(), "Original → Fixed(4) → ClusterWise @parallel");
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn options_round_trip() {
-        let p = Plan { acc: AccumulatorKind::Dense, parallel: false, ..Plan::baseline() };
+        let p = Plan { parallel: false, ..Plan::baseline() };
         let o = p.spgemm_options();
         assert_eq!(o.acc, AccumulatorKind::Dense);
         assert!(!o.parallel);

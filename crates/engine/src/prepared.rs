@@ -20,6 +20,7 @@ use crate::plan::{OutputShape, Plan};
 use crate::report::StageTimings;
 use cw_core::ClusterConfig;
 use cw_sparse::{CsrMatrix, Permutation};
+use cw_spgemm::AccumulatorKind;
 use std::time::Instant;
 
 /// An `A` operand with its plan fully materialized.
@@ -79,10 +80,10 @@ impl PreparedMatrix {
     /// space too: the operand is square, its rows moved, and the order left
     /// each row's ids within a tenth of the matrix of the row itself on
     /// average (a scattered order has no locality for a relabelling to
-    /// reach); not under a dense accumulator on an operand below 128 KiB,
-    /// and never under a masked plan that runs row-wise. A multiply whose
-    /// right-hand side is the source matrix then runs two-sided
-    /// ([`crate::ExecutionReport::two_sided`]).
+    /// reach); not on an operand below 128 KiB narrow enough for a dense
+    /// accumulator, and never under a masked plan that runs row-wise. A
+    /// multiply whose right-hand side is the source matrix then runs
+    /// two-sided ([`crate::ExecutionReport::two_sided`]).
     pub fn is_relabelled(&self) -> bool {
         self.format.is_relabelled()
     }
@@ -113,16 +114,17 @@ impl PreparedMatrix {
     }
 
     /// The multiply behind every door: the shaped product, the kernel
-    /// stage's seconds, and whether it ran two-sided. `b_is_source` is a
-    /// proof the caller already holds that `b` is the prepared matrix (the
-    /// same reference as an `a` whose identity just keyed the lookup); without
-    /// one the content test runs here, inside the timed region.
+    /// stage's seconds, whether it ran two-sided, and the accumulator it ran.
+    /// `b_is_source` is a proof the caller already holds that `b` is the
+    /// prepared matrix (the same reference as an `a` whose identity just
+    /// keyed the lookup); without one the content test runs here, inside the
+    /// timed region.
     pub(crate) fn run(
         &self,
         b: &CsrMatrix,
         b_is_source: bool,
         mask: Option<&CsrMatrix>,
-    ) -> (CsrMatrix, f64, bool) {
+    ) -> (CsrMatrix, f64, bool, AccumulatorKind) {
         assert_eq!(
             matches!(self.plan.shape, OutputShape::Masked),
             mask.is_some(),
@@ -131,9 +133,9 @@ impl PreparedMatrix {
         );
         let t0 = Instant::now();
         let b_is_source = self.is_relabelled() && (b_is_source || self.operand.identifies(b));
-        let (c, two_sided) =
+        let (c, two_sided, acc) =
             backend::execute(&self.format, self.row_map.as_ref(), &self.plan, b, b_is_source, mask);
-        (c, t0.elapsed().as_secs_f64(), two_sided)
+        (c, t0.elapsed().as_secs_f64(), two_sided, acc)
     }
 }
 
@@ -226,7 +228,8 @@ mod tests {
     #[test]
     fn approx_bytes_counts_what_two_sided_execution_retains() {
         use std::mem::size_of;
-        let a = gen::mesh::tri_mesh(12, 12, true, 2);
+        // Past 128 KiB, so the relabelling is kept under a dense accumulator.
+        let a = gen::mesh::tri_mesh(48, 48, true, 2);
         let cfg = ClusterConfig::default();
         let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
         // `P·A` has `A`'s size; the row map is one u32 per row.

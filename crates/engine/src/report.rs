@@ -3,6 +3,7 @@
 use crate::cost::PlanFeedbackState;
 use crate::plan::Plan;
 use cw_sparse::MatrixFingerprint;
+use cw_spgemm::AccumulatorKind;
 
 /// Wall-clock seconds per pipeline stage for one multiply.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -53,6 +54,9 @@ pub struct ExecutionReport {
     /// rows of a square operand *and* a right-hand side proven to be that
     /// operand; any other `b` runs one-sided (`P·A · b`).
     pub two_sided: bool,
+    /// The sparse accumulator the kernel ran: Dense wherever it fits the
+    /// product's width, else Hash ([`AccumulatorKind::resolve`]).
+    pub accumulator: AccumulatorKind,
     /// Fingerprint of the `A` operand.
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
@@ -91,8 +95,9 @@ impl ExecutionReport {
             if self.plan.is_clusterwise() && !self.clusterwise { " (ran RowWise)" } else { "" };
         let sides = if self.two_sided { " two-sided" } else { "" };
         format!(
-            "{}{degraded}{sides} | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
+            "{}{degraded}{sides} [{:?}] | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
             self.plan.describe(),
+            self.accumulator,
             if self.cache_hit { "hit" } else { "miss" },
             self.timings.preprocessing() * 1e3,
             self.timings.kernel_seconds * 1e3,
@@ -129,6 +134,7 @@ mod tests {
             plan: Plan::baseline(),
             clusterwise: false,
             two_sided: false,
+            accumulator: AccumulatorKind::Dense,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),
@@ -138,6 +144,9 @@ mod tests {
         let s = rep.summary();
         assert!(s.contains("hit") && s.contains("42"), "{s}");
         assert!(s.contains("@parallel"), "where the kernel ran must be visible: {s}");
+        assert!(s.contains("[Dense]"), "which accumulator ran must be visible: {s}");
+        let s = ExecutionReport { accumulator: AccumulatorKind::Hash, ..rep }.summary();
+        assert!(s.contains("[Hash]") && !s.contains("Dense"), "{s}");
     }
 
     #[test]
@@ -147,6 +156,7 @@ mod tests {
             plan,
             clusterwise: true,
             two_sided: false,
+            accumulator: AccumulatorKind::Dense,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: false,
             timings: StageTimings::default(),
@@ -155,7 +165,7 @@ mod tests {
         };
         assert!(!rep.summary().contains("ran RowWise"), "{}", rep.summary());
         rep.clusterwise = false;
-        assert!(rep.summary().contains("ClusterWise [Hash] @parallel (ran RowWise)"));
+        assert!(rep.summary().contains("ClusterWise @parallel (ran RowWise) [Dense]"));
     }
 
     #[test]
@@ -164,6 +174,7 @@ mod tests {
             plan: Plan::baseline(),
             clusterwise: false,
             two_sided: false,
+            accumulator: AccumulatorKind::Dense,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),

@@ -4,9 +4,9 @@
 //! (`accumulate` in paper Fig. 1) and emits the compressed, sorted result
 //! (`copy`). The paper uses a hash-table accumulator following Nagasaka et
 //! al. \[40\]; a dense SPA is the alternative wherever its per-worker
-//! arrays fit ([`dense_fits`]) — the planner's rule, which every kernel
-//! re-applies to the width it actually allocates for, running the hash
-//! accumulator (same bits) when Dense would not fit.
+//! arrays fit ([`dense_fits`]). Every kernel asks [`AccumulatorKind::resolve`]
+//! which one runs at the width it allocates for, so a request for Dense runs
+//! the hash accumulator (same bits) where Dense would not fit.
 //!
 //! Accumulators are designed for reuse across rows: `extract_into` drains
 //! and resets in `O(row nnz)`, never `O(ncols)`, so one accumulator instance
@@ -58,10 +58,10 @@ const DENSE_MAX_BYTES: usize = 1 << 20;
 /// kernel holds one per worker (Dense up to 87 381 columns), the cluster-wise
 /// kernel one per member row of a cluster (up to 10 922 columns at eight).
 ///
-/// The planner picks [`AccumulatorKind::Dense`] by this rule, and every
-/// kernel that allocates a dense accumulator applies it again to the width it
-/// allocates for, running [`AccumulatorKind::Hash`] (the same bits) where it
-/// fails — so no request can size a dense array from an unbounded width.
+/// Every kernel that allocates a dense accumulator applies it to the width
+/// it allocates for through [`AccumulatorKind::resolve`], running
+/// [`AccumulatorKind::Hash`] (the same bits) where it fails — so no request
+/// can size a dense array from an unbounded width.
 ///
 /// ```
 /// use cw_spgemm::accumulator::dense_fits;
@@ -124,6 +124,18 @@ pub enum AccumulatorKind {
     Hash,
     /// Dense array with generation stamps (classic SPA).
     Dense,
+}
+
+impl AccumulatorKind {
+    /// The accumulator a kernel that holds `per_worker` accumulators over
+    /// `ncols` output columns runs when asked for `self`: Dense only where
+    /// [`dense_fits`] holds, Hash otherwise. Both give the same bits.
+    pub fn resolve(self, ncols: usize, per_worker: usize) -> AccumulatorKind {
+        match self {
+            AccumulatorKind::Dense if dense_fits(ncols, per_worker) => AccumulatorKind::Dense,
+            _ => AccumulatorKind::Hash,
+        }
+    }
 }
 
 /// The labels a row is emitted under, as a function of the ids its
@@ -482,6 +494,23 @@ mod tests {
         let (c2, v2) = drain(acc);
         assert_eq!(c2, vec![1]);
         assert_eq!(v2, vec![1.0]);
+    }
+
+    #[test]
+    fn resolve_runs_dense_up_to_one_mib_per_worker() {
+        use AccumulatorKind::{Dense, Hash};
+        // 12 B per column: one row-wise accumulator fits 87 381 columns in
+        // 1 MiB, eight cluster members 10 922 each.
+        for (ncols, per_worker, ran) in [
+            (87_381, 1, Dense),
+            (87_382, 1, Hash),
+            (10_922, 8, Dense),
+            (10_923, 8, Hash),
+            (usize::MAX, 1, Hash),
+        ] {
+            assert_eq!(Dense.resolve(ncols, per_worker), ran, "{ncols} × {per_worker}");
+            assert_eq!(Hash.resolve(ncols, per_worker), Hash, "Hash is never widened to Dense");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! ascending, in-range columns per row), like `A` and `B`; its values are
 //! ignored.
 
-use crate::accumulator::{dense_fits, hash32, AccumulatorKind, EMPTY};
+use crate::accumulator::{hash32, AccumulatorKind, EMPTY};
 use crate::flops::flops_per_row_on;
 use crate::rowwise::{accumulate_row, CsrRows, SpGemmOptions};
 use crate::single_pass::{chunk_target, plan_chunks, single_pass};
@@ -274,11 +274,9 @@ pub fn spgemm_masked_mapped(
     );
     assert_eq!((mask.nrows, mask.ncols), (a.nrows, b.ncols), "mask must match the product's shape");
     debug_assert!(mask.validate().is_ok(), "mask violates the CSR invariant");
-    match opts.acc {
-        AccumulatorKind::Dense if dense_fits(b.ncols, 1) => {
-            masked_kernel::<StampedDense>(a, b, mask, opts, row_map)
-        }
-        _ => masked_kernel::<SeededHash>(a, b, mask, opts, row_map),
+    match opts.acc.resolve(b.ncols, 1) {
+        AccumulatorKind::Dense => masked_kernel::<StampedDense>(a, b, mask, opts, row_map),
+        AccumulatorKind::Hash => masked_kernel::<SeededHash>(a, b, mask, opts, row_map),
     }
 }
 

@@ -9,8 +9,7 @@
 //! accumulator type chosen once per call from [`SpGemmOptions::acc`].
 
 use crate::accumulator::{
-    dense_fits, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap,
-    SameLabels,
+    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
 };
 use crate::flops::flops_per_row_on;
 use crate::single_pass::{chunk_target, plan_row_chunks, single_pass, OwnLines};
@@ -21,8 +20,8 @@ use rayon::prelude::*;
 #[derive(Debug, Clone, Copy)]
 pub struct SpGemmOptions {
     /// Accumulator implementation. `Dense` runs only where it fits the
-    /// output width ([`crate::accumulator::dense_fits`]); past that the
-    /// kernel runs `Hash`, which gives the same bits.
+    /// output width ([`AccumulatorKind::resolve`]); past that the kernel
+    /// runs `Hash`, which gives the same bits.
     pub acc: AccumulatorKind,
     /// Use the rayon-parallel path.
     pub parallel: bool,
@@ -147,11 +146,11 @@ pub fn spgemm_labelled<L: LabelMap>(
         "dimension mismatch: A is {}x{}, B is {}x{}",
         a.nrows, a.ncols, b.nrows, b.ncols
     );
-    // One dense accumulator per worker, `b.ncols` wide — or, past
-    // `dense_fits`, the hash accumulator and the same bits.
-    let kernel = match opts.acc {
-        AccumulatorKind::Dense if dense_fits(b.ncols, 1) => rowwise_kernel::<DenseAccumulator, L>,
-        _ => rowwise_kernel::<HashAccumulator, L>,
+    // One dense accumulator per worker, `b.ncols` wide — or, where that
+    // does not fit, the hash accumulator and the same bits.
+    let kernel = match opts.acc.resolve(b.ncols, 1) {
+        AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator, L>,
+        AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator, L>,
     };
     kernel(a, b, opts, row_map, labels)
 }
@@ -210,11 +209,9 @@ fn rowwise_kernel<A: Accumulator, L: LabelMap>(
 /// multiply: the kernels size their output from the FLOP upper bound and
 /// never accumulate a row twice.
 pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> Vec<usize> {
-    match kind {
-        AccumulatorKind::Dense if dense_fits(b.ncols, 1) => {
-            symbolic_kernel::<DenseAccumulator>(a, b)
-        }
-        _ => symbolic_kernel::<HashAccumulator>(a, b),
+    match kind.resolve(b.ncols, 1) {
+        AccumulatorKind::Dense => symbolic_kernel::<DenseAccumulator>(a, b),
+        AccumulatorKind::Hash => symbolic_kernel::<HashAccumulator>(a, b),
     }
 }
 

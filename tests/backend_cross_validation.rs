@@ -16,6 +16,7 @@
 
 mod common;
 
+use clusterwise_spgemm::core::format::MAX_CLUSTER_LEN;
 use clusterwise_spgemm::engine::{
     ClusteringStrategy, OutputShape, Plan, Planner, PreparedMatrix, Suggestion,
     DEFAULT_CACHE_CAPACITY,
@@ -23,6 +24,7 @@ use clusterwise_spgemm::engine::{
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::{fingerprint, CooMatrix};
+use clusterwise_spgemm::spgemm::accumulator::dense_fits;
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
 use common::assert_parallel_matches_serial;
 use proptest::prelude::*;
@@ -238,9 +240,9 @@ fn shaped_degenerate_rows_stay_bit_identical() {
 
 #[test]
 fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
-    // A plan is five fields and every value of each is enumerable, so this is
-    // the table's outer half in full: reordering × clustering × accumulator ×
-    // parallel × shape, each product compared bit for bit with the plain
+    // A plan is four fields and every value of each is enumerable, so this is
+    // the table's outer half in full: reordering × clustering × parallel ×
+    // shape, each product compared bit for bit with the plain
     // serial row-wise product (shaped by the public row-local transforms).
     // Row reordering permutes whole rows and both kernels accumulate an
     // output entry in ascending-`k` order, so no plan may change a single
@@ -266,19 +268,13 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
                 ClusteringStrategy::Variable,
                 ClusteringStrategy::Hierarchical,
             ] {
-                for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
-                    for parallel in [true, false] {
-                        for (shape, mask, expect) in &expected {
-                            let plan = Plan { reorder, clustering, acc, parallel, shape: *shape };
-                            let got =
-                                PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
-                                    .multiply_shaped(&a, *mask);
-                            assert!(
-                                got.bits_eq(expect),
-                                "{name}: {} changes bits",
-                                plan.describe()
-                            );
-                        }
+                for parallel in [true, false] {
+                    for (shape, mask, expect) in &expected {
+                        let plan = Plan { reorder, clustering, parallel, shape: *shape };
+                        let got =
+                            PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
+                                .multiply_shaped(&a, *mask);
+                        assert!(got.bits_eq(expect), "{name}: {} changes bits", plan.describe());
                     }
                 }
             }
@@ -290,58 +286,62 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
 fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
     // The identity axis. A preparation that carries relabelled ids — a
     // square `a` whose rows an order moved *into a band*: RCM and the
-    // hierarchical sweep on this mesh, not Degree or Random, which leave ids
-    // scattered — runs in its permuted label space on both sides when, and
-    // only when, `b` is `a`: the same reference through
+    // hierarchical sweep on these meshes, not Degree or Random, which leave
+    // ids scattered — runs in its permuted label space on both sides when,
+    // and only when, `b` is `a`: the same reference through
     // `Engine::multiply_planned`, or a content-equal matrix through the full
     // checksum. A `b` one *unsampled* value away from `a` (same fingerprint),
     // `aᵀ` and a rectangular `b` must take the one-sided arm; so must every
     // preparation without a relabelling, every masked plan that runs
-    // row-wise, and — on an operand this small — every dense-accumulator
-    // plan (its floor is checked at the end). Whichever arm runs, the
-    // product is `spgemm_serial(a, b)` under the public shape transforms,
-    // bit for bit — the report's `two_sided` says which it was.
-    let mut a = gen::mesh::tri_mesh(12, 12, true, 3);
-    // The mesh is symmetric; make sure its transpose is another matrix.
-    for (p, v) in a.vals.iter_mut().enumerate() {
-        *v += 0.125 * (p % 5) as f64;
-    }
-    let clone = a.clone();
-    let mut near_miss = a.clone();
-    let unsampled = (1..a.nnz())
-        .find(|&p| {
-            near_miss.vals[p] += 0.5;
-            let collides = fingerprint(&near_miss) == fingerprint(&a);
-            if !collides {
-                near_miss.vals[p] = a.vals[p];
-            }
-            collides
-        })
-        .expect("an operand past 256 stored entries has values the fingerprint skips");
-    assert_ne!(near_miss.vals[unsampled], a.vals[unsampled]);
-    let transposed = a.transpose();
-    let rect = gen::er::erdos_renyi_rect(a.nrows, 9, 3, 4);
-    // (name, b, whether b is a).
-    let rhs: [(&str, &CsrMatrix, bool); 5] = [
-        ("the same reference", &a, true),
-        ("a content-equal clone", &clone, true),
-        ("one unsampled value changed", &near_miss, false),
-        ("the transpose", &transposed, false),
-        ("a rectangular b", &rect, false),
-    ];
+    // row-wise, and every operand below 128 KiB narrow enough for the
+    // kernel's dense accumulator (the small mesh here; the large one is past
+    // that floor). Whichever arm runs, the product is `spgemm_serial(a, b)`
+    // under the public shape transforms, bit for bit — the report's
+    // `two_sided` says which it was.
     let mut engine = Engine::default();
-    for reorder in [Reordering::Rcm, Reordering::Degree, Reordering::Random, Reordering::Original] {
-        for clustering in [
-            ClusteringStrategy::None,
-            ClusteringStrategy::Fixed(4),
-            ClusteringStrategy::Hierarchical,
-        ] {
-            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+    for mut a in [gen::mesh::tri_mesh(12, 12, true, 3), gen::mesh::tri_mesh(48, 48, true, 3)] {
+        // The mesh is symmetric; make sure its transpose is another matrix.
+        for (p, v) in a.vals.iter_mut().enumerate() {
+            *v += 0.125 * (p % 5) as f64;
+        }
+        let clone = a.clone();
+        let mut near_miss = a.clone();
+        let unsampled = (1..a.nnz())
+            .find(|&p| {
+                near_miss.vals[p] += 0.5;
+                let collides = fingerprint(&near_miss) == fingerprint(&a);
+                if !collides {
+                    near_miss.vals[p] = a.vals[p];
+                }
+                collides
+            })
+            .expect("an operand past 256 stored entries has values the fingerprint skips");
+        assert_ne!(near_miss.vals[unsampled], a.vals[unsampled]);
+        let transposed = a.transpose();
+        let rect = gen::er::erdos_renyi_rect(a.nrows, 9, 3, 4);
+        // (name, b, whether b is a).
+        let rhs: [(&str, &CsrMatrix, bool); 5] = [
+            ("the same reference", &a, true),
+            ("a content-equal clone", &clone, true),
+            ("one unsampled value changed", &near_miss, false),
+            ("the transpose", &transposed, false),
+            ("a rectangular b", &rect, false),
+        ];
+        let small = a.memory_bytes() < 128 << 10;
+        for reorder in
+            [Reordering::Rcm, Reordering::Degree, Reordering::Random, Reordering::Original]
+        {
+            for clustering in [
+                ClusteringStrategy::None,
+                ClusteringStrategy::Fixed(4),
+                ClusteringStrategy::Hierarchical,
+            ] {
                 for parallel in [false, true] {
                     for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
-                        let plan = Plan { reorder, clustering, acc, parallel, shape };
+                        let plan = Plan { reorder, clustering, parallel, shape };
                         for (name, b, b_is_a) in rhs {
-                            let what = format!("{name} under {}", plan.describe());
+                            let what =
+                                format!("{}² mesh, {name} under {}", a.nrows, plan.describe());
                             let full = spgemm_serial(&a, b);
                             // A mask has the product's dimensions.
                             let mask = if b.ncols == a.ncols { &a } else { b };
@@ -368,17 +368,20 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
                                 }
                             };
                             assert!(got.bits_eq(&expect), "{what}: bits changed");
+                            assert_eq!(report.accumulator, AccumulatorKind::Dense, "{what}");
                             // What the preparation must carry: nothing
-                            // unless the rows moved into a band, nothing for
-                            // a dense accumulator on 20 KB, and never under
-                            // a masked plan that runs row-wise.
+                            // unless the rows moved into a band, nothing
+                            // below the dense accumulator's floor, and never
+                            // under a masked plan that runs row-wise.
                             let masked_rowwise =
                                 shape == OutputShape::Masked && !report.clusterwise;
                             let banded = reorder == Reordering::Rcm
                                 || clustering == ClusteringStrategy::Hierarchical;
+                            let per_worker = if report.clusterwise { MAX_CLUSTER_LEN } else { 1 };
+                            let below_floor = small && dense_fits(a.ncols, per_worker);
                             assert_eq!(
                                 prepared.is_relabelled(),
-                                banded && !masked_rowwise && acc == AccumulatorKind::Hash,
+                                banded && !masked_rowwise && !below_floor,
                                 "{what}"
                             );
                             assert_eq!(
@@ -391,25 +394,6 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
                     }
                 }
             }
-        }
-    }
-
-    // Past 128 KiB of operand a dense accumulator runs two-sided too.
-    let big = gen::mesh::tri_mesh(48, 48, true, 5);
-    assert!(big.memory_bytes() > 128 << 10);
-    let mut other = big.clone();
-    other.vals[0] += 1.0;
-    for clustering in [ClusteringStrategy::None, ClusteringStrategy::Fixed(4)] {
-        let plan = Plan {
-            reorder: Reordering::Rcm,
-            clustering,
-            acc: AccumulatorKind::Dense,
-            ..Plan::baseline()
-        };
-        for (b, b_is_big) in [(&big, true), (&other, false)] {
-            let (got, report) = engine.multiply_planned(&big, b, plan);
-            assert!(got.bits_eq(&spgemm_serial(&big, b)), "{}", plan.describe());
-            assert_eq!(report.two_sided, b_is_big, "{}", report.summary());
         }
     }
 }

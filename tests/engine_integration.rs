@@ -218,17 +218,23 @@ fn wide_rhs(ncols: usize) -> CsrMatrix {
 
 #[test]
 fn a_right_hand_side_too_wide_for_dense_runs_hash_with_the_same_bits() {
-    // The planner sizes the accumulator from `a` (1 600 columns: Dense); the
-    // product is as wide as `b`. A dense accumulator that wide would be
-    // 48 GB per worker at 4·10⁹ columns (allocation failure, process abort)
-    // and 1.2 GB at 10⁸; the kernel runs Hash instead, which is the oracle.
+    // Every plan asks for Dense; the product is as wide as `b`. A dense
+    // accumulator that wide would be 48 GB per worker at 4·10⁹ columns
+    // (allocation failure, process abort) and 1.2 GB at 10⁸; the kernel runs
+    // Hash instead, which is the oracle, and the report says so.
     let a = gen::grid::poisson2d(40, 40);
     for ncols in [100_000_000, 4_000_000_000] {
         let b = wide_rhs(ncols);
         let mut engine = Engine::default();
         let (got, report) = engine.multiply(&a, &b);
-        assert_eq!(report.plan.acc, AccumulatorKind::Dense, "{}", report.plan.describe());
+        assert_eq!(report.accumulator, AccumulatorKind::Hash, "{}", report.summary());
+        assert!(report.summary().contains("[Hash]"), "{}", report.summary());
         assert_eq!((got.nrows, got.ncols), (1600, ncols));
         assert!(got.bits_eq(&spgemm_serial(&a, &b)), "{ncols} columns");
     }
+    // The same plan on a `b` as narrow as `a` runs Dense.
+    let mut engine = Engine::default();
+    let (got, report) = engine.multiply_planned(&a, &a, Plan::baseline());
+    assert_eq!(report.accumulator, AccumulatorKind::Dense, "{}", report.summary());
+    assert!(got.bits_eq(&spgemm_serial(&a, &a)));
 }

@@ -161,62 +161,3 @@ fn service_reports_surface_feedback_and_replan_counters() {
     assert_eq!(stats.shards[0].tracked_operands, 1);
     assert!(stats.summary().contains("replans"), "{}", stats.summary());
 }
-
-/// The four benchmark operands at the benchmark's smoke scale (each
-/// generator's natural order under a seeded symmetric shuffle), then the
-/// calibration corpus.
-fn ranking_operands() -> Vec<(String, CsrMatrix)> {
-    use clusterwise_spgemm::datasets::{corpus, Scale};
-    let shuffled = |m: CsrMatrix| {
-        clusterwise_spgemm::reorder::random_permutation(m.nrows, 11).permute_symmetric(&m)
-    };
-    let mut out = vec![
-        ("cluster-mesh".to_string(), shuffled(gen::mesh::tri_mesh(76, 76, false, 1))),
-        ("masked-powerlaw".to_string(), shuffled(gen::rmat::rmat(9, 6, Default::default(), 1))),
-        ("service-small".to_string(), shuffled(gen::mesh::tri_mesh(8, 8, false, 1))),
-        ("wire-large".to_string(), shuffled(gen::banded::block_diagonal(4000, (6, 10), 0.02, 1))),
-    ];
-    out.extend(corpus(Scale::Small).iter().map(|d| (d.name.to_string(), d.build(Scale::Small))));
-    out
-}
-
-#[test]
-fn the_accumulator_never_moves_a_pipeline_in_the_ranking() {
-    // The planner ranks reordering × clustering and only then picks each
-    // candidate's accumulator by footprint: with every candidate forced to
-    // Hash, every estimate — and so the order — is the same.
-    use clusterwise_spgemm::engine::{OperandFeatures, RankedPlan};
-    let planner = Planner::with_policy(0xC0FFEE, PlanningPolicy::frozen());
-    let reuse = planner.policy.expected_reuse;
-    for (name, a) in ranking_operands() {
-        let ranked = planner.plans_costed(&a, OutputShape::Full);
-        let features =
-            OperandFeatures::with_profile(&a, clusterwise_spgemm::reorder::advisor::profile(&a));
-        let mut forced: Vec<RankedPlan> = ranked
-            .iter()
-            .map(|r| {
-                let plan = Plan { acc: AccumulatorKind::Hash, ..r.plan };
-                RankedPlan {
-                    plan,
-                    estimate: planner.cost.estimate(&features, &plan, r.affinity),
-                    ..*r
-                }
-            })
-            .collect();
-        for (r, f) in ranked.iter().zip(&forced) {
-            assert_eq!(
-                r.estimate,
-                f.estimate,
-                "{name}: {} is priced by its accumulator",
-                r.plan.describe()
-            );
-        }
-        forced.sort_by(|x, y| x.estimate.amortized(reuse).total_cmp(&y.estimate.amortized(reuse)));
-        let pipeline = |r: &RankedPlan| (r.plan.reorder, r.plan.clustering);
-        assert_eq!(
-            ranked.iter().map(pipeline).collect::<Vec<_>>(),
-            forced.iter().map(pipeline).collect::<Vec<_>>(),
-            "{name}"
-        );
-    }
-}
