@@ -22,7 +22,7 @@ type Target = (&'static str, fn(&RunConfig) -> Report);
 
 /// Every target, by name: the one list behind both the dispatch and the
 /// usage message. `all` runs the first [`PAPER_TARGETS`] of them.
-const TARGETS: [Target; 13] = [
+const TARGETS: [Target; 12] = [
     ("fig2", ex::fig2::run),
     ("fig3", ex::fig3::run),
     ("fig8", ex::fig8::run),
@@ -33,7 +33,6 @@ const TARGETS: [Target; 13] = [
     ("table3", ex::table3::run),
     ("table4", ex::table4::run),
     ("ablation", ex::ablation::run),
-    ("calibrate", ex::calibrate::run),
     ("corpus", ex::corpus::run),
     ("summary", ex::summary::run),
 ];
@@ -137,9 +136,9 @@ mod tests {
             names(resolve("all")),
             ["fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4"]
         );
-        // Retired with the system experiments; the repo benchmark measures
-        // those layers now.
-        for retired in ["engine", "planner", "serving", "net"] {
+        // Retired: the system experiments (the repo benchmark measures
+        // those layers now) and the offline cost-model fit.
+        for retired in ["engine", "planner", "serving", "net", "calibrate"] {
             assert!(resolve(retired).is_empty(), "{retired} still resolves");
         }
     }

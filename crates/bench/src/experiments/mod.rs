@@ -2,7 +2,6 @@
 //! [`crate::report::Report`].
 
 pub mod ablation;
-pub mod calibrate;
 pub mod corpus;
 pub mod fig10;
 pub mod fig11;

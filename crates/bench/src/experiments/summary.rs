@@ -85,23 +85,6 @@ pub fn run(cfg: &RunConfig) -> Report {
         ]);
     }
 
-    // System headline (beyond the paper): the calibrated cost model's
-    // first choice vs the pre-cost-model static advisor, judged against
-    // observed-fastest on a small representative sweep.
-    let delta_cfg = RunConfig { subset: Some(3), ..*cfg };
-    let delta = crate::experiments::calibrate::planner_delta(&delta_cfg);
-    t.push_row(vec![
-        "calibrated vs static planner (first-choice speedup, agreement)".to_string(),
-        "≥ 0.95x (parity within noise)".to_string(),
-        format!(
-            "{}x, {} vs {} agree",
-            f2(delta.speedup_vs_static),
-            f2(delta.agreement_calibrated),
-            f2(delta.agreement_static)
-        ),
-        yesno(delta.speedup_vs_static >= 0.95),
-    ]);
-
     // Claim 4: hierarchical amortization ≤ 20 runs for most positive cases.
     let runs: Vec<f64> = cl
         .iter()

@@ -6,13 +6,10 @@
 //!   (Fig. 11).
 //! * [`runner`] — wall-clock timing (median-of-N with warmup) and the
 //!   shared per-dataset measurement pipeline.
-//! * [`report`] — markdown and CSV emission, plus the in-memory named
-//!   metrics the calibration acceptance test reads.
+//! * [`report`] — markdown and CSV emission.
 //! * [`experiments`] — one module per paper artifact: `fig2`, `fig3`,
 //!   `fig8`, `fig9`, `fig10`, `fig11`, `table2`, `table3`, `table4` — plus
-//!   `ablation`, `corpus`, `summary` and `calibrate` (cost-model fitting:
-//!   sweep → [`cw_engine::Calibrator`] → held-out prediction error and
-//!   first-choice plan agreement).
+//!   `ablation`, `corpus` and `summary`.
 //!
 //! The `paper` binary (`cargo run -p cw-bench --release --bin paper`) drives
 //! them. How the *system* performs — engine, service, wire — is not

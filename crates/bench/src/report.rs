@@ -1,8 +1,5 @@
-//! Markdown and CSV emission for experiment results.
-//!
-//! Tables and notes render for humans and are what [`Report::write_to`]
-//! puts on disk; [`Metric`]s are an in-memory list of named scalars for
-//! callers that hold the [`Report`] (the calibration acceptance test).
+//! Markdown and CSV emission for experiment results: tables and notes
+//! render for humans and are what [`Report::write_to`] puts on disk.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -61,20 +58,7 @@ impl Table {
     }
 }
 
-/// One named scalar result of an experiment.
-///
-/// Naming convention: `category[/qualifier…]`, e.g.
-/// `plan_agreement/calibrated`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Metric name (stable across runs).
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-}
-
-/// A complete experiment report: a title, commentary, tables, and named
-/// scalar metrics.
+/// A complete experiment report: a title, commentary and tables.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Experiment id (e.g. `fig2`).
@@ -85,12 +69,6 @@ pub struct Report {
     pub notes: Vec<String>,
     /// Named tables.
     pub tables: Vec<(String, Table)>,
-    /// Named scalar results, kept in memory only (not written by
-    /// [`Report::write_to`]).
-    pub metrics: Vec<Metric>,
-    /// Extra artifacts written verbatim alongside the report
-    /// (`(filename, contents)` — e.g. the fitted calibration profile).
-    pub attachments: Vec<(String, String)>,
 }
 
 impl Report {
@@ -107,14 +85,6 @@ impl Report {
     /// Adds a named table.
     pub fn add_table<S: Into<String>>(&mut self, name: S, t: Table) {
         self.tables.push((name.into(), t));
-    }
-
-    /// Adds one named metric (non-finite values are dropped, so a reader
-    /// never compares against a NaN).
-    pub fn add_metric<S: Into<String>>(&mut self, name: S, value: f64) {
-        if value.is_finite() {
-            self.metrics.push(Metric { name: name.into(), value });
-        }
     }
 
     /// Renders the whole report as markdown.
@@ -134,14 +104,11 @@ impl Report {
         s
     }
 
-    /// Writes `<id>.md`, one CSV per table and the attachments into `dir`.
+    /// Writes `<id>.md` and one CSV per table into `dir`.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut md = std::fs::File::create(dir.join(format!("{}.md", self.id)))?;
         md.write_all(self.to_markdown().as_bytes())?;
-        for (name, contents) in &self.attachments {
-            std::fs::write(dir.join(name), contents)?;
-        }
         for (i, (name, t)) in self.tables.iter().enumerate() {
             let safe: String = name
                 .chars()
@@ -188,9 +155,6 @@ mod tests {
         let mut t = Table::new(vec!["c"]);
         t.push_row(vec!["v"]);
         r.add_table("main", t);
-        r.add_metric("kept", 0.8);
-        r.add_metric("dropped", f64::NAN);
-        assert_eq!(r.metrics, vec![Metric { name: "kept".into(), value: 0.8 }]);
         let md = r.to_markdown();
         assert!(md.contains("## figX — Test"));
         assert!(md.contains("> a note"));

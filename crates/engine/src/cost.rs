@@ -36,20 +36,20 @@ use cw_sparse::CsrMatrix;
 use std::collections::HashMap;
 
 /// EWMA smoothing factor for observed timings (higher = faster adaptation).
-pub const EWMA_ALPHA: f64 = 0.3;
+pub(crate) const EWMA_ALPHA: f64 = 0.3;
 
 /// Observations of the incumbent plan required before the feedback loop may
 /// switch away from it (one noisy sample must not trigger a re-plan).
-pub const MIN_OBSERVATIONS_TO_SWITCH: u64 = 3;
+pub(crate) const MIN_OBSERVATIONS_TO_SWITCH: u64 = 3;
 
 /// Relative improvement an alternative's effective cost must show over the
 /// incumbent's before the feedback loop switches (hysteresis against
 /// oscillation between near-equal plans).
-pub const SWITCH_MARGIN: f64 = 0.25;
+pub(crate) const SWITCH_MARGIN: f64 = 0.25;
 
 /// Calibration ratios are clamped to this range so one badly mispredicted
 /// plan cannot poison every other candidate's estimate.
-pub const CALIBRATION_CLAMP: (f64, f64) = (0.5, 2.0);
+pub(crate) const CALIBRATION_CLAMP: (f64, f64) = (0.5, 2.0);
 
 /// Caller-supplied planning knobs: how much reuse to amortize preprocessing
 /// over, an optional hard preprocessing budget, and whether the feedback
@@ -70,7 +70,7 @@ pub struct PlanningPolicy {
     pub adapt: bool,
     /// Feedback noise floor: re-planning requires the alternative to save
     /// at least this many *absolute* seconds per multiply on top of the
-    /// [`SWITCH_MARGIN`] relative bar. At microsecond kernel scales,
+    /// 25 % relative bar. At microsecond kernel scales,
     /// timing noise (and debug-build distortion) dwarfs any real
     /// difference between plans — sub-floor "improvements" are noise.
     pub min_adapt_gain_seconds: f64,
@@ -102,7 +102,7 @@ impl PlanningPolicy {
 
 /// Cheap per-operand features the cost model prices plans from.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperandFeatures {
+pub(crate) struct OperandFeatures {
     /// Rows of the operand.
     pub nrows: usize,
     /// Columns of the operand (the output-width proxy for `A²`-shaped
@@ -117,7 +117,7 @@ pub struct OperandFeatures {
 impl OperandFeatures {
     /// Features of `a` under an already-computed profile (avoids profiling
     /// twice when the advisor ran first).
-    pub fn with_profile(a: &CsrMatrix, profile: Profile) -> OperandFeatures {
+    pub fn new(a: &CsrMatrix, profile: Profile) -> OperandFeatures {
         OperandFeatures { nrows: a.nrows, ncols: a.ncols, nnz: a.nnz(), profile }
     }
 
@@ -149,7 +149,8 @@ impl CostEstimate {
     }
 }
 
-/// Analytic per-plan cost model over [`OperandFeatures`].
+/// Analytic per-plan cost model over cheap operand features (dimensions,
+/// nnz and the advisor's structural [`Profile`]).
 ///
 /// All constants are public and deliberately rough: they only need to rank
 /// plans sensibly on first sight — the [`FeedbackStore`] corrects them with
@@ -216,9 +217,8 @@ impl CostModel {
     /// is what executes for top-k and for cluster-wise masked plans; a
     /// row-wise masked plan runs the fused kernel, which does every
     /// multiply but builds only the mask's entries, so for it the price is
-    /// an upper bound until `calibrate` fits the fraction from shaped
-    /// samples.
-    pub fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
+    /// an upper bound.
+    pub(crate) fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
         let affinity = affinity.clamp(0.0, 1.0);
         let madds = f.estimated_madds();
         let nnz = f.nnz as f64;
@@ -278,7 +278,7 @@ pub(crate) fn cluster_overlap(f: &OperandFeatures, plan: &Plan, affinity: f64) -
 /// initialization. The sample count is the evidence weight behind the
 /// smoothed value: it is what gates plan switches.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Ewma {
+pub(crate) struct Ewma {
     value: f64,
     samples: u64,
 }
@@ -408,7 +408,7 @@ pub struct FeedbackStore {
 
 /// Default bound on operands a [`FeedbackStore`] tracks before evicting
 /// the least-recently-recorded entry.
-pub const DEFAULT_FEEDBACK_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_FEEDBACK_CAPACITY: usize = 1024;
 
 impl Default for FeedbackStore {
     fn default() -> Self {
@@ -417,8 +417,7 @@ impl Default for FeedbackStore {
 }
 
 impl FeedbackStore {
-    /// Empty store with the default operand bound
-    /// ([`DEFAULT_FEEDBACK_CAPACITY`]).
+    /// Empty store with the default operand bound (1024 operands).
     pub fn new() -> FeedbackStore {
         FeedbackStore::default()
     }
@@ -534,7 +533,7 @@ impl FeedbackStore {
     /// Demotion and promotion are the same comparison: every candidate gets
     /// an effective cost (observed EWMA when tried, calibrated prediction
     /// plus amortized prep surcharge when not), and the incumbent is
-    /// replaced by the arg-min when it loses by more than [`SWITCH_MARGIN`].
+    /// replaced by the arg-min when it loses by more than 25 %.
     pub fn record(
         &mut self,
         key: (OperandKey, OutputShape),
@@ -670,9 +669,8 @@ mod tests {
     fn output_shape_does_not_change_the_price() {
         // Top-k and cluster-wise masked plans execute the full product and
         // filter; the fused row-wise masked kernel does less, by a fraction
-        // nobody has fitted. Until `calibrate` fits it the full price is an
-        // upper bound for that plan, and no hand-set discount may undercut
-        // it for any shape.
+        // nobody has measured. The full price is an upper bound for that
+        // plan, and no hand-set discount may undercut it for any shape.
         let model = CostModel::default();
         let f = features(2000, 16000, 0.4);
         for plan in [

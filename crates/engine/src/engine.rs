@@ -87,15 +87,6 @@ impl Engine {
         self.tracer.as_ref()
     }
 
-    /// Engine whose planner starts from a fitted
-    /// [`crate::CalibrationProfile`] (see [`Planner::with_profile`]):
-    /// first-sight plan ranking uses this machine's measured constants
-    /// instead of the hand-tuned defaults, and the feedback loop then
-    /// fine-tunes per operand as usual.
-    pub fn with_profile(profile: crate::CalibrationProfile) -> Engine {
-        Engine::new(Planner::with_profile(Planner::default().seed, profile), DEFAULT_CACHE_CAPACITY)
-    }
-
     /// The planner in use.
     pub fn planner(&self) -> &Planner {
         &self.planner

@@ -51,15 +51,6 @@
 //!    plans promoted, so repeated traffic converges on the empirically
 //!    fastest plan (`cw-service` threads this loop through every shard).
 //!
-//! The [`calibrate`] module closes the same loop *offline*: a
-//! [`Calibrator`] fits the [`CostModel`]'s constants from measured
-//! bench-corpus runs, and the resulting
-//! [`CalibrationProfile`] — versioned JSON, `profiles/default.json` at
-//! the workspace root — loads at construction via
-//! [`Planner::with_profile`] / [`Engine::with_profile`], so first-sight
-//! planning starts from this machine's measured constants instead of the
-//! hand-tuned defaults.
-//!
 //! The requested **output shape** — full product, masked by a sparsity
 //! pattern, or row-wise top-k ([`OutputShape`]) — is a first-class axis of
 //! all five stages: it is a [`Plan`] field, so cache entries and feedback
@@ -67,7 +58,7 @@
 //! the same operand. A masked row-wise plan runs a kernel that admits only
 //! the mask's columns; top-k and cluster-wise masked plans compute the full
 //! product and filter. The [`CostModel`] prices every shaped plan like the
-//! full one (an upper bound for the fused kernel, until it is fitted). See
+//! full one (an upper bound for the fused kernel). See
 //! [`Engine::multiply_shaped`] (`OutputShape::TopK(k)` for top-k) and its
 //! masked shorthand [`Engine::multiply_masked`].
 //!
@@ -96,7 +87,6 @@
 
 mod backend;
 mod cache;
-pub mod calibrate;
 mod cost;
 mod engine;
 mod plan;
@@ -105,14 +95,7 @@ mod prepared;
 mod report;
 
 pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, OperandKey, PlanCache};
-pub use calibrate::{
-    CalibrationProfile, CalibrationSample, Calibrator, ProfileParseError, PROFILE_SCHEMA_VERSION,
-};
-pub use cost::{
-    CostEstimate, CostModel, Ewma, FeedbackStore, OperandFeatures, PlanFeedbackState,
-    PlanningPolicy, CALIBRATION_CLAMP, DEFAULT_FEEDBACK_CAPACITY, EWMA_ALPHA,
-    MIN_OBSERVATIONS_TO_SWITCH, SWITCH_MARGIN,
-};
+pub use cost::{CostEstimate, CostModel, FeedbackStore, PlanFeedbackState, PlanningPolicy};
 pub use engine::{Engine, DEFAULT_CACHE_CAPACITY};
 pub use plan::{ClusteringStrategy, OutputShape, Plan};
 pub use planner::{Planner, RankedPlan, PARALLEL_ROW_THRESHOLD};
@@ -122,3 +105,11 @@ pub use report::{ExecutionReport, StageTimings};
 // Re-exported so engine callers can name advisor types without depending
 // on cw-reorder directly.
 pub use cw_reorder::advisor::{Advice, Profile, RankedSuggestion, Suggestion};
+
+/// The workspace's JSON reader under its old path. It lives in
+/// [`cw_obs::json`]; the repo benchmark (`benchmark/`, a separate, frozen
+/// package) imports it as `cw_engine::calibrate::json`, so this path
+/// stays until the benchmark itself changes.
+pub mod calibrate {
+    pub use cw_obs::json;
+}

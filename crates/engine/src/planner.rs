@@ -16,7 +16,6 @@
 //! decided on reordering and clustering alone. Matrices too small to
 //! amortize fork/join run serially.
 
-use crate::calibrate::CalibrationProfile;
 use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
 use cw_core::ClusterConfig;
@@ -79,23 +78,6 @@ impl Planner {
         Planner { seed, policy, ..Planner::default() }
     }
 
-    /// Planner whose cost model starts *calibrated*: the fitted
-    /// [`CalibrationProfile`] (from a `paper calibrate` sweep, or loaded
-    /// via [`CalibrationProfile::load`]) replaces the hand-tuned
-    /// [`CostModel`] constants, so first-sight plan ranking reflects this
-    /// machine instead of the defaults' guesses.
-    ///
-    /// ```
-    /// use cw_engine::{CalibrationProfile, Planner};
-    ///
-    /// let profile = CalibrationProfile::default(); // or CalibrationProfile::load(path)?
-    /// let planner = Planner::with_profile(7, profile.clone());
-    /// assert_eq!(planner.cost, profile.cost_model());
-    /// ```
-    pub fn with_profile(seed: u64, profile: CalibrationProfile) -> Planner {
-        Planner { seed, cost: profile.cost_model(), ..Planner::default() }
-    }
-
     /// The best plan for `a`: the cheapest candidate by modeled amortized
     /// cost that fits the policy's preprocessing budget.
     pub fn plan(&self, a: &CsrMatrix) -> Plan {
@@ -114,10 +96,11 @@ impl Planner {
     ///
     /// `shape` is stamped into every plan, so shaped cache entries and
     /// feedback candidates never collide with full-product ones. The
-    /// estimates are the full product's (see [`CostModel::estimate`]).
+    /// estimates are the full product's: the cost model prices a shaped
+    /// plan like the full one.
     pub fn plans_costed(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
         let advice = advise_profiled(a);
-        let features = OperandFeatures::with_profile(a, advice.profile);
+        let features = OperandFeatures::new(a, advice.profile);
         let mut out: Vec<RankedPlan> = Vec::with_capacity(advice.ranked.len() + 1);
         let mut push = |plan: Plan, affinity: f64, rationale: &'static str| {
             let plan = plan.with_shape(shape);
@@ -230,7 +213,7 @@ mod tests {
         assert_eq!(
             planner
                 .cost
-                .estimate(&crate::cost::OperandFeatures::with_profile(&a, profile(&a)), &plan, 0.0)
+                .estimate(&crate::cost::OperandFeatures::new(&a, profile(&a)), &plan, 0.0)
                 .prep_seconds,
             0.0,
             "zero budget must select a plan with zero predicted preprocessing: {}",
@@ -251,11 +234,7 @@ mod tests {
             heavy_reuse_rank[0].estimate.kernel_seconds
                 <= planner
                     .cost
-                    .estimate(
-                        &crate::cost::OperandFeatures::with_profile(&a, profile(&a)),
-                        &one_shot,
-                        0.0
-                    )
+                    .estimate(&crate::cost::OperandFeatures::new(&a, profile(&a)), &one_shot, 0.0)
                     .kernel_seconds
                     + 1e-15
         );

@@ -1,10 +1,10 @@
 //! Exporters: a versioned JSON-lines trace/metrics document plus a
 //! human-readable snapshot.
 //!
-//! The JSON-lines form follows the workspace's `calibrate::json` writer
-//! conventions — hand-formatted strings, floats in Rust's shortest
-//! round-trip (`{:?}`) form, strings escaped with the same table — so
-//! `cw_engine::calibrate::json::parse` reads every line back. Layout:
+//! The JSON-lines form follows the [`crate::json`] writer conventions —
+//! hand-formatted strings, floats in Rust's shortest round-trip (`{:?}`)
+//! form, strings escaped by [`escape`] — so [`crate::json::parse`] reads
+//! every line back. Layout:
 //!
 //! ```text
 //! {"schema_version":1,"kind":"obs"}                 header, always first
@@ -21,31 +21,11 @@
 use std::fmt::Write as _;
 
 use crate::flight::RequestTrace;
+use crate::json::escape;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 
 /// Version of the JSON-lines layout documented in this module.
 pub const OBS_SCHEMA_VERSION: u32 = 1;
-
-/// Escapes `s` for embedding in a JSON string literal (same table as
-/// `cw_engine::calibrate::json::escape`; duplicated because `cw-obs`
-/// deliberately depends on nothing).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn write_trace_line(out: &mut String, trace: &RequestTrace) {
     let _ = write!(out, "{{\"kind\":\"trace\",\"trace_id\":{},\"spans\":[", trace.trace_id);

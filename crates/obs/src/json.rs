@@ -1,12 +1,19 @@
-//! A minimal hand-rolled JSON reader shared by calibration profiles, the
-//! observability export and the repo benchmark's run files (the offline
-//! build container has no serde; the workspace's JSON needs are a handful
-//! of flat documents, so a ~150-line recursive-descent parser is the whole
-//! cost).
+//! A minimal hand-rolled JSON reader shared by the observability export
+//! ([`crate::export`]) and the repo benchmark's run files (the workspace
+//! builds without serde; its JSON needs are a handful of flat documents,
+//! so a ~150-line recursive-descent parser is the whole cost).
 //!
 //! Writing stays with the callers (string formatting is simpler than a
-//! generic emitter); parsing goes through [`parse`] into a [`JsonValue`]
-//! tree with typed accessors.
+//! generic emitter; [`escape`] is the one string-escaping table); parsing
+//! goes through [`parse`] into a [`JsonValue`] tree with typed accessors.
+//! Nesting deeper than [`MAX_NESTING`] is an error, so a hostile document
+//! cannot overflow the stack.
+
+use std::fmt::Write as _;
+
+/// Deepest container nesting [`parse`] accepts. Workspace documents nest a
+/// handful of levels; the cap bounds the parser's recursion.
+pub const MAX_NESTING: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +88,9 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -89,12 +98,12 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Parses one JSON document. Returns the value or a human-readable error
-/// with a byte offset. Trailing non-whitespace after the document is an
-/// error.
+/// with a byte offset. Trailing non-whitespace after the document, and
+/// containers nested deeper than [`MAX_NESTING`], are errors.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -117,12 +126,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` open containers.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of document".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_NESTING => {
+            Err(format!("nesting too deep at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", JsonValue::Bool(false)),
@@ -145,7 +158,7 @@ fn parse_keyword(
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -158,7 +171,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -172,7 +185,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -181,7 +194,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -298,5 +311,19 @@ mod tests {
     fn empty_containers_parse() {
         assert_eq!(parse("{}").unwrap(), JsonValue::Obj(vec![]));
         assert_eq!(parse("[]").unwrap(), JsonValue::Arr(vec![]));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&arrays(MAX_NESTING)).is_ok());
+        assert_eq!(
+            parse(&arrays(MAX_NESTING + 1)),
+            Err(format!("nesting too deep at byte {MAX_NESTING}"))
+        );
+        for hostile in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&hostile).unwrap_err();
+            assert!(err.starts_with("nesting too deep at byte "), "{err}");
+        }
     }
 }

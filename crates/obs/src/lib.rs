@@ -4,11 +4,11 @@
 //! The paper's whole argument is a per-stage accounting exercise
 //! (reordering cost vs. cluster-wise kernel savings), and the workspace
 //! has repeatedly learned that it can only trust what it measures —
-//! calibration exposed the vendored parallel path as *slower* than serial,
-//! a fact no hand-tuned constant would have surfaced. This crate is the
+//! timing exposed the vendored parallel path as *slower* than serial, a
+//! fact no hand-tuned constant would have surfaced. This crate is the
 //! telemetry layer that makes such facts routinely visible, designed for
-//! the offline build container: **std only, no tokio, no external
-//! crates**, and cheap enough to leave compiled into every hot path.
+//! offline builds: **std only, no tokio, no external crates**, and cheap
+//! enough to leave compiled into every hot path.
 //!
 //! Three pieces:
 //!
@@ -33,7 +33,7 @@
 //!
 //! The [`export`] module renders everything as a versioned JSON-lines
 //! document ([`export::OBS_SCHEMA_VERSION`]) plus a human-readable
-//! snapshot; `cw_engine::calibrate::json` parses it back.
+//! snapshot; the [`json`] reader parses it back.
 //!
 //! ```
 //! use cw_obs::{MetricsRegistry, Tracer};
@@ -68,6 +68,7 @@
 
 pub mod export;
 mod flight;
+pub mod json;
 mod metrics;
 mod trace;
 

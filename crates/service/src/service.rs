@@ -4,10 +4,7 @@
 use crate::request::{MultiplyRequest, SubmitError, Ticket};
 use crate::shard::{worker_loop, ShardObs, SlotGuard, Submission, WorkerCtx};
 use crate::stats::{LatencySummary, ServiceStats};
-use cw_engine::{
-    CacheBudget, CalibrationProfile, Engine, PlanCache, Planner, PlanningPolicy,
-    DEFAULT_CACHE_CAPACITY,
-};
+use cw_engine::{CacheBudget, Engine, PlanCache, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
 use cw_obs::{export, Counter, FlightRecorder, LogHistogram, MetricsRegistry, Tracer};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -34,12 +31,6 @@ pub struct ServiceConfig {
     /// preprocessing budget, and whether the per-shard feedback loop may
     /// re-plan operands from observed timings.
     pub policy: PlanningPolicy,
-    /// Optional fitted [`CalibrationProfile`] installed into every shard's
-    /// planner ([`Planner::with_profile`]): first-sight plan ranking then
-    /// uses this machine's measured cost constants instead of the
-    /// hand-tuned defaults. `None` = uncalibrated
-    /// planning (the per-shard feedback loop still corrects online).
-    pub profile: Option<CalibrationProfile>,
     /// Start with structured span tracing enabled. Off (the default),
     /// every span site in the hot path costs one atomic load; on, each
     /// request becomes a [`cw_obs::RequestTrace`] in the flight recorder.
@@ -65,7 +56,6 @@ impl Default for ServiceConfig {
             cache_budget: CacheBudget::entries(DEFAULT_CACHE_CAPACITY),
             seed: Planner::default().seed,
             policy: PlanningPolicy::default(),
-            profile: None,
             tracing: false,
             flight_capacity: FlightRecorder::DEFAULT_CAPACITY,
             low_priority_watermark: None,
@@ -175,11 +165,7 @@ impl SpgemmService {
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (tx, rx) = mpsc::channel::<Submission>();
-            let base = match config.profile.clone() {
-                Some(profile) => Planner::with_profile(config.seed, profile),
-                None => Planner::with_seed(config.seed),
-            };
-            let planner = Planner { policy: config.policy, ..base };
+            let planner = Planner::with_policy(config.seed, config.policy);
             let mut engine =
                 Engine::with_cache(planner, PlanCache::with_budget(config.cache_budget));
             engine.set_tracer(Arc::clone(&tracer));

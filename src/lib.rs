@@ -52,13 +52,7 @@
 //!   parallel path is bit-identical to), reports per-stage timings, and
 //!   feeds observed kernel seconds into a
 //!   per-operand `FeedbackStore` that demotes mispredicted plans so
-//!   traffic converges on the empirically fastest pipeline. The cost
-//!   model's constants can also be fitted *offline*: a `Calibrator`
-//!   ingests measured bench-corpus runs and emits a versioned
-//!   `CalibrationProfile` (`profiles/default.json`) that
-//!   `Planner::with_profile`,
-//!   `Engine::with_profile`, and `ServiceConfig::profile` load at
-//!   construction so first-sight planning starts calibrated.
+//!   traffic converges on the empirically fastest pipeline.
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O,
 //!   synthetic matrix generators, structural statistics, and the matrix
 //!   fingerprints and checksums keying the engine's plan cache.
@@ -150,28 +144,6 @@
 //! // Masked: keep only the entries the mask's pattern admits.
 //! let (c_masked, _) = engine.multiply_masked(&a, &a, &a);
 //! assert!(c_masked.numerically_eq(&apply_mask(&c_full, &a), 0.0));
-//! ```
-//!
-//! ## Quickstart: calibrated planning
-//!
-//! The planner's cost constants can be *fitted* for this machine from a
-//! bench-corpus sweep (`paper calibrate`) and loaded at construction, so
-//! first-sight planning is priced from measurements instead of the
-//! hand-tuned defaults (see `docs/ARCHITECTURE.md`, "Calibration"):
-//!
-//! ```
-//! use clusterwise_spgemm::prelude::*;
-//!
-//! // profiles/default.json is a checked-in fit; fall back to the
-//! // hand-tuned defaults when running from elsewhere.
-//! let profile = CalibrationProfile::load("profiles/default.json".as_ref())
-//!     .unwrap_or_default();
-//! let mut engine = Engine::new(Planner::with_profile(7, profile), 32);
-//!
-//! let a = clusterwise_spgemm::sparse::gen::grid::poisson2d(12, 12);
-//! let (c, report) = engine.multiply(&a, &a);
-//! assert_eq!(c.nrows, 144);
-//! assert!(report.timings.kernel_seconds > 0.0);
 //! ```
 //!
 //! ## Quickstart: the serving layer (concurrent traffic)
@@ -276,9 +248,8 @@ pub mod prelude {
         ClusterConfig, Clustering, CsrCluster,
     };
     pub use cw_engine::{
-        CacheBudget, CalibrationProfile, Calibrator, ClusteringStrategy, CostModel, Engine,
-        ExecutionReport, FeedbackStore, OutputShape, Plan, PlanCache, Planner, PlanningPolicy,
-        PreparedMatrix,
+        CacheBudget, ClusteringStrategy, CostModel, Engine, ExecutionReport, FeedbackStore,
+        OutputShape, Plan, PlanCache, Planner, PlanningPolicy, PreparedMatrix,
     };
     pub use cw_net::{
         ClientConfig, NetClient, NetError, NetServer, NetServerConfig, Qos, RoutedClient,

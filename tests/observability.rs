@@ -7,8 +7,8 @@
 //! (`tests/golden/obs_v1.jsonl`) so any schema drift is a deliberate,
 //! versioned change.
 
-use clusterwise_spgemm::engine::calibrate::json::{self, JsonValue};
 use clusterwise_spgemm::obs::export::{export_jsonl, OBS_SCHEMA_VERSION};
+use clusterwise_spgemm::obs::json::{self, JsonValue};
 use clusterwise_spgemm::obs::{MetricsRegistry, RequestTrace, SpanRecord};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::service::MultiplyResponse;
