@@ -10,11 +10,15 @@
 //! written from the operands' arrays and the RESULT read into the product's
 //! ([`crate::frame::write_submit`], [`crate::frame::read_result_payload`]),
 //! 64 KiB at a time. Only control replies (REJECT, STATS_OK, …) are
-//! buffered as [`Frame`]s.
+//! buffered as [`Frame`]s. A multiply whose rhs *is* its lhs (`C = A·A`,
+//! the same reference) sends that operand once, under
+//! [`crate::frame::FLAG_RHS_IS_LHS`]; two equal matrices in different
+//! allocations still travel as two blobs — the client never compares
+//! contents.
 
 use crate::frame::{
     decode_reject_payload, read_result_payload, write_submit_block, Frame, FrameError, FrameHeader,
-    OpCode, RejectCode, ShapeBlock, SubmitShape, WireReport, FLAG_NO_WAIT,
+    OpCode, RejectCode, ShapeBlock, SubmitShape, WireReport, FLAG_NO_WAIT, FLAG_RHS_IS_LHS,
 };
 use cw_service::Priority;
 use cw_sparse::io::{CsrCodecError, CsrReadError};
@@ -255,12 +259,20 @@ impl NetClient {
         self.exchange(request_id, |stream| Frame::control(op, request_id).write_to(stream))
     }
 
-    /// The header of this client's next SUBMIT (its length is filled in
-    /// when the frame is written).
-    fn submit_head(&mut self, qos: Qos, flags: u16) -> FrameHeader {
+    /// The header of this client's next SUBMIT of `lhs · rhs` (its length
+    /// is filled in when the frame is written): `flags`, plus
+    /// [`FLAG_RHS_IS_LHS`] when `rhs` is `lhs` itself.
+    fn submit_head(
+        &mut self,
+        qos: Qos,
+        flags: u16,
+        lhs: &CsrMatrix,
+        rhs: &CsrMatrix,
+    ) -> FrameHeader {
+        let rhs_is_lhs = if std::ptr::eq(lhs, rhs) { FLAG_RHS_IS_LHS } else { 0 };
         FrameHeader {
             priority: qos.priority,
-            flags,
+            flags: flags | rhs_is_lhs,
             deadline_ms: qos.deadline_ms(),
             ..FrameHeader::control(OpCode::Submit, self.next_request_id())
         }
@@ -298,7 +310,7 @@ impl NetClient {
         rhs: &CsrMatrix,
         mask: &CsrMatrix,
     ) -> Result<WireResponse, NetError> {
-        let head = self.submit_head(Qos::none(), 0);
+        let head = self.submit_head(Qos::none(), 0, lhs, rhs);
         self.submit(&head, lhs, rhs, ShapeBlock::Masked(mask))?.into_result()
     }
 
@@ -317,7 +329,7 @@ impl NetClient {
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<WireResponse, NetError> {
-        let head = self.submit_head(qos, 0);
+        let head = self.submit_head(qos, 0, lhs, rhs);
         self.submit(&head, lhs, rhs, shape.block())?.into_result()
     }
 
@@ -332,7 +344,7 @@ impl NetClient {
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<u64, NetError> {
-        let head = self.submit_head(qos, FLAG_NO_WAIT);
+        let head = self.submit_head(qos, FLAG_NO_WAIT, lhs, rhs);
         match self.submit(&head, lhs, rhs, shape.block())? {
             Reply::Control(reply) if reply.op == OpCode::Accepted => Ok(head.request_id),
             reply => Err(reply.unexpected("ACCEPTED")),

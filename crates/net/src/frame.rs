@@ -12,10 +12,10 @@
 //! | off | size | field | meaning |
 //! |-----|------|-------------|--------------------------------------------|
 //! | 0   | 4    | magic       | `b"CWNP"` |
-//! | 4   | 2    | version     | schema version, currently 2 |
+//! | 4   | 2    | version     | schema version, currently 3 |
 //! | 6   | 1    | op          | [`OpCode`] |
 //! | 7   | 1    | priority    | 0 = high, 1 = low |
-//! | 8   | 2    | flags       | bit 0 = [`FLAG_NO_WAIT`] |
+//! | 8   | 2    | flags       | bit 0 = [`FLAG_NO_WAIT`], bit 1 = [`FLAG_RHS_IS_LHS`] |
 //! | 10  | 2    | reserved    | must be 0 |
 //! | 12  | 8    | request_id  | client-chosen; echoed in every reply |
 //! | 20  | 4    | deadline_ms | relative deadline, 0 = none |
@@ -24,7 +24,10 @@
 //! Version 2 adds the optional output-shape block to SUBMIT payloads
 //! ([`SubmitShape`]) and the shape fields to [`WireReport`]. A version-1
 //! SUBMIT (no shape block) still decodes — it means the full product —
-//! so v1 clients keep working against a v2 server. The normative
+//! so v1 clients keep working against a v2 server. Version 3 adds
+//! [`FLAG_RHS_IS_LHS`]: a SUBMIT whose rhs is its lhs (`C = A·A`) carries
+//! the operand once. With the bit clear a v3 SUBMIT payload is byte-identical
+//! to v2, and a v3 server still serves v1 and v2 frames. The normative
 //! byte-level specification lives in `docs/PROTOCOL.md` at the workspace
 //! root; this module is its implementation.
 //!
@@ -50,14 +53,16 @@ use cw_sparse::io::{encoded_csr_len, read_csr, write_csr, CsrCodecError, CsrRead
 use cw_sparse::CsrMatrix;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"CWNP";
 
 /// Wire schema version emitted by this build; peers reject anything newer.
 /// Version 2 added output shapes (the SUBMIT shape block and the
-/// [`WireReport`] shape fields); version-1 frames are still accepted.
-pub const FRAME_VERSION: u16 = 2;
+/// [`WireReport`] shape fields); version 3 added [`FLAG_RHS_IS_LHS`].
+/// Version-1 and version-2 frames are still accepted.
+pub const FRAME_VERSION: u16 = 3;
 
 /// Fixed header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 28;
@@ -67,13 +72,24 @@ pub const FRAME_HEADER_BYTES: usize = 28;
 /// the outcome later with [`OpCode::Poll`] on the same connection.
 pub const FLAG_NO_WAIT: u16 = 1;
 
+/// SUBMIT flag (version 3): the rhs operand is the lhs, so the payload
+/// carries one operand blob — `CSRB(lhs)` then the shape block — and the
+/// server multiplies that one matrix by itself.
+pub const FLAG_RHS_IS_LHS: u16 = 2;
+
+/// Every flag bit a SUBMIT may carry; a SUBMIT with any other bit set is
+/// refused as malformed, since an unknown bit may change what its payload
+/// means.
+pub const SUBMIT_FLAGS: u16 = FLAG_NO_WAIT | FLAG_RHS_IS_LHS;
+
 /// Frame operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
     /// Client → server: execute `C = shape(lhs · rhs)`. Payload: lhs
-    /// `CSRB` blob, rhs `CSRB` blob, then an optional [`SubmitShape`]
-    /// block (absent = full product, the version-1 payload).
+    /// `CSRB` blob, rhs `CSRB` blob (omitted under [`FLAG_RHS_IS_LHS`]),
+    /// then an optional [`SubmitShape`] block (absent = full product, the
+    /// version-1 payload).
     Submit = 1,
     /// Server → client: a served multiply. Payload: [`WireReport`]
     /// followed by the product `CSRB` blob.
@@ -194,7 +210,7 @@ pub struct FrameHeader {
     pub op: OpCode,
     /// QoS priority class (meaningful on SUBMIT; echoed elsewhere).
     pub priority: Priority,
-    /// Header flags ([`FLAG_NO_WAIT`]).
+    /// Header flags ([`FLAG_NO_WAIT`], [`FLAG_RHS_IS_LHS`]).
     pub flags: u16,
     /// Client-chosen request id, echoed verbatim in replies.
     pub request_id: u64,
@@ -220,6 +236,11 @@ impl FrameHeader {
     /// Whether [`FLAG_NO_WAIT`] is set.
     pub fn no_wait(&self) -> bool {
         self.flags & FLAG_NO_WAIT != 0
+    }
+
+    /// Whether [`FLAG_RHS_IS_LHS`] is set.
+    pub fn rhs_is_lhs(&self) -> bool {
+        self.flags & FLAG_RHS_IS_LHS != 0
     }
 
     /// The 28 wire bytes (always stamped [`FRAME_VERSION`]).
@@ -305,7 +326,7 @@ pub struct Frame {
     pub op: OpCode,
     /// QoS priority class (meaningful on SUBMIT; echoed elsewhere).
     pub priority: Priority,
-    /// Header flags ([`FLAG_NO_WAIT`]).
+    /// Header flags ([`FLAG_NO_WAIT`], [`FLAG_RHS_IS_LHS`]).
     pub flags: u16,
     /// Client-chosen request id, echoed verbatim in replies.
     pub request_id: u64,
@@ -446,7 +467,7 @@ impl SubmitShape {
     pub fn into_request_shape(self) -> cw_service::RequestShape {
         match self {
             SubmitShape::Full => cw_service::RequestShape::Full,
-            SubmitShape::Masked(m) => cw_service::RequestShape::Masked(std::sync::Arc::new(m)),
+            SubmitShape::Masked(m) => cw_service::RequestShape::Masked(Arc::new(m)),
             SubmitShape::TopK(k) => cw_service::RequestShape::TopK(k as usize),
         }
     }
@@ -470,20 +491,22 @@ pub(crate) enum ShapeBlock<'a> {
 }
 
 impl ShapeBlock<'_> {
-    fn payload_len(&self, lhs: &CsrMatrix, rhs: &CsrMatrix) -> usize {
+    fn payload_len(&self, lhs: &CsrMatrix, rhs: Option<&CsrMatrix>) -> usize {
         let block = match self {
             ShapeBlock::Full => 0,
             ShapeBlock::Masked(mask) => 1 + encoded_csr_len(mask),
             ShapeBlock::TopK(_) => 9,
         };
-        encoded_csr_len(lhs) + encoded_csr_len(rhs) + block
+        encoded_csr_len(lhs) + rhs.map_or(0, encoded_csr_len) + block
     }
 }
 
-/// Exact byte length of the SUBMIT payload for these operands and shape —
-/// known from their dimensions alone, so the header can be written first.
+/// Exact byte length of the flag-clear SUBMIT payload for these operands
+/// and shape — known from their dimensions alone, so the header can be
+/// written first. Under [`FLAG_RHS_IS_LHS`] the payload is
+/// `encoded_csr_len(rhs)` shorter.
 pub fn submit_payload_len(lhs: &CsrMatrix, rhs: &CsrMatrix, shape: &SubmitShape) -> usize {
-    shape.block().payload_len(lhs, rhs)
+    shape.block().payload_len(lhs, Some(rhs))
 }
 
 /// Exact byte length of the RESULT payload carrying `product`.
@@ -503,14 +526,34 @@ fn announcing(head: &FrameHeader, payload_len: usize) -> io::Result<FrameHeader>
     Ok(FrameHeader { payload_len, ..*head })
 }
 
+/// The rhs blob a SUBMIT under `head` carries: none under
+/// [`FLAG_RHS_IS_LHS`], whose claim must hold — `rhs` is `lhs` itself, not
+/// merely equal to it.
+fn rhs_blob<'m>(
+    head: &FrameHeader,
+    lhs: &CsrMatrix,
+    rhs: &'m CsrMatrix,
+) -> io::Result<Option<&'m CsrMatrix>> {
+    match (head.rhs_is_lhs(), std::ptr::eq(lhs, rhs)) {
+        (false, _) => Ok(Some(rhs)),
+        (true, true) => Ok(None),
+        (true, false) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "FLAG_RHS_IS_LHS set on a SUBMIT whose rhs is not its lhs",
+        )),
+    }
+}
+
 fn write_submit_payload<W: Write>(
     w: &mut W,
     lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
+    rhs: Option<&CsrMatrix>,
     shape: ShapeBlock<'_>,
 ) -> io::Result<()> {
     write_csr(w, lhs)?;
-    write_csr(w, rhs)?;
+    if let Some(rhs) = rhs {
+        write_csr(w, rhs)?;
+    }
     match shape {
         ShapeBlock::Full => Ok(()),
         ShapeBlock::Masked(mask) => {
@@ -532,19 +575,22 @@ pub(crate) fn write_submit_block<W: Write>(
     rhs: &CsrMatrix,
     shape: ShapeBlock<'_>,
 ) -> io::Result<()> {
+    let rhs = rhs_blob(head, lhs, rhs)?;
     w.write_all(&announcing(head, shape.payload_len(lhs, rhs))?.encode())?;
     write_submit_payload(w, lhs, rhs, shape)?;
     w.flush()
 }
 
 /// Writes one whole SUBMIT frame to `w` straight from the operands' arrays
-/// and flushes: `head` with its `payload_len` set to
-/// [`submit_payload_len`], then the payload — the two operands as
-/// back-to-back `CSRB` blobs, then the output-shape block
+/// and flushes: `head` with its `payload_len` set, then the payload — the
+/// operands as back-to-back `CSRB` blobs, then the output-shape block
 /// ([`SubmitShape::Full`] encodes nothing, keeping full-product payloads
-/// byte-identical to version 1). The bytes are those of a [`Frame`]
-/// carrying [`encode_submit_payload_shaped`]'s payload; no call hands `w`
-/// more than 64 KiB.
+/// byte-identical to version 1). The payload is what `head.flags` says:
+/// with [`FLAG_RHS_IS_LHS`] clear, both blobs — the bytes of a [`Frame`]
+/// carrying [`encode_submit_payload_shaped`]'s payload, [`submit_payload_len`]
+/// long; with it set, the rhs blob is left out, and `rhs` must be `lhs`
+/// (the same reference) or nothing is written and the error is
+/// [`io::ErrorKind::InvalidInput`]. No call hands `w` more than 64 KiB.
 pub fn write_submit<W: Write>(
     w: &mut W,
     head: &FrameHeader,
@@ -555,14 +601,16 @@ pub fn write_submit<W: Write>(
     write_submit_block(w, head, lhs, rhs, shape.block())
 }
 
-/// The SUBMIT payload [`write_submit`] streams, built in a buffer.
+/// The flag-clear SUBMIT payload [`write_submit`] streams, built in a
+/// buffer: both operand blobs, then the shape block.
 pub fn encode_submit_payload_shaped(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
     shape: &SubmitShape,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(submit_payload_len(lhs, rhs, shape));
-    write_submit_payload(&mut out, lhs, rhs, shape.block()).expect("writing to a Vec cannot fail");
+    write_submit_payload(&mut out, lhs, Some(rhs), shape.block())
+        .expect("writing to a Vec cannot fail");
     out
 }
 
@@ -597,30 +645,44 @@ fn from_slice<T>(decoded: Result<T, CsrReadError>) -> Result<T, CsrCodecError> {
     }
 }
 
-/// Reads a SUBMIT payload of `payload_len` bytes from `r` straight into
-/// the operands' arrays. Each blob is handed what is left of the frame as
-/// its limit, so no allocation is sized beyond the (already capped) frame.
-/// An absent shape block (the version-1 payload) decodes as
-/// [`SubmitShape::Full`]; an unknown tag byte or bytes trailing a complete
-/// block are framing errors.
+/// Reads the payload of the SUBMIT whose header is `head` from `r` straight
+/// into the operands' arrays: `(lhs, rhs, shape)`. Under
+/// [`FLAG_RHS_IS_LHS`] one blob is decoded and `rhs` is the same `Arc` as
+/// `lhs`. Each blob is handed what is left of the frame as its limit, so no
+/// allocation is sized beyond the (already capped) frame. An absent shape
+/// block (the version-1 payload) decodes as [`SubmitShape::Full`]; an
+/// unknown tag byte, bytes trailing a complete block, or a flag bit outside
+/// [`SUBMIT_FLAGS`] are framing errors — an unknown bit may change what the
+/// payload means, so the whole payload is drained unparsed and refused as
+/// [`CsrCodecError::TrailingBytes`] of its length.
 ///
 /// On [`CsrReadError::Codec`] the rest of the payload has been read and
 /// discarded — `r` stands at the next frame and the connection can go on;
 /// on [`CsrReadError::Io`] the stream is lost.
 pub fn read_submit_payload<R: Read>(
     r: &mut R,
-    payload_len: usize,
-) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrReadError> {
-    let mut body = r.take(payload_len as u64);
-    let decoded = submit_from(&mut body);
-    drained(decoded, &mut body)
+    head: &FrameHeader,
+) -> Result<(Arc<CsrMatrix>, Arc<CsrMatrix>, SubmitShape), CsrReadError> {
+    let mut body = r.take(head.payload_len as u64);
+    let decoded = if head.flags & !SUBMIT_FLAGS == 0 {
+        submit_from(&mut body, head.rhs_is_lhs())
+    } else {
+        Err(CsrCodecError::TrailingBytes(head.payload_len as usize).into())
+    };
+    let (lhs, rhs, shape) = drained(decoded, &mut body)?;
+    let lhs = Arc::new(lhs);
+    let rhs = rhs.map_or_else(|| Arc::clone(&lhs), Arc::new);
+    Ok((lhs, rhs, shape))
 }
 
+/// The payload's operands and shape; `None` for the rhs when it did not
+/// travel because it is the lhs.
 fn submit_from<R: Read>(
     body: &mut io::Take<R>,
-) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrReadError> {
+    rhs_is_lhs: bool,
+) -> Result<(CsrMatrix, Option<CsrMatrix>, SubmitShape), CsrReadError> {
     let (lhs, _) = read_csr(body, left(body))?;
-    let (rhs, _) = read_csr(body, left(body))?;
+    let rhs = if rhs_is_lhs { None } else { Some(read_csr(body, left(body))?.0) };
     let rest = left(body);
     if rest == 0 {
         return Ok((lhs, rhs, SubmitShape::Full));
@@ -654,11 +716,14 @@ fn submit_from<R: Read>(
     Ok((lhs, rhs, shape))
 }
 
-/// [`read_submit_payload`] over a buffered payload.
+/// Decodes a buffered flag-clear SUBMIT payload (both operand blobs, then
+/// the shape block) — [`read_submit_payload`]'s decoder over a slice.
 pub fn decode_submit_payload_shaped(
     payload: &[u8],
 ) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrCodecError> {
-    from_slice(read_submit_payload(&mut &payload[..], payload.len()))
+    let (lhs, rhs, shape) =
+        from_slice(submit_from(&mut payload.take(payload.len() as u64), false))?;
+    Ok((lhs, rhs.expect("a flag-clear payload carries its rhs"), shape))
 }
 
 /// REJECT payload: code + human-readable message.
@@ -1087,10 +1152,68 @@ mod tests {
                 FRAME_HEADER_BYTES,
                 "the header read touched the payload"
             );
-            let (l, r, back) = read_submit_payload(&mut wire, head.payload_len as usize).unwrap();
+            let (l, r, back) = read_submit_payload(&mut wire, &head).unwrap();
             assert!(l.bits_eq(&lhs) && r.bits_eq(&rhs));
             assert_eq!(back, shape);
             assert_eq!(wire.position() as usize, streamed.len());
+        }
+    }
+
+    #[test]
+    fn a_flagged_submit_is_the_flag_clear_payload_without_its_rhs_blob() {
+        let (lhs, _, mask) = sample_operands();
+        let head = FrameHeader { flags: FLAG_NO_WAIT | FLAG_RHS_IS_LHS, ..submit_head() };
+        for shape in [SubmitShape::Full, SubmitShape::TopK(3), SubmitShape::Masked(mask)] {
+            let mut flagged = Vec::new();
+            write_submit(&mut flagged, &head, &lhs, &lhs, &shape).unwrap();
+            // The flag-clear frame minus the rhs blob, nothing else.
+            let mut clear = Vec::new();
+            write_submit(&mut clear, &submit_head(), &lhs, &lhs, &shape).unwrap();
+            assert_eq!(flagged.len(), clear.len() - encoded_csr_len(&lhs), "{shape:?}");
+            let blob = FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + encoded_csr_len(&lhs);
+            assert_eq!(flagged[blob.clone()], clear[blob.clone()], "{shape:?}");
+            assert_eq!(flagged[blob.end..], clear[blob.end + encoded_csr_len(&lhs)..]);
+        }
+    }
+
+    #[test]
+    fn a_flag_claiming_rhs_is_lhs_for_two_matrices_writes_nothing() {
+        let (lhs, _, _) = sample_operands();
+        let copy = lhs.clone();
+        let head = FrameHeader { flags: FLAG_RHS_IS_LHS, ..submit_head() };
+        let mut out = Vec::new();
+        let err = write_submit(&mut out, &head, &lhs, &copy, &SubmitShape::Full).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "{} bytes written before the refusal", out.len());
+    }
+
+    #[test]
+    fn unknown_flag_bits_and_a_stray_rhs_blob_are_refused_and_drained() {
+        let a = CsrMatrix::identity(5);
+        let good = submit_frame().encode();
+        let flagged = |flags: u16| {
+            let mut bytes = good.clone();
+            bytes[8..10].copy_from_slice(&flags.to_le_bytes());
+            bytes
+        };
+        // Bit 2 is not a SUBMIT flag, and a flagged payload that still
+        // carries its rhs blob has that many bytes past the lhs.
+        let rhs_len = encoded_csr_len(&a);
+        let payload_len = good.len() - FRAME_HEADER_BYTES;
+        for (flags, want) in [
+            (4, CsrCodecError::TrailingBytes(payload_len)),
+            (FLAG_NO_WAIT | 0x8000, CsrCodecError::TrailingBytes(payload_len)),
+            (FLAG_RHS_IS_LHS, CsrCodecError::TrailingBytes(rhs_len)),
+        ] {
+            let mut wire = Cursor::new([&flagged(flags)[..], &good[..]].concat());
+            let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+            match read_submit_payload(&mut wire, &head) {
+                Err(CsrReadError::Codec(e)) => assert_eq!(e, want, "flags {flags:#x}"),
+                other => panic!("flags {flags:#x}: expected a codec error, got {other:?}"),
+            }
+            let head = FrameHeader::read(&mut wire, 1 << 20).expect("the next frame starts here");
+            let (lhs, rhs, _) = read_submit_payload(&mut wire, &head).unwrap();
+            assert_eq!((&*lhs, &*rhs), (&a, &a));
         }
     }
 
@@ -1129,13 +1252,13 @@ mod tests {
         bad[FRAME_HEADER_BYTES + encoded_csr_len(&a)] = b'X';
         let mut wire = Cursor::new([&bad[..], &good[..]].concat());
         let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
-        match read_submit_payload(&mut wire, head.payload_len as usize) {
+        match read_submit_payload(&mut wire, &head) {
             Err(CsrReadError::Codec(e)) => assert_eq!(e, CsrCodecError::BadMagic),
             other => panic!("expected a codec error, got {other:?}"),
         }
         let head = FrameHeader::read(&mut wire, 1 << 20).expect("the next frame starts here");
-        let (lhs, rhs, shape) = read_submit_payload(&mut wire, head.payload_len as usize).unwrap();
-        assert_eq!((lhs, rhs, shape), (a.clone(), a, SubmitShape::Full));
+        let (lhs, rhs, shape) = read_submit_payload(&mut wire, &head).unwrap();
+        assert_eq!((&*lhs, &*rhs, shape), (&a, &a, SubmitShape::Full));
 
         // A payload that stops arriving is the transport's failure, not the
         // codec's — whether or not what did arrive decodes: the stream
@@ -1143,10 +1266,7 @@ mod tests {
         for cut in [good, bad] {
             let mut wire = Cursor::new(&cut[..cut.len() - 3]);
             let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
-            assert!(matches!(
-                read_submit_payload(&mut wire, head.payload_len as usize),
-                Err(CsrReadError::Io(_))
-            ));
+            assert!(matches!(read_submit_payload(&mut wire, &head), Err(CsrReadError::Io(_))));
         }
     }
 
@@ -1161,7 +1281,9 @@ mod tests {
         );
         payload[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let have = payload.len();
-        let streamed = read_submit_payload(&mut Cursor::new(&payload), have);
+        let head =
+            FrameHeader { payload_len: have as u32, ..FrameHeader::control(OpCode::Submit, 1) };
+        let streamed = read_submit_payload(&mut Cursor::new(&payload), &head);
         match (decode_submit_payload_shaped(&payload), streamed) {
             (Err(slice), Err(CsrReadError::Codec(stream))) => {
                 assert_eq!(slice, stream);

@@ -12,7 +12,9 @@
 //!   self-delimiting `CSRB` blobs from [`cw_sparse::io`], so the wire
 //!   bytes are bit-exact down to f64 NaN payloads — and they are streamed:
 //!   a SUBMIT or RESULT is written from, and read into, the matrices'
-//!   arrays 64 KiB at a time, never staged in a payload-sized buffer.
+//!   arrays 64 KiB at a time, never staged in a payload-sized buffer. A
+//!   SUBMIT whose rhs is its lhs (`client.multiply(&a, &a)`) carries that
+//!   operand once ([`frame::FLAG_RHS_IS_LHS`], schema version 3).
 //! * **[`NetServer`]** — wraps an owned [`cw_service::SpgemmService`]
 //!   with a bounded thread-per-connection acceptor: per-connection
 //!   read/write timeouts, a max-connections limit (over-limit peers get

@@ -17,7 +17,11 @@
 //! [`crate::frame::write_result`]), 64 KiB at a time. A payload that does
 //! not decode is read to its declared end and answered `REJECT MALFORMED`
 //! on a connection that goes on; a payload that stops arriving costs the
-//! connection. Only control frames are buffered as [`Frame`]s.
+//! connection. Only control frames are buffered as [`Frame`]s. A SUBMIT
+//! under [`crate::frame::FLAG_RHS_IS_LHS`] carries one operand blob: it is
+//! decoded once, and the request's lhs and rhs are the same `Arc`. A SUBMIT
+//! with a flag bit outside [`crate::frame::SUBMIT_FLAGS`] is drained and
+//! answered `REJECT MALFORMED`.
 //!
 //! QoS lives at admission: a SUBMIT whose relative deadline already
 //! passed is rejected before the service queue is touched, and a full
@@ -29,7 +33,7 @@
 
 use crate::frame::{
     encode_reject_payload, read_submit_payload, result_payload_len, write_result, Frame,
-    FrameHeader, OpCode, RejectCode, WireReport,
+    FrameHeader, OpCode, RejectCode, WireReport, SUBMIT_FLAGS,
 };
 use cw_obs::{Counter, Gauge, LogHistogram};
 use cw_service::{MultiplyRequest, SpgemmService, SubmitError, Ticket};
@@ -443,7 +447,7 @@ fn serve_submit(
     started: Instant,
     pending: &mut HashMap<u64, PendingEntry>,
 ) -> bool {
-    let decoded = read_submit_payload(stream, head.payload_len as usize);
+    let decoded = read_submit_payload(stream, &head);
     if let Err(CsrReadError::Io(e)) = &decoded {
         reject_unaligned(stream, inner, &format!("frame i/o: {e}"));
         return false;
@@ -462,16 +466,17 @@ fn serve_submit(
             // Payload decode failures are *not* fatal to the connection:
             // the frame boundary was sound and the payload was consumed to
             // its end, so the stream stays aligned.
-            return write_reject(
-                stream,
-                inner,
-                head.request_id,
-                RejectCode::Malformed,
-                &e.to_string(),
-            );
+            let unknown = head.flags & !SUBMIT_FLAGS;
+            let message = match unknown {
+                0 => e.to_string(),
+                _ => format!("unknown SUBMIT flag bits {unknown:#06x}; payload drained unparsed"),
+            };
+            return write_reject(stream, inner, head.request_id, RejectCode::Malformed, &message);
         }
     };
-    let mut request = MultiplyRequest::new(Arc::new(lhs), Arc::new(rhs))
+    // Under FLAG_RHS_IS_LHS `rhs` is `lhs`'s own Arc: one matrix decoded,
+    // held and freed.
+    let mut request = MultiplyRequest::new(lhs, rhs)
         .with_priority(head.priority)
         .with_shape(shape.into_request_shape());
     if let Some(d) = deadline {

@@ -1,16 +1,126 @@
-//! The three fixed-size wire decoders against hostile bytes: the frame
-//! header ([`FrameHeader::read`]), the REJECT payload
-//! ([`decode_reject_payload`]) and the RESULT's report prefix
-//! ([`WireReport::decode`]). None of them panics on arbitrary or mutated
-//! bytes, a header never admits a payload past the reader's cap, and what
-//! the encoders write decodes back to itself. Seeds are fixed (derived from
-//! each test's name) and case counts bounded.
+//! The wire decoders against hostile bytes: the frame header
+//! ([`FrameHeader::read`]), the REJECT payload ([`decode_reject_payload`]),
+//! the RESULT's report prefix ([`WireReport::decode`]) and the SUBMIT
+//! payload under [`FLAG_RHS_IS_LHS`] ([`read_submit_payload`]). None of them
+//! panics on arbitrary or mutated bytes, a header never admits a payload
+//! past the reader's cap, a SUBMIT decoder never allocates past its frame
+//! nor reads past it, and what the encoders write decodes back to itself.
+//! Seeds are fixed (derived from each test's name) and case counts bounded.
 
-use cw_net::frame::{decode_reject_payload, encode_reject_payload, FRAME_MAGIC, WIRE_REPORT_BYTES};
-use cw_net::{FrameHeader, OpCode, RejectCode, WireReport};
+use cw_net::frame::{
+    decode_reject_payload, encode_reject_payload, read_submit_payload, write_submit, FLAG_NO_WAIT,
+    FLAG_RHS_IS_LHS, FRAME_HEADER_BYTES, FRAME_MAGIC, WIRE_REPORT_BYTES,
+};
+use cw_net::{FrameHeader, OpCode, RejectCode, SubmitShape, WireReport};
 use cw_service::Priority;
+use cw_sparse::io::{encoded_csr_len, CsrReadError};
+use cw_sparse::{CooMatrix, CsrMatrix};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::Cursor;
+use std::sync::Arc;
+
+/// The system allocator, noting the largest single request each thread
+/// makes: how a test sees what a decoder allocated.
+struct Largest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; noting a size
+// touches only a const-initialised thread-local `Cell`, which neither
+// allocates nor registers a destructor.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Largest = Largest;
+
+/// What a SUBMIT decoder may allocate beyond its frame's length, whatever
+/// the frame: the request's `Arc` and an error's message.
+const BOOKKEEPING_BYTES: usize = 1 << 10;
+
+/// Decodes `payload` as the SUBMIT `head` announces, with the next frame's
+/// first bytes behind it. Whatever the outcome, no allocation exceeded the
+/// frame (plus [`BOOKKEEPING_BYTES`]); a payload that decoded, or that was
+/// refused as a codec error, was read exactly to its end and no further.
+fn decode_flagged(head: &FrameHeader, payload: &[u8]) -> Result<(), TestCaseError> {
+    let mut wire = Cursor::new([payload, &FRAME_MAGIC[..]].concat());
+    LARGEST.with(|largest| largest.set(0));
+    let decoded = read_submit_payload(&mut wire, head);
+    let largest = LARGEST.with(Cell::get);
+    let bound = payload.len().max(BOOKKEEPING_BYTES);
+    prop_assert!(largest <= bound, "allocated {} for a {}-byte frame", largest, payload.len());
+    match decoded {
+        Ok((lhs, rhs, _)) => prop_assert!(Arc::ptr_eq(&lhs, &rhs), "two matrices decoded"),
+        Err(CsrReadError::Codec(_)) => {}
+        Err(CsrReadError::Io(e)) => prop_assert!(false, "i/o inside the frame: {}", e),
+    }
+    prop_assert_eq!(wire.position() as usize, payload.len(), "read past (or short of) the frame");
+    Ok(())
+}
+
+/// A flagged SUBMIT header announcing `payload_len` bytes; `extra` flag
+/// bits ride along (known or not).
+fn flagged_head(payload_len: usize, extra: u16) -> FrameHeader {
+    FrameHeader {
+        flags: FLAG_RHS_IS_LHS | extra,
+        payload_len: payload_len as u32,
+        ..FrameHeader::control(OpCode::Submit, 1)
+    }
+}
+
+/// A small matrix from its dimensions and `(row, col, value bits)` entries,
+/// NaN payloads and `-0.0` included.
+fn matrix(nrows: usize, ncols: usize, entries: &[(usize, usize, u64)]) -> CsrMatrix {
+    if nrows == 0 || ncols == 0 {
+        return CsrMatrix::zeros(nrows, ncols);
+    }
+    let mut coo = CooMatrix::new(nrows, ncols);
+    for &(i, j, _) in entries {
+        coo.push(i % nrows, j % ncols, 1.0);
+    }
+    let mut a = coo.to_csr();
+    for (v, &(_, _, bits)) in a.vals.iter_mut().zip(entries) {
+        *v = f64::from_bits(bits);
+    }
+    a
+}
+
+/// Shape `pick` of a SUBMIT over `a`: full, masked by `a`'s own pattern,
+/// or top-`k`.
+fn shape(pick: u8, a: &CsrMatrix, k: u64) -> SubmitShape {
+    match pick {
+        0 => SubmitShape::Full,
+        1 => SubmitShape::Masked(a.clone()),
+        _ => SubmitShape::TopK(k),
+    }
+}
 
 /// Reads a header from `bytes` under `max`; an accepted one is within it.
 fn read_header(mut bytes: &[u8], max: usize) -> Result<Option<FrameHeader>, TestCaseError> {
@@ -117,5 +227,83 @@ proptest! {
         let mut twice = Vec::new();
         WireReport::decode(&once).unwrap().0.encode_into(&mut twice);
         prop_assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn a_flagged_submit_from_arbitrary_bytes_never_panics_or_outgrows_its_frame(
+        bytes in vec(0u8..=255, 0..256),
+        (csrb, dims) in (0u8..2, vec(0u64..64, 3)),
+        extra in 0u16..4,
+    ) {
+        // Half the cases open with a sound CSRB header declaring small
+        // dimensions, so the decoder reaches the arrays and the shape block.
+        let mut bytes = bytes;
+        if csrb == 1 && bytes.len() >= 32 {
+            bytes[..4].copy_from_slice(b"CSRB");
+            bytes[4..8].copy_from_slice(&[1, 0, 0, 0]);
+            for (at, d) in dims.iter().enumerate() {
+                bytes[8 + 8 * at..16 + 8 * at].copy_from_slice(&d.to_le_bytes());
+            }
+        }
+        // `extra` 1 is NO_WAIT (known); 2 and 3 carry a bit no SUBMIT knows.
+        let extra = [0, FLAG_NO_WAIT, 4, 0x8000][extra as usize];
+        decode_flagged(&flagged_head(bytes.len(), extra), &bytes)?;
+    }
+
+    #[test]
+    fn a_mutated_flagged_submit_never_panics_or_outgrows_its_frame(
+        (nrows, ncols, entries) in (0usize..12, 0usize..12, vec((0usize..12, 0usize..12, 0u64..u64::MAX), 0..24)),
+        (pick, k) in (0u8..3, 0u64..8),
+        edits in vec((0usize..1 << 16, 0u8..=255), 1..=4),
+        (claim, at, cut) in (0u64..u64::MAX, 0usize..6, 0usize..64),
+    ) {
+        let a = matrix(nrows, ncols, &entries);
+        let mut frame = Vec::new();
+        write_submit(&mut frame, &flagged_head(0, 0), &a, &a, &shape(pick, &a, k)).unwrap();
+        let mut payload = frame.split_off(FRAME_HEADER_BYTES);
+        // Unmutated, it decodes to `a`, once.
+        decode_flagged(&flagged_head(payload.len(), 0), &payload)?;
+        // A hostile dimension or nnz in the lhs header (or, past it, in
+        // the mask's), then byte flips, then a cut.
+        let field = 8 + 8 * (at % 3) + if at >= 3 { encoded_csr_len(&a) + 1 } else { 0 };
+        if field + 8 <= payload.len() {
+            payload[field..field + 8].copy_from_slice(&claim.to_le_bytes());
+        }
+        let n = payload.len();
+        edits.iter().for_each(|&(at, mask)| payload[at % n] ^= mask);
+        decode_flagged(&flagged_head(payload.len(), 0), &payload)?;
+        let cut = cut.min(payload.len());
+        decode_flagged(&flagged_head(cut, 0), &payload[..cut])?;
+    }
+
+    #[test]
+    fn a_flagged_write_submit_reads_back_as_one_matrix_equal_to_lhs(
+        (nrows, ncols, entries) in (0usize..16, 0usize..16, vec((0usize..16, 0usize..16, 0u64..u64::MAX), 0..40)),
+        (pick, k, no_wait) in (0u8..3, 0u64..8, 0u8..2),
+    ) {
+        let a = matrix(nrows, ncols, &entries);
+        let shape = shape(pick, &a, k);
+        let extra = if no_wait == 1 { FLAG_NO_WAIT } else { 0 };
+        let mut frame = Vec::new();
+        write_submit(&mut frame, &flagged_head(0, extra), &a, &a, &shape).unwrap();
+        let block = match &shape {
+            SubmitShape::Full => 0,
+            SubmitShape::Masked(mask) => 1 + encoded_csr_len(mask),
+            SubmitShape::TopK(_) => 9,
+        };
+        prop_assert_eq!(frame.len(), FRAME_HEADER_BYTES + encoded_csr_len(&a) + block);
+
+        let mut wire = Cursor::new(&frame);
+        let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+        prop_assert_eq!(head, flagged_head(frame.len() - FRAME_HEADER_BYTES, extra));
+        let (lhs, rhs, back) = read_submit_payload(&mut wire, &head).unwrap();
+        prop_assert!(Arc::ptr_eq(&lhs, &rhs), "the rhs is not the lhs's Arc");
+        prop_assert!(lhs.bits_eq(&a), "the lhs did not survive the round trip");
+        let same_shape = match (&back, &shape) {
+            (SubmitShape::Masked(got), SubmitShape::Masked(sent)) => got.bits_eq(sent),
+            (got, sent) => got == sent,
+        };
+        prop_assert!(same_shape, "shape {:?} read back as {:?}", shape, back);
+        prop_assert_eq!(wire.position() as usize, frame.len());
     }
 }

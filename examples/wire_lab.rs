@@ -1,12 +1,16 @@
 //! Wire lab: what a wire multiply's bytes cost between the socket and the
-//! matrix arrays, on the `wire-large` benchmark operand (8.5 MB SUBMIT,
-//! 6.1 MB RESULT). The deterministic half asserts that the streamed frames
-//! `NetClient` / `NetServer` exchange are byte-for-byte the buffered
-//! encoding, and that no single read or write on that path moves more than
-//! the codec's 64 KiB conversion chunk. The wall-clock half only prints:
-//! the loopback round trip with no kernel in it — streamed, and through
-//! whole-frame buffers as the wire layer did before it streamed — with the
-//! minor page faults each costs, and the slice codec's seconds per MB.
+//! matrix arrays, on the `wire-large` benchmark operand (`C = A·A`: a
+//! 4.2 MB SUBMIT carrying `A` once, 8.5 MB with both operand blobs; 6.1 MB
+//! RESULT). The deterministic half asserts that the flag-clear streamed
+//! frames are byte-for-byte the buffered encoding, that the SUBMIT under
+//! `FLAG_RHS_IS_LHS` — what `NetClient` sends for `multiply(&a, &a)` — is
+//! the header plus one operand blob and reads back as one matrix, and that
+//! no single read or write on that path moves more than the codec's 64 KiB
+//! conversion chunk. The wall-clock half only prints: the loopback round
+//! trip with no kernel in it — `A` streamed once, streamed twice, and
+//! through whole-frame buffers as the wire layer did before it streamed —
+//! with the minor page faults each costs, and the slice codec's seconds
+//! per MB.
 //!
 //! ```text
 //! cargo run --release --example wire_lab
@@ -16,15 +20,16 @@ use clusterwise_spgemm::engine::OutputShape;
 use clusterwise_spgemm::net::frame::{
     decode_result_payload, decode_submit_payload_shaped, encode_result_payload,
     encode_submit_payload_shaped, read_frame, read_result_payload, read_submit_payload,
-    write_result, write_submit,
+    write_result, write_submit, FLAG_RHS_IS_LHS, FRAME_HEADER_BYTES,
 };
 use clusterwise_spgemm::net::{Frame, FrameHeader, OpCode, WireReport};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::reorder::random_permutation;
 use clusterwise_spgemm::sparse::gen::banded::block_diagonal;
-use clusterwise_spgemm::sparse::io::{decode_csr_exact, encode_csr};
+use clusterwise_spgemm::sparse::io::{decode_csr_exact, encode_csr, encoded_csr_len};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What `cw_sparse::io` documents as the most it moves per call.
@@ -66,7 +71,7 @@ fn main() {
     );
 
     let mut out = Recorder::new(Vec::new());
-    wire.write_submit(&mut out).expect("a Vec takes every byte");
+    wire.write_submit(&mut out, 0).expect("a Vec takes every byte");
     assert!(out.inner == submit, "the streamed SUBMIT is not the buffered frame");
     let submit_writes = out.within_chunk("SUBMIT write");
     let mut out = Recorder::new(Vec::new());
@@ -76,8 +81,7 @@ fn main() {
 
     let mut src = Recorder::new(&submit[..]);
     let head = FrameHeader::read(&mut src, MAX_FRAME).expect("own header");
-    let (lhs, rhs, shape) =
-        read_submit_payload(&mut src, head.payload_len as usize).expect("own SUBMIT");
+    let (lhs, rhs, shape) = read_submit_payload(&mut src, &head).expect("own SUBMIT");
     assert!(lhs.bits_eq(&a) && rhs.bits_eq(&a) && shape == SubmitShape::Full);
     let submit_reads = src.within_chunk("SUBMIT read");
     let mut src = Recorder::new(&result[..]);
@@ -92,13 +96,37 @@ fn main() {
         CHUNK_BYTES >> 10
     );
 
+    // `C = A·A` as `NetClient` sends it: the header and one operand blob,
+    // read back as one matrix serving as both operands.
+    let mut out = Recorder::new(Vec::new());
+    wire.write_submit(&mut out, FLAG_RHS_IS_LHS).expect("a Vec takes every byte");
+    let once_writes = out.within_chunk("flagged SUBMIT write");
+    let once = out.inner;
+    assert_eq!(once.len(), FRAME_HEADER_BYTES + encoded_csr_len(&a), "not one operand blob");
+    let mut src = Recorder::new(&once[..]);
+    let head = FrameHeader::read(&mut src, MAX_FRAME).expect("own header");
+    let (lhs, rhs, shape) = read_submit_payload(&mut src, &head).expect("own flagged SUBMIT");
+    assert!(Arc::ptr_eq(&lhs, &rhs), "the flagged SUBMIT decoded two matrices");
+    assert!(lhs.bits_eq(&a) && shape == SubmitShape::Full);
+    let once_reads = src.within_chunk("flagged SUBMIT read");
+    println!(
+        "✓ A·A's SUBMIT under FLAG_RHS_IS_LHS is {:.2} MB, the header and one operand blob: \
+         {:.2} MB saved per request, one matrix decoded \
+         ({once_writes} writes / {once_reads} reads, none above {} KiB)",
+        once.len() as f64 / MB,
+        (submit.len() - once.len()) as f64 / MB,
+        CHUNK_BYTES >> 10
+    );
+
     // --- wall clock: printed, never asserted ---------------------------------
     println!("\nloopback round trip, no kernel (SUBMIT up, RESULT back), median of 15");
     println!("{:<44} {:>8} {:>16}", "", "ms", "minor faults/op");
-    for (name, streamed) in
-        [("whole-frame buffers (before streaming)", false), ("streamed (what cw-net runs)", true)]
-    {
-        let (ms, faults) = round_trip(&wire, streamed, 15);
+    for (name, mode) in [
+        ("whole-frame buffers (before streaming)", Mode::Buffered),
+        ("streamed, A twice (flag clear)", Mode::Streamed(0)),
+        ("streamed, A once (what cw-net runs)", Mode::Streamed(FLAG_RHS_IS_LHS)),
+    ] {
+        let (ms, faults) = round_trip(&wire, mode, 15);
         let faults = faults.map_or("n/a".to_string(), |f| format!("{f:.0}"));
         println!("{name:<44} {ms:>8.1} {faults:>16}");
     }
@@ -123,8 +151,10 @@ struct Wire<'m> {
 }
 
 impl Wire<'_> {
-    fn write_submit<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let head = FrameHeader::control(OpCode::Submit, 1);
+    /// `A·A`'s SUBMIT under `flags`: both blobs, or one under
+    /// [`FLAG_RHS_IS_LHS`].
+    fn write_submit<W: Write>(&self, w: &mut W, flags: u16) -> io::Result<()> {
+        let head = FrameHeader { flags, ..FrameHeader::control(OpCode::Submit, 1) };
         write_submit(w, &head, self.a, self.a, &SubmitShape::Full)
     }
 
@@ -143,10 +173,19 @@ impl Wire<'_> {
     }
 }
 
+/// How a round trip moves its frames.
+#[derive(Clone, Copy)]
+enum Mode {
+    /// Whole frames staged in buffers, both operand blobs.
+    Buffered,
+    /// Streamed from and into the matrices, the SUBMIT under these flags.
+    Streamed(u16),
+}
+
 /// Median wall clock (ms) of `ops` SUBMIT → RESULT exchanges over one
 /// loopback connection, and the process's minor page faults per exchange
 /// (both peers; `None` off Linux).
-fn round_trip(wire: &Wire<'_>, streamed: bool, ops: usize) -> (f64, Option<f64>) {
+fn round_trip(wire: &Wire<'_>, mode: Mode, ops: usize) -> (f64, Option<f64>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("bound address");
     std::thread::scope(|scope| {
@@ -155,9 +194,9 @@ fn round_trip(wire: &Wire<'_>, streamed: bool, ops: usize) -> (f64, Option<f64>)
             peer.set_nodelay(true).expect("nodelay");
             // One warm-up exchange, then the timed ones.
             for _ in 0..=ops {
-                if streamed {
+                if let Mode::Streamed(_) = mode {
                     let head = FrameHeader::read(&mut peer, MAX_FRAME).expect("SUBMIT header");
-                    read_submit_payload(&mut peer, head.payload_len as usize).expect("SUBMIT");
+                    read_submit_payload(&mut peer, &head).expect("SUBMIT");
                     wire.write_result(&mut peer).expect("RESULT");
                 } else {
                     let submit = read_frame(&mut peer, MAX_FRAME).expect("SUBMIT frame");
@@ -169,8 +208,8 @@ fn round_trip(wire: &Wire<'_>, streamed: bool, ops: usize) -> (f64, Option<f64>)
         let mut conn = TcpStream::connect(addr).expect("connect loopback");
         conn.set_nodelay(true).expect("nodelay");
         let mut exchange = || {
-            if streamed {
-                wire.write_submit(&mut conn).expect("SUBMIT");
+            if let Mode::Streamed(flags) = mode {
+                wire.write_submit(&mut conn, flags).expect("SUBMIT");
                 let head = FrameHeader::read(&mut conn, MAX_FRAME).expect("RESULT header");
                 drop(read_result_payload(&mut conn, head.payload_len as usize).expect("RESULT"));
             } else {

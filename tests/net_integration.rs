@@ -3,6 +3,8 @@
 //!
 //! * wire multiplies (sync and no-wait + poll) are **bit-identical** to a
 //!   direct `Engine::multiply` of the same operands;
+//! * `C = A·A` sends `A` once (the server records one blob's bytes), for
+//!   every shape and door, and older-version frames are still served;
 //! * the wire report says whether the kernel ran in parallel exactly as the
 //!   in-process report does;
 //! * the `RoutedClient` fans traffic over N endpoints exactly by
@@ -226,6 +228,93 @@ fn no_wait_submit_polls_to_the_same_bits() {
     server.shutdown();
 }
 
+/// Asserts the server's `net.request_bytes` histogram, as the JSONL export
+/// prints its head (`count`, `sum`, `min`, `max`), recorded exactly `sizes`.
+fn assert_request_bytes(client: &mut NetClient, sizes: &[usize]) {
+    let jsonl = client.stats_jsonl().expect("stats");
+    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+    let want = format!(
+        "\"net.request_bytes\":{{\"count\":{},\"sum\":{:?},\"min\":{:?},\"max\":{:?},",
+        sizes.len(),
+        sizes.iter().sum::<usize>() as f64,
+        *min as f64,
+        *max as f64
+    );
+    assert!(jsonl.contains(&want), "want {want}\n{jsonl}");
+}
+
+#[test]
+fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
+    use clusterwise_spgemm::engine::OutputShape;
+
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let mut client =
+        NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let a = gen::mesh::tri_mesh(12, 12, true, 3);
+    let blob = encoded_csr_len(&a);
+
+    // `multiply(&a, &a)`: one operand blob on the wire, the in-process bits.
+    let (full, _) = Engine::default().multiply(&a, &a);
+    let resp = client.multiply(&a, &a).expect("A·A");
+    assert!(resp.product.bits_eq(&full), "A·A over the wire is not the engine's A·A");
+    assert_request_bytes(&mut client, &[blob]);
+
+    // Every door and shape, first with the rhs the lhs itself (flagged),
+    // then with an equal copy in its own allocation (two blobs, as ever).
+    let (masked, _) = Engine::default().multiply_masked(&a, &a, &a);
+    let (top3, _) = Engine::default().multiply_shaped(&a, &a, OutputShape::TopK(3), None);
+    let copy = a.clone();
+    let mut sizes = vec![blob];
+    for (rhs, blobs) in [(&copy, 2), (&a, 1)] {
+        let what = if blobs == 1 { "rhs is lhs" } else { "rhs is a copy" };
+        let resp = client.multiply(&a, rhs).expect(what);
+        assert!(resp.product.bits_eq(&full), "{what}: full product differs");
+        let resp = client.multiply_masked(&a, rhs, &a).expect(what);
+        assert!(resp.product.bits_eq(&masked), "{what}: masked product differs");
+        let resp =
+            client.multiply_shaped_qos(&a, rhs, &SubmitShape::TopK(3), Qos::none()).expect(what);
+        assert!(resp.product.bits_eq(&top3), "{what}: top-k product differs");
+        let id = client.submit_no_wait(&a, rhs, &SubmitShape::Full, Qos::none()).expect(what);
+        let resp = loop {
+            match client.poll(id).expect(what) {
+                Some(resp) => break resp,
+                None => std::thread::sleep(Duration::from_millis(2)),
+            }
+        };
+        assert!(resp.product.bits_eq(&full), "{what}: no-wait product differs");
+        let operands = blobs * blob;
+        sizes.extend([operands, operands + 1 + blob, operands + 9, operands]);
+    }
+    assert_request_bytes(&mut client, &sizes);
+
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.rejected), (9, 0));
+}
+
+#[test]
+fn a_version_one_or_two_submit_is_still_served() {
+    // Hand-built frames stamped with an older version, carrying both
+    // operand blobs as those versions did: same bits as the engine.
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let a = gen::grid::poisson2d(9, 9);
+    let (direct, _) = Engine::default().multiply(&a, &a);
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect raw");
+    for version in [1u16, 2] {
+        let payload = frame::encode_submit_payload_shaped(&a, &a, &SubmitShape::Full);
+        let mut bytes =
+            Frame { payload, ..Frame::control(OpCode::Submit, version as u64) }.encode();
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        peer.write_all(&bytes).expect("write old frame");
+        let reply = FrameHeader::read(&mut peer, 1 << 20).expect("reply header");
+        assert_eq!((reply.op, reply.request_id), (OpCode::Result, version as u64));
+        let (_, product) = frame::read_result_payload(&mut peer, reply.payload_len as usize)
+            .expect("RESULT payload");
+        assert!(product.bits_eq(&direct), "v{version}: served other bits");
+    }
+    drop(peer);
+    assert_eq!(server.shutdown().completed, 2);
+}
+
 #[test]
 fn routed_client_places_by_fingerprint_and_each_endpoint_serves_its_share() {
     let servers: Vec<NetServer> = (0..2)
@@ -332,17 +421,21 @@ fn malformed_frames_are_isolated_to_their_connection() {
     let mut lhs_overclaims = pair.clone();
     lhs_overclaims[24..32].copy_from_slice(&(1u64 << 20).to_le_bytes());
     let top1_block = [&[frame::SHAPE_TAG_TOPK][..], &1u64.to_le_bytes()].concat();
-    let abuse: [(&str, Vec<u8>); 5] = [
-        ("64 bytes of 0xAB", vec![0xAB; 64]),
-        ("rhs row_ptr not monotone", rhs_not_monotone),
-        ("unknown shape tag", [&pair[..], &[99]].concat()),
-        ("bytes trailing a complete shape block", [&pair[..], &top1_block, &[0]].concat()),
-        ("lhs declares more than the frame holds", lhs_overclaims),
+    let abuse: [(&str, u16, Vec<u8>); 7] = [
+        ("64 bytes of 0xAB", 0, vec![0xAB; 64]),
+        ("rhs row_ptr not monotone", 0, rhs_not_monotone),
+        ("unknown shape tag", 0, [&pair[..], &[99]].concat()),
+        ("bytes trailing a complete shape block", 0, [&pair[..], &top1_block, &[0]].concat()),
+        ("lhs declares more than the frame holds", 0, lhs_overclaims),
+        // A flag bit the server does not know may change what the payload
+        // means: drained unparsed and refused.
+        ("unknown flag bit 2 on a sound payload", 4, pair.clone()),
+        ("rhs-is-lhs flag over a payload that still carries the rhs", frame::FLAG_RHS_IS_LHS, pair),
     ];
     let mut sloppy = TcpStream::connect(addr).expect("connect raw");
     let mut id = 8;
-    for (what, payload) in abuse {
-        let bad = Frame { payload, ..Frame::control(OpCode::Submit, id) };
+    for (what, flags, payload) in abuse {
+        let bad = Frame { flags, payload, ..Frame::control(OpCode::Submit, id) };
         sloppy.write_all(&bad.encode()).expect(what);
         let reply = frame::read_frame(&mut sloppy, 4096).expect(what);
         assert_eq!((reply.op, reply.request_id), (OpCode::Reject, id), "{what}");
@@ -366,15 +459,15 @@ fn malformed_frames_are_isolated_to_their_connection() {
     let resp = client.multiply(&a, &a).expect("served after abuse");
     assert!(resp.product.bits_eq(&want));
 
-    // Eight refusals were malformed (1–3 cost their connection, the five of
-    // 4 did not); only the five with a sound frame were answered by id.
+    // Ten refusals were malformed (1–3 cost their connection, the seven of
+    // 4 did not); only the seven with a sound frame were answered by id.
     let jsonl = client.stats_jsonl().expect("stats");
-    for counter in ["\"net.decode_errors\":8", "\"net.rejected\":5", "\"net.requests\":11"] {
+    for counter in ["\"net.decode_errors\":10", "\"net.rejected\":7", "\"net.requests\":15"] {
         assert!(jsonl.contains(counter), "missing {counter}:\n{jsonl}");
     }
 
     let stats = server.shutdown();
-    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.completed, 8);
 }
 
 #[test]
