@@ -518,9 +518,9 @@ mod tests {
 
     #[test]
     fn rowwise_products_run_dense_up_to_one_mib_per_worker() {
-        // 12 B per column: 87 381 columns fit in 1 MiB, 87 382 do not.
+        // 16 B per column: 65 536 columns fit in 1 MiB, 65 537 do not.
         let a = gen::grid::poisson2d(32, 32);
-        for (ncols, acc) in [(87_381, AccumulatorKind::Dense), (87_382, AccumulatorKind::Hash)] {
+        for (ncols, acc) in [(65_536, AccumulatorKind::Dense), (65_537, AccumulatorKind::Hash)] {
             let b = wide(ncols);
             let (c, report) = Engine::default().multiply_planned(&a, &b, Plan::baseline());
             assert_eq!(report.accumulator, acc, "{ncols} columns: {}", report.summary());
@@ -530,11 +530,11 @@ mod tests {
 
     #[test]
     fn clusterwise_products_budget_one_accumulator_per_member_row() {
-        // Eight member rows × 12 B: 10 922 columns fit, 10 923 do not — the
+        // Eight member rows × 16 B: 8 192 columns fit, 8 193 do not — the
         // same product run row-wise stays Dense.
         let a = gen::grid::poisson2d(32, 32);
         let clustered = Plan { clustering: ClusteringStrategy::Fixed(8), ..Plan::baseline() };
-        for (ncols, acc) in [(10_922, AccumulatorKind::Dense), (10_923, AccumulatorKind::Hash)] {
+        for (ncols, acc) in [(8_192, AccumulatorKind::Dense), (8_193, AccumulatorKind::Hash)] {
             let b = wide(ncols);
             let mut engine = Engine::default();
             let (c, report) = engine.multiply_planned(&a, &b, clustered);

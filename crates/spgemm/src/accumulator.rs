@@ -29,6 +29,12 @@
 //! identity: `extract_into` is that instantiation, with the translation
 //! compiled out.
 //!
+//! A dense accumulator's `add` is one unconditional `+=`: its value slots
+//! wait between rows at `-0.0`, which any first product leaves unchanged to
+//! the bit ([`DenseAccumulator`]). Its stamps only decide which columns the
+//! row appends to its touched list, so the accumulator still merges in
+//! arrival order and the choice stays bit-transparent.
+//!
 //! Most output rows are short, and most of their extraction time was the
 //! comparison sort. A row of at most 32 entries (`SHORT_ROW`) is therefore
 //! emitted without one: copied as is when its labels already ascend, else
@@ -42,10 +48,11 @@ use cw_sparse::{ColIdx, Permutation, Value};
 /// because matrix dimensions are `< u32::MAX`).
 pub(crate) const EMPTY: u32 = u32::MAX;
 
-/// Bytes a [`DenseAccumulator`] holds per output column: an `f64` value and
-/// a `u32` generation stamp (the masked kernel's dense accumulator is the
-/// same two arrays).
-const DENSE_BYTES_PER_COL: usize = 12;
+/// Bytes a [`DenseAccumulator`] holds per output column: an `f64` value, a
+/// `u32` generation stamp and a `u32` slot of its touched list (the masked
+/// kernel's dense accumulator has only the first two, and is budgeted as
+/// one).
+const DENSE_BYTES_PER_COL: usize = 16;
 
 /// The most dense-accumulator memory one worker may hold: half of a 2 MiB L2,
 /// and a bound on what any one request can make a worker allocate. Dense
@@ -54,9 +61,9 @@ const DENSE_BYTES_PER_COL: usize = 12;
 const DENSE_MAX_BYTES: usize = 1 << 20;
 
 /// Whether `per_worker` dense accumulators over `ncols` output columns fit
-/// in one worker's budget: `per_worker × ncols × 12 B ≤ 1 MiB`. A row-wise
-/// kernel holds one per worker (Dense up to 87 381 columns), the cluster-wise
-/// kernel one per member row of a cluster (up to 10 922 columns at eight).
+/// in one worker's budget: `per_worker × ncols × 16 B ≤ 1 MiB`. A row-wise
+/// kernel holds one per worker (Dense up to 65 536 columns), the cluster-wise
+/// kernel one per member row of a cluster (up to 8 192 columns at eight).
 ///
 /// Every kernel that allocates a dense accumulator applies it to the width
 /// it allocates for through [`AccumulatorKind::resolve`], running
@@ -66,8 +73,8 @@ const DENSE_MAX_BYTES: usize = 1 << 20;
 /// ```
 /// use cw_spgemm::accumulator::dense_fits;
 ///
-/// assert!(dense_fits(87_381, 1) && !dense_fits(87_382, 1));
-/// assert!(dense_fits(10_922, 8) && !dense_fits(10_923, 8));
+/// assert!(dense_fits(65_536, 1) && !dense_fits(65_537, 1));
+/// assert!(dense_fits(8_192, 8) && !dense_fits(8_193, 8));
 /// assert!(!dense_fits(usize::MAX, 2));
 /// ```
 pub fn dense_fits(ncols: usize, per_worker: usize) -> bool {
@@ -367,14 +374,26 @@ impl Accumulator for HashAccumulator {
 }
 
 /// Dense accumulator ("SPA"): a value per column plus a generation stamp, so
-/// reset is `O(1)` (bump the generation) and only touched columns are
-/// ordered on extraction.
+/// reset is `O(row nnz)` and only touched columns are ordered on extraction.
+///
+/// Between rows every value slot is *parked* at `-0.0`: in round-to-nearest
+/// `-0.0 + v` is `v` to the bit for every `v` (`+0.0`, `-0.0` and NaNs
+/// included). So `add` needs no first-touch branch — on meshes half of the
+/// multiply-adds are a row's first touch of its column, and such a branch is
+/// a coin flip. It always does `vals[c] += v`, and the stamp only decides
+/// whether `c` is appended to `touched`: the column is written one past the
+/// row's last one unconditionally, and the length advances by
+/// `fresh as usize`. Extraction and [`Accumulator::clear`] park the touched
+/// slots again.
 #[derive(Debug)]
 pub struct DenseAccumulator {
     vals: Vec<Value>,
     stamp: Vec<u32>,
     gen: u32,
-    touched: Vec<ColIdx>,
+    /// The row's columns in first-touch order in `touched[..len]`; one slot
+    /// more than the width, for the write past the end of a full row.
+    touched: Box<[ColIdx]>,
+    len: usize,
     /// `label << 32 | column` per touched column: what a labelled
     /// extraction sorts. Stays empty under [`SameLabels`].
     by_label: Vec<u64>,
@@ -384,10 +403,11 @@ impl DenseAccumulator {
     /// Creates a dense accumulator for matrices with `ncols` columns.
     pub fn new(ncols: usize) -> Self {
         DenseAccumulator {
-            vals: vec![0.0; ncols],
+            vals: vec![-0.0; ncols],
             stamp: vec![0; ncols],
             gen: 1,
-            touched: Vec::new(),
+            touched: vec![0; ncols + 1].into_boxed_slice(),
+            len: 0,
             by_label: Vec::new(),
         }
     }
@@ -402,18 +422,16 @@ impl Accumulator for DenseAccumulator {
     fn add(&mut self, col: ColIdx, val: Value) {
         let c = col as usize;
         debug_assert!(c < self.vals.len());
-        if self.stamp[c] == self.gen {
-            self.vals[c] += val;
-        } else {
-            self.stamp[c] = self.gen;
-            self.vals[c] = val;
-            self.touched.push(col);
-        }
+        self.vals[c] += val;
+        let fresh = self.stamp[c] != self.gen;
+        self.stamp[c] = self.gen;
+        self.touched[self.len] = col;
+        self.len += fresh as usize;
     }
 
     #[inline]
     fn len(&self) -> usize {
-        self.touched.len()
+        self.len
     }
 
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [Value]) -> usize {
@@ -426,24 +444,25 @@ impl Accumulator for DenseAccumulator {
         cols: &mut [ColIdx],
         vals: &mut [Value],
     ) -> usize {
-        let n = self.touched.len();
+        let n = self.len;
+        let touched = &mut self.touched[..n];
         if n <= SHORT_ROW {
             let mut keys = [0; SHORT_ROW];
-            for (key, &col) in keys.iter_mut().zip(&self.touched) {
+            for (key, &col) in keys.iter_mut().zip(&*touched) {
                 *key = labels.label(col);
             }
-            let (touched, sums) = (&self.touched, &self.vals);
+            let sums = &self.vals;
             emit_by_rank(&keys, n, cols, vals, |i| sums[touched[i] as usize]);
         } else if L::IDENTITY {
-            self.touched.sort_unstable();
-            cols[..n].copy_from_slice(&self.touched);
-            for (v, &c) in vals[..n].iter_mut().zip(&self.touched) {
+            touched.sort_unstable();
+            cols[..n].copy_from_slice(touched);
+            for (v, &c) in vals[..n].iter_mut().zip(&*touched) {
                 *v = self.vals[c as usize];
             }
         } else {
             self.by_label.clear();
             self.by_label
-                .extend(self.touched.iter().map(|&c| (labels.label(c) as u64) << 32 | c as u64));
+                .extend(touched.iter().map(|&c| (labels.label(c) as u64) << 32 | c as u64));
             self.by_label.sort_unstable();
             for ((&packed, c), v) in self.by_label.iter().zip(&mut cols[..n]).zip(&mut vals[..n]) {
                 *c = (packed >> 32) as ColIdx;
@@ -455,7 +474,10 @@ impl Accumulator for DenseAccumulator {
     }
 
     fn clear(&mut self) {
-        self.touched.clear();
+        for &c in &self.touched[..self.len] {
+            self.vals[c as usize] = -0.0;
+        }
+        self.len = 0;
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Stamp wrap-around: invalidate everything once per 2^32 rows.
@@ -466,7 +488,7 @@ impl Accumulator for DenseAccumulator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Extracts (and resets) `acc` into fresh vectors.
@@ -474,6 +496,71 @@ mod tests {
         let (mut cols, mut vals) = (vec![0; acc.len()], vec![0.0; acc.len()]);
         acc.extract_into(&mut cols, &mut vals);
         (cols, vals)
+    }
+
+    /// `to_bits`, except that every NaN is one value (the rule of
+    /// `CsrMatrix::bits_eq`: an optimised build may commute an `fadd` of two
+    /// NaNs and return the other one).
+    pub(crate) fn bits(vals: &[Value]) -> Vec<u64> {
+        vals.iter().map(|v| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() }).collect()
+    }
+
+    /// Feeds `seq` to `acc` as one row and extracts it under `labels`,
+    /// checking that the accumulator is left empty.
+    fn labelled_row<A: Accumulator, L: LabelMap>(
+        acc: &mut A,
+        labels: &L,
+        seq: impl IntoIterator<Item = (ColIdx, Value)>,
+    ) -> (Vec<ColIdx>, Vec<u64>) {
+        seq.into_iter().for_each(|(c, v)| acc.add(c, v));
+        let (mut cols, mut vals) = (vec![0; acc.len()], vec![0.0; acc.len()]);
+        acc.extract_labelled_into(labels, &mut cols, &mut vals);
+        assert!(acc.is_empty());
+        (cols, bits(&vals))
+    }
+
+    /// The terms of one row over `13 × groups` columns, in arrival order
+    /// (columns descending within each round). Column `13g + k` receives the
+    /// `k`-th of: `+0.0`; only `-0.0`s; `-0.0` then `+0.0`; `+0.0` then
+    /// `-0.0`; `inf` then a number; `-inf`; `inf` then `-inf`; a NaN; a
+    /// negative NaN of another payload then a number; both NaNs; a
+    /// cancellation; a negative subnormal then `-0.0`; a number between
+    /// `-0.0`s.
+    pub(crate) fn odd_terms(groups: ColIdx) -> Vec<(ColIdx, Value)> {
+        let inf = f64::INFINITY;
+        let nan = f64::from_bits(0x7ff8_0000_0000_0a5a);
+        let neg_nan = f64::from_bits(0xfff8_0000_0000_0b0b);
+        let columns: [&[Value]; 13] = [
+            &[0.0],
+            &[-0.0, -0.0, -0.0],
+            &[-0.0, 0.0],
+            &[0.0, -0.0],
+            &[inf, 1.0],
+            &[-inf],
+            &[inf, -inf],
+            &[nan],
+            &[neg_nan, 2.0],
+            &[nan, neg_nan],
+            &[1.0, -1.0],
+            &[-1e-310, -0.0],
+            &[-0.0, 5.0, -0.0],
+        ];
+        let mut seq = Vec::new();
+        for round in 0..3 {
+            for g in (0..groups).rev() {
+                for (k, terms) in columns.iter().enumerate().rev() {
+                    if let Some(&v) = terms.get(round) {
+                        seq.push((13 * g + k as ColIdx, v));
+                    }
+                }
+            }
+        }
+        seq
+    }
+
+    /// Whether every value slot of `acc` is parked at `-0.0`.
+    fn parked(acc: &DenseAccumulator) -> bool {
+        acc.vals.iter().all(|v| v.to_bits() == (-0.0f64).to_bits())
     }
 
     fn exercise(acc: &mut dyn Accumulator) {
@@ -499,13 +586,13 @@ mod tests {
     #[test]
     fn resolve_runs_dense_up_to_one_mib_per_worker() {
         use AccumulatorKind::{Dense, Hash};
-        // 12 B per column: one row-wise accumulator fits 87 381 columns in
-        // 1 MiB, eight cluster members 10 922 each.
+        // 16 B per column: one row-wise accumulator fits 65 536 columns in
+        // 1 MiB, eight cluster members 8 192 each.
         for (ncols, per_worker, ran) in [
-            (87_381, 1, Dense),
-            (87_382, 1, Hash),
-            (10_922, 8, Dense),
-            (10_923, 8, Hash),
+            (65_536, 1, Dense),
+            (65_537, 1, Hash),
+            (8_192, 8, Dense),
+            (8_193, 8, Hash),
             (usize::MAX, 1, Hash),
         ] {
             assert_eq!(Dense.resolve(ncols, per_worker), ran, "{ncols} × {per_worker}");
@@ -567,30 +654,77 @@ mod tests {
         // Moves every key but 3 (a fixed point).
         let perm = Permutation::from_new_to_old(vec![5, 0, 6, 3, 1, 2, 4]).unwrap();
         let inv = perm.inverse_map();
-        fn run<A: Accumulator, L: LabelMap>(
-            acc: &mut A,
-            labels: &L,
-            seq: impl Iterator<Item = (u32, f64)>,
-        ) -> (Vec<ColIdx>, Vec<u64>) {
-            seq.for_each(|(c, v)| acc.add(c, v));
-            let (mut cols, mut vals) = (vec![0; acc.len()], vec![0.0; acc.len()]);
-            acc.extract_labelled_into(labels, &mut cols, &mut vals);
-            assert!(acc.is_empty());
-            (cols, vals.into_iter().map(f64::to_bits).collect())
-        }
         let plain = seq.iter().copied();
         let keyed = || seq.iter().map(|&(c, v)| (inv[c as usize], v));
-        let expect = run(&mut HashAccumulator::new(), &SameLabels, plain);
+        let expect = labelled_row(&mut HashAccumulator::new(), &SameLabels, plain);
         assert_eq!(expect.0, (0..7).collect::<Vec<u32>>());
         let mut hash = HashAccumulator::with_capacity(2); // grows mid-row
         let mut dense = DenseAccumulator::new(7);
         for round in 0..2 {
-            assert_eq!(run(&mut hash, &perm, keyed()), expect, "hash, round {round}");
-            assert_eq!(run(&mut dense, &perm, keyed()), expect, "dense, round {round}");
+            assert_eq!(labelled_row(&mut hash, &perm, keyed()), expect, "hash, round {round}");
+            assert_eq!(labelled_row(&mut dense, &perm, keyed()), expect, "dense, round {round}");
         }
         // Back under the identity, the same accumulators are the plain ones.
-        assert_eq!(run(&mut hash, &SameLabels, seq.iter().copied()), expect);
-        assert_eq!(run(&mut dense, &SameLabels, seq.iter().copied()), expect);
+        assert_eq!(labelled_row(&mut hash, &SameLabels, seq.iter().copied()), expect);
+        assert_eq!(labelled_row(&mut dense, &SameLabels, seq.iter().copied()), expect);
+    }
+
+    #[test]
+    fn dense_is_hash_to_the_bit_on_signed_zeros_infinities_and_nans() {
+        // Dense adds a column's first term to a parked -0.0, Hash stores it:
+        // the same bits for every term, whichever extraction path the row
+        // takes (13 entries: rank placement; 52: sorted) and in either label
+        // space.
+        for groups in [1, 4] {
+            let seq = odd_terms(groups);
+            let width = 13 * groups;
+            let mut sums = std::collections::BTreeMap::new();
+            for &(c, v) in &seq {
+                sums.entry(c).and_modify(|sum| *sum += v).or_insert(v);
+            }
+            let vals: Vec<Value> = sums.values().copied().collect();
+            let expect = (sums.keys().copied().collect::<Vec<_>>(), bits(&vals));
+            let zero = |c: ColIdx| sums[&c].to_bits();
+            assert_eq!((zero(0), zero(1), zero(2), zero(3)), (0, 1 << 63, 0, 0));
+            assert!(sums[&6].is_nan() && sums[&7].is_nan() && sums[&9].is_nan());
+            let reversed = Permutation::from_new_to_old((0..width).rev().collect()).unwrap();
+            let keyed = || seq.iter().map(|&(c, v)| (width - 1 - c, v));
+            let mut hash = HashAccumulator::new();
+            let mut dense = DenseAccumulator::new(width as usize);
+            for round in 0..2 {
+                assert_eq!(labelled_row(&mut hash, &SameLabels, seq.clone()), expect, "{round}");
+                assert_eq!(labelled_row(&mut dense, &SameLabels, seq.clone()), expect, "{round}");
+                assert_eq!(labelled_row(&mut hash, &reversed, keyed()), expect, "{round}");
+                assert_eq!(labelled_row(&mut dense, &reversed, keyed()), expect, "{round}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_value_slots_wait_at_negative_zero_between_rows() {
+        let width = 13 * 4;
+        let reversed = Permutation::from_new_to_old((0..width as ColIdx).rev().collect()).unwrap();
+        let mut acc = DenseAccumulator::new(width);
+        assert!(parked(&acc), "new");
+        for groups in [1, 4] {
+            let seq = odd_terms(groups);
+            labelled_row(&mut acc, &SameLabels, seq.iter().copied());
+            assert!(parked(&acc), "{groups} groups, same labels");
+            labelled_row(&mut acc, &reversed, seq.iter().copied());
+            assert!(parked(&acc), "{groups} groups, permuted");
+            // What the symbolic probe does: read the length, then clear.
+            seq.iter().for_each(|&(c, v)| acc.add(c, v));
+            assert_eq!(acc.len(), 13 * groups as usize);
+            acc.clear();
+            assert!(parked(&acc) && acc.is_empty(), "{groups} groups, cleared");
+        }
+        // Every column, twice: the repeats write one slot past a full list.
+        for _ in 0..2 {
+            (0..width as ColIdx).for_each(|c| acc.add(c, 1.0));
+        }
+        let (cols, vals) = drain(&mut acc);
+        assert_eq!(cols, (0..width as ColIdx).collect::<Vec<_>>());
+        assert!(vals.iter().all(|&v| v == 2.0) && parked(&acc));
     }
 
     #[test]
@@ -628,11 +762,21 @@ mod tests {
         let mut acc = DenseAccumulator::new(4);
         acc.gen = u32::MAX; // force wrap on next extract
         acc.add(1, 5.0);
+        acc.add(2, 1.0);
         let (_, v) = drain(&mut acc);
-        assert_eq!(v, vec![5.0]);
+        assert_eq!(v, vec![5.0, 1.0]);
+        assert!(parked(&acc), "the wrap keeps the slots parked");
         // After wrap, stale stamps must not alias.
         acc.add(1, 7.0);
         let (_, v2) = drain(&mut acc);
         assert_eq!(v2, vec![7.0]);
+        // A bare clear wraps the same way.
+        acc.gen = u32::MAX;
+        acc.add(3, 2.0);
+        acc.clear();
+        assert!(parked(&acc) && acc.gen == 1);
+        acc.add(3, -0.0);
+        let (_, v3) = drain(&mut acc);
+        assert_eq!(bits(&v3), bits(&[-0.0]));
     }
 }

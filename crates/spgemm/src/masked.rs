@@ -157,6 +157,12 @@ impl MaskAccumulator for SeededHash {
 /// marks a column the mask row names, `admitted + 1` one that has also
 /// received a product. Any other stamp is a column of some earlier row, so
 /// reset is `O(1)`.
+///
+/// `seed` also parks each admitted column's value at `-0.0`, which a first
+/// product leaves unchanged to the bit (as in
+/// [`crate::accumulator::DenseAccumulator`]): `add` branches only on whether
+/// the column is admitted — which predicts well, since most products miss
+/// the mask — and its body is one `+=` and one stamp store.
 #[derive(Debug)]
 pub(crate) struct StampedDense {
     vals: Vec<Value>,
@@ -172,6 +178,7 @@ impl MaskAccumulator for StampedDense {
     fn seed(&mut self, admitted: &[ColIdx]) {
         for &col in admitted {
             self.stamp[col as usize] = self.admitted;
+            self.vals[col as usize] = -0.0;
         }
     }
 
@@ -179,12 +186,10 @@ impl MaskAccumulator for StampedDense {
     fn add(&mut self, col: ColIdx, val: Value) {
         let c = col as usize;
         debug_assert!(c < self.vals.len());
-        let stamp = self.stamp[c];
-        if stamp == self.admitted + 1 {
+        // `admitted` or `admitted + 1`: admitted, touched or not.
+        if self.stamp[c].wrapping_sub(self.admitted) < 2 {
             self.vals[c] += val;
-        } else if stamp == self.admitted {
             self.stamp[c] = self.admitted + 1;
-            self.vals[c] = val;
         }
     }
 
@@ -361,6 +366,46 @@ mod tests {
     }
 
     #[test]
+    fn stamped_dense_is_seeded_hash_and_the_filtered_row_on_signed_zeros_and_nans() {
+        use crate::accumulator::tests::{bits, odd_terms};
+        use crate::accumulator::{Accumulator, HashAccumulator};
+        for groups in [1, 4] {
+            let seq = odd_terms(groups);
+            // Two masks over one more column than the row reaches (so each
+            // admits a column that receives nothing), alternated: a column's
+            // sum must not leak into the next row that admits it.
+            let width = 13 * groups + 1;
+            let masks: [Vec<ColIdx>; 2] = [
+                (0..width).filter(|c| c % 3 != 1).collect(),
+                (0..width).filter(|c| c % 2 == 0).collect(),
+            ];
+            let mut full = HashAccumulator::new();
+            seq.iter().for_each(|&(c, v)| full.add(c, v));
+            let (mut cols, mut vals) = (vec![0; full.len()], vec![0.0; full.len()]);
+            full.extract_into(&mut cols, &mut vals);
+            let mut stamped = StampedDense::with_ncols(width as usize);
+            let mut seeded = SeededHash::with_ncols(width as usize);
+            for round in 0..2 {
+                for admitted in &masks {
+                    let (kept, kept_vals): (Vec<ColIdx>, Vec<Value>) =
+                        cols.iter().zip(&vals).filter(|(c, _)| admitted.contains(c)).unzip();
+                    let expect = (kept, bits(&kept_vals));
+                    for (name, got) in [
+                        ("stamped", row(&mut stamped, admitted, &seq)),
+                        ("seeded", row(&mut seeded, admitted, &seq)),
+                    ] {
+                        assert_eq!(
+                            (got.0, bits(&got.1)),
+                            expect,
+                            "{name}, {groups} groups, {round}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn seeded_hash_resizes_per_row_and_leaves_no_keys_behind() {
         let mut acc = SeededHash::with_ncols(7000);
         let long: Vec<ColIdx> = (0..1000).map(|c| c * 7).collect();
@@ -403,6 +448,34 @@ mod tests {
                     let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
                     let got = spgemm_masked_with(&a, &b, &mask, &opts);
                     assert!(got.bits_eq(&expect), "{acc:?} parallel {parallel}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_wise_and_masked_kernels_keep_signed_zeros_and_nans_to_the_bit() {
+        use crate::rowwise::spgemm_with;
+        // Stored -0.0 and +0.0 among numbers, two infinities and one NaN:
+        // their products include columns whose only terms are -0.0.
+        let mut a = erdos_renyi(300, 12, 3);
+        for (k, v) in a.vals.iter_mut().enumerate() {
+            *v = [-0.0, 1.5, -0.0, 0.0, -2.0, -0.0, 0.75][k % 7];
+        }
+        (a.vals[17], a.vals[40], a.vals[100]) =
+            (f64::INFINITY, f64::NEG_INFINITY, f64::from_bits(0xfff8_0000_0000_0b0b));
+        let full = spgemm_serial(&a, &a);
+        let has = |f: fn(&f64) -> bool| full.vals.iter().any(f);
+        assert!(has(|v| v.to_bits() == (-0.0f64).to_bits()) && has(|v| v.to_bits() == 0));
+        assert!(has(|v| v.is_nan()) && has(|v| v.is_infinite()));
+        for mask in [a.clone(), full.clone()] {
+            let expect = apply_mask(&full, &mask);
+            for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
+                for parallel in [false, true] {
+                    let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
+                    assert!(spgemm_with(&a, &a, &opts).bits_eq(&full), "{acc:?} {parallel}");
+                    let got = spgemm_masked_with(&a, &a, &mask, &opts);
+                    assert!(got.bits_eq(&expect), "masked {acc:?} {parallel}");
                 }
             }
         }
