@@ -14,9 +14,10 @@
 //!   `(operand, plan)` ([`CacheKey`]) — parallelism and output shape
 //!   included, since both are [`Plan`] fields. Preparations under
 //!   different plans — a forced ablation plan, the planner's first choice,
-//!   a later feedback re-plan, the same pipeline run serially — coexist without clobbering each other. When the feedback loop
-//!   switches an operand's plan, the old preparation stays resident:
-//!   switching *back* is a cache hit, not a re-prepare. Equal plans
+//!   a race's challengers, the same pipeline run serially — coexist
+//!   without clobbering each other. Each raced plan is prepared once, and
+//!   the one the race locks is still resident: running it on is a cache
+//!   hit, not a re-prepare. Equal plans
 //!   produce byte-identical prepared operands, so sharing an entry between
 //!   them is sound by construction.
 //! * **Keys carry the whole operand.** An [`OperandKey`] is the sampled
@@ -64,8 +65,8 @@ impl OperandKey {
 }
 
 /// Cache key: the operand plus the plan its preparation realizes.
-/// Preparations under genuinely different pipelines — auto, forced,
-/// feedback-re-planned, or the same pipeline run serially — never share an
+/// Preparations under genuinely different pipelines — auto, forced, a
+/// race's challengers, or the same pipeline run serially — never share an
 /// entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {

@@ -1,182 +1,89 @@
-//! The cost model and the execution-feedback loop behind plan selection.
+//! Preparation prices, and the race that picks a plan by measuring it.
 //!
-//! The rule-based advisor ranks *techniques*; this module prices *plans*.
-//! [`CostModel::estimate`] turns cheap operand features (dimensions, nnz,
-//! the advisor [`Profile`]) plus the advisor's per-suggestion `affinity`
-//! into a [`CostEstimate`]: predicted preprocessing seconds and predicted
-//! kernel seconds per multiply. [`CostEstimate::amortized`] folds the two
-//! together under an expected reuse count — the paper's §4.5 amortization
-//! argument made explicit — and [`crate::Planner::plans_costed`] ranks
-//! candidates by it.
+//! The planner keeps the advisor's order and prices only what a plan adds
+//! before its first multiply: [`CostModel`] turns per-nonzero reordering
+//! and clustering rates (the paper's Fig. 10 costs) into preparation
+//! seconds, and [`PlanningPolicy::admits`] lets a plan run when that is at
+//! most half of `expected_reuse` multiplies — the predicted multiply before
+//! any has run, the measured `t₀` after.
 //!
-//! Analytic estimates are rough (the SpMV reordering study, Asudeh et al.,
-//! shows rule-of-thumb predictions are frequently wrong), so the
-//! [`FeedbackStore`] closes the loop: per operand ([`OperandKey`]) and
-//! output shape it keeps an EWMA of *observed* kernel seconds per candidate
-//! plan, a clamped
-//! calibration ratio (observed ÷ predicted) that rescales the untried
-//! candidates' predictions, and the index of the currently chosen plan.
-//! After each execution [`FeedbackStore::record`] re-ranks: a chosen plan
-//! whose observed timing is worse than an alternative's effective cost by
-//! more than [`SWITCH_MARGIN`] gets demoted, and a candidate whose observed
-//! timing beats its prediction gets promoted on the same comparison —
-//! repeated traffic converges on the empirically fastest plan.
-//!
-//! Switching is deliberately conservative: it needs
-//! [`MIN_OBSERVATIONS_TO_SWITCH`] samples of the incumbent, a
-//! [`SWITCH_MARGIN`] improvement, and kernels above the policy's
-//! noise floor ([`PlanningPolicy::min_adapt_gain_seconds`]) — at
-//! microsecond scales timing noise swamps any real plan difference.
+//! Kernel seconds are measured, never predicted: analytic predictions of
+//! which order wins are frequently wrong (Asudeh et al.). Per operand and
+//! output shape the [`FeedbackStore`] runs rank 0 first and calls its
+//! kernel seconds `t₀`. It locks rank 0 at once when the policy is frozen,
+//! `t₀ <` [`MIN_RACE_SECONDS`] or no challenger is admitted on `t₀`;
+//! otherwise up to three admitted challengers run round-robin with rank 0,
+//! each prepared once, until every one has [`RACE_SAMPLES`] samples, and
+//! the lowest median is locked for the life of the store entry.
 
 use crate::cache::OperandKey;
 use crate::plan::{ClusteringStrategy, OutputShape, Plan};
-use cw_reorder::advisor::Profile;
 use cw_reorder::Reordering;
-use cw_sparse::CsrMatrix;
 use std::collections::HashMap;
 
-/// EWMA smoothing factor for observed timings (higher = faster adaptation).
-pub(crate) const EWMA_ALPHA: f64 = 0.3;
+/// Kernel seconds under which rank 0 is locked without a race: at
+/// microsecond scales timing noise (and debug-build distortion) dwarfs any
+/// real difference between plans.
+pub const MIN_RACE_SECONDS: f64 = 1e-3;
 
-/// Observations of the incumbent plan required before the feedback loop may
-/// switch away from it (one noisy sample must not trigger a re-plan).
-pub(crate) const MIN_OBSERVATIONS_TO_SWITCH: u64 = 3;
+/// Samples every raced plan collects before the lock; the median decides.
+pub const RACE_SAMPLES: usize = 3;
 
-/// Relative improvement an alternative's effective cost must show over the
-/// incumbent's before the feedback loop switches (hysteresis against
-/// oscillation between near-equal plans).
-pub(crate) const SWITCH_MARGIN: f64 = 0.25;
+/// Most challengers a race runs beside rank 0.
+const MAX_CHALLENGERS: usize = 3;
 
-/// Calibration ratios are clamped to this range so one badly mispredicted
-/// plan cannot poison every other candidate's estimate.
-pub(crate) const CALIBRATION_CLAMP: (f64, f64) = (0.5, 2.0);
-
-/// Caller-supplied planning knobs: how much reuse to amortize preprocessing
-/// over, an optional hard preprocessing budget, and whether the feedback
-/// loop may re-plan at runtime.
+/// Caller-supplied planning knobs: how much reuse preparation may be
+/// charged against, an optional hard preparation budget, and whether a
+/// race may replace the first pick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanningPolicy {
-    /// Expected multiplies per prepared operand; preprocessing cost is
-    /// divided by this when ranking candidates (`1` = one-shot traffic,
-    /// where preprocessing almost never pays).
+    /// Expected multiplies per prepared operand: a plan is admitted when
+    /// its predicted preparation costs at most half of this many multiplies
+    /// (`1` = one-shot traffic, where preparation almost never pays).
     pub expected_reuse: f64,
-    /// Hard cap on predicted preprocessing seconds: candidates estimated
-    /// over budget rank behind every within-budget candidate regardless of
-    /// their amortized cost. `None` = unbounded.
+    /// Hard cap on predicted preparation seconds. `None` = unbounded.
     pub prep_budget_seconds: Option<f64>,
-    /// Allow [`FeedbackStore::record`] to switch the chosen plan when
-    /// observed timings contradict the model. `false` = observe-only:
-    /// EWMAs and calibration still accumulate, the choice never changes.
+    /// Allow a race. `false` locks rank 0 at its first run.
     pub adapt: bool,
-    /// Feedback noise floor: re-planning requires the alternative to save
-    /// at least this many *absolute* seconds per multiply on top of the
-    /// 25 % relative bar. At microsecond kernel scales,
-    /// timing noise (and debug-build distortion) dwarfs any real
-    /// difference between plans — sub-floor "improvements" are noise.
-    pub min_adapt_gain_seconds: f64,
 }
 
 impl Default for PlanningPolicy {
     fn default() -> Self {
-        PlanningPolicy {
-            expected_reuse: 16.0,
-            prep_budget_seconds: None,
-            adapt: true,
-            min_adapt_gain_seconds: 1e-3,
-        }
+        PlanningPolicy { expected_reuse: 16.0, prep_budget_seconds: None, adapt: true }
     }
 }
 
 impl PlanningPolicy {
-    /// Observe-only policy: cost-model selection, no runtime re-planning.
+    /// No race: the planner's first admitted plan runs for good.
     pub fn frozen() -> PlanningPolicy {
         PlanningPolicy { adapt: false, ..PlanningPolicy::default() }
     }
 
-    /// Policy for one-shot traffic: preprocessing must pay for itself in a
-    /// single multiply, so only near-free plans beat the baseline.
-    pub fn one_shot() -> PlanningPolicy {
-        PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() }
+    /// Whether a plan predicted to prepare in `prep_seconds` may run on an
+    /// operand whose multiply takes `op_seconds`: at most
+    /// `expected_reuse × op_seconds × ½`, and within the budget. A plan
+    /// with no preparation is always admitted.
+    pub fn admits(&self, prep_seconds: f64, op_seconds: f64) -> bool {
+        prep_seconds <= 0.0
+            || (prep_seconds <= self.expected_reuse * op_seconds * 0.5
+                && prep_seconds <= self.prep_budget_seconds.unwrap_or(f64::INFINITY))
     }
 }
 
-/// Cheap per-operand features the cost model prices plans from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OperandFeatures {
-    /// Rows of the operand.
-    pub nrows: usize,
-    /// Columns of the operand (the output-width proxy for `A²`-shaped
-    /// traffic).
-    pub ncols: usize,
-    /// Stored nonzeros of the operand.
-    pub nnz: usize,
-    /// The advisor's structural profile.
-    pub profile: Profile,
-}
-
-impl OperandFeatures {
-    /// Features of `a` under an already-computed profile (avoids profiling
-    /// twice when the advisor ran first).
-    pub fn new(a: &CsrMatrix, profile: Profile) -> OperandFeatures {
-        OperandFeatures { nrows: a.nrows, ncols: a.ncols, nnz: a.nnz(), profile }
-    }
-
-    /// Estimated multiply-adds of `A·B` for a `B` structurally like `A`:
-    /// every nonzero `a_ik` pulls `nnz(B[k,:]) ≈ avg_row_nnz` products —
-    /// exact for `A²` when row lengths are uniform, a serviceable proxy
-    /// otherwise.
-    pub fn estimated_madds(&self) -> f64 {
-        self.nnz as f64 * self.profile.avg_row_nnz.max(1.0)
-    }
-}
-
-/// Predicted cost of one plan on one operand, split the same way
-/// [`crate::StageTimings`] splits observed cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CostEstimate {
-    /// One-off preprocessing seconds (reorder + cluster construction).
-    pub prep_seconds: f64,
-    /// Per-multiply kernel (+ postprocess) seconds.
-    pub kernel_seconds: f64,
-}
-
-impl CostEstimate {
-    /// Per-multiply cost when preprocessing amortizes over `reuse`
-    /// multiplies: `prep / max(reuse, 1) + kernel`. Monotone decreasing in
-    /// `reuse`, which is exactly the paper's Fig. 10 break-even argument.
-    pub fn amortized(&self, reuse: f64) -> f64 {
-        self.prep_seconds / reuse.max(1.0) + self.kernel_seconds
-    }
-}
-
-/// Analytic per-plan cost model over cheap operand features (dimensions,
-/// nnz and the advisor's structural [`Profile`]).
+/// Per-nonzero preparation rates, plus the one multiply-add rate that
+/// predicts a multiply before any has run.
 ///
-/// All constants are public and deliberately rough: they only need to rank
-/// plans sensibly on first sight — the [`FeedbackStore`] corrects them with
-/// observed timings. Tests also overwrite them to build adversarially
-/// *wrong* models and verify feedback recovers.
+/// The constants are deliberately rough: they only decide which plans may
+/// be tried, and the race measures the ones that are.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Seconds per multiply-add for the serial row-wise kernel (the
-    /// baseline everything is priced relative to). One rate for either
-    /// accumulator: a plan carries none, so none is priced.
+    /// Seconds per multiply-add of the row-wise kernel: prices the
+    /// predicted multiply that admission uses until `t₀` is measured.
     pub seconds_per_madd: f64,
-    /// Effective speedup of the rayon-parallel kernel path.
-    pub parallel_speedup: f64,
-    /// Largest fraction of kernel time a reordering with affinity `1.0`
-    /// is predicted to save on the row-wise kernel (locality recovery).
-    pub reorder_gain: f64,
-    /// Largest fraction of kernel time cluster-wise computation is
-    /// predicted to save when clustered rows fully overlap (shared
-    /// B-row fetches, paper Alg. 1).
-    pub cluster_gain: f64,
-    /// Per-row bookkeeping overhead of the cluster-wise kernel, seconds.
-    pub cluster_row_overhead: f64,
-    /// Preprocessing seconds per nonzero for cheap, BFS/sort-class
+    /// Preparation seconds per nonzero for cheap, BFS/sort-class
     /// reorderings (RCM, Degree, Gray, Random).
     pub cheap_reorder_per_nnz: f64,
-    /// Preprocessing seconds per nonzero for heavy reorderings
+    /// Preparation seconds per nonzero for heavy reorderings
     /// (partitioners, AMD/ND, Rabbit, SlashBurn).
     pub heavy_reorder_per_nnz: f64,
     /// Cluster-construction seconds per nonzero for fixed-length grouping.
@@ -193,10 +100,6 @@ impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             seconds_per_madd: 1.5e-9,
-            parallel_speedup: 4.0,
-            reorder_gain: 0.25,
-            cluster_gain: 0.6,
-            cluster_row_overhead: 5e-9,
             cheap_reorder_per_nnz: 10e-9,
             heavy_reorder_per_nnz: 60e-9,
             fixed_cluster_per_nnz: 4e-9,
@@ -207,201 +110,137 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Prices `plan` on an operand with features `f`. `affinity` is the
-    /// advisor's structural-evidence feature for the technique the plan
-    /// realizes (`0` for the baseline): higher affinity predicts larger
-    /// kernel savings from reordering/clustering, never larger prep cost.
-    /// The parallel speedup applies only to a plan with
-    /// [`Plan::parallel`] set. The plan's [`OutputShape`]
-    /// contributes none either: a shaped plan is priced like the full one. That
-    /// is what executes for top-k and for cluster-wise masked plans; a
-    /// row-wise masked plan runs the fused kernel, which does every
-    /// multiply but builds only the mask's entries, so for it the price is
-    /// an upper bound.
-    pub(crate) fn estimate(&self, f: &OperandFeatures, plan: &Plan, affinity: f64) -> CostEstimate {
-        let affinity = affinity.clamp(0.0, 1.0);
-        let madds = f.estimated_madds();
-        let nnz = f.nnz as f64;
+    /// Predicted seconds of one `A·B` for a `B` structurally like `A`, with
+    /// `nnz` stored entries of `avg_row_nnz` per row: every `a_ik` pulls
+    /// about `avg_row_nnz` products (exact for `A²` when rows are uniform).
+    pub(crate) fn op_seconds(&self, nnz: usize, avg_row_nnz: f64) -> f64 {
+        nnz as f64 * avg_row_nnz.max(1.0) * self.seconds_per_madd
+    }
 
-        // Base kernel: madds × per-madd seconds.
-        let mut kernel = madds * self.seconds_per_madd;
-
-        if let Some(overlap) = cluster_overlap(f, plan, affinity) {
-            kernel *= 1.0 - self.cluster_gain * overlap;
-            kernel += self.cluster_row_overhead * f.nrows as f64;
-        } else if plan.reorder != Reordering::Original {
-            // Reordering improves locality of B-row accesses in proportion
-            // to the advisor's confidence it applies.
-            kernel *= 1.0 - self.reorder_gain * affinity;
-        }
-        if plan.parallel {
-            kernel /= self.parallel_speedup.max(1.0);
-        }
-
-        // Preprocessing: permutation computation + cluster construction.
-        let mut prep = match plan.reorder {
+    /// Predicted one-off seconds to prepare `plan` on an operand of `nnz`
+    /// stored entries: its reordering plus its cluster construction. The
+    /// baseline costs nothing; parallelism and output shape price nothing.
+    pub(crate) fn prep_seconds(&self, plan: &Plan, nnz: usize) -> f64 {
+        let per_nnz = match plan.reorder {
             Reordering::Original => 0.0,
             Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random => {
-                self.cheap_reorder_per_nnz * nnz
+                self.cheap_reorder_per_nnz
             }
-            _ => self.heavy_reorder_per_nnz * nnz,
-        };
-        prep += match plan.clustering {
+            _ => self.heavy_reorder_per_nnz,
+        } + match plan.clustering {
             ClusteringStrategy::None => 0.0,
-            ClusteringStrategy::Fixed(_) => self.fixed_cluster_per_nnz * nnz,
-            ClusteringStrategy::Variable => self.variable_cluster_per_nnz * nnz,
-            ClusteringStrategy::Hierarchical => self.hierarchical_cluster_per_nnz * nnz,
+            ClusteringStrategy::Fixed(_) => self.fixed_cluster_per_nnz,
+            ClusteringStrategy::Variable => self.variable_cluster_per_nnz,
+            ClusteringStrategy::Hierarchical => self.hierarchical_cluster_per_nnz,
         };
-
-        CostEstimate { prep_seconds: prep, kernel_seconds: kernel }
+        per_nnz * nnz as f64
     }
 }
 
-/// The row-overlap term the cluster-wise kernel's gain is multiplied by,
-/// `None` for a row-wise plan. Cluster-wise computation shares B-row
-/// fetches between the rows of a cluster; the fraction shared tracks row
-/// overlap. ClusterInPlace-style plans exploit overlap already present in
-/// the row order (the measured consecutive Jaccard); Hierarchical
-/// re-clusters from scratch — it destroys the existing order and
-/// manufactures its own overlap — so its prediction leans on the advisor's
-/// affinity alone. `affinity` must already be clamped to `[0, 1]`.
-pub(crate) fn cluster_overlap(f: &OperandFeatures, plan: &Plan, affinity: f64) -> Option<f64> {
-    let overlap = match plan.clustering {
-        ClusteringStrategy::None => return None,
-        ClusteringStrategy::Hierarchical => 0.5 * affinity,
-        _ => f.profile.consecutive_jaccard.max(affinity * 0.5),
-    };
-    Some(overlap.min(0.95))
-}
-
-/// Exponentially weighted moving average with first-sample
-/// initialization. The sample count is the evidence weight behind the
-/// smoothed value: it is what gates plan switches.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct Ewma {
-    value: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    /// Empty average (no samples yet).
-    pub fn new() -> Ewma {
-        Ewma::default()
-    }
-
-    /// Folds in one observation (first observation sets the value).
-    pub fn observe(&mut self, x: f64) {
-        self.value =
-            if self.samples == 0 { x } else { EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.value };
-        self.samples += 1;
-    }
-
-    /// Current smoothed value (`0` before any observation).
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Observations folded in so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
-/// One candidate plan tracked for an operand.
+/// One plan an operand may run.
 #[derive(Debug, Clone)]
 struct Candidate {
     plan: Plan,
-    predicted: CostEstimate,
-    observed_kernel: Ewma,
+    prep_seconds: f64,
+    /// Kernel seconds of its first [`RACE_SAMPLES`] raced runs.
+    samples: Vec<f64>,
+    executions: u64,
 }
 
-/// Feedback for one operand: the seeded candidate set, the incumbent
-/// choice, and the calibration state.
+/// The race for one operand and shape.
 #[derive(Debug, Clone)]
-struct OperandFeedback {
+struct Race {
+    /// Rank 0 first, then the challengers in the planner's order: every
+    /// seeded candidate until `t₀`, then only those admitted on it.
     candidates: Vec<Candidate>,
-    chosen: usize,
-    calibration: Ewma,
-    replans: u64,
+    locked: Option<usize>,
     /// Recency tick of the last seed/record touch (eviction order).
     last_used: u64,
 }
 
-impl OperandFeedback {
-    /// Effective per-multiply cost of candidate `i` for ranking purposes:
-    ///
-    /// * with [`MIN_OBSERVATIONS_TO_SWITCH`]+ samples — the observed EWMA
-    ///   (trusted outright);
-    /// * with fewer — the *worse* of the observed EWMA and the calibrated
-    ///   prediction, so one anomalously fast sample (a warm-cache forced
-    ///   run, a CPU boost window) can never make an alternative look
-    ///   better than the model believes it is;
-    /// * untried — the calibrated prediction plus a prep surcharge
-    ///   (switching to an untried plan pays its preprocessing;
-    ///   already-tried plans are likely still cached).
-    fn effective(&self, i: usize, policy: &PlanningPolicy) -> f64 {
-        let c = &self.candidates[i];
-        let calib = if self.calibration.samples() == 0 {
-            1.0
-        } else {
-            self.calibration.value().clamp(CALIBRATION_CLAMP.0, CALIBRATION_CLAMP.1)
-        };
-        let predicted = c.predicted.kernel_seconds * calib;
-        match c.observed_kernel.samples() {
-            0 => predicted + c.predicted.prep_seconds / policy.expected_reuse.max(1.0),
-            n if n < MIN_OBSERVATIONS_TO_SWITCH => c.observed_kernel.value().max(predicted),
-            _ => c.observed_kernel.value(),
+impl Race {
+    /// Index of the plan the next multiply runs: the lock, else the
+    /// candidate with the fewest samples — rank 0 first, then round-robin.
+    fn next(&self) -> usize {
+        let samples = |i: &usize| self.candidates[*i].samples.len();
+        let fewest = || (0..self.candidates.len()).min_by_key(samples).expect("rank 0 is seeded");
+        self.locked.unwrap_or_else(fewest)
+    }
+
+    /// Adds a sample of the plan [`Race::next`] names; returns whether the
+    /// sample locked a plan other than rank 0.
+    fn sample(&mut self, seconds: f64, policy: &PlanningPolicy) -> bool {
+        let i = self.next();
+        self.candidates[i].samples.push(seconds);
+        if i == 0 && self.candidates[0].samples.len() == 1 {
+            // `t₀`: keep rank 0 and the challengers admitted on it, if any.
+            let race = policy.adapt && seconds >= MIN_RACE_SECONDS;
+            let mut seeded = std::mem::take(&mut self.candidates).into_iter();
+            let rank0 = seeded.next().expect("a race has a rank 0");
+            let admitted = seeded.filter(|c| race && policy.admits(c.prep_seconds, seconds));
+            self.candidates =
+                std::iter::once(rank0).chain(admitted.take(MAX_CHALLENGERS)).collect();
         }
+        let unfinished = |c: &Candidate| c.samples.len() < RACE_SAMPLES;
+        if self.candidates.len() > 1 && self.candidates.iter().any(unfinished) {
+            return false;
+        }
+        let median = |i: &usize| {
+            let mut s = self.candidates[*i].samples.clone();
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        };
+        // `min_by` keeps the first of equal medians: ties go to rank order.
+        let range = 0..self.candidates.len();
+        let winner = range.min_by(|x, y| median(x).total_cmp(&median(y))).expect("rank 0 races");
+        self.locked = Some(winner);
+        winner != 0
+    }
+
+    /// Whether the lock landed on a plan other than rank 0 (0 or 1).
+    fn replans(&self) -> u64 {
+        u64::from(self.locked.is_some_and(|i| i != 0))
     }
 }
 
-/// Point-in-time calibration snapshot for one executed plan, surfaced in
+/// Point-in-time race state for one executed plan, surfaced in
 /// [`crate::ExecutionReport::feedback`] (and through it in the service's
 /// per-request reports).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanFeedbackState {
     /// Times the executed plan has run on this operand.
     pub executions: u64,
-    /// The cost model's kernel-seconds prediction for the executed plan.
-    pub predicted_kernel_seconds: f64,
-    /// EWMA of observed kernel seconds for the executed plan.
-    pub observed_kernel_seconds: f64,
-    /// Smoothed observed ÷ predicted ratio (clamped when applied to
-    /// untried candidates; reported unclamped here).
-    pub calibration: f64,
-    /// Plan switches the feedback loop has made for this operand.
+    /// 1 once the race locked a plan other than rank 0, else 0.
     pub replans: u64,
-    /// Whether *this* observation triggered a switch (the next multiply
-    /// will prepare and run a different plan).
+    /// Whether *this* observation locked a plan other than rank 0 (the
+    /// next multiply runs the winner).
     pub switched: bool,
-    /// Candidate plans tracked for this operand.
+    /// Plans in this operand's race: every seeded candidate until `t₀`,
+    /// then rank 0 and the challengers admitted on it.
     pub candidates: usize,
+    /// Whether the plan is locked: no other plan runs on this operand
+    /// again while the entry lives.
+    pub locked: bool,
 }
 
-/// Per-operand execution feedback: observed-timing EWMAs that correct
-/// the cost model's ranking after every multiply.
+/// Per-operand races: which plan each operand and shape runs next, and the
+/// lock once it is decided.
 ///
 /// ```
-/// use cw_engine::{CostEstimate, FeedbackStore, OperandKey, OutputShape, Plan, PlanningPolicy};
+/// use cw_engine::{FeedbackStore, OperandKey, OutputShape, Plan, PlanningPolicy};
 ///
 /// let key = (OperandKey::of(&cw_sparse::CsrMatrix::identity(8)), OutputShape::Full);
 /// let mut store = FeedbackStore::new();
-/// let fast = Plan::baseline();
-/// store.seed(
-///     key,
-///     vec![(fast, CostEstimate { prep_seconds: 0.0, kernel_seconds: 1.0 })],
-/// );
-/// assert_eq!(store.chosen_plan(&key), Some(fast));
+/// store.seed(key, vec![(Plan::baseline(), 0.0)]);
+/// assert_eq!(store.chosen_plan(&key), Some(Plan::baseline()));
 ///
-/// // Observations accumulate into an EWMA of real kernel seconds.
-/// let policy = PlanningPolicy::default();
-/// let state = store.record(key, fast, 1.25, &policy).unwrap();
-/// assert_eq!(state.executions, 1);
-/// assert!((state.observed_kernel_seconds - 1.25).abs() < 1e-12);
+/// // One candidate: its first run locks it.
+/// let state = store.record(key, Plan::baseline(), 0.25, &PlanningPolicy::default()).unwrap();
+/// assert!(state.locked && !state.switched);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FeedbackStore {
-    entries: HashMap<(OperandKey, OutputShape), OperandFeedback>,
+    entries: HashMap<(OperandKey, OutputShape), Race>,
     capacity: usize,
     tick: u64,
 }
@@ -425,15 +264,11 @@ impl FeedbackStore {
     /// Empty store tracking at most `capacity` operands. Serving traffic
     /// sees unbounded operand variety, so — like the plan cache — the
     /// store must not grow without bound: seeding a new operand at
-    /// capacity evicts the least-recently-recorded entry (`capacity == 0`
-    /// disables feedback entirely: nothing seeds, every lookup misses).
+    /// capacity evicts the least-recently-recorded entry, and with it its
+    /// lock (`capacity == 0` disables the store: nothing seeds, every
+    /// lookup misses).
     pub fn with_capacity(capacity: usize) -> FeedbackStore {
         FeedbackStore { entries: HashMap::new(), capacity, tick: 0 }
-    }
-
-    /// The configured operand bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Operands currently tracked.
@@ -446,13 +281,12 @@ impl FeedbackStore {
         self.entries.is_empty()
     }
 
-    /// Total plan switches made across all operands.
+    /// Locks on a plan other than rank 0, across all operands.
     pub fn total_replans(&self) -> u64 {
-        self.entries.values().map(|e| e.replans).sum()
+        self.entries.values().map(Race::replans).sum()
     }
 
-    /// Drops every tracked operand: candidate sets, observation EWMAs,
-    /// calibration, and replan counters all reset. The next sighting of
+    /// Drops every tracked operand, locks included: the next sighting of
     /// any operand re-seeds from the planner as if it were new. This is
     /// what [`crate::Engine::reset`] calls alongside clearing the plan
     /// cache.
@@ -460,19 +294,21 @@ impl FeedbackStore {
         self.entries.clear();
     }
 
-    /// The currently chosen plan for `key`, if the operand was seeded.
-    /// This is the planner-free fast path: repeated traffic resolves its
-    /// plan with one hash lookup instead of re-profiling the operand.
+    /// The plan the next multiply on `key` runs, if the operand was seeded:
+    /// rank 0 until `t₀`, then each racer in turn, then the lock. This is
+    /// the planner-free fast path: repeated traffic resolves its plan with
+    /// one hash lookup instead of re-profiling the operand.
     pub fn chosen_plan(&self, key: &(OperandKey, OutputShape)) -> Option<Plan> {
-        self.entries.get(key).map(|e| e.candidates[e.chosen].plan)
+        self.entries.get(key).map(|r| r.candidates[r.next()].plan)
     }
 
-    /// Seeds the candidate set for `key` from the planner's cost-ranked
-    /// list (best first — index 0 becomes the incumbent). Re-seeding an
-    /// existing operand is a no-op so accumulated observations survive.
+    /// Seeds the race for `key` with `(plan, predicted preparation
+    /// seconds)` pairs: index 0 is rank 0 and runs first, the rest are
+    /// challengers in order, admitted on `t₀`. Re-seeding an existing
+    /// operand is a no-op, so a race in progress (or its lock) survives.
     /// Seeding a new operand at capacity first evicts the
     /// least-recently-recorded entry.
-    pub fn seed(&mut self, key: (OperandKey, OutputShape), ranked: Vec<(Plan, CostEstimate)>) {
+    pub fn seed(&mut self, key: (OperandKey, OutputShape), ranked: Vec<(Plan, f64)>) {
         assert!(!ranked.is_empty(), "candidate set must be non-empty");
         if self.capacity == 0 {
             return;
@@ -488,52 +324,46 @@ impl FeedbackStore {
             self.entries.remove(&stalest);
         }
         let tick = self.tick;
-        self.entries.entry(key).or_insert_with(|| OperandFeedback {
+        self.entries.entry(key).or_insert_with(|| Race {
             candidates: ranked
                 .into_iter()
-                .map(|(plan, predicted)| Candidate {
+                .map(|(plan, prep_seconds)| Candidate {
                     plan,
-                    predicted,
-                    observed_kernel: Ewma::new(),
+                    prep_seconds,
+                    samples: Vec::with_capacity(RACE_SAMPLES),
+                    executions: 0,
                 })
                 .collect(),
-            chosen: 0,
-            calibration: Ewma::new(),
-            replans: 0,
+            locked: None,
             last_used: tick,
         });
     }
 
-    /// Calibration snapshot for `key` relative to its *chosen* plan,
-    /// without recording anything.
+    /// Race snapshot for `key` relative to the plan it runs next, without
+    /// recording anything.
     pub fn state(&self, key: &(OperandKey, OutputShape)) -> Option<PlanFeedbackState> {
-        let e = self.entries.get(key)?;
-        Some(Self::snapshot(e, e.chosen, false))
+        let race = self.entries.get(key)?;
+        Some(Self::snapshot(race, race.next(), false))
     }
 
-    fn snapshot(e: &OperandFeedback, executed: usize, switched: bool) -> PlanFeedbackState {
-        let c = &e.candidates[executed];
+    fn snapshot(race: &Race, executed: usize, switched: bool) -> PlanFeedbackState {
         PlanFeedbackState {
-            executions: c.observed_kernel.samples(),
-            predicted_kernel_seconds: c.predicted.kernel_seconds,
-            observed_kernel_seconds: c.observed_kernel.value(),
-            calibration: if e.calibration.samples() == 0 { 1.0 } else { e.calibration.value() },
-            replans: e.replans,
+            executions: race.candidates[executed].executions,
+            replans: race.replans(),
             switched,
-            candidates: e.candidates.len(),
+            candidates: race.candidates.len(),
+            locked: race.locked.is_some(),
         }
     }
 
-    /// Records one observed kernel time for `plan` on `key`, updates the
-    /// EWMAs and calibration, and — when `policy` allows and the evidence
-    /// clears the margin and noise floor — switches the chosen plan. Returns
-    /// the post-update snapshot, or `None` for an unseeded operand (e.g.
-    /// forced-only traffic).
-    ///
-    /// Demotion and promotion are the same comparison: every candidate gets
-    /// an effective cost (observed EWMA when tried, calibrated prediction
-    /// plus amortized prep surcharge when not), and the incumbent is
-    /// replaced by the arg-min when it loses by more than 25 %.
+    /// Records one run of `plan` on `key` that took `kernel_seconds`.
+    /// Rank 0's first run is `t₀`: it locks rank 0 or starts the race
+    /// under `policy`. While the race runs, a run of the plan
+    /// [`FeedbackStore::chosen_plan`] named is that racer's next sample,
+    /// and the last of [`RACE_SAMPLES`] per racer locks the lowest median;
+    /// any other run, and every run after the lock, only counts. Returns the
+    /// post-update snapshot, or `None` for an unseeded operand or a plan
+    /// outside its candidates.
     pub fn record(
         &mut self,
         key: (OperandKey, OutputShape),
@@ -543,45 +373,13 @@ impl FeedbackStore {
     ) -> Option<PlanFeedbackState> {
         self.tick += 1;
         let tick = self.tick;
-        let e = self.entries.get_mut(&key)?;
-        e.last_used = tick;
-        // Plans outside the seeded candidate set (e.g. caller-forced
-        // ablation plans) carry no ranking signal for auto traffic;
-        // ignore them rather than corrupt the candidate set.
-        let executed = e.candidates.iter().position(|c| c.plan == plan)?;
-        e.candidates[executed].observed_kernel.observe(kernel_seconds);
-        let predicted = e.candidates[executed].predicted.kernel_seconds;
-        if predicted > 0.0 {
-            e.calibration.observe(kernel_seconds / predicted);
-        }
-
-        let mut switched = false;
-        let incumbent_obs = &e.candidates[e.chosen].observed_kernel;
-        if policy.adapt
-            && executed == e.chosen
-            && incumbent_obs.samples() >= MIN_OBSERVATIONS_TO_SWITCH
-        {
-            let incumbent_cost = e.effective(e.chosen, policy);
-            // The policy's preprocessing budget is a hard cap on switch
-            // targets too: a re-plan prepares from scratch, so a candidate
-            // whose predicted prep exceeds the budget is never eligible
-            // no matter how fast it looks.
-            let budget = policy.prep_budget_seconds.unwrap_or(f64::INFINITY);
-            let best = (0..e.candidates.len())
-                .filter(|&i| i == e.chosen || e.candidates[i].predicted.prep_seconds <= budget)
-                .min_by(|&i, &j| e.effective(i, policy).total_cmp(&e.effective(j, policy)))
-                .expect("candidate set is non-empty");
-            let best_cost = e.effective(best, policy);
-            if best != e.chosen
-                && best_cost < incumbent_cost * (1.0 - SWITCH_MARGIN)
-                && incumbent_cost - best_cost >= policy.min_adapt_gain_seconds
-            {
-                e.chosen = best;
-                e.replans += 1;
-                switched = true;
-            }
-        }
-        Some(Self::snapshot(e, executed, switched))
+        let race = self.entries.get_mut(&key)?;
+        race.last_used = tick;
+        let executed = race.candidates.iter().position(|c| c.plan == plan)?;
+        race.candidates[executed].executions += 1;
+        let switched =
+            race.locked.is_none() && executed == race.next() && race.sample(kernel_seconds, policy);
+        Some(Self::snapshot(race, executed, switched))
     }
 }
 
@@ -590,241 +388,251 @@ mod tests {
     use super::*;
     use cw_sparse::gen;
 
-    fn full_key(a: &CsrMatrix) -> (OperandKey, OutputShape) {
-        (OperandKey::of(a), OutputShape::Full)
+    fn key(n: usize) -> (OperandKey, OutputShape) {
+        (OperandKey::of(&gen::grid::poisson2d(n, n)), OutputShape::Full)
     }
 
-    fn features(nrows: usize, nnz: usize, jaccard: f64) -> OperandFeatures {
-        OperandFeatures {
-            nrows,
-            ncols: nrows,
-            nnz,
-            profile: Profile {
-                degree_skew: 2.0,
-                relative_bandwidth: 0.3,
-                consecutive_jaccard: jaccard,
-                avg_row_nnz: nnz as f64 / nrows.max(1) as f64,
-            },
+    fn fixed(k: usize) -> Plan {
+        Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() }
+    }
+
+    fn seeded(key: (OperandKey, OutputShape), plans: &[Plan]) -> FeedbackStore {
+        let mut store = FeedbackStore::new();
+        store.seed(key, plans.iter().map(|&p| (p, 0.0)).collect());
+        store
+    }
+
+    /// Runs whatever the store picks, `seconds(plan)` each, `ops` times;
+    /// returns the 1-based record after which the store was locked.
+    fn drive(
+        store: &mut FeedbackStore,
+        key: (OperandKey, OutputShape),
+        ops: usize,
+        mut seconds: impl FnMut(Plan) -> f64,
+    ) -> Option<usize> {
+        let policy = PlanningPolicy::default();
+        let mut locked_at = None;
+        for op in 1..=ops {
+            let plan = store.chosen_plan(&key).unwrap();
+            if store.record(key, plan, seconds(plan), &policy).unwrap().locked {
+                locked_at = locked_at.or(Some(op));
+            }
         }
-    }
-
-    #[test]
-    fn kernel_cost_is_monotone_in_work() {
-        let model = CostModel::default();
-        let small = model.estimate(&features(100, 500, 0.2), &Plan::baseline(), 0.0);
-        let more_nnz = model.estimate(&features(100, 5000, 0.2), &Plan::baseline(), 0.0);
-        let denser_rows = model.estimate(&features(50, 5000, 0.2), &Plan::baseline(), 0.0);
-        assert!(more_nnz.kernel_seconds > small.kernel_seconds);
-        // Same nnz packed into fewer rows → higher avg_row_nnz → more madds.
-        assert!(denser_rows.kernel_seconds > more_nnz.kernel_seconds);
+        locked_at
     }
 
     #[test]
     fn prep_cost_is_monotone_in_nnz_and_zero_for_baseline() {
         let model = CostModel::default();
-        let plan = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
-        let small = model.estimate(&features(100, 500, 0.2), &plan, 0.5);
-        let large = model.estimate(&features(100, 5000, 0.2), &plan, 0.5);
-        assert!(large.prep_seconds > small.prep_seconds);
-        assert_eq!(
-            model.estimate(&features(100, 500, 0.2), &Plan::baseline(), 0.0).prep_seconds,
-            0.0
-        );
-    }
-
-    #[test]
-    fn higher_affinity_predicts_cheaper_kernels_never_cheaper_prep() {
-        let model = CostModel::default();
-        let f = features(1000, 8000, 0.1);
-        let plan = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
-        let low = model.estimate(&f, &plan, 0.1);
-        let high = model.estimate(&f, &plan, 0.9);
-        assert!(high.kernel_seconds < low.kernel_seconds);
-        assert_eq!(high.prep_seconds, low.prep_seconds);
-    }
-
-    #[test]
-    fn cluster_kernels_get_cheaper_with_row_overlap() {
-        let model = CostModel::default();
-        let plan = Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() };
-        let scattered = model.estimate(&features(1000, 8000, 0.05), &plan, 0.0);
-        let grouped = model.estimate(&features(1000, 8000, 0.85), &plan, 0.85);
-        assert!(grouped.kernel_seconds < scattered.kernel_seconds);
-    }
-
-    #[test]
-    fn serial_backend_is_priced_without_the_parallel_speedup() {
-        let model = CostModel::default();
-        let f = features(2000, 16000, 0.2);
-        let plan = Plan::baseline(); // parallel = true
-        let fast = model.estimate(&f, &plan, 0.0);
-        let slow = model.estimate(&f, &Plan { parallel: false, ..plan }, 0.0);
-        assert!(
-            (slow.kernel_seconds / fast.kernel_seconds - model.parallel_speedup).abs() < 1e-9,
-            "a serial plan must not receive the parallel discount"
-        );
-    }
-
-    #[test]
-    fn output_shape_does_not_change_the_price() {
-        // Top-k and cluster-wise masked plans execute the full product and
-        // filter; the fused row-wise masked kernel does less, by a fraction
-        // nobody has measured. The full price is an upper bound for that
-        // plan, and no hand-set discount may undercut it for any shape.
-        let model = CostModel::default();
-        let f = features(2000, 16000, 0.4);
-        for plan in [
-            Plan::baseline(),
-            Plan { reorder: Reordering::Rcm, ..Plan::baseline() },
-            Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
-        ] {
-            let full = model.estimate(&f, &plan, 0.5);
-            for shape in [OutputShape::Masked, OutputShape::TopK(2)] {
-                assert_eq!(model.estimate(&f, &plan.with_shape(shape), 0.5), full, "{shape:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn amortized_cost_is_monotone_decreasing_in_reuse() {
-        let est = CostEstimate { prep_seconds: 8.0, kernel_seconds: 1.0 };
-        assert!(est.amortized(1.0) > est.amortized(4.0));
-        assert!(est.amortized(4.0) > est.amortized(64.0));
-        // reuse below 1 is clamped: prep can never amortize to more than
-        // its full cost.
-        assert_eq!(est.amortized(0.0), est.amortized(1.0));
+        let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
+        assert_eq!(model.prep_seconds(&Plan::baseline(), 5000), 0.0);
+        assert!(model.prep_seconds(&rcm, 5000) > model.prep_seconds(&rcm, 500));
+        // Reordering and clustering add up.
+        let both = Plan { clustering: ClusteringStrategy::Variable, ..rcm };
+        let expect = (model.cheap_reorder_per_nnz + model.variable_cluster_per_nnz) * 5000.0;
+        assert!((model.prep_seconds(&both, 5000) - expect).abs() < 1e-18);
     }
 
     #[test]
     fn heavy_reorderings_cost_more_prep_than_cheap_ones() {
         let model = CostModel::default();
-        let f = features(1000, 8000, 0.1);
-        let rcm = model.estimate(&f, &Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, 0.5);
-        let gp = model.estimate(&f, &Plan { reorder: Reordering::Gp(16), ..Plan::baseline() }, 0.5);
-        assert!(gp.prep_seconds > rcm.prep_seconds);
+        let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
+        let gp = Plan { reorder: Reordering::Gp(16), ..Plan::baseline() };
+        assert!(model.prep_seconds(&gp, 8000) > model.prep_seconds(&rcm, 8000));
     }
 
     #[test]
-    fn ewma_initializes_and_smooths() {
-        let mut e = Ewma::new();
-        assert_eq!(e.value(), 0.0);
-        e.observe(10.0);
-        assert_eq!(e.value(), 10.0);
-        e.observe(0.0);
-        assert!((e.value() - 7.0).abs() < 1e-12, "{}", e.value());
-        assert_eq!(e.samples(), 2);
+    fn output_shape_does_not_change_the_price() {
+        let model = CostModel::default();
+        for plan in [Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, fixed(4)] {
+            for shape in [OutputShape::Masked, OutputShape::TopK(2)] {
+                let shaped = model.prep_seconds(&plan.with_shape(shape), 16000);
+                assert_eq!(shaped, model.prep_seconds(&plan, 16000), "{shape:?}");
+            }
+        }
     }
 
-    fn two_candidate_store(
-        key: (OperandKey, OutputShape),
-        chosen_pred: f64,
-        alt_pred: f64,
-    ) -> (FeedbackStore, Plan, Plan) {
-        let chosen = Plan::baseline();
-        let alt = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
-        let mut store = FeedbackStore::new();
-        store.seed(
-            key,
-            vec![
-                (chosen, CostEstimate { prep_seconds: 0.0, kernel_seconds: chosen_pred }),
-                (alt, CostEstimate { prep_seconds: 0.0, kernel_seconds: alt_pred }),
-            ],
-        );
-        (store, chosen, alt)
+    #[test]
+    fn serial_backend_is_priced_without_the_parallel_speedup() {
+        // Preparation is the same work serial or parallel, and the predicted
+        // multiply is one rate for both: no plan field but reordering and
+        // clustering moves a price.
+        let model = CostModel::default();
+        let plan = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let serial = Plan { parallel: false, ..plan };
+        assert_eq!(model.prep_seconds(&serial, 16000), model.prep_seconds(&plan, 16000));
+    }
+
+    #[test]
+    fn kernel_cost_is_monotone_in_work() {
+        // The predicted multiply admission uses before `t₀`.
+        let model = CostModel::default();
+        assert!(model.op_seconds(5000, 5.0) > model.op_seconds(500, 5.0));
+        assert!(model.op_seconds(5000, 10.0) > model.op_seconds(5000, 5.0));
+        assert_eq!(model.op_seconds(100, 0.2), model.op_seconds(100, 1.0));
+    }
+
+    #[test]
+    fn admission_is_half_the_reuse_and_within_budget() {
+        let policy = PlanningPolicy::default(); // reuse 16: 8 multiplies
+        assert!(policy.admits(8.0, 1.0));
+        assert!(!policy.admits(8.01, 1.0));
+        assert!(policy.admits(0.0, 0.0), "no preparation is always admitted");
+        assert!(!PlanningPolicy { expected_reuse: 1.0, ..policy }.admits(0.6, 1.0));
+        let budgeted = PlanningPolicy { prep_budget_seconds: Some(0.1), ..policy };
+        assert!(!budgeted.admits(0.2, 1.0) && budgeted.admits(0.1, 1.0));
+        let negative = PlanningPolicy { prep_budget_seconds: Some(-1.0), ..policy };
+        assert!(negative.admits(0.0, 1.0), "not even a negative budget rejects the baseline");
+    }
+
+    #[test]
+    fn a_planted_fastest_plan_locks_within_one_plus_r_m_then_never_switches() {
+        for m in 2..=4 {
+            let plans: Vec<Plan> = (1..=m).map(fixed).collect();
+            for fastest in 0..m {
+                let key = key(4 + m);
+                let mut store = seeded(key, &plans);
+                let seconds = |p: Plan| if p == plans[fastest] { 0.010 } else { 0.020 };
+                let locked_at = drive(&mut store, key, 1 + RACE_SAMPLES * m, seconds);
+                assert!(locked_at.is_some(), "m = {m}: no lock within 1 + R·m records");
+                assert_eq!(store.chosen_plan(&key), Some(plans[fastest]), "m = {m}");
+                // Locked: a thousand records of any timing move nothing.
+                for op in 0..1000 {
+                    let plan = store.chosen_plan(&key).unwrap();
+                    let state = store.record(key, plan, 1.0 + op as f64, &Default::default());
+                    assert!(!state.unwrap().switched);
+                }
+                assert_eq!(store.chosen_plan(&key), Some(plans[fastest]), "m = {m}");
+                assert_eq!(store.total_replans(), u64::from(fastest != 0), "m = {m}");
+            }
+        }
     }
 
     #[test]
     fn feedback_demotes_a_plan_observed_worse_than_predicted() {
-        let key = full_key(&gen::grid::poisson2d(6, 6));
-        // Model says the chosen plan is 2× faster than the alternative...
-        let (mut store, chosen, alt) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
-        // ...but it keeps clocking 10× slower than predicted.
-        for i in 0..MIN_OBSERVATIONS_TO_SWITCH {
-            let state = store.record(key, chosen, 10.0, &policy).unwrap();
-            assert_eq!(state.executions, i + 1);
-            if i + 1 < MIN_OBSERVATIONS_TO_SWITCH {
-                assert!(
-                    !state.switched,
-                    "must not switch before {MIN_OBSERVATIONS_TO_SWITCH} samples"
-                );
-            } else {
-                assert!(state.switched, "persistent 10× misprediction must demote");
-                assert_eq!(state.replans, 1);
-            }
+        // Rank 0 is the planner's prediction; it measures twice as slow as
+        // the challenger, so the lock lands on the challenger.
+        let key = key(6);
+        let (rank0, alt) = (fixed(1), fixed(2));
+        let mut store = seeded(key, &[rank0, alt]);
+        let policy = PlanningPolicy::default();
+        for i in 0..2 * RACE_SAMPLES {
+            let plan = store.chosen_plan(&key).unwrap();
+            assert_eq!(plan, if i % 2 == 0 { rank0 } else { alt }, "round-robin");
+            let state = store.record(key, plan, if plan == rank0 { 0.02 } else { 0.01 }, &policy);
+            let state = state.unwrap();
+            assert_eq!(state.switched, i + 1 == 2 * RACE_SAMPLES, "record {i}");
+            assert_eq!(state.locked, state.switched, "record {i}");
         }
-        assert_eq!(store.chosen_plan(&key).unwrap(), alt);
+        assert_eq!(store.chosen_plan(&key), Some(alt));
         assert_eq!(store.total_replans(), 1);
     }
 
     #[test]
     fn feedback_keeps_a_plan_that_performs_as_predicted() {
-        let key = full_key(&gen::grid::poisson2d(7, 7));
-        let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
-        for _ in 0..10 {
-            let state = store.record(key, chosen, 1.05, &policy).unwrap();
-            assert!(!state.switched);
-        }
-        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
+        let key = key(7);
+        let (rank0, alt) = (fixed(1), fixed(2));
+        let mut store = seeded(key, &[rank0, alt]);
+        let locked_at = drive(&mut store, key, 20, |p| if p == rank0 { 0.010 } else { 0.011 });
+        assert_eq!(locked_at, Some(2 * RACE_SAMPLES));
+        assert_eq!(store.chosen_plan(&key), Some(rank0));
         assert_eq!(store.total_replans(), 0);
     }
 
     #[test]
+    fn surprise_promotion_switches_to_a_consistently_observed_faster_plan() {
+        // One lucky sample does not win a race; a median does.
+        let key = key(11);
+        let (rank0, lucky, steady) = (fixed(1), fixed(2), fixed(3));
+        let mut store = seeded(key, &[rank0, lucky, steady]);
+        let mut runs = std::collections::HashMap::new();
+        let locked_at = drive(&mut store, key, 9, |p| {
+            let n = *runs.entry(p).and_modify(|n| *n += 1).or_insert(0usize);
+            match p {
+                p if p == lucky => [0.001, 0.030, 0.030][n],
+                p if p == steady => [0.008, 0.050, 0.008][n],
+                _ => 0.010,
+            }
+        });
+        assert_eq!(locked_at, Some(3 * RACE_SAMPLES));
+        assert_eq!(store.chosen_plan(&key), Some(steady));
+    }
+
+    #[test]
     fn noise_floor_suppresses_microsecond_replanning() {
-        let key = full_key(&gen::grid::poisson2d(8, 8));
-        let (mut store, chosen, _) = two_candidate_store(key, 1e-6, 2e-6);
-        // Default policy: observed 10 µs ≪ the 200 µs floor, never switch.
-        let policy = PlanningPolicy::default();
-        for _ in 0..10 {
-            let state = store.record(key, chosen, 1e-5, &policy).unwrap();
-            assert!(!state.switched);
+        let key = key(8);
+        let mut store = seeded(key, &[fixed(1), fixed(2)]);
+        let t0 = MIN_RACE_SECONDS * 0.99;
+        let state = store.record(key, fixed(1), t0, &PlanningPolicy::default()).unwrap();
+        assert!(state.locked && !state.switched, "t₀ under the floor locks at op 1");
+        assert_eq!(store.chosen_plan(&key), Some(fixed(1)));
+    }
+
+    #[test]
+    fn frozen_policy_observes_but_never_switches() {
+        let key = key(9);
+        let mut store = seeded(key, &[fixed(1), fixed(2)]);
+        let frozen = PlanningPolicy::frozen();
+        for i in 0..6 {
+            let state = store.record(key, fixed(1), 50.0, &frozen).unwrap();
+            assert!(state.locked && !state.switched);
+            assert_eq!(state.executions, i + 1, "runs still count");
         }
-        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
+        assert_eq!(store.chosen_plan(&key), Some(fixed(1)));
+        assert_eq!(store.total_replans(), 0);
+    }
+
+    #[test]
+    fn admission_on_t0_rejects_a_challenger_that_would_not_pay() {
+        // t₀ = 10 ms at reuse 16 admits up to 80 ms of predicted preparation.
+        let key = key(12);
+        let (rank0, cheap, dear) = (fixed(1), fixed(2), fixed(3));
+        let mut store = FeedbackStore::new();
+        store.seed(key, vec![(rank0, 0.0), (dear, 0.081), (cheap, 0.079)]);
+        let policy = PlanningPolicy::default();
+        store.record(key, rank0, 0.010, &policy).unwrap();
+        let mut ran = Vec::new();
+        while !store.state(&key).unwrap().locked {
+            let plan = store.chosen_plan(&key).unwrap();
+            ran.push(plan);
+            store.record(key, plan, if plan == dear { 0.001 } else { 0.010 }, &policy);
+        }
+        assert!(ran.contains(&cheap) && !ran.contains(&dear), "{ran:?}");
+        assert_eq!(ran.len(), 2 * RACE_SAMPLES - 1, "rank 0 and one challenger");
     }
 
     #[test]
     fn prep_budget_bars_over_budget_switch_targets() {
-        // The alternative looks far faster once the incumbent disappoints,
-        // but its predicted preprocessing blows the policy's hard budget —
-        // it must never become the chosen plan.
-        let key = full_key(&gen::grid::poisson2d(13, 13));
-        let chosen = Plan::baseline();
-        let heavy = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let key = key(13);
+        let (rank0, heavy) = (fixed(1), fixed(2));
         let mut store = FeedbackStore::new();
-        store.seed(
-            key,
-            vec![
-                (chosen, CostEstimate { prep_seconds: 0.0, kernel_seconds: 1.0 }),
-                (heavy, CostEstimate { prep_seconds: 10.0, kernel_seconds: 0.05 }),
-            ],
-        );
-        let policy = PlanningPolicy {
-            prep_budget_seconds: Some(0.0),
-            min_adapt_gain_seconds: 0.0,
-            ..PlanningPolicy::default()
-        };
-        for _ in 0..8 {
-            let state = store.record(key, chosen, 10.0, &policy).unwrap();
-            assert!(!state.switched, "over-budget candidate must be ineligible");
-        }
-        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
+        store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
+        let budget = PlanningPolicy { prep_budget_seconds: Some(0.005), ..Default::default() };
+        assert!(store.record(key, rank0, 1.0, &budget).unwrap().locked);
+        assert_eq!(store.chosen_plan(&key), Some(rank0));
+        // Lifting the budget lets the same challenger race.
+        let mut store = FeedbackStore::new();
+        store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
+        assert!(!store.record(key, rank0, 1.0, &PlanningPolicy::default()).unwrap().locked);
+        assert_eq!(store.chosen_plan(&key), Some(heavy));
+    }
 
-        // Lifting the budget makes the same switch legal.
-        let unbounded = PlanningPolicy { prep_budget_seconds: None, ..policy };
-        let state = store.record(key, chosen, 10.0, &unbounded).unwrap();
-        assert!(state.switched);
-        assert_eq!(store.chosen_plan(&key).unwrap(), heavy);
+    #[test]
+    fn at_most_three_challengers_race() {
+        let key = key(14);
+        let plans: Vec<Plan> = (1..=6).map(fixed).collect();
+        let mut store = seeded(key, &plans);
+        // The fifth and sixth plans would win but never run.
+        let seconds = |p: Plan| if p == plans[4] || p == plans[5] { 0.001 } else { 0.010 };
+        assert_eq!(drive(&mut store, key, 100, seconds), Some(RACE_SAMPLES * 4));
+        assert_eq!(store.chosen_plan(&key), Some(plans[0]), "ties go to rank order");
     }
 
     #[test]
     fn store_capacity_evicts_least_recently_recorded_operand() {
-        let keys: Vec<_> = (4..8).map(|n| full_key(&gen::grid::poisson2d(n, n))).collect();
+        let keys: Vec<_> = (4..8).map(key).collect();
         let mut store = FeedbackStore::with_capacity(2);
-        assert_eq!(store.capacity(), 2);
-        let seed_one = |store: &mut FeedbackStore, k| {
-            store.seed(k, vec![(Plan::baseline(), CostEstimate::default())]);
-        };
+        let seed_one = |store: &mut FeedbackStore, k| store.seed(k, vec![(Plan::baseline(), 0.0)]);
         seed_one(&mut store, keys[0]);
         seed_one(&mut store, keys[1]);
         // Touch keys[0] so keys[1] becomes the eviction victim.
@@ -836,7 +644,7 @@ mod tests {
         assert!(store.chosen_plan(&keys[0]).is_some());
         assert!(store.chosen_plan(&keys[2]).is_some());
 
-        // Zero capacity disables feedback entirely.
+        // Zero capacity disables the store entirely.
         let mut off = FeedbackStore::with_capacity(0);
         seed_one(&mut off, keys[3]);
         assert!(off.is_empty());
@@ -845,79 +653,49 @@ mod tests {
 
     #[test]
     fn clear_forgets_every_operand() {
-        let key = full_key(&gen::grid::poisson2d(12, 12));
-        let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy::default();
-        store.record(key, chosen, 1.0, &policy).unwrap();
-        assert!(!store.is_empty());
+        let (a, b) = (key(15), key(16));
+        let plans = [fixed(1), fixed(2)];
+        let mut store = FeedbackStore::with_capacity(1);
+        store.seed(a, plans.iter().map(|&p| (p, 0.0)).collect());
+        drive(&mut store, a, 10, |p| if p == plans[1] { 0.01 } else { 0.02 });
+        assert_eq!((store.chosen_plan(&a), store.total_replans()), (Some(plans[1]), 1));
+        // Eviction forgets the lock: the re-seeded entry races again.
+        store.seed(b, vec![(Plan::baseline(), 0.0)]);
+        store.seed(a, plans.iter().map(|&p| (p, 0.0)).collect());
+        assert_eq!(store.chosen_plan(&a), Some(plans[0]));
         store.clear();
-        assert!(store.is_empty());
-        assert!(store.chosen_plan(&key).is_none());
+        assert!(store.is_empty() && store.chosen_plan(&a).is_none());
         assert_eq!(store.total_replans(), 0);
     }
 
     #[test]
-    fn frozen_policy_observes_but_never_switches() {
-        let key = full_key(&gen::grid::poisson2d(9, 9));
-        let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::frozen() };
-        for _ in 0..6 {
-            let state = store.record(key, chosen, 50.0, &policy).unwrap();
-            assert!(!state.switched);
-        }
-        let state = store.state(&key).unwrap();
-        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
-        assert!(state.observed_kernel_seconds > 10.0, "EWMA still accumulates");
-        assert!(state.calibration > 10.0, "calibration still accumulates");
-    }
-
-    #[test]
     fn reseeding_preserves_observations() {
-        let key = full_key(&gen::grid::poisson2d(10, 10));
-        let (mut store, chosen, _) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy::default();
-        store.record(key, chosen, 5.0, &policy).unwrap();
-        store.seed(key, vec![(chosen, CostEstimate::default())]);
+        let key = key(17);
+        let mut store = seeded(key, &[fixed(1), fixed(2)]);
+        store.record(key, fixed(1), 0.010, &PlanningPolicy::default()).unwrap();
+        store.seed(key, vec![(fixed(3), 0.0)]);
         let state = store.state(&key).unwrap();
-        assert_eq!(state.executions, 1, "re-seed must not discard history");
         assert_eq!(state.candidates, 2, "re-seed must not replace the candidate set");
+        assert_eq!(store.chosen_plan(&key), Some(fixed(2)), "the race goes on");
     }
 
     #[test]
     fn unseeded_and_unknown_knobs_are_ignored() {
-        let key = full_key(&gen::grid::poisson2d(5, 5));
+        let key = key(5);
         let mut store = FeedbackStore::new();
         let policy = PlanningPolicy::default();
         assert!(store.record(key, Plan::baseline(), 1.0, &policy).is_none());
-        store.seed(key, vec![(Plan::baseline(), CostEstimate::default())]);
+        store.seed(key, vec![(Plan::baseline(), 0.0)]);
         let alien = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
         assert!(store.record(key, alien, 1.0, &policy).is_none());
-    }
-
-    #[test]
-    fn surprise_promotion_switches_to_a_consistently_observed_faster_plan() {
-        // The incumbent performs as predicted, but a forced ablation sweep
-        // reveals the alternative is far faster than the model thought:
-        // once the alternative has enough samples of its own, incumbent
-        // observations trigger promotion.
-        let key = full_key(&gen::grid::poisson2d(11, 11));
-        let (mut store, chosen, alt) = two_candidate_store(key, 1.0, 2.0);
-        let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
-        // One anomalously fast sample is NOT enough: under-sampled
-        // candidates are priced at the worse of observation and
-        // calibrated prediction, so a single lucky run cannot win.
-        store.record(key, alt, 0.2, &policy).unwrap();
-        for _ in 0..MIN_OBSERVATIONS_TO_SWITCH {
-            assert!(!store.record(key, chosen, 1.0, &policy).unwrap().switched);
-        }
-        assert_eq!(store.chosen_plan(&key).unwrap(), chosen);
-
-        // Consistent fast observations (a real ablation sweep) do promote.
-        for _ in 0..MIN_OBSERVATIONS_TO_SWITCH {
-            store.record(key, alt, 0.2, &policy).unwrap();
-        }
-        let state = store.record(key, chosen, 1.0, &policy).unwrap();
-        assert!(state.switched, "consistently observed-faster alternative must be promoted");
-        assert_eq!(store.chosen_plan(&key).unwrap(), alt);
+        // A run of a plan the store did not choose counts, but is no sample:
+        // before t₀ it starts nothing, during the race it joins nothing.
+        let mut store = seeded(key, &[fixed(1), fixed(2), fixed(3)]);
+        let state = store.record(key, fixed(2), 1.0, &policy).unwrap();
+        assert_eq!((state.executions, state.locked), (1, false));
+        assert_eq!(store.chosen_plan(&key), Some(fixed(1)));
+        store.record(key, fixed(1), 1.0, &policy).unwrap();
+        store.record(key, fixed(3), 1.0, &policy).unwrap();
+        assert_eq!(store.chosen_plan(&key), Some(fixed(2)), "fixed(3) ran out of turn");
     }
 }

@@ -2,7 +2,7 @@
 //! caching.
 
 use crate::cache::{CacheKey, CacheStats, OperandKey, PlanCache};
-use crate::cost::{FeedbackStore, PlanFeedbackState};
+use crate::cost::FeedbackStore;
 use crate::plan::{OutputShape, Plan};
 use crate::planner::Planner;
 use crate::prepared::PreparedMatrix;
@@ -15,27 +15,31 @@ use std::time::Instant;
 /// Default number of prepared operands the engine keeps cached.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
-/// Adaptive SpGEMM engine: profiles operands, cost-ranks candidate
-/// pipelines, caches prepared matrices, executes multiplies under rayon,
-/// and feeds observed timings back into plan selection.
+/// Adaptive SpGEMM engine: profiles operands, admits the advisor's
+/// candidate pipelines on their preparation price, caches prepared
+/// matrices, executes multiplies under rayon, and races the admitted
+/// pipelines on measured kernel seconds until one is locked.
 ///
 /// ```
-/// use cw_engine::Engine;
+/// use cw_engine::{Engine, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
 ///
 /// let a = cw_sparse::gen::grid::poisson2d(12, 12);
-/// let mut engine = Engine::default();
+/// // Frozen: the first pick is locked at its first run, with no race.
+/// let planner = Planner::with_policy(0, PlanningPolicy::frozen());
+/// let mut engine = Engine::new(planner, DEFAULT_CACHE_CAPACITY);
 ///
-/// // First multiply: profile → cost-rank → prepare → execute.
+/// // First multiply: profile → admit → prepare → execute.
 /// let (c1, first) = engine.multiply(&a, &a);
 /// assert!(!first.cache_hit);
 ///
-/// // Repeated traffic: the feedback store resolves the plan with one hash
-/// // lookup, the plan cache supplies the prepared operand, and only the
-/// // kernel runs. Observed timings keep calibrating the cost model.
+/// // Repeated traffic: the feedback store resolves the locked plan with
+/// // one hash lookup, the plan cache supplies the prepared operand, and
+/// // only the kernel runs.
 /// let (c2, second) = engine.multiply(&a, &a);
 /// assert!(second.cache_hit);
 /// let fb = second.feedback.expect("auto traffic carries feedback state");
 /// assert_eq!(fb.executions, 2);
+/// assert!(fb.locked);
 /// assert!(c1.numerically_eq(&c2, 0.0));
 /// ```
 #[derive(Debug)]
@@ -92,8 +96,7 @@ impl Engine {
         &self.planner
     }
 
-    /// Read-only view of the execution-feedback store (per-operand
-    /// observed-timing EWMAs and the calibration state).
+    /// Read-only view of the feedback store (per-operand races and locks).
     pub fn feedback(&self) -> &FeedbackStore {
         &self.feedback
     }
@@ -114,10 +117,9 @@ impl Engine {
     }
 
     /// Drops all cached operands (counters are kept). The feedback store
-    /// is **not** touched: per-operand plan choices, observation EWMAs,
-    /// and calibration survive, so re-prepared operands keep running their
-    /// converged plans. Use [`Engine::reset`] to also forget what the
-    /// feedback loop has learned.
+    /// is **not** touched: races and locks survive, so re-prepared
+    /// operands keep running their locked plans. Use [`Engine::reset`] to
+    /// also forget the locks.
     pub fn clear_cache(&mut self) {
         self.cache.clear()
     }
@@ -127,7 +129,7 @@ impl Engine {
     /// [`Engine::clear_cache`]). After a reset, the next sighting of every
     /// operand re-profiles, re-plans, and re-prepares from scratch —
     /// unlike `clear_cache`, which only drops the prepared bytes while the
-    /// learned plan choices keep steering execution.
+    /// locks keep steering execution.
     pub fn reset(&mut self) {
         self.cache.clear();
         self.feedback.clear();
@@ -135,9 +137,8 @@ impl Engine {
 
     /// `C = A · b` through the adaptive pipeline. Returns the product (rows
     /// in original order) and a report of the plan, cache outcome,
-    /// per-stage timings, and feedback calibration state. The observed
-    /// kernel time is fed back into plan selection: a plan that keeps
-    /// underperforming its prediction is demoted on later calls (see
+    /// per-stage timings, and race state. The observed kernel time is the
+    /// operand's race sample until a plan is locked (see
     /// [`crate::FeedbackStore`]).
     pub fn multiply(&mut self, a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, ExecutionReport) {
         self.multiply_shaped(a, b, OutputShape::Full, None)
@@ -168,7 +169,7 @@ impl Engine {
         mask: Option<&CsrMatrix>,
     ) -> (CsrMatrix, ExecutionReport) {
         let (prepared, timings, cache_hit) = self.prepare_with_shape(a, None, shape);
-        self.execute_resolved(&prepared, b, std::ptr::eq(a, b), mask, timings, cache_hit)
+        self.execute_resolved(&prepared, b, std::ptr::eq(a, b), mask, timings, cache_hit, true)
     }
 
     /// `C = (A · b) ∩ mask` — only product entries at positions present in
@@ -188,12 +189,9 @@ impl Engine {
     /// Forced preparations are cached under their own `(matrix, plan)` key
     /// — repeated calls with the same matrix and plan skip preprocessing,
     /// and a forced plan that differs from the planner's choice never
-    /// shadows the auto entry (or vice versa). Forced timings still feed
-    /// the observation store: a run whose plan equals a tracked candidate
-    /// updates that candidate's EWMA — including the incumbent's, when the
-    /// forced pipeline *is* the incumbent's — so ablation sweeps both
-    /// reveal faster alternatives and legitimately sample the current
-    /// choice.
+    /// shadows the auto entry (or vice versa). A forced plan never touches
+    /// the feedback store: it neither seeds a race nor samples one, so its
+    /// report's `feedback` is `None`.
     pub fn multiply_planned(
         &mut self,
         a: &CsrMatrix,
@@ -201,35 +199,29 @@ impl Engine {
         plan: Plan,
     ) -> (CsrMatrix, ExecutionReport) {
         let (prepared, timings, cache_hit) = self.prepare_with_shape(a, Some(plan), plan.shape);
-        self.execute_resolved(&prepared, b, std::ptr::eq(a, b), None, timings, cache_hit)
+        let b_is_source = std::ptr::eq(a, b);
+        self.execute_resolved(&prepared, b, b_is_source, None, timings, cache_hit, false)
     }
 
-    /// Runs a resolved operand against `b`: times the kernel, records the
-    /// observation into the feedback store, and assembles the
-    /// [`ExecutionReport`]. The execute/record/report tail shared by
-    /// every `multiply*` method and by serving layers that resolve
-    /// operands once via [`Engine::prepare_with_shape`] and run many
-    /// right-hand sides. Pass the mask for operands prepared under
-    /// [`OutputShape::Masked`], `None` for any other shape; observations
-    /// land in the feedback state keyed by the prepared plan's shape, so
-    /// shaped and full traffic calibrate independently.
+    /// Runs a resolved operand against `b`, records the kernel seconds in
+    /// the race keyed by the prepared plan's shape, and assembles the
+    /// [`ExecutionReport`]: the tail for serving layers that resolve an
+    /// operand once via [`Engine::prepare_with_shape`] and run many
+    /// right-hand sides. Pass the mask exactly for [`OutputShape::Masked`].
+    /// A run is a race sample only when it is of the plan the store chose
+    /// next, so a coalesced batch's followers, and a forced plan that is
+    /// not that plan, only count.
     ///
-    /// The recorded observation is normalized to the lhs-sized reference
-    /// workload (`kernel × nnz(A)/nnz(B)` — kernel work scales with
-    /// `nnz(B)` for a fixed prepared `A`), so plan comparisons stay
-    /// apples-to-apples when the same operand serves right-hand sides of
-    /// very different sizes. The scale is clamped to `[0.1, 10]`: beyond
-    /// that, fixed per-call overheads dominate tiny multiplies and a
-    /// linear extrapolation would record wildly inflated observations.
-    /// Reported timings stay raw.
+    /// The recorded seconds are scaled to the lhs-sized workload
+    /// (`kernel × nnz(A)/nnz(B)`, clamped to `[0.1, 10]` where fixed
+    /// per-call costs dominate), so samples stay like for like across
+    /// right-hand sides of different sizes; reported timings stay raw.
     ///
     /// Only `b` is in hand here, so whether it is the matrix `prepared` was
     /// built from — what lets a reordered square operand run two-sided
     /// ([`ExecutionReport::two_sided`]) — is decided by content, inside the
     /// kernel stage's seconds: see [`PreparedMatrix::multiply_shaped`]. The
-    /// `multiply*` methods hold both operands and settle it with
-    /// `std::ptr::eq(a, b)` instead: `a`'s full identity keyed the cache
-    /// lookup in the same call.
+    /// `multiply*` methods settle it with `std::ptr::eq(a, b)` instead.
     pub fn execute_prepared_shaped(
         &mut self,
         prepared: &PreparedMatrix,
@@ -238,11 +230,13 @@ impl Engine {
         prep_timings: StageTimings,
         cache_hit: bool,
     ) -> (CsrMatrix, ExecutionReport) {
-        self.execute_resolved(prepared, b, false, mask, prep_timings, cache_hit)
+        self.execute_resolved(prepared, b, false, mask, prep_timings, cache_hit, true)
     }
 
     /// [`Engine::execute_prepared_shaped`] with the caller's proof, if it
-    /// has one, that `b` is the matrix `prepared` was built from.
+    /// has one, that `b` is the matrix `prepared` was built from, and
+    /// whether to record the run (a forced door does not).
+    #[allow(clippy::too_many_arguments)]
     fn execute_resolved(
         &mut self,
         prepared: &PreparedMatrix,
@@ -251,6 +245,7 @@ impl Engine {
         mask: Option<&CsrMatrix>,
         prep_timings: StageTimings,
         cache_hit: bool,
+        record: bool,
     ) -> (CsrMatrix, ExecutionReport) {
         let (c, kernel_seconds, two_sided, accumulator) = prepared.run(b, b_is_source, mask);
         if let Some(t) = self.tracer.as_deref() {
@@ -271,10 +266,12 @@ impl Engine {
         let a_nnz = prepared.operand.fingerprint.nnz as f64;
         let work_scale = (a_nnz.max(1.0) / b.nnz().max(1) as f64).clamp(0.1, 10.0);
         let observed = kernel_seconds * work_scale;
-        // Unseeded operands (forced-only traffic) and plans outside the
-        // candidate set are ignored by the store.
+        // Unseeded operands and plans outside the candidate set are
+        // ignored by the store.
         let key = (prepared.operand, prepared.plan.shape);
-        let feedback = self.feedback.record(key, prepared.plan, observed, &self.planner.policy);
+        let policy = &self.planner.policy;
+        let feedback =
+            if record { self.feedback.record(key, prepared.plan, observed, policy) } else { None };
         let report = ExecutionReport {
             plan: prepared.plan,
             clusterwise: prepared.is_clusterwise(),
@@ -289,12 +286,6 @@ impl Engine {
         (c, report)
     }
 
-    /// Calibration snapshot for `key`'s currently chosen plan, without
-    /// recording anything.
-    pub fn feedback_state(&self, key: &(OperandKey, OutputShape)) -> Option<PlanFeedbackState> {
-        self.feedback.state(key)
-    }
-
     /// [`Engine::multiply_shaped`]/[`Engine::multiply_planned`] without the
     /// multiply: the cached-or-fresh prepared operand for `a`, the
     /// preprocessing timings attributable to this call, and the cache-hit
@@ -303,12 +294,12 @@ impl Engine {
     /// [`Engine::execute_prepared_shaped`]; it also warms the cache.
     ///
     /// The plan is `forced`, else the feedback store's choice (one hash
-    /// lookup), else the cost-ranked planner's on first sighting (which
-    /// seeds the feedback candidates). `a`'s [`OperandKey`] — sampled
-    /// fingerprint and full-content checksum — is computed once here and
-    /// keys both stores: the cache by `(operand, plan)`, so a demoted plan's
-    /// preparation stays resident for a switch-back, and the feedback store
-    /// by `(operand, shape)`; a miss hands it to the preparation. On a hit
+    /// lookup), else the planner's rank 0 on first sighting (which seeds
+    /// the race). `a`'s [`OperandKey`] — sampled fingerprint and
+    /// full-content checksum — is computed once here and keys both stores:
+    /// the cache by `(operand, plan)`, so every raced plan's preparation
+    /// stays resident for the lock, and the feedback store by
+    /// `(operand, shape)`; a miss hands it to the preparation. On a hit
     /// reorder/cluster timings are zero, while `plan_seconds` is any
     /// planning this call performed.
     /// `shape` is stamped into every ranked plan, so shaped traffic never
@@ -322,9 +313,8 @@ impl Engine {
     ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
         let operand = OperandKey::of(a);
         // A forced plan is a complete pipeline description — its own shape
-        // wins, so forced traffic and its feedback stay self-consistent.
-        // The shape joins the feedback key: full and truncated traffic on
-        // the same operand never share plans or observations.
+        // wins. The shape joins the feedback key: full and truncated
+        // traffic on the same operand never share a race.
         let feedback_key = (operand, forced.map_or(shape, |p| p.shape));
         let mut plan_seconds = 0.0;
         let plan = match forced {
@@ -333,12 +323,9 @@ impl Engine {
                 Some(p) => p,
                 None => {
                     let t0 = Instant::now();
-                    let ranked = self.planner.plans_costed(a, shape);
-                    let selected = ranked[0].plan;
-                    self.feedback.seed(
-                        feedback_key,
-                        ranked.into_iter().map(|r| (r.plan, r.estimate)).collect(),
-                    );
+                    let ranked = self.planner.race_seed(a, shape);
+                    let selected = ranked[0].0;
+                    self.feedback.seed(feedback_key, ranked);
                     plan_seconds = t0.elapsed().as_secs_f64();
                     selected
                 }
@@ -377,9 +364,20 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::PlanningPolicy;
     use crate::plan::ClusteringStrategy;
     use cw_sparse::gen;
     use cw_spgemm::{spgemm_serial, AccumulatorKind};
+
+    /// An engine that never races: a debug-build kernel can pass the race's
+    /// 1 ms floor, and a race runs other plans (cache misses) on purpose.
+    fn frozen_planner() -> Planner {
+        Planner::with_policy(Planner::default().seed, PlanningPolicy::frozen())
+    }
+
+    fn frozen_engine() -> Engine {
+        Engine::new(frozen_planner(), DEFAULT_CACHE_CAPACITY)
+    }
 
     #[test]
     fn multiply_matches_baseline_and_reports() {
@@ -395,7 +393,7 @@ mod tests {
     #[test]
     fn second_multiply_hits_cache_and_skips_preprocessing() {
         let a = gen::mesh::tri_mesh(12, 12, true, 3);
-        let mut engine = Engine::default();
+        let mut engine = frozen_engine();
         let (_, first) = engine.multiply(&a, &a);
         let (c2, second) = engine.multiply(&a, &a);
         assert!(!first.cache_hit);
@@ -426,7 +424,7 @@ mod tests {
     #[test]
     fn forced_and_auto_plans_cache_independently() {
         let a = gen::grid::poisson2d(9, 9);
-        let mut engine = Engine::default();
+        let mut engine = frozen_engine();
         let (_, auto_first) = engine.multiply(&a, &a);
         assert!(!auto_first.cache_hit);
 
@@ -458,7 +456,7 @@ mod tests {
         let mut b = a.clone();
         b.vals[1] += 0.5;
         assert_eq!(cw_sparse::fingerprint(&a), cw_sparse::fingerprint(&b));
-        let mut engine = Engine::default();
+        let mut engine = frozen_engine();
         for m in [&a, &b, &a, &b, &a, &b] {
             let (c, _) = engine.multiply(m, m);
             assert!(c.bits_eq(&spgemm_serial(m, m)), "a product of the other operand");
@@ -482,7 +480,7 @@ mod tests {
         let a = gen::grid::poisson2d(12, 12);
         // Generous budget: the prepared operand fits, so the second call hits.
         let mut engine = Engine::with_cache(
-            Planner::default(),
+            frozen_planner(),
             crate::cache::PlanCache::with_budget(crate::cache::CacheBudget::bytes(16 << 20)),
         );
         let (_, r1) = engine.multiply(&a, &a);
@@ -552,14 +550,14 @@ mod tests {
         let key = (OperandKey::of(&a), OutputShape::Full);
         let mut engine = Engine::default();
         let _ = engine.multiply(&a, &a);
-        assert!(engine.feedback_state(&key).is_some());
+        assert!(engine.feedback().state(&key).is_some());
         assert_eq!(engine.cached_operands(), 1);
 
         // clear_cache drops the bytes but keeps the learned state: the
         // next multiply re-prepares without re-planning.
         engine.clear_cache();
         assert_eq!(engine.cached_operands(), 0);
-        assert!(engine.feedback_state(&key).is_some(), "clear_cache must keep feedback");
+        assert!(engine.feedback().state(&key).is_some(), "clear_cache must keep feedback");
         let (_, rep) = engine.multiply(&a, &a);
         assert!(!rep.cache_hit);
         assert_eq!(rep.timings.plan_seconds, 0.0, "plan came from the feedback fast path");
@@ -567,7 +565,7 @@ mod tests {
         // reset forgets everything: the next multiply re-plans too.
         engine.reset();
         assert_eq!(engine.cached_operands(), 0);
-        assert!(engine.feedback_state(&key).is_none(), "reset must clear feedback");
+        assert!(engine.feedback().state(&key).is_none(), "reset must clear feedback");
         assert!(engine.feedback().is_empty());
         let (_, rep) = engine.multiply(&a, &a);
         assert!(!rep.cache_hit);
@@ -579,7 +577,7 @@ mod tests {
         let a = gen::mesh::tri_mesh(10, 10, true, 2);
         let tracer = Arc::new(cw_obs::Tracer::new(8));
         tracer.set_enabled(true);
-        let mut engine = Engine::default();
+        let mut engine = frozen_engine();
         engine.set_tracer(Arc::clone(&tracer));
         assert!(engine.tracer().is_some());
 
@@ -649,7 +647,7 @@ mod tests {
     #[test]
     fn output_shapes_never_collide_in_cache_or_feedback() {
         let a = gen::grid::poisson2d(10, 10);
-        let mut engine = Engine::default();
+        let mut engine = frozen_engine();
 
         // Three shapes over the same operand: each first call must miss
         // (its own cache entry), each second call must hit its own entry.
@@ -674,8 +672,10 @@ mod tests {
         // its own executions.
         let operand = OperandKey::of(&a);
         for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
-            let st =
-                engine.feedback_state(&(operand, shape)).expect("each shape has its own feedback");
+            let st = engine
+                .feedback()
+                .state(&(operand, shape))
+                .expect("each shape has its own feedback");
             assert_eq!(st.executions, 2, "shape {shape:?} saw exactly its own traffic");
         }
     }

@@ -9,18 +9,17 @@
 //! pipeline, split into five explicit stages (see `docs/ARCHITECTURE.md`
 //! at the workspace root for the cross-crate picture):
 //!
-//! 1. **Plan** — [`Planner`] computes the structural [`Profile`] (via
-//!    `cw-reorder`'s advisor), prices every candidate [`Plan`] — four
-//!    fields, each said once: reordering × clustering strategy (which
-//!    fixes the kernel) × parallel × output shape — with
-//!    the analytic [`CostModel`], and ranks them by
-//!    cost amortized under the caller's [`PlanningPolicy`] (expected
-//!    reuse, optional preprocessing budget). The accumulator is not a plan
-//!    field: the kernel runs Dense wherever it fits the product's width,
-//!    Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
-//!    [`ExecutionReport::accumulator`] says which ran. Each [`RankedPlan`] carries
-//!    the estimate, affinity and rationale behind its rank;
-//!    [`Planner::plans_costed`] is the budget-aware fall-through list.
+//! 1. **Plan** — [`Planner`] profiles the operand ([`Profile`], via
+//!    `cw-reorder`'s advisor) and turns the advisor's suggestions, in its
+//!    order with the baseline last, into [`Plan`]s — reordering ×
+//!    clustering (which fixes the kernel) × parallel × output shape.
+//!    [`PlanningPolicy`] admits a plan when its preparation, priced by the
+//!    [`CostModel`], is at most half of `expected_reuse` predicted
+//!    multiplies; [`Planner::plans_costed`] is the admitted list, rank 0
+//!    first, each [`RankedPlan`] with its price and rationale. The
+//!    accumulator is not a plan field: the kernel runs Dense wherever it
+//!    fits, Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
+//!    [`ExecutionReport::accumulator`] says which ran.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
 //!    (permutation computed and applied, `CSR_Cluster` built — unless the
 //!    clustering averaged under 1.5 rows per cluster, in which case the
@@ -36,7 +35,8 @@
 //!    entry-bounded or byte-bounded LRU — with hit/miss/eviction counters,
 //!    so repeated traffic on the same matrix skips preprocessing entirely.
 //!    Keying by `(operand, plan)` lets preparations under different plans
-//!    coexist, which is what makes feedback re-planning cheap to undo.
+//!    coexist, which is what lets a race prepare each challenger once and
+//!    lock the winner without preparing it again.
 //! 4. **Execute** — [`Engine::multiply_shaped`] (or, for many right-hand
 //!    sides against one preparation, [`Engine::prepare_with_shape`] once
 //!    and [`Engine::execute_prepared_shaped`] per right-hand side) runs
@@ -44,12 +44,11 @@
 //!    set, else on the calling thread, the serial oracle the parallel path
 //!    is bit-identical to — and returns an [`ExecutionReport`] with the
 //!    executed plan and per-stage wall-clock timings.
-//! 5. **Feed back** — the engine's [`FeedbackStore`] keeps per-operand
-//!    EWMAs of observed kernel seconds per candidate plan. Observed
-//!    timings correct the cost model's estimates after every execution:
-//!    plans that underperform their prediction are demoted, observed-fast
-//!    plans promoted, so repeated traffic converges on the empirically
-//!    fastest plan (`cw-service` threads this loop through every shard).
+//! 5. **Race** — the engine's [`FeedbackStore`] measures instead of
+//!    predicting: rank 0's first kernel seconds are `t₀`; unless the policy
+//!    is frozen or `t₀ <` [`MIN_RACE_SECONDS`], up to three challengers
+//!    admitted on `t₀` run round-robin with it for [`RACE_SAMPLES`] samples
+//!    each, and the lowest median is locked for good.
 //!
 //! The requested **output shape** — full product, masked by a sparsity
 //! pattern, or row-wise top-k ([`OutputShape`]) — is a first-class axis of
@@ -57,28 +56,31 @@
 //! state for truncated traffic never collide with full-product traffic on
 //! the same operand. A masked row-wise plan runs a kernel that admits only
 //! the mask's columns; top-k and cluster-wise masked plans compute the full
-//! product and filter. The [`CostModel`] prices every shaped plan like the
-//! full one (an upper bound for the fused kernel). See
+//! product and filter. Preparation does not depend on the shape, so the
+//! [`CostModel`] prices every shaped plan like the full one. See
 //! [`Engine::multiply_shaped`] (`OutputShape::TopK(k)` for top-k) and its
 //! masked shorthand [`Engine::multiply_masked`].
 //!
 //! ```
-//! use cw_engine::Engine;
+//! use cw_engine::{Engine, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
 //!
 //! let a = cw_sparse::gen::mesh::tri_mesh(16, 16, true, 42);
-//! let mut engine = Engine::default();
+//! // The default policy races the admitted plans on kernels of a
+//! // millisecond or more; frozen locks the first pick at once.
+//! let planner = Planner::with_policy(0, PlanningPolicy::frozen());
+//! let mut engine = Engine::new(planner, DEFAULT_CACHE_CAPACITY);
 //!
-//! // First multiply: profile → cost-rank → prepare → execute.
+//! // First multiply: profile → admit → prepare → execute.
 //! let (c1, first) = engine.multiply(&a, &a);
 //! assert!(!first.cache_hit);
 //!
-//! // Repeated traffic: the feedback store resolves the plan, the
-//! // operand's key hits the plan cache, preprocessing is skipped, only the
-//! // kernel runs — and the observation calibrates the cost model.
+//! // Repeated traffic: the feedback store resolves the locked plan, the
+//! // operand's key hits the plan cache, preprocessing is skipped, and only
+//! // the kernel runs.
 //! let (c2, second) = engine.multiply(&a, &a);
 //! assert!(second.cache_hit);
 //! assert_eq!(second.timings.preprocessing(), 0.0);
-//! assert!(second.feedback.is_some());
+//! assert!(second.feedback.is_some_and(|f| f.locked));
 //! assert!(c1.numerically_eq(&c2, 0.0));
 //! ```
 
@@ -95,7 +97,9 @@ mod prepared;
 mod report;
 
 pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, OperandKey, PlanCache};
-pub use cost::{CostEstimate, CostModel, FeedbackStore, PlanFeedbackState, PlanningPolicy};
+pub use cost::{
+    CostModel, FeedbackStore, PlanFeedbackState, PlanningPolicy, MIN_RACE_SECONDS, RACE_SAMPLES,
+};
 pub use engine::{Engine, DEFAULT_CACHE_CAPACITY};
 pub use plan::{ClusteringStrategy, OutputShape, Plan};
 pub use planner::{Planner, RankedPlan, PARALLEL_ROW_THRESHOLD};

@@ -1,22 +1,22 @@
-//! The planner: structural profile → cost-ranked, knob-tuned [`Plan`]s.
+//! The planner: structural profile → the advisor's candidate [`Plan`]s, in
+//! its order, admitted on their preparation price.
 //!
 //! Realizes the paper's §5 future-work item — "predict the best choice of
-//! reordering combined with the best clustering scheme" — as a two-layer
-//! pipeline: [`cw_reorder::advisor::advise_profiled`] supplies candidate
-//! techniques with their structural-evidence `affinity`, and the
-//! [`CostModel`] prices each resulting [`Plan`] (predicted preprocessing
-//! and kernel seconds) so candidates can be ranked by *amortized* cost
-//! under the caller's [`PlanningPolicy`] — expected reuse and an optional
-//! preprocessing budget.
+//! reordering combined with the best clustering scheme" — as an order plus
+//! a measurement: [`cw_reorder::advisor::advise_profiled`] supplies the
+//! candidate techniques best first, the [`CostModel`] prices what each
+//! plan adds before its first multiply, and the caller's [`PlanningPolicy`]
+//! admits the plans whose preparation the expected reuse can carry. Which
+//! admitted plan's kernel is fastest is not predicted: the engine's
+//! [`crate::FeedbackStore`] races them.
 //!
 //! The accumulator is not a planning choice: a [`Plan`] carries none, and
 //! the kernel runs Dense wherever the dense arrays one worker holds fit in
 //! 1 MiB at the width of the `B` it is handed, Hash otherwise
-//! ([`cw_spgemm::AccumulatorKind::resolve`]). Which pipeline wins is
-//! decided on reordering and clustering alone. Matrices too small to
+//! ([`cw_spgemm::AccumulatorKind::resolve`]). Matrices too small to
 //! amortize fork/join run serially.
 
-use crate::cost::{CostEstimate, CostModel, OperandFeatures, PlanningPolicy};
+use crate::cost::{CostModel, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
 use cw_core::ClusterConfig;
 use cw_reorder::advisor::{advise_profiled, Suggestion};
@@ -26,23 +26,23 @@ use cw_sparse::CsrMatrix;
 /// multiply finishes in microseconds and rayon fork/join would dominate.
 pub const PARALLEL_ROW_THRESHOLD: usize = 512;
 
-/// One cost-ranked candidate: the tuned plan, its predicted cost, and the
-/// *why* — the advisor affinity that fed the prediction and a one-line
-/// rationale.
+/// One candidate: the tuned plan, its predicted preparation, and the
+/// *why* — the advisor affinity behind its rank and a one-line rationale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedPlan {
     /// The tuned, executable plan.
     pub plan: Plan,
-    /// The cost model's prediction for this plan on this operand.
-    pub estimate: CostEstimate,
-    /// Advisor structural-evidence feature the estimate was built from
-    /// (`0` for the baseline fallback).
+    /// Predicted one-off preparation seconds (reordering + cluster
+    /// construction) of this plan on this operand.
+    pub prep_seconds: f64,
+    /// The advisor's structural-evidence feature for the technique (`0`
+    /// for the baseline).
     pub affinity: f64,
     /// One-line explanation of where this candidate came from.
     pub rationale: &'static str,
 }
 
-/// Turns matrices into executable [`Plan`]s, ranked by modeled cost.
+/// Turns matrices into executable [`Plan`]s in the advisor's order.
 #[derive(Debug, Clone)]
 pub struct Planner {
     /// Seed for randomized reorderings (identical seeds ⇒ identical plans
@@ -50,9 +50,9 @@ pub struct Planner {
     pub seed: u64,
     /// Clustering parameters used by Variable/Hierarchical strategies.
     pub cluster: ClusterConfig,
-    /// Amortization horizon, preprocessing budget, and feedback knobs.
+    /// Reuse horizon, preparation budget, and whether to race.
     pub policy: PlanningPolicy,
-    /// The analytic cost model pricing candidate plans.
+    /// The preparation prices admission reads.
     pub cost: CostModel,
 }
 
@@ -78,53 +78,56 @@ impl Planner {
         Planner { seed, policy, ..Planner::default() }
     }
 
-    /// The best plan for `a`: the cheapest candidate by modeled amortized
-    /// cost that fits the policy's preprocessing budget.
+    /// The first plan for `a`: the advisor's best admitted candidate.
     pub fn plan(&self, a: &CsrMatrix) -> Plan {
         self.plans_costed(a, OutputShape::Full)[0].plan
     }
 
-    /// Every candidate plan for `a` with its cost estimate, cheapest
-    /// (amortized under the policy's expected reuse) first. Candidates
-    /// whose predicted preprocessing exceeds the policy budget are ranked
-    /// after every within-budget candidate — the budget-aware fall-through:
-    /// callers trying candidates in order pay at most the budgeted
-    /// preprocessing unless nothing fits. Never empty: the zero-prep
-    /// baseline plan is always a candidate, so the budget can always be
-    /// met. Candidates are deduplicated (advisor suggestions that tune to
-    /// identical plans keep the highest-affinity instance).
+    /// The admitted candidate plans for `a`, in the advisor's order with
+    /// the baseline last. A candidate is admitted when its predicted
+    /// preparation is at most `expected_reuse × t × ½` for the predicted
+    /// multiply `t`, and within the budget ([`PlanningPolicy::admits`]).
+    /// Never empty: the baseline prepares nothing, so it is always
+    /// admitted. Candidates are deduplicated (advisor suggestions that tune
+    /// to identical plans keep the first instance).
     ///
     /// `shape` is stamped into every plan, so shaped cache entries and
-    /// feedback candidates never collide with full-product ones. The
-    /// estimates are the full product's: the cost model prices a shaped
-    /// plan like the full one.
+    /// races never collide with full-product ones.
     pub fn plans_costed(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
+        let (all, op_seconds) = self.candidates(a, shape);
+        all.into_iter().filter(|r| self.policy.admits(r.prep_seconds, op_seconds)).collect()
+    }
+
+    /// What the engine seeds a race with: rank 0 — the first candidate
+    /// [`Planner::plans_costed`] admits — then every other candidate in
+    /// order with its predicted preparation. The race admits challengers
+    /// again on the measured multiply, which may let in one the predicted
+    /// multiply kept out.
+    pub(crate) fn race_seed(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<(Plan, f64)> {
+        let (all, op_seconds) = self.candidates(a, shape);
+        let mut seed: Vec<(Plan, f64)> = all.iter().map(|r| (r.plan, r.prep_seconds)).collect();
+        let rank0 = all.iter().position(|r| self.policy.admits(r.prep_seconds, op_seconds));
+        seed[..=rank0.expect("the baseline is always admitted")].rotate_right(1);
+        seed
+    }
+
+    /// Every candidate for `a` in the advisor's order with the baseline
+    /// last, and the predicted seconds of one multiply.
+    fn candidates(&self, a: &CsrMatrix, shape: OutputShape) -> (Vec<RankedPlan>, f64) {
         let advice = advise_profiled(a);
-        let features = OperandFeatures::new(a, advice.profile);
+        let baseline = self.tune(a, Plan::baseline()).with_shape(shape);
         let mut out: Vec<RankedPlan> = Vec::with_capacity(advice.ranked.len() + 1);
-        let mut push = |plan: Plan, affinity: f64, rationale: &'static str| {
-            let plan = plan.with_shape(shape);
-            if out.iter().any(|r| r.plan == plan) {
-                return;
-            }
-            let estimate = self.cost.estimate(&features, &plan, affinity);
-            out.push(RankedPlan { plan, estimate, affinity, rationale });
-        };
         for r in &advice.ranked {
             let (plan, rationale) = self.candidate(a, r.suggestion);
-            push(plan, r.affinity, rationale);
+            let plan = plan.with_shape(shape);
+            if plan != baseline && out.iter().all(|x| x.plan != plan) {
+                let prep_seconds = self.cost.prep_seconds(&plan, a.nnz());
+                out.push(RankedPlan { plan, prep_seconds, affinity: r.affinity, rationale });
+            }
         }
-        push(self.tune(a, Plan::baseline()), 0.0, "baseline row-wise Gustavson");
-
-        let reuse = self.policy.expected_reuse;
-        let budget = self.policy.prep_budget_seconds.unwrap_or(f64::INFINITY);
-        out.sort_by(|x, y| {
-            let over = |r: &RankedPlan| r.estimate.prep_seconds > budget;
-            over(x)
-                .cmp(&over(y))
-                .then(x.estimate.amortized(reuse).total_cmp(&y.estimate.amortized(reuse)))
-        });
-        out
+        let rationale = "baseline row-wise Gustavson";
+        out.push(RankedPlan { plan: baseline, prep_seconds: 0.0, affinity: 0.0, rationale });
+        (out, self.cost.op_seconds(a.nnz(), advice.profile.avg_row_nnz))
     }
 
     /// Tuned plan realizing one specific advisor [`Suggestion`] on `a`.
@@ -162,9 +165,40 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::plan::ClusteringStrategy;
-    use cw_reorder::advisor::profile;
+    use cw_reorder::advisor::advise;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
+
+    fn corpus() -> Vec<CsrMatrix> {
+        vec![
+            gen::grid::poisson2d(16, 16),
+            gen::mesh::tri_mesh(16, 16, true, 3),
+            gen::mesh::tri_mesh(40, 40, true, 3),
+            gen::banded::block_diagonal(128, (6, 8), 0.0, 1),
+            gen::rmat::rmat(8, 6, gen::rmat::RmatParams::default(), 4),
+            gen::er::erdos_renyi(300, 6, 2),
+        ]
+    }
+
+    #[test]
+    fn candidates_follow_the_advisor_with_the_baseline_last() {
+        let planner = Planner {
+            policy: PlanningPolicy { expected_reuse: 1e12, ..PlanningPolicy::default() },
+            ..Planner::default()
+        };
+        for a in corpus() {
+            let ranked = planner.plans_costed(&a, OutputShape::Full);
+            let baseline = planner.tune(&a, Plan::baseline());
+            let mut expect = Vec::new();
+            for plan in advise(&a).into_iter().map(|s| planner.plan_for_suggestion(&a, s)) {
+                if plan != baseline && !expect.contains(&plan) {
+                    expect.push(plan);
+                }
+            }
+            expect.push(baseline);
+            assert_eq!(ranked.iter().map(|r| r.plan).collect::<Vec<_>>(), expect);
+        }
+    }
 
     #[test]
     fn plans_ranked_is_never_empty_and_contains_the_baseline() {
@@ -173,31 +207,23 @@ mod tests {
         assert!(!ranked.is_empty());
         assert!(
             ranked.iter().any(|r| !r.plan.has_preprocessing()),
-            "the zero-prep baseline must always be a fall-through candidate"
+            "the zero-prep baseline must always be admitted"
         );
     }
 
     #[test]
-    fn plans_costed_is_sorted_by_amortized_cost_within_budget_class() {
-        let planner = Planner::default();
-        for a in [
-            gen::grid::poisson2d(16, 16),
-            gen::mesh::tri_mesh(16, 16, true, 3),
-            gen::banded::block_diagonal(128, (6, 8), 0.0, 1),
+    fn admission_keeps_what_the_reuse_can_carry() {
+        for policy in [
+            PlanningPolicy::default(),
+            PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() },
         ] {
-            let ranked = planner.plans_costed(&a, OutputShape::Full);
-            let reuse = planner.policy.expected_reuse;
-            for w in ranked.windows(2) {
-                assert!(
-                    w[0].estimate.amortized(reuse) <= w[1].estimate.amortized(reuse) + 1e-15,
-                    "ranking must ascend in amortized cost"
-                );
-            }
-            // No duplicate pipelines in the candidate set.
-            for (i, x) in ranked.iter().enumerate() {
-                for y in &ranked[i + 1..] {
-                    assert_ne!(x.plan, y.plan);
-                }
+            let planner = Planner { policy, ..Planner::default() };
+            for a in corpus() {
+                let op =
+                    planner.cost.op_seconds(a.nnz(), cw_reorder::advisor::profile(&a).avg_row_nnz);
+                let ranked = planner.plans_costed(&a, OutputShape::Full);
+                assert!(ranked.iter().all(|r| r.prep_seconds <= policy.expected_reuse * op * 0.5));
+                assert!(!ranked.last().unwrap().plan.has_preprocessing());
             }
         }
     }
@@ -206,38 +232,36 @@ mod tests {
     fn zero_budget_falls_through_to_a_zero_prep_plan() {
         let mut planner = Planner::default();
         planner.policy.prep_budget_seconds = Some(0.0);
-        // A scrambled mesh would otherwise plan a reordering, which has
-        // nonzero predicted prep cost.
+        // A scrambled mesh would otherwise plan a reordering first.
         let a = gen::mesh::tri_mesh(20, 20, true, 3);
-        let plan = planner.plan(&a);
-        assert_eq!(
-            planner
-                .cost
-                .estimate(&crate::cost::OperandFeatures::new(&a, profile(&a)), &plan, 0.0)
-                .prep_seconds,
-            0.0,
-            "zero budget must select a plan with zero predicted preprocessing: {}",
-            plan.describe()
-        );
+        let ranked = planner.plans_costed(&a, OutputShape::Full);
+        assert_eq!(ranked.len(), 1);
+        assert!(!ranked[0].plan.has_preprocessing(), "{}", ranked[0].plan.describe());
     }
 
     #[test]
     fn one_shot_policy_avoids_heavy_preprocessing() {
-        let mut planner = Planner { policy: PlanningPolicy::one_shot(), ..Planner::default() };
         let a = gen::mesh::tri_mesh(20, 20, true, 3);
-        let one_shot = planner.plan(&a);
-        planner.policy.expected_reuse = 1000.0;
-        let heavy_reuse_rank = planner.plans_costed(&a, OutputShape::Full);
-        // Under massive reuse the top choice amortizes at pure kernel cost,
-        // so its kernel estimate can't exceed the one-shot pick's.
-        assert!(
-            heavy_reuse_rank[0].estimate.kernel_seconds
-                <= planner
-                    .cost
-                    .estimate(&crate::cost::OperandFeatures::new(&a, profile(&a)), &one_shot, 0.0)
-                    .kernel_seconds
-                    + 1e-15
-        );
+        assert_eq!(Planner::default().plan(&a).reorder, Reordering::Rcm);
+        let one_shot = Planner {
+            policy: PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() },
+            ..Planner::default()
+        };
+        assert!(!one_shot.plan(&a).has_preprocessing());
+    }
+
+    #[test]
+    fn the_race_seed_starts_with_rank_zero_and_keeps_every_candidate() {
+        let a = gen::mesh::tri_mesh(20, 20, true, 3);
+        let planner = Planner {
+            policy: PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() },
+            ..Planner::default()
+        };
+        let seed = planner.race_seed(&a, OutputShape::Full);
+        assert_eq!(seed[0].0, planner.plan(&a), "rank 0 runs first");
+        let (all, _) = planner.candidates(&a, OutputShape::Full);
+        assert_eq!(seed.len(), all.len(), "challengers are admitted again on t₀");
+        assert!(all.iter().all(|r| seed.contains(&(r.plan, r.prep_seconds))));
     }
 
     #[test]

@@ -69,24 +69,23 @@ pub struct ExecutionReport {
     pub timings: StageTimings,
     /// `nnz(C)` of the produced output.
     pub output_nnz: usize,
-    /// Feedback-loop calibration state after this execution was recorded:
-    /// how often this plan has run on this operand, predicted vs observed
-    /// kernel seconds, the calibration ratio, and whether this observation
-    /// triggered a re-plan. `None` when the executed plan carries no
-    /// feedback signal (e.g. a forced plan outside the candidate set, or
-    /// an operand the planner has never seeded).
+    /// Race state after this execution was recorded: how often this plan
+    /// has run on this operand, whether the operand's plan is locked, and
+    /// whether this observation locked a plan other than the first pick.
+    /// `None` for a forced plan and for a plan outside the operand's
+    /// candidates.
     pub feedback: Option<PlanFeedbackState>,
 }
 
 impl ExecutionReport {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
-        let calibration = match &self.feedback {
+        let race = match &self.feedback {
             None => String::new(),
             Some(f) => format!(
-                " | fb x{} calib {:.2}{}",
+                " | fb x{} {}{}",
                 f.executions,
-                f.calibration,
+                if f.locked { "locked" } else { "racing" },
                 if f.switched { " REPLAN" } else { "" }
             ),
         };
@@ -103,7 +102,7 @@ impl ExecutionReport {
             self.timings.kernel_seconds * 1e3,
             self.timings.postprocess_seconds * 1e3,
             self.output_nnz,
-            calibration,
+            race,
         )
     }
 }
@@ -169,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_shows_calibration_when_feedback_is_present() {
+    fn summary_shows_the_race_when_feedback_is_present() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
             clusterwise: false,
@@ -181,15 +180,20 @@ mod tests {
             output_nnz: 1,
             feedback: Some(crate::cost::PlanFeedbackState {
                 executions: 7,
-                predicted_kernel_seconds: 1e-3,
-                observed_kernel_seconds: 2e-3,
-                calibration: 2.0,
                 replans: 1,
                 switched: true,
                 candidates: 3,
+                locked: true,
             }),
         };
         let s = rep.summary();
-        assert!(s.contains("x7") && s.contains("2.00") && s.contains("REPLAN"), "{s}");
+        assert!(s.contains("fb x7 locked REPLAN"), "{s}");
+        let racing = crate::cost::PlanFeedbackState {
+            locked: false,
+            switched: false,
+            ..rep.feedback.unwrap()
+        };
+        let s = ExecutionReport { feedback: Some(racing), ..rep }.summary();
+        assert!(s.ends_with("fb x7 racing"), "{s}");
     }
 }

@@ -21,16 +21,15 @@
 //!   worker shards, each owning its *own* [`cw_engine::Engine`] and
 //!   [`cw_engine::PlanCache`]. All traffic for one matrix lands on one
 //!   shard, so caches need no cross-thread locking at all.
-//! * **Per-shard execution feedback** — each shard engine records
-//!   observed kernel timings into its private
-//!   [`cw_engine::FeedbackStore`], so repeated traffic converges on the
-//!   empirically fastest plan per operand with no cross-thread locking;
-//!   plan switches surface as [`ServiceReport::replanned`] and the
-//!   per-shard `replans` counter.
+//! * **Per-shard plan races** — each shard engine hands measured kernel
+//!   seconds to its private [`cw_engine::FeedbackStore`], which races an
+//!   operand's admitted plans (on kernels of a millisecond or more) and
+//!   locks the fastest, with no cross-thread locking; a lock on a plan
+//!   other than the first pick surfaces as [`ServiceReport::replanned`]
+//!   and the per-shard `replans` counter.
 //! * **Observability** — every response carries a [`ServiceReport`]
-//!   (queue wait, batch size, the executed plan, cache outcome, feedback
-//!   calibration state, per-stage [`cw_engine::ExecutionReport`]
-//!   timings), and
+//!   (queue wait, batch size, the executed plan, cache outcome, race
+//!   state, per-stage [`cw_engine::ExecutionReport`] timings), and
 //!   [`SpgemmService::stats`] aggregates throughput, p50/p99 latency
 //!   (a summary of the `latency_seconds` histogram), and per-shard cache
 //!   hit rates. Underneath,

@@ -192,16 +192,16 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Feedback-loop calibration state for this request's operand, when
-    /// the executed plan carries one (see
+    /// Race state for this request's operand, when the executed plan
+    /// carries one (see
     /// [`cw_engine::ExecutionReport::feedback`]).
     pub fn feedback(&self) -> Option<&cw_engine::PlanFeedbackState> {
         self.execution.feedback.as_ref()
     }
 
-    /// Whether this request's observation made the shard switch the
-    /// operand's plan (the next non-coalesced request for it will prepare
-    /// and run a different pipeline).
+    /// Whether this request's observation locked the operand on a plan
+    /// other than the planner's first pick (the next request for it runs
+    /// the winner).
     pub fn replanned(&self) -> bool {
         self.execution.feedback.is_some_and(|f| f.switched)
     }

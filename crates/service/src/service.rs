@@ -27,9 +27,9 @@ pub struct ServiceConfig {
     /// Seed for each shard's planner (identical seeds ⇒ identical plans
     /// and bit-identical results across shards and vs a direct engine).
     pub seed: u64,
-    /// Planning policy for each shard's planner: amortization horizon,
-    /// preprocessing budget, and whether the per-shard feedback loop may
-    /// re-plan operands from observed timings.
+    /// Planning policy for each shard's planner: expected reuse,
+    /// preparation budget, and whether the shard may race an operand's
+    /// admitted plans.
     pub policy: PlanningPolicy,
     /// Start with structured span tracing enabled. Off (the default),
     /// every span site in the hot path costs one atomic load; on, each
@@ -443,7 +443,11 @@ mod tests {
     #[test]
     fn zero_window_dispatches_each_submission_alone() {
         let a = arc(gen::grid::poisson2d(9, 9));
-        let service = SpgemmService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() });
+        // Frozen: a debug-build kernel can pass the race's 1 ms floor, and a
+        // race's second request runs (and prepares) a challenger.
+        let policy = PlanningPolicy::frozen();
+        let service =
+            SpgemmService::new(ServiceConfig { shards: 1, policy, ..ServiceConfig::default() });
         for _ in 0..3 {
             let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
             let resp = t.wait().unwrap();
@@ -601,9 +605,11 @@ mod tests {
     #[test]
     fn traced_requests_nest_and_reconcile_with_reports() {
         let a = arc(gen::grid::poisson2d(10, 10));
+        // Frozen, so requests 2 and 3 are cache hits whatever the clock.
         let service = SpgemmService::new(ServiceConfig {
             shards: 1,
             tracing: true,
+            policy: PlanningPolicy::frozen(),
             ..ServiceConfig::default()
         });
         let mut reports = Vec::new();

@@ -321,11 +321,9 @@ fn serve_batch(engine: &mut Engine, ctx: &WorkerCtx, items: Vec<Submission>) {
             (prep, timings, hit)
         };
         // Execute + record + report through the engine's shared tail: each
-        // shard owns its engine, so observed timings close the feedback
-        // loop with no cross-thread locking. Forced-plan requests whose
-        // plan equals a tracked candidate feed that candidate's EWMA too
-        // (an ablation run can promote a faster plan for the shard's auto
-        // traffic).
+        // shard owns its engine, so measured kernels feed its races with no
+        // cross-thread locking. A forced plan never seeds a race; it is a
+        // race sample only when it is the very plan the race asked for.
         let (product, execution) = engine.execute_prepared_shaped(
             &prepared,
             &sub.rhs,
@@ -392,9 +390,12 @@ mod tests {
     /// Runs one worker on the test thread over `requests`, all queued (and
     /// the sender hung up) before it starts, so its first drain sees every
     /// request and then the hang-up. Returns the tickets in submission
-    /// order, the shard's stats and the registry its cells live in.
+    /// order, the shard's stats and the registry its cells live in. The
+    /// engine is frozen: a debug-build kernel can pass the race's 1 ms
+    /// floor, and a race prepares challengers these counts do not expect.
     fn serve_queued(requests: Vec<MultiplyRequest>) -> (Vec<Ticket>, ShardStats, MetricsRegistry) {
-        let engine = Engine::default();
+        let planner = cw_engine::Planner::with_policy(0, cw_engine::PlanningPolicy::frozen());
+        let engine = Engine::new(planner, cw_engine::DEFAULT_CACHE_CAPACITY);
         let metrics = MetricsRegistry::new();
         let in_flight = Arc::new(AtomicUsize::new(requests.len()));
         let ctx = WorkerCtx::new(0, &engine, &metrics, &Arc::new(Tracer::new(4)), &in_flight);

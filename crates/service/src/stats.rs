@@ -55,8 +55,8 @@ pub struct ShardStats {
     pub cached_operands: usize,
     /// Resident bytes in the shard cache.
     pub cached_bytes: usize,
-    /// Plan switches the shard engine's feedback loop has made (observed
-    /// timings contradicted the cost model strongly enough to re-plan).
+    /// Operands whose race locked a plan other than the planner's first
+    /// pick.
     pub replans: u64,
     /// Operands (one per output shape requested) the shard engine's
     /// feedback store tracks.

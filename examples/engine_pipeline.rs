@@ -6,10 +6,11 @@
 //!
 //! Walks the full `cw-engine` pipeline on two structurally different
 //! matrices: the planner picks a different pipeline for each, the first
-//! multiply pays preprocessing, and repeated traffic hits the plan cache
-//! and runs kernel-only.
+//! multiply pays preprocessing, a race (on kernels of a millisecond or
+//! more) locks the fastest admitted pipeline, and repeated traffic hits
+//! the plan cache and runs kernel-only.
 
-use clusterwise_spgemm::engine::Suggestion;
+use clusterwise_spgemm::engine::{OperandKey, Suggestion, MIN_RACE_SECONDS, RACE_SAMPLES};
 use clusterwise_spgemm::prelude::*;
 use std::time::Instant;
 
@@ -47,52 +48,77 @@ fn main() {
             profile.degree_skew, profile.relative_bandwidth, profile.consecutive_jaccard
         );
 
-        // 2. Plan: reordering × clustering (which fixes the kernel) ×
-        // accumulator; the ranked list says why each candidate is there.
-        let best = engine.planner().plans_costed(a, OutputShape::Full)[0];
-        println!("plan:    {}  ({})", best.plan.describe(), best.rationale);
+        // 2. Plan: the advisor's candidates in its order, baseline last,
+        // admitted on their preparation price; the list says why each is
+        // there.
+        for (rank, r) in engine.planner().plans_costed(a, OutputShape::Full).iter().enumerate() {
+            println!(
+                "rank {rank}: {}  (prep {:.3} ms; {})",
+                r.plan.describe(),
+                r.prep_seconds * 1e3,
+                r.rationale
+            );
+        }
 
-        // 3. Execute: first call prepares (and caches), later calls reuse.
+        // 3. Execute: the first call prepares (and caches) rank 0, and its
+        // kernel seconds are t₀. Under MIN_RACE_SECONDS rank 0 is locked at
+        // once; otherwise the challengers admitted on t₀ race it, each
+        // prepared once, and the lowest median of RACE_SAMPLES is locked.
         let (c, first) = engine.multiply(a, a);
         println!("first:   {}", first.summary());
 
-        // Repeated traffic hits the plan cache — except right after the
-        // feedback loop re-plans (observed timings contradicted the cost
-        // model), when the one miss pays for the newly chosen pipeline.
+        // Repeated traffic hits the plan cache. The only misses are a
+        // challenger's first run (its one preparation), and once the race
+        // locks, nothing else ever runs.
+        let key = (OperandKey::of(a), OutputShape::Full);
+        let mut samples = vec![(first.plan, first.timings.kernel_seconds)];
+        let mut lock = first.feedback.is_some_and(|f| f.locked).then_some(first.plan);
         let t0 = Instant::now();
-        let rounds = 5;
-        let mut last_feedback = None;
-        let mut switched_last_round = false;
+        let rounds = 5 + RACE_SAMPLES * 4;
         for round in 0..rounds {
             let (c_again, rep) = engine.multiply(a, a);
+            let first_run = samples.iter().all(|&(plan, _)| plan != rep.plan);
             assert!(
-                rep.cache_hit || switched_last_round,
-                "round {round}: only a fresh re-plan may miss the cache"
+                rep.cache_hit || (first_run && lock.is_none()),
+                "round {round}: only a challenger's first run may miss the cache"
             );
+            assert!(lock.is_none_or(|p| p == rep.plan), "round {round}: a locked plan changed");
             assert!(c_again.numerically_eq(&c, 1e-9), "round {round}: result must not change");
-            if rep.feedback.is_some_and(|f| f.switched) {
-                println!("  feedback re-planned after round {round}: {}", rep.plan.describe());
+            if lock.is_none() {
+                samples.push((rep.plan, rep.timings.kernel_seconds));
+                if rep.feedback.is_some_and(|f| f.locked) {
+                    lock = engine.feedback().chosen_plan(&key);
+                }
             }
-            switched_last_round = rep.feedback.is_some_and(|f| f.switched);
-            last_feedback = rep.feedback;
         }
         println!(
-            "{rounds} warm multiplies in {:.1} ms (preprocessing amortized away)",
+            "{rounds} more multiplies in {:.1} ms (preprocessing amortized away)",
             t0.elapsed().as_secs_f64() * 1e3
         );
 
-        // 4. Feedback: observed kernel seconds calibrate the cost model.
-        if let Some(fb) = last_feedback {
-            println!(
-                "feedback: {} runs, predicted {:.3} ms vs observed {:.3} ms \
-                 (calibration {:.2}, {} replans)",
-                fb.executions,
-                fb.predicted_kernel_seconds * 1e3,
-                fb.observed_kernel_seconds * 1e3,
-                fb.calibration,
-                fb.replans
-            );
+        // 4. The race: every kernel sample taken before the lock, and the lock.
+        for &(plan, seconds) in &samples {
+            println!("  sample {:>8.3} ms  {}", seconds * 1e3, plan.describe());
         }
+        let lock = lock.expect("every race locks within 1 + R·m multiplies");
+        let fb = engine.feedback().state(&key).expect("auto traffic is tracked");
+        let mut ran: Vec<Plan> = Vec::new();
+        for &(plan, _) in &samples {
+            if !ran.contains(&plan) {
+                ran.push(plan);
+            }
+        }
+        let why =
+            if ran.len() == 1 { " (t₀ under the race floor, or nothing admitted)" } else { "" };
+        println!(
+            "locked:  {}{why} after {} sample(s); {} of {} candidates ran, {} replans",
+            lock.describe(),
+            samples.len(),
+            ran.len(),
+            fb.candidates,
+            fb.replans
+        );
+        assert!(ran.len() == 1 || samples[0].1 >= MIN_RACE_SECONDS, "a race needs t₀ ≥ the floor");
 
         // Cross-validate against the row-wise baseline.
         let baseline = spgemm(a, a);

@@ -8,8 +8,8 @@
 //!
 //! This crate is a facade re-exporting the workspace members (see
 //! `docs/ARCHITECTURE.md` for the full crate map, the
-//! plan→prepare→execute→serve dataflow diagram, and how the cost model and
-//! feedback loop fit together):
+//! plan→prepare→execute→serve dataflow diagram, and how admission and the
+//! race fit together):
 //!
 //! * [`service`] — **the serving layer**: a threaded `SpgemmService` over
 //!   the engine for concurrent traffic. Bounded admission with
@@ -18,8 +18,8 @@
 //!   store — no cross-thread locking); a busy shard coalesces the requests
 //!   that queued behind it into same-lhs batches, an idle one serves at
 //!   once. Every request is answered with a `ServiceReport` (queue
-//!   wait, batch size, cache outcome, calibration state, per-stage
-//!   timings) plus service-wide throughput and p50/p99 latency stats.
+//!   wait, batch size, cache outcome, race state, per-stage timings) plus
+//!   service-wide throughput and p50/p99 latency stats.
 //! * [`net`] — **the wire-protocol serving layer**: a `CWNP` binary frame
 //!   protocol (28-byte versioned header + bit-exact `CSRB` operand blobs),
 //!   a `NetServer` TCP front-end over `SpgemmService` with a bounded
@@ -39,20 +39,21 @@
 //!   human-readable exporters. The engine and service emit into it;
 //!   `ServiceReport` and `ServiceStats` are views over the same numbers.
 //! * [`engine`] — **the front door**: an adaptive
-//!   plan/prepare/execute/feed-back pipeline. A `Planner` profiles the
-//!   operand, prices every candidate pipeline (reordering × clustering,
-//!   which fixes the kernel) with a `CostModel`, ranks them by cost
-//!   amortized under a caller-supplied `PlanningPolicy` (expected reuse,
-//!   preprocessing budget), and gives each the dense accumulator wherever
-//!   it fits in 1 MiB per worker; `PreparedMatrix` materializes
+//!   plan/prepare/execute/race pipeline. A `Planner` profiles the
+//!   operand, takes the advisor's candidate pipelines (reordering ×
+//!   clustering, which fixes the kernel) in its order with the baseline
+//!   last, and admits those whose preparation, priced by a `CostModel`,
+//!   a caller-supplied `PlanningPolicy` can carry (half of the expected
+//!   reuse, an optional budget); every kernel runs the dense accumulator
+//!   wherever it fits in 1 MiB per worker; `PreparedMatrix` materializes
 //!   the chosen plan once; an (operand, plan)-keyed `PlanCache` (entry-
 //!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
 //!   `Engine::multiply` executes the kernel (on the rayon pool when the
 //!   plan's `parallel` is set; `parallel: false` is the serial oracle the
 //!   parallel path is bit-identical to), reports per-stage timings, and
-//!   feeds observed kernel seconds into a
-//!   per-operand `FeedbackStore` that demotes mispredicted plans so
-//!   traffic converges on the empirically fastest pipeline.
+//!   hands the measured kernel seconds to a per-operand `FeedbackStore`:
+//!   on kernels of a millisecond or more, up to four admitted plans race
+//!   three samples each and the lowest median is locked for good.
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O,
 //!   synthetic matrix generators, structural statistics, and the matrix
 //!   fingerprints and checksums keying the engine's plan cache.
@@ -102,6 +103,11 @@
 //! let mut engine = Engine::default();
 //!
 //! let (c_first, first) = engine.multiply(&a, &a);   // plans + prepares
+//! // A kernel of a millisecond or more races the admitted plans, each
+//! // prepared once, and locks one within 1 + 3·4 calls.
+//! for _ in 0..12 {
+//!     engine.multiply(&a, &a);
+//! }
 //! let (c_again, again) = engine.multiply(&a, &a);   // cache hit: kernel only
 //! assert!(!first.cache_hit && again.cache_hit);
 //! assert!(c_first.numerically_eq(&c_again, 0.0));
@@ -125,9 +131,8 @@
 //! pipeline (cache and feedback are keyed per shape). A masked row-wise
 //! plan admits only the mask's columns into the accumulator and never
 //! builds the rest of the product; the other shaped plans compute the full
-//! product and filter it, which is also how the cost model prices all of
-//! them. Either way every plan stays bit-identical to the serial oracle
-//! computing the same shape:
+//! product and filter it. Either way every plan stays bit-identical to the
+//! serial oracle computing the same shape:
 //!
 //! ```
 //! use clusterwise_spgemm::prelude::*;

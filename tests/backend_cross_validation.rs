@@ -75,9 +75,10 @@ fn every_advisor_branch_parallel_equals_serial() {
 
 #[test]
 fn every_ranked_candidate_parallel_equals_serial() {
-    // The planner's own fall-through list must be exact either way, so a
-    // feedback-driven plan switch can never change results.
-    let planner = Planner::default();
+    // Every candidate the planner can hand a race must be exact either
+    // way, so a lock can never change results: admit them all.
+    let policy = PlanningPolicy { expected_reuse: f64::INFINITY, ..PlanningPolicy::default() };
+    let planner = Planner::with_policy(SEED, policy);
     for (name, a) in [
         ("scrambled_mesh", gen::mesh::tri_mesh(11, 11, true, 7)),
         ("block_diagonal", gen::banded::block_diagonal(80, (4, 8), 0.15, 1)),

@@ -319,8 +319,11 @@ fn a_version_one_or_two_submit_is_still_served() {
 fn routed_client_places_by_fingerprint_and_each_endpoint_serves_its_share() {
     let servers: Vec<NetServer> = (0..2)
         .map(|_| {
+            // Frozen: a debug-build kernel can pass the race's 1 ms floor,
+            // and a race's second op runs (and prepares) a challenger.
+            let policy = PlanningPolicy::frozen();
             loopback_server(
-                ServiceConfig { shards: 2, ..ServiceConfig::default() },
+                ServiceConfig { shards: 2, policy, ..ServiceConfig::default() },
                 NetServerConfig::default(),
             )
         })

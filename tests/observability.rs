@@ -91,8 +91,15 @@ fn traced_service_jsonl_nests_and_reconciles_with_reports() {
         Arc::new(clusterwise_spgemm::sparse::gen::grid::poisson2d(10, 10)),
         Arc::new(clusterwise_spgemm::sparse::gen::mesh::tri_mesh(9, 9, true, 3)),
     ];
-    let service =
-        SpgemmService::new(ServiceConfig { shards: 1, tracing: true, ..ServiceConfig::default() });
+    // Frozen: a debug-build kernel can pass the race's 1 ms floor, and a
+    // race's second op runs (and prepares) a challenger.
+    let policy = PlanningPolicy::frozen();
+    let service = SpgemmService::new(ServiceConfig {
+        shards: 1,
+        tracing: true,
+        policy,
+        ..ServiceConfig::default()
+    });
     let mut responses: Vec<MultiplyResponse> = Vec::new();
     for round in 0..3 {
         for a in &mats {

@@ -1,137 +1,210 @@
-//! Integration tests for the cost-model planner and its execution-feedback
-//! loop: a planner given an adversarially *wrong* cost model must mislead
-//! the first choice, and the feedback loop must recover by demoting the
-//! mispredicted plan and locking onto the fastest candidate; the
-//! calibration state must surface end to end (engine reports and service
-//! reports).
+//! Integration tests for plan selection: the planner's admitted order and
+//! the race that replaces its first pick only on measurement. Every race
+//! here runs on synthetic kernel seconds fed through
+//! `FeedbackStore::{seed, record, chosen_plan}`, so no clock decides an
+//! outcome; the engine and service doors are checked for what they
+//! surface, under the frozen policy wherever a debug-build kernel could
+//! pass the race's 1 ms floor.
 
-use clusterwise_spgemm::engine::{OperandKey, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
+use clusterwise_spgemm::engine::{
+    OperandKey, PlanningPolicy, DEFAULT_CACHE_CAPACITY, MIN_RACE_SECONDS, RACE_SAMPLES,
+};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use std::sync::Arc;
 
+fn frozen_engine() -> Engine {
+    Engine::new(Planner::with_policy(0, PlanningPolicy::frozen()), DEFAULT_CACHE_CAPACITY)
+}
+
+/// Feeds the store `ops` records of whatever plan it chooses, each taking
+/// `seconds(plan)`; returns the 1-based record after which it was locked.
+fn race(
+    store: &mut FeedbackStore,
+    key: (OperandKey, OutputShape),
+    ops: usize,
+    seconds: &dyn Fn(Plan) -> f64,
+) -> Option<usize> {
+    let policy = PlanningPolicy::default();
+    let mut locked_at = None;
+    for op in 1..=ops {
+        let plan = store.chosen_plan(&key).unwrap();
+        let state = store.record(key, plan, seconds(plan), &policy).unwrap();
+        if state.locked {
+            locked_at = locked_at.or(Some(op));
+        }
+    }
+    locked_at
+}
+
 #[test]
 fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
-    // A power-law matrix: heavy hubs, low row overlap — cluster-wise
-    // computation has little to share here and the advisor knows it.
+    // The planner's own candidates on a power-law matrix, every one
+    // admitted (a huge reuse), with a planted fastest plan in each
+    // position: the race locks it within 1 + R·m records, then never
+    // switches.
     let a = gen::rmat::rmat(9, 8, gen::rmat::RmatParams::default(), 7);
-
-    // Adversarial cost model: cluster construction predicted free and
-    // cluster-wise kernels predicted ~10× cheaper than they can be, so the
-    // initial choice is cluster-wise — a misprediction the feedback loop
-    // must correct from observed timings alone.
-    let policy = PlanningPolicy { min_adapt_gain_seconds: 0.0, ..PlanningPolicy::default() };
-    let mut planner = Planner::with_policy(3, policy);
-    planner.cost.cluster_gain = 6.0;
-    planner.cost.cluster_row_overhead = 0.0;
-    planner.cost.variable_cluster_per_nnz = 0.0;
-    planner.cost.hierarchical_cluster_per_nnz = 0.0;
-    planner.cost.fixed_cluster_per_nnz = 0.0;
-
-    // Engine level: the model misleads the first choice, and whatever
-    // the loop runs, every round returns the serial oracle's bits.
-    let oracle = spgemm_serial(&a, &a);
-    let mut engine = Engine::new(planner.clone(), DEFAULT_CACHE_CAPACITY);
-    let (c, first) = engine.multiply(&a, &a);
-    assert!(
-        first.plan.is_clusterwise(),
-        "the adversarial model must mislead the initial choice ({})",
-        first.plan.describe()
-    );
-    assert!(c.bits_eq(&oracle));
-    for _ in 0..24 {
-        let (c, rep) = engine.multiply(&a, &a);
-        assert!(c.bits_eq(&oracle), "{}", rep.plan.describe());
-    }
-
-    // Convergence, on synthetic kernel seconds so no clock decides it:
-    // the store is seeded with this planner's real ranking, the baseline
-    // is the planted fastest plan, every other row-wise plan is ×2
-    // slower and every cluster-wise plan ×3.
+    let policy = PlanningPolicy { expected_reuse: 1e12, ..PlanningPolicy::default() };
+    let ranked = Planner::with_policy(0, policy).plans_costed(&a, OutputShape::Full);
+    let m = ranked.len().min(4);
+    assert!(m >= 2, "the operand must give the race something to do");
     let key = (OperandKey::of(&a), OutputShape::Full);
-    let ranked = planner.plans_costed(&a, OutputShape::Full);
-    let mut store = FeedbackStore::new();
-    store.seed(key, ranked.iter().map(|r| (r.plan, r.estimate)).collect());
-    assert_eq!(store.chosen_plan(&key), Some(first.plan), "the engine seeds the same ranking");
-    let fastest = ranked.iter().map(|r| r.plan).find(|p| !p.has_preprocessing()).unwrap();
-    let seconds = |plan: Plan| match plan {
-        p if p == fastest => 1.0,
-        p if p.is_clusterwise() => 3.0,
-        _ => 2.0,
-    };
-    let mut replans = 0;
-    for _ in 0..100 {
-        let plan = store.chosen_plan(&key).unwrap();
-        replans = store.record(key, plan, seconds(plan), &policy).unwrap().replans;
-    }
-    assert!(replans >= 1, "the misprediction must trigger at least one re-plan");
-    assert_eq!(store.chosen_plan(&key), Some(fastest), "the lock lands on the fastest plan");
-
-    // Locked: a hundred more observations of the same timings move nothing.
-    for _ in 0..100 {
-        let state = store.record(key, fastest, seconds(fastest), &policy).unwrap();
-        assert!(!state.switched);
-        assert_eq!(state.replans, replans);
+    for fastest in 0..m {
+        let winner = ranked[fastest].plan;
+        let seconds = |p: Plan| if p == winner { 0.004 } else { 0.012 };
+        let mut store = FeedbackStore::new();
+        store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
+        let locked_at = race(&mut store, key, 1 + RACE_SAMPLES * m, &seconds);
+        assert!(locked_at.is_some_and(|op| op <= 1 + RACE_SAMPLES * m), "{locked_at:?}");
+        assert_eq!(store.chosen_plan(&key), Some(winner), "the lock lands on the fastest");
+        let replans = u64::from(fastest != 0);
+        assert_eq!(store.total_replans(), replans);
+        // Locked: a thousand more records, the lock's timing reversed, move
+        // nothing.
+        for _ in 0..1000 {
+            let plan = store.chosen_plan(&key).unwrap();
+            let state = store.record(key, plan, 1.0, &PlanningPolicy::default()).unwrap();
+            assert!(!state.switched && state.locked);
+            assert_eq!(state.replans, replans);
+        }
+        assert_eq!(store.chosen_plan(&key), Some(winner));
     }
 }
 
 #[test]
-fn execution_reports_surface_calibration_state() {
-    let a = gen::grid::poisson2d(12, 12);
-    let mut engine = Engine::default();
-    let (_, first) = engine.multiply(&a, &a);
-    let fb = first.feedback.expect("auto traffic must carry feedback state");
-    assert_eq!(fb.executions, 1);
-    assert!(fb.predicted_kernel_seconds > 0.0);
-    assert!(fb.observed_kernel_seconds > 0.0);
-    assert!(fb.candidates >= 2, "baseline plus at least one technique");
-    assert!(!fb.switched);
-
-    let (_, second) = engine.multiply(&a, &a);
-    let fb2 = second.feedback.unwrap();
-    assert_eq!(fb2.executions, 2);
-    assert!(fb2.calibration > 0.0);
-    assert!(second.summary().contains("fb x2"), "{}", second.summary());
-
-    // The snapshot accessor agrees with the report.
+fn t0_below_the_floor_locks_rank_zero_at_op_one() {
+    let a = gen::mesh::tri_mesh(24, 24, true, 5);
     let key = (OperandKey::of(&a), OutputShape::Full);
-    let state = engine.feedback_state(&key).unwrap();
-    assert_eq!(state.executions, fb2.executions);
+    let ranked = Planner::default().plans_costed(&a, OutputShape::Full);
+    let mut store = FeedbackStore::new();
+    store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
+    let t0 = MIN_RACE_SECONDS / 2.0;
+    let state = store.record(key, ranked[0].plan, t0, &PlanningPolicy::default()).unwrap();
+    assert!(state.locked && !state.switched);
+    assert_eq!(store.chosen_plan(&key), Some(ranked[0].plan));
+}
+
+#[test]
+fn the_frozen_policy_never_races() {
+    let a = gen::mesh::tri_mesh(24, 24, true, 5);
+    let key = (OperandKey::of(&a), OutputShape::Full);
+    let ranked = Planner::default().plans_costed(&a, OutputShape::Full);
+    assert!(ranked.len() >= 2);
+    let mut store = FeedbackStore::new();
+    store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
+    for _ in 0..10 {
+        let state = store.record(key, ranked[0].plan, 10.0, &PlanningPolicy::frozen()).unwrap();
+        assert!(state.locked && !state.switched);
+        assert_eq!(store.chosen_plan(&key), Some(ranked[0].plan));
+    }
+}
+
+#[test]
+fn admission_on_t0_rejects_a_challenger_whose_prep_would_not_pay() {
+    let a = gen::grid::poisson2d(12, 12);
+    let key = (OperandKey::of(&a), OutputShape::Full);
+    let rank0 = Plan::baseline();
+    let challenger = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
+    let policy = PlanningPolicy::default();
+    let t0 = 0.010;
+    let bound = policy.expected_reuse * t0 * 0.5;
+    for (prep, races) in [(bound * 1.01, false), (bound * 0.99, true)] {
+        let mut store = FeedbackStore::new();
+        store.seed(key, vec![(rank0, 0.0), (challenger, prep)]);
+        let state = store.record(key, rank0, t0, &policy).unwrap();
+        assert_eq!(state.locked, !races, "prep {prep} against a bound of {bound}");
+        let next = if races { challenger } else { rank0 };
+        assert_eq!(store.chosen_plan(&key), Some(next));
+    }
 }
 
 #[test]
 fn forced_plans_outside_the_candidate_set_carry_no_feedback() {
     let a = gen::grid::poisson2d(10, 10);
     let mut engine = Engine::default();
-    // Never seen via auto traffic and forced to an ablation pipeline: no
-    // candidate set exists, so there is no calibration state to report.
     let plan = Plan { clustering: ClusteringStrategy::Fixed(3), ..Plan::baseline() };
     let (_, rep) = engine.multiply_planned(&a, &a, plan);
+    assert!(rep.feedback.is_none());
+    // Not even the planner's own first pick, forced, touches the store.
+    let first = engine.planner().plan(&a);
+    let (_, rep) = engine.multiply_planned(&a, &a, first);
     assert!(rep.feedback.is_none());
     assert!(engine.feedback().is_empty());
 }
 
 #[test]
+fn capacity_eviction_and_engine_reset_forget_locks() {
+    let a = gen::grid::poisson2d(12, 12);
+    let b = gen::grid::poisson2d(13, 13);
+    let key = |m: &CsrMatrix| (OperandKey::of(m), OutputShape::Full);
+
+    // A store of one operand: seeding a second evicts the first's lock,
+    // and the first's next sighting races again from rank 0.
+    let (rank0, other) =
+        (Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(2), ..Plan::baseline() });
+    let mut store = FeedbackStore::with_capacity(1);
+    store.seed(key(&a), vec![(rank0, 0.0), (other, 0.0)]);
+    race(&mut store, key(&a), 1 + 2 * RACE_SAMPLES, &|p| if p == other { 0.002 } else { 0.004 });
+    assert_eq!(store.chosen_plan(&key(&a)), Some(other));
+    store.seed(key(&b), vec![(rank0, 0.0)]);
+    assert!(store.chosen_plan(&key(&a)).is_none(), "evicted with its lock");
+    store.seed(key(&a), vec![(rank0, 0.0), (other, 0.0)]);
+    assert_eq!(store.chosen_plan(&key(&a)), Some(rank0));
+
+    // Engine::reset forgets a lock; clear_cache keeps it.
+    let mut engine = frozen_engine();
+    let (_, first) = engine.multiply(&a, &a);
+    assert!(first.feedback.is_some_and(|f| f.locked && f.executions == 1));
+    engine.clear_cache();
+    assert!(engine.feedback().state(&key(&a)).is_some_and(|f| f.locked));
+    engine.reset();
+    assert!(engine.feedback().state(&key(&a)).is_none() && engine.feedback().is_empty());
+    let (_, again) = engine.multiply(&a, &a);
+    assert!(again.feedback.is_some_and(|f| f.executions == 1), "a fresh entry");
+}
+
+#[test]
+fn execution_reports_surface_the_race_state() {
+    let a = gen::grid::poisson2d(12, 12);
+    let mut engine = frozen_engine();
+    let key = (OperandKey::of(&a), OutputShape::Full);
+    let (prepared, timings, hit) = engine.prepare_with_shape(&a, None, OutputShape::Full);
+    let seeded = engine.feedback().state(&key).expect("the first sighting seeds a race");
+    assert!(seeded.candidates >= 2, "baseline plus at least one technique");
+    assert!(!seeded.locked && seeded.executions == 0);
+    let (_, first) = engine.execute_prepared_shaped(&prepared, &a, None, timings, hit);
+    let fb = first.feedback.expect("auto traffic must carry feedback state");
+    assert_eq!(fb.executions, 1);
+    assert_eq!(fb.candidates, 1, "frozen: t₀ keeps rank 0 alone");
+    assert!(fb.locked && !fb.switched);
+
+    let (_, second) = engine.multiply(&a, &a);
+    let fb2 = second.feedback.unwrap();
+    assert_eq!(fb2.executions, 2);
+    assert!(second.summary().contains("fb x2 locked"), "{}", second.summary());
+
+    // The snapshot accessor agrees with the report.
+    let state = engine.feedback().state(&key).unwrap();
+    assert_eq!(state.executions, fb2.executions);
+}
+
+#[test]
 fn service_reports_surface_feedback_and_replan_counters() {
     let a = Arc::new(gen::grid::poisson2d(12, 12));
-    // An explicit one-second adaptation noise floor: this tiny operand's
-    // kernels are microseconds, so no observable gain can ever clear the
-    // floor and the zero-replan assertion below is deterministic even
-    // when a machine-load spike stretches one observation. (The default
-    // floor expresses the same intent but is sized for production
-    // kernels, which debug-mode timing jitter can overshoot.)
-    let policy = PlanningPolicy { min_adapt_gain_seconds: 1.0, ..PlanningPolicy::default() };
+    // Frozen: every operand's first pick is locked at its first run, so
+    // zero replans holds whatever the kernel's wall clock reads.
+    let policy = PlanningPolicy::frozen();
     let service =
         SpgemmService::new(ServiceConfig { shards: 1, policy, ..ServiceConfig::default() });
     for i in 0..3u64 {
         let t = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
         let resp = t.wait().unwrap();
         let fb = resp.report.feedback().expect("auto request must carry feedback state");
-        assert!(fb.executions > i, "observations accumulate on the shard engine");
+        assert_eq!(fb.executions, i + 1, "runs accumulate on the shard engine");
+        assert!(fb.locked && !resp.report.replanned());
     }
     let stats = service.shutdown();
     assert_eq!(stats.completed, 3);
-    // Noise floor: microsecond kernels never clear a one-second gain bar.
     assert_eq!(stats.total_replans(), 0);
     assert_eq!(stats.shards[0].tracked_operands, 1);
     assert!(stats.summary().contains("replans"), "{}", stats.summary());
