@@ -23,11 +23,9 @@
 //! `MAX_CLUSTER_LEN` of them fit (`AccumulatorKind::resolve`).
 
 use crate::format::{CsrCluster, MAX_CLUSTER_LEN};
-use cw_sparse::{ColIdx, CsrMatrix, Permutation};
-use cw_spgemm::accumulator::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, LabelMap, SameLabels,
-};
-use cw_spgemm::rowwise::{CsrRows, SpGemmOptions};
+use cw_sparse::CsrMatrix;
+use cw_spgemm::accumulator::{Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator};
+use cw_spgemm::rowwise::SpGemmOptions;
 use cw_spgemm::single_pass::{chunk_target, plan_chunks, single_pass};
 use rayon::prelude::*;
 
@@ -38,81 +36,30 @@ pub fn clusterwise_spgemm(ac: &CsrCluster, b: &CsrMatrix) -> CsrMatrix {
 }
 
 /// [`clusterwise_spgemm`] with explicit accumulator/parallelism options.
+/// Rows come back in `ac`'s row order.
+///
+/// # Panics
+///
+/// Panics on a dimension mismatch.
 pub fn clusterwise_spgemm_with(ac: &CsrCluster, b: &CsrMatrix, opts: &SpGemmOptions) -> CsrMatrix {
-    clusterwise_spgemm_mapped(ac, b, opts, None)
-}
-
-/// [`clusterwise_spgemm_with`] with the product's rows stored where
-/// `row_map` says: row `i` becomes row `row_map.old_of(i)` of the result, as
-/// in [`cw_spgemm::spgemm_mapped`]. Passing the permutation the clustered
-/// operand was built under returns the rows in the original order.
-///
-/// # Panics
-///
-/// Panics on a dimension mismatch, or if `row_map` does not have one entry
-/// per row of `ac`.
-pub fn clusterwise_spgemm_mapped(
-    ac: &CsrCluster,
-    b: &CsrMatrix,
-    opts: &SpGemmOptions,
-    row_map: Option<&Permutation>,
-) -> CsrMatrix {
-    clusterwise_spgemm_labelled(ac, &ac.col_ids, b.into(), opts, row_map, &SameLabels)
-}
-
-/// [`clusterwise_spgemm_mapped`] in a label space of the caller's choosing,
-/// as [`cw_spgemm::spgemm_labelled`] is for the row-wise kernel. `union_ids`
-/// stands in for `ac.col_ids` (same length, position for position; `ac`'s
-/// masks and values are read as they are) and names the rows of `b` in
-/// whatever numbering `b` is stored under; it need not be ascending inside a
-/// cluster, and the order it does have is the order every member row's
-/// partial products are summed in. Entry `(i, j)` of the product is emitted
-/// as `(row_map.old_of(i), labels.label(j))`, rows ascending in their labels.
-///
-/// # Panics
-///
-/// Panics on a dimension mismatch, if `union_ids` does not have one entry
-/// per union column of `ac`, or if `row_map` does not have one entry per row.
-pub fn clusterwise_spgemm_labelled<L: LabelMap>(
-    ac: &CsrCluster,
-    union_ids: &[ColIdx],
-    b: CsrRows<'_>,
-    opts: &SpGemmOptions,
-    row_map: Option<&Permutation>,
-    labels: &L,
-) -> CsrMatrix {
     assert_eq!(
         ac.ncols, b.nrows,
         "dimension mismatch: clustered A is {}x{}, B is {}x{}",
         ac.nrows, ac.ncols, b.nrows, b.ncols
     );
-    assert_eq!(union_ids.len(), ac.col_ids.len(), "one id per union column");
     // One accumulator per member row of a cluster, `b.ncols` wide each.
-    let kernel = match opts.acc.resolve(b.ncols, MAX_CLUSTER_LEN) {
-        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator, L>,
-        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator, L>,
-    };
-    kernel(ac, union_ids, b, opts, row_map, labels)
-}
-
-/// Union ids of cluster `c` out of a stand-in for `ac.col_ids`.
-#[inline]
-fn union_of<'i>(ac: &CsrCluster, union_ids: &'i [ColIdx], c: usize) -> &'i [ColIdx] {
-    &union_ids[ac.cluster_ptr[c]..ac.cluster_ptr[c + 1]]
+    match opts.acc.resolve(b.ncols, MAX_CLUSTER_LEN) {
+        AccumulatorKind::Dense => clusterwise_kernel::<DenseAccumulator>(ac, b, opts),
+        AccumulatorKind::Hash => clusterwise_kernel::<HashAccumulator>(ac, b, opts),
+    }
 }
 
 /// Runs Alg. 1's inner loops for cluster `c`, scattering into one
 /// accumulator per member row.
 #[inline]
-fn accumulate_cluster<A: Accumulator>(
-    ac: &CsrCluster,
-    union_ids: &[ColIdx],
-    b: CsrRows<'_>,
-    c: usize,
-    accs: &mut [A],
-) {
+fn accumulate_cluster<A: Accumulator>(ac: &CsrCluster, b: &CsrMatrix, c: usize, accs: &mut [A]) {
     let k = ac.cluster_size(c);
-    let cols = union_of(ac, union_ids, c);
+    let cols = ac.cluster_cols(c);
     let masks = ac.cluster_masks(c);
     let vals = ac.cluster_vals(c);
     for (p, (&col, &mask)) in cols.iter().zip(masks).enumerate() {
@@ -136,15 +83,10 @@ fn accumulate_cluster<A: Accumulator>(
 /// bound on its output entries, `Σ_member rows min(flops(row), ncols(B))`.
 /// Computed on the pool, or (`pool == false`) on the calling thread alone —
 /// a serial multiply must not wake the pool for it.
-fn cluster_work(
-    ac: &CsrCluster,
-    union_ids: &[ColIdx],
-    b: CsrRows<'_>,
-    pool: bool,
-) -> (Vec<u64>, Vec<usize>) {
+fn cluster_work(ac: &CsrCluster, b: &CsrMatrix, pool: bool) -> (Vec<u64>, Vec<usize>) {
     let work = |c: usize| {
         let mut row_flops = [0u64; MAX_CLUSTER_LEN];
-        for (&col, &mask) in union_of(ac, union_ids, c).iter().zip(ac.cluster_masks(c)) {
+        for (&col, &mask) in ac.cluster_cols(c).iter().zip(ac.cluster_masks(c)) {
             let n = b.row_nnz(col as usize) as u64;
             let mut m = mask;
             while m != 0 {
@@ -164,28 +106,25 @@ fn cluster_work(
     per_cluster.into_iter().unzip()
 }
 
-fn clusterwise_kernel<A: Accumulator, L: LabelMap>(
+fn clusterwise_kernel<A: Accumulator>(
     ac: &CsrCluster,
-    union_ids: &[ColIdx],
-    b: CsrRows<'_>,
+    b: &CsrMatrix,
     opts: &SpGemmOptions,
-    row_map: Option<&Permutation>,
-    labels: &L,
 ) -> CsrMatrix {
     let target = chunk_target(opts.parallel, opts.chunks_per_thread);
-    let (flops, bounds) = cluster_work(ac, union_ids, b, target > 1);
+    let (flops, bounds) = cluster_work(ac, b, target > 1);
     let chunks = plan_chunks(&flops, target, |c| ac.row_start[c] as usize, |c| bounds[c]);
     single_pass(
         ac.nrows,
         b.ncols,
         &chunks,
-        row_map,
+        None,
         || (0..MAX_CLUSTER_LEN).map(|_| A::with_ncols(b.ncols)).collect::<Vec<A>>(),
         |accs, clusters, sink| {
             for c in clusters {
-                accumulate_cluster(ac, union_ids, b, c, accs);
+                accumulate_cluster(ac, b, c, accs);
                 for acc in accs.iter_mut().take(ac.cluster_size(c)) {
-                    sink.push_labelled_row(acc, labels);
+                    sink.push_row(acc);
                 }
             }
         },
@@ -304,7 +243,7 @@ mod tests {
         let a = CsrMatrix::from_row_lists(3, vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(2, 1.0)]]);
         let cc = CsrCluster::from_csr(&a, &Clustering { sizes: vec![3] });
         let b = CsrMatrix::identity(3);
-        assert_eq!(cluster_work(&cc, &cc.col_ids, (&b).into(), false), (vec![3], vec![3]));
+        assert_eq!(cluster_work(&cc, &b, false), (vec![3], vec![3]));
     }
 
     #[test]
@@ -313,6 +252,6 @@ mod tests {
         let a = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)], vec![(1, 1.0)]]);
         let b = CsrMatrix::from_row_lists(2, vec![vec![(0, 1.0), (1, 1.0)]; 2]);
         let cc = CsrCluster::from_csr(&a, &Clustering { sizes: vec![2] });
-        assert_eq!(cluster_work(&cc, &cc.col_ids, (&b).into(), true), (vec![6], vec![2 + 2]));
+        assert_eq!(cluster_work(&cc, &b, true), (vec![6], vec![2 + 2]));
     }
 }

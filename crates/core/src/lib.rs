@@ -36,10 +36,7 @@ pub mod variable;
 pub use config::ClusterConfig;
 pub use format::{Clustering, CsrCluster};
 pub use hierarchical::{hierarchical_clustering, HierarchicalClustering};
-pub use kernel::{
-    clusterwise_spgemm, clusterwise_spgemm_labelled, clusterwise_spgemm_mapped,
-    clusterwise_spgemm_with,
-};
+pub use kernel::{clusterwise_spgemm, clusterwise_spgemm_with};
 pub use variable::variable_clustering;
 
 use cw_sparse::CsrMatrix;

@@ -1,18 +1,19 @@
 //! Execution: *how* a prepared plan runs.
 //!
-//! A [`Plan`] says *what* to compute (reordering × clustering × output
-//! shape) and, in [`Plan::parallel`], whether the kernel runs on the rayon
-//! pool; the kernel picks its accumulator by footprint
+//! A [`Plan`] says *what* to compute (row order × output shape) and, in
+//! [`Plan::parallel`], whether the kernel runs on the rayon pool; the kernel
+//! picks its accumulator by footprint
 //! ([`cw_spgemm::AccumulatorKind::resolve`]). `parallel: false` is the
 //! serial oracle every cross-validation suite compares against: because
-//! each kernel accumulates an output entry in ascending-`k` order and
+//! the kernel accumulates an output entry in ascending-`k` order and
 //! extracts sorted columns wherever it runs, the two are bit-identical under
 //! otherwise equal plans.
 //!
 //! Both materialize the same `CpuOperand` (`materialize`) and run through
 //! the one `execute` function, which is also where the output shape is
-//! applied. There is no trait or registry: a new way to run a kernel earns
-//! a `match` arm in `execute` by winning a measurement.
+//! applied. Every plan runs row-wise Gustavson: a clustering strategy only
+//! chooses the row order. There is no trait or registry: a new way to run a
+//! kernel earns a `match` arm in `execute` by winning a measurement.
 //!
 //! # One-sided and two-sided execution
 //!
@@ -33,100 +34,40 @@
 
 use crate::plan::{ClusteringStrategy, OutputShape, Plan};
 use crate::report::StageTimings;
-use cw_core::format::MAX_CLUSTER_LEN;
-use cw_core::{
-    fixed_clustering, hierarchical_clustering, variable_clustering, ClusterConfig, CsrCluster,
-};
+use cw_core::{hierarchical_clustering, ClusterConfig};
 use cw_reorder::Reordering;
-use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
+use cw_sparse::{ColIdx, CsrMatrix, Permutation};
 use cw_spgemm::accumulator::dense_fits;
 use cw_spgemm::rowwise::{spgemm_labelled, spgemm_mapped, CsrRows};
 use cw_spgemm::AccumulatorKind;
 use std::time::Instant;
 
-/// The materialized left operand, which decides the kernel: plain CSR for
-/// row-wise plans and for clustered plans whose clustering came out too
-/// fine to pay (see [`materialize`]), `CSR_Cluster` for the rest. Either may
-/// carry the same ids in the permuted label space (module docs: two-sided
-/// execution; [`materialize`] says when).
+/// The materialized left operand: `A`'s rows in the plan's order, and the
+/// same ids in the permuted label space where two-sided execution can apply
+/// (module docs; [`materialize`] says when).
 #[derive(Debug, Clone)]
-pub(crate) enum CpuOperand {
-    /// Row-wise kernels run over plain (possibly permuted) CSR.
-    RowWise {
-        /// `P·A`: rows moved, column ids the caller's.
-        pa: CsrMatrix,
-        /// `inv[pa.col_idx[p]]` for every stored entry, in `pa`'s order.
-        /// With `pa`'s `row_ptr` and `vals` this is `P·A·Pᵀ` — both operands
-        /// of a two-sided product — except that a row's ids are in the
-        /// caller's ascending order, not their own.
-        relabelled: Option<Vec<ColIdx>>,
-    },
-    /// Cluster-wise kernels run over the paper's `CSR_Cluster`.
-    ClusterWise {
-        /// `CSR_Cluster` of `P·A`, union columns in the caller's ids.
-        cc: CsrCluster,
-        /// The two-sided form: `cc`'s union lists relabelled position for
-        /// position, and `P·A·Pᵀ` as the right-hand side.
-        relabelled: Option<(Vec<ColIdx>, RelabelledCsr)>,
-    },
-}
-
-/// CSR arrays whose ids went through `inv[·]` and kept their place, so a
-/// row's ids are not ascending: a kernel input ([`CsrRows`]), not a
-/// [`CsrMatrix`], and never handed out of this module.
-#[derive(Debug, Clone)]
-pub(crate) struct RelabelledCsr {
-    row_ptr: Vec<usize>,
-    ids: Vec<ColIdx>,
-    vals: Vec<Value>,
-}
-
-impl RelabelledCsr {
-    /// The arrays as a kernel reads them (square: only such operands are
-    /// relabelled).
-    fn rows(&self) -> CsrRows<'_> {
-        let n = self.row_ptr.len() - 1;
-        CsrRows { nrows: n, ncols: n, row_ptr: &self.row_ptr, ids: &self.ids, vals: &self.vals }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        size_of_val(&self.row_ptr[..]) + size_of_val(&self.ids[..]) + size_of_val(&self.vals[..])
-    }
+pub(crate) struct CpuOperand {
+    /// `P·A`: rows moved, column ids the caller's.
+    pa: CsrMatrix,
+    /// `inv[pa.col_idx[p]]` for every stored entry, in `pa`'s order.
+    /// With `pa`'s `row_ptr` and `vals` this is `P·A·Pᵀ` — both operands
+    /// of a two-sided product — except that a row's ids are in the
+    /// caller's ascending order, not their own.
+    relabelled: Option<Vec<ColIdx>>,
 }
 
 impl CpuOperand {
-    /// Approximate resident heap footprint in bytes, relabelled forms
+    /// Approximate resident heap footprint in bytes, relabelled ids
     /// included.
     pub(crate) fn approx_bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        match self {
-            CpuOperand::RowWise { pa, relabelled } => {
-                pa.memory_bytes() + relabelled.as_deref().map_or(0, size_of_val)
-            }
-            CpuOperand::ClusterWise { cc, relabelled } => {
-                cc.memory_bytes()
-                    + relabelled
-                        .as_ref()
-                        .map_or(0, |(union_ids, b)| size_of_val(&union_ids[..]) + b.memory_bytes())
-            }
-        }
+        self.pa.memory_bytes() + self.relabelled.as_deref().map_or(0, std::mem::size_of_val)
     }
 
     /// Whether a two-sided product can run on this operand.
     pub(crate) fn is_relabelled(&self) -> bool {
-        match self {
-            CpuOperand::RowWise { relabelled, .. } => relabelled.is_some(),
-            CpuOperand::ClusterWise { relabelled, .. } => relabelled.is_some(),
-        }
+        self.relabelled.is_some()
     }
 }
-
-/// Below this many rows per cluster a clustered layout has found too little
-/// to share: `CSR_Cluster` over (almost) singletons costs a union list, a
-/// bitmask and a per-member scatter loop for every row and saves no `B`-row
-/// reads, so the operand is kept as plain CSR on the same row order.
-const MIN_ROWS_PER_CLUSTER: f64 = 1.5;
 
 /// How far, on average and as a fraction of the matrix order, a relabelled id
 /// may sit from the row that holds it for the relabelling to be kept. Two-
@@ -159,17 +100,13 @@ const MAX_RELABELLED_DISTANCE: f64 = 0.1;
 const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 
 /// Materializes the operand for `plan`: computes and applies the row
-/// permutation, builds the clustered format when the plan asks for one and
-/// the clustering found something to cluster, relabels the operand's ids for
-/// two-sided execution where that can apply, and records the
-/// `reorder`/`cluster` stage seconds (the other [`StageTimings`] fields
-/// stay zero).
+/// permutation, relabels the operand's ids for two-sided execution where
+/// that can apply, and records the `reorder`/`cluster` stage seconds (the
+/// other [`StageTimings`] fields stay zero).
 ///
-/// The operand is [`CpuOperand::ClusterWise`] only when the plan's
-/// clustering averages at least [`MIN_ROWS_PER_CLUSTER`] rows per cluster;
-/// otherwise it is the same reordered (for `Hierarchical`: swept and
-/// grouped) rows as [`CpuOperand::RowWise`], still under `plan` — its cache
-/// key and feedback identity do not change, only the kernel that runs.
+/// A `Hierarchical` plan contributes its clustering's sweep order (paper
+/// Alg. 3), composed after any explicit reordering; the clusters it found
+/// are not kept, and the row-wise kernel runs on the grouped rows.
 ///
 /// The relabelled ids (`inv[col]`, each row left in the caller's ascending
 /// order) are kept when the operand is square and its rows moved — the
@@ -177,10 +114,9 @@ const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 /// differs from the ids already there — and the order made the operand
 /// banded enough to pay ([`MAX_RELABELLED_DISTANCE`]; where the kernel runs
 /// a dense accumulator at the operand's width, the operand must also be past
-/// [`DENSE_RELABELLED_MIN_BYTES`]); never for a masked plan that runs
-/// row-wise, whose fused kernel is keyed on the mask's own columns and stays
-/// one-sided. One pass over the ids, charged to the stage that moved the
-/// rows last.
+/// [`DENSE_RELABELLED_MIN_BYTES`]); never for a masked plan, whose fused
+/// kernel is keyed on the mask's own columns and stays one-sided. One pass
+/// over the ids, charged to the stage that moved the rows last.
 ///
 /// The returned permutation is the total applied reordering (`new → old`:
 /// kernel row `r` is original row `old_of(r)`), which is exactly the row
@@ -205,20 +141,11 @@ pub(crate) fn materialize(
         (pa, Some(p))
     };
 
-    // Stage 2: clustering (paper §3.2 / Algs. 2–3). Hierarchical
-    // clustering brings its own permutation, composed onto any explicit
-    // reordering.
+    // Stage 2: hierarchical clustering's row order (paper Alg. 3), composed
+    // onto any explicit reordering.
     let t0 = Instant::now();
-    let (grouped, clustering) = match plan.clustering {
-        ClusteringStrategy::None => (base, None),
-        ClusteringStrategy::Fixed(k) => {
-            let clustering = fixed_clustering(&base, k.max(1));
-            (base, Some(clustering))
-        }
-        ClusteringStrategy::Variable => {
-            let clustering = variable_clustering(&base, cluster);
-            (base, Some(clustering))
-        }
+    let pa = match plan.clustering {
+        ClusteringStrategy::None => base,
         ClusteringStrategy::Hierarchical => {
             let h = hierarchical_clustering(&base, cluster);
             let grouped = h.perm.permute_rows(&base);
@@ -227,43 +154,25 @@ pub(crate) fn materialize(
                 None => h.perm,
                 Some(first) => first.then(&h.perm),
             });
-            (grouped, Some(h.clustering))
+            grouped
         }
     };
     let row_map = identity_to_none(perm_total);
-    let clustering =
-        clustering.filter(|c| grouped.nrows as f64 >= MIN_ROWS_PER_CLUSTER * c.sizes.len() as f64);
 
     // Stage 3: the same ids in the permuted label space.
-    let masked_rowwise = clustering.is_none() && plan.shape == OutputShape::Masked;
-    // Whether the kernel runs Dense on `a` itself; the cluster-wise one
-    // holds an accumulator per member row.
-    let per_worker = if clustering.is_some() { MAX_CLUSTER_LEN } else { 1 };
-    let small_and_dense =
-        dense_fits(a.ncols, per_worker) && grouped.memory_bytes() < DENSE_RELABELLED_MIN_BYTES;
+    let small_and_dense = dense_fits(a.ncols, 1) && pa.memory_bytes() < DENSE_RELABELLED_MIN_BYTES;
     let inv = row_map
         .as_ref()
-        .filter(|_| a.nrows == a.ncols && !masked_rowwise && !small_and_dense)
+        .filter(|_| a.nrows == a.ncols && plan.shape != OutputShape::Masked && !small_and_dense)
         .map(Permutation::inverse_map);
-    let ids = inv.as_deref().and_then(|inv| relabel_rows(&grouped, inv));
-    let operand = match clustering {
-        None => CpuOperand::RowWise { pa: grouped, relabelled: ids },
-        Some(clustering) => {
-            let cc = CsrCluster::from_csr(&grouped, &clustering);
-            let relabelled = ids.zip(inv.as_deref()).map(|(ids, inv)| {
-                let union_ids = cc.col_ids.iter().map(|&col| inv[col as usize]).collect();
-                (union_ids, RelabelledCsr { row_ptr: grouped.row_ptr, ids, vals: grouped.vals })
-            });
-            CpuOperand::ClusterWise { cc, relabelled }
-        }
-    };
+    let relabelled = inv.as_deref().and_then(|inv| relabel_rows(&pa, inv));
     let built = t0.elapsed().as_secs_f64();
     if plan.clustering != ClusteringStrategy::None {
         timings.cluster_seconds = built;
     } else if inv.is_some() {
         timings.reorder_seconds += built;
     }
-    (operand, row_map, timings)
+    (CpuOperand { pa, relabelled }, row_map, timings)
 }
 
 /// `inv[col]` for every stored id of `pa`, in place — or `None` when those
@@ -298,23 +207,18 @@ fn identity_to_none(perm: Option<Permutation>) -> Option<Permutation> {
 /// `b_is_source` is the caller's proof that `b` is, entry for entry, the
 /// matrix `operand` was materialized from. With it, and relabelled ids on
 /// the operand, the product runs in the permuted label space
-/// ([`cw_spgemm::spgemm_labelled`] /
-/// [`cw_core::clusterwise_spgemm_labelled`] on the operand's own arrays —
-/// `b` is not read) and every row is emitted under the caller's labels.
-/// Without either it is exactly the one-sided product on the one-sided
-/// arrays.
+/// ([`cw_spgemm::spgemm_labelled`] on the operand's own arrays — `b` is not
+/// read) and every row is emitted under the caller's labels. Without either
+/// it is exactly the one-sided product on the one-sided arrays.
 ///
 /// `mask` must be `Some` exactly when the plan's shape is
 /// [`OutputShape::Masked`], and is in the caller's row order like the
 /// result.
 ///
-/// A masked row-wise plan runs [`cw_spgemm::spgemm_masked_mapped`], which
-/// admits only the mask's columns into the accumulator and never builds
-/// the rest of the product. Every other shaped arm computes the full
-/// product and then applies the row-local shape transform
-/// ([`cw_spgemm::row_topk`] / [`cw_spgemm::apply_mask`]) to it: it is the
-/// only path on cluster-wise operands and top-k, and the oracle a fused arm
-/// must stay bit-identical to.
+/// A masked plan runs [`cw_spgemm::spgemm_masked_mapped`], which admits only
+/// the mask's columns into the accumulator and never builds the rest of the
+/// product. A top-k plan computes the full product and then keeps each
+/// row's largest entries ([`cw_spgemm::row_topk`]).
 ///
 /// # Panics
 ///
@@ -329,34 +233,24 @@ pub(crate) fn execute(
     mask: Option<&CsrMatrix>,
 ) -> (CsrMatrix, bool, AccumulatorKind) {
     let opts = plan.spgemm_options();
-    let clusterwise = matches!(operand, CpuOperand::ClusterWise { .. });
-    let acc = opts.acc.resolve(b.ncols, if clusterwise { MAX_CLUSTER_LEN } else { 1 });
-    let mask = || mask.expect("masked plan executed without a mask operand");
-    if let (CpuOperand::RowWise { pa, .. }, OutputShape::Masked) = (operand, plan.shape) {
-        return (cw_spgemm::spgemm_masked_mapped(pa, b, mask(), &opts, row_map), false, acc);
+    let acc = opts.acc.resolve(b.ncols, 1);
+    let CpuOperand { pa, relabelled } = operand;
+    if plan.shape == OutputShape::Masked {
+        let mask = mask.expect("masked plan executed without a mask operand");
+        return (cw_spgemm::spgemm_masked_mapped(pa, b, mask, &opts, row_map), false, acc);
     }
     // A relabelled operand always comes with the permutation it was
     // relabelled by.
-    let labels = row_map.filter(|_| b_is_source);
-    let (full, two_sided) = match (operand, labels) {
-        (CpuOperand::RowWise { pa, relabelled: Some(ids) }, Some(p)) => {
+    let (full, two_sided) = match (relabelled, row_map.filter(|_| b_is_source)) {
+        (Some(ids), Some(p)) => {
             let rows = CsrRows { ids, ..CsrRows::from(pa) };
             (spgemm_labelled(rows, rows, &opts, row_map, p), true)
         }
-        (CpuOperand::ClusterWise { cc, relabelled: Some((union_ids, b)) }, Some(p)) => {
-            let c =
-                cw_core::clusterwise_spgemm_labelled(cc, union_ids, b.rows(), &opts, row_map, p);
-            (c, true)
-        }
-        (CpuOperand::RowWise { pa, .. }, _) => (spgemm_mapped(pa, b, &opts, row_map), false),
-        (CpuOperand::ClusterWise { cc, .. }, _) => {
-            (cw_core::clusterwise_spgemm_mapped(cc, b, &opts, row_map), false)
-        }
+        _ => (spgemm_mapped(pa, b, &opts, row_map), false),
     };
     let shaped = match plan.shape {
-        OutputShape::Masked => cw_spgemm::apply_mask(&full, mask()),
         OutputShape::TopK(k) => cw_spgemm::row_topk(&full, k),
-        OutputShape::Full => full,
+        _ => full,
     };
     (shaped, two_sided, acc)
 }
@@ -386,11 +280,11 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_bit_identically_on_clusterwise_plans() {
+    fn all_backends_agree_bit_identically_on_hierarchical_plans() {
         let a = gen::banded::block_diagonal(96, (4, 8), 0.1, 2);
         assert_parallel_matches_oracle(
             &a,
-            Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() },
+            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
         );
     }
 }

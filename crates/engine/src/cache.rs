@@ -1,11 +1,11 @@
 //! The plan cache: (operand, plan) → prepared operand, with LRU eviction
 //! under an entry or byte bound.
 //!
-//! Reordering and cluster construction only pay off amortized over
-//! repeated multiplications (paper §4.5, Fig. 10). The cache closes the
-//! loop for *serving* workloads: repeated traffic on the same matrix hits
-//! its [`OperandKey`] and reuses the full [`PreparedMatrix`] — permutation,
-//! `CSR_Cluster`, everything — skipping preprocessing entirely. Entries are
+//! Reordering and clustering only pay off amortized over repeated
+//! multiplications (paper §4.5, Fig. 10). The cache closes the loop for
+//! *serving* workloads: repeated traffic on the same matrix hits its
+//! [`OperandKey`] and reuses the full [`PreparedMatrix`] — permuted rows,
+//! relabelled ids, everything — skipping preprocessing entirely. Entries are
 //! shared out as `Arc`s, so hits cost one hash lookup and a refcount bump.
 //!
 //! Two design points guard correctness:
@@ -436,7 +436,7 @@ mod tests {
         let key = |plan| CacheKey { operand: OperandKey::of(&a), plan };
         let baseline = Plan::baseline();
         let clustered =
-            Plan { clustering: crate::plan::ClusteringStrategy::Fixed(4), ..Plan::baseline() };
+            Plan { clustering: crate::plan::ClusteringStrategy::Hierarchical, ..Plan::baseline() };
         let mut cache = PlanCache::new(4);
         cache.insert(key(baseline), Arc::new(prepared_for(&a)));
         // A different pipeline for the same matrix is a distinct key...

@@ -2,19 +2,22 @@
 //!
 //! The planner keeps the advisor's order and prices only what a plan adds
 //! before its first multiply: [`CostModel`] turns per-nonzero reordering
-//! and clustering rates (the paper's Fig. 10 costs) into preparation
-//! seconds, and [`PlanningPolicy::admits`] lets a plan run when that is at
+//! and hierarchical-clustering rates (the paper's Fig. 10 costs) into
+//! preparation seconds, and [`PlanningPolicy::admits`] lets a plan run when that is at
 //! most half of `expected_reuse` multiplies — the predicted multiply before
 //! any has run, the measured `t₀` after.
 //!
 //! Kernel seconds are measured, never predicted: analytic predictions of
 //! which order wins are frequently wrong (Asudeh et al.). Per operand and
-//! output shape the [`FeedbackStore`] runs rank 0 first and calls its
-//! kernel seconds `t₀`. It locks rank 0 at once when the policy is frozen,
-//! `t₀ <` [`MIN_RACE_SECONDS`] or no challenger is admitted on `t₀`;
-//! otherwise up to three admitted challengers run round-robin with rank 0,
-//! each prepared once, until every one has [`RACE_SAMPLES`] samples, and
-//! the lowest median is locked for the life of the store entry.
+//! output shape the [`FeedbackStore`] runs rank 0 first. It locks rank 0
+//! at its first run when the policy is frozen, that run is under
+//! [`MIN_RACE_SECONDS`], or no challenger is admitted on it. Otherwise rank
+//! 0 runs once more and `t₀` is the faster of the two — a first run reads a
+//! freshly prepared operand and takes ×2–3 its warm time — and the same
+//! tests decide again on `t₀`. A race runs up to three challengers admitted
+//! on `t₀` round-robin with rank 0, each prepared once, until every one has
+//! [`RACE_SAMPLES`] samples, and the lowest median is locked for the life of
+//! the store entry.
 
 use crate::cache::OperandKey;
 use crate::plan::{ClusteringStrategy, OutputShape, Plan};
@@ -31,6 +34,10 @@ pub const RACE_SAMPLES: usize = 3;
 
 /// Most challengers a race runs beside rank 0.
 const MAX_CHALLENGERS: usize = 3;
+
+/// Rank 0's runs `t₀` is the best of whenever its first run leaves a race
+/// possible; both count toward its [`RACE_SAMPLES`].
+const T0_SAMPLES: usize = 2;
 
 /// Caller-supplied planning knobs: how much reuse preparation may be
 /// charged against, an optional hard preparation budget, and whether a
@@ -86,13 +93,8 @@ pub struct CostModel {
     /// Preparation seconds per nonzero for heavy reorderings
     /// (partitioners, AMD/ND, Rabbit, SlashBurn).
     pub heavy_reorder_per_nnz: f64,
-    /// Cluster-construction seconds per nonzero for fixed-length grouping.
-    pub fixed_cluster_per_nnz: f64,
-    /// Cluster-construction seconds per nonzero for variable (Jaccard
-    /// growing) clustering.
-    pub variable_cluster_per_nnz: f64,
-    /// Cluster-construction seconds per nonzero for hierarchical
-    /// clustering (similarity discovery is itself SpGEMM-shaped).
+    /// Preparation seconds per nonzero for hierarchical clustering's row
+    /// order (similarity discovery is itself SpGEMM-shaped).
     pub hierarchical_cluster_per_nnz: f64,
 }
 
@@ -102,8 +104,6 @@ impl Default for CostModel {
             seconds_per_madd: 1.5e-9,
             cheap_reorder_per_nnz: 10e-9,
             heavy_reorder_per_nnz: 60e-9,
-            fixed_cluster_per_nnz: 4e-9,
-            variable_cluster_per_nnz: 25e-9,
             hierarchical_cluster_per_nnz: 120e-9,
         }
     }
@@ -118,7 +118,7 @@ impl CostModel {
     }
 
     /// Predicted one-off seconds to prepare `plan` on an operand of `nnz`
-    /// stored entries: its reordering plus its cluster construction. The
+    /// stored entries: its reordering plus its clustering. The
     /// baseline costs nothing; parallelism and output shape price nothing.
     pub(crate) fn prep_seconds(&self, plan: &Plan, nnz: usize) -> f64 {
         let per_nnz = match plan.reorder {
@@ -129,8 +129,6 @@ impl CostModel {
             _ => self.heavy_reorder_per_nnz,
         } + match plan.clustering {
             ClusteringStrategy::None => 0.0,
-            ClusteringStrategy::Fixed(_) => self.fixed_cluster_per_nnz,
-            ClusteringStrategy::Variable => self.variable_cluster_per_nnz,
             ClusteringStrategy::Hierarchical => self.hierarchical_cluster_per_nnz,
         };
         per_nnz * nnz as f64
@@ -159,12 +157,13 @@ struct Race {
 }
 
 impl Race {
-    /// Index of the plan the next multiply runs: the lock, else the
-    /// candidate with the fewest samples — rank 0 first, then round-robin.
+    /// Index of the plan the next multiply runs: the lock, else rank 0
+    /// until `t₀` is known, then the candidate with the fewest samples —
+    /// round-robin.
     fn next(&self) -> usize {
         let samples = |i: &usize| self.candidates[*i].samples.len();
         let fewest = || (0..self.candidates.len()).min_by_key(samples).expect("rank 0 is seeded");
-        self.locked.unwrap_or_else(fewest)
+        self.locked.unwrap_or_else(|| if samples(&0) < T0_SAMPLES { 0 } else { fewest() })
     }
 
     /// Adds a sample of the plan [`Race::next`] names; returns whether the
@@ -172,14 +171,21 @@ impl Race {
     fn sample(&mut self, seconds: f64, policy: &PlanningPolicy) -> bool {
         let i = self.next();
         self.candidates[i].samples.push(seconds);
-        if i == 0 && self.candidates[0].samples.len() == 1 {
-            // `t₀`: keep rank 0 and the challengers admitted on it, if any.
-            let race = policy.adapt && seconds >= MIN_RACE_SECONDS;
+        let rank0_runs = self.candidates[0].samples.len();
+        if i == 0 && rank0_runs <= T0_SAMPLES {
+            // `t₀`: rank 0's best run so far. Keep rank 0 and the challengers
+            // admitted on it, if any — after a second run when the first
+            // admits one, since the first runs on a freshly prepared operand.
+            let t0 = self.candidates[0].samples.iter().copied().fold(f64::INFINITY, f64::min);
+            let race = policy.adapt && t0 >= MIN_RACE_SECONDS;
+            let admitted = |c: &Candidate| race && policy.admits(c.prep_seconds, t0);
+            if rank0_runs < T0_SAMPLES && self.candidates[1..].iter().any(admitted) {
+                return false;
+            }
             let mut seeded = std::mem::take(&mut self.candidates).into_iter();
             let rank0 = seeded.next().expect("a race has a rank 0");
-            let admitted = seeded.filter(|c| race && policy.admits(c.prep_seconds, seconds));
-            self.candidates =
-                std::iter::once(rank0).chain(admitted.take(MAX_CHALLENGERS)).collect();
+            let admitted = seeded.filter(admitted).take(MAX_CHALLENGERS);
+            self.candidates = std::iter::once(rank0).chain(admitted).collect();
         }
         let unfinished = |c: &Candidate| c.samples.len() < RACE_SAMPLES;
         if self.candidates.len() > 1 && self.candidates.iter().any(unfinished) {
@@ -215,8 +221,8 @@ pub struct PlanFeedbackState {
     /// Whether *this* observation locked a plan other than rank 0 (the
     /// next multiply runs the winner).
     pub switched: bool,
-    /// Plans in this operand's race: every seeded candidate until `t₀`,
-    /// then rank 0 and the challengers admitted on it.
+    /// Plans in this operand's race: every seeded candidate until `t₀` is
+    /// known, then rank 0 and the challengers admitted on it.
     pub candidates: usize,
     /// Whether the plan is locked: no other plan runs on this operand
     /// again while the entry lives.
@@ -295,7 +301,7 @@ impl FeedbackStore {
     }
 
     /// The plan the next multiply on `key` runs, if the operand was seeded:
-    /// rank 0 until `t₀`, then each racer in turn, then the lock. This is
+    /// rank 0 until `t₀` is known, then each racer in turn, then the lock. This is
     /// the planner-free fast path: repeated traffic resolves its plan with
     /// one hash lookup instead of re-profiling the operand.
     pub fn chosen_plan(&self, key: &(OperandKey, OutputShape)) -> Option<Plan> {
@@ -357,8 +363,9 @@ impl FeedbackStore {
     }
 
     /// Records one run of `plan` on `key` that took `kernel_seconds`.
-    /// Rank 0's first run is `t₀`: it locks rank 0 or starts the race
-    /// under `policy`. While the race runs, a run of the plan
+    /// Rank 0's first run locks rank 0 when it leaves no race possible under
+    /// `policy`; otherwise its second run makes `t₀` the faster of the two,
+    /// which locks rank 0 or starts the race. While the race runs, a run of the plan
     /// [`FeedbackStore::chosen_plan`] named is that racer's next sample,
     /// and the last of [`RACE_SAMPLES`] per racer locks the lowest median;
     /// any other run, and every run after the lock, only counts. Returns the
@@ -392,8 +399,9 @@ mod tests {
         (OperandKey::of(&gen::grid::poisson2d(n, n)), OutputShape::Full)
     }
 
-    fn fixed(k: usize) -> Plan {
-        Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() }
+    /// A distinct plan per `k`.
+    fn gp(k: usize) -> Plan {
+        Plan { reorder: Reordering::Gp(k), ..Plan::baseline() }
     }
 
     fn seeded(key: (OperandKey, OutputShape), plans: &[Plan]) -> FeedbackStore {
@@ -428,8 +436,8 @@ mod tests {
         assert_eq!(model.prep_seconds(&Plan::baseline(), 5000), 0.0);
         assert!(model.prep_seconds(&rcm, 5000) > model.prep_seconds(&rcm, 500));
         // Reordering and clustering add up.
-        let both = Plan { clustering: ClusteringStrategy::Variable, ..rcm };
-        let expect = (model.cheap_reorder_per_nnz + model.variable_cluster_per_nnz) * 5000.0;
+        let both = Plan { clustering: ClusteringStrategy::Hierarchical, ..rcm };
+        let expect = (model.cheap_reorder_per_nnz + model.hierarchical_cluster_per_nnz) * 5000.0;
         assert!((model.prep_seconds(&both, 5000) - expect).abs() < 1e-18);
     }
 
@@ -444,7 +452,9 @@ mod tests {
     #[test]
     fn output_shape_does_not_change_the_price() {
         let model = CostModel::default();
-        for plan in [Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, fixed(4)] {
+        let hierarchical =
+            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        for plan in [Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, hierarchical] {
             for shape in [OutputShape::Masked, OutputShape::TopK(2)] {
                 let shaped = model.prep_seconds(&plan.with_shape(shape), 16000);
                 assert_eq!(shaped, model.prep_seconds(&plan, 16000), "{shape:?}");
@@ -488,13 +498,13 @@ mod tests {
     #[test]
     fn a_planted_fastest_plan_locks_within_one_plus_r_m_then_never_switches() {
         for m in 2..=4 {
-            let plans: Vec<Plan> = (1..=m).map(fixed).collect();
+            let plans: Vec<Plan> = (1..=m).map(gp).collect();
             for fastest in 0..m {
                 let key = key(4 + m);
                 let mut store = seeded(key, &plans);
                 let seconds = |p: Plan| if p == plans[fastest] { 0.010 } else { 0.020 };
-                let locked_at = drive(&mut store, key, 1 + RACE_SAMPLES * m, seconds);
-                assert!(locked_at.is_some(), "m = {m}: no lock within 1 + R·m records");
+                let locked_at = drive(&mut store, key, RACE_SAMPLES * m, seconds);
+                assert!(locked_at.is_some(), "m = {m}: no lock within R·m records");
                 assert_eq!(store.chosen_plan(&key), Some(plans[fastest]), "m = {m}");
                 // Locked: a thousand records of any timing move nothing.
                 for op in 0..1000 {
@@ -513,12 +523,15 @@ mod tests {
         // Rank 0 is the planner's prediction; it measures twice as slow as
         // the challenger, so the lock lands on the challenger.
         let key = key(6);
-        let (rank0, alt) = (fixed(1), fixed(2));
+        let (rank0, alt) = (gp(1), gp(2));
         let mut store = seeded(key, &[rank0, alt]);
         let policy = PlanningPolicy::default();
-        for i in 0..2 * RACE_SAMPLES {
+        // Rank 0 twice for `t₀`, then round-robin from the fewest samples.
+        let order = [rank0, rank0, alt, alt, rank0, alt];
+        assert_eq!(order.len(), 2 * RACE_SAMPLES);
+        for (i, &expected) in order.iter().enumerate() {
             let plan = store.chosen_plan(&key).unwrap();
-            assert_eq!(plan, if i % 2 == 0 { rank0 } else { alt }, "round-robin");
+            assert_eq!(plan, expected, "record {i}");
             let state = store.record(key, plan, if plan == rank0 { 0.02 } else { 0.01 }, &policy);
             let state = state.unwrap();
             assert_eq!(state.switched, i + 1 == 2 * RACE_SAMPLES, "record {i}");
@@ -531,7 +544,7 @@ mod tests {
     #[test]
     fn feedback_keeps_a_plan_that_performs_as_predicted() {
         let key = key(7);
-        let (rank0, alt) = (fixed(1), fixed(2));
+        let (rank0, alt) = (gp(1), gp(2));
         let mut store = seeded(key, &[rank0, alt]);
         let locked_at = drive(&mut store, key, 20, |p| if p == rank0 { 0.010 } else { 0.011 });
         assert_eq!(locked_at, Some(2 * RACE_SAMPLES));
@@ -543,7 +556,7 @@ mod tests {
     fn surprise_promotion_switches_to_a_consistently_observed_faster_plan() {
         // One lucky sample does not win a race; a median does.
         let key = key(11);
-        let (rank0, lucky, steady) = (fixed(1), fixed(2), fixed(3));
+        let (rank0, lucky, steady) = (gp(1), gp(2), gp(3));
         let mut store = seeded(key, &[rank0, lucky, steady]);
         let mut runs = std::collections::HashMap::new();
         let locked_at = drive(&mut store, key, 9, |p| {
@@ -561,24 +574,24 @@ mod tests {
     #[test]
     fn noise_floor_suppresses_microsecond_replanning() {
         let key = key(8);
-        let mut store = seeded(key, &[fixed(1), fixed(2)]);
+        let mut store = seeded(key, &[gp(1), gp(2)]);
         let t0 = MIN_RACE_SECONDS * 0.99;
-        let state = store.record(key, fixed(1), t0, &PlanningPolicy::default()).unwrap();
+        let state = store.record(key, gp(1), t0, &PlanningPolicy::default()).unwrap();
         assert!(state.locked && !state.switched, "t₀ under the floor locks at op 1");
-        assert_eq!(store.chosen_plan(&key), Some(fixed(1)));
+        assert_eq!(store.chosen_plan(&key), Some(gp(1)));
     }
 
     #[test]
     fn frozen_policy_observes_but_never_switches() {
         let key = key(9);
-        let mut store = seeded(key, &[fixed(1), fixed(2)]);
+        let mut store = seeded(key, &[gp(1), gp(2)]);
         let frozen = PlanningPolicy::frozen();
         for i in 0..6 {
-            let state = store.record(key, fixed(1), 50.0, &frozen).unwrap();
+            let state = store.record(key, gp(1), 50.0, &frozen).unwrap();
             assert!(state.locked && !state.switched);
             assert_eq!(state.executions, i + 1, "runs still count");
         }
-        assert_eq!(store.chosen_plan(&key), Some(fixed(1)));
+        assert_eq!(store.chosen_plan(&key), Some(gp(1)));
         assert_eq!(store.total_replans(), 0);
     }
 
@@ -586,7 +599,7 @@ mod tests {
     fn admission_on_t0_rejects_a_challenger_that_would_not_pay() {
         // t₀ = 10 ms at reuse 16 admits up to 80 ms of predicted preparation.
         let key = key(12);
-        let (rank0, cheap, dear) = (fixed(1), fixed(2), fixed(3));
+        let (rank0, cheap, dear) = (gp(1), gp(2), gp(3));
         let mut store = FeedbackStore::new();
         store.seed(key, vec![(rank0, 0.0), (dear, 0.081), (cheap, 0.079)]);
         let policy = PlanningPolicy::default();
@@ -604,23 +617,26 @@ mod tests {
     #[test]
     fn prep_budget_bars_over_budget_switch_targets() {
         let key = key(13);
-        let (rank0, heavy) = (fixed(1), fixed(2));
+        let (rank0, heavy) = (gp(1), gp(2));
         let mut store = FeedbackStore::new();
         store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
         let budget = PlanningPolicy { prep_budget_seconds: Some(0.005), ..Default::default() };
         assert!(store.record(key, rank0, 1.0, &budget).unwrap().locked);
         assert_eq!(store.chosen_plan(&key), Some(rank0));
-        // Lifting the budget lets the same challenger race.
+        // Lifting the budget lets the same challenger race, once rank 0's
+        // second run has made `t₀`.
         let mut store = FeedbackStore::new();
         store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
-        assert!(!store.record(key, rank0, 1.0, &PlanningPolicy::default()).unwrap().locked);
+        for _ in 0..2 {
+            assert!(!store.record(key, rank0, 1.0, &PlanningPolicy::default()).unwrap().locked);
+        }
         assert_eq!(store.chosen_plan(&key), Some(heavy));
     }
 
     #[test]
     fn at_most_three_challengers_race() {
         let key = key(14);
-        let plans: Vec<Plan> = (1..=6).map(fixed).collect();
+        let plans: Vec<Plan> = (1..=6).map(gp).collect();
         let mut store = seeded(key, &plans);
         // The fifth and sixth plans would win but never run.
         let seconds = |p: Plan| if p == plans[4] || p == plans[5] { 0.001 } else { 0.010 };
@@ -654,7 +670,7 @@ mod tests {
     #[test]
     fn clear_forgets_every_operand() {
         let (a, b) = (key(15), key(16));
-        let plans = [fixed(1), fixed(2)];
+        let plans = [gp(1), gp(2)];
         let mut store = FeedbackStore::with_capacity(1);
         store.seed(a, plans.iter().map(|&p| (p, 0.0)).collect());
         drive(&mut store, a, 10, |p| if p == plans[1] { 0.01 } else { 0.02 });
@@ -671,12 +687,14 @@ mod tests {
     #[test]
     fn reseeding_preserves_observations() {
         let key = key(17);
-        let mut store = seeded(key, &[fixed(1), fixed(2)]);
-        store.record(key, fixed(1), 0.010, &PlanningPolicy::default()).unwrap();
-        store.seed(key, vec![(fixed(3), 0.0)]);
+        let mut store = seeded(key, &[gp(1), gp(2)]);
+        for _ in 0..2 {
+            store.record(key, gp(1), 0.010, &PlanningPolicy::default()).unwrap();
+        }
+        store.seed(key, vec![(gp(3), 0.0)]);
         let state = store.state(&key).unwrap();
         assert_eq!(state.candidates, 2, "re-seed must not replace the candidate set");
-        assert_eq!(store.chosen_plan(&key), Some(fixed(2)), "the race goes on");
+        assert_eq!(store.chosen_plan(&key), Some(gp(2)), "the race goes on");
     }
 
     #[test]
@@ -690,12 +708,13 @@ mod tests {
         assert!(store.record(key, alien, 1.0, &policy).is_none());
         // A run of a plan the store did not choose counts, but is no sample:
         // before t₀ it starts nothing, during the race it joins nothing.
-        let mut store = seeded(key, &[fixed(1), fixed(2), fixed(3)]);
-        let state = store.record(key, fixed(2), 1.0, &policy).unwrap();
+        let mut store = seeded(key, &[gp(1), gp(2), gp(3)]);
+        let state = store.record(key, gp(2), 1.0, &policy).unwrap();
         assert_eq!((state.executions, state.locked), (1, false));
-        assert_eq!(store.chosen_plan(&key), Some(fixed(1)));
-        store.record(key, fixed(1), 1.0, &policy).unwrap();
-        store.record(key, fixed(3), 1.0, &policy).unwrap();
-        assert_eq!(store.chosen_plan(&key), Some(fixed(2)), "fixed(3) ran out of turn");
+        assert_eq!(store.chosen_plan(&key), Some(gp(1)));
+        store.record(key, gp(1), 1.0, &policy).unwrap();
+        store.record(key, gp(1), 1.0, &policy).unwrap();
+        store.record(key, gp(3), 1.0, &policy).unwrap();
+        assert_eq!(store.chosen_plan(&key), Some(gp(2)), "gp(3) ran out of turn");
     }
 }

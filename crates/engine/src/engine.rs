@@ -274,7 +274,6 @@ impl Engine {
             if record { self.feedback.record(key, prepared.plan, observed, policy) } else { None };
         let report = ExecutionReport {
             plan: prepared.plan,
-            clusterwise: prepared.is_clusterwise(),
             two_sided,
             accumulator,
             fingerprint: prepared.operand.fingerprint,
@@ -429,8 +428,7 @@ mod tests {
         assert!(!auto_first.cache_hit);
 
         // A forced plan never reuses the auto entry: its first call misses.
-        let forced =
-            Plan { clustering: crate::plan::ClusteringStrategy::Fixed(4), ..Plan::baseline() };
+        let forced = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
         let (c, rep) = engine.multiply_planned(&a, &a, forced);
         assert!(c.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
         assert!(!rep.cache_hit);
@@ -523,24 +521,6 @@ mod tests {
             let (c, report) = Engine::default().multiply_planned(&a, &b, Plan::baseline());
             assert_eq!(report.accumulator, acc, "{ncols} columns: {}", report.summary());
             assert!(c.bits_eq(&spgemm_serial(&a, &b)), "{ncols} columns");
-        }
-    }
-
-    #[test]
-    fn clusterwise_products_budget_one_accumulator_per_member_row() {
-        // Eight member rows × 16 B: 8 192 columns fit, 8 193 do not — the
-        // same product run row-wise stays Dense.
-        let a = gen::grid::poisson2d(32, 32);
-        let clustered = Plan { clustering: ClusteringStrategy::Fixed(8), ..Plan::baseline() };
-        for (ncols, acc) in [(8_192, AccumulatorKind::Dense), (8_193, AccumulatorKind::Hash)] {
-            let b = wide(ncols);
-            let mut engine = Engine::default();
-            let (c, report) = engine.multiply_planned(&a, &b, clustered);
-            assert!(report.clusterwise, "{}", report.summary());
-            assert_eq!(report.accumulator, acc, "{ncols} columns: {}", report.summary());
-            assert!(c.bits_eq(&spgemm_serial(&a, &b)), "{ncols} columns");
-            let (_, rowwise) = engine.multiply_planned(&a, &b, Plan::baseline());
-            assert_eq!(rowwise.accumulator, AccumulatorKind::Dense, "{ncols} columns");
         }
     }
 

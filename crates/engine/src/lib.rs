@@ -1,18 +1,21 @@
 //! **cw-engine** — the adaptive plan/prepare/execute front door for
-//! cluster-wise SpGEMM.
+//! reordered SpGEMM.
 //!
-//! The paper's techniques (row reordering, cluster-wise computation over
-//! `CSR_Cluster`) only pay off when their preprocessing cost is amortized
-//! across repeated multiplications (§4.5, Fig. 10), and its §5 future work
-//! asks for an automatic pipeline that "predicts the best choice of
-//! reordering combined with the best clustering scheme". This crate is that
-//! pipeline, split into five explicit stages (see `docs/ARCHITECTURE.md`
-//! at the workspace root for the cross-crate picture):
+//! The paper's row orders — reorderings and hierarchical clustering's
+//! sweep — only pay off when their preprocessing cost is amortized across
+//! repeated multiplications (§4.5, Fig. 10), and its §5 future work asks
+//! for an automatic pipeline that "predicts the best choice of reordering
+//! combined with the best clustering scheme". This crate is that pipeline,
+//! split into five explicit stages (see `docs/ARCHITECTURE.md` at the
+//! workspace root for the cross-crate picture). Every plan runs the
+//! row-wise kernel; the paper's cluster-wise kernel (`cw_core`) measured
+//! slower on every operand tried, so a clustering enters here only as a row
+//! order:
 //!
 //! 1. **Plan** — [`Planner`] profiles the operand ([`Profile`], via
 //!    `cw-reorder`'s advisor) and turns the advisor's suggestions, in its
 //!    order with the baseline last, into [`Plan`]s — reordering ×
-//!    clustering (which fixes the kernel) × parallel × output shape.
+//!    clustering (a row order) × parallel × output shape.
 //!    [`PlanningPolicy`] admits a plan when its preparation, priced by the
 //!    [`CostModel`], is at most half of `expected_reuse` predicted
 //!    multiplies; [`Planner::plans_costed`] is the admitted list, rank 0
@@ -21,10 +24,8 @@
 //!    fits, Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
 //!    [`ExecutionReport::accumulator`] says which ran.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
-//!    (permutation computed and applied, `CSR_Cluster` built — unless the
-//!    clustering averaged under 1.5 rows per cluster, in which case the
-//!    operand stays plain CSR on the clustering's row order and
-//!    [`ExecutionReport::clusterwise`] reads `false`), with per-stage
+//!    (the reordering's permutation, then hierarchical clustering's sweep
+//!    if the plan asks for it, computed and applied), with per-stage
 //!    timings recorded. Prepared operands are reusable across any number
 //!    of right-hand sides and always return results in the original row
 //!    order: the kernel stores each row where that order wants it, so no
@@ -45,8 +46,9 @@
 //!    is bit-identical to — and returns an [`ExecutionReport`] with the
 //!    executed plan and per-stage wall-clock timings.
 //! 5. **Race** — the engine's [`FeedbackStore`] measures instead of
-//!    predicting: rank 0's first kernel seconds are `t₀`; unless the policy
-//!    is frozen or `t₀ <` [`MIN_RACE_SECONDS`], up to three challengers
+//!    predicting: `t₀` is the faster of rank 0's first two kernel runs (the
+//!    first alone when it already rules a race out); unless the policy is
+//!    frozen or `t₀ <` [`MIN_RACE_SECONDS`], up to three challengers
 //!    admitted on `t₀` run round-robin with it for [`RACE_SAMPLES`] samples
 //!    each, and the lowest median is locked for good.
 //!
@@ -54,9 +56,8 @@
 //! pattern, or row-wise top-k ([`OutputShape`]) — is a first-class axis of
 //! all five stages: it is a [`Plan`] field, so cache entries and feedback
 //! state for truncated traffic never collide with full-product traffic on
-//! the same operand. A masked row-wise plan runs a kernel that admits only
-//! the mask's columns; top-k and cluster-wise masked plans compute the full
-//! product and filter. Preparation does not depend on the shape, so the
+//! the same operand. A masked plan runs a kernel that admits only the
+//! mask's columns; a top-k plan computes the full product and filters. Preparation does not depend on the shape, so the
 //! [`CostModel`] prices every shaped plan like the full one. See
 //! [`Engine::multiply_shaped`] (`OutputShape::TopK(k)` for top-k) and its
 //! masked shorthand [`Engine::multiply_masked`].

@@ -2,10 +2,10 @@
 //!
 //! A [`Plan`] is the explicit, inspectable record of every choice the
 //! paper's evaluation shows matters for SpGEMM throughput, each said once:
-//! the row reordering (Table 1), the clustering scheme (§3.2, Algs. 2–3) —
-//! which also fixes the kernel, since Alg. 1 runs on `CSR_Cluster` and
-//! Gustavson on CSR — whether the kernel runs in parallel, and the output
-//! shape. The sparse accumulator is the kernel's, not the plan's (see
+//! the row order — a reordering (Table 1), optionally followed by
+//! hierarchical clustering's sweep (Alg. 3) — whether the kernel runs in
+//! parallel, and the output shape. Every plan runs row-wise Gustavson; the
+//! sparse accumulator is the kernel's, not the plan's (see
 //! [`Plan::spgemm_options`]). Plans are plain
 //! `Copy + Eq + Hash` data: building one does no work
 //! ([`crate::PreparedMatrix`] materializes it), and the plan itself is the
@@ -55,20 +55,16 @@ impl OutputShape {
     }
 }
 
-/// How the prepared operand's rows are grouped into clusters — and with
-/// it which kernel runs: [`ClusteringStrategy::None`] keeps the operand in
-/// CSR under row-wise Gustavson (the paper's baseline, §2.2), anything else
-/// builds `CSR_Cluster` for the cluster-wise kernel (paper Alg. 1).
+/// Whether hierarchical clustering orders the prepared operand's rows.
+/// Either way the row-wise kernel runs: a clustering is kept only as the
+/// order it puts similar rows in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusteringStrategy {
-    /// No clustering; the operand stays in CSR.
+    /// No clustering; the rows keep the reordering's order.
     None,
-    /// Equal-size clusters of the given length (paper §3.2).
-    Fixed(usize),
-    /// Jaccard-threshold growing (paper Alg. 2).
-    Variable,
-    /// Similar-row discovery + union-find merging; also reorders
-    /// (paper Alg. 3).
+    /// Similar-row discovery + union-find merging (paper Alg. 3): its sweep
+    /// puts each cluster's rows next to each other, after any explicit
+    /// reordering.
     Hierarchical,
 }
 
@@ -81,8 +77,7 @@ pub struct Plan {
     /// ([`Reordering::Original`] = keep input order). Hierarchical
     /// clustering brings its own reordering and composes with this one.
     pub reorder: Reordering,
-    /// Row-grouping strategy; also selects the kernel
-    /// ([`Plan::is_clusterwise`]).
+    /// Whether hierarchical clustering's sweep order follows `reorder`.
     pub clustering: ClusteringStrategy,
     /// Run the kernel's rayon-parallel path; `false` runs it on the calling
     /// thread, the serial oracle the parallel path is bit-identical to.
@@ -113,27 +108,17 @@ impl Plan {
 
     /// Translates an advisor [`Suggestion`] into a plan skeleton
     /// (`parallel` keeps the baseline default; the planner tunes it
-    /// afterwards from the operand's size).
+    /// afterwards from the operand's size). Clustering rows in place leaves
+    /// their order as it is, so under the row-wise kernel
+    /// [`Suggestion::ClusterInPlace`] is the baseline.
     pub fn from_suggestion(suggestion: Suggestion) -> Plan {
         match suggestion {
             Suggestion::Reorder(r) => Plan { reorder: r, ..Plan::baseline() },
-            Suggestion::ClusterInPlace => {
-                Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() }
-            }
             Suggestion::Hierarchical => {
                 Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() }
             }
-            Suggestion::LeaveOriginal => Plan::baseline(),
+            Suggestion::ClusterInPlace | Suggestion::LeaveOriginal => Plan::baseline(),
         }
-    }
-
-    /// True when the plan asks for the cluster-wise kernel over
-    /// `CSR_Cluster` (any clustering), false for row-wise Gustavson over
-    /// CSR. Whether a cluster-wise plan's preparation kept the format on a
-    /// given operand is [`crate::PreparedMatrix::is_clusterwise`] /
-    /// [`crate::ExecutionReport::clusterwise`].
-    pub fn is_clusterwise(&self) -> bool {
-        self.clustering != ClusteringStrategy::None
     }
 
     /// The kernel options this plan implies: always Dense, which the kernel
@@ -145,27 +130,23 @@ impl Plan {
     }
 
     /// True if materializing this plan does nontrivial preprocessing
-    /// (reordering or cluster construction) worth caching.
+    /// (reordering or clustering) worth caching.
     pub fn has_preprocessing(&self) -> bool {
-        self.reorder != Reordering::Original || self.is_clusterwise()
+        self.reorder != Reordering::Original || self.clustering != ClusteringStrategy::None
     }
 
-    /// Compact human-readable form, e.g.
-    /// `RCM → Variable → ClusterWise @parallel`.
+    /// Compact human-readable form, e.g. `RCM → Hierarchical @parallel`.
     pub fn describe(&self) -> String {
         let clustering = match self.clustering {
-            ClusteringStrategy::None => "NoClustering".to_string(),
-            ClusteringStrategy::Fixed(k) => format!("Fixed({k})"),
-            ClusteringStrategy::Variable => "Variable".to_string(),
-            ClusteringStrategy::Hierarchical => "Hierarchical".to_string(),
+            ClusteringStrategy::None => "NoClustering",
+            ClusteringStrategy::Hierarchical => "Hierarchical",
         };
-        let kernel = if self.is_clusterwise() { "ClusterWise" } else { "RowWise" };
         let shape = match self.shape {
             OutputShape::Full => String::new(),
             other => format!(" ⊳{}", other.describe()),
         };
         format!(
-            "{} → {clustering} → {kernel} @{}{shape}",
+            "{} → {clustering} @{}{shape}",
             self.reorder.name(),
             if self.parallel { "parallel" } else { "serial" }
         )
@@ -181,7 +162,7 @@ mod tests {
         let p = Plan::baseline();
         assert_eq!(p.reorder, Reordering::Original);
         assert_eq!(p.clustering, ClusteringStrategy::None);
-        assert!(!p.is_clusterwise());
+        assert!(!p.has_preprocessing());
     }
 
     #[test]
@@ -194,16 +175,16 @@ mod tests {
     fn suggestions_map_to_expected_pipelines() {
         let p = Plan::from_suggestion(Suggestion::Reorder(Reordering::Rcm));
         assert_eq!(p.reorder, Reordering::Rcm);
-        assert!(!p.is_clusterwise());
+        assert_eq!(p.clustering, ClusteringStrategy::None);
         assert!(p.has_preprocessing());
 
-        let p = Plan::from_suggestion(Suggestion::ClusterInPlace);
-        assert_eq!(p.clustering, ClusteringStrategy::Variable);
-        assert!(p.is_clusterwise());
+        // Clustering in place keeps the order: the baseline, under the
+        // row-wise kernel.
+        assert_eq!(Plan::from_suggestion(Suggestion::ClusterInPlace), Plan::baseline());
 
         let p = Plan::from_suggestion(Suggestion::Hierarchical);
         assert_eq!(p.clustering, ClusteringStrategy::Hierarchical);
-        assert!(p.is_clusterwise());
+        assert!(p.has_preprocessing());
 
         let p = Plan::from_suggestion(Suggestion::LeaveOriginal);
         assert_eq!(p, Plan::baseline());
@@ -213,9 +194,9 @@ mod tests {
     fn describe_names_all_stages() {
         let p = Plan::from_suggestion(Suggestion::Reorder(Reordering::Degree));
         let s = p.describe();
-        assert!(s.contains("Degree") && s.contains("RowWise"), "{s}");
-        let p = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
-        assert_eq!(p.describe(), "Original → Fixed(4) → ClusterWise @parallel");
+        assert!(s.contains("Degree") && s.contains("NoClustering"), "{s}");
+        let p = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        assert_eq!(p.describe(), "Original → Hierarchical @parallel");
     }
 
     #[test]

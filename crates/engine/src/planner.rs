@@ -32,8 +32,8 @@ pub const PARALLEL_ROW_THRESHOLD: usize = 512;
 pub struct RankedPlan {
     /// The tuned, executable plan.
     pub plan: Plan,
-    /// Predicted one-off preparation seconds (reordering + cluster
-    /// construction) of this plan on this operand.
+    /// Predicted one-off preparation seconds (reordering + clustering) of
+    /// this plan on this operand.
     pub prep_seconds: f64,
     /// The advisor's structural-evidence feature for the technique (`0`
     /// for the baseline).
@@ -48,7 +48,7 @@ pub struct Planner {
     /// Seed for randomized reorderings (identical seeds ⇒ identical plans
     /// and identical prepared operands).
     pub seed: u64,
-    /// Clustering parameters used by Variable/Hierarchical strategies.
+    /// Clustering parameters used by the Hierarchical strategy.
     pub cluster: ClusterConfig,
     /// Reuse horizon, preparation budget, and whether to race.
     pub policy: PlanningPolicy,
@@ -146,10 +146,10 @@ impl Planner {
         }
         let why = match suggestion {
             Suggestion::Reorder(_) => "advisor: reorder rows, then row-wise SpGEMM",
-            Suggestion::ClusterInPlace => {
-                "advisor: rows already similar in order; cluster in place"
+            Suggestion::ClusterInPlace => "advisor: rows already similar in order; keep it",
+            Suggestion::Hierarchical => {
+                "advisor: hierarchical clustering's row order, then row-wise SpGEMM"
             }
-            Suggestion::Hierarchical => "advisor: hierarchical clustering (reorders and clusters)",
             Suggestion::LeaveOriginal => "advisor: no technique predicted to pay off",
         };
         (self.tune(a, Plan::from_suggestion(suggestion)), why)
@@ -164,7 +164,6 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ClusteringStrategy;
     use cw_reorder::advisor::advise;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
@@ -286,14 +285,6 @@ mod tests {
             let plan = planner.plan_for_suggestion(&a, s);
             assert_eq!(plan.reorder, Reordering::Original);
         }
-    }
-
-    #[test]
-    fn grouped_rows_plan_cluster_in_place() {
-        let a = gen::banded::block_diagonal(128, (6, 8), 0.0, 1);
-        let plan = Planner::default().plan(&a);
-        assert_eq!(plan.clustering, ClusteringStrategy::Variable);
-        assert!(plan.is_clusterwise());
     }
 
     #[test]

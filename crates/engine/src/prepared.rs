@@ -2,7 +2,7 @@
 //! multiplies.
 //!
 //! Preparation is the expensive part of the paper's pipeline — computing a
-//! reordering permutation and building the `CSR_Cluster` structure — and
+//! reordering permutation, or hierarchical clustering's row order — and
 //! only pays off amortized over repeated multiplications (§4.5, Fig. 10).
 //! [`PreparedMatrix`] does that work exactly once and records how long each
 //! stage took; [`PreparedMatrix::multiply_shaped`] then runs only the
@@ -40,16 +40,17 @@ pub struct PreparedMatrix {
     /// the rows did not move): kernel row `r` is original row `old_of(r)`,
     /// which is where the kernel's pack step stores it.
     row_map: Option<Permutation>,
-    /// The reordered CSR or `CSR_Cluster` operand the kernels run over.
+    /// The reordered CSR operand the kernel runs over.
     format: CpuOperand,
 }
 
 impl PreparedMatrix {
-    /// Materializes `plan` for `a`: reorders, clusters, and records what
+    /// Materializes `plan` for `a`: reorders, applies hierarchical
+    /// clustering's row order if the plan asks for it, and records what
     /// each stage cost.
     ///
     /// `seed` feeds randomized reorderings; `cluster` parameterizes the
-    /// Variable/Hierarchical strategies.
+    /// hierarchical clustering.
     pub fn prepare(a: &CsrMatrix, plan: Plan, seed: u64, cluster: &ClusterConfig) -> Self {
         PreparedMatrix::prepare_keyed(a, OperandKey::of(a), plan, seed, cluster)
     }
@@ -67,23 +68,13 @@ impl PreparedMatrix {
         PreparedMatrix { plan, operand, timings, row_map, format }
     }
 
-    /// Which kernel multiplies run on: `true` for the cluster-wise kernel
-    /// over `CSR_Cluster`, `false` for the row-wise one. It follows
-    /// [`Plan::is_clusterwise`] unless the plan's clustering averaged under
-    /// 1.5 rows per cluster on this operand — then the preparation kept the
-    /// clustering's row order and dropped the format.
-    pub fn is_clusterwise(&self) -> bool {
-        matches!(self.format, CpuOperand::ClusterWise { .. })
-    }
-
     /// Whether the preparation carries its ids in the reordering's label
     /// space too: the operand is square, its rows moved, and the order left
     /// each row's ids within a tenth of the matrix of the row itself on
     /// average (a scattered order has no locality for a relabelling to
     /// reach); not on an operand below 128 KiB narrow enough for a dense
-    /// accumulator, and never under a masked plan that runs row-wise. A
-    /// multiply whose right-hand side is the source matrix then runs
-    /// two-sided ([`crate::ExecutionReport::two_sided`]).
+    /// accumulator, and never under a masked plan. A multiply whose
+    /// right-hand side is the source matrix then runs two-sided ([`crate::ExecutionReport::two_sided`]).
     pub fn is_relabelled(&self) -> bool {
         self.format.is_relabelled()
     }
@@ -171,12 +162,38 @@ mod tests {
     #[test]
     fn clustered_plans_match_baseline() {
         let a = gen::banded::block_diagonal(72, (4, 8), 0.1, 2);
-        for clustering in [
-            ClusteringStrategy::Fixed(8),
-            ClusteringStrategy::Variable,
-            ClusteringStrategy::Hierarchical,
-        ] {
-            check_plan(&a, Plan { clustering, ..Plan::baseline() });
+        for reorder in [Reordering::Original, Reordering::Rcm] {
+            check_plan(
+                &a,
+                Plan { reorder, clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
+            );
+        }
+    }
+
+    #[test]
+    fn a_hierarchical_plan_is_hierarchical_clusterings_row_order() {
+        // What a pinned `Plan::from_suggestion(Suggestion::Hierarchical)`
+        // prepares on a shuffled mesh: the clustering's sweep order, after
+        // RCM's when the plan also reorders, run row-wise and two-sided
+        // (48 × 48: past the 128 KiB floor for relabelling under Dense).
+        use cw_core::hierarchical_clustering;
+        let natural = gen::mesh::tri_mesh(48, 48, false, 1);
+        let a = cw_reorder::random_permutation(natural.nrows, 5).permute_symmetric(&natural);
+        let cfg = ClusterConfig::default();
+        let rcm = Reordering::Rcm.compute(&a, 7);
+        let expected = [
+            (Reordering::Original, hierarchical_clustering(&a, &cfg).perm),
+            (Reordering::Rcm, rcm.then(&hierarchical_clustering(&rcm.permute_rows(&a), &cfg).perm)),
+        ];
+        for (reorder, row_map) in expected {
+            let plan =
+                Plan { reorder, clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+            let prepared = PreparedMatrix::prepare(&a, plan, 7, &cfg);
+            let what = plan.describe();
+            assert_eq!(prepared.row_map.as_ref(), Some(&row_map), "{what}");
+            assert!(prepared.multiply_shaped(&a, None).bits_eq(&spgemm_serial(&a, &a)), "{what}");
+            assert!(prepared.is_relabelled(), "{what}");
+            assert!(prepared.timings.cluster_seconds > 0.0, "{what}");
         }
     }
 
@@ -215,14 +232,14 @@ mod tests {
         let pl = PreparedMatrix::prepare(&large, Plan::baseline(), 7, &cfg);
         assert!(ps.approx_bytes() > 0);
         assert!(pl.approx_bytes() > ps.approx_bytes());
-        // A clustered + reordered preparation carries extra structure.
+        // A clustered + reordered preparation carries its row map too.
         let plan = Plan {
             reorder: Reordering::Rcm,
-            clustering: ClusteringStrategy::Fixed(4),
+            clustering: ClusteringStrategy::Hierarchical,
             ..Plan::baseline()
         };
         let pc = PreparedMatrix::prepare(&large, plan, 7, &cfg);
-        assert!(pc.approx_bytes() > 0);
+        assert!(pc.approx_bytes() > pl.approx_bytes());
     }
 
     #[test]
@@ -237,22 +254,12 @@ mod tests {
 
         let rowwise = PreparedMatrix::prepare(&a, rcm, 7, &cfg);
         assert!(rowwise.is_relabelled());
-        assert!(rowwise.approx_bytes() >= one_sided + a.nnz() * size_of::<u32>());
+        assert_eq!(rowwise.approx_bytes(), one_sided + a.nnz() * size_of::<u32>());
 
-        // A masked row-wise plan builds no relabelling and is charged none.
+        // A masked plan builds no relabelling and is charged none.
         let masked = PreparedMatrix::prepare(&a, rcm.with_shape(OutputShape::Masked), 7, &cfg);
         assert!(!masked.is_relabelled());
         assert_eq!(masked.approx_bytes(), one_sided);
-
-        // Cluster-wise keeps the relabelled union lists and `P·A·Pᵀ` as `B`.
-        let plan = Plan { clustering: ClusteringStrategy::Fixed(4), ..rcm };
-        let clustered = PreparedMatrix::prepare(&a, plan, 7, &cfg);
-        let CpuOperand::ClusterWise { cc, relabelled: Some(_) } = &clustered.format else {
-            panic!("a fixed-4 plan on a reordered square operand is cluster-wise and relabelled");
-        };
-        let format = size_of::<PreparedMatrix>() + cc.memory_bytes() + a.nrows * size_of::<u32>();
-        let retained = cc.col_ids.len() * size_of::<u32>() + a.memory_bytes();
-        assert_eq!(clustered.approx_bytes(), format + retained);
     }
 
     #[test]
@@ -280,7 +287,7 @@ mod tests {
         let a = gen::mesh::tri_mesh(12, 12, true, 2);
         let plan = Plan {
             reorder: Reordering::Rcm,
-            clustering: ClusteringStrategy::Variable,
+            clustering: ClusteringStrategy::Hierarchical,
             ..Plan::baseline()
         };
         let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());

@@ -12,7 +12,7 @@ pub struct StageTimings {
     pub plan_seconds: f64,
     /// Reordering permutation computation (zero on cache hits).
     pub reorder_seconds: f64,
-    /// Clustering + `CSR_Cluster` construction (zero on cache hits).
+    /// Hierarchical clustering's row order (zero on cache hits).
     pub cluster_seconds: f64,
     /// The SpGEMM kernel itself.
     pub kernel_seconds: f64,
@@ -43,11 +43,6 @@ impl StageTimings {
 pub struct ExecutionReport {
     /// The plan that executed (`plan.parallel`: whether on the pool).
     pub plan: Plan,
-    /// Whether the cluster-wise kernel ran. `false` under a plan whose
-    /// [`Plan::is_clusterwise`] is `true` means the preparation degraded:
-    /// the plan's clustering averaged under 1.5 rows per cluster on this
-    /// operand, so it kept the clustering's row order and ran row-wise.
-    pub clusterwise: bool,
     /// Whether the product ran in the plan's permuted label space on both
     /// sides (`P·A·Pᵀ · P·A·Pᵀ`, labels translated back at extraction). Set
     /// from what execution did: `true` only under a plan that moved the
@@ -89,12 +84,9 @@ impl ExecutionReport {
                 if f.switched { " REPLAN" } else { "" }
             ),
         };
-        // The plan names the kernel it asked for; say so when another ran.
-        let degraded =
-            if self.plan.is_clusterwise() && !self.clusterwise { " (ran RowWise)" } else { "" };
         let sides = if self.two_sided { " two-sided" } else { "" };
         format!(
-            "{}{degraded}{sides} [{:?}] | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
+            "{}{sides} [{:?}] | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
             self.plan.describe(),
             self.accumulator,
             if self.cache_hit { "hit" } else { "miss" },
@@ -110,7 +102,6 @@ impl ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ClusteringStrategy;
     use cw_sparse::fingerprint;
     use cw_sparse::CsrMatrix;
 
@@ -131,7 +122,6 @@ mod tests {
     fn summary_mentions_cache_state_and_plan() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
-            clusterwise: false,
             two_sided: false,
             accumulator: AccumulatorKind::Dense,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
@@ -149,29 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_says_when_a_clustered_plan_ran_rowwise() {
-        let plan = Plan { clustering: ClusteringStrategy::Variable, ..Plan::baseline() };
-        let mut rep = ExecutionReport {
-            plan,
-            clusterwise: true,
-            two_sided: false,
-            accumulator: AccumulatorKind::Dense,
-            fingerprint: fingerprint(&CsrMatrix::identity(4)),
-            cache_hit: false,
-            timings: StageTimings::default(),
-            output_nnz: 4,
-            feedback: None,
-        };
-        assert!(!rep.summary().contains("ran RowWise"), "{}", rep.summary());
-        rep.clusterwise = false;
-        assert!(rep.summary().contains("ClusterWise @parallel (ran RowWise) [Dense]"));
-    }
-
-    #[test]
     fn summary_shows_the_race_when_feedback_is_present() {
         let rep = ExecutionReport {
             plan: Plan::baseline(),
-            clusterwise: false,
             two_sided: false,
             accumulator: AccumulatorKind::Dense,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),

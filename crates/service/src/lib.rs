@@ -1,8 +1,8 @@
 //! **cw-service** — a threaded serving layer over [`cw_engine::Engine`]
 //! for repeated SpGEMM traffic.
 //!
-//! The paper's cluster-wise pipeline pays a one-time reordering/clustering
-//! cost that only amortizes under repeated multiplications (§4.5, Fig. 10)
+//! The paper's pipeline pays a one-time reordering/clustering cost that
+//! only amortizes under repeated multiplications (§4.5, Fig. 10)
 //! — exactly the serving scenario. [`SpgemmService`] turns the
 //! single-threaded engine into a concurrent front door:
 //!

@@ -464,7 +464,7 @@ mod tests {
     fn forced_plan_requests_execute_that_plan() {
         let a = arc(gen::grid::poisson2d(9, 9));
         let plan = cw_engine::Plan {
-            clustering: cw_engine::ClusteringStrategy::Fixed(4),
+            clustering: cw_engine::ClusteringStrategy::Hierarchical,
             ..cw_engine::Plan::baseline()
         };
         let service = SpgemmService::new(ServiceConfig::default());

@@ -41,8 +41,8 @@
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/race pipeline. A `Planner` profiles the
 //!   operand, takes the advisor's candidate pipelines (reordering ×
-//!   clustering, which fixes the kernel) in its order with the baseline
-//!   last, and admits those whose preparation, priced by a `CostModel`,
+//!   hierarchical clustering's row order, all run by the row-wise kernel)
+//!   in its order with the baseline last, and admits those whose preparation, priced by a `CostModel`,
 //!   a caller-supplied `PlanningPolicy` can carry (half of the expected
 //!   reuse, an optional budget); every kernel runs the dense accumulator
 //!   wherever it fits in 1 MiB per worker; `PreparedMatrix` materializes
@@ -52,8 +52,9 @@
 //!   plan's `parallel` is set; `parallel: false` is the serial oracle the
 //!   parallel path is bit-identical to), reports per-stage timings, and
 //!   hands the measured kernel seconds to a per-operand `FeedbackStore`:
-//!   on kernels of a millisecond or more, up to four admitted plans race
-//!   three samples each and the lowest median is locked for good.
+//!   when the faster of the first plan's first two runs takes a millisecond
+//!   or more, up to four admitted plans race three samples each and the
+//!   lowest median is locked for good.
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O,
 //!   synthetic matrix generators, structural statistics, and the matrix
 //!   fingerprints and checksums keying the engine's plan cache.
@@ -64,7 +65,10 @@
 //! * [`reorder`] — the ten row-reordering algorithms of the paper's study,
 //!   plus the structural advisor driving the engine's planner.
 //! * [`core`] — the contribution: `CSR_Cluster`, fixed / variable /
-//!   hierarchical clustering, and the cluster-wise SpGEMM kernel.
+//!   hierarchical clustering, and the cluster-wise SpGEMM kernel, which
+//!   the `paper` experiments measure directly (the engine keeps only
+//!   hierarchical clustering's row order: cluster-wise measured slower than
+//!   row-wise on every operand tried).
 //! * [`datasets`] — the 110-matrix synthetic corpus and BC-frontier
 //!   workloads.
 //!
@@ -104,7 +108,7 @@
 //!
 //! let (c_first, first) = engine.multiply(&a, &a);   // plans + prepares
 //! // A kernel of a millisecond or more races the admitted plans, each
-//! // prepared once, and locks one within 1 + 3·4 calls.
+//! // prepared once, and locks one within 3·4 calls.
 //! for _ in 0..12 {
 //!     engine.multiply(&a, &a);
 //! }
@@ -128,10 +132,9 @@
 //! The output *shape* is a first-class request axis: the full product, the
 //! product filtered through a sparsity mask, or only each row's k
 //! largest-magnitude entries. Shapes ride the same plan/prepare/cache
-//! pipeline (cache and feedback are keyed per shape). A masked row-wise
-//! plan admits only the mask's columns into the accumulator and never
-//! builds the rest of the product; the other shaped plans compute the full
-//! product and filter it. Either way every plan stays bit-identical to the
+//! pipeline (cache and feedback are keyed per shape). A masked plan admits
+//! only the mask's columns into the accumulator and never builds the rest
+//! of the product; a top-k plan computes the full product and filters it. Either way every plan stays bit-identical to the
 //! serial oracle computing the same shape:
 //!
 //! ```

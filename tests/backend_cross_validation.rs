@@ -8,15 +8,14 @@
 //!
 //! Bit-identity is achievable (not just approximate agreement) because the
 //! two differ only in *where* work runs, never in the per-entry arithmetic
-//! order: the row-wise and cluster-wise kernels accumulate each output
-//! entry in ascending-`k` order whether execution is serial or
-//! rayon-chunked, and every accumulator extracts sorted columns. Any
+//! order: the row-wise kernels accumulate each output entry in
+//! ascending-`k` order whether execution is serial or rayon-chunked, and
+//! every accumulator extracts sorted columns. Any
 //! divergence therefore indicates a real dispatch bug, not floating-point
 //! noise.
 
 mod common;
 
-use clusterwise_spgemm::core::format::MAX_CLUSTER_LEN;
 use clusterwise_spgemm::engine::{
     ClusteringStrategy, OutputShape, Plan, Planner, PreparedMatrix, Suggestion,
     DEFAULT_CACHE_CAPACITY,
@@ -91,10 +90,24 @@ fn every_ranked_candidate_parallel_equals_serial() {
 
 #[test]
 fn fixed_cluster_lengths_are_bit_identical_across_backends() {
+    // The cluster-wise kernel (paper Alg. 1), which `paper` measures and no
+    // plan runs, held to the engine kernel's contract: at every fixed
+    // length and accumulator, on pools pinned to two and eight workers, it
+    // returns its own serial run's bits.
     let a = gen::grid::poisson2d(10, 9);
     for k in [1usize, 3, 8] {
-        let plan = Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() };
-        assert_full_product_matches("poisson_rect", &a, plan);
+        let cc = CsrCluster::from_csr(&a, &fixed_clustering(&a, k));
+        for acc in [AccumulatorKind::Dense, AccumulatorKind::Hash] {
+            let opts = |parallel| SpGemmOptions { acc, parallel, ..SpGemmOptions::default() };
+            let serial = clusterwise_spgemm::core::clusterwise_spgemm_with(&cc, &a, &opts(false));
+            assert!(serial.numerically_eq(&spgemm_serial(&a, &a), 1e-9), "fixed({k}) {acc:?}");
+            for width in [2, 8] {
+                let parallel = rayon::with_pool_width(width, || {
+                    clusterwise_spgemm::core::clusterwise_spgemm_with(&cc, &a, &opts(true))
+                });
+                assert!(parallel.bits_eq(&serial), "fixed({k}) {acc:?} at width {width}");
+            }
+        }
     }
 }
 
@@ -232,9 +245,10 @@ fn shaped_degenerate_rows_stay_bit_identical() {
         }
     }
     let a = coo.to_csr();
-    for plan in
-        [Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(3), ..Plan::baseline() }]
-    {
+    for plan in [
+        Plan::baseline(),
+        Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
+    ] {
         assert_shaped_products_match("degenerate", &a, plan);
     }
 }
@@ -245,7 +259,7 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
     // the table's outer half in full: reordering × clustering × parallel ×
     // shape, each product compared bit for bit with the plain
     // serial row-wise product (shaped by the public row-local transforms).
-    // Row reordering permutes whole rows and both kernels accumulate an
+    // Row reordering permutes whole rows and the kernels accumulate an
     // output entry in ascending-`k` order, so no plan may change a single
     // bit (`CsrMatrix::bits_eq`: stricter than `approx_eq(_, 0.0)`, which
     // lets `-0.0` pass for `0.0`).
@@ -262,13 +276,7 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
             (OutputShape::Masked, Some(&a), apply_mask(&full, &a)),
         ];
         for &reorder in &reorderings {
-            for clustering in [
-                ClusteringStrategy::None,
-                ClusteringStrategy::Fixed(2),
-                ClusteringStrategy::Fixed(8),
-                ClusteringStrategy::Variable,
-                ClusteringStrategy::Hierarchical,
-            ] {
+            for clustering in [ClusteringStrategy::None, ClusteringStrategy::Hierarchical] {
                 for parallel in [true, false] {
                     for (shape, mask, expect) in &expected {
                         let plan = Plan { reorder, clustering, parallel, shape: *shape };
@@ -293,8 +301,8 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
     // `Engine::multiply_planned`, or a content-equal matrix through the full
     // checksum. A `b` one *unsampled* value away from `a` (same fingerprint),
     // `aᵀ` and a rectangular `b` must take the one-sided arm; so must every
-    // preparation without a relabelling, every masked plan that runs
-    // row-wise, and every operand below 128 KiB narrow enough for the
+    // preparation without a relabelling, every masked plan, and every
+    // operand below 128 KiB narrow enough for the
     // kernel's dense accumulator (the small mesh here; the large one is past
     // that floor). Whichever arm runs, the product is `spgemm_serial(a, b)`
     // under the public shape transforms, bit for bit — the report's
@@ -332,11 +340,7 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
         for reorder in
             [Reordering::Rcm, Reordering::Degree, Reordering::Random, Reordering::Original]
         {
-            for clustering in [
-                ClusteringStrategy::None,
-                ClusteringStrategy::Fixed(4),
-                ClusteringStrategy::Hierarchical,
-            ] {
+            for clustering in [ClusteringStrategy::None, ClusteringStrategy::Hierarchical] {
                 for parallel in [false, true] {
                     for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
                         let plan = Plan { reorder, clustering, parallel, shape };
@@ -373,16 +377,14 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
                             // What the preparation must carry: nothing
                             // unless the rows moved into a band, nothing
                             // below the dense accumulator's floor, and never
-                            // under a masked plan that runs row-wise.
-                            let masked_rowwise =
-                                shape == OutputShape::Masked && !report.clusterwise;
+                            // under a masked plan.
+                            let masked = shape == OutputShape::Masked;
                             let banded = reorder == Reordering::Rcm
                                 || clustering == ClusteringStrategy::Hierarchical;
-                            let per_worker = if report.clusterwise { MAX_CLUSTER_LEN } else { 1 };
-                            let below_floor = small && dense_fits(a.ncols, per_worker);
+                            let below_floor = small && dense_fits(a.ncols, 1);
                             assert_eq!(
                                 prepared.is_relabelled(),
-                                banded && !masked_rowwise && !below_floor,
+                                banded && !masked && !below_floor,
                                 "{what}"
                             );
                             assert_eq!(
@@ -420,11 +422,12 @@ proptest! {
     #[test]
     fn random_matrices_are_bit_identical_across_backends(a in sparse_square(40, 220)) {
         let planner = Planner::default();
-        // The planner's top choice plus the two kernel-family extremes.
+        // The planner's top choice, the baseline and hierarchical clustering's
+        // row order.
         let mut plans = vec![
             planner.plan(&a),
             Plan::baseline(),
-            Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() },
+            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
         ];
         plans.dedup();
         for plan in plans {

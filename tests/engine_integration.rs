@@ -5,7 +5,7 @@
 //! identical (per `CsrMatrix::numerically_eq`, same pattern, values within
 //! float tolerance) to `spgemm::rowwise`.
 
-use clusterwise_spgemm::engine::{ClusteringStrategy, Suggestion, DEFAULT_CACHE_CAPACITY};
+use clusterwise_spgemm::engine::{Suggestion, DEFAULT_CACHE_CAPACITY};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 
@@ -156,57 +156,6 @@ fn distinct_matrices_do_not_collide_in_the_cache() {
     assert!(cb.numerically_eq(&clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&b, &b), 1e-9));
     assert_eq!(engine.cache_stats().misses, 2);
     assert_eq!(engine.cached_operands(), 2);
-}
-
-#[test]
-fn fixed_clustering_plan_is_exact_for_all_lengths() {
-    let a = gen::grid::poisson2d(11, 9);
-    let expect = clusterwise_spgemm::spgemm::rowwise::spgemm_serial(&a, &a);
-    let mut engine = Engine::default();
-    for k in [1usize, 2, 4, 8] {
-        let plan = Plan { clustering: ClusteringStrategy::Fixed(k), ..Plan::baseline() };
-        let (got, _) = engine.multiply_planned(&a, &a, plan);
-        assert!(got.numerically_eq(&expect, 1e-9), "fixed({k})");
-    }
-}
-
-#[test]
-fn a_clustering_that_finds_nothing_runs_rowwise_under_the_same_plan() {
-    // A shuffled mesh without a diagonal: no two rows reach `jacc_th`, so
-    // Variable and Hierarchical produce (almost) only singletons. Rows in
-    // identical groups of five cluster under every strategy.
-    let natural = gen::mesh::tri_mesh(120, 120, false, 1);
-    let mesh = clusterwise_spgemm::reorder::random_permutation(natural.nrows, 5)
-        .permute_symmetric(&natural);
-    let groups = gen::banded::grouped_rows(80, 5, 7, 2);
-    let cases = [
-        ("mesh", &mesh, ClusteringStrategy::Hierarchical, false),
-        ("mesh", &mesh, ClusteringStrategy::Variable, false),
-        ("mesh", &mesh, ClusteringStrategy::Fixed(4), true),
-        ("groups", &groups, ClusteringStrategy::Hierarchical, true),
-        ("groups", &groups, ClusteringStrategy::Variable, true),
-        ("groups", &groups, ClusteringStrategy::Fixed(4), true),
-    ];
-    for (name, a, clustering, clusterwise) in cases {
-        let plan = Plan { clustering, ..Plan::baseline() };
-        let what = format!("{name} under {}", plan.describe());
-        let expect = spgemm_serial(a, a);
-        let mut engine = Engine::default();
-        let (got, first) = engine.multiply_planned(a, a, plan);
-        assert!(got.bits_eq(&expect), "{what}");
-        assert!(!first.cache_hit, "{what}");
-        // The degraded preparation is filed under the plan that was asked
-        // for: same report identity, and the next call finds it.
-        let (again, second) = engine.multiply_planned(a, a, plan);
-        assert!(again.bits_eq(&expect), "{what}");
-        assert!(second.cache_hit, "{what}");
-        assert_eq!(engine.cached_operands(), 1, "{what}");
-        for report in [first, second] {
-            assert_eq!(report.plan, plan, "{what}");
-            assert_eq!(report.clusterwise, clusterwise, "{what}: {}", report.summary());
-            assert_eq!(report.timings.postprocess_seconds, 0.0, "{what}");
-        }
-    }
 }
 
 /// A right-hand side as tall as `poisson2d(40, 40)` is wide and `ncols`

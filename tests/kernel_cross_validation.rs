@@ -10,9 +10,10 @@
 //! operands — the masked kernel against the oracle filtered by `apply_mask`,
 //! a mapped kernel against the oracle with its rows moved the same way, a
 //! labelled kernel (run on `P·A·Pᵀ` with ids left in `A`'s order) against the
-//! oracle itself.
+//! oracle itself, and the cluster-wise kernel (rows in its operand's order)
+//! against the serial product of that operand.
 
-use clusterwise_spgemm::core::{clusterwise_spgemm_labelled, clusterwise_spgemm_mapped};
+use clusterwise_spgemm::core::clusterwise_spgemm_with;
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::reorder::random_permutation;
 use clusterwise_spgemm::sparse::gen;
@@ -278,8 +279,6 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
             let moved =
                 |m: &CsrMatrix| map.map_or_else(|| m.clone(), |p| p.inverse().permute_rows(m));
             let oracle = moved(&oracle);
-            let clustered: Vec<(&String, &CsrCluster, CsrMatrix)> =
-                clustered.iter().map(|(label, cc, expect)| (label, cc, moved(expect))).collect();
             let masked: Vec<(&str, CsrMatrix, CsrMatrix)> = masked
                 .iter()
                 .map(|(label, expect, mask)| (*label, moved(expect), moved(mask)))
@@ -298,8 +297,10 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
                                 &oracle,
                                 &format!("{what} row-wise"),
                             );
-                            for (label, cc, expect) in &clustered {
-                                let got = clusterwise_spgemm_mapped(cc, &b, &opts, map);
+                            // The cluster-wise kernel keeps its operand's
+                            // row order.
+                            for (label, cc, expect) in clustered.iter().filter(|_| map.is_none()) {
+                                let got = clusterwise_spgemm_with(cc, &b, &opts);
                                 assert_bits_eq(
                                     &got,
                                     expect,
@@ -325,7 +326,9 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
     // map and label map. The result must be `A · A` itself — rows, column
     // labels, and every bit of every sum — on operands holding NaN, ±0.0,
     // ±inf, empty rows and a dense row, under permutations that keep fixed
-    // points, reverse, and shuffle.
+    // points, reverse, and shuffle. The cluster-wise kernel, which keeps
+    // its operand's labels, runs fixed-length clusters of the same `P·A`
+    // against `A` and must return the serial `P·A · A`.
     for (name, a, _) in degenerate_operands() {
         if a.nrows != a.ncols || a.nrows < 2 {
             continue;
@@ -345,14 +348,11 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
             let relabel = |ids: &[u32]| ids.iter().map(|&c| inv[c as usize]).collect::<Vec<u32>>();
             let ids = relabel(&pa.col_idx);
             let rows = CsrRows { ids: &ids, ..CsrRows::from(&pa) };
-            let clustered: Vec<(usize, CsrCluster, Vec<u32>)> = [1usize, 3, 8]
+            let clustered: Vec<(usize, CsrCluster)> = [1usize, 3, 8]
                 .into_iter()
-                .map(|k| {
-                    let cc = CsrCluster::from_csr(&pa, &fixed_clustering(&pa, k));
-                    let union_ids = relabel(&cc.col_ids);
-                    (k, cc, union_ids)
-                })
+                .map(|k| (k, CsrCluster::from_csr(&pa, &fixed_clustering(&pa, k))))
                 .collect();
+            let pa_oracle = spgemm_serial(&pa, &a);
             for width in [1usize, 2] {
                 rayon::with_pool_width(width, || {
                     for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
@@ -365,16 +365,9 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
                                 &oracle,
                                 &format!("{what} row-wise"),
                             );
-                            for (k, cc, union_ids) in &clustered {
-                                let got = clusterwise_spgemm_labelled(
-                                    cc,
-                                    union_ids,
-                                    rows,
-                                    &opts,
-                                    Some(&p),
-                                    &p,
-                                );
-                                assert_bits_eq(&got, &oracle, &format!("{what} fixed({k})"));
+                            for (k, cc) in &clustered {
+                                let got = clusterwise_spgemm_with(cc, &a, &opts);
+                                assert_bits_eq(&got, &pa_oracle, &format!("{what} fixed({k})"));
                             }
                         }
                     }

@@ -41,8 +41,8 @@ fn race(
 fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
     // The planner's own candidates on a power-law matrix, every one
     // admitted (a huge reuse), with a planted fastest plan in each
-    // position: the race locks it within 1 + R·m records, then never
-    // switches.
+    // position: the race locks it within R·m records (rank 0's two `t₀`
+    // runs count toward its R), then never switches.
     let a = gen::rmat::rmat(9, 8, gen::rmat::RmatParams::default(), 7);
     let policy = PlanningPolicy { expected_reuse: 1e12, ..PlanningPolicy::default() };
     let ranked = Planner::with_policy(0, policy).plans_costed(&a, OutputShape::Full);
@@ -54,8 +54,8 @@ fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
         let seconds = |p: Plan| if p == winner { 0.004 } else { 0.012 };
         let mut store = FeedbackStore::new();
         store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
-        let locked_at = race(&mut store, key, 1 + RACE_SAMPLES * m, &seconds);
-        assert!(locked_at.is_some_and(|op| op <= 1 + RACE_SAMPLES * m), "{locked_at:?}");
+        let locked_at = race(&mut store, key, RACE_SAMPLES * m, &seconds);
+        assert!(locked_at.is_some_and(|op| op <= RACE_SAMPLES * m), "{locked_at:?}");
         assert_eq!(store.chosen_plan(&key), Some(winner), "the lock lands on the fastest");
         let replans = u64::from(fastest != 0);
         assert_eq!(store.total_replans(), replans);
@@ -85,6 +85,44 @@ fn t0_below_the_floor_locks_rank_zero_at_op_one() {
 }
 
 #[test]
+fn a_slow_first_run_alone_does_not_start_a_race() {
+    // A freshly prepared operand's first run reads ×2–3 its warm time (the
+    // `engine_pipeline` mesh: 1.8 ms, then 0.6 ms warm). `t₀` is the faster
+    // of rank 0's first two runs, so that operand locks rank 0 at op 2
+    // without running a challenger.
+    let a = gen::mesh::tri_mesh(24, 24, true, 5);
+    let key = (OperandKey::of(&a), OutputShape::Full);
+    let ranked = Planner::default().plans_costed(&a, OutputShape::Full);
+    assert!(ranked.len() >= 2, "the operand must give the race something to do");
+    let mut store = FeedbackStore::new();
+    store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
+    let policy = PlanningPolicy::default();
+    let first = store.record(key, ranked[0].plan, 1.8e-3, &policy).unwrap();
+    assert!(!first.locked, "a first run past the floor waits for a second");
+    assert_eq!(store.chosen_plan(&key), Some(ranked[0].plan), "rank 0 runs again");
+    let second = store.record(key, ranked[0].plan, 0.6e-3, &policy).unwrap();
+    assert!(second.locked && !second.switched);
+    assert_eq!((second.executions, second.candidates), (2, 1));
+    assert_eq!(store.chosen_plan(&key), Some(ranked[0].plan));
+}
+
+#[test]
+fn two_slow_first_runs_start_the_race() {
+    let a = gen::mesh::tri_mesh(24, 24, true, 5);
+    let key = (OperandKey::of(&a), OutputShape::Full);
+    let ranked = Planner::default().plans_costed(&a, OutputShape::Full);
+    let mut store = FeedbackStore::new();
+    store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
+    let policy = PlanningPolicy::default();
+    for seconds in [1.8e-3, 1.5e-3] {
+        assert!(!store.record(key, ranked[0].plan, seconds, &policy).unwrap().locked);
+    }
+    let state = store.state(&key).unwrap();
+    assert!(state.candidates >= 2, "t₀ = 1.5 ms admits a challenger");
+    assert_eq!(store.chosen_plan(&key), Some(ranked[1].plan), "the first challenger runs next");
+}
+
+#[test]
 fn the_frozen_policy_never_races() {
     let a = gen::mesh::tri_mesh(24, 24, true, 5);
     let key = (OperandKey::of(&a), OutputShape::Full);
@@ -104,7 +142,7 @@ fn admission_on_t0_rejects_a_challenger_whose_prep_would_not_pay() {
     let a = gen::grid::poisson2d(12, 12);
     let key = (OperandKey::of(&a), OutputShape::Full);
     let rank0 = Plan::baseline();
-    let challenger = Plan { clustering: ClusteringStrategy::Fixed(4), ..Plan::baseline() };
+    let challenger = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
     let policy = PlanningPolicy::default();
     let t0 = 0.010;
     let bound = policy.expected_reuse * t0 * 0.5;
@@ -113,6 +151,11 @@ fn admission_on_t0_rejects_a_challenger_whose_prep_would_not_pay() {
         store.seed(key, vec![(rank0, 0.0), (challenger, prep)]);
         let state = store.record(key, rank0, t0, &policy).unwrap();
         assert_eq!(state.locked, !races, "prep {prep} against a bound of {bound}");
+        if races {
+            // Rank 0's second run makes `t₀`.
+            assert_eq!(store.chosen_plan(&key), Some(rank0));
+            assert!(!store.record(key, rank0, t0, &policy).unwrap().locked);
+        }
         let next = if races { challenger } else { rank0 };
         assert_eq!(store.chosen_plan(&key), Some(next));
     }
@@ -122,7 +165,7 @@ fn admission_on_t0_rejects_a_challenger_whose_prep_would_not_pay() {
 fn forced_plans_outside_the_candidate_set_carry_no_feedback() {
     let a = gen::grid::poisson2d(10, 10);
     let mut engine = Engine::default();
-    let plan = Plan { clustering: ClusteringStrategy::Fixed(3), ..Plan::baseline() };
+    let plan = Plan { reorder: Reordering::Random, ..Plan::baseline() };
     let (_, rep) = engine.multiply_planned(&a, &a, plan);
     assert!(rep.feedback.is_none());
     // Not even the planner's own first pick, forced, touches the store.
@@ -140,11 +183,10 @@ fn capacity_eviction_and_engine_reset_forget_locks() {
 
     // A store of one operand: seeding a second evicts the first's lock,
     // and the first's next sighting races again from rank 0.
-    let (rank0, other) =
-        (Plan::baseline(), Plan { clustering: ClusteringStrategy::Fixed(2), ..Plan::baseline() });
+    let (rank0, other) = (Plan::baseline(), Plan { reorder: Reordering::Rcm, ..Plan::baseline() });
     let mut store = FeedbackStore::with_capacity(1);
     store.seed(key(&a), vec![(rank0, 0.0), (other, 0.0)]);
-    race(&mut store, key(&a), 1 + 2 * RACE_SAMPLES, &|p| if p == other { 0.002 } else { 0.004 });
+    race(&mut store, key(&a), 2 * RACE_SAMPLES, &|p| if p == other { 0.002 } else { 0.004 });
     assert_eq!(store.chosen_plan(&key(&a)), Some(other));
     store.seed(key(&b), vec![(rank0, 0.0)]);
     assert!(store.chosen_plan(&key(&a)).is_none(), "evicted with its lock");
