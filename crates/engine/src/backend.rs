@@ -11,8 +11,8 @@
 //!
 //! Both materialize the same `CpuOperand` (`materialize`) and run through
 //! the one `execute` function, which is also where the output shape is
-//! applied. Every plan runs row-wise Gustavson: a clustering strategy only
-//! chooses the row order. There is no trait or registry: a new way to run a
+//! applied. Every plan runs row-wise Gustavson: hierarchical clustering is
+//! one more row order. There is no trait or registry: a new way to run a
 //! kernel earns a `match` arm in `execute` by winning a measurement.
 //!
 //! # One-sided and two-sided execution
@@ -32,9 +32,8 @@
 //! ids keep the caller's ascending-`k` order inside every row, so each
 //! output entry still sums its partial products in that order.
 
-use crate::plan::{ClusteringStrategy, OutputShape, Plan};
+use crate::plan::{OutputShape, Plan};
 use crate::report::StageTimings;
-use cw_core::{hierarchical_clustering, ClusterConfig};
 use cw_reorder::Reordering;
 use cw_sparse::{ColIdx, CsrMatrix, Permutation};
 use cw_spgemm::accumulator::dense_fits;
@@ -101,12 +100,11 @@ const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 
 /// Materializes the operand for `plan`: computes and applies the row
 /// permutation, relabels the operand's ids for two-sided execution where
-/// that can apply, and records the `reorder`/`cluster` stage seconds (the
-/// other [`StageTimings`] fields stay zero).
-///
-/// A `Hierarchical` plan contributes its clustering's sweep order (paper
-/// Alg. 3), composed after any explicit reordering; the clusters it found
-/// are not kept, and the row-wise kernel runs on the grouped rows.
+/// that can apply, and records the stage seconds (the other
+/// [`StageTimings`] fields stay zero): `cluster_seconds` under
+/// [`Reordering::Hierarchical`], whose clusters are not kept — the row-wise
+/// kernel runs on the grouped rows — and `reorder_seconds` under every
+/// other order.
 ///
 /// The relabelled ids (`inv[col]`, each row left in the caller's ascending
 /// order) are kept when the operand is square and its rows moved — the
@@ -116,9 +114,9 @@ const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 /// a dense accumulator at the operand's width, the operand must also be past
 /// [`DENSE_RELABELLED_MIN_BYTES`]); never for a masked plan, whose fused
 /// kernel is keyed on the mask's own columns and stays one-sided. One pass
-/// over the ids, charged to the stage that moved the rows last.
+/// over the ids, charged to the order's stage.
 ///
-/// The returned permutation is the total applied reordering (`new → old`:
+/// The returned permutation is the applied reordering (`new → old`:
 /// kernel row `r` is original row `old_of(r)`), which is exactly the row
 /// map — and, two-sided, the label map — [`execute`] needs to hand the
 /// product back in the caller's order; `None` when the rows did not move.
@@ -126,51 +124,27 @@ pub(crate) fn materialize(
     a: &CsrMatrix,
     plan: &Plan,
     seed: u64,
-    cluster: &ClusterConfig,
 ) -> (CpuOperand, Option<Permutation>, StageTimings) {
     let mut timings = StageTimings::default();
-
-    // Stage 1: explicit reordering (paper Table 1 algorithms).
-    let (base, mut perm_total) = if plan.reorder == Reordering::Original {
-        (a.clone(), None)
-    } else {
-        let t0 = Instant::now();
-        let p = plan.reorder.compute(a, seed);
-        let pa = p.permute_rows(a);
-        timings.reorder_seconds = t0.elapsed().as_secs_f64();
-        (pa, Some(p))
-    };
-
-    // Stage 2: hierarchical clustering's row order (paper Alg. 3), composed
-    // onto any explicit reordering.
+    if !plan.has_preprocessing() {
+        return (CpuOperand { pa: a.clone(), relabelled: None }, None, timings);
+    }
     let t0 = Instant::now();
-    let pa = match plan.clustering {
-        ClusteringStrategy::None => base,
-        ClusteringStrategy::Hierarchical => {
-            let h = hierarchical_clustering(&base, cluster);
-            let grouped = h.perm.permute_rows(&base);
-            // Compose: the explicit reorder ran first, then `h.perm`.
-            perm_total = Some(match perm_total.take() {
-                None => h.perm,
-                Some(first) => first.then(&h.perm),
-            });
-            grouped
-        }
-    };
-    let row_map = identity_to_none(perm_total);
-
-    // Stage 3: the same ids in the permuted label space.
+    let p = plan.reorder.compute(a, seed);
+    let pa = p.permute_rows(a);
+    // A permutation that moves nothing needs no row map.
+    let row_map = (!p.is_identity()).then_some(p);
     let small_and_dense = dense_fits(a.ncols, 1) && pa.memory_bytes() < DENSE_RELABELLED_MIN_BYTES;
     let inv = row_map
         .as_ref()
         .filter(|_| a.nrows == a.ncols && plan.shape != OutputShape::Masked && !small_and_dense)
         .map(Permutation::inverse_map);
     let relabelled = inv.as_deref().and_then(|inv| relabel_rows(&pa, inv));
-    let built = t0.elapsed().as_secs_f64();
-    if plan.clustering != ClusteringStrategy::None {
-        timings.cluster_seconds = built;
-    } else if inv.is_some() {
-        timings.reorder_seconds += built;
+    let seconds = t0.elapsed().as_secs_f64();
+    if plan.reorder == Reordering::Hierarchical {
+        timings.cluster_seconds = seconds;
+    } else {
+        timings.reorder_seconds = seconds;
     }
     (CpuOperand { pa, relabelled }, row_map, timings)
 }
@@ -189,11 +163,6 @@ fn relabel_rows(pa: &CsrMatrix, inv: &[u32]) -> Option<Vec<ColIdx>> {
     }
     let budget = MAX_RELABELLED_DISTANCE * pa.nnz() as f64 * pa.nrows as f64;
     (distance as f64 <= budget).then_some(ids)
-}
-
-/// A permutation that moves nothing needs no row map.
-fn identity_to_none(perm: Option<Permutation>) -> Option<Permutation> {
-    perm.filter(|p| !p.is_identity())
 }
 
 /// `shape(A · b)` under `plan`, whether it ran two-sided, and the
@@ -262,7 +231,7 @@ mod tests {
     use cw_spgemm::spgemm_serial;
 
     fn product(a: &CsrMatrix, plan: Plan) -> CsrMatrix {
-        let (operand, row_map, _) = materialize(a, &plan, 7, &ClusterConfig::default());
+        let (operand, row_map, _) = materialize(a, &plan, 7);
         execute(&operand, row_map.as_ref(), &plan, a, true, None).0
     }
 
@@ -284,7 +253,7 @@ mod tests {
         let a = gen::banded::block_diagonal(96, (4, 8), 0.1, 2);
         assert_parallel_matches_oracle(
             &a,
-            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
+            Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() },
         );
     }
 }

@@ -435,8 +435,7 @@ mod tests {
         let a = poisson2d(9, 9);
         let key = |plan| CacheKey { operand: OperandKey::of(&a), plan };
         let baseline = Plan::baseline();
-        let clustered =
-            Plan { clustering: crate::plan::ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let clustered = Plan { reorder: cw_reorder::Reordering::Hierarchical, ..Plan::baseline() };
         let mut cache = PlanCache::new(4);
         cache.insert(key(baseline), Arc::new(prepared_for(&a)));
         // A different pipeline for the same matrix is a distinct key...

@@ -1,11 +1,11 @@
 //! Preparation prices, and the race that picks a plan by measuring it.
 //!
 //! The planner keeps the advisor's order and prices only what a plan adds
-//! before its first multiply: [`CostModel`] turns per-nonzero reordering
-//! and hierarchical-clustering rates (the paper's Fig. 10 costs) into
-//! preparation seconds, and [`PlanningPolicy::admits`] lets a plan run when that is at
-//! most half of `expected_reuse` multiplies — the predicted multiply before
-//! any has run, the measured `t₀` after.
+//! before its first multiply: [`CostModel`] turns per-nonzero row-order
+//! rates (the paper's Fig. 10 costs) into preparation seconds, and
+//! [`PlanningPolicy::admits`] lets a plan run when that is at most half of
+//! `expected_reuse` multiplies — the predicted multiply before any has run,
+//! the measured `t₀` after.
 //!
 //! Kernel seconds are measured, never predicted: analytic predictions of
 //! which order wins are frequently wrong (Asudeh et al.). Per operand and
@@ -20,7 +20,7 @@
 //! the store entry.
 
 use crate::cache::OperandKey;
-use crate::plan::{ClusteringStrategy, OutputShape, Plan};
+use crate::plan::{OutputShape, Plan};
 use cw_reorder::Reordering;
 use std::collections::HashMap;
 
@@ -40,23 +40,20 @@ const MAX_CHALLENGERS: usize = 3;
 const T0_SAMPLES: usize = 2;
 
 /// Caller-supplied planning knobs: how much reuse preparation may be
-/// charged against, an optional hard preparation budget, and whether a
-/// race may replace the first pick.
+/// charged against, and whether a race may replace the first pick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanningPolicy {
     /// Expected multiplies per prepared operand: a plan is admitted when
     /// its predicted preparation costs at most half of this many multiplies
     /// (`1` = one-shot traffic, where preparation almost never pays).
     pub expected_reuse: f64,
-    /// Hard cap on predicted preparation seconds. `None` = unbounded.
-    pub prep_budget_seconds: Option<f64>,
     /// Allow a race. `false` locks rank 0 at its first run.
     pub adapt: bool,
 }
 
 impl Default for PlanningPolicy {
     fn default() -> Self {
-        PlanningPolicy { expected_reuse: 16.0, prep_budget_seconds: None, adapt: true }
+        PlanningPolicy { expected_reuse: 16.0, adapt: true }
     }
 }
 
@@ -68,12 +65,10 @@ impl PlanningPolicy {
 
     /// Whether a plan predicted to prepare in `prep_seconds` may run on an
     /// operand whose multiply takes `op_seconds`: at most
-    /// `expected_reuse × op_seconds × ½`, and within the budget. A plan
-    /// with no preparation is always admitted.
+    /// `expected_reuse × op_seconds × ½`. A plan with no preparation is
+    /// always admitted.
     pub fn admits(&self, prep_seconds: f64, op_seconds: f64) -> bool {
-        prep_seconds <= 0.0
-            || (prep_seconds <= self.expected_reuse * op_seconds * 0.5
-                && prep_seconds <= self.prep_budget_seconds.unwrap_or(f64::INFINITY))
+        prep_seconds <= 0.0 || prep_seconds <= self.expected_reuse * op_seconds * 0.5
     }
 }
 
@@ -91,7 +86,22 @@ pub struct CostModel {
     /// reorderings (RCM, Degree, Gray, Random).
     pub cheap_reorder_per_nnz: f64,
     /// Preparation seconds per nonzero for heavy reorderings
-    /// (partitioners, AMD/ND, Rabbit, SlashBurn).
+    /// (partitioners, AMD/ND, Rabbit, SlashBurn), set at or below GP's
+    /// lowest measured rate: a partitioner priced below its cost is admitted
+    /// on operands where it costs seconds. Measured in ns per nonzero
+    /// (`compute` + `permute_rows`, one worker, median of 3, 2-vCPU x86-64)
+    /// on symmetric-shuffled `tri_mesh(240, 240)`,
+    /// `block_diagonal(40 000, (6, 10), 0.02)`, `rmat(12, 6)` and
+    /// `rmat(14, 4)`:
+    ///
+    /// | Order | Measured | Priced |
+    /// |---|---|---|
+    /// | GP(16) | 901–3 832 | 700 (heavy) |
+    /// | SlashBurn | 48–1 806 | 700 (heavy) |
+    /// | Rabbit | 150–486 | 700 (heavy) |
+    /// | Hierarchical | 240–3 261 | 120 |
+    /// | RCM | 38–71 | 10 (cheap) |
+    /// | Degree | 5–11 | 10 (cheap) |
     pub heavy_reorder_per_nnz: f64,
     /// Preparation seconds per nonzero for hierarchical clustering's row
     /// order (similarity discovery is itself SpGEMM-shaped).
@@ -103,7 +113,7 @@ impl Default for CostModel {
         CostModel {
             seconds_per_madd: 1.5e-9,
             cheap_reorder_per_nnz: 10e-9,
-            heavy_reorder_per_nnz: 60e-9,
+            heavy_reorder_per_nnz: 700e-9,
             hierarchical_cluster_per_nnz: 120e-9,
         }
     }
@@ -118,18 +128,16 @@ impl CostModel {
     }
 
     /// Predicted one-off seconds to prepare `plan` on an operand of `nnz`
-    /// stored entries: its reordering plus its clustering. The
-    /// baseline costs nothing; parallelism and output shape price nothing.
+    /// stored entries: its row order. The baseline costs nothing;
+    /// parallelism and output shape price nothing.
     pub(crate) fn prep_seconds(&self, plan: &Plan, nnz: usize) -> f64 {
         let per_nnz = match plan.reorder {
             Reordering::Original => 0.0,
             Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random => {
                 self.cheap_reorder_per_nnz
             }
+            Reordering::Hierarchical => self.hierarchical_cluster_per_nnz,
             _ => self.heavy_reorder_per_nnz,
-        } + match plan.clustering {
-            ClusteringStrategy::None => 0.0,
-            ClusteringStrategy::Hierarchical => self.hierarchical_cluster_per_nnz,
         };
         per_nnz * nnz as f64
     }
@@ -435,10 +443,9 @@ mod tests {
         let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
         assert_eq!(model.prep_seconds(&Plan::baseline(), 5000), 0.0);
         assert!(model.prep_seconds(&rcm, 5000) > model.prep_seconds(&rcm, 500));
-        // Reordering and clustering add up.
-        let both = Plan { clustering: ClusteringStrategy::Hierarchical, ..rcm };
-        let expect = (model.cheap_reorder_per_nnz + model.hierarchical_cluster_per_nnz) * 5000.0;
-        assert!((model.prep_seconds(&both, 5000) - expect).abs() < 1e-18);
+        let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
+        let expect = model.hierarchical_cluster_per_nnz * 5000.0;
+        assert!((model.prep_seconds(&hierarchical, 5000) - expect).abs() < 1e-18);
     }
 
     #[test]
@@ -452,8 +459,7 @@ mod tests {
     #[test]
     fn output_shape_does_not_change_the_price() {
         let model = CostModel::default();
-        let hierarchical =
-            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
         for plan in [Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, hierarchical] {
             for shape in [OutputShape::Masked, OutputShape::TopK(2)] {
                 let shaped = model.prep_seconds(&plan.with_shape(shape), 16000);
@@ -465,10 +471,10 @@ mod tests {
     #[test]
     fn serial_backend_is_priced_without_the_parallel_speedup() {
         // Preparation is the same work serial or parallel, and the predicted
-        // multiply is one rate for both: no plan field but reordering and
-        // clustering moves a price.
+        // multiply is one rate for both: no plan field but the row order
+        // moves a price.
         let model = CostModel::default();
-        let plan = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let plan = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
         let serial = Plan { parallel: false, ..plan };
         assert_eq!(model.prep_seconds(&serial, 16000), model.prep_seconds(&plan, 16000));
     }
@@ -489,10 +495,8 @@ mod tests {
         assert!(!policy.admits(8.01, 1.0));
         assert!(policy.admits(0.0, 0.0), "no preparation is always admitted");
         assert!(!PlanningPolicy { expected_reuse: 1.0, ..policy }.admits(0.6, 1.0));
-        let budgeted = PlanningPolicy { prep_budget_seconds: Some(0.1), ..policy };
-        assert!(!budgeted.admits(0.2, 1.0) && budgeted.admits(0.1, 1.0));
-        let negative = PlanningPolicy { prep_budget_seconds: Some(-1.0), ..policy };
-        assert!(negative.admits(0.0, 1.0), "not even a negative budget rejects the baseline");
+        let negative = PlanningPolicy { expected_reuse: -1.0, ..policy };
+        assert!(negative.admits(0.0, 1.0), "not even a negative reuse rejects the baseline");
     }
 
     #[test]
@@ -616,11 +620,13 @@ mod tests {
 
     #[test]
     fn prep_budget_bars_over_budget_switch_targets() {
+        // The budget is `expected_reuse × t₀ × ½`: 5 ms at reuse 0.01 and
+        // `t₀` = 1 s.
         let key = key(13);
         let (rank0, heavy) = (gp(1), gp(2));
         let mut store = FeedbackStore::new();
         store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
-        let budget = PlanningPolicy { prep_budget_seconds: Some(0.005), ..Default::default() };
+        let budget = PlanningPolicy { expected_reuse: 0.01, ..Default::default() };
         assert!(store.record(key, rank0, 1.0, &budget).unwrap().locked);
         assert_eq!(store.chosen_plan(&key), Some(rank0));
         // Lifting the budget lets the same challenger race, once rank 0's
@@ -704,7 +710,7 @@ mod tests {
         let policy = PlanningPolicy::default();
         assert!(store.record(key, Plan::baseline(), 1.0, &policy).is_none());
         store.seed(key, vec![(Plan::baseline(), 0.0)]);
-        let alien = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let alien = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
         assert!(store.record(key, alien, 1.0, &policy).is_none());
         // A run of a plan the store did not choose counts, but is no sample:
         // before t₀ it starts nothing, during the race it joins nothing.

@@ -332,7 +332,7 @@ impl Engine {
         };
         let planner = &self.planner;
         let (prepared, hit) = self.cache.get_or_prepare(CacheKey { operand, plan }, || {
-            PreparedMatrix::prepare_keyed(a, operand, plan, planner.seed, &planner.cluster)
+            PreparedMatrix::prepare_keyed(a, operand, plan, planner.seed)
         });
         let timings = if hit {
             // Reorder/cluster work was done by whichever call prepared the
@@ -364,7 +364,6 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::cost::PlanningPolicy;
-    use crate::plan::ClusteringStrategy;
     use cw_sparse::gen;
     use cw_spgemm::{spgemm_serial, AccumulatorKind};
 
@@ -428,7 +427,7 @@ mod tests {
         assert!(!auto_first.cache_hit);
 
         // A forced plan never reuses the auto entry: its first call misses.
-        let forced = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
+        let forced = Plan { reorder: cw_reorder::Reordering::Hierarchical, ..Plan::baseline() };
         let (c, rep) = engine.multiply_planned(&a, &a, forced);
         assert!(c.numerically_eq(&spgemm_serial(&a, &a), 1e-9));
         assert!(!rep.cache_hit);

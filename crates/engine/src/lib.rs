@@ -14,19 +14,19 @@
 //!
 //! 1. **Plan** — [`Planner`] profiles the operand ([`Profile`], via
 //!    `cw-reorder`'s advisor) and turns the advisor's suggestions, in its
-//!    order with the baseline last, into [`Plan`]s — reordering ×
-//!    clustering (a row order) × parallel × output shape.
+//!    order with the baseline last, into [`Plan`]s — row order (a
+//!    reordering, or hierarchical clustering's sweep) × parallel × output
+//!    shape.
 //!    [`PlanningPolicy`] admits a plan when its preparation, priced by the
 //!    [`CostModel`], is at most half of `expected_reuse` predicted
 //!    multiplies; [`Planner::plans_costed`] is the admitted list, rank 0
-//!    first, each [`RankedPlan`] with its price and rationale. The
+//!    first, each [`RankedPlan`] with its price and the advisor rule that
+//!    ranked it. The
 //!    accumulator is not a plan field: the kernel runs Dense wherever it
 //!    fits, Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
 //!    [`ExecutionReport::accumulator`] says which ran.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
-//!    (the reordering's permutation, then hierarchical clustering's sweep
-//!    if the plan asks for it, computed and applied), with per-stage
-//!    timings recorded. Prepared operands are reusable across any number
+//!    (its row order computed and applied), with its seconds recorded. Prepared operands are reusable across any number
 //!    of right-hand sides and always return results in the original row
 //!    order: the kernel stores each row where that order wants it, so no
 //!    pass follows it.
@@ -102,7 +102,7 @@ pub use cost::{
     CostModel, FeedbackStore, PlanFeedbackState, PlanningPolicy, MIN_RACE_SECONDS, RACE_SAMPLES,
 };
 pub use engine::{Engine, DEFAULT_CACHE_CAPACITY};
-pub use plan::{ClusteringStrategy, OutputShape, Plan};
+pub use plan::{OutputShape, Plan};
 pub use planner::{Planner, RankedPlan, PARALLEL_ROW_THRESHOLD};
 pub use prepared::PreparedMatrix;
 pub use report::{ExecutionReport, StageTimings};

@@ -2,9 +2,9 @@
 //!
 //! A [`Plan`] is the explicit, inspectable record of every choice the
 //! paper's evaluation shows matters for SpGEMM throughput, each said once:
-//! the row order — a reordering (Table 1), optionally followed by
-//! hierarchical clustering's sweep (Alg. 3) — whether the kernel runs in
-//! parallel, and the output shape. Every plan runs row-wise Gustavson; the
+//! the row order — one of Table 1's reorderings, or hierarchical
+//! clustering's sweep (Alg. 3) — whether the kernel runs in parallel, and
+//! the output shape. Every plan runs row-wise Gustavson; the
 //! sparse accumulator is the kernel's, not the plan's (see
 //! [`Plan::spgemm_options`]). Plans are plain
 //! `Copy + Eq + Hash` data: building one does no work
@@ -55,30 +55,14 @@ impl OutputShape {
     }
 }
 
-/// Whether hierarchical clustering orders the prepared operand's rows.
-/// Either way the row-wise kernel runs: a clustering is kept only as the
-/// order it puts similar rows in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ClusteringStrategy {
-    /// No clustering; the rows keep the reordering's order.
-    None,
-    /// Similar-row discovery + union-find merging (paper Alg. 3): its sweep
-    /// puts each cluster's rows next to each other, after any explicit
-    /// reordering.
-    Hierarchical,
-}
-
 /// A complete, explicit recipe for one SpGEMM pipeline. Equal plans
 /// produce byte-identical prepared operands, so `Plan` equality is cache
 /// and feedback identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Plan {
-    /// Row reordering applied to the operand before clustering
-    /// ([`Reordering::Original`] = keep input order). Hierarchical
-    /// clustering brings its own reordering and composes with this one.
+    /// The operand's row order ([`Reordering::Original`] = keep input
+    /// order; [`Reordering::Hierarchical`] = hierarchical clustering's).
     pub reorder: Reordering,
-    /// Whether hierarchical clustering's sweep order follows `reorder`.
-    pub clustering: ClusteringStrategy,
     /// Run the kernel's rayon-parallel path; `false` runs it on the calling
     /// thread, the serial oracle the parallel path is bit-identical to.
     pub parallel: bool,
@@ -91,12 +75,7 @@ pub struct Plan {
 impl Plan {
     /// The do-nothing plan: row-wise Gustavson on the matrix as given.
     pub fn baseline() -> Plan {
-        Plan {
-            reorder: Reordering::Original,
-            clustering: ClusteringStrategy::None,
-            parallel: true,
-            shape: OutputShape::Full,
-        }
+        Plan { reorder: Reordering::Original, parallel: true, shape: OutputShape::Full }
     }
 
     /// The same pipeline producing a different output shape
@@ -108,17 +87,14 @@ impl Plan {
 
     /// Translates an advisor [`Suggestion`] into a plan skeleton
     /// (`parallel` keeps the baseline default; the planner tunes it
-    /// afterwards from the operand's size). Clustering rows in place leaves
-    /// their order as it is, so under the row-wise kernel
-    /// [`Suggestion::ClusterInPlace`] is the baseline.
+    /// afterwards from the operand's size).
     pub fn from_suggestion(suggestion: Suggestion) -> Plan {
-        match suggestion {
-            Suggestion::Reorder(r) => Plan { reorder: r, ..Plan::baseline() },
-            Suggestion::Hierarchical => {
-                Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() }
-            }
-            Suggestion::ClusterInPlace | Suggestion::LeaveOriginal => Plan::baseline(),
-        }
+        let reorder = match suggestion {
+            Suggestion::Reorder(r) => r,
+            Suggestion::Hierarchical => Reordering::Hierarchical,
+            Suggestion::LeaveOriginal => Reordering::Original,
+        };
+        Plan { reorder, ..Plan::baseline() }
     }
 
     /// The kernel options this plan implies: always Dense, which the kernel
@@ -129,24 +105,19 @@ impl Plan {
         SpGemmOptions { acc: AccumulatorKind::Dense, parallel: self.parallel, ..Default::default() }
     }
 
-    /// True if materializing this plan does nontrivial preprocessing
-    /// (reordering or clustering) worth caching.
+    /// True if materializing this plan computes a row order worth caching.
     pub fn has_preprocessing(&self) -> bool {
-        self.reorder != Reordering::Original || self.clustering != ClusteringStrategy::None
+        self.reorder != Reordering::Original
     }
 
-    /// Compact human-readable form, e.g. `RCM → Hierarchical @parallel`.
+    /// Compact human-readable form, e.g. `Hierarchical @parallel`.
     pub fn describe(&self) -> String {
-        let clustering = match self.clustering {
-            ClusteringStrategy::None => "NoClustering",
-            ClusteringStrategy::Hierarchical => "Hierarchical",
-        };
         let shape = match self.shape {
             OutputShape::Full => String::new(),
             other => format!(" ⊳{}", other.describe()),
         };
         format!(
-            "{} → {clustering} @{}{shape}",
+            "{} @{}{shape}",
             self.reorder.name(),
             if self.parallel { "parallel" } else { "serial" }
         )
@@ -161,7 +132,6 @@ mod tests {
     fn baseline_is_plain_rowwise() {
         let p = Plan::baseline();
         assert_eq!(p.reorder, Reordering::Original);
-        assert_eq!(p.clustering, ClusteringStrategy::None);
         assert!(!p.has_preprocessing());
     }
 
@@ -175,15 +145,10 @@ mod tests {
     fn suggestions_map_to_expected_pipelines() {
         let p = Plan::from_suggestion(Suggestion::Reorder(Reordering::Rcm));
         assert_eq!(p.reorder, Reordering::Rcm);
-        assert_eq!(p.clustering, ClusteringStrategy::None);
         assert!(p.has_preprocessing());
 
-        // Clustering in place keeps the order: the baseline, under the
-        // row-wise kernel.
-        assert_eq!(Plan::from_suggestion(Suggestion::ClusterInPlace), Plan::baseline());
-
         let p = Plan::from_suggestion(Suggestion::Hierarchical);
-        assert_eq!(p.clustering, ClusteringStrategy::Hierarchical);
+        assert_eq!(p, Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() });
         assert!(p.has_preprocessing());
 
         let p = Plan::from_suggestion(Suggestion::LeaveOriginal);
@@ -193,10 +158,9 @@ mod tests {
     #[test]
     fn describe_names_all_stages() {
         let p = Plan::from_suggestion(Suggestion::Reorder(Reordering::Degree));
-        let s = p.describe();
-        assert!(s.contains("Degree") && s.contains("NoClustering"), "{s}");
-        let p = Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
-        assert_eq!(p.describe(), "Original → Hierarchical @parallel");
+        assert_eq!(p.describe(), "Degree @parallel");
+        let p = Plan::from_suggestion(Suggestion::Hierarchical).with_shape(OutputShape::TopK(3));
+        assert_eq!(p.describe(), "Hierarchical @parallel ⊳top3");
     }
 
     #[test]

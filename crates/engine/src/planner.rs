@@ -18,7 +18,6 @@
 
 use crate::cost::{CostModel, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
-use cw_core::ClusterConfig;
 use cw_reorder::advisor::{advise_profiled, Suggestion};
 use cw_sparse::CsrMatrix;
 
@@ -27,18 +26,17 @@ use cw_sparse::CsrMatrix;
 pub const PARALLEL_ROW_THRESHOLD: usize = 512;
 
 /// One candidate: the tuned plan, its predicted preparation, and the
-/// *why* — the advisor affinity behind its rank and a one-line rationale.
+/// *why* behind its rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedPlan {
     /// The tuned, executable plan.
     pub plan: Plan,
-    /// Predicted one-off preparation seconds (reordering + clustering) of
-    /// this plan on this operand.
+    /// Predicted one-off preparation seconds (its row order) of this plan
+    /// on this operand.
     pub prep_seconds: f64,
-    /// The advisor's structural-evidence feature for the technique (`0`
-    /// for the baseline).
-    pub affinity: f64,
-    /// One-line explanation of where this candidate came from.
+    /// The advisor rule that ranked it
+    /// ([`cw_reorder::advisor::RankedSuggestion::why`]), or the baseline's
+    /// own line.
     pub rationale: &'static str,
 }
 
@@ -48,9 +46,7 @@ pub struct Planner {
     /// Seed for randomized reorderings (identical seeds ⇒ identical plans
     /// and identical prepared operands).
     pub seed: u64,
-    /// Clustering parameters used by the Hierarchical strategy.
-    pub cluster: ClusterConfig,
-    /// Reuse horizon, preparation budget, and whether to race.
+    /// Reuse horizon and whether to race.
     pub policy: PlanningPolicy,
     /// The preparation prices admission reads.
     pub cost: CostModel,
@@ -58,12 +54,7 @@ pub struct Planner {
 
 impl Default for Planner {
     fn default() -> Self {
-        Planner {
-            seed: 0xC0FFEE,
-            cluster: ClusterConfig::default(),
-            policy: PlanningPolicy::default(),
-            cost: CostModel::default(),
-        }
+        Planner { seed: 0xC0FFEE, policy: PlanningPolicy::default(), cost: CostModel::default() }
     }
 }
 
@@ -86,7 +77,7 @@ impl Planner {
     /// The admitted candidate plans for `a`, in the advisor's order with
     /// the baseline last. A candidate is admitted when its predicted
     /// preparation is at most `expected_reuse × t × ½` for the predicted
-    /// multiply `t`, and within the budget ([`PlanningPolicy::admits`]).
+    /// multiply `t` ([`PlanningPolicy::admits`]).
     /// Never empty: the baseline prepares nothing, so it is always
     /// admitted. Candidates are deduplicated (advisor suggestions that tune
     /// to identical plans keep the first instance).
@@ -118,41 +109,26 @@ impl Planner {
         let baseline = self.tune(a, Plan::baseline()).with_shape(shape);
         let mut out: Vec<RankedPlan> = Vec::with_capacity(advice.ranked.len() + 1);
         for r in &advice.ranked {
-            let (plan, rationale) = self.candidate(a, r.suggestion);
-            let plan = plan.with_shape(shape);
+            let plan = self.plan_for_suggestion(a, r.suggestion).with_shape(shape);
             if plan != baseline && out.iter().all(|x| x.plan != plan) {
                 let prep_seconds = self.cost.prep_seconds(&plan, a.nnz());
-                out.push(RankedPlan { plan, prep_seconds, affinity: r.affinity, rationale });
+                out.push(RankedPlan { plan, prep_seconds, rationale: r.why });
             }
         }
         let rationale = "baseline row-wise Gustavson";
-        out.push(RankedPlan { plan: baseline, prep_seconds: 0.0, affinity: 0.0, rationale });
+        out.push(RankedPlan { plan: baseline, prep_seconds: 0.0, rationale });
         (out, self.cost.op_seconds(a.nnz(), advice.profile.avg_row_nnz))
     }
 
     /// Tuned plan realizing one specific advisor [`Suggestion`] on `a`.
     /// Reordering suggestions degrade to the baseline for non-square
-    /// matrices (the reordering study targets square operands).
+    /// matrices (the reordering study targets square operands); a
+    /// Hierarchical one orders a rectangular matrix's rows too.
     pub fn plan_for_suggestion(&self, a: &CsrMatrix, suggestion: Suggestion) -> Plan {
-        self.candidate(a, suggestion).0
-    }
-
-    /// [`Planner::plan_for_suggestion`] plus the one-line reason the plan is
-    /// a candidate ([`RankedPlan::rationale`]).
-    fn candidate(&self, a: &CsrMatrix, suggestion: Suggestion) -> (Plan, &'static str) {
         if matches!(suggestion, Suggestion::Reorder(_)) && a.nrows != a.ncols {
-            let why = "reordering suggested but operand is rectangular; baseline";
-            return (self.tune(a, Plan::baseline()), why);
+            return self.tune(a, Plan::baseline());
         }
-        let why = match suggestion {
-            Suggestion::Reorder(_) => "advisor: reorder rows, then row-wise SpGEMM",
-            Suggestion::ClusterInPlace => "advisor: rows already similar in order; keep it",
-            Suggestion::Hierarchical => {
-                "advisor: hierarchical clustering's row order, then row-wise SpGEMM"
-            }
-            Suggestion::LeaveOriginal => "advisor: no technique predicted to pay off",
-        };
-        (self.tune(a, Plan::from_suggestion(suggestion)), why)
+        self.tune(a, Plan::from_suggestion(suggestion))
     }
 
     /// Sets the parallelism field from `a`'s size.
@@ -164,6 +140,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::RACE_SAMPLES;
     use cw_reorder::advisor::advise;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
@@ -230,7 +207,7 @@ mod tests {
     #[test]
     fn zero_budget_falls_through_to_a_zero_prep_plan() {
         let mut planner = Planner::default();
-        planner.policy.prep_budget_seconds = Some(0.0);
+        planner.policy.expected_reuse = 0.0;
         // A scrambled mesh would otherwise plan a reordering first.
         let a = gen::mesh::tri_mesh(20, 20, true, 3);
         let ranked = planner.plans_costed(&a, OutputShape::Full);
@@ -261,6 +238,45 @@ mod tests {
         let (all, _) = planner.candidates(&a, OutputShape::Full);
         assert_eq!(seed.len(), all.len(), "challengers are admitted again on t₀");
         assert!(all.iter().all(|r| seed.contains(&(r.plan, r.prep_seconds))));
+    }
+
+    fn shuffled(natural: CsrMatrix) -> CsrMatrix {
+        cw_reorder::random_permutation(natural.nrows, 2).permute_symmetric(&natural)
+    }
+
+    #[test]
+    fn a_ten_ms_mesh_race_admits_rcm_but_no_gp() {
+        // The benchmark's `cluster-mesh` operand (344 k nonzeros), where GP
+        // prepares in ≈ 1.2 s: 16 reuses of a 10 ms multiply carry 80 ms.
+        use crate::cache::OperandKey;
+        use crate::cost::FeedbackStore;
+        let a = shuffled(gen::mesh::tri_mesh(240, 240, false, 1));
+        let planner = Planner::default();
+        let seed = planner.race_seed(&a, OutputShape::Full);
+        assert!(seed.iter().any(|(p, _)| matches!(p.reorder, Reordering::Gp(_))), "{seed:?}");
+        let key = (OperandKey::of(&a), OutputShape::Full);
+        let mut store = FeedbackStore::new();
+        store.seed(key, seed);
+        let mut ran = Vec::new();
+        while !store.state(&key).unwrap().locked {
+            let plan = store.chosen_plan(&key).unwrap();
+            ran.push(plan.reorder);
+            store.record(key, plan, 0.010, &planner.policy);
+        }
+        assert_eq!(ran[0], Reordering::Rcm);
+        assert!(ran.len() > RACE_SAMPLES, "a race ran: {ran:?}");
+        assert!(!ran.iter().any(|r| matches!(r, Reordering::Gp(_))), "{ran:?}");
+    }
+
+    #[test]
+    fn the_benchmark_meshes_and_blocks_keep_rcm_at_rank_zero() {
+        // `service-small`'s operand under the default planner, and
+        // `wire-large`'s under the frozen one.
+        let mesh = shuffled(gen::mesh::tri_mesh(20, 20, false, 1));
+        assert_eq!(Planner::default().plan(&mesh).reorder, Reordering::Rcm);
+        let blocks = shuffled(gen::banded::block_diagonal(40_000, (6, 10), 0.02, 1));
+        let frozen = Planner::with_policy(0, PlanningPolicy::frozen());
+        assert_eq!(frozen.plan(&blocks).reorder, Reordering::Rcm);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! multiplies.
 //!
 //! Preparation is the expensive part of the paper's pipeline — computing a
-//! reordering permutation, or hierarchical clustering's row order — and
+//! row order, a reordering's or hierarchical clustering's — and
 //! only pays off amortized over repeated multiplications (§4.5, Fig. 10).
 //! [`PreparedMatrix`] does that work exactly once and records how long each
 //! stage took; [`PreparedMatrix::multiply_shaped`] then runs only the
@@ -33,10 +33,11 @@ pub struct PreparedMatrix {
     /// cache's and the feedback store's key; its fingerprint carries the
     /// operand's dimensions and `nnz`.
     pub operand: OperandKey,
-    /// What preparation cost: `reorder_seconds` and `cluster_seconds` are
-    /// set, every other stage is zero.
+    /// What preparation cost: `cluster_seconds` under a
+    /// [`cw_reorder::Reordering::Hierarchical`] plan, `reorder_seconds` under
+    /// any other; every other stage is zero.
     pub timings: StageTimings,
-    /// The total row permutation `format` was built under (`None` when
+    /// The row permutation `format` was built under (`None` when
     /// the rows did not move): kernel row `r` is original row `old_of(r)`,
     /// which is where the kernel's pack step stores it.
     row_map: Option<Permutation>,
@@ -45,26 +46,21 @@ pub struct PreparedMatrix {
 }
 
 impl PreparedMatrix {
-    /// Materializes `plan` for `a`: reorders, applies hierarchical
-    /// clustering's row order if the plan asks for it, and records what
-    /// each stage cost.
+    /// Materializes `plan` for `a`: computes and applies its row order and
+    /// records what that cost.
     ///
-    /// `seed` feeds randomized reorderings; `cluster` parameterizes the
-    /// hierarchical clustering.
-    pub fn prepare(a: &CsrMatrix, plan: Plan, seed: u64, cluster: &ClusterConfig) -> Self {
-        PreparedMatrix::prepare_keyed(a, OperandKey::of(a), plan, seed, cluster)
+    /// `seed` feeds randomized reorderings. `_cluster` is unused: a
+    /// Hierarchical plan always clusters under [`ClusterConfig::default`],
+    /// so equal plans prepare equal operands. The parameter stays only
+    /// until the repo benchmark, which calls this, stops passing it.
+    pub fn prepare(a: &CsrMatrix, plan: Plan, seed: u64, _cluster: &ClusterConfig) -> Self {
+        PreparedMatrix::prepare_keyed(a, OperandKey::of(a), plan, seed)
     }
 
     /// [`PreparedMatrix::prepare`] for an `a` whose identity the caller has
     /// already computed.
-    pub(crate) fn prepare_keyed(
-        a: &CsrMatrix,
-        operand: OperandKey,
-        plan: Plan,
-        seed: u64,
-        cluster: &ClusterConfig,
-    ) -> Self {
-        let (format, row_map, timings) = backend::materialize(a, &plan, seed, cluster);
+    pub(crate) fn prepare_keyed(a: &CsrMatrix, operand: OperandKey, plan: Plan, seed: u64) -> Self {
+        let (format, row_map, timings) = backend::materialize(a, &plan, seed);
         PreparedMatrix { plan, operand, timings, row_map, format }
     }
 
@@ -133,7 +129,8 @@ impl PreparedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ClusteringStrategy, Plan};
+    use crate::plan::Plan;
+    use cw_reorder::advisor::Suggestion;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
     use cw_spgemm::spgemm_serial;
@@ -161,53 +158,42 @@ mod tests {
 
     #[test]
     fn clustered_plans_match_baseline() {
-        let a = gen::banded::block_diagonal(72, (4, 8), 0.1, 2);
-        for reorder in [Reordering::Original, Reordering::Rcm] {
-            check_plan(
-                &a,
-                Plan { reorder, clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
-            );
-        }
+        let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
+        check_plan(&gen::banded::block_diagonal(72, (4, 8), 0.1, 2), hierarchical);
+        check_plan(&gen::mesh::tri_mesh(9, 9, true, 1), hierarchical);
     }
 
     #[test]
     fn a_hierarchical_plan_is_hierarchical_clusterings_row_order() {
-        // What a pinned `Plan::from_suggestion(Suggestion::Hierarchical)`
-        // prepares on a shuffled mesh: the clustering's sweep order, after
-        // RCM's when the plan also reorders, run row-wise and two-sided
-        // (48 × 48: past the 128 KiB floor for relabelling under Dense).
+        // What the pinned `Plan::from_suggestion(Suggestion::Hierarchical)`
+        // prepares on a shuffled mesh: the clustering's sweep order under
+        // the default configuration, run row-wise and two-sided (48 × 48:
+        // past the 128 KiB floor for relabelling under Dense).
         use cw_core::hierarchical_clustering;
         let natural = gen::mesh::tri_mesh(48, 48, false, 1);
         let a = cw_reorder::random_permutation(natural.nrows, 5).permute_symmetric(&natural);
-        let cfg = ClusterConfig::default();
-        let rcm = Reordering::Rcm.compute(&a, 7);
-        let expected = [
-            (Reordering::Original, hierarchical_clustering(&a, &cfg).perm),
-            (Reordering::Rcm, rcm.then(&hierarchical_clustering(&rcm.permute_rows(&a), &cfg).perm)),
-        ];
-        for (reorder, row_map) in expected {
-            let plan =
-                Plan { reorder, clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() };
-            let prepared = PreparedMatrix::prepare(&a, plan, 7, &cfg);
-            let what = plan.describe();
-            assert_eq!(prepared.row_map.as_ref(), Some(&row_map), "{what}");
-            assert!(prepared.multiply_shaped(&a, None).bits_eq(&spgemm_serial(&a, &a)), "{what}");
-            assert!(prepared.is_relabelled(), "{what}");
-            assert!(prepared.timings.cluster_seconds > 0.0, "{what}");
-        }
+        let plan = Plan::from_suggestion(Suggestion::Hierarchical);
+        let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
+        let row_map = hierarchical_clustering(&a, &ClusterConfig::default()).perm;
+        assert_eq!(prepared.row_map.as_ref(), Some(&row_map));
+        assert!(prepared.is_relabelled());
+        assert!(prepared.timings.cluster_seconds > 0.0);
+        assert_eq!(prepared.timings.reorder_seconds, 0.0);
+        assert!(prepared.multiply_shaped(&a, None).bits_eq(&spgemm_serial(&a, &a)));
     }
 
     #[test]
-    fn reorder_composed_with_hierarchical_unpermutes_back() {
-        let a = gen::mesh::tri_mesh(9, 9, true, 1);
-        check_plan(
-            &a,
-            Plan {
-                reorder: Reordering::Rcm,
-                clustering: ClusteringStrategy::Hierarchical,
-                ..Plan::baseline()
-            },
-        );
+    fn a_rectangular_operand_takes_hierarchical_rows() {
+        // The one order that applies to a rectangular `a`: its rows move,
+        // no relabelling applies, and the product keeps the serial bits.
+        let a = gen::er::erdos_renyi_rect(90, 30, 4, 3);
+        let b = gen::er::erdos_renyi_rect(30, 20, 3, 5);
+        for parallel in [false, true] {
+            let plan = Plan { reorder: Reordering::Hierarchical, parallel, ..Plan::baseline() };
+            let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
+            assert!(prepared.row_map.is_some() && !prepared.is_relabelled());
+            assert!(prepared.multiply_shaped(&b, None).bits_eq(&spgemm_serial(&a, &b)));
+        }
     }
 
     #[test]
@@ -232,12 +218,8 @@ mod tests {
         let pl = PreparedMatrix::prepare(&large, Plan::baseline(), 7, &cfg);
         assert!(ps.approx_bytes() > 0);
         assert!(pl.approx_bytes() > ps.approx_bytes());
-        // A clustered + reordered preparation carries its row map too.
-        let plan = Plan {
-            reorder: Reordering::Rcm,
-            clustering: ClusteringStrategy::Hierarchical,
-            ..Plan::baseline()
-        };
+        // A reordered preparation carries its row map too.
+        let plan = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
         let pc = PreparedMatrix::prepare(&large, plan, 7, &cfg);
         assert!(pc.approx_bytes() > pl.approx_bytes());
     }
@@ -285,14 +267,20 @@ mod tests {
     #[test]
     fn timings_are_recorded_for_preprocessing_plans() {
         let a = gen::mesh::tri_mesh(12, 12, true, 2);
-        let plan = Plan {
-            reorder: Reordering::Rcm,
-            clustering: ClusteringStrategy::Hierarchical,
-            ..Plan::baseline()
-        };
-        let prepared = PreparedMatrix::prepare(&a, plan, 7, &ClusterConfig::default());
-        assert!(prepared.timings.reorder_seconds > 0.0);
-        assert!(prepared.timings.cluster_seconds > 0.0);
-        assert!(prepared.row_map.is_some());
+        let cfg = ClusterConfig::default();
+        let rcm = PreparedMatrix::prepare(
+            &a,
+            Plan::from_suggestion(Suggestion::Reorder(Reordering::Rcm)),
+            7,
+            &cfg,
+        );
+        assert!(rcm.timings.reorder_seconds > 0.0);
+        assert_eq!(rcm.timings.cluster_seconds, 0.0);
+        assert!(rcm.row_map.is_some());
+        let hierarchical =
+            PreparedMatrix::prepare(&a, Plan::from_suggestion(Suggestion::Hierarchical), 7, &cfg);
+        assert_eq!(hierarchical.timings.reorder_seconds, 0.0);
+        assert!(hierarchical.timings.cluster_seconds > 0.0);
+        assert!(hierarchical.row_map.is_some());
     }
 }

@@ -5,8 +5,8 @@
 //! The evaluation's empirical findings reduce to a small decision surface
 //! over cheap structural statistics:
 //!
-//! * rows already similar in order (high consecutive Jaccard) → clustering
-//!   alone, no reordering;
+//! * rows already similar in order (high consecutive Jaccard) → keep the
+//!   order;
 //! * mesh-like matrices with destroyed locality (low bandwidth ratio is
 //!   recoverable, bounded degree) → RCM / GP (paper Fig. 9);
 //! * power-law degree distributions → Degree / SlashBurn families;
@@ -24,11 +24,9 @@ use cw_sparse::CsrMatrix;
 /// What the advisor suggests doing with the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suggestion {
-    /// Apply this reordering before row-wise or cluster-wise SpGEMM.
+    /// Apply this reordering before SpGEMM.
     Reorder(Reordering),
-    /// Skip reordering; apply variable-length clustering directly.
-    ClusterInPlace,
-    /// Use hierarchical clustering (reorders and clusters together).
+    /// Order the rows by hierarchical clustering ([`Reordering::Hierarchical`]).
     Hierarchical,
     /// Leave the matrix alone; no technique is predicted to pay off.
     LeaveOriginal,
@@ -47,18 +45,11 @@ pub struct Profile {
     pub avg_row_nnz: f64,
 }
 
-/// One advisor suggestion with its ranking rationale made explicit: how
-/// strongly the profile matches the rule that fired (`affinity`) and why.
-/// Downstream cost models use `affinity` as the predicted-payoff feature
-/// for the suggested technique instead of re-deriving the decision surface.
+/// One advisor suggestion with the rule that ranked it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedSuggestion {
     /// The suggested technique.
     pub suggestion: Suggestion,
-    /// How strongly the profile matches the rule, in `[0, 1]`: `0` means
-    /// "fallback, no structural evidence", values near `1` mean the profile
-    /// sits deep inside the rule's winning region (paper Figs. 8–9).
-    pub affinity: f64,
     /// One-line explanation of why this suggestion ranked where it did.
     pub why: &'static str,
 }
@@ -92,87 +83,56 @@ pub fn advise(a: &CsrMatrix) -> Vec<Suggestion> {
 }
 
 /// Ranked suggestions for `a` with the profile and per-suggestion rationale
-/// attached. The order is identical to [`advise`]; the extra `affinity`
-/// feature quantifies how deeply the profile sits inside the winning rule's
-/// region, which cost models consume as the technique's predicted payoff.
+/// attached. The order is identical to [`advise`].
 pub fn advise_profiled(a: &CsrMatrix) -> Advice {
     let p = profile(a);
-    let mut out = Vec::with_capacity(4);
-    let rank = |s, affinity: f64, why| RankedSuggestion {
-        suggestion: s,
-        affinity: affinity.clamp(0.0, 1.0),
-        why,
-    };
-
-    if p.consecutive_jaccard >= 0.5 {
-        // Rows are already grouped: clustering without reordering captures
-        // the structure; reordering risks destroying it (paper: shuffling a
-        // good order has GM 0.43).
-        out.push(rank(
-            Suggestion::ClusterInPlace,
-            p.consecutive_jaccard,
-            "consecutive rows already similar; cluster in place",
-        ));
-        out.push(rank(Suggestion::LeaveOriginal, 0.0, "fallback: order is already good"));
-        return Advice { profile: p, ranked: out };
-    }
-
-    if p.degree_skew >= 8.0 {
+    let rank = |suggestion, why| RankedSuggestion { suggestion, why };
+    let ranked = if p.consecutive_jaccard >= 0.5 {
+        // Rows are already grouped; reordering risks destroying that (paper:
+        // shuffling a good order has GM 0.43).
+        vec![rank(Suggestion::LeaveOriginal, "consecutive rows already similar; keep their order")]
+    } else if p.degree_skew >= 8.0 {
         // Heavy-tailed graphs: hub-grouping orders; partitioners struggle
         // (no small separators), meshes' RCM irrelevant.
-        let a_skew = (p.degree_skew - 8.0) / p.degree_skew;
-        out.push(rank(
-            Suggestion::Reorder(Reordering::Degree),
-            a_skew,
-            "heavy-tailed degrees; group hubs by degree",
-        ));
-        out.push(rank(
-            Suggestion::Reorder(Reordering::SlashBurn),
-            a_skew * 0.8,
-            "heavy-tailed degrees; SlashBurn hub/spoke order",
-        ));
-        out.push(rank(Suggestion::Hierarchical, 0.3, "fallback: balanced default"));
-        return Advice { profile: p, ranked: out };
-    }
-
-    if p.avg_row_nnz <= 16.0 && p.relative_bandwidth > 0.25 {
+        vec![
+            rank(
+                Suggestion::Reorder(Reordering::Degree),
+                "heavy-tailed degrees; group hubs by degree",
+            ),
+            rank(
+                Suggestion::Reorder(Reordering::SlashBurn),
+                "heavy-tailed degrees; SlashBurn hub/spoke order",
+            ),
+            rank(Suggestion::Hierarchical, "fallback: balanced default"),
+        ]
+    } else if p.avg_row_nnz <= 16.0 && p.relative_bandwidth > 0.25 {
         // Bounded-degree, scattered numbering: the scrambled-mesh case
         // where RCM/GP/HP win up to an order of magnitude (paper Fig. 9).
-        let a_bw = p.relative_bandwidth.min(0.9);
-        out.push(rank(
-            Suggestion::Reorder(Reordering::Rcm),
-            a_bw,
-            "bounded degree, scattered numbering; RCM recovers the band",
-        ));
-        out.push(rank(
-            Suggestion::Reorder(Reordering::Gp(16)),
-            a_bw * 0.9,
-            "bounded degree, scattered numbering; partition for locality",
-        ));
-        out.push(rank(Suggestion::Hierarchical, 0.3, "fallback: balanced default"));
-        return Advice { profile: p, ranked: out };
-    }
-
-    if p.relative_bandwidth <= 0.05 {
-        // Already banded: nothing to recover.
-        out.push(rank(Suggestion::LeaveOriginal, 0.0, "already banded; nothing to recover"));
-        out.push(rank(
-            Suggestion::ClusterInPlace,
-            p.consecutive_jaccard,
-            "banded rows may still overlap enough to cluster",
-        ));
-        return Advice { profile: p, ranked: out };
-    }
-
-    // Default: the paper's balanced recommendation.
-    out.push(rank(Suggestion::Hierarchical, 0.4, "no dominant structure; balanced default"));
-    out.push(rank(
-        Suggestion::Reorder(Reordering::Gp(16)),
-        0.3,
-        "no dominant structure; partitioning sometimes pays",
-    ));
-    out.push(rank(Suggestion::LeaveOriginal, 0.0, "fallback: leave the matrix alone"));
-    Advice { profile: p, ranked: out }
+        vec![
+            rank(
+                Suggestion::Reorder(Reordering::Rcm),
+                "bounded degree, scattered numbering; RCM recovers the band",
+            ),
+            rank(
+                Suggestion::Reorder(Reordering::Gp(16)),
+                "bounded degree, scattered numbering; partition for locality",
+            ),
+            rank(Suggestion::Hierarchical, "fallback: balanced default"),
+        ]
+    } else if p.relative_bandwidth <= 0.05 {
+        vec![rank(Suggestion::LeaveOriginal, "already banded; nothing to recover")]
+    } else {
+        // Default: the paper's balanced recommendation.
+        vec![
+            rank(Suggestion::Hierarchical, "no dominant structure; balanced default"),
+            rank(
+                Suggestion::Reorder(Reordering::Gp(16)),
+                "no dominant structure; partitioning sometimes pays",
+            ),
+            rank(Suggestion::LeaveOriginal, "fallback: leave the matrix alone"),
+        ]
+    };
+    Advice { profile: p, ranked }
 }
 
 #[cfg(test)]
@@ -181,9 +141,9 @@ mod tests {
     use cw_sparse::gen;
 
     #[test]
-    fn grouped_rows_suggest_in_place_clustering() {
+    fn grouped_rows_keep_their_order() {
         let a = gen::banded::block_diagonal(128, (6, 8), 0.0, 1);
-        assert_eq!(advise(&a)[0], Suggestion::ClusterInPlace);
+        assert_eq!(advise(&a), vec![Suggestion::LeaveOriginal]);
     }
 
     #[test]
@@ -210,10 +170,7 @@ mod tests {
     fn natural_band_suggests_leaving_alone() {
         let a = gen::grid::poisson2d(64, 4); // bandwidth 64 of 256 rows... narrow band
         let s = advise(&a);
-        assert!(
-            s.contains(&Suggestion::LeaveOriginal) || s.contains(&Suggestion::ClusterInPlace),
-            "{s:?}"
-        );
+        assert!(s.contains(&Suggestion::LeaveOriginal), "{s:?}");
     }
 
     #[test]
@@ -244,26 +201,7 @@ mod tests {
             let advice = advise_profiled(&a);
             let order: Vec<Suggestion> = advice.ranked.iter().map(|r| r.suggestion).collect();
             assert_eq!(order, advise(&a), "advise must be the projection of advise_profiled");
-            for r in &advice.ranked {
-                assert!((0.0..=1.0).contains(&r.affinity), "{:?}: {}", r.suggestion, r.affinity);
-                assert!(!r.why.is_empty());
-            }
-            // The top suggestion carries at least as much structural
-            // evidence as the trailing fallback.
-            assert!(advice.ranked[0].affinity >= advice.ranked.last().unwrap().affinity);
-        }
-    }
-
-    #[test]
-    fn affinity_grows_with_structural_evidence() {
-        // Nearly identical grouped rows beat loosely overlapping ones.
-        let tight = gen::banded::block_diagonal(128, (6, 8), 0.0, 1);
-        let loose = gen::banded::block_diagonal(128, (6, 8), 0.35, 1);
-        let (ta, la) = (advise_profiled(&tight), advise_profiled(&loose));
-        if ta.ranked[0].suggestion == Suggestion::ClusterInPlace
-            && la.ranked[0].suggestion == Suggestion::ClusterInPlace
-        {
-            assert!(ta.ranked[0].affinity >= la.ranked[0].affinity);
+            assert!(advice.ranked.iter().all(|r| !r.why.is_empty()));
         }
     }
 

@@ -1,4 +1,5 @@
-//! The ten sparse-matrix row-reordering algorithms of paper Table 1.
+//! The ten sparse-matrix row-reordering algorithms of paper Table 1, and
+//! hierarchical clustering's row order.
 //!
 //! Every algorithm produces a [`Permutation`] (`new → old`). For the `A²`
 //! workload the evaluation applies it symmetrically (`P·A·Pᵀ`); for the
@@ -18,6 +19,7 @@
 //! | [`Reordering::Rabbit`] | Rabbit | community aggregation by modularity gain + dendrogram DFS |
 //! | [`Reordering::Degree`] | Degree | descending degree |
 //! | [`Reordering::SlashBurn`] | SlashBurn | iterative hub removal, hubs front / spokes back |
+//! | [`Reordering::Hierarchical`] | — (not one of the ten) | hierarchical clustering's sweep (paper Alg. 3), cluster members consecutive |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +31,7 @@ pub mod rabbit;
 pub mod rcm;
 pub mod slashburn;
 
+use cw_core::{hierarchical_clustering, ClusterConfig};
 use cw_partition::{
     nested_dissection_order, partition_graph, partition_hypergraph, Graph, Hypergraph,
 };
@@ -62,6 +65,11 @@ pub enum Reordering {
     Degree,
     /// SlashBurn hub/spoke ordering.
     SlashBurn,
+    /// Hierarchical clustering's row order (paper Alg. 3, default
+    /// [`ClusterConfig`]): similar rows consecutive, clusters in sweep
+    /// order. Not one of the ten; the only order that also applies to a
+    /// rectangular matrix.
+    Hierarchical,
 }
 
 impl Reordering {
@@ -79,6 +87,7 @@ impl Reordering {
             Reordering::Rabbit => "Rabbit",
             Reordering::Degree => "Degree",
             Reordering::SlashBurn => "SlashBurn",
+            Reordering::Hierarchical => "Hierarchical",
         }
     }
 
@@ -101,8 +110,15 @@ impl Reordering {
 
     /// Computes the row permutation for `a`. `seed` feeds every randomized
     /// step; results are deterministic per `(algorithm, matrix, seed)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not square, except under
+    /// [`Reordering::Hierarchical`].
     pub fn compute(&self, a: &CsrMatrix, seed: u64) -> Permutation {
-        assert_eq!(a.nrows, a.ncols, "reordering studies square matrices");
+        if *self != Reordering::Hierarchical {
+            assert_eq!(a.nrows, a.ncols, "reordering studies square matrices");
+        }
         let n = a.nrows;
         match self {
             Reordering::Original => Permutation::identity(n),
@@ -128,6 +144,7 @@ impl Reordering {
             Reordering::Rabbit => rabbit::rabbit_order(a),
             Reordering::Degree => degree_order(a),
             Reordering::SlashBurn => slashburn::slashburn_order(a, slashburn::default_k(n)),
+            Reordering::Hierarchical => hierarchical_clustering(a, &ClusterConfig::default()).perm,
         }
     }
 }
@@ -263,6 +280,19 @@ mod tests {
         let t = compute_timed(Reordering::Rcm, &a, 0);
         assert!(t.seconds >= 0.0);
         assert_eq!(t.perm.len(), 100);
+    }
+
+    #[test]
+    fn hierarchical_is_deterministic_and_is_cw_cores_permutation() {
+        let a = cw_sparse::gen::banded::block_diagonal(96, (4, 8), 0.1, 2);
+        let shuffled = random_permutation(a.nrows, 3).permute_symmetric(&a);
+        let p = Reordering::Hierarchical.compute(&shuffled, 1);
+        assert_eq!(p, Reordering::Hierarchical.compute(&shuffled, 2), "the seed is unused");
+        assert_eq!(p, hierarchical_clustering(&shuffled, &ClusterConfig::default()).perm);
+        assert!(!p.is_identity());
+        // Rows of a rectangular matrix are ordered too.
+        let rect = cw_sparse::gen::er::erdos_renyi_rect(50, 12, 3, 4);
+        assert_eq!(Reordering::Hierarchical.compute(&rect, 0).len(), 50);
     }
 
     #[test]

@@ -27,9 +27,8 @@ pub struct ServiceConfig {
     /// Seed for each shard's planner (identical seeds ⇒ identical plans
     /// and bit-identical results across shards and vs a direct engine).
     pub seed: u64,
-    /// Planning policy for each shard's planner: expected reuse,
-    /// preparation budget, and whether the shard may race an operand's
-    /// admitted plans.
+    /// Planning policy for each shard's planner: expected reuse, and
+    /// whether the shard may race an operand's admitted plans.
     pub policy: PlanningPolicy,
     /// Start with structured span tracing enabled. Off (the default),
     /// every span site in the hot path costs one atomic load; on, each
@@ -463,10 +462,7 @@ mod tests {
     #[test]
     fn forced_plan_requests_execute_that_plan() {
         let a = arc(gen::grid::poisson2d(9, 9));
-        let plan = cw_engine::Plan {
-            clustering: cw_engine::ClusteringStrategy::Hierarchical,
-            ..cw_engine::Plan::baseline()
-        };
+        let plan = cw_engine::Plan::from_suggestion(cw_engine::Suggestion::Hierarchical);
         let service = SpgemmService::new(ServiceConfig::default());
         let t = service
             .submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a)).with_plan(plan))

@@ -40,11 +40,11 @@
 //!   `ServiceReport` and `ServiceStats` are views over the same numbers.
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/race pipeline. A `Planner` profiles the
-//!   operand, takes the advisor's candidate pipelines (reordering ×
-//!   hierarchical clustering's row order, all run by the row-wise kernel)
-//!   in its order with the baseline last, and admits those whose preparation, priced by a `CostModel`,
-//!   a caller-supplied `PlanningPolicy` can carry (half of the expected
-//!   reuse, an optional budget); every kernel runs the dense accumulator
+//!   operand, takes the advisor's candidate pipelines (one row order each
+//!   — a reordering or hierarchical clustering's — all run by the row-wise
+//!   kernel) in its order with the baseline last, and admits those whose
+//!   preparation, priced by a `CostModel`, a caller-supplied
+//!   `PlanningPolicy` can carry (half of the expected reuse); every kernel runs the dense accumulator
 //!   wherever it fits in 1 MiB per worker; `PreparedMatrix` materializes
 //!   the chosen plan once; an (operand, plan)-keyed `PlanCache` (entry-
 //!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
@@ -62,8 +62,9 @@
 //!   dense accumulators, FLOP analysis, `SpGEMM_TopK`.
 //! * [`partition`] — multilevel graph & hypergraph partitioners and nested
 //!   dissection (METIS/PaToH stand-ins).
-//! * [`reorder`] — the ten row-reordering algorithms of the paper's study,
-//!   plus the structural advisor driving the engine's planner.
+//! * [`reorder`] — the ten row-reordering algorithms of the paper's study
+//!   and hierarchical clustering's row order, plus the structural advisor
+//!   driving the engine's planner.
 //! * [`core`] — the contribution: `CSR_Cluster`, fixed / variable /
 //!   hierarchical clustering, and the cluster-wise SpGEMM kernel, which
 //!   the `paper` experiments measure directly (the engine keeps only
@@ -256,8 +257,8 @@ pub mod prelude {
         ClusterConfig, Clustering, CsrCluster,
     };
     pub use cw_engine::{
-        CacheBudget, ClusteringStrategy, CostModel, Engine, ExecutionReport, FeedbackStore,
-        OutputShape, Plan, PlanCache, Planner, PlanningPolicy, PreparedMatrix,
+        CacheBudget, CostModel, Engine, ExecutionReport, FeedbackStore, OutputShape, Plan,
+        PlanCache, Planner, PlanningPolicy, PreparedMatrix,
     };
     pub use cw_net::{
         ClientConfig, NetClient, NetError, NetServer, NetServerConfig, Qos, RoutedClient,

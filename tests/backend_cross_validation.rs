@@ -17,8 +17,7 @@
 mod common;
 
 use clusterwise_spgemm::engine::{
-    ClusteringStrategy, OutputShape, Plan, Planner, PreparedMatrix, Suggestion,
-    DEFAULT_CACHE_CAPACITY,
+    OutputShape, Plan, Planner, PreparedMatrix, Suggestion, DEFAULT_CACHE_CAPACITY,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
@@ -61,7 +60,6 @@ fn every_advisor_branch_parallel_equals_serial() {
     for (name, a) in corpus() {
         for suggestion in [
             Suggestion::LeaveOriginal,
-            Suggestion::ClusterInPlace,
             Suggestion::Hierarchical,
             Suggestion::Reorder(Reordering::Rcm),
             Suggestion::Reorder(Reordering::Degree),
@@ -245,26 +243,23 @@ fn shaped_degenerate_rows_stay_bit_identical() {
         }
     }
     let a = coo.to_csr();
-    for plan in [
-        Plan::baseline(),
-        Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
-    ] {
+    for plan in [Plan::baseline(), Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() }] {
         assert_shaped_products_match("degenerate", &a, plan);
     }
 }
 
 #[test]
 fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
-    // A plan is four fields and every value of each is enumerable, so this is
-    // the table's outer half in full: reordering × clustering × parallel ×
-    // shape, each product compared bit for bit with the plain
+    // A plan is three fields and every value of each is enumerable, so this
+    // is the table's outer half in full: row order × parallel × shape, each
+    // product compared bit for bit with the plain
     // serial row-wise product (shaped by the public row-local transforms).
     // Row reordering permutes whole rows and the kernels accumulate an
     // output entry in ascending-`k` order, so no plan may change a single
     // bit (`CsrMatrix::bits_eq`: stricter than `approx_eq(_, 0.0)`, which
     // lets `-0.0` pass for `0.0`).
     let mut reorderings = Reordering::all_ten();
-    reorderings.push(Reordering::Original);
+    reorderings.extend([Reordering::Original, Reordering::Hierarchical]);
     for (name, a) in [
         ("scrambled_mesh", gen::mesh::tri_mesh(8, 8, true, 3)),
         ("rmat_powerlaw", gen::rmat::rmat(6, 5, gen::rmat::RmatParams::default(), 4)),
@@ -276,15 +271,12 @@ fn the_whole_plan_space_is_bit_identical_to_the_serial_product() {
             (OutputShape::Masked, Some(&a), apply_mask(&full, &a)),
         ];
         for &reorder in &reorderings {
-            for clustering in [ClusteringStrategy::None, ClusteringStrategy::Hierarchical] {
-                for parallel in [true, false] {
-                    for (shape, mask, expect) in &expected {
-                        let plan = Plan { reorder, clustering, parallel, shape: *shape };
-                        let got =
-                            PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
-                                .multiply_shaped(&a, *mask);
-                        assert!(got.bits_eq(expect), "{name}: {} changes bits", plan.describe());
-                    }
+            for parallel in [true, false] {
+                for (shape, mask, expect) in &expected {
+                    let plan = Plan { reorder, parallel, shape: *shape };
+                    let got = PreparedMatrix::prepare(&a, plan, SEED, &ClusterConfig::default())
+                        .multiply_shaped(&a, *mask);
+                    assert!(got.bits_eq(expect), "{name}: {} changes bits", plan.describe());
                 }
             }
         }
@@ -337,63 +329,63 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
             ("a rectangular b", &rect, false),
         ];
         let small = a.memory_bytes() < 128 << 10;
-        for reorder in
-            [Reordering::Rcm, Reordering::Degree, Reordering::Random, Reordering::Original]
-        {
-            for clustering in [ClusteringStrategy::None, ClusteringStrategy::Hierarchical] {
-                for parallel in [false, true] {
-                    for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
-                        let plan = Plan { reorder, clustering, parallel, shape };
-                        for (name, b, b_is_a) in rhs {
-                            let what =
-                                format!("{}² mesh, {name} under {}", a.nrows, plan.describe());
-                            let full = spgemm_serial(&a, b);
-                            // A mask has the product's dimensions.
-                            let mask = if b.ncols == a.ncols { &a } else { b };
-                            let (prepared, timings, hit) =
-                                engine.prepare_with_shape(&a, Some(plan), shape);
-                            let (got, report, expect) = match shape {
-                                OutputShape::Masked => {
-                                    let (got, report) = engine.execute_prepared_shaped(
-                                        &prepared,
-                                        b,
-                                        Some(mask),
-                                        timings,
-                                        hit,
-                                    );
-                                    (got, report, apply_mask(&full, mask))
-                                }
-                                OutputShape::TopK(k) => {
-                                    let (got, report) = engine.multiply_planned(&a, b, plan);
-                                    (got, report, row_topk(&full, k))
-                                }
-                                OutputShape::Full => {
-                                    let (got, report) = engine.multiply_planned(&a, b, plan);
-                                    (got, report, full)
-                                }
-                            };
-                            assert!(got.bits_eq(&expect), "{what}: bits changed");
-                            assert_eq!(report.accumulator, AccumulatorKind::Dense, "{what}");
-                            // What the preparation must carry: nothing
-                            // unless the rows moved into a band, nothing
-                            // below the dense accumulator's floor, and never
-                            // under a masked plan.
-                            let masked = shape == OutputShape::Masked;
-                            let banded = reorder == Reordering::Rcm
-                                || clustering == ClusteringStrategy::Hierarchical;
-                            let below_floor = small && dense_fits(a.ncols, 1);
-                            assert_eq!(
-                                prepared.is_relabelled(),
-                                banded && !masked && !below_floor,
-                                "{what}"
-                            );
-                            assert_eq!(
-                                report.two_sided,
-                                b_is_a && prepared.is_relabelled(),
-                                "{what}: wrong arm ({})",
-                                report.summary()
-                            );
-                        }
+        for reorder in [
+            Reordering::Rcm,
+            Reordering::Degree,
+            Reordering::Random,
+            Reordering::Original,
+            Reordering::Hierarchical,
+        ] {
+            for parallel in [false, true] {
+                for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
+                    let plan = Plan { reorder, parallel, shape };
+                    for (name, b, b_is_a) in rhs {
+                        let what = format!("{}² mesh, {name} under {}", a.nrows, plan.describe());
+                        let full = spgemm_serial(&a, b);
+                        // A mask has the product's dimensions.
+                        let mask = if b.ncols == a.ncols { &a } else { b };
+                        let (prepared, timings, hit) =
+                            engine.prepare_with_shape(&a, Some(plan), shape);
+                        let (got, report, expect) = match shape {
+                            OutputShape::Masked => {
+                                let (got, report) = engine.execute_prepared_shaped(
+                                    &prepared,
+                                    b,
+                                    Some(mask),
+                                    timings,
+                                    hit,
+                                );
+                                (got, report, apply_mask(&full, mask))
+                            }
+                            OutputShape::TopK(k) => {
+                                let (got, report) = engine.multiply_planned(&a, b, plan);
+                                (got, report, row_topk(&full, k))
+                            }
+                            OutputShape::Full => {
+                                let (got, report) = engine.multiply_planned(&a, b, plan);
+                                (got, report, full)
+                            }
+                        };
+                        assert!(got.bits_eq(&expect), "{what}: bits changed");
+                        assert_eq!(report.accumulator, AccumulatorKind::Dense, "{what}");
+                        // What the preparation must carry: nothing
+                        // unless the rows moved into a band, nothing
+                        // below the dense accumulator's floor, and never
+                        // under a masked plan.
+                        let masked = shape == OutputShape::Masked;
+                        let banded = matches!(reorder, Reordering::Rcm | Reordering::Hierarchical);
+                        let below_floor = small && dense_fits(a.ncols, 1);
+                        assert_eq!(
+                            prepared.is_relabelled(),
+                            banded && !masked && !below_floor,
+                            "{what}"
+                        );
+                        assert_eq!(
+                            report.two_sided,
+                            b_is_a && prepared.is_relabelled(),
+                            "{what}: wrong arm ({})",
+                            report.summary()
+                        );
                     }
                 }
             }
@@ -427,7 +419,7 @@ proptest! {
         let mut plans = vec![
             planner.plan(&a),
             Plan::baseline(),
-            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
+            Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() },
         ];
         plans.dedup();
         for plan in plans {

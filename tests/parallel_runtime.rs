@@ -55,10 +55,7 @@ fn width_pinned_parallel_backend_matches_the_serial_reference_backend() {
     // plan prepared and executed inside pinned-width pools is bit-identical
     // to the same plan run serially.
     let a = gen::mesh::tri_mesh(12, 12, true, 9);
-    for plan in [
-        Plan::baseline(),
-        Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
-    ] {
+    for plan in [Plan::baseline(), Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() }] {
         common::assert_parallel_matches_serial("scrambled_mesh", &a, plan, None);
     }
 }

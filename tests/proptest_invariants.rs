@@ -208,7 +208,7 @@ proptest! {
         let full = spgemm_serial(&a, &b);
         let pipelines = [
             Plan { reorder: Reordering::Rcm, ..Plan::baseline() },
-            Plan { clustering: ClusteringStrategy::Hierarchical, ..Plan::baseline() },
+            Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() },
         ];
         for pipeline in pipelines {
             for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {

@@ -64,9 +64,7 @@ fn served_results_are_bit_identical_for_every_planner_branch() {
         // The planner's natural choice…
         assert_served_bit_identical(&service, name, &a, None);
         // …and every explicit advisor branch.
-        for suggestion in
-            [Suggestion::LeaveOriginal, Suggestion::ClusterInPlace, Suggestion::Hierarchical]
-        {
+        for suggestion in [Suggestion::LeaveOriginal, Suggestion::Hierarchical] {
             let plan = planner.plan_for_suggestion(&a, suggestion);
             assert_served_bit_identical(&service, name, &a, Some(plan));
         }
