@@ -99,7 +99,7 @@ pub struct CostModel {
     /// | GP(16) | 901–3 832 | 700 (heavy) |
     /// | SlashBurn | 48–1 806 | 700 (heavy) |
     /// | Rabbit | 150–486 | 700 (heavy) |
-    /// | Hierarchical | 240–3 261 | 120 |
+    /// | Hierarchical | 240–3 261 | 240 |
     /// | RCM | 38–71 | 10 (cheap) |
     /// | Degree | 5–11 | 10 (cheap) |
     pub heavy_reorder_per_nnz: f64,
@@ -114,7 +114,7 @@ impl Default for CostModel {
             seconds_per_madd: 1.5e-9,
             cheap_reorder_per_nnz: 10e-9,
             heavy_reorder_per_nnz: 700e-9,
-            hierarchical_cluster_per_nnz: 120e-9,
+            hierarchical_cluster_per_nnz: 240e-9,
         }
     }
 }

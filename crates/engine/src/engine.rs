@@ -209,8 +209,7 @@ impl Engine {
     /// operand once via [`Engine::prepare_with_shape`] and run many
     /// right-hand sides. Pass the mask exactly for [`OutputShape::Masked`].
     /// A run is a race sample only when it is of the plan the store chose
-    /// next, so a coalesced batch's followers, and a forced plan that is
-    /// not that plan, only count.
+    /// next, so a forced plan that is not that plan only counts.
     ///
     /// The recorded seconds are scaled to the lhs-sized workload
     /// (`kernel × nnz(A)/nnz(B)`, clamped to `[0.1, 10]` where fixed

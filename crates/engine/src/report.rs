@@ -56,9 +56,8 @@ pub struct ExecutionReport {
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
     /// a plan-cache hit, or the caller's reuse of an operand it resolved
-    /// earlier with [`crate::Engine::prepare_with_shape`] (a service
-    /// shard's coalesced batch reports its followers this way: no
-    /// preprocessing was paid).
+    /// earlier with [`crate::Engine::prepare_with_shape`] (no preprocessing
+    /// was paid).
     pub cache_hit: bool,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,

@@ -14,8 +14,8 @@
 //! ```
 //!
 //! A request that finds its shard idle is served at once; requests queued
-//! behind a busy shard coalesce with those for the same lhs. The kernels'
-//! pool width is the process's (`RAYON_NUM_THREADS`).
+//! behind a busy shard are served in arrival order. The kernels' pool
+//! width is the process's (`RAYON_NUM_THREADS`).
 
 use cw_net::{NetServer, NetServerConfig};
 use cw_service::{ServiceConfig, SpgemmService};

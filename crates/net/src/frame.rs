@@ -757,7 +757,8 @@ pub fn decode_reject_payload(payload: &[u8]) -> Option<(RejectCode, String)> {
 pub struct WireReport {
     /// Worker shard that executed the request (on the *serving process*).
     pub shard: u32,
-    /// Coalesced-batch size the request rode in.
+    /// Always 1 ([`cw_service::ServiceReport::batch_size`]): a fixed field
+    /// of the v1–v3 report layout.
     pub batch_size: u32,
     /// Seconds from submission until a worker started executing it
     /// ([`cw_service::ServiceReport::queue_seconds`]).

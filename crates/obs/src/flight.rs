@@ -130,8 +130,7 @@ mod tests {
         let tr = RequestTrace {
             trace_id: 1,
             spans: vec![
-                span("queue", 0, 10, 1),
-                span("coalesce", 10, 12, 1),
+                span("queue", 0, 12, 1),
                 span("serve", 12, 40, 1),
                 span("plan", 13, 20, 2),
                 span("execute", 20, 39, 2),

@@ -10,11 +10,11 @@
 //!   accepts [`MultiplyRequest`]s up to a configurable in-flight bound and
 //!   rejects the rest with [`SubmitError::Full`], so overload degrades into
 //!   fast failures instead of unbounded memory growth.
-//! * **Request batching** — work-conserving: a request that finds its
+//! * **Arrival-order shards** — work-conserving: a request that finds its
 //!   shard idle runs at once, and requests that queue behind a busy shard
-//!   coalesce with the others for the same lhs fingerprint, so one prepared
-//!   operand serves many right-hand sides back to back. Requests coalesce
-//!   exactly when they had to wait anyway.
+//!   are served in the order they arrived. Each resolves its prepared
+//!   operand through the shard's plan cache, so one preparation serves
+//!   every repeat of an operand.
 //! * **Sharded plan caches** — [`SpgemmService::submit`] routes each
 //!   request by [`cw_sparse::MatrixFingerprint::shard_index`] straight onto
 //!   one of a fixed pool of
@@ -28,7 +28,7 @@
 //!   other than the first pick surfaces as [`ServiceReport::replanned`]
 //!   and the per-shard `replans` counter.
 //! * **Observability** — every response carries a [`ServiceReport`]
-//!   (queue wait, batch size, the executed plan, cache outcome, race
+//!   (queue wait, the executed plan, cache outcome, race
 //!   state, per-stage [`cw_engine::ExecutionReport`] timings), and
 //!   [`SpgemmService::stats`] aggregates throughput, p50/p99 latency
 //!   (a summary of the `latency_seconds` histogram), and per-shard cache
@@ -36,9 +36,9 @@
 //!   every counter lives on the [`cw_obs`] substrate: the
 //!   [`SpgemmService::metrics`] registry exposes the same cells plus
 //!   always-on mergeable histograms (`latency_seconds`, `queue_seconds`,
-//!   `execute_seconds`, `batch_size`, `kernel_seconds`), and
+//!   `execute_seconds`, `kernel_seconds`), and
 //!   [`ServiceConfig::tracing`] turns each request into a structured
-//!   span trace (`request` → `queue`/`coalesce`/`dispatch`/`serve` →
+//!   span trace (`request` → `queue`/`serve` →
 //!   `plan`/`prepare`/`execute`/`postprocess`) kept in a bounded flight
 //!   recorder ([`SpgemmService::dump_flight_recorder`],
 //!   [`SpgemmService::export_jsonl`]).

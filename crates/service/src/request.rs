@@ -76,12 +76,11 @@ impl RequestShape {
 /// forced plan.
 ///
 /// Operands are `Arc`-shared so a request is cheap to move through the
-/// queue and many requests can reference the same lhs without copying —
-/// that sharing is what batch coalescing exploits.
+/// queue and many requests can reference the same lhs without copying.
 #[derive(Debug, Clone)]
 pub struct MultiplyRequest {
-    /// The `A` operand; requests with the same lhs fingerprint coalesce
-    /// into one batch and share one prepared operand.
+    /// The `A` operand; requests with the same lhs fingerprint route to
+    /// one shard, whose plan cache prepares each operand once.
     pub lhs: Arc<CsrMatrix>,
     /// The `B` operand.
     pub rhs: Arc<CsrMatrix>,
@@ -163,12 +162,12 @@ pub struct ServiceReport {
     pub request_id: u64,
     /// Worker shard that executed the request.
     pub shard: usize,
-    /// Number of requests in the coalesced batch this one rode in
-    /// (`1` = not coalesced).
+    /// Always 1: a shard serves one request at a time. The field stays
+    /// because the v1–v3 wire report and the frozen benchmark carry it; it
+    /// goes with the benchmark's next revision (ROADMAP item 3).
     pub batch_size: usize,
     /// Seconds from submission until a worker started executing it:
-    /// waiting behind earlier requests on its shard, and behind the earlier
-    /// requests of its own batch.
+    /// waiting behind the earlier requests on its shard.
     pub queue_seconds: f64,
     /// Seconds the worker spent executing it (prepare-or-cache-hit +
     /// kernel + postprocess).
@@ -184,7 +183,7 @@ pub struct ServiceReport {
     pub deadline_slack_seconds: Option<f64>,
     /// The engine's per-stage report for the underlying multiply:
     /// `execution.cache_hit` says whether the prepared lhs came from the
-    /// shard's plan cache (or the batch head), `execution.plan.parallel`
+    /// shard's plan cache, `execution.plan.parallel`
     /// whether the kernel ran on the pool (the planner's choice, or the
     /// request's forced plan) and `execution.plan.shape` the output shape
     /// it executed under.
@@ -209,10 +208,9 @@ impl ServiceReport {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "req {} | shard {} | batch {} | queue {:.3}ms exec {:.3}ms | {}",
+            "req {} | shard {} | queue {:.3}ms exec {:.3}ms | {}",
             self.request_id,
             self.shard,
-            self.batch_size,
             self.queue_seconds * 1e3,
             self.execute_seconds * 1e3,
             self.execution.summary(),

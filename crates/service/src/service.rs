@@ -19,7 +19,7 @@ pub struct ServiceConfig {
     /// route to shards by lhs fingerprint, so shard count also bounds how
     /// many distinct operands prepare concurrently.
     pub shards: usize,
-    /// Maximum requests in flight (queued + batching + executing); beyond
+    /// Maximum requests in flight (queued + executing); beyond
     /// it [`SpgemmService::submit`] fails fast with [`SubmitError::Full`].
     pub queue_capacity: usize,
     /// Per-shard plan-cache bound.
@@ -93,7 +93,7 @@ struct Counters {
 /// let service = SpgemmService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() });
 ///
 /// // Same operand twice: the second request rides the shard's plan cache
-/// // (or the same coalesced batch) and skips preprocessing.
+/// // and skips preprocessing.
 /// let t1 = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
 /// let t2 = service.submit(MultiplyRequest::new(Arc::clone(&a), Arc::clone(&a))).unwrap();
 /// let (r1, r2) = (t1.wait().unwrap(), t2.wait().unwrap());
@@ -225,7 +225,7 @@ impl SpgemmService {
         &self.config
     }
 
-    /// Requests currently queued, batching, or executing.
+    /// Requests currently queued or executing.
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
     }
@@ -296,8 +296,8 @@ impl SpgemmService {
 
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let (submission, ticket) = Submission::new(id, request, slot);
-        // Straight onto the shard that owns this lhs fingerprint; the shard
-        // coalesces whatever queues behind it while it is busy.
+        // Straight onto the shard that owns this lhs fingerprint, which
+        // serves its channel in arrival order.
         let shard = submission.fingerprint.shard_index(self.config.shards);
         let sent = match self.shard_txs().as_ref() {
             Some(txs) => txs[shard].send(submission).is_ok(),
@@ -341,7 +341,7 @@ impl SpgemmService {
     }
 
     /// The service's metrics registry: counters, gauges, and mergeable
-    /// latency/queue/execute/batch-size/kernel histograms, all named (see
+    /// latency/queue/execute/kernel histograms, all named (see
     /// the crate docs for the taxonomy).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.sync_pool_metrics();
@@ -454,8 +454,8 @@ mod tests {
         }
         let stats = service.shutdown();
         assert_eq!(stats.coalesced_batches(), 0);
-        // Each request waits for the last, so none queues behind another
-        // and none coalesces; the shard cache still amortizes.
+        // Each request waits for the last, so none queues behind another;
+        // the shard cache still amortizes.
         assert_eq!(stats.total_cache().hits, 2);
     }
 
@@ -623,19 +623,14 @@ mod tests {
                 .find(|t| t.trace_id == report.request_id)
                 .expect("every request leaves a trace");
             assert!(tr.nests_correctly(), "spans must nest: {tr:?}");
-            for name in
-                ["request", "queue", "coalesce", "dispatch", "serve", "plan", "prepare", "execute"]
-            {
+            for name in ["request", "queue", "serve", "plan", "prepare", "execute"] {
                 assert!(tr.span(name).is_some(), "missing span {name} in {tr:?}");
             }
-            // The pre-execution spans tile the reported queue wait.
-            let waits: f64 = ["queue", "coalesce", "dispatch"]
-                .iter()
-                .map(|n| tr.span(n).unwrap().duration_seconds())
-                .sum();
+            // The queue span is the reported queue wait.
+            let queue = tr.span("queue").unwrap().duration_seconds();
             assert!(
-                (waits - report.queue_seconds).abs() < 1e-5,
-                "queue+coalesce+dispatch ({waits}s) must reconcile with queue_seconds ({}s)",
+                (queue - report.queue_seconds).abs() < 1e-5,
+                "queue span ({queue}s) must reconcile with queue_seconds ({}s)",
                 report.queue_seconds
             );
             // The engine's kernel span reconciles with the report, and the
@@ -670,19 +665,13 @@ mod tests {
         let snap = service.metrics().snapshot();
         assert_eq!(snap.counter("requests_submitted"), Some(stats.submitted));
         assert_eq!(snap.counter("requests_completed"), Some(stats.completed));
-        assert_eq!(snap.counter("shard0.coalesced_batches"), Some(stats.coalesced_batches()));
+        assert_eq!(snap.counter("shard0.requests"), Some(stats.shards[0].requests));
         assert_eq!(
             snap.counter("shard0.cache.misses"),
             Some(stats.shards[0].cache.misses),
             "registry and ShardStats are views over the same cells"
         );
-        // ShardStats folds within-batch reuses into hits; the registry
-        // keeps the raw split.
-        assert_eq!(
-            snap.counter("shard0.cache.hits").unwrap() + snap.counter("shard0.reuse_hits").unwrap(),
-            stats.shards[0].cache.hits
-        );
-        assert_eq!(snap.gauge("shard0.max_batch_size"), Some(stats.max_batch_size() as i64));
+        assert_eq!(snap.counter("shard0.cache.hits"), Some(stats.shards[0].cache.hits));
         let latency = snap.histogram("latency_seconds").expect("latency histogram");
         assert_eq!(latency.count, stats.completed);
         assert!(latency.quantile(0.5) > 0.0);

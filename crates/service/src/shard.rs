@@ -6,27 +6,19 @@
 //! traffic for its matrices and *only* that traffic — no cross-thread cache
 //! locking, no duplicate preparations of one operand on two shards.
 //!
-//! Dispatch is work-conserving: a worker blocks for one submission, drains
-//! whatever already queued behind it, groups the drained submissions by
-//! fingerprint (in order of first arrival) and serves each group as one
-//! batch. Requests coalesce exactly when they had to wait anyway; a lone
-//! request never waits. A group that reaches [`MAX_BATCH`] is served at
-//! once, and a hang-up serves whatever is still pending.
-//!
-//! Within a batch, consecutive requests that share the *same* `Arc`'d lhs
-//! (pointer identity — a strict identity proof, no hashing needed) and the
-//! same plan source reuse the head request's prepared operand directly,
-//! skipping even the engine's per-call fingerprint + `O(nnz)` checksum
-//! verification. That is the batching payoff: one lookup, many kernels.
+//! A worker serves its channel in arrival order, one submission at a time;
+//! a request that finds its shard idle runs at once, and a hang-up still
+//! serves everything already queued. Every request resolves its own plan
+//! and prepared operand through the shard engine, whose plan cache is what
+//! amortizes preprocessing across repeats of one operand.
 //!
 //! Shard telemetry lives on the service's [`cw_obs`] substrate: every
 //! counter a worker bumps is an `Arc`'d obs cell also bound into the
 //! service [`MetricsRegistry`], so [`crate::ServiceStats`] and the metrics
 //! snapshot are two views over the same atomics. When tracing is enabled
-//! each request becomes a [`cw_obs::RequestTrace`]: retroactive
-//! `queue`/`coalesce`/`dispatch` spans (submitted → pulled off the shard
-//! channel → group released → execution began), a live `serve` span around
-//! the engine call (under which the engine records
+//! each request becomes a [`cw_obs::RequestTrace`]: a retroactive `queue`
+//! span (submitted → execution began), a live `serve` span around the
+//! engine call (under which the engine records
 //! `plan`/`prepare`/`execute`/`postprocess`), and a `request` root closing
 //! the trace into the flight recorder.
 
@@ -34,17 +26,13 @@ use crate::request::{
     MultiplyRequest, MultiplyResponse, RequestShape, ServiceError, ServiceReport, Ticket,
 };
 use crate::stats::ShardStats;
-use cw_engine::{CacheCounters, Engine, OutputShape, Plan, PreparedMatrix, StageTimings};
+use cw_engine::{CacheCounters, Engine, Plan};
 use cw_obs::{Counter, Gauge, LogHistogram, MetricsRegistry, Tracer};
 use cw_sparse::{fingerprint, CsrMatrix, MatrixFingerprint};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The most requests one batch holds: a same-fingerprint group that
-/// reaches it is served without draining the channel any further.
-const MAX_BATCH: usize = 32;
 
 /// RAII claim on one queue-capacity slot: decrements `in_flight` exactly
 /// once, when dropped. Because every [`Submission`] carries one, a
@@ -75,10 +63,6 @@ pub(crate) struct Submission {
     pub(crate) priority: crate::Priority,
     pub(crate) fingerprint: MatrixFingerprint,
     pub(crate) submitted: Instant,
-    /// When the shard worker pulled it off its channel (until then, equals
-    /// `submitted`). The `submitted..received` interval is the queue wait
-    /// proper; from here until its group is released it is coalescing.
-    pub(crate) received: Instant,
     pub(crate) respond: Sender<Result<MultiplyResponse, ServiceError>>,
     /// Held only for its drop effect (releasing the queue slot).
     pub(crate) _slot: SlotGuard,
@@ -89,7 +73,6 @@ impl Submission {
     /// fingerprint routes to, with the [`Ticket`] that redeems it.
     pub(crate) fn new(id: u64, request: MultiplyRequest, slot: SlotGuard) -> (Submission, Ticket) {
         let (respond, rx) = mpsc::channel();
-        let now = Instant::now();
         let submission = Submission {
             id,
             fingerprint: fingerprint(&request.lhs),
@@ -101,8 +84,7 @@ impl Submission {
             shape: request.shape,
             deadline: request.deadline,
             priority: request.priority,
-            submitted: now,
-            received: now,
+            submitted: Instant::now(),
             respond,
             _slot: slot,
         };
@@ -117,14 +99,8 @@ impl Submission {
 #[derive(Debug, Clone)]
 pub(crate) struct ShardObs {
     pub(crate) shard: usize,
-    pub(crate) batches: Arc<Counter>,
-    pub(crate) coalesced_batches: Arc<Counter>,
     pub(crate) requests: Arc<Counter>,
-    /// Within-batch operand reuses (bypass the engine cache entirely);
-    /// folded into the shard's cache-hit statistics on snapshot.
-    pub(crate) reuse_hits: Arc<Counter>,
     pub(crate) replans: Arc<Counter>,
-    pub(crate) max_batch_size: Arc<Gauge>,
     pub(crate) cached_operands: Arc<Gauge>,
     pub(crate) cached_bytes: Arc<Gauge>,
     pub(crate) tracked_operands: Arc<Gauge>,
@@ -133,19 +109,12 @@ pub(crate) struct ShardObs {
 }
 
 impl ShardObs {
-    /// The public [`ShardStats`] view over these cells. Hit/miss
-    /// semantics: "request served from an already-prepared operand" —
-    /// engine cache hits plus within-batch reuses.
+    /// The public [`ShardStats`] view over these cells.
     pub(crate) fn snapshot(&self) -> ShardStats {
-        let mut cache = self.cache.snapshot();
-        cache.hits += self.reuse_hits.get();
         ShardStats {
             shard: self.shard,
-            batches: self.batches.get(),
-            coalesced_batches: self.coalesced_batches.get(),
             requests: self.requests.get(),
-            max_batch_size: self.max_batch_size.get() as usize,
-            cache,
+            cache: self.cache.snapshot(),
             cached_operands: self.cached_operands.get() as usize,
             cached_bytes: self.cached_bytes.get() as usize,
             replans: self.replans.get(),
@@ -169,7 +138,6 @@ pub(crate) struct WorkerCtx {
     pub(crate) latency_seconds: Arc<LogHistogram>,
     pub(crate) queue_seconds: Arc<LogHistogram>,
     pub(crate) execute_seconds: Arc<LogHistogram>,
-    pub(crate) batch_size: Arc<LogHistogram>,
     pub(crate) kernel_seconds: Arc<LogHistogram>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) in_flight: Arc<AtomicUsize>,
@@ -193,12 +161,8 @@ impl WorkerCtx {
             shard,
             obs: ShardObs {
                 shard,
-                batches: metrics.counter(&format!("{p}batches")),
-                coalesced_batches: metrics.counter(&format!("{p}coalesced_batches")),
                 requests: metrics.counter(&format!("{p}requests")),
-                reuse_hits: metrics.counter(&format!("{p}reuse_hits")),
                 replans: metrics.counter(&format!("{p}replans")),
-                max_batch_size: metrics.gauge(&format!("{p}max_batch_size")),
                 cached_operands: metrics.gauge(&format!("{p}cached_operands")),
                 cached_bytes: metrics.gauge(&format!("{p}cached_bytes")),
                 tracked_operands: metrics.gauge(&format!("{p}tracked_operands")),
@@ -210,7 +174,6 @@ impl WorkerCtx {
             latency_seconds: metrics.histogram("latency_seconds"),
             queue_seconds: metrics.histogram("queue_seconds"),
             execute_seconds: metrics.histogram("execute_seconds"),
-            batch_size: metrics.histogram("batch_size"),
             kernel_seconds: metrics.histogram("kernel_seconds"),
             queue_depth: metrics.gauge("queue_depth"),
             in_flight: Arc::clone(in_flight),
@@ -218,166 +181,96 @@ impl WorkerCtx {
     }
 }
 
-/// The head request's reusable identity within one coalesced batch — the
-/// lhs operand, forced plan, output shape, and the preparation they
-/// resolved to.
-type BatchHead = (Arc<CsrMatrix>, Option<Plan>, OutputShape, Arc<PreparedMatrix>);
-
-/// Serves submissions until the service hangs up: blocks for one, drains
-/// what queued behind it, and serves each same-fingerprint group of the
-/// drain as one batch. Responses go straight to each request's private
-/// channel; counters land in the shard's [`ShardObs`] cells so
-/// [`crate::SpgemmService::stats`] and the metrics registry can read them
-/// without talking to the thread.
+/// Serves submissions in arrival order until the service hangs up, then
+/// serves whatever is still queued. Responses go straight to each
+/// request's private channel; counters land in the shard's [`ShardObs`]
+/// cells so [`crate::SpgemmService::stats`] and the metrics registry can
+/// read them without talking to the thread.
 pub(crate) fn worker_loop(rx: Receiver<Submission>, mut engine: Engine, ctx: WorkerCtx) {
-    // Same-fingerprint groups of the current drain, in order of first
-    // arrival.
-    let mut pending: Vec<Vec<Submission>> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        let mut next = Some(first);
-        while let Some(mut sub) = next {
-            // Queue wait ends here; coalescing begins.
-            sub.received = Instant::now();
-            let g = match pending.iter().position(|g| g[0].fingerprint == sub.fingerprint) {
-                Some(g) => g,
-                None => {
-                    pending.push(Vec::new());
-                    pending.len() - 1
-                }
-            };
-            pending[g].push(sub);
-            if pending[g].len() >= MAX_BATCH {
-                serve_batch(&mut engine, &ctx, pending.remove(g));
-            }
-            // Empty or hung up: either way the drain is over. After a
-            // hang-up `recv` fails once the channel is empty, so nothing
-            // queued is lost.
-            next = rx.try_recv().ok();
-        }
-        for group in pending.drain(..) {
-            serve_batch(&mut engine, &ctx, group);
-        }
+    for sub in rx {
+        serve(&mut engine, &ctx, sub);
     }
 }
 
-/// Serves one same-fingerprint group, in arrival order, as one batch.
-fn serve_batch(engine: &mut Engine, ctx: &WorkerCtx, items: Vec<Submission>) {
-    // The group is released: coalescing ends, dispatch (waiting behind the
-    // batch's earlier requests) begins.
-    let flushed = Instant::now();
-    let batch_size = items.len();
-    ctx.batch_size.record(batch_size as f64);
+/// Serves one submission: every request resolves its own plan and
+/// prepared operand through the engine, whose plan cache gives each repeat
+/// of an operand the preparation it already paid for.
+fn serve(engine: &mut Engine, ctx: &WorkerCtx, sub: Submission) {
+    let started = Instant::now();
     ctx.queue_depth.set(ctx.in_flight.load(Ordering::SeqCst) as i64);
-    // Head request's resolved operand, reusable by identical followers.
-    // The shape joins the identity because shaped preparations live under
-    // their own cache keys; the *mask* does not — preparation is
-    // mask-independent, so two masked requests with different masks still
-    // share one prepared operand.
-    let mut head: Option<BatchHead> = None;
-    for sub in items {
-        let started = Instant::now();
-        // The deadline already gated admission; here it gates execution —
-        // a request that died waiting in the queue is dropped before any
-        // trace, cache, or kernel work happens. Dropping `sub` hangs up its
-        // response channel (the ticket resolves
-        // `ServiceError::Disconnected`) and the SlotGuard frees the queue
-        // slot.
-        if sub.deadline.is_some_and(|d| started >= d) {
-            ctx.deadline_dropped.inc();
-            continue;
-        }
-        let queue_seconds = started.saturating_duration_since(sub.submitted).as_secs_f64();
-        ctx.tracer.begin_trace(sub.id);
-        if ctx.tracer.enabled() {
-            // Pre-execution waits, reconstructed from the worker's stamps
-            // (monotone-clamped so the spans always tile).
-            let submitted_ns = ctx.tracer.ns_of(sub.submitted);
-            let received_ns = ctx.tracer.ns_of(sub.received).max(submitted_ns);
-            let flushed_ns = ctx.tracer.ns_of(flushed).max(received_ns);
-            let started_ns = ctx.tracer.ns_of(started).max(flushed_ns);
-            ctx.tracer.record_span_at("queue", submitted_ns, received_ns, 1);
-            ctx.tracer.record_span_at("coalesce", received_ns, flushed_ns, 1);
-            ctx.tracer.record_span_at("dispatch", flushed_ns, started_ns, 1);
-        }
-        let serve_span = ctx.tracer.span("serve");
-        let shape = sub.shape.output_shape();
-        let reused = matches!(
-            &head,
-            Some((lhs0, plan0, shape0, _))
-                if Arc::ptr_eq(lhs0, &sub.lhs) && *plan0 == sub.plan && *shape0 == shape
-        );
-        let (prepared, prep_timings, cache_hit) = if reused {
-            ctx.obs.reuse_hits.inc();
-            // A batch-reuse never enters the engine, so stand in for its
-            // plan/prepare spans (zero-length: no work was done).
-            let now = ctx.tracer.now_ns();
-            ctx.tracer.record_span("plan", now, now);
-            ctx.tracer.record_span("prepare", now, now);
-            let (_, _, _, prep) = head.as_ref().expect("reused implies head");
-            (Arc::clone(prep), StageTimings::default(), true)
-        } else {
-            let (prep, timings, hit) = engine.prepare_with_shape(&sub.lhs, sub.plan, shape);
-            head = Some((Arc::clone(&sub.lhs), sub.plan, shape, Arc::clone(&prep)));
-            (prep, timings, hit)
-        };
-        // Execute + record + report through the engine's shared tail: each
-        // shard owns its engine, so measured kernels feed its races with no
-        // cross-thread locking. A forced plan never seeds a race; it is a
-        // race sample only when it is the very plan the race asked for.
-        let (product, execution) = engine.execute_prepared_shaped(
-            &prepared,
-            &sub.rhs,
-            sub.shape.mask().map(Arc::as_ref),
-            prep_timings,
-            cache_hit,
-        );
-        drop(serve_span);
-        if execution.feedback.is_some_and(|f| f.switched) {
-            ctx.obs.replans.inc();
-        }
-        let execute_seconds = started.elapsed().as_secs_f64();
-        let latency_seconds = sub.submitted.elapsed().as_secs_f64();
-        ctx.queue_seconds.record(queue_seconds);
-        ctx.execute_seconds.record(execute_seconds);
-        ctx.latency_seconds.record(latency_seconds);
-        ctx.kernel_seconds.record(execution.timings.kernel_seconds);
-        let report = ServiceReport {
-            request_id: sub.id,
-            shard: ctx.shard,
-            batch_size,
-            queue_seconds,
-            execute_seconds,
-            latency_seconds,
-            priority: sub.priority,
-            deadline_slack_seconds: sub.deadline.map(|d| {
-                let now = Instant::now();
-                match d.checked_duration_since(now) {
-                    Some(left) => left.as_secs_f64(),
-                    None => -now.saturating_duration_since(d).as_secs_f64(),
-                }
-            }),
-            execution,
-        };
-        // Root span from submission to now: it closes *after* the latency
-        // measurement (so root duration ≥ reported latency) but *before*
-        // the response is sent, so a caller who has seen the response can
-        // already find the trace in the recorder.
-        ctx.tracer.end_trace(sub.id, "request", ctx.tracer.ns_of(sub.submitted));
-        ctx.completed.inc();
-        // A dropped Ticket is fine: the response is simply discarded.
-        let _ = sub.respond.send(Ok(MultiplyResponse { product, report }));
-        // `sub` (and its SlotGuard) drops here, releasing the queue slot
-        // only after the response is delivered.
+    ctx.obs.requests.inc();
+    // The deadline already gated admission; here it gates execution — a
+    // request that died waiting in the queue is dropped before any trace,
+    // cache, or kernel work happens. Dropping `sub` hangs up its response
+    // channel (the ticket resolves `ServiceError::Disconnected`) and the
+    // SlotGuard frees the queue slot.
+    if sub.deadline.is_some_and(|d| started >= d) {
+        ctx.deadline_dropped.inc();
+        return;
     }
-    ctx.obs.batches.inc();
-    if batch_size > 1 {
-        ctx.obs.coalesced_batches.inc();
+    let queue_seconds = started.saturating_duration_since(sub.submitted).as_secs_f64();
+    ctx.tracer.begin_trace(sub.id);
+    if ctx.tracer.enabled() {
+        // The queue wait, reconstructed from the worker's stamps
+        // (monotone-clamped so the spans always tile).
+        let submitted_ns = ctx.tracer.ns_of(sub.submitted);
+        let started_ns = ctx.tracer.ns_of(started).max(submitted_ns);
+        ctx.tracer.record_span_at("queue", submitted_ns, started_ns, 1);
     }
-    ctx.obs.requests.add(batch_size as u64);
-    ctx.obs.max_batch_size.set_max(batch_size as i64);
+    let serve_span = ctx.tracer.span("serve");
+    let (prepared, prep_timings, cache_hit) =
+        engine.prepare_with_shape(&sub.lhs, sub.plan, sub.shape.output_shape());
+    // Execute + record + report through the engine's shared tail: each
+    // shard owns its engine, so measured kernels feed its races with no
+    // cross-thread locking. A forced plan never seeds a race; it is a race
+    // sample only when it is the very plan the race asked for.
+    let (product, execution) = engine.execute_prepared_shaped(
+        &prepared,
+        &sub.rhs,
+        sub.shape.mask().map(Arc::as_ref),
+        prep_timings,
+        cache_hit,
+    );
+    drop(serve_span);
+    if execution.feedback.is_some_and(|f| f.switched) {
+        ctx.obs.replans.inc();
+    }
+    let execute_seconds = started.elapsed().as_secs_f64();
+    let latency_seconds = sub.submitted.elapsed().as_secs_f64();
+    ctx.queue_seconds.record(queue_seconds);
+    ctx.execute_seconds.record(execute_seconds);
+    ctx.latency_seconds.record(latency_seconds);
+    ctx.kernel_seconds.record(execution.timings.kernel_seconds);
     ctx.obs.cached_operands.set(engine.cached_operands() as i64);
     ctx.obs.cached_bytes.set(engine.cache().bytes() as i64);
     ctx.obs.tracked_operands.set(engine.feedback().len() as i64);
+    let report = ServiceReport {
+        request_id: sub.id,
+        shard: ctx.shard,
+        batch_size: 1,
+        queue_seconds,
+        execute_seconds,
+        latency_seconds,
+        priority: sub.priority,
+        deadline_slack_seconds: sub.deadline.map(|d| {
+            let now = Instant::now();
+            match d.checked_duration_since(now) {
+                Some(left) => left.as_secs_f64(),
+                None => -now.saturating_duration_since(d).as_secs_f64(),
+            }
+        }),
+        execution,
+    };
+    // Root span from submission to now: it closes *after* the latency
+    // measurement (so root duration ≥ reported latency) but *before* the
+    // response is sent, so a caller who has seen the response can already
+    // find the trace in the recorder.
+    ctx.tracer.end_trace(sub.id, "request", ctx.tracer.ns_of(sub.submitted));
+    ctx.completed.inc();
+    // A dropped Ticket is fine: the response is simply discarded.
+    let _ = sub.respond.send(Ok(MultiplyResponse { product, report }));
+    // `sub` (and its SlotGuard) drops here, releasing the queue slot only
+    // after the response is delivered.
 }
 
 #[cfg(test)]
@@ -388,17 +281,22 @@ mod tests {
     use std::time::Duration;
 
     /// Runs one worker on the test thread over `requests`, all queued (and
-    /// the sender hung up) before it starts, so its first drain sees every
-    /// request and then the hang-up. Returns the tickets in submission
-    /// order, the shard's stats and the registry its cells live in. The
-    /// engine is frozen: a debug-build kernel can pass the race's 1 ms
-    /// floor, and a race prepares challengers these counts do not expect.
-    fn serve_queued(requests: Vec<MultiplyRequest>) -> (Vec<Ticket>, ShardStats, MetricsRegistry) {
+    /// the sender hung up) before it starts, so it serves every queued
+    /// request after the hang-up. Returns the tickets in submission order,
+    /// the shard's stats, the registry its cells live in and its tracer
+    /// (enabled, with room for eight traces). The engine is frozen: a
+    /// debug-build kernel can pass the race's 1 ms floor, and a race
+    /// prepares challengers these counts do not expect.
+    fn serve_queued(
+        requests: Vec<MultiplyRequest>,
+    ) -> (Vec<Ticket>, ShardStats, MetricsRegistry, Arc<Tracer>) {
         let planner = cw_engine::Planner::with_policy(0, cw_engine::PlanningPolicy::frozen());
         let engine = Engine::new(planner, cw_engine::DEFAULT_CACHE_CAPACITY);
         let metrics = MetricsRegistry::new();
         let in_flight = Arc::new(AtomicUsize::new(requests.len()));
-        let ctx = WorkerCtx::new(0, &engine, &metrics, &Arc::new(Tracer::new(4)), &in_flight);
+        let tracer = Arc::new(Tracer::new(8));
+        tracer.set_enabled(true);
+        let ctx = WorkerCtx::new(0, &engine, &metrics, &tracer, &in_flight);
         let obs = ctx.obs.clone();
         let (tx, rx) = mpsc::channel();
         let tickets = requests
@@ -414,7 +312,7 @@ mod tests {
         drop(tx);
         worker_loop(rx, engine, ctx);
         assert_eq!(in_flight.load(Ordering::SeqCst), 0, "every slot released");
-        (tickets, obs.snapshot(), metrics)
+        (tickets, obs.snapshot(), metrics, tracer)
     }
 
     fn square(m: &Arc<CsrMatrix>) -> MultiplyRequest {
@@ -422,39 +320,29 @@ mod tests {
     }
 
     #[test]
-    fn work_conserving_worker_coalesces_what_queued_behind_the_first() {
+    fn worker_serves_its_channel_in_arrival_order() {
         let a = Arc::new(gen::grid::poisson2d(9, 9));
         let b = Arc::new(gen::er::erdos_renyi(81, 4, 7));
         assert_ne!(fingerprint(&a), fingerprint(&b));
         let order = [&a, &b, &a, &a, &b];
 
-        let (tickets, stats, _) = serve_queued(order.iter().map(|m| square(m)).collect());
+        let (tickets, stats, _, tracer) = serve_queued(order.iter().map(|m| square(m)).collect());
         for (m, ticket) in order.into_iter().zip(tickets) {
             let resp = ticket.wait().unwrap();
-            let expected = if Arc::ptr_eq(m, &a) { 3 } else { 2 };
-            assert_eq!(resp.report.batch_size, expected, "request {}", resp.report.request_id);
+            assert_eq!(resp.report.batch_size, 1, "request {}", resp.report.request_id);
             assert!(resp.product.bits_eq(&spgemm_serial(m, m)));
         }
-        assert_eq!((stats.batches, stats.coalesced_batches, stats.requests), (2, 2, 5));
+        let served: Vec<u64> = tracer.flight_traces().iter().map(|t| t.trace_id).collect();
+        assert_eq!(served, (0..5).collect::<Vec<_>>(), "served in submission order");
+        assert_eq!(stats.requests, 5);
         assert_eq!((stats.cache.misses, stats.cache.hits), (2, 3), "one preparation per operand");
-    }
-
-    #[test]
-    fn same_lhs_requests_coalesce_into_one_batch() {
-        let a = Arc::new(gen::grid::poisson2d(12, 12));
-        let (tickets, stats, _) = serve_queued((0..4).map(|_| square(&a)).collect());
-        for t in tickets {
-            assert_eq!(t.wait().unwrap().report.batch_size, 4, "all four must ride one batch");
-        }
-        assert_eq!((stats.coalesced_batches, stats.max_batch_size), (1, 4));
-        assert_eq!((stats.cache.misses, stats.cache.hits), (1, 3), "one preparation");
     }
 
     #[test]
     fn operands_that_share_a_fingerprint_share_a_shard_and_keep_an_entry_each() {
         // `b` differs from `a` only at a value the sampled fingerprint skips,
-        // so both route to the same shard and coalesce into one batch; the
-        // shard's cache must still hold one preparation per operand.
+        // so both route to the same shard; the shard's cache must still hold
+        // one preparation per operand.
         let a = gen::er::erdos_renyi(400, 6, 11);
         let mut b = a.clone();
         b.vals[1] += 0.5;
@@ -462,10 +350,9 @@ mod tests {
         let (a, b) = (Arc::new(a), Arc::new(b));
         let order = [&a, &b, &a, &b, &a, &b];
 
-        let (tickets, stats, _) = serve_queued(order.iter().map(|m| square(m)).collect());
+        let (tickets, stats, _, _) = serve_queued(order.iter().map(|m| square(m)).collect());
         for (m, t) in order.into_iter().zip(tickets) {
             let resp = t.wait().unwrap();
-            assert_eq!(resp.report.batch_size, 6);
             assert!(resp.product.bits_eq(&spgemm_serial(m, m)), "a product of the other operand");
         }
         assert_eq!((stats.cache.misses, stats.cache.hits), (2, 4), "one preparation per operand");
@@ -473,22 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn max_batch_flushes_a_group_early() {
-        let a = Arc::new(gen::grid::poisson2d(8, 8));
-        let (tickets, stats, _) = serve_queued((0..=MAX_BATCH).map(|_| square(&a)).collect());
-        let sizes: Vec<usize> =
-            tickets.into_iter().map(|t| t.wait().unwrap().report.batch_size).collect();
-        assert!(sizes[..MAX_BATCH].iter().all(|&n| n == MAX_BATCH), "{sizes:?}");
-        assert_eq!(sizes[MAX_BATCH], 1, "the request past the cap rides a batch of its own");
-        assert_eq!((stats.batches, stats.max_batch_size), (2, MAX_BATCH));
-    }
-
-    #[test]
     fn queued_request_whose_deadline_passes_is_dropped_by_the_worker() {
         let a = Arc::new(gen::grid::poisson2d(8, 8));
         // Past before it is even queued: the worker reaches it dead.
         let dead = Instant::now() - Duration::from_millis(1);
-        let (tickets, stats, metrics) =
+        let (tickets, stats, metrics, _) =
             serve_queued(vec![square(&a).with_deadline_at(dead), square(&a)]);
         let [doomed, healthy]: [Ticket; 2] = tickets.try_into().ok().unwrap();
         assert_eq!(doomed.wait().unwrap_err(), ServiceError::Disconnected);
@@ -496,6 +372,6 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("requests_deadline_dropped"), Some(1));
         assert_eq!(snap.counter("requests_completed"), Some(1));
-        assert_eq!(stats.requests, 2, "the dropped request still rode its batch");
+        assert_eq!(stats.requests, 2, "the dropped request still counts as pulled off the channel");
     }
 }

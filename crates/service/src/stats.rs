@@ -39,17 +39,11 @@ impl LatencySummary {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// Batches executed.
-    pub batches: u64,
-    /// Batches holding more than one request (coalescing actually paid).
-    pub coalesced_batches: u64,
-    /// Requests served.
+    /// Requests the shard pulled off its channel: served, or dropped
+    /// because their deadline passed while they queued.
     pub requests: u64,
-    /// Largest batch served.
-    pub max_batch_size: usize,
-    /// Requests served from an already-prepared operand: the shard
-    /// engine's plan-cache counters, with within-batch operand reuses
-    /// counted as additional hits.
+    /// The shard engine's plan-cache counters: a hit is a request served
+    /// from an already-prepared operand.
     pub cache: CacheStats,
     /// Prepared operands currently resident in the shard cache.
     pub cached_operands: usize,
@@ -86,7 +80,7 @@ pub struct ServiceStats {
     pub throughput_rps: f64,
     /// End-to-end latency quantiles from the `latency_seconds` histogram.
     pub latency: LatencySummary,
-    /// Per-shard batch/cache counters.
+    /// Per-shard request/cache counters.
     pub shards: Vec<ShardStats>,
 }
 
@@ -103,9 +97,11 @@ impl ServiceStats {
         total
     }
 
-    /// Batches across every shard that coalesced more than one request.
+    /// Always 0: a shard serves one request at a time. The method stays
+    /// because the frozen benchmark reads it; it goes with the benchmark's
+    /// next revision (ROADMAP item 3).
     pub fn coalesced_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.coalesced_batches).sum()
+        0
     }
 
     /// Feedback-loop plan switches summed across every shard.
@@ -113,16 +109,11 @@ impl ServiceStats {
         self.shards.iter().map(|s| s.replans).sum()
     }
 
-    /// Largest batch served by any shard.
-    pub fn max_batch_size(&self) -> usize {
-        self.shards.iter().map(|s| s.max_batch_size).max().unwrap_or(0)
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
             "served {}/{} (rejected {}) | {:.1} req/s | p50 {:.3}ms p99 {:.3}ms | \
-             cache hit rate {:.2} | coalesced batches {} (max {}) | replans {}",
+             cache hit rate {:.2} | replans {}",
             self.completed,
             self.submitted,
             self.rejected,
@@ -130,8 +121,6 @@ impl ServiceStats {
             self.latency.p50_seconds * 1e3,
             self.latency.p99_seconds * 1e3,
             self.total_cache().hit_rate(),
-            self.coalesced_batches(),
-            self.max_batch_size(),
             self.total_replans(),
         )
     }
@@ -165,12 +154,9 @@ mod tests {
 
     #[test]
     fn service_stats_aggregate_across_shards() {
-        let mk = |shard, hits, misses, coalesced, max_b| ShardStats {
+        let mk = |shard, hits, misses| ShardStats {
             shard,
-            batches: 4,
-            coalesced_batches: coalesced,
             requests: 10,
-            max_batch_size: max_b,
             cache: CacheStats { hits, misses, ..CacheStats::default() },
             ..ShardStats::default()
         };
@@ -183,13 +169,11 @@ mod tests {
             elapsed_seconds: 2.0,
             throughput_rps: 10.0,
             latency: LatencySummary::default(),
-            shards: vec![mk(0, 6, 4, 1, 3), mk(1, 9, 1, 2, 5)],
+            shards: vec![mk(0, 6, 4), mk(1, 9, 1)],
         };
         let total = stats.total_cache();
         assert_eq!((total.hits, total.misses), (15, 5));
         assert!((total.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(stats.coalesced_batches(), 3);
-        assert_eq!(stats.max_batch_size(), 5);
         assert!(stats.summary().contains("req/s"));
     }
 }

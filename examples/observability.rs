@@ -20,9 +20,9 @@ fn main() {
     ];
 
     // `tracing: true` is the only switch: every request now leaves a
-    // queue → coalesce → dispatch → serve → plan/prepare/execute span
-    // chain in a fixed-capacity flight recorder (here: the last 8
-    // requests). Disabled tracing costs one atomic load per span site.
+    // queue → serve → plan/prepare/execute span chain in a fixed-capacity
+    // flight recorder (here: the last 8 requests). Disabled tracing costs
+    // one atomic load per span site.
     let service = SpgemmService::new(ServiceConfig {
         shards: 2,
         tracing: true,

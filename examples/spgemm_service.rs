@@ -1,5 +1,5 @@
-//! Tour of the `cw-service` serving layer: a sharded, batching SpGEMM
-//! service absorbing a mixed-operand wave of requests.
+//! Tour of the `cw-service` serving layer: a sharded SpGEMM service
+//! absorbing a mixed-operand wave of requests.
 //!
 //! ```text
 //! cargo run --release --example spgemm_service
@@ -20,8 +20,8 @@ fn main() {
     ];
 
     // Work-conserving: a request that finds its shard idle runs at once,
-    // and requests that queue behind a busy shard coalesce into
-    // same-operand batches.
+    // and requests that queue behind a busy shard are served in arrival
+    // order, each a plan-cache hit after its operand's first.
     let service = SpgemmService::new(ServiceConfig { shards: 2, ..ServiceConfig::default() });
     println!("service up: {:?}\n", service.config());
 
@@ -55,13 +55,9 @@ fn main() {
     println!("{}", stats.summary());
     for shard in &stats.shards {
         println!(
-            "shard {}: {} reqs in {} batches (max {}, {} coalesced) | cache hit rate {:.2} | \
-             {} operands, {} KiB resident",
+            "shard {}: {} reqs | cache hit rate {:.2} | {} operands, {} KiB resident",
             shard.shard,
             shard.requests,
-            shard.batches,
-            shard.max_batch_size,
-            shard.coalesced_batches,
             shard.cache.hit_rate(),
             shard.cached_operands,
             shard.cached_bytes / 1024,

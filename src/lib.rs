@@ -15,10 +15,10 @@
 //!   the engine for concurrent traffic. Bounded admission with
 //!   backpressure routes each request by lhs fingerprint straight to a
 //!   worker shard (each with a private engine + plan cache + feedback
-//!   store — no cross-thread locking); a busy shard coalesces the requests
-//!   that queued behind it into same-lhs batches, an idle one serves at
-//!   once. Every request is answered with a `ServiceReport` (queue
-//!   wait, batch size, cache outcome, race state, per-stage timings) plus
+//!   store — no cross-thread locking); a shard serves the requests that
+//!   queued behind it in arrival order, and an idle one serves at once.
+//!   Every request is answered with a `ServiceReport` (queue
+//!   wait, cache outcome, race state, per-stage timings) plus
 //!   service-wide throughput and p50/p99 latency stats.
 //! * [`net`] — **the wire-protocol serving layer**: a `CWNP` binary frame
 //!   protocol (28-byte versioned header + bit-exact `CSRB` operand blobs),
@@ -157,9 +157,10 @@
 //!
 //! ## Quickstart: the serving layer (concurrent traffic)
 //!
-//! Under concurrent traffic, put `SpgemmService` in front: it batches
-//! same-operand requests, shards them across worker engines by
-//! fingerprint, and reports per-request and service-wide telemetry (see
+//! Under concurrent traffic, put `SpgemmService` in front: it shards
+//! requests across worker engines by lhs fingerprint, so every repeat of
+//! an operand hits one plan cache, and reports per-request and
+//! service-wide telemetry (see
 //! `examples/spgemm_service.rs` for the full tour):
 //!
 //! ```
@@ -201,7 +202,7 @@
 //! ## Quickstart: observability
 //!
 //! Flip `ServiceConfig::tracing` on and every request leaves a structured
-//! trace (queue → coalesce → dispatch → serve → plan/prepare/execute) in a
+//! trace (queue → serve → plan/prepare/execute) in a
 //! bounded flight recorder, while counters and latency histograms
 //! accumulate in a metrics registry — exportable as versioned JSON-lines
 //! or a human-readable snapshot (see `examples/observability.rs` for the

@@ -127,8 +127,8 @@ fn batch_right_hand_sides_share_one_preparation() {
     let n = a.nrows;
     let bs: Vec<CsrMatrix> = (0..3).map(|s| gen::er::erdos_renyi(n, 4, s)).collect();
     let mut engine = Engine::default();
-    // Prepare once, then one kernel per right-hand side: a service shard's
-    // loop over a coalesced batch.
+    // Prepare once, then one kernel per right-hand side: the serving
+    // tail `prepare_with_shape` + `execute_prepared_shaped`.
     let (prepared, timings, hit) = engine.prepare_with_shape(&a, None, OutputShape::Full);
     for (i, b) in bs.iter().enumerate() {
         let (c, _) = engine.execute_prepared_shaped(&prepared, b, None, timings, hit);

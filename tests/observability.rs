@@ -1,6 +1,6 @@
 //! Observability acceptance tests: an end-to-end traced service must emit
 //! a parseable, versioned JSON-lines document whose spans nest correctly
-//! (queue → coalesce → dispatch → serve → plan/prepare/execute) and whose
+//! (queue → serve → plan/prepare/execute) and whose
 //! durations reconcile with each request's `ServiceReport`; the metrics
 //! registry must mirror the service books; the flight recorder must stay
 //! bounded; and the JSON-lines layout itself is pinned by a golden file
@@ -128,9 +128,7 @@ fn traced_service_jsonl_nests_and_reconciles_with_reports() {
         let report = &by_id.get(&trace_id).expect("trace maps to a served request").report;
         let spans = line.get("spans").and_then(JsonValue::as_array).expect("spans array");
         let names = span_names(spans);
-        for want in
-            ["request", "queue", "coalesce", "dispatch", "serve", "plan", "prepare", "execute"]
-        {
+        for want in ["request", "queue", "serve", "plan", "prepare", "execute"] {
             assert!(names.contains(&want), "trace {trace_id} missing {want}: {names:?}");
         }
 
@@ -163,10 +161,10 @@ fn traced_service_jsonl_nests_and_reconciles_with_reports() {
                 .unwrap();
             (field_u64(s, "end_ns") - field_u64(s, "start_ns")) as f64 * 1e-9
         };
-        let pre_serve = dur_s("queue") + dur_s("coalesce") + dur_s("dispatch");
+        let queue = dur_s("queue");
         assert!(
-            (pre_serve - report.queue_seconds).abs() < 1e-5,
-            "trace {trace_id}: queue chain {pre_serve} vs report {}",
+            (queue - report.queue_seconds).abs() < 1e-5,
+            "trace {trace_id}: queue span {queue} vs report {}",
             report.queue_seconds,
         );
         assert!(

@@ -176,7 +176,7 @@ fn served_rectangular_rhs_matches_direct_engine() {
 #[test]
 fn four_shard_mixed_fingerprint_load_coalesces_and_hits_caches() {
     // 8 distinct operands × 8 requests each = 64 in-flight submissions
-    // across 4 shards. How they coalesce depends on how fast each shard
+    // across 4 shards. How long each waits depends on how fast its shard
     // drains; what they compute and how often each operand is prepared
     // does not. (Frozen planning: a feedback re-plan under a loaded
     // machine would legitimately prepare a second plan.)
