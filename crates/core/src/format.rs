@@ -23,6 +23,65 @@ use cw_sparse::{ColIdx, CsrMatrix, Value};
 /// Maximum rows per cluster supported by the `u8` member bitmask.
 pub const MAX_CLUSTER_LEN: usize = 8;
 
+/// Walks the union of `a`'s rows `rows` (at most [`MAX_CLUSTER_LEN`]) in
+/// ascending column order — a merge of the sorted rows, with no sort and
+/// nothing as wide as the matrix — calling `f(col, mask, at)` once per
+/// union column: bit `r` of `mask` says the `r`-th row holds `col`, stored
+/// at entry `at[r]` of `a`.
+pub(crate) fn merge_rows(
+    a: &CsrMatrix,
+    rows: std::ops::Range<usize>,
+    f: impl FnMut(ColIdx, u8, &[usize; MAX_CLUSTER_LEN]),
+) {
+    // Monomorphised on the row count, so the loops over rows unroll.
+    match rows.len() {
+        0 => {}
+        1 => merge_k::<1>(a, rows.start, f),
+        2 => merge_k::<2>(a, rows.start, f),
+        3 => merge_k::<3>(a, rows.start, f),
+        4 => merge_k::<4>(a, rows.start, f),
+        5 => merge_k::<5>(a, rows.start, f),
+        6 => merge_k::<6>(a, rows.start, f),
+        7 => merge_k::<7>(a, rows.start, f),
+        8 => merge_k::<8>(a, rows.start, f),
+        k => panic!("{k} rows exceed the {MAX_CLUSTER_LEN}-bit mask"),
+    }
+}
+
+#[inline(always)]
+fn merge_k<const K: usize>(
+    a: &CsrMatrix,
+    first: usize,
+    mut f: impl FnMut(ColIdx, u8, &[usize; MAX_CLUSTER_LEN]),
+) {
+    // The column at each row's cursor; `ColIdx::MAX` (never a column) once
+    // the row is done, so the loops below have no branches.
+    let (mut at, mut end) = ([0usize; MAX_CLUSTER_LEN], [0usize; K]);
+    let mut head = [ColIdx::MAX; K];
+    let next = |p: usize, end: usize| if p < end { a.col_idx[p] } else { ColIdx::MAX };
+    for r in 0..K {
+        (at[r], end[r]) = (a.row_ptr[first + r], a.row_ptr[first + r + 1]);
+        head[r] = next(at[r], end[r]);
+    }
+    loop {
+        let col = head.iter().fold(ColIdx::MAX, |m, &h| m.min(h));
+        if col == ColIdx::MAX {
+            return;
+        }
+        let mut mask = 0u8;
+        for (r, &h) in head.iter().enumerate() {
+            mask |= ((h == col) as u8) << r;
+        }
+        f(col, mask, &at);
+        for r in 0..K {
+            if mask >> r & 1 != 0 {
+                at[r] += 1;
+                head[r] = next(at[r], end[r]);
+            }
+        }
+    }
+}
+
 /// A partition of `0..nrows` into consecutive clusters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Clustering {
@@ -129,58 +188,34 @@ impl CsrCluster {
     /// consecutive rows.
     pub fn from_csr(a: &CsrMatrix, clustering: &Clustering) -> CsrCluster {
         clustering.validate(a.nrows).unwrap_or_else(|e| panic!("invalid clustering: {e}"));
-        let nclusters = clustering.nclusters();
         let row_start = clustering.row_starts();
-        let mut cluster_ptr = Vec::with_capacity(nclusters + 1);
-        cluster_ptr.push(0usize);
-        let mut val_ptr = Vec::with_capacity(nclusters + 1);
-        val_ptr.push(0usize);
-        let mut col_ids: Vec<ColIdx> = Vec::with_capacity(a.nnz());
-        let mut masks: Vec<u8> = Vec::with_capacity(a.nnz());
-        let mut vals: Vec<Value> = Vec::with_capacity(a.nnz() * 2);
-        let mut scratch: Vec<(ColIdx, u8)> = Vec::new();
-
-        for (c, &start) in row_start.iter().enumerate().take(nclusters) {
-            let base = start as usize;
-            let k = clustering.sizes[c] as usize;
-            // Gather (col, member-bit) pairs from all member rows.
-            scratch.clear();
-            for r in 0..k {
-                for &col in a.row_cols(base + r) {
-                    scratch.push((col, 1u8 << r));
-                }
-            }
-            scratch.sort_unstable_by_key(|&(col, _)| col);
-            // Merge into union columns + masks.
-            let union_begin = col_ids.len();
-            let mut i = 0usize;
-            while i < scratch.len() {
-                let col = scratch[i].0;
-                let mut mask = 0u8;
-                while i < scratch.len() && scratch[i].0 == col {
-                    mask |= scratch[i].1;
-                    i += 1;
-                }
-                col_ids.push(col);
-                masks.push(mask);
-            }
-            cluster_ptr.push(col_ids.len());
-            // Value slots, column-major with padding.
-            let union = col_ids.len() - union_begin;
-            let vals_begin = vals.len();
-            vals.resize(vals_begin + union * k, 0.0);
-            for (p, &col) in col_ids[union_begin..].iter().enumerate() {
-                let mask = masks[union_begin + p];
-                for r in 0..k {
-                    if mask & (1 << r) != 0 {
-                        let v = a.get(base + r, col as usize).unwrap_or(0.0);
-                        vals[vals_begin + p * k + r] = v;
+        let rows = |c: usize| row_start[c] as usize..row_start[c + 1] as usize;
+        // Pass 1 counts each cluster's union (a merge of its sorted rows),
+        // so every array is allocated once, at its size.
+        let (mut cluster_ptr, mut val_ptr) = (vec![0usize], vec![0usize]);
+        for (c, &k) in clustering.sizes.iter().enumerate() {
+            let mut union = 0;
+            merge_rows(a, rows(c), |_, _, _| union += 1);
+            cluster_ptr.push(cluster_ptr[c] + union);
+            val_ptr.push(val_ptr[c] + union * k as usize);
+        }
+        let union = cluster_ptr[clustering.nclusters()];
+        let (mut col_ids, mut masks) = (vec![0; union], vec![0; union]);
+        let mut vals = vec![0.0; val_ptr[clustering.nclusters()]];
+        // Pass 2 fills them: value slots column-major, padding left at 0.0.
+        for (c, &k) in clustering.sizes.iter().enumerate() {
+            let (mut p, mut slot, k) = (cluster_ptr[c], val_ptr[c], k as usize);
+            merge_rows(a, rows(c), |col, mask, at| {
+                (col_ids[p], masks[p]) = (col, mask);
+                for (r, &e) in at.iter().enumerate().take(k) {
+                    if mask >> r & 1 != 0 {
+                        vals[slot + r] = a.vals[e];
                     }
                 }
-            }
-            val_ptr.push(vals.len());
+                p += 1;
+                slot += k;
+            });
         }
-
         CsrCluster {
             nrows: a.nrows,
             ncols: a.ncols,

@@ -14,7 +14,8 @@
 //! * [`clusterwise_spgemm`] — the cluster-wise kernel (paper Alg. 1):
 //!   iterate clusters of `A`; for each column in the cluster's union
 //!   pattern, stream the `B` row once and apply it to every member row,
-//!   keeping the `B` row cache-resident across up to `max_cluster` rows.
+//!   into one accumulator per cluster whose entries are *lanes* of member
+//!   values (bit-identical to row-wise Gustavson).
 //! * [`memory`] — the Fig. 11 space accounting (`CSR_Cluster` vs CSR).
 //! * [`trace`] — B-row access traces of the cluster-wise kernel for the
 //!   cache-simulator experiments.
@@ -36,7 +37,9 @@ pub mod variable;
 pub use config::ClusterConfig;
 pub use format::{Clustering, CsrCluster};
 pub use hierarchical::{hierarchical_clustering, HierarchicalClustering};
-pub use kernel::{clusterwise_spgemm, clusterwise_spgemm_with};
+pub use kernel::{
+    clusterwise_spgemm, clusterwise_spgemm_labelled, clusterwise_spgemm_with, ClusterRows,
+};
 pub use variable::variable_clustering;
 
 use cw_sparse::CsrMatrix;

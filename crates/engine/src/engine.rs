@@ -220,7 +220,9 @@ impl Engine {
     /// built from — what lets a reordered square operand run two-sided
     /// ([`ExecutionReport::two_sided`]) — is decided by content, inside the
     /// kernel stage's seconds: see [`PreparedMatrix::multiply_shaped`]. The
-    /// `multiply*` methods settle it with `std::ptr::eq(a, b)` instead.
+    /// `multiply*` methods settle it with `std::ptr::eq(a, b)` instead, and a
+    /// caller holding a proof of its own passes it to
+    /// [`Engine::execute_prepared_proven`].
     pub fn execute_prepared_shaped(
         &mut self,
         prepared: &PreparedMatrix,
@@ -229,7 +231,25 @@ impl Engine {
         prep_timings: StageTimings,
         cache_hit: bool,
     ) -> (CsrMatrix, ExecutionReport) {
-        self.execute_resolved(prepared, b, false, mask, prep_timings, cache_hit, true)
+        self.execute_prepared_proven(prepared, b, false, mask, prep_timings, cache_hit)
+    }
+
+    /// [`Engine::execute_prepared_shaped`] with the caller's proof that `b`
+    /// is the matrix `prepared` was built from: a serving layer that was
+    /// handed one shared operand as both sides passes `Arc::ptr_eq(lhs,
+    /// rhs)`. `true` skips the content test (a sampled fingerprint and a
+    /// full checksum of `b`); `false` proves nothing, and the content test
+    /// still runs.
+    pub fn execute_prepared_proven(
+        &mut self,
+        prepared: &PreparedMatrix,
+        b: &CsrMatrix,
+        b_is_source: bool,
+        mask: Option<&CsrMatrix>,
+        prep_timings: StageTimings,
+        cache_hit: bool,
+    ) -> (CsrMatrix, ExecutionReport) {
+        self.execute_resolved(prepared, b, b_is_source, mask, prep_timings, cache_hit, true)
     }
 
     /// [`Engine::execute_prepared_shaped`] with the caller's proof, if it
@@ -275,6 +295,7 @@ impl Engine {
             plan: prepared.plan,
             two_sided,
             accumulator,
+            clustered: prepared.sharing_factor(),
             fingerprint: prepared.operand.fingerprint,
             cache_hit,
             timings,

@@ -7,10 +7,10 @@
 //! for an automatic pipeline that "predicts the best choice of reordering
 //! combined with the best clustering scheme". This crate is that pipeline,
 //! split into five explicit stages (see `docs/ARCHITECTURE.md` at the
-//! workspace root for the cross-crate picture). Every plan runs the
-//! row-wise kernel; the paper's cluster-wise kernel (`cw_core`) measured
-//! slower on every operand tried, so a clustering enters here only as a row
-//! order:
+//! workspace root for the cross-crate picture). A clustering enters a plan
+//! only as a row order; the paper's cluster-wise kernel (`cw_core`) runs
+//! wherever the prepared rows turn out to share their columns, which the
+//! preparation measures (stage 2):
 //!
 //! 1. **Plan** — [`Planner`] profiles the operand ([`Profile`], via
 //!    `cw-reorder`'s advisor) and turns the advisor's suggestions, in its
@@ -26,7 +26,11 @@
 //!    fits, Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
 //!    [`ExecutionReport::accumulator`] says which ran.
 //! 2. **Prepare** — [`PreparedMatrix::prepare`] materializes the plan once
-//!    (its row order computed and applied), with its seconds recorded. Prepared operands are reusable across any number
+//!    (its row order computed and applied, then Alg. 2's scan of the
+//!    reordered rows, keeping their clusters where each stored column feeds
+//!    enough member rows for the cluster-wise kernel to pay —
+//!    [`PreparedMatrix::sharing_factor`], [`ExecutionReport::clustered`]),
+//!    with its seconds recorded. Prepared operands are reusable across any number
 //!    of right-hand sides and always return results in the original row
 //!    order: the kernel stores each row where that order wants it, so no
 //!    pass follows it.
@@ -97,6 +101,7 @@ mod planner;
 mod prepared;
 mod report;
 
+pub use backend::MIN_SHARING_FACTOR;
 pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, OperandKey, PlanCache};
 pub use cost::{
     CostModel, FeedbackStore, PlanFeedbackState, PlanningPolicy, MIN_RACE_SECONDS, RACE_SAMPLES,

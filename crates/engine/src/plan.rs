@@ -4,9 +4,9 @@
 //! paper's evaluation shows matters for SpGEMM throughput, each said once:
 //! the row order — one of Table 1's reorderings, or hierarchical
 //! clustering's sweep (Alg. 3) — whether the kernel runs in parallel, and
-//! the output shape. Every plan runs row-wise Gustavson; the
-//! sparse accumulator is the kernel's, not the plan's (see
-//! [`Plan::spgemm_options`]). Plans are plain
+//! the output shape. No plan names a kernel — the prepared operand decides
+//! between row-wise and cluster-wise — and the sparse accumulator is the
+//! kernel's, not the plan's (see [`Plan::spgemm_options`]). Plans are plain
 //! `Copy + Eq + Hash` data: building one does no work
 //! ([`crate::PreparedMatrix`] materializes it), and the plan itself is the
 //! cache and feedback identity of the pipeline it describes.

@@ -12,7 +12,9 @@
 //! columns too: when the right-hand side is the very matrix the preparation
 //! was built from, the kernel also runs in the reordering's *column* labels
 //! and translates each row back as it extracts it — same bits, the caller's
-//! labels.
+//! labels. Where the reordered rows share their columns, the preparation
+//! also keeps them clustered and the multiply runs the paper's cluster-wise
+//! kernel on them ([`PreparedMatrix::sharing_factor`]).
 
 use crate::backend::{self, CpuOperand};
 use crate::cache::OperandKey;
@@ -33,9 +35,10 @@ pub struct PreparedMatrix {
     /// cache's and the feedback store's key; its fingerprint carries the
     /// operand's dimensions and `nnz`.
     pub operand: OperandKey,
-    /// What preparation cost: `cluster_seconds` under a
-    /// [`cw_reorder::Reordering::Hierarchical`] plan, `reorder_seconds` under
-    /// any other; every other stage is zero.
+    /// What preparation cost: the row order in `cluster_seconds` under a
+    /// [`cw_reorder::Reordering::Hierarchical`] plan, in `reorder_seconds`
+    /// under any other, plus the cluster scan in `cluster_seconds`; every
+    /// other stage is zero.
     pub timings: StageTimings,
     /// The row permutation `format` was built under (`None` when
     /// the rows did not move): kernel row `r` is original row `old_of(r)`,
@@ -75,8 +78,18 @@ impl PreparedMatrix {
         self.format.is_relabelled()
     }
 
+    /// The sharing factor of the operand's clusters (stored entries per
+    /// union column) when the preparation kept them and every multiply runs
+    /// the cluster-wise lane kernel; `None` when it runs row-wise. Decided at
+    /// preparation: Alg. 2 scans the reordered rows of every plan but the
+    /// baseline and masked ones, and the clusters are kept where they share
+    /// enough to pay.
+    pub fn sharing_factor(&self) -> Option<f64> {
+        self.format.sharing_factor()
+    }
+
     /// Approximate resident heap footprint in bytes: the materialized
-    /// operand — relabelled ids included — plus the row map (which doubles
+    /// operand — relabelled ids and clusters included — plus the row map (which doubles
     /// as the label map). Byte-bounded cache eviction
     /// ([`crate::CacheBudget::Bytes`]) sizes entries with this.
     pub fn approx_bytes(&self) -> usize {
@@ -275,7 +288,9 @@ mod tests {
             &cfg,
         );
         assert!(rcm.timings.reorder_seconds > 0.0);
-        assert_eq!(rcm.timings.cluster_seconds, 0.0);
+        // The order is reorder time; the cluster scan (which keeps no
+        // clusters on a mesh) is cluster time.
+        assert!(rcm.timings.cluster_seconds > 0.0 && rcm.sharing_factor().is_none());
         assert!(rcm.row_map.is_some());
         let hierarchical =
             PreparedMatrix::prepare(&a, Plan::from_suggestion(Suggestion::Hierarchical), 7, &cfg);

@@ -12,7 +12,8 @@ pub struct StageTimings {
     pub plan_seconds: f64,
     /// Reordering permutation computation (zero on cache hits).
     pub reorder_seconds: f64,
-    /// Hierarchical clustering's row order (zero on cache hits).
+    /// Hierarchical clustering's row order and the cluster scan every
+    /// reordered, unmasked preparation runs (zero on cache hits).
     pub cluster_seconds: f64,
     /// The SpGEMM kernel itself.
     pub kernel_seconds: f64,
@@ -52,6 +53,11 @@ pub struct ExecutionReport {
     /// The sparse accumulator the kernel ran: Dense wherever it fits the
     /// product's width, else Hash ([`AccumulatorKind::resolve`]).
     pub accumulator: AccumulatorKind,
+    /// Which kernel ran: `Some(sharing factor)` — stored entries per union
+    /// column of the clustered operand — when the cluster-wise lane kernel
+    /// ran, `None` for row-wise Gustavson
+    /// ([`crate::PreparedMatrix::sharing_factor`]).
+    pub clustered: Option<f64>,
     /// Fingerprint of the `A` operand.
     pub fingerprint: MatrixFingerprint,
     /// Whether the call was served from an already-prepared operand —
@@ -84,8 +90,12 @@ impl ExecutionReport {
             ),
         };
         let sides = if self.two_sided { " two-sided" } else { "" };
+        let kernel = match self.clustered {
+            Some(sharing) => format!("cluster-wise x{sharing:.2}"),
+            None => "row-wise".to_string(),
+        };
         format!(
-            "{}{sides} [{:?}] | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
+            "{}{sides} {kernel} [{:?}] | cache {} | prep {:.3}ms kernel {:.3}ms post {:.3}ms | nnz(C) {}{}",
             self.plan.describe(),
             self.accumulator,
             if self.cache_hit { "hit" } else { "miss" },
@@ -123,6 +133,7 @@ mod tests {
             plan: Plan::baseline(),
             two_sided: false,
             accumulator: AccumulatorKind::Dense,
+            clustered: None,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),
@@ -133,8 +144,11 @@ mod tests {
         assert!(s.contains("hit") && s.contains("42"), "{s}");
         assert!(s.contains("@parallel"), "where the kernel ran must be visible: {s}");
         assert!(s.contains("[Dense]"), "which accumulator ran must be visible: {s}");
-        let s = ExecutionReport { accumulator: AccumulatorKind::Hash, ..rep }.summary();
+        assert!(s.contains("row-wise [Dense]"), "which kernel ran must be visible: {s}");
+        let s = ExecutionReport { accumulator: AccumulatorKind::Hash, ..rep.clone() }.summary();
         assert!(s.contains("[Hash]") && !s.contains("Dense"), "{s}");
+        let s = ExecutionReport { clustered: Some(4.6875), ..rep }.summary();
+        assert!(s.contains("cluster-wise x4.69 [Dense]") && !s.contains("row-wise"), "{s}");
     }
 
     #[test]
@@ -143,6 +157,7 @@ mod tests {
             plan: Plan::baseline(),
             two_sided: false,
             accumulator: AccumulatorKind::Dense,
+            clustered: None,
             fingerprint: fingerprint(&CsrMatrix::identity(4)),
             cache_hit: true,
             timings: StageTimings::default(),

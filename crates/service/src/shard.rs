@@ -223,10 +223,14 @@ fn serve(engine: &mut Engine, ctx: &WorkerCtx, sub: Submission) {
     // Execute + record + report through the engine's shared tail: each
     // shard owns its engine, so measured kernels feed its races with no
     // cross-thread locking. A forced plan never seeds a race; it is a race
-    // sample only when it is the very plan the race asked for.
-    let (product, execution) = engine.execute_prepared_shaped(
+    // sample only when it is the very plan the race asked for. One `Arc` on
+    // both sides (an `A²` request, or a wire SUBMIT flagged rhs-is-lhs) is
+    // the proof that `rhs` is the prepared operand; anything else is proven
+    // by content.
+    let (product, execution) = engine.execute_prepared_proven(
         &prepared,
         &sub.rhs,
+        Arc::ptr_eq(&sub.lhs, &sub.rhs),
         sub.shape.mask().map(Arc::as_ref),
         prep_timings,
         cache_hit,

@@ -60,10 +60,10 @@ const DENSE_BYTES_PER_COL: usize = 16;
 /// block matrices, 16 k–260 k columns, 2-vCPU x86-64).
 const DENSE_MAX_BYTES: usize = 1 << 20;
 
-/// Whether `per_worker` dense accumulators over `ncols` output columns fit
-/// in one worker's budget: `per_worker × ncols × 16 B ≤ 1 MiB`. A row-wise
-/// kernel holds one per worker (Dense up to 65 536 columns), the cluster-wise
-/// kernel one per member row of a cluster (up to 8 192 columns at eight).
+/// Whether a dense accumulator over `ncols` output columns fits in one
+/// worker's budget: `ncols × 16 B ≤ 1 MiB`, i.e. up to 65 536 columns. Every
+/// kernel holds one accumulator per worker; the cluster-wise kernel's column
+/// → lane map follows the same rule.
 ///
 /// Every kernel that allocates a dense accumulator applies it to the width
 /// it allocates for through [`AccumulatorKind::resolve`], running
@@ -73,12 +73,11 @@ const DENSE_MAX_BYTES: usize = 1 << 20;
 /// ```
 /// use cw_spgemm::accumulator::dense_fits;
 ///
-/// assert!(dense_fits(65_536, 1) && !dense_fits(65_537, 1));
-/// assert!(dense_fits(8_192, 8) && !dense_fits(8_193, 8));
-/// assert!(!dense_fits(usize::MAX, 2));
+/// assert!(dense_fits(65_536) && !dense_fits(65_537));
+/// assert!(!dense_fits(usize::MAX));
 /// ```
-pub fn dense_fits(ncols: usize, per_worker: usize) -> bool {
-    per_worker.saturating_mul(ncols).saturating_mul(DENSE_BYTES_PER_COL) <= DENSE_MAX_BYTES
+pub fn dense_fits(ncols: usize) -> bool {
+    ncols.saturating_mul(DENSE_BYTES_PER_COL) <= DENSE_MAX_BYTES
 }
 
 /// Rows of at most this many entries are extracted by rank placement
@@ -134,12 +133,12 @@ pub enum AccumulatorKind {
 }
 
 impl AccumulatorKind {
-    /// The accumulator a kernel that holds `per_worker` accumulators over
-    /// `ncols` output columns runs when asked for `self`: Dense only where
-    /// [`dense_fits`] holds, Hash otherwise. Both give the same bits.
-    pub fn resolve(self, ncols: usize, per_worker: usize) -> AccumulatorKind {
+    /// The accumulator a kernel runs over `ncols` output columns when asked
+    /// for `self`: Dense only where [`dense_fits`] holds, Hash otherwise.
+    /// Both give the same bits.
+    pub fn resolve(self, ncols: usize) -> AccumulatorKind {
         match self {
-            AccumulatorKind::Dense if dense_fits(ncols, per_worker) => AccumulatorKind::Dense,
+            AccumulatorKind::Dense if dense_fits(ncols) => AccumulatorKind::Dense,
             _ => AccumulatorKind::Hash,
         }
     }
@@ -586,17 +585,11 @@ pub(crate) mod tests {
     #[test]
     fn resolve_runs_dense_up_to_one_mib_per_worker() {
         use AccumulatorKind::{Dense, Hash};
-        // 16 B per column: one row-wise accumulator fits 65 536 columns in
-        // 1 MiB, eight cluster members 8 192 each.
-        for (ncols, per_worker, ran) in [
-            (65_536, 1, Dense),
-            (65_537, 1, Hash),
-            (8_192, 8, Dense),
-            (8_193, 8, Hash),
-            (usize::MAX, 1, Hash),
-        ] {
-            assert_eq!(Dense.resolve(ncols, per_worker), ran, "{ncols} × {per_worker}");
-            assert_eq!(Hash.resolve(ncols, per_worker), Hash, "Hash is never widened to Dense");
+        // 16 B per column: one accumulator per worker fits 65 536 columns in
+        // 1 MiB.
+        for (ncols, ran) in [(65_536, Dense), (65_537, Hash), (usize::MAX, Hash)] {
+            assert_eq!(Dense.resolve(ncols), ran, "{ncols}");
+            assert_eq!(Hash.resolve(ncols), Hash, "Hash is never widened to Dense");
         }
     }
 

@@ -279,7 +279,7 @@ pub fn spgemm_masked_mapped(
     );
     assert_eq!((mask.nrows, mask.ncols), (a.nrows, b.ncols), "mask must match the product's shape");
     debug_assert!(mask.validate().is_ok(), "mask violates the CSR invariant");
-    match opts.acc.resolve(b.ncols, 1) {
+    match opts.acc.resolve(b.ncols) {
         AccumulatorKind::Dense => masked_kernel::<StampedDense>(a, b, mask, opts, row_map),
         AccumulatorKind::Hash => masked_kernel::<SeededHash>(a, b, mask, opts, row_map),
     }

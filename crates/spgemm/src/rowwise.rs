@@ -148,7 +148,7 @@ pub fn spgemm_labelled<L: LabelMap>(
     );
     // One dense accumulator per worker, `b.ncols` wide — or, where that
     // does not fit, the hash accumulator and the same bits.
-    let kernel = match opts.acc.resolve(b.ncols, 1) {
+    let kernel = match opts.acc.resolve(b.ncols) {
         AccumulatorKind::Dense => rowwise_kernel::<DenseAccumulator, L>,
         AccumulatorKind::Hash => rowwise_kernel::<HashAccumulator, L>,
     };
@@ -209,7 +209,7 @@ fn rowwise_kernel<A: Accumulator, L: LabelMap>(
 /// multiply: the kernels size their output from the FLOP upper bound and
 /// never accumulate a row twice.
 pub fn symbolic_row_nnz(a: &CsrMatrix, b: &CsrMatrix, kind: AccumulatorKind) -> Vec<usize> {
-    match kind.resolve(b.ncols, 1) {
+    match kind.resolve(b.ncols) {
         AccumulatorKind::Dense => symbolic_kernel::<DenseAccumulator>(a, b),
         AccumulatorKind::Hash => symbolic_kernel::<HashAccumulator>(a, b),
     }

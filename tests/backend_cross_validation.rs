@@ -374,7 +374,7 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
                         // under a masked plan.
                         let masked = shape == OutputShape::Masked;
                         let banded = matches!(reorder, Reordering::Rcm | Reordering::Hierarchical);
-                        let below_floor = small && dense_fits(a.ncols, 1);
+                        let below_floor = small && dense_fits(a.ncols);
                         assert_eq!(
                             prepared.is_relabelled(),
                             banded && !masked && !below_floor,
@@ -384,6 +384,76 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
                             report.two_sided,
                             b_is_a && prepared.is_relabelled(),
                             "{what}: wrong arm ({})",
+                            report.summary()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_clustered_operand_runs_the_lane_kernel_bit_identically_on_both_arms() {
+    // The lane arm of the table: near-duplicate rows, shuffled, past the
+    // 128 KiB relabelling floor. Every unmasked plan keeps the operand
+    // clustered (ExecutionReport::clustered) and runs the cluster-wise lane
+    // kernel — two-sided when `b` is proven to be `a` (the same reference,
+    // or a content-equal clone), one-sided otherwise; a masked plan never
+    // scans and runs row-wise. Whatever ran, the product is
+    // `spgemm_serial(a, b)` under the shape transforms, bit for bit, in
+    // pools of one, two and four workers and at the process-wide width.
+    let natural = gen::banded::block_diagonal(2_000, (6, 10), 0.02, 5);
+    let a = clusterwise_spgemm::reorder::random_permutation(natural.nrows, 9)
+        .permute_symmetric(&natural);
+    assert!(a.memory_bytes() >= 128 << 10);
+    let clone = a.clone();
+    let mut other = a.clone();
+    other.vals[0] += 1.0;
+    let mut engine = Engine::default();
+    let mut run = |plan: Plan, b: &CsrMatrix| {
+        let mask = (plan.shape == OutputShape::Masked).then_some(&a);
+        let (prepared, timings, hit) = engine.prepare_with_shape(&a, Some(plan), plan.shape);
+        // `multiply_planned` proves `b` by reference but takes no mask.
+        let (got, report) = if std::ptr::eq(b, &a) && mask.is_none() {
+            engine.multiply_planned(&a, b, plan)
+        } else {
+            engine.execute_prepared_shaped(&prepared, b, mask, timings, hit)
+        };
+        (got, report, prepared.is_relabelled())
+    };
+    for reorder in [Reordering::Rcm, Reordering::Hierarchical] {
+        for parallel in [false, true] {
+            for shape in [OutputShape::Full, OutputShape::TopK(2), OutputShape::Masked] {
+                let plan = Plan { reorder, parallel, shape };
+                for (name, b, b_is_a) in
+                    [("a", &a, true), ("a clone", &clone, true), ("not a", &other, false)]
+                {
+                    let full = spgemm_serial(&a, b);
+                    let expect = match shape {
+                        OutputShape::Full => full,
+                        OutputShape::TopK(k) => row_topk(&full, k),
+                        OutputShape::Masked => apply_mask(&full, &a),
+                    };
+                    for width in [None, Some(1), Some(2), Some(4)] {
+                        let what = format!("{name} under {} at width {width:?}", plan.describe());
+                        let (got, report, relabelled) = match width {
+                            None => run(plan, b),
+                            Some(w) => rayon::with_pool_width(w, || run(plan, b)),
+                        };
+                        assert!(got.bits_eq(&expect), "{what}: bits changed");
+                        let masked = shape == OutputShape::Masked;
+                        assert_eq!(
+                            report.clustered.is_some(),
+                            !masked,
+                            "{what}: {}",
+                            report.summary()
+                        );
+                        assert_eq!(relabelled, !masked, "{what}");
+                        assert_eq!(
+                            report.two_sided,
+                            b_is_a && !masked,
+                            "{what}: {}",
                             report.summary()
                         );
                     }

@@ -180,3 +180,53 @@ fn a_right_hand_side_too_wide_for_dense_runs_hash_with_the_same_bits() {
     assert_eq!(report.accumulator, AccumulatorKind::Dense, "{}", report.summary());
     assert!(got.bits_eq(&spgemm_serial(&a, &a)));
 }
+
+/// `natural` with rows and columns shuffled by one random permutation.
+fn shuffled(natural: CsrMatrix) -> CsrMatrix {
+    clusterwise_spgemm::reorder::random_permutation(natural.nrows, 17).permute_symmetric(&natural)
+}
+
+#[test]
+fn the_report_names_the_kernel_the_operand_chose() {
+    // Near-duplicate rows cluster once RCM has put them side by side, and
+    // the lane kernel runs (two-sided: `b` is `a`); a mesh with one unknown
+    // per node forms no clusters under either order and runs row-wise.
+    // Either way the bits are the serial product's.
+    let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
+    let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
+    let blocks = shuffled(gen::banded::block_diagonal(4_000, (6, 10), 0.02, 1));
+    let mesh = shuffled(gen::mesh::tri_mesh(60, 60, false, 1));
+    for (a, plan, lanes) in
+        [(&blocks, rcm, true), (&mesh, rcm, false), (&mesh, hierarchical, false)]
+    {
+        let mut engine = Engine::default();
+        let (got, report) = engine.multiply_planned(a, a, plan);
+        let summary = report.summary();
+        assert!(got.bits_eq(&spgemm_serial(a, a)), "{summary}");
+        assert_eq!(report.clustered.is_some(), lanes, "{summary}");
+        if lanes {
+            let sharing = report.clustered.unwrap();
+            assert!(sharing > 4.0, "{summary}");
+            assert!(summary.contains(&format!("cluster-wise x{sharing:.2} [Dense]")), "{summary}");
+            assert!(report.two_sided, "{summary}");
+        } else {
+            assert!(summary.contains("row-wise [Dense]"), "{summary}");
+        }
+        // The scan is charged to the preparation as cluster time.
+        assert!(report.timings.cluster_seconds > 0.0, "{summary}");
+    }
+}
+
+#[test]
+fn a_clustered_operand_against_a_too_wide_rhs_runs_hashed_lanes() {
+    // The lane kernel's column map resolves like a row-wise accumulator:
+    // past Dense's width it hashes, with the same bits.
+    let a = shuffled(gen::banded::block_diagonal(1_600, (6, 10), 0.02, 2));
+    let b = wide_rhs(100_000_000);
+    let mut engine = Engine::default();
+    let plan = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
+    let (got, report) = engine.multiply_planned(&a, &b, plan);
+    assert!(report.clustered.is_some() && !report.two_sided, "{}", report.summary());
+    assert_eq!(report.accumulator, AccumulatorKind::Hash, "{}", report.summary());
+    assert!(got.bits_eq(&spgemm_serial(&a, &b)));
+}

@@ -10,14 +10,17 @@
 //! operands — the masked kernel against the oracle filtered by `apply_mask`,
 //! a mapped kernel against the oracle with its rows moved the same way, a
 //! labelled kernel (run on `P·A·Pᵀ` with ids left in `A`'s order) against the
-//! oracle itself, and the cluster-wise kernel (rows in its operand's order)
-//! against the serial product of that operand.
+//! oracle itself, and the cluster-wise lane kernel — fixed clusters of 1, 4
+//! and 8 rows, variable and hierarchical ones; rows mapped, and two-sided on
+//! relabelled union ids — against the serial product of its operand, moved
+//! and labelled the same way.
 
-use clusterwise_spgemm::core::clusterwise_spgemm_with;
+use clusterwise_spgemm::core::{clusterwise_spgemm_labelled, clusterwise_spgemm_with, ClusterRows};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::reorder::random_permutation;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::spgemm::flops::multiply_adds;
+use clusterwise_spgemm::spgemm::SameLabels;
 use clusterwise_spgemm::spgemm::{
     spgemm_colwise, spgemm_heap, spgemm_labelled, spgemm_mapped, spgemm_masked_mapped,
     spgemm_pattern, CsrRows,
@@ -157,6 +160,20 @@ fn degenerate_operands() -> Vec<(&'static str, CsrMatrix, CsrMatrix)> {
             .map(|i| (0..8).step_by(i % 3 + 1).map(|j| (j, odd[(i + j) % 8])).collect())
             .collect(),
     );
+    // The same values in sixteen full rows: clusters of eight members with
+    // every union column full (the cluster-wise kernel's unmasked lanes),
+    // then an empty row in each half for the masked ones.
+    let odd_full = |gaps: bool| {
+        let row = |i: usize| (0..8).map(|j| (j, odd[(i + 3 * j) % 8])).collect();
+        let rows = (0..16).map(|i| if gaps && i % 8 == 5 { vec![] } else { row(i) }).collect();
+        CsrMatrix::from_row_lists(8, rows)
+    };
+    let square = |m: &CsrMatrix| {
+        // `B` is the 8 × 8 operand of `m`'s first eight rows.
+        let rows = (0..8).map(|k| m.row_cols(k).iter().zip(m.row_vals(k)));
+        let rows = rows.map(|r| r.map(|(&j, &v)| (j as usize, v)).collect()).collect();
+        CsrMatrix::from_row_lists(8, rows)
+    };
 
     // 50 partial products collapse into each output entry: every row of A
     // hits the same 50 B rows, which all share the same 8 columns of 1000.
@@ -175,6 +192,8 @@ fn degenerate_operands() -> Vec<(&'static str, CsrMatrix, CsrMatrix)> {
         ("outer-nx1-1xn", dense(40, 1), dense(1, 40)),
         ("cancellation", cancel_a, cancel_b),
         ("nan-and-signed-zero", odd_a.clone(), odd_a),
+        ("full-clusters-of-odd-values", odd_full(false), square(&odd_full(false))),
+        ("full-clusters-with-empty-rows", odd_full(true), square(&odd_full(true))),
         ("high-compression", dense(40, 50), hubs_b),
     ]
 }
@@ -294,13 +313,18 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
                                 &oracle,
                                 &format!("{what} row-wise"),
                             );
-                            // The cluster-wise kernel keeps its operand's
-                            // row order.
-                            for (label, cc, expect) in clustered.iter().filter(|_| map.is_none()) {
-                                let got = clusterwise_spgemm_with(cc, &b, &opts);
+                            // Cluster-wise, the rows of its own operand moved.
+                            for (label, cc, expect) in &clustered {
+                                let got = clusterwise_spgemm_labelled(
+                                    cc.into(),
+                                    (&b).into(),
+                                    &opts,
+                                    map,
+                                    &SameLabels,
+                                );
                                 assert_bits_eq(
                                     &got,
-                                    expect,
+                                    &moved(expect),
                                     &format!("{what} cluster-wise {label}"),
                                 );
                             }
@@ -323,9 +347,10 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
     // map and label map. The result must be `A · A` itself — rows, column
     // labels, and every bit of every sum — on operands holding NaN, ±0.0,
     // ±inf, empty rows and a dense row, under permutations that keep fixed
-    // points, reverse, and shuffle. The cluster-wise kernel, which keeps
-    // its operand's labels, runs fixed-length clusters of the same `P·A`
-    // against `A` and must return the serial `P·A · A`.
+    // points, reverse, and shuffle. The cluster-wise kernel runs fixed-length
+    // clusters of the same `P·A` both ways: against `A` in `A`'s labels it
+    // must return the serial `P·A · A`, and with its union ids relabelled
+    // against the relabelled rows, `A · A` itself.
     for (name, a, _) in degenerate_operands() {
         if a.nrows != a.ncols || a.nrows < 2 {
             continue;
@@ -345,9 +370,13 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
             let relabel = |ids: &[u32]| ids.iter().map(|&c| inv[c as usize]).collect::<Vec<u32>>();
             let ids = relabel(&pa.col_idx);
             let rows = CsrRows { ids: &ids, ..CsrRows::from(&pa) };
-            let clustered: Vec<(usize, CsrCluster)> = [1usize, 3, 8]
+            let clustered: Vec<(usize, CsrCluster, Vec<u32>)> = [1usize, 3, 8]
                 .into_iter()
-                .map(|k| (k, CsrCluster::from_csr(&pa, &fixed_clustering(&pa, k))))
+                .map(|k| {
+                    let cc = CsrCluster::from_csr(&pa, &fixed_clustering(&pa, k));
+                    let union = relabel(&cc.col_ids);
+                    (k, cc, union)
+                })
                 .collect();
             let pa_oracle = spgemm_serial(&pa, &a);
             for width in [1usize, 2] {
@@ -362,9 +391,21 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
                                 &oracle,
                                 &format!("{what} row-wise"),
                             );
-                            for (k, cc) in &clustered {
+                            for (k, cc, union) in &clustered {
                                 let got = clusterwise_spgemm_with(cc, &a, &opts);
                                 assert_bits_eq(&got, &pa_oracle, &format!("{what} fixed({k})"));
+                                let two_sided = ClusterRows { ids: union, ..cc.into() };
+                                assert_bits_eq(
+                                    &clusterwise_spgemm_labelled(
+                                        two_sided,
+                                        rows,
+                                        &opts,
+                                        Some(&p),
+                                        &p,
+                                    ),
+                                    &oracle,
+                                    &format!("{what} fixed({k}) two-sided"),
+                                );
                             }
                         }
                     }

@@ -2,6 +2,7 @@
 //! invariants: format round-trips, kernel correctness against a dense
 //! reference, permutation algebra, clustering laws, and similarity bounds.
 
+use clusterwise_spgemm::core::clusterwise_spgemm_with;
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::jaccard::{jaccard, jaccard_from_overlap};
 use clusterwise_spgemm::sparse::CooMatrix;
@@ -103,9 +104,10 @@ proptest! {
         })
     ) {
         let cc = CsrCluster::from_csr(&a, &clustering);
-        let got = clusterwise_spgemm(&cc, &a);
         let expected = spgemm_serial(&a, &a);
-        prop_assert!(got.approx_eq(&expected, 1e-9));
+        prop_assert!(clusterwise_spgemm(&cc, &a).bits_eq(&expected));
+        let opts = SpGemmOptions { acc: AccumulatorKind::Dense, parallel: false, chunks_per_thread: 1 };
+        prop_assert!(clusterwise_spgemm_with(&cc, &a, &opts).bits_eq(&expected));
     }
 
     #[test]

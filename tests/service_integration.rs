@@ -275,3 +275,37 @@ fn admitted_requests_resolve_ok_even_when_waited_after_shutdown() {
         }
     }
 }
+
+#[test]
+fn one_arc_on_both_sides_proves_the_rhs_and_a_distinct_one_proves_by_content() {
+    // A request whose rhs is its lhs's very `Arc` hands the engine that
+    // proof; an equal matrix in an `Arc` of its own is proven by content.
+    // Both run two-sided on the clustered operand, with the same bits. A
+    // different matrix in an `Arc` of its own proves nothing and runs
+    // one-sided.
+    let natural = gen::banded::block_diagonal(3_000, (6, 10), 0.02, 4);
+    let a = Arc::new(
+        clusterwise_spgemm::reorder::random_permutation(natural.nrows, 3)
+            .permute_symmetric(&natural),
+    );
+    let copy = Arc::new((*a).clone());
+    let mut other = (*a).clone();
+    other.vals[0] += 1.0;
+    let other = Arc::new(other);
+    let service = SpgemmService::new(ServiceConfig {
+        shards: 1,
+        policy: PlanningPolicy::frozen(),
+        ..ServiceConfig::default()
+    });
+    let plan = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
+    for (rhs, is_a) in [(Arc::clone(&a), true), (copy, true), (other, false)] {
+        let expect = spgemm_serial(&a, &rhs);
+        let request = MultiplyRequest::new(Arc::clone(&a), rhs).with_plan(plan);
+        let served = service.submit(request).unwrap().wait().unwrap();
+        let execution = &served.report.execution;
+        assert!(served.product.bits_eq(&expect), "{}", execution.summary());
+        assert_eq!(execution.two_sided, is_a, "{}", execution.summary());
+        assert!(execution.clustered.is_some(), "{}", execution.summary());
+    }
+    service.shutdown();
+}
