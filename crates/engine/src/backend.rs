@@ -53,59 +53,90 @@ use cw_core::{
     CsrCluster,
 };
 use cw_reorder::Reordering;
-use cw_sparse::{ColIdx, CsrMatrix, Permutation};
-use cw_spgemm::accumulator::{dense_fits, SameLabels};
+use cw_sparse::{ColIdx, CsrMatrix, Permutation, Value};
+use cw_spgemm::accumulator::SameLabels;
 use cw_spgemm::rowwise::{spgemm_labelled, spgemm_mapped, CsrRows};
 use cw_spgemm::AccumulatorKind;
 use std::time::Instant;
 
-/// The materialized left operand: `A`'s rows in the plan's order, the same
-/// ids in the permuted label space where two-sided execution can apply, and
-/// the rows' clusters where they pay (module docs; [`materialize`] says
-/// when).
+/// The materialized left operand, holding only what its arms of `execute`
+/// read: `A`'s rows in the plan's order, or their clusters where they pay
+/// (module docs; [`materialize`] says which), each with the same ids in the
+/// permuted label space where two-sided execution can apply.
 #[derive(Debug, Clone)]
-pub(crate) struct CpuOperand {
-    /// `P·A`: rows moved, column ids the caller's.
-    pa: CsrMatrix,
-    /// `inv[pa.col_idx[p]]` for every stored entry, in `pa`'s order.
-    /// With `pa`'s `row_ptr` and `vals` this is `P·A·Pᵀ` — both operands
-    /// of a two-sided product — except that a row's ids are in the
-    /// caller's ascending order, not their own.
-    relabelled: Option<Vec<ColIdx>>,
-    /// `pa` in `CSR_Cluster` form, which the lane kernel runs on instead.
-    clustered: Option<Clustered>,
+pub(crate) enum CpuOperand {
+    /// Run row-wise.
+    Rows {
+        /// `P·A`: rows moved, column ids the caller's.
+        pa: CsrMatrix,
+        /// `inv[pa.col_idx[p]]` for every stored entry, in `pa`'s order.
+        /// With `pa`'s `row_ptr` and `vals` this is `P·A·Pᵀ` — both
+        /// operands of a two-sided product — except that a row's ids are in
+        /// the caller's ascending order, not their own.
+        relabelled: Option<Vec<ColIdx>>,
+    },
+    /// `P·A`'s consecutive rows grouped by Alg. 2, kept because they share
+    /// columns enough to pay ([`MIN_SHARING_FACTOR`]); the lane kernel runs
+    /// on them.
+    Clusters {
+        cc: CsrCluster,
+        /// `nnz / union columns`.
+        sharing: f64,
+        /// Present exactly when the rows' ids are relabelled.
+        two_sided: Option<TwoSided>,
+    },
 }
 
-/// `P·A`'s consecutive rows grouped by Alg. 2, kept because they share
-/// columns enough to pay ([`MIN_SHARING_FACTOR`]).
+/// What the two-sided lane arm reads in place of `cc.col_ids` and `b`:
+/// `P·A·Pᵀ`'s union ids, and its rows as the right-hand side.
 #[derive(Debug, Clone)]
-struct Clustered {
-    cc: CsrCluster,
-    /// `inv[id]` for every union id, parallel to `cc.col_ids`: present
-    /// exactly when the operand's own ids are relabelled.
-    relabelled: Option<Vec<ColIdx>>,
-    /// `nnz / union columns`.
-    sharing: f64,
+pub(crate) struct TwoSided {
+    /// `inv[id]` for every union id, parallel to `cc.col_ids`.
+    union: Vec<ColIdx>,
+    /// `P·A`'s row offsets.
+    row_ptr: Vec<usize>,
+    /// `inv[col]` for every stored entry of `P·A`, each row left in the
+    /// caller's ascending order.
+    ids: Vec<ColIdx>,
+    /// `P·A`'s values, parallel to `ids`.
+    vals: Vec<Value>,
 }
 
 impl CpuOperand {
     /// Approximate resident heap footprint in bytes, relabelled ids and
     /// clusters included.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let ids = |ids: &Option<Vec<ColIdx>>| ids.as_deref().map_or(0, std::mem::size_of_val);
-        let clustered =
-            self.clustered.as_ref().map_or(0, |c| c.cc.memory_bytes() + ids(&c.relabelled));
-        self.pa.memory_bytes() + ids(&self.relabelled) + clustered
+        use std::mem::size_of_val;
+        match self {
+            CpuOperand::Rows { pa, relabelled } => {
+                pa.memory_bytes() + relabelled.as_deref().map_or(0, size_of_val)
+            }
+            CpuOperand::Clusters { cc, two_sided, .. } => {
+                cc.memory_bytes()
+                    + two_sided.as_ref().map_or(0, |t| {
+                        size_of_val(&t.union[..])
+                            + size_of_val(&t.row_ptr[..])
+                            + size_of_val(&t.ids[..])
+                            + size_of_val(&t.vals[..])
+                    })
+            }
+        }
     }
 
     /// Whether a two-sided product can run on this operand.
     pub(crate) fn is_relabelled(&self) -> bool {
-        self.relabelled.is_some()
+        match self {
+            CpuOperand::Rows { relabelled, .. } => relabelled.is_some(),
+            CpuOperand::Clusters { two_sided, .. } => two_sided.is_some(),
+        }
     }
 
     /// The clustered form's sharing factor, when the lane kernel runs.
     pub(crate) fn sharing_factor(&self) -> Option<f64> {
-        self.clustered.as_ref().map(|c| c.sharing)
+        match self {
+            CpuOperand::Rows { .. } => None,
+            CpuOperand::Clusters { sharing, .. } => Some(*sharing),
+        }
     }
 }
 
@@ -137,25 +168,6 @@ pub const MIN_SHARING_FACTOR: f64 = 2.75;
 /// (power-law graphs under Degree or RCM); a random order reads 0.33.
 const MAX_RELABELLED_DISTANCE: f64 = 0.1;
 
-/// Where the kernel runs a dense accumulator at the operand's own width,
-/// the smallest operand (bytes of `P·A` as CSR) whose relabelling is kept. A
-/// dense accumulator's slots are as near each other as the cache they sit in
-/// makes them, so relabelling `C`'s columns buys it nothing until the
-/// operand outgrows that cache, while a
-/// relabelled preparation still pays: the relabelling pass on every cache
-/// miss and, wherever only `b` is in hand (every service and wire request),
-/// a fingerprint and full checksum of `b` to prove it is the source. Kernel
-/// seconds two-sided ÷ one-sided on shuffled `tri_mesh(s, s)` under RCM
-/// (serial / parallel, 2-vCPU x86-64, short rows extracted by rank): 30 KB
-/// ×1.00 / 1.00, 69 KB ×1.00 / 1.00, 124 KB ×0.97 / 0.99, 282 KB ×0.92 /
-/// 0.93, 504 KB ×0.90 / 0.86, 2.0 MB ×0.79 / 0.82, 4.6 MB ×0.67 / 0.76 —
-/// nothing to gain below the floor, and the 30 KB operands of the
-/// benchmark's `service-small` served ×1.09 slower end to end without it.
-/// The hash accumulator reads ×0.65–0.89 at every one of those sizes
-/// (relabelled ids come in near-consecutive runs, which its low-bits hash
-/// spreads over distinct slots) and has no floor.
-const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
-
 /// Materializes the operand for `plan`: computes and applies the row
 /// permutation, relabels the operand's ids for two-sided execution where
 /// that can apply, clusters the reordered rows where that pays, and records
@@ -167,19 +179,17 @@ const DENSE_RELABELLED_MIN_BYTES: usize = 128 << 10;
 /// Every plan but the baseline (which prepares nothing) and a masked plan
 /// (whose fused kernel is row-wise) scans `P·A` for clusters: Alg. 2 under
 /// [`ClusterConfig::default`]. Where the clusters share at least
-/// [`MIN_SHARING_FACTOR`] they are kept in `CSR_Cluster` form beside `P·A` —
-/// with their union ids relabelled too when the operand's are — and the
-/// lane kernel runs on them.
+/// [`MIN_SHARING_FACTOR`] they are kept in `CSR_Cluster` form instead of
+/// `P·A` — with their union ids and `P·A·Pᵀ`'s rows kept relabelled too
+/// when the operand's ids are — and the lane kernel runs on them.
 ///
 /// The relabelled ids (`inv[col]`, each row left in the caller's ascending
 /// order) are kept when the operand is square and its rows moved — the
 /// only case in which `b` can be the operand itself *and* a relabelling
 /// differs from the ids already there — and the order made the operand
-/// banded enough to pay ([`MAX_RELABELLED_DISTANCE`]; where the kernel runs
-/// a dense accumulator at the operand's width, the operand must also be past
-/// [`DENSE_RELABELLED_MIN_BYTES`]); never for a masked plan, whose fused
-/// kernel is keyed on the mask's own columns and stays one-sided. One pass
-/// over the ids, charged to the order's stage.
+/// banded enough to pay ([`MAX_RELABELLED_DISTANCE`]); never for a masked
+/// plan, whose fused kernel is keyed on the mask's own columns and stays
+/// one-sided. One pass over the ids, charged to the order's stage.
 ///
 /// The returned permutation is the applied reordering (`new → old`:
 /// kernel row `r` is original row `old_of(r)`), which is exactly the row
@@ -192,53 +202,63 @@ pub(crate) fn materialize(
 ) -> (CpuOperand, Option<Permutation>, StageTimings) {
     let mut timings = StageTimings::default();
     if !plan.has_preprocessing() {
-        return (CpuOperand { pa: a.clone(), relabelled: None, clustered: None }, None, timings);
+        return (CpuOperand::Rows { pa: a.clone(), relabelled: None }, None, timings);
     }
     let t0 = Instant::now();
     let p = plan.reorder.compute(a, seed);
     let pa = p.permute_rows(a);
     // A permutation that moves nothing needs no row map.
     let row_map = (!p.is_identity()).then_some(p);
-    let small_and_dense = dense_fits(a.ncols) && pa.memory_bytes() < DENSE_RELABELLED_MIN_BYTES;
     let inv = row_map
         .as_ref()
-        .filter(|_| a.nrows == a.ncols && plan.shape != OutputShape::Masked && !small_and_dense)
+        .filter(|_| a.nrows == a.ncols && plan.shape != OutputShape::Masked)
         .map(Permutation::inverse_map);
-    let relabelled = inv.as_deref().and_then(|inv| relabel_rows(&pa, inv));
+    let relabelled = inv.as_deref().and_then(|inv| Some((relabel_rows(&pa, inv)?, inv)));
     let seconds = t0.elapsed().as_secs_f64();
     if plan.reorder == Reordering::Hierarchical {
         timings.cluster_seconds = seconds;
     } else {
         timings.reorder_seconds = seconds;
     }
-    let clustered = (plan.shape != OutputShape::Masked)
-        .then(|| {
-            let t1 = Instant::now();
-            let clustered = cluster(&pa, relabelled.as_ref().and(inv.as_deref()));
-            timings.cluster_seconds += t1.elapsed().as_secs_f64();
-            clustered
-        })
-        .flatten();
-    (CpuOperand { pa, relabelled, clustered }, row_map, timings)
+    let operand = if plan.shape == OutputShape::Masked {
+        CpuOperand::Rows { pa, relabelled: None }
+    } else {
+        let t1 = Instant::now();
+        let operand = cluster(pa, relabelled);
+        timings.cluster_seconds += t1.elapsed().as_secs_f64();
+        operand
+    };
+    (operand, row_map, timings)
 }
 
-/// `pa`'s Alg. 2 clusters in `CSR_Cluster` form, union ids relabelled
-/// through `inv` when given — or `None` when they share too little to pay
+/// `pa` as the lane kernel's operand — its Alg. 2 clusters in `CSR_Cluster`
+/// form, with the union ids and `pa`'s values kept relabelled through `inv`
+/// when its ids are — or as rows when the clusters share too little to pay
 /// ([`MIN_SHARING_FACTOR`]). An operand whose clusters cannot reach it even
 /// if every member row shared every column is turned down before anything
-/// is built ([`most_sharing`]).
-fn cluster(pa: &CsrMatrix, inv: Option<&[u32]>) -> Option<Clustered> {
-    let clustering = variable_clustering(pa, &ClusterConfig::default());
-    if most_sharing(pa, &clustering) < MIN_SHARING_FACTOR {
-        return None;
+/// is built ([`most_sharing`]). `relabelled` is `pa`'s relabelled ids and
+/// the inverse permutation that made them.
+fn cluster(pa: CsrMatrix, relabelled: Option<(Vec<ColIdx>, &[u32])>) -> CpuOperand {
+    let clustering = variable_clustering(&pa, &ClusterConfig::default());
+    let rows = |pa, relabelled: Option<(_, _)>| CpuOperand::Rows {
+        pa,
+        relabelled: relabelled.map(|(ids, _)| ids),
+    };
+    if most_sharing(&pa, &clustering) < MIN_SHARING_FACTOR {
+        return rows(pa, relabelled);
     }
-    let cc = CsrCluster::from_csr(pa, &clustering);
+    let cc = CsrCluster::from_csr(&pa, &clustering);
     let sharing = pa.nnz() as f64 / cc.col_ids.len() as f64;
     if sharing < MIN_SHARING_FACTOR {
-        return None;
+        return rows(pa, relabelled);
     }
-    let relabelled = inv.map(|inv| cc.col_ids.iter().map(|&c| inv[c as usize]).collect());
-    Some(Clustered { cc, relabelled, sharing })
+    let two_sided = relabelled.map(|(ids, inv)| TwoSided {
+        union: cc.col_ids.iter().map(|&c| inv[c as usize]).collect(),
+        row_ptr: pa.row_ptr,
+        ids,
+        vals: pa.vals,
+    });
+    CpuOperand::Clusters { cc, sharing, two_sided }
 }
 
 /// An upper bound on the sharing factor of `clustering` over `a`, from row
@@ -313,32 +333,37 @@ pub(crate) fn execute(
 ) -> (CsrMatrix, bool, AccumulatorKind) {
     let opts = plan.spgemm_options();
     let acc = opts.acc.resolve(b.ncols);
-    let CpuOperand { pa, relabelled, clustered } = operand;
     if plan.shape == OutputShape::Masked {
         let mask = mask.expect("masked plan executed without a mask operand");
+        let CpuOperand::Rows { pa, .. } = operand else {
+            unreachable!("a masked preparation keeps no clusters")
+        };
         return (cw_spgemm::spgemm_masked_mapped(pa, b, mask, &opts, row_map), false, acc);
     }
     // A relabelled operand always comes with the permutation it was
-    // relabelled by, and its clusters with relabelled union ids.
-    let two_sided = relabelled.as_deref().zip(row_map.filter(|_| b_is_source));
-    let full = match (clustered, two_sided) {
-        (Some(cl), Some((ids, p))) => {
-            let union =
-                cl.relabelled.as_deref().expect("relabelled clusters beside relabelled rows");
-            let a = ClusterRows { ids: union, ..ClusterRows::from(&cl.cc) };
-            let b = CsrRows { ids, ..CsrRows::from(pa) };
-            clusterwise_spgemm_labelled(a, b, &opts, row_map, p)
-        }
-        (Some(cl), None) => {
-            clusterwise_spgemm_labelled((&cl.cc).into(), b.into(), &opts, row_map, &SameLabels)
-        }
-        (None, Some((ids, p))) => {
-            let rows = CsrRows { ids, ..CsrRows::from(pa) };
-            spgemm_labelled(rows, rows, &opts, row_map, p)
-        }
-        (None, None) => spgemm_mapped(pa, b, &opts, row_map),
+    // relabelled by.
+    let labels = row_map.filter(|_| b_is_source);
+    let (full, two_sided) = match operand {
+        CpuOperand::Rows { pa, relabelled } => match relabelled.as_deref().zip(labels) {
+            Some((ids, p)) => {
+                let rows = CsrRows { ids, ..CsrRows::from(pa) };
+                (spgemm_labelled(rows, rows, &opts, row_map, p), true)
+            }
+            None => (spgemm_mapped(pa, b, &opts, row_map), false),
+        },
+        CpuOperand::Clusters { cc, two_sided, .. } => match two_sided.as_ref().zip(labels) {
+            Some((t, p)) => {
+                let a = ClusterRows { ids: &t.union, ..ClusterRows::from(cc) };
+                let (row_ptr, ids, vals) = (&t.row_ptr[..], &t.ids[..], &t.vals[..]);
+                let b = CsrRows { nrows: cc.nrows, ncols: cc.ncols, row_ptr, ids, vals };
+                (clusterwise_spgemm_labelled(a, b, &opts, row_map, p), true)
+            }
+            None => {
+                let a = ClusterRows::from(cc);
+                (clusterwise_spgemm_labelled(a, b.into(), &opts, row_map, &SameLabels), false)
+            }
+        },
     };
-    let two_sided = two_sided.is_some();
     let shaped = match plan.shape {
         OutputShape::TopK(k) => cw_spgemm::row_topk(&full, k),
         _ => full,
@@ -380,9 +405,16 @@ mod tests {
         let sharing = operand.sharing_factor().expect("near-duplicate rows cluster");
         assert!(sharing >= MIN_SHARING_FACTOR, "{sharing}");
         assert!(timings.cluster_seconds > 0.0 && timings.reorder_seconds > 0.0);
-        // The clusters are charged to the preparation's footprint.
-        let rowwise = CpuOperand { clustered: None, ..operand.clone() };
-        assert!(operand.approx_bytes() > rowwise.approx_bytes());
+        assert!(operand.is_relabelled());
+        // Rectangular, so nothing relabels and only the one-sided lane arm
+        // can run: the clusters are all the operand keeps.
+        let wide = CsrMatrix { ncols: blocks.ncols + 1, ..blocks.clone() };
+        let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
+        let (operand, _, _) = materialize(&wide, &hierarchical, 7);
+        let CpuOperand::Clusters { cc, two_sided: None, .. } = &operand else {
+            panic!("a one-sided clustered operand: {operand:?}")
+        };
+        assert_eq!(operand.approx_bytes(), cc.memory_bytes());
         // A mesh with one unknown per node forms no clusters, and a masked
         // plan never scans.
         let mesh = mesh::tri_mesh(20, 20, true, 1);

@@ -1,5 +1,5 @@
 //! The plan cache: (operand, plan) → prepared operand, with LRU eviction
-//! under an entry or byte bound.
+//! under an entry bound.
 //!
 //! Reordering and clustering only pay off amortized over repeated
 //! multiplications (paper §4.5, Fig. 10). The cache closes the loop for
@@ -74,62 +74,6 @@ pub struct CacheKey {
     pub operand: OperandKey,
     /// The preparing plan.
     pub plan: Plan,
-}
-
-/// What bounds a [`PlanCache`]: a maximum entry count (the default) or a
-/// maximum resident byte budget sized from
-/// [`PreparedMatrix::approx_bytes`]. Byte budgets matter for serving:
-/// prepared operands vary by orders of magnitude in size, so an entry
-/// count bounds nothing useful about memory.
-///
-/// Exact semantics, shared by both variants:
-///
-/// * Eviction is LRU: when an insert would exceed the bound, the
-///   least-recently-*used* entries (lookups refresh recency, inserts count
-///   as a use) are dropped until the new entry fits.
-/// * Replacing an entry under its own key first releases the old entry's
-///   footprint, so a same-key re-insert never evicts a different entry.
-/// * Evicted operands are not destroyed — entries are `Arc`s, so callers
-///   already holding one keep a valid prepared operand; the cache merely
-///   forgets it.
-///
-/// ```
-/// use cw_engine::{CacheBudget, PlanCache};
-///
-/// // Entry-bounded: at most 8 prepared operands, any size.
-/// let by_count = PlanCache::with_budget(CacheBudget::entries(8));
-/// assert_eq!(by_count.capacity(), 8);
-///
-/// // Byte-bounded: at most 64 MiB resident.
-/// let by_bytes = PlanCache::with_budget(CacheBudget::bytes(64 << 20));
-/// assert_eq!(by_bytes.capacity(), usize::MAX); // entry count unbounded
-/// assert_eq!(by_bytes.bytes(), 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheBudget {
-    /// At most this many prepared operands, regardless of their size.
-    /// `Entries(0)` disables caching entirely: every lookup misses and
-    /// every insert is silently dropped (used by benchmarks to force the
-    /// cold path).
-    Entries(usize),
-    /// At most this many resident bytes across all prepared operands, as
-    /// measured by [`PreparedMatrix::approx_bytes`] at insert time. An
-    /// operand larger than the whole budget is never cached (inserting it
-    /// is a silent no-op, mirroring `Entries(0)`); anything smaller may
-    /// evict every other entry to fit.
-    Bytes(usize),
-}
-
-impl CacheBudget {
-    /// Entry-count bound (see [`CacheBudget::Entries`]).
-    pub fn entries(n: usize) -> CacheBudget {
-        CacheBudget::Entries(n)
-    }
-
-    /// Resident-byte bound (see [`CacheBudget::Bytes`]).
-    pub fn bytes(b: usize) -> CacheBudget {
-        CacheBudget::Bytes(b)
-    }
 }
 
 /// Hit/miss/eviction counters for one cache instance.
@@ -228,7 +172,7 @@ struct CacheEntry {
 /// ```
 #[derive(Debug)]
 pub struct PlanCache {
-    budget: CacheBudget,
+    capacity: usize,
     tick: u64,
     bytes_used: usize,
     entries: HashMap<CacheKey, CacheEntry>,
@@ -236,16 +180,50 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Cache holding at most `capacity` prepared operands (`capacity == 0`
-    /// disables caching: every lookup misses, inserts are dropped).
+    /// Cache holding at most `capacity` prepared operands, whatever their
+    /// size (`capacity == 0` disables caching: every lookup misses, inserts
+    /// are dropped).
+    ///
+    /// * Eviction is LRU: when an insert would exceed the bound, the
+    ///   least-recently-*used* entry (lookups refresh recency, inserts count
+    ///   as a use) is dropped.
+    /// * Replacing an entry under its own key never evicts a different
+    ///   entry.
+    /// * Evicted operands are not destroyed — entries are `Arc`s, so callers
+    ///   already holding one keep a valid prepared operand; the cache merely
+    ///   forgets it.
+    ///
+    /// ```
+    /// use cw_engine::{CacheKey, OperandKey, Plan, PlanCache, PreparedMatrix};
+    /// use std::sync::Arc;
+    ///
+    /// let entry = |n| {
+    ///     let a = cw_sparse::gen::grid::poisson2d(n, n);
+    ///     let key = CacheKey { operand: OperandKey::of(&a), plan: Plan::baseline() };
+    ///     let prepared = PreparedMatrix::prepare(&a, Plan::baseline(), 7, &Default::default());
+    ///     (a, key, Arc::new(prepared))
+    /// };
+    /// let ((_, k3, p3), (a4, k4, p4), (_, k5, p5)) = (entry(3), entry(4), entry(5));
+    /// let mut cache = PlanCache::new(2);
+    /// cache.insert(k3, Arc::clone(&p3));
+    /// cache.insert(k4, Arc::clone(&p4));
+    ///
+    /// // A same-key re-insert evicts nothing else.
+    /// cache.insert(k3, p3);
+    /// assert_eq!((cache.len(), cache.stats().evictions), (2, 0));
+    ///
+    /// // A lookup is a use: k4 is now the stalest, and the next insert
+    /// // evicts it.
+    /// assert!(cache.get(&k3).is_some());
+    /// cache.insert(k5, p5);
+    /// assert!(cache.get(&k4).is_none() && cache.get(&k3).is_some());
+    ///
+    /// // The evicted operand still multiplies for whoever holds it.
+    /// assert!(p4.multiply_shaped(&a4, None).bits_eq(&cw_spgemm::spgemm_serial(&a4, &a4)));
+    /// ```
     pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::with_budget(CacheBudget::entries(capacity))
-    }
-
-    /// Cache bounded by an explicit [`CacheBudget`].
-    pub fn with_budget(budget: CacheBudget) -> PlanCache {
         PlanCache {
-            budget,
+            capacity,
             tick: 0,
             bytes_used: 0,
             entries: HashMap::new(),
@@ -263,18 +241,9 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// The configured budget.
-    pub fn budget(&self) -> CacheBudget {
-        self.budget
-    }
-
-    /// Entry-count bound (`usize::MAX` under a byte budget, which does not
-    /// limit entry count).
+    /// Most operands the cache holds.
     pub fn capacity(&self) -> usize {
-        match self.budget {
-            CacheBudget::Entries(n) => n,
-            CacheBudget::Bytes(_) => usize::MAX,
-        }
+        self.capacity
     }
 
     /// Resident bytes across all cached operands (per
@@ -319,24 +288,18 @@ impl PlanCache {
         }
     }
 
-    /// Inserts a prepared operand under `key`, evicting least-recently-used
-    /// entries until the budget is respected. Under [`CacheBudget::Bytes`],
-    /// an operand larger than the entire budget is silently not cached
-    /// (mirroring the `Entries(0)` behavior).
+    /// Inserts a prepared operand under `key`, evicting the
+    /// least-recently-used entry when the cache is full.
     pub fn insert(&mut self, key: CacheKey, prepared: Arc<PreparedMatrix>) {
-        let bytes = prepared.approx_bytes();
-        match self.budget {
-            CacheBudget::Entries(0) => return,
-            CacheBudget::Bytes(b) if bytes > b => return,
-            _ => {}
+        if self.capacity == 0 {
+            return;
         }
         self.tick += 1;
         if let Some(old) = self.entries.remove(&key) {
-            // Replacement: the old entry's footprint is released first so
+            // Replacement: the old entry makes room for its successor, so
             // re-inserting under the same key never triggers eviction.
             self.bytes_used -= old.bytes;
-        }
-        while self.over_budget_with(bytes) {
+        } else if self.entries.len() == self.capacity {
             // Evict the stalest entry (O(len) scan; resident counts are
             // small — tens of operands, not thousands).
             let victim = self
@@ -344,22 +307,15 @@ impl PlanCache {
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
-                .expect("over budget implies at least one resident entry");
+                .expect("a full cache holds at least one entry");
             let evicted = self.entries.remove(&victim).unwrap();
             self.bytes_used -= evicted.bytes;
             self.counters.evictions.inc();
         }
+        let bytes = prepared.approx_bytes();
         self.counters.insertions.inc();
         self.bytes_used += bytes;
         self.entries.insert(key, CacheEntry { prepared, last_used: self.tick, bytes });
-    }
-
-    /// Would adding an entry of `incoming` bytes exceed the budget?
-    fn over_budget_with(&self, incoming: usize) -> bool {
-        match self.budget {
-            CacheBudget::Entries(n) => self.entries.len() + 1 > n,
-            CacheBudget::Bytes(b) => !self.entries.is_empty() && self.bytes_used + incoming > b,
-        }
     }
 
     /// Looks up `key`, and on a miss prepares the operand and inserts it.
@@ -451,6 +407,7 @@ mod tests {
         let mats: Vec<CsrMatrix> = (3..7).map(|n| poisson2d(n, n)).collect();
         let keys: Vec<_> = mats.iter().map(auto_key).collect();
         let mut cache = PlanCache::new(2);
+        assert_eq!(cache.capacity(), 2);
         cache.insert(keys[0], Arc::new(prepared_for(&mats[0])));
         cache.insert(keys[1], Arc::new(prepared_for(&mats[1])));
         // Touch keys[0] so keys[1] is now the LRU victim.
@@ -476,61 +433,18 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_lru_to_fit() {
-        let mats: Vec<CsrMatrix> = (6..9).map(|n| poisson2d(n, n)).collect();
-        let prepared: Vec<_> = mats.iter().map(|m| Arc::new(prepared_for(m))).collect();
-        let keys: Vec<_> = mats.iter().map(auto_key).collect();
-        // Budget fits the two largest operands but not all three.
-        let sizes: Vec<usize> = prepared.iter().map(|p| p.approx_bytes()).collect();
-        let budget = sizes[1] + sizes[2];
-        assert!(budget < sizes.iter().sum::<usize>());
-        let mut cache = PlanCache::with_budget(CacheBudget::bytes(budget));
-        cache.insert(keys[0], Arc::clone(&prepared[0]));
-        cache.insert(keys[1], Arc::clone(&prepared[1]));
-        assert_eq!(cache.bytes(), sizes[0] + sizes[1]);
-        cache.insert(keys[2], Arc::clone(&prepared[2]));
-        // keys[0] was the LRU entry and must have been evicted to fit.
-        assert!(cache.get(&keys[0]).is_none());
-        assert!(cache.get(&keys[1]).is_some());
-        assert!(cache.get(&keys[2]).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.bytes() <= budget);
-    }
-
-    #[test]
-    fn oversized_operand_is_never_cached_under_byte_budget() {
-        let a = poisson2d(10, 10);
-        let p = Arc::new(prepared_for(&a));
-        let mut cache = PlanCache::with_budget(CacheBudget::bytes(p.approx_bytes() - 1));
-        cache.insert(auto_key(&a), p);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().insertions, 0);
-        assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn byte_budget_replacement_releases_old_footprint() {
+    fn replacement_releases_old_footprint() {
         let a = poisson2d(8, 8);
         let key = auto_key(&a);
         let p = Arc::new(prepared_for(&a));
         let sz = p.approx_bytes();
-        let mut cache = PlanCache::with_budget(CacheBudget::bytes(sz));
+        let mut cache = PlanCache::new(4);
         cache.insert(key, Arc::clone(&p));
-        cache.insert(key, p); // same key: must not evict or double-count
+        cache.insert(key, p); // same key: must not double-count
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), sz);
-        assert_eq!(cache.stats().evictions, 0);
         cache.clear();
         assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn entries_budget_matches_legacy_capacity_semantics() {
-        let cache = PlanCache::new(7);
-        assert_eq!(cache.budget(), CacheBudget::entries(7));
-        assert_eq!(cache.capacity(), 7);
-        let bytes = PlanCache::with_budget(CacheBudget::bytes(1 << 20));
-        assert_eq!(bytes.capacity(), usize::MAX);
     }
 
     #[test]

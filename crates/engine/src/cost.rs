@@ -1,11 +1,11 @@
 //! Preparation prices, and the race that picks a plan by measuring it.
 //!
 //! The planner keeps the advisor's order and prices only what a plan adds
-//! before its first multiply: [`CostModel`] turns per-nonzero row-order
-//! rates (the paper's Fig. 10 costs) into preparation seconds, and
-//! [`PlanningPolicy::admits`] lets a plan run when that is at most half of
-//! `expected_reuse` multiplies — the predicted multiply before any has run,
-//! the measured `t₀` after.
+//! before its first multiply: `prep_seconds` turns per-nonzero row-order
+//! rates (the paper's Fig. 10 costs, one constant per class) into
+//! preparation seconds, and [`PlanningPolicy::admits`] lets a plan run
+//! when that is at most half of `expected_reuse` multiplies — the predicted
+//! multiply before any has run, the measured `t₀` after.
 //!
 //! Kernel seconds are measured, never predicted: analytic predictions of
 //! which order wins are frequently wrong (Asudeh et al.). Per operand and
@@ -72,75 +72,64 @@ impl PlanningPolicy {
     }
 }
 
-/// Per-nonzero preparation rates, plus the one multiply-add rate that
-/// predicts a multiply before any has run.
+// Per-nonzero preparation rates, plus the one multiply-add rate that
+// predicts a multiply before any has run. They are deliberately rough: they
+// only decide which plans may be tried, and the race measures the ones that
+// are.
+
+/// Seconds per multiply-add of the row-wise kernel: prices the predicted
+/// multiply that admission uses until `t₀` is measured.
+const SECONDS_PER_MADD: f64 = 1.5e-9;
+
+/// Preparation seconds per nonzero for cheap, BFS/sort-class reorderings
+/// (RCM, Degree, Gray, Random).
+const CHEAP_REORDER_PER_NNZ: f64 = 10e-9;
+
+/// Preparation seconds per nonzero for heavy reorderings (partitioners,
+/// AMD/ND, Rabbit, SlashBurn), set at or below GP's lowest measured rate: a
+/// partitioner priced below its cost is admitted on operands where it costs
+/// seconds. Measured in ns per nonzero (`compute` + `permute_rows`, one
+/// worker, median of 3, 2-vCPU x86-64) on symmetric-shuffled
+/// `tri_mesh(240, 240)`, `block_diagonal(40 000, (6, 10), 0.02)`,
+/// `rmat(12, 6)` and `rmat(14, 4)`:
 ///
-/// The constants are deliberately rough: they only decide which plans may
-/// be tried, and the race measures the ones that are.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Seconds per multiply-add of the row-wise kernel: prices the
-    /// predicted multiply that admission uses until `t₀` is measured.
-    pub seconds_per_madd: f64,
-    /// Preparation seconds per nonzero for cheap, BFS/sort-class
-    /// reorderings (RCM, Degree, Gray, Random).
-    pub cheap_reorder_per_nnz: f64,
-    /// Preparation seconds per nonzero for heavy reorderings
-    /// (partitioners, AMD/ND, Rabbit, SlashBurn), set at or below GP's
-    /// lowest measured rate: a partitioner priced below its cost is admitted
-    /// on operands where it costs seconds. Measured in ns per nonzero
-    /// (`compute` + `permute_rows`, one worker, median of 3, 2-vCPU x86-64)
-    /// on symmetric-shuffled `tri_mesh(240, 240)`,
-    /// `block_diagonal(40 000, (6, 10), 0.02)`, `rmat(12, 6)` and
-    /// `rmat(14, 4)`:
-    ///
-    /// | Order | Measured | Priced |
-    /// |---|---|---|
-    /// | GP(16) | 901–3 832 | 700 (heavy) |
-    /// | SlashBurn | 48–1 806 | 700 (heavy) |
-    /// | Rabbit | 150–486 | 700 (heavy) |
-    /// | Hierarchical | 240–3 261 | 240 |
-    /// | RCM | 38–71 | 10 (cheap) |
-    /// | Degree | 5–11 | 10 (cheap) |
-    pub heavy_reorder_per_nnz: f64,
-    /// Preparation seconds per nonzero for hierarchical clustering's row
-    /// order (similarity discovery is itself SpGEMM-shaped).
-    pub hierarchical_cluster_per_nnz: f64,
+/// | Order | Measured | Priced |
+/// |---|---|---|
+/// | GP(16) | 901–3 832 | 700 (heavy) |
+/// | SlashBurn | 48–1 806 | 700 (heavy) |
+/// | Rabbit | 150–486 | 700 (heavy) |
+/// | Hierarchical | 240–3 261 | 160 |
+/// | RCM | 38–71 | 10 (cheap) |
+/// | Degree | 5–11 | 10 (cheap) |
+const HEAVY_REORDER_PER_NNZ: f64 = 700e-9;
+
+/// Preparation seconds per nonzero for hierarchical clustering's row order
+/// (similarity discovery is itself SpGEMM-shaped), at or below its lowest
+/// measured rate: 162 ns for the serial `hierarchical_clustering` on
+/// shuffled `tri_mesh(240, 240)` in a traced benchmark run, below the
+/// table's 240.
+const HIERARCHICAL_PER_NNZ: f64 = 160e-9;
+
+/// Predicted seconds of one `A·B` for a `B` structurally like `A`, with
+/// `nnz` stored entries of `avg_row_nnz` per row: every `a_ik` pulls about
+/// `avg_row_nnz` products (exact for `A²` when rows are uniform).
+pub(crate) fn op_seconds(nnz: usize, avg_row_nnz: f64) -> f64 {
+    nnz as f64 * avg_row_nnz.max(1.0) * SECONDS_PER_MADD
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            seconds_per_madd: 1.5e-9,
-            cheap_reorder_per_nnz: 10e-9,
-            heavy_reorder_per_nnz: 700e-9,
-            hierarchical_cluster_per_nnz: 240e-9,
+/// Predicted one-off seconds to prepare `plan` on an operand of `nnz`
+/// stored entries: its row order. The baseline costs nothing; parallelism
+/// and output shape price nothing.
+pub(crate) fn prep_seconds(plan: &Plan, nnz: usize) -> f64 {
+    let per_nnz = match plan.reorder {
+        Reordering::Original => 0.0,
+        Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random => {
+            CHEAP_REORDER_PER_NNZ
         }
-    }
-}
-
-impl CostModel {
-    /// Predicted seconds of one `A·B` for a `B` structurally like `A`, with
-    /// `nnz` stored entries of `avg_row_nnz` per row: every `a_ik` pulls
-    /// about `avg_row_nnz` products (exact for `A²` when rows are uniform).
-    pub(crate) fn op_seconds(&self, nnz: usize, avg_row_nnz: f64) -> f64 {
-        nnz as f64 * avg_row_nnz.max(1.0) * self.seconds_per_madd
-    }
-
-    /// Predicted one-off seconds to prepare `plan` on an operand of `nnz`
-    /// stored entries: its row order. The baseline costs nothing;
-    /// parallelism and output shape price nothing.
-    pub(crate) fn prep_seconds(&self, plan: &Plan, nnz: usize) -> f64 {
-        let per_nnz = match plan.reorder {
-            Reordering::Original => 0.0,
-            Reordering::Rcm | Reordering::Degree | Reordering::Gray | Reordering::Random => {
-                self.cheap_reorder_per_nnz
-            }
-            Reordering::Hierarchical => self.hierarchical_cluster_per_nnz,
-            _ => self.heavy_reorder_per_nnz,
-        };
-        per_nnz * nnz as f64
-    }
+        Reordering::Hierarchical => HIERARCHICAL_PER_NNZ,
+        _ => HEAVY_REORDER_PER_NNZ,
+    };
+    per_nnz * nnz as f64
 }
 
 /// One plan an operand may run.
@@ -252,37 +241,22 @@ pub struct PlanFeedbackState {
 /// let state = store.record(key, Plan::baseline(), 0.25, &PlanningPolicy::default()).unwrap();
 /// assert!(state.locked && !state.switched);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FeedbackStore {
     entries: HashMap<(OperandKey, OutputShape), Race>,
-    capacity: usize,
     tick: u64,
 }
 
-/// Default bound on operands a [`FeedbackStore`] tracks before evicting
-/// the least-recently-recorded entry.
-pub(crate) const DEFAULT_FEEDBACK_CAPACITY: usize = 1024;
-
-impl Default for FeedbackStore {
-    fn default() -> Self {
-        FeedbackStore::with_capacity(DEFAULT_FEEDBACK_CAPACITY)
-    }
-}
+/// Operands a [`FeedbackStore`] tracks. Serving traffic sees unbounded
+/// operand variety, so — like the plan cache — the store must not grow
+/// without bound: seeding a new operand at this many evicts the
+/// least-recently-recorded entry, and with it its lock.
+pub const DEFAULT_FEEDBACK_CAPACITY: usize = 1024;
 
 impl FeedbackStore {
-    /// Empty store with the default operand bound (1024 operands).
+    /// Empty store holding at most [`DEFAULT_FEEDBACK_CAPACITY`] operands.
     pub fn new() -> FeedbackStore {
         FeedbackStore::default()
-    }
-
-    /// Empty store tracking at most `capacity` operands. Serving traffic
-    /// sees unbounded operand variety, so — like the plan cache — the
-    /// store must not grow without bound: seeding a new operand at
-    /// capacity evicts the least-recently-recorded entry, and with it its
-    /// lock (`capacity == 0` disables the store: nothing seeds, every
-    /// lookup misses).
-    pub fn with_capacity(capacity: usize) -> FeedbackStore {
-        FeedbackStore { entries: HashMap::new(), capacity, tick: 0 }
     }
 
     /// Operands currently tracked.
@@ -320,15 +294,12 @@ impl FeedbackStore {
     /// seconds)` pairs: index 0 is rank 0 and runs first, the rest are
     /// challengers in order, admitted on `t₀`. Re-seeding an existing
     /// operand is a no-op, so a race in progress (or its lock) survives.
-    /// Seeding a new operand at capacity first evicts the
-    /// least-recently-recorded entry.
+    /// Seeding a new operand at [`DEFAULT_FEEDBACK_CAPACITY`] first evicts
+    /// the least-recently-recorded entry.
     pub fn seed(&mut self, key: (OperandKey, OutputShape), ranked: Vec<(Plan, f64)>) {
         assert!(!ranked.is_empty(), "candidate set must be non-empty");
-        if self.capacity == 0 {
-            return;
-        }
         self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+        if !self.entries.contains_key(&key) && self.entries.len() >= DEFAULT_FEEDBACK_CAPACITY {
             let stalest = self
                 .entries
                 .iter()
@@ -439,31 +410,28 @@ mod tests {
 
     #[test]
     fn prep_cost_is_monotone_in_nnz_and_zero_for_baseline() {
-        let model = CostModel::default();
         let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
-        assert_eq!(model.prep_seconds(&Plan::baseline(), 5000), 0.0);
-        assert!(model.prep_seconds(&rcm, 5000) > model.prep_seconds(&rcm, 500));
+        assert_eq!(prep_seconds(&Plan::baseline(), 5000), 0.0);
+        assert!(prep_seconds(&rcm, 5000) > prep_seconds(&rcm, 500));
         let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
-        let expect = model.hierarchical_cluster_per_nnz * 5000.0;
-        assert!((model.prep_seconds(&hierarchical, 5000) - expect).abs() < 1e-18);
+        let expect = HIERARCHICAL_PER_NNZ * 5000.0;
+        assert!((prep_seconds(&hierarchical, 5000) - expect).abs() < 1e-18);
     }
 
     #[test]
     fn heavy_reorderings_cost_more_prep_than_cheap_ones() {
-        let model = CostModel::default();
         let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
         let gp = Plan { reorder: Reordering::Gp(16), ..Plan::baseline() };
-        assert!(model.prep_seconds(&gp, 8000) > model.prep_seconds(&rcm, 8000));
+        assert!(prep_seconds(&gp, 8000) > prep_seconds(&rcm, 8000));
     }
 
     #[test]
     fn output_shape_does_not_change_the_price() {
-        let model = CostModel::default();
         let hierarchical = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
         for plan in [Plan { reorder: Reordering::Rcm, ..Plan::baseline() }, hierarchical] {
             for shape in [OutputShape::Masked, OutputShape::TopK(2)] {
-                let shaped = model.prep_seconds(&plan.with_shape(shape), 16000);
-                assert_eq!(shaped, model.prep_seconds(&plan, 16000), "{shape:?}");
+                let shaped = prep_seconds(&plan.with_shape(shape), 16000);
+                assert_eq!(shaped, prep_seconds(&plan, 16000), "{shape:?}");
             }
         }
     }
@@ -473,19 +441,17 @@ mod tests {
         // Preparation is the same work serial or parallel, and the predicted
         // multiply is one rate for both: no plan field but the row order
         // moves a price.
-        let model = CostModel::default();
         let plan = Plan { reorder: Reordering::Hierarchical, ..Plan::baseline() };
         let serial = Plan { parallel: false, ..plan };
-        assert_eq!(model.prep_seconds(&serial, 16000), model.prep_seconds(&plan, 16000));
+        assert_eq!(prep_seconds(&serial, 16000), prep_seconds(&plan, 16000));
     }
 
     #[test]
     fn kernel_cost_is_monotone_in_work() {
         // The predicted multiply admission uses before `t₀`.
-        let model = CostModel::default();
-        assert!(model.op_seconds(5000, 5.0) > model.op_seconds(500, 5.0));
-        assert!(model.op_seconds(5000, 10.0) > model.op_seconds(5000, 5.0));
-        assert_eq!(model.op_seconds(100, 0.2), model.op_seconds(100, 1.0));
+        assert!(op_seconds(5000, 5.0) > op_seconds(500, 5.0));
+        assert!(op_seconds(5000, 10.0) > op_seconds(5000, 5.0));
+        assert_eq!(op_seconds(100, 0.2), op_seconds(100, 1.0));
     }
 
     #[test]
@@ -650,39 +616,43 @@ mod tests {
         assert_eq!(store.chosen_plan(&key), Some(plans[0]), "ties go to rank order");
     }
 
+    /// A key no matrix needs to be built for: distinct per `i`.
+    fn fabricated(i: u64) -> (OperandKey, OutputShape) {
+        let fingerprint =
+            cw_sparse::MatrixFingerprint { nrows: 1, ncols: 1, nnz: 0, structure_hash: i };
+        (OperandKey { fingerprint, checksum: i }, OutputShape::Full)
+    }
+
     #[test]
     fn store_capacity_evicts_least_recently_recorded_operand() {
-        let keys: Vec<_> = (4..8).map(key).collect();
-        let mut store = FeedbackStore::with_capacity(2);
-        let seed_one = |store: &mut FeedbackStore, k| store.seed(k, vec![(Plan::baseline(), 0.0)]);
-        seed_one(&mut store, keys[0]);
-        seed_one(&mut store, keys[1]);
+        let keys: Vec<_> = (0..=DEFAULT_FEEDBACK_CAPACITY as u64).map(fabricated).collect();
+        let (last, fill) = keys.split_last().unwrap();
+        let mut store = FeedbackStore::new();
+        for &k in fill {
+            store.seed(k, vec![(Plan::baseline(), 0.0)]);
+        }
+        assert_eq!(store.len(), DEFAULT_FEEDBACK_CAPACITY);
         // Touch keys[0] so keys[1] becomes the eviction victim.
-        let policy = PlanningPolicy::default();
-        store.record(keys[0], Plan::baseline(), 1.0, &policy).unwrap();
-        seed_one(&mut store, keys[2]);
-        assert_eq!(store.len(), 2);
+        store.record(keys[0], Plan::baseline(), 1.0, &PlanningPolicy::default()).unwrap();
+        store.seed(*last, vec![(Plan::baseline(), 0.0)]);
+        assert_eq!(store.len(), DEFAULT_FEEDBACK_CAPACITY);
         assert!(store.chosen_plan(&keys[1]).is_none(), "stalest entry evicted");
         assert!(store.chosen_plan(&keys[0]).is_some());
-        assert!(store.chosen_plan(&keys[2]).is_some());
-
-        // Zero capacity disables the store entirely.
-        let mut off = FeedbackStore::with_capacity(0);
-        seed_one(&mut off, keys[3]);
-        assert!(off.is_empty());
-        assert!(off.record(keys[3], Plan::baseline(), 1.0, &policy).is_none());
+        assert!(store.chosen_plan(last).is_some());
     }
 
     #[test]
     fn clear_forgets_every_operand() {
-        let (a, b) = (key(15), key(16));
+        let a = key(15);
         let plans = [gp(1), gp(2)];
-        let mut store = FeedbackStore::with_capacity(1);
-        store.seed(a, plans.iter().map(|&p| (p, 0.0)).collect());
+        let mut store = seeded(a, &plans);
         drive(&mut store, a, 10, |p| if p == plans[1] { 0.01 } else { 0.02 });
         assert_eq!((store.chosen_plan(&a), store.total_replans()), (Some(plans[1]), 1));
         // Eviction forgets the lock: the re-seeded entry races again.
-        store.seed(b, vec![(Plan::baseline(), 0.0)]);
+        for k in (0..DEFAULT_FEEDBACK_CAPACITY as u64).map(fabricated) {
+            store.seed(k, vec![(Plan::baseline(), 0.0)]);
+        }
+        assert!(store.chosen_plan(&a).is_none(), "evicted with its lock");
         store.seed(a, plans.iter().map(|&p| (p, 0.0)).collect());
         assert_eq!(store.chosen_plan(&a), Some(plans[0]));
         store.clear();

@@ -72,12 +72,6 @@ impl Engine {
         }
     }
 
-    /// Engine over a caller-built cache — the hook service shards use to
-    /// pick a [`crate::CacheBudget`] (e.g. byte-bounded) per shard.
-    pub fn with_cache(planner: Planner, cache: PlanCache) -> Engine {
-        Engine { planner, cache, feedback: FeedbackStore::new(), tracer: None }
-    }
-
     /// Attach a span sink: subsequent resolutions and executions record
     /// retroactive `plan`/`prepare`/`execute`/`postprocess` spans into it
     /// (see [`cw_obs::Tracer`]). Spans land in the caller's current
@@ -101,7 +95,7 @@ impl Engine {
         &self.feedback
     }
 
-    /// Read-only view of the plan cache (budget, resident bytes, length).
+    /// Read-only view of the plan cache (capacity, resident bytes, length).
     pub fn cache(&self) -> &PlanCache {
         &self.cache
     }
@@ -493,18 +487,14 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_engine_caches_within_budget() {
+    fn the_engine_cache_reports_resident_bytes() {
         let a = gen::grid::poisson2d(12, 12);
-        // Generous budget: the prepared operand fits, so the second call hits.
-        let mut engine = Engine::with_cache(
-            frozen_planner(),
-            crate::cache::PlanCache::with_budget(crate::cache::CacheBudget::bytes(16 << 20)),
-        );
+        let mut engine = frozen_engine();
         let (_, r1) = engine.multiply(&a, &a);
         let (_, r2) = engine.multiply(&a, &a);
         assert!(!r1.cache_hit && r2.cache_hit);
-        assert!(engine.cache().bytes() > 0);
-        assert!(engine.cache().bytes() <= 16 << 20);
+        let (prepared, _, _) = engine.prepare_with_shape(&a, None, OutputShape::Full);
+        assert_eq!(engine.cache().bytes(), prepared.approx_bytes());
     }
 
     #[test]

@@ -12,16 +12,15 @@
 //! wherever the prepared rows turn out to share their columns, which the
 //! preparation measures (stage 2):
 //!
-//! 1. **Plan** — [`Planner`] profiles the operand ([`Profile`], via
-//!    `cw-reorder`'s advisor) and turns the advisor's suggestions, in its
-//!    order with the baseline last, into [`Plan`]s — row order (a
-//!    reordering, or hierarchical clustering's sweep) × parallel × output
-//!    shape.
-//!    [`PlanningPolicy`] admits a plan when its preparation, priced by the
-//!    [`CostModel`], is at most half of `expected_reuse` predicted
-//!    multiplies; [`Planner::plans_costed`] is the admitted list, rank 0
-//!    first, each [`RankedPlan`] with its price and the advisor rule that
-//!    ranked it. The
+//! 1. **Plan** — [`Planner`] profiles the operand (via `cw-reorder`'s
+//!    advisor) and turns the advisor's suggestions, in its order with the
+//!    baseline last, into [`Plan`]s — row order (a reordering, or
+//!    hierarchical clustering's sweep) × parallel × output shape.
+//!    [`PlanningPolicy`] admits a plan when its preparation, priced by one
+//!    fixed per-nonzero rate per row-order class, is at most half of
+//!    `expected_reuse` predicted multiplies; [`Planner::plans_costed`] is
+//!    the admitted list, rank 0 first, each [`RankedPlan`] with its price
+//!    and the advisor rule that ranked it. The
 //!    accumulator is not a plan field: the kernel runs Dense wherever it
 //!    fits, Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and
 //!    [`ExecutionReport::accumulator`] says which ran.
@@ -36,9 +35,9 @@
 //!    pass follows it.
 //! 3. **Cache** — [`PlanCache`] maps an operand's [`OperandKey`] (sampled
 //!    fingerprint plus full-content checksum, computed once per call) and
-//!    the plan to prepared operands under a [`CacheBudget`] —
-//!    entry-bounded or byte-bounded LRU — with hit/miss/eviction counters,
-//!    so repeated traffic on the same matrix skips preprocessing entirely.
+//!    the plan to prepared operands — an LRU bounded by its entry count,
+//!    with hit/miss/eviction counters — so repeated traffic on the same
+//!    matrix skips preprocessing entirely.
 //!    Keying by `(operand, plan)` lets preparations under different plans
 //!    coexist, which is what lets a race prepare each challenger once and
 //!    lock the winner without preparing it again.
@@ -61,8 +60,9 @@
 //! all five stages: it is a [`Plan`] field, so cache entries and feedback
 //! state for truncated traffic never collide with full-product traffic on
 //! the same operand. A masked plan runs a kernel that admits only the
-//! mask's columns; a top-k plan computes the full product and filters. Preparation does not depend on the shape, so the
-//! [`CostModel`] prices every shaped plan like the full one. See
+//! mask's columns; a top-k plan computes the full product and filters.
+//! Preparation does not depend on the shape, so every shaped plan is
+//! priced like the full one. See
 //! [`Engine::multiply_shaped`] (`OutputShape::TopK(k)` for top-k) and its
 //! masked shorthand [`Engine::multiply_masked`].
 //!
@@ -102,9 +102,10 @@ mod prepared;
 mod report;
 
 pub use backend::MIN_SHARING_FACTOR;
-pub use cache::{CacheBudget, CacheCounters, CacheKey, CacheStats, OperandKey, PlanCache};
+pub use cache::{CacheCounters, CacheKey, CacheStats, OperandKey, PlanCache};
 pub use cost::{
-    CostModel, FeedbackStore, PlanFeedbackState, PlanningPolicy, MIN_RACE_SECONDS, RACE_SAMPLES,
+    FeedbackStore, PlanFeedbackState, PlanningPolicy, DEFAULT_FEEDBACK_CAPACITY, MIN_RACE_SECONDS,
+    RACE_SAMPLES,
 };
 pub use engine::{Engine, DEFAULT_CACHE_CAPACITY};
 pub use plan::{OutputShape, Plan};
@@ -112,9 +113,9 @@ pub use planner::{Planner, RankedPlan, PARALLEL_ROW_THRESHOLD};
 pub use prepared::PreparedMatrix;
 pub use report::{ExecutionReport, StageTimings};
 
-// Re-exported so engine callers can name advisor types without depending
-// on cw-reorder directly.
-pub use cw_reorder::advisor::{Advice, Profile, RankedSuggestion, Suggestion};
+// Re-exported so engine callers can pin an advisor suggestion
+// (`Plan::from_suggestion`) without depending on cw-reorder directly.
+pub use cw_reorder::advisor::Suggestion;
 
 /// The workspace's JSON reader under its old path. It lives in
 /// [`cw_obs::json`]; the repo benchmark (`benchmark/`, a separate, frozen

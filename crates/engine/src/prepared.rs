@@ -71,9 +71,9 @@ impl PreparedMatrix {
     /// space too: the operand is square, its rows moved, and the order left
     /// each row's ids within a tenth of the matrix of the row itself on
     /// average (a scattered order has no locality for a relabelling to
-    /// reach); not on an operand below 128 KiB narrow enough for a dense
-    /// accumulator, and never under a masked plan. A multiply whose
-    /// right-hand side is the source matrix then runs two-sided ([`crate::ExecutionReport::two_sided`]).
+    /// reach), and never under a masked plan. A multiply whose right-hand
+    /// side is the source matrix then runs two-sided
+    /// ([`crate::ExecutionReport::two_sided`]).
     pub fn is_relabelled(&self) -> bool {
         self.format.is_relabelled()
     }
@@ -89,9 +89,9 @@ impl PreparedMatrix {
     }
 
     /// Approximate resident heap footprint in bytes: the materialized
-    /// operand — relabelled ids and clusters included — plus the row map (which doubles
-    /// as the label map). Byte-bounded cache eviction
-    /// ([`crate::CacheBudget::Bytes`]) sizes entries with this.
+    /// operand — relabelled ids and clusters included — plus the row map
+    /// (which doubles as the label map). [`crate::PlanCache::bytes`] sums
+    /// it over the resident entries.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let row_map = self.row_map.as_ref().map_or(0, |p| p.len() * size_of::<u32>());
@@ -180,8 +180,7 @@ mod tests {
     fn a_hierarchical_plan_is_hierarchical_clusterings_row_order() {
         // What the pinned `Plan::from_suggestion(Suggestion::Hierarchical)`
         // prepares on a shuffled mesh: the clustering's sweep order under
-        // the default configuration, run row-wise and two-sided (48 × 48:
-        // past the 128 KiB floor for relabelling under Dense).
+        // the default configuration, run row-wise and two-sided.
         use cw_core::hierarchical_clustering;
         let natural = gen::mesh::tri_mesh(48, 48, false, 1);
         let a = cw_reorder::random_permutation(natural.nrows, 5).permute_symmetric(&natural);
@@ -240,7 +239,6 @@ mod tests {
     #[test]
     fn approx_bytes_counts_what_two_sided_execution_retains() {
         use std::mem::size_of;
-        // Past 128 KiB, so the relabelling is kept under a dense accumulator.
         let a = gen::mesh::tri_mesh(48, 48, true, 2);
         let cfg = ClusterConfig::default();
         let rcm = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
@@ -255,6 +253,22 @@ mod tests {
         let masked = PreparedMatrix::prepare(&a, rcm.with_shape(OutputShape::Masked), 7, &cfg);
         assert!(!masked.is_relabelled());
         assert_eq!(masked.approx_bytes(), one_sided);
+
+        // The benchmark's `wire-large` operand, clustered and relabelled:
+        // its clusters with relabelled union ids, and `P·A·Pᵀ`'s rows, which
+        // cost what `A` costs. `P·A`'s own ids are not kept — no arm reads
+        // them beside the clusters — so this is `nnz × 4` bytes below a
+        // preparation that also kept `P·A` whole.
+        use cw_core::{variable_clustering, CsrCluster};
+        let natural = gen::banded::block_diagonal(40_000, (6, 10), 0.02, 1);
+        let a = cw_reorder::random_permutation(natural.nrows, 2).permute_symmetric(&natural);
+        let clustered = PreparedMatrix::prepare(&a, rcm, 7, &cfg);
+        assert!(clustered.is_relabelled() && clustered.sharing_factor().is_some());
+        let pa = clustered.row_map.as_ref().unwrap().permute_rows(&a);
+        let cc = CsrCluster::from_csr(&pa, &variable_clustering(&pa, &cfg));
+        let clusters = cc.memory_bytes() + cc.col_ids.len() * size_of::<u32>();
+        let rows = a.memory_bytes() + a.nrows * size_of::<u32>();
+        assert_eq!(clustered.approx_bytes(), size_of::<PreparedMatrix>() + clusters + rows);
     }
 
     #[test]

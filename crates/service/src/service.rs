@@ -4,7 +4,7 @@
 use crate::request::{MultiplyRequest, SubmitError, Ticket};
 use crate::shard::{worker_loop, ShardObs, SlotGuard, Submission, WorkerCtx};
 use crate::stats::{LatencySummary, ServiceStats};
-use cw_engine::{CacheBudget, Engine, PlanCache, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
+use cw_engine::{Engine, Planner, PlanningPolicy, DEFAULT_CACHE_CAPACITY};
 use cw_obs::{export, Counter, FlightRecorder, LogHistogram, MetricsRegistry, Tracer};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -22,8 +22,8 @@ pub struct ServiceConfig {
     /// Maximum requests in flight (queued + executing); beyond
     /// it [`SpgemmService::submit`] fails fast with [`SubmitError::Full`].
     pub queue_capacity: usize,
-    /// Per-shard plan-cache bound.
-    pub cache_budget: CacheBudget,
+    /// Most prepared operands each shard's plan cache holds.
+    pub cache_capacity: usize,
     /// Seed for each shard's planner (identical seeds ⇒ identical plans
     /// and bit-identical results across shards and vs a direct engine).
     pub seed: u64,
@@ -52,7 +52,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 2,
             queue_capacity: 256,
-            cache_budget: CacheBudget::entries(DEFAULT_CACHE_CAPACITY),
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
             seed: Planner::default().seed,
             policy: PlanningPolicy::default(),
             tracing: false,
@@ -165,8 +165,7 @@ impl SpgemmService {
         for shard in 0..shards {
             let (tx, rx) = mpsc::channel::<Submission>();
             let planner = Planner::with_policy(config.seed, config.policy);
-            let mut engine =
-                Engine::with_cache(planner, PlanCache::with_budget(config.cache_budget));
+            let mut engine = Engine::new(planner, config.cache_capacity);
             engine.set_tracer(Arc::clone(&tracer));
             // Shard telemetry: obs cells registered under `shard{N}.*`,
             // shared by the worker and the service's stats view.

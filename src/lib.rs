@@ -41,13 +41,16 @@
 //! * [`engine`] — **the front door**: an adaptive
 //!   plan/prepare/execute/race pipeline. A `Planner` profiles the
 //!   operand, takes the advisor's candidate pipelines (one row order each
-//!   — a reordering or hierarchical clustering's — all run by the row-wise
-//!   kernel) in its order with the baseline last, and admits those whose
-//!   preparation, priced by a `CostModel`, a caller-supplied
-//!   `PlanningPolicy` can carry (half of the expected reuse); every kernel runs the dense accumulator
-//!   wherever it fits in 1 MiB per worker; `PreparedMatrix` materializes
-//!   the chosen plan once; an (operand, plan)-keyed `PlanCache` (entry-
-//!   or byte-bounded) lets repeated traffic skip preprocessing entirely;
+//!   — a reordering or hierarchical clustering's) in its order with the
+//!   baseline last, and admits those whose preparation, priced by one fixed
+//!   per-nonzero rate per row-order class, a caller-supplied
+//!   `PlanningPolicy` can carry (half of the expected reuse); every kernel
+//!   runs the dense accumulator wherever it fits in 1 MiB per worker;
+//!   `PreparedMatrix` materializes the chosen plan once, and keeps the
+//!   reordered rows clustered where they share their columns enough for
+//!   the cluster-wise kernel to win (row-wise elsewhere); an
+//!   (operand, plan)-keyed `PlanCache`, an LRU bounded by its entry count,
+//!   lets repeated traffic skip preprocessing entirely;
 //!   `Engine::multiply` executes the kernel (on the rayon pool when the
 //!   plan's `parallel` is set; `parallel: false` is the serial oracle the
 //!   parallel path is bit-identical to), reports per-stage timings, and
@@ -67,9 +70,8 @@
 //!   driving the engine's planner.
 //! * [`core`] — the contribution: `CSR_Cluster`, fixed / variable /
 //!   hierarchical clustering, and the cluster-wise SpGEMM kernel, which
-//!   the `paper` experiments measure directly (the engine keeps only
-//!   hierarchical clustering's row order: cluster-wise measured slower than
-//!   row-wise on every operand tried).
+//!   the `paper` experiments measure directly and the engine runs on every
+//!   prepared operand whose rows share their columns.
 //! * [`datasets`] — the 110-matrix synthetic corpus and BC-frontier
 //!   workloads.
 //!
@@ -258,8 +260,8 @@ pub mod prelude {
         ClusterConfig, Clustering, CsrCluster,
     };
     pub use cw_engine::{
-        CacheBudget, CostModel, Engine, ExecutionReport, FeedbackStore, OutputShape, Plan,
-        PlanCache, Planner, PlanningPolicy, PreparedMatrix,
+        Engine, ExecutionReport, FeedbackStore, OutputShape, Plan, PlanCache, Planner,
+        PlanningPolicy, PreparedMatrix,
     };
     pub use cw_net::{
         ClientConfig, NetClient, NetError, NetServer, NetServerConfig, Qos, RoutedClient,

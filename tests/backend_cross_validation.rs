@@ -22,7 +22,6 @@ use clusterwise_spgemm::engine::{
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::{fingerprint, CooMatrix};
-use clusterwise_spgemm::spgemm::accumulator::dense_fits;
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
 use common::assert_parallel_matches_serial;
 use proptest::prelude::*;
@@ -293,10 +292,9 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
     // `Engine::multiply_planned`, or a content-equal matrix through the full
     // checksum. A `b` one *unsampled* value away from `a` (same fingerprint),
     // `aᵀ` and a rectangular `b` must take the one-sided arm; so must every
-    // preparation without a relabelling, every masked plan, and every
-    // operand below 128 KiB narrow enough for the
-    // kernel's dense accumulator (the small mesh here; the large one is past
-    // that floor). Whichever arm runs, the product is `spgemm_serial(a, b)`
+    // preparation without a relabelling and every masked plan, on the small
+    // mesh and the large one alike. Whichever arm runs, the product is
+    // `spgemm_serial(a, b)`
     // under the public shape transforms, bit for bit — the report's
     // `two_sided` says which it was.
     let mut engine = Engine::default();
@@ -328,7 +326,6 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
             ("the transpose", &transposed, false),
             ("a rectangular b", &rect, false),
         ];
-        let small = a.memory_bytes() < 128 << 10;
         for reorder in [
             Reordering::Rcm,
             Reordering::Degree,
@@ -369,17 +366,11 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
                         assert!(got.bits_eq(&expect), "{what}: bits changed");
                         assert_eq!(report.accumulator, AccumulatorKind::Dense, "{what}");
                         // What the preparation must carry: nothing
-                        // unless the rows moved into a band, nothing
-                        // below the dense accumulator's floor, and never
+                        // unless the rows moved into a band, and never
                         // under a masked plan.
                         let masked = shape == OutputShape::Masked;
                         let banded = matches!(reorder, Reordering::Rcm | Reordering::Hierarchical);
-                        let below_floor = small && dense_fits(a.ncols);
-                        assert_eq!(
-                            prepared.is_relabelled(),
-                            banded && !masked && !below_floor,
-                            "{what}"
-                        );
+                        assert_eq!(prepared.is_relabelled(), banded && !masked, "{what}");
                         assert_eq!(
                             report.two_sided,
                             b_is_a && prepared.is_relabelled(),
@@ -395,18 +386,16 @@ fn a_reordered_plan_runs_two_sided_exactly_when_b_is_the_prepared_operand() {
 
 #[test]
 fn a_clustered_operand_runs_the_lane_kernel_bit_identically_on_both_arms() {
-    // The lane arm of the table: near-duplicate rows, shuffled, past the
-    // 128 KiB relabelling floor. Every unmasked plan keeps the operand
-    // clustered (ExecutionReport::clustered) and runs the cluster-wise lane
-    // kernel — two-sided when `b` is proven to be `a` (the same reference,
-    // or a content-equal clone), one-sided otherwise; a masked plan never
-    // scans and runs row-wise. Whatever ran, the product is
+    // The lane arm of the table: near-duplicate rows, shuffled. Every
+    // unmasked plan keeps the operand clustered (ExecutionReport::clustered)
+    // and runs the cluster-wise lane kernel — two-sided when `b` is proven
+    // to be `a` (the same reference, or a content-equal clone), one-sided
+    // otherwise; a masked plan never scans and runs row-wise. Whatever ran, the product is
     // `spgemm_serial(a, b)` under the shape transforms, bit for bit, in
     // pools of one, two and four workers and at the process-wide width.
     let natural = gen::banded::block_diagonal(2_000, (6, 10), 0.02, 5);
     let a = clusterwise_spgemm::reorder::random_permutation(natural.nrows, 9)
         .permute_symmetric(&natural);
-    assert!(a.memory_bytes() >= 128 << 10);
     let clone = a.clone();
     let mut other = a.clone();
     other.vals[0] += 1.0;

@@ -7,7 +7,8 @@
 //! pass the race's 1 ms floor.
 
 use clusterwise_spgemm::engine::{
-    OperandKey, PlanningPolicy, DEFAULT_CACHE_CAPACITY, MIN_RACE_SECONDS, RACE_SAMPLES,
+    OperandKey, PlanningPolicy, DEFAULT_CACHE_CAPACITY, DEFAULT_FEEDBACK_CAPACITY,
+    MIN_RACE_SECONDS, RACE_SAMPLES,
 };
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
@@ -178,17 +179,29 @@ fn forced_plans_outside_the_candidate_set_carry_no_feedback() {
 #[test]
 fn capacity_eviction_and_engine_reset_forget_locks() {
     let a = gen::grid::poisson2d(12, 12);
-    let b = gen::grid::poisson2d(13, 13);
     let key = |m: &CsrMatrix| (OperandKey::of(m), OutputShape::Full);
+    // Operands the store only needs keys for: distinct per `i`.
+    let fabricated = |i: u64| {
+        let fingerprint = clusterwise_spgemm::sparse::MatrixFingerprint {
+            nrows: 1,
+            ncols: 1,
+            nnz: 0,
+            structure_hash: i,
+        };
+        (OperandKey { fingerprint, checksum: i }, OutputShape::Full)
+    };
 
-    // A store of one operand: seeding a second evicts the first's lock,
-    // and the first's next sighting races again from rank 0.
+    // A full store: seeding one more operand evicts the stalest one's
+    // lock, and that operand's next sighting races again from rank 0.
     let (rank0, other) = (Plan::baseline(), Plan { reorder: Reordering::Rcm, ..Plan::baseline() });
-    let mut store = FeedbackStore::with_capacity(1);
+    let mut store = FeedbackStore::new();
     store.seed(key(&a), vec![(rank0, 0.0), (other, 0.0)]);
     race(&mut store, key(&a), 2 * RACE_SAMPLES, &|p| if p == other { 0.002 } else { 0.004 });
     assert_eq!(store.chosen_plan(&key(&a)), Some(other));
-    store.seed(key(&b), vec![(rank0, 0.0)]);
+    for i in 0..DEFAULT_FEEDBACK_CAPACITY as u64 {
+        store.seed(fabricated(i), vec![(rank0, 0.0)]);
+    }
+    assert_eq!(store.len(), DEFAULT_FEEDBACK_CAPACITY);
     assert!(store.chosen_plan(&key(&a)).is_none(), "evicted with its lock");
     store.seed(key(&a), vec![(rank0, 0.0), (other, 0.0)]);
     assert_eq!(store.chosen_plan(&key(&a)), Some(rank0));
