@@ -324,7 +324,21 @@ impl Engine {
         forced: Option<Plan>,
         shape: OutputShape,
     ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
-        let operand = OperandKey::of(a);
+        self.prepare_keyed(a, OperandKey::of(a), forced, shape)
+    }
+
+    /// [`Engine::prepare_with_shape`] with `a`'s key already in hand, so the
+    /// `O(nnz)` checksum is not paid again: a service shard handed the same
+    /// `Arc` it keyed before passes that key. `operand` must be
+    /// `OperandKey::of(a)` — under another matrix's key this serves that
+    /// matrix's preparation.
+    pub fn prepare_keyed(
+        &mut self,
+        a: &CsrMatrix,
+        operand: OperandKey,
+        forced: Option<Plan>,
+        shape: OutputShape,
+    ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
         // A forced plan is a complete pipeline description — its own shape
         // wins. The shape joins the feedback key: full and truncated
         // traffic on the same operand never share a race.

@@ -13,16 +13,28 @@
 //! buffered as [`Frame`]s. A multiply whose rhs *is* its lhs (`C = A·A`,
 //! the same reference) sends that operand once, under
 //! [`crate::frame::FLAG_RHS_IS_LHS`]; two equal matrices in different
-//! allocations still travel as two blobs — the client never compares
-//! contents.
+//! allocations still travel as two blobs. A mask that is the lhs travels as
+//! its tag alone ([`crate::frame::FLAG_MASK_IS_LHS`]).
+//!
+//! An lhs the server already holds is not sent again. After a RESULT under
+//! [`crate::frame::FLAG_LHS_RESIDENT`] the client remembers the lhs's
+//! [`OperandKey`] and the request id that uploaded it; a later synchronous
+//! multiply whose lhs passes the key's test — dimensions and `nnz`, then
+//! the sampled fingerprint, then the checksum, so a different operand costs
+//! microseconds — names that upload instead of carrying the lhs. If the
+//! server answers `UnknownOperand`, the call forgets the key and resends the
+//! lhs inline, once, unseen by its caller. Any inline SUBMIT, and a dropped
+//! connection, forget the key too: the server drops its operand then.
 
 use crate::frame::{
     decode_reject_payload, read_result_payload, write_submit_block, Frame, FrameError, FrameHeader,
-    OpCode, RejectCode, ShapeBlock, SubmitShape, WireReport, FLAG_NO_WAIT, FLAG_RHS_IS_LHS,
+    OpCode, RejectCode, ShapeBlock, SubmitShape, WireReport, FLAG_LHS_RESIDENT, FLAG_MASK_IS_LHS,
+    FLAG_NO_WAIT, FLAG_RHS_IS_LHS,
 };
+use cw_engine::OperandKey;
 use cw_service::Priority;
 use cw_sparse::io::{CsrCodecError, CsrReadError};
-use cw_sparse::CsrMatrix;
+use cw_sparse::{checksum, fingerprint, CsrMatrix};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -179,12 +191,15 @@ pub struct NetClient {
     config: ClientConfig,
     stream: Option<TcpStream>,
     next_id: u64,
+    /// The lhs the server holds for this connection: its key and the
+    /// request id that uploaded it.
+    resident: Option<(OperandKey, u64)>,
 }
 
 impl NetClient {
     /// Connects eagerly (with the config's dial retries).
     pub fn connect(addr: SocketAddr, config: ClientConfig) -> Result<NetClient, NetError> {
-        let mut client = NetClient { addr, config, stream: None, next_id: 0 };
+        let mut client = NetClient { addr, config, stream: None, next_id: 0, resident: None };
         client.ensure_connected()?;
         Ok(client)
     }
@@ -242,14 +257,17 @@ impl NetClient {
                 // A RESULT that does not decode was still consumed to its
                 // end: the connection stays frame-aligned and is kept.
                 let (report, product) = read_result_payload(stream, head.payload_len as usize)?;
-                return Ok(Reply::Result(WireResponse { product, report }));
+                let response = WireResponse { product, report };
+                return Ok(Reply::Result { response, lhs_resident: head.lhs_resident() });
             }
             Ok(Reply::Control(head.read_payload(stream)?))
         })();
         // Transport gone, or a stray reply whose payload was left unread:
-        // the stream's state is unknown either way; start fresh.
+        // the stream's state is unknown either way; start fresh, and the
+        // server's resident operand went with the connection.
         if matches!(result, Err(NetError::Io(_) | NetError::Protocol(_))) {
             self.stream = None;
+            self.resident = None;
         }
         result
     }
@@ -259,34 +277,86 @@ impl NetClient {
         self.exchange(request_id, |stream| Frame::control(op, request_id).write_to(stream))
     }
 
-    /// The header of this client's next SUBMIT of `lhs · rhs` (its length
-    /// is filled in when the frame is written): `flags`, plus
-    /// [`FLAG_RHS_IS_LHS`] when `rhs` is `lhs` itself.
+    /// The header of this client's next SUBMIT of `shape(lhs · rhs)` (its
+    /// length is filled in when the frame is written): `flags`, plus
+    /// [`FLAG_RHS_IS_LHS`] when `rhs` is `lhs` itself and
+    /// [`FLAG_MASK_IS_LHS`] when the mask is.
     fn submit_head(
         &mut self,
         qos: Qos,
         flags: u16,
         lhs: &CsrMatrix,
         rhs: &CsrMatrix,
+        shape: ShapeBlock<'_>,
     ) -> FrameHeader {
         let rhs_is_lhs = if std::ptr::eq(lhs, rhs) { FLAG_RHS_IS_LHS } else { 0 };
+        let mask_is_lhs = match shape {
+            ShapeBlock::Masked(mask) if std::ptr::eq(lhs, mask) => FLAG_MASK_IS_LHS,
+            _ => 0,
+        };
         FrameHeader {
             priority: qos.priority,
-            flags: flags | rhs_is_lhs,
+            flags: flags | rhs_is_lhs | mask_is_lhs,
             deadline_ms: qos.deadline_ms(),
             ..FrameHeader::control(OpCode::Submit, self.next_request_id())
         }
     }
 
-    /// Sends one SUBMIT, streamed from the operands, and reads the reply.
+    /// Sends one SUBMIT, streamed from the operands, and reads the reply:
+    /// under [`FLAG_LHS_RESIDENT`] with the lhs named by its `upload` id,
+    /// else inline, which makes the server drop its resident operand.
     fn submit(
         &mut self,
         head: &FrameHeader,
         lhs: &CsrMatrix,
         rhs: &CsrMatrix,
         shape: ShapeBlock<'_>,
+        upload: Option<u64>,
     ) -> Result<Reply, NetError> {
-        self.exchange(head.request_id, |stream| write_submit_block(stream, head, lhs, rhs, shape))
+        if upload.is_none() {
+            self.resident = None;
+        }
+        self.exchange(head.request_id, |stream| {
+            write_submit_block(stream, head, lhs, rhs, shape, upload)
+        })
+    }
+
+    /// The upload id under which the server holds `lhs`, if it does: the
+    /// remembered key's test, cheapest first.
+    fn resident_upload(&self, lhs: &CsrMatrix) -> Option<u64> {
+        let (key, upload) = self.resident.as_ref()?;
+        let fp = &key.fingerprint;
+        let same = (lhs.nrows as u64, lhs.ncols as u64, lhs.nnz() as u64)
+            == (fp.nrows, fp.ncols, fp.nnz)
+            && fingerprint(lhs) == *fp
+            && checksum(lhs) == key.checksum;
+        same.then_some(*upload)
+    }
+
+    /// One synchronous multiply: by reference when the server holds `lhs`
+    /// (resent inline, once, if it no longer does), else inline — after
+    /// which a RESULT under [`FLAG_LHS_RESIDENT`] makes `lhs` the resident
+    /// operand.
+    fn multiply_block(
+        &mut self,
+        lhs: &CsrMatrix,
+        rhs: &CsrMatrix,
+        shape: ShapeBlock<'_>,
+        qos: Qos,
+    ) -> Result<WireResponse, NetError> {
+        if let Some(upload) = self.resident_upload(lhs) {
+            let head = self.submit_head(qos, FLAG_LHS_RESIDENT, lhs, rhs, shape);
+            match self.submit(&head, lhs, rhs, shape, Some(upload))?.into_result() {
+                Err(e) if e.is_rejected_with(RejectCode::UnknownOperand) => self.resident = None,
+                served => return served,
+            }
+        }
+        let head = self.submit_head(qos, 0, lhs, rhs, shape);
+        let reply = self.submit(&head, lhs, rhs, shape, None)?;
+        if let Reply::Result { lhs_resident: true, .. } = reply {
+            self.resident = Some((OperandKey::of(lhs), head.request_id));
+        }
+        reply.into_result()
     }
 
     fn next_request_id(&mut self) -> u64 {
@@ -310,8 +380,7 @@ impl NetClient {
         rhs: &CsrMatrix,
         mask: &CsrMatrix,
     ) -> Result<WireResponse, NetError> {
-        let head = self.submit_head(Qos::none(), 0, lhs, rhs);
-        self.submit(&head, lhs, rhs, ShapeBlock::Masked(mask))?.into_result()
+        self.multiply_block(lhs, rhs, ShapeBlock::Masked(mask), Qos::none())
     }
 
     /// `C = shape(lhs · rhs)` with an explicit [`SubmitShape`] and QoS
@@ -329,8 +398,7 @@ impl NetClient {
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<WireResponse, NetError> {
-        let head = self.submit_head(qos, 0, lhs, rhs);
-        self.submit(&head, lhs, rhs, shape.block())?.into_result()
+        self.multiply_block(lhs, rhs, shape.block(), qos)
     }
 
     /// Submits without waiting: the server answers `ACCEPTED` once the
@@ -344,8 +412,8 @@ impl NetClient {
         shape: &SubmitShape,
         qos: Qos,
     ) -> Result<u64, NetError> {
-        let head = self.submit_head(qos, FLAG_NO_WAIT, lhs, rhs);
-        match self.submit(&head, lhs, rhs, shape.block())? {
+        let head = self.submit_head(qos, FLAG_NO_WAIT, lhs, rhs, shape.block());
+        match self.submit(&head, lhs, rhs, shape.block(), None)? {
             Reply::Control(reply) if reply.op == OpCode::Accepted => Ok(head.request_id),
             reply => Err(reply.unexpected("ACCEPTED")),
         }
@@ -387,7 +455,11 @@ impl NetClient {
 /// One reply as the client reads it: a RESULT decoded straight off the
 /// socket, or any other frame with its (small) payload buffered.
 enum Reply {
-    Result(WireResponse),
+    /// A RESULT, and whether it carried [`FLAG_LHS_RESIDENT`].
+    Result {
+        response: WireResponse,
+        lhs_resident: bool,
+    },
     Control(Frame),
 }
 
@@ -395,7 +467,7 @@ impl Reply {
     /// The served multiply, or why there is none.
     fn into_result(self) -> Result<WireResponse, NetError> {
         match self {
-            Reply::Result(response) => Ok(response),
+            Reply::Result { response, .. } => Ok(response),
             other => Err(other.unexpected("RESULT")),
         }
     }
@@ -404,7 +476,7 @@ impl Reply {
     /// REJECT if it is one, a protocol violation otherwise.
     fn unexpected(self, wanted: &str) -> NetError {
         match self {
-            Reply::Result(_) => NetError::Protocol(format!("expected {wanted}, got Result")),
+            Reply::Result { .. } => NetError::Protocol(format!("expected {wanted}, got Result")),
             Reply::Control(reply) if reply.op == OpCode::Reject => {
                 match decode_reject_payload(&reply.payload) {
                     Some((code, message)) => NetError::Rejected { code, message },

@@ -12,10 +12,10 @@
 //! | off | size | field | meaning |
 //! |-----|------|-------------|--------------------------------------------|
 //! | 0   | 4    | magic       | `b"CWNP"` |
-//! | 4   | 2    | version     | schema version, currently 3 |
+//! | 4   | 2    | version     | schema version, currently 4 |
 //! | 6   | 1    | op          | [`OpCode`] |
 //! | 7   | 1    | priority    | 0 = high, 1 = low |
-//! | 8   | 2    | flags       | bit 0 = [`FLAG_NO_WAIT`], bit 1 = [`FLAG_RHS_IS_LHS`] |
+//! | 8   | 2    | flags       | bit 0 = [`FLAG_NO_WAIT`], bit 1 = [`FLAG_RHS_IS_LHS`], bit 2 = [`FLAG_LHS_RESIDENT`], bit 3 = [`FLAG_MASK_IS_LHS`] |
 //! | 10  | 2    | reserved    | must be 0 |
 //! | 12  | 8    | request_id  | client-chosen; echoed in every reply |
 //! | 20  | 4    | deadline_ms | relative deadline, 0 = none |
@@ -27,9 +27,15 @@
 //! so v1 clients keep working against a v2 server. Version 3 adds
 //! [`FLAG_RHS_IS_LHS`]: a SUBMIT whose rhs is its lhs (`C = A·A`) carries
 //! the operand once. With the bit clear a v3 SUBMIT payload is byte-identical
-//! to v2, and a v3 server still serves v1 and v2 frames. The normative
-//! byte-level specification lives in `docs/PROTOCOL.md` at the workspace
-//! root; this module is its implementation.
+//! to v2. Version 4 keeps an operand on the server: the RESULT of a
+//! synchronous inline SUBMIT says, by [`FLAG_LHS_RESIDENT`], that its
+//! connection now holds that lhs, and a later SUBMIT on the connection names
+//! it by the upload's request id (8 bytes) instead of sending it again.
+//! [`FLAG_MASK_IS_LHS`] leaves out a mask that is the lhs. With the new bits
+//! clear a v4 SUBMIT payload is byte-identical to v3, and a v4 server still
+//! serves v1–v3 frames. The normative byte-level specification lives in
+//! `docs/PROTOCOL.md` at the workspace root; this module is its
+//! implementation.
 //!
 //! Two ways through the same bytes. The header is a value of its own
 //! ([`FrameHeader`]): it is read and validated without touching the
@@ -48,7 +54,7 @@
 //! streamed codec pointed at a `Vec` / a slice, byte- and error-identical.
 
 use cw_engine::OutputShape;
-use cw_service::{Priority, ServiceReport};
+use cw_service::{Priority, RequestShape, ServiceReport};
 use cw_sparse::io::{encoded_csr_len, read_csr, write_csr, CsrCodecError, CsrReadError};
 use cw_sparse::CsrMatrix;
 use std::fmt;
@@ -60,9 +66,10 @@ pub const FRAME_MAGIC: [u8; 4] = *b"CWNP";
 
 /// Wire schema version emitted by this build; peers reject anything newer.
 /// Version 2 added output shapes (the SUBMIT shape block and the
-/// [`WireReport`] shape fields); version 3 added [`FLAG_RHS_IS_LHS`].
-/// Version-1 and version-2 frames are still accepted.
-pub const FRAME_VERSION: u16 = 3;
+/// [`WireReport`] shape fields); version 3 added [`FLAG_RHS_IS_LHS`];
+/// version 4 added the resident lhs ([`FLAG_LHS_RESIDENT`]) and
+/// [`FLAG_MASK_IS_LHS`]. Version 1–3 frames are still accepted.
+pub const FRAME_VERSION: u16 = 4;
 
 /// Fixed header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 28;
@@ -77,19 +84,34 @@ pub const FLAG_NO_WAIT: u16 = 1;
 /// server multiplies that one matrix by itself.
 pub const FLAG_RHS_IS_LHS: u16 = 2;
 
+/// Frame flag (version 4), on a SUBMIT and on a RESULT. On a RESULT: the
+/// connection now holds this request's lhs, the *resident* operand, under
+/// the request id of the inline SUBMIT that uploaded it. On a SUBMIT: the
+/// lhs did not travel — the payload opens with that upload's request id
+/// (`u64` LE) where the lhs blob was, and the server multiplies its
+/// resident operand, or answers [`RejectCode::UnknownOperand`] when the id
+/// is not the one it holds. A connection holds one resident operand; the
+/// next inline SUBMIT replaces it, and it goes with the connection.
+pub const FLAG_LHS_RESIDENT: u16 = 4;
+
+/// SUBMIT flag (version 4): the request is masked and its mask is its lhs,
+/// so the shape block is the masked tag alone, with no mask blob.
+pub const FLAG_MASK_IS_LHS: u16 = 8;
+
 /// Every flag bit a SUBMIT may carry; a SUBMIT with any other bit set is
 /// refused as malformed, since an unknown bit may change what its payload
 /// means.
-pub const SUBMIT_FLAGS: u16 = FLAG_NO_WAIT | FLAG_RHS_IS_LHS;
+pub const SUBMIT_FLAGS: u16 = FLAG_NO_WAIT | FLAG_RHS_IS_LHS | FLAG_LHS_RESIDENT | FLAG_MASK_IS_LHS;
 
 /// Frame operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
     /// Client → server: execute `C = shape(lhs · rhs)`. Payload: lhs
-    /// `CSRB` blob, rhs `CSRB` blob (omitted under [`FLAG_RHS_IS_LHS`]),
-    /// then an optional [`SubmitShape`] block (absent = full product, the
-    /// version-1 payload).
+    /// `CSRB` blob (the upload's request id under [`FLAG_LHS_RESIDENT`]),
+    /// rhs `CSRB` blob (omitted under [`FLAG_RHS_IS_LHS`]), then an
+    /// optional [`SubmitShape`] block (absent = full product, the version-1
+    /// payload; the masked tag alone under [`FLAG_MASK_IS_LHS`]).
     Submit = 1,
     /// Server → client: a served multiply. Payload: [`WireReport`]
     /// followed by the product `CSRB` blob.
@@ -159,6 +181,9 @@ pub enum RejectCode {
     /// A POLL named a request id this connection never submitted (or one
     /// already redeemed).
     UnknownRequest = 8,
+    /// A SUBMIT under [`FLAG_LHS_RESIDENT`] named an upload this connection
+    /// does not hold (version 4); resend the lhs inline.
+    UnknownOperand = 9,
 }
 
 impl RejectCode {
@@ -173,6 +198,7 @@ impl RejectCode {
             6 => RejectCode::ShuttingDown,
             7 => RejectCode::Internal,
             8 => RejectCode::UnknownRequest,
+            9 => RejectCode::UnknownOperand,
             _ => return None,
         })
     }
@@ -210,7 +236,8 @@ pub struct FrameHeader {
     pub op: OpCode,
     /// QoS priority class (meaningful on SUBMIT; echoed elsewhere).
     pub priority: Priority,
-    /// Header flags ([`FLAG_NO_WAIT`], [`FLAG_RHS_IS_LHS`]).
+    /// Header flags ([`FLAG_NO_WAIT`], [`FLAG_RHS_IS_LHS`],
+    /// [`FLAG_LHS_RESIDENT`], [`FLAG_MASK_IS_LHS`]).
     pub flags: u16,
     /// Client-chosen request id, echoed verbatim in replies.
     pub request_id: u64,
@@ -241,6 +268,15 @@ impl FrameHeader {
     /// Whether [`FLAG_RHS_IS_LHS`] is set.
     pub fn rhs_is_lhs(&self) -> bool {
         self.flags & FLAG_RHS_IS_LHS != 0
+    }
+
+    /// Whether [`FLAG_LHS_RESIDENT`] is set.
+    pub(crate) fn lhs_resident(&self) -> bool {
+        self.flags & FLAG_LHS_RESIDENT != 0
+    }
+
+    fn mask_is_lhs(&self) -> bool {
+        self.flags & FLAG_MASK_IS_LHS != 0
     }
 
     /// The 28 wire bytes (always stamped [`FRAME_VERSION`]).
@@ -326,7 +362,8 @@ pub struct Frame {
     pub op: OpCode,
     /// QoS priority class (meaningful on SUBMIT; echoed elsewhere).
     pub priority: Priority,
-    /// Header flags ([`FLAG_NO_WAIT`], [`FLAG_RHS_IS_LHS`]).
+    /// Header flags ([`FLAG_NO_WAIT`], [`FLAG_RHS_IS_LHS`],
+    /// [`FLAG_LHS_RESIDENT`], [`FLAG_MASK_IS_LHS`]).
     pub flags: u16,
     /// Client-chosen request id, echoed verbatim in replies.
     pub request_id: u64,
@@ -487,17 +524,109 @@ impl SubmitShape {
 pub(crate) enum ShapeBlock<'a> {
     Full,
     Masked(&'a CsrMatrix),
+    /// Masked by the lhs, under [`FLAG_MASK_IS_LHS`]: the tag alone.
+    MaskIsLhs,
     TopK(u64),
 }
 
-impl ShapeBlock<'_> {
-    fn payload_len(&self, lhs: &CsrMatrix, rhs: Option<&CsrMatrix>) -> usize {
-        let block = match self {
+/// A SUBMIT's lhs as its payload carries it.
+#[derive(Debug, Clone, Copy)]
+enum LhsPart<'m> {
+    /// The operand's `CSRB` blob.
+    Blob(&'m CsrMatrix),
+    /// The request id of the inline SUBMIT that uploaded it, under
+    /// [`FLAG_LHS_RESIDENT`].
+    Resident(u64),
+}
+
+/// The parts of one SUBMIT payload, as its header's flags say they travel.
+#[derive(Debug, Clone, Copy)]
+struct SubmitParts<'m> {
+    lhs: LhsPart<'m>,
+    /// `None` under [`FLAG_RHS_IS_LHS`].
+    rhs: Option<&'m CsrMatrix>,
+    shape: ShapeBlock<'m>,
+}
+
+fn invalid(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, message)
+}
+
+impl<'m> SubmitParts<'m> {
+    /// Both operand blobs and the shape block: the flag-clear payload.
+    fn inline(lhs: &'m CsrMatrix, rhs: &'m CsrMatrix, shape: ShapeBlock<'m>) -> SubmitParts<'m> {
+        SubmitParts { lhs: LhsPart::Blob(lhs), rhs: Some(rhs), shape }
+    }
+
+    /// The parts a SUBMIT under `head` carries. Each flag's claim must
+    /// hold — the rhs, or the mask, is `lhs` itself (the same reference,
+    /// not an equal matrix), and an `upload` id is given exactly under
+    /// [`FLAG_LHS_RESIDENT`] — or the error is
+    /// [`io::ErrorKind::InvalidInput`].
+    fn of(
+        head: &FrameHeader,
+        lhs: &'m CsrMatrix,
+        rhs: &'m CsrMatrix,
+        shape: ShapeBlock<'m>,
+        upload: Option<u64>,
+    ) -> io::Result<SubmitParts<'m>> {
+        let rhs = match (head.rhs_is_lhs(), std::ptr::eq(lhs, rhs)) {
+            (false, _) => Some(rhs),
+            (true, true) => None,
+            (true, false) => {
+                return Err(invalid("FLAG_RHS_IS_LHS set on a SUBMIT whose rhs is not its lhs"))
+            }
+        };
+        let shape = match (head.mask_is_lhs(), shape) {
+            (false, shape) => shape,
+            (true, ShapeBlock::Masked(mask)) if std::ptr::eq(lhs, mask) => ShapeBlock::MaskIsLhs,
+            (true, _) => {
+                return Err(invalid("FLAG_MASK_IS_LHS set on a SUBMIT whose mask is not its lhs"))
+            }
+        };
+        let lhs = match (head.lhs_resident(), upload) {
+            (false, None) => LhsPart::Blob(lhs),
+            (true, Some(id)) => LhsPart::Resident(id),
+            _ => return Err(invalid("FLAG_LHS_RESIDENT and the upload id disagree")),
+        };
+        Ok(SubmitParts { lhs, rhs, shape })
+    }
+
+    fn payload_len(&self) -> usize {
+        let lhs = match self.lhs {
+            LhsPart::Blob(lhs) => encoded_csr_len(lhs),
+            LhsPart::Resident(_) => 8,
+        };
+        let block = match self.shape {
             ShapeBlock::Full => 0,
             ShapeBlock::Masked(mask) => 1 + encoded_csr_len(mask),
+            ShapeBlock::MaskIsLhs => 1,
             ShapeBlock::TopK(_) => 9,
         };
-        encoded_csr_len(lhs) + rhs.map_or(0, encoded_csr_len) + block
+        lhs + self.rhs.map_or(0, encoded_csr_len) + block
+    }
+
+    fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        match self.lhs {
+            LhsPart::Blob(lhs) => write_csr(w, lhs)?,
+            LhsPart::Resident(id) => w.write_all(&id.to_le_bytes())?,
+        }
+        if let Some(rhs) = self.rhs {
+            write_csr(w, rhs)?;
+        }
+        match self.shape {
+            ShapeBlock::Full => Ok(()),
+            ShapeBlock::Masked(mask) => {
+                w.write_all(&[SHAPE_TAG_MASKED])?;
+                write_csr(w, mask)
+            }
+            ShapeBlock::MaskIsLhs => w.write_all(&[SHAPE_TAG_MASKED]),
+            ShapeBlock::TopK(k) => {
+                let mut block = [SHAPE_TAG_TOPK; 9];
+                block[1..].copy_from_slice(&k.to_le_bytes());
+                w.write_all(&block)
+            }
+        }
     }
 }
 
@@ -506,7 +635,7 @@ impl ShapeBlock<'_> {
 /// written first. Under [`FLAG_RHS_IS_LHS`] the payload is
 /// `encoded_csr_len(rhs)` shorter.
 pub fn submit_payload_len(lhs: &CsrMatrix, rhs: &CsrMatrix, shape: &SubmitShape) -> usize {
-    shape.block().payload_len(lhs, Some(rhs))
+    SubmitParts::inline(lhs, rhs, shape.block()).payload_len()
 }
 
 /// Exact byte length of the RESULT payload carrying `product`.
@@ -526,71 +655,36 @@ fn announcing(head: &FrameHeader, payload_len: usize) -> io::Result<FrameHeader>
     Ok(FrameHeader { payload_len, ..*head })
 }
 
-/// The rhs blob a SUBMIT under `head` carries: none under
-/// [`FLAG_RHS_IS_LHS`], whose claim must hold — `rhs` is `lhs` itself, not
-/// merely equal to it.
-fn rhs_blob<'m>(
-    head: &FrameHeader,
-    lhs: &CsrMatrix,
-    rhs: &'m CsrMatrix,
-) -> io::Result<Option<&'m CsrMatrix>> {
-    match (head.rhs_is_lhs(), std::ptr::eq(lhs, rhs)) {
-        (false, _) => Ok(Some(rhs)),
-        (true, true) => Ok(None),
-        (true, false) => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "FLAG_RHS_IS_LHS set on a SUBMIT whose rhs is not its lhs",
-        )),
-    }
-}
-
-fn write_submit_payload<W: Write>(
-    w: &mut W,
-    lhs: &CsrMatrix,
-    rhs: Option<&CsrMatrix>,
-    shape: ShapeBlock<'_>,
-) -> io::Result<()> {
-    write_csr(w, lhs)?;
-    if let Some(rhs) = rhs {
-        write_csr(w, rhs)?;
-    }
-    match shape {
-        ShapeBlock::Full => Ok(()),
-        ShapeBlock::Masked(mask) => {
-            w.write_all(&[SHAPE_TAG_MASKED])?;
-            write_csr(w, mask)
-        }
-        ShapeBlock::TopK(k) => {
-            let mut block = [SHAPE_TAG_TOPK; 9];
-            block[1..].copy_from_slice(&k.to_le_bytes());
-            w.write_all(&block)
-        }
-    }
-}
-
+/// [`write_submit`] with a borrowed shape and, under [`FLAG_LHS_RESIDENT`],
+/// the `upload` id that names the resident lhs.
 pub(crate) fn write_submit_block<W: Write>(
     w: &mut W,
     head: &FrameHeader,
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
     shape: ShapeBlock<'_>,
+    upload: Option<u64>,
 ) -> io::Result<()> {
-    let rhs = rhs_blob(head, lhs, rhs)?;
-    w.write_all(&announcing(head, shape.payload_len(lhs, rhs))?.encode())?;
-    write_submit_payload(w, lhs, rhs, shape)?;
+    let parts = SubmitParts::of(head, lhs, rhs, shape, upload)?;
+    w.write_all(&announcing(head, parts.payload_len())?.encode())?;
+    parts.write(w)?;
     w.flush()
 }
 
-/// Writes one whole SUBMIT frame to `w` straight from the operands' arrays
-/// and flushes: `head` with its `payload_len` set, then the payload — the
-/// operands as back-to-back `CSRB` blobs, then the output-shape block
+/// Writes one whole inline SUBMIT frame to `w` straight from the operands'
+/// arrays and flushes: `head` with its `payload_len` set, then the payload —
+/// the operands as back-to-back `CSRB` blobs, then the output-shape block
 /// ([`SubmitShape::Full`] encodes nothing, keeping full-product payloads
 /// byte-identical to version 1). The payload is what `head.flags` says:
 /// with [`FLAG_RHS_IS_LHS`] clear, both blobs — the bytes of a [`Frame`]
 /// carrying [`encode_submit_payload_shaped`]'s payload, [`submit_payload_len`]
 /// long; with it set, the rhs blob is left out, and `rhs` must be `lhs`
 /// (the same reference) or nothing is written and the error is
-/// [`io::ErrorKind::InvalidInput`]. No call hands `w` more than 64 KiB.
+/// [`io::ErrorKind::InvalidInput`]. The same error refuses
+/// [`FLAG_LHS_RESIDENT`] (this writer has no upload id) and
+/// [`FLAG_MASK_IS_LHS`] (a [`SubmitShape`] owns its mask, so it is never
+/// the lhs): [`crate::NetClient`] writes those. No call hands `w` more than
+/// 64 KiB.
 pub fn write_submit<W: Write>(
     w: &mut W,
     head: &FrameHeader,
@@ -598,7 +692,7 @@ pub fn write_submit<W: Write>(
     rhs: &CsrMatrix,
     shape: &SubmitShape,
 ) -> io::Result<()> {
-    write_submit_block(w, head, lhs, rhs, shape.block())
+    write_submit_block(w, head, lhs, rhs, shape.block(), None)
 }
 
 /// The flag-clear SUBMIT payload [`write_submit`] streams, built in a
@@ -608,15 +702,25 @@ pub fn encode_submit_payload_shaped(
     rhs: &CsrMatrix,
     shape: &SubmitShape,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(submit_payload_len(lhs, rhs, shape));
-    write_submit_payload(&mut out, lhs, Some(rhs), shape.block())
-        .expect("writing to a Vec cannot fail");
+    let parts = SubmitParts::inline(lhs, rhs, shape.block());
+    let mut out = Vec::with_capacity(parts.payload_len());
+    parts.write(&mut out).expect("writing to a Vec cannot fail");
     out
 }
 
 /// What is left of a frame's payload.
 fn left<R: Read>(body: &io::Take<R>) -> usize {
     body.limit() as usize
+}
+
+/// Reads and discards the rest of a payload; a payload that stops arriving
+/// first is the transport's failure.
+fn drain<R: Read>(body: &mut io::Take<R>) -> io::Result<()> {
+    io::copy(body, &mut io::sink())?;
+    if left(body) != 0 {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof));
+    }
+    Ok(())
 }
 
 /// Keeps the stream frame-aligned: a payload that failed to *decode* is
@@ -627,10 +731,7 @@ fn drained<T, R: Read>(
     body: &mut io::Take<R>,
 ) -> Result<T, CsrReadError> {
     if let Err(CsrReadError::Codec(_)) = decoded {
-        io::copy(body, &mut io::sink())?;
-        if left(body) != 0 {
-            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
-        }
+        drain(body)?;
     }
     decoded
 }
@@ -645,15 +746,23 @@ fn from_slice<T>(decoded: Result<T, CsrReadError>) -> Result<T, CsrCodecError> {
     }
 }
 
+/// A decoded SUBMIT's `(lhs, rhs, shape)`.
+type Operands = (Arc<CsrMatrix>, Arc<CsrMatrix>, RequestShape);
+
 /// Reads the payload of the SUBMIT whose header is `head` from `r` straight
-/// into the operands' arrays: `(lhs, rhs, shape)`. Under
-/// [`FLAG_RHS_IS_LHS`] one blob is decoded and `rhs` is the same `Arc` as
-/// `lhs`. Each blob is handed what is left of the frame as its limit, so no
-/// allocation is sized beyond the (already capped) frame. An absent shape
-/// block (the version-1 payload) decodes as [`SubmitShape::Full`]; an
-/// unknown tag byte, bytes trailing a complete block, or a flag bit outside
-/// [`SUBMIT_FLAGS`] are framing errors — an unknown bit may change what the
-/// payload means, so the whole payload is drained unparsed and refused as
+/// into the operands' arrays: `(lhs, rhs, shape)`, as the service takes
+/// them. Under [`FLAG_RHS_IS_LHS`] `rhs` is the same `Arc` as `lhs`, and
+/// under [`FLAG_MASK_IS_LHS`] so is the mask. Under [`FLAG_LHS_RESIDENT`]
+/// the lhs is `resident`'s operand when the payload names its upload id;
+/// when it names another, the rest of the payload is read unparsed and the
+/// result is `Ok(None)`. Each blob is handed what is left of the frame as
+/// its limit, so no allocation is sized beyond the (already capped) frame.
+/// An absent shape block (the version-1 payload) decodes as
+/// [`RequestShape::Full`]; an unknown tag byte, bytes trailing a complete
+/// block, a block other than the masked tag alone under
+/// [`FLAG_MASK_IS_LHS`], or a flag bit outside [`SUBMIT_FLAGS`] are framing
+/// errors — an unknown bit may change what the payload means, so the whole
+/// payload is drained unparsed and refused as
 /// [`CsrCodecError::TrailingBytes`] of its length.
 ///
 /// On [`CsrReadError::Codec`] the rest of the payload has been read and
@@ -662,34 +771,70 @@ fn from_slice<T>(decoded: Result<T, CsrReadError>) -> Result<T, CsrCodecError> {
 pub fn read_submit_payload<R: Read>(
     r: &mut R,
     head: &FrameHeader,
-) -> Result<(Arc<CsrMatrix>, Arc<CsrMatrix>, SubmitShape), CsrReadError> {
+    resident: Option<(u64, &Arc<CsrMatrix>)>,
+) -> Result<Option<Operands>, CsrReadError> {
     let mut body = r.take(head.payload_len as u64);
     let decoded = if head.flags & !SUBMIT_FLAGS == 0 {
-        submit_from(&mut body, head.rhs_is_lhs())
+        submit_from(&mut body, head, resident)
     } else {
         Err(CsrCodecError::TrailingBytes(head.payload_len as usize).into())
     };
-    let (lhs, rhs, shape) = drained(decoded, &mut body)?;
-    let lhs = Arc::new(lhs);
-    let rhs = rhs.map_or_else(|| Arc::clone(&lhs), Arc::new);
-    Ok((lhs, rhs, shape))
+    drained(decoded, &mut body)
 }
 
-/// The payload's operands and shape; `None` for the rhs when it did not
-/// travel because it is the lhs.
 fn submit_from<R: Read>(
     body: &mut io::Take<R>,
-    rhs_is_lhs: bool,
-) -> Result<(CsrMatrix, Option<CsrMatrix>, SubmitShape), CsrReadError> {
-    let (lhs, _) = read_csr(body, left(body))?;
-    let rhs = if rhs_is_lhs { None } else { Some(read_csr(body, left(body))?.0) };
+    head: &FrameHeader,
+    resident: Option<(u64, &Arc<CsrMatrix>)>,
+) -> Result<Option<Operands>, CsrReadError> {
+    let lhs = if head.lhs_resident() {
+        if left(body) < 8 {
+            return Err(CsrCodecError::Truncated { needed: 8, have: left(body) }.into());
+        }
+        let mut upload = [0u8; 8];
+        body.read_exact(&mut upload)?;
+        match resident {
+            Some((held, lhs)) if held == u64::from_le_bytes(upload) => Arc::clone(lhs),
+            _ => {
+                drain(body)?;
+                return Ok(None);
+            }
+        }
+    } else {
+        Arc::new(read_csr(body, left(body))?.0)
+    };
+    let rhs =
+        if head.rhs_is_lhs() { Arc::clone(&lhs) } else { Arc::new(read_csr(body, left(body))?.0) };
+    let shape = match shape_from(body, head.mask_is_lhs())? {
+        Some(shape) => shape.into_request_shape(),
+        None => RequestShape::Masked(Arc::clone(&lhs)),
+    };
+    Ok(Some((lhs, rhs, shape)))
+}
+
+/// The shape block that ends a SUBMIT payload: `None` when the mask is the
+/// lhs, which under [`FLAG_MASK_IS_LHS`] (`mask_is_lhs`) is the only block
+/// there may be — the masked tag alone.
+fn shape_from<R: Read>(
+    body: &mut io::Take<R>,
+    mask_is_lhs: bool,
+) -> Result<Option<SubmitShape>, CsrReadError> {
     let rest = left(body);
     if rest == 0 {
-        return Ok((lhs, rhs, SubmitShape::Full));
+        if mask_is_lhs {
+            return Err(CsrCodecError::Truncated { needed: 1, have: 0 }.into());
+        }
+        return Ok(Some(SubmitShape::Full));
     }
     let mut tag = [0u8; 1];
     body.read_exact(&mut tag)?;
     let shape = match tag[0] {
+        SHAPE_TAG_MASKED if mask_is_lhs => {
+            if left(body) != 0 {
+                return Err(CsrCodecError::TrailingBytes(left(body)).into());
+            }
+            return Ok(None);
+        }
         SHAPE_TAG_MASKED => {
             let (mask, _) = read_csr(body, left(body))?;
             if left(body) != 0 {
@@ -697,7 +842,7 @@ fn submit_from<R: Read>(
             }
             SubmitShape::Masked(mask)
         }
-        SHAPE_TAG_TOPK => {
+        SHAPE_TAG_TOPK if !mask_is_lhs => {
             if rest != 9 {
                 return Err(if rest < 9 {
                     CsrCodecError::Truncated { needed: 9, have: rest }.into()
@@ -713,17 +858,22 @@ fn submit_from<R: Read>(
         // it as trailing bytes so the server rejects it as Malformed.
         _ => return Err(CsrCodecError::TrailingBytes(rest).into()),
     };
-    Ok((lhs, rhs, shape))
+    Ok(Some(shape))
 }
 
 /// Decodes a buffered flag-clear SUBMIT payload (both operand blobs, then
-/// the shape block) — [`read_submit_payload`]'s decoder over a slice.
+/// the shape block) with [`read_submit_payload`]'s blob and shape-block
+/// decoders, over a slice.
 pub fn decode_submit_payload_shaped(
     payload: &[u8],
 ) -> Result<(CsrMatrix, CsrMatrix, SubmitShape), CsrCodecError> {
-    let (lhs, rhs, shape) =
-        from_slice(submit_from(&mut payload.take(payload.len() as u64), false))?;
-    Ok((lhs, rhs.expect("a flag-clear payload carries its rhs"), shape))
+    let body = &mut payload.take(payload.len() as u64);
+    from_slice((|| {
+        let (lhs, _) = read_csr(body, left(body))?;
+        let (rhs, _) = read_csr(body, left(body))?;
+        let shape = shape_from(body, false)?.expect("a flag-clear block carries its mask");
+        Ok((lhs, rhs, shape))
+    })())
 }
 
 /// REJECT payload: code + human-readable message.
@@ -1153,9 +1303,9 @@ mod tests {
                 FRAME_HEADER_BYTES,
                 "the header read touched the payload"
             );
-            let (l, r, back) = read_submit_payload(&mut wire, &head).unwrap();
+            let (l, r, back) = read_submit_payload(&mut wire, &head, None).unwrap().unwrap();
             assert!(l.bits_eq(&lhs) && r.bits_eq(&rhs));
-            assert_eq!(back, shape);
+            assert!(same_shape(&back, &shape), "{shape:?} read back as {back:?}");
             assert_eq!(wire.position() as usize, streamed.len());
         }
     }
@@ -1175,6 +1325,122 @@ mod tests {
             assert_eq!(flagged[blob.clone()], clear[blob.clone()], "{shape:?}");
             assert_eq!(flagged[blob.end..], clear[blob.end + encoded_csr_len(&lhs)..]);
         }
+    }
+
+    /// Whether a decoded request shape is the shape that was sent.
+    fn same_shape(got: &RequestShape, sent: &SubmitShape) -> bool {
+        match (got, sent) {
+            (RequestShape::Full, SubmitShape::Full) => true,
+            (RequestShape::Masked(got), SubmitShape::Masked(sent)) => got.bits_eq(sent),
+            (RequestShape::TopK(got), SubmitShape::TopK(sent)) => *got as u64 == *sent,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn a_mask_that_is_the_lhs_travels_as_its_tag_alone() {
+        let (lhs, _, _) = sample_operands();
+        for rhs_flag in [0, FLAG_RHS_IS_LHS] {
+            let clear_head = FrameHeader { flags: FLAG_NO_WAIT | rhs_flag, ..submit_head() };
+            let head = FrameHeader { flags: clear_head.flags | FLAG_MASK_IS_LHS, ..clear_head };
+            let masked = ShapeBlock::Masked(&lhs);
+            let mut flagged = Vec::new();
+            write_submit_block(&mut flagged, &head, &lhs, &lhs, masked, None).unwrap();
+            // The mask-carrying frame minus its mask blob, nothing else: the
+            // masked tag ends the payload.
+            let mut clear = Vec::new();
+            write_submit_block(&mut clear, &clear_head, &lhs, &lhs, masked, None).unwrap();
+            let end = clear.len() - encoded_csr_len(&lhs);
+            assert_eq!(flagged.len(), end, "flags {:#x}", head.flags);
+            assert_eq!(flagged[FRAME_HEADER_BYTES..], clear[FRAME_HEADER_BYTES..end]);
+            assert_eq!(flagged.last(), Some(&SHAPE_TAG_MASKED));
+
+            let mut wire = Cursor::new(&flagged);
+            let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+            let (l, r, shape) = read_submit_payload(&mut wire, &head, None).unwrap().unwrap();
+            let RequestShape::Masked(mask) = shape else { panic!("{shape:?}") };
+            assert!(Arc::ptr_eq(&mask, &l), "the mask is not the lhs's Arc");
+            assert_eq!(Arc::ptr_eq(&r, &l), rhs_flag != 0);
+            assert!(l.bits_eq(&lhs) && r.bits_eq(&lhs));
+        }
+    }
+
+    #[test]
+    fn a_by_reference_submit_carries_the_upload_id_where_the_lhs_blob_was() {
+        let (lhs, rhs, mask) = sample_operands();
+        let resident = Arc::new(lhs.clone());
+        let upload = 0x0123_4567_89AB_CDEFu64;
+        let cases: [(u16, &CsrMatrix, ShapeBlock<'_>); 4] = [
+            (0, &rhs, ShapeBlock::TopK(2)),
+            (FLAG_RHS_IS_LHS, &lhs, ShapeBlock::Full),
+            (FLAG_RHS_IS_LHS | FLAG_MASK_IS_LHS, &lhs, ShapeBlock::Masked(&lhs)),
+            (0, &rhs, ShapeBlock::Masked(&mask)),
+        ];
+        for (flags, r, shape) in cases {
+            let inline_head = FrameHeader { flags, ..submit_head() };
+            let head = FrameHeader { flags: flags | FLAG_LHS_RESIDENT, ..inline_head };
+            let mut by_ref = Vec::new();
+            write_submit_block(&mut by_ref, &head, &lhs, r, shape, Some(upload)).unwrap();
+            // The inline frame with the lhs blob swapped for the id.
+            let mut inline = Vec::new();
+            write_submit_block(&mut inline, &inline_head, &lhs, r, shape, None).unwrap();
+            let blob = FRAME_HEADER_BYTES + encoded_csr_len(&lhs);
+            assert_eq!(by_ref.len(), inline.len() - encoded_csr_len(&lhs) + 8, "{flags:#x}");
+            assert_eq!(by_ref[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + 8], upload.to_le_bytes());
+            assert_eq!(by_ref[FRAME_HEADER_BYTES + 8..], inline[blob..], "{flags:#x}");
+
+            // Named by its upload id, the lhs is the resident `Arc` (and so
+            // are a flagged rhs and mask); named by any other id, nothing is
+            // decoded and the stream stands at the next frame.
+            let wire = [&by_ref[..], &inline[..]].concat();
+            let mut wire = Cursor::new(&wire);
+            let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+            let held = Some((upload, &resident));
+            let (l, got_r, got_shape) =
+                read_submit_payload(&mut wire, &head, held).unwrap().unwrap();
+            assert!(Arc::ptr_eq(&l, &resident), "{flags:#x}: the lhs is not the resident Arc");
+            assert_eq!(Arc::ptr_eq(&got_r, &l), flags & FLAG_RHS_IS_LHS != 0);
+            assert!(got_r.bits_eq(r));
+            match (got_shape, shape) {
+                (RequestShape::Masked(m), ShapeBlock::Masked(sent)) => {
+                    assert_eq!(Arc::ptr_eq(&m, &l), flags & FLAG_MASK_IS_LHS != 0);
+                    assert!(m.bits_eq(sent));
+                }
+                (RequestShape::TopK(2), ShapeBlock::TopK(2))
+                | (RequestShape::Full, ShapeBlock::Full) => {}
+                (got, sent) => panic!("{sent:?} read back as {got:?}"),
+            }
+            let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+            read_submit_payload(&mut wire, &head, None).unwrap().expect("the inline frame decodes");
+
+            for held in [None, Some((upload + 1, &resident))] {
+                let mut wire = Cursor::new([&by_ref[..], &inline[..]].concat());
+                let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
+                assert!(read_submit_payload(&mut wire, &head, held).unwrap().is_none());
+                assert_eq!(wire.position() as usize, by_ref.len(), "{flags:#x}: not drained");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flag_whose_claim_fails_writes_nothing() {
+        // `write_submit` has no upload id, and an owned mask is never the lhs.
+        let (lhs, _, _) = sample_operands();
+        let mask = SubmitShape::Masked(lhs.clone());
+        for (flags, shape) in [(FLAG_LHS_RESIDENT, &SubmitShape::Full), (FLAG_MASK_IS_LHS, &mask)] {
+            let head = FrameHeader { flags, ..submit_head() };
+            let mut out = Vec::new();
+            let err = write_submit(&mut out, &head, &lhs, &lhs, shape).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "flags {flags:#x}");
+            assert!(out.is_empty(), "flags {flags:#x}: {} bytes written", out.len());
+        }
+        // An upload id without the flag is refused the same way.
+        let mut out = Vec::new();
+        let err =
+            write_submit_block(&mut out, &submit_head(), &lhs, &lhs, ShapeBlock::Full, Some(1))
+                .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1197,23 +1463,23 @@ mod tests {
             bytes[8..10].copy_from_slice(&flags.to_le_bytes());
             bytes
         };
-        // Bit 2 is not a SUBMIT flag, and a flagged payload that still
+        // Bit 4 is not a SUBMIT flag, and a flagged payload that still
         // carries its rhs blob has that many bytes past the lhs.
         let rhs_len = encoded_csr_len(&a);
         let payload_len = good.len() - FRAME_HEADER_BYTES;
         for (flags, want) in [
-            (4, CsrCodecError::TrailingBytes(payload_len)),
+            (0x10, CsrCodecError::TrailingBytes(payload_len)),
             (FLAG_NO_WAIT | 0x8000, CsrCodecError::TrailingBytes(payload_len)),
             (FLAG_RHS_IS_LHS, CsrCodecError::TrailingBytes(rhs_len)),
         ] {
             let mut wire = Cursor::new([&flagged(flags)[..], &good[..]].concat());
             let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
-            match read_submit_payload(&mut wire, &head) {
+            match read_submit_payload(&mut wire, &head, None) {
                 Err(CsrReadError::Codec(e)) => assert_eq!(e, want, "flags {flags:#x}"),
                 other => panic!("flags {flags:#x}: expected a codec error, got {other:?}"),
             }
             let head = FrameHeader::read(&mut wire, 1 << 20).expect("the next frame starts here");
-            let (lhs, rhs, _) = read_submit_payload(&mut wire, &head).unwrap();
+            let (lhs, rhs, _) = read_submit_payload(&mut wire, &head, None).unwrap().unwrap();
             assert_eq!((&*lhs, &*rhs), (&a, &a));
         }
     }
@@ -1253,13 +1519,14 @@ mod tests {
         bad[FRAME_HEADER_BYTES + encoded_csr_len(&a)] = b'X';
         let mut wire = Cursor::new([&bad[..], &good[..]].concat());
         let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
-        match read_submit_payload(&mut wire, &head) {
+        match read_submit_payload(&mut wire, &head, None) {
             Err(CsrReadError::Codec(e)) => assert_eq!(e, CsrCodecError::BadMagic),
             other => panic!("expected a codec error, got {other:?}"),
         }
         let head = FrameHeader::read(&mut wire, 1 << 20).expect("the next frame starts here");
-        let (lhs, rhs, shape) = read_submit_payload(&mut wire, &head).unwrap();
-        assert_eq!((&*lhs, &*rhs, shape), (&a, &a, SubmitShape::Full));
+        let (lhs, rhs, shape) = read_submit_payload(&mut wire, &head, None).unwrap().unwrap();
+        assert_eq!((&*lhs, &*rhs), (&a, &a));
+        assert!(matches!(shape, RequestShape::Full));
 
         // A payload that stops arriving is the transport's failure, not the
         // codec's — whether or not what did arrive decodes: the stream
@@ -1267,7 +1534,10 @@ mod tests {
         for cut in [good, bad] {
             let mut wire = Cursor::new(&cut[..cut.len() - 3]);
             let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
-            assert!(matches!(read_submit_payload(&mut wire, &head), Err(CsrReadError::Io(_))));
+            assert!(matches!(
+                read_submit_payload(&mut wire, &head, None),
+                Err(CsrReadError::Io(_))
+            ));
         }
     }
 
@@ -1284,7 +1554,7 @@ mod tests {
         let have = payload.len();
         let head =
             FrameHeader { payload_len: have as u32, ..FrameHeader::control(OpCode::Submit, 1) };
-        let streamed = read_submit_payload(&mut Cursor::new(&payload), &head);
+        let streamed = read_submit_payload(&mut Cursor::new(&payload), &head, None);
         match (decode_submit_payload_shaped(&payload), streamed) {
             (Err(slice), Err(CsrReadError::Codec(stream))) => {
                 assert_eq!(slice, stream);
@@ -1300,6 +1570,9 @@ mod tests {
         let (code, msg) = decode_reject_payload(&p).unwrap();
         assert_eq!(code, RejectCode::DeadlineExpired);
         assert_eq!(msg, "too late");
+        let p = encode_reject_payload(RejectCode::UnknownOperand, "resend inline");
+        assert_eq!(&p[0..2], &9u16.to_le_bytes());
+        assert_eq!(decode_reject_payload(&p).unwrap().0, RejectCode::UnknownOperand);
         assert!(decode_reject_payload(&p[..3]).is_none());
         // Unknown codes degrade to Internal instead of failing.
         let mut future = encode_reject_payload(RejectCode::Busy, "x");

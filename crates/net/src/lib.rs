@@ -14,7 +14,9 @@
 //!   a SUBMIT or RESULT is written from, and read into, the matrices'
 //!   arrays 64 KiB at a time, never staged in a payload-sized buffer. A
 //!   SUBMIT whose rhs is its lhs (`client.multiply(&a, &a)`) carries that
-//!   operand once ([`frame::FLAG_RHS_IS_LHS`], schema version 3).
+//!   operand once ([`frame::FLAG_RHS_IS_LHS`], schema version 3), and an
+//!   lhs the connection already uploaded is named by that upload's request
+//!   id instead of sent again ([`frame::FLAG_LHS_RESIDENT`], version 4).
 //! * **[`NetServer`]** — wraps an owned [`cw_service::SpgemmService`]
 //!   with a bounded thread-per-connection acceptor: per-connection
 //!   read/write timeouts, a max-connections limit (over-limit peers get

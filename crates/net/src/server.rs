@@ -23,6 +23,18 @@
 //! with a flag bit outside [`crate::frame::SUBMIT_FLAGS`] is drained and
 //! answered `REJECT MALFORMED`.
 //!
+//! Each connection keeps one *resident* operand: the lhs `Arc` of its last
+//! synchronous SUBMIT that was served inline, under that SUBMIT's request
+//! id, announced by [`crate::frame::FLAG_LHS_RESIDENT`] on the RESULT. A
+//! SUBMIT under that flag names the upload's id instead of carrying the lhs
+//! and is served the resident `Arc` itself — so a service shard that saw it
+//! before keys it without a checksum, and under `FLAG_RHS_IS_LHS` the one
+//! `Arc` still proves `b = a`. Any other id is answered `REJECT
+//! UNKNOWN_OPERAND` on a connection that goes on. An inline SUBMIT drops the
+//! resident operand before its payload is read, so a connection never holds
+//! more than one decoded request's operands; the operand goes with the
+//! connection.
+//!
 //! QoS lives at admission: a SUBMIT whose relative deadline already
 //! passed is rejected before the service queue is touched, and a full
 //! queue is retried (with backoff) only while the deadline still has
@@ -33,11 +45,12 @@
 
 use crate::frame::{
     encode_reject_payload, read_submit_payload, result_payload_len, write_result, Frame,
-    FrameHeader, OpCode, RejectCode, WireReport, SUBMIT_FLAGS,
+    FrameHeader, OpCode, RejectCode, WireReport, FLAG_LHS_RESIDENT, SUBMIT_FLAGS,
 };
 use cw_obs::{Counter, Gauge, LogHistogram};
 use cw_service::{MultiplyRequest, SpgemmService, SubmitError, Ticket};
 use cw_sparse::io::CsrReadError;
+use cw_sparse::CsrMatrix;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -90,6 +103,8 @@ struct NetMetrics {
     connections_rejected: Arc<Counter>,
     /// SUBMIT frames read in full (decodable or not).
     requests: Arc<Counter>,
+    /// SUBMITs whose lhs was the connection's resident operand.
+    by_reference: Arc<Counter>,
     served: Arc<Counter>,
     /// REJECT replies to frames whose boundaries were sound.
     rejected: Arc<Counter>,
@@ -116,6 +131,7 @@ impl NetMetrics {
             connections_active: m.gauge("net.connections_active"),
             connections_rejected: m.counter("net.connections_rejected"),
             requests: m.counter("net.requests"),
+            by_reference: m.counter("net.by_reference"),
             served: m.counter("net.served"),
             rejected: m.counter("net.rejected"),
             deadline_shed: m.counter("net.deadline_shed"),
@@ -309,6 +325,8 @@ fn handle_connection(mut stream: TcpStream, inner: &Inner) {
     // client's request id. Connection-scoped: a dropped connection drops
     // its tickets (the service still serves them; responses are discarded).
     let mut pending: HashMap<u64, PendingEntry> = HashMap::new();
+    // The resident operand and the request id that uploaded it.
+    let mut resident: Option<(u64, Arc<CsrMatrix>)> = None;
     let mut idle_since = Instant::now();
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -348,7 +366,7 @@ fn handle_connection(mut stream: TcpStream, inner: &Inner) {
         };
         idle_since = Instant::now();
         let keep_going = if head.op == OpCode::Submit {
-            serve_submit(&mut stream, inner, head, started, &mut pending)
+            serve_submit(&mut stream, inner, head, started, &mut pending, &mut resident)
         } else {
             match head.read_payload(&mut stream) {
                 Ok(frame) => serve_control(&mut stream, inner, frame, started, &mut pending),
@@ -446,8 +464,13 @@ fn serve_submit(
     head: FrameHeader,
     started: Instant,
     pending: &mut HashMap<u64, PendingEntry>,
+    resident: &mut Option<(u64, Arc<CsrMatrix>)>,
 ) -> bool {
-    let decoded = read_submit_payload(stream, &head);
+    if !head.lhs_resident() {
+        *resident = None;
+    }
+    let held = resident.as_ref().map(|(upload, lhs)| (*upload, lhs));
+    let decoded = read_submit_payload(stream, &head, held);
     if let Err(CsrReadError::Io(e)) = &decoded {
         reject_unaligned(stream, inner, &format!("frame i/o: {e}"));
         return false;
@@ -460,7 +483,16 @@ fn serve_submit(
     let deadline =
         (head.deadline_ms > 0).then(|| received + Duration::from_millis(head.deadline_ms as u64));
     let (lhs, rhs, shape) = match decoded {
-        Ok(ops) => ops,
+        Ok(Some(ops)) => ops,
+        Ok(None) => {
+            return write_reject(
+                stream,
+                inner,
+                head.request_id,
+                RejectCode::UnknownOperand,
+                "no resident operand under that upload id on this connection; resend it inline",
+            );
+        }
         Err(e) => {
             inner.metrics.decode_errors.inc();
             // Payload decode failures are *not* fatal to the connection:
@@ -474,11 +506,13 @@ fn serve_submit(
             return write_reject(stream, inner, head.request_id, RejectCode::Malformed, &message);
         }
     };
-    // Under FLAG_RHS_IS_LHS `rhs` is `lhs`'s own Arc: one matrix decoded,
-    // held and freed.
-    let mut request = MultiplyRequest::new(lhs, rhs)
-        .with_priority(head.priority)
-        .with_shape(shape.into_request_shape());
+    if head.lhs_resident() {
+        inner.metrics.by_reference.inc();
+    }
+    // Under FLAG_RHS_IS_LHS `rhs` is `lhs`'s own Arc: one matrix decoded
+    // and held.
+    let mut request =
+        MultiplyRequest::new(Arc::clone(&lhs), rhs).with_priority(head.priority).with_shape(shape);
     if let Some(d) = deadline {
         request = request.with_deadline_at(d);
     }
@@ -556,15 +590,27 @@ fn serve_submit(
     }
 
     let outcome = ticket.wait();
-    finish_submit(stream, inner, head.request_id, deadline, started, outcome)
+    // Served, the lhs stays: an inline one under this request's id, a
+    // resident one under its upload's.
+    let flags = match outcome {
+        Ok(_) => {
+            if !head.lhs_resident() {
+                *resident = Some((head.request_id, lhs));
+            }
+            FLAG_LHS_RESIDENT
+        }
+        Err(_) => 0,
+    };
+    finish_submit(stream, inner, head.request_id, flags, deadline, started, outcome)
 }
 
-/// Turns a ticket outcome into the RESULT/REJECT reply; `started` is when
-/// the first byte of the frame being answered arrived.
+/// Turns a ticket outcome into the RESULT (under `flags`) or REJECT reply;
+/// `started` is when the first byte of the frame being answered arrived.
 fn finish_submit(
     stream: &mut TcpStream,
     inner: &Inner,
     request_id: u64,
+    flags: u16,
     deadline: Option<Instant>,
     started: Instant,
     outcome: Result<cw_service::MultiplyResponse, cw_service::ServiceError>,
@@ -576,6 +622,7 @@ fn finish_submit(
             inner.metrics.response_bytes.record(result_payload_len(&resp.product) as f64);
             let head = FrameHeader {
                 priority: resp.report.priority,
+                flags,
                 ..FrameHeader::control(OpCode::Result, request_id)
             };
             let written = write_result(stream, &head, &report, &resp.product).is_ok();
@@ -640,7 +687,7 @@ fn serve_poll(
         }
         Some(outcome) => {
             let entry = pending.remove(&request_id).expect("entry just found");
-            finish_submit(stream, inner, request_id, entry.deadline, started, outcome)
+            finish_submit(stream, inner, request_id, 0, entry.deadline, started, outcome)
         }
     }
 }

@@ -1,19 +1,23 @@
 //! The wire decoders against hostile bytes: the frame header
 //! ([`FrameHeader::read`]), the REJECT payload ([`decode_reject_payload`]),
 //! the RESULT's report prefix ([`WireReport::decode`]) and the SUBMIT
-//! payload under [`FLAG_RHS_IS_LHS`] ([`read_submit_payload`]). None of them
-//! panics on arbitrary or mutated bytes, a header never admits a payload
-//! past the reader's cap, a SUBMIT decoder never allocates past its frame
-//! nor reads past it, and what the encoders write decodes back to itself.
-//! Seeds are fixed (derived from each test's name) and case counts bounded.
+//! payload ([`read_submit_payload`]) — under [`FLAG_RHS_IS_LHS`], by
+//! reference under [`FLAG_LHS_RESIDENT`], and its masked and top-k shape
+//! blocks. None of them panics on arbitrary or mutated bytes, a header never
+//! admits a payload past the reader's cap, a SUBMIT decoder never allocates
+//! past its frame nor reads past it, and what the encoders write decodes
+//! back to itself. Seeds are fixed (derived from each test's name) and case
+//! counts bounded.
 
 use cw_net::frame::{
-    decode_reject_payload, encode_reject_payload, read_submit_payload, write_submit, FLAG_NO_WAIT,
-    FLAG_RHS_IS_LHS, FRAME_HEADER_BYTES, FRAME_MAGIC, WIRE_REPORT_BYTES,
+    decode_reject_payload, decode_submit_payload_shaped, encode_reject_payload,
+    encode_submit_payload_shaped, read_submit_payload, write_submit, FLAG_LHS_RESIDENT,
+    FLAG_MASK_IS_LHS, FLAG_NO_WAIT, FLAG_RHS_IS_LHS, FRAME_HEADER_BYTES, FRAME_MAGIC,
+    SHAPE_TAG_MASKED, SHAPE_TAG_TOPK, WIRE_REPORT_BYTES,
 };
 use cw_net::{FrameHeader, OpCode, RejectCode, SubmitShape, WireReport};
-use cw_service::Priority;
-use cw_sparse::io::{encoded_csr_len, CsrReadError};
+use cw_service::{Priority, RequestShape};
+use cw_sparse::io::{encode_csr, encoded_csr_len, CsrReadError};
 use cw_sparse::{CooMatrix, CsrMatrix};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -65,24 +69,57 @@ static ALLOCATOR: Largest = Largest;
 /// the frame: the request's `Arc` and an error's message.
 const BOOKKEEPING_BYTES: usize = 1 << 10;
 
+/// A request's operands and shape as the SUBMIT decoder yields them.
+type Decoded = (Arc<CsrMatrix>, Arc<CsrMatrix>, RequestShape);
+
 /// Decodes `payload` as the SUBMIT `head` announces, with the next frame's
-/// first bytes behind it. Whatever the outcome, no allocation exceeded the
-/// frame (plus [`BOOKKEEPING_BYTES`]); a payload that decoded, or that was
-/// refused as a codec error, was read exactly to its end and no further.
-fn decode_flagged(head: &FrameHeader, payload: &[u8]) -> Result<(), TestCaseError> {
+/// first bytes behind it, against the connection's `resident` operand.
+/// Whatever the outcome, no allocation exceeded the frame (plus
+/// [`BOOKKEEPING_BYTES`]), and the payload — decoded, refused as a codec
+/// error, or naming an operand the connection does not hold — was read
+/// exactly to its end and no further. What decoded keeps each flag's
+/// promise: the rhs, and under [`FLAG_MASK_IS_LHS`] the mask, are the lhs's
+/// own `Arc`, and a by-reference lhs is `resident`'s, named by its id.
+/// Returns the request when there is one.
+fn decode(
+    head: &FrameHeader,
+    payload: &[u8],
+    resident: Option<(u64, &Arc<CsrMatrix>)>,
+) -> Result<Option<Decoded>, TestCaseError> {
     let mut wire = Cursor::new([payload, &FRAME_MAGIC[..]].concat());
     LARGEST.with(|largest| largest.set(0));
-    let decoded = read_submit_payload(&mut wire, head);
+    let decoded = read_submit_payload(&mut wire, head, resident);
     let largest = LARGEST.with(Cell::get);
     let bound = payload.len().max(BOOKKEEPING_BYTES);
     prop_assert!(largest <= bound, "allocated {} for a {}-byte frame", largest, payload.len());
-    match decoded {
-        Ok((lhs, rhs, _)) => prop_assert!(Arc::ptr_eq(&lhs, &rhs), "two matrices decoded"),
-        Err(CsrReadError::Codec(_)) => {}
-        Err(CsrReadError::Io(e)) => prop_assert!(false, "i/o inside the frame: {}", e),
-    }
     prop_assert_eq!(wire.position() as usize, payload.len(), "read past (or short of) the frame");
-    Ok(())
+    let (lhs, rhs, shape) = match decoded {
+        Ok(Some(request)) => request,
+        Ok(None) => {
+            prop_assert!(head.flags & FLAG_LHS_RESIDENT != 0, "no lhs without the flag");
+            return Ok(None);
+        }
+        Err(CsrReadError::Codec(_)) => return Ok(None),
+        Err(CsrReadError::Io(e)) => return Err(TestCaseError::Fail(format!("i/o in frame: {e}"))),
+    };
+    if head.flags & FLAG_LHS_RESIDENT != 0 {
+        let (upload, held) = resident.expect("an lhs by reference needs a resident operand");
+        prop_assert!(Arc::ptr_eq(&lhs, held), "the lhs is not the resident Arc");
+        prop_assert_eq!(&payload[..8], &upload.to_le_bytes()[..], "served under another id");
+    }
+    let rhs_is_lhs = head.flags & FLAG_RHS_IS_LHS != 0;
+    prop_assert!(!rhs_is_lhs || Arc::ptr_eq(&lhs, &rhs), "two matrices decoded");
+    if head.flags & FLAG_MASK_IS_LHS != 0 {
+        let mask_is_lhs = matches!(&shape, RequestShape::Masked(m) if Arc::ptr_eq(m, &lhs));
+        prop_assert!(mask_is_lhs, "the mask is not the lhs's Arc: {:?}", shape);
+    }
+    Ok(Some((lhs, rhs, shape)))
+}
+
+/// [`decode`] of a payload under [`FLAG_RHS_IS_LHS`] (and `extra`), with no
+/// resident operand.
+fn decode_flagged(head: &FrameHeader, payload: &[u8]) -> Result<(), TestCaseError> {
+    decode(head, payload, None).map(drop)
 }
 
 /// A flagged SUBMIT header announcing `payload_len` bytes; `extra` flag
@@ -119,6 +156,27 @@ fn shape(pick: u8, a: &CsrMatrix, k: u64) -> SubmitShape {
         0 => SubmitShape::Full,
         1 => SubmitShape::Masked(a.clone()),
         _ => SubmitShape::TopK(k),
+    }
+}
+
+/// The shape block a SUBMIT of `shape` ends with, its mask blob left out
+/// when `mask_is_lhs`.
+fn block(shape: &SubmitShape, mask_is_lhs: bool) -> Vec<u8> {
+    match shape {
+        SubmitShape::Full => Vec::new(),
+        SubmitShape::Masked(_) if mask_is_lhs => vec![SHAPE_TAG_MASKED],
+        SubmitShape::Masked(mask) => [&[SHAPE_TAG_MASKED][..], &encode_csr(mask)].concat(),
+        SubmitShape::TopK(k) => [&[SHAPE_TAG_TOPK][..], &k.to_le_bytes()].concat(),
+    }
+}
+
+/// Whether a decoded request shape is the shape that was sent.
+fn same_shape(got: &RequestShape, sent: &SubmitShape) -> bool {
+    match (got, sent) {
+        (RequestShape::Full, SubmitShape::Full) => true,
+        (RequestShape::Masked(got), SubmitShape::Masked(sent)) => got.bits_eq(sent),
+        (RequestShape::TopK(got), SubmitShape::TopK(sent)) => *got as u64 == *sent,
+        _ => false,
     }
 }
 
@@ -194,7 +252,7 @@ proptest! {
 
     #[test]
     fn every_reject_code_round_trips_and_its_mutations_never_panic(
-        code in 1u16..=8,
+        code in 1u16..=9,
         message in vec(0u32..0x11_0000, 0..24),
         edits in vec((0usize..1 << 16, 0u8..=255), 1..=3),
     ) {
@@ -246,7 +304,7 @@ proptest! {
             }
         }
         // `extra` 1 is NO_WAIT (known); 2 and 3 carry a bit no SUBMIT knows.
-        let extra = [0, FLAG_NO_WAIT, 4, 0x8000][extra as usize];
+        let extra = [0, FLAG_NO_WAIT, 0x10, 0x8000][extra as usize];
         decode_flagged(&flagged_head(bytes.len(), extra), &bytes)?;
     }
 
@@ -296,14 +354,95 @@ proptest! {
         let mut wire = Cursor::new(&frame);
         let head = FrameHeader::read(&mut wire, 1 << 20).unwrap();
         prop_assert_eq!(head, flagged_head(frame.len() - FRAME_HEADER_BYTES, extra));
-        let (lhs, rhs, back) = read_submit_payload(&mut wire, &head).unwrap();
+        let (lhs, rhs, back) = read_submit_payload(&mut wire, &head, None).unwrap().unwrap();
         prop_assert!(Arc::ptr_eq(&lhs, &rhs), "the rhs is not the lhs's Arc");
         prop_assert!(lhs.bits_eq(&a), "the lhs did not survive the round trip");
-        let same_shape = match (&back, &shape) {
-            (SubmitShape::Masked(got), SubmitShape::Masked(sent)) => got.bits_eq(sent),
-            (got, sent) => got == sent,
-        };
-        prop_assert!(same_shape, "shape {:?} read back as {:?}", shape, back);
+        prop_assert!(same_shape(&back, &shape), "shape {:?} read back as {:?}", shape, back);
         prop_assert_eq!(wire.position() as usize, frame.len());
+    }
+    #[test]
+    fn a_mutated_by_reference_submit_never_panics_or_outgrows_its_frame(
+        (nrows, ncols, entries) in (1usize..12, 1usize..12, vec((0usize..12, 0usize..12, 0u64..u64::MAX), 0..24)),
+        (pick, k, own_rhs, mask_flag) in (0u8..3, 0u64..8, 0u8..2, 0u8..2),
+        (upload, named) in (0u64..u64::MAX, 0u8..2),
+        edits in vec((0usize..1 << 16, 0u8..=255), 1..=4),
+        cut in 0usize..64,
+    ) {
+        // `a` is resident under `upload`; the SUBMIT names it (or, half the
+        // time, another id) where the lhs blob would be, then carries its
+        // rhs (or flags it as the lhs) and a shape block (a mask that is
+        // the lhs flagged as such when `mask_flag` is set).
+        let a = matrix(nrows, ncols, &entries);
+        let resident = Arc::new(a.clone());
+        let shape = shape(pick, &a, k);
+        let rhs = matrix(ncols, nrows, &entries);
+        let mask_is_lhs = mask_flag == 1 && matches!(shape, SubmitShape::Masked(_));
+        let mut flags = FLAG_LHS_RESIDENT;
+        if own_rhs == 0 {
+            flags |= FLAG_RHS_IS_LHS;
+        }
+        if mask_is_lhs {
+            flags |= FLAG_MASK_IS_LHS;
+        }
+        let id = if named == 1 { upload } else { upload ^ 1 };
+        let rhs_blob = if own_rhs == 0 { Vec::new() } else { encode_csr(&rhs) };
+        let mut payload = [&id.to_le_bytes()[..], &rhs_blob, &block(&shape, mask_is_lhs)].concat();
+        let head = |len: usize| FrameHeader {
+            flags,
+            payload_len: len as u32,
+            ..FrameHeader::control(OpCode::Submit, 2)
+        };
+        // Unmutated, it is served the resident operand exactly when it
+        // names it.
+        let held = Some((upload, &resident));
+        match decode(&head(payload.len()), &payload, held)? {
+            Some((_, got_rhs, got_shape)) => {
+                prop_assert_eq!(named, 1, "served under another id");
+                prop_assert!(own_rhs == 0 || got_rhs.bits_eq(&rhs), "the rhs did not survive");
+                prop_assert!(same_shape(&got_shape, &shape), "{:?} read back as {:?}", shape, got_shape);
+            }
+            None => prop_assert_eq!(named, 0, "a request naming its upload was refused"),
+        }
+        // Byte flips (the id included), then a cut.
+        let n = payload.len();
+        edits.iter().for_each(|&(at, mask)| payload[at % n] ^= mask);
+        decode(&head(payload.len()), &payload, held)?;
+        let cut = cut.min(payload.len());
+        decode(&head(cut), &payload[..cut], held)?;
+    }
+
+    #[test]
+    fn a_mutated_shape_block_never_panics_or_outgrows_its_frame(
+        (nrows, ncols, entries) in (0usize..12, 0usize..12, vec((0usize..12, 0usize..12, 0u64..u64::MAX), 0..24)),
+        (masked, k) in (0u8..2, 0u64..u64::MAX),
+        edits in vec((0usize..1 << 16, 0u8..=255), 1..=4),
+        (claim, at, tail) in (0u64..u64::MAX, 0usize..4, vec(0u8..=255, 0..12)),
+    ) {
+        // A flag-clear payload (both blobs) whose masked or top-k block is
+        // attacked: a hostile mask dimension or nnz, byte flips inside the
+        // block, bytes past it, and every cut through it.
+        let a = matrix(nrows, ncols, &entries);
+        let shape = if masked == 1 { SubmitShape::Masked(a.clone()) } else { SubmitShape::TopK(k) };
+        let mut payload = encode_submit_payload_shaped(&a, &a, &shape);
+        let start = 2 * encoded_csr_len(&a);
+        let head = |len: usize| FrameHeader {
+            payload_len: len as u32,
+            ..FrameHeader::control(OpCode::Submit, 3)
+        };
+        let (_, _, back) = decode(&head(payload.len()), &payload, None)?.expect("own payload");
+        prop_assert!(same_shape(&back, &shape), "{:?} read back as {:?}", shape, back);
+        if masked == 1 && at < 3 {
+            let field = start + 1 + 8 + 8 * at;
+            payload[field..field + 8].copy_from_slice(&claim.to_le_bytes());
+        }
+        let len = payload.len() - start;
+        edits.iter().for_each(|&(at, mask)| payload[start + at % len] ^= mask);
+        payload.extend_from_slice(&tail);
+        for end in [payload.len(), start, start + 1, start + 9, (start + 9 + tail.len()).min(payload.len())] {
+            let cut = &payload[..end.min(payload.len())];
+            let streamed = decode(&head(cut.len()), cut, None)?;
+            // The slice decoder agrees with the stream decoder.
+            prop_assert_eq!(decode_submit_payload_shaped(cut).is_ok(), streamed.is_some());
+        }
     }
 }

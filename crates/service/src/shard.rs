@@ -6,6 +6,13 @@
 //! traffic for its matrices and *only* that traffic — no cross-thread cache
 //! locking, no duplicate preparations of one operand on two shards.
 //!
+//! A shard keys each lhs `Arc` once: it remembers the last lhs it keyed as
+//! a `Weak` beside its [`OperandKey`], and a request whose lhs is that same
+//! allocation reuses the key instead of checksumming the operand again
+//! ([`Engine::prepare_keyed`]). The bytes behind a remembered address
+//! cannot change: while the `Weak` lives, `Arc::get_mut` fails and
+//! `Arc::make_mut` moves the data to a new allocation.
+//!
 //! A worker serves its channel in arrival order, one submission at a time;
 //! a request that finds its shard idle runs at once, and a hang-up still
 //! serves everything already queued. Every request resolves its own plan
@@ -26,12 +33,12 @@ use crate::request::{
     MultiplyRequest, MultiplyResponse, RequestShape, ServiceError, ServiceReport, Ticket,
 };
 use crate::stats::ShardStats;
-use cw_engine::{CacheCounters, Engine, Plan};
+use cw_engine::{CacheCounters, Engine, OperandKey, Plan};
 use cw_obs::{Counter, Gauge, LogHistogram, MetricsRegistry, Tracer};
 use cw_sparse::{fingerprint, CsrMatrix, MatrixFingerprint};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// RAII claim on one queue-capacity slot: decrements `in_flight` exactly
@@ -187,15 +194,37 @@ impl WorkerCtx {
 /// cells so [`crate::SpgemmService::stats`] and the metrics registry can
 /// read them without talking to the thread.
 pub(crate) fn worker_loop(rx: Receiver<Submission>, mut engine: Engine, ctx: WorkerCtx) {
+    let mut keys = KeyMemo::default();
     for sub in rx {
-        serve(&mut engine, &ctx, sub);
+        serve(&mut engine, &ctx, &mut keys, sub);
+    }
+}
+
+/// The last lhs a shard keyed, held weakly, and its key. While the `Weak`
+/// lives no other `Arc` can be allocated at its address and the data there
+/// cannot be mutated in place, so an lhs at that address is that operand.
+#[derive(Default)]
+struct KeyMemo(Option<(Weak<CsrMatrix>, OperandKey)>);
+
+impl KeyMemo {
+    /// `lhs`'s key: the remembered one when `lhs` is the remembered
+    /// allocation, else computed and remembered.
+    fn key(&mut self, lhs: &Arc<CsrMatrix>) -> OperandKey {
+        match &self.0 {
+            Some((seen, key)) if Weak::as_ptr(seen) == Arc::as_ptr(lhs) => *key,
+            _ => {
+                let key = OperandKey::of(lhs);
+                self.0 = Some((Arc::downgrade(lhs), key));
+                key
+            }
+        }
     }
 }
 
 /// Serves one submission: every request resolves its own plan and
 /// prepared operand through the engine, whose plan cache gives each repeat
 /// of an operand the preparation it already paid for.
-fn serve(engine: &mut Engine, ctx: &WorkerCtx, sub: Submission) {
+fn serve(engine: &mut Engine, ctx: &WorkerCtx, keys: &mut KeyMemo, sub: Submission) {
     let started = Instant::now();
     ctx.queue_depth.set(ctx.in_flight.load(Ordering::SeqCst) as i64);
     ctx.obs.requests.inc();
@@ -218,8 +247,9 @@ fn serve(engine: &mut Engine, ctx: &WorkerCtx, sub: Submission) {
         ctx.tracer.record_span_at("queue", submitted_ns, started_ns, 1);
     }
     let serve_span = ctx.tracer.span("serve");
+    let operand = keys.key(&sub.lhs);
     let (prepared, prep_timings, cache_hit) =
-        engine.prepare_with_shape(&sub.lhs, sub.plan, sub.shape.output_shape());
+        engine.prepare_keyed(&sub.lhs, operand, sub.plan, sub.shape.output_shape());
     // Execute + record + report through the engine's shared tail: each
     // shard owns its engine, so measured kernels feed its races with no
     // cross-thread locking. A forced plan never seeds a race; it is a race
@@ -361,6 +391,65 @@ mod tests {
         }
         assert_eq!((stats.cache.misses, stats.cache.hits), (2, 4), "one preparation per operand");
         assert_eq!(stats.tracked_operands, 2, "one feedback state per operand");
+    }
+
+    #[test]
+    fn a_same_arc_burst_is_keyed_once() {
+        let a = Arc::new(gen::grid::poisson2d(9, 9));
+        let mut keys = KeyMemo::default();
+        let key = keys.key(&a);
+        assert_eq!(key, OperandKey::of(&a));
+        // A key planted for the remembered allocation is what every repeat
+        // of that `Arc` gets: the memo is read, the matrix is not.
+        let planted = OperandKey { checksum: !key.checksum, ..key };
+        keys.0 = Some((Arc::downgrade(&a), planted));
+        for _ in 0..3 {
+            assert_eq!(keys.key(&a), planted);
+        }
+        // An equal matrix in its own allocation is keyed in full and
+        // replaces the memo, so `a` is then keyed in full again.
+        let copy = Arc::new((*a).clone());
+        assert_eq!(keys.key(&copy), key);
+        assert_eq!(keys.key(&a), key);
+
+        // Through a worker, a burst with repeats is served the same bits,
+        // one preparation per operand.
+        let b = Arc::new(gen::er::erdos_renyi(81, 4, 7));
+        let order = [&a, &a, &a, &b, &b, &a, &copy, &copy];
+        let (tickets, stats, _, _) = serve_queued(order.iter().map(|m| square(m)).collect());
+        for (m, ticket) in order.into_iter().zip(tickets) {
+            assert!(ticket.wait().unwrap().product.bits_eq(&spgemm_serial(m, m)));
+        }
+        assert_eq!((stats.cache.misses, stats.cache.hits), (2, 6), "`copy` is `a`'s operand");
+    }
+
+    #[test]
+    fn an_operand_edited_through_make_mut_is_served_its_new_product() {
+        let planner = cw_engine::Planner::with_policy(0, cw_engine::PlanningPolicy::frozen());
+        let mut engine = Engine::new(planner, cw_engine::DEFAULT_CACHE_CAPACITY);
+        let (metrics, tracer) = (MetricsRegistry::new(), Arc::new(Tracer::new(8)));
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let ctx = WorkerCtx::new(0, &engine, &metrics, &tracer, &in_flight);
+        let mut keys = KeyMemo::default();
+        let mut serve_one = |engine: &mut Engine, m: &Arc<CsrMatrix>| {
+            in_flight.fetch_add(1, Ordering::SeqCst);
+            let slot = SlotGuard(Arc::clone(&in_flight));
+            let (sub, ticket) = Submission::new(0, square(m), slot);
+            serve(engine, &ctx, &mut keys, sub);
+            ticket.wait().unwrap().product
+        };
+
+        let mut a = Arc::new(gen::grid::poisson2d(9, 9));
+        let first = serve_one(&mut engine, &a);
+        assert!(first.bits_eq(&spgemm_serial(&a, &a)));
+        // The test holds the only strong reference, so `make_mut` edits in
+        // place unless the shard's memo holds the allocation.
+        let before = Arc::as_ptr(&a);
+        Arc::make_mut(&mut a).vals[0] += 1.0;
+        assert_ne!(Arc::as_ptr(&a), before, "the edit stayed at the remembered address");
+        let second = serve_one(&mut engine, &a);
+        assert!(second.bits_eq(&spgemm_serial(&a, &a)), "served the cached preparation");
+        assert!(!second.bits_eq(&first));
     }
 
     #[test]

@@ -81,8 +81,9 @@ fn main() {
 
     let mut src = Recorder::new(&submit[..]);
     let head = FrameHeader::read(&mut src, MAX_FRAME).expect("own header");
-    let (lhs, rhs, shape) = read_submit_payload(&mut src, &head).expect("own SUBMIT");
-    assert!(lhs.bits_eq(&a) && rhs.bits_eq(&a) && shape == SubmitShape::Full);
+    let (lhs, rhs, shape) =
+        read_submit_payload(&mut src, &head, None).expect("own SUBMIT").unwrap();
+    assert!(lhs.bits_eq(&a) && rhs.bits_eq(&a) && matches!(shape, RequestShape::Full));
     let submit_reads = src.within_chunk("SUBMIT read");
     let mut src = Recorder::new(&result[..]);
     let head = FrameHeader::read(&mut src, MAX_FRAME).expect("own header");
@@ -105,9 +106,10 @@ fn main() {
     assert_eq!(once.len(), FRAME_HEADER_BYTES + encoded_csr_len(&a), "not one operand blob");
     let mut src = Recorder::new(&once[..]);
     let head = FrameHeader::read(&mut src, MAX_FRAME).expect("own header");
-    let (lhs, rhs, shape) = read_submit_payload(&mut src, &head).expect("own flagged SUBMIT");
+    let (lhs, rhs, shape) =
+        read_submit_payload(&mut src, &head, None).expect("own flagged SUBMIT").unwrap();
     assert!(Arc::ptr_eq(&lhs, &rhs), "the flagged SUBMIT decoded two matrices");
-    assert!(lhs.bits_eq(&a) && shape == SubmitShape::Full);
+    assert!(lhs.bits_eq(&a) && matches!(shape, RequestShape::Full));
     let once_reads = src.within_chunk("flagged SUBMIT read");
     println!(
         "✓ A·A's SUBMIT under FLAG_RHS_IS_LHS is {:.2} MB, the header and one operand blob: \
@@ -196,7 +198,7 @@ fn round_trip(wire: &Wire<'_>, mode: Mode, ops: usize) -> (f64, Option<f64>) {
             for _ in 0..=ops {
                 if let Mode::Streamed(_) = mode {
                     let head = FrameHeader::read(&mut peer, MAX_FRAME).expect("SUBMIT header");
-                    read_submit_payload(&mut peer, &head).expect("SUBMIT");
+                    read_submit_payload(&mut peer, &head, None).expect("SUBMIT");
                     wire.write_result(&mut peer).expect("RESULT");
                 } else {
                     let submit = read_frame(&mut peer, MAX_FRAME).expect("SUBMIT frame");

@@ -5,6 +5,10 @@
 //!   direct `Engine::multiply` of the same operands;
 //! * `C = A·A` sends `A` once (the server records one blob's bytes), for
 //!   every shape and door, and older-version frames are still served;
+//! * a connection's lhs stays on the server: a repeat travels as the
+//!   upload's id (8 bytes), a stale or forged id is refused as
+//!   `UnknownOperand` on a connection that goes on, the client's inline
+//!   retry is invisible to its caller, and a reconnect starts inline;
 //! * the wire report says whether the kernel ran in parallel exactly as the
 //!   in-process report does;
 //! * the `RoutedClient` fans traffic over N endpoints exactly by
@@ -24,12 +28,12 @@
 //! `crates/net/tests/two_process.rs`.
 
 use clusterwise_spgemm::net::frame::{self, Frame, FrameHeader, OpCode};
-use clusterwise_spgemm::net::RejectCode;
+use clusterwise_spgemm::net::{RejectCode, WireReport};
 use clusterwise_spgemm::prelude::*;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::io::{encode_csr, encoded_csr_len, CSR_BINARY_HEADER_BYTES};
 use std::io::{Read as _, Write as _};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -259,8 +263,12 @@ fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
     assert!(resp.product.bits_eq(&full), "A·A over the wire is not the engine's A·A");
     assert_request_bytes(&mut client, &[blob]);
 
-    // Every door and shape, first with the rhs the lhs itself (flagged),
-    // then with an equal copy in its own allocation (two blobs, as ever).
+    // Every door and shape, first with an equal copy of the lhs in its own
+    // allocation as the rhs (two blobs, as ever), then with the rhs the lhs
+    // itself (flagged). `a` stays resident on the server between them, so a
+    // synchronous request names it by id (8 bytes) instead; a no-wait
+    // SUBMIT is always inline and replaces it; a mask that is the lhs
+    // travels as its tag alone.
     let (masked, _) = Engine::default().multiply_masked(&a, &a, &a);
     let (top3, _) = Engine::default().multiply_shaped(&a, &a, OutputShape::TopK(3), None);
     let copy = a.clone();
@@ -282,10 +290,19 @@ fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
             }
         };
         assert!(resp.product.bits_eq(&full), "{what}: no-wait product differs");
-        let operands = blobs * blob;
-        sizes.extend([operands, operands + 1 + blob, operands + 9, operands]);
+        let rhs = (blobs - 1) * blob;
+        if blobs == 2 {
+            // `a` resident since the first request: every synchronous one
+            // names it.
+            sizes.extend([8 + rhs, 8 + rhs + 1, 8 + rhs + 9, 2 * blob]);
+        } else {
+            // The no-wait SUBMIT above replaced it: uploaded once more.
+            sizes.extend([blob, 8 + 1, 8 + 9, blob]);
+        }
     }
     assert_request_bytes(&mut client, &sizes);
+    let jsonl = client.stats_jsonl().expect("stats");
+    assert!(jsonl.contains("\"net.by_reference\":5"), "{jsonl}");
 
     let stats = server.shutdown();
     assert_eq!((stats.completed, stats.rejected), (9, 0));
@@ -294,15 +311,20 @@ fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
 #[test]
 fn a_version_one_or_two_submit_is_still_served() {
     // Hand-built frames stamped with an older version, carrying both
-    // operand blobs as those versions did: same bits as the engine.
+    // operand blobs as those versions did — and a version 3 frame carrying
+    // the operand once under FLAG_RHS_IS_LHS: same bits as the engine.
     let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
     let a = gen::grid::poisson2d(9, 9);
     let (direct, _) = Engine::default().multiply(&a, &a);
     let mut peer = TcpStream::connect(server.local_addr()).expect("connect raw");
-    for version in [1u16, 2] {
-        let payload = frame::encode_submit_payload_shaped(&a, &a, &SubmitShape::Full);
+    for version in [1u16, 2, 3] {
+        let (flags, payload) = if version == 3 {
+            (frame::FLAG_RHS_IS_LHS, encode_csr(&a))
+        } else {
+            (0, frame::encode_submit_payload_shaped(&a, &a, &SubmitShape::Full))
+        };
         let mut bytes =
-            Frame { payload, ..Frame::control(OpCode::Submit, version as u64) }.encode();
+            Frame { flags, payload, ..Frame::control(OpCode::Submit, version as u64) }.encode();
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
         peer.write_all(&bytes).expect("write old frame");
         let reply = FrameHeader::read(&mut peer, 1 << 20).expect("reply header");
@@ -312,7 +334,213 @@ fn a_version_one_or_two_submit_is_still_served() {
         assert!(product.bits_eq(&direct), "v{version}: served other bits");
     }
     drop(peer);
-    assert_eq!(server.shutdown().completed, 2);
+    assert_eq!(server.shutdown().completed, 3);
+}
+
+/// The counter `name` in the server's metrics.
+fn counter(server: &NetServer, name: &str) -> u64 {
+    server.service().metrics().snapshot().counter(name).unwrap_or(0)
+}
+
+#[test]
+fn an_a_squared_burst_travels_by_reference_after_its_first_request() {
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let mut client =
+        NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let a = gen::mesh::tri_mesh(12, 12, true, 3);
+    let (direct, _) = Engine::default().multiply(&a, &a);
+    for i in 0..5 {
+        let resp = client.multiply(&a, &a).expect("A·A");
+        assert!(resp.product.bits_eq(&direct), "request {i}: not the in-process product");
+    }
+    // One upload, then four SUBMITs of the 8-byte upload id alone.
+    assert_request_bytes(&mut client, &[encoded_csr_len(&a), 8, 8, 8, 8]);
+    assert_eq!(counter(&server, "net.by_reference"), 4);
+
+    // A different operand is uploaded and becomes the resident one; the
+    // first is then uploaded again.
+    let b = gen::grid::poisson2d(12, 12);
+    let (b_direct, _) = Engine::default().multiply(&b, &b);
+    for (m, want) in [(&b, &b_direct), (&b, &b_direct), (&a, &direct)] {
+        assert!(client.multiply(m, m).expect("A·A").product.bits_eq(want));
+    }
+    assert_eq!(counter(&server, "net.by_reference"), 5);
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.rejected), (8, 0));
+}
+
+/// A by-reference `C = A·A` SUBMIT naming `upload`, written by hand.
+fn by_reference(request_id: u64, upload: u64) -> Vec<u8> {
+    let flags = frame::FLAG_LHS_RESIDENT | frame::FLAG_RHS_IS_LHS;
+    let payload = upload.to_le_bytes().to_vec();
+    Frame { flags, payload, ..Frame::control(OpCode::Submit, request_id) }.encode()
+}
+
+/// Reads one reply: a RESULT's flags and product, or a REJECT's code.
+fn reply(peer: &mut TcpStream) -> Result<(u16, CsrMatrix), RejectCode> {
+    let head = FrameHeader::read(peer, 1 << 20).expect("reply header");
+    if head.op == OpCode::Result {
+        let (_, product) =
+            frame::read_result_payload(peer, head.payload_len as usize).expect("RESULT payload");
+        return Ok((head.flags, product));
+    }
+    let reject = head.read_payload(peer).expect("REJECT payload");
+    Err(frame::decode_reject_payload(&reject.payload).expect("reject payload").0)
+}
+
+#[test]
+fn a_stale_or_forged_upload_id_is_refused_and_the_connection_survives() {
+    let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let (a, b) = (gen::grid::poisson2d(9, 9), gen::grid::poisson2d(7, 7));
+    let (a2, b2) = (spgemm_serial(&a, &a), spgemm_serial(&b, &b));
+    let inline = |id: u64, m: &CsrMatrix| {
+        let head = FrameHeader {
+            flags: frame::FLAG_RHS_IS_LHS,
+            ..FrameHeader::control(OpCode::Submit, id)
+        };
+        let mut bytes = Vec::new();
+        frame::write_submit(&mut bytes, &head, m, m, &SubmitShape::Full).expect("encode");
+        bytes
+    };
+    let resident = Ok(frame::FLAG_LHS_RESIDENT);
+    let unknown = Err(RejectCode::UnknownOperand);
+    // (frame, what the reply is, the product a RESULT carries)
+    let script: [(Vec<u8>, Result<u16, RejectCode>, &CsrMatrix); 7] = [
+        (by_reference(1, 1), unknown, &a2), // nothing resident yet
+        (inline(2, &a), resident, &a2),     // `a` uploaded under 2
+        (by_reference(3, 2), resident, &a2),
+        (by_reference(4, 99), unknown, &a2), // forged
+        (inline(5, &b), resident, &b2),      // `b` replaces `a`
+        (by_reference(6, 2), unknown, &a2),  // stale
+        (by_reference(7, 5), resident, &b2),
+    ];
+    for (bytes, want, product) in script {
+        peer.write_all(&bytes).expect("write SUBMIT");
+        let got = reply(&mut peer);
+        assert_eq!(got.as_ref().map(|(flags, _)| *flags).map_err(|code| *code), want);
+        if let Ok((_, got)) = got {
+            assert!(got.bits_eq(product), "served other bits");
+        }
+    }
+    drop(peer);
+    assert_eq!(counter(&server, "net.by_reference"), 2);
+    assert_eq!(counter(&server, "net.rejected"), 3);
+    assert_eq!(counter(&server, "net.decode_errors"), 0);
+    assert_eq!(server.shutdown().completed, 4);
+}
+
+/// What a scripted peer does with the SUBMIT it reads.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// RESULT `lhs · rhs`, flagged resident or not.
+    Serve { resident: bool },
+    /// REJECT `UnknownOperand`.
+    Unknown,
+}
+
+/// A one-thread CWNP peer that answers each connection's SUBMITs by its
+/// script, then closes that connection; returns each SUBMIT's flags.
+fn scripted_peer(script: Vec<Vec<Answer>>) -> (SocketAddr, std::thread::JoinHandle<Vec<u16>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address");
+    let peer = std::thread::spawn(move || {
+        let mut seen = Vec::new();
+        for answers in script {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut held: Option<(u64, Arc<CsrMatrix>)> = None;
+            for answer in answers {
+                let head = FrameHeader::read(&mut conn, 1 << 20).expect("SUBMIT header");
+                seen.push(head.flags);
+                let resident = held.as_ref().map(|(id, m)| (*id, m));
+                let decoded =
+                    frame::read_submit_payload(&mut conn, &head, resident).expect("SUBMIT");
+                match (answer, decoded) {
+                    (Answer::Serve { resident }, Some((lhs, rhs, _))) => {
+                        let product = spgemm_serial(&lhs, &rhs);
+                        let report = WireReport {
+                            shard: 0,
+                            batch_size: 1,
+                            queue_seconds: 0.0,
+                            execute_seconds: 0.0,
+                            latency_seconds: 0.0,
+                            cache_hit: false,
+                            parallel: false,
+                            priority: Priority::High,
+                            deadline_slack_seconds: None,
+                            shape: OutputShape::Full,
+                        };
+                        let flags = if resident { frame::FLAG_LHS_RESIDENT } else { 0 };
+                        if resident {
+                            held = Some((head.request_id, lhs));
+                        }
+                        let head = FrameHeader {
+                            flags,
+                            ..FrameHeader::control(OpCode::Result, head.request_id)
+                        };
+                        frame::write_result(&mut conn, &head, &report, &product).expect("RESULT");
+                    }
+                    (Answer::Unknown, _) => {
+                        held = None;
+                        let payload =
+                            frame::encode_reject_payload(RejectCode::UnknownOperand, "gone");
+                        let reject =
+                            Frame { payload, ..Frame::control(OpCode::Reject, head.request_id) };
+                        reject.write_to(&mut conn).expect("REJECT");
+                    }
+                    (Answer::Serve { .. }, None) => panic!("asked to serve an unknown operand"),
+                }
+            }
+        }
+        seen
+    });
+    (addr, peer)
+}
+
+#[test]
+fn the_clients_inline_retry_is_invisible_to_its_caller() {
+    // The peer keeps `a` after the first request, then forgets it: the
+    // second call's by-reference SUBMIT is refused, and the same call
+    // uploads `a` again.
+    use Answer::*;
+    let script = vec![vec![
+        Serve { resident: true },
+        Unknown,
+        Serve { resident: true },
+        Serve { resident: true },
+    ]];
+    let (addr, peer) = scripted_peer(script);
+    let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
+    let a = gen::grid::poisson2d(9, 9);
+    let want = spgemm_serial(&a, &a);
+    for call in 0..3 {
+        let resp = client.multiply(&a, &a).unwrap_or_else(|e| panic!("call {call}: {e}"));
+        assert!(resp.product.bits_eq(&want), "call {call}");
+    }
+    drop(client);
+    let by_ref = frame::FLAG_LHS_RESIDENT | frame::FLAG_RHS_IS_LHS;
+    let inline = frame::FLAG_RHS_IS_LHS;
+    assert_eq!(peer.join().expect("peer"), [inline, by_ref, inline, by_ref]);
+}
+
+#[test]
+fn a_reconnect_starts_inline_again() {
+    // The peer serves one upload, flagged resident, then hangs up. The
+    // client's next call finds the connection gone; the call after it
+    // dials again and uploads `a`, though the client had a key for it.
+    use Answer::*;
+    let script = vec![vec![Serve { resident: true }], vec![Serve { resident: true }]];
+    let (addr, peer) = scripted_peer(script);
+    let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
+    let a = gen::grid::poisson2d(9, 9);
+    let want = spgemm_serial(&a, &a);
+    assert!(client.multiply(&a, &a).expect("first upload").product.bits_eq(&want));
+    let err = client.multiply(&a, &a).expect_err("the connection is gone");
+    assert!(matches!(err, NetError::Io(_)), "got {err}");
+    assert!(client.multiply(&a, &a).expect("after the reconnect").product.bits_eq(&want));
+    drop(client);
+    let inline = frame::FLAG_RHS_IS_LHS;
+    assert_eq!(peer.join().expect("peer"), [inline, inline]);
 }
 
 #[test]
@@ -432,7 +660,7 @@ fn malformed_frames_are_isolated_to_their_connection() {
         ("lhs declares more than the frame holds", 0, lhs_overclaims),
         // A flag bit the server does not know may change what the payload
         // means: drained unparsed and refused.
-        ("unknown flag bit 2 on a sound payload", 4, pair.clone()),
+        ("unknown flag bit 4 on a sound payload", 0x10, pair.clone()),
         ("rhs-is-lhs flag over a payload that still carries the rhs", frame::FLAG_RHS_IS_LHS, pair),
     ];
     let mut sloppy = TcpStream::connect(addr).expect("connect raw");
