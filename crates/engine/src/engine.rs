@@ -331,7 +331,10 @@ impl Engine {
     /// `O(nnz)` checksum is not paid again: a service shard handed the same
     /// `Arc` it keyed before passes that key. `operand` must be
     /// `OperandKey::of(a)` — under another matrix's key this serves that
-    /// matrix's preparation.
+    /// matrix's preparation — which a debug build checks. Hidden from the
+    /// documented surface: a caller that cannot prove the key belongs to
+    /// `a` calls [`Engine::prepare_with_shape`].
+    #[doc(hidden)]
     pub fn prepare_keyed(
         &mut self,
         a: &CsrMatrix,
@@ -339,6 +342,7 @@ impl Engine {
         forced: Option<Plan>,
         shape: OutputShape,
     ) -> (Arc<PreparedMatrix>, StageTimings, bool) {
+        debug_assert_eq!(operand, OperandKey::of(a), "prepare_keyed under another operand's key");
         // A forced plan is a complete pipeline description — its own shape
         // wins. The shape joins the feedback key: full and truncated
         // traffic on the same operand never share a race.

@@ -17,24 +17,27 @@
 //! its tag alone ([`crate::frame::FLAG_MASK_IS_LHS`]).
 //!
 //! An lhs the server already holds is not sent again. After a RESULT under
-//! [`crate::frame::FLAG_LHS_RESIDENT`] the client remembers the lhs's
-//! [`OperandKey`] and the request id that uploaded it; a later synchronous
-//! multiply whose lhs passes the key's test — dimensions and `nnz`, then
-//! the sampled fingerprint, then the checksum, so a different operand costs
-//! microseconds — names that upload instead of carrying the lhs. If the
-//! server answers `UnknownOperand`, the call forgets the key and resends the
-//! lhs inline, once, unseen by its caller. Any inline SUBMIT, and a dropped
-//! connection, forget the key too: the server drops its operand then.
+//! [`crate::frame::FLAG_LHS_RESIDENT`] the client remembers the request id
+//! that uploaded the lhs and the lhs's sampled fingerprint; it checksums an
+//! lhs only when its fingerprint is the last upload's, so an lhs that does
+//! not repeat costs a fingerprint (microseconds), not an `O(nnz)` pass. An
+//! operand uploaded twice in a row is thus known by its full identity —
+//! fingerprint and checksum, the engine's [`cw_engine::OperandKey`] — and
+//! a later synchronous multiply whose lhs has that identity names the
+//! upload instead of carrying the lhs: the third call of a repeated operand
+//! is the first by reference. If the server answers `UnknownOperand`, the
+//! call resends the lhs inline, once, unseen by its caller. Any inline
+//! SUBMIT, and a dropped connection, forget the upload: the server drops
+//! its operand then.
 
 use crate::frame::{
     decode_reject_payload, read_result_payload, write_submit_block, Frame, FrameError, FrameHeader,
     OpCode, RejectCode, ShapeBlock, SubmitShape, WireReport, FLAG_LHS_RESIDENT, FLAG_MASK_IS_LHS,
     FLAG_NO_WAIT, FLAG_RHS_IS_LHS,
 };
-use cw_engine::OperandKey;
 use cw_service::Priority;
 use cw_sparse::io::{CsrCodecError, CsrReadError};
-use cw_sparse::{checksum, fingerprint, CsrMatrix};
+use cw_sparse::{checksum, fingerprint, CsrMatrix, MatrixFingerprint};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -191,9 +194,19 @@ pub struct NetClient {
     config: ClientConfig,
     stream: Option<TcpStream>,
     next_id: u64,
-    /// The lhs the server holds for this connection: its key and the
-    /// request id that uploaded it.
-    resident: Option<(OperandKey, u64)>,
+    /// The lhs the server holds for this connection.
+    resident: Option<Resident>,
+}
+
+/// What a client knows of the lhs its server holds.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    /// The request id that uploaded it.
+    upload: u64,
+    /// Its sampled fingerprint.
+    fingerprint: MatrixFingerprint,
+    /// Its checksum, when the upload before it had the same fingerprint.
+    checksum: Option<u64>,
 }
 
 impl NetClient {
@@ -321,22 +334,11 @@ impl NetClient {
         })
     }
 
-    /// The upload id under which the server holds `lhs`, if it does: the
-    /// remembered key's test, cheapest first.
-    fn resident_upload(&self, lhs: &CsrMatrix) -> Option<u64> {
-        let (key, upload) = self.resident.as_ref()?;
-        let fp = &key.fingerprint;
-        let same = (lhs.nrows as u64, lhs.ncols as u64, lhs.nnz() as u64)
-            == (fp.nrows, fp.ncols, fp.nnz)
-            && fingerprint(lhs) == *fp
-            && checksum(lhs) == key.checksum;
-        same.then_some(*upload)
-    }
-
     /// One synchronous multiply: by reference when the server holds `lhs`
     /// (resent inline, once, if it no longer does), else inline — after
     /// which a RESULT under [`FLAG_LHS_RESIDENT`] makes `lhs` the resident
-    /// operand.
+    /// operand. `lhs` is checksummed only when its sampled fingerprint is
+    /// the resident one's.
     fn multiply_block(
         &mut self,
         lhs: &CsrMatrix,
@@ -344,17 +346,21 @@ impl NetClient {
         shape: ShapeBlock<'_>,
         qos: Qos,
     ) -> Result<WireResponse, NetError> {
-        if let Some(upload) = self.resident_upload(lhs) {
+        let sampled = fingerprint(lhs);
+        let held = self.resident.filter(|held| held.fingerprint == sampled);
+        let sum = held.map(|_| checksum(lhs));
+        if let Some(held) = held.filter(|held| held.checksum.is_some() && held.checksum == sum) {
             let head = self.submit_head(qos, FLAG_LHS_RESIDENT, lhs, rhs, shape);
-            match self.submit(&head, lhs, rhs, shape, Some(upload))?.into_result() {
-                Err(e) if e.is_rejected_with(RejectCode::UnknownOperand) => self.resident = None,
+            match self.submit(&head, lhs, rhs, shape, Some(held.upload))?.into_result() {
+                Err(e) if e.is_rejected_with(RejectCode::UnknownOperand) => {}
                 served => return served,
             }
         }
         let head = self.submit_head(qos, 0, lhs, rhs, shape);
         let reply = self.submit(&head, lhs, rhs, shape, None)?;
         if let Reply::Result { lhs_resident: true, .. } = reply {
-            self.resident = Some((OperandKey::of(lhs), head.request_id));
+            let upload = head.request_id;
+            self.resident = Some(Resident { upload, fingerprint: sampled, checksum: sum });
         }
         reply.into_result()
     }

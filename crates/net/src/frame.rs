@@ -28,7 +28,7 @@
 //! [`FLAG_RHS_IS_LHS`]: a SUBMIT whose rhs is its lhs (`C = A·A`) carries
 //! the operand once. With the bit clear a v3 SUBMIT payload is byte-identical
 //! to v2. Version 4 keeps an operand on the server: the RESULT of a
-//! synchronous inline SUBMIT says, by [`FLAG_LHS_RESIDENT`], that its
+//! synchronous inline v4 SUBMIT says, by [`FLAG_LHS_RESIDENT`], that its
 //! connection now holds that lhs, and a later SUBMIT on the connection names
 //! it by the upload's request id (8 bytes) instead of sending it again.
 //! [`FLAG_MASK_IS_LHS`] leaves out a mask that is the lhs. With the new bits
@@ -86,13 +86,19 @@ pub const FLAG_RHS_IS_LHS: u16 = 2;
 
 /// Frame flag (version 4), on a SUBMIT and on a RESULT. On a RESULT: the
 /// connection now holds this request's lhs, the *resident* operand, under
-/// the request id of the inline SUBMIT that uploaded it. On a SUBMIT: the
-/// lhs did not travel — the payload opens with that upload's request id
-/// (`u64` LE) where the lhs blob was, and the server multiplies its
-/// resident operand, or answers [`RejectCode::UnknownOperand`] when the id
-/// is not the one it holds. A connection holds one resident operand; the
+/// the request id of the inline SUBMIT that uploaded it — never for a
+/// SUBMIT stamped below version 4. On a SUBMIT: the lhs did not travel —
+/// the payload opens with that upload's request id (`u64` LE) where the
+/// lhs blob was, and the server multiplies its resident operand, or
+/// answers [`RejectCode::UnknownOperand`] when the id is not the one it
+/// holds. A connection holds one resident operand; the
 /// next inline SUBMIT replaces it, and it goes with the connection.
 pub const FLAG_LHS_RESIDENT: u16 = 4;
+
+/// The first version whose SUBMITs a server answers under
+/// [`FLAG_LHS_RESIDENT`]: an older peer cannot name the operand, so keeping
+/// it would only hold memory.
+pub(crate) const LHS_RESIDENT_SINCE: u16 = 4;
 
 /// SUBMIT flag (version 4): the request is masked and its mask is its lhs,
 /// so the shape block is the masked tag alone, with no mask blob.
@@ -313,29 +319,7 @@ impl FrameHeader {
         r: &mut R,
         max_payload: usize,
     ) -> Result<FrameHeader, FrameError> {
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        header[0] = first;
-        r.read_exact(&mut header[1..])?;
-        if header[0..4] != FRAME_MAGIC {
-            return Err(FrameError::BadMagic(header[0..4].try_into().unwrap()));
-        }
-        let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-        if version == 0 || version > FRAME_VERSION {
-            return Err(FrameError::UnsupportedVersion(version));
-        }
-        let op = OpCode::from_wire(header[6]).ok_or(FrameError::UnknownOp(header[6]))?;
-        let payload_len = u32::from_le_bytes(header[24..28].try_into().unwrap());
-        if payload_len as usize > max_payload {
-            return Err(FrameError::Oversized { len: payload_len as usize, max: max_payload });
-        }
-        Ok(FrameHeader {
-            op,
-            priority: priority_from_wire(header[7]),
-            flags: u16::from_le_bytes(header[8..10].try_into().unwrap()),
-            request_id: u64::from_le_bytes(header[12..20].try_into().unwrap()),
-            deadline_ms: u32::from_le_bytes(header[20..24].try_into().unwrap()),
-            payload_len,
-        })
+        read_stamped_header(first, r, max_payload).map(|(head, _)| head)
     }
 
     /// Reads this header's payload into a buffer, completing a [`Frame`] —
@@ -352,6 +336,40 @@ impl FrameHeader {
             payload,
         })
     }
+}
+
+/// [`FrameHeader::read_after_first_byte`], also returning the version the
+/// header was stamped with: a server keeps an operand resident only for a
+/// peer that speaks [`LHS_RESIDENT_SINCE`] or later.
+pub(crate) fn read_stamped_header<R: Read>(
+    first: u8,
+    r: &mut R,
+    max_payload: usize,
+) -> Result<(FrameHeader, u16), FrameError> {
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    header[0] = first;
+    r.read_exact(&mut header[1..])?;
+    if header[0..4] != FRAME_MAGIC {
+        return Err(FrameError::BadMagic(header[0..4].try_into().unwrap()));
+    }
+    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    if version == 0 || version > FRAME_VERSION {
+        return Err(FrameError::UnsupportedVersion(version));
+    }
+    let op = OpCode::from_wire(header[6]).ok_or(FrameError::UnknownOp(header[6]))?;
+    let payload_len = u32::from_le_bytes(header[24..28].try_into().unwrap());
+    if payload_len as usize > max_payload {
+        return Err(FrameError::Oversized { len: payload_len as usize, max: max_payload });
+    }
+    let head = FrameHeader {
+        op,
+        priority: priority_from_wire(header[7]),
+        flags: u16::from_le_bytes(header[8..10].try_into().unwrap()),
+        request_id: u64::from_le_bytes(header[12..20].try_into().unwrap()),
+        deadline_ms: u32::from_le_bytes(header[20..24].try_into().unwrap()),
+        payload_len,
+    };
+    Ok((head, version))
 }
 
 /// One decoded frame with its payload buffered: the form of the control

@@ -25,7 +25,9 @@
 //!
 //! Each connection keeps one *resident* operand: the lhs `Arc` of its last
 //! synchronous SUBMIT that was served inline, under that SUBMIT's request
-//! id, announced by [`crate::frame::FLAG_LHS_RESIDENT`] on the RESULT. A
+//! id, announced by [`crate::frame::FLAG_LHS_RESIDENT`] on the RESULT. Only
+//! a version 4 or later SUBMIT is kept: an older peer cannot name the
+//! operand, so its connection holds nothing between requests. A
 //! SUBMIT under that flag names the upload's id instead of carrying the lhs
 //! and is served the resident `Arc` itself — so a service shard that saw it
 //! before keys it without a checksum, and under `FLAG_RHS_IS_LHS` the one
@@ -44,8 +46,9 @@
 //! them up with no extra plumbing.
 
 use crate::frame::{
-    encode_reject_payload, read_submit_payload, result_payload_len, write_result, Frame,
-    FrameHeader, OpCode, RejectCode, WireReport, FLAG_LHS_RESIDENT, SUBMIT_FLAGS,
+    encode_reject_payload, read_stamped_header, read_submit_payload, result_payload_len,
+    write_result, Frame, FrameHeader, OpCode, RejectCode, WireReport, FLAG_LHS_RESIDENT,
+    LHS_RESIDENT_SINCE, SUBMIT_FLAGS,
 };
 use cw_obs::{Counter, Gauge, LogHistogram};
 use cw_service::{MultiplyRequest, SpgemmService, SubmitError, Ticket};
@@ -353,20 +356,17 @@ fn handle_connection(mut stream: TcpStream, inner: &Inner) {
         // longer be frame-aligned), but only for this connection.
         let started = Instant::now();
         let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
-        let head = match FrameHeader::read_after_first_byte(
-            first[0],
-            &mut stream,
-            inner.config.max_frame_bytes,
-        ) {
-            Ok(head) => head,
-            Err(err) => {
-                reject_unaligned(&mut stream, inner, &err.to_string());
-                break;
-            }
-        };
+        let (head, version) =
+            match read_stamped_header(first[0], &mut stream, inner.config.max_frame_bytes) {
+                Ok(read) => read,
+                Err(err) => {
+                    reject_unaligned(&mut stream, inner, &err.to_string());
+                    break;
+                }
+            };
         idle_since = Instant::now();
         let keep_going = if head.op == OpCode::Submit {
-            serve_submit(&mut stream, inner, head, started, &mut pending, &mut resident)
+            serve_submit(&mut stream, inner, (head, version), started, &mut pending, &mut resident)
         } else {
             match head.read_payload(&mut stream) {
                 Ok(frame) => serve_control(&mut stream, inner, frame, started, &mut pending),
@@ -456,12 +456,12 @@ fn write_reject(
     reject.write_to(stream).is_ok()
 }
 
-/// Admission + execution of one SUBMIT frame whose header has been read;
-/// `started` is when its first byte arrived.
+/// Admission + execution of one SUBMIT frame whose header, stamped
+/// `version`, has been read; `started` is when its first byte arrived.
 fn serve_submit(
     stream: &mut TcpStream,
     inner: &Inner,
-    head: FrameHeader,
+    (head, version): (FrameHeader, u16),
     started: Instant,
     pending: &mut HashMap<u64, PendingEntry>,
     resident: &mut Option<(u64, Arc<CsrMatrix>)>,
@@ -590,16 +590,15 @@ fn serve_submit(
     }
 
     let outcome = ticket.wait();
-    // Served, the lhs stays: an inline one under this request's id, a
-    // resident one under its upload's.
+    // Served, the lhs stays: a resident one under its upload's id, an
+    // inline one from a peer that can name it under this request's.
     let flags = match outcome {
-        Ok(_) => {
-            if !head.lhs_resident() {
-                *resident = Some((head.request_id, lhs));
-            }
+        Ok(_) if head.lhs_resident() => FLAG_LHS_RESIDENT,
+        Ok(_) if version >= LHS_RESIDENT_SINCE => {
+            *resident = Some((head.request_id, lhs));
             FLAG_LHS_RESIDENT
         }
-        Err(_) => 0,
+        _ => 0,
     };
     finish_submit(stream, inner, head.request_id, flags, deadline, started, outcome)
 }

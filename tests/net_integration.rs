@@ -5,8 +5,10 @@
 //!   direct `Engine::multiply` of the same operands;
 //! * `C = A·A` sends `A` once (the server records one blob's bytes), for
 //!   every shape and door, and older-version frames are still served;
-//! * a connection's lhs stays on the server: a repeat travels as the
-//!   upload's id (8 bytes), a stale or forged id is refused as
+//! * a connection's lhs stays on the server: from its third call a repeat
+//!   travels as the upload's id (8 bytes), an lhs that only shares the
+//!   upload's sampled fingerprint travels inline, a v1–v3 frame's lhs is
+//!   not kept, a stale or forged id is refused as
 //!   `UnknownOperand` on a connection that goes on, the client's inline
 //!   retry is invisible to its caller, and a reconnect starts inline;
 //! * the wire report says whether the kernel ran in parallel exactly as the
@@ -30,8 +32,8 @@
 use clusterwise_spgemm::net::frame::{self, Frame, FrameHeader, OpCode};
 use clusterwise_spgemm::net::{RejectCode, WireReport};
 use clusterwise_spgemm::prelude::*;
-use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::io::{encode_csr, encoded_csr_len, CSR_BINARY_HEADER_BYTES};
+use clusterwise_spgemm::sparse::{fingerprint, gen};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -265,8 +267,9 @@ fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
 
     // Every door and shape, first with an equal copy of the lhs in its own
     // allocation as the rhs (two blobs, as ever), then with the rhs the lhs
-    // itself (flagged). `a` stays resident on the server between them, so a
-    // synchronous request names it by id (8 bytes) instead; a no-wait
+    // itself (flagged). `a` stays resident on the server between them; once
+    // it was uploaded twice in a row the client knows its checksum, so a
+    // synchronous request names it by id (8 bytes) instead. A no-wait
     // SUBMIT is always inline and replaces it; a mask that is the lhs
     // travels as its tag alone.
     let (masked, _) = Engine::default().multiply_masked(&a, &a, &a);
@@ -292,17 +295,17 @@ fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
         assert!(resp.product.bits_eq(&full), "{what}: no-wait product differs");
         let rhs = (blobs - 1) * blob;
         if blobs == 2 {
-            // `a` resident since the first request: every synchronous one
-            // names it.
-            sizes.extend([8 + rhs, 8 + rhs + 1, 8 + rhs + 9, 2 * blob]);
+            // `a`'s second upload in a row, then named by every synchronous
+            // request.
+            sizes.extend([2 * blob, 8 + rhs + 1, 8 + rhs + 9, 2 * blob]);
         } else {
-            // The no-wait SUBMIT above replaced it: uploaded once more.
-            sizes.extend([blob, 8 + 1, 8 + 9, blob]);
+            // The no-wait SUBMIT above replaced it: uploaded twice more.
+            sizes.extend([blob, blob + 1, 8 + 9, blob]);
         }
     }
     assert_request_bytes(&mut client, &sizes);
     let jsonl = client.stats_jsonl().expect("stats");
-    assert!(jsonl.contains("\"net.by_reference\":5"), "{jsonl}");
+    assert!(jsonl.contains("\"net.by_reference\":3"), "{jsonl}");
 
     let stats = server.shutdown();
     assert_eq!((stats.completed, stats.rejected), (9, 0));
@@ -312,7 +315,9 @@ fn a_square_sends_its_operand_once_and_every_shape_serves_the_same_bits() {
 fn a_version_one_or_two_submit_is_still_served() {
     // Hand-built frames stamped with an older version, carrying both
     // operand blobs as those versions did — and a version 3 frame carrying
-    // the operand once under FLAG_RHS_IS_LHS: same bits as the engine.
+    // the operand once under FLAG_RHS_IS_LHS: same bits as the engine. No
+    // older frame's operand stays on the server: its RESULT is unflagged,
+    // and naming its request id is refused.
     let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
     let a = gen::grid::poisson2d(9, 9);
     let (direct, _) = Engine::default().multiply(&a, &a);
@@ -327,12 +332,12 @@ fn a_version_one_or_two_submit_is_still_served() {
             Frame { flags, payload, ..Frame::control(OpCode::Submit, version as u64) }.encode();
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
         peer.write_all(&bytes).expect("write old frame");
-        let reply = FrameHeader::read(&mut peer, 1 << 20).expect("reply header");
-        assert_eq!((reply.op, reply.request_id), (OpCode::Result, version as u64));
-        let (_, product) = frame::read_result_payload(&mut peer, reply.payload_len as usize)
-            .expect("RESULT payload");
+        let (flags, product) = reply(&mut peer).expect("RESULT");
+        assert_eq!(flags, 0, "v{version}: the operand was kept");
         assert!(product.bits_eq(&direct), "v{version}: served other bits");
     }
+    peer.write_all(&by_reference(4, 3)).expect("write SUBMIT");
+    assert_eq!(reply(&mut peer).map(|_| ()), Err(RejectCode::UnknownOperand));
     drop(peer);
     assert_eq!(server.shutdown().completed, 3);
 }
@@ -343,7 +348,7 @@ fn counter(server: &NetServer, name: &str) -> u64 {
 }
 
 #[test]
-fn an_a_squared_burst_travels_by_reference_after_its_first_request() {
+fn an_a_squared_burst_travels_by_reference_from_its_third_request() {
     let server = loopback_server(ServiceConfig::default(), NetServerConfig::default());
     let mut client =
         NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
@@ -353,20 +358,36 @@ fn an_a_squared_burst_travels_by_reference_after_its_first_request() {
         let resp = client.multiply(&a, &a).expect("A·A");
         assert!(resp.product.bits_eq(&direct), "request {i}: not the in-process product");
     }
-    // One upload, then four SUBMITs of the 8-byte upload id alone.
-    assert_request_bytes(&mut client, &[encoded_csr_len(&a), 8, 8, 8, 8]);
-    assert_eq!(counter(&server, "net.by_reference"), 4);
+    // Two uploads (the second one is checksummed, as its fingerprint is the
+    // first's), then three SUBMITs of the 8-byte upload id alone.
+    let blob = encoded_csr_len(&a);
+    assert_request_bytes(&mut client, &[blob, blob, 8, 8, 8]);
+    assert_eq!(counter(&server, "net.by_reference"), 3);
 
-    // A different operand is uploaded and becomes the resident one; the
-    // first is then uploaded again.
+    // A twin that agrees with `a` at every sampled position is told apart
+    // by its checksum: uploaded (and checksummed, its fingerprint being the
+    // upload's), then named.
+    let mut twin = a.clone();
+    twin.vals[1] += 1.0;
+    assert_eq!(fingerprint(&twin), fingerprint(&a), "vals[1] is sampled");
+    let (twin_direct, _) = Engine::default().multiply(&twin, &twin);
+    for i in 0..2 {
+        let resp = client.multiply(&twin, &twin).expect("twin²");
+        assert!(resp.product.bits_eq(&twin_direct), "twin request {i}: served `a`'s product");
+    }
+    assert_request_bytes(&mut client, &[blob, blob, 8, 8, 8, blob, 8]);
+
+    // Operands that alternate are never named: each upload replaces the
+    // other. A repeated one is named from its third call again.
     let b = gen::grid::poisson2d(12, 12);
     let (b_direct, _) = Engine::default().multiply(&b, &b);
-    for (m, want) in [(&b, &b_direct), (&b, &b_direct), (&a, &direct)] {
+    let calls = [(&b, &b_direct), (&a, &direct), (&b, &b_direct), (&b, &b_direct), (&b, &b_direct)];
+    for (m, want) in calls {
         assert!(client.multiply(m, m).expect("A·A").product.bits_eq(want));
     }
     assert_eq!(counter(&server, "net.by_reference"), 5);
     let stats = server.shutdown();
-    assert_eq!((stats.completed, stats.rejected), (8, 0));
+    assert_eq!((stats.completed, stats.rejected), (12, 0));
 }
 
 /// A by-reference `C = A·A` SUBMIT naming `upload`, written by hand.
@@ -499,11 +520,12 @@ fn scripted_peer(script: Vec<Vec<Answer>>) -> (SocketAddr, std::thread::JoinHand
 
 #[test]
 fn the_clients_inline_retry_is_invisible_to_its_caller() {
-    // The peer keeps `a` after the first request, then forgets it: the
-    // second call's by-reference SUBMIT is refused, and the same call
-    // uploads `a` again.
+    // The peer keeps `a` after each upload, then forgets it: the third
+    // call's by-reference SUBMIT is refused, and the same call uploads `a`
+    // again.
     use Answer::*;
     let script = vec![vec![
+        Serve { resident: true },
         Serve { resident: true },
         Unknown,
         Serve { resident: true },
@@ -513,34 +535,40 @@ fn the_clients_inline_retry_is_invisible_to_its_caller() {
     let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
     let a = gen::grid::poisson2d(9, 9);
     let want = spgemm_serial(&a, &a);
-    for call in 0..3 {
+    for call in 0..4 {
         let resp = client.multiply(&a, &a).unwrap_or_else(|e| panic!("call {call}: {e}"));
         assert!(resp.product.bits_eq(&want), "call {call}");
     }
     drop(client);
     let by_ref = frame::FLAG_LHS_RESIDENT | frame::FLAG_RHS_IS_LHS;
     let inline = frame::FLAG_RHS_IS_LHS;
-    assert_eq!(peer.join().expect("peer"), [inline, by_ref, inline, by_ref]);
+    assert_eq!(peer.join().expect("peer"), [inline, inline, by_ref, inline, by_ref]);
 }
 
 #[test]
 fn a_reconnect_starts_inline_again() {
-    // The peer serves one upload, flagged resident, then hangs up. The
+    // The peer serves two uploads, flagged resident, then hangs up. The
     // client's next call finds the connection gone; the call after it
-    // dials again and uploads `a`, though the client had a key for it.
+    // dials again and uploads `a`, though the client knew its checksum.
     use Answer::*;
-    let script = vec![vec![Serve { resident: true }], vec![Serve { resident: true }]];
+    let script = vec![
+        vec![Serve { resident: true }, Serve { resident: true }],
+        vec![Serve { resident: true }],
+    ];
     let (addr, peer) = scripted_peer(script);
     let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
     let a = gen::grid::poisson2d(9, 9);
     let want = spgemm_serial(&a, &a);
-    assert!(client.multiply(&a, &a).expect("first upload").product.bits_eq(&want));
+    for upload in ["first upload", "second upload"] {
+        assert!(client.multiply(&a, &a).expect(upload).product.bits_eq(&want));
+    }
     let err = client.multiply(&a, &a).expect_err("the connection is gone");
     assert!(matches!(err, NetError::Io(_)), "got {err}");
     assert!(client.multiply(&a, &a).expect("after the reconnect").product.bits_eq(&want));
     drop(client);
+    // The peer hung up before reading the third call's SUBMIT.
     let inline = frame::FLAG_RHS_IS_LHS;
-    assert_eq!(peer.join().expect("peer"), [inline, inline]);
+    assert_eq!(peer.join().expect("peer"), [inline, inline, inline]);
 }
 
 #[test]
