@@ -378,6 +378,80 @@ mod tests {
         assert!(cc.to_csr().approx_eq(&pa, 0.0));
     }
 
+    /// FNV-1a over whole words: moving any one word moves the digest.
+    fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The operands whose Alg. 3 output is pinned: a scrambled mesh, a
+    /// FEM-like operand with three unknowns per node, a block operand, a
+    /// power-law graph and a tall-skinny rectangle.
+    fn golden_operands() -> Vec<(&'static str, CsrMatrix)> {
+        use cw_sparse::gen::{er, kron::kron, mesh::tri_mesh, rmat};
+        let j3 = CsrMatrix::from_dense(3, 3, &[1.0; 9]);
+        let fem = kron(&tri_mesh(16, 16, false, 1), &j3);
+        let n = fem.nrows as u32;
+        let shuffle = Permutation::from_new_to_old((0..n).map(|i| (i * 7 + 3) % n).collect());
+        vec![
+            ("tri_mesh(48, 48) scrambled", tri_mesh(48, 48, true, 1)),
+            ("kron(tri_mesh(16, 16), J3) shuffled", shuffle.unwrap().permute_symmetric(&fem)),
+            ("block_diagonal(600, (6, 10), 0.02)", block_diagonal(600, (6, 10), 0.02, 1)),
+            ("rmat(9, 8)", rmat::rmat(9, 8, rmat::RmatParams::default(), 1)),
+            ("erdos_renyi_rect(500, 40, 4)", er::erdos_renyi_rect(500, 40, 4, 1)),
+        ]
+    }
+
+    #[test]
+    fn order_and_sizes_match_their_pinned_digests() {
+        // Digests of `perm` (new → old) and of the cluster sizes, taken from
+        // the implementation before the scan read a pattern of the swept
+        // rows: a faster Alg. 3 must find the same clusters in the same
+        // order, at any pool width.
+        let pinned: [(u64, u64); 5] = [
+            (0xb6b0_9d3b_43f1_896b, 0x39e0_7e2c_25e1_2ff1),
+            (0x2454_91ad_4dba_227b, 0x49d7_a98a_a977_7497),
+            (0x2769_9e31_c173_635b, 0x9270_3cf9_650f_8031),
+            (0xc75e_1659_3fae_9c17, 0x6ca9_1b62_88ff_132d),
+            (0x1037_9435_a04a_bd1f, 0x1a0e_f953_fe4e_db5f),
+        ];
+        let got: Vec<(u64, u64)> = golden_operands()
+            .iter()
+            .map(|(_, a)| {
+                let h = hierarchical_clustering(a, &ClusterConfig::default());
+                (
+                    digest(h.perm.as_new_to_old().iter().map(|&r| r as u64)),
+                    digest(h.clustering.sizes.iter().map(|&s| s as u64)),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            pinned,
+            "{:?}",
+            golden_operands().iter().map(|(name, _)| *name).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn candidate_pairs_match_their_pinned_digests() {
+        // `SpGEMM_TopK`'s pair list (rows and the bits of each score) at
+        // Alg. 3's default settings, pinned like the order above, on the
+        // FEM-like operand and the rectangle.
+        let cfg = ClusterConfig::default();
+        let operands = golden_operands();
+        let got: Vec<(usize, u64)> = [&operands[1].1, &operands[4].1]
+            .into_iter()
+            .map(|a| {
+                let pairs = spgemm_topk(a, cfg.topk(), cfg.jacc_th);
+                let words = pairs
+                    .iter()
+                    .flat_map(|p| [p.row_i as u64, p.row_j as u64, p.jaccard.to_bits()]);
+                (pairs.len(), digest(words))
+            })
+            .collect();
+        assert_eq!(got, [(858, 0xaf91_a926_8653_f011), (2570, 0xb8e4_0e22_a9df_1844)]);
+    }
+
     #[test]
     fn shuffled_block_matrix_recovers_blocks() {
         // Scramble a perfect block matrix; hierarchical clustering should
