@@ -7,10 +7,10 @@
 //! 1. Generate candidate similar-row pairs with one pattern SpGEMM
 //!    `A · Aᵀ`, keeping the top-`(max_cluster−1)` per row by Jaccard score
 //!    ([`cw_spgemm::topk`]).
-//! 2. Greedily merge pairs from a max-heap ordered by similarity, tracked
-//!    with a union-find; a pair whose endpoints were already merged into
-//!    larger clusters is *re-scored* between the cluster representatives
-//!    and re-inserted if still similar (Alg. 3 lines 12–21).
+//! 2. Greedily merge pairs in order of similarity, tracked with a
+//!    union-find; a pair whose endpoints were already merged into larger
+//!    clusters is *re-scored* between the cluster representatives and
+//!    re-inserted if still similar (Alg. 3 lines 12–21).
 //! 3. The resulting clusters define both the **row ordering** and the
 //!    **`CSR_Cluster`** structure — no separate reordering pass, which is
 //!    the paper's second key change vs. the LSH-based prior work \[32\].
@@ -22,13 +22,22 @@
 //! Sweeping before step 1 rather than after step 2 is deliberate: the
 //! `A · Aᵀ` pass is itself a locality-bound SpGEMM and runs faster on the
 //! swept rows, which pays for the sweep.
+//!
+//! Steps 0 and 1 share one transpose, of the pattern only (ids, no
+//! values): the sweep walks it as the bipartite graph's column side, and
+//! step 1 reads it as `Aᵀ`. Step 1 copies no values either. It reads the
+//! swept rows as a pattern labelled in the sweep's own row *and* column
+//! order, and `Aᵀ` relabelled the same way, so the `Aᵀ` rows one row's scan
+//! walks — and the counts it raises — sit next to each other. Labels change
+//! no overlap count, and re-scoring reads the rows of `a` itself, so the
+//! clusters are the ones a copy of the swept rows would give.
 
 use crate::config::ClusterConfig;
 use crate::format::{Clustering, CsrCluster, MAX_CLUSTER_LEN};
 use crate::unionfind::UnionFind;
 use cw_sparse::jaccard::jaccard;
 use cw_sparse::{ColIdx, CsrMatrix, Permutation};
-use cw_spgemm::topk::spgemm_topk;
+use cw_spgemm::topk::{spgemm_topk_pattern, Pattern};
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
 
@@ -73,14 +82,14 @@ impl PartialOrd for HeapEntry {
 /// two hops apart exactly when they share a column, whatever the shape.
 struct Bipartite<'m> {
     a: &'m CsrMatrix,
-    at: CsrMatrix,
+    at: &'m Pattern<'m>,
 }
 
 impl Bipartite<'_> {
     fn degree(&self, v: usize) -> usize {
         match v.checked_sub(self.a.nrows) {
             None => self.a.row_nnz(v),
-            Some(c) => self.at.row_nnz(c),
+            Some(c) => self.at.row_len(c),
         }
     }
 
@@ -88,7 +97,7 @@ impl Bipartite<'_> {
     fn neighbours(&self, v: usize) -> (&[ColIdx], usize) {
         match v.checked_sub(self.a.nrows) {
             None => (self.a.row_cols(v), self.a.nrows),
-            Some(c) => (self.at.row_cols(c), 0),
+            Some(c) => (self.at.row(c), 0),
         }
     }
 
@@ -116,14 +125,16 @@ impl Bipartite<'_> {
 }
 
 /// A row order in which rows that share columns are close: one
-/// Cuthill–McKee pass over the [`Bipartite`] graph of `a`, keeping the rows.
+/// Cuthill–McKee pass over the [`Bipartite`] graph of `a` (`at` is the
+/// pattern of its transpose). Returns the rows' order and the order in which
+/// it reached the columns that hold an entry (both `new → old`).
 ///
 /// Components are taken in order of their smallest row, and each is entered
 /// at a row far from that one (the last row a probe pass from it reaches),
 /// so the sweep runs end to end instead of outwards from the middle.
-/// `O(nnz)` plus a transpose and the neighbour sorts; deterministic.
-fn locality_sweep(a: &CsrMatrix) -> Permutation {
-    let g = Bipartite { a, at: a.transpose() };
+/// `O(nnz)` plus the neighbour sorts; deterministic.
+fn locality_sweep(a: &CsrMatrix, at: &Pattern) -> (Permutation, Vec<u32>) {
+    let g = Bipartite { a, at };
     let nodes = a.nrows + a.ncols;
     let (mut probed, mut visited) = (vec![false; nodes], vec![false; nodes]);
     let mut probe: Vec<usize> = Vec::new();
@@ -137,8 +148,14 @@ fn locality_sweep(a: &CsrMatrix) -> Permutation {
         let far = probe.iter().rev().copied().find(|&v| v < a.nrows).unwrap_or(start);
         g.cuthill_mckee(far, &mut visited, &mut order);
     }
-    let rows = order.into_iter().filter(|&v| v < a.nrows).map(|r| r as u32).collect();
-    Permutation::from_new_to_old(rows).expect("the sweep visits every row once")
+    let (mut rows, mut cols) = (Vec::with_capacity(a.nrows), Vec::new());
+    for v in order {
+        match v.checked_sub(a.nrows) {
+            None => rows.push(v as u32),
+            Some(c) => cols.push(c as u32),
+        }
+    }
+    (Permutation::from_new_to_old(rows).expect("the sweep visits every row once"), cols)
 }
 
 /// Runs Algorithm 3 on `a`, returning the permutation + clustering.
@@ -146,23 +163,43 @@ fn locality_sweep(a: &CsrMatrix) -> Permutation {
 /// The rows are first put in a local order (module docs, step 0); Alg. 3
 /// runs on those, and the returned `perm` is the composition.
 pub fn hierarchical_clustering(a: &CsrMatrix, cfg: &ClusterConfig) -> HierarchicalClustering {
-    let sweep = locality_sweep(a);
-    let swept = sweep.permute_rows(a);
-    let a = &swept;
     let n = a.nrows;
+    let at = Pattern::of(a).transpose();
+    let (sweep, col_order) = locality_sweep(a, &at);
     let max_cluster = cfg.max_cluster.clamp(1, MAX_CLUSTER_LEN) as u32;
 
-    // Line 3: candidate pairs via SpGEMM_TopK(A, Aᵀ, topk, jacc_th).
-    let candidates = spgemm_topk(a, cfg.topk(), cfg.jacc_th);
+    // Line 3: candidate pairs via SpGEMM_TopK(A, Aᵀ, topk, jacc_th), on the
+    // swept rows labelled in the sweep's row and column order (module docs).
+    let mut col_label = vec![u32::MAX; a.ncols];
+    for (new, &old) in col_order.iter().enumerate() {
+        col_label[old as usize] = new as u32;
+    }
+    let swept = Pattern::of(a).relabelled(sweep.as_new_to_old(), &col_label, col_order.len());
+    let swept_t = at.relabelled(&col_order, &sweep.inverse_map(), n);
+    drop(at);
+    let candidates = spgemm_topk_pattern(&swept, &swept_t, cfg.topk(), cfg.jacc_th);
+    drop((swept, swept_t));
 
-    // Line 5: max-heap of candidates; line 6: singleton cluster ids.
-    let mut heap: BinaryHeap<HeapEntry> =
-        candidates.iter().map(|p| HeapEntry { score: p.jaccard, i: p.row_i, j: p.row_j }).collect();
+    // Line 5: the candidates come ranked, highest Jaccard first, so they
+    // are popped in order through a cursor; the max-heap holds only the
+    // re-scored pairs. A re-scored key is new to `seen`, so no two keys
+    // tie and the pops come in heap order. Line 6: singleton cluster ids.
+    let mut ranked = candidates
+        .iter()
+        .map(|p| HeapEntry { score: p.jaccard, i: p.row_i, j: p.row_j })
+        .peekable();
+    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
     let mut seen: HashSet<(u32, u32)> = candidates.iter().map(|p| (p.row_i, p.row_j)).collect();
     let mut uf = UnionFind::new(n);
 
     // Lines 8–23: greedy merging with stale-pair re-scoring.
-    while let Some(HeapEntry { score: _, i, j }) = heap.pop() {
+    loop {
+        let next = match (ranked.peek(), heap.peek()) {
+            (Some(c), Some(r)) if r > c => heap.pop(),
+            (Some(_), _) => ranked.next(),
+            (None, _) => heap.pop(),
+        };
+        let Some(HeapEntry { score: _, i, j }) = next else { break };
         let ri = uf.find(i);
         let rj = uf.find(j);
         if ri == rj {
@@ -178,7 +215,8 @@ pub fn hierarchical_clustering(a: &CsrMatrix, cfg: &ClusterConfig) -> Hierarchic
             // (the roots' original rows) and re-insert if still similar.
             let key = if ri < rj { (ri, rj) } else { (rj, ri) };
             if seen.insert(key) {
-                let s = jaccard(a.row_cols(ri as usize), a.row_cols(rj as usize));
+                let row = |r: u32| a.row_cols(sweep.old_of(r as usize));
+                let s = jaccard(row(ri), row(rj));
                 if s > cfg.jacc_th {
                     heap.push(HeapEntry { score: s, i: key.0, j: key.1 });
                 }
@@ -338,8 +376,8 @@ mod tests {
         let shuffle: Vec<u32> = (0..n).map(|i| (i * 13 + 5) % n).collect();
         let rows = shuffle.iter().map(|&i| vec![(i as usize, 1.0), (i as usize + 1, 1.0)]);
         let a = CsrMatrix::from_row_lists(n as usize + 1, rows.collect());
-        let swept: Vec<u32> =
-            locality_sweep(&a).as_new_to_old().iter().map(|&r| shuffle[r as usize]).collect();
+        let (sweep, _) = locality_sweep(&a, &Pattern::of(&a).transpose());
+        let swept: Vec<u32> = sweep.as_new_to_old().iter().map(|&r| shuffle[r as usize]).collect();
         let ascending: Vec<u32> = (0..n).collect();
         let descending: Vec<u32> = (0..n).rev().collect();
         assert!(swept == ascending || swept == descending, "{swept:?}");
@@ -434,6 +472,7 @@ mod tests {
 
     #[test]
     fn candidate_pairs_match_their_pinned_digests() {
+        use cw_spgemm::topk::spgemm_topk;
         // `SpGEMM_TopK`'s pair list (rows and the bits of each score) at
         // Alg. 3's default settings, pinned like the order above, on the
         // FEM-like operand and the rectangle.

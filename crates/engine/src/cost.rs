@@ -98,17 +98,17 @@ const CHEAP_REORDER_PER_NNZ: f64 = 10e-9;
 /// | GP(16) | 901–3 832 | 700 (heavy) |
 /// | SlashBurn | 48–1 806 | 700 (heavy) |
 /// | Rabbit | 150–486 | 700 (heavy) |
-/// | Hierarchical | 240–3 261 | 160 |
+/// | Hierarchical | 70–638 | 60 |
 /// | RCM | 38–71 | 10 (cheap) |
 /// | Degree | 5–11 | 10 (cheap) |
 const HEAVY_REORDER_PER_NNZ: f64 = 700e-9;
 
 /// Preparation seconds per nonzero for hierarchical clustering's row order
 /// (similarity discovery is itself SpGEMM-shaped), at or below its lowest
-/// measured rate: 162 ns for the serial `hierarchical_clustering` on
-/// shuffled `tri_mesh(240, 240)` in a traced benchmark run, below the
-/// table's 240.
-const HIERARCHICAL_PER_NNZ: f64 = 160e-9;
+/// measured rate: 61 ns for `hierarchical_clustering` on shuffled
+/// `tri_mesh(240, 240)` in a traced benchmark run (`core.hierarchical_s` ÷
+/// nnz), below the table's 70.
+const HIERARCHICAL_PER_NNZ: f64 = 60e-9;
 
 /// Predicted seconds of one `A·B` for a `B` structurally like `A`, with
 /// `nnz` stored entries of `avg_row_nnz` per row: every `a_ik` pulls about

@@ -9,6 +9,17 @@
 //! filtering by a similarity threshold yields the candidate pairs — faster
 //! and more accurate than the LSH pipeline of the prior SpMM work \[32\].
 //!
+//! The counts are integers, so the scan keeps them in a dense `u32` array
+//! per worker (4 B per row of `A`, freed when the scan ends) with a list of
+//! the rows each scanned row touched — Nagasaka & Azad's dense accumulator,
+//! which needs no hashing and no float adds here. The list is never
+//! sorted: each row's candidates are cut to the top K by a total order
+//! (score, then rows), which fixes the output whatever order they were
+//! found in. Only patterns are read ([`Pattern`]), never values, and a
+//! caller that already holds the pattern's transpose passes it to
+//! [`spgemm_topk_pattern`] (hierarchical clustering does, in its sweep's
+//! labels).
+//!
 //! The per-row top-k *numeric* truncation this relies on is also available
 //! as a standalone output shape — [`crate::row_topk`] — which the engine's
 //! `OutputShape::TopK` plan knob applies to any product.
@@ -33,11 +44,11 @@
 //! assert_eq!(pairs[0].jaccard, 1.0);
 //! ```
 
-use crate::accumulator::{Accumulator, HashAccumulator};
 use crate::single_pass::OwnLines;
 use cw_sparse::jaccard::jaccard_from_overlap;
-use cw_sparse::{ColIdx, CsrMatrix, Value};
+use cw_sparse::{ColIdx, CsrMatrix};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A candidate similar-row pair with its exact Jaccard score (`row_i < row_j`).
@@ -68,12 +79,86 @@ fn dedup_and_rank(mut all: Vec<CandidatePair>) -> Vec<CandidatePair> {
     all
 }
 
-/// Per-worker scratch of [`spgemm_topk`], reused across the rows a worker
-/// scans so the scan allocates only for rows that have candidates.
+/// A 0/1 pattern in CSR layout: row `i` holds the ids
+/// `ids[ptr[i]..ptr[i + 1]]`, in any order. Borrowed from a [`CsrMatrix`]
+/// ([`Pattern::of`]) or built ([`Pattern::transpose`],
+/// [`Pattern::relabelled`]); either way it holds no values.
+#[derive(Debug, Clone)]
+pub struct Pattern<'a> {
+    /// Width: every id is below it.
+    ncols: usize,
+    /// Row offsets into `ids` (`nrows + 1`).
+    ptr: Cow<'a, [usize]>,
+    /// Ids, row by row.
+    ids: Cow<'a, [ColIdx]>,
+}
+
+impl<'a> Pattern<'a> {
+    /// The pattern of `a`, borrowed.
+    pub fn of(a: &'a CsrMatrix) -> Self {
+        Pattern { ncols: a.ncols, ptr: Cow::Borrowed(&a.row_ptr), ids: Cow::Borrowed(&a.col_idx) }
+    }
+
+    /// Number of rows.
+    pub fn nrows(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// The ids of row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[ColIdx] {
+        &self.ids[self.ptr[i]..self.ptr[i + 1]]
+    }
+
+    /// The number of ids in row `i`.
+    #[inline]
+    pub fn row_len(&self, i: usize) -> usize {
+        self.ptr[i + 1] - self.ptr[i]
+    }
+
+    /// The pattern of the transpose: row `c` lists, ascending, the rows
+    /// that hold id `c`.
+    pub fn transpose(&self) -> Pattern<'static> {
+        let mut ptr = vec![0usize; self.ncols + 1];
+        for &c in self.ids.iter() {
+            ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.ncols {
+            ptr[c + 1] += ptr[c];
+        }
+        let mut cursor = ptr.clone();
+        let mut ids = vec![0 as ColIdx; self.ids.len()];
+        for i in 0..self.nrows() {
+            for &c in self.row(i) {
+                ids[cursor[c as usize]] = i as ColIdx;
+                cursor[c as usize] += 1;
+            }
+        }
+        Pattern { ncols: self.nrows(), ptr: ptr.into(), ids: ids.into() }
+    }
+
+    /// Rows `order[0], order[1], …` of this pattern, each id `c` written as
+    /// `label[c]`; `ncols` bounds the labels.
+    pub fn relabelled(&self, order: &[u32], label: &[u32], ncols: usize) -> Pattern<'static> {
+        let mut ptr = Vec::with_capacity(order.len() + 1);
+        let mut ids = Vec::with_capacity(self.ids.len());
+        ptr.push(0);
+        for &old in order {
+            ids.extend(self.row(old as usize).iter().map(|&c| label[c as usize]));
+            ptr.push(ids.len());
+        }
+        Pattern { ncols, ptr: ptr.into(), ids: ids.into() }
+    }
+}
+
+/// Per-worker scratch of [`spgemm_topk_pattern`], reused across the rows a
+/// worker scans so the scan allocates only for rows that have candidates.
 struct Scratch {
-    acc: HashAccumulator,
-    rows: Vec<ColIdx>,
-    overlaps: Vec<Value>,
+    /// Overlap count per row, zero between rows.
+    counts: Vec<u32>,
+    /// The rows whose count the current row raised, in first-touch order
+    /// (its first `used` slots).
+    touched: Vec<ColIdx>,
     cands: Vec<CandidatePair>,
 }
 
@@ -83,49 +168,67 @@ struct Scratch {
 /// Pairs are deduplicated to `row_i < row_j` and sorted by descending
 /// Jaccard (ties broken by indices, so the output is deterministic).
 ///
-/// The transpose is taken internally on the *pattern* of `a` (values reset
-/// to 1, per the paper: "we reset all values in matrix A to 1 so that the
-/// output reflects the count of overlapping nonzeros").
+/// The transpose is taken internally on the *pattern* of `a` (per the
+/// paper: "we reset all values in matrix A to 1 so that the output reflects
+/// the count of overlapping nonzeros"; here the values are never read).
 pub fn spgemm_topk(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<CandidatePair> {
-    let at = a.transpose();
+    let rows = Pattern::of(a);
+    spgemm_topk_pattern(&rows, &rows.transpose(), topk, jacc_th)
+}
 
-    // Per-row scan: accumulate overlap counts against all other rows via
-    // A row i's columns k -> Aᵀ row k lists every row j sharing column k.
-    let per_row: Vec<Vec<CandidatePair>> = (0..a.nrows)
+/// [`spgemm_topk`] on a pattern `rows` whose transpose the caller already
+/// holds: `cols` must list, for each id of `rows`, the rows that hold it
+/// (in any order). The pairs name rows of `rows`; how the ids are labelled
+/// does not change them.
+pub fn spgemm_topk_pattern(
+    rows: &Pattern,
+    cols: &Pattern,
+    topk: usize,
+    jacc_th: f64,
+) -> Vec<CandidatePair> {
+    let n = rows.nrows();
+    // Per-row scan: count overlaps against all other rows — row i's ids k,
+    // then column k of the transpose lists every row j sharing k.
+    let per_row: Vec<Vec<CandidatePair>> = (0..n)
         .into_par_iter()
         .map_init(
-            || {
-                OwnLines(Scratch {
-                    acc: HashAccumulator::new(),
-                    rows: Vec::new(),
-                    overlaps: Vec::new(),
-                    cands: Vec::new(),
-                })
-            },
-            |OwnLines(Scratch { acc, rows, overlaps, cands }), i| {
-                for &k in a.row_cols(i) {
-                    for &j in at.row_cols(k as usize) {
-                        if j as usize != i {
-                            acc.add(j, 1.0);
-                        }
+            || OwnLines(Scratch { counts: vec![0; n], touched: Vec::new(), cands: Vec::new() }),
+            |OwnLines(Scratch { counts, touched, cands }), i| {
+                // `touched[..used]` lists this row's rows in first-touch
+                // order. Every row is written at `used` and kept by bumping
+                // it only on a first touch, so the loop has no branch.
+                let mut used = 0;
+                for &k in rows.row(i) {
+                    let js = cols.row(k as usize);
+                    if touched.len() < used + js.len() {
+                        touched.resize(used + js.len(), 0);
+                    }
+                    for &j in js {
+                        let count = &mut counts[j as usize];
+                        touched[used] = j;
+                        used += (*count == 0) as usize;
+                        *count += 1;
                     }
                 }
-                if acc.len() > rows.len() {
-                    rows.resize(acc.len(), 0);
-                    overlaps.resize(acc.len(), 0.0);
-                }
-                let n = acc.extract_into(rows, overlaps);
                 cands.clear();
-                for (&j, &overlap) in rows[..n].iter().zip(&overlaps[..n]) {
-                    let score =
-                        jaccard_from_overlap(overlap as usize, a.row_nnz(i), a.row_nnz(j as usize));
+                for &j in &touched[..used] {
+                    let overlap = std::mem::take(&mut counts[j as usize]);
+                    if j as usize == i {
+                        continue;
+                    }
+                    let score = jaccard_from_overlap(
+                        overlap as usize,
+                        rows.row_len(i),
+                        rows.row_len(j as usize),
+                    );
                     if score >= jacc_th {
                         let i = i as u32;
                         let (row_i, row_j) = if i < j { (i, j) } else { (j, i) };
                         cands.push(CandidatePair { row_i, row_j, jaccard: score });
                     }
                 }
-                // Keep only the top-K most similar per row.
+                // Keep only the top-K most similar per row; the order is
+                // total, so the touched list needs no sorting first.
                 cands.sort_unstable_by(by_score_then_rows);
                 cands.truncate(topk);
                 cands.clone()
@@ -140,7 +243,7 @@ pub fn spgemm_topk(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<CandidatePai
 /// Brute-force reference: all pairs with Jaccard ≥ `jacc_th`, truncated to
 /// `topk` per row (testing only; `O(n²·nnz/row)`).
 pub fn brute_force_pairs(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<CandidatePair> {
-    use cw_sparse::jaccard::jaccard;
+    use cw_sparse::jaccard::{intersection_size, jaccard};
     let mut per_row: Vec<Vec<CandidatePair>> = vec![Vec::new(); a.nrows];
     for (i, row) in per_row.iter_mut().enumerate() {
         for j in 0..a.nrows {
@@ -148,8 +251,9 @@ pub fn brute_force_pairs(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<Candid
                 continue;
             }
             let s = jaccard(a.row_cols(i), a.row_cols(j));
-            // Rows with zero overlap never appear in A·Aᵀ; skip to match.
-            if s >= jacc_th && s > 0.0 {
+            // Rows with zero overlap never appear in A·Aᵀ; skip to match
+            // (two empty rows score 1.0 but share nothing).
+            if s >= jacc_th && intersection_size(a.row_cols(i), a.row_cols(j)) > 0 {
                 let (lo, hi) = if i < j { (i as u32, j as u32) } else { (j as u32, i as u32) };
                 row.push(CandidatePair { row_i: lo, row_j: hi, jaccard: s });
             }
@@ -163,7 +267,8 @@ pub fn brute_force_pairs(a: &CsrMatrix, topk: usize, jacc_th: f64) -> Vec<Candid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cw_sparse::gen::{banded::block_diagonal, er::erdos_renyi};
+    use cw_sparse::gen::banded::block_diagonal;
+    use cw_sparse::gen::er::{erdos_renyi, erdos_renyi_rect};
 
     #[test]
     fn fig7_example_counts() {
@@ -211,6 +316,73 @@ mod tests {
         for (f, s) in fast.iter().zip(&slow) {
             assert_eq!((f.row_i, f.row_j), (s.row_i, s.row_j));
         }
+    }
+
+    /// `spgemm_topk` returns exactly the brute-force pairs, scores to the bit.
+    fn assert_matches_brute_force(a: &CsrMatrix, topk: usize, jacc_th: f64) {
+        let bits = |pairs: Vec<CandidatePair>| -> Vec<(u32, u32, u64)> {
+            pairs.iter().map(|p| (p.row_i, p.row_j, p.jaccard.to_bits())).collect()
+        };
+        let fast = bits(spgemm_topk(a, topk, jacc_th));
+        assert_eq!(
+            fast,
+            bits(brute_force_pairs(a, topk, jacc_th)),
+            "topk {topk}, threshold {jacc_th}"
+        );
+    }
+
+    #[test]
+    fn matches_brute_force_on_rectangular_operands() {
+        // Tall (few columns, many overlaps) and wide: the transpose has
+        // `ncols` rows, the counts `nrows` slots.
+        for (nrows, ncols) in [(60, 12), (12, 60)] {
+            let a = erdos_renyi_rect(nrows, ncols, 3, 5);
+            assert_matches_brute_force(&a, 3, 0.2);
+            assert_matches_brute_force(&a, usize::MAX, 0.0);
+        }
+    }
+
+    #[test]
+    fn empty_rows_pair_with_nothing_and_duplicates_score_one() {
+        let pattern = |cols: &[usize]| cols.iter().map(|&c| (c, 1.0)).collect::<Vec<_>>();
+        let a = CsrMatrix::from_row_lists(
+            8,
+            vec![
+                pattern(&[]),
+                pattern(&[1, 2, 3]),
+                pattern(&[]),
+                pattern(&[1, 2, 3]),
+                pattern(&[2, 3, 4]),
+                pattern(&[1, 2, 3]),
+                pattern(&[]),
+                pattern(&[7]),
+            ],
+        );
+        let pairs = spgemm_topk(&a, usize::MAX, 0.3);
+        assert!(pairs
+            .iter()
+            .all(|p| ![0, 2, 6].contains(&p.row_i) && ![0, 2, 6].contains(&p.row_j)));
+        let ones: Vec<(u32, u32)> =
+            pairs.iter().filter(|p| p.jaccard == 1.0).map(|p| (p.row_i, p.row_j)).collect();
+        assert_eq!(ones, [(1, 3), (1, 5), (3, 5)]);
+        assert_matches_brute_force(&a, usize::MAX, 0.3);
+        assert_matches_brute_force(&a, 1, 0.0);
+    }
+
+    #[test]
+    fn topk_one_keeps_each_rows_best_partner() {
+        for a in [block_diagonal(40, (3, 6), 0.1, 4), erdos_renyi(30, 4, 9)] {
+            assert_matches_brute_force(&a, 1, 0.25);
+            assert_matches_brute_force(&a, 1, 0.0);
+        }
+    }
+
+    #[test]
+    fn threshold_zero_keeps_every_overlapping_pair() {
+        let a = erdos_renyi(30, 4, 9);
+        assert_matches_brute_force(&a, usize::MAX, 0.0);
+        let pairs = spgemm_topk(&a, usize::MAX, 0.0);
+        assert!(pairs.iter().all(|p| p.jaccard > 0.0));
     }
 
     #[test]
