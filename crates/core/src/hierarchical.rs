@@ -164,7 +164,8 @@ fn locality_sweep(a: &CsrMatrix, at: &Pattern) -> (Permutation, Vec<u32>) {
 /// runs on those, and the returned `perm` is the composition.
 pub fn hierarchical_clustering(a: &CsrMatrix, cfg: &ClusterConfig) -> HierarchicalClustering {
     let n = a.nrows;
-    let at = Pattern::of(a).transpose();
+    let pattern = Pattern::of(a);
+    let at = pattern.transpose();
     let (sweep, col_order) = locality_sweep(a, &at);
     let max_cluster = cfg.max_cluster.clamp(1, MAX_CLUSTER_LEN) as u32;
 
@@ -174,7 +175,7 @@ pub fn hierarchical_clustering(a: &CsrMatrix, cfg: &ClusterConfig) -> Hierarchic
     for (new, &old) in col_order.iter().enumerate() {
         col_label[old as usize] = new as u32;
     }
-    let swept = Pattern::of(a).relabelled(sweep.as_new_to_old(), &col_label, col_order.len());
+    let swept = pattern.relabelled(sweep.as_new_to_old(), &col_label, col_order.len());
     let swept_t = at.relabelled(&col_order, &sweep.inverse_map(), n);
     drop(at);
     let candidates = spgemm_topk_pattern(&swept, &swept_t, cfg.topk(), cfg.jacc_th);
