@@ -26,7 +26,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         Report::new("ablation", "Design-choice ablations (clustering parameters, access pattern)");
     rep.note("Extensions beyond the paper's figures; all speedups vs row-wise original order, A² workload.");
 
-    let datasets = cw_datasets::representative(cfg.scale);
+    let datasets = cw_datasets::representative();
 
     // --- 1. jacc_th sweep (variable-length + hierarchical) ---
     let mut t1 = Table::new(vec![

@@ -7,7 +7,7 @@ use cw_sparse::stats::stats;
 
 /// Builds the inventory report (builds every matrix; no kernel timing).
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cfg.select(cw_datasets::corpus(cfg.scale));
+    let datasets = cfg.select(cw_datasets::corpus());
     let mut rep = Report::new("corpus", "Dataset inventory with structural statistics");
     rep.note(format!(
         "{} synthetic datasets at scale {:?}; categories mirror the paper's SuiteSparse families.",

@@ -23,7 +23,7 @@ pub fn amortization_runs(preprocess: f64, base: f64, optimized: f64) -> Option<f
 
 /// Runs the Fig. 10 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cfg.select(cw_datasets::corpus(cfg.scale));
+    let datasets = cfg.select(cw_datasets::corpus());
     // Row-wise reorderings, minus HP (as the paper does).
     let algos: Vec<Reordering> =
         Reordering::all_ten().into_iter().filter(|a| !matches!(a, Reordering::Hp(_))).collect();

@@ -8,12 +8,12 @@ use cw_core::memory::memory_report;
 
 /// Computes the per-dataset memory ratios for one scheme.
 pub fn ratios_for_scheme(cfg: &RunConfig, scheme: ClusterScheme) -> Vec<(&'static str, f64)> {
-    let datasets = cfg.select(cw_datasets::corpus(cfg.scale));
+    let datasets = cfg.select(cw_datasets::corpus());
     datasets
         .iter()
         .map(|d| {
             let a = d.build(cfg.scale);
-            let (cc, _, square) = build_clustered(&a, scheme, cfg);
+            let (cc, _, square) = build_clustered(&a, scheme);
             // For hierarchical the baseline is the (permuted) CSR — same
             // bytes as the original, but keep the comparison honest.
             let r = memory_report(&cc, &square);

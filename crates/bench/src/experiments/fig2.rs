@@ -12,7 +12,7 @@ use cw_reorder::Reordering;
 
 /// Runs the Fig. 2 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cfg.select(cw_datasets::corpus(cfg.scale));
+    let datasets = cfg.select(cw_datasets::corpus());
     let algos = Reordering::all_ten();
     let records = rowwise_sweep(&datasets, &algos, cfg);
     render(&records, datasets.len())

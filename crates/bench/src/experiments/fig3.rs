@@ -24,7 +24,7 @@ pub fn combos() -> Vec<(ClusterScheme, Reordering)> {
 
 /// Runs the Fig. 3 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cfg.select(cw_datasets::corpus(cfg.scale));
+    let datasets = cfg.select(cw_datasets::corpus());
     let records = cluster_sweep(&datasets, &combos(), cfg);
     render(&records, datasets.len())
 }

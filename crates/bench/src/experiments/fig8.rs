@@ -8,7 +8,7 @@ use cw_reorder::Reordering;
 
 /// Runs the Fig. 8 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cw_datasets::representative(cfg.scale);
+    let datasets = cw_datasets::representative();
     let combos = [
         (ClusterScheme::Fixed, Reordering::Original),
         (ClusterScheme::Variable, Reordering::Original),

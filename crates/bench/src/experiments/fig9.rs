@@ -8,7 +8,7 @@ use cw_reorder::Reordering;
 
 /// Runs the Fig. 9 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cw_datasets::representative(cfg.scale);
+    let datasets = cw_datasets::representative();
     let algos = [Reordering::Amd, Reordering::Rcm, Reordering::Gp(16), Reordering::Hp(16)];
     let records = rowwise_sweep(&datasets, &algos, cfg);
 

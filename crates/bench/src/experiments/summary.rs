@@ -25,7 +25,7 @@ pub fn run(cfg: &RunConfig) -> Report {
     if sub_cfg.subset.is_none() {
         sub_cfg.subset = Some(40);
     }
-    let datasets = sub_cfg.select(cw_datasets::corpus(sub_cfg.scale));
+    let datasets = sub_cfg.select(cw_datasets::corpus());
 
     let combos = [
         (ClusterScheme::Fixed, Reordering::Original),

@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn rowwise_sweep_produces_record_per_combo() {
-        let ds = cw_datasets::representative(Scale::Small)[..2].to_vec();
+        let ds = cw_datasets::representative()[..2].to_vec();
         let algos = [Reordering::Random, Reordering::Rcm];
         let recs = rowwise_sweep(&ds, &algos, &quick_cfg());
         assert_eq!(recs.len(), 4);
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn cluster_sweep_produces_record_per_combo() {
-        let ds = cw_datasets::representative(Scale::Small)[3..4].to_vec();
+        let ds = cw_datasets::representative()[3..4].to_vec();
         let combos = [
             (ClusterScheme::Fixed, Reordering::Original),
             (ClusterScheme::Hierarchical, Reordering::Original),

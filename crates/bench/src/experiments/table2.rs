@@ -19,7 +19,7 @@ pub struct Table2Data {
 
 /// Collects the measurements.
 pub fn collect(cfg: &RunConfig) -> Table2Data {
-    let datasets = cfg.select(cw_datasets::corpus(cfg.scale));
+    let datasets = cfg.select(cw_datasets::corpus());
     let algos = Reordering::all_ten();
     let rowwise = rowwise_sweep(&datasets, &algos, cfg);
     let mut combos = Vec::new();

@@ -37,7 +37,7 @@ pub fn mean_frontier_speedup(
 
 /// Runs the Table 3 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cw_datasets::tall_skinny_suite(cfg.scale);
+    let datasets = cw_datasets::tall_skinny_suite();
     let algos = Reordering::all_ten();
 
     let mut rep = Report::new(

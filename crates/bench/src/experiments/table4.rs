@@ -8,12 +8,12 @@
 use crate::experiments::table3::{ITERS, SOURCES};
 use crate::report::{f2, Report, Table};
 use crate::runner::{time_clusterwise, time_rowwise, RunConfig};
-use cw_core::hierarchical_clustering;
+use cw_core::{hierarchical_clustering, ClusterConfig};
 use cw_datasets::frontier::bc_frontiers;
 
 /// Runs the Table 4 experiment.
 pub fn run(cfg: &RunConfig) -> Report {
-    let datasets = cw_datasets::tall_skinny_suite(cfg.scale);
+    let datasets = cw_datasets::tall_skinny_suite();
 
     let mut rep = Report::new(
         "table4",
@@ -30,7 +30,7 @@ pub fn run(cfg: &RunConfig) -> Report {
     for d in &datasets {
         let a = d.build(cfg.scale);
         let frontiers = bc_frontiers(&a, SOURCES, ITERS, cfg.seed ^ 0xF0);
-        let h = hierarchical_clustering(&a, &cfg.cluster);
+        let h = hierarchical_clustering(&a, &ClusterConfig::default());
         let (cc, _pa) = h.build_symmetric(&a);
         let mut row = vec![d.name.to_string()];
         let mut total = 0.0;

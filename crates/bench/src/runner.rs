@@ -22,22 +22,14 @@ pub struct RunConfig {
     pub seed: u64,
     /// Optional cap on the number of corpus datasets (for quick runs).
     pub subset: Option<usize>,
-    /// Clustering parameters (paper defaults).
-    pub cluster: ClusterConfig,
-    /// Fixed-length cluster size (paper uses the `max_cluster_th`).
-    pub fixed_len: usize,
 }
+
+/// Fixed-length cluster size: the paper's `max_cluster_th`.
+const FIXED_LEN: usize = 8;
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig {
-            scale: Scale::Small,
-            reps: 3,
-            seed: 0xC0FFEE,
-            subset: None,
-            cluster: ClusterConfig::default(),
-            fixed_len: 8,
-        }
+        RunConfig { scale: Scale::Small, reps: 3, seed: 0xC0FFEE, subset: None }
     }
 }
 
@@ -125,29 +117,26 @@ impl ClusterScheme {
     }
 }
 
-/// Builds the clustered operand for `scheme` over (already reordered) `a`,
+/// Builds the clustered operand for `scheme` over (already reordered) `a`
+/// at the paper's settings (`ClusterConfig::default()`, fixed length 8),
 /// returning the format and the build time. For `Hierarchical` the matrix
 /// is additionally permuted internally; the effective square operand used
 /// as `B` is returned as the third element.
-pub fn build_clustered(
-    a: &CsrMatrix,
-    scheme: ClusterScheme,
-    cfg: &RunConfig,
-) -> (CsrCluster, f64, CsrMatrix) {
+pub fn build_clustered(a: &CsrMatrix, scheme: ClusterScheme) -> (CsrCluster, f64, CsrMatrix) {
     let t0 = Instant::now();
     match scheme {
         ClusterScheme::Fixed => {
-            let c = fixed_clustering(a, cfg.fixed_len);
+            let c = fixed_clustering(a, FIXED_LEN);
             let cc = CsrCluster::from_csr(a, &c);
             (cc, t0.elapsed().as_secs_f64(), a.clone())
         }
         ClusterScheme::Variable => {
-            let c = variable_clustering(a, &cfg.cluster);
+            let c = variable_clustering(a, &ClusterConfig::default());
             let cc = CsrCluster::from_csr(a, &c);
             (cc, t0.elapsed().as_secs_f64(), a.clone())
         }
         ClusterScheme::Hierarchical => {
-            let h = hierarchical_clustering(a, &cfg.cluster);
+            let h = hierarchical_clustering(a, &ClusterConfig::default());
             let (cc, pa) = h.build_symmetric(a);
             (cc, t0.elapsed().as_secs_f64(), pa)
         }
@@ -167,7 +156,7 @@ pub fn measure_clusterwise_a2(
     let perm = reorder.compute(a, cfg.seed);
     let pa = perm.permute_symmetric(a);
     let reorder_secs = t0.elapsed().as_secs_f64();
-    let (cc, build_secs, square) = build_clustered(&pa, scheme, cfg);
+    let (cc, build_secs, square) = build_clustered(&pa, scheme);
     let kernel = time_clusterwise(&cc, &square, cfg.reps);
     Measured { kernel_seconds: kernel, preprocess_seconds: reorder_secs + build_secs }
 }
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn subset_selection() {
         let cfg = RunConfig { subset: Some(3), ..Default::default() };
-        let ds = cfg.select(cw_datasets::corpus(Scale::Small));
+        let ds = cfg.select(cw_datasets::corpus());
         assert_eq!(ds.len(), 3);
     }
 }

@@ -593,7 +593,7 @@ fn lane_kernel<M: SlotMap, L: LabelMap>(
     row_map: Option<&Permutation>,
     labels: &L,
 ) -> CsrMatrix {
-    let target = chunk_target(opts.parallel, opts.chunks_per_thread);
+    let target = chunk_target(opts.parallel);
     let (flops, bounds) = cluster_work(a, b, target > 1);
     let chunks = plan_chunks(&flops, target, |c| a.row_start[c] as usize, |c| bounds[c]);
     single_pass(
@@ -632,11 +632,7 @@ mod tests {
         let expect = spgemm_serial(a, a);
         for parallel in [false, true] {
             for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
-                let got = clusterwise_spgemm_with(
-                    &cc,
-                    a,
-                    &SpGemmOptions { acc, parallel, chunks_per_thread: 3 },
-                );
+                let got = clusterwise_spgemm_with(&cc, a, &SpGemmOptions { acc, parallel });
                 assert!(got.bits_eq(&expect), "mismatch acc={acc:?} parallel={parallel}");
             }
         }
@@ -746,7 +742,7 @@ mod tests {
         let cc = CsrCluster::from_csr(&a, &fixed_clustering(&a, 8));
         let expect = spgemm_serial(&a, &a);
         for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
-            let opts = SpGemmOptions { acc, parallel: false, chunks_per_thread: 1 };
+            let opts = SpGemmOptions { acc, parallel: false };
             assert!(clusterwise_spgemm_with(&cc, &a, &opts).bits_eq(&expect), "{acc:?}");
         }
     }

@@ -183,7 +183,7 @@ impl Dataset {
 /// | hugetric | `huget-like` | large triangulation |
 /// | M6 | `M6-like` | triangulation |
 /// | NLR | `NLR-like` | triangulation |
-pub fn representative(_scale: Scale) -> Vec<Dataset> {
+pub fn representative() -> Vec<Dataset> {
     vec![
         Dataset {
             name: "cage12-like",
@@ -232,7 +232,7 @@ pub fn representative(_scale: Scale) -> Vec<Dataset> {
 
 /// The tall-skinny evaluation suite of paper Tables 3–4 (names map to the
 /// same families as [`representative`]).
-pub fn tall_skinny_suite(_scale: Scale) -> Vec<Dataset> {
+pub fn tall_skinny_suite() -> Vec<Dataset> {
     vec![
         Dataset {
             name: "webbase-like",
@@ -290,8 +290,8 @@ pub fn tall_skinny_suite(_scale: Scale) -> Vec<Dataset> {
 /// The full 110-matrix corpus: the representative ten plus 100 additional
 /// recipes spread across the families, echoing the paper's distribution
 /// (many DIMACS10 meshes and SNAP graphs, fewer of the niche families).
-pub fn corpus(scale: Scale) -> Vec<Dataset> {
-    let mut v = representative(scale);
+pub fn corpus() -> Vec<Dataset> {
+    let mut v = representative();
     // --- 2D meshes: 16 (DIMACS10 is the paper's biggest group) ---
     static MESH_NAMES: [&str; 16] = [
         "mesh2d-00",
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn corpus_has_110_unique_names() {
-        let c = corpus(Scale::Small);
+        let c = corpus();
         assert_eq!(c.len(), 110);
         let names: HashSet<&str> = c.iter().map(|d| d.name).collect();
         assert_eq!(names.len(), 110, "duplicate dataset names");
@@ -502,14 +502,14 @@ mod tests {
 
     #[test]
     fn corpus_covers_all_categories() {
-        let c = corpus(Scale::Small);
+        let c = corpus();
         let cats: HashSet<_> = c.iter().map(|d| d.category).collect();
         assert!(cats.len() >= 9, "only {} categories", cats.len());
     }
 
     #[test]
     fn representative_ten_build_and_are_square() {
-        for d in representative(Scale::Small) {
+        for d in representative() {
             let a = d.build(Scale::Small);
             assert_eq!(a.nrows, a.ncols, "{}", d.name);
             assert!(a.nnz() > 1000, "{} too small: {} nnz", d.name, a.nnz());
@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn builds_are_deterministic() {
-        let d = &corpus(Scale::Small)[20];
+        let d = &corpus()[20];
         let a = d.build(Scale::Small);
         let b = d.build(Scale::Small);
         assert!(a.approx_eq(&b, 0.0));
@@ -527,7 +527,7 @@ mod tests {
 
     #[test]
     fn scale_grows_matrices() {
-        let d = &representative(Scale::Small)[8]; // M6-like
+        let d = &representative()[8]; // M6-like
         let s = d.build(Scale::Small);
         let m = d.build(Scale::Medium);
         assert!(m.nrows >= 3 * s.nrows, "{} -> {}", s.nrows, m.nrows);
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn tall_skinny_suite_has_ten() {
-        let suite = tall_skinny_suite(Scale::Small);
+        let suite = tall_skinny_suite();
         assert_eq!(suite.len(), 10);
         for d in suite {
             let a = d.build(Scale::Small);

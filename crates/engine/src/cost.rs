@@ -3,9 +3,10 @@
 //! The planner keeps the advisor's order and prices only what a plan adds
 //! before its first multiply: `prep_seconds` turns per-nonzero row-order
 //! rates (the paper's Fig. 10 costs, one constant per class) into
-//! preparation seconds, and [`PlanningPolicy::admits`] lets a plan run
-//! when that is at most half of `expected_reuse` multiplies — the predicted
-//! multiply before any has run, the measured `t₀` after.
+//! preparation seconds, and a plan may run when that is at most half of
+//! the 16 multiplies a prepared operand is expected to serve
+//! (`EXPECTED_REUSE`) — the predicted multiply before any has run, the
+//! measured `t₀` after.
 //!
 //! Kernel seconds are measured, never predicted: analytic predictions of
 //! which order wins are frequently wrong (Asudeh et al.). Per operand and
@@ -39,37 +40,36 @@ const MAX_CHALLENGERS: usize = 3;
 /// possible; both count toward its [`RACE_SAMPLES`].
 const T0_SAMPLES: usize = 2;
 
-/// Caller-supplied planning knobs: how much reuse preparation may be
-/// charged against, and whether a race may replace the first pick.
+/// Whether a race may replace the planner's first pick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanningPolicy {
-    /// Expected multiplies per prepared operand: a plan is admitted when
-    /// its predicted preparation costs at most half of this many multiplies
-    /// (`1` = one-shot traffic, where preparation almost never pays).
-    pub expected_reuse: f64,
     /// Allow a race. `false` locks rank 0 at its first run.
     pub adapt: bool,
 }
 
 impl Default for PlanningPolicy {
     fn default() -> Self {
-        PlanningPolicy { expected_reuse: 16.0, adapt: true }
+        PlanningPolicy { adapt: true }
     }
 }
 
 impl PlanningPolicy {
     /// No race: the planner's first admitted plan runs for good.
     pub fn frozen() -> PlanningPolicy {
-        PlanningPolicy { adapt: false, ..PlanningPolicy::default() }
+        PlanningPolicy { adapt: false }
     }
+}
 
-    /// Whether a plan predicted to prepare in `prep_seconds` may run on an
-    /// operand whose multiply takes `op_seconds`: at most
-    /// `expected_reuse × op_seconds × ½`. A plan with no preparation is
-    /// always admitted.
-    pub fn admits(&self, prep_seconds: f64, op_seconds: f64) -> bool {
-        prep_seconds <= 0.0 || prep_seconds <= self.expected_reuse * op_seconds * 0.5
-    }
+/// Expected multiplies per prepared operand: a plan is admitted when its
+/// predicted preparation costs at most half of this many multiplies.
+pub(crate) const EXPECTED_REUSE: f64 = 16.0;
+
+/// Whether a plan predicted to prepare in `prep_seconds` may run on an
+/// operand whose multiply takes `op_seconds`: at most
+/// `EXPECTED_REUSE × op_seconds × ½`. A plan with no preparation is always
+/// admitted.
+pub(crate) fn admits(prep_seconds: f64, op_seconds: f64) -> bool {
+    prep_seconds <= 0.0 || prep_seconds <= EXPECTED_REUSE * op_seconds * 0.5
 }
 
 // Per-nonzero preparation rates, plus the one multiply-add rate that
@@ -175,7 +175,7 @@ impl Race {
             // admits one, since the first runs on a freshly prepared operand.
             let t0 = self.candidates[0].samples.iter().copied().fold(f64::INFINITY, f64::min);
             let race = policy.adapt && t0 >= MIN_RACE_SECONDS;
-            let admitted = |c: &Candidate| race && policy.admits(c.prep_seconds, t0);
+            let admitted = |c: &Candidate| race && admits(c.prep_seconds, t0);
             if rank0_runs < T0_SAMPLES && self.candidates[1..].iter().any(admitted) {
                 return false;
             }
@@ -456,13 +456,11 @@ mod tests {
 
     #[test]
     fn admission_is_half_the_reuse_and_within_budget() {
-        let policy = PlanningPolicy::default(); // reuse 16: 8 multiplies
-        assert!(policy.admits(8.0, 1.0));
-        assert!(!policy.admits(8.01, 1.0));
-        assert!(policy.admits(0.0, 0.0), "no preparation is always admitted");
-        assert!(!PlanningPolicy { expected_reuse: 1.0, ..policy }.admits(0.6, 1.0));
-        let negative = PlanningPolicy { expected_reuse: -1.0, ..policy };
-        assert!(negative.admits(0.0, 1.0), "not even a negative reuse rejects the baseline");
+        // Reuse 16: half of it is 8 multiplies.
+        assert!(admits(8.0, 1.0));
+        assert!(!admits(8.01, 1.0));
+        assert!(admits(0.0, 0.0), "no preparation is always admitted");
+        assert!(!admits(1e-9, 0.0), "nothing carries a preparation past a free multiply");
     }
 
     #[test]
@@ -586,21 +584,21 @@ mod tests {
 
     #[test]
     fn prep_budget_bars_over_budget_switch_targets() {
-        // The budget is `expected_reuse × t₀ × ½`: 5 ms at reuse 0.01 and
-        // `t₀` = 1 s.
+        // The budget is `EXPECTED_REUSE × t₀ × ½`: 8 s at `t₀` = 1 s, under
+        // the challenger's 10 s.
         let key = key(13);
         let (rank0, heavy) = (gp(1), gp(2));
+        let policy = PlanningPolicy::default();
         let mut store = FeedbackStore::new();
-        store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
-        let budget = PlanningPolicy { expected_reuse: 0.01, ..Default::default() };
-        assert!(store.record(key, rank0, 1.0, &budget).unwrap().locked);
+        store.seed(key, vec![(rank0, 0.0), (heavy, 10.0)]);
+        assert!(store.record(key, rank0, 1.0, &policy).unwrap().locked);
         assert_eq!(store.chosen_plan(&key), Some(rank0));
-        // Lifting the budget lets the same challenger race, once rank 0's
-        // second run has made `t₀`.
+        // A slower rank 0 (`t₀` = 2 s, a 16 s budget) lets the same
+        // challenger race, once its second run has made `t₀`.
         let mut store = FeedbackStore::new();
-        store.seed(key, vec![(rank0, 0.0), (heavy, 0.01)]);
+        store.seed(key, vec![(rank0, 0.0), (heavy, 10.0)]);
         for _ in 0..2 {
-            assert!(!store.record(key, rank0, 1.0, &PlanningPolicy::default()).unwrap().locked);
+            assert!(!store.record(key, rank0, 2.0, &policy).unwrap().locked);
         }
         assert_eq!(store.chosen_plan(&key), Some(heavy));
     }

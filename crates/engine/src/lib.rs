@@ -16,10 +16,11 @@
 //!    advisor) and turns the advisor's suggestions, in its order with the
 //!    baseline last, into [`Plan`]s — row order (a reordering, or
 //!    hierarchical clustering's sweep) × parallel × output shape.
-//!    [`PlanningPolicy`] admits a plan when its preparation, priced by one
-//!    fixed per-nonzero rate per row-order class, is at most half of
-//!    `expected_reuse` predicted multiplies; [`Planner::plans_costed`] is
-//!    the admitted list, rank 0 first, each [`RankedPlan`] with its price
+//!    A plan is admitted when its preparation, priced by one fixed
+//!    per-nonzero rate per row-order class, is at most half of the 16
+//!    multiplies a prepared operand is expected to serve (predicted until
+//!    one has run); [`Planner::plans_costed`] is the admitted list, rank 0
+//!    first, each [`RankedPlan`] with its price
 //!    and the advisor rule that ranked it. The
 //!    accumulator is not a plan field: the kernel runs Dense wherever it
 //!    fits, Hash otherwise ([`cw_spgemm::AccumulatorKind::resolve`]), and

@@ -6,10 +6,10 @@
 //! a measurement: [`cw_reorder::advisor::advise_profiled`] supplies the
 //! candidate techniques best first, one per-nonzero price per row-order
 //! class (`crate::cost`) prices what each plan adds before its first
-//! multiply, and the caller's [`PlanningPolicy`]
-//! admits the plans whose preparation the expected reuse can carry. Which
-//! admitted plan's kernel is fastest is not predicted: the engine's
-//! [`crate::FeedbackStore`] races them.
+//! multiply, and the plans whose preparation the expected reuse (16
+//! multiplies) can carry are admitted. Which admitted plan's kernel is
+//! fastest is not predicted: the engine's [`crate::FeedbackStore`] races
+//! them, unless the caller's [`PlanningPolicy`] is frozen.
 //!
 //! The accumulator is not a planning choice: a [`Plan`] carries none, and
 //! the kernel runs Dense wherever the dense arrays one worker holds fit in
@@ -17,7 +17,7 @@
 //! ([`cw_spgemm::AccumulatorKind::resolve`]). Matrices too small to
 //! amortize fork/join run serially.
 
-use crate::cost::{op_seconds, prep_seconds, PlanningPolicy};
+use crate::cost::{admits, op_seconds, prep_seconds, PlanningPolicy};
 use crate::plan::{OutputShape, Plan};
 use cw_reorder::advisor::{advise_profiled, Suggestion};
 use cw_sparse::CsrMatrix;
@@ -47,7 +47,7 @@ pub struct Planner {
     /// Seed for randomized reorderings (identical seeds ⇒ identical plans
     /// and identical prepared operands).
     pub seed: u64,
-    /// Reuse horizon and whether to race.
+    /// Whether to race.
     pub policy: PlanningPolicy,
 }
 
@@ -75,8 +75,8 @@ impl Planner {
 
     /// The admitted candidate plans for `a`, in the advisor's order with
     /// the baseline last. A candidate is admitted when its predicted
-    /// preparation is at most `expected_reuse × t × ½` for the predicted
-    /// multiply `t` ([`PlanningPolicy::admits`]).
+    /// preparation is at most `16 × t × ½` for the predicted multiply `t`:
+    /// half of the 16 multiplies a prepared operand is expected to serve.
     /// Never empty: the baseline prepares nothing, so it is always
     /// admitted. Candidates are deduplicated (advisor suggestions that tune
     /// to identical plans keep the first instance).
@@ -85,7 +85,7 @@ impl Planner {
     /// races never collide with full-product ones.
     pub fn plans_costed(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<RankedPlan> {
         let (all, op_seconds) = self.candidates(a, shape);
-        all.into_iter().filter(|r| self.policy.admits(r.prep_seconds, op_seconds)).collect()
+        all.into_iter().filter(|r| admits(r.prep_seconds, op_seconds)).collect()
     }
 
     /// What the engine seeds a race with: rank 0 — the first candidate
@@ -96,7 +96,7 @@ impl Planner {
     pub(crate) fn race_seed(&self, a: &CsrMatrix, shape: OutputShape) -> Vec<(Plan, f64)> {
         let (all, op_seconds) = self.candidates(a, shape);
         let mut seed: Vec<(Plan, f64)> = all.iter().map(|r| (r.plan, r.prep_seconds)).collect();
-        let rank0 = all.iter().position(|r| self.policy.admits(r.prep_seconds, op_seconds));
+        let rank0 = all.iter().position(|r| admits(r.prep_seconds, op_seconds));
         seed[..=rank0.expect("the baseline is always admitted")].rotate_right(1);
         seed
     }
@@ -139,7 +139,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::RACE_SAMPLES;
+    use crate::cost::{EXPECTED_REUSE, RACE_SAMPLES};
     use cw_reorder::advisor::advise;
     use cw_reorder::Reordering;
     use cw_sparse::gen;
@@ -155,14 +155,28 @@ mod tests {
         ]
     }
 
+    /// A wide-stride band: each row holds its diagonal and the entries 150
+    /// rows away, three per row, so the advisor finds no dominant structure
+    /// and ranks Hierarchical, then GP(16), then the original order. Both
+    /// reorderings cost more than 16 of its cheap multiplies carry.
+    fn wide_stride_band() -> CsrMatrix {
+        let n = 2000usize;
+        let rows = (0..n)
+            .map(|i| {
+                let mut row = vec![(i, 2.0)];
+                row.extend(i.checked_sub(150).map(|j| (j, 1.0)));
+                row.extend((i + 150 < n).then_some((i + 150, 1.0)));
+                row
+            })
+            .collect();
+        CsrMatrix::from_row_lists(n, rows)
+    }
+
     #[test]
     fn candidates_follow_the_advisor_with_the_baseline_last() {
-        let planner = Planner {
-            policy: PlanningPolicy { expected_reuse: 1e12, ..PlanningPolicy::default() },
-            ..Planner::default()
-        };
+        let planner = Planner::default();
         for a in corpus() {
-            let ranked = planner.plans_costed(&a, OutputShape::Full);
+            let (ranked, _) = planner.candidates(&a, OutputShape::Full);
             let baseline = planner.tune(&a, Plan::baseline());
             let mut expect = Vec::new();
             for plan in advise(&a).into_iter().map(|s| planner.plan_for_suggestion(&a, s)) {
@@ -188,26 +202,26 @@ mod tests {
 
     #[test]
     fn admission_keeps_what_the_reuse_can_carry() {
-        for policy in [
-            PlanningPolicy::default(),
-            PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() },
-        ] {
-            let planner = Planner { policy, ..Planner::default() };
-            for a in corpus() {
-                let op = op_seconds(a.nnz(), cw_reorder::advisor::profile(&a).avg_row_nnz);
-                let ranked = planner.plans_costed(&a, OutputShape::Full);
-                assert!(ranked.iter().all(|r| r.prep_seconds <= policy.expected_reuse * op * 0.5));
-                assert!(!ranked.last().unwrap().plan.has_preprocessing());
+        let planner = Planner::default();
+        for a in corpus().into_iter().chain([wide_stride_band()]) {
+            let op = op_seconds(a.nnz(), cw_reorder::advisor::profile(&a).avg_row_nnz);
+            let ranked = planner.plans_costed(&a, OutputShape::Full);
+            let (all, _) = planner.candidates(&a, OutputShape::Full);
+            for r in all {
+                let carried = r.prep_seconds <= EXPECTED_REUSE * op * 0.5;
+                assert_eq!(ranked.contains(&r), carried, "{}", r.plan.describe());
             }
+            assert!(!ranked.last().unwrap().plan.has_preprocessing());
         }
     }
 
     #[test]
     fn zero_budget_falls_through_to_a_zero_prep_plan() {
-        let mut planner = Planner::default();
-        planner.policy.expected_reuse = 0.0;
-        // A scrambled mesh would otherwise plan a reordering first.
-        let a = gen::mesh::tri_mesh(20, 20, true, 3);
+        // No reordering the advisor suggests fits the budget, so only the
+        // baseline is left.
+        let a = wide_stride_band();
+        let planner = Planner::default();
+        assert!(planner.candidates(&a, OutputShape::Full).0.len() > 1);
         let ranked = planner.plans_costed(&a, OutputShape::Full);
         assert_eq!(ranked.len(), 1);
         assert!(!ranked[0].plan.has_preprocessing(), "{}", ranked[0].plan.describe());
@@ -215,23 +229,22 @@ mod tests {
 
     #[test]
     fn one_shot_policy_avoids_heavy_preprocessing() {
+        // A scrambled mesh's multiply carries RCM but not GP.
         let a = gen::mesh::tri_mesh(20, 20, true, 3);
-        assert_eq!(Planner::default().plan(&a).reorder, Reordering::Rcm);
-        let one_shot = Planner {
-            policy: PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() },
-            ..Planner::default()
-        };
-        assert!(!one_shot.plan(&a).has_preprocessing());
+        let planner = Planner::default();
+        assert_eq!(planner.plan(&a).reorder, Reordering::Rcm);
+        let is_gp = |r: &RankedPlan| matches!(r.plan.reorder, Reordering::Gp(_));
+        assert!(planner.candidates(&a, OutputShape::Full).0.iter().any(is_gp));
+        assert!(!planner.plans_costed(&a, OutputShape::Full).iter().any(is_gp));
     }
 
     #[test]
     fn the_race_seed_starts_with_rank_zero_and_keeps_every_candidate() {
-        let a = gen::mesh::tri_mesh(20, 20, true, 3);
-        let planner = Planner {
-            policy: PlanningPolicy { expected_reuse: 1.0, ..PlanningPolicy::default() },
-            ..Planner::default()
-        };
+        // Rank 0 is the baseline here, last among the candidates.
+        let a = wide_stride_band();
+        let planner = Planner::default();
         let seed = planner.race_seed(&a, OutputShape::Full);
+        assert!(!seed[0].0.has_preprocessing(), "{seed:?}");
         assert_eq!(seed[0].0, planner.plan(&a), "rank 0 runs first");
         let (all, _) = planner.candidates(&a, OutputShape::Full);
         assert_eq!(seed.len(), all.len(), "challengers are admitted again on t₀");

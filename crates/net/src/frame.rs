@@ -40,8 +40,8 @@
 //! Two ways through the same bytes. The header is a value of its own
 //! ([`FrameHeader`]): it is read and validated without touching the
 //! payload, and it is written before the payload exists, because a SUBMIT's
-//! or RESULT's length follows from its matrices' dimensions
-//! ([`submit_payload_len`], [`result_payload_len`]). The two payloads that
+//! or RESULT's length follows from its matrices' dimensions (for a RESULT,
+//! [`result_payload_len`]). The two payloads that
 //! carry matrices are *streamed* — [`write_submit`] / [`write_result`] write
 //! from the matrices' arrays, [`read_submit_payload`] /
 //! [`read_result_payload`] read into them, 64 KiB at a time through
@@ -306,20 +306,7 @@ impl FrameHeader {
     pub fn read<R: Read>(r: &mut R, max_payload: usize) -> Result<FrameHeader, FrameError> {
         let mut first = [0u8; 1];
         r.read_exact(&mut first)?;
-        FrameHeader::read_after_first_byte(first[0], r, max_payload)
-    }
-
-    /// Completes a header whose first byte was already consumed — the
-    /// server's handler polls a single byte under a short timeout (so
-    /// shutdown and idle checks stay responsive without ever losing frame
-    /// alignment), then hands it here to read the rest under the full read
-    /// timeout.
-    pub fn read_after_first_byte<R: Read>(
-        first: u8,
-        r: &mut R,
-        max_payload: usize,
-    ) -> Result<FrameHeader, FrameError> {
-        read_stamped_header(first, r, max_payload).map(|(head, _)| head)
+        read_stamped_header(first[0], r, max_payload).map(|(head, _)| head)
     }
 
     /// Reads this header's payload into a buffer, completing a [`Frame`] —
@@ -338,9 +325,12 @@ impl FrameHeader {
     }
 }
 
-/// [`FrameHeader::read_after_first_byte`], also returning the version the
-/// header was stamped with: a server keeps an operand resident only for a
-/// peer that speaks [`LHS_RESIDENT_SINCE`] or later.
+/// Completes a header whose first byte was already consumed — the server's
+/// handler polls a single byte under a short timeout (so shutdown and idle
+/// checks stay responsive without ever losing frame alignment), then hands
+/// it here to read the rest under the full read timeout — and returns it
+/// with the version it was stamped with: a server keeps an operand resident
+/// only for a peer that speaks [`LHS_RESIDENT_SINCE`] or later.
 pub(crate) fn read_stamped_header<R: Read>(
     first: u8,
     r: &mut R,
@@ -648,14 +638,6 @@ impl<'m> SubmitParts<'m> {
     }
 }
 
-/// Exact byte length of the flag-clear SUBMIT payload for these operands
-/// and shape — known from their dimensions alone, so the header can be
-/// written first. Under [`FLAG_RHS_IS_LHS`] the payload is
-/// `encoded_csr_len(rhs)` shorter.
-pub fn submit_payload_len(lhs: &CsrMatrix, rhs: &CsrMatrix, shape: &SubmitShape) -> usize {
-    SubmitParts::inline(lhs, rhs, shape.block()).payload_len()
-}
-
 /// Exact byte length of the RESULT payload carrying `product`.
 pub fn result_payload_len(product: &CsrMatrix) -> usize {
     WIRE_REPORT_BYTES + encoded_csr_len(product)
@@ -695,8 +677,7 @@ pub(crate) fn write_submit_block<W: Write>(
 /// ([`SubmitShape::Full`] encodes nothing, keeping full-product payloads
 /// byte-identical to version 1). The payload is what `head.flags` says:
 /// with [`FLAG_RHS_IS_LHS`] clear, both blobs — the bytes of a [`Frame`]
-/// carrying [`encode_submit_payload_shaped`]'s payload, [`submit_payload_len`]
-/// long; with it set, the rhs blob is left out, and `rhs` must be `lhs`
+/// carrying [`encode_submit_payload_shaped`]'s payload; with it set, the rhs blob is left out, and `rhs` must be `lhs`
 /// (the same reference) or nothing is written and the error is
 /// [`io::ErrorKind::InvalidInput`]. The same error refuses
 /// [`FLAG_LHS_RESIDENT`] (this writer has no upload id) and
@@ -1288,7 +1269,6 @@ mod tests {
         let (lhs, rhs, mask) = sample_operands();
         for shape in [SubmitShape::Full, SubmitShape::TopK(3), SubmitShape::Masked(mask)] {
             let payload = encode_submit_payload_shaped(&lhs, &rhs, &shape);
-            assert_eq!(payload.len(), submit_payload_len(&lhs, &rhs, &shape));
             let buffered = Frame {
                 op: OpCode::Submit,
                 priority: Priority::Low,

@@ -62,6 +62,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Sleep between admission retries while a deadlined SUBMIT waits out a
+/// full queue (cut short where less of the deadline is left).
+const FULL_RETRY_BACKOFF: Duration = Duration::from_micros(500);
+
 /// Tunables for one [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
@@ -77,9 +81,6 @@ pub struct NetServerConfig {
     /// Largest accepted frame payload; bigger declarations are rejected
     /// before any allocation ([`crate::FrameError::Oversized`]).
     pub max_frame_bytes: usize,
-    /// Sleep between admission retries while a deadlined SUBMIT waits out
-    /// a full queue (cut short where less of the deadline is left).
-    pub full_retry_backoff: Duration,
     /// Idle connections (no frame started) are closed after this long.
     pub idle_timeout: Duration,
 }
@@ -91,7 +92,6 @@ impl Default for NetServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             max_frame_bytes: 64 << 20,
-            full_retry_backoff: Duration::from_micros(500),
             idle_timeout: Duration::from_secs(300),
         }
     }
@@ -221,11 +221,6 @@ impl NetServer {
         &self.inner.service
     }
 
-    /// Whether a shutdown (local or via a SHUTDOWN frame) has begun.
-    pub fn shutdown_requested(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Blocks until a SHUTDOWN frame (or a local
     /// [`NetServer::shutdown`] from another thread) stops the server,
     /// then drains and returns the final service stats. The server —
@@ -233,7 +228,7 @@ impl NetServer {
     /// ([`NetServer::service`], JSONL export). What `cw-serve` runs
     /// after printing its address.
     pub fn run(&self) -> cw_service::ServiceStats {
-        while !self.shutdown_requested() {
+        while !self.inner.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(10));
         }
         self.shutdown()
@@ -546,7 +541,7 @@ fn serve_submit(
                 }
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
-                    std::thread::sleep(inner.config.full_retry_backoff.min(left));
+                    std::thread::sleep(FULL_RETRY_BACKOFF.min(left));
                 }
                 None => {
                     return write_reject(

@@ -11,21 +11,13 @@ use crate::graph::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Balance/termination knobs for FM refinement.
-#[derive(Debug, Clone, Copy)]
-pub struct FmConfig {
-    /// Allowed part-0 weight range as a fraction of its target: a move is
-    /// legal while `w0 ∈ [target0/ratio, target0·ratio]`.
-    pub balance_ratio: f64,
-    /// Maximum number of improvement passes.
-    pub max_passes: usize,
-}
+/// Allowed part-0 weight range as a fraction of its target: a move is legal
+/// while `w0 ∈ [target0/ratio, target0·ratio]`. Graph and hypergraph FM
+/// share it.
+pub(crate) const BALANCE_RATIO: f64 = 1.10;
 
-impl Default for FmConfig {
-    fn default() -> Self {
-        FmConfig { balance_ratio: 1.10, max_passes: 8 }
-    }
-}
+/// Most improvement passes one refinement runs (graph and hypergraph FM).
+pub(crate) const MAX_PASSES: usize = 8;
 
 /// Computes the FM gain of every vertex: `Σ w(cut edges) − Σ w(internal
 /// edges)` (positive = moving the vertex reduces the cut).
@@ -54,14 +46,14 @@ pub fn cut_of(g: &Graph, parts: &[u32]) -> u64 {
 /// Refines a 2-way partition in place. `target0` is the desired total vertex
 /// weight of part 0 (supports unbalanced splits for recursive k-way).
 /// Returns the final cut.
-pub fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64, cfg: &FmConfig) -> u64 {
+pub fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64) -> u64 {
     let n = g.nvtx();
     if n == 0 {
         return 0;
     }
     let total: u64 = g.total_vwgt();
-    let hi0 = ((target0 as f64) * cfg.balance_ratio).ceil() as u64;
-    let lo0 = ((target0 as f64) / cfg.balance_ratio).floor() as u64;
+    let hi0 = ((target0 as f64) * BALANCE_RATIO).ceil() as u64;
+    let lo0 = ((target0 as f64) / BALANCE_RATIO).floor() as u64;
     // Never let a nonzero target round down to an empty part (or a full
     // one): recursive k-way relies on both sides staying populated.
     let lo0 = lo0.clamp(u64::from(target0 > 0), total);
@@ -71,7 +63,7 @@ pub fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64, cfg: &FmConfig) -> 
     let mut cut = cut_of(g, parts) as i64;
     let mut w0: u64 = (0..n).filter(|&v| parts[v] == 0).map(|v| g.vwgt[v]).sum();
 
-    for _pass in 0..cfg.max_passes {
+    for _pass in 0..MAX_PASSES {
         let mut gains = compute_gains(g, parts);
         let mut version = vec![0u32; n];
         let mut locked = vec![false; n];
@@ -182,7 +174,7 @@ mod tests {
         let g = grid_graph(8, 4);
         let mut parts: Vec<u32> = (0..32).map(|v| (v % 2) as u32).collect();
         let before = cut_of(&g, &parts);
-        let after = fm_refine(&g, &mut parts, 16, &FmConfig::default());
+        let after = fm_refine(&g, &mut parts, 16);
         assert!(after < before, "FM should improve cut: {before} -> {after}");
         assert_eq!(after, cut_of(&g, &parts));
         // A good 8x4 bisection cuts ~4 edges (one column cut).
@@ -196,7 +188,7 @@ mod tests {
         let g = grid_graph(6, 2);
         // Already optimal: left half vs right half (cut = 2).
         let mut parts: Vec<u32> = (0..12).map(|v| if v % 6 < 3 { 0 } else { 1 }).collect();
-        let cut = fm_refine(&g, &mut parts, 6, &FmConfig::default());
+        let cut = fm_refine(&g, &mut parts, 6);
         assert_eq!(cut, 2);
     }
 
@@ -205,7 +197,7 @@ mod tests {
         let g = grid_graph(10, 1); // path of 10
         let mut parts: Vec<u32> = (0..10).map(|v| if v < 5 { 0 } else { 1 }).collect();
         // Ask for 3/7 split.
-        let _ = fm_refine(&g, &mut parts, 3, &FmConfig { balance_ratio: 1.2, max_passes: 8 });
+        let _ = fm_refine(&g, &mut parts, 3);
         let w0 = parts.iter().filter(|&&p| p == 0).count() as u64;
         assert!((2..=4).contains(&w0), "w0={w0} not near target 3");
         // A path split anywhere has cut >= 1; FM must keep it at 1 contiguous cut.
@@ -217,7 +209,7 @@ mod tests {
         let g = grid_graph(4, 4);
         // Everything in part 1 — infeasible for target 8.
         let mut parts = vec![1u32; 16];
-        let _ = fm_refine(&g, &mut parts, 8, &FmConfig::default());
+        let _ = fm_refine(&g, &mut parts, 8);
         let w0 = parts.iter().filter(|&&p| p == 0).count();
         assert!(w0 > 0, "FM failed to move anything toward balance");
         assert!((6..=10).contains(&w0), "w0={w0}");
@@ -236,6 +228,6 @@ mod tests {
     fn empty_graph_is_fine() {
         let g = Graph { xadj: vec![0], adjncy: vec![], adjwgt: vec![], vwgt: vec![] };
         let mut parts: Vec<u32> = vec![];
-        assert_eq!(fm_refine(&g, &mut parts, 0, &FmConfig::default()), 0);
+        assert_eq!(fm_refine(&g, &mut parts, 0), 0);
     }
 }

@@ -106,16 +106,13 @@ impl Graph {
     /// George–Liu style pseudo-peripheral vertex of the component containing
     /// `start`: repeat BFS from the farthest low-degree vertex of the last
     /// level until the eccentricity stops growing.
-    pub fn pseudo_peripheral(&self, start: usize) -> usize {
-        self.pseudo_peripheral_with(start, &mut Bfs::new(self.nvtx()))
-    }
-
-    /// [`Graph::pseudo_peripheral`] on caller-kept BFS state, for callers
-    /// that ask once per component: each call then costs its component,
-    /// where a fresh `nvtx`-sized level array and a whole-graph scan per BFS
-    /// cost the graph — quadratic in the number of components (thousands of
-    /// 160 KB fills for RCM on a 40 000-row block matrix, at a speed that
-    /// depends on where the allocator puts them).
+    ///
+    /// The BFS state is the caller's, kept across the once-per-component
+    /// calls: each call then costs its component, where a fresh
+    /// `nvtx`-sized level array and a whole-graph scan per BFS cost the
+    /// graph — quadratic in the number of components (thousands of 160 KB
+    /// fills for RCM on a 40 000-row block matrix, at a speed that depends
+    /// on where the allocator puts them).
     pub fn pseudo_peripheral_with(&self, start: usize, bfs: &mut Bfs) -> usize {
         let last = self.bfs_into(start, bfs);
         let mut ecc = bfs.level[last];
@@ -210,7 +207,7 @@ mod tests {
     #[test]
     fn pseudo_peripheral_of_path_is_endpoint() {
         let g = path_graph(9);
-        let p = g.pseudo_peripheral(4);
+        let p = g.pseudo_peripheral_with(4, &mut Bfs::new(g.nvtx()));
         assert!(p == 0 || p == 8, "got {p}");
     }
 
@@ -229,7 +226,7 @@ mod tests {
         g.vwgt.extend(&path.vwgt);
         let mut bfs = Bfs::new(g.nvtx());
         for start in [7, shift + 3, 0, shift, 12, shift + 6] {
-            let expect = g.pseudo_peripheral(start);
+            let expect = g.pseudo_peripheral_with(start, &mut Bfs::new(g.nvtx()));
             assert_eq!(g.pseudo_peripheral_with(start, &mut bfs), expect, "start {start}");
             assert_eq!(expect >= shift, start >= shift, "the answer is in start's component");
         }

@@ -7,6 +7,7 @@
 //! the number of `B`-matrix rows shared by the two row groups in SpGEMM,
 //! which is why HP reorderings group rows with common column structure.
 
+use crate::fm::{BALANCE_RATIO, MAX_PASSES};
 use cw_sparse::{CscMatrix, CsrMatrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -137,11 +138,15 @@ impl Hypergraph {
     }
 }
 
+/// Nets with more pins than this are skipped by coarsening's partner scan
+/// and by the initial graph growing, to stay near-linear.
+const NET_SCAN_CAP: usize = 256;
+
 /// Matching-based coarsening: pairs each unmatched vertex with the unmatched
 /// vertex sharing the greatest total net weight (scanning nets with at most
-/// `net_scan_cap` pins to stay near-linear). Returns the coarse hypergraph
-/// and the fine→coarse map.
-pub fn coarsen(hg: &Hypergraph, net_scan_cap: usize, rng: &mut SmallRng) -> (Hypergraph, Vec<u32>) {
+/// `NET_SCAN_CAP` pins). Returns the coarse hypergraph and the fine→coarse
+/// map.
+pub fn coarsen(hg: &Hypergraph, rng: &mut SmallRng) -> (Hypergraph, Vec<u32>) {
     let n = hg.nvtx();
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -161,7 +166,7 @@ pub fn coarsen(hg: &Hypergraph, net_scan_cap: usize, rng: &mut SmallRng) -> (Hyp
         touched.clear();
         for &nt in hg.vertex_nets(v) {
             let pins = hg.net_pins(nt as usize);
-            if pins.len() > net_scan_cap {
+            if pins.len() > NET_SCAN_CAP {
                 continue;
             }
             let w = hg.net_wgt[nt as usize];
@@ -253,15 +258,14 @@ pub fn coarsen(hg: &Hypergraph, net_scan_cap: usize, rng: &mut SmallRng) -> (Hyp
 }
 
 /// Cut-net FM refinement of a 2-way partition (in place). Returns the cut.
-pub fn fm_refine_hg(hg: &Hypergraph, parts: &mut [u32], target0: u64, max_passes: usize) -> u64 {
+pub fn fm_refine_hg(hg: &Hypergraph, parts: &mut [u32], target0: u64) -> u64 {
     let n = hg.nvtx();
     if n == 0 {
         return 0;
     }
     let total = hg.total_vwgt();
-    let ratio = 1.10f64;
-    let hi0 = ((target0 as f64) * ratio).ceil().min(total as f64) as u64;
-    let lo0 = ((target0 as f64) / ratio).floor() as u64;
+    let hi0 = ((target0 as f64) * BALANCE_RATIO).ceil().min(total as f64) as u64;
+    let lo0 = ((target0 as f64) / BALANCE_RATIO).floor() as u64;
     // Keep both sides populated for nonzero targets (see graph FM).
     let lo0 = lo0.clamp(u64::from(target0 > 0), total);
     let hi0 = hi0.min(total.saturating_sub(u64::from(target0 < total))).max(lo0);
@@ -281,7 +285,7 @@ pub fn fm_refine_hg(hg: &Hypergraph, parts: &mut [u32], target0: u64, max_passes
     let mut cut = cut_now(&cnt);
     let mut w0: u64 = (0..n).filter(|&v| parts[v] == 0).map(|v| hg.vwgt[v]).sum();
 
-    for _pass in 0..max_passes {
+    for _pass in 0..MAX_PASSES {
         // FM gains from pin counts.
         let mut gains = vec![0i64; n];
         for (v, gain) in gains.iter_mut().enumerate() {
@@ -426,7 +430,7 @@ pub fn bisect_hypergraph(hg: &Hypergraph, frac0: f64, seed: u64) -> (Vec<u32>, u
         if cur.nvtx() <= 96 {
             break;
         }
-        let (coarse, cmap) = coarsen(cur, 256, &mut rng);
+        let (coarse, cmap) = coarsen(cur, &mut rng);
         if coarse.nvtx() as f64 > cur.nvtx() as f64 * 0.9 {
             break;
         }
@@ -446,7 +450,7 @@ pub fn bisect_hypergraph(hg: &Hypergraph, frac0: f64, seed: u64) -> (Vec<u32>, u
         } else {
             random_balanced(coarsest, target0, &mut rng)
         };
-        let cut = fm_refine_hg(coarsest, &mut parts, target0, 8);
+        let cut = fm_refine_hg(coarsest, &mut parts, target0);
         if best.as_ref().is_none_or(|&(_, bc)| cut < bc) {
             best = Some((parts, cut));
         }
@@ -460,7 +464,7 @@ pub fn bisect_hypergraph(hg: &Hypergraph, frac0: f64, seed: u64) -> (Vec<u32>, u
             fine_parts[v] = parts[cmap[v] as usize];
         }
         let t0 = (fine.total_vwgt() as f64 * frac0).round() as u64;
-        cut = fm_refine_hg(fine, &mut fine_parts, t0, 8);
+        cut = fm_refine_hg(fine, &mut fine_parts, t0);
         parts = fine_parts;
     }
     (parts, cut)
@@ -472,7 +476,6 @@ pub fn bisect_hypergraph(hg: &Hypergraph, frac0: f64, seed: u64) -> (Vec<u32>, u
 /// random unvisited vertex when a connected component is exhausted, so
 /// disconnected hypergraphs split along component boundaries with zero cut.
 fn grown_balanced(hg: &Hypergraph, target0: u64, rng: &mut SmallRng) -> Vec<u32> {
-    const NET_SCAN_CAP: usize = 256; // skip huge nets to stay near-linear
     let n = hg.nvtx();
     let mut parts = vec![1u32; n];
     let mut visited = vec![false; n];
@@ -624,7 +627,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut parts = random_balanced(&hg, 50, &mut rng);
         let before = hg.cut_net(&parts);
-        let after = fm_refine_hg(&hg, &mut parts, 50, 8);
+        let after = fm_refine_hg(&hg, &mut parts, 50);
         assert_eq!(after, hg.cut_net(&parts));
         assert!(after < before, "{before} -> {after}");
     }
@@ -662,7 +665,7 @@ mod tests {
         let a = poisson2d(8, 8);
         let hg = Hypergraph::column_net_model(&a);
         let mut rng = SmallRng::seed_from_u64(3);
-        let (coarse, cmap) = coarsen(&hg, 64, &mut rng);
+        let (coarse, cmap) = coarsen(&hg, &mut rng);
         assert_eq!(coarse.total_vwgt(), hg.total_vwgt());
         assert!(coarse.nvtx() < hg.nvtx());
         assert_eq!(cmap.len(), hg.nvtx());

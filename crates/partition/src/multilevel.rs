@@ -1,7 +1,7 @@
 //! Multilevel graph bisection and recursive k-way partitioning
 //! (the METIS recipe: coarsen → initial partition → uncoarsen + refine).
 
-use crate::fm::{fm_refine, FmConfig};
+use crate::fm::fm_refine;
 use crate::graph::Graph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -143,44 +143,23 @@ fn greedy_growing(g: &Graph, target0: u64, rng: &mut SmallRng) -> Vec<u32> {
     parts
 }
 
-/// Options for multilevel bisection.
-#[derive(Debug, Clone, Copy)]
-pub struct BisectOptions {
-    /// Stop coarsening below this many vertices.
-    pub coarsen_to: usize,
-    /// Number of random initial partitions to try on the coarsest graph.
-    pub init_tries: usize,
-    /// FM settings used at every level.
-    pub fm: FmConfig,
-}
+/// Coarsening stops once a graph has at most this many vertices.
+const COARSEN_TO: usize = 64;
 
-impl Default for BisectOptions {
-    fn default() -> Self {
-        BisectOptions { coarsen_to: 64, init_tries: 4, fm: FmConfig::default() }
-    }
-}
+/// Random initial partitions tried on the coarsest graph; the best cut wins.
+const INIT_TRIES: usize = 4;
 
 /// Multilevel 2-way partition. `frac0` is the target fraction of total
 /// vertex weight in part 0 (0.5 for a balanced bisection). Returns the part
 /// labels and the achieved edge cut.
 pub fn bisect_graph(g: &Graph, frac0: f64, seed: u64) -> (Vec<u32>, u64) {
-    bisect_graph_with(g, frac0, seed, &BisectOptions::default())
-}
-
-/// [`bisect_graph`] with explicit options.
-pub fn bisect_graph_with(
-    g: &Graph,
-    frac0: f64,
-    seed: u64,
-    opts: &BisectOptions,
-) -> (Vec<u32>, u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     // --- coarsening ---
     let mut graphs: Vec<Graph> = vec![g.clone()];
     let mut maps: Vec<Vec<u32>> = Vec::new();
     loop {
         let cur = graphs.last().unwrap();
-        if cur.nvtx() <= opts.coarsen_to {
+        if cur.nvtx() <= COARSEN_TO {
             break;
         }
         let m = heavy_edge_matching(cur, &mut rng);
@@ -197,9 +176,9 @@ pub fn bisect_graph_with(
     let coarsest = graphs.last().unwrap();
     let target0 = (coarsest.total_vwgt() as f64 * frac0).round().max(0.0) as u64;
     let mut best_parts: Option<(Vec<u32>, u64)> = None;
-    for _ in 0..opts.init_tries.max(1) {
+    for _ in 0..INIT_TRIES {
         let mut parts = greedy_growing(coarsest, target0, &mut rng);
-        let cut = fm_refine(coarsest, &mut parts, target0, &opts.fm);
+        let cut = fm_refine(coarsest, &mut parts, target0);
         if best_parts.as_ref().is_none_or(|&(_, bc)| cut < bc) {
             best_parts = Some((parts, cut));
         }
@@ -214,7 +193,7 @@ pub fn bisect_graph_with(
             fine_parts[v] = parts[cmap[v] as usize];
         }
         let target_fine = (fine.total_vwgt() as f64 * frac0).round() as u64;
-        cut = fm_refine(fine, &mut fine_parts, target_fine, &opts.fm);
+        cut = fm_refine(fine, &mut fine_parts, target_fine);
         parts = fine_parts;
     }
     (parts, cut)

@@ -8,6 +8,9 @@
 use crate::graph::Graph;
 use crate::multilevel::bisect_graph;
 
+/// Subgraphs of at most this many vertices are not dissected further.
+const LEAF_SIZE: usize = 64;
+
 /// Extracts a vertex separator from a 2-way partition: the smaller of the
 /// two boundary sides. Removing it disconnects the remaining parts (every
 /// cut edge has an endpoint in each boundary; taking one full side covers
@@ -34,17 +37,17 @@ pub fn separator_from_bisection(g: &Graph, parts: &[u32]) -> Vec<u32> {
 
 /// Nested-dissection ordering: returns a `new → old` order (a vertex list)
 /// with halves first and separators last at every level. Subgraphs of at
-/// most `leaf_size` vertices are ordered by ascending degree (a cheap
+/// most `LEAF_SIZE` (64) vertices are ordered by ascending degree (a cheap
 /// minimum-degree surrogate).
-pub fn nested_dissection_order(g: &Graph, leaf_size: usize, seed: u64) -> Vec<u32> {
+pub fn nested_dissection_order(g: &Graph, seed: u64) -> Vec<u32> {
     let mut order = Vec::with_capacity(g.nvtx());
     let vertices: Vec<u32> = (0..g.nvtx() as u32).collect();
-    nd_rec(g, vertices, leaf_size.max(2), seed, &mut order);
+    nd_rec(g, vertices, seed, &mut order);
     order
 }
 
-fn nd_rec(root: &Graph, vertices: Vec<u32>, leaf_size: usize, seed: u64, out: &mut Vec<u32>) {
-    if vertices.len() <= leaf_size {
+fn nd_rec(root: &Graph, vertices: Vec<u32>, seed: u64, out: &mut Vec<u32>) {
+    if vertices.len() <= LEAF_SIZE {
         let mut vs = vertices;
         vs.sort_by_key(|&v| (root.degree(v as usize), v));
         out.extend_from_slice(&vs);
@@ -66,8 +69,8 @@ fn nd_rec(root: &Graph, vertices: Vec<u32>, leaf_size: usize, seed: u64, out: &m
             out.extend_from_slice(&vs);
             return;
         }
-        nd_rec(root, side0, leaf_size, next_seed(seed, 1), out);
-        nd_rec(root, side1, leaf_size, next_seed(seed, 2), out);
+        nd_rec(root, side0, next_seed(seed, 1), out);
+        nd_rec(root, side1, next_seed(seed, 2), out);
         return;
     }
     let sep_local = separator_from_bisection(&sub, &parts);
@@ -94,8 +97,8 @@ fn nd_rec(root: &Graph, vertices: Vec<u32>, leaf_size: usize, seed: u64, out: &m
         out.extend_from_slice(&sep);
         return;
     }
-    nd_rec(root, side0, leaf_size, next_seed(seed, 1), out);
-    nd_rec(root, side1, leaf_size, next_seed(seed, 2), out);
+    nd_rec(root, side0, next_seed(seed, 1), out);
+    nd_rec(root, side1, next_seed(seed, 2), out);
     // Separator last (eliminated after both halves).
     sep.sort_by_key(|&v| (root.degree(v as usize), v));
     out.extend_from_slice(&sep);
@@ -144,22 +147,22 @@ mod tests {
     fn nd_order_is_permutation() {
         let a = tri_mesh(10, 10, true, 5);
         let g = Graph::from_matrix(&a);
-        let ord = nested_dissection_order(&g, 8, 1);
+        let ord = nested_dissection_order(&g, 1);
         assert_eq!(ord.len(), g.nvtx());
         assert!(Permutation::from_new_to_old(ord).is_ok());
     }
 
     #[test]
     fn nd_deterministic() {
-        let g = Graph::from_matrix(&poisson2d(9, 9));
-        assert_eq!(nested_dissection_order(&g, 8, 2), nested_dissection_order(&g, 8, 2));
+        let g = Graph::from_matrix(&poisson2d(16, 16));
+        assert_eq!(nested_dissection_order(&g, 2), nested_dissection_order(&g, 2));
     }
 
     #[test]
     fn nd_on_path_puts_a_middle_vertex_late() {
         // On a path, the first separator is near the middle and must be
-        // ordered after both halves.
-        let n = 33;
+        // ordered after both halves (each of which is then one leaf).
+        let n = 129;
         let mut rows = Vec::new();
         for i in 0..n {
             let mut r = vec![(i, 2.0)];
@@ -173,7 +176,7 @@ mod tests {
         }
         let a = cw_sparse::CsrMatrix::from_row_lists(n, rows);
         let g = Graph::from_matrix(&a);
-        let ord = nested_dissection_order(&g, 4, 7);
+        let ord = nested_dissection_order(&g, 7);
         let last = *ord.last().unwrap() as usize;
         assert!(
             (n / 4..=3 * n / 4).contains(&last),
@@ -184,7 +187,7 @@ mod tests {
     #[test]
     fn nd_small_graph_degenerates_gracefully() {
         let g = Graph::from_matrix(&poisson2d(2, 2));
-        let ord = nested_dissection_order(&g, 8, 0);
+        let ord = nested_dissection_order(&g, 0);
         assert_eq!(ord.len(), 4);
         assert!(Permutation::from_new_to_old(ord).is_ok());
     }

@@ -127,7 +127,7 @@ impl Reordering {
             Reordering::Amd => amd::amd_order(a),
             Reordering::Nd => {
                 let g = Graph::from_matrix(a);
-                let order = nested_dissection_order(&g, 64, seed);
+                let order = nested_dissection_order(&g, seed);
                 Permutation::from_new_to_old(order).expect("ND produced a non-permutation")
             }
             Reordering::Gp(k) => {

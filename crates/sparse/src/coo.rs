@@ -87,9 +87,8 @@ impl CooMatrix {
 
     /// Converts to CSR, sorting entries and summing duplicates.
     ///
-    /// Entries whose summed value is exactly zero are *kept* (explicit zeros
-    /// are legal in Matrix Market); use [`crate::CsrMatrix::drop_zeros`] to
-    /// prune them.
+    /// Entries whose summed value is exactly zero are *kept*: explicit zeros
+    /// are legal in Matrix Market.
     pub fn to_csr(&self) -> crate::CsrMatrix {
         crate::CsrMatrix::from_coo(self)
     }

@@ -276,10 +276,9 @@ impl CsrMatrix {
         CsrMatrix { nrows: self.ncols, ncols: self.nrows, row_ptr, col_idx, vals }
     }
 
-    /// Returns a copy with every stored value replaced by `1.0`.
-    ///
-    /// Hierarchical clustering (paper Alg. 3) resets values before
-    /// `SpGEMM(A × Aᵀ)` so output values count overlapping nonzeros.
+    /// Returns a copy with every stored value replaced by `1.0`, so that in
+    /// a product of two patterns each output value counts the overlapping
+    /// nonzeros behind it.
     pub fn to_pattern(&self) -> CsrMatrix {
         CsrMatrix {
             nrows: self.nrows,
@@ -288,25 +287,6 @@ impl CsrMatrix {
             col_idx: self.col_idx.clone(),
             vals: vec![1.0; self.nnz()],
         }
-    }
-
-    /// Removes entries whose value is exactly `0.0`.
-    pub fn drop_zeros(&self) -> CsrMatrix {
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for i in 0..self.nrows {
-            let (cols, vs) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vs) {
-                if v != 0.0 {
-                    col_idx.push(c);
-                    vals.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, vals }
     }
 
     /// Pattern symmetrization `A ∨ Aᵀ` with all values `1.0` and an empty
@@ -520,19 +500,6 @@ mod tests {
         let m = CsrMatrix::from_dense(2, 3, &d);
         assert_eq!(m.nnz(), 3);
         assert_eq!(m.to_dense(), d);
-    }
-
-    #[test]
-    fn drop_zeros_prunes() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(0, 1, -1.0);
-        coo.push(0, 1, 1.0); // sums to zero
-        let m = coo.to_csr();
-        assert_eq!(m.nnz(), 2);
-        let p = m.drop_zeros();
-        assert_eq!(p.nnz(), 1);
-        p.validate().unwrap();
     }
 
     #[test]

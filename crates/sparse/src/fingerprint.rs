@@ -18,8 +18,8 @@
 
 use crate::CsrMatrix;
 
-/// Default number of positions sampled from each array.
-pub const DEFAULT_SAMPLES: usize = 256;
+/// Most positions sampled from each array.
+const SAMPLES: usize = 256;
 
 /// A compact, hashable identity for a sparse matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,22 +65,16 @@ fn mix(h: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fingerprints `a` with [`DEFAULT_SAMPLES`] samples per array.
+/// Fingerprints `a`, sampling up to `SAMPLES` (256) evenly spaced
+/// positions from each of `row_ptr`, `col_idx`, and `vals`.
 pub fn fingerprint(a: &CsrMatrix) -> MatrixFingerprint {
-    fingerprint_with_samples(a, DEFAULT_SAMPLES)
-}
-
-/// Fingerprints `a`, sampling up to `samples` evenly spaced positions from
-/// each of `row_ptr`, `col_idx`, and `vals`. `samples == 0` hashes
-/// dimensions and nnz only.
-pub fn fingerprint_with_samples(a: &CsrMatrix, samples: usize) -> MatrixFingerprint {
     let mut h = 0xA076_1D64_78BD_642Fu64; // xxh64 prime seed
     h = mix(h, a.nrows as u64);
     h = mix(h, a.ncols as u64);
     h = mix(h, a.nnz() as u64);
-    h = sample_into(h, &a.row_ptr, samples, |&p| p as u64);
-    h = sample_into(h, &a.col_idx, samples, |&c| c as u64);
-    h = sample_into(h, &a.vals, samples, |&v| v.to_bits());
+    h = sample_into(h, &a.row_ptr, |&p| p as u64);
+    h = sample_into(h, &a.col_idx, |&c| c as u64);
+    h = sample_into(h, &a.vals, |&v| v.to_bits());
     MatrixFingerprint {
         nrows: a.nrows as u64,
         ncols: a.ncols as u64,
@@ -147,14 +141,14 @@ impl Lanes {
     }
 }
 
-/// Hashes up to `samples` evenly spaced elements of `xs` (always including
-/// the first and last) into `h`.
-fn sample_into<T>(mut h: u64, xs: &[T], samples: usize, key: impl Fn(&T) -> u64) -> u64 {
+/// Hashes up to `SAMPLES` evenly spaced elements of `xs` (always
+/// including the first and last) into `h`.
+fn sample_into<T>(mut h: u64, xs: &[T], key: impl Fn(&T) -> u64) -> u64 {
     let n = xs.len();
-    if n == 0 || samples == 0 {
+    if n == 0 {
         return mix(h, n as u64);
     }
-    let take = samples.min(n);
+    let take = SAMPLES.min(n);
     for k in 0..take {
         // Evenly spaced indices over [0, n): floor(k * n / take).
         let idx = k * n / take;
@@ -210,17 +204,18 @@ mod tests {
 
     #[test]
     fn zero_samples_still_capture_shape() {
-        let a = poisson2d(8, 8);
-        let f = fingerprint_with_samples(&a, 0);
-        assert_eq!(f.nrows, 64);
-        assert_eq!(f.nnz, a.nnz() as u64);
+        // No entries leave nothing to sample in `col_idx` or `vals`; the
+        // dimensions alone must still tell the matrices apart.
+        let f = fingerprint(&CsrMatrix::zeros(8, 8));
+        assert_eq!((f.nrows, f.ncols, f.nnz), (8, 8, 0));
+        assert_ne!(f, fingerprint(&CsrMatrix::zeros(8, 9)));
+        assert_ne!(f.structure_hash, fingerprint(&CsrMatrix::zeros(9, 8)).structure_hash);
     }
 
     #[test]
     fn fingerprint_is_deterministic() {
         let a = erdos_renyi(300, 6, 9);
         assert_eq!(fingerprint(&a), fingerprint(&a));
-        assert_eq!(fingerprint_with_samples(&a, 64), fingerprint_with_samples(&a, 64));
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub mod fingerprint;
 pub mod gen;
 pub mod io;
 pub mod jaccard;
-pub mod ops;
 pub mod perm;
 pub mod spmv;
 pub mod stats;

@@ -294,7 +294,7 @@ fn masked_kernel<M: MaskAccumulator>(
 ) -> CsrMatrix {
     // The mask row that admits row `i` of `A · B`.
     let mask_row = |i: usize| row_map.map_or(i, |map| map.old_of(i));
-    let target = chunk_target(opts.parallel, opts.chunks_per_thread);
+    let target = chunk_target(opts.parallel);
     let (a, b) = (CsrRows::from(a), CsrRows::from(b));
     let flops = flops_per_row_on(a, b, target > 1);
     let out_bound = |i: usize| flops[i].min(mask.row_nnz(mask_row(i)) as u64) as usize;
@@ -445,7 +445,7 @@ mod tests {
             let expect = apply_mask(&full, &mask);
             for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                 for parallel in [false, true] {
-                    let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
+                    let opts = SpGemmOptions { acc, parallel };
                     let got = spgemm_masked_with(&a, &b, &mask, &opts);
                     assert!(got.bits_eq(&expect), "{acc:?} parallel {parallel}");
                 }
@@ -472,7 +472,7 @@ mod tests {
             let expect = apply_mask(&full, &mask);
             for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                 for parallel in [false, true] {
-                    let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
+                    let opts = SpGemmOptions { acc, parallel };
                     assert!(spgemm_with(&a, &a, &opts).bits_eq(&full), "{acc:?} {parallel}");
                     let got = spgemm_masked_with(&a, &a, &mask, &opts);
                     assert!(got.bits_eq(&expect), "masked {acc:?} {parallel}");

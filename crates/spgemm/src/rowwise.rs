@@ -25,14 +25,11 @@ pub struct SpGemmOptions {
     pub acc: AccumulatorKind,
     /// Use the rayon-parallel path.
     pub parallel: bool,
-    /// Target number of row chunks per rayon thread (higher = better load
-    /// balance, more scheduling overhead).
-    pub chunks_per_thread: usize,
 }
 
 impl Default for SpGemmOptions {
     fn default() -> Self {
-        SpGemmOptions { acc: AccumulatorKind::Hash, parallel: true, chunks_per_thread: 8 }
+        SpGemmOptions { acc: AccumulatorKind::Hash, parallel: true }
     }
 }
 
@@ -184,7 +181,7 @@ fn rowwise_kernel<A: Accumulator, L: LabelMap>(
     row_map: Option<&Permutation>,
     labels: &L,
 ) -> CsrMatrix {
-    let target = chunk_target(opts.parallel, opts.chunks_per_thread);
+    let target = chunk_target(opts.parallel);
     let flops = flops_per_row_on(a, b, target > 1);
     let chunks = plan_row_chunks(&flops, b.ncols, target);
     single_pass(
@@ -274,11 +271,7 @@ mod tests {
         let expect = dense_reference(&a, &b);
         for kind in all_kinds() {
             for parallel in [false, true] {
-                let c = spgemm_with(
-                    &a,
-                    &b,
-                    &SpGemmOptions { acc: kind, parallel, chunks_per_thread: 2 },
-                );
+                let c = spgemm_with(&a, &b, &SpGemmOptions { acc: kind, parallel });
                 assert!(c.numerically_eq(&expect, 1e-12), "kind {kind:?} parallel {parallel}");
             }
         }
@@ -290,11 +283,7 @@ mod tests {
         let reference = spgemm_serial(&a, &a);
         for kind in all_kinds() {
             for parallel in [false, true] {
-                let c = spgemm_with(
-                    &a,
-                    &a,
-                    &SpGemmOptions { acc: kind, parallel, chunks_per_thread: 4 },
-                );
+                let c = spgemm_with(&a, &a, &SpGemmOptions { acc: kind, parallel });
                 assert!(c.approx_eq(&reference, 1e-10), "kind {kind:?} parallel {parallel}");
             }
         }

@@ -145,13 +145,17 @@ pub struct Chunk {
     pub out_bound: usize,
 }
 
-/// Number of chunks to cut a multiply into: `chunks_per_thread` per pool
+/// Row chunks a parallel multiply cuts per pool worker: more balance the
+/// load better and cost more scheduling.
+const CHUNKS_PER_THREAD: usize = 8;
+
+/// Number of chunks to cut a multiply into: `CHUNKS_PER_THREAD` per pool
 /// worker, or one when the call is serial or the pool has a single worker
 /// (a lone chunk runs inline on the caller and leaves no gaps to close).
-pub fn chunk_target(parallel: bool, chunks_per_thread: usize) -> usize {
+pub fn chunk_target(parallel: bool) -> usize {
     let width = rayon::current_num_threads();
     if parallel && width > 1 {
-        width * chunks_per_thread.max(1)
+        width * CHUNKS_PER_THREAD
     } else {
         1
     }

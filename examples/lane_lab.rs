@@ -88,8 +88,7 @@ fn main() {
         let oracle = spgemm_serial(&a, &a);
         let mut cells = Vec::new();
         for parallel in [false, true] {
-            let opts =
-                SpGemmOptions { acc: AccumulatorKind::Dense, parallel, chunks_per_thread: 8 };
+            let opts = SpGemmOptions { acc: AccumulatorKind::Dense, parallel };
             let mut ratios = Vec::with_capacity(reps);
             for _ in 0..reps {
                 let t = Instant::now();

@@ -43,8 +43,8 @@
 //!   operand, takes the advisor's candidate pipelines (one row order each
 //!   — a reordering or hierarchical clustering's) in its order with the
 //!   baseline last, and admits those whose preparation, priced by one fixed
-//!   per-nonzero rate per row-order class, a caller-supplied
-//!   `PlanningPolicy` can carry (half of the expected reuse); every kernel
+//!   per-nonzero rate per row-order class, half of 16 expected multiplies
+//!   can carry (a `PlanningPolicy` only says whether to race); every kernel
 //!   runs the dense accumulator wherever it fits in 1 MiB per worker;
 //!   `PreparedMatrix` materializes the chosen plan once, and keeps the
 //!   reordered rows clustered where they share their columns enough for

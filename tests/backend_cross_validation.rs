@@ -20,6 +20,7 @@ use clusterwise_spgemm::engine::{
     OutputShape, Plan, Planner, PreparedMatrix, Suggestion, DEFAULT_CACHE_CAPACITY,
 };
 use clusterwise_spgemm::prelude::*;
+use clusterwise_spgemm::reorder::advisor::advise;
 use clusterwise_spgemm::sparse::gen;
 use clusterwise_spgemm::sparse::{fingerprint, CooMatrix};
 use clusterwise_spgemm::spgemm::{apply_mask, row_topk};
@@ -72,15 +73,15 @@ fn every_advisor_branch_parallel_equals_serial() {
 #[test]
 fn every_ranked_candidate_parallel_equals_serial() {
     // Every candidate the planner can hand a race must be exact either
-    // way, so a lock can never change results: admit them all.
-    let policy = PlanningPolicy { expected_reuse: f64::INFINITY, ..PlanningPolicy::default() };
-    let planner = Planner::with_policy(SEED, policy);
+    // way, so a lock can never change results: every advisor suggestion,
+    // admitted or not, and the baseline.
+    let planner = Planner::with_seed(SEED);
     for (name, a) in [
         ("scrambled_mesh", gen::mesh::tri_mesh(11, 11, true, 7)),
         ("block_diagonal", gen::banded::block_diagonal(80, (4, 8), 0.15, 1)),
     ] {
-        for ranked in planner.plans_costed(&a, OutputShape::Full) {
-            assert_full_product_matches(name, &a, ranked.plan);
+        for suggestion in advise(&a).into_iter().chain([Suggestion::LeaveOriginal]) {
+            assert_full_product_matches(name, &a, planner.plan_for_suggestion(&a, suggestion));
         }
     }
 }
@@ -95,7 +96,7 @@ fn fixed_cluster_lengths_are_bit_identical_across_backends() {
     for k in [1usize, 3, 8] {
         let cc = CsrCluster::from_csr(&a, &fixed_clustering(&a, k));
         for acc in [AccumulatorKind::Dense, AccumulatorKind::Hash] {
-            let opts = |parallel| SpGemmOptions { acc, parallel, ..SpGemmOptions::default() };
+            let opts = |parallel| SpGemmOptions { acc, parallel };
             let serial = clusterwise_spgemm::core::clusterwise_spgemm_with(&cc, &a, &opts(false));
             assert!(serial.numerically_eq(&spgemm_serial(&a, &a), 1e-9), "fixed({k}) {acc:?}");
             for width in [2, 8] {

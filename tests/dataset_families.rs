@@ -8,7 +8,7 @@ use clusterwise_spgemm::sparse::stats::{avg_consecutive_jaccard, bandwidth, stat
 
 #[test]
 fn powerlaw_family_has_heavy_tails() {
-    for d in corpus(Scale::Small).iter().filter(|d| d.category == Category::PowerLaw) {
+    for d in corpus().iter().filter(|d| d.category == Category::PowerLaw) {
         let a = d.build(Scale::Small);
         let s = stats(&a);
         let skew = s.max_row_nnz as f64 / s.avg_row_nnz.max(1e-9);
@@ -18,7 +18,7 @@ fn powerlaw_family_has_heavy_tails() {
 
 #[test]
 fn road_family_has_bounded_degree() {
-    for d in corpus(Scale::Small).iter().filter(|d| d.category == Category::Road) {
+    for d in corpus().iter().filter(|d| d.category == Category::Road) {
         let a = d.build(Scale::Small);
         let s = stats(&a);
         assert!(s.max_row_nnz <= 12, "{}: max degree {} too high for Road", d.name, s.max_row_nnz);
@@ -27,9 +27,8 @@ fn road_family_has_bounded_degree() {
 
 #[test]
 fn mesh_family_is_scattered_and_symmetric() {
-    for d in corpus(Scale::Small)
-        .iter()
-        .filter(|d| d.category == Category::Mesh2d && d.name.starts_with("mesh2d"))
+    for d in
+        corpus().iter().filter(|d| d.category == Category::Mesh2d && d.name.starts_with("mesh2d"))
     {
         let a = d.build(Scale::Small);
         assert!(a.is_pattern_symmetric(), "{}", d.name);
@@ -45,7 +44,7 @@ fn mesh_family_is_scattered_and_symmetric() {
 
 #[test]
 fn block_and_grouped_families_have_similar_consecutive_rows() {
-    for d in corpus(Scale::Small)
+    for d in corpus()
         .iter()
         .filter(|d| matches!(d.category, Category::BlockDiag | Category::GroupedRows))
     {
@@ -57,9 +56,8 @@ fn block_and_grouped_families_have_similar_consecutive_rows() {
 
 #[test]
 fn banded_family_is_banded() {
-    for d in corpus(Scale::Small)
-        .iter()
-        .filter(|d| d.category == Category::Banded && d.name.starts_with("banded"))
+    for d in
+        corpus().iter().filter(|d| d.category == Category::Banded && d.name.starts_with("banded"))
     {
         let a = d.build(Scale::Small);
         assert!(bandwidth(&a) <= 32, "{}: bandwidth {}", d.name, bandwidth(&a));
@@ -68,7 +66,7 @@ fn banded_family_is_banded() {
 
 #[test]
 fn kkt_family_has_empty_22_block() {
-    for d in corpus(Scale::Small).iter().filter(|d| d.category == Category::Kkt) {
+    for d in corpus().iter().filter(|d| d.category == Category::Kkt) {
         let a = d.build(Scale::Small);
         // The trailing rows (constraints) must not couple to each other
         // beyond their own diagonal regularization.
@@ -89,7 +87,7 @@ fn kkt_family_has_empty_22_block() {
 
 #[test]
 fn representative_names_match_paper_analogues() {
-    let names: Vec<&str> = representative(Scale::Small).iter().map(|d| d.name).collect();
+    let names: Vec<&str> = representative().iter().map(|d| d.name).collect();
     for expected in [
         "cage12-like",
         "poi3D-like",
@@ -109,7 +107,7 @@ fn representative_names_match_paper_analogues() {
 #[test]
 fn all_110_build_without_panicking_and_stay_square() {
     // The one test that touches every dataset (cheap: build only).
-    for d in corpus(Scale::Small) {
+    for d in corpus() {
         let a = d.build(Scale::Small);
         assert_eq!(a.nrows, a.ncols, "{}", d.name);
         assert!(a.nnz() >= 500, "{}: only {} nnz", d.name, a.nnz());

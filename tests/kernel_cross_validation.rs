@@ -303,35 +303,31 @@ fn single_pass_kernels_are_bit_identical_to_serial_on_degenerate_operands() {
             for width in [1usize, 2, 4] {
                 rayon::with_pool_width(width, || {
                     for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
-                        for chunks_per_thread in [1usize, 8] {
-                            let opts = SpGemmOptions { acc, parallel: true, chunks_per_thread };
-                            let what = format!(
-                                "{name}: {acc:?} w{width} cpt{chunks_per_thread} rows {map_name}"
+                        let opts = SpGemmOptions { acc, parallel: true };
+                        let what = format!("{name}: {acc:?} w{width} rows {map_name}");
+                        assert_bits_eq(
+                            &spgemm_mapped(&a, &b, &opts, map),
+                            &oracle,
+                            &format!("{what} row-wise"),
+                        );
+                        // Cluster-wise, the rows of its own operand moved.
+                        for (label, cc, expect) in &clustered {
+                            let got = clusterwise_spgemm_labelled(
+                                cc.into(),
+                                (&b).into(),
+                                &opts,
+                                map,
+                                &SameLabels,
                             );
                             assert_bits_eq(
-                                &spgemm_mapped(&a, &b, &opts, map),
-                                &oracle,
-                                &format!("{what} row-wise"),
+                                &got,
+                                &moved(expect),
+                                &format!("{what} cluster-wise {label}"),
                             );
-                            // Cluster-wise, the rows of its own operand moved.
-                            for (label, cc, expect) in &clustered {
-                                let got = clusterwise_spgemm_labelled(
-                                    cc.into(),
-                                    (&b).into(),
-                                    &opts,
-                                    map,
-                                    &SameLabels,
-                                );
-                                assert_bits_eq(
-                                    &got,
-                                    &moved(expect),
-                                    &format!("{what} cluster-wise {label}"),
-                                );
-                            }
-                            for (label, expect, mask) in &masked {
-                                let got = spgemm_masked_mapped(&a, &b, mask, &opts, map);
-                                assert_bits_eq(&got, expect, &format!("{what} masked by {label}"));
-                            }
+                        }
+                        for (label, expect, mask) in &masked {
+                            let got = spgemm_masked_mapped(&a, &b, mask, &opts, map);
+                            assert_bits_eq(&got, expect, &format!("{what} masked by {label}"));
                         }
                     }
                 });
@@ -383,7 +379,7 @@ fn labelled_kernels_return_the_serial_product_from_any_label_space() {
                 rayon::with_pool_width(width, || {
                     for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
                         for parallel in [false, true] {
-                            let opts = SpGemmOptions { acc, parallel, chunks_per_thread: 4 };
+                            let opts = SpGemmOptions { acc, parallel };
                             let what =
                                 format!("{name}: {acc:?} w{width} par {parallel} {perm_name}");
                             assert_bits_eq(

@@ -7,10 +7,11 @@
 //! pass the race's 1 ms floor.
 
 use clusterwise_spgemm::engine::{
-    OperandKey, PlanningPolicy, DEFAULT_CACHE_CAPACITY, DEFAULT_FEEDBACK_CAPACITY,
+    OperandKey, PlanningPolicy, Suggestion, DEFAULT_CACHE_CAPACITY, DEFAULT_FEEDBACK_CAPACITY,
     MIN_RACE_SECONDS, RACE_SAMPLES,
 };
 use clusterwise_spgemm::prelude::*;
+use clusterwise_spgemm::reorder::advisor::advise;
 use clusterwise_spgemm::sparse::gen;
 use std::sync::Arc;
 
@@ -40,21 +41,27 @@ fn race(
 
 #[test]
 fn feedback_converges_to_the_best_fixed_plan_on_a_skewed_matrix() {
-    // The planner's own candidates on a power-law matrix, every one
-    // admitted (a huge reuse), with a planted fastest plan in each
-    // position: the race locks it within R·m records (rank 0's two `t₀`
-    // runs count toward its R), then never switches.
+    // The advisor's candidates on a power-law matrix, every one admitted
+    // (seeded with no preparation price), with a planted fastest plan in
+    // each position: the race locks it within R·m records (rank 0's two
+    // `t₀` runs count toward its R), then never switches.
     let a = gen::rmat::rmat(9, 8, gen::rmat::RmatParams::default(), 7);
-    let policy = PlanningPolicy { expected_reuse: 1e12, ..PlanningPolicy::default() };
-    let ranked = Planner::with_policy(0, policy).plans_costed(&a, OutputShape::Full);
-    let m = ranked.len().min(4);
+    let planner = Planner::with_seed(0);
+    let mut plans: Vec<Plan> = Vec::new();
+    for s in advise(&a).into_iter().chain([Suggestion::LeaveOriginal]) {
+        let plan = planner.plan_for_suggestion(&a, s);
+        if !plans.contains(&plan) {
+            plans.push(plan);
+        }
+    }
+    let m = plans.len().min(4);
     assert!(m >= 2, "the operand must give the race something to do");
     let key = (OperandKey::of(&a), OutputShape::Full);
     for fastest in 0..m {
-        let winner = ranked[fastest].plan;
+        let winner = plans[fastest];
         let seconds = |p: Plan| if p == winner { 0.004 } else { 0.012 };
         let mut store = FeedbackStore::new();
-        store.seed(key, ranked.iter().map(|r| (r.plan, r.prep_seconds)).collect());
+        store.seed(key, plans.iter().map(|&p| (p, 0.0)).collect());
         let locked_at = race(&mut store, key, RACE_SAMPLES * m, &seconds);
         assert!(locked_at.is_some_and(|op| op <= RACE_SAMPLES * m), "{locked_at:?}");
         assert_eq!(store.chosen_plan(&key), Some(winner), "the lock lands on the fastest");
@@ -146,7 +153,8 @@ fn admission_on_t0_rejects_a_challenger_whose_prep_would_not_pay() {
     let challenger = Plan { reorder: Reordering::Rcm, ..Plan::baseline() };
     let policy = PlanningPolicy::default();
     let t0 = 0.010;
-    let bound = policy.expected_reuse * t0 * 0.5;
+    // Half of the 16 multiplies a prepared operand is expected to serve.
+    let bound = 16.0 * t0 * 0.5;
     for (prep, races) in [(bound * 1.01, false), (bound * 0.99, true)] {
         let mut store = FeedbackStore::new();
         store.seed(key, vec![(rank0, 0.0), (challenger, prep)]);

@@ -106,7 +106,7 @@ proptest! {
         let cc = CsrCluster::from_csr(&a, &clustering);
         let expected = spgemm_serial(&a, &a);
         prop_assert!(clusterwise_spgemm(&cc, &a).bits_eq(&expected));
-        let opts = SpGemmOptions { acc: AccumulatorKind::Dense, parallel: false, chunks_per_thread: 1 };
+        let opts = SpGemmOptions { acc: AccumulatorKind::Dense, parallel: false };
         prop_assert!(clusterwise_spgemm_with(&cc, &a, &opts).bits_eq(&expected));
     }
 
@@ -119,7 +119,7 @@ proptest! {
         let expected = apply_mask(&spgemm_serial(&a, &b), &mask);
         for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
             for parallel in [false, true] {
-                let opts = SpGemmOptions { acc, parallel, ..SpGemmOptions::default() };
+                let opts = SpGemmOptions { acc, parallel };
                 let got = spgemm_masked_with(&a, &b, &mask, &opts);
                 prop_assert!(got.bits_eq(&expected), "{:?}, parallel {}", acc, parallel);
             }
@@ -190,7 +190,7 @@ proptest! {
         let expected_pa = spgemm_serial(&pa, &a);
         for acc in [AccumulatorKind::Hash, AccumulatorKind::Dense] {
             for parallel in [false, true] {
-                let opts = SpGemmOptions { acc, parallel, ..SpGemmOptions::default() };
+                let opts = SpGemmOptions { acc, parallel };
                 let one_sided = spgemm_mapped(&pa, &a, &opts, Some(&p));
                 let two_sided = spgemm_labelled(rows, rows, &opts, Some(&p), &p);
                 prop_assert!(one_sided.bits_eq(&expected) && two_sided.bits_eq(&expected));
