@@ -7,6 +7,7 @@
 //! versioned out), which keeps the implementation safe and simple while
 //! staying `O(m log n)` per pass.
 
+use crate::edge_cut;
 use crate::graph::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,15 +39,10 @@ fn compute_gains(g: &Graph, parts: &[u32]) -> Vec<i64> {
     gains
 }
 
-/// Current edge cut of a 2-way partition.
-pub fn cut_of(g: &Graph, parts: &[u32]) -> u64 {
-    crate::edge_cut(g, parts)
-}
-
 /// Refines a 2-way partition in place. `target0` is the desired total vertex
 /// weight of part 0 (supports unbalanced splits for recursive k-way).
 /// Returns the final cut.
-pub fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64) -> u64 {
+pub(crate) fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64) -> u64 {
     let n = g.nvtx();
     if n == 0 {
         return 0;
@@ -60,7 +56,7 @@ pub fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64) -> u64 {
     let hi0 = hi0.min(total.saturating_sub(u64::from(target0 < total)));
     let hi0 = hi0.max(lo0);
 
-    let mut cut = cut_of(g, parts) as i64;
+    let mut cut = edge_cut(g, parts) as i64;
     let mut w0: u64 = (0..n).filter(|&v| parts[v] == 0).map(|v| g.vwgt[v]).sum();
 
     for _pass in 0..MAX_PASSES {
@@ -151,7 +147,7 @@ pub fn fm_refine(g: &Graph, parts: &mut [u32], target0: u64) -> u64 {
         let improved = best.1 < cut || (best.0 && !start_feasible);
         cut = best.1;
         w0 = cur_w0;
-        debug_assert_eq!(cut, cut_of(g, parts) as i64, "incremental cut drifted");
+        debug_assert_eq!(cut, edge_cut(g, parts) as i64, "incremental cut drifted");
         if !improved {
             break;
         }
@@ -173,10 +169,10 @@ mod tests {
         // 8x4 grid with a pathological alternating partition.
         let g = grid_graph(8, 4);
         let mut parts: Vec<u32> = (0..32).map(|v| (v % 2) as u32).collect();
-        let before = cut_of(&g, &parts);
+        let before = edge_cut(&g, &parts);
         let after = fm_refine(&g, &mut parts, 16);
         assert!(after < before, "FM should improve cut: {before} -> {after}");
-        assert_eq!(after, cut_of(&g, &parts));
+        assert_eq!(after, edge_cut(&g, &parts));
         // A good 8x4 bisection cuts ~4 edges (one column cut).
         assert!(after <= 8, "cut {after} too large");
         let w0 = parts.iter().filter(|&&p| p == 0).count();
@@ -201,7 +197,7 @@ mod tests {
         let w0 = parts.iter().filter(|&&p| p == 0).count() as u64;
         assert!((2..=4).contains(&w0), "w0={w0} not near target 3");
         // A path split anywhere has cut >= 1; FM must keep it at 1 contiguous cut.
-        assert_eq!(cut_of(&g, &parts), 1);
+        assert_eq!(edge_cut(&g, &parts), 1);
     }
 
     #[test]

@@ -146,7 +146,7 @@ const NET_SCAN_CAP: usize = 256;
 /// vertex sharing the greatest total net weight (scanning nets with at most
 /// `NET_SCAN_CAP` pins). Returns the coarse hypergraph and the fine→coarse
 /// map.
-pub fn coarsen(hg: &Hypergraph, rng: &mut SmallRng) -> (Hypergraph, Vec<u32>) {
+pub(crate) fn coarsen(hg: &Hypergraph, rng: &mut SmallRng) -> (Hypergraph, Vec<u32>) {
     let n = hg.nvtx();
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -258,7 +258,7 @@ pub fn coarsen(hg: &Hypergraph, rng: &mut SmallRng) -> (Hypergraph, Vec<u32>) {
 }
 
 /// Cut-net FM refinement of a 2-way partition (in place). Returns the cut.
-pub fn fm_refine_hg(hg: &Hypergraph, parts: &mut [u32], target0: u64) -> u64 {
+pub(crate) fn fm_refine_hg(hg: &Hypergraph, parts: &mut [u32], target0: u64) -> u64 {
     let n = hg.nvtx();
     if n == 0 {
         return 0;
@@ -421,7 +421,7 @@ pub fn fm_refine_hg(hg: &Hypergraph, parts: &mut [u32], target0: u64) -> u64 {
 
 /// Multilevel 2-way hypergraph partition with target fraction `frac0` for
 /// part 0. Returns labels and the cut-net cost.
-pub fn bisect_hypergraph(hg: &Hypergraph, frac0: f64, seed: u64) -> (Vec<u32>, u64) {
+pub(crate) fn bisect_hypergraph(hg: &Hypergraph, frac0: f64, seed: u64) -> (Vec<u32>, u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut levels: Vec<Hypergraph> = vec![hg.clone()];
     let mut maps: Vec<Vec<u32>> = Vec::new();

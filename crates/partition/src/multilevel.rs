@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 /// Heavy-edge matching: visits vertices in random order, matching each
 /// unmatched vertex with its heaviest unmatched neighbor. Returns
 /// `match_of[v]` (`== v` for unmatched vertices).
-pub fn heavy_edge_matching(g: &Graph, rng: &mut SmallRng) -> Vec<u32> {
+pub(crate) fn heavy_edge_matching(g: &Graph, rng: &mut SmallRng) -> Vec<u32> {
     let n = g.nvtx();
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -45,7 +45,7 @@ pub fn heavy_edge_matching(g: &Graph, rng: &mut SmallRng) -> Vec<u32> {
 }
 
 /// Contracts a matching: returns the coarse graph and the fine→coarse map.
-pub fn contract(g: &Graph, match_of: &[u32]) -> (Graph, Vec<u32>) {
+pub(crate) fn contract(g: &Graph, match_of: &[u32]) -> (Graph, Vec<u32>) {
     let n = g.nvtx();
     let mut cmap = vec![u32::MAX; n];
     let mut nc = 0u32;

@@ -15,7 +15,7 @@ const LEAF_SIZE: usize = 64;
 /// two boundary sides. Removing it disconnects the remaining parts (every
 /// cut edge has an endpoint in each boundary; taking one full side covers
 /// all cut edges).
-pub fn separator_from_bisection(g: &Graph, parts: &[u32]) -> Vec<u32> {
+pub(crate) fn separator_from_bisection(g: &Graph, parts: &[u32]) -> Vec<u32> {
     let mut b0 = Vec::new();
     let mut b1 = Vec::new();
     for v in 0..g.nvtx() {

@@ -50,8 +50,8 @@ pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// Bytes a [`DenseAccumulator`] holds per output column: an `f64` value, a
 /// `u32` generation stamp and a `u32` slot of its touched list (the masked
-/// kernel's dense accumulator has only the first two, and is budgeted as
-/// one).
+/// kernel's dense accumulator holds only a `u32` slot per column, and is
+/// budgeted as one).
 const DENSE_BYTES_PER_COL: usize = 16;
 
 /// The most dense-accumulator memory one worker may hold: half of a 2 MiB L2,
